@@ -7,8 +7,8 @@
 
 use criterion::Criterion;
 use std::hint::black_box;
-use std::sync::Arc;
 use sysplex_bench::{banner, command_path_report, row, small_criterion};
+use sysplex_core::connection::CfCommand;
 use sysplex_core::facility::{CfConfig, CouplingFacility};
 use sysplex_core::link::LinkConfig;
 use sysplex_core::lock::{LockMode, LockParams};
@@ -78,21 +78,17 @@ fn link_benches(c: &mut Criterion) {
         facilities.push((name, cf));
     }
 
-    // Async command on a 100 MB/s link pays task-switch overhead.
+    // The same request/release pair marked bulk on the 100 MB/s link: the
+    // subchannel converts both, so each pays the task-switch overhead on
+    // top of its round trip.
     {
-        let cf = CouplingFacility::new(CfConfig::named("CF01").with_link(LinkConfig::mb100()));
-        let lock = cf.allocate_lock_structure("L", LockParams::with_entries(1024)).unwrap();
-        let conn = lock.connect().unwrap();
-        let link = cf.link();
-        let lock2 = Arc::clone(&lock);
+        let (_, cf) = facilities.iter().find(|(name, _)| *name == "mb100").expect("mb100 facility");
+        let conn = cf.connect_lock("L").unwrap();
+        let (lock, id, sub) = (conn.structure(), conn.conn_id(), conn.subchannel());
         group.bench_function("cf_async_lock_cmd_mb100", |b| {
             b.iter(|| {
-                let l = Arc::clone(&lock2);
-                link.execute_async(64, move || {
-                    l.request(conn, 0, LockMode::Shared).unwrap();
-                    l.release(conn, 0).unwrap();
-                })
-                .wait()
+                sub.issue(CfCommand::LOCK_REQUEST.bulk(), || lock.request(id, 0, LockMode::Shared)).unwrap();
+                sub.issue(CfCommand::LOCK_RELEASE.bulk(), || lock.release(id, 0)).unwrap();
             })
         });
     }
@@ -102,7 +98,7 @@ fn link_benches(c: &mut Criterion) {
     group.bench_function("dasd_read_1996", |b| b.iter(|| black_box(farm.read(0, "VOL1", 3).unwrap())));
     group.finish();
     // Per-class accounting for the mb100 facility: lock commands stay
-    // CPU-synchronous on the unified command path.
+    // CPU-synchronous on the unified command path unless marked bulk.
     for (name, cf) in &facilities {
         if *name == "mb100" {
             command_path_report(cf);

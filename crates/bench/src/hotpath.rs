@@ -125,8 +125,8 @@ pub struct PhaseResult {
     /// resource name). Zero for list/cache phases.
     pub false_contention_pct: f64,
     /// Commands converted to asynchronous execution during the phase
-    /// (across the phase's classes). Instant links keep this at zero —
-    /// see [`HotpathReport::warnings`].
+    /// (across the phase's classes). Lock commands never convert, so lock
+    /// phases keep this at zero by design.
     pub async_converted: u64,
     /// IRLM phases: fraction of lock requests re-granted entirely locally
     /// (no CF command). Zero for raw-connection and list/cache phases.
@@ -897,29 +897,6 @@ impl HotpathReport {
         out
     }
 
-    /// Conditions worth flagging next to the report. Today there is one:
-    /// zero `async_converted` across the lock command classes means the
-    /// sweep never exercised the CF's async-conversion path (expected
-    /// with instant links, but the reader should know the lock figures
-    /// carry no async component).
-    pub fn warnings(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        let lock_async: u64 = self
-            .class_totals
-            .iter()
-            .filter(|t| t.class == CommandClass::LockRequest.name() || t.class == CommandClass::LockRelease.name())
-            .map(|t| t.async_converted)
-            .sum();
-        if lock_async == 0 {
-            out.push(
-                "WARNING: async_converted = 0 across all lock commands — every lock command ran \
-                 CPU-synchronously (instant links), so this report exercises no async-conversion path"
-                    .to_string(),
-            );
-        }
-        out
-    }
-
     /// Human-readable table (the example prints this alongside the JSON).
     pub fn render_table(&self) -> String {
         let mut out = String::new();
@@ -956,10 +933,6 @@ impl HotpathReport {
             self.regrant_p50_speedup,
             self.counters_reconciled
         ));
-        for w in self.warnings() {
-            out.push_str(&w);
-            out.push('\n');
-        }
         out
     }
 }
@@ -1024,14 +997,6 @@ mod tests {
             "local re-grant must beat the modeled CF round trip, got {:.2}x",
             report.regrant_p50_speedup
         );
-        // Satellite: instant links never async-convert, and the report
-        // must say so out loud rather than leave a silent zero.
-        let warnings = report.warnings();
-        assert!(
-            warnings.iter().any(|w| w.contains("async_converted = 0")),
-            "zero lock async conversions must surface a visible warning: {warnings:?}"
-        );
-        assert!(report.render_table().contains("WARNING"), "table output carries the warning");
     }
 
     #[test]

@@ -2,20 +2,22 @@
 //!
 //! Every lock, cache, and list operation an exploiter issues travels
 //! through a per-system, per-structure **connection** ([`LockConnection`],
-//! [`CacheConnection`], [`ListConnection`]) as a typed [`CfCommand`]. The
-//! connection's [`CfSubchannel`] decides the execution mode the way §3.3
-//! describes: "Commands to the CF can be executed synchronously or
-//! asynchronously, with cpu-synchronous command completion times measured
-//! in micro-seconds" — small directory and lock commands spin the issuing
-//! CPU on the link, while bulk transfers (castout reads, list scans,
-//! oversized data writes) are converted to asynchronous execution on the
-//! facility's processor pool and pay the task-switch overhead.
+//! [`CacheConnection`], [`ListConnection`]) as a typed [`CfCommand`], and
+//! every command is issued one way: [`CfSubchannel::issue`] runs it inline
+//! on the issuing thread. §3.3's execution mode — "Commands to the CF can
+//! be executed synchronously or asynchronously, with cpu-synchronous
+//! command completion times measured in micro-seconds" — is a function of
+//! the descriptor ([`CfCommand::converts_async`]): small directory and
+//! lock commands are CPU-synchronous, while bulk transfers (castout reads,
+//! list scans, oversized data writes) are *converted* — counted and traced
+//! as asynchronous and charged the simulated task-switch overhead.
 //!
 //! Centralising the command path buys three things the raw structure API
 //! cannot give:
 //!
-//! * **One conversion heuristic** ([`ConversionPolicy`]) instead of each
-//!   exploiter hand-picking `execute_sync`/`execute_async`.
+//! * **One descriptor per command** (the `CfCommand` constants), shared
+//!   with [`crate::wire::WireRequest::command`] so a member-side meter
+//!   cannot disagree with the serving subchannel.
 //! * **Per-command-class accounting** ([`ConnectionStats`]): issued, ran
 //!   synchronous, converted to asynchronous, faulted, plus a latency
 //!   histogram per class — the numbers the experiments report.
@@ -168,36 +170,71 @@ impl CfCommand {
         self.bulk = true;
         self
     }
-}
 
-/// The sync-vs-async conversion heuristic.
-///
-/// §3.3: synchronous execution avoids "the asynchronous execution
-/// overheads associated with task switching and processor cache
-/// disruptions" — but only pays off while the CPU spin is shorter than a
-/// task switch. Small commands therefore run CPU-synchronously; commands
-/// marked bulk or moving more than `async_threshold_bytes` are converted
-/// to asynchronous execution on the CF processor pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConversionPolicy {
-    /// Payload size above which a command is converted to async.
-    pub async_threshold_bytes: usize,
-}
-
-impl Default for ConversionPolicy {
-    fn default() -> Self {
-        // One 4 KiB page spins for ~40-80 µs of transfer on a 50-100 MB/s
-        // link — about the cost of the task switch it would avoid. Anything
-        // larger is better off asynchronous.
-        ConversionPolicy { async_threshold_bytes: PAGE_BYTES }
+    /// Whether the command is converted to asynchronous execution.
+    ///
+    /// §3.3: synchronous execution avoids "the asynchronous execution
+    /// overheads associated with task switching and processor cache
+    /// disruptions" — but only pays off while the CPU spin is shorter than
+    /// a task switch. One 4 KiB page spins for ~40-80 µs of transfer on a
+    /// 50-100 MB/s link, about the cost of the task switch it would avoid;
+    /// anything larger, and anything marked bulk, is converted.
+    pub const fn converts_async(&self) -> bool {
+        self.bulk || self.payload_bytes > PAGE_BYTES
     }
-}
 
-impl ConversionPolicy {
-    /// Whether `cmd` should be converted to asynchronous execution.
-    pub fn converts(&self, cmd: &CfCommand) -> bool {
-        cmd.bulk || cmd.payload_bytes > self.async_threshold_bytes
+    /// Lock connect / disconnect (own slot or a peer's).
+    pub const LOCK_CONNECT: Self = Self::new(CommandClass::LockAdmin, DIR_CMD_BYTES);
+    /// Obtain or force interest in a lock-table entry.
+    pub const LOCK_REQUEST: Self = Self::new(CommandClass::LockRequest, LOCK_CMD_BYTES);
+    /// Release interest in a lock-table entry.
+    pub const LOCK_RELEASE: Self = Self::new(CommandClass::LockRelease, LOCK_CMD_BYTES);
+    /// Single-entry or single-connector lock queries and recovery-complete.
+    pub const LOCK_QUERY: Self = Self::new(CommandClass::LockAdmin, LOCK_CMD_BYTES);
+    /// Read a failed peer's retained locks. Not bulk: recovery reads a
+    /// handful of records and has always been accounted synchronous.
+    pub const LOCK_RETAINED: Self = Self::new(CommandClass::LockAdmin, DIR_CMD_BYTES);
+    /// Write or delete record data of `data_len` bytes (name + payload).
+    pub fn lock_record(data_len: usize) -> Self {
+        Self::new(CommandClass::LockRecord, LOCK_CMD_BYTES + data_len)
     }
+
+    /// Cache connect / disconnect / unregister (directory-only).
+    pub const CACHE_DIRECTORY: Self = Self::new(CommandClass::CacheAdmin, DIR_CMD_BYTES);
+    /// Read-and-register one block.
+    pub const CACHE_READ: Self = Self::new(CommandClass::CacheRead, PAGE_BYTES);
+    /// Write-and-invalidate `data_len` bytes; converts above one page.
+    pub fn cache_write(data_len: usize) -> Self {
+        Self::new(CommandClass::CacheWrite, data_len.max(DIR_CMD_BYTES))
+    }
+    /// Castout candidate scan over the directory: bulk.
+    pub const CASTOUT_CANDIDATES: Self = Self::new(CommandClass::CacheCastout, DIR_CMD_BYTES).bulk();
+    /// Castout read of one changed block: bulk data transfer.
+    pub const CASTOUT_READ: Self = Self::new(CommandClass::CacheCastout, PAGE_BYTES).bulk();
+    /// Castout completion.
+    pub const CASTOUT_COMPLETE: Self = Self::new(CommandClass::CacheCastout, LOCK_CMD_BYTES);
+
+    /// List connect / disconnect / monitor registration.
+    pub const LIST_DIRECTORY: Self = Self::new(CommandClass::ListAdmin, DIR_CMD_BYTES);
+    /// Serializing list-lock acquire / release / holder query.
+    pub const LIST_LOCK: Self = Self::new(CommandClass::ListAdmin, LOCK_CMD_BYTES);
+    /// Create or update an entry of `data_len` bytes; converts above one
+    /// page, for `update` exactly as for `enqueue`.
+    pub fn list_write(data_len: usize) -> Self {
+        Self::new(CommandClass::ListWrite, data_len.max(LOCK_CMD_BYTES))
+    }
+    /// Delete an entry.
+    pub const LIST_DELETE: Self = Self::new(CommandClass::ListWrite, LOCK_CMD_BYTES);
+    /// Read one entry.
+    pub const LIST_READ_ENTRY: Self = Self::new(CommandClass::ListRead, DIR_CMD_BYTES);
+    /// Read a whole list: bulk.
+    pub const LIST_SCAN: Self = Self::new(CommandClass::ListRead, PAGE_BYTES).bulk();
+    /// Header entry count.
+    pub const LIST_HEADER_LEN: Self = Self::new(CommandClass::ListRead, LOCK_CMD_BYTES);
+    /// Move a named entry between headers.
+    pub const LIST_MOVE: Self = Self::new(CommandClass::ListMove, LOCK_CMD_BYTES);
+    /// Dequeue or claim the first entry (returns the entry).
+    pub const LIST_DEQUEUE: Self = Self::new(CommandClass::ListMove, DIR_CMD_BYTES);
 }
 
 /// Per-class command counters plus a latency histogram.
@@ -353,30 +390,19 @@ impl FaultInjector {
 }
 
 /// One system's command subchannel to a facility: the link plus the shared
-/// accounting, conversion policy and fault hook. Cheap to clone; clones
-/// share stats and injector (facility-wide accounting).
+/// accounting and fault hook. Cheap to clone; clones share stats and
+/// injector (facility-wide accounting).
 #[derive(Debug, Clone)]
 pub struct CfSubchannel {
     link: CfLink,
     stats: Arc<ConnectionStats>,
     injector: Arc<FaultInjector>,
-    policy: ConversionPolicy,
     tracer: Arc<Tracer>,
     system: u8,
     structure: u32,
 }
 
 impl CfSubchannel {
-    /// Wrap a link with fresh accounting and the default policy.
-    pub fn new(link: CfLink) -> Self {
-        CfSubchannel::with_shared(
-            link,
-            Arc::new(ConnectionStats::new()),
-            Arc::new(FaultInjector::new()),
-            Arc::new(Tracer::new()),
-        )
-    }
-
     /// Wrap a link sharing an existing stats block, injector and tracer
     /// (how the facility gives every attached system one accounting and
     /// trace domain).
@@ -386,21 +412,7 @@ impl CfSubchannel {
         injector: Arc<FaultInjector>,
         tracer: Arc<Tracer>,
     ) -> Self {
-        CfSubchannel {
-            link,
-            stats,
-            injector,
-            policy: ConversionPolicy::default(),
-            tracer,
-            system: TRACE_SYSTEM_CF,
-            structure: 0,
-        }
-    }
-
-    /// Replace the conversion policy.
-    pub fn with_policy(mut self, policy: ConversionPolicy) -> Self {
-        self.policy = policy;
-        self
+        CfSubchannel { link, stats, injector, tracer, system: TRACE_SYSTEM_CF, structure: 0 }
     }
 
     /// Attribute subsequent traced events to `system` (clones inherit it).
@@ -436,11 +448,6 @@ impl CfSubchannel {
         &self.injector
     }
 
-    /// The active conversion policy.
-    pub fn policy(&self) -> ConversionPolicy {
-        self.policy
-    }
-
     /// The shared component tracer.
     pub fn tracer(&self) -> &Arc<Tracer> {
         &self.tracer
@@ -456,11 +463,6 @@ impl CfSubchannel {
     #[inline]
     pub fn emit(&self, event: TraceEvent) {
         self.tracer.emit(self.system, self.structure, event);
-    }
-
-    /// Whether `cmd` will be converted to asynchronous execution.
-    pub fn wants_async(&self, cmd: &CfCommand) -> bool {
-        self.policy.converts(cmd)
     }
 
     /// Consume one armed fault, if any. `Ok(Some(d))` asks the caller to
@@ -483,18 +485,26 @@ impl CfSubchannel {
         }
     }
 
-    /// Issue `cmd` CPU-synchronously: the issuing processor spins for the
-    /// simulated round trip and observes the result with no task switch.
-    pub fn issue_sync<R>(&self, cmd: CfCommand, op: impl FnOnce() -> CfResult<R>) -> CfResult<R> {
+    /// Issue `cmd`: account it, consume any armed fault, and run `op`
+    /// inline on the issuing thread inside the simulated link round trip.
+    /// A command its descriptor converts ([`CfCommand::converts_async`])
+    /// is counted and traced as asynchronous and pays the link's
+    /// task-switch overhead after the round trip; nothing else differs.
+    pub fn issue<R>(&self, cmd: CfCommand, op: impl FnOnce() -> CfResult<R>) -> CfResult<R> {
         let t0 = Instant::now();
+        let converted_async = cmd.converts_async();
         let cs = self.stats.class(cmd.class);
         cs.issued.incr();
-        cs.sync.incr();
+        if converted_async {
+            cs.async_converted.incr();
+        } else {
+            cs.sync.incr();
+        }
         // One relaxed load decides tracing for the whole command: the
         // disabled hot path pays nothing else.
         let traced = self.tracer.is_enabled();
         if traced {
-            self.emit(TraceEvent::CmdIssued { class: cmd.class, converted_async: false });
+            self.emit(TraceEvent::CmdIssued { class: cmd.class, converted_async });
         }
         // A dead link (facility shut down) fails every command with the
         // same typed timeout a lost-in-flight command produces — one
@@ -508,7 +518,11 @@ impl CfSubchannel {
                     if let Some(d) = delay {
                         spin_for(d);
                     }
-                    self.link.execute_sync(cmd.payload_bytes, op)
+                    let r = self.link.execute_sync(cmd.payload_bytes, op);
+                    if converted_async {
+                        spin_for(self.link.config().async_overhead());
+                    }
+                    r
                 }
                 Err(e) => Err(e),
             }
@@ -518,58 +532,7 @@ impl CfSubchannel {
         if traced {
             self.emit(TraceEvent::CmdCompleted {
                 class: cmd.class,
-                converted_async: false,
-                latency_ns: elapsed.as_nanos().min(u64::MAX as u128) as u64,
-            });
-        }
-        r
-    }
-
-    /// Issue `cmd` asynchronously-converted: ship the operation to the CF
-    /// processor pool, block for the completion, and pay the task-switch
-    /// overhead. A dropped command (executor shut down mid-flight)
-    /// surfaces as [`CfError::LinkTimeout`], never a panic.
-    pub fn issue_async<R: Send + 'static>(
-        &self,
-        cmd: CfCommand,
-        op: impl FnOnce() -> CfResult<R> + Send + 'static,
-    ) -> CfResult<R> {
-        let t0 = Instant::now();
-        let cs = self.stats.class(cmd.class);
-        cs.issued.incr();
-        cs.async_converted.incr();
-        let traced = self.tracer.is_enabled();
-        if traced {
-            self.emit(TraceEvent::CmdIssued { class: cmd.class, converted_async: true });
-        }
-        // Same dead-link fast-fail as the synchronous path; a shutdown
-        // racing an in-flight submit is still caught by `checked_wait`.
-        let r = if self.link.is_shut_down() {
-            cs.faulted.incr();
-            Err(CfError::LinkTimeout(cmd.class.name()))
-        } else {
-            match self.check_fault(&cmd) {
-                Ok(delay) => {
-                    if let Some(d) = delay {
-                        spin_for(d);
-                    }
-                    match self.link.execute_async(cmd.payload_bytes, op).checked_wait() {
-                        Some(r) => r,
-                        None => {
-                            cs.faulted.incr();
-                            Err(CfError::LinkTimeout(cmd.class.name()))
-                        }
-                    }
-                }
-                Err(e) => Err(e),
-            }
-        };
-        let elapsed = t0.elapsed();
-        cs.latency.record(elapsed);
-        if traced {
-            self.emit(TraceEvent::CmdCompleted {
-                class: cmd.class,
-                converted_async: true,
+                converted_async,
                 latency_ns: elapsed.as_nanos().min(u64::MAX as u128) as u64,
             });
         }
@@ -579,7 +542,7 @@ impl CfSubchannel {
 
 /// A system's connection to a lock-model structure (§3.3.1). Every lock
 /// command flows through the subchannel; lock-table traffic is small and
-/// uncontended in the common case, so it always runs CPU-synchronously.
+/// uncontended in the common case, so none of it converts.
 #[derive(Debug, Clone)]
 pub struct LockConnection {
     structure: Arc<LockStructure>,
@@ -591,8 +554,7 @@ impl LockConnection {
     /// Connect to `structure` through `sub`, taking any free slot.
     pub fn attach(structure: &Arc<LockStructure>, sub: CfSubchannel) -> CfResult<Self> {
         let sub = sub.for_structure_named(structure.name());
-        let id =
-            sub.issue_sync(CfCommand::new(CommandClass::LockAdmin, DIR_CMD_BYTES), || structure.connect())?;
+        let id = sub.issue(CfCommand::LOCK_CONNECT, || structure.connect())?;
         Ok(LockConnection { structure: Arc::clone(structure), id, sub })
     }
 
@@ -600,9 +562,7 @@ impl LockConnection {
     /// rebuild into a new structure with identities preserved).
     pub fn attach_slot(structure: &Arc<LockStructure>, sub: CfSubchannel, slot: ConnId) -> CfResult<Self> {
         let sub = sub.for_structure_named(structure.name());
-        let id = sub.issue_sync(CfCommand::new(CommandClass::LockAdmin, DIR_CMD_BYTES), || {
-            structure.connect_slot(slot)
-        })?;
+        let id = sub.issue(CfCommand::LOCK_CONNECT, || structure.connect_slot(slot))?;
         Ok(LockConnection { structure: Arc::clone(structure), id, sub })
     }
 
@@ -641,9 +601,7 @@ impl LockConnection {
 
     /// Request `mode` interest in lock-table entry `entry`.
     pub fn request_lock(&self, entry: usize, mode: LockMode) -> CfResult<LockResponse> {
-        let r = self.sub.issue_sync(CfCommand::new(CommandClass::LockRequest, LOCK_CMD_BYTES), || {
-            self.structure.request(self.id, entry, mode)
-        });
+        let r = self.sub.issue(CfCommand::LOCK_REQUEST, || self.structure.request(self.id, entry, mode));
         match &r {
             Ok(LockResponse::Granted) => self.sub.emit(TraceEvent::LockGrant {
                 entry: entry as u64,
@@ -665,9 +623,7 @@ impl LockConnection {
     /// Record `mode` interest unconditionally (state import: rebuild,
     /// duplex mirroring).
     pub fn force_interest(&self, entry: usize, mode: LockMode) -> CfResult<()> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::LockRequest, LOCK_CMD_BYTES), || {
-            self.structure.force_interest(self.id, entry, mode)
-        })
+        self.sub.issue(CfCommand::LOCK_REQUEST, || self.structure.force_interest(self.id, entry, mode))
     }
 
     /// Record `mode` interest after negotiating with `negotiated`; refused
@@ -683,16 +639,14 @@ impl LockConnection {
         negotiated: crate::types::ConnMask,
         generation: u16,
     ) -> CfResult<bool> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::LockRequest, LOCK_CMD_BYTES), || {
+        self.sub.issue(CfCommand::LOCK_REQUEST, || {
             self.structure.force_interest_negotiated(self.id, entry, mode, negotiated, generation)
         })
     }
 
     /// Release this connection's interest in entry `entry`.
     pub fn release_lock(&self, entry: usize) -> CfResult<()> {
-        let r = self.sub.issue_sync(CfCommand::new(CommandClass::LockRelease, LOCK_CMD_BYTES), || {
-            self.structure.release(self.id, entry)
-        });
+        let r = self.sub.issue(CfCommand::LOCK_RELEASE, || self.structure.release(self.id, entry));
         if r.is_ok() {
             self.sub.emit(TraceEvent::LockRelease { entry: entry as u64, conn: self.id.raw() });
         }
@@ -701,50 +655,40 @@ impl LockConnection {
 
     /// Holders of entry `entry`: `(all interested, exclusive holder)`.
     pub fn holders(&self, entry: usize) -> CfResult<(ConnMask, Option<ConnId>)> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::LockAdmin, LOCK_CMD_BYTES), || {
-            Ok(self.structure.holders(entry))
-        })
+        self.sub.issue(CfCommand::LOCK_QUERY, || Ok(self.structure.holders(entry)))
     }
 
     /// Whether entry `entry` is in negotiation.
     pub fn is_negotiate(&self, entry: usize) -> CfResult<bool> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::LockAdmin, LOCK_CMD_BYTES), || {
-            Ok(self.structure.is_negotiate(entry))
-        })
+        self.sub.issue(CfCommand::LOCK_QUERY, || Ok(self.structure.is_negotiate(entry)))
     }
 
     /// Write persistent record data for `resource` held in `mode`.
     pub fn write_lock_record(&self, resource: &[u8], mode: LockMode, payload: &[u8]) -> CfResult<()> {
-        let cmd = CfCommand::new(CommandClass::LockRecord, LOCK_CMD_BYTES + resource.len() + payload.len());
-        self.sub.issue_sync(cmd, || self.structure.write_record(self.id, resource, mode, payload))
+        let cmd = CfCommand::lock_record(resource.len() + payload.len());
+        self.sub.issue(cmd, || self.structure.write_record(self.id, resource, mode, payload))
     }
 
     /// Delete the persistent record for `resource`.
     pub fn delete_lock_record(&self, resource: &[u8]) -> CfResult<()> {
-        let cmd = CfCommand::new(CommandClass::LockRecord, LOCK_CMD_BYTES + resource.len());
-        self.sub.issue_sync(cmd, || self.structure.delete_record(self.id, resource))
+        let cmd = CfCommand::lock_record(resource.len());
+        self.sub.issue(cmd, || self.structure.delete_record(self.id, resource))
     }
 
     /// Retained (failed-persistent) locks of connector `peer` — the
     /// recovery read a surviving system issues on a dead peer's behalf.
     pub fn retained_locks_of(&self, peer: ConnId) -> CfResult<Vec<RetainedLock>> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::LockAdmin, DIR_CMD_BYTES).bulk(), || {
-            Ok(self.structure.retained_locks(peer))
-        })
+        self.sub.issue(CfCommand::LOCK_RETAINED, || Ok(self.structure.retained_locks(peer)))
     }
 
     /// Whether connector `peer` is failed-persistent awaiting recovery.
     pub fn is_failed_persistent(&self, peer: ConnId) -> CfResult<bool> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::LockAdmin, LOCK_CMD_BYTES), || {
-            Ok(self.structure.is_failed_persistent(peer))
-        })
+        self.sub.issue(CfCommand::LOCK_QUERY, || Ok(self.structure.is_failed_persistent(peer)))
     }
 
     /// Declare peer recovery complete: purges `peer`'s retained state.
     pub fn recovery_complete_for(&self, peer: ConnId) -> CfResult<()> {
-        let r = self.sub.issue_sync(CfCommand::new(CommandClass::LockAdmin, LOCK_CMD_BYTES), || {
-            self.structure.recovery_complete(peer)
-        });
+        let r = self.sub.issue(CfCommand::LOCK_QUERY, || self.structure.recovery_complete(peer));
         if r.is_ok() {
             self.sub.emit(TraceEvent::LockRelease { entry: u64::MAX, conn: peer.raw() });
         }
@@ -753,9 +697,7 @@ impl LockConnection {
 
     /// Disconnect this connection.
     pub fn detach(&self, mode: DisconnectMode) -> CfResult<()> {
-        let r = self.sub.issue_sync(CfCommand::new(CommandClass::LockAdmin, DIR_CMD_BYTES), || {
-            self.structure.disconnect(self.id, mode)
-        });
+        let r = self.sub.issue(CfCommand::LOCK_CONNECT, || self.structure.disconnect(self.id, mode));
         // Normal disconnect purges every interest; abnormal retains it for
         // recovery, so no release is traced until recovery completes.
         if r.is_ok() && mode == DisconnectMode::Normal {
@@ -767,9 +709,7 @@ impl LockConnection {
     /// Disconnect a peer's slot (surviving system marking a dead peer
     /// failed-persistent).
     pub fn detach_peer(&self, peer: ConnId, mode: DisconnectMode) -> CfResult<()> {
-        let r = self.sub.issue_sync(CfCommand::new(CommandClass::LockAdmin, DIR_CMD_BYTES), || {
-            self.structure.disconnect(peer, mode)
-        });
+        let r = self.sub.issue(CfCommand::LOCK_CONNECT, || self.structure.disconnect(peer, mode));
         if r.is_ok() && mode == DisconnectMode::Normal {
             self.sub.emit(TraceEvent::LockRelease { entry: u64::MAX, conn: peer.raw() });
         }
@@ -783,8 +723,8 @@ impl LockConnection {
 }
 
 /// A system's connection to a cache-model structure (§3.3.2). Reads and
-/// small writes run CPU-synchronously; castout traffic and oversized data
-/// writes convert to asynchronous execution.
+/// small writes are CPU-synchronous; castout traffic and oversized data
+/// writes are converted.
 #[derive(Debug, Clone)]
 pub struct CacheConnection {
     structure: Arc<CacheStructure>,
@@ -797,9 +737,7 @@ impl CacheConnection {
     /// `vector_len` entries.
     pub fn attach(structure: &Arc<CacheStructure>, sub: CfSubchannel, vector_len: usize) -> CfResult<Self> {
         let sub = sub.for_structure_named(structure.name());
-        let token = sub.issue_sync(CfCommand::new(CommandClass::CacheAdmin, DIR_CMD_BYTES), || {
-            structure.connect(vector_len)
-        })?;
+        let token = sub.issue(CfCommand::CACHE_DIRECTORY, || structure.connect(vector_len))?;
         Ok(CacheConnection { structure: Arc::clone(structure), token, sub })
     }
 
@@ -864,7 +802,7 @@ impl CacheConnection {
 
     /// Read block `name` and register interest at `vector_index`.
     pub fn register_read(&self, name: BlockName, vector_index: u32) -> CfResult<RegisterResult> {
-        let r = self.sub.issue_sync(CfCommand::new(CommandClass::CacheRead, PAGE_BYTES), || {
+        let r = self.sub.issue(CfCommand::CACHE_READ, || {
             self.structure.read_and_register(&self.token, name, vector_index)
         });
         if let Ok(reg) = &r {
@@ -876,15 +814,9 @@ impl CacheConnection {
     /// Write block `name` and cross-invalidate every other registered
     /// connector. Oversized payloads are converted to async execution.
     pub fn write_invalidate(&self, name: BlockName, data: &[u8], kind: WriteKind) -> CfResult<WriteResult> {
-        let cmd = CfCommand::new(CommandClass::CacheWrite, data.len().max(DIR_CMD_BYTES));
-        let r = if self.sub.wants_async(&cmd) {
-            let structure = Arc::clone(&self.structure);
-            let token = self.token.clone();
-            let data = data.to_vec();
-            self.sub.issue_async(cmd, move || structure.write_and_invalidate(&token, name, &data, kind))
-        } else {
-            self.sub.issue_sync(cmd, || self.structure.write_and_invalidate(&self.token, name, data, kind))
-        };
+        let r = self.sub.issue(CfCommand::cache_write(data.len()), || {
+            self.structure.write_and_invalidate(&self.token, name, data, kind)
+        });
         if let Ok(w) = &r {
             self.sub.emit(TraceEvent::CrossInvalidate {
                 block: name.digest(),
@@ -896,40 +828,31 @@ impl CacheConnection {
 
     /// Drop this connection's registered interest in block `name`.
     pub fn unregister(&self, name: BlockName) -> CfResult<()> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::CacheAdmin, DIR_CMD_BYTES), || {
-            self.structure.unregister(&self.token, name)
-        })
+        self.sub.issue(CfCommand::CACHE_DIRECTORY, || self.structure.unregister(&self.token, name))
     }
 
     /// Changed blocks eligible for castout, oldest first. Directory scan:
-    /// bulk, asynchronous.
+    /// bulk, converted to async.
     pub fn castout_candidates(&self, max: usize) -> CfResult<Vec<BlockName>> {
-        let structure = Arc::clone(&self.structure);
-        self.sub.issue_async(CfCommand::new(CommandClass::CacheCastout, DIR_CMD_BYTES).bulk(), move || {
-            Ok(structure.castout_candidates(max))
-        })
+        self.sub.issue(CfCommand::CASTOUT_CANDIDATES, || Ok(self.structure.castout_candidates(max)))
     }
 
     /// Read a changed block for castout to DASD. Bulk data transfer:
-    /// asynchronous.
+    /// converted to async.
     pub fn castout_read(&self, name: BlockName) -> CfResult<(Arc<Vec<u8>>, u64)> {
-        let structure = Arc::clone(&self.structure);
-        let token = self.token.clone();
-        self.sub.issue_async(CfCommand::new(CommandClass::CacheCastout, PAGE_BYTES).bulk(), move || {
-            structure.read_for_castout(&token, name)
-        })
+        self.sub.issue(CfCommand::CASTOUT_READ, || self.structure.read_for_castout(&self.token, name))
     }
 
     /// Mark a castout complete (block hardened to DASD at `version`).
     pub fn castout_complete(&self, name: BlockName, version: u64) -> CfResult<()> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::CacheCastout, LOCK_CMD_BYTES), || {
+        self.sub.issue(CfCommand::CASTOUT_COMPLETE, || {
             self.structure.complete_castout(&self.token, name, version)
         })
     }
 
     /// Disconnect this connection.
     pub fn detach(&self) -> CfResult<()> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::CacheAdmin, DIR_CMD_BYTES), || {
+        self.sub.issue(CfCommand::CACHE_DIRECTORY, || {
             let _ = self.structure.disconnect(&self.token);
             Ok(())
         })
@@ -937,8 +860,8 @@ impl CacheConnection {
 }
 
 /// A system's connection to a list-model structure (§3.3.3). Queue
-/// operations run CPU-synchronously; whole-list scans convert to
-/// asynchronous execution.
+/// operations are CPU-synchronous; whole-list scans and oversized entry
+/// writes are converted.
 #[derive(Debug, Clone)]
 pub struct ListConnection {
     structure: Arc<ListStructure>,
@@ -951,9 +874,7 @@ impl ListConnection {
     /// vector of `vector_len` entries.
     pub fn attach(structure: &Arc<ListStructure>, sub: CfSubchannel, vector_len: usize) -> CfResult<Self> {
         let sub = sub.for_structure_named(structure.name());
-        let token = sub.issue_sync(CfCommand::new(CommandClass::ListAdmin, DIR_CMD_BYTES), || {
-            structure.connect(vector_len)
-        })?;
+        let token = sub.issue(CfCommand::LIST_DIRECTORY, || structure.connect(vector_len))?;
         Ok(ListConnection { structure: Arc::clone(structure), token, sub })
     }
 
@@ -1011,18 +932,9 @@ impl ListConnection {
         position: WritePosition,
         cond: LockCondition,
     ) -> CfResult<EntryId> {
-        let cmd = CfCommand::new(CommandClass::ListWrite, data.len().max(LOCK_CMD_BYTES));
-        let r = if self.sub.wants_async(&cmd) {
-            let structure = Arc::clone(&self.structure);
-            let token = self.token.clone();
-            let data = data.to_vec();
-            self.sub
-                .issue_async(cmd, move || structure.write_entry(&token, header, key, &data, position, cond))
-        } else {
-            self.sub.issue_sync(cmd, || {
-                self.structure.write_entry(&self.token, header, key, data, position, cond)
-            })
-        };
+        let r = self.sub.issue(CfCommand::list_write(data.len()), || {
+            self.structure.write_entry(&self.token, header, key, data, position, cond)
+        });
         if let Ok(id) = &r {
             self.sub.emit(TraceEvent::ListEnqueue { header: header as u64, entry: id.0 });
         }
@@ -1030,6 +942,7 @@ impl ListConnection {
     }
 
     /// Update entry `id` in place, optionally version-conditional.
+    /// Oversized payloads convert to async, as for `enqueue`.
     pub fn update(
         &self,
         id: EntryId,
@@ -1038,24 +951,19 @@ impl ListConnection {
         expected_version: Option<u64>,
         cond: LockCondition,
     ) -> CfResult<u64> {
-        let cmd = CfCommand::new(CommandClass::ListWrite, data.len().max(LOCK_CMD_BYTES));
-        self.sub.issue_sync(cmd, || {
+        self.sub.issue(CfCommand::list_write(data.len()), || {
             self.structure.update_entry(&self.token, id, key, data, expected_version, cond)
         })
     }
 
     /// Read entry `id`.
     pub fn read_entry(&self, id: EntryId) -> CfResult<EntryView> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::ListRead, DIR_CMD_BYTES), || {
-            self.structure.read_entry(&self.token, id)
-        })
+        self.sub.issue(CfCommand::LIST_READ_ENTRY, || self.structure.read_entry(&self.token, id))
     }
 
     /// Delete entry `id`.
     pub fn delete(&self, id: EntryId, cond: LockCondition) -> CfResult<()> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::ListWrite, LOCK_CMD_BYTES), || {
-            self.structure.delete_entry(&self.token, id, cond)
-        })
+        self.sub.issue(CfCommand::LIST_DELETE, || self.structure.delete_entry(&self.token, id, cond))
     }
 
     /// Atomically move entry `id` to `to_header`.
@@ -1066,7 +974,7 @@ impl ListConnection {
         position: WritePosition,
         cond: LockCondition,
     ) -> CfResult<()> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::ListMove, LOCK_CMD_BYTES), || {
+        self.sub.issue(CfCommand::LIST_MOVE, || {
             self.structure.move_entry(&self.token, id, to_header, position, cond)
         })
     }
@@ -1082,7 +990,7 @@ impl ListConnection {
         position: WritePosition,
         cond: LockCondition,
     ) -> CfResult<bool> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::ListMove, LOCK_CMD_BYTES), || {
+        self.sub.issue(CfCommand::LIST_MOVE, || {
             self.structure.move_entry_from(&self.token, id, from_header, to_header, position, cond)
         })
     }
@@ -1097,7 +1005,7 @@ impl ListConnection {
         position: WritePosition,
         cond: LockCondition,
     ) -> CfResult<Option<EntryView>> {
-        let r = self.sub.issue_sync(CfCommand::new(CommandClass::ListMove, DIR_CMD_BYTES), || {
+        let r = self.sub.issue(CfCommand::LIST_DEQUEUE, || {
             self.structure.move_first(&self.token, from, to, end, position, cond)
         });
         if let Ok(v) = &r {
@@ -1109,9 +1017,9 @@ impl ListConnection {
 
     /// Dequeue one entry from `header`.
     pub fn take(&self, header: usize, end: DequeueEnd, cond: LockCondition) -> CfResult<Option<EntryView>> {
-        let r = self.sub.issue_sync(CfCommand::new(CommandClass::ListMove, DIR_CMD_BYTES), || {
-            self.structure.dequeue(&self.token, header, end, cond)
-        });
+        let r = self
+            .sub
+            .issue(CfCommand::LIST_DEQUEUE, || self.structure.dequeue(&self.token, header, end, cond));
         if let Ok(v) = &r {
             self.sub.emit(TraceEvent::ListClaim {
                 header: header as u64,
@@ -1122,47 +1030,35 @@ impl ListConnection {
     }
 
     /// Read every entry of `header`, in order. Whole-list transfer: bulk,
-    /// asynchronous.
+    /// converted to async.
     pub fn scan(&self, header: usize) -> CfResult<Vec<EntryView>> {
-        let structure = Arc::clone(&self.structure);
-        let token = self.token.clone();
-        self.sub.issue_async(CfCommand::new(CommandClass::ListRead, PAGE_BYTES).bulk(), move || {
-            structure.read_list(&token, header)
-        })
+        self.sub.issue(CfCommand::LIST_SCAN, || self.structure.read_list(&self.token, header))
     }
 
     /// Number of entries currently on `header`.
     pub fn header_len(&self, header: usize) -> CfResult<usize> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::ListRead, LOCK_CMD_BYTES), || {
-            self.structure.header_len(header)
-        })
+        self.sub.issue(CfCommand::LIST_HEADER_LEN, || self.structure.header_len(header))
     }
 
     /// Try to acquire serializing lock entry `entry` (§3.3.3 recovery
     /// protocol).
     pub fn acquire_list_lock(&self, entry: usize) -> CfResult<bool> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::ListAdmin, LOCK_CMD_BYTES), || {
-            self.structure.acquire_lock(&self.token, entry)
-        })
+        self.sub.issue(CfCommand::LIST_LOCK, || self.structure.acquire_lock(&self.token, entry))
     }
 
     /// Release serializing lock entry `entry`.
     pub fn release_list_lock(&self, entry: usize) -> CfResult<()> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::ListAdmin, LOCK_CMD_BYTES), || {
-            self.structure.release_lock(&self.token, entry)
-        })
+        self.sub.issue(CfCommand::LIST_LOCK, || self.structure.release_lock(&self.token, entry))
     }
 
     /// Current holder of serializing lock entry `entry`.
     pub fn list_lock_holder(&self, entry: usize) -> CfResult<Option<ConnId>> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::ListAdmin, LOCK_CMD_BYTES), || {
-            self.structure.lock_holder(entry)
-        })
+        self.sub.issue(CfCommand::LIST_LOCK, || self.structure.lock_holder(entry))
     }
 
     /// Monitor `header` for empty→non-empty transitions at `vector_index`.
     pub fn register_monitor(&self, header: usize, vector_index: u32) -> CfResult<()> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::ListAdmin, DIR_CMD_BYTES), || {
+        self.sub.issue(CfCommand::LIST_DIRECTORY, || {
             let _ = self.structure.register_monitor(&self.token, header, vector_index);
             Ok(())
         })
@@ -1170,7 +1066,7 @@ impl ListConnection {
 
     /// Stop monitoring `header`.
     pub fn deregister_monitor(&self, header: usize) -> CfResult<()> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::ListAdmin, DIR_CMD_BYTES), || {
+        self.sub.issue(CfCommand::LIST_DIRECTORY, || {
             let _ = self.structure.deregister_monitor(&self.token, header);
             Ok(())
         })
@@ -1178,7 +1074,7 @@ impl ListConnection {
 
     /// Disconnect this connection.
     pub fn detach(&self) -> CfResult<()> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::ListAdmin, DIR_CMD_BYTES), || {
+        self.sub.issue(CfCommand::LIST_DIRECTORY, || {
             let _ = self.structure.disconnect(&self.token);
             Ok(())
         })
@@ -1359,10 +1255,93 @@ mod tests {
     }
 
     #[test]
-    fn policy_threshold_drives_conversion() {
-        let policy = ConversionPolicy { async_threshold_bytes: 1024 };
-        assert!(!policy.converts(&CfCommand::new(CommandClass::CacheWrite, 512)));
-        assert!(policy.converts(&CfCommand::new(CommandClass::CacheWrite, 2048)));
-        assert!(policy.converts(&CfCommand::new(CommandClass::ListRead, 64).bulk()));
+    fn descriptor_drives_conversion() {
+        assert!(!CfCommand::cache_write(PAGE_BYTES).converts_async());
+        assert!(CfCommand::list_write(PAGE_BYTES + 1).converts_async());
+        assert!(CfCommand::new(CommandClass::ListRead, 64).bulk().converts_async());
+        assert!(!CfCommand::LOCK_RETAINED.converts_async());
+    }
+
+    /// A converted command is an accounting and latency-model term: its
+    /// structure operation runs on the issuing thread, borrowing the
+    /// caller's payload, and no facility-side thread exists to run it.
+    #[test]
+    fn converted_commands_run_inline_on_the_issuing_thread() {
+        let cf = cf();
+        cf.allocate_cache_structure("GBP", CacheParams::store_in(64)).unwrap();
+        cf.allocate_list_structure("WQ", ListParams::with_headers(2)).unwrap();
+        let cache = cf.connect_cache("GBP", 16).unwrap();
+        let list = cf.connect_list("WQ", 8).unwrap();
+        list.enqueue(0, 1, b"job", WritePosition::Tail, LockCondition::None).unwrap();
+        let name = BlockName::from_bytes(b"PAGE1");
+        let page = vec![7u8; 2 * PAGE_BYTES];
+        let me = std::thread::current().id();
+        let on_issuer = || assert_eq!(std::thread::current().id(), me, "op left the issuing thread");
+
+        let sub = cache.subchannel();
+        sub.issue(CfCommand::cache_write(page.len()), || {
+            on_issuer();
+            cache.structure().write_and_invalidate(cache.token(), name, &page, WriteKind::ChangedData)
+        })
+        .unwrap();
+        let (data, _) = sub
+            .issue(CfCommand::CASTOUT_READ, || {
+                on_issuer();
+                cache.structure().read_for_castout(cache.token(), name)
+            })
+            .unwrap();
+        assert_eq!(*data, page);
+        let entries = list.subchannel().issue(CfCommand::LIST_SCAN, || {
+            on_issuer();
+            list.structure().read_list(list.token(), 0)
+        });
+        assert_eq!(entries.unwrap().len(), 1);
+        assert_eq!(cf.command_stats().async_converted(), 3);
+        #[cfg(target_os = "linux")]
+        for task in std::fs::read_dir("/proc/self/task").unwrap() {
+            let comm = std::fs::read_to_string(task.unwrap().path().join("comm")).unwrap_or_default();
+            assert!(!comm.starts_with("cf-proc"), "facility spawned a processor thread: {comm}");
+        }
+    }
+
+    /// Facility outage: every command, converted or not, fails with the
+    /// typed timeout, is counted faulted, and still reconciles.
+    #[test]
+    fn shutdown_fails_sync_and_converted_commands_alike() {
+        let cf = cf();
+        cf.allocate_cache_structure("GBP", CacheParams::store_in(64)).unwrap();
+        let a = cf.connect_cache("GBP", 16).unwrap();
+        let name = BlockName::from_bytes(b"PAGE1");
+        let s = a.stats();
+        s.reset();
+        assert!(!cf.is_shut_down());
+        cf.shutdown();
+        cf.shutdown();
+        assert!(cf.is_shut_down() && a.subchannel().link().is_shut_down());
+        assert_eq!(a.register_read(name, 0).unwrap_err(), CfError::LinkTimeout("cache-read"));
+        assert_eq!(a.castout_read(name).unwrap_err(), CfError::LinkTimeout("cache-castout"));
+        assert_eq!((s.issued(), s.sync(), s.async_converted(), s.faulted()), (2, 1, 1, 2));
+        assert_eq!(s.class(CommandClass::CacheRead).faulted.get(), 1);
+        assert_eq!(s.class(CommandClass::CacheCastout).async_converted.get(), 1);
+    }
+
+    /// The §3.3 latency model through the real path. Lower bounds only:
+    /// the spins guarantee them, upper bounds are host noise.
+    #[test]
+    fn converted_command_pays_round_trip_plus_async_overhead() {
+        let link = crate::link::LinkConfig::mb100();
+        let cf = CouplingFacility::new(CfConfig::named("CF01").with_link(link));
+        cf.allocate_cache_structure("GBP", CacheParams::store_in(64)).unwrap();
+        let a = cf.connect_cache("GBP", 16).unwrap();
+        let name = BlockName::from_bytes(b"PAGE1");
+        a.write_invalidate(name, &[1; 128], WriteKind::ChangedData).unwrap();
+        a.stats().reset();
+        a.register_read(name, 0).unwrap();
+        a.castout_read(name).unwrap();
+        let recorded = |class| a.stats().class(class).latency.max();
+        let round_trip = link.service_time(PAGE_BYTES);
+        assert!(recorded(CommandClass::CacheRead) >= round_trip);
+        assert_eq!(link.async_overhead(), Duration::from_micros(40));
+        assert!(recorded(CommandClass::CacheCastout) >= round_trip + link.async_overhead());
     }
 }

@@ -6,22 +6,22 @@
 //! structures of the same or different types can exist concurrently in the
 //! same Coupling Facility." (§3.3)
 //!
-//! A [`CouplingFacility`] owns a registry of named structures and a small
-//! pool of CF processors serving asynchronous commands. Systems attach
-//! [`crate::link::CfLink`]s to reach it; multiple facilities can coexist
-//! for availability and capacity, exactly as the paper allows.
+//! A [`CouplingFacility`] owns a registry of named structures. Systems
+//! attach [`crate::link::CfLink`]s to reach it; multiple facilities can
+//! coexist for availability and capacity, exactly as the paper allows.
 
 use crate::cache::{CacheParams, CacheStructure};
 use crate::connection::{
     CacheConnection, CfSubchannel, ConnectionStats, FaultInjector, LinkFault, ListConnection, LockConnection,
 };
 use crate::error::{CfError, CfResult};
-use crate::link::{CfExecutor, CfLink, LinkConfig};
+use crate::link::{CfLink, LinkConfig};
 use crate::list::{ListParams, ListStructure};
 use crate::lock::{LockParams, LockStructure};
 use crate::trace::Tracer;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Facility-wide configuration.
@@ -31,8 +31,6 @@ pub struct CfConfig {
     pub name: String,
     /// Latency model applied to links attached to this facility.
     pub link: LinkConfig,
-    /// CF processors serving asynchronous commands.
-    pub async_workers: usize,
     /// Maximum number of structures.
     pub max_structures: usize,
 }
@@ -40,7 +38,7 @@ pub struct CfConfig {
 impl CfConfig {
     /// Functional-mode facility (no simulated link latency).
     pub fn named(name: &str) -> Self {
-        CfConfig { name: name.to_string(), link: LinkConfig::instant(), async_workers: 2, max_structures: 64 }
+        CfConfig { name: name.to_string(), link: LinkConfig::instant(), max_structures: 64 }
     }
 
     /// Use a specific link latency model.
@@ -77,7 +75,8 @@ impl StructureHandle {
 pub struct CouplingFacility {
     config: CfConfig,
     structures: Mutex<HashMap<String, StructureHandle>>,
-    executor: Arc<CfExecutor>,
+    /// Set once by [`CouplingFacility::shutdown`]; every link shares it.
+    down: Arc<AtomicBool>,
     command_stats: Arc<ConnectionStats>,
     injector: Arc<FaultInjector>,
     tracer: Arc<Tracer>,
@@ -91,11 +90,10 @@ impl CouplingFacility {
 
     /// Power on a facility sharing a sysplex-wide component tracer.
     pub fn with_tracer(config: CfConfig, tracer: Arc<Tracer>) -> Arc<Self> {
-        let executor = Arc::new(CfExecutor::new(config.async_workers));
         Arc::new(CouplingFacility {
             config,
             structures: Mutex::new(HashMap::new()),
-            executor,
+            down: Arc::new(AtomicBool::new(false)),
             command_stats: Arc::new(ConnectionStats::new()),
             injector: Arc::new(FaultInjector::new()),
             tracer,
@@ -116,7 +114,7 @@ impl CouplingFacility {
     /// Attach a coupling link to this facility (one per system in
     /// practice; links are cheap clones).
     pub fn link(&self) -> CfLink {
-        CfLink::new(self.config.link, Arc::clone(&self.executor))
+        CfLink::new(self.config.link, Arc::clone(&self.down))
     }
 
     /// A command subchannel over a fresh link, sharing the facility-wide
@@ -142,18 +140,18 @@ impl CouplingFacility {
         self.injector.arm(fault);
     }
 
-    /// Power the facility off: stop the CF processors and sever every
-    /// attached link. Subsequent commands through any subchannel fail
-    /// with [`CfError::LinkTimeout`] — the same typed error a lost
-    /// in-flight command produces — so exploiter recovery paths see a
-    /// facility outage exactly like a broken link.
+    /// Power the facility off: sever every attached link. Subsequent
+    /// commands through any subchannel fail with [`CfError::LinkTimeout`]
+    /// — the same typed error a lost in-flight command produces — so
+    /// exploiter recovery paths see a facility outage exactly like a
+    /// broken link. Idempotent.
     pub fn shutdown(&self) {
-        self.executor.shutdown();
+        self.down.store(true, Ordering::Release);
     }
 
     /// Whether [`CouplingFacility::shutdown`] has run.
     pub fn is_shut_down(&self) -> bool {
-        self.executor.is_shut_down()
+        self.down.load(Ordering::Acquire)
     }
 
     /// Connect to the named lock structure through a new subchannel.

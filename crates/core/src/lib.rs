@@ -67,8 +67,8 @@ pub mod types;
 pub mod wire;
 
 pub use connection::{
-    CacheConnection, CfCommand, CfSubchannel, CommandClass, ConnectionStats, ConversionPolicy, FaultInjector,
-    LinkFault, ListConnection, LockConnection,
+    CacheConnection, CfCommand, CfSubchannel, CommandClass, ConnectionStats, FaultInjector, LinkFault,
+    ListConnection, LockConnection,
 };
 pub use error::{CfError, CfResult};
 pub use facility::{CfConfig, CouplingFacility};

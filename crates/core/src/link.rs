@@ -8,18 +8,16 @@
 //! asynchronous execution overheads associated with task switching and
 //! processor cache disruptions."
 //!
-//! [`CfLink`] models that cost structure. A *synchronous* command spins the
-//! issuing CPU for the simulated round trip (microseconds) and then runs
-//! the structure operation inline. An *asynchronous* command is shipped to
-//! a CF worker thread and completed through a channel, adding the
-//! task-switch overhead the paper says synchronous execution avoids.
-//! [`LinkConfig::instant`] turns the latency model off for purely
-//! functional use.
+//! [`CfLink`] models that cost structure, always on the issuing thread: a
+//! command spins the CPU for the simulated round trip (microseconds) with
+//! the structure operation run inline in the middle. "Asynchronous" is a
+//! term of the latency model only — a command the subchannel converts is
+//! charged [`LinkConfig::async_overhead_ns`] on top, the task-switch cost
+//! the paper says synchronous execution avoids. [`LinkConfig::instant`]
+//! turns the latency model off for purely functional use.
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Latency/bandwidth model for one coupling link.
@@ -70,6 +68,14 @@ impl LinkConfig {
         let transfer_ns = payload as u64 * 1_000 / self.transfer_mb_per_s as u64;
         Duration::from_nanos(self.base_latency_ns + transfer_ns)
     }
+
+    /// Simulated redispatch cost of an asynchronously-converted command.
+    pub fn async_overhead(&self) -> Duration {
+        if !self.simulate {
+            return Duration::ZERO;
+        }
+        Duration::from_nanos(self.async_overhead_ns)
+    }
 }
 
 /// Spin-wait with microsecond precision. `thread::sleep` has scheduler
@@ -89,12 +95,13 @@ pub(crate) fn spin_for(d: Duration) {
 #[derive(Debug, Clone)]
 pub struct CfLink {
     config: LinkConfig,
-    executor: Arc<CfExecutor>,
+    /// The facility's outage flag, shared with every link attached to it.
+    down: Arc<AtomicBool>,
 }
 
 impl CfLink {
-    pub(crate) fn new(config: LinkConfig, executor: Arc<CfExecutor>) -> Self {
-        CfLink { config, executor }
+    pub(crate) fn new(config: LinkConfig, down: Arc<AtomicBool>) -> Self {
+        CfLink { config, down }
     }
 
     /// The link's latency/bandwidth model.
@@ -106,7 +113,7 @@ impl CfLink {
     /// Acquire load — cheap enough for the per-command path.
     #[inline]
     pub fn is_shut_down(&self) -> bool {
-        self.executor.is_shut_down()
+        self.down.load(Ordering::Acquire)
     }
 
     /// Execute a CF command **CPU-synchronously**: the issuing processor
@@ -121,140 +128,6 @@ impl CfLink {
         spin_for(d / 2);
         r
     }
-
-    /// Execute a CF command **asynchronously**: the command is shipped to a
-    /// CF worker and the caller receives a [`Completion`] to wait on. This
-    /// pays the task-switch overhead the paper attributes to asynchronous
-    /// execution; exploiters use it for long-running or bulk commands.
-    pub fn execute_async<R: Send + 'static>(
-        &self,
-        payload_bytes: usize,
-        op: impl FnOnce() -> R + Send + 'static,
-    ) -> Completion<R> {
-        let d = self.config.service_time(payload_bytes);
-        let overhead = if self.config.simulate {
-            Duration::from_nanos(self.config.async_overhead_ns)
-        } else {
-            Duration::ZERO
-        };
-        let (tx, rx) = bounded(1);
-        // If the executor is already shut down the job is dropped and `tx`
-        // with it, so the Completion reports the loss instead of hanging.
-        self.executor.submit(Box::new(move || {
-            spin_for(d);
-            let r = op();
-            let _ = tx.send(r);
-        }));
-        Completion { rx, overhead }
-    }
-}
-
-/// Pending asynchronous command.
-pub struct Completion<R> {
-    rx: Receiver<R>,
-    overhead: Duration,
-}
-
-impl<R> Completion<R> {
-    /// Block until the CF completes the command. Charges the simulated
-    /// redispatch overhead on top of the command service time.
-    pub fn wait(self) -> R {
-        self.checked_wait().expect("CF executor dropped while command pending")
-    }
-
-    /// Like [`Completion::wait`], but reports a dropped command (executor
-    /// shut down mid-flight) as `None` instead of panicking. The command
-    /// layer turns this into a typed link error.
-    pub fn checked_wait(self) -> Option<R> {
-        let r = self.rx.recv().ok()?;
-        spin_for(self.overhead);
-        Some(r)
-    }
-
-    /// Poll for completion without blocking.
-    pub fn try_wait(&self) -> Option<R> {
-        self.rx.try_recv().ok()
-    }
-}
-
-type Job = Box<dyn FnOnce() + Send>;
-
-/// The facility-side processor pool serving asynchronous commands.
-pub struct CfExecutor {
-    tx: parking_lot::Mutex<Option<Sender<Job>>>,
-    workers: parking_lot::Mutex<Vec<JoinHandle<()>>>,
-    /// Mirrors `tx.is_none()` so the per-command liveness test is one
-    /// atomic load instead of a mutex acquisition.
-    shut_down: AtomicBool,
-}
-
-impl CfExecutor {
-    /// Spawn `workers` CF processors.
-    pub fn new(workers: usize) -> Self {
-        let (tx, rx) = unbounded::<Job>();
-        let handles = (0..workers.max(1))
-            .map(|i| {
-                let rx: Receiver<Job> = rx.clone();
-                std::thread::Builder::new()
-                    .name(format!("cf-proc-{i}"))
-                    .spawn(move || {
-                        while let Ok(job) = rx.recv() {
-                            job();
-                        }
-                    })
-                    .expect("spawn CF processor")
-            })
-            .collect();
-        CfExecutor {
-            tx: parking_lot::Mutex::new(Some(tx)),
-            workers: parking_lot::Mutex::new(handles),
-            shut_down: AtomicBool::new(false),
-        }
-    }
-
-    /// Queue a job; after shutdown the job is dropped, which closes any
-    /// completion channel it owned and lets waiters observe the loss.
-    fn submit(&self, job: Job) {
-        if let Some(tx) = self.tx.lock().as_ref() {
-            let _ = tx.send(job);
-        }
-    }
-
-    /// Whether [`CfExecutor::shutdown`] has run. One Acquire load.
-    #[inline]
-    pub fn is_shut_down(&self) -> bool {
-        self.shut_down.load(Ordering::Acquire)
-    }
-
-    /// Stop the processors: close the job channel, let the workers drain
-    /// what is already queued, and join them. Idempotent; used on facility
-    /// deallocation.
-    pub fn shutdown(&self) {
-        // Flag first, then drop the sender: a command that still slips its
-        // job into the closing channel is drained by the workers, so both
-        // orders are safe; flag-first makes the common observation (flag
-        // set ⇒ channel closed or closing) immediate.
-        self.shut_down.store(true, Ordering::Release);
-        // Dropping the only sender disconnects the channel; each worker's
-        // recv() then fails once the queue is drained and the thread exits.
-        drop(self.tx.lock().take());
-        let handles: Vec<_> = self.workers.lock().drain(..).collect();
-        for h in handles {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for CfExecutor {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-impl std::fmt::Debug for CfExecutor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CfExecutor").finish()
-    }
 }
 
 #[cfg(test)]
@@ -262,7 +135,7 @@ mod tests {
     use super::*;
 
     fn link(config: LinkConfig) -> CfLink {
-        CfLink::new(config, Arc::new(CfExecutor::new(2)))
+        CfLink::new(config, Arc::new(AtomicBool::new(false)))
     }
 
     #[test]
@@ -301,55 +174,5 @@ mod tests {
         let t100 = (big100 - Duration::from_nanos(c100.base_latency_ns)).as_nanos();
         let ratio = t50 as f64 / t100 as f64;
         assert!((ratio - 2.0).abs() < 0.01, "50 MB/s takes 2x the time of 100 MB/s, got {ratio}");
-    }
-
-    #[test]
-    fn async_command_completes_and_returns_value() {
-        let l = link(LinkConfig::instant());
-        let c = l.execute_async(128, || 7 * 6);
-        assert_eq!(c.wait(), 42);
-    }
-
-    #[test]
-    fn async_commands_overlap_with_caller_work() {
-        let l = link(LinkConfig::instant());
-        let pending: Vec<_> = (0..16).map(|i| l.execute_async(0, move || i * 2)).collect();
-        let sum: i32 = pending.into_iter().map(|c| c.wait()).sum();
-        assert_eq!(sum, (0..16).map(|i| i * 2).sum());
-    }
-
-    #[test]
-    fn shutdown_drains_queue_and_terminates_pool() {
-        let exec = Arc::new(CfExecutor::new(3));
-        let l = CfLink::new(LinkConfig::instant(), Arc::clone(&exec));
-        // Work queued before shutdown still completes (drain semantics).
-        let pending: Vec<_> = (0..8).map(|i| l.execute_async(0, move || i)).collect();
-        exec.shutdown();
-        assert!(exec.is_shut_down());
-        assert_eq!(exec.workers.lock().len(), 0, "all worker threads joined");
-        let sum: i32 = pending.into_iter().filter_map(|c| c.checked_wait()).sum();
-        assert_eq!(sum, (0..8).sum::<i32>());
-        // Commands issued after shutdown are dropped, not hung: the
-        // completion reports the loss instead of blocking forever.
-        assert_eq!(l.execute_async(0, || 1).checked_wait(), None);
-        // Idempotent.
-        exec.shutdown();
-    }
-
-    #[test]
-    fn try_wait_polls() {
-        let l = link(LinkConfig::instant());
-        let c = l.execute_async(0, || {
-            std::thread::sleep(Duration::from_millis(30));
-            1
-        });
-        // Either not done yet, or done; eventually done.
-        let mut got = c.try_wait();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while got.is_none() && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-            got = c.try_wait();
-        }
-        assert_eq!(got, Some(1));
     }
 }

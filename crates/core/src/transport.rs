@@ -11,8 +11,8 @@
 //!   [`CfError::LinkTimeout`] / [`CfError::InterfaceControlCheck`] the
 //!   LinkFault machinery already produces.
 //! * [`InProcessTransport`] dispatches into the native connection layer.
-//!   Commands retain their exact subchannel accounting, conversion policy
-//!   and trace events, so a sysplex assembled over it is bit-for-bit the
+//!   Commands retain their exact subchannel accounting, conversion and
+//!   trace events, so a sysplex assembled over it is bit-for-bit the
 //!   sysplex the deterministic harness replays. It doubles as the serving
 //!   end of every wire backend ([`serve_cf_stream`]).
 //! * [`TcpTransport`] frames requests over a socket to a CF served in
@@ -27,8 +27,7 @@
 
 use crate::cache::{BlockName, RegisterResult, WriteKind, WriteResult};
 use crate::connection::{
-    CacheConnection, CfCommand, CfSubchannel, CommandClass, ConnectionStats, ConversionPolicy,
-    ListConnection, LockConnection,
+    CacheConnection, CfCommand, CfSubchannel, CommandClass, ConnectionStats, ListConnection, LockConnection,
 };
 use crate::error::{CfError, CfResult};
 use crate::facility::CouplingFacility;
@@ -95,7 +94,7 @@ enum Endpoint {
 /// native connection layer of a local [`CouplingFacility`].
 ///
 /// Every request travels the same subchannel as a native call — identical
-/// accounting, conversion policy, fault injection and trace events — so
+/// accounting, conversion, fault injection and trace events — so
 /// the in-process backend adds no behavior, only the request/response
 /// shape. It is also the execution engine of the TCP server: each accepted
 /// socket gets one `InProcessTransport` and pumps decoded frames through
@@ -364,11 +363,7 @@ impl InProcessTransport {
                 WireResponse::Unit
             }
             R::Probe(cmd) => {
-                if self.sub.wants_async(&cmd) {
-                    self.sub.issue_async(cmd, || Ok(()))?;
-                } else {
-                    self.sub.issue_sync(cmd, || Ok(()))?;
-                }
+                self.sub.issue(cmd, || Ok(()))?;
                 WireResponse::Unit
             }
         })
@@ -1103,12 +1098,13 @@ pub struct CmdShape {
 }
 
 impl CmdShape {
-    /// Extract the shape of `req` under `policy`.
-    pub fn of(req: &WireRequest, policy: &ConversionPolicy) -> CmdShape {
+    /// Extract the shape of `req`.
+    pub fn of(req: &WireRequest) -> CmdShape {
         use WireRequest as R;
+        let cmd = req.command();
         CmdShape {
-            class: req.class(),
-            converts: req.converts_async(policy),
+            class: cmd.class,
+            converts: cmd.converts_async(),
             handle: req.structure_handle(),
             attach_name: match req {
                 R::AttachLock { structure }
@@ -1170,23 +1166,21 @@ struct CutState {
 ///
 /// The meter mirrors the serving subchannel's accounting rules for
 /// tunnelled commands — `issued` always, `sync` vs `async_converted` by
-/// the same conversion policy the CF applies ([`WireRequest::converts_async`]),
+/// the descriptor the CF issues the command under ([`WireRequest::command`]),
 /// `faulted` only on transport-level errors, latency recorded for every
 /// command — so a member's records reconcile against the facility's own
 /// counters the way the paper's SMF records reconcile against RMF.
 #[derive(Debug)]
 pub struct TransportMeter {
-    policy: ConversionPolicy,
     stats: ConnectionStats,
     retries: Counter,
     inner: Mutex<MeterInner>,
 }
 
 impl TransportMeter {
-    /// A fresh meter applying `policy` for sync/async attribution.
-    pub fn new(policy: ConversionPolicy) -> Arc<TransportMeter> {
+    /// A fresh meter.
+    pub fn new() -> Arc<TransportMeter> {
         Arc::new(TransportMeter {
-            policy,
             stats: ConnectionStats::new(),
             retries: Counter::new(),
             inner: Mutex::new(MeterInner {
@@ -1200,16 +1194,6 @@ impl TransportMeter {
                 },
             }),
         })
-    }
-
-    /// The conversion policy the meter attributes sync/async splits with.
-    pub fn policy(&self) -> ConversionPolicy {
-        self.policy
-    }
-
-    /// Extract the accounting shape of `req` (capture before the call).
-    pub fn shape(&self, req: &WireRequest) -> CmdShape {
-        CmdShape::of(req, &self.policy)
     }
 
     /// Cumulative command accounting (same block shape as a subchannel's).
@@ -1373,7 +1357,7 @@ impl CfTransport for MeteredTransport {
     }
 
     fn call(&self, req: WireRequest) -> CfResult<WireResponse> {
-        let shape = self.meter.shape(&req);
+        let shape = CmdShape::of(&req);
         let t0 = std::time::Instant::now();
         let result = self.inner.call(req);
         self.meter.observe(&shape, &result, t0.elapsed());
@@ -1553,9 +1537,10 @@ mod tests {
         // Every tunnelled command through a metered in-process transport
         // must account identically at the member meter and at the serving
         // subchannel: same per-class issued/sync/async splits. This pins
-        // the WireRequest::converts_async mirror against the real policy.
+        // WireRequest::command against the descriptors the native
+        // connection methods issue under.
         let cf = cf();
-        let meter = TransportMeter::new(cf.subchannel().policy());
+        let meter = TransportMeter::new();
         let inner: Arc<dyn CfTransport> = Arc::new(InProcessTransport::new(&cf));
         let transport: Arc<dyn CfTransport> = Arc::new(MeteredTransport::new(inner, Arc::clone(&meter)));
 
@@ -1573,6 +1558,10 @@ mod tests {
         list.enqueue(0, 5, b"job", WritePosition::Tail, LockCondition::None).unwrap();
         let entries = list.scan(0).unwrap();
         assert_eq!(entries.len(), 1);
+        // An oversized update converts like an oversized enqueue; a
+        // retained-locks read does not (it is not bulk).
+        list.update(entries[0].id, 5, &[7; 8192], None, LockCondition::None).unwrap();
+        lock.retained_locks_of(lock.conn_id()).unwrap();
         probe(&*transport, CfCommand::new(CommandClass::CacheRead, 64)).unwrap();
         lock.detach(DisconnectMode::Normal).unwrap();
         cache.detach().unwrap();
@@ -1586,12 +1575,19 @@ mod tests {
             assert_eq!(m.async_converted.get(), s.async_converted.get(), "{}: async_converted", class.name());
             assert_eq!(m.latency.samples(), m.issued.get(), "{}: one sample per command", class.name());
         }
+        let writes = cf.command_stats().class(CommandClass::ListWrite);
+        assert_eq!(
+            (writes.sync.get(), writes.async_converted.get()),
+            (1, 1),
+            "enqueue sync, update converted"
+        );
+        assert_eq!(cf.command_stats().class(CommandClass::LockAdmin).async_converted.get(), 0);
     }
 
     #[test]
     fn meter_cuts_interval_records_with_structure_rows() {
         let cf = cf();
-        let meter = TransportMeter::new(cf.subchannel().policy());
+        let meter = TransportMeter::new();
         let inner: Arc<dyn CfTransport> = Arc::new(InProcessTransport::new(&cf));
         let transport: Arc<dyn CfTransport> = Arc::new(MeteredTransport::new(inner, Arc::clone(&meter)));
 

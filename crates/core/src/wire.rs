@@ -941,76 +941,68 @@ pub enum WireRequest {
 }
 
 impl WireRequest {
-    /// Command class this request is accounted under; also labels the
-    /// typed link errors a transport raises for it.
-    pub fn class(&self) -> CommandClass {
+    /// The descriptor the serving connection issues this request under —
+    /// the same constant the native connection method uses, so class,
+    /// payload and conversion are decided in one place for both ends.
+    pub fn command(&self) -> CfCommand {
         use WireRequest as R;
         match self {
-            R::AttachLock { .. } | R::AttachLockSlot { .. } => CommandClass::LockAdmin,
-            R::AttachCache { .. } => CommandClass::CacheAdmin,
-            R::AttachList { .. } => CommandClass::ListAdmin,
-            R::LockRequest { .. } | R::LockForce { .. } => CommandClass::LockRequest,
-            R::LockRelease { .. } => CommandClass::LockRelease,
-            R::LockWriteRecord { .. } | R::LockDeleteRecord { .. } => CommandClass::LockRecord,
+            R::AttachLock { .. }
+            | R::AttachLockSlot { .. }
+            | R::LockDetach { .. }
+            | R::LockDetachPeer { .. } => CfCommand::LOCK_CONNECT,
+            R::LockRequest { .. } | R::LockForce { .. } => CfCommand::LOCK_REQUEST,
+            R::LockRelease { .. } => CfCommand::LOCK_RELEASE,
             R::LockHolders { .. }
             | R::LockIsNegotiate { .. }
-            | R::LockRetainedOf { .. }
             | R::LockIsFailedPersistent { .. }
-            | R::LockRecoveryComplete { .. }
-            | R::LockDetach { .. }
-            | R::LockDetachPeer { .. } => CommandClass::LockAdmin,
-            R::CacheRead { .. } => CommandClass::CacheRead,
-            R::CacheWrite { .. } => CommandClass::CacheWrite,
-            R::CacheCastoutCandidates { .. }
-            | R::CacheCastoutRead { .. }
-            | R::CacheCastoutComplete { .. } => CommandClass::CacheCastout,
-            R::CacheUnregister { .. } | R::CacheIsValid { .. } | R::CacheDetach { .. } => {
-                CommandClass::CacheAdmin
+            | R::LockRecoveryComplete { .. } => CfCommand::LOCK_QUERY,
+            R::LockWriteRecord { resource, payload, .. } => {
+                CfCommand::lock_record(resource.len() + payload.len())
             }
-            R::ListEnqueue { .. } | R::ListUpdate { .. } | R::ListDelete { .. } => CommandClass::ListWrite,
-            R::ListReadEntry { .. } | R::ListScan { .. } | R::ListHeaderLen { .. } => CommandClass::ListRead,
-            R::ListMoveTo { .. } | R::ListTransfer { .. } | R::ListClaimFirst { .. } | R::ListTake { .. } => {
-                CommandClass::ListMove
+            R::LockDeleteRecord { resource, .. } => CfCommand::lock_record(resource.len()),
+            R::LockRetainedOf { .. } => CfCommand::LOCK_RETAINED,
+            R::AttachCache { .. } | R::CacheUnregister { .. } | R::CacheDetach { .. } => {
+                CfCommand::CACHE_DIRECTORY
             }
-            R::ListLockAcquire { .. }
-            | R::ListLockRelease { .. }
-            | R::ListLockHolder { .. }
+            R::CacheRead { .. } => CfCommand::CACHE_READ,
+            R::CacheWrite { data, .. } => CfCommand::cache_write(data.len()),
+            R::CacheCastoutCandidates { .. } => CfCommand::CASTOUT_CANDIDATES,
+            R::CacheCastoutRead { .. } => CfCommand::CASTOUT_READ,
+            R::CacheCastoutComplete { .. } => CfCommand::CASTOUT_COMPLETE,
+            R::AttachList { .. }
             | R::ListMonitor { .. }
             | R::ListDeregisterMonitor { .. }
-            | R::ListIsSignaled { .. }
-            | R::ListDetach { .. } => CommandClass::ListAdmin,
-            R::Probe(cmd) => cmd.class,
+            | R::ListDetach { .. } => CfCommand::LIST_DIRECTORY,
+            R::ListEnqueue { data, .. } | R::ListUpdate { data, .. } => CfCommand::list_write(data.len()),
+            R::ListDelete { .. } => CfCommand::LIST_DELETE,
+            R::ListReadEntry { .. } => CfCommand::LIST_READ_ENTRY,
+            R::ListScan { .. } => CfCommand::LIST_SCAN,
+            R::ListHeaderLen { .. } => CfCommand::LIST_HEADER_LEN,
+            R::ListMoveTo { .. } | R::ListTransfer { .. } => CfCommand::LIST_MOVE,
+            R::ListClaimFirst { .. } | R::ListTake { .. } => CfCommand::LIST_DEQUEUE,
+            R::ListLockAcquire { .. } | R::ListLockRelease { .. } | R::ListLockHolder { .. } => {
+                CfCommand::LIST_LOCK
+            }
+            // Vector tests are host-local natively and never reach the
+            // subchannel; over a wire they cost the member a round trip,
+            // which its meter files under the structure's admin class.
+            R::CacheIsValid { .. } => CfCommand::new(CommandClass::CacheAdmin, 0),
+            R::ListIsSignaled { .. } => CfCommand::new(CommandClass::ListAdmin, 0),
+            R::Probe(cmd) => *cmd,
         }
     }
 
-    /// Whether the serving subchannel will convert this request to
-    /// asynchronous execution under `policy`.
-    ///
-    /// This mirrors the decision the native connection methods make (which
-    /// `CfCommand` they build, and whether they call `issue_sync` or
-    /// `issue_async`), so a remote member can account sync/async splits for
-    /// tunnelled commands identically to a local connector. The unit test
-    /// `meter_mirrors_cf_accounting` in `transport.rs` pins the mirror
-    /// against the real accounting.
-    pub fn converts_async(&self, policy: &crate::connection::ConversionPolicy) -> bool {
-        use crate::connection::{CfCommand, DIR_CMD_BYTES, LOCK_CMD_BYTES};
-        use WireRequest as R;
-        match self {
-            // Unconditionally issued async by the native connection.
-            R::CacheCastoutCandidates { .. } | R::CacheCastoutRead { .. } | R::ListScan { .. } => true,
-            // Payload-dependent: the native methods build these commands
-            // and route through `wants_async`.
-            R::CacheWrite { data, .. } => {
-                policy.converts(&CfCommand::new(CommandClass::CacheWrite, data.len().max(DIR_CMD_BYTES)))
-            }
-            R::ListEnqueue { data, .. } => {
-                policy.converts(&CfCommand::new(CommandClass::ListWrite, data.len().max(LOCK_CMD_BYTES)))
-            }
-            R::Probe(cmd) => policy.converts(cmd),
-            // Everything else — including bulk-shaped admin commands like
-            // LockRetainedOf and large ListUpdates — is issued sync.
-            _ => false,
-        }
+    /// Command class this request is accounted under; also labels the
+    /// typed link errors a transport raises for it.
+    pub fn class(&self) -> CommandClass {
+        self.command().class
+    }
+
+    /// Whether the serving subchannel converts this request to
+    /// asynchronous execution.
+    pub fn converts_async(&self) -> bool {
+        self.command().converts_async()
     }
 
     /// The attached-structure handle this request targets, if any (attach
@@ -2089,7 +2081,6 @@ mod tests {
 
     #[test]
     fn converts_async_mirrors_payload_thresholds() {
-        let policy = crate::connection::ConversionPolicy::default();
         let small = WireRequest::CacheWrite {
             handle: 1,
             name: BlockName::from_parts(0, 1),
@@ -2102,10 +2093,10 @@ mod tests {
             data: vec![0; 8192],
             kind: WriteKind::ChangedData,
         };
-        assert!(!small.converts_async(&policy));
-        assert!(big.converts_async(&policy));
-        assert!(WireRequest::ListScan { handle: 1, header: 0 }.converts_async(&policy));
-        assert!(!WireRequest::LockRetainedOf { handle: 1, peer: ConnId::from_raw(0) }.converts_async(&policy));
+        assert!(!small.converts_async());
+        assert!(big.converts_async());
+        assert!(WireRequest::ListScan { handle: 1, header: 0 }.converts_async());
+        assert!(!WireRequest::LockRetainedOf { handle: 1, peer: ConnId::from_raw(0) }.converts_async());
         assert_eq!(WireRequest::AttachLock { structure: "L".into() }.structure_handle(), None);
         assert_eq!(WireRequest::ListScan { handle: 9, header: 0 }.structure_handle(), Some(9));
     }

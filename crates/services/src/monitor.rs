@@ -1238,7 +1238,7 @@ mod tests {
         use sysplex_core::transport::{RemoteLockConnection, TransportMeter};
 
         let (plex, cf) = plex_with_traffic();
-        let meter = TransportMeter::new(cf.subchannel().policy());
+        let meter = TransportMeter::new();
         let inner: Arc<dyn CfTransport> = Arc::new(InProcessTransport::new(&cf));
         let transport: Arc<dyn CfTransport> = Arc::new(MeteredTransport::new(inner, Arc::clone(&meter)));
         let lock = RemoteLockConnection::attach(Arc::clone(&transport), "IRLM1").unwrap();
@@ -1338,10 +1338,9 @@ mod tests {
 
     #[test]
     fn dropping_sysplex_with_reports_in_flight_does_not_panic() {
-        // Reports fire as fast as the thread can run while the facility's
-        // async executor is still live, then everything is torn down with
-        // the ticker mid-loop: Monitor::drop must join cleanly and the CF
-        // executor shutdown must not deadlock against it.
+        // Reports fire as fast as the thread can run, then everything is
+        // torn down with the ticker mid-loop: Monitor::drop must join
+        // cleanly before the facility goes away.
         for _ in 0..10 {
             let (plex, cf) = plex_with_traffic();
             let monitor = Monitor::for_sysplex(&plex);
@@ -1353,7 +1352,7 @@ mod tests {
                 lock.release_lock(entry).unwrap();
             }
             drop(monitor); // Drop path joins the ticker (no explicit stop).
-            drop(plex); // CfExecutor shutdown after the monitor is gone.
+            drop(plex); // The facility outlives the monitor.
         }
     }
 }

@@ -193,7 +193,7 @@ impl Sysplex {
     /// the sysplex-wide component tracer.
     pub fn add_cf(&self, name: &str) -> Arc<CouplingFacility> {
         let cf = CouplingFacility::with_tracer(
-            CfConfig { name: name.to_string(), link: self.config.link, async_workers: 2, max_structures: 64 },
+            CfConfig::named(name).with_link(self.config.link),
             Arc::clone(&self.tracer),
         );
         self.cfs.lock().insert(name.to_string(), Arc::clone(&cf));

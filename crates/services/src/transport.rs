@@ -44,14 +44,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-use sysplex_core::connection::ConversionPolicy;
 use sysplex_core::error::{CfError, CfResult};
 use sysplex_core::facility::CouplingFacility;
 use sysplex_core::retry::RetryPolicy;
 use sysplex_core::trace::Tracer;
 use sysplex_core::transport::{
-    read_frame_patient, CfTransport, InProcessTransport, RemoteCacheConnection, RemoteListConnection,
-    RemoteLockConnection, TransportBackend, TransportMeter, DEFAULT_MID_FRAME_STALL,
+    read_frame_patient, CfTransport, CmdShape, InProcessTransport, RemoteCacheConnection,
+    RemoteListConnection, RemoteLockConnection, TransportBackend, TransportMeter, DEFAULT_MID_FRAME_STALL,
 };
 use sysplex_core::types::{SystemId, MAX_SYSTEMS};
 use sysplex_core::wire::{
@@ -1001,7 +1000,7 @@ impl Conn {
             reconnect: None,
             departed: AtomicBool::new(false),
             generation: AtomicU64::new(1),
-            meter: TransportMeter::new(ConversionPolicy::default()),
+            meter: TransportMeter::new(),
         }
     }
 
@@ -1144,7 +1143,7 @@ impl RemoteSysplex {
             }),
             departed: AtomicBool::new(false),
             generation: AtomicU64::new(0),
-            meter: TransportMeter::new(ConversionPolicy::default()),
+            meter: TransportMeter::new(),
         };
         let rs = RemoteSysplex { conn: Arc::new(conn), system, name: name.to_string() };
         // Establish eagerly so admission refusals surface here, not on
@@ -1400,8 +1399,8 @@ impl CfTransport for SxCfTransport {
     }
 
     fn call(&self, req: WireRequest) -> CfResult<WireResponse> {
-        let class = req.class().name();
-        let shape = self.conn.meter.shape(&req);
+        let shape = CmdShape::of(&req);
+        let class = shape.class().name();
         let t0 = std::time::Instant::now();
         let result = match self.conn.rpc(&SxRequest::Cf(req)) {
             Ok(SxResponse::Cf(resp)) => Ok(resp),

@@ -23,11 +23,6 @@ fn main() {
 
     let report = hotpath::run(ops, &threads);
     print!("{}", report.render_table());
-    // Make the zero-async-conversion condition impossible to miss in the
-    // job log, not just a field in the JSON.
-    for w in report.warnings() {
-        eprintln!("{w}");
-    }
 
     let json = report.to_json();
     std::fs::write("BENCH_cf_hotpath.json", &json).expect("write BENCH_cf_hotpath.json");

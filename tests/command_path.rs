@@ -1,9 +1,10 @@
 //! The unified CF command path under load and under faults.
 //!
 //! Every CF operation an exploiter issues — lock, cache, or list — flows
-//! through a [`parallel_sysplex::cf::CfSubchannel`], which decides sync vs
-//! asynchronous execution (§3.3's two execution modes), keeps per-class
-//! accounting, and surfaces injected link malfunctions as typed errors.
+//! through a [`parallel_sysplex::cf::CfSubchannel`], which accounts it as
+//! synchronous or async-converted (§3.3's two execution modes) from its
+//! descriptor, keeps per-class latency, and surfaces injected link
+//! malfunctions as typed errors.
 //! These tests drive the full stack from N emulated systems and reconcile
 //! the facility-wide books.
 
@@ -38,8 +39,7 @@ fn mixed_sync_async_traffic_reconciles_across_systems() {
                 let cache = cf.connect_cache("GBP0", 64).unwrap();
                 let list = cf.connect_list("WORKQ", 1).unwrap();
                 let blk = parallel_sysplex::cf::cache::BlockName::from_parts(sys as u32, 1);
-                // An oversized payload: the conversion heuristic sends it
-                // through the asynchronous CF processor pool.
+                // An oversized payload: its descriptor converts it.
                 let big = vec![0u8; 16 * 1024];
                 for i in 0..OPS {
                     let entry = (sys * OPS + i) % 256;

@@ -1,7 +1,7 @@
 //! Transport-layer regression tests across both backends.
 //!
-//! The unified broken-link contract: a command submitted after the CF
-//! executor shut down (in-process backend) and a command submitted on a
+//! The unified broken-link contract: a command submitted after the CF was
+//! shut down (in-process backend) and a command submitted on a
 //! TCP link whose peer vanished must surface the **same typed error** —
 //! `CfError::LinkTimeout` — so exploiters run one recovery path for
 //! "facility gone" regardless of how the commands travelled. Garbled
