@@ -27,7 +27,7 @@
 use crate::bitvec::BitVector;
 use crate::error::{CfError, CfResult};
 use crate::hashing::{fnv1a64, mix64};
-use crate::stats::Counter;
+use crate::stats::SlotCounter;
 use crate::types::{ConnId, MAX_CONNECTORS};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -148,21 +148,29 @@ pub enum WriteKind {
     InvalidateOnly,
 }
 
-/// Counters published by a cache structure.
-#[derive(Debug, Default)]
+/// Counters published by a cache structure: counted per connector slot
+/// (the connector whose command did the work), read as structure-wide sums.
+#[derive(Debug)]
 pub struct CacheStats {
     /// `read_and_register` commands.
-    pub reads: Counter,
+    pub reads: SlotCounter,
     /// Reads satisfied from the CF data area (no DASD I/O needed).
-    pub read_hits: Counter,
+    pub read_hits: SlotCounter,
     /// `write_and_invalidate` commands.
-    pub writes: Counter,
+    pub writes: SlotCounter,
     /// Cross-invalidate signals sent to peer connectors.
-    pub xi_signals: Counter,
+    pub xi_signals: SlotCounter,
     /// Directory entries reclaimed to make room.
-    pub reclaims: Counter,
+    pub reclaims: SlotCounter,
     /// Castout operations completed.
-    pub castouts: Counter,
+    pub castouts: SlotCounter,
+}
+
+impl Default for CacheStats {
+    fn default() -> Self {
+        let [reads, read_hits, writes, xi_signals, reclaims, castouts] = SlotCounter::block();
+        CacheStats { reads, read_hits, writes, xi_signals, reclaims, castouts }
+    }
 }
 
 #[derive(Debug)]
@@ -342,12 +350,12 @@ impl CacheStructure {
         if vector_index as usize >= conn.vector.len() {
             return Err(CfError::BadParameter("vector index out of range"));
         }
-        self.stats.reads.incr();
+        self.stats.reads.incr(conn.id);
         let tick = self.tick();
         let mut shard = self.shard_of(&name).write();
         if !shard.contains_key(&name) {
             drop(shard);
-            self.make_room_for_entry(&name)?;
+            self.make_room_for_entry(conn.id)?;
             shard = self.shard_of(&name).write();
         }
         let entry = shard.entry(name).or_insert_with(|| {
@@ -358,7 +366,7 @@ impl CacheStructure {
         entry.lru_tick = tick;
         conn.vector.set(vector_index as usize);
         if entry.data.is_some() {
-            self.stats.read_hits.incr();
+            self.stats.read_hits.incr(conn.id);
         }
         Ok(RegisterResult { data: entry.data.clone(), version: entry.version, changed: entry.changed })
     }
@@ -386,22 +394,25 @@ impl CacheStructure {
             (CacheModel::StoreThrough, WriteKind::ChangedData) => return Err(CfError::WrongModel),
             _ => {}
         }
-        self.stats.writes.incr();
+        self.stats.writes.incr(conn.id);
         let tick = self.tick();
         if kind != WriteKind::InvalidateOnly {
-            self.make_room_for_data(data.len())?;
+            self.make_room_for_data(conn.id, data.len())?;
         }
         let mut shard = self.shard_of(&name).write();
         if !shard.contains_key(&name) {
             drop(shard);
-            self.make_room_for_entry(&name)?;
+            self.make_room_for_entry(conn.id)?;
             shard = self.shard_of(&name).write();
         }
-        let vectors = self.vectors.lock();
         let entry = shard.entry(name).or_insert_with(|| {
             self.entry_count.fetch_add(1, Ordering::Relaxed);
             DirEntry::new()
         });
+        // The structure-wide vector table is locked only once a peer turns
+        // out to be registered on this block: a write nobody else has
+        // interest in signals nobody and shares nothing but its shard.
+        let mut vectors = None;
         let mut invalidated = 0;
         for slot in 0..MAX_CONNECTORS {
             if slot == conn.id.index() {
@@ -415,7 +426,7 @@ impl CacheStructure {
                 #[cfg(not(feature = "test-hooks"))]
                 let deliver = true;
                 if deliver {
-                    if let Some(v) = &vectors[slot] {
+                    if let Some(v) = &vectors.get_or_insert_with(|| self.vectors.lock())[slot] {
                         v.clear(idx as usize);
                     }
                 }
@@ -423,24 +434,22 @@ impl CacheStructure {
             }
         }
         drop(vectors);
-        self.stats.xi_signals.add(invalidated as u64);
+        if invalidated > 0 {
+            self.stats.xi_signals.add(conn.id, invalidated as u64);
+        }
         entry.version += 1;
         entry.lru_tick = tick;
-        match kind {
-            WriteKind::InvalidateOnly => {
-                if let Some(old) = entry.data.take() {
-                    self.data_bytes.fetch_sub(old.len() as u64, Ordering::Relaxed);
-                }
-                entry.changed = false;
-            }
-            WriteKind::CleanData | WriteKind::ChangedData => {
-                if let Some(old) = entry.data.take() {
-                    self.data_bytes.fetch_sub(old.len() as u64, Ordering::Relaxed);
-                }
-                entry.data = Some(Arc::new(data.to_vec()));
-                self.data_bytes.fetch_add(data.len() as u64, Ordering::Relaxed);
-                entry.changed = kind == WriteKind::ChangedData;
-            }
+        let new_data = (kind != WriteKind::InvalidateOnly).then(|| Arc::new(data.to_vec()));
+        let (old_len, new_len) =
+            (entry.data.as_ref().map_or(0, |d| d.len()), new_data.as_ref().map_or(0, |d| d.len()));
+        entry.data = new_data;
+        entry.changed = kind == WriteKind::ChangedData;
+        // One net adjustment of the shared byte count, and none when a
+        // block is replaced by one of the same size (every page rewrite).
+        if new_len > old_len {
+            self.data_bytes.fetch_add((new_len - old_len) as u64, Ordering::Relaxed);
+        } else if old_len > new_len {
+            self.data_bytes.fetch_sub((old_len - new_len) as u64, Ordering::Relaxed);
         }
         // Writer stays registered and valid.
         if let Some(idx) = entry.interest[conn.id.index()] {
@@ -495,7 +504,7 @@ impl CacheStructure {
             return Err(CfError::VersionMismatch { expected: version, found: entry.version });
         }
         entry.changed = false;
-        self.stats.castouts.incr();
+        self.stats.castouts.incr(conn.id);
         Ok(())
     }
 
@@ -515,8 +524,12 @@ impl CacheStructure {
                 e.interest[conn.index()] = None;
             }
         }
-        self.vectors.lock()[conn.index()] = None;
+        // Deactivate before the slot is free to be claimed, both under
+        // the lock `connect` claims it under: a late disconnect must not
+        // clear the active bit of whoever reuses the slot.
+        let mut vectors = self.vectors.lock();
         self.active.fetch_and(!conn.mask(), Ordering::AcqRel);
+        vectors[conn.index()] = None;
         Ok(())
     }
 
@@ -548,21 +561,21 @@ impl CacheStructure {
 
     // ----- capacity management -----
 
-    fn make_room_for_entry(&self, _incoming: &BlockName) -> CfResult<()> {
+    fn make_room_for_entry(&self, by: ConnId) -> CfResult<()> {
         while self.entry_count.load(Ordering::Relaxed) as usize >= self.directory_capacity {
-            if !self.reclaim_one(false) {
+            if !self.reclaim_one(by, false) {
                 return Err(CfError::StructureFull);
             }
         }
         Ok(())
     }
 
-    fn make_room_for_data(&self, incoming: usize) -> CfResult<()> {
+    fn make_room_for_data(&self, by: ConnId, incoming: usize) -> CfResult<()> {
         if incoming > self.data_capacity {
             return Err(CfError::StructureFull);
         }
         while self.data_bytes.load(Ordering::Relaxed) as usize + incoming > self.data_capacity {
-            if !self.reclaim_one(true) {
+            if !self.reclaim_one(by, true) {
                 return Err(CfError::StructureFull);
             }
         }
@@ -572,7 +585,8 @@ impl CacheStructure {
     /// Reclaim one unchanged directory entry (LRU-ish across shards),
     /// cross-invalidating any registered connectors. Changed entries are
     /// never reclaimed — they hold the only current copy of the data.
-    fn reclaim_one(&self, needs_data: bool) -> bool {
+    /// Counted against `by`, the connector whose command needed the room.
+    fn reclaim_one(&self, by: ConnId, needs_data: bool) -> bool {
         let mut best: Option<(u64, usize, BlockName)> = None;
         for (si, shard) in self.shards.iter().enumerate() {
             let shard = shard.read();
@@ -595,20 +609,21 @@ impl CacheStructure {
             return true; // raced with a write; caller re-checks capacity
         }
         let e = shard.remove(&name).unwrap();
-        let vectors = self.vectors.lock();
+        let mut vectors = None;
         for slot in 0..MAX_CONNECTORS {
             if let Some(idx) = e.interest[slot] {
-                if let Some(v) = &vectors[slot] {
+                if let Some(v) = &vectors.get_or_insert_with(|| self.vectors.lock())[slot] {
                     v.clear(idx as usize);
                 }
-                self.stats.xi_signals.incr();
+                self.stats.xi_signals.incr(by);
             }
         }
+        drop(vectors);
         if let Some(d) = e.data {
             self.data_bytes.fetch_sub(d.len() as u64, Ordering::Relaxed);
         }
         self.entry_count.fetch_sub(1, Ordering::Relaxed);
-        self.stats.reclaims.incr();
+        self.stats.reclaims.incr(by);
         true
     }
 }
@@ -650,6 +665,27 @@ mod tests {
         assert_eq!(r.data.as_deref().map(|d| d.as_slice()), Some(&b"v2"[..]));
         assert!(r.changed);
         assert!(a.is_valid(7));
+    }
+
+    /// A connector slot is free to claim only once its disconnect is
+    /// complete: a disconnect racing the slot's next owner must never
+    /// deactivate that owner.
+    #[test]
+    fn slot_reuse_races_no_late_disconnect() {
+        let c = store_in(8);
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let c = &c;
+                scope.spawn(move || {
+                    for _ in 0..40_000 {
+                        let conn = c.connect(1).unwrap();
+                        let read = c.read_and_register(&conn, BlockName::from_parts(t, 0), 0);
+                        assert!(read.is_ok(), "slot {} deactivated under its owner", conn.id);
+                        c.disconnect(&conn).unwrap();
+                    }
+                });
+            }
+        });
     }
 
     #[test]

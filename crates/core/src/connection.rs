@@ -40,7 +40,7 @@ use crate::list::{
     WritePosition,
 };
 use crate::lock::{DisconnectMode, LockMode, LockRates, LockResponse, LockStructure, RetainedLock};
-use crate::stats::{ratio, Counter, LatencyHistogram};
+use crate::stats::{ratio, Histogram, PackedCounter};
 use crate::trace::{TraceEvent, Tracer, TRACE_SYSTEM_CF};
 use crate::types::{ConnId, ConnMask, SystemId};
 use parking_lot::Mutex;
@@ -241,22 +241,28 @@ impl CfCommand {
 #[derive(Debug, Default)]
 pub struct ClassStats {
     /// Commands issued (every command counts exactly once).
-    pub issued: Counter,
+    pub issued: PackedCounter,
     /// Commands executed CPU-synchronously.
-    pub sync: Counter,
+    pub sync: PackedCounter,
     /// Commands converted to asynchronous execution.
-    pub async_converted: Counter,
+    pub async_converted: PackedCounter,
     /// Commands that surfaced a link fault (subset of the above two).
-    pub faulted: Counter,
+    pub faulted: PackedCounter,
     /// End-to-end command latency as observed by the issuer.
-    pub latency: LatencyHistogram,
+    pub latency: Histogram,
 }
 
-/// Subchannel-wide command accounting, indexed by [`CommandClass`].
+/// One accounting cell, indexed by [`CommandClass`]: the commands of one
+/// subchannel (and its clones), or a sum of such cells.
 ///
-/// Shared by every connection attached through the same facility, so a
-/// bench or experiment reads one block for the whole command stream.
+/// Every subchannel a facility hands out writes its own cell, aligned to
+/// a 128-byte line and unpadded inside, so commands on different
+/// connections never write the same line. The facility-wide view is the
+/// sum of the cells, taken by the rare reader
+/// ([`CommandAccounting::sum`]); it is a `ConnectionStats` too, so every
+/// accessor below reads the same on one cell and on the total.
 #[derive(Debug, Default)]
+#[repr(align(128))]
 pub struct ConnectionStats {
     classes: [ClassStats; CommandClass::COUNT],
 }
@@ -297,14 +303,15 @@ impl ConnectionStats {
         ratio(self.sync(), self.issued())
     }
 
-    /// Reset every class (between benchmark phases).
-    pub fn reset(&self) {
-        for c in &self.classes {
-            c.issued.reset();
-            c.sync.reset();
-            c.async_converted.reset();
-            c.faulted.reset();
-            c.latency.reset();
+    /// Add everything `other` has counted: counts and histogram buckets
+    /// add, `max` is the larger.
+    pub fn absorb(&self, other: &ConnectionStats) {
+        for (mine, theirs) in self.classes.iter().zip(&other.classes) {
+            mine.issued.add(theirs.issued.get());
+            mine.sync.add(theirs.sync.get());
+            mine.async_converted.add(theirs.async_converted.get());
+            mine.faulted.add(theirs.faulted.get());
+            mine.latency.absorb(&theirs.latency.snapshot());
         }
     }
 
@@ -319,6 +326,63 @@ impl ConnectionStats {
             })
             .filter(|(_, issued, ..)| *issued > 0)
             .collect()
+    }
+}
+
+/// A facility's command accounting: one [`ConnectionStats`] cell per
+/// subchannel, summed on read.
+///
+/// Writers never meet here — each holds an `Arc` to its own cell. The
+/// registry lock is taken only to open a cell and to read the sum. A cell
+/// nobody holds any more is folded into `retired` the next time a cell is
+/// opened, so the commands of dropped connections stay counted and the
+/// registry stays as small as the live connection set.
+#[derive(Debug, Default)]
+pub struct CommandAccounting {
+    registry: Mutex<CellRegistry>,
+}
+
+#[derive(Debug, Default)]
+struct CellRegistry {
+    retired: ConnectionStats,
+    live: Vec<Arc<ConnectionStats>>,
+}
+
+impl CommandAccounting {
+    /// Empty accounting: no cells, nothing counted.
+    pub fn new() -> Arc<Self> {
+        Arc::default()
+    }
+
+    /// Open a fresh cell for one subchannel.
+    pub fn open_cell(&self) -> Arc<ConnectionStats> {
+        let mut registry = self.registry.lock();
+        let CellRegistry { retired, live } = &mut *registry;
+        // The registry's is the only reference left: no command can reach
+        // the cell again, so its counts are final.
+        live.retain_mut(|cell| {
+            let dropped = Arc::get_mut(cell).is_some();
+            if dropped {
+                retired.absorb(cell);
+            }
+            !dropped
+        });
+        let cell = Arc::new(ConnectionStats::new());
+        live.push(Arc::clone(&cell));
+        cell
+    }
+
+    /// Facility-wide totals: every live cell plus everything retired.
+    /// Reads race with in-flight commands exactly as reads of one shared
+    /// block did (each word is current, the set is not a consistent cut).
+    pub fn sum(&self) -> ConnectionStats {
+        let registry = self.registry.lock();
+        let total = ConnectionStats::new();
+        total.absorb(&registry.retired);
+        for cell in &registry.live {
+            total.absorb(cell);
+        }
+        total
     }
 }
 
@@ -389,13 +453,15 @@ impl FaultInjector {
     }
 }
 
-/// One system's command subchannel to a facility: the link plus the shared
-/// accounting and fault hook. Cheap to clone; clones share stats and
-/// injector (facility-wide accounting).
+/// One system's command subchannel to a facility: the link, this
+/// subchannel's accounting cell, and the facility-wide fault hook and
+/// tracer. Cheap to clone; clones write the same cell (a connection
+/// cloned onto a second thread is still one connection).
 #[derive(Debug, Clone)]
 pub struct CfSubchannel {
     link: CfLink,
     stats: Arc<ConnectionStats>,
+    accounting: Arc<CommandAccounting>,
     injector: Arc<FaultInjector>,
     tracer: Arc<Tracer>,
     system: u8,
@@ -403,16 +469,23 @@ pub struct CfSubchannel {
 }
 
 impl CfSubchannel {
-    /// Wrap a link sharing an existing stats block, injector and tracer
-    /// (how the facility gives every attached system one accounting and
-    /// trace domain).
+    /// Wrap a link, opening a fresh cell in the facility's `accounting`
+    /// and sharing its injector and tracer (one fault and trace domain).
     pub fn with_shared(
         link: CfLink,
-        stats: Arc<ConnectionStats>,
+        accounting: Arc<CommandAccounting>,
         injector: Arc<FaultInjector>,
         tracer: Arc<Tracer>,
     ) -> Self {
-        CfSubchannel { link, stats, injector, tracer, system: TRACE_SYSTEM_CF, structure: 0 }
+        let stats = accounting.open_cell();
+        CfSubchannel { link, stats, accounting, injector, tracer, system: TRACE_SYSTEM_CF, structure: 0 }
+    }
+
+    /// Another subchannel to the same facility: same link, fault hook,
+    /// tracer and trace attribution, its own accounting cell. What a
+    /// holder of one template subchannel gives each member it attaches.
+    pub fn sibling(&self) -> Self {
+        CfSubchannel { stats: self.accounting.open_cell(), ..self.clone() }
     }
 
     /// Attribute subsequent traced events to `system` (clones inherit it).
@@ -438,7 +511,8 @@ impl CfSubchannel {
         &self.link
     }
 
-    /// Shared command accounting.
+    /// This subchannel's accounting cell (facility-wide totals:
+    /// [`crate::facility::CouplingFacility::command_stats`]).
     pub fn stats(&self) -> &Arc<ConnectionStats> {
         &self.stats
     }
@@ -588,7 +662,7 @@ impl LockConnection {
         &self.sub
     }
 
-    /// Command accounting shared with every connection on this subchannel.
+    /// This connection's accounting cell (see [`CfSubchannel::stats`]).
     pub fn stats(&self) -> &Arc<ConnectionStats> {
         self.sub.stats()
     }
@@ -768,7 +842,7 @@ impl CacheConnection {
         &self.sub
     }
 
-    /// Command accounting shared with every connection on this subchannel.
+    /// This connection's accounting cell (see [`CfSubchannel::stats`]).
     pub fn stats(&self) -> &Arc<ConnectionStats> {
         self.sub.stats()
     }
@@ -905,7 +979,7 @@ impl ListConnection {
         &self.sub
     }
 
-    /// Command accounting shared with every connection on this subchannel.
+    /// This connection's accounting cell (see [`CfSubchannel::stats`]).
     pub fn stats(&self) -> &Arc<ConnectionStats> {
         self.sub.stats()
     }
@@ -1313,14 +1387,14 @@ mod tests {
         let a = cf.connect_cache("GBP", 16).unwrap();
         let name = BlockName::from_bytes(b"PAGE1");
         let s = a.stats();
-        s.reset();
         assert!(!cf.is_shut_down());
         cf.shutdown();
         cf.shutdown();
         assert!(cf.is_shut_down() && a.subchannel().link().is_shut_down());
         assert_eq!(a.register_read(name, 0).unwrap_err(), CfError::LinkTimeout("cache-read"));
         assert_eq!(a.castout_read(name).unwrap_err(), CfError::LinkTimeout("cache-castout"));
-        assert_eq!((s.issued(), s.sync(), s.async_converted(), s.faulted()), (2, 1, 1, 2));
+        // The healthy attach, then the two commands the outage failed.
+        assert_eq!((s.issued(), s.sync(), s.async_converted(), s.faulted()), (3, 2, 1, 2));
         assert_eq!(s.class(CommandClass::CacheRead).faulted.get(), 1);
         assert_eq!(s.class(CommandClass::CacheCastout).async_converted.get(), 1);
     }
@@ -1335,7 +1409,6 @@ mod tests {
         let a = cf.connect_cache("GBP", 16).unwrap();
         let name = BlockName::from_bytes(b"PAGE1");
         a.write_invalidate(name, &[1; 128], WriteKind::ChangedData).unwrap();
-        a.stats().reset();
         a.register_read(name, 0).unwrap();
         a.castout_read(name).unwrap();
         let recorded = |class| a.stats().class(class).latency.max();

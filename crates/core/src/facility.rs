@@ -12,7 +12,8 @@
 
 use crate::cache::{CacheParams, CacheStructure};
 use crate::connection::{
-    CacheConnection, CfSubchannel, ConnectionStats, FaultInjector, LinkFault, ListConnection, LockConnection,
+    CacheConnection, CfSubchannel, CommandAccounting, ConnectionStats, FaultInjector, LinkFault,
+    ListConnection, LockConnection,
 };
 use crate::error::{CfError, CfResult};
 use crate::link::{CfLink, LinkConfig};
@@ -77,7 +78,7 @@ pub struct CouplingFacility {
     structures: Mutex<HashMap<String, StructureHandle>>,
     /// Set once by [`CouplingFacility::shutdown`]; every link shares it.
     down: Arc<AtomicBool>,
-    command_stats: Arc<ConnectionStats>,
+    accounting: Arc<CommandAccounting>,
     injector: Arc<FaultInjector>,
     tracer: Arc<Tracer>,
 }
@@ -94,7 +95,7 @@ impl CouplingFacility {
             config,
             structures: Mutex::new(HashMap::new()),
             down: Arc::new(AtomicBool::new(false)),
-            command_stats: Arc::new(ConnectionStats::new()),
+            accounting: CommandAccounting::new(),
             injector: Arc::new(FaultInjector::new()),
             tracer,
         })
@@ -117,21 +118,23 @@ impl CouplingFacility {
         CfLink::new(self.config.link, Arc::clone(&self.down))
     }
 
-    /// A command subchannel over a fresh link, sharing the facility-wide
-    /// command accounting and fault hook. Every connection attached
+    /// A command subchannel over a fresh link, with its own accounting
+    /// cell and the facility-wide fault hook. Every connection attached
     /// through this facility issues through one of these.
     pub fn subchannel(&self) -> CfSubchannel {
         CfSubchannel::with_shared(
             self.link(),
-            Arc::clone(&self.command_stats),
+            Arc::clone(&self.accounting),
             Arc::clone(&self.injector),
             Arc::clone(&self.tracer),
         )
     }
 
-    /// Facility-wide per-command-class accounting (all subchannels).
-    pub fn command_stats(&self) -> &Arc<ConnectionStats> {
-        &self.command_stats
+    /// Facility-wide per-command-class accounting: the sum, taken now,
+    /// over every subchannel this facility ever handed out. Take it once
+    /// per report, not once per counter.
+    pub fn command_stats(&self) -> ConnectionStats {
+        self.accounting.sum()
     }
 
     /// Arm one link fault; the next command through any of this

@@ -25,7 +25,7 @@
 use crate::bitvec::BitVector;
 use crate::error::{CfError, CfResult};
 use crate::hashing::hash_to_slot;
-use crate::stats::Counter;
+use crate::stats::SlotCounter;
 use crate::swapcell::SwapCell;
 use crate::types::{ConnId, MAX_CONNECTORS};
 use parking_lot::{Condvar, Mutex};
@@ -175,21 +175,30 @@ pub struct ListConnection {
     pub event: Arc<ConnEvent>,
 }
 
-/// Counters published by a list structure.
-#[derive(Debug, Default)]
+/// Counters published by a list structure: counted per connector slot,
+/// read as structure-wide sums.
+#[derive(Debug)]
 pub struct ListStats {
     /// Entries written.
-    pub writes: Counter,
+    pub writes: SlotCounter,
     /// Entries deleted (including dequeues).
-    pub deletes: Counter,
+    pub deletes: SlotCounter,
     /// Atomic moves between headers.
-    pub moves: Counter,
+    pub moves: SlotCounter,
     /// Dequeue commands that returned an entry.
-    pub dequeues: Counter,
-    /// Empty→non-empty transition signals delivered.
-    pub transitions: Counter,
+    pub dequeues: SlotCounter,
+    /// Empty→non-empty transition signals delivered (counted against the
+    /// connector whose write caused them).
+    pub transitions: SlotCounter,
     /// Mainline commands rejected by a held serializing lock.
-    pub lock_rejections: Counter,
+    pub lock_rejections: SlotCounter,
+}
+
+impl Default for ListStats {
+    fn default() -> Self {
+        let [writes, deletes, moves, dequeues, transitions, lock_rejections] = SlotCounter::block();
+        ListStats { writes, deletes, moves, dequeues, transitions, lock_rejections }
+    }
 }
 
 /// Per-connector notification state held by the structure.
@@ -319,7 +328,7 @@ impl ListStructure {
                 if raw == 0 {
                     Ok(())
                 } else {
-                    self.stats.lock_rejections.incr();
+                    self.stats.lock_rejections.incr(conn);
                     Err(CfError::LockHeld { holder: ConnId::from_raw((raw - 1) as u8) })
                 }
             }
@@ -340,11 +349,11 @@ impl ListStructure {
 
     /// Signal monitors after an empty→non-empty transition (header mutex
     /// must be held by the caller).
-    fn signal_transition(&self, header_idx: usize, header: &Header) {
+    fn signal_transition(&self, by: ConnId, header_idx: usize, header: &Header) {
         for m in &header.monitors {
             m.vector.set(m.vector_index as usize);
             m.event.pulse();
-            self.stats.transitions.incr();
+            self.stats.transitions.incr(by);
         }
         if !header.monitors.is_empty() {
             // One relaxed-cost atomic load when no tracer is attached.
@@ -394,9 +403,9 @@ impl ListStructure {
             }
         }
         self.entry_count.fetch_add(1, Ordering::Relaxed);
-        self.stats.writes.incr();
+        self.stats.writes.incr(conn.id);
         if was_empty {
-            self.signal_transition(header, &h);
+            self.signal_transition(conn.id, header, &h);
         }
         // Publish the location while the header is still locked: a consumer
         // woken by the transition signal may claim (move) this entry the
@@ -473,7 +482,7 @@ impl ListStructure {
             self.index_shard(id).lock().remove(&id);
             drop(h);
             self.entry_count.fetch_sub(1, Ordering::Relaxed);
-            self.stats.deletes.incr();
+            self.stats.deletes.incr(conn.id);
             return Ok(());
         }
     }
@@ -521,12 +530,12 @@ impl ListStructure {
                 }
             }
             if was_empty {
-                self.signal_transition(to_header, dst);
+                self.signal_transition(conn.id, to_header, dst);
             }
             self.index_shard(id).lock().insert(id, to_header);
             drop(h_lo);
             drop(h_hi);
-            self.stats.moves.incr();
+            self.stats.moves.incr(conn.id);
             return Ok(());
         }
     }
@@ -576,12 +585,12 @@ impl ListStructure {
             }
         }
         if was_empty {
-            self.signal_transition(to_header, dst);
+            self.signal_transition(conn.id, to_header, dst);
         }
         self.index_shard(id).lock().insert(id, to_header);
         drop(h_lo);
         drop(h_hi);
-        self.stats.moves.incr();
+        self.stats.moves.incr(conn.id);
         Ok(true)
     }
 
@@ -636,12 +645,12 @@ impl ListStructure {
             }
         }
         if was_empty {
-            self.signal_transition(to, dst);
+            self.signal_transition(conn.id, to, dst);
         }
         self.index_shard(view.id).lock().insert(view.id, to);
         drop(h_lo);
         drop(h_hi);
-        self.stats.moves.incr();
+        self.stats.moves.incr(conn.id);
         Ok(Some(view))
     }
 
@@ -669,8 +678,8 @@ impl ListStructure {
         self.index_shard(e.id).lock().remove(&e.id);
         drop(h);
         self.entry_count.fetch_sub(1, Ordering::Relaxed);
-        self.stats.dequeues.incr();
-        self.stats.deletes.incr();
+        self.stats.dequeues.incr(conn.id);
+        self.stats.deletes.incr(conn.id);
         Ok(Some(EntryView { id: e.id, key: e.key, data: e.data, header, version: e.version }))
     }
 
@@ -820,8 +829,12 @@ impl ListStructure {
         for h in self.headers.iter() {
             h.lock().monitors.retain(|m| m.conn != conn.id);
         }
-        self.vectors.lock()[conn.id.index()] = None;
+        // Deactivate before the slot is free to be claimed, both under
+        // the lock `connect` claims it under: a late disconnect must not
+        // clear the active bit of whoever reuses the slot.
+        let mut vectors = self.vectors.lock();
         self.active.fetch_and(!conn.id.mask(), Ordering::AcqRel);
+        vectors[conn.id.index()] = None;
         Ok(())
     }
 }
@@ -1041,6 +1054,25 @@ mod tests {
         assert_eq!(s.lock_holder(2).unwrap(), Some(a.id));
         s.release_lock(&a, 2).unwrap();
         assert_eq!(s.lock_holder(2).unwrap(), None);
+    }
+
+    /// A connector slot is free to claim only once its disconnect is
+    /// complete: a disconnect racing the slot's next owner must never
+    /// deactivate that owner.
+    #[test]
+    fn slot_reuse_races_no_late_disconnect() {
+        let s = structure(1);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for _ in 0..40_000 {
+                        let c = s.connect(1).unwrap();
+                        assert!(s.read_list(&c, 0).is_ok(), "slot {} deactivated under its owner", c.id);
+                        s.disconnect(&c).unwrap();
+                    }
+                });
+            }
+        });
     }
 
     #[test]

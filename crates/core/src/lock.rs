@@ -26,7 +26,7 @@
 
 use crate::error::{CfError, CfResult};
 use crate::hashing::hash_to_slot;
-use crate::stats::Counter;
+use crate::stats::SlotCounter;
 use crate::types::{ConnId, ConnMask, MAX_CONNECTORS};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -98,22 +98,31 @@ pub enum DisconnectMode {
     Abnormal,
 }
 
-/// Counters published by a lock structure.
-#[derive(Debug, Default)]
+/// Counters published by a lock structure: counted per connector slot,
+/// read as structure-wide sums.
+#[derive(Debug)]
 pub struct LockStats {
     /// Total lock requests.
-    pub requests: Counter,
+    pub requests: SlotCounter,
     /// Requests granted CPU-synchronously.
-    pub sync_grants: Counter,
+    pub sync_grants: SlotCounter,
     /// Requests that hit entry-level contention.
-    pub contentions: Counter,
+    pub contentions: SlotCounter,
     /// Interest recorded after software negotiation (false contention
     /// resolved, or compatible-at-resource-level grants).
-    pub forced_interests: Counter,
+    pub forced_interests: SlotCounter,
     /// Release commands processed.
-    pub releases: Counter,
+    pub releases: SlotCounter,
     /// Record-data elements written.
-    pub records_written: Counter,
+    pub records_written: SlotCounter,
+}
+
+impl Default for LockStats {
+    fn default() -> Self {
+        let [requests, sync_grants, contentions, forced_interests, releases, records_written] =
+            SlotCounter::block();
+        LockStats { requests, sync_grants, contentions, forced_interests, releases, records_written }
+    }
 }
 
 /// Snapshot of the derived rates (for experiment output).
@@ -328,7 +337,7 @@ impl LockStructure {
         if entry >= self.table.len() {
             return Err(CfError::BadParameter("entry index out of range"));
         }
-        self.stats.requests.incr();
+        self.stats.requests.incr(conn);
         let slot = &self.table[entry];
         let me = conn.mask();
         // One load before the loop; a failed CAS hands back the observed
@@ -346,7 +355,7 @@ impl LockStructure {
             // An entry in NEGOTIATE state hides the real modes behind the
             // interest bits: any foreign interest forces negotiation.
             if cur & NEG_FLAG != 0 && holders != 0 {
-                self.stats.contentions.incr();
+                self.stats.contentions.incr(conn);
                 return Ok(LockResponse::Contention {
                     holders,
                     exclusive: foreign_excl,
@@ -360,7 +369,7 @@ impl LockStructure {
             #[cfg(feature = "test-hooks")]
             let compatible = compatible || self.hooks.force_grant.load(Ordering::Relaxed);
             if !compatible {
-                self.stats.contentions.incr();
+                self.stats.contentions.incr(conn);
                 return Ok(LockResponse::Contention {
                     holders,
                     exclusive: foreign_excl,
@@ -378,7 +387,7 @@ impl LockStructure {
             };
             match slot.compare_exchange_weak(cur, new, Ordering::AcqRel, Ordering::Acquire) {
                 Ok(_) => {
-                    self.stats.sync_grants.incr();
+                    self.stats.sync_grants.incr(conn);
                     return Ok(LockResponse::Granted);
                 }
                 Err(observed) => cur = observed,
@@ -405,7 +414,7 @@ impl LockStructure {
         if entry >= self.table.len() {
             return Err(CfError::BadParameter("entry index out of range"));
         }
-        self.stats.forced_interests.incr();
+        self.stats.forced_interests.incr(conn);
         let slot = &self.table[entry];
         let me = conn.mask();
         let mut cur = slot.load(Ordering::Acquire);
@@ -455,7 +464,7 @@ impl LockStructure {
         if entry >= self.table.len() {
             return Err(CfError::BadParameter("entry index out of range"));
         }
-        self.stats.forced_interests.incr();
+        self.stats.forced_interests.incr(conn);
         let slot = &self.table[entry];
         let me = conn.mask();
         let mut cur = slot.load(Ordering::Acquire);
@@ -497,7 +506,7 @@ impl LockStructure {
         if entry >= self.table.len() {
             return Err(CfError::BadParameter("entry index out of range"));
         }
-        self.stats.releases.incr();
+        self.stats.releases.incr(conn);
         self.clear_conn_from_entry(conn, entry);
         Ok(())
     }
@@ -596,7 +605,7 @@ impl LockStructure {
             .entry(resource.to_vec())
             .or_default()
             .insert(conn.raw(), LockRecord { mode, payload: payload.to_vec() });
-        self.stats.records_written.incr();
+        self.stats.records_written.incr(conn);
         Ok(())
     }
 

@@ -2,19 +2,30 @@
 //!
 //! The experiments (E10, E11, E2/E3) report rates such as the fraction of
 //! lock requests granted CPU-synchronously. Counters sit on the hot path of
-//! every CF command, so they are cache-padded relaxed atomics.
+//! every CF command, so what matters is *which cache line* a count lands
+//! on. Three shapes, all relaxed atomics:
+//!
+//! * [`Counter`] — a standalone event counter on its own line, for stats
+//!   blocks one component owns (IRLM, buffer manager, database).
+//! * [`PackedCounter`] and [`Histogram`] — unpadded words, meant to sit
+//!   *inside* a line-aligned cell that one issuer writes (the
+//!   per-subchannel accounting cell of `connection.rs`).
+//! * [`SlotCounter`] — one structure-wide event counter kept as 32
+//!   per-connector-slot words; the slots of all counters of one stats
+//!   block share a row per connector, one 128-byte line each, and the rare
+//!   reader sums them (the distributed-counter idiom: physical counters
+//!   spread over the participants).
 //!
 //! [`Histogram`] is the single log₂-bucketed latency histogram shared by the
 //! subchannel command path, the workload drivers, and the Monitor's CF
-//! Activity Report. It replaces the former 36-bucket `LatencyHistogram`
-//! here and the 64-bucket `workload::metrics::Histogram`, which had drifted
-//! apart. Interval reporting goes through [`Histogram::snapshot`] /
+//! Activity Report. Interval reporting goes through [`Histogram::snapshot`] /
 //! [`HistogramSnapshot::delta`] so per-interval percentiles and `max` are
-//! not contaminated by earlier intervals (reset-less reuse used to carry
-//! `max_ns` across phases forever).
+//! not contaminated by earlier intervals.
 
+use crate::types::{ConnId, MAX_CONNECTORS};
 use crossbeam::utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A single monotonically increasing event counter.
@@ -39,12 +50,6 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Raise the value to at least `n` (for high-water marks).
-    #[inline]
-    pub fn maximize(&self, n: u64) {
-        self.0.fetch_max(n, Ordering::Relaxed);
-    }
-
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
@@ -54,6 +59,91 @@ impl Counter {
     /// Reset to zero (between benchmark phases).
     pub fn reset(&self) {
         self.0.store(0, Ordering::Relaxed);
+    }
+}
+
+/// A [`Counter`] without a cache line of its own: one word of a
+/// line-aligned cell whose owner decides what it shares a line with.
+#[derive(Debug, Default)]
+pub struct PackedCounter(AtomicU64);
+
+impl PackedCounter {
+    /// New counter at zero.
+    pub const fn new() -> Self {
+        PackedCounter(AtomicU64::new(0))
+    }
+
+    /// Record one event.
+    #[inline]
+    pub fn incr(&self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record `n` events.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Current value.
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// Counters per [`SlotCounter`] block: one connector's row is 64 bytes of
+/// words inside its own 128-byte line.
+const SLOT_ROW_WORDS: usize = 8;
+
+type SlotRows = [CachePadded<[AtomicU64; SLOT_ROW_WORDS]>; MAX_CONNECTORS];
+
+/// One structure-wide event counter kept per connector slot.
+///
+/// Every structure operation names its connector, so the count lands in
+/// that connector's row and two connectors never write the same line;
+/// [`SlotCounter::get`] sums the 32 slots. The counters of one stats block
+/// ([`SlotCounter::block`]) are columns of one shared row set, so a block
+/// costs 32 lines however many counters it has.
+pub struct SlotCounter {
+    rows: Arc<SlotRows>,
+    col: usize,
+}
+
+impl SlotCounter {
+    /// The `N` counters of one stats block, all at zero.
+    pub fn block<const N: usize>() -> [SlotCounter; N] {
+        const { assert!(N <= SLOT_ROW_WORDS) };
+        let rows: Arc<SlotRows> = Arc::new(std::array::from_fn(|_| CachePadded::new(Default::default())));
+        std::array::from_fn(|col| SlotCounter { rows: Arc::clone(&rows), col })
+    }
+
+    #[inline]
+    fn word(&self, conn: ConnId) -> &AtomicU64 {
+        &self.rows[conn.index() % MAX_CONNECTORS][self.col]
+    }
+
+    /// Record one event by `conn`.
+    #[inline]
+    pub fn incr(&self, conn: ConnId) {
+        self.word(conn).fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record `n` events by `conn`.
+    #[inline]
+    pub fn add(&self, conn: ConnId, n: u64) {
+        self.word(conn).fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Structure-wide value: the sum over every connector slot.
+    pub fn get(&self) -> u64 {
+        self.rows.iter().map(|row| row[self.col].load(Ordering::Relaxed)).sum()
+    }
+}
+
+impl std::fmt::Debug for SlotCounter {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "SlotCounter({})", self.get())
     }
 }
 
@@ -72,30 +162,21 @@ pub fn ratio(num: u64, den: u64) -> f64 {
 /// into a lower bucket.
 pub const HIST_BUCKETS: usize = 64;
 
-/// Former name of [`HIST_BUCKETS`], kept for older call sites.
-pub const LATENCY_BUCKETS: usize = HIST_BUCKETS;
-
-/// The former core histogram name; now the unified [`Histogram`].
-pub type LatencyHistogram = Histogram;
-
-// `[Counter::new(); N]` needs Copy; build arrays with an explicit repeat
-// initializer. The const is deliberate, not a shared item.
-#[allow(clippy::declare_interior_mutable_const)]
-const ZERO_COUNTER: Counter = Counter::new();
-
 /// A lock-free power-of-two latency histogram.
 ///
-/// Same contention profile as [`Counter`]: relaxed cache-padded atomics,
-/// safe to hammer from every system's CF command path. Resolution is one
-/// binary order of magnitude, which is plenty to separate the paper's
-/// cost tiers (ns local bit tests, µs sync CF commands, tens of µs async
-/// completions, ms DASD I/O).
+/// Relaxed atomics, safe to record into from any thread, and unpadded:
+/// 67 adjacent words, the scalars first so a sample touches two or three
+/// lines. Writers that must not disturb each other get a histogram each
+/// and merge on read ([`Histogram::absorb`], [`HistogramSnapshot::merge`]).
+/// Resolution is one binary order of magnitude, which is plenty to
+/// separate the paper's cost tiers (ns local bit tests, µs sync CF
+/// commands, tens of µs async completions, ms DASD I/O).
 #[derive(Debug)]
 pub struct Histogram {
-    buckets: [Counter; HIST_BUCKETS],
-    total_ns: Counter,
-    samples: Counter,
-    max: Counter,
+    total_ns: AtomicU64,
+    samples: AtomicU64,
+    max: AtomicU64,
+    buckets: [AtomicU64; HIST_BUCKETS],
 }
 
 impl Default for Histogram {
@@ -108,10 +189,10 @@ impl Histogram {
     /// New, empty histogram.
     pub const fn new() -> Self {
         Histogram {
-            buckets: [ZERO_COUNTER; HIST_BUCKETS],
-            total_ns: Counter::new(),
-            samples: Counter::new(),
-            max: Counter::new(),
+            total_ns: AtomicU64::new(0),
+            samples: AtomicU64::new(0),
+            max: AtomicU64::new(0),
+            buckets: [const { AtomicU64::new(0) }; HIST_BUCKETS],
         }
     }
 
@@ -132,44 +213,57 @@ impl Histogram {
     /// Record one observed latency in nanoseconds.
     #[inline]
     pub fn record_ns(&self, ns: u64) {
-        self.buckets[Self::bucket_of(ns)].incr();
-        self.total_ns.add(ns);
-        self.samples.incr();
-        self.max.maximize(ns);
+        self.buckets[Self::bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
+        self.total_ns.fetch_add(ns, Ordering::Relaxed);
+        self.samples.fetch_add(1, Ordering::Relaxed);
+        // A new high-water mark is rare: pay the RMW only then.
+        if ns > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(ns, Ordering::Relaxed);
+        }
+    }
+
+    /// Add every sample of `other` (counts and buckets add, `max` is the
+    /// larger): how per-writer histograms become one on the read side.
+    pub fn absorb(&self, other: &HistogramSnapshot) {
+        for (b, n) in self.buckets.iter().zip(other.buckets.iter()) {
+            b.fetch_add(*n, Ordering::Relaxed);
+        }
+        self.total_ns.fetch_add(other.total_ns, Ordering::Relaxed);
+        self.samples.fetch_add(other.samples, Ordering::Relaxed);
+        self.max.fetch_max(other.max_ns, Ordering::Relaxed);
     }
 
     /// Number of recorded samples.
     pub fn samples(&self) -> u64 {
-        self.samples.get()
+        self.samples.load(Ordering::Relaxed)
     }
 
     /// Number of recorded samples (workload-style name).
     pub fn count(&self) -> u64 {
-        self.samples.get()
+        self.samples()
     }
 
     /// Mean latency in nanoseconds (0 when empty).
     pub fn mean_ns(&self) -> f64 {
-        ratio(self.total_ns.get(), self.samples.get())
+        ratio(self.total_ns.load(Ordering::Relaxed), self.samples())
     }
 
     /// Mean sample as a duration.
     pub fn mean(&self) -> Duration {
-        let n = self.samples.get();
-        if n == 0 {
-            return Duration::ZERO;
+        match self.samples() {
+            0 => Duration::ZERO,
+            n => Duration::from_nanos(self.total_ns.load(Ordering::Relaxed) / n),
         }
-        Duration::from_nanos(self.total_ns.get() / n)
     }
 
     /// Largest recorded sample in nanoseconds.
     pub fn max_ns(&self) -> u64 {
-        self.max.get()
+        self.max.load(Ordering::Relaxed)
     }
 
     /// Largest recorded sample.
     pub fn max(&self) -> Duration {
-        Duration::from_nanos(self.max.get())
+        Duration::from_nanos(self.max_ns())
     }
 
     /// Upper bound (ns) of the bucket containing the `p`-quantile,
@@ -186,26 +280,19 @@ impl Histogram {
 
     /// Point-in-time copy of the histogram for interval math and merging.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut buckets = [0u64; HIST_BUCKETS];
-        for (slot, b) in buckets.iter_mut().zip(self.buckets.iter()) {
-            *slot = b.get();
-        }
         HistogramSnapshot {
-            buckets,
-            samples: self.samples.get(),
-            total_ns: self.total_ns.get(),
-            max_ns: self.max.get(),
+            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
+            samples: self.samples(),
+            total_ns: self.total_ns.load(Ordering::Relaxed),
+            max_ns: self.max_ns(),
         }
     }
 
     /// Reset all buckets (between benchmark phases).
     pub fn reset(&self) {
-        for b in &self.buckets {
-            b.reset();
+        for b in self.buckets.iter().chain([&self.total_ns, &self.samples, &self.max]) {
+            b.store(0, Ordering::Relaxed);
         }
-        self.total_ns.reset();
-        self.samples.reset();
-        self.max.reset();
     }
 
     /// Summary row over a measured wall-clock interval.
@@ -366,10 +453,6 @@ mod tests {
         c.incr();
         c.add(41);
         assert_eq!(c.get(), 42);
-        c.maximize(7); // below current value: no effect
-        assert_eq!(c.get(), 42);
-        c.maximize(99);
-        assert_eq!(c.get(), 99);
         c.reset();
         assert_eq!(c.get(), 0);
     }
@@ -477,6 +560,89 @@ mod tests {
         assert_eq!(m.samples, 2);
         assert_eq!(m.max_ns, 1_000_000);
         assert_eq!(m.total_ns, 1_010_000);
+    }
+
+    /// The read-side sum of N per-writer histograms is the histogram one
+    /// shared writer would have produced: same buckets, counts and max.
+    #[test]
+    fn merged_cells_equal_one_histogram_fed_the_same_samples() {
+        let cells: Vec<Histogram> = (0..5).map(|_| Histogram::new()).collect();
+        let one = Histogram::new();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for i in 0..10_000 {
+            // xorshift: samples spread over ~40 octaves.
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let ns = x >> (x % 40 + 20);
+            cells[i % cells.len()].record_ns(ns);
+            one.record_ns(ns);
+        }
+        let mut merged = HistogramSnapshot::empty();
+        let absorbed = Histogram::new();
+        for cell in &cells {
+            merged.merge(&cell.snapshot());
+            absorbed.absorb(&cell.snapshot());
+        }
+        assert_eq!(merged, one.snapshot());
+        assert_eq!(absorbed.snapshot(), one.snapshot());
+        // And the snapshot/delta contract holds on the merged view.
+        let before = merged.clone();
+        cells[0].record_ns(7);
+        let mut after = HistogramSnapshot::empty();
+        cells.iter().for_each(|c| after.merge(&c.snapshot()));
+        let d = after.delta(&before);
+        assert_eq!((d.samples, d.total_ns, d.buckets[2]), (1, 7, 1));
+    }
+
+    #[test]
+    fn max_is_raised_only_by_larger_samples() {
+        let h = Histogram::new();
+        for ns in [5u64, 900, 30, 900, 2] {
+            h.record_ns(ns);
+        }
+        assert_eq!(h.max_ns(), 900);
+        h.record_ns(901);
+        assert_eq!(h.max_ns(), 901);
+    }
+
+    #[test]
+    fn slot_counters_sum_over_connectors() {
+        let [a, b]: [SlotCounter; 2] = SlotCounter::block();
+        std::thread::scope(|s| {
+            for slot in 0..4u8 {
+                let (a, b) = (&a, &b);
+                s.spawn(move || {
+                    let conn = ConnId::from_raw(slot * 7);
+                    for _ in 0..10_000 {
+                        a.incr(conn);
+                    }
+                    b.add(conn, slot as u64);
+                });
+            }
+        });
+        assert_eq!(a.get(), 40_000);
+        assert_eq!(b.get(), 1 + 2 + 3);
+        assert_eq!(format!("{a:?}"), "SlotCounter(40000)");
+    }
+
+    /// Placement: the counters of one block share a connector's row, and
+    /// two connectors' rows never share a 128-byte line.
+    #[test]
+    fn connector_slots_sit_on_their_own_lines() {
+        let [first, last]: [SlotCounter; 2] = SlotCounter::block();
+        let line = |c: &SlotCounter, slot: usize| {
+            c.word(ConnId::from_raw(slot as u8)) as *const AtomicU64 as usize / 128
+        };
+        let lines: std::collections::HashSet<usize> = (0..MAX_CONNECTORS).map(|s| line(&first, s)).collect();
+        assert_eq!(lines.len(), MAX_CONNECTORS, "one line per connector slot");
+        for slot in 0..MAX_CONNECTORS {
+            assert_eq!(line(&first, slot), line(&last, slot), "a block's counters share the slot's row");
+        }
+        assert_eq!(std::mem::size_of::<SlotRows>(), MAX_CONNECTORS * 128);
+        // Unpadded where padding buys nothing: a histogram is its words.
+        assert_eq!(std::mem::size_of::<Histogram>(), (HIST_BUCKETS + 3) * 8);
+        assert_eq!(std::mem::size_of::<PackedCounter>(), 8);
     }
 
     #[test]

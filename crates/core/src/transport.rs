@@ -1567,21 +1567,22 @@ mod tests {
         cache.detach().unwrap();
         list.detach().unwrap();
 
+        let served = cf.command_stats();
         for class in CommandClass::ALL {
             let m = meter.stats().class(class);
-            let s = cf.command_stats().class(class);
+            let s = served.class(class);
             assert_eq!(m.issued.get(), s.issued.get(), "{}: issued", class.name());
             assert_eq!(m.sync.get(), s.sync.get(), "{}: sync", class.name());
             assert_eq!(m.async_converted.get(), s.async_converted.get(), "{}: async_converted", class.name());
             assert_eq!(m.latency.samples(), m.issued.get(), "{}: one sample per command", class.name());
         }
-        let writes = cf.command_stats().class(CommandClass::ListWrite);
+        let writes = served.class(CommandClass::ListWrite);
         assert_eq!(
             (writes.sync.get(), writes.async_converted.get()),
             (1, 1),
             "enqueue sync, update converted"
         );
-        assert_eq!(cf.command_stats().class(CommandClass::LockAdmin).async_converted.get(), 0);
+        assert_eq!(served.class(CommandClass::LockAdmin).async_converted.get(), 0);
     }
 
     #[test]

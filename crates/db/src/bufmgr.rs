@@ -354,7 +354,7 @@ impl BufferManager {
             // Bind each mirror connection to its member's system so the
             // secondary's trace traffic is attributed to the writer, not
             // to the facility ring.
-            .map(|m| CacheConnection::attach(&secondary, sub.clone().with_system(m.system), m.frame_count))
+            .map(|m| CacheConnection::attach(&secondary, sub.sibling().with_system(m.system), m.frame_count))
             .collect::<Result<_, _>>()?;
         // One member copies the existing changed data across (a bulk
         // rebuild copy: asynchronous on both subchannels).
@@ -421,7 +421,7 @@ impl BufferManager {
         }
         for (manager, guard) in managers.iter().zip(guards.iter_mut()) {
             let _ = guard.conn.detach();
-            let conn = CacheConnection::attach(&new, sub.clone(), manager.frame_count)?;
+            let conn = CacheConnection::attach(&new, sub.sibling(), manager.frame_count)?;
             {
                 let mut inner = manager.inner.lock();
                 inner.map.clear();

@@ -86,7 +86,8 @@ pub struct DataSharingGroup {
     /// Current CF cache structure (group buffer pool).
     cache_structure: parking_lot::RwLock<Arc<CacheStructure>>,
     /// Command subchannel template for the CF currently hosting the
-    /// structures; every member connection issues through a clone of it.
+    /// structures; every member connection issues through a sibling of it
+    /// (same facility, own accounting cell).
     subchannel: parking_lot::RwLock<CfSubchannel>,
     /// Subchannel for the duplexed secondary CF, promoted on failover.
     secondary_sub: Mutex<Option<CfSubchannel>>,
@@ -154,7 +155,7 @@ impl DataSharingGroup {
     /// A fresh command subchannel to the CF currently hosting the group's
     /// structures.
     pub fn subchannel(&self) -> CfSubchannel {
-        self.subchannel.read().clone()
+        self.subchannel.read().sibling()
     }
 
     fn log_volume(system: SystemId) -> String {
@@ -496,8 +497,8 @@ mod tests {
         let farm = DasdFarm::new(IoModel::instant());
         let timer = SysplexTimer::new();
         let xcf = Xcf::new(Arc::clone(&timer));
-        let mut config = GroupConfig::default();
-        config.lock_entries = 64; // heavy collisions before the grow
+        // 64 entries: heavy collisions before the grow.
+        let mut config = GroupConfig { lock_entries: 64, ..GroupConfig::default() };
         config.db.lock_timeout = std::time::Duration::from_millis(100);
         let g = DataSharingGroup::new(config, &cf, farm, timer, xcf).unwrap();
         let a = g.add_member(SystemId::new(0)).unwrap();

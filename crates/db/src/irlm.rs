@@ -1012,7 +1012,7 @@ impl Irlm {
         for (member, guard) in members.iter().zip(guards.iter_mut()) {
             let sec = LockConnection::attach_slot(
                 &secondary,
-                sub.clone().with_system(member.system),
+                sub.sibling().with_system(member.system),
                 guard.conn.conn_id(),
             )?;
             let local = member.local.lock();
@@ -1069,7 +1069,7 @@ impl Irlm {
         // different generations must never coexist.
         let mut guards: Vec<_> = members.iter().map(|m| m.cf.write()).collect();
         for (member, guard) in members.iter().zip(guards.iter_mut()) {
-            let new_conn = LockConnection::attach_slot(&new, sub.clone(), guard.conn.conn_id())?;
+            let new_conn = LockConnection::attach_slot(&new, sub.sibling(), guard.conn.conn_id())?;
             let mut local = member.local.lock();
             let mut new_entries: HashMap<usize, EntryInterest> = HashMap::new();
             // Repopulate in sorted order so the new structure's command

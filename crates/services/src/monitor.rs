@@ -836,7 +836,9 @@ impl Monitor {
         let interval = now.saturating_sub(base.at).max(Duration::from_micros(1));
         let secs = interval.as_secs_f64();
 
-        // Command classes: merge interval deltas across facilities.
+        // Command classes: merge interval deltas across facilities. One
+        // sum over each facility's accounting cells per report.
+        let current: Vec<ConnectionStats> = self.cfs.iter().map(|cf| cf.command_stats()).collect();
         let mut classes = Vec::new();
         let mut totals = Totals::default();
         for (ci, class) in CommandClass::ALL.iter().enumerate() {
@@ -849,8 +851,8 @@ impl Monitor {
                 rate_per_s: 0.0,
                 service: HistogramSnapshot::empty(),
             };
-            for (fi, cf) in self.cfs.iter().enumerate() {
-                let cur = ClassBase::capture(cf.command_stats(), *class);
+            for (fi, stats) in current.iter().enumerate() {
+                let cur = ClassBase::capture(stats, *class);
                 let prev = &base.classes[fi][ci];
                 merged.issued += cur.issued - prev.issued;
                 merged.sync += cur.sync - prev.sync;
@@ -1171,6 +1173,35 @@ mod tests {
         let row = third.classes.iter().find(|c| c.name == "lock-request").unwrap();
         assert_eq!(row.issued, 1);
         assert!(third.reconciles());
+    }
+
+    /// A connection's accounting cell outlives it. An interval that spans
+    /// a detach — and the retirement of the detached cell into the
+    /// facility's books — reports exactly the interval's commands; a sum
+    /// that forgot the cell would make the delta negative.
+    #[test]
+    fn interval_across_a_connection_detach_never_goes_negative() {
+        let (plex, cf) = plex_with_traffic();
+        let monitor = Monitor::for_sysplex(&plex);
+        let lock = cf.connect_lock("IRLM1").unwrap();
+        lock.request_lock(1, LockMode::Shared).unwrap();
+        let first = monitor.report();
+        assert!(first.totals.issued > 0 && first.reconciles());
+
+        lock.request_lock(2, LockMode::Shared).unwrap();
+        lock.detach(sysplex_core::lock::DisconnectMode::Normal).unwrap();
+        drop(lock);
+        // Opening the next connection retires the dropped one's cell.
+        let next = cf.connect_lock("IRLM1").unwrap();
+        next.request_lock(3, LockMode::Shared).unwrap();
+        let second = monitor.report();
+        let issued =
+            |name| second.classes.iter().find(|c| c.name == name).map(|c| (c.issued, c.service.samples));
+        assert_eq!(issued("lock-request"), Some((2, 2)));
+        assert_eq!(issued("lock-admin"), Some((2, 2)), "the detach and the new attach");
+        assert_eq!(second.totals.issued, 4);
+        assert!(second.reconciles());
+        assert_eq!(monitor.report().totals.issued, 0);
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //! These tests drive the full stack from N emulated systems and reconcile
 //! the facility-wide books.
 
-use parallel_sysplex::cf::cache::{CacheParams, WriteKind};
+use parallel_sysplex::cf::cache::{BlockName, CacheParams, WriteKind};
 use parallel_sysplex::cf::list::{DequeueEnd, ListParams, LockCondition, WritePosition};
 use parallel_sysplex::cf::lock::{LockMode, LockParams};
-use parallel_sysplex::cf::SystemId;
-use parallel_sysplex::cf::{CfConfig, CfError, CouplingFacility, LinkFault};
+use parallel_sysplex::cf::{CacheConnection, ListConnection, LockConnection, SystemId};
+use parallel_sysplex::cf::{CfConfig, CfError, CommandClass, ConnectionStats, CouplingFacility, LinkFault};
 use parallel_sysplex::db::group::{DataSharingGroup, GroupConfig};
 use parallel_sysplex::services::sysplex::{Sysplex, SysplexConfig};
 use std::sync::Arc;
@@ -81,6 +81,222 @@ fn mixed_sync_async_traffic_reconciles_across_systems() {
     assert!(stats.async_converted() > 0, "async conversions happened");
     // Lower bound on traffic: 2 lock + 2 cache + 2 list commands per op.
     assert!(stats.issued() >= (SYSTEMS * OPS * 6) as u64, "issued={}", stats.issued());
+}
+
+/// What one thread did, counted by the thread itself: the books the
+/// facility-wide sums are reconciled against.
+#[derive(Default)]
+struct Tally {
+    issued: [u64; CommandClass::COUNT],
+    converted: [u64; CommandClass::COUNT],
+    max_ns: [u64; CommandClass::COUNT],
+    lock_requests: u64,
+    lock_releases: u64,
+    cache_reads: u64,
+    cache_read_hits: u64,
+    cache_writes: u64,
+    list_writes: u64,
+    list_dequeues: u64,
+}
+
+impl Tally {
+    fn issue(&mut self, class: CommandClass, n: u64) {
+        self.issued[class.index()] += n;
+    }
+
+    /// Fold in the high-water marks of one connection's own cell.
+    fn note_max(&mut self, cell: &ConnectionStats) {
+        for class in CommandClass::ALL {
+            let max = &mut self.max_ns[class.index()];
+            *max = (*max).max(cell.class(class).latency.max_ns());
+        }
+    }
+
+    fn merge(&mut self, other: &Tally) {
+        for i in 0..CommandClass::COUNT {
+            self.issued[i] += other.issued[i];
+            self.converted[i] += other.converted[i];
+            self.max_ns[i] = self.max_ns[i].max(other.max_ns[i]);
+        }
+        self.lock_requests += other.lock_requests;
+        self.lock_releases += other.lock_releases;
+        self.cache_reads += other.cache_reads;
+        self.cache_read_hits += other.cache_read_hits;
+        self.cache_writes += other.cache_writes;
+        self.list_writes += other.list_writes;
+        self.list_dequeues += other.list_dequeues;
+    }
+}
+
+type Trio = (LockConnection, CacheConnection, ListConnection);
+
+fn attach_trio(cf: &CouplingFacility, tally: &mut Tally) -> Trio {
+    tally.issue(CommandClass::LockAdmin, 1);
+    tally.issue(CommandClass::CacheAdmin, 1);
+    tally.issue(CommandClass::ListAdmin, 1);
+    (
+        cf.connect_lock("LOCK1").unwrap(),
+        cf.connect_cache("GBP0", 64).unwrap(),
+        cf.connect_list("WORKQ", 1).unwrap(),
+    )
+}
+
+/// `cycles` rounds of the six-command cycle over `thread`'s own entries,
+/// blocks and header, plus a bulk scan (async-converted) every 16th.
+fn run_cycles(thread: usize, (lock, cache, list): &Trio, cycles: u64, tally: &mut Tally) {
+    let page = vec![thread as u8; 4096];
+    for n in 0..cycles {
+        let slot = (n % 32) as usize;
+        let entry = thread * 64 + slot;
+        let blk = BlockName::from_parts(thread as u32, slot as u64);
+        assert!(lock.request_lock(entry, LockMode::Exclusive).unwrap().is_granted());
+        tally.cache_read_hits += u64::from(cache.register_read(blk, slot as u32).unwrap().data.is_some());
+        cache.write_invalidate(blk, &page, WriteKind::ChangedData).unwrap();
+        list.enqueue(thread, n, b"item", WritePosition::Tail, LockCondition::None).unwrap();
+        if n % 16 == 0 {
+            assert_eq!(list.scan(thread).unwrap().len(), 1);
+            tally.issue(CommandClass::ListRead, 1);
+            tally.converted[CommandClass::ListRead.index()] += 1;
+        }
+        assert!(list.take(thread, DequeueEnd::Head, LockCondition::None).unwrap().is_some());
+        lock.release_lock(entry).unwrap();
+    }
+    for class in [
+        CommandClass::LockRequest,
+        CommandClass::LockRelease,
+        CommandClass::CacheRead,
+        CommandClass::CacheWrite,
+        CommandClass::ListWrite,
+        CommandClass::ListMove,
+    ] {
+        tally.issue(class, cycles);
+    }
+    tally.lock_requests += cycles;
+    tally.lock_releases += cycles;
+    tally.cache_reads += cycles;
+    tally.cache_writes += cycles;
+    tally.list_writes += cycles;
+    tally.list_dequeues += cycles;
+    for cell in [lock.stats(), cache.stats(), list.stats()] {
+        tally.note_max(cell);
+    }
+}
+
+/// Accounting lives in one cell per connection and one row per connector
+/// slot; the facility-wide and structure-wide numbers are sums taken on
+/// read. The sums must be *exact*: four threads with their own connection
+/// trios, one trio dropped and replaced mid-run (its cell is retired into
+/// the facility's books), one connection cloned onto a second thread (two
+/// writers, one cell) — afterwards every count equals what the threads
+/// themselves counted.
+#[test]
+fn per_connection_cells_sum_exactly() {
+    const THREADS: usize = 4;
+    const CYCLES: u64 = 2_000;
+
+    let cf = CouplingFacility::new(CfConfig::named("CF01"));
+    let lock = cf.allocate_lock_structure("LOCK1", LockParams::with_entries(512)).unwrap();
+    let cache = cf.allocate_cache_structure("GBP0", CacheParams::store_in(512)).unwrap();
+    let list = cf.allocate_list_structure("WORKQ", ListParams::with_headers(THREADS)).unwrap();
+
+    let tallies: Vec<Tally> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|thread| {
+                let cf = &cf;
+                scope.spawn(move || {
+                    let mut tally = Tally::default();
+                    let trio = attach_trio(cf, &mut tally);
+                    match thread {
+                        // A clone of this thread's lock connection works a
+                        // second thread: same connector, same cell.
+                        0 => {
+                            let cloned = trio.0.clone();
+                            let helper = std::thread::spawn(move || {
+                                for n in 0..CYCLES {
+                                    let entry = 384 + (n % 32) as usize;
+                                    assert!(cloned
+                                        .request_lock(entry, LockMode::Shared)
+                                        .unwrap()
+                                        .is_granted());
+                                    cloned.release_lock(entry).unwrap();
+                                }
+                            });
+                            run_cycles(thread, &trio, CYCLES, &mut tally);
+                            helper.join().unwrap();
+                            tally.issue(CommandClass::LockRequest, CYCLES);
+                            tally.issue(CommandClass::LockRelease, CYCLES);
+                            tally.lock_requests += CYCLES;
+                            tally.lock_releases += CYCLES;
+                            tally.note_max(trio.0.stats());
+                        }
+                        // This trio goes away mid-run; a fresh one carries on.
+                        1 => {
+                            run_cycles(thread, &trio, CYCLES / 2, &mut tally);
+                            drop(trio);
+                            let trio = attach_trio(cf, &mut tally);
+                            run_cycles(thread, &trio, CYCLES / 2, &mut tally);
+                        }
+                        _ => run_cycles(thread, &trio, CYCLES, &mut tally),
+                    }
+                    tally
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    let mut expected = Tally::default();
+    tallies.iter().for_each(|t| expected.merge(t));
+
+    let stats = cf.command_stats();
+    for class in CommandClass::ALL {
+        let (i, c) = (class.index(), stats.class(class));
+        let name = class.name();
+        assert_eq!(c.issued.get(), expected.issued[i], "{name}: issued");
+        assert_eq!(c.async_converted.get(), expected.converted[i], "{name}: async_converted");
+        assert_eq!(c.issued.get(), c.sync.get() + c.async_converted.get(), "{name}: issued == sync + async");
+        assert_eq!(c.faulted.get(), 0, "{name}: faulted");
+        let latency = c.latency.snapshot();
+        assert_eq!(latency.samples, c.issued.get(), "{name}: one sample per command");
+        assert_eq!(latency.buckets.iter().sum::<u64>(), latency.samples, "{name}: buckets hold every sample");
+        assert_eq!(latency.max_ns, expected.max_ns[i], "{name}: max is the max over the cells");
+    }
+    assert_eq!(stats.issued(), expected.issued.iter().sum::<u64>());
+    assert!(stats.async_converted() > 0 && stats.sync() > 0, "both modes ran");
+
+    assert_eq!(lock.stats.requests.get(), expected.lock_requests);
+    assert_eq!(lock.stats.sync_grants.get(), expected.lock_requests, "disjoint entries: all granted");
+    assert_eq!(lock.stats.contentions.get(), 0);
+    assert_eq!(lock.stats.releases.get(), expected.lock_releases);
+    assert_eq!(cache.stats.reads.get(), expected.cache_reads);
+    assert_eq!(cache.stats.read_hits.get(), expected.cache_read_hits);
+    assert_eq!(cache.stats.writes.get(), expected.cache_writes);
+    // The dropped trio never detached: its 32 registrations are
+    // cross-invalidated by its replacement's first writes, and by nobody else.
+    assert_eq!(cache.stats.xi_signals.get(), 32);
+    assert_eq!(list.stats.writes.get(), expected.list_writes);
+    assert_eq!(list.stats.dequeues.get(), expected.list_dequeues);
+    assert_eq!(list.stats.deletes.get(), expected.list_dequeues);
+}
+
+/// Placement: every subchannel's cell starts on its own 128-byte line and
+/// covers whole lines, so two connections never write the same line; and
+/// a cell is its words (12 classes x 71 words), not a padded line each.
+#[test]
+fn accounting_cells_never_share_a_line() {
+    let cf = CouplingFacility::new(CfConfig::named("CF01"));
+    let subs: Vec<_> = (0..8).map(|_| cf.subchannel()).collect();
+    let size = std::mem::size_of::<ConnectionStats>();
+    assert_eq!(size, 6912, "12 x 71 x 8 B = 6816, rounded up to whole lines");
+    assert_eq!(size % 128, 0);
+    let mut lines = std::collections::HashSet::new();
+    for sub in &subs {
+        let start = Arc::as_ptr(sub.stats()) as usize;
+        assert_eq!(start % 128, 0, "cell starts on a line boundary");
+        assert!((start / 128..(start + size) / 128).all(|line| lines.insert(line)), "line shared");
+    }
+    // A clone is the same connection: same cell.
+    assert!(Arc::ptr_eq(subs[0].stats(), subs[0].clone().stats()));
+    assert!(!Arc::ptr_eq(subs[0].stats(), subs[0].sibling().stats()));
 }
 
 /// An injected link malfunction surfaces as a typed [`CfError`] on the
