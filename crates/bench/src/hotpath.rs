@@ -462,9 +462,7 @@ impl Rig {
         self.cf.allocate_lock_structure(name, LockParams::with_entries(entries)).unwrap();
         let xcf = Xcf::new(SysplexTimer::new());
         let irlms = (0..threads)
-            .map(|t| {
-                Irlm::start(SystemId::new(t as u8), self.cf.connect_lock(name).unwrap(), &xcf).unwrap()
-            })
+            .map(|t| Irlm::start(SystemId::new(t as u8), self.cf.connect_lock(name).unwrap(), &xcf).unwrap())
             .collect();
         (irlms, xcf)
     }
@@ -597,9 +595,8 @@ impl Rig {
                         let txn = t as u64 + 1;
                         let zipf = Zipf::new(CONTENDED_RESOURCES, ZIPF_THETA);
                         let mut rng = StdRng::seed_from_u64(0xADA9_717E ^ t as u64);
-                        let resources: Vec<Vec<u8>> = (0..CONTENDED_RESOURCES)
-                            .map(|r| format!("R{r:04}.T{t}").into_bytes())
-                            .collect();
+                        let resources: Vec<Vec<u8>> =
+                            (0..CONTENDED_RESOURCES).map(|r| format!("R{r:04}.T{t}").into_bytes()).collect();
                         let mut one = |measured: bool| {
                             let resource = &resources[zipf.sample(&mut rng)];
                             let start = Instant::now();
@@ -826,8 +823,7 @@ pub fn run(ops_per_thread: u64, thread_counts: &[usize]) -> HotpathReport {
         .find(|p| p.class == PhaseClass::Lock && p.mode == "regrant" && p.threads == max_threads)
         .map(|p| p.p50_us)
         .unwrap_or(0.0);
-    let regrant_p50_speedup =
-        if regrant_p50 > 0.0 { cf_mb100_roundtrip_p50_us / regrant_p50 } else { 0.0 };
+    let regrant_p50_speedup = if regrant_p50 > 0.0 { cf_mb100_roundtrip_p50_us / regrant_p50 } else { 0.0 };
 
     let mut class_totals = Vec::new();
     let mut counters_reconciled = true;
@@ -909,10 +905,7 @@ impl HotpathReport {
             "    \"lock_uncontended_2_vs_1\": {:.3},\n",
             self.scaling_lock_uncontended_2_vs_1
         ));
-        out.push_str(&format!(
-            "    \"cf_mb100_roundtrip_p50_us\": {:.2},\n",
-            self.cf_mb100_roundtrip_p50_us
-        ));
+        out.push_str(&format!("    \"cf_mb100_roundtrip_p50_us\": {:.2},\n", self.cf_mb100_roundtrip_p50_us));
         out.push_str(&format!("    \"regrant_p50_speedup\": {:.2},\n", self.regrant_p50_speedup));
         out.push_str(&format!("    \"max_threads\": {}\n", self.max_threads));
         out.push_str("  },\n");

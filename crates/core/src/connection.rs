@@ -673,6 +673,13 @@ impl LockConnection {
         self.structure.hash_resource(resource)
     }
 
+    /// Lock-table entry of an already hashed name (the same entry
+    /// [`LockConnection::hash_resource`] gives its bytes).
+    #[inline]
+    pub fn entry_of(&self, name: &crate::hashing::ResourceName) -> usize {
+        self.structure.entry_of(name)
+    }
+
     /// Request `mode` interest in lock-table entry `entry`.
     pub fn request_lock(&self, entry: usize, mode: LockMode) -> CfResult<LockResponse> {
         let r = self.sub.issue(CfCommand::LOCK_REQUEST, || self.structure.request(self.id, entry, mode));

@@ -25,11 +25,12 @@
 //! persistent") until recovery completes.
 
 use crate::error::{CfError, CfResult};
-use crate::hashing::hash_to_slot;
+use crate::hashing::{hash_to_slot, slot_of, InlineBytes, PrehashedMap, ResourceName};
 use crate::stats::SlotCounter;
 use crate::types::{ConnId, ConnMask, MAX_CONNECTORS};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::hash::{Hash, Hasher};
 #[cfg(feature = "test-hooks")]
 use std::sync::atomic::AtomicBool;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -183,13 +184,31 @@ fn share_of(word: u64) -> ConnMask {
 #[derive(Debug, Clone)]
 struct LockRecord {
     mode: LockMode,
-    payload: Vec<u8>,
+    payload: InlineBytes,
 }
 
-/// One shard of the record-data table: resource name -> per-connector record.
-type RecordMap = HashMap<Vec<u8>, HashMap<u8, LockRecord>>;
+/// A record is owned by one connector for one resource. The key reuses the
+/// name's one hash (offset by the connector slot), so a record command
+/// hashes its name once — for the shard and the bucket — and a name and
+/// payload that fit [`crate::hashing::INLINE_BYTES`] never reach the
+/// allocator.
+#[derive(Debug, PartialEq, Eq)]
+struct RecordKey {
+    name: ResourceName,
+    conn: u8,
+}
 
-/// Number of record-data shards. Power of two so `hash_to_slot`'s
+impl Hash for RecordKey {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.name.hash().wrapping_add(self.conn as u64 + 1));
+    }
+}
+
+/// One shard of the record-data table.
+type RecordMap = PrehashedMap<RecordKey, LockRecord>;
+
+/// Number of record-data shards. Power of two so `slot_of`'s
 /// multiply-shift reduction spreads resources evenly; 16 shards keep
 /// writer collisions rare at the connector counts the structure supports
 /// (≤ 32) without bloating the per-structure footprint.
@@ -251,7 +270,7 @@ impl LockStructure {
             table,
             active: AtomicU32::new(0),
             failed_persistent: AtomicU32::new(0),
-            records: (0..RECORD_SHARDS).map(|_| Mutex::new(RecordMap::new())).collect(),
+            records: (0..RECORD_SHARDS).map(|_| Mutex::new(RecordMap::default())).collect(),
             record_capacity: params.record_capacity,
             record_count: AtomicU64::new(0),
             stats: LockStats::default(),
@@ -321,10 +340,17 @@ impl LockStructure {
         hash_to_slot(name, self.table.len())
     }
 
-    /// Shard holding the record data for `resource`.
+    /// Lock table entry of an already hashed name — the same entry
+    /// [`LockStructure::hash_resource`] gives its bytes.
     #[inline]
-    fn record_shard(&self, resource: &[u8]) -> &Mutex<RecordMap> {
-        &self.records[hash_to_slot(resource, RECORD_SHARDS)]
+    pub fn entry_of(&self, name: &ResourceName) -> usize {
+        slot_of(name.hash(), self.table.len())
+    }
+
+    /// Shard holding the record data for `name`.
+    #[inline]
+    fn record_shard(&self, name: &ResourceName) -> &Mutex<RecordMap> {
+        &self.records[slot_of(name.hash(), RECORD_SHARDS)]
     }
 
     /// Request interest in a lock table entry.
@@ -588,23 +614,26 @@ impl LockStructure {
         payload: &[u8],
     ) -> CfResult<()> {
         self.check_active(conn)?;
-        let mut records = self.record_shard(resource).lock();
-        let is_new = !records.get(resource).is_some_and(|per_conn| per_conn.contains_key(&conn.raw()));
-        if is_new {
-            // Capacity check without a global lock: optimistically reserve
-            // an element on the shared counter and roll back on overflow.
-            // A reservation that loses the race can transiently inflate the
-            // count, which only ever *rejects* a racer — never over-admits.
-            let prev = self.record_count.fetch_add(1, Ordering::Relaxed);
-            if prev as usize >= self.record_capacity {
-                self.record_count.fetch_sub(1, Ordering::Relaxed);
-                return Err(CfError::StructureFull);
+        let key = RecordKey { name: ResourceName::new(resource), conn: conn.raw() };
+        let record = LockRecord { mode, payload: InlineBytes::new(payload) };
+        match self.record_shard(&key.name).lock().entry(key) {
+            // Replacing an existing record is not a new element.
+            Entry::Occupied(mut e) => {
+                e.insert(record);
+            }
+            Entry::Vacant(e) => {
+                // Capacity check without a global lock: optimistically reserve
+                // an element on the shared counter and roll back on overflow.
+                // A reservation that loses the race can transiently inflate the
+                // count, which only ever *rejects* a racer — never over-admits.
+                let prev = self.record_count.fetch_add(1, Ordering::Relaxed);
+                if prev as usize >= self.record_capacity {
+                    self.record_count.fetch_sub(1, Ordering::Relaxed);
+                    return Err(CfError::StructureFull);
+                }
+                e.insert(record);
             }
         }
-        records
-            .entry(resource.to_vec())
-            .or_default()
-            .insert(conn.raw(), LockRecord { mode, payload: payload.to_vec() });
         self.stats.records_written.incr(conn);
         Ok(())
     }
@@ -612,17 +641,11 @@ impl LockStructure {
     /// Delete the persistent record for `resource` owned by `conn`.
     pub fn delete_record(&self, conn: ConnId, resource: &[u8]) -> CfResult<()> {
         self.check_active(conn)?;
-        let mut records = self.record_shard(resource).lock();
-        let Some(per_conn) = records.get_mut(resource) else {
-            return Err(CfError::NoSuchEntry);
-        };
-        if per_conn.remove(&conn.raw()).is_none() {
+        let key = RecordKey { name: ResourceName::new(resource), conn: conn.raw() };
+        if self.record_shard(&key.name).lock().remove(&key).is_none() {
             return Err(CfError::NoSuchEntry);
         }
         self.record_count.fetch_sub(1, Ordering::Relaxed);
-        if per_conn.is_empty() {
-            records.remove(resource);
-        }
         Ok(())
     }
 
@@ -632,12 +655,12 @@ impl LockStructure {
         let mut out: Vec<RetainedLock> = Vec::new();
         for shard in self.records.iter() {
             let records = shard.lock();
-            out.extend(records.iter().filter_map(|(resource, per_conn)| {
-                per_conn.get(&conn.raw()).map(|r| RetainedLock {
-                    resource: resource.clone(),
+            out.extend(records.iter().filter(|(key, _)| key.conn == conn.raw()).map(|(key, r)| {
+                RetainedLock {
+                    resource: key.name.as_bytes().to_vec(),
                     mode: r.mode,
-                    payload: r.payload.clone(),
-                })
+                    payload: r.payload.as_bytes().to_vec(),
+                }
             }));
         }
         // Sorted merge across shards: recovery output (and the harness's
@@ -703,12 +726,9 @@ impl LockStructure {
         }
         for shard in self.records.iter() {
             let mut records = shard.lock();
-            records.retain(|_, per_conn| {
-                if per_conn.remove(&conn.raw()).is_some() {
-                    self.record_count.fetch_sub(1, Ordering::Relaxed);
-                }
-                !per_conn.is_empty()
-            });
+            let before = records.len();
+            records.retain(|key, _| key.conn != conn.raw());
+            self.record_count.fetch_sub((before - records.len()) as u64, Ordering::Relaxed);
         }
     }
 
@@ -729,9 +749,7 @@ impl LockStructure {
         let mut out: Vec<(Vec<u8>, u8, LockMode)> = Vec::new();
         for shard in self.records.iter() {
             let records = shard.lock();
-            out.extend(records.iter().flat_map(|(resource, per_conn)| {
-                per_conn.iter().map(|(raw, r)| (resource.clone(), *raw, r.mode))
-            }));
+            out.extend(records.iter().map(|(key, r)| (key.name.as_bytes().to_vec(), key.conn, r.mode)));
         }
         // Sorted merge across shards — load-bearing for deterministic replay.
         out.sort();
@@ -960,7 +978,9 @@ mod tests {
         match s.request(b, 12, LockMode::Exclusive).unwrap() {
             LockResponse::Contention { generation, holders, .. } => {
                 assert_eq!(holders, a.mask());
-                assert!(s.force_interest_negotiated(b, 12, LockMode::Exclusive, holders, generation).unwrap());
+                assert!(s
+                    .force_interest_negotiated(b, 12, LockMode::Exclusive, holders, generation)
+                    .unwrap());
             }
             other => panic!("expected contention, got {other:?}"),
         }

@@ -25,7 +25,7 @@ use crate::error::{DbError, DbResult};
 use crate::irlm::Irlm;
 use crate::log::{LogManager, LogRecord};
 use crate::pagestore::PageStore;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -76,7 +76,9 @@ pub struct Txn {
     id: u64,
     complete: bool,
     /// key -> staged change (latest wins; before-image from first touch).
-    writes: HashMap<u64, StagedWrite>,
+    /// In key order, so commit logs update records — and draws their LSNs —
+    /// in the same order on every run.
+    writes: BTreeMap<u64, StagedWrite>,
 }
 
 impl Txn {
@@ -106,13 +108,31 @@ pub struct Database {
     pub stats: DbStats,
 }
 
-/// Lock-name helpers shared with recovery.
-pub(crate) fn row_resource(key: u64) -> Vec<u8> {
-    format!("ROW.{key:016x}").into_bytes()
+/// Fill `out` with the zero-padded lower-case hex of `v` (`{v:0Nx}` for
+/// `N = out.len()`).
+fn hex_into(out: &mut [u8], mut v: u64) {
+    for b in out.iter_mut().rev() {
+        *b = b"0123456789abcdef"[(v & 0xf) as usize];
+        v >>= 4;
+    }
 }
 
-pub(crate) fn page_resource(db_id: u32, page: u64) -> Vec<u8> {
-    format!("PAGE.{db_id:08x}.{page:016x}").into_bytes()
+// Lock-name helpers shared with recovery. Names are built on the stack —
+// the lock manager copies what it keeps.
+
+/// `ROW.{key:016x}`
+pub(crate) fn row_resource(key: u64) -> [u8; 20] {
+    let mut name = *b"ROW.0000000000000000";
+    hex_into(&mut name[4..], key);
+    name
+}
+
+/// `PAGE.{db_id:08x}.{page:016x}`
+pub(crate) fn page_resource(db_id: u32, page: u64) -> [u8; 30] {
+    let mut name = *b"PAGE.00000000.0000000000000000";
+    hex_into(&mut name[5..13], db_id as u64);
+    hex_into(&mut name[14..], page);
+    name
 }
 
 /// Parse a ROW lock resource back to its key (recovery/diagnostic tooling
@@ -181,7 +201,7 @@ impl Database {
     /// globally ordered without coordination.
     pub fn begin(&self) -> Txn {
         self.active_txns.fetch_add(1, Ordering::AcqRel);
-        Txn { id: self.timer.tod().0, complete: false, writes: HashMap::new() }
+        Txn { id: self.timer.tod().0, complete: false, writes: BTreeMap::new() }
     }
 
     /// Transactions currently in flight on this member.
@@ -247,31 +267,37 @@ impl Database {
     /// Commit: WAL force, externalise pages under P-locks, commit record,
     /// release locks.
     ///
-    /// A failure mid-commit (e.g. a P-lock timeout under heavy contention)
-    /// backs out whatever was already externalised — the held L-locks make
-    /// that safe — logs an Abort, and releases everything; the error is
-    /// then surfaced.
+    /// A failure before the commit record is durable (e.g. a P-lock timeout
+    /// under heavy contention) backs out whatever was already externalised
+    /// — the held L-locks make that safe — logs an Abort, and releases
+    /// everything; the error is then surfaced. Once the commit record is
+    /// forced the transaction *is* committed: an error releasing its locks
+    /// is surfaced too, but nothing is undone.
     pub fn commit(&self, txn: &mut Txn) -> DbResult<()> {
         Self::check_open(txn)?;
         txn.complete = true;
-        let result = self.commit_inner(txn);
-        match &result {
-            Ok(()) => self.stats.commits.incr(),
-            Err(_) => {
+        let result = match self.commit_inner(txn) {
+            Ok(()) => {
+                self.stats.commits.incr();
+                self.irlm.unlock_all(txn.id)
+            }
+            Err(e) => {
                 self.backout_externalised(txn);
                 self.log.append(LogRecord::Abort { lsn: self.timer.tod(), txn: txn.id });
                 let _ = self.log.force();
                 let _ = self.irlm.unlock_all(txn.id);
                 self.stats.aborts.incr();
+                Err(e)
             }
-        }
+        };
         self.active_txns.fetch_sub(1, Ordering::AcqRel);
         result
     }
 
+    /// Everything up to and including the durable commit record; the
+    /// caller releases the locks.
     fn commit_inner(&self, txn: &mut Txn) -> DbResult<()> {
         if txn.writes.is_empty() {
-            self.irlm.unlock_all(txn.id)?;
             return Ok(());
         }
         // 1. Undo/redo records become durable before any page change
@@ -314,10 +340,9 @@ impl Database {
             self.irlm.unlock(txn.id, &plock)?;
             result?;
         }
-        // 3. Commit record durable, then locks go.
+        // 3. Commit record durable.
         self.log.append(LogRecord::Commit { lsn: self.timer.tod(), txn: txn.id });
         self.log.force()?;
-        self.irlm.unlock_all(txn.id)?;
         Ok(())
     }
 
@@ -437,5 +462,12 @@ mod tests {
         assert_eq!(key_of_row_resource(b"PAGE.x"), None);
         assert_eq!(key_of_row_resource(b"ROW.zz"), None);
         assert_ne!(page_resource(1, 2), page_resource(1, 3));
+        // Byte for byte what `format!` produced: hash classes, traces and
+        // seeded runs depend on the names.
+        for key in [0, 1, 42, 0xdead_beef, u64::MAX] {
+            assert_eq!(&row_resource(key)[..], format!("ROW.{key:016x}").as_bytes());
+            assert_eq!(&page_resource(7, key)[..], format!("PAGE.{:08x}.{key:016x}", 7).as_bytes());
+        }
+        assert_eq!(&page_resource(u32::MAX, 3)[..], format!("PAGE.{:08x}.{:016x}", u32::MAX, 3).as_bytes());
     }
 }

@@ -30,12 +30,14 @@
 use crate::error::{DbError, DbResult};
 use crossbeam::channel::{bounded, Sender};
 use parking_lot::{Mutex, RwLock};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 use sysplex_core::connection::{CfSubchannel, LockConnection};
+use sysplex_core::hashing::{PrehashedMap, ResourceName};
 use sysplex_core::lock::{DisconnectMode, LockMode, LockResponse, LockStructure, RetainedLock};
 use sysplex_core::stats::Counter;
 use sysplex_core::types::{conns_in_mask, ConnId};
@@ -81,51 +83,75 @@ pub struct IrlmStats {
 
 #[derive(Debug, Clone, Copy)]
 struct Holder {
+    txn: u64,
     mode: LockMode,
     persistent: bool,
 }
 
+/// The local holders of one resource. The first lives in the table slot
+/// itself: the common case — one transaction per resource — never reaches
+/// the allocator. `rest` is empty whenever `first` is.
 #[derive(Debug, Default)]
-struct ResourceHolders {
-    holders: HashMap<u64, Holder>,
+struct Holders {
+    first: Option<Holder>,
+    rest: Vec<Holder>,
 }
 
-impl ResourceHolders {
+impl Holders {
+    fn iter(&self) -> impl Iterator<Item = &Holder> {
+        self.first.iter().chain(&self.rest)
+    }
+
+    fn get_mut(&mut self, txn: u64) -> Option<&mut Holder> {
+        self.first.iter_mut().chain(&mut self.rest).find(|h| h.txn == txn)
+    }
+
+    fn insert(&mut self, holder: Holder) {
+        match self.first {
+            None => self.first = Some(holder),
+            Some(_) => self.rest.push(holder),
+        }
+    }
+
+    fn remove(&mut self, txn: u64) -> Option<Holder> {
+        if self.first.is_some_and(|h| h.txn == txn) {
+            return std::mem::replace(&mut self.first, self.rest.pop());
+        }
+        let at = self.rest.iter().position(|h| h.txn == txn)?;
+        Some(self.rest.swap_remove(at))
+    }
+
+    fn is_empty(&self) -> bool {
+        self.first.is_none()
+    }
+
     /// Can `txn` acquire `mode` alongside the current local holders?
     fn compatible_for(&self, txn: u64, mode: LockMode) -> bool {
-        self.holders
-            .iter()
-            .all(|(&t, h)| t == txn || matches!((h.mode, mode), (LockMode::Shared, LockMode::Shared)))
+        self.iter().all(|h| h.txn == txn || matches!((h.mode, mode), (LockMode::Shared, LockMode::Shared)))
     }
 
     /// Would a *foreign-system* request of `mode` conflict with any holder?
     fn conflicts_with_peer(&self, mode: LockMode) -> bool {
-        if self.holders.is_empty() {
-            return false;
-        }
         match mode {
-            LockMode::Exclusive => true,
-            LockMode::Shared => self.holders.values().any(|h| h.mode == LockMode::Exclusive),
+            LockMode::Exclusive => !self.is_empty(),
+            LockMode::Shared => self.strongest() == Some(LockMode::Exclusive),
         }
     }
 
     fn strongest(&self) -> Option<LockMode> {
-        if self.holders.values().any(|h| h.mode == LockMode::Exclusive) {
-            Some(LockMode::Exclusive)
-        } else if !self.holders.is_empty() {
-            Some(LockMode::Shared)
-        } else {
-            None
-        }
+        self.iter().map(|h| h.mode).max()
     }
 }
 
+/// Everything this member tracks about one lock-table entry (hash class),
+/// in one record so a request reaches all of it with one lookup. The record
+/// exists while any field is set ([`LocalState::settle`] drops it).
 #[derive(Debug, Clone, Copy, Default)]
-struct EntryInterest {
+struct EntryRecord {
     /// Distinct local resources hashing to this entry. CF interest in the
     /// entry is released when this drops to zero — unless the entry is
     /// parked (lazy release).
-    count: usize,
+    count: u32,
     /// This system observed a sole-interest exclusive CF grant for the
     /// entry and no peer has negotiated since. While set, re-grants
     /// against the entry complete locally: any foreign acquisition must
@@ -135,6 +161,29 @@ struct EntryInterest {
     /// `count == 0` but CF interest is retained so a re-acquire can take
     /// the local fast path. Surrendered on recall or FIFO eviction.
     parked: bool,
+    /// Phase-2 CF requests in flight. A recall must not surrender such an
+    /// entry: the requester may be granted on its own retained interest
+    /// and a concurrent release would wipe the grant.
+    inflight: u32,
+    /// Phase-2 requests *inside the grant window*: the CF command is
+    /// executing, or it succeeded and phase 3 has not yet recorded the
+    /// grant locally. A peer's negotiation query in this window must
+    /// report conflict — the resource scan cannot see the pending grant,
+    /// and answering "no conflict" would let the peer's negotiated write
+    /// bypass it (dual exclusive holders, lost update). Kept separate from
+    /// `inflight`: the whole negotiate loop is slow (XCF round trips,
+    /// backoff) and reporting conflict for all of it starves wide member
+    /// groups; the grant window is microseconds.
+    critical: u32,
+    /// A peer recently negotiated on this hash class: inter-system
+    /// interest exists there, so sole-interest caching would only bounce —
+    /// every grant parks at unlock and forces the next peer through a
+    /// recall round trip, and on a hot shared class the whole group
+    /// degenerates into negotiation storms. A queried entry skips the
+    /// cached fast path for this many further CF grants (set to
+    /// [`RECALL_COOLDOWN`], refreshed by further queries); genuinely local
+    /// classes are never queried and keep caching.
+    cool: u32,
 }
 
 /// Cap on parked (lazily released) entries per IRLM. Eviction is FIFO so
@@ -143,41 +192,99 @@ const PARK_CAP: usize = 1024;
 
 #[derive(Debug, Default)]
 struct LocalState {
-    resources: HashMap<Vec<u8>, ResourceHolders>,
-    entries: HashMap<usize, EntryInterest>,
+    resources: PrehashedMap<ResourceName, Holders>,
+    entries: PrehashedMap<usize, EntryRecord>,
+    /// What each open transaction holds, so releasing a transaction walks
+    /// its own locks and nothing else. Unordered; `unlock_all` sorts.
+    held: PrehashedMap<u64, Vec<ResourceName>>,
+    /// Emptied `held` lists, reused so a transaction's first lock does not
+    /// allocate. At most as many as transactions were ever open at once.
+    spare_lists: Vec<Vec<ResourceName>>,
     /// FIFO of parked entry indexes. May hold stale positions for entries
     /// re-granted since parking; eviction skips them (`parked` is the
     /// source of truth, `parked_live` the live count).
     parked: VecDeque<usize>,
     parked_live: usize,
-    /// Entries with a phase-2 CF request in flight. A recall must not
-    /// surrender such an entry: the requester may be granted on its own
-    /// retained interest and a concurrent release would wipe the grant.
-    inflight: HashMap<usize, u32>,
-    /// Entries where a phase-2 request is *inside the grant window*: the
-    /// CF command is executing, or it succeeded and phase 3 has not yet
-    /// recorded the grant locally. A peer's negotiation query in this
-    /// window must report conflict — the resource scan cannot see the
-    /// pending grant, and answering "no conflict" would let the peer's
-    /// negotiated write bypass it (dual exclusive holders, lost update).
-    /// Kept separate from `inflight`: the whole negotiate loop is slow
-    /// (XCF round trips, backoff) and reporting conflict for all of it
-    /// starves wide member groups; the grant window is microseconds.
-    critical: HashMap<usize, u32>,
     /// Bumped by every peer negotiation query. A CF grant caches its
     /// entry only when no recall intervened since the request started —
     /// a query racing phase 2/3 might concern interest we are about to
     /// record, and its recall must win.
     recall_seq: u64,
-    /// Hash classes a peer recently negotiated on: inter-system interest
-    /// exists there, so sole-interest caching would only bounce — every
-    /// grant parks at unlock and forces the next peer through a recall
-    /// round trip, and on a hot shared class the whole group degenerates
-    /// into negotiation storms. A queried entry skips the cached fast
-    /// path for its next [`RECALL_COOLDOWN`] CF grants (refreshed by
-    /// further queries); genuinely local classes are never queried and
-    /// keep caching.
-    cool: HashMap<usize, u32>,
+}
+
+impl LocalState {
+    /// Drop `entry`'s record once nothing is tracked in it.
+    fn settle(&mut self, entry: usize) {
+        if let Some(e) = self.entries.get(&entry) {
+            if e.count == 0 && !e.cached && !e.parked && e.inflight == 0 && e.critical == 0 && e.cool == 0 {
+                self.entries.remove(&entry);
+            }
+        }
+    }
+
+    /// Every held resource in name order with its strongest mode and its
+    /// persistent holders in transaction order — what a structure rebuild
+    /// or a new duplex secondary must be told, in a replayable sequence.
+    fn held_interest(&self) -> Vec<(&ResourceName, LockMode, Vec<Holder>)> {
+        let mut out: Vec<_> = self
+            .resources
+            .iter()
+            .filter_map(|(name, rh)| {
+                let mut records: Vec<Holder> = rh.iter().filter(|h| h.persistent).copied().collect();
+                records.sort_by_key(|h| h.txn);
+                Some((name, rh.strongest()?, records))
+            })
+            .collect();
+        out.sort_by_key(|(name, ..)| *name);
+        out
+    }
+
+    /// Record that `txn` holds `name` in (at least) `mode`.
+    fn record_grant(
+        &mut self,
+        txn: u64,
+        name: &ResourceName,
+        entry: usize,
+        mode: LockMode,
+        persistent: bool,
+    ) {
+        let holder = Holder { txn, mode, persistent };
+        let (is_new_resource, is_new_holder) = match self.resources.entry(name.clone()) {
+            Entry::Occupied(slot) => {
+                let rh = slot.into_mut();
+                match rh.get_mut(txn) {
+                    Some(h) => {
+                        // Strengthen, never weaken.
+                        h.mode = h.mode.max(mode);
+                        h.persistent |= persistent;
+                        (false, false)
+                    }
+                    None => {
+                        rh.insert(holder);
+                        (false, true)
+                    }
+                }
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(Holders { first: Some(holder), rest: Vec::new() });
+                (true, true)
+            }
+        };
+        if is_new_holder {
+            let spare = &mut self.spare_lists;
+            self.held.entry(txn).or_insert_with(|| spare.pop().unwrap_or_default()).push(name.clone());
+        }
+        let e = self.entries.entry(entry).or_default();
+        if is_new_resource {
+            e.count += 1;
+        }
+        // A parked entry is live again; its FIFO position goes stale and
+        // eviction will skip it.
+        if e.parked && e.count > 0 {
+            e.parked = false;
+            self.parked_live -= 1;
+        }
+    }
 }
 
 /// CF grants on a recalled hash class that must complete before the
@@ -231,97 +338,94 @@ impl CfTarget {
         }
     }
 
-    fn mirror_record(&self, resource: &[u8], mode: LockMode, txn: u64) {
+    /// Write `txn`'s persistent record for `resource`, primary then mirror.
+    fn write_record(&self, resource: &[u8], mode: LockMode, txn: u64) -> DbResult<()> {
+        self.conn.write_lock_record(resource, mode, &txn.to_be_bytes())?;
         if let Some(sec) = &self.secondary {
             let _ = sec.write_lock_record(resource, mode, &txn.to_be_bytes());
         }
+        Ok(())
     }
 
-    fn mirror_unlock(&self, resource: &[u8], entry: usize, release_entry: bool, had_record: bool) {
+    /// Delete this system's record for `resource`, primary then mirror.
+    /// Another transaction (even on another system) may have its own
+    /// record for the resource; records are keyed per connector, so this
+    /// removes exactly ours.
+    fn delete_record(&self, resource: &[u8]) {
+        let _ = self.conn.delete_lock_record(resource);
         if let Some(sec) = &self.secondary {
-            if had_record {
-                let _ = sec.delete_lock_record(resource);
-            }
-            if release_entry {
-                let _ = sec.release_lock(entry);
-            }
+            let _ = sec.delete_lock_record(resource);
         }
+    }
+
+    /// Release this system's interest in `entry`, primary then mirror.
+    fn release_entry(&self, entry: usize) -> DbResult<()> {
+        let released = self.conn.release_lock(entry);
+        if let Some(sec) = &self.secondary {
+            let _ = sec.release_lock(entry);
+        }
+        Ok(released?)
     }
 }
 
-/// Clears a phase-2 in-flight registration on every exit path of
-/// `lock_inner` (grant, busy, renegotiation exhaustion, CF error).
-struct InflightGuard<'a> {
+/// One request's phase-2 registration on its entry record: `inflight` for
+/// the whole CF conversation, `critical` for each grant window (a CF
+/// interest write, and a successful one until phase 3 records it). Phase 1
+/// sets both under its own latch acquisition and the winning attempt
+/// clears both under phase 3's ([`Phase2::finish_in`]) — so a peer's
+/// negotiation query can never observe the granted-but-unrecorded gap, and
+/// a CF-granted request takes the latch twice. Every other exit (busy,
+/// renegotiation exhaustion, CF error) clears what is left on drop.
+struct Phase2<'a> {
     irlm: &'a Irlm,
     entry: usize,
+    inflight: bool,
+    critical: bool,
 }
 
-impl Drop for InflightGuard<'_> {
-    fn drop(&mut self) {
-        let mut local = self.irlm.local.lock();
-        if let Some(n) = local.inflight.get_mut(&self.entry) {
-            *n -= 1;
-            if *n == 0 {
-                local.inflight.remove(&self.entry);
+impl Phase2<'_> {
+    fn enter_critical(&mut self) {
+        if !self.critical {
+            self.irlm.local.lock().entries.entry(self.entry).or_default().critical += 1;
+            self.critical = true;
+        }
+    }
+
+    /// A failed attempt leaves the window at once: negotiation itself must
+    /// not read as a conflict or a wide member group storms itself into
+    /// timeouts.
+    fn exit_critical(&mut self) {
+        if self.critical {
+            self.critical = false;
+            let mut local = self.irlm.local.lock();
+            if let Some(e) = local.entries.get_mut(&self.entry) {
+                e.critical -= 1;
             }
         }
     }
-}
 
-/// Marks the grant window (CF command in flight, or granted at the CF but
-/// not yet recorded locally) in `LocalState::critical`. Entered just
-/// before each CF interest write and exited either on a failed attempt or
-/// — for the winning attempt — under the same latch acquisition that
-/// records the grant, so a peer's negotiation query can never observe the
-/// granted-but-unrecorded gap.
-struct CriticalGuard<'a> {
-    irlm: &'a Irlm,
-    entry: usize,
-    entered: bool,
-}
-
-impl<'a> CriticalGuard<'a> {
-    fn new(irlm: &'a Irlm, entry: usize) -> Self {
-        CriticalGuard { irlm, entry, entered: false }
-    }
-
-    fn enter(&mut self) {
-        if !self.entered {
-            *self.irlm.local.lock().critical.entry(self.entry).or_insert(0) += 1;
-            self.entered = true;
+    /// Clear the whole registration under an already-held latch.
+    fn finish_in(&mut self, local: &mut LocalState) {
+        if let Some(e) = local.entries.get_mut(&self.entry) {
+            e.inflight -= self.inflight as u32;
+            e.critical -= self.critical as u32;
         }
-    }
-
-    fn exit(&mut self) {
-        if self.entered {
-            Self::clear(&mut self.irlm.local.lock(), self.entry);
-            self.entered = false;
-        }
-    }
-
-    /// Exit under an already-held latch (the grant-recording acquisition).
-    fn exit_in(&mut self, local: &mut LocalState) {
-        if self.entered {
-            Self::clear(local, self.entry);
-            self.entered = false;
-        }
-    }
-
-    fn clear(local: &mut LocalState, entry: usize) {
-        if let Some(n) = local.critical.get_mut(&entry) {
-            *n -= 1;
-            if *n == 0 {
-                local.critical.remove(&entry);
-            }
-        }
+        self.inflight = false;
+        self.critical = false;
+        local.settle(self.entry);
     }
 }
 
-impl Drop for CriticalGuard<'_> {
+impl Drop for Phase2<'_> {
     fn drop(&mut self) {
-        self.exit();
+        if self.inflight || self.critical {
+            self.finish_in(&mut self.irlm.local.lock());
+        }
     }
 }
+
+/// A waiter's clock and its reading when the wait began.
+type WaitStart = (Arc<SysplexTimer>, Duration);
 
 /// A per-system IRLM instance.
 pub struct Irlm {
@@ -331,6 +435,10 @@ pub struct Irlm {
     /// quiesces in-flight CF operations and publishes the new target.
     cf: RwLock<CfTarget>,
     member: Arc<XcfMember>,
+    /// The one latch over the member's lock tables. It stays single: every
+    /// critical section under it is a few table probes (or a CF command
+    /// that must be ordered against them), and a request's cost is the
+    /// work inside, not waiting for the latch.
     local: Mutex<LocalState>,
     pending: Arc<Mutex<HashMap<u64, Sender<bool>>>>,
     next_req: AtomicU64,
@@ -424,7 +532,7 @@ impl Irlm {
             Some(&MSG_QUERY) if payload.len() >= 10 => {
                 let req_id = u64::from_be_bytes(payload[1..9].try_into().unwrap());
                 let mode = if payload[9] == 1 { LockMode::Exclusive } else { LockMode::Shared };
-                let resource = &payload[10..];
+                let name = ResourceName::new(&payload[10..]);
                 // A peer negotiating on this hash class is about to gain
                 // foreign interest: recall our cached fast path for the
                 // entry — and surrender parked interest — *before* the
@@ -435,7 +543,8 @@ impl Irlm {
                 let conflict = {
                     let cf = self.cf.try_read();
                     let mut local = self.local.lock();
-                    local.recall_seq += 1;
+                    let state = &mut *local;
+                    state.recall_seq += 1;
                     // A request of our own inside the grant window — CF
                     // interest written (or being written) but the grant
                     // not yet in `resources` — is invisible to the
@@ -448,51 +557,36 @@ impl Irlm {
                     // retry against our settled state instead.
                     let critical_here = match &cf {
                         Some(cf) => {
-                            let entry = cf.conn.hash_resource(resource);
-                            let state = &mut *local;
-                            let critical_here = state.critical.contains_key(&entry);
-                            state.cool.insert(entry, RECALL_COOLDOWN);
-                            let surrender = match state.entries.get_mut(&entry) {
-                                Some(e) => {
-                                    if e.cached || e.parked {
-                                        self.stats.recalls.incr();
-                                    }
-                                    e.cached = false;
-                                    e.parked
-                                        && e.count == 0
-                                        && !state.inflight.contains_key(&entry)
-                                }
-                                None => false,
-                            };
-                            if surrender {
+                            let entry = cf.conn.entry_of(&name);
+                            let e = state.entries.entry(entry).or_default();
+                            if e.cached || e.parked {
+                                self.stats.recalls.incr();
+                            }
+                            e.cached = false;
+                            e.cool = RECALL_COOLDOWN;
+                            if e.parked && e.count == 0 && e.inflight == 0 {
                                 // Release under the local latch: a racing
                                 // requester must observe either the parked
                                 // entry or the released one, never both.
-                                state.entries.remove(&entry);
+                                e.parked = false;
                                 state.parked_live -= 1;
-                                let _ = cf.conn.release_lock(entry);
-                                if let Some(sec) = &cf.secondary {
-                                    let _ = sec.release_lock(entry);
-                                }
+                                let _ = cf.release_entry(entry);
                             }
-                            critical_here
+                            e.critical > 0
                         }
                         None => {
                             // Rebuild in progress: geometry unknown, so
                             // conservatively drop every cached flag and
                             // treat any grant-window request as a conflict.
-                            for e in local.entries.values_mut() {
+                            let mut any_critical = false;
+                            for e in state.entries.values_mut() {
                                 e.cached = false;
+                                any_critical |= e.critical > 0;
                             }
-                            !local.critical.is_empty()
+                            any_critical
                         }
                     };
-                    critical_here
-                        || local
-                            .resources
-                            .get(resource)
-                            .map(|r| r.conflicts_with_peer(mode))
-                            .unwrap_or(false)
+                    critical_here || state.resources.get(&name).is_some_and(|r| r.conflicts_with_peer(mode))
                 };
                 self.stats.queries_served.incr();
                 let _ = self.member.send_to(from, &encode_reply(req_id, conflict));
@@ -565,7 +659,7 @@ impl Irlm {
     /// `persistent` records the lock in CF record data (set for update
     /// locks so they are recoverable after a system failure).
     pub fn lock(&self, txn: u64, resource: &[u8], mode: LockMode, persistent: bool) -> DbResult<LockOutcome> {
-        self.lock_inner(txn, resource, mode, persistent, None)
+        self.lock_inner(txn, resource, mode, persistent, None, &mut None)
     }
 
     /// [`Irlm::lock`], but negotiation passes through the retained interest
@@ -578,7 +672,23 @@ impl Irlm {
         mode: LockMode,
         recovering: ConnId,
     ) -> DbResult<LockOutcome> {
-        self.lock_inner(txn, resource, mode, false, Some(recovering))
+        self.lock_inner(txn, resource, mode, false, Some(recovering), &mut None)
+    }
+
+    /// Start a waiter's clock unless it is already running. Called where a
+    /// request first leaves the fast path — CF contention (before the
+    /// negotiation, the one slow step of an attempt) or a Busy verdict — so
+    /// a granted request, nearly every one, never touches the clock.
+    fn wait_start<'a>(&self, waiting: &'a mut Option<WaitStart>) -> &'a WaitStart {
+        waiting.get_or_insert_with(|| {
+            let clock = Arc::clone(&self.clock.read());
+            // Measured with `elapsed()` (the raw time source), not `tod()`:
+            // the TOD uniqueness bump inflates under concurrent readers,
+            // which would shrink every waiter's timeout exactly when
+            // contention is worst.
+            let start = clock.elapsed();
+            (clock, start)
+        })
     }
 
     fn lock_inner(
@@ -588,12 +698,16 @@ impl Irlm {
         mode: LockMode,
         persistent: bool,
         ignore: Option<ConnId>,
+        waiting: &mut Option<WaitStart>,
     ) -> DbResult<LockOutcome> {
         self.stats.requests.incr();
+        // The request's one hash pass: entry index and every table key
+        // below derive from it.
+        let name = ResourceName::new(resource);
         // Hold the rebuild gate across the whole request: entry indexes
         // are only meaningful against one structure generation.
         let cf = self.cf.read();
-        let entry = cf.conn.hash_resource(resource);
+        let entry = cf.conn.entry_of(&name);
 
         // Phase 1: local table under the latch. A grant is local (no CF
         // command) only when this system *already holds the same resource*
@@ -606,23 +720,17 @@ impl Irlm {
         let recall_snapshot;
         {
             let mut local = self.local.lock();
-            if let Some(rh) = local.resources.get(resource) {
+            let state = &mut *local;
+            let mut granted = false;
+            if let Some(rh) = state.resources.get(&name) {
                 if !rh.compatible_for(txn, mode) {
                     self.stats.local_conflicts.incr();
                     return Ok(LockOutcome::Busy);
                 }
-                let own_exclusive =
-                    rh.holders.get(&txn).map(|h| h.mode == LockMode::Exclusive).unwrap_or(false);
-                let covered = mode == LockMode::Shared || own_exclusive;
-                if covered {
-                    self.record_grant(&mut local, txn, resource, entry, mode, persistent);
+                let own_exclusive = rh.iter().any(|h| h.txn == txn && h.mode == LockMode::Exclusive);
+                if mode == LockMode::Shared || own_exclusive {
                     self.stats.grants_local.incr();
-                    if persistent {
-                        drop(local);
-                        cf.conn.write_lock_record(resource, mode, &txn.to_be_bytes())?;
-                        cf.mirror_record(resource, mode, txn);
-                    }
-                    return Ok(LockOutcome::Granted);
+                    granted = true;
                 }
             }
             // Local-interest re-grant fast path: the CF hash slot records
@@ -630,29 +738,34 @@ impl Irlm {
             // upgrades, and re-acquires of parked locks in the hash class
             // complete with no CF command. Local compatibility was checked
             // above; a resource absent from the local table has no holders.
-            if local.entries.get(&entry).is_some_and(|e| e.cached) {
-                self.record_grant(&mut local, txn, resource, entry, mode, persistent);
+            if !granted && state.entries.get(&entry).is_some_and(|e| e.cached) {
                 self.stats.regrants_local.incr();
                 cf.conn.subchannel().emit(sysplex_core::trace::TraceEvent::LockLocalRegrant {
                     entry: entry as u64,
                     conn: cf.conn.conn_id().raw(),
                     exclusive: mode == LockMode::Exclusive,
                 });
+                granted = true;
+            }
+            if granted {
+                state.record_grant(txn, &name, entry, mode, persistent);
+                drop(local);
                 if persistent {
-                    drop(local);
-                    cf.conn.write_lock_record(resource, mode, &txn.to_be_bytes())?;
-                    cf.mirror_record(resource, mode, txn);
+                    cf.write_record(resource, mode, txn)?;
                 }
                 return Ok(LockOutcome::Granted);
             }
             // Going to the CF: register the entry as in-flight so a
             // concurrent recall cannot surrender retained interest our
-            // request may be granted on, and snapshot the recall sequence
-            // so a grant only caches when no recall raced it.
-            *local.inflight.entry(entry).or_insert(0) += 1;
-            recall_snapshot = local.recall_seq;
+            // request may be granted on, open the first grant window, and
+            // snapshot the recall sequence so a grant only caches when no
+            // recall raced it.
+            let e = state.entries.entry(entry).or_default();
+            e.inflight += 1;
+            e.critical += 1;
+            recall_snapshot = state.recall_seq;
         }
-        let _inflight = InflightGuard { irlm: self, entry };
+        let mut phase2 = Phase2 { irlm: self, entry, inflight: true, critical: true };
 
         // Phase 2: CF command (local latch released — the service thread
         // must be able to answer our peers' queries while we negotiate).
@@ -666,15 +779,8 @@ impl Irlm {
         // us instead of spinning here.
         let mut renegotiations = 4u32;
         let mut cacheable = false;
-        // The grant window — each CF interest write, and a successful
-        // write until phase 3 records it — is marked `critical` so the
-        // service thread reports conflict for the entry while our grant
-        // is invisible to its resource scan. Failed attempts exit the
-        // window immediately: negotiation itself must not read as a
-        // conflict or a wide member group storms itself into timeouts.
-        let mut critical = CriticalGuard::new(self, entry);
         loop {
-            critical.enter();
+            phase2.enter_critical();
             match cf.conn.request_lock(entry, mode)? {
                 LockResponse::Granted => {
                     self.stats.grants_cf_sync.incr();
@@ -686,8 +792,9 @@ impl Irlm {
                     break;
                 }
                 LockResponse::Contention { holders, generation, .. } => {
-                    critical.exit();
+                    phase2.exit_critical();
                     self.stats.contentions.incr();
+                    self.wait_start(waiting);
                     if !self.negotiate(&cf, holders, resource, mode, ignore)? {
                         self.stats.real_conflicts.incr();
                         return Ok(LockOutcome::Busy);
@@ -701,12 +808,12 @@ impl Irlm {
                     // interest departed while we negotiated (it may have
                     // re-acquired — and locally cached — the entry since),
                     // the write refuses and we renegotiate fresh.
-                    critical.enter();
+                    phase2.enter_critical();
                     if cf.conn.force_interest_negotiated(entry, mode, holders, generation)? {
                         cf.mirror_grant(entry, mode);
                         break;
                     }
-                    critical.exit();
+                    phase2.exit_critical();
                     if renegotiations == 0 {
                         return Ok(LockOutcome::Busy);
                     }
@@ -715,81 +822,40 @@ impl Irlm {
             }
         }
 
-        // Phase 3: re-validate locally and record the grant. The critical
-        // marker clears under the same latch acquisition that records the
-        // grant: from a peer's perspective the entry goes conflict-by-
-        // critical to conflict-by-resource with no observable gap.
+        // Phase 3: re-validate locally and record the grant. The phase-2
+        // registration clears under the same latch acquisition that
+        // records the grant: from a peer's perspective the entry goes
+        // conflict-by-critical to conflict-by-resource with no observable
+        // gap.
         {
             let mut local = self.local.lock();
-            if let Some(rh) = local.resources.get(resource) {
-                if !rh.compatible_for(txn, mode) {
-                    // A sibling transaction on this system won the race.
-                    // Our CF interest stays: the sibling's hold needs it,
-                    // and the resource scan now covers the entry.
-                    critical.exit_in(&mut local);
-                    self.stats.local_conflicts.incr();
-                    return Ok(LockOutcome::Busy);
-                }
+            let state = &mut *local;
+            if state.resources.get(&name).is_some_and(|rh| !rh.compatible_for(txn, mode)) {
+                // A sibling transaction on this system won the race.
+                // Our CF interest stays: the sibling's hold needs it,
+                // and the resource scan now covers the entry.
+                phase2.finish_in(state);
+                self.stats.local_conflicts.incr();
+                return Ok(LockOutcome::Busy);
             }
-            self.record_grant(&mut local, txn, resource, entry, mode, persistent);
-            critical.exit_in(&mut local);
-            if cacheable && local.recall_seq == recall_snapshot {
-                let state = &mut *local;
+            state.record_grant(txn, &name, entry, mode, persistent);
+            phase2.finish_in(state);
+            if cacheable && state.recall_seq == recall_snapshot {
+                let e = state.entries.entry(entry).or_default();
                 // A hash class with recent inter-system interest is not
                 // worth caching: parking it would just trigger another
                 // recall. Burn one cooldown credit instead.
-                let cooling = match state.cool.get_mut(&entry) {
-                    Some(n) => {
-                        *n -= 1;
-                        if *n == 0 {
-                            state.cool.remove(&entry);
-                        }
-                        true
-                    }
-                    None => false,
-                };
-                if !cooling {
-                    if let Some(e) = state.entries.get_mut(&entry) {
-                        e.cached = true;
-                    }
+                if e.cool > 0 {
+                    e.cool -= 1;
+                } else {
+                    e.cached = true;
                 }
             }
         }
         if persistent {
-            cf.conn.write_lock_record(resource, mode, &txn.to_be_bytes())?;
-            cf.mirror_record(resource, mode, txn);
+            cf.write_record(resource, mode, txn)?;
         }
         Ok(LockOutcome::Granted)
-    }
-
-    fn record_grant(
-        &self,
-        local: &mut LocalState,
-        txn: u64,
-        resource: &[u8],
-        entry: usize,
-        mode: LockMode,
-        persistent: bool,
-    ) {
-        let is_new_resource = !local.resources.contains_key(resource);
-        let rh = local.resources.entry(resource.to_vec()).or_default();
-        let h = rh.holders.entry(txn).or_insert(Holder { mode, persistent });
-        // Strengthen, never weaken.
-        if mode == LockMode::Exclusive {
-            h.mode = LockMode::Exclusive;
-        }
-        h.persistent |= persistent;
-        let state = &mut *local;
-        let e = state.entries.entry(entry).or_default();
-        if is_new_resource {
-            e.count += 1;
-        }
-        // A parked entry is live again; its FIFO position goes stale and
-        // eviction will skip it.
-        if e.parked && e.count > 0 {
-            e.parked = false;
-            state.parked_live -= 1;
-        }
     }
 
     /// Request with retry until `timeout` (the deadlock breaker: waits that
@@ -802,16 +868,13 @@ impl Irlm {
         persistent: bool,
         timeout: Duration,
     ) -> DbResult<()> {
-        let clock = Arc::clone(&self.clock.read());
-        // Measure with `elapsed()` (the raw time source), not `tod()`: the
-        // TOD uniqueness bump inflates under concurrent readers, which would
-        // shrink every waiter's timeout exactly when contention is worst.
-        let start = clock.elapsed();
+        let mut waiting = None;
         loop {
-            match self.lock(txn, resource, mode, persistent)? {
+            match self.lock_inner(txn, resource, mode, persistent, None, &mut waiting)? {
                 LockOutcome::Granted => return Ok(()),
                 LockOutcome::Busy => {
-                    let waited = clock.elapsed().saturating_sub(start);
+                    let (clock, start) = self.wait_start(&mut waiting);
+                    let waited = clock.elapsed().saturating_sub(*start);
                     if waited >= timeout {
                         return Err(DbError::LockTimeout { resource: resource.to_vec(), waited });
                     }
@@ -837,118 +900,140 @@ impl Irlm {
     /// re-grant, and the interest is surrendered only on a peer's recall
     /// or FIFO eviction past [`PARK_CAP`].
     pub fn unlock(&self, txn: u64, resource: &[u8]) -> DbResult<()> {
+        let name = ResourceName::new(resource);
         let cf = self.cf.read();
-        let entry = cf.conn.hash_resource(resource);
-        let had_record = {
-            let mut local = self.local.lock();
-            let state = &mut *local;
-            let Some(rh) = state.resources.get_mut(resource) else { return Ok(()) };
-            let Some(h) = rh.holders.remove(&txn) else { return Ok(()) };
-            let had_record = h.persistent;
-            let mut parked = false;
-            if rh.holders.is_empty() {
-                state.resources.remove(resource);
-                if let Some(e) = state.entries.get_mut(&entry) {
-                    e.count -= 1;
-                    if e.count == 0 {
-                        // A sibling request in phase 2/3 may already have
-                        // written CF interest for this entry that it has
-                        // not yet recorded locally; releasing the entry
-                        // here would yank that interest out from under the
-                        // grant and let a peer acquire a conflicting lock.
-                        // Park instead — the recall/eviction machinery
-                        // surrenders the interest once nothing is in
-                        // flight.
-                        if e.cached || state.inflight.contains_key(&entry) {
-                            e.parked = true;
-                            state.parked_live += 1;
-                            state.parked.push_back(entry);
-                            parked = true;
-                        } else {
-                            state.entries.remove(&entry);
-                            // Release under the local latch (as surrender
-                            // and eviction do): a racing requester must
-                            // observe either our live interest or the
-                            // released entry — never have its phase-2
-                            // interest revoked after the fact.
-                            cf.conn.release_lock(entry)?;
-                            if let Some(sec) = &cf.secondary {
-                                let _ = sec.release_lock(entry);
-                            }
-                        }
-                    }
-                }
-            }
-            if parked {
-                self.stats.lazy_releases.incr();
-                cf.conn.subchannel().emit(sysplex_core::trace::TraceEvent::LockLazyRelease {
-                    entry: entry as u64,
-                    conn: cf.conn.conn_id().raw(),
-                });
-                // Evict FIFO past the cap, skipping stale positions; an
-                // in-flight victim rotates to the back. Still under the
-                // local latch so eviction cannot race a re-grant.
-                let mut budget = state.parked.len();
-                while state.parked_live > PARK_CAP && budget > 0 {
-                    budget -= 1;
-                    let Some(victim) = state.parked.pop_front() else { break };
-                    let live =
-                        state.entries.get(&victim).is_some_and(|v| v.parked && v.count == 0);
-                    if !live {
-                        continue;
-                    }
-                    if state.inflight.contains_key(&victim) {
-                        state.parked.push_back(victim);
-                        continue;
-                    }
-                    state.entries.remove(&victim);
-                    state.parked_live -= 1;
-                    cf.conn.release_lock(victim)?;
-                    if let Some(sec) = &cf.secondary {
-                        let _ = sec.release_lock(victim);
-                    }
-                }
-            }
-            had_record
-        };
-        if had_record {
-            // Another transaction (even on another system) may have its own
-            // record for the resource; delete only ours — records are keyed
-            // per connector, so this removes exactly this system's record.
-            let _ = cf.conn.delete_lock_record(resource);
+        let mut local = self.local.lock();
+        let state = &mut *local;
+        let Entry::Occupied(mut held) = state.held.entry(txn) else { return Ok(()) };
+        // Newest first: the lock released singly is nearly always the one
+        // taken last (a commit's page P-lock).
+        let Some(at) = held.get().iter().rposition(|held| *held == name) else { return Ok(()) };
+        held.get_mut().swap_remove(at);
+        if held.get().is_empty() {
+            state.spare_lists.push(held.remove());
         }
-        cf.mirror_unlock(resource, entry, false, had_record);
-        Ok(())
+        self.release_one(state, &cf, txn, name)
     }
 
-    /// Release everything `txn` holds (commit/abort).
+    /// Release everything `txn` holds (commit/abort): every lock is
+    /// released whatever a CF command returns, and the first error is
+    /// reported.
     pub fn unlock_all(&self, txn: u64) -> DbResult<()> {
-        let mut resources: Vec<Vec<u8>> = {
-            let local = self.local.lock();
-            local
-                .resources
-                .iter()
-                .filter(|(_, rh)| rh.holders.contains_key(&txn))
-                .map(|(r, _)| r.clone())
-                .collect()
-        };
-        // Release in resource order, not HashMap order: the CF release
+        let cf = self.cf.read();
+        let mut local = self.local.lock();
+        let state = &mut *local;
+        let Some(mut list) = state.held.remove(&txn) else { return Ok(()) };
+        // Release in resource order, not acquisition order: the CF release
         // sequence is trace-visible, and replayable simulation runs must
         // produce it identically.
-        resources.sort();
-        for r in resources {
-            self.unlock(txn, &r)?;
+        list.sort_unstable();
+        let mut result = Ok(());
+        for name in list.drain(..) {
+            let released = self.release_one(state, &cf, txn, name);
+            result = result.and(released);
         }
-        Ok(())
+        state.spare_lists.push(list);
+        result
+    }
+
+    /// Drop `txn`'s hold on `name` (already off its `held` list), with the
+    /// CF commands that follow from it. Runs under the latch throughout —
+    /// a racing requester must observe either our live interest or the
+    /// released entry, never have its phase-2 interest revoked after the
+    /// fact, and a sibling granted the resource next must write its record
+    /// after ours is deleted. The local tables are settled before any
+    /// error is returned.
+    fn release_one(
+        &self,
+        state: &mut LocalState,
+        cf: &CfTarget,
+        txn: u64,
+        name: ResourceName,
+    ) -> DbResult<()> {
+        let Entry::Occupied(mut slot) = state.resources.entry(name) else { return Ok(()) };
+        let Some(holder) = slot.get_mut().remove(txn) else { return Ok(()) };
+        if !slot.get().is_empty() {
+            if holder.persistent {
+                cf.delete_record(slot.key().as_bytes());
+            }
+            return Ok(());
+        }
+        let (name, _) = slot.remove_entry();
+        let entry = cf.conn.entry_of(&name);
+        let result = self.release_entry_use(state, cf, entry);
+        if holder.persistent {
+            cf.delete_record(name.as_bytes());
+        }
+        result
+    }
+
+    /// The last local holder of one resource hashing to `entry` is gone:
+    /// release the entry's CF interest when it was the last resource —
+    /// or park it.
+    fn release_entry_use(&self, state: &mut LocalState, cf: &CfTarget, entry: usize) -> DbResult<()> {
+        let e = state.entries.get_mut(&entry).expect("a held resource counts in its entry");
+        e.count -= 1;
+        if e.count > 0 {
+            return Ok(());
+        }
+        // A sibling request in phase 2/3 may already have written CF
+        // interest for this entry that it has not yet recorded locally;
+        // releasing the entry here would yank that interest out from under
+        // the grant and let a peer acquire a conflicting lock. Park instead
+        // — the recall/eviction machinery surrenders the interest once
+        // nothing is in flight.
+        if e.cached || e.inflight > 0 {
+            e.parked = true;
+            state.parked_live += 1;
+            state.parked.push_back(entry);
+            self.stats.lazy_releases.incr();
+            cf.conn.subchannel().emit(sysplex_core::trace::TraceEvent::LockLazyRelease {
+                entry: entry as u64,
+                conn: cf.conn.conn_id().raw(),
+            });
+            Self::evict_parked(state, cf)
+        } else {
+            state.settle(entry);
+            cf.release_entry(entry)
+        }
+    }
+
+    /// Evict FIFO past [`PARK_CAP`], skipping stale positions; an in-flight
+    /// victim rotates to the back.
+    fn evict_parked(state: &mut LocalState, cf: &CfTarget) -> DbResult<()> {
+        let mut result = Ok(());
+        let mut budget = state.parked.len();
+        while state.parked_live > PARK_CAP && budget > 0 {
+            budget -= 1;
+            let Some(victim) = state.parked.pop_front() else { break };
+            let Some(v) = state.entries.get_mut(&victim).filter(|v| v.parked && v.count == 0) else {
+                continue;
+            };
+            if v.inflight > 0 {
+                state.parked.push_back(victim);
+                continue;
+            }
+            v.parked = false;
+            v.cached = false;
+            state.parked_live -= 1;
+            state.settle(victim);
+            result = result.and(cf.release_entry(victim));
+        }
+        result
     }
 
     /// Resources `txn` currently holds, with modes (diagnostics).
     pub fn held_by(&self, txn: u64) -> Vec<(Vec<u8>, LockMode)> {
         let local = self.local.lock();
         let mut v: Vec<(Vec<u8>, LockMode)> = local
-            .resources
-            .iter()
-            .filter_map(|(r, rh)| rh.holders.get(&txn).map(|h| (r.clone(), h.mode)))
+            .held
+            .get(&txn)
+            .into_iter()
+            .flatten()
+            .filter_map(|name| {
+                let holder = local.resources.get(name)?.iter().find(|h| h.txn == txn)?;
+                Some((name.as_bytes().to_vec(), holder.mode))
+            })
             .collect();
         v.sort();
         v
@@ -956,7 +1041,7 @@ impl Irlm {
 
     /// Strongest local mode on a resource (diagnostics).
     pub fn local_mode(&self, resource: &[u8]) -> Option<LockMode> {
-        self.local.lock().resources.get(resource).and_then(|rh| rh.strongest())
+        self.local.lock().resources.get(&ResourceName::new(resource)).and_then(|rh| rh.strongest())
     }
 
     // ----- failure & recovery -----
@@ -1019,19 +1104,10 @@ impl Irlm {
             // Copy interest in sorted resource order: the mirror writes go
             // through the traced command layer, so replayed runs must issue
             // them in the same sequence.
-            let mut resources: Vec<&Vec<u8>> = local.resources.keys().collect();
-            resources.sort();
-            for resource in resources {
-                let rh = &local.resources[resource.as_slice()];
-                let Some(mode) = rh.strongest() else { continue };
-                let entry = sec.hash_resource(resource);
-                sec.force_interest(entry, mode)?;
-                let mut txns: Vec<_> = rh.holders.iter().collect();
-                txns.sort_by_key(|(t, _)| **t);
-                for (txn, h) in txns {
-                    if h.persistent {
-                        sec.write_lock_record(resource, h.mode, &txn.to_be_bytes())?;
-                    }
+            for (name, mode, records) in local.held_interest() {
+                sec.force_interest(sec.entry_of(name), mode)?;
+                for h in records {
+                    sec.write_lock_record(name.as_bytes(), h.mode, &h.txn.to_be_bytes())?;
                 }
             }
             drop(local);
@@ -1071,34 +1147,27 @@ impl Irlm {
         for (member, guard) in members.iter().zip(guards.iter_mut()) {
             let new_conn = LockConnection::attach_slot(&new, sub.sibling(), guard.conn.conn_id())?;
             let mut local = member.local.lock();
-            let mut new_entries: HashMap<usize, EntryInterest> = HashMap::new();
+            let mut new_entries: PrehashedMap<usize, EntryRecord> = PrehashedMap::default();
             // Repopulate in sorted order so the new structure's command
             // stream (and record layout) is identical on every replay.
-            let mut resources: Vec<&Vec<u8>> = local.resources.keys().collect();
-            resources.sort();
-            for resource in resources {
-                let rh = &local.resources[resource.as_slice()];
-                let Some(mode) = rh.strongest() else { continue };
-                let entry = new_conn.hash_resource(resource);
+            for (name, mode, records) in local.held_interest() {
+                let entry = new_conn.entry_of(name);
                 new_conn.force_interest(entry, mode)?;
                 new_entries.entry(entry).or_default().count += 1;
-                let mut txns: Vec<(&u64, &Holder)> = rh.holders.iter().collect();
-                txns.sort_by_key(|(t, _)| **t);
-                for (txn, h) in txns {
-                    if h.persistent {
-                        new_conn.write_lock_record(resource, h.mode, &txn.to_be_bytes())?;
-                    }
+                for h in records {
+                    new_conn.write_lock_record(name.as_bytes(), h.mode, &h.txn.to_be_bytes())?;
                 }
             }
             // Fresh entries carry no cached flags (foreign interest is
             // re-imported unconditionally, so no sole-interest proof
-            // exists) and parked interest is simply not re-created — the
-            // old structure's Normal detach below surrenders it.
+            // exists), no cooldown (its indexes are against the old
+            // geometry) and no phase-2 registration (the rebuild gate
+            // admits no request in flight); parked interest is simply not
+            // re-created — the old structure's Normal detach below
+            // surrenders it.
             local.entries = new_entries;
             local.parked.clear();
             local.parked_live = 0;
-            // Cooldown indexes are against the old geometry.
-            local.cool.clear();
             drop(local);
             // The old structure (or its CF) may already be gone. A rebuild
             // re-simplexes: re-enable duplexing afterwards if desired.
@@ -1361,6 +1430,47 @@ mod tests {
     }
 
     #[test]
+    fn unlock_all_releases_everything_despite_a_failed_release() {
+        use sysplex_core::connection::LinkFault;
+        let r = rig(1, 1024);
+        let a = &r.irlms[0];
+        // Shared grants are never cached, so each is released by a CF
+        // command of its own at unlock_all.
+        let rows: Vec<Vec<u8>> = (0..4u64).map(|k| format!("ROW.{k}").into_bytes()).collect();
+        for row in &rows {
+            a.lock(1, row, LockMode::Shared, false).unwrap();
+        }
+        r.cf.inject_fault(LinkFault::Timeout);
+        let err = a.unlock_all(1).unwrap_err();
+        assert!(matches!(err, DbError::Cf(sysplex_core::CfError::LinkTimeout(_))), "got {err:?}");
+        // The first release was lost; the other three still went out and
+        // nothing stays behind in the local table.
+        assert!(a.held_by(1).is_empty());
+        assert_eq!(a.structure().interest_count(a.conn()), 1, "only the lost release leaves interest");
+        for row in &rows {
+            assert_eq!(a.local_mode(row), None);
+            assert_eq!(a.lock(2, row, LockMode::Exclusive, false).unwrap(), LockOutcome::Granted);
+        }
+        assert_eq!(a.stats.local_conflicts.get(), 0);
+    }
+
+    #[test]
+    fn long_names_take_the_heap_path_and_round_trip() {
+        let r = rig(2, 1024);
+        let (a, b) = (&r.irlms[0], &r.irlms[1]);
+        let long = vec![b'n'; 200];
+        assert_eq!(a.lock(7, &long, LockMode::Exclusive, true).unwrap(), LockOutcome::Granted);
+        assert_eq!(a.held_by(7), vec![(long.clone(), LockMode::Exclusive)]);
+        assert_eq!(b.lock(8, &long, LockMode::Shared, false).unwrap(), LockOutcome::Busy);
+        a.crash();
+        b.mark_peer_failed(a.conn()).unwrap();
+        let retained = b.retained_locks_of(a.conn()).unwrap();
+        assert_eq!(retained.len(), 1);
+        assert_eq!(retained[0].resource, long);
+        assert_eq!(retained[0].payload, 7u64.to_be_bytes());
+    }
+
+    #[test]
     fn persistent_locks_are_retained_after_crash() {
         let r = rig(2, 1024);
         let (a, b) = (&r.irlms[0], &r.irlms[1]);
@@ -1406,8 +1516,7 @@ mod tests {
         let colliding = (0..10_000u32)
             .map(|i| format!("ROW.C{i}").into_bytes())
             .find(|n| {
-                n != b"ROW.1"
-                    && a.structure().hash_resource(n) == a.structure().hash_resource(b"ROW.1")
+                n != b"ROW.1" && a.structure().hash_resource(n) == a.structure().hash_resource(b"ROW.1")
             })
             .expect("some resource collides");
         assert_eq!(a.lock(2, &colliding, LockMode::Exclusive, false).unwrap(), LockOutcome::Granted);

@@ -134,9 +134,7 @@ fn online_lock_table_resize_under_live_traffic() {
         .records
         .iter()
         .filter_map(|r| match r.event {
-            TraceEvent::LockTableResize { from_entries, to_entries } => {
-                Some((from_entries, to_entries))
-            }
+            TraceEvent::LockTableResize { from_entries, to_entries } => Some((from_entries, to_entries)),
             _ => None,
         })
         .collect::<Vec<_>>();

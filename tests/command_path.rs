@@ -15,6 +15,9 @@ use parallel_sysplex::cf::{CacheConnection, ListConnection, LockConnection, Syst
 use parallel_sysplex::cf::{CfConfig, CfError, CommandClass, ConnectionStats, CouplingFacility, LinkFault};
 use parallel_sysplex::db::group::{DataSharingGroup, GroupConfig};
 use parallel_sysplex::services::sysplex::{Sysplex, SysplexConfig};
+use parallel_sysplex::workload::debitcredit::{DebitCreditConfig, DebitCreditGenerator};
+use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -352,4 +355,239 @@ fn database_member_survives_injected_cf_fault() {
     assert_eq!(v, b"before");
     assert!(cf.command_stats().faulted() >= 1);
     group.remove_member(SystemId::new(0));
+}
+
+/// The member-side lock path may get cheaper; what it asks of the CF may
+/// not change unnoticed. 500 seeded debit-credit transactions on one
+/// member (no castout daemon, so nothing free-running issues commands)
+/// must produce exactly this command stream, class by class, and exactly
+/// these lock-manager outcomes.
+#[test]
+fn single_member_debit_credit_traffic_is_pinned() {
+    let plex = Sysplex::new(SysplexConfig::functional("PINPLEX"));
+    let cf = plex.add_cf("CF01");
+    let config = GroupConfig { pages: 512, ..GroupConfig::default() };
+    let group =
+        DataSharingGroup::new(config, &cf, plex.farm.clone(), plex.timer.clone(), plex.xcf.clone()).unwrap();
+    let db = group.add_member(SystemId::new(0)).unwrap();
+
+    let schema = DebitCreditConfig {
+        branches: 3,
+        tellers_per_branch: 4,
+        accounts_per_branch: 40,
+        remote_fraction: 0.2,
+    };
+    let mut gen = DebitCreditGenerator::new(schema, 1996);
+    let layout = gen.layout();
+    let before = cf.command_stats();
+    for _ in 0..500 {
+        let t = gen.next_txn();
+        db.run(0, |db, txn| {
+            let keys = [
+                layout.account(t.account_branch, t.account),
+                layout.teller(t.home_branch, t.teller),
+                layout.branch(t.home_branch),
+            ];
+            for k in keys {
+                let v = db.read(txn, k)?.map_or(0, |v| i64::from_be_bytes(v[..8].try_into().unwrap()));
+                db.write(txn, k, Some(&(v + t.delta).to_be_bytes()))?;
+            }
+            db.write(txn, layout.history_base() + t.history_seq, Some(&t.delta.to_be_bytes()))?;
+            // One row nobody ever writes, read twice: a Shared grant is
+            // never cached, so the first read's is released by a CF
+            // command at commit — `unlock_all`'s releases are part of the
+            // pinned stream — and the second read is a covered local grant.
+            assert_eq!(db.read(txn, u64::MAX - t.history_seq)?, None);
+            assert_eq!(db.read(txn, u64::MAX - t.history_seq)?, None);
+            Ok(())
+        })
+        .unwrap();
+    }
+    let after = cf.command_stats();
+    let issued: Vec<(&str, u64)> = CommandClass::ALL
+        .iter()
+        .map(|&c| (c.name(), after.class(c).issued.get() - before.class(c).issued.get()))
+        .filter(|&(_, n)| n > 0)
+        .collect();
+    let irlm = &db.irlm().stats;
+    let outcomes = [
+        ("requests", irlm.requests.get()),
+        ("grants_local", irlm.grants_local.get()),
+        ("regrants_local", irlm.regrants_local.get()),
+        ("grants_cf_sync", irlm.grants_cf_sync.get()),
+        ("lazy_releases", irlm.lazy_releases.get()),
+    ];
+    // Captured at the parent of the change that rebuilt the IRLM's tables
+    // on pre-hashed names (PR 16); identical before and after it.
+    assert_eq!(
+        issued,
+        [
+            ("lock-request", 1562),
+            ("lock-release", 433),
+            ("lock-record", 4000),
+            ("cache-read", 2938),
+            ("cache-write", 1996),
+            ("cache-admin", 686),
+        ]
+    );
+    assert_eq!(
+        outcomes,
+        [
+            ("requests", 6496),
+            ("grants_local", 500),
+            ("regrants_local", 4434),
+            ("grants_cf_sync", 1562),
+            ("lazy_releases", 4062),
+        ]
+    );
+    group.remove_member(SystemId::new(0));
+}
+
+// ----- IRLM vs a reference model -----
+
+#[derive(Debug, Clone)]
+enum IrlmOp {
+    Lock { txn: u8, res: usize, exclusive: bool, persistent: bool },
+    Unlock { txn: u8, res: usize },
+    UnlockAll { txn: u8 },
+}
+
+fn irlm_op_strategy() -> impl Strategy<Value = IrlmOp> {
+    prop_oneof![
+        4 => (0u8..3, 0usize..6, any::<bool>(), any::<bool>()).prop_map(|(txn, res, exclusive, persistent)| {
+            IrlmOp::Lock { txn, res, exclusive, persistent }
+        }),
+        2 => (0u8..3, 0usize..6).prop_map(|(txn, res)| IrlmOp::Unlock { txn, res }),
+        1 => (0u8..3).prop_map(|txn| IrlmOp::UnlockAll { txn }),
+    ]
+}
+
+/// What one IRLM with no peer must do, written the slow obvious way.
+#[derive(Default)]
+struct IrlmModel {
+    /// resource -> transaction -> (mode, asked for a record).
+    holders: BTreeMap<usize, BTreeMap<u8, (LockMode, bool)>>,
+    /// Resources with a CF record (one per connector, whoever wrote it).
+    records: BTreeSet<usize>,
+    /// Hash classes with CF interest, and those whose sole-interest
+    /// exclusive grant is cached (kept, parked, when the class empties).
+    interest: BTreeSet<usize>,
+    cached: BTreeSet<usize>,
+}
+
+impl IrlmModel {
+    fn lock(&mut self, class: usize, txn: u8, res: usize, mode: LockMode, persistent: bool) -> bool {
+        let held = self.holders.entry(res).or_default();
+        if held.iter().any(|(&t, &(m, _))| t != txn && LockMode::Exclusive == m.max(mode)) {
+            return false;
+        }
+        let own_exclusive = held.get(&txn).is_some_and(|h| h.0 == LockMode::Exclusive);
+        let covered = !held.is_empty() && (mode == LockMode::Shared || own_exclusive);
+        if !covered && !self.cached.contains(&class) {
+            // A CF request; alone in the structure it is always granted.
+            self.interest.insert(class);
+            if mode == LockMode::Exclusive {
+                self.cached.insert(class);
+            }
+        }
+        let h = held.entry(txn).or_insert((mode, false));
+        *h = (h.0.max(mode), h.1 || persistent);
+        if persistent {
+            self.records.insert(res);
+        }
+        true
+    }
+
+    fn unlock(&mut self, classes: &[usize], txn: u8, res: usize) {
+        let Some(held) = self.holders.get_mut(&res) else { return };
+        let Some((_, persistent)) = held.remove(&txn) else { return };
+        if persistent {
+            self.records.remove(&res);
+        }
+        if held.is_empty() {
+            self.holders.remove(&res);
+            let class = classes[res];
+            if !self.cached.contains(&class) && !self.holders.keys().any(|&r| classes[r] == class) {
+                self.interest.remove(&class);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random lock / unlock / unlock_all sequences from three transactions
+    /// over six resources — two of them in one hash class — leave the IRLM
+    /// and the structure exactly where the model says, step by step.
+    #[test]
+    fn irlm_matches_reference_model(ops in proptest::collection::vec(irlm_op_strategy(), 0..80)) {
+        use parallel_sysplex::db::irlm::{Irlm, LockOutcome};
+        use parallel_sysplex::services::timer::SysplexTimer;
+        use parallel_sysplex::services::xcf::Xcf;
+
+        let xcf = Xcf::new(SysplexTimer::new());
+        let cf = CouplingFacility::new(CfConfig::named("CF01"));
+        let structure = cf.allocate_lock_structure("IRLMLOCK1", LockParams::with_entries(4096)).unwrap();
+        let irlm = Irlm::start(SystemId::new(0), cf.connect_lock("IRLMLOCK1").unwrap(), &xcf).unwrap();
+        let mut names: Vec<Vec<u8>> = (0..5).map(|i| format!("RES.{i}").into_bytes()).collect();
+        let collider = (0..).map(|i| format!("RES.X{i}").into_bytes())
+            .find(|n| structure.hash_resource(n) == structure.hash_resource(&names[0]))
+            .unwrap();
+        names.push(collider);
+        let classes: Vec<usize> = names.iter().map(|n| structure.hash_resource(n)).collect();
+        prop_assert_eq!(classes.iter().collect::<BTreeSet<_>>().len(), 5);
+
+        let mut model = IrlmModel::default();
+        let txn_id = |txn: u8| 100 + txn as u64;
+        let check = |model: &IrlmModel| {
+            for txn in 0..3u8 {
+                let want: Vec<(Vec<u8>, LockMode)> = {
+                    let mut v: Vec<_> = model.holders.iter()
+                        .filter_map(|(&r, held)| held.get(&txn).map(|h| (names[r].clone(), h.0)))
+                        .collect();
+                    v.sort();
+                    v
+                };
+                assert_eq!(irlm.held_by(txn_id(txn)), want);
+            }
+            for (r, name) in names.iter().enumerate() {
+                let want = model.holders.get(&r).and_then(|held| held.values().map(|h| h.0).max());
+                assert_eq!(irlm.local_mode(name), want);
+            }
+            assert_eq!(structure.interest_count(irlm.conn()), model.interest.len());
+            assert_eq!(structure.record_count(), model.records.len());
+        };
+        for op in ops {
+            match op {
+                IrlmOp::Lock { txn, res, exclusive, persistent } => {
+                    let mode = if exclusive { LockMode::Exclusive } else { LockMode::Shared };
+                    let want = model.lock(classes[res], txn, res, mode, persistent);
+                    let got = irlm.lock(txn_id(txn), &names[res], mode, persistent).unwrap();
+                    prop_assert_eq!(got == LockOutcome::Granted, want);
+                }
+                IrlmOp::Unlock { txn, res } => {
+                    model.unlock(&classes, txn, res);
+                    irlm.unlock(txn_id(txn), &names[res]).unwrap();
+                }
+                IrlmOp::UnlockAll { txn } => {
+                    for res in 0..names.len() {
+                        model.unlock(&classes, txn, res);
+                    }
+                    irlm.unlock_all(txn_id(txn)).unwrap();
+                }
+            }
+            check(&model);
+        }
+        for txn in 0..3u8 {
+            for res in 0..names.len() {
+                model.unlock(&classes, txn, res);
+            }
+            irlm.unlock_all(txn_id(txn)).unwrap();
+        }
+        check(&model);
+        prop_assert!(model.holders.is_empty() && model.records.is_empty());
+        prop_assert_eq!(model.interest.clone(), model.cached.clone());
+        irlm.shutdown();
+    }
 }

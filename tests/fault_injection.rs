@@ -3,9 +3,10 @@
 //! loss, zombie systems after fencing, and structure-full conditions
 //! (which drive the commit-failure backout path).
 
-use parallel_sysplex::cf::SystemId;
+use parallel_sysplex::cf::{CfError, CommandClass, LinkFault, SystemId};
 use parallel_sysplex::db::error::DbError;
 use parallel_sysplex::db::group::{DataSharingGroup, GroupConfig};
+use parallel_sysplex::db::log::LogManager;
 use parallel_sysplex::services::sysplex::{Sysplex, SysplexConfig};
 use std::sync::Arc;
 use std::time::Duration;
@@ -233,4 +234,70 @@ fn lock_record_exhaustion_fails_the_request_not_the_structure() {
     db.abort(&mut txn).unwrap();
     db.run(10, |db, txn| db.write(txn, 0, Some(b"fresh"))).unwrap();
     group.remove_member(SystemId::new(0));
+}
+
+/// Once the commit record is forced the transaction is committed: a lost
+/// `lock_release` while its locks are being dropped is reported, but the
+/// pages it externalised are not backed out and no Abort is logged.
+#[test]
+fn release_error_after_the_commit_record_does_not_back_out() {
+    // The fault queue is consumed one command at a time, so the lost
+    // command is positioned by padding it with no-op delays. How many CF
+    // commands a transaction issues before its first lock release is not
+    // this test's business: try paddings until the fault lands on one.
+    for padding in 0..200 {
+        let plex = Sysplex::new(SysplexConfig::functional("FIPLEX"));
+        let cf = plex.add_cf("CF01");
+        let group = DataSharingGroup::new(
+            short_timeout_config(),
+            &cf,
+            plex.farm.clone(),
+            plex.timer.clone(),
+            plex.xcf.clone(),
+        )
+        .unwrap();
+        let a = group.add_member(SystemId::new(0)).unwrap();
+        let b = group.add_member(SystemId::new(1)).unwrap();
+        a.run(0, |db, txn| {
+            db.write(txn, 1, Some(b"old-1"))?;
+            db.write(txn, 2, Some(b"old-2"))
+        })
+        .unwrap();
+
+        // Key 3 is only read, and was never written: its Shared grant is
+        // not cached, so it is released by a CF command — the first of
+        // `unlock_all` (every Exclusive grant of a lone member is parked,
+        // not released).
+        let mut txn = a.begin();
+        assert_eq!(a.read(&mut txn, 3).unwrap(), None);
+        a.write(&mut txn, 1, Some(b"new-1")).unwrap();
+        a.write(&mut txn, 2, Some(b"new-2")).unwrap();
+        for _ in 0..padding {
+            cf.inject_fault(LinkFault::Delay(Duration::ZERO));
+        }
+        cf.inject_fault(LinkFault::Timeout);
+        let outcome = a.commit(&mut txn);
+        if cf.command_stats().class(CommandClass::LockRelease).faulted.get() == 0 {
+            // Landed on an earlier command (a legitimate abort) or on none.
+            group.remove_member(SystemId::new(0));
+            group.remove_member(SystemId::new(1));
+            continue;
+        }
+
+        assert_eq!(outcome, Err(DbError::Cf(CfError::LinkTimeout("lock-release"))));
+        assert_eq!(a.stats.commits.get(), 2, "the transaction counts as committed");
+        assert_eq!(a.stats.aborts.get(), 0);
+        assert!(a.irlm().held_by(txn.id()).is_empty(), "every lock was dropped despite the error");
+        let records = LogManager::read_log(1, &plex.farm, "DSGLOG00").unwrap();
+        let (committed, aborted, inflight) = LogManager::analyze(&records);
+        assert!(committed.contains(&txn.id()), "commit record is durable");
+        assert!(aborted.is_empty() && inflight.is_empty(), "aborted {aborted:?} inflight {inflight:?}");
+        // The committed values are what the rest of the sysplex sees.
+        let seen = b.run(10, |db, txn| Ok((db.read(txn, 1)?, db.read(txn, 2)?))).unwrap();
+        assert_eq!(seen, (Some(b"new-1".to_vec()), Some(b"new-2".to_vec())));
+        group.remove_member(SystemId::new(0));
+        group.remove_member(SystemId::new(1));
+        return;
+    }
+    panic!("no padding put the fault on a lock release");
 }
