@@ -28,7 +28,7 @@ use crate::bitvec::BitVector;
 use crate::error::{CfError, CfResult};
 use crate::hashing::{fnv1a64, mix64};
 use crate::stats::SlotCounter;
-use crate::types::{ConnId, MAX_CONNECTORS};
+use crate::types::{ConnId, MAX_CONNECTORS, MAX_VECTOR_BITS};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::fmt;
@@ -301,10 +301,14 @@ impl CacheStructure {
     }
 
     /// Attach a connector, allocating its local bit vector of `vector_len`
-    /// bits (one per local buffer). All bits start invalid.
+    /// bits (one per local buffer, at most [`MAX_VECTOR_BITS`]). All bits
+    /// start invalid.
     pub fn connect(&self, vector_len: usize) -> CfResult<CacheConnection> {
         if vector_len == 0 {
             return Err(CfError::BadParameter("vector must have at least one bit"));
+        }
+        if vector_len > MAX_VECTOR_BITS {
+            return Err(CfError::BadParameter("vector longer than MAX_VECTOR_BITS"));
         }
         let mut vectors = self.vectors.lock();
         let slot = (0..MAX_CONNECTORS).find(|&i| vectors[i].is_none()).ok_or(CfError::NoConnectorSlots)?;

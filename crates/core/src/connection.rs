@@ -15,9 +15,11 @@
 //! Centralising the command path buys three things the raw structure API
 //! cannot give:
 //!
-//! * **One descriptor per command** (the `CfCommand` constants), shared
-//!   with [`crate::wire::WireRequest::command`] so a member-side meter
-//!   cannot disagree with the serving subchannel.
+//! * **One descriptor per command** (the `CfCommand` constants): the
+//!   native method issues under it and the command table in
+//!   [`crate::wire`] names it in the command's row, so a member-side meter
+//!   ([`crate::wire::WireRequest::command`]) cannot disagree with the
+//!   serving subchannel.
 //! * **Per-command-class accounting** ([`ConnectionStats`]): issued, ran
 //!   synchronous, converted to asynchronous, faulted, plus a latency
 //!   histogram per class — the numbers the experiments report.
@@ -128,22 +130,10 @@ impl CommandClass {
         }
     }
 
-    /// Stable dense index (stats arrays, wire encoding).
+    /// Stable dense index (stats arrays, wire encoding): the declaration
+    /// order above, which is also the order of [`CommandClass::ALL`].
     pub const fn index(self) -> usize {
-        match self {
-            CommandClass::LockRequest => 0,
-            CommandClass::LockRelease => 1,
-            CommandClass::LockRecord => 2,
-            CommandClass::LockAdmin => 3,
-            CommandClass::CacheRead => 4,
-            CommandClass::CacheWrite => 5,
-            CommandClass::CacheCastout => 6,
-            CommandClass::CacheAdmin => 7,
-            CommandClass::ListWrite => 8,
-            CommandClass::ListRead => 9,
-            CommandClass::ListMove => 10,
-            CommandClass::ListAdmin => 11,
-        }
+        self as usize
     }
 }
 
@@ -1333,6 +1323,13 @@ mod tests {
             tracer.retained(TRACE_SYSTEM_CF),
             tracer.emitted(TRACE_SYSTEM_CF) - tracer.dropped(TRACE_SYSTEM_CF)
         );
+    }
+
+    #[test]
+    fn command_class_index_is_its_position_in_all() {
+        for (i, class) in CommandClass::ALL.into_iter().enumerate() {
+            assert_eq!(class.index(), i, "{}", class.name());
+        }
     }
 
     #[test]

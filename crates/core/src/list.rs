@@ -27,7 +27,7 @@ use crate::error::{CfError, CfResult};
 use crate::hashing::hash_to_slot;
 use crate::stats::SlotCounter;
 use crate::swapcell::SwapCell;
-use crate::types::{ConnId, MAX_CONNECTORS};
+use crate::types::{ConnId, MAX_CONNECTORS, MAX_VECTOR_BITS};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -284,10 +284,13 @@ impl ListStructure {
     }
 
     /// Attach a connector, allocating a list-notification vector of
-    /// `vector_len` bits.
+    /// `vector_len` bits (at most [`MAX_VECTOR_BITS`]).
     pub fn connect(&self, vector_len: usize) -> CfResult<ListConnection> {
         if vector_len == 0 {
             return Err(CfError::BadParameter("vector must have at least one bit"));
+        }
+        if vector_len > MAX_VECTOR_BITS {
+            return Err(CfError::BadParameter("vector longer than MAX_VECTOR_BITS"));
         }
         let mut vectors = self.vectors.lock();
         let slot = (0..MAX_CONNECTORS).find(|&i| vectors[i].is_none()).ok_or(CfError::NoConnectorSlots)?;

@@ -10,7 +10,8 @@
 //!   [`WireResponse`] out, with transport faults surfacing as the typed
 //!   [`CfError::LinkTimeout`] / [`CfError::InterfaceControlCheck`] the
 //!   LinkFault machinery already produces.
-//! * [`InProcessTransport`] dispatches into the native connection layer.
+//! * [`InProcessTransport`] dispatches into the native connection layer
+//!   by the serving column of the command table in [`crate::wire`].
 //!   Commands retain their exact subchannel accounting, conversion and
 //!   trace events, so a sysplex assembled over it is bit-for-bit the
 //!   sysplex the deterministic harness replays. It doubles as the serving
@@ -22,8 +23,10 @@
 //!
 //! [`RemoteLockConnection`], [`RemoteCacheConnection`] and
 //! [`RemoteListConnection`] put the familiar connection API on top of any
-//! transport. They are additive: native connections are untouched, and
-//! exploiters that hold them keep their zero-cost path.
+//! transport: each method builds its row's [`WireRequest`] and extracts
+//! the payload its return type names. They are additive: native
+//! connections are untouched, and exploiters that hold them keep their
+//! zero-cost path.
 
 use crate::cache::{BlockName, RegisterResult, WriteKind, WriteResult};
 use crate::connection::{
@@ -38,7 +41,8 @@ use crate::retry::RetryPolicy;
 use crate::stats::{Counter, HistogramSnapshot};
 use crate::types::{ConnId, ConnMask};
 use crate::wire::{
-    parse_frame_header, read_frame, write_frame, WireHandle, WireRequest, WireResponse, FRAME_HEADER_BYTES,
+    parse_frame_header, read_frame, write_frame, Flag, WireHandle, WireRequest, WireResponse,
+    FRAME_HEADER_BYTES,
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -130,35 +134,65 @@ impl InProcessTransport {
         &self.cf
     }
 
-    fn insert(&self, ep: Endpoint) -> WireHandle {
+    fn attached(&self, conn: ConnId, geometry: u64, ep: Endpoint) -> WireResponse {
         let handle = self.next_handle.fetch_add(1, Ordering::Relaxed);
         self.endpoints.lock().insert(handle, ep);
-        handle
+        WireResponse::Attached { handle, conn, geometry }
     }
 
-    fn lock_ep(&self, handle: WireHandle) -> CfResult<LockConnection> {
+    /// Serve an attach to lock structure `structure`, claiming `slot` if
+    /// one is named.
+    pub(crate) fn attach_lock(&self, structure: &str, slot: Option<ConnId>) -> CfResult<WireResponse> {
+        let s = self.cf.lock_structure(structure)?;
+        let c = match slot {
+            None => LockConnection::attach(&s, self.sub.clone())?,
+            Some(slot) => LockConnection::attach_slot(&s, self.sub.clone(), slot)?,
+        };
+        Ok(self.attached(c.conn_id(), s.entries() as u64, Endpoint::Lock(c)))
+    }
+
+    /// Serve an attach to cache structure `structure`.
+    pub(crate) fn attach_cache(&self, structure: &str, vector_len: u64) -> CfResult<WireResponse> {
+        let s = self.cf.cache_structure(structure)?;
+        let c = CacheConnection::attach(&s, self.sub.clone(), vector_bits(vector_len))?;
+        Ok(self.attached(c.conn_id(), 0, Endpoint::Cache(c)))
+    }
+
+    /// Serve an attach to list structure `structure`.
+    pub(crate) fn attach_list(&self, structure: &str, vector_len: u64) -> CfResult<WireResponse> {
+        let s = self.cf.list_structure(structure)?;
+        let c = ListConnection::attach(&s, self.sub.clone(), vector_bits(vector_len))?;
+        Ok(self.attached(c.conn_id(), 0, Endpoint::List(c)))
+    }
+
+    /// The lock connection attached as `handle`.
+    pub(crate) fn lock(&self, handle: WireHandle) -> CfResult<LockConnection> {
         match self.endpoints.lock().get(&handle) {
             Some(Endpoint::Lock(c)) => Ok(c.clone()),
             _ => Err(CfError::BadConnector),
         }
     }
 
-    fn cache_ep(&self, handle: WireHandle) -> CfResult<CacheConnection> {
+    /// The cache connection attached as `handle`.
+    pub(crate) fn cache(&self, handle: WireHandle) -> CfResult<CacheConnection> {
         match self.endpoints.lock().get(&handle) {
             Some(Endpoint::Cache(c)) => Ok(c.clone()),
             _ => Err(CfError::BadConnector),
         }
     }
 
-    fn list_ep(&self, handle: WireHandle) -> CfResult<ListConnection> {
+    /// The list connection attached as `handle`.
+    pub(crate) fn list(&self, handle: WireHandle) -> CfResult<ListConnection> {
         match self.endpoints.lock().get(&handle) {
             Some(Endpoint::List(c)) => Ok(c.clone()),
             _ => Err(CfError::BadConnector),
         }
     }
 
-    fn remove(&self, handle: WireHandle) {
-        self.endpoints.lock().remove(&handle);
+    /// Issue a no-op command of `cmd`'s shape through the serving
+    /// subchannel.
+    pub(crate) fn probe(&self, cmd: CfCommand) -> CfResult<()> {
+        self.sub.issue(cmd, || Ok(()))
     }
 
     /// Detach every endpoint still attached (connection teardown — the
@@ -181,193 +215,31 @@ impl InProcessTransport {
         }
     }
 
-    /// Execute one request to completion, folding structure errors into
-    /// the response. Infallible at the transport level — this is the
-    /// serving half every wire backend reuses.
+    /// Execute one request to completion — the serving column of its row
+    /// of the command table — folding structure errors into the response,
+    /// and retire the handle of a `[Detach]` row that succeeded. Infallible
+    /// at the transport level — this is the serving half every wire
+    /// backend reuses.
     pub fn dispatch(&self, req: WireRequest) -> WireResponse {
-        match self.try_dispatch(req) {
-            Ok(resp) => resp,
+        let row = req.row();
+        let retired = row.handle.filter(|_| row.flag == Some(Flag::Detach));
+        match req.serve(self) {
+            Ok(resp) => {
+                if let Some(handle) = retired {
+                    self.endpoints.lock().remove(&handle);
+                }
+                resp
+            }
             Err(e) => WireResponse::Error(e),
         }
     }
+}
 
-    fn try_dispatch(&self, req: WireRequest) -> CfResult<WireResponse> {
-        use WireRequest as R;
-        Ok(match req {
-            R::AttachLock { structure } => {
-                let s = self.cf.lock_structure(&structure)?;
-                let c = LockConnection::attach(&s, self.sub.clone())?;
-                let (conn, geometry) = (c.conn_id(), s.entries() as u64);
-                WireResponse::Attached { handle: self.insert(Endpoint::Lock(c)), conn, geometry }
-            }
-            R::AttachLockSlot { structure, slot } => {
-                let s = self.cf.lock_structure(&structure)?;
-                let c = LockConnection::attach_slot(&s, self.sub.clone(), slot)?;
-                let (conn, geometry) = (c.conn_id(), s.entries() as u64);
-                WireResponse::Attached { handle: self.insert(Endpoint::Lock(c)), conn, geometry }
-            }
-            R::AttachCache { structure, vector_len } => {
-                let s = self.cf.cache_structure(&structure)?;
-                let c = CacheConnection::attach(&s, self.sub.clone(), vector_len as usize)?;
-                let conn = c.conn_id();
-                WireResponse::Attached { handle: self.insert(Endpoint::Cache(c)), conn, geometry: 0 }
-            }
-            R::AttachList { structure, vector_len } => {
-                let s = self.cf.list_structure(&structure)?;
-                let c = ListConnection::attach(&s, self.sub.clone(), vector_len as usize)?;
-                let conn = c.conn_id();
-                WireResponse::Attached { handle: self.insert(Endpoint::List(c)), conn, geometry: 0 }
-            }
-            R::LockRequest { handle, entry, mode } => {
-                WireResponse::Lock(self.lock_ep(handle)?.request_lock(entry as usize, mode)?)
-            }
-            R::LockForce { handle, entry, mode } => {
-                self.lock_ep(handle)?.force_interest(entry as usize, mode)?;
-                WireResponse::Unit
-            }
-            R::LockRelease { handle, entry } => {
-                self.lock_ep(handle)?.release_lock(entry as usize)?;
-                WireResponse::Unit
-            }
-            R::LockHolders { handle, entry } => {
-                let (mask, exclusive) = self.lock_ep(handle)?.holders(entry as usize)?;
-                WireResponse::Holders { mask, exclusive }
-            }
-            R::LockIsNegotiate { handle, entry } => {
-                WireResponse::Bool(self.lock_ep(handle)?.is_negotiate(entry as usize)?)
-            }
-            R::LockWriteRecord { handle, resource, mode, payload } => {
-                self.lock_ep(handle)?.write_lock_record(&resource, mode, &payload)?;
-                WireResponse::Unit
-            }
-            R::LockDeleteRecord { handle, resource } => {
-                self.lock_ep(handle)?.delete_lock_record(&resource)?;
-                WireResponse::Unit
-            }
-            R::LockRetainedOf { handle, peer } => {
-                WireResponse::Retained(self.lock_ep(handle)?.retained_locks_of(peer)?)
-            }
-            R::LockIsFailedPersistent { handle, peer } => {
-                WireResponse::Bool(self.lock_ep(handle)?.is_failed_persistent(peer)?)
-            }
-            R::LockRecoveryComplete { handle, peer } => {
-                self.lock_ep(handle)?.recovery_complete_for(peer)?;
-                WireResponse::Unit
-            }
-            R::LockDetach { handle, mode } => {
-                let c = self.lock_ep(handle)?;
-                c.detach(mode)?;
-                self.remove(handle);
-                WireResponse::Unit
-            }
-            R::LockDetachPeer { handle, peer, mode } => {
-                self.lock_ep(handle)?.detach_peer(peer, mode)?;
-                WireResponse::Unit
-            }
-            R::CacheRead { handle, name, vector_index } => {
-                WireResponse::Register(self.cache_ep(handle)?.register_read(name, vector_index)?)
-            }
-            R::CacheWrite { handle, name, data, kind } => {
-                WireResponse::Write(self.cache_ep(handle)?.write_invalidate(name, &data, kind)?)
-            }
-            R::CacheUnregister { handle, name } => {
-                self.cache_ep(handle)?.unregister(name)?;
-                WireResponse::Unit
-            }
-            R::CacheCastoutCandidates { handle, max } => {
-                WireResponse::Blocks(self.cache_ep(handle)?.castout_candidates(max as usize)?)
-            }
-            R::CacheCastoutRead { handle, name } => {
-                let (data, version) = self.cache_ep(handle)?.castout_read(name)?;
-                WireResponse::Data { data: (*data).clone(), version }
-            }
-            R::CacheCastoutComplete { handle, name, version } => {
-                self.cache_ep(handle)?.castout_complete(name, version)?;
-                WireResponse::Unit
-            }
-            R::CacheIsValid { handle, vector_index } => {
-                // The "local" bit vector lives at the serving end for a
-                // remote connector, so this costs a round trip (documented
-                // trade-off vs. the nanosecond native path).
-                WireResponse::Bool(self.cache_ep(handle)?.is_valid(vector_index))
-            }
-            R::CacheDetach { handle } => {
-                let c = self.cache_ep(handle)?;
-                c.detach()?;
-                self.remove(handle);
-                WireResponse::Unit
-            }
-            R::ListEnqueue { handle, header, key, data, position, cond } => WireResponse::Entry(
-                self.list_ep(handle)?.enqueue(header as usize, key, &data, position, cond)?,
-            ),
-            R::ListUpdate { handle, id, key, data, expected_version, cond } => {
-                WireResponse::U64(self.list_ep(handle)?.update(id, key, &data, expected_version, cond)?)
-            }
-            R::ListReadEntry { handle, id } => {
-                WireResponse::OptEntry(Some(self.list_ep(handle)?.read_entry(id)?))
-            }
-            R::ListDelete { handle, id, cond } => {
-                self.list_ep(handle)?.delete(id, cond)?;
-                WireResponse::Unit
-            }
-            R::ListMoveTo { handle, id, to_header, position, cond } => {
-                self.list_ep(handle)?.move_to(id, to_header as usize, position, cond)?;
-                WireResponse::Unit
-            }
-            R::ListTransfer { handle, id, from_header, to_header, position, cond } => {
-                WireResponse::Bool(self.list_ep(handle)?.transfer(
-                    id,
-                    from_header as usize,
-                    to_header as usize,
-                    position,
-                    cond,
-                )?)
-            }
-            R::ListClaimFirst { handle, from, to, end, position, cond } => WireResponse::OptEntry(
-                self.list_ep(handle)?.claim_first(from as usize, to as usize, end, position, cond)?,
-            ),
-            R::ListTake { handle, header, end, cond } => {
-                WireResponse::OptEntry(self.list_ep(handle)?.take(header as usize, end, cond)?)
-            }
-            R::ListScan { handle, header } => {
-                WireResponse::Entries(self.list_ep(handle)?.scan(header as usize)?)
-            }
-            R::ListHeaderLen { handle, header } => {
-                WireResponse::U64(self.list_ep(handle)?.header_len(header as usize)? as u64)
-            }
-            R::ListLockAcquire { handle, entry } => {
-                WireResponse::Bool(self.list_ep(handle)?.acquire_list_lock(entry as usize)?)
-            }
-            R::ListLockRelease { handle, entry } => {
-                self.list_ep(handle)?.release_list_lock(entry as usize)?;
-                WireResponse::Unit
-            }
-            R::ListLockHolder { handle, entry } => {
-                WireResponse::OptConn(self.list_ep(handle)?.list_lock_holder(entry as usize)?)
-            }
-            R::ListMonitor { handle, header, vector_index } => {
-                self.list_ep(handle)?.register_monitor(header as usize, vector_index)?;
-                WireResponse::Unit
-            }
-            R::ListDeregisterMonitor { handle, header } => {
-                self.list_ep(handle)?.deregister_monitor(header as usize)?;
-                WireResponse::Unit
-            }
-            R::ListIsSignaled { handle, vector_index } => {
-                WireResponse::Bool(self.list_ep(handle)?.is_signaled(vector_index))
-            }
-            R::ListDetach { handle } => {
-                let c = self.list_ep(handle)?;
-                c.detach()?;
-                self.remove(handle);
-                WireResponse::Unit
-            }
-            R::Probe(cmd) => {
-                self.sub.issue(cmd, || Ok(()))?;
-                WireResponse::Unit
-            }
-        })
-    }
+/// A vector length from an attach frame as the `usize` the structures
+/// take. One too large for the platform saturates, and the structure's
+/// own bound ([`crate::types::MAX_VECTOR_BITS`]) then refuses it.
+fn vector_bits(vector_len: u64) -> usize {
+    usize::try_from(vector_len).unwrap_or(usize::MAX)
 }
 
 impl CfTransport for InProcessTransport {
@@ -560,35 +432,98 @@ pub fn serve_cf_stream(transport: &InProcessTransport, stream: TcpStream) -> std
     result
 }
 
-fn protocol_error(class_name: &'static str) -> CfError {
-    CfError::InterfaceControlCheck(class_name)
+/// The payload a [`WireResponse`] carries for a caller expecting `Self`;
+/// `None` when the response is some other variant.
+trait FromResponse: Sized {
+    fn from_response(resp: WireResponse) -> Option<Self>;
 }
 
-/// Issue `req` over `transport`, retrying transport-level faults under
-/// `policy` when one is set. Structure errors inside the response are
-/// never retried — they are answers, not faults.
-fn transport_call(
-    transport: &Arc<dyn CfTransport>,
-    policy: &Option<Arc<RetryPolicy>>,
-    req: WireRequest,
-) -> CfResult<WireResponse> {
-    match policy {
-        None => transport.call(req)?.into_result(),
-        Some(p) => p.run(|_| transport.call(req.clone()))?.into_result(),
+/// A command that returns nothing has nothing to extract: any answer that
+/// is not an error is its success.
+impl FromResponse for () {
+    fn from_response(_: WireResponse) -> Option<Self> {
+        Some(())
+    }
+}
+
+/// `type: response pattern => payload`, one [`FromResponse`] impl each.
+macro_rules! from_response {
+    ($($ty:ty: $pat:pat => $out:expr;)*) => {$(
+        impl FromResponse for $ty {
+            fn from_response(resp: WireResponse) -> Option<Self> {
+                match resp {
+                    $pat => Some($out),
+                    _ => None,
+                }
+            }
+        }
+    )*};
+}
+
+from_response! {
+    bool: WireResponse::Bool(b) => b;
+    u64: WireResponse::U64(v) => v;
+    usize: WireResponse::U64(v) => v as usize;
+    LockResponse: WireResponse::Lock(outcome) => outcome;
+    (ConnMask, Option<ConnId>): WireResponse::Holders { mask, exclusive } => (mask, exclusive);
+    Vec<RetainedLock>: WireResponse::Retained(locks) => locks;
+    RegisterResult: WireResponse::Register(reg) => reg;
+    WriteResult: WireResponse::Write(res) => res;
+    Vec<BlockName>: WireResponse::Blocks(names) => names;
+    (Vec<u8>, u64): WireResponse::Data { data, version } => (data, version);
+    EntryId: WireResponse::Entry(id) => id;
+    EntryView: WireResponse::OptEntry(Some(entry)) => entry;
+    Option<EntryView>: WireResponse::OptEntry(entry) => entry;
+    Vec<EntryView>: WireResponse::Entries(entries) => entries;
+    Option<ConnId>: WireResponse::OptConn(conn) => conn;
+}
+
+/// What the three remote connections are made of: the carrier, the handle
+/// and slot an attach minted, and the retry policy.
+#[derive(Debug, Clone)]
+struct RemoteLink {
+    transport: Arc<dyn CfTransport>,
+    handle: WireHandle,
+    conn: ConnId,
+    policy: Option<Arc<RetryPolicy>>,
+}
+
+impl RemoteLink {
+    /// Issue the attach request `req`; the link it minted, plus the
+    /// response's geometry word.
+    fn attach(transport: Arc<dyn CfTransport>, req: WireRequest) -> CfResult<(RemoteLink, u64)> {
+        let class_name = req.class().name();
+        match transport.call(req)?.into_result()? {
+            WireResponse::Attached { handle, conn, geometry } => {
+                Ok((RemoteLink { transport, handle, conn, policy: None }, geometry))
+            }
+            _ => Err(CfError::InterfaceControlCheck(class_name)),
+        }
+    }
+
+    /// Issue `req`, retrying transport-level faults under the policy when
+    /// one is set, and extract the payload the caller's return type names.
+    /// Structure errors inside the response are never retried — they are
+    /// answers, not faults. A response of the wrong shape is a protocol
+    /// error, labelled with the request's class like any link fault.
+    fn call<T: FromResponse>(&self, req: WireRequest) -> CfResult<T> {
+        let class_name = req.class().name();
+        let resp = match &self.policy {
+            None => self.transport.call(req)?,
+            Some(p) => p.run(|_| self.transport.call(req.clone()))?,
+        };
+        T::from_response(resp.into_result()?).ok_or(CfError::InterfaceControlCheck(class_name))
     }
 }
 
 /// A lock-structure connection over any [`CfTransport`] — the remote
-/// counterpart of [`LockConnection`], method for method.
+/// counterpart of [`LockConnection`].
 #[derive(Debug, Clone)]
 pub struct RemoteLockConnection {
-    transport: Arc<dyn CfTransport>,
-    handle: WireHandle,
-    conn: ConnId,
+    link: RemoteLink,
     /// Lock-table entry count shipped at attach, so resource hashing stays
     /// a host-side nanosecond operation even over a wire.
     entries: usize,
-    policy: Option<Arc<RetryPolicy>>,
 }
 
 impl RemoteLockConnection {
@@ -603,33 +538,25 @@ impl RemoteLockConnection {
     }
 
     fn attach_req(transport: Arc<dyn CfTransport>, req: WireRequest) -> CfResult<Self> {
-        match transport.call(req)?.into_result()? {
-            WireResponse::Attached { handle, conn, geometry } => {
-                Ok(RemoteLockConnection { transport, handle, conn, entries: geometry as usize, policy: None })
-            }
-            _ => Err(protocol_error("lock-admin")),
-        }
+        let (link, geometry) = RemoteLink::attach(transport, req)?;
+        Ok(RemoteLockConnection { link, entries: geometry as usize })
     }
 
     /// Retry transport faults on every command under `policy` (see
     /// [`RetryPolicy`] for the idempotency caveat).
     pub fn with_policy(mut self, policy: Arc<RetryPolicy>) -> Self {
-        self.policy = Some(policy);
+        self.link.policy = Some(policy);
         self
-    }
-
-    fn call(&self, req: WireRequest) -> CfResult<WireResponse> {
-        transport_call(&self.transport, &self.policy, req)
     }
 
     /// This connection's slot in the structure.
     pub fn conn_id(&self) -> ConnId {
-        self.conn
+        self.link.conn
     }
 
     /// The transport carrying this connection.
     pub fn transport(&self) -> &Arc<dyn CfTransport> {
-        &self.transport
+        &self.link.transport
     }
 
     /// Hash a resource name to its lock-table entry — host-side compute,
@@ -640,90 +567,89 @@ impl RemoteLockConnection {
 
     /// Request `mode` interest in lock-table entry `entry`.
     pub fn request_lock(&self, entry: usize, mode: LockMode) -> CfResult<LockResponse> {
-        match self.call(WireRequest::LockRequest { handle: self.handle, entry: entry as u64, mode })? {
-            WireResponse::Lock(r) => Ok(r),
-            _ => Err(protocol_error("lock-request")),
-        }
+        self.link.call(WireRequest::LockRequest { handle: self.link.handle, entry: entry as u64, mode })
     }
 
     /// Record `mode` interest unconditionally (post-negotiation).
     pub fn force_interest(&self, entry: usize, mode: LockMode) -> CfResult<()> {
-        self.call(WireRequest::LockForce { handle: self.handle, entry: entry as u64, mode })?;
-        Ok(())
+        self.link.call(WireRequest::LockForce { handle: self.link.handle, entry: entry as u64, mode })
+    }
+
+    /// Record `mode` interest after negotiating with `negotiated`; refused
+    /// (`Ok(false)`) when a holder outside that set has appeared since the
+    /// contention response, or when the entry `generation` it quoted has
+    /// moved — see [`LockConnection::force_interest_negotiated`].
+    pub fn force_interest_negotiated(
+        &self,
+        entry: usize,
+        mode: LockMode,
+        negotiated: ConnMask,
+        generation: u16,
+    ) -> CfResult<bool> {
+        self.link.call(WireRequest::LockForceNegotiated {
+            handle: self.link.handle,
+            entry: entry as u64,
+            mode,
+            negotiated,
+            generation,
+        })
     }
 
     /// Release this connection's interest in entry `entry`.
     pub fn release_lock(&self, entry: usize) -> CfResult<()> {
-        self.call(WireRequest::LockRelease { handle: self.handle, entry: entry as u64 })?;
-        Ok(())
+        self.link.call(WireRequest::LockRelease { handle: self.link.handle, entry: entry as u64 })
     }
 
     /// Holders of entry `entry`: `(all interested, exclusive holder)`.
     pub fn holders(&self, entry: usize) -> CfResult<(ConnMask, Option<ConnId>)> {
-        match self.call(WireRequest::LockHolders { handle: self.handle, entry: entry as u64 })? {
-            WireResponse::Holders { mask, exclusive } => Ok((mask, exclusive)),
-            _ => Err(protocol_error("lock-admin")),
-        }
+        self.link.call(WireRequest::LockHolders { handle: self.link.handle, entry: entry as u64 })
     }
 
     /// Whether entry `entry` is in negotiation.
     pub fn is_negotiate(&self, entry: usize) -> CfResult<bool> {
-        match self.call(WireRequest::LockIsNegotiate { handle: self.handle, entry: entry as u64 })? {
-            WireResponse::Bool(b) => Ok(b),
-            _ => Err(protocol_error("lock-admin")),
-        }
+        self.link.call(WireRequest::LockIsNegotiate { handle: self.link.handle, entry: entry as u64 })
     }
 
     /// Write persistent record data for `resource` held in `mode`.
     pub fn write_lock_record(&self, resource: &[u8], mode: LockMode, payload: &[u8]) -> CfResult<()> {
-        self.call(WireRequest::LockWriteRecord {
-            handle: self.handle,
+        self.link.call(WireRequest::LockWriteRecord {
+            handle: self.link.handle,
             resource: resource.to_vec(),
             mode,
             payload: payload.to_vec(),
-        })?;
-        Ok(())
+        })
     }
 
     /// Delete the persistent record for `resource`.
     pub fn delete_lock_record(&self, resource: &[u8]) -> CfResult<()> {
-        self.call(WireRequest::LockDeleteRecord { handle: self.handle, resource: resource.to_vec() })?;
-        Ok(())
+        self.link
+            .call(WireRequest::LockDeleteRecord { handle: self.link.handle, resource: resource.to_vec() })
     }
 
     /// Retained (failed-persistent) locks of connector `peer`.
     pub fn retained_locks_of(&self, peer: ConnId) -> CfResult<Vec<RetainedLock>> {
-        match self.call(WireRequest::LockRetainedOf { handle: self.handle, peer })? {
-            WireResponse::Retained(locks) => Ok(locks),
-            _ => Err(protocol_error("lock-admin")),
-        }
+        self.link.call(WireRequest::LockRetainedOf { handle: self.link.handle, peer })
     }
 
     /// Whether connector `peer` is failed-persistent awaiting recovery.
     pub fn is_failed_persistent(&self, peer: ConnId) -> CfResult<bool> {
-        match self.call(WireRequest::LockIsFailedPersistent { handle: self.handle, peer })? {
-            WireResponse::Bool(b) => Ok(b),
-            _ => Err(protocol_error("lock-admin")),
-        }
+        self.link.call(WireRequest::LockIsFailedPersistent { handle: self.link.handle, peer })
     }
 
     /// Declare peer recovery complete: purges `peer`'s retained state.
     pub fn recovery_complete_for(&self, peer: ConnId) -> CfResult<()> {
-        self.call(WireRequest::LockRecoveryComplete { handle: self.handle, peer })?;
-        Ok(())
+        self.link.call(WireRequest::LockRecoveryComplete { handle: self.link.handle, peer })
     }
 
     /// Disconnect this connection.
     pub fn detach(&self, mode: DisconnectMode) -> CfResult<()> {
-        self.call(WireRequest::LockDetach { handle: self.handle, mode })?;
-        Ok(())
+        self.link.call(WireRequest::LockDetach { handle: self.link.handle, mode })
     }
 
     /// Disconnect a peer's slot (surviving system marking a dead peer
     /// failed-persistent).
     pub fn detach_peer(&self, peer: ConnId, mode: DisconnectMode) -> CfResult<()> {
-        self.call(WireRequest::LockDetachPeer { handle: self.handle, peer, mode })?;
-        Ok(())
+        self.link.call(WireRequest::LockDetachPeer { handle: self.link.handle, peer, mode })
     }
 }
 
@@ -736,10 +662,7 @@ impl RemoteLockConnection {
 /// that live on the latency of that test belong on the in-process backend.
 #[derive(Debug, Clone)]
 pub struct RemoteCacheConnection {
-    transport: Arc<dyn CfTransport>,
-    handle: WireHandle,
-    conn: ConnId,
-    policy: Option<Arc<RetryPolicy>>,
+    link: RemoteLink,
 }
 
 impl RemoteCacheConnection {
@@ -748,88 +671,60 @@ impl RemoteCacheConnection {
     pub fn attach(transport: Arc<dyn CfTransport>, structure: &str, vector_len: usize) -> CfResult<Self> {
         let req =
             WireRequest::AttachCache { structure: structure.to_string(), vector_len: vector_len as u64 };
-        match transport.call(req)?.into_result()? {
-            WireResponse::Attached { handle, conn, .. } => {
-                Ok(RemoteCacheConnection { transport, handle, conn, policy: None })
-            }
-            _ => Err(protocol_error("cache-admin")),
-        }
+        Ok(RemoteCacheConnection { link: RemoteLink::attach(transport, req)?.0 })
     }
 
     /// Retry transport faults on every command under `policy` (see
     /// [`RetryPolicy`] for the idempotency caveat).
     pub fn with_policy(mut self, policy: Arc<RetryPolicy>) -> Self {
-        self.policy = Some(policy);
+        self.link.policy = Some(policy);
         self
-    }
-
-    fn call(&self, req: WireRequest) -> CfResult<WireResponse> {
-        transport_call(&self.transport, &self.policy, req)
     }
 
     /// This connection's slot in the structure.
     pub fn conn_id(&self) -> ConnId {
-        self.conn
+        self.link.conn
     }
 
     /// Read block `name` and register interest at `vector_index`.
     pub fn register_read(&self, name: BlockName, vector_index: u32) -> CfResult<RegisterResult> {
-        match self.call(WireRequest::CacheRead { handle: self.handle, name, vector_index })? {
-            WireResponse::Register(r) => Ok(r),
-            _ => Err(protocol_error("cache-read")),
-        }
+        self.link.call(WireRequest::CacheRead { handle: self.link.handle, name, vector_index })
     }
 
     /// Write block `name` and cross-invalidate other registered connectors.
     pub fn write_invalidate(&self, name: BlockName, data: &[u8], kind: WriteKind) -> CfResult<WriteResult> {
-        let req = WireRequest::CacheWrite { handle: self.handle, name, data: data.to_vec(), kind };
-        match self.call(req)? {
-            WireResponse::Write(w) => Ok(w),
-            _ => Err(protocol_error("cache-write")),
-        }
+        self.link.call(WireRequest::CacheWrite { handle: self.link.handle, name, data: data.to_vec(), kind })
     }
 
     /// Drop this connection's registered interest in block `name`.
     pub fn unregister(&self, name: BlockName) -> CfResult<()> {
-        self.call(WireRequest::CacheUnregister { handle: self.handle, name })?;
-        Ok(())
+        self.link.call(WireRequest::CacheUnregister { handle: self.link.handle, name })
     }
 
     /// Changed blocks eligible for castout, oldest first.
     pub fn castout_candidates(&self, max: usize) -> CfResult<Vec<BlockName>> {
-        match self.call(WireRequest::CacheCastoutCandidates { handle: self.handle, max: max as u64 })? {
-            WireResponse::Blocks(names) => Ok(names),
-            _ => Err(protocol_error("cache-castout")),
-        }
+        self.link.call(WireRequest::CacheCastoutCandidates { handle: self.link.handle, max: max as u64 })
     }
 
     /// Read a changed block for castout to DASD.
     pub fn castout_read(&self, name: BlockName) -> CfResult<(Vec<u8>, u64)> {
-        match self.call(WireRequest::CacheCastoutRead { handle: self.handle, name })? {
-            WireResponse::Data { data, version } => Ok((data, version)),
-            _ => Err(protocol_error("cache-castout")),
-        }
+        self.link.call(WireRequest::CacheCastoutRead { handle: self.link.handle, name })
     }
 
     /// Mark a castout complete (block hardened to DASD at `version`).
     pub fn castout_complete(&self, name: BlockName, version: u64) -> CfResult<()> {
-        self.call(WireRequest::CacheCastoutComplete { handle: self.handle, name, version })?;
-        Ok(())
+        self.link.call(WireRequest::CacheCastoutComplete { handle: self.link.handle, name, version })
     }
 
     /// Test buffer validity. Remote: a wire round trip, not a register
     /// test (see the type-level docs).
     pub fn is_valid(&self, vector_index: u32) -> CfResult<bool> {
-        match self.call(WireRequest::CacheIsValid { handle: self.handle, vector_index })? {
-            WireResponse::Bool(b) => Ok(b),
-            _ => Err(protocol_error("cache-admin")),
-        }
+        self.link.call(WireRequest::CacheIsValid { handle: self.link.handle, vector_index })
     }
 
     /// Disconnect this connection.
     pub fn detach(&self) -> CfResult<()> {
-        self.call(WireRequest::CacheDetach { handle: self.handle })?;
-        Ok(())
+        self.link.call(WireRequest::CacheDetach { handle: self.link.handle })
     }
 }
 
@@ -838,38 +733,26 @@ impl RemoteCacheConnection {
 /// round trip over a wire (same trade-off as the cache bit vector).
 #[derive(Debug, Clone)]
 pub struct RemoteListConnection {
-    transport: Arc<dyn CfTransport>,
-    handle: WireHandle,
-    conn: ConnId,
-    policy: Option<Arc<RetryPolicy>>,
+    link: RemoteLink,
 }
 
 impl RemoteListConnection {
     /// Attach to the named list structure over `transport`.
     pub fn attach(transport: Arc<dyn CfTransport>, structure: &str, vector_len: usize) -> CfResult<Self> {
         let req = WireRequest::AttachList { structure: structure.to_string(), vector_len: vector_len as u64 };
-        match transport.call(req)?.into_result()? {
-            WireResponse::Attached { handle, conn, .. } => {
-                Ok(RemoteListConnection { transport, handle, conn, policy: None })
-            }
-            _ => Err(protocol_error("list-admin")),
-        }
+        Ok(RemoteListConnection { link: RemoteLink::attach(transport, req)?.0 })
     }
 
     /// Retry transport faults on every command under `policy` (see
     /// [`RetryPolicy`] for the idempotency caveat).
     pub fn with_policy(mut self, policy: Arc<RetryPolicy>) -> Self {
-        self.policy = Some(policy);
+        self.link.policy = Some(policy);
         self
-    }
-
-    fn call(&self, req: WireRequest) -> CfResult<WireResponse> {
-        transport_call(&self.transport, &self.policy, req)
     }
 
     /// This connection's slot in the structure.
     pub fn conn_id(&self) -> ConnId {
-        self.conn
+        self.link.conn
     }
 
     /// Write a new entry to `header`.
@@ -881,18 +764,14 @@ impl RemoteListConnection {
         position: WritePosition,
         cond: LockCondition,
     ) -> CfResult<EntryId> {
-        let req = WireRequest::ListEnqueue {
-            handle: self.handle,
+        self.link.call(WireRequest::ListEnqueue {
+            handle: self.link.handle,
             header: header as u64,
             key,
             data: data.to_vec(),
             position,
             cond,
-        };
-        match self.call(req)? {
-            WireResponse::Entry(id) => Ok(id),
-            _ => Err(protocol_error("list-write")),
-        }
+        })
     }
 
     /// Update entry `id` in place, optionally version-conditional.
@@ -904,32 +783,24 @@ impl RemoteListConnection {
         expected_version: Option<u64>,
         cond: LockCondition,
     ) -> CfResult<u64> {
-        let req = WireRequest::ListUpdate {
-            handle: self.handle,
+        self.link.call(WireRequest::ListUpdate {
+            handle: self.link.handle,
             id,
             key,
             data: data.to_vec(),
             expected_version,
             cond,
-        };
-        match self.call(req)? {
-            WireResponse::U64(v) => Ok(v),
-            _ => Err(protocol_error("list-write")),
-        }
+        })
     }
 
     /// Read entry `id`.
     pub fn read_entry(&self, id: EntryId) -> CfResult<EntryView> {
-        match self.call(WireRequest::ListReadEntry { handle: self.handle, id })? {
-            WireResponse::OptEntry(Some(e)) => Ok(e),
-            _ => Err(protocol_error("list-read")),
-        }
+        self.link.call(WireRequest::ListReadEntry { handle: self.link.handle, id })
     }
 
     /// Delete entry `id`.
     pub fn delete(&self, id: EntryId, cond: LockCondition) -> CfResult<()> {
-        self.call(WireRequest::ListDelete { handle: self.handle, id, cond })?;
-        Ok(())
+        self.link.call(WireRequest::ListDelete { handle: self.link.handle, id, cond })
     }
 
     /// Atomically move entry `id` to `to_header`.
@@ -940,14 +811,13 @@ impl RemoteListConnection {
         position: WritePosition,
         cond: LockCondition,
     ) -> CfResult<()> {
-        self.call(WireRequest::ListMoveTo {
-            handle: self.handle,
+        self.link.call(WireRequest::ListMoveTo {
+            handle: self.link.handle,
             id,
             to_header: to_header as u64,
             position,
             cond,
-        })?;
-        Ok(())
+        })
     }
 
     /// Conditionally move entry `id` between headers; `Ok(false)` = claim
@@ -960,18 +830,14 @@ impl RemoteListConnection {
         position: WritePosition,
         cond: LockCondition,
     ) -> CfResult<bool> {
-        let req = WireRequest::ListTransfer {
-            handle: self.handle,
+        self.link.call(WireRequest::ListTransfer {
+            handle: self.link.handle,
             id,
             from_header: from_header as u64,
             to_header: to_header as u64,
             position,
             cond,
-        };
-        match self.call(req)? {
-            WireResponse::Bool(b) => Ok(b),
-            _ => Err(protocol_error("list-move")),
-        }
+        })
     }
 
     /// Atomically take the first entry of `from` and move it to `to`.
@@ -983,90 +849,68 @@ impl RemoteListConnection {
         position: WritePosition,
         cond: LockCondition,
     ) -> CfResult<Option<EntryView>> {
-        let req = WireRequest::ListClaimFirst {
-            handle: self.handle,
+        self.link.call(WireRequest::ListClaimFirst {
+            handle: self.link.handle,
             from: from as u64,
             to: to as u64,
             end,
             position,
             cond,
-        };
-        match self.call(req)? {
-            WireResponse::OptEntry(e) => Ok(e),
-            _ => Err(protocol_error("list-move")),
-        }
+        })
     }
 
     /// Dequeue one entry from `header`.
     pub fn take(&self, header: usize, end: DequeueEnd, cond: LockCondition) -> CfResult<Option<EntryView>> {
-        match self.call(WireRequest::ListTake { handle: self.handle, header: header as u64, end, cond })? {
-            WireResponse::OptEntry(e) => Ok(e),
-            _ => Err(protocol_error("list-move")),
-        }
+        self.link.call(WireRequest::ListTake { handle: self.link.handle, header: header as u64, end, cond })
     }
 
     /// Read every entry of `header`, in order.
     pub fn scan(&self, header: usize) -> CfResult<Vec<EntryView>> {
-        match self.call(WireRequest::ListScan { handle: self.handle, header: header as u64 })? {
-            WireResponse::Entries(es) => Ok(es),
-            _ => Err(protocol_error("list-read")),
-        }
+        self.link.call(WireRequest::ListScan { handle: self.link.handle, header: header as u64 })
     }
 
     /// Number of entries currently on `header`.
     pub fn header_len(&self, header: usize) -> CfResult<usize> {
-        match self.call(WireRequest::ListHeaderLen { handle: self.handle, header: header as u64 })? {
-            WireResponse::U64(n) => Ok(n as usize),
-            _ => Err(protocol_error("list-read")),
-        }
+        self.link.call(WireRequest::ListHeaderLen { handle: self.link.handle, header: header as u64 })
     }
 
     /// Try to acquire serializing lock entry `entry`.
     pub fn acquire_list_lock(&self, entry: usize) -> CfResult<bool> {
-        match self.call(WireRequest::ListLockAcquire { handle: self.handle, entry: entry as u64 })? {
-            WireResponse::Bool(b) => Ok(b),
-            _ => Err(protocol_error("list-admin")),
-        }
+        self.link.call(WireRequest::ListLockAcquire { handle: self.link.handle, entry: entry as u64 })
     }
 
     /// Release serializing lock entry `entry`.
     pub fn release_list_lock(&self, entry: usize) -> CfResult<()> {
-        self.call(WireRequest::ListLockRelease { handle: self.handle, entry: entry as u64 })?;
-        Ok(())
+        self.link.call(WireRequest::ListLockRelease { handle: self.link.handle, entry: entry as u64 })
     }
 
     /// Current holder of serializing lock entry `entry`.
     pub fn list_lock_holder(&self, entry: usize) -> CfResult<Option<ConnId>> {
-        match self.call(WireRequest::ListLockHolder { handle: self.handle, entry: entry as u64 })? {
-            WireResponse::OptConn(c) => Ok(c),
-            _ => Err(protocol_error("list-admin")),
-        }
+        self.link.call(WireRequest::ListLockHolder { handle: self.link.handle, entry: entry as u64 })
     }
 
     /// Monitor `header` for empty→non-empty transitions at `vector_index`.
     pub fn register_monitor(&self, header: usize, vector_index: u32) -> CfResult<()> {
-        self.call(WireRequest::ListMonitor { handle: self.handle, header: header as u64, vector_index })?;
-        Ok(())
+        self.link.call(WireRequest::ListMonitor {
+            handle: self.link.handle,
+            header: header as u64,
+            vector_index,
+        })
     }
 
     /// Stop monitoring `header`.
     pub fn deregister_monitor(&self, header: usize) -> CfResult<()> {
-        self.call(WireRequest::ListDeregisterMonitor { handle: self.handle, header: header as u64 })?;
-        Ok(())
+        self.link.call(WireRequest::ListDeregisterMonitor { handle: self.link.handle, header: header as u64 })
     }
 
     /// Test the list-notification vector. Remote: a wire round trip.
     pub fn is_signaled(&self, vector_index: u32) -> CfResult<bool> {
-        match self.call(WireRequest::ListIsSignaled { handle: self.handle, vector_index })? {
-            WireResponse::Bool(b) => Ok(b),
-            _ => Err(protocol_error("list-admin")),
-        }
+        self.link.call(WireRequest::ListIsSignaled { handle: self.link.handle, vector_index })
     }
 
     /// Disconnect this connection.
     pub fn detach(&self) -> CfResult<()> {
-        self.call(WireRequest::ListDetach { handle: self.handle })?;
-        Ok(())
+        self.link.call(WireRequest::ListDetach { handle: self.link.handle })
     }
 }
 
@@ -1098,23 +942,16 @@ pub struct CmdShape {
 }
 
 impl CmdShape {
-    /// Extract the shape of `req`.
+    /// Extract the shape of `req` from its row of the command table.
     pub fn of(req: &WireRequest) -> CmdShape {
-        use WireRequest as R;
-        let cmd = req.command();
+        let row = req.row();
         CmdShape {
-            class: cmd.class,
-            converts: cmd.converts_async(),
-            handle: req.structure_handle(),
-            attach_name: match req {
-                R::AttachLock { structure }
-                | R::AttachLockSlot { structure, .. }
-                | R::AttachCache { structure, .. }
-                | R::AttachList { structure, .. } => Some(structure.clone()),
-                _ => None,
-            },
-            is_force: matches!(req, R::LockForce { .. }),
-            is_detach: matches!(req, R::LockDetach { .. } | R::CacheDetach { .. } | R::ListDetach { .. }),
+            class: row.cmd.class,
+            converts: row.cmd.converts_async(),
+            handle: row.handle,
+            attach_name: row.attach.map(str::to_string),
+            is_force: row.flag == Some(Flag::Force),
+            is_detach: row.flag == Some(Flag::Detach),
         }
     }
 
@@ -1239,7 +1076,8 @@ impl TransportMeter {
                 if faulted {
                     row.faulted += 1;
                 }
-                if shape.is_force {
+                // A refused negotiated force recorded nothing.
+                if shape.is_force && !matches!(result, Ok(WireResponse::Bool(false))) {
                     row.force_interests += 1;
                 }
                 if matches!(result, Ok(WireResponse::Lock(LockResponse::Contention { .. }))) {
@@ -1378,53 +1216,166 @@ mod tests {
         let cf = CouplingFacility::new(CfConfig::named("CF01"));
         cf.allocate_lock_structure("L", LockParams::with_entries(64)).unwrap();
         cf.allocate_cache_structure("GBP", CacheParams::store_in(64)).unwrap();
-        cf.allocate_list_structure("WQ", ListParams::with_headers(4)).unwrap();
+        cf.allocate_list_structure("WQ", ListParams::with_headers(4).with_locks(1)).unwrap();
         cf
     }
 
-    fn exercise(transport: Arc<dyn CfTransport>, cf: &Arc<CouplingFacility>) {
+    /// Serve one TCP session on `cf`; the address to dial and the thread
+    /// to join once the client has hung up.
+    fn serve_one(cf: &Arc<CouplingFacility>) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let cf = Arc::clone(cf);
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let _ = serve_cf_stream(&InProcessTransport::new(&cf), stream);
+        });
+        (addr, server)
+    }
+
+    /// What [`exercise`] did that a meter on the transport and the
+    /// facility count differently.
+    struct Exercised {
+        /// Commands the native peers issued: the facility counts them, a
+        /// meter on the transport never sees them.
+        native: ConnectionStats,
+        /// Vector tests sent over the transport: a synchronous round trip
+        /// to the meter, no CF command to the facility.
+        wire_only: ConnectionStats,
+    }
+
+    /// Every `Remote*` method at least once over `transport`, each against
+    /// a native peer on the same structure where there is something to
+    /// observe from the other side.
+    fn exercise(transport: Arc<dyn CfTransport>, cf: &Arc<CouplingFacility>) -> Exercised {
+        let did = Exercised { native: ConnectionStats::new(), wire_only: ConnectionStats::new() };
+        let vector_test = |class| {
+            did.wire_only.class(class).issued.incr();
+            did.wire_only.class(class).sync.incr();
+        };
+        let policy = Arc::new(RetryPolicy::seeded(7));
+        let (x, none) = (LockMode::Exclusive, LockCondition::None);
+
         // Lock: hash parity with the native connection, grant, contention.
-        let lock = RemoteLockConnection::attach(Arc::clone(&transport), "L").unwrap();
+        let lock =
+            RemoteLockConnection::attach(Arc::clone(&transport), "L").unwrap().with_policy(policy.clone());
+        assert_eq!(lock.transport().backend(), transport.backend());
         let native = cf.connect_lock("L").unwrap();
         let entry = lock.hash_resource(b"ACCT.1");
         assert_eq!(entry, native.hash_resource(b"ACCT.1"), "remote hashing matches native");
-        assert!(lock.request_lock(entry, LockMode::Exclusive).unwrap().is_granted());
-        match native.request_lock(entry, LockMode::Exclusive).unwrap() {
+        assert!(lock.request_lock(entry, x).unwrap().is_granted());
+        assert_eq!(lock.holders(entry).unwrap(), (0, Some(lock.conn_id())));
+        assert!(!lock.is_negotiate(entry).unwrap());
+        match native.request_lock(entry, x).unwrap() {
             LockResponse::Contention { exclusive, .. } => assert_eq!(exclusive, Some(lock.conn_id())),
             LockResponse::Granted => panic!("native must contend with the remote holder"),
         }
         lock.release_lock(entry).unwrap();
-        lock.write_lock_record(b"ACCT.1", LockMode::Exclusive, b"undo").unwrap();
+        // Negotiation: contend with the native holder, then record the
+        // interest with the holders and generation the response quoted.
+        let contended = (entry + 1) % 64;
+        assert!(native.request_lock(contended, x).unwrap().is_granted());
+        let LockResponse::Contention { holders, generation, .. } = lock.request_lock(contended, x).unwrap()
+        else {
+            panic!("remote must contend with the native holder");
+        };
+        assert!(lock.force_interest_negotiated(contended, x, holders, generation).unwrap());
+        assert!(lock.is_negotiate(contended).unwrap());
+        lock.release_lock(contended).unwrap();
+        native.release_lock(contended).unwrap();
+        let imported = (entry + 2) % 64;
+        lock.force_interest(imported, LockMode::Shared).unwrap();
+        assert_eq!(native.holders(imported).unwrap(), (lock.conn_id().mask(), None));
+        lock.release_lock(imported).unwrap();
+        lock.write_lock_record(b"ACCT.1", x, b"undo").unwrap();
         lock.delete_lock_record(b"ACCT.1").unwrap();
+        // Peer recovery: a second connector claims a slot, writes a record
+        // and is declared dead by the first.
+        let slot = ConnId::from_raw(31);
+        let peer = RemoteLockConnection::attach_slot(Arc::clone(&transport), "L", slot).unwrap();
+        assert_eq!(peer.conn_id(), slot);
+        peer.write_lock_record(b"ACCT.9", x, b"undo").unwrap();
+        lock.detach_peer(slot, DisconnectMode::Abnormal).unwrap();
+        assert!(lock.is_failed_persistent(slot).unwrap());
+        let retained = lock.retained_locks_of(slot).unwrap();
+        assert_eq!(retained.iter().map(|l| l.resource.as_slice()).collect::<Vec<_>>(), [b"ACCT.9"]);
+        lock.recovery_complete_for(slot).unwrap();
+        assert!(!lock.is_failed_persistent(slot).unwrap());
         lock.detach(DisconnectMode::Normal).unwrap();
+        did.native.absorb(native.stats());
 
         // Cache: write on the remote cross-invalidates the native copy.
-        let cache = RemoteCacheConnection::attach(Arc::clone(&transport), "GBP", 16).unwrap();
+        let cache = RemoteCacheConnection::attach(Arc::clone(&transport), "GBP", 16)
+            .unwrap()
+            .with_policy(policy.clone());
         let native = cf.connect_cache("GBP", 16).unwrap();
+        assert_ne!(cache.conn_id(), native.conn_id());
         let name = BlockName::from_parts(1, 7);
         native.register_read(name, 0).unwrap();
         cache.register_read(name, 0).unwrap();
+        assert!(cache.is_valid(0).unwrap());
+        vector_test(CommandClass::CacheAdmin);
         let w = cache.write_invalidate(name, &[9; 128], WriteKind::ChangedData).unwrap();
         assert_eq!(w.invalidated, 1);
         assert!(!native.is_valid(0), "native copy cross-invalidated by remote write");
         let got = native.register_read(name, 0).unwrap();
         assert_eq!(got.data.as_deref().map(|d| d[0]), Some(9));
+        // Castout of the changed block, then an oversized (converted) write.
+        assert_eq!(cache.castout_candidates(8).unwrap(), [name]);
+        let (data, version) = cache.castout_read(name).unwrap();
+        assert_eq!((data.as_slice(), version), (&[9u8; 128][..], w.version));
+        cache.castout_complete(name, version).unwrap();
+        assert!(cache.castout_candidates(8).unwrap().is_empty());
+        cache.write_invalidate(name, &[9; 8192], WriteKind::ChangedData).unwrap();
+        native.write_invalidate(name, &[8; 128], WriteKind::ChangedData).unwrap();
+        assert!(!cache.is_valid(0).unwrap(), "remote copy cross-invalidated by native write");
+        vector_test(CommandClass::CacheAdmin);
+        cache.unregister(name).unwrap();
         cache.detach().unwrap();
+        did.native.absorb(native.stats());
 
-        // List: remote enqueue visible to the native consumer.
-        let list = RemoteListConnection::attach(Arc::clone(&transport), "WQ", 8).unwrap();
+        // List: monitors, the serializing lock, and every entry operation.
+        let list = RemoteListConnection::attach(Arc::clone(&transport), "WQ", 8).unwrap().with_policy(policy);
         let native = cf.connect_list("WQ", 8).unwrap();
-        let id = list.enqueue(0, 5, b"job", WritePosition::Tail, LockCondition::None).unwrap();
+        assert_ne!(list.conn_id(), native.conn_id());
+        list.register_monitor(1, 3).unwrap();
+        assert!(!list.is_signaled(3).unwrap());
+        vector_test(CommandClass::ListAdmin);
+        native.enqueue(1, 1, b"wake", WritePosition::Tail, none).unwrap();
+        assert!(list.is_signaled(3).unwrap(), "native enqueue signals the remote's monitor");
+        vector_test(CommandClass::ListAdmin);
+        list.deregister_monitor(1).unwrap();
+        assert_eq!(list.take(1, DequeueEnd::Head, none).unwrap().unwrap().data, b"wake");
+        assert!(list.acquire_list_lock(0).unwrap());
+        assert_eq!(native.list_lock_holder(0).unwrap(), Some(list.conn_id()));
+        list.release_list_lock(0).unwrap();
+        assert_eq!(list.list_lock_holder(0).unwrap(), None);
+        let id = list.enqueue(0, 5, b"job", WritePosition::Tail, none).unwrap();
         assert_eq!(list.header_len(0).unwrap(), 1);
         assert_eq!(list.read_entry(id).unwrap().data, b"job");
-        let taken = native.take(0, DequeueEnd::Head, LockCondition::None).unwrap().unwrap();
-        assert_eq!(taken.id, id);
+        let version = list.update(id, 6, &[7; 8192], None, none).unwrap();
+        assert_eq!(
+            list.scan(0).unwrap().iter().map(|e| (e.id, e.key, e.version)).collect::<Vec<_>>(),
+            [(id, 6, version)]
+        );
+        list.move_to(id, 2, WritePosition::Tail, none).unwrap();
+        assert!(list.transfer(id, 2, 3, WritePosition::Tail, none).unwrap());
+        assert!(!list.transfer(id, 2, 3, WritePosition::Tail, none).unwrap(), "no longer on header 2");
+        let claimed = list.claim_first(3, 0, DequeueEnd::Head, WritePosition::Tail, none).unwrap();
+        assert_eq!(claimed.map(|e| e.id), Some(id));
+        let taken = native.take(0, DequeueEnd::Head, none).unwrap().unwrap();
+        assert_eq!(taken.id, id, "remote entry visible to the native consumer");
+        let doomed = list.enqueue(0, 1, b"x", WritePosition::Head, none).unwrap();
+        list.delete(doomed, none).unwrap();
+        assert_eq!(list.read_entry(doomed).unwrap_err(), CfError::NoSuchEntry);
         list.detach().unwrap();
+        did.native.absorb(native.stats());
 
         // Probe: accounted like any other command.
         let before = cf.command_stats().issued();
-        probe(&*transport, CfCommand::new(crate::connection::CommandClass::LockRequest, 64)).unwrap();
+        probe(&*transport, CfCommand::new(CommandClass::LockRequest, 64)).unwrap();
         assert!(cf.command_stats().issued() > before);
+        did
     }
 
     #[test]
@@ -1438,14 +1389,7 @@ mod tests {
     #[test]
     fn tcp_backend_carries_all_three_models() {
         let cf = cf();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server_cf = Arc::clone(&cf);
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let per_conn = InProcessTransport::new(&server_cf);
-            let _ = serve_cf_stream(&per_conn, stream);
-        });
+        let (addr, server) = serve_one(&cf);
         let transport: Arc<dyn CfTransport> = Arc::new(TcpTransport::connect(addr).unwrap());
         assert_eq!(transport.backend(), TransportBackend::Tcp);
         exercise(Arc::clone(&transport), &cf);
@@ -1453,17 +1397,84 @@ mod tests {
         server.join().unwrap();
     }
 
+    /// `lock.rs`'s refused and accepted negotiated-force cases, restated
+    /// for a remote connector: `b` learns holders and generation from its
+    /// contention response, as a negotiating member does.
+    fn negotiated_force_cases(transport: Arc<dyn CfTransport>, cf: &Arc<CouplingFacility>) {
+        let x = LockMode::Exclusive;
+        let a = cf.connect_lock("L").unwrap();
+        let c = cf.connect_lock("L").unwrap();
+        let b = RemoteLockConnection::attach(transport, "L").unwrap();
+        let contend = |entry| match b.request_lock(entry, x).unwrap() {
+            LockResponse::Contention { holders, generation, .. } => (holders, generation),
+            LockResponse::Granted => panic!("entry {entry} must be held"),
+        };
+
+        // While b negotiated with {a}, a released and c was granted the
+        // freed entry: the negotiation says nothing about c.
+        assert!(a.request_lock(4, x).unwrap().is_granted());
+        let (holders, generation) = contend(4);
+        assert_eq!(holders, a.conn_id().mask());
+        a.release_lock(4).unwrap();
+        assert!(c.request_lock(4, x).unwrap().is_granted());
+        assert!(!b.force_interest_negotiated(4, x, holders, generation).unwrap());
+        assert_eq!(b.holders(4).unwrap(), (0, Some(c.conn_id())), "refused write left the entry untouched");
+
+        // a released and re-acquired: same holder set, moved generation.
+        assert!(a.request_lock(7, x).unwrap().is_granted());
+        let (holders, stale) = contend(7);
+        a.release_lock(7).unwrap();
+        assert!(a.request_lock(7, x).unwrap().is_granted());
+        assert!(!b.force_interest_negotiated(7, x, holders, stale).unwrap());
+        assert_eq!(b.holders(7).unwrap(), (0, Some(a.conn_id())), "a's re-acquired grant untouched");
+        // Renegotiating quotes the current generation and is accepted.
+        let (holders, current) = contend(7);
+        assert_ne!(current, stale, "departure bumps the generation");
+        assert!(b.force_interest_negotiated(7, x, holders, current).unwrap());
+        assert!(b.is_negotiate(7).unwrap());
+        assert_eq!(b.holders(7).unwrap(), (b.conn_id().mask(), Some(a.conn_id())));
+    }
+
+    #[test]
+    fn remote_negotiated_force_is_refused_and_accepted_like_native() {
+        let cf = cf();
+        negotiated_force_cases(Arc::new(InProcessTransport::new(&cf)), &cf);
+        let cf = self::cf();
+        let (addr, server) = serve_one(&cf);
+        negotiated_force_cases(Arc::new(TcpTransport::connect(addr).unwrap()), &cf);
+        server.join().unwrap();
+    }
+
+    /// A vector length is outside input: an attach frame claiming more
+    /// than `MAX_VECTOR_BITS` is answered with the typed error and the
+    /// session carries on.
+    #[test]
+    fn oversized_vector_len_is_refused_and_the_session_survives() {
+        let cf = cf();
+        let (addr, server) = serve_one(&cf);
+        let transport: Arc<dyn CfTransport> = Arc::new(TcpTransport::connect(addr).unwrap());
+        for req in [
+            WireRequest::AttachCache { structure: "GBP".into(), vector_len: u64::MAX },
+            WireRequest::AttachList { structure: "WQ".into(), vector_len: u64::MAX },
+            WireRequest::AttachCache {
+                structure: "GBP".into(),
+                vector_len: crate::types::MAX_VECTOR_BITS as u64 + 1,
+            },
+        ] {
+            let refused = transport.call(req).unwrap().into_result().unwrap_err();
+            assert!(matches!(refused, CfError::BadParameter(_)), "got {refused:?}");
+        }
+        let cache = RemoteCacheConnection::attach(Arc::clone(&transport), "GBP", 16).unwrap();
+        let name = BlockName::from_parts(1, 7);
+        assert_eq!(cache.write_invalidate(name, &[1; 64], WriteKind::ChangedData).unwrap().invalidated, 0);
+        drop((cache, transport));
+        server.join().unwrap();
+    }
+
     #[test]
     fn structure_errors_cross_the_wire_typed() {
         let cf = cf();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server_cf = Arc::clone(&cf);
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let per_conn = InProcessTransport::new(&server_cf);
-            let _ = serve_cf_stream(&per_conn, stream);
-        });
+        let (addr, server) = serve_one(&cf);
         let transport: Arc<dyn CfTransport> = Arc::new(TcpTransport::connect(addr).unwrap());
         assert_eq!(
             RemoteLockConnection::attach(Arc::clone(&transport), "NOPE").unwrap_err(),
@@ -1504,14 +1515,7 @@ mod tests {
     #[test]
     fn abandoned_session_retains_lock_interest_for_recovery() {
         let cf = cf();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server_cf = Arc::clone(&cf);
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let per_conn = InProcessTransport::new(&server_cf);
-            let _ = serve_cf_stream(&per_conn, stream);
-        });
+        let (addr, server) = serve_one(&cf);
         let transport: Arc<dyn CfTransport> = Arc::new(TcpTransport::connect(addr).unwrap());
         let lock = RemoteLockConnection::attach(Arc::clone(&transport), "L").unwrap();
         let slot = lock.conn_id();
@@ -1535,53 +1539,41 @@ mod tests {
     #[test]
     fn meter_mirrors_cf_accounting() {
         // Every tunnelled command through a metered in-process transport
-        // must account identically at the member meter and at the serving
-        // subchannel: same per-class issued/sync/async splits. This pins
-        // WireRequest::command against the descriptors the native
-        // connection methods issue under.
+        // must account identically at the member meter and at the
+        // facility: same per-class issued/sync/async splits, for every
+        // row `exercise` reaches. The meter classifies by the command
+        // table's descriptor column, the facility by the descriptor the
+        // native method issues under, so agreement pins them to the same
+        // constants.
         let cf = cf();
         let meter = TransportMeter::new();
         let inner: Arc<dyn CfTransport> = Arc::new(InProcessTransport::new(&cf));
         let transport: Arc<dyn CfTransport> = Arc::new(MeteredTransport::new(inner, Arc::clone(&meter)));
-
-        let lock = RemoteLockConnection::attach(Arc::clone(&transport), "L").unwrap();
-        let entry = lock.hash_resource(b"ACCT.1");
-        assert!(lock.request_lock(entry, LockMode::Exclusive).unwrap().is_granted());
-        lock.write_lock_record(b"ACCT.1", LockMode::Exclusive, b"undo").unwrap();
-        lock.release_lock(entry).unwrap();
-        let cache = RemoteCacheConnection::attach(Arc::clone(&transport), "GBP", 16).unwrap();
-        let name = BlockName::from_parts(1, 7);
-        cache.register_read(name, 0).unwrap();
-        cache.write_invalidate(name, &[9; 128], WriteKind::ChangedData).unwrap();
-        cache.write_invalidate(name, &[9; 8192], WriteKind::ChangedData).unwrap();
-        let list = RemoteListConnection::attach(Arc::clone(&transport), "WQ", 8).unwrap();
-        list.enqueue(0, 5, b"job", WritePosition::Tail, LockCondition::None).unwrap();
-        let entries = list.scan(0).unwrap();
-        assert_eq!(entries.len(), 1);
-        // An oversized update converts like an oversized enqueue; a
-        // retained-locks read does not (it is not bulk).
-        list.update(entries[0].id, 5, &[7; 8192], None, LockCondition::None).unwrap();
-        lock.retained_locks_of(lock.conn_id()).unwrap();
-        probe(&*transport, CfCommand::new(CommandClass::CacheRead, 64)).unwrap();
-        lock.detach(DisconnectMode::Normal).unwrap();
-        cache.detach().unwrap();
-        list.detach().unwrap();
+        let did = exercise(transport, &cf);
 
         let served = cf.command_stats();
         for class in CommandClass::ALL {
-            let m = meter.stats().class(class);
-            let s = served.class(class);
-            assert_eq!(m.issued.get(), s.issued.get(), "{}: issued", class.name());
-            assert_eq!(m.sync.get(), s.sync.get(), "{}: sync", class.name());
-            assert_eq!(m.async_converted.get(), s.async_converted.get(), "{}: async_converted", class.name());
-            assert_eq!(m.latency.samples(), m.issued.get(), "{}: one sample per command", class.name());
+            let (m, s) = (meter.stats().class(class), served.class(class));
+            let (native, wire_only) = (did.native.class(class), did.wire_only.class(class));
+            let name = class.name();
+            assert_eq!(
+                m.issued.get() - wire_only.issued.get() + native.issued.get(),
+                s.issued.get(),
+                "{name}: issued"
+            );
+            assert_eq!(m.sync.get() - wire_only.sync.get() + native.sync.get(), s.sync.get(), "{name}: sync");
+            assert_eq!(
+                m.async_converted.get() + native.async_converted.get(),
+                s.async_converted.get(),
+                "{name}: async_converted"
+            );
+            assert_eq!(m.latency.samples(), m.issued.get(), "{name}: one sample per command");
         }
-        let writes = served.class(CommandClass::ListWrite);
-        assert_eq!(
-            (writes.sync.get(), writes.async_converted.get()),
-            (1, 1),
-            "enqueue sync, update converted"
-        );
+        // An oversized update converts like an oversized write; a
+        // retained-locks read does not (it is not bulk).
+        let writes = meter.stats().class(CommandClass::ListWrite);
+        assert_eq!((writes.sync.get(), writes.async_converted.get()), (3, 1), "only the update converted");
+        assert_eq!(meter.stats().class(CommandClass::CacheWrite).async_converted.get(), 1);
         assert_eq!(served.class(CommandClass::LockAdmin).async_converted.get(), 0);
     }
 

@@ -11,6 +11,12 @@ pub const MAX_SYSTEMS: usize = 32;
 /// connector per system image.
 pub const MAX_CONNECTORS: usize = 32;
 
+/// Largest local bit vector or list-notification vector a connector may
+/// ask for at attach. The length arrives from outside (an attach frame),
+/// so it is bounded before anything is allocated for it; the largest
+/// in-repo caller uses 1 024.
+pub const MAX_VECTOR_BITS: usize = 1 << 24;
+
 /// Identity of one MVS system image in the sysplex (0..32).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SystemId(pub u8);

@@ -2,16 +2,23 @@
 //!
 //! The paper's coupling links carry architected message command blocks
 //! between a system's channel subsystem and the CF (§3.3). This module is
-//! the reproduction's equivalent: a compact, hand-rolled binary encoding of
-//! every CF operation ([`WireRequest`]), every result ([`WireResponse`]),
-//! the command descriptor ([`crate::connection::CfCommand`]) and the typed
+//! the reproduction's equivalent: a compact binary encoding of every CF
+//! operation ([`WireRequest`]), every result ([`WireResponse`]), the
+//! command descriptor ([`crate::connection::CfCommand`]) and the typed
 //! error set ([`CfError`]), plus the length-prefixed framing used on a
 //! byte stream.
 //!
+//! The command set is written once, as a table (`cf_commands!` below):
+//! each row gives a command's wire tag, its typed fields, the descriptor
+//! it is accounted under and the native call that serves it. The
+//! [`WireRequest`] enum, its codec, its classification and the serving
+//! dispatcher are all generated from those rows, so adding a CF command
+//! is one native connection method plus one row.
+//!
 //! Design constraints:
 //!
-//! * **No serde.** The workspace carries no serialization dependency; the
-//!   codec is explicit `put`/`get` pairs over a byte buffer, which also
+//! * **No serde.** The workspace carries no serialization dependency; a
+//!   type's encoding is its [`Wire`] impl over a byte buffer, which also
 //!   keeps the wire format stable and inspectable.
 //! * **Decode never trusts the peer.** Lengths are bounds-checked before
 //!   any allocation; unknown tags and truncated buffers surface as
@@ -20,15 +27,16 @@
 //!   malfunction, exactly like a garbled link transmission.
 //! * **Symmetric round trip.** For every value `v`: `decode(encode(v)) ==
 //!   v`. The property tests in `tests/wire_roundtrip.rs` pin this for
-//!   every variant.
+//!   every variant, and pin the bytes themselves against a golden sample.
 
 use crate::cache::{BlockName, RegisterResult, WriteKind, WriteResult};
 use crate::connection::{CfCommand, CommandClass};
-use crate::error::CfError;
+use crate::error::{CfError, CfResult};
 use crate::list::{DequeueEnd, EntryId, EntryView, LockCondition, WritePosition};
 use crate::lock::{DisconnectMode, LockMode, LockResponse, RetainedLock};
 use crate::stats::{HistogramSnapshot, HIST_BUCKETS};
-use crate::types::ConnId;
+use crate::transport::InProcessTransport;
+use crate::types::{ConnId, ConnMask};
 use std::io::{Read, Write};
 use std::sync::Arc;
 
@@ -122,11 +130,6 @@ impl WireWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Append a little-endian i64.
-    pub fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Append a length-prefixed byte slice.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_u32(v.len() as u32);
@@ -136,17 +139,6 @@ impl WireWriter {
     /// Append a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, v: &str) {
         self.put_bytes(v.as_bytes());
-    }
-
-    /// Append an optional u64 (presence byte + value).
-    pub fn put_opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            None => self.put_bool(false),
-            Some(x) => {
-                self.put_bool(true);
-                self.put_u64(x);
-            }
-        }
     }
 }
 
@@ -210,11 +202,6 @@ impl<'a> WireReader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// Read a little-endian i64.
-    pub fn get_i64(&mut self) -> Result<i64, WireError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
     /// Read a length-prefixed byte vector. The length is validated against
     /// both the frame budget and the bytes actually present **before** any
     /// allocation, so a corrupt length cannot balloon memory.
@@ -231,15 +218,6 @@ impl<'a> WireReader<'a> {
     pub fn get_str(&mut self) -> Result<String, WireError> {
         let b = self.get_bytes()?;
         String::from_utf8(b).map_err(|_| WireError::BadTag("utf8-string"))
-    }
-
-    /// Read an optional u64.
-    pub fn get_opt_u64(&mut self) -> Result<Option<u64>, WireError> {
-        if self.get_bool()? {
-            Ok(Some(self.get_u64()?))
-        } else {
-            Ok(None)
-        }
     }
 }
 
@@ -294,195 +272,350 @@ fn invalid_data(e: WireError) -> std::io::Error {
 }
 
 // ---------------------------------------------------------------------------
+// The `Wire` field trait
+// ---------------------------------------------------------------------------
+
+/// A value with exactly one wire encoding: `get(put(v)) == v`, and `get`
+/// rejects every byte string `put` cannot produce.
+///
+/// Every field of every request, response and error travels through this
+/// trait, so a type's encoding is written once however many commands
+/// carry it.
+pub trait Wire: Sized {
+    /// Append the encoding of `self`.
+    fn put(&self, w: &mut WireWriter);
+    /// Decode one value, consuming exactly its encoding.
+    fn get(r: &mut WireReader) -> Result<Self, WireError>;
+}
+
+impl Wire for bool {
+    fn put(&self, w: &mut WireWriter) {
+        w.put_bool(*self);
+    }
+    fn get(r: &mut WireReader) -> Result<Self, WireError> {
+        r.get_bool()
+    }
+}
+
+impl Wire for u32 {
+    fn put(&self, w: &mut WireWriter) {
+        w.put_u32(*self);
+    }
+    fn get(r: &mut WireReader) -> Result<Self, WireError> {
+        r.get_u32()
+    }
+}
+
+impl Wire for u64 {
+    fn put(&self, w: &mut WireWriter) {
+        w.put_u64(*self);
+    }
+    fn get(r: &mut WireReader) -> Result<Self, WireError> {
+        r.get_u64()
+    }
+}
+
+/// The one `u16` on the wire is a lock entry's generation, which travels
+/// as a 32-bit word. The high half must be zero: a garbled word must not
+/// decode to a *different* generation, the value the negotiated force
+/// compares.
+impl Wire for u16 {
+    fn put(&self, w: &mut WireWriter) {
+        w.put_u32(u32::from(*self));
+    }
+    fn get(r: &mut WireReader) -> Result<Self, WireError> {
+        u16::try_from(r.get_u32()?).map_err(|_| WireError::BadTag("lock-generation"))
+    }
+}
+
+/// Indices and counts travel as 64-bit words.
+impl Wire for usize {
+    fn put(&self, w: &mut WireWriter) {
+        w.put_u64(*self as u64);
+    }
+    fn get(r: &mut WireReader) -> Result<Self, WireError> {
+        Ok(r.get_u64()? as usize)
+    }
+}
+
+impl Wire for Vec<u8> {
+    fn put(&self, w: &mut WireWriter) {
+        w.put_bytes(self);
+    }
+    fn get(r: &mut WireReader) -> Result<Self, WireError> {
+        r.get_bytes()
+    }
+}
+
+impl Wire for String {
+    fn put(&self, w: &mut WireWriter) {
+        w.put_str(self);
+    }
+    fn get(r: &mut WireReader) -> Result<Self, WireError> {
+        r.get_str()
+    }
+}
+
+/// The labels [`CfError`] variants carry; decoded through [`intern_label`].
+impl Wire for &'static str {
+    fn put(&self, w: &mut WireWriter) {
+        w.put_str(self);
+    }
+    fn get(r: &mut WireReader) -> Result<Self, WireError> {
+        Ok(intern_label(&r.get_str()?))
+    }
+}
+
+/// A presence byte, then the value.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut WireWriter) {
+        w.put_bool(self.is_some());
+        self.put_rest(w);
+    }
+    fn get(r: &mut WireReader) -> Result<Self, WireError> {
+        let present = r.get_bool()?;
+        Self::get_rest(r, u8::from(present))
+    }
+}
+
+/// A 32-bit count, then the elements. Nothing is allocated for elements
+/// the buffer does not hold.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut WireWriter) {
+        w.put_u32(self.len() as u32);
+        for v in self {
+            v.put(w);
+        }
+    }
+    fn get(r: &mut WireReader) -> Result<Self, WireError> {
+        let n = r.get_u32()? as usize;
+        let mut out = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            out.push(T::get(r)?);
+        }
+        Ok(out)
+    }
+}
+
+impl<T: Wire> Wire for Arc<T> {
+    fn put(&self, w: &mut WireWriter) {
+        (**self).put(w);
+    }
+    fn get(r: &mut WireReader) -> Result<Self, WireError> {
+        T::get(r).map(Arc::new)
+    }
+}
+
+/// A two-variant payload whose variant byte rides in the enclosing enum's
+/// tag (`tag + sub_tag`) instead of following it: a row of [`wire_enum!`]
+/// written `tag | tag+1 Variant[field: Type]`.
+trait FoldedWire: Sized {
+    /// 0 or 1: which variant `self` is.
+    fn sub_tag(&self) -> u8;
+    /// Append the fields of `self`'s variant.
+    fn put_rest(&self, w: &mut WireWriter);
+    /// Decode the fields of variant `sub_tag`.
+    fn get_rest(r: &mut WireReader, sub_tag: u8) -> Result<Self, WireError>;
+}
+
+impl<T: Wire> FoldedWire for Option<T> {
+    fn sub_tag(&self) -> u8 {
+        u8::from(self.is_some())
+    }
+    fn put_rest(&self, w: &mut WireWriter) {
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+    fn get_rest(r: &mut WireReader, sub_tag: u8) -> Result<Self, WireError> {
+        Ok(if sub_tag == 0 { None } else { Some(T::get(r)?) })
+    }
+}
+
+impl FoldedWire for LockResponse {
+    fn sub_tag(&self) -> u8 {
+        u8::from(!self.is_granted())
+    }
+    fn put_rest(&self, w: &mut WireWriter) {
+        if let LockResponse::Contention { holders, exclusive, generation } = self {
+            holders.put(w);
+            exclusive.put(w);
+            generation.put(w);
+        }
+    }
+    fn get_rest(r: &mut WireReader, sub_tag: u8) -> Result<Self, WireError> {
+        Ok(if sub_tag == 0 {
+            LockResponse::Granted
+        } else {
+            LockResponse::Contention {
+                holders: Wire::get(r)?,
+                exclusive: Wire::get(r)?,
+                generation: Wire::get(r)?,
+            }
+        })
+    }
+}
+
+/// Encode `v` to a standalone byte vector.
+fn to_bytes<T: Wire>(v: &T) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    v.put(&mut w);
+    w.into_bytes()
+}
+
+/// Decode a `T` from a standalone byte vector, requiring exact consumption.
+fn from_bytes<T: Wire>(buf: &[u8]) -> Result<T, WireError> {
+    let mut r = WireReader::new(buf);
+    let v = T::get(&mut r)?;
+    r.finish()?;
+    Ok(v)
+}
+
+/// `Wire` for plain structs: the listed fields, in the order listed.
+macro_rules! wire_struct {
+    ($($S:ident { $($f:ident),* })*) => {$(
+        impl Wire for $S {
+            fn put(&self, w: &mut WireWriter) {
+                $( self.$f.put(w); )*
+            }
+            fn get(r: &mut WireReader) -> Result<Self, WireError> {
+                Ok($S { $( $f: Wire::get(r)? ),* })
+            }
+        }
+    )*};
+}
+
+/// A tagged enum on the wire. One row per variant — `tag Name`, `tag
+/// Name(field: Type)` or `tag Name { field: Type, .. }` — gives the
+/// variant, its tag byte, and its fields in wire order, so encode and
+/// decode cannot disagree. `pub enum` declares the enum from the rows as
+/// well; `impl Wire for` encodes one declared elsewhere. A `[field: Type]`
+/// row folds a [`FoldedWire`] payload's variant into the tag.
+macro_rules! wire_enum {
+    ($(#[$em:meta])* pub enum $E:ident($label:literal) { $($rows:tt)* }) => {
+        wire_enum!(@declare $(#[$em])* $E { $($rows)* });
+        wire_enum!(@codec $E($label) { $($rows)* });
+    };
+    (impl Wire for $E:ident($label:literal) { $($rows:tt)* }) => {
+        wire_enum!(@codec $E($label) { $($rows)* });
+    };
+    (@declare $(#[$em:meta])* $E:ident { $(
+        $(#[$m:meta])* $tag:literal $(| $alt:literal)? $name:ident
+        $({ $( $(#[$fm:meta])* $f:ident : $fty:ty ),* $(,)? })? $(( $p:ident : $pty:ty ))? $([ $q:ident : $qty:ty ])?
+    ),* $(,)? }) => {
+        $(#[$em])*
+        pub enum $E {
+            $( $(#[$m])* $name $({ $( $(#[$fm])* $f: $fty ),* })? $(( $pty ))? $(( $qty ))? ),*
+        }
+        impl $E {
+            /// Number of tag bytes the table assigns; they are dense from 0.
+            pub const COUNT: usize = [$( $tag, $($alt,)? )*].len();
+            /// Encode into an existing writer (lets an outer protocol embed
+            /// the value in its own envelope).
+            pub fn encode_into(&self, w: &mut WireWriter) {
+                self.put(w);
+            }
+            /// Decode from a reader positioned at a value (inverse of
+            /// `encode_into`).
+            pub fn decode_from(r: &mut WireReader) -> Result<Self, WireError> {
+                Self::get(r)
+            }
+            /// Encode to a standalone byte vector.
+            pub fn encode(&self) -> Vec<u8> {
+                to_bytes(self)
+            }
+            /// Decode from a standalone byte vector, requiring exact consumption.
+            pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
+                from_bytes(buf)
+            }
+        }
+    };
+    (@codec $E:ident($label:literal) { $(
+        $(#[$m:meta])* $tag:literal $(| $alt:literal)? $name:ident
+        $({ $( $(#[$fm:meta])* $f:ident : $fty:ty ),* $(,)? })? $(( $p:ident : $pty:ty ))? $([ $q:ident : $qty:ty ])?
+    ),* $(,)? }) => {
+        impl Wire for $E {
+            fn put(&self, w: &mut WireWriter) {
+                match self {$(
+                    Self::$name $({ $($f),* })? $(( $p ))? $(( $q ))? => {
+                        w.put_u8($tag $(+ $q.sub_tag())?);
+                        $($( $f.put(w); )*)? $( $p.put(w); )? $( $q.put_rest(w); )?
+                    }
+                )*}
+            }
+            fn get(r: &mut WireReader) -> Result<Self, WireError> {
+                let tag = r.get_u8()?;
+                Ok(match tag {
+                    $( $tag $(| $alt)? => Self::$name
+                        $({ $( $f: Wire::get(r)? ),* })?
+                        $(( <$pty as Wire>::get(r)? ))?
+                        $(( <$qty as FoldedWire>::get_rest(r, tag - $tag)? ))?, )*
+                    _ => return Err(WireError::BadTag($label)),
+                })
+            }
+        }
+    };
+}
+
+// ---------------------------------------------------------------------------
 // Leaf codecs
 // ---------------------------------------------------------------------------
 
-fn put_conn(w: &mut WireWriter, c: ConnId) {
-    w.put_u8(c.raw());
-}
-
-fn get_conn(r: &mut WireReader) -> Result<ConnId, WireError> {
-    let raw = r.get_u8()?;
-    if raw as usize >= crate::types::MAX_CONNECTORS {
-        return Err(WireError::BadTag("conn-id"));
+impl Wire for ConnId {
+    fn put(&self, w: &mut WireWriter) {
+        w.put_u8(self.raw());
     }
-    Ok(ConnId::from_raw(raw))
-}
-
-fn put_opt_conn(w: &mut WireWriter, c: Option<ConnId>) {
-    match c {
-        None => w.put_bool(false),
-        Some(c) => {
-            w.put_bool(true);
-            put_conn(w, c);
+    fn get(r: &mut WireReader) -> Result<Self, WireError> {
+        let raw = r.get_u8()?;
+        if raw as usize >= crate::types::MAX_CONNECTORS {
+            return Err(WireError::BadTag("conn-id"));
         }
+        Ok(ConnId::from_raw(raw))
     }
 }
 
-fn get_opt_conn(r: &mut WireReader) -> Result<Option<ConnId>, WireError> {
-    if r.get_bool()? {
-        Ok(Some(get_conn(r)?))
-    } else {
-        Ok(None)
+/// A block name is its 16 bytes, unprefixed.
+impl Wire for BlockName {
+    fn put(&self, w: &mut WireWriter) {
+        w.buf.extend_from_slice(self.as_bytes());
+    }
+    fn get(r: &mut WireReader) -> Result<Self, WireError> {
+        Ok(BlockName::from_bytes(r.take(16)?))
     }
 }
 
-fn put_lock_mode(w: &mut WireWriter, m: LockMode) {
-    w.put_u8(match m {
-        LockMode::Shared => 0,
-        LockMode::Exclusive => 1,
-    });
-}
-
-fn get_lock_mode(r: &mut WireReader) -> Result<LockMode, WireError> {
-    match r.get_u8()? {
-        0 => Ok(LockMode::Shared),
-        1 => Ok(LockMode::Exclusive),
-        _ => Err(WireError::BadTag("lock-mode")),
+impl Wire for EntryId {
+    fn put(&self, w: &mut WireWriter) {
+        w.put_u64(self.0);
+    }
+    fn get(r: &mut WireReader) -> Result<Self, WireError> {
+        r.get_u64().map(EntryId)
     }
 }
 
-fn put_disconnect_mode(w: &mut WireWriter, m: DisconnectMode) {
-    w.put_u8(match m {
-        DisconnectMode::Normal => 0,
-        DisconnectMode::Abnormal => 1,
-    });
-}
-
-fn get_disconnect_mode(r: &mut WireReader) -> Result<DisconnectMode, WireError> {
-    match r.get_u8()? {
-        0 => Ok(DisconnectMode::Normal),
-        1 => Ok(DisconnectMode::Abnormal),
-        _ => Err(WireError::BadTag("disconnect-mode")),
+/// A [`CommandClass`] travels as its stable report index.
+impl Wire for CommandClass {
+    fn put(&self, w: &mut WireWriter) {
+        w.put_u8(self.index() as u8);
+    }
+    fn get(r: &mut WireReader) -> Result<Self, WireError> {
+        CommandClass::ALL.get(r.get_u8()? as usize).copied().ok_or(WireError::BadTag("command-class"))
     }
 }
 
-fn put_write_kind(w: &mut WireWriter, k: WriteKind) {
-    w.put_u8(match k {
-        WriteKind::CleanData => 0,
-        WriteKind::ChangedData => 1,
-        WriteKind::InvalidateOnly => 2,
-    });
-}
+wire_enum!(impl Wire for LockMode("lock-mode") { 0 Shared, 1 Exclusive });
+wire_enum!(impl Wire for DisconnectMode("disconnect-mode") { 0 Normal, 1 Abnormal });
+wire_enum!(impl Wire for WriteKind("write-kind") { 0 CleanData, 1 ChangedData, 2 InvalidateOnly });
+wire_enum!(impl Wire for WritePosition("write-position") { 0 Head, 1 Tail, 2 Keyed });
+wire_enum!(impl Wire for DequeueEnd("dequeue-end") { 0 Head, 1 Tail });
+wire_enum!(impl Wire for LockCondition("lock-condition") { 0 None, 1 LockFree(i: usize), 2 HeldBySelf(i: usize) });
 
-fn get_write_kind(r: &mut WireReader) -> Result<WriteKind, WireError> {
-    match r.get_u8()? {
-        0 => Ok(WriteKind::CleanData),
-        1 => Ok(WriteKind::ChangedData),
-        2 => Ok(WriteKind::InvalidateOnly),
-        _ => Err(WireError::BadTag("write-kind")),
-    }
-}
-
-fn put_position(w: &mut WireWriter, p: WritePosition) {
-    w.put_u8(match p {
-        WritePosition::Head => 0,
-        WritePosition::Tail => 1,
-        WritePosition::Keyed => 2,
-    });
-}
-
-fn get_position(r: &mut WireReader) -> Result<WritePosition, WireError> {
-    match r.get_u8()? {
-        0 => Ok(WritePosition::Head),
-        1 => Ok(WritePosition::Tail),
-        2 => Ok(WritePosition::Keyed),
-        _ => Err(WireError::BadTag("write-position")),
-    }
-}
-
-fn put_end(w: &mut WireWriter, e: DequeueEnd) {
-    w.put_u8(match e {
-        DequeueEnd::Head => 0,
-        DequeueEnd::Tail => 1,
-    });
-}
-
-fn get_end(r: &mut WireReader) -> Result<DequeueEnd, WireError> {
-    match r.get_u8()? {
-        0 => Ok(DequeueEnd::Head),
-        1 => Ok(DequeueEnd::Tail),
-        _ => Err(WireError::BadTag("dequeue-end")),
-    }
-}
-
-fn put_cond(w: &mut WireWriter, c: LockCondition) {
-    match c {
-        LockCondition::None => w.put_u8(0),
-        LockCondition::LockFree(i) => {
-            w.put_u8(1);
-            w.put_u64(i as u64);
-        }
-        LockCondition::HeldBySelf(i) => {
-            w.put_u8(2);
-            w.put_u64(i as u64);
-        }
-    }
-}
-
-fn get_cond(r: &mut WireReader) -> Result<LockCondition, WireError> {
-    match r.get_u8()? {
-        0 => Ok(LockCondition::None),
-        1 => Ok(LockCondition::LockFree(r.get_u64()? as usize)),
-        2 => Ok(LockCondition::HeldBySelf(r.get_u64()? as usize)),
-        _ => Err(WireError::BadTag("lock-condition")),
-    }
-}
-
-fn put_block(w: &mut WireWriter, b: BlockName) {
-    w.buf.extend_from_slice(b.as_bytes());
-}
-
-fn get_block(r: &mut WireReader) -> Result<BlockName, WireError> {
-    Ok(BlockName::from_bytes(r.take(16)?))
-}
-
-fn put_entry_view(w: &mut WireWriter, e: &EntryView) {
-    w.put_u64(e.id.0);
-    w.put_u64(e.key);
-    w.put_bytes(&e.data);
-    w.put_u64(e.header as u64);
-    w.put_u64(e.version);
-}
-
-fn get_entry_view(r: &mut WireReader) -> Result<EntryView, WireError> {
-    Ok(EntryView {
-        id: EntryId(r.get_u64()?),
-        key: r.get_u64()?,
-        data: r.get_bytes()?,
-        header: r.get_u64()? as usize,
-        version: r.get_u64()?,
-    })
-}
-
-/// Encode a [`CommandClass`] by its stable report index.
-pub fn put_command_class(w: &mut WireWriter, c: CommandClass) {
-    w.put_u8(c.index() as u8);
-}
-
-/// Decode a [`CommandClass`] from its stable report index.
-pub fn get_command_class(r: &mut WireReader) -> Result<CommandClass, WireError> {
-    let i = r.get_u8()? as usize;
-    CommandClass::ALL.get(i).copied().ok_or(WireError::BadTag("command-class"))
-}
-
-/// Encode a full [`CfCommand`] descriptor (class, payload size, bulk flag).
-pub fn put_cf_command(w: &mut WireWriter, c: &CfCommand) {
-    put_command_class(w, c.class);
-    w.put_u64(c.payload_bytes as u64);
-    w.put_bool(c.bulk);
-}
-
-/// Decode a [`CfCommand`] descriptor.
-pub fn get_cf_command(r: &mut WireReader) -> Result<CfCommand, WireError> {
-    let class = get_command_class(r)?;
-    let payload_bytes = r.get_u64()? as usize;
-    let bulk = r.get_bool()?;
-    let mut cmd = CfCommand::new(class, payload_bytes);
-    if bulk {
-        cmd = cmd.bulk();
-    }
-    Ok(cmd)
+wire_struct! {
+    CfCommand { class, payload_bytes, bulk }
+    EntryView { id, key, data, header, version }
+    RetainedLock { resource, mode, payload }
+    RegisterResult { data, version, changed }
+    WriteResult { invalidated, version }
 }
 
 /// Map a decoded label back to the `&'static str` the [`CfError`] variants
@@ -504,72 +637,25 @@ pub fn intern_label(s: &str) -> &'static str {
     "remote"
 }
 
-/// Encode a [`CfError`].
-pub fn put_cf_error(w: &mut WireWriter, e: &CfError) {
-    match e {
-        CfError::NoSuchStructure(n) => {
-            w.put_u8(0);
-            w.put_str(n);
-        }
-        CfError::StructureExists(n) => {
-            w.put_u8(1);
-            w.put_str(n);
-        }
-        CfError::StructureFull => w.put_u8(2),
-        CfError::FacilityFull => w.put_u8(3),
-        CfError::NoConnectorSlots => w.put_u8(4),
-        CfError::BadConnector => w.put_u8(5),
-        CfError::NoSuchEntry => w.put_u8(6),
-        CfError::VersionMismatch { expected, found } => {
-            w.put_u8(7);
-            w.put_u64(*expected);
-            w.put_u64(*found);
-        }
-        CfError::LockHeld { holder } => {
-            w.put_u8(8);
-            put_conn(w, *holder);
-        }
-        CfError::NotLockHolder => w.put_u8(9),
-        CfError::BadParameter(p) => {
-            w.put_u8(10);
-            w.put_str(p);
-        }
-        CfError::WrongModel => w.put_u8(11),
-        CfError::LinkTimeout(c) => {
-            w.put_u8(12);
-            w.put_str(c);
-        }
-        CfError::InterfaceControlCheck(c) => {
-            w.put_u8(13);
-            w.put_str(c);
-        }
-    }
-}
-
-/// Decode a [`CfError`]. `&'static str` payloads are re-interned against
-/// the known label set (see [`intern_label`]).
-pub fn get_cf_error(r: &mut WireReader) -> Result<CfError, WireError> {
-    Ok(match r.get_u8()? {
-        0 => CfError::NoSuchStructure(r.get_str()?),
-        1 => CfError::StructureExists(r.get_str()?),
-        2 => CfError::StructureFull,
-        3 => CfError::FacilityFull,
-        4 => CfError::NoConnectorSlots,
-        5 => CfError::BadConnector,
-        6 => CfError::NoSuchEntry,
-        7 => CfError::VersionMismatch { expected: r.get_u64()?, found: r.get_u64()? },
-        8 => CfError::LockHeld { holder: get_conn(r)? },
-        9 => CfError::NotLockHolder,
-        10 => CfError::BadParameter(intern_label(&r.get_str()?)),
-        11 => CfError::WrongModel,
-        12 => CfError::LinkTimeout(intern_label(&r.get_str()?)),
-        13 => CfError::InterfaceControlCheck(intern_label(&r.get_str()?)),
-        _ => return Err(WireError::BadTag("cf-error")),
-    })
-}
+wire_enum!(impl Wire for CfError("cf-error") {
+    0 NoSuchStructure(n: String),
+    1 StructureExists(n: String),
+    2 StructureFull,
+    3 FacilityFull,
+    4 NoConnectorSlots,
+    5 BadConnector,
+    6 NoSuchEntry,
+    7 VersionMismatch { expected: u64, found: u64 },
+    8 LockHeld { holder: ConnId },
+    9 NotLockHolder,
+    10 BadParameter(p: &'static str),
+    11 WrongModel,
+    12 LinkTimeout(c: &'static str),
+    13 InterfaceControlCheck(c: &'static str),
+});
 
 // ---------------------------------------------------------------------------
-// Requests
+// The CF command table
 // ---------------------------------------------------------------------------
 
 /// A transport-level handle naming one attached connection at the serving
@@ -577,367 +663,428 @@ pub fn get_cf_error(r: &mut WireReader) -> Result<CfError, WireError> {
 /// transports.
 pub type WireHandle = u32;
 
-/// One CF operation as it travels over a transport.
+/// What the command table says about one request, for callers that
+/// classify a request rather than execute it (meters, link-error labels).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Row<'a> {
+    /// The descriptor the serving connection issues the request under.
+    pub cmd: CfCommand,
+    /// The attached handle the request addresses (`None`: attach, probe).
+    pub handle: Option<WireHandle>,
+    /// The structure an attach request names.
+    pub attach: Option<&'a str>,
+    /// The row's `[Flag]`, if it has one.
+    pub flag: Option<Flag>,
+}
+
+/// What a `[Flag]` on a command-table row says that its descriptor does not.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Flag {
+    /// The command records interest without asking.
+    Force,
+    /// The command retires its handle when it succeeds.
+    Detach,
+}
+
+/// The CF command set, one row per command:
 ///
-/// Attach operations name structures and mint a [`WireHandle`]; every
-/// other operation addresses a previously attached handle. The variants
-/// mirror the connection-layer API one-for-one so a remote connection can
-/// offer the same method surface as a native one.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireRequest {
-    /// Attach to a lock structure (any free slot).
-    AttachLock {
-        /// Structure name.
-        structure: String,
-    },
-    /// Attach to a lock structure claiming a specific slot.
-    AttachLockSlot {
-        /// Structure name.
-        structure: String,
-        /// Connector slot to claim.
-        slot: ConnId,
-    },
-    /// Attach to a cache structure.
-    AttachCache {
-        /// Structure name.
-        structure: String,
-        /// Local bit-vector length.
-        vector_len: u64,
-    },
-    /// Attach to a list structure.
-    AttachList {
-        /// Structure name.
-        structure: String,
-        /// Notification-vector length.
-        vector_len: u64,
-    },
-    /// [`crate::connection::LockConnection::request_lock`].
-    LockRequest {
-        /// Attached handle.
-        handle: WireHandle,
-        /// Lock-table entry.
-        entry: u64,
-        /// Requested mode.
-        mode: LockMode,
-    },
-    /// [`crate::connection::LockConnection::force_interest`].
-    LockForce {
-        /// Attached handle.
-        handle: WireHandle,
-        /// Lock-table entry.
-        entry: u64,
-        /// Mode to record.
-        mode: LockMode,
-    },
-    /// [`crate::connection::LockConnection::release_lock`].
-    LockRelease {
-        /// Attached handle.
-        handle: WireHandle,
-        /// Lock-table entry.
-        entry: u64,
-    },
-    /// [`crate::connection::LockConnection::holders`].
-    LockHolders {
-        /// Attached handle.
-        handle: WireHandle,
-        /// Lock-table entry.
-        entry: u64,
-    },
-    /// [`crate::connection::LockConnection::is_negotiate`].
-    LockIsNegotiate {
-        /// Attached handle.
-        handle: WireHandle,
-        /// Lock-table entry.
-        entry: u64,
-    },
-    /// [`crate::connection::LockConnection::write_lock_record`].
-    LockWriteRecord {
-        /// Attached handle.
-        handle: WireHandle,
-        /// Resource name.
-        resource: Vec<u8>,
-        /// Mode held.
-        mode: LockMode,
-        /// Record payload.
-        payload: Vec<u8>,
-    },
-    /// [`crate::connection::LockConnection::delete_lock_record`].
-    LockDeleteRecord {
-        /// Attached handle.
-        handle: WireHandle,
-        /// Resource name.
-        resource: Vec<u8>,
-    },
-    /// [`crate::connection::LockConnection::retained_locks_of`].
-    LockRetainedOf {
-        /// Attached handle.
-        handle: WireHandle,
-        /// Failed peer's slot.
-        peer: ConnId,
-    },
-    /// [`crate::connection::LockConnection::is_failed_persistent`].
-    LockIsFailedPersistent {
-        /// Attached handle.
-        handle: WireHandle,
-        /// Peer slot queried.
-        peer: ConnId,
-    },
-    /// [`crate::connection::LockConnection::recovery_complete_for`].
-    LockRecoveryComplete {
-        /// Attached handle.
-        handle: WireHandle,
-        /// Recovered peer's slot.
-        peer: ConnId,
-    },
-    /// [`crate::connection::LockConnection::detach`].
-    LockDetach {
-        /// Attached handle.
-        handle: WireHandle,
-        /// Orderly or failure disconnect.
-        mode: DisconnectMode,
-    },
-    /// [`crate::connection::LockConnection::detach_peer`].
-    LockDetachPeer {
-        /// Attached handle.
-        handle: WireHandle,
-        /// Peer slot to disconnect.
-        peer: ConnId,
-        /// Orderly or failure disconnect.
-        mode: DisconnectMode,
-    },
-    /// [`crate::connection::CacheConnection::register_read`].
-    CacheRead {
-        /// Attached handle.
-        handle: WireHandle,
-        /// Block name.
-        name: BlockName,
-        /// Local-vector index to register.
-        vector_index: u32,
-    },
-    /// [`crate::connection::CacheConnection::write_invalidate`].
-    CacheWrite {
-        /// Attached handle.
-        handle: WireHandle,
-        /// Block name.
-        name: BlockName,
-        /// Block data.
-        data: Vec<u8>,
-        /// What the write stores.
-        kind: WriteKind,
-    },
-    /// [`crate::connection::CacheConnection::unregister`].
-    CacheUnregister {
-        /// Attached handle.
-        handle: WireHandle,
-        /// Block name.
-        name: BlockName,
-    },
-    /// [`crate::connection::CacheConnection::castout_candidates`].
-    CacheCastoutCandidates {
-        /// Attached handle.
-        handle: WireHandle,
-        /// Maximum candidates returned.
-        max: u64,
-    },
-    /// [`crate::connection::CacheConnection::castout_read`].
-    CacheCastoutRead {
-        /// Attached handle.
-        handle: WireHandle,
-        /// Block name.
-        name: BlockName,
-    },
-    /// [`crate::connection::CacheConnection::castout_complete`].
-    CacheCastoutComplete {
-        /// Attached handle.
-        handle: WireHandle,
-        /// Block name.
-        name: BlockName,
-        /// Version hardened to DASD.
-        version: u64,
-    },
-    /// Remote form of [`crate::connection::CacheConnection::is_valid`]:
-    /// over a wire transport the "local" bit vector lives at the serving
-    /// end, so the validity test costs a round trip — exactly the cost the
-    /// paper's in-memory vector exists to avoid (documented trade-off).
-    CacheIsValid {
-        /// Attached handle.
-        handle: WireHandle,
-        /// Vector index to test.
-        vector_index: u32,
-    },
-    /// [`crate::connection::CacheConnection::detach`].
-    CacheDetach {
-        /// Attached handle.
-        handle: WireHandle,
-    },
-    /// [`crate::connection::ListConnection::enqueue`].
-    ListEnqueue {
-        /// Attached handle.
-        handle: WireHandle,
-        /// Target header.
-        header: u64,
-        /// Collating key.
-        key: u64,
-        /// Entry data.
-        data: Vec<u8>,
-        /// Placement.
-        position: WritePosition,
-        /// Serialized-list condition.
-        cond: LockCondition,
-    },
-    /// [`crate::connection::ListConnection::update`].
-    ListUpdate {
-        /// Attached handle.
-        handle: WireHandle,
-        /// Entry identity.
-        id: EntryId,
-        /// New collating key.
-        key: u64,
-        /// New data.
-        data: Vec<u8>,
-        /// Version guard.
-        expected_version: Option<u64>,
-        /// Serialized-list condition.
-        cond: LockCondition,
-    },
-    /// [`crate::connection::ListConnection::read_entry`].
-    ListReadEntry {
-        /// Attached handle.
-        handle: WireHandle,
-        /// Entry identity.
-        id: EntryId,
-    },
-    /// [`crate::connection::ListConnection::delete`].
-    ListDelete {
-        /// Attached handle.
-        handle: WireHandle,
-        /// Entry identity.
-        id: EntryId,
-        /// Serialized-list condition.
-        cond: LockCondition,
-    },
-    /// [`crate::connection::ListConnection::move_to`].
-    ListMoveTo {
-        /// Attached handle.
-        handle: WireHandle,
-        /// Entry identity.
-        id: EntryId,
-        /// Destination header.
-        to_header: u64,
-        /// Placement.
-        position: WritePosition,
-        /// Serialized-list condition.
-        cond: LockCondition,
-    },
-    /// [`crate::connection::ListConnection::transfer`].
-    ListTransfer {
-        /// Attached handle.
-        handle: WireHandle,
-        /// Entry identity.
-        id: EntryId,
-        /// Expected source header.
-        from_header: u64,
-        /// Destination header.
-        to_header: u64,
-        /// Placement.
-        position: WritePosition,
-        /// Serialized-list condition.
-        cond: LockCondition,
-    },
-    /// [`crate::connection::ListConnection::claim_first`].
-    ListClaimFirst {
-        /// Attached handle.
-        handle: WireHandle,
-        /// Source header.
-        from: u64,
-        /// Destination header.
-        to: u64,
-        /// Which end to take from.
-        end: DequeueEnd,
-        /// Placement on the destination.
-        position: WritePosition,
-        /// Serialized-list condition.
-        cond: LockCondition,
-    },
-    /// [`crate::connection::ListConnection::take`].
-    ListTake {
-        /// Attached handle.
-        handle: WireHandle,
-        /// Header to dequeue from.
-        header: u64,
-        /// Which end to take from.
-        end: DequeueEnd,
-        /// Serialized-list condition.
-        cond: LockCondition,
-    },
-    /// [`crate::connection::ListConnection::scan`].
-    ListScan {
-        /// Attached handle.
-        handle: WireHandle,
-        /// Header to read.
-        header: u64,
-    },
-    /// [`crate::connection::ListConnection::header_len`].
-    ListHeaderLen {
-        /// Attached handle.
-        handle: WireHandle,
-        /// Header queried.
-        header: u64,
-    },
-    /// [`crate::connection::ListConnection::acquire_list_lock`].
-    ListLockAcquire {
-        /// Attached handle.
-        handle: WireHandle,
-        /// Serializing lock entry.
-        entry: u64,
-    },
-    /// [`crate::connection::ListConnection::release_list_lock`].
-    ListLockRelease {
-        /// Attached handle.
-        handle: WireHandle,
-        /// Serializing lock entry.
-        entry: u64,
-    },
-    /// [`crate::connection::ListConnection::list_lock_holder`].
-    ListLockHolder {
-        /// Attached handle.
-        handle: WireHandle,
-        /// Serializing lock entry.
-        entry: u64,
-    },
-    /// [`crate::connection::ListConnection::register_monitor`].
-    ListMonitor {
-        /// Attached handle.
-        handle: WireHandle,
-        /// Header to monitor.
-        header: u64,
-        /// Notification-vector index.
-        vector_index: u32,
-    },
-    /// [`crate::connection::ListConnection::deregister_monitor`].
-    ListDeregisterMonitor {
-        /// Attached handle.
-        handle: WireHandle,
-        /// Header to stop monitoring.
-        header: u64,
-    },
-    /// Remote form of [`crate::connection::ListConnection::is_signaled`]
-    /// (same round-trip trade-off as [`WireRequest::CacheIsValid`]).
-    ListIsSignaled {
-        /// Attached handle.
-        handle: WireHandle,
-        /// Notification-vector index to test.
-        vector_index: u32,
-    },
-    /// [`crate::connection::ListConnection::detach`].
-    ListDetach {
-        /// Attached handle.
-        handle: WireHandle,
-    },
-    /// A no-op command of the given shape, issued through the serving
-    /// subchannel purely for its accounting and service time — remote
-    /// members use probes to measure CF command latency over the wire.
-    Probe(CfCommand),
+/// ```text
+/// /// doc
+/// tag Name [Flag] { fields } descriptor => |c| response;
+/// ```
+///
+/// `tag` is the request's wire tag. The fields, in wire order, become the
+/// variant's fields after `structure: String` (an `attach` row) or `handle:
+/// WireHandle` (an `on <model>` row). `descriptor` is the [`CfCommand`]
+/// the command is accounted under — the same constant the native method
+/// issues — and may read the fields. `response` is what the serving end
+/// answers: the native call on `c`, the connection `handle` names (`t`,
+/// the serving transport, for attach and probe rows), inside the response
+/// variant that carries its result. From the rows come [`WireRequest`]
+/// and its codec (through [`wire_enum!`]), `WireRequest::row` and
+/// `WireRequest::serve`.
+macro_rules! cf_commands {
+    (
+        $(#[$em:meta])* pub enum $E:ident($label:literal);
+        attach {$(
+            $(#[$am:meta])* $atag:literal $aname:ident
+            { $( $(#[$afm:meta])* $af:ident : $afty:ty ),* $(,)? } $acmd:expr => |$at:ident, $as:ident| $aserve:expr;
+        )*}
+        $( on $ep:ident {$(
+            $(#[$m:meta])* $tag:literal $name:ident $([$flag:ident])?
+            { $( $(#[$fm:meta])* $f:ident : $fty:ty ),* $(,)? } $cmd:expr => |$c:ident| $serve:expr;
+        )*} )*
+        probe { $(#[$pm:meta])* $ptag:literal $pname:ident($pf:ident : $pty:ty) => |$pt:ident| $pserve:expr; }
+    ) => {
+        wire_enum! {
+            $(#[$em])* pub enum $E($label) {
+                $( $(#[$am])* $atag $aname {
+                    /// Structure name.
+                    structure: String,
+                    $( $(#[$afm])* $af: $afty ),*
+                }, )*
+                $($( $(#[$m])* $tag $name {
+                    /// Attached handle.
+                    handle: WireHandle,
+                    $( $(#[$fm])* $f: $fty ),*
+                }, )*)*
+                $(#[$pm])* $ptag $pname($pf: $pty),
+            }
+        }
+
+        impl $E {
+            /// This request's row of the command table.
+            #[allow(unused_variables)]
+            pub(crate) fn row(&self) -> Row<'_> {
+                match self {
+                    $( Self::$aname { structure, $($af),* } => {
+                        Row { cmd: $acmd, handle: None, attach: Some(structure), flag: None }
+                    } )*
+                    $($( Self::$name { handle, $($f),* } => {
+                        Row { cmd: $cmd, handle: Some(*handle), attach: None, flag: [$(Flag::$flag)?].first().copied() }
+                    } )*)*
+                    Self::$pname($pf) => Row { cmd: *$pf, handle: None, attach: None, flag: None },
+                }
+            }
+
+            /// Execute this request at the serving end: the row's native
+            /// call on the connection its handle names in `t`.
+            pub(crate) fn serve(self, t: &InProcessTransport) -> CfResult<WireResponse> {
+                Ok(match self {
+                    $( Self::$aname { structure: $as, $($af),* } => { let $at = t; $aserve } )*
+                    $($( Self::$name { handle, $($f),* } => { let $c = t.$ep(handle)?; $serve } )*)*
+                    Self::$pname($pf) => { let $pt = t; $pserve }
+                })
+            }
+        }
+    };
+}
+
+use WireResponse as P;
+
+/// The answer to a command that returns nothing.
+fn unit((): ()) -> WireResponse {
+    P::Unit
+}
+
+cf_commands! {
+    /// One CF operation as it travels over a transport.
+    ///
+    /// Attach operations name structures and mint a [`WireHandle`]; every
+    /// other operation addresses a previously attached handle. The variants
+    /// are the rows of the command table in this module.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum WireRequest("wire-request");
+    attach {
+        /// Attach to a lock structure (any free slot).
+        0 AttachLock {} CfCommand::LOCK_CONNECT => |t, structure| t.attach_lock(&structure, None)?;
+        /// Attach to a lock structure claiming a specific slot.
+        1 AttachLockSlot {
+            /// Connector slot to claim.
+            slot: ConnId,
+        } CfCommand::LOCK_CONNECT => |t, structure| t.attach_lock(&structure, Some(slot))?;
+        /// Attach to a cache structure.
+        2 AttachCache {
+            /// Local bit-vector length.
+            vector_len: u64,
+        } CfCommand::CACHE_DIRECTORY => |t, structure| t.attach_cache(&structure, vector_len)?;
+        /// Attach to a list structure.
+        3 AttachList {
+            /// Notification-vector length.
+            vector_len: u64,
+        } CfCommand::LIST_DIRECTORY => |t, structure| t.attach_list(&structure, vector_len)?;
+    }
+    on lock {
+        /// [`crate::connection::LockConnection::request_lock`].
+        4 LockRequest {
+            /// Lock-table entry.
+            entry: u64,
+            /// Requested mode.
+            mode: LockMode,
+        } CfCommand::LOCK_REQUEST => |c| P::Lock(c.request_lock(entry as usize, mode)?);
+        /// [`crate::connection::LockConnection::force_interest`].
+        5 LockForce [Force] {
+            /// Lock-table entry.
+            entry: u64,
+            /// Mode to record.
+            mode: LockMode,
+        } CfCommand::LOCK_REQUEST => |c| unit(c.force_interest(entry as usize, mode)?);
+        /// [`crate::connection::LockConnection::force_interest_negotiated`]:
+        /// the compare-and-swap a negotiation ends with. Answered
+        /// `Bool(false)` when refused.
+        42 LockForceNegotiated [Force] {
+            /// Lock-table entry.
+            entry: u64,
+            /// Mode to record.
+            mode: LockMode,
+            /// The holders the requester negotiated with.
+            negotiated: ConnMask,
+            /// Entry generation quoted by the contention response.
+            generation: u16,
+        } CfCommand::LOCK_REQUEST => |c| {
+            P::Bool(c.force_interest_negotiated(entry as usize, mode, negotiated, generation)?)
+        };
+        /// [`crate::connection::LockConnection::release_lock`].
+        6 LockRelease {
+            /// Lock-table entry.
+            entry: u64,
+        } CfCommand::LOCK_RELEASE => |c| unit(c.release_lock(entry as usize)?);
+        /// [`crate::connection::LockConnection::holders`].
+        7 LockHolders {
+            /// Lock-table entry.
+            entry: u64,
+        } CfCommand::LOCK_QUERY => |c| {
+            let (mask, exclusive) = c.holders(entry as usize)?;
+            P::Holders { mask, exclusive }
+        };
+        /// [`crate::connection::LockConnection::is_negotiate`].
+        8 LockIsNegotiate {
+            /// Lock-table entry.
+            entry: u64,
+        } CfCommand::LOCK_QUERY => |c| P::Bool(c.is_negotiate(entry as usize)?);
+        /// [`crate::connection::LockConnection::write_lock_record`].
+        9 LockWriteRecord {
+            /// Resource name.
+            resource: Vec<u8>,
+            /// Mode held.
+            mode: LockMode,
+            /// Record payload.
+            payload: Vec<u8>,
+        } CfCommand::lock_record(resource.len() + payload.len()) => |c| {
+            unit(c.write_lock_record(&resource, mode, &payload)?)
+        };
+        /// [`crate::connection::LockConnection::delete_lock_record`].
+        10 LockDeleteRecord {
+            /// Resource name.
+            resource: Vec<u8>,
+        } CfCommand::lock_record(resource.len()) => |c| unit(c.delete_lock_record(&resource)?);
+        /// [`crate::connection::LockConnection::retained_locks_of`].
+        11 LockRetainedOf {
+            /// Failed peer's slot.
+            peer: ConnId,
+        } CfCommand::LOCK_RETAINED => |c| P::Retained(c.retained_locks_of(peer)?);
+        /// [`crate::connection::LockConnection::is_failed_persistent`].
+        12 LockIsFailedPersistent {
+            /// Peer slot queried.
+            peer: ConnId,
+        } CfCommand::LOCK_QUERY => |c| P::Bool(c.is_failed_persistent(peer)?);
+        /// [`crate::connection::LockConnection::recovery_complete_for`].
+        13 LockRecoveryComplete {
+            /// Recovered peer's slot.
+            peer: ConnId,
+        } CfCommand::LOCK_QUERY => |c| unit(c.recovery_complete_for(peer)?);
+        /// [`crate::connection::LockConnection::detach`].
+        14 LockDetach [Detach] {
+            /// Orderly or failure disconnect.
+            mode: DisconnectMode,
+        } CfCommand::LOCK_CONNECT => |c| unit(c.detach(mode)?);
+        /// [`crate::connection::LockConnection::detach_peer`].
+        15 LockDetachPeer {
+            /// Peer slot to disconnect.
+            peer: ConnId,
+            /// Orderly or failure disconnect.
+            mode: DisconnectMode,
+        } CfCommand::LOCK_CONNECT => |c| unit(c.detach_peer(peer, mode)?);
+    }
+    on cache {
+        /// [`crate::connection::CacheConnection::register_read`].
+        16 CacheRead {
+            /// Block name.
+            name: BlockName,
+            /// Local-vector index to register.
+            vector_index: u32,
+        } CfCommand::CACHE_READ => |c| P::Register(c.register_read(name, vector_index)?);
+        /// [`crate::connection::CacheConnection::write_invalidate`].
+        17 CacheWrite {
+            /// Block name.
+            name: BlockName,
+            /// Block data.
+            data: Vec<u8>,
+            /// What the write stores.
+            kind: WriteKind,
+        } CfCommand::cache_write(data.len()) => |c| P::Write(c.write_invalidate(name, &data, kind)?);
+        /// [`crate::connection::CacheConnection::unregister`].
+        18 CacheUnregister {
+            /// Block name.
+            name: BlockName,
+        } CfCommand::CACHE_DIRECTORY => |c| unit(c.unregister(name)?);
+        /// [`crate::connection::CacheConnection::castout_candidates`].
+        19 CacheCastoutCandidates {
+            /// Maximum candidates returned.
+            max: u64,
+        } CfCommand::CASTOUT_CANDIDATES => |c| P::Blocks(c.castout_candidates(max as usize)?);
+        /// [`crate::connection::CacheConnection::castout_read`].
+        20 CacheCastoutRead {
+            /// Block name.
+            name: BlockName,
+        } CfCommand::CASTOUT_READ => |c| {
+            let (data, version) = c.castout_read(name)?;
+            P::Data { data: (*data).clone(), version }
+        };
+        /// [`crate::connection::CacheConnection::castout_complete`].
+        21 CacheCastoutComplete {
+            /// Block name.
+            name: BlockName,
+            /// Version hardened to DASD.
+            version: u64,
+        } CfCommand::CASTOUT_COMPLETE => |c| unit(c.castout_complete(name, version)?);
+        /// Remote form of [`crate::connection::CacheConnection::is_valid`]:
+        /// over a wire transport the "local" bit vector lives at the serving
+        /// end, so the validity test costs a round trip — exactly the cost the
+        /// paper's in-memory vector exists to avoid (documented trade-off).
+        /// Natively the test never reaches the subchannel; the member's meter
+        /// files the round trip under the structure's admin class.
+        22 CacheIsValid {
+            /// Vector index to test.
+            vector_index: u32,
+        } CfCommand::new(CommandClass::CacheAdmin, 0) => |c| P::Bool(c.is_valid(vector_index));
+        /// [`crate::connection::CacheConnection::detach`].
+        23 CacheDetach [Detach] {} CfCommand::CACHE_DIRECTORY => |c| unit(c.detach()?);
+    }
+    on list {
+        /// [`crate::connection::ListConnection::enqueue`].
+        24 ListEnqueue {
+            /// Target header.
+            header: u64,
+            /// Collating key.
+            key: u64,
+            /// Entry data.
+            data: Vec<u8>,
+            /// Placement.
+            position: WritePosition,
+            /// Serialized-list condition.
+            cond: LockCondition,
+        } CfCommand::list_write(data.len()) => |c| {
+            P::Entry(c.enqueue(header as usize, key, &data, position, cond)?)
+        };
+        /// [`crate::connection::ListConnection::update`].
+        25 ListUpdate {
+            /// Entry identity.
+            id: EntryId,
+            /// New collating key.
+            key: u64,
+            /// New data.
+            data: Vec<u8>,
+            /// Version guard.
+            expected_version: Option<u64>,
+            /// Serialized-list condition.
+            cond: LockCondition,
+        } CfCommand::list_write(data.len()) => |c| P::U64(c.update(id, key, &data, expected_version, cond)?);
+        /// [`crate::connection::ListConnection::read_entry`].
+        26 ListReadEntry {
+            /// Entry identity.
+            id: EntryId,
+        } CfCommand::LIST_READ_ENTRY => |c| P::OptEntry(Some(c.read_entry(id)?));
+        /// [`crate::connection::ListConnection::delete`].
+        27 ListDelete {
+            /// Entry identity.
+            id: EntryId,
+            /// Serialized-list condition.
+            cond: LockCondition,
+        } CfCommand::LIST_DELETE => |c| unit(c.delete(id, cond)?);
+        /// [`crate::connection::ListConnection::move_to`].
+        28 ListMoveTo {
+            /// Entry identity.
+            id: EntryId,
+            /// Destination header.
+            to_header: u64,
+            /// Placement.
+            position: WritePosition,
+            /// Serialized-list condition.
+            cond: LockCondition,
+        } CfCommand::LIST_MOVE => |c| unit(c.move_to(id, to_header as usize, position, cond)?);
+        /// [`crate::connection::ListConnection::transfer`].
+        29 ListTransfer {
+            /// Entry identity.
+            id: EntryId,
+            /// Expected source header.
+            from_header: u64,
+            /// Destination header.
+            to_header: u64,
+            /// Placement.
+            position: WritePosition,
+            /// Serialized-list condition.
+            cond: LockCondition,
+        } CfCommand::LIST_MOVE => |c| {
+            P::Bool(c.transfer(id, from_header as usize, to_header as usize, position, cond)?)
+        };
+        /// [`crate::connection::ListConnection::claim_first`].
+        30 ListClaimFirst {
+            /// Source header.
+            from: u64,
+            /// Destination header.
+            to: u64,
+            /// Which end to take from.
+            end: DequeueEnd,
+            /// Placement on the destination.
+            position: WritePosition,
+            /// Serialized-list condition.
+            cond: LockCondition,
+        } CfCommand::LIST_DEQUEUE => |c| {
+            P::OptEntry(c.claim_first(from as usize, to as usize, end, position, cond)?)
+        };
+        /// [`crate::connection::ListConnection::take`].
+        31 ListTake {
+            /// Header to dequeue from.
+            header: u64,
+            /// Which end to take from.
+            end: DequeueEnd,
+            /// Serialized-list condition.
+            cond: LockCondition,
+        } CfCommand::LIST_DEQUEUE => |c| P::OptEntry(c.take(header as usize, end, cond)?);
+        /// [`crate::connection::ListConnection::scan`].
+        32 ListScan {
+            /// Header to read.
+            header: u64,
+        } CfCommand::LIST_SCAN => |c| P::Entries(c.scan(header as usize)?);
+        /// [`crate::connection::ListConnection::header_len`].
+        33 ListHeaderLen {
+            /// Header queried.
+            header: u64,
+        } CfCommand::LIST_HEADER_LEN => |c| P::U64(c.header_len(header as usize)? as u64);
+        /// [`crate::connection::ListConnection::acquire_list_lock`].
+        34 ListLockAcquire {
+            /// Serializing lock entry.
+            entry: u64,
+        } CfCommand::LIST_LOCK => |c| P::Bool(c.acquire_list_lock(entry as usize)?);
+        /// [`crate::connection::ListConnection::release_list_lock`].
+        35 ListLockRelease {
+            /// Serializing lock entry.
+            entry: u64,
+        } CfCommand::LIST_LOCK => |c| unit(c.release_list_lock(entry as usize)?);
+        /// [`crate::connection::ListConnection::list_lock_holder`].
+        36 ListLockHolder {
+            /// Serializing lock entry.
+            entry: u64,
+        } CfCommand::LIST_LOCK => |c| P::OptConn(c.list_lock_holder(entry as usize)?);
+        /// [`crate::connection::ListConnection::register_monitor`].
+        37 ListMonitor {
+            /// Header to monitor.
+            header: u64,
+            /// Notification-vector index.
+            vector_index: u32,
+        } CfCommand::LIST_DIRECTORY => |c| unit(c.register_monitor(header as usize, vector_index)?);
+        /// [`crate::connection::ListConnection::deregister_monitor`].
+        38 ListDeregisterMonitor {
+            /// Header to stop monitoring.
+            header: u64,
+        } CfCommand::LIST_DIRECTORY => |c| unit(c.deregister_monitor(header as usize)?);
+        /// Remote form of [`crate::connection::ListConnection::is_signaled`]
+        /// (same round-trip trade-off, and the same accounting, as
+        /// [`WireRequest::CacheIsValid`]).
+        39 ListIsSignaled {
+            /// Notification-vector index to test.
+            vector_index: u32,
+        } CfCommand::new(CommandClass::ListAdmin, 0) => |c| P::Bool(c.is_signaled(vector_index));
+        /// [`crate::connection::ListConnection::detach`].
+        40 ListDetach [Detach] {} CfCommand::LIST_DIRECTORY => |c| unit(c.detach()?);
+    }
+    probe {
+        /// A no-op command of the given shape, issued through the serving
+        /// subchannel purely for its accounting and service time — remote
+        /// members use probes to measure CF command latency over the wire.
+        41 Probe(cmd: CfCommand) => |t| unit(t.probe(cmd)?);
+    }
 }
 
 impl WireRequest {
@@ -945,52 +1092,7 @@ impl WireRequest {
     /// the same constant the native connection method uses, so class,
     /// payload and conversion are decided in one place for both ends.
     pub fn command(&self) -> CfCommand {
-        use WireRequest as R;
-        match self {
-            R::AttachLock { .. }
-            | R::AttachLockSlot { .. }
-            | R::LockDetach { .. }
-            | R::LockDetachPeer { .. } => CfCommand::LOCK_CONNECT,
-            R::LockRequest { .. } | R::LockForce { .. } => CfCommand::LOCK_REQUEST,
-            R::LockRelease { .. } => CfCommand::LOCK_RELEASE,
-            R::LockHolders { .. }
-            | R::LockIsNegotiate { .. }
-            | R::LockIsFailedPersistent { .. }
-            | R::LockRecoveryComplete { .. } => CfCommand::LOCK_QUERY,
-            R::LockWriteRecord { resource, payload, .. } => {
-                CfCommand::lock_record(resource.len() + payload.len())
-            }
-            R::LockDeleteRecord { resource, .. } => CfCommand::lock_record(resource.len()),
-            R::LockRetainedOf { .. } => CfCommand::LOCK_RETAINED,
-            R::AttachCache { .. } | R::CacheUnregister { .. } | R::CacheDetach { .. } => {
-                CfCommand::CACHE_DIRECTORY
-            }
-            R::CacheRead { .. } => CfCommand::CACHE_READ,
-            R::CacheWrite { data, .. } => CfCommand::cache_write(data.len()),
-            R::CacheCastoutCandidates { .. } => CfCommand::CASTOUT_CANDIDATES,
-            R::CacheCastoutRead { .. } => CfCommand::CASTOUT_READ,
-            R::CacheCastoutComplete { .. } => CfCommand::CASTOUT_COMPLETE,
-            R::AttachList { .. }
-            | R::ListMonitor { .. }
-            | R::ListDeregisterMonitor { .. }
-            | R::ListDetach { .. } => CfCommand::LIST_DIRECTORY,
-            R::ListEnqueue { data, .. } | R::ListUpdate { data, .. } => CfCommand::list_write(data.len()),
-            R::ListDelete { .. } => CfCommand::LIST_DELETE,
-            R::ListReadEntry { .. } => CfCommand::LIST_READ_ENTRY,
-            R::ListScan { .. } => CfCommand::LIST_SCAN,
-            R::ListHeaderLen { .. } => CfCommand::LIST_HEADER_LEN,
-            R::ListMoveTo { .. } | R::ListTransfer { .. } => CfCommand::LIST_MOVE,
-            R::ListClaimFirst { .. } | R::ListTake { .. } => CfCommand::LIST_DEQUEUE,
-            R::ListLockAcquire { .. } | R::ListLockRelease { .. } | R::ListLockHolder { .. } => {
-                CfCommand::LIST_LOCK
-            }
-            // Vector tests are host-local natively and never reach the
-            // subchannel; over a wire they cost the member a round trip,
-            // which its meter files under the structure's admin class.
-            R::CacheIsValid { .. } => CfCommand::new(CommandClass::CacheAdmin, 0),
-            R::ListIsSignaled { .. } => CfCommand::new(CommandClass::ListAdmin, 0),
-            R::Probe(cmd) => *cmd,
-        }
+        self.row().cmd
     }
 
     /// Command class this request is accounted under; also labels the
@@ -1008,416 +1110,7 @@ impl WireRequest {
     /// The attached-structure handle this request targets, if any (attach
     /// requests are minting the handle and return `None`).
     pub fn structure_handle(&self) -> Option<WireHandle> {
-        use WireRequest as R;
-        match self {
-            R::AttachLock { .. }
-            | R::AttachLockSlot { .. }
-            | R::AttachCache { .. }
-            | R::AttachList { .. }
-            | R::Probe(_) => None,
-            R::LockRequest { handle, .. }
-            | R::LockForce { handle, .. }
-            | R::LockRelease { handle, .. }
-            | R::LockHolders { handle, .. }
-            | R::LockIsNegotiate { handle, .. }
-            | R::LockWriteRecord { handle, .. }
-            | R::LockDeleteRecord { handle, .. }
-            | R::LockRetainedOf { handle, .. }
-            | R::LockIsFailedPersistent { handle, .. }
-            | R::LockRecoveryComplete { handle, .. }
-            | R::LockDetach { handle, .. }
-            | R::LockDetachPeer { handle, .. }
-            | R::CacheRead { handle, .. }
-            | R::CacheWrite { handle, .. }
-            | R::CacheUnregister { handle, .. }
-            | R::CacheCastoutCandidates { handle, .. }
-            | R::CacheCastoutRead { handle, .. }
-            | R::CacheCastoutComplete { handle, .. }
-            | R::CacheIsValid { handle, .. }
-            | R::CacheDetach { handle }
-            | R::ListEnqueue { handle, .. }
-            | R::ListUpdate { handle, .. }
-            | R::ListReadEntry { handle, .. }
-            | R::ListDelete { handle, .. }
-            | R::ListMoveTo { handle, .. }
-            | R::ListTransfer { handle, .. }
-            | R::ListClaimFirst { handle, .. }
-            | R::ListTake { handle, .. }
-            | R::ListScan { handle, .. }
-            | R::ListHeaderLen { handle, .. }
-            | R::ListLockAcquire { handle, .. }
-            | R::ListLockRelease { handle, .. }
-            | R::ListLockHolder { handle, .. }
-            | R::ListMonitor { handle, .. }
-            | R::ListDeregisterMonitor { handle, .. }
-            | R::ListIsSignaled { handle, .. }
-            | R::ListDetach { handle } => Some(*handle),
-        }
-    }
-
-    /// Encode into an existing writer (lets an outer protocol embed CF
-    /// requests in its own envelope).
-    pub fn encode_into(&self, w: &mut WireWriter) {
-        use WireRequest as R;
-        match self {
-            R::AttachLock { structure } => {
-                w.put_u8(0);
-                w.put_str(structure);
-            }
-            R::AttachLockSlot { structure, slot } => {
-                w.put_u8(1);
-                w.put_str(structure);
-                put_conn(w, *slot);
-            }
-            R::AttachCache { structure, vector_len } => {
-                w.put_u8(2);
-                w.put_str(structure);
-                w.put_u64(*vector_len);
-            }
-            R::AttachList { structure, vector_len } => {
-                w.put_u8(3);
-                w.put_str(structure);
-                w.put_u64(*vector_len);
-            }
-            R::LockRequest { handle, entry, mode } => {
-                w.put_u8(4);
-                w.put_u32(*handle);
-                w.put_u64(*entry);
-                put_lock_mode(w, *mode);
-            }
-            R::LockForce { handle, entry, mode } => {
-                w.put_u8(5);
-                w.put_u32(*handle);
-                w.put_u64(*entry);
-                put_lock_mode(w, *mode);
-            }
-            R::LockRelease { handle, entry } => {
-                w.put_u8(6);
-                w.put_u32(*handle);
-                w.put_u64(*entry);
-            }
-            R::LockHolders { handle, entry } => {
-                w.put_u8(7);
-                w.put_u32(*handle);
-                w.put_u64(*entry);
-            }
-            R::LockIsNegotiate { handle, entry } => {
-                w.put_u8(8);
-                w.put_u32(*handle);
-                w.put_u64(*entry);
-            }
-            R::LockWriteRecord { handle, resource, mode, payload } => {
-                w.put_u8(9);
-                w.put_u32(*handle);
-                w.put_bytes(resource);
-                put_lock_mode(w, *mode);
-                w.put_bytes(payload);
-            }
-            R::LockDeleteRecord { handle, resource } => {
-                w.put_u8(10);
-                w.put_u32(*handle);
-                w.put_bytes(resource);
-            }
-            R::LockRetainedOf { handle, peer } => {
-                w.put_u8(11);
-                w.put_u32(*handle);
-                put_conn(w, *peer);
-            }
-            R::LockIsFailedPersistent { handle, peer } => {
-                w.put_u8(12);
-                w.put_u32(*handle);
-                put_conn(w, *peer);
-            }
-            R::LockRecoveryComplete { handle, peer } => {
-                w.put_u8(13);
-                w.put_u32(*handle);
-                put_conn(w, *peer);
-            }
-            R::LockDetach { handle, mode } => {
-                w.put_u8(14);
-                w.put_u32(*handle);
-                put_disconnect_mode(w, *mode);
-            }
-            R::LockDetachPeer { handle, peer, mode } => {
-                w.put_u8(15);
-                w.put_u32(*handle);
-                put_conn(w, *peer);
-                put_disconnect_mode(w, *mode);
-            }
-            R::CacheRead { handle, name, vector_index } => {
-                w.put_u8(16);
-                w.put_u32(*handle);
-                put_block(w, *name);
-                w.put_u32(*vector_index);
-            }
-            R::CacheWrite { handle, name, data, kind } => {
-                w.put_u8(17);
-                w.put_u32(*handle);
-                put_block(w, *name);
-                w.put_bytes(data);
-                put_write_kind(w, *kind);
-            }
-            R::CacheUnregister { handle, name } => {
-                w.put_u8(18);
-                w.put_u32(*handle);
-                put_block(w, *name);
-            }
-            R::CacheCastoutCandidates { handle, max } => {
-                w.put_u8(19);
-                w.put_u32(*handle);
-                w.put_u64(*max);
-            }
-            R::CacheCastoutRead { handle, name } => {
-                w.put_u8(20);
-                w.put_u32(*handle);
-                put_block(w, *name);
-            }
-            R::CacheCastoutComplete { handle, name, version } => {
-                w.put_u8(21);
-                w.put_u32(*handle);
-                put_block(w, *name);
-                w.put_u64(*version);
-            }
-            R::CacheIsValid { handle, vector_index } => {
-                w.put_u8(22);
-                w.put_u32(*handle);
-                w.put_u32(*vector_index);
-            }
-            R::CacheDetach { handle } => {
-                w.put_u8(23);
-                w.put_u32(*handle);
-            }
-            R::ListEnqueue { handle, header, key, data, position, cond } => {
-                w.put_u8(24);
-                w.put_u32(*handle);
-                w.put_u64(*header);
-                w.put_u64(*key);
-                w.put_bytes(data);
-                put_position(w, *position);
-                put_cond(w, *cond);
-            }
-            R::ListUpdate { handle, id, key, data, expected_version, cond } => {
-                w.put_u8(25);
-                w.put_u32(*handle);
-                w.put_u64(id.0);
-                w.put_u64(*key);
-                w.put_bytes(data);
-                w.put_opt_u64(*expected_version);
-                put_cond(w, *cond);
-            }
-            R::ListReadEntry { handle, id } => {
-                w.put_u8(26);
-                w.put_u32(*handle);
-                w.put_u64(id.0);
-            }
-            R::ListDelete { handle, id, cond } => {
-                w.put_u8(27);
-                w.put_u32(*handle);
-                w.put_u64(id.0);
-                put_cond(w, *cond);
-            }
-            R::ListMoveTo { handle, id, to_header, position, cond } => {
-                w.put_u8(28);
-                w.put_u32(*handle);
-                w.put_u64(id.0);
-                w.put_u64(*to_header);
-                put_position(w, *position);
-                put_cond(w, *cond);
-            }
-            R::ListTransfer { handle, id, from_header, to_header, position, cond } => {
-                w.put_u8(29);
-                w.put_u32(*handle);
-                w.put_u64(id.0);
-                w.put_u64(*from_header);
-                w.put_u64(*to_header);
-                put_position(w, *position);
-                put_cond(w, *cond);
-            }
-            R::ListClaimFirst { handle, from, to, end, position, cond } => {
-                w.put_u8(30);
-                w.put_u32(*handle);
-                w.put_u64(*from);
-                w.put_u64(*to);
-                put_end(w, *end);
-                put_position(w, *position);
-                put_cond(w, *cond);
-            }
-            R::ListTake { handle, header, end, cond } => {
-                w.put_u8(31);
-                w.put_u32(*handle);
-                w.put_u64(*header);
-                put_end(w, *end);
-                put_cond(w, *cond);
-            }
-            R::ListScan { handle, header } => {
-                w.put_u8(32);
-                w.put_u32(*handle);
-                w.put_u64(*header);
-            }
-            R::ListHeaderLen { handle, header } => {
-                w.put_u8(33);
-                w.put_u32(*handle);
-                w.put_u64(*header);
-            }
-            R::ListLockAcquire { handle, entry } => {
-                w.put_u8(34);
-                w.put_u32(*handle);
-                w.put_u64(*entry);
-            }
-            R::ListLockRelease { handle, entry } => {
-                w.put_u8(35);
-                w.put_u32(*handle);
-                w.put_u64(*entry);
-            }
-            R::ListLockHolder { handle, entry } => {
-                w.put_u8(36);
-                w.put_u32(*handle);
-                w.put_u64(*entry);
-            }
-            R::ListMonitor { handle, header, vector_index } => {
-                w.put_u8(37);
-                w.put_u32(*handle);
-                w.put_u64(*header);
-                w.put_u32(*vector_index);
-            }
-            R::ListDeregisterMonitor { handle, header } => {
-                w.put_u8(38);
-                w.put_u32(*handle);
-                w.put_u64(*header);
-            }
-            R::ListIsSignaled { handle, vector_index } => {
-                w.put_u8(39);
-                w.put_u32(*handle);
-                w.put_u32(*vector_index);
-            }
-            R::ListDetach { handle } => {
-                w.put_u8(40);
-                w.put_u32(*handle);
-            }
-            R::Probe(cmd) => {
-                w.put_u8(41);
-                put_cf_command(w, cmd);
-            }
-        }
-    }
-
-    /// Decode from a reader positioned at a request (inverse of
-    /// [`WireRequest::encode_into`]).
-    pub fn decode_from(r: &mut WireReader) -> Result<Self, WireError> {
-        use WireRequest as R;
-        Ok(match r.get_u8()? {
-            0 => R::AttachLock { structure: r.get_str()? },
-            1 => R::AttachLockSlot { structure: r.get_str()?, slot: get_conn(r)? },
-            2 => R::AttachCache { structure: r.get_str()?, vector_len: r.get_u64()? },
-            3 => R::AttachList { structure: r.get_str()?, vector_len: r.get_u64()? },
-            4 => R::LockRequest { handle: r.get_u32()?, entry: r.get_u64()?, mode: get_lock_mode(r)? },
-            5 => R::LockForce { handle: r.get_u32()?, entry: r.get_u64()?, mode: get_lock_mode(r)? },
-            6 => R::LockRelease { handle: r.get_u32()?, entry: r.get_u64()? },
-            7 => R::LockHolders { handle: r.get_u32()?, entry: r.get_u64()? },
-            8 => R::LockIsNegotiate { handle: r.get_u32()?, entry: r.get_u64()? },
-            9 => R::LockWriteRecord {
-                handle: r.get_u32()?,
-                resource: r.get_bytes()?,
-                mode: get_lock_mode(r)?,
-                payload: r.get_bytes()?,
-            },
-            10 => R::LockDeleteRecord { handle: r.get_u32()?, resource: r.get_bytes()? },
-            11 => R::LockRetainedOf { handle: r.get_u32()?, peer: get_conn(r)? },
-            12 => R::LockIsFailedPersistent { handle: r.get_u32()?, peer: get_conn(r)? },
-            13 => R::LockRecoveryComplete { handle: r.get_u32()?, peer: get_conn(r)? },
-            14 => R::LockDetach { handle: r.get_u32()?, mode: get_disconnect_mode(r)? },
-            15 => {
-                R::LockDetachPeer { handle: r.get_u32()?, peer: get_conn(r)?, mode: get_disconnect_mode(r)? }
-            }
-            16 => R::CacheRead { handle: r.get_u32()?, name: get_block(r)?, vector_index: r.get_u32()? },
-            17 => R::CacheWrite {
-                handle: r.get_u32()?,
-                name: get_block(r)?,
-                data: r.get_bytes()?,
-                kind: get_write_kind(r)?,
-            },
-            18 => R::CacheUnregister { handle: r.get_u32()?, name: get_block(r)? },
-            19 => R::CacheCastoutCandidates { handle: r.get_u32()?, max: r.get_u64()? },
-            20 => R::CacheCastoutRead { handle: r.get_u32()?, name: get_block(r)? },
-            21 => {
-                R::CacheCastoutComplete { handle: r.get_u32()?, name: get_block(r)?, version: r.get_u64()? }
-            }
-            22 => R::CacheIsValid { handle: r.get_u32()?, vector_index: r.get_u32()? },
-            23 => R::CacheDetach { handle: r.get_u32()? },
-            24 => R::ListEnqueue {
-                handle: r.get_u32()?,
-                header: r.get_u64()?,
-                key: r.get_u64()?,
-                data: r.get_bytes()?,
-                position: get_position(r)?,
-                cond: get_cond(r)?,
-            },
-            25 => R::ListUpdate {
-                handle: r.get_u32()?,
-                id: EntryId(r.get_u64()?),
-                key: r.get_u64()?,
-                data: r.get_bytes()?,
-                expected_version: r.get_opt_u64()?,
-                cond: get_cond(r)?,
-            },
-            26 => R::ListReadEntry { handle: r.get_u32()?, id: EntryId(r.get_u64()?) },
-            27 => R::ListDelete { handle: r.get_u32()?, id: EntryId(r.get_u64()?), cond: get_cond(r)? },
-            28 => R::ListMoveTo {
-                handle: r.get_u32()?,
-                id: EntryId(r.get_u64()?),
-                to_header: r.get_u64()?,
-                position: get_position(r)?,
-                cond: get_cond(r)?,
-            },
-            29 => R::ListTransfer {
-                handle: r.get_u32()?,
-                id: EntryId(r.get_u64()?),
-                from_header: r.get_u64()?,
-                to_header: r.get_u64()?,
-                position: get_position(r)?,
-                cond: get_cond(r)?,
-            },
-            30 => R::ListClaimFirst {
-                handle: r.get_u32()?,
-                from: r.get_u64()?,
-                to: r.get_u64()?,
-                end: get_end(r)?,
-                position: get_position(r)?,
-                cond: get_cond(r)?,
-            },
-            31 => R::ListTake {
-                handle: r.get_u32()?,
-                header: r.get_u64()?,
-                end: get_end(r)?,
-                cond: get_cond(r)?,
-            },
-            32 => R::ListScan { handle: r.get_u32()?, header: r.get_u64()? },
-            33 => R::ListHeaderLen { handle: r.get_u32()?, header: r.get_u64()? },
-            34 => R::ListLockAcquire { handle: r.get_u32()?, entry: r.get_u64()? },
-            35 => R::ListLockRelease { handle: r.get_u32()?, entry: r.get_u64()? },
-            36 => R::ListLockHolder { handle: r.get_u32()?, entry: r.get_u64()? },
-            37 => R::ListMonitor { handle: r.get_u32()?, header: r.get_u64()?, vector_index: r.get_u32()? },
-            38 => R::ListDeregisterMonitor { handle: r.get_u32()?, header: r.get_u64()? },
-            39 => R::ListIsSignaled { handle: r.get_u32()?, vector_index: r.get_u32()? },
-            40 => R::ListDetach { handle: r.get_u32()? },
-            41 => R::Probe(get_cf_command(r)?),
-            _ => return Err(WireError::BadTag("wire-request")),
-        })
-    }
-
-    /// Encode to a standalone byte vector.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        self.encode_into(&mut w);
-        w.into_bytes()
-    }
-
-    /// Decode from a standalone byte vector, requiring exact consumption.
-    pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
-        let mut r = WireReader::new(buf);
-        let v = WireRequest::decode_from(&mut r)?;
-        r.finish()?;
-        Ok(v)
+        self.row().handle
     }
 }
 
@@ -1425,64 +1118,67 @@ impl WireRequest {
 // Responses
 // ---------------------------------------------------------------------------
 
-/// The result of one [`WireRequest`].
-///
-/// Structure-level failures travel as [`WireResponse::Error`]; transport
-/// failures (dead socket, garbled frame) never reach this type — the
-/// transport raises them as typed [`CfError`]s directly.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WireResponse {
-    /// Operation completed with no payload.
-    Unit,
-    /// An attach completed: the minted handle, the connector slot, and a
-    /// model-specific geometry word (lock: table entries, cache/list: 0).
-    Attached {
-        /// Transport handle for subsequent operations.
-        handle: WireHandle,
-        /// Connector slot assigned by the structure.
-        conn: ConnId,
-        /// Lock-table entry count (0 for cache/list attaches); lets the
-        /// client hash resources locally exactly like a native connection.
-        geometry: u64,
-    },
-    /// A boolean result.
-    Bool(bool),
-    /// A numeric result (versions, lengths, counts).
-    U64(u64),
-    /// A lock request outcome.
-    Lock(LockResponse),
-    /// Holder query: `(interest mask, exclusive holder)`.
-    Holders {
-        /// Every connector with interest.
-        mask: u32,
-        /// Exclusive holder, if any.
-        exclusive: Option<ConnId>,
-    },
-    /// Retained locks of a failed peer.
-    Retained(Vec<RetainedLock>),
-    /// A cache read-and-register result.
-    Register(RegisterResult),
-    /// A cache write-and-invalidate result.
-    Write(WriteResult),
-    /// Castout candidate names.
-    Blocks(Vec<BlockName>),
-    /// Castout read: data plus version.
-    Data {
-        /// Block data.
-        data: Vec<u8>,
-        /// Directory version.
-        version: u64,
-    },
-    /// A minted list entry id.
-    Entry(EntryId),
-    /// An optional list entry (claims, dequeues).
-    OptEntry(Option<EntryView>),
-    /// A whole-list scan.
-    Entries(Vec<EntryView>),
-    /// An optional connector id (lock-holder queries).
-    OptConn(Option<ConnId>),
-    /// The operation failed with a typed CF error.
-    Error(CfError),
+wire_enum! {
+    /// The result of one [`WireRequest`].
+    ///
+    /// Structure-level failures travel as [`WireResponse::Error`]; transport
+    /// failures (dead socket, garbled frame) never reach this type — the
+    /// transport raises them as typed [`CfError`]s directly.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum WireResponse("wire-response") {
+        /// Operation completed with no payload.
+        0 Unit,
+        /// An attach completed: the minted handle, the connector slot, and a
+        /// model-specific geometry word (lock: table entries, cache/list: 0).
+        1 Attached {
+            /// Transport handle for subsequent operations.
+            handle: WireHandle,
+            /// Connector slot assigned by the structure.
+            conn: ConnId,
+            /// Lock-table entry count (0 for cache/list attaches); lets the
+            /// client hash resources locally exactly like a native connection.
+            geometry: u64,
+        },
+        /// A boolean result.
+        2 Bool(b: bool),
+        /// A numeric result (versions, lengths, counts).
+        3 U64(v: u64),
+        /// A lock request outcome: tag 4 granted, tag 5 contention.
+        4 | 5 Lock[outcome: LockResponse],
+        /// Holder query: `(interest mask, exclusive holder)`.
+        6 Holders {
+            /// Every connector with interest.
+            mask: u32,
+            /// Exclusive holder, if any.
+            exclusive: Option<ConnId>,
+        },
+        /// Retained locks of a failed peer.
+        7 Retained(locks: Vec<RetainedLock>),
+        /// A cache read-and-register result.
+        8 Register(reg: RegisterResult),
+        /// A cache write-and-invalidate result.
+        9 Write(res: WriteResult),
+        /// Castout candidate names.
+        10 Blocks(names: Vec<BlockName>),
+        /// Castout read: data plus version.
+        11 Data {
+            /// Block data.
+            data: Vec<u8>,
+            /// Directory version.
+            version: u64,
+        },
+        /// A minted list entry id.
+        12 Entry(id: EntryId),
+        /// An optional list entry (claims, dequeues): tag 13 none, tag 14
+        /// the entry.
+        13 | 14 OptEntry[entry: Option<EntryView>],
+        /// A whole-list scan.
+        15 Entries(entries: Vec<EntryView>),
+        /// An optional connector id (lock-holder queries).
+        16 OptConn(conn: Option<ConnId>),
+        /// The operation failed with a typed CF error.
+        17 Error(e: CfError),
+    }
 }
 
 impl WireResponse {
@@ -1492,175 +1188,6 @@ impl WireResponse {
             WireResponse::Error(e) => Err(e),
             other => Ok(other),
         }
-    }
-
-    /// Encode into an existing writer.
-    pub fn encode_into(&self, w: &mut WireWriter) {
-        use WireResponse as P;
-        match self {
-            P::Unit => w.put_u8(0),
-            P::Attached { handle, conn, geometry } => {
-                w.put_u8(1);
-                w.put_u32(*handle);
-                put_conn(w, *conn);
-                w.put_u64(*geometry);
-            }
-            P::Bool(b) => {
-                w.put_u8(2);
-                w.put_bool(*b);
-            }
-            P::U64(v) => {
-                w.put_u8(3);
-                w.put_u64(*v);
-            }
-            P::Lock(LockResponse::Granted) => w.put_u8(4),
-            P::Lock(LockResponse::Contention { holders, exclusive, generation }) => {
-                w.put_u8(5);
-                w.put_u32(*holders);
-                put_opt_conn(w, *exclusive);
-                w.put_u32(*generation as u32);
-            }
-            P::Holders { mask, exclusive } => {
-                w.put_u8(6);
-                w.put_u32(*mask);
-                put_opt_conn(w, *exclusive);
-            }
-            P::Retained(locks) => {
-                w.put_u8(7);
-                w.put_u32(locks.len() as u32);
-                for l in locks {
-                    w.put_bytes(&l.resource);
-                    put_lock_mode(w, l.mode);
-                    w.put_bytes(&l.payload);
-                }
-            }
-            P::Register(reg) => {
-                w.put_u8(8);
-                match &reg.data {
-                    None => w.put_bool(false),
-                    Some(d) => {
-                        w.put_bool(true);
-                        w.put_bytes(d);
-                    }
-                }
-                w.put_u64(reg.version);
-                w.put_bool(reg.changed);
-            }
-            P::Write(res) => {
-                w.put_u8(9);
-                w.put_u64(res.invalidated as u64);
-                w.put_u64(res.version);
-            }
-            P::Blocks(names) => {
-                w.put_u8(10);
-                w.put_u32(names.len() as u32);
-                for n in names {
-                    put_block(w, *n);
-                }
-            }
-            P::Data { data, version } => {
-                w.put_u8(11);
-                w.put_bytes(data);
-                w.put_u64(*version);
-            }
-            P::Entry(id) => {
-                w.put_u8(12);
-                w.put_u64(id.0);
-            }
-            P::OptEntry(None) => w.put_u8(13),
-            P::OptEntry(Some(e)) => {
-                w.put_u8(14);
-                put_entry_view(w, e);
-            }
-            P::Entries(es) => {
-                w.put_u8(15);
-                w.put_u32(es.len() as u32);
-                for e in es {
-                    put_entry_view(w, e);
-                }
-            }
-            P::OptConn(c) => {
-                w.put_u8(16);
-                put_opt_conn(w, *c);
-            }
-            P::Error(e) => {
-                w.put_u8(17);
-                put_cf_error(w, e);
-            }
-        }
-    }
-
-    /// Decode from a reader positioned at a response.
-    pub fn decode_from(r: &mut WireReader) -> Result<Self, WireError> {
-        use WireResponse as P;
-        Ok(match r.get_u8()? {
-            0 => P::Unit,
-            1 => P::Attached { handle: r.get_u32()?, conn: get_conn(r)?, geometry: r.get_u64()? },
-            2 => P::Bool(r.get_bool()?),
-            3 => P::U64(r.get_u64()?),
-            4 => P::Lock(LockResponse::Granted),
-            5 => P::Lock(LockResponse::Contention {
-                holders: r.get_u32()?,
-                exclusive: get_opt_conn(r)?,
-                generation: r.get_u32()? as u16,
-            }),
-            6 => P::Holders { mask: r.get_u32()?, exclusive: get_opt_conn(r)? },
-            7 => {
-                let n = r.get_u32()? as usize;
-                let mut locks = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    locks.push(RetainedLock {
-                        resource: r.get_bytes()?,
-                        mode: get_lock_mode(r)?,
-                        payload: r.get_bytes()?,
-                    });
-                }
-                P::Retained(locks)
-            }
-            8 => {
-                let data = if r.get_bool()? { Some(Arc::new(r.get_bytes()?)) } else { None };
-                P::Register(RegisterResult { data, version: r.get_u64()?, changed: r.get_bool()? })
-            }
-            9 => P::Write(WriteResult { invalidated: r.get_u64()? as usize, version: r.get_u64()? }),
-            10 => {
-                let n = r.get_u32()? as usize;
-                let mut names = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    names.push(get_block(r)?);
-                }
-                P::Blocks(names)
-            }
-            11 => P::Data { data: r.get_bytes()?, version: r.get_u64()? },
-            12 => P::Entry(EntryId(r.get_u64()?)),
-            13 => P::OptEntry(None),
-            14 => P::OptEntry(Some(get_entry_view(r)?)),
-            15 => {
-                let n = r.get_u32()? as usize;
-                let mut es = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    es.push(get_entry_view(r)?);
-                }
-                P::Entries(es)
-            }
-            16 => P::OptConn(get_opt_conn(r)?),
-            17 => P::Error(get_cf_error(r)?),
-            _ => return Err(WireError::BadTag("wire-response")),
-        })
-    }
-
-    /// Encode to a standalone byte vector.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        self.encode_into(&mut w);
-        w.into_bytes()
-    }
-
-    /// Decode from a standalone byte vector, requiring exact consumption.
-    pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
-        let mut r = WireReader::new(buf);
-        let v = WireResponse::decode_from(&mut r)?;
-        r.finish()?;
-        Ok(v)
     }
 }
 
@@ -1673,47 +1200,47 @@ impl WireResponse {
 /// retained records are rejected rather than misparsed.
 pub const SMF_RECORD_VERSION: u8 = 1;
 
-/// Encode a [`HistogramSnapshot`] sparsely: a count of non-empty buckets,
+/// A [`HistogramSnapshot`] travels sparsely: a count of non-empty buckets,
 /// then `(bucket index, sample count)` pairs in strictly ascending index
 /// order, then the samples/total/max scalars. Interval deltas are mostly
-/// empty, so this beats shipping all [`HIST_BUCKETS`] words ~10:1.
-pub fn put_histogram_snapshot(w: &mut WireWriter, h: &HistogramSnapshot) {
-    let non_empty = h.buckets.iter().filter(|&&n| n > 0).count();
-    w.put_u8(non_empty as u8);
-    for (i, &n) in h.buckets.iter().enumerate() {
-        if n > 0 {
-            w.put_u8(i as u8);
-            w.put_u64(n);
+/// empty, so this beats shipping all [`HIST_BUCKETS`] words ~10:1. Decode
+/// accepts only that canonical form: indices in range and strictly
+/// ascending, counts non-zero; anything else is a bad tag.
+impl Wire for HistogramSnapshot {
+    fn put(&self, w: &mut WireWriter) {
+        let non_empty = self.buckets.iter().filter(|&&n| n > 0).count();
+        w.put_u8(non_empty as u8);
+        for (i, &n) in self.buckets.iter().enumerate() {
+            if n > 0 {
+                w.put_u8(i as u8);
+                w.put_u64(n);
+            }
         }
+        w.put_u64(self.samples);
+        w.put_u64(self.total_ns);
+        w.put_u64(self.max_ns);
     }
-    w.put_u64(h.samples);
-    w.put_u64(h.total_ns);
-    w.put_u64(h.max_ns);
-}
-
-/// Decode a sparsely-encoded [`HistogramSnapshot`]. Indices must be in
-/// range and strictly ascending and counts non-zero (the canonical form
-/// [`put_histogram_snapshot`] emits); anything else is a bad tag.
-pub fn get_histogram_snapshot(r: &mut WireReader) -> Result<HistogramSnapshot, WireError> {
-    let n = r.get_u8()? as usize;
-    if n > HIST_BUCKETS {
-        return Err(WireError::BadTag("histogram-bucket-count"));
-    }
-    let mut buckets = [0u64; HIST_BUCKETS];
-    let mut prev: Option<u8> = None;
-    for _ in 0..n {
-        let idx = r.get_u8()?;
-        if idx as usize >= HIST_BUCKETS || prev.is_some_and(|p| idx <= p) {
-            return Err(WireError::BadTag("histogram-bucket-index"));
-        }
-        let count = r.get_u64()?;
-        if count == 0 {
+    fn get(r: &mut WireReader) -> Result<Self, WireError> {
+        let n = r.get_u8()? as usize;
+        if n > HIST_BUCKETS {
             return Err(WireError::BadTag("histogram-bucket-count"));
         }
-        buckets[idx as usize] = count;
-        prev = Some(idx);
+        let mut buckets = [0u64; HIST_BUCKETS];
+        let mut prev: Option<u8> = None;
+        for _ in 0..n {
+            let idx = r.get_u8()?;
+            if idx as usize >= HIST_BUCKETS || prev.is_some_and(|p| idx <= p) {
+                return Err(WireError::BadTag("histogram-bucket-index"));
+            }
+            let count = r.get_u64()?;
+            if count == 0 {
+                return Err(WireError::BadTag("histogram-bucket-count"));
+            }
+            buckets[idx as usize] = count;
+            prev = Some(idx);
+        }
+        Ok(HistogramSnapshot { buckets, samples: r.get_u64()?, total_ns: r.get_u64()?, max_ns: r.get_u64()? })
     }
-    Ok(HistogramSnapshot { buckets, samples: r.get_u64()?, total_ns: r.get_u64()?, max_ns: r.get_u64()? })
 }
 
 /// One command class's interval activity as a member observed it.
@@ -1749,6 +1276,11 @@ pub struct SmfStructureRow {
     pub force_interests: u64,
     /// Commands that surfaced a link fault.
     pub faulted: u64,
+}
+
+wire_struct! {
+    SmfClassRow { issued, sync, async_converted, faulted, observed }
+    SmfStructureRow { name, requests, contentions, force_interests, faulted }
 }
 
 /// A compact, versioned SMF-style interval record: everything one member
@@ -1802,20 +1334,12 @@ impl SmfRecord {
         w.put_u64(self.wire_retries);
         w.put_u8(self.classes.len() as u8);
         for (class, row) in &self.classes {
-            put_command_class(w, *class);
-            w.put_u64(row.issued);
-            w.put_u64(row.sync);
-            w.put_u64(row.async_converted);
-            w.put_u64(row.faulted);
-            put_histogram_snapshot(w, &row.observed);
+            class.put(w);
+            row.put(w);
         }
         w.put_u32(self.structures.len() as u32);
         for s in &self.structures {
-            w.put_str(&s.name);
-            w.put_u64(s.requests);
-            w.put_u64(s.contentions);
-            w.put_u64(s.force_interests);
-            w.put_u64(s.faulted);
+            s.put(w);
         }
         w.put_u64(self.trace_emitted);
         w.put_u64(self.trace_dropped);
@@ -1840,17 +1364,7 @@ impl SmfRecord {
         }
         let mut classes = Vec::with_capacity(nclasses);
         for _ in 0..nclasses {
-            let class = get_command_class(r)?;
-            classes.push((
-                class,
-                SmfClassRow {
-                    issued: r.get_u64()?,
-                    sync: r.get_u64()?,
-                    async_converted: r.get_u64()?,
-                    faulted: r.get_u64()?,
-                    observed: get_histogram_snapshot(r)?,
-                },
-            ));
+            classes.push((CommandClass::get(r)?, SmfClassRow::get(r)?));
         }
         let nstructures = r.get_u32()? as usize;
         if nstructures > MAX_FRAME_BYTES / 8 {
@@ -1858,13 +1372,7 @@ impl SmfRecord {
         }
         let mut structures = Vec::with_capacity(nstructures.min(1024));
         for _ in 0..nstructures {
-            structures.push(SmfStructureRow {
-                name: r.get_str()?,
-                requests: r.get_u64()?,
-                contentions: r.get_u64()?,
-                force_interests: r.get_u64()?,
-                faulted: r.get_u64()?,
-            });
+            structures.push(SmfStructureRow::get(r)?);
         }
         Ok(SmfRecord {
             system,
@@ -2066,7 +1574,7 @@ mod tests {
             w.put_u64(0);
         }
         let bytes = w.into_bytes();
-        assert!(get_histogram_snapshot(&mut WireReader::new(&bytes)).is_err());
+        assert!(HistogramSnapshot::get(&mut WireReader::new(&bytes)).is_err());
         // Zero count in the sparse list.
         let mut w = WireWriter::new();
         w.put_u8(1);
@@ -2076,7 +1584,19 @@ mod tests {
             w.put_u64(0);
         }
         let bytes = w.into_bytes();
-        assert!(get_histogram_snapshot(&mut WireReader::new(&bytes)).is_err());
+        assert!(HistogramSnapshot::get(&mut WireReader::new(&bytes)).is_err());
+    }
+
+    #[test]
+    fn lock_generation_codec_rejects_a_set_high_half() {
+        let resp =
+            WireResponse::Lock(LockResponse::Contention { holders: 0b101, exclusive: None, generation: 41 });
+        let mut bytes = resp.encode();
+        assert_eq!(WireResponse::decode(&bytes).unwrap(), resp);
+        // The generation is the trailing 32-bit word; a bit in its high
+        // half is not a generation any encoder produced.
+        *bytes.last_mut().unwrap() = 0x01;
+        assert_eq!(WireResponse::decode(&bytes).unwrap_err(), WireError::BadTag("lock-generation"));
     }
 
     #[test]
@@ -2105,16 +1625,16 @@ mod tests {
     fn error_labels_reintern_to_known_statics() {
         let e = CfError::InterfaceControlCheck("cache-write");
         let mut w = WireWriter::new();
-        put_cf_error(&mut w, &e);
+        e.put(&mut w);
         let bytes = w.into_bytes();
         let mut r = WireReader::new(&bytes);
-        assert_eq!(get_cf_error(&mut r).unwrap(), e);
+        assert_eq!(CfError::get(&mut r).unwrap(), e);
         // Unknown labels collapse to "remote" instead of leaking.
         let mut w = WireWriter::new();
         w.put_u8(12);
         w.put_str("no-such-class");
         let bytes = w.into_bytes();
         let mut r = WireReader::new(&bytes);
-        assert_eq!(get_cf_error(&mut r).unwrap(), CfError::LinkTimeout("remote"));
+        assert_eq!(CfError::get(&mut r).unwrap(), CfError::LinkTimeout("remote"));
     }
 }

@@ -7,6 +7,7 @@
 //! decode to an error — never a panic, never a silent success.
 
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use sysplex_core::cache::{BlockName, RegisterResult, WriteKind, WriteResult};
 use sysplex_core::connection::{CfCommand, CommandClass};
@@ -104,7 +105,8 @@ fn entry_view(n: u64, data: &[u8]) -> EntryView {
     EntryView { id: EntryId(n), key: n ^ 0xABCD, data: data.to_vec(), header: (n % 64) as usize, version: n }
 }
 
-/// One request of every variant, parameterized by the fuzz inputs.
+/// One request of every variant, parameterized by the fuzz inputs
+/// (`every_tag_has_a_sample_and_golden_bytes` fails if a row is missing).
 fn request_samples(h: u32, n: u64, sel: u8, data: &[u8], name: &str) -> Vec<WireRequest> {
     let block = BlockName::from_bytes(&data[..data.len().min(16)]);
     vec![
@@ -114,6 +116,13 @@ fn request_samples(h: u32, n: u64, sel: u8, data: &[u8], name: &str) -> Vec<Wire
         WireRequest::AttachList { structure: name.to_string(), vector_len: n },
         WireRequest::LockRequest { handle: h, entry: n, mode: lock_mode(sel) },
         WireRequest::LockForce { handle: h, entry: n, mode: lock_mode(sel) },
+        WireRequest::LockForceNegotiated {
+            handle: h,
+            entry: n,
+            mode: lock_mode(sel),
+            negotiated: h ^ 0xFF,
+            generation: (n & 0xFFFF) as u16,
+        },
         WireRequest::LockRelease { handle: h, entry: n },
         WireRequest::LockHolders { handle: h, entry: n },
         WireRequest::LockIsNegotiate { handle: h, entry: n },
@@ -442,4 +451,118 @@ fn max_size_payloads_round_trip() {
     }
     let resp = WireResponse::Data { data: page, version: u64::MAX };
     assert_eq!(WireResponse::decode(&resp.encode()).unwrap(), resp);
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Encodings of `request_samples(0x0102_0304, 0x1112_1314_1516_1718, 0xFD,
+/// b"golden-bytes!", "GOLD1")`, captured at the last hand-written codec
+/// (PR 16, `WIRE_VERSION` 1). A later row is appended with the bytes it
+/// had when it was added.
+const GOLDEN_REQUESTS: [&str; WireRequest::COUNT] = [
+    "0005000000474f4c4431",
+    "0105000000474f4c44311d",
+    "0205000000474f4c44311817161514131211",
+    "0305000000474f4c44311817161514131211",
+    "0404030201181716151413121101",
+    "0504030201181716151413121101",
+    // LockForceNegotiated (tag 42), added with the command table.
+    "2a04030201181716151413121101fb03020118170000",
+    "06040302011817161514131211",
+    "07040302011817161514131211",
+    "08040302011817161514131211",
+    "09040302010d000000676f6c64656e2d627974657321010d000000676f6c64656e2d627974657321",
+    "0a040302010d000000676f6c64656e2d627974657321",
+    "0b040302011d",
+    "0c040302011d",
+    "0d040302011d",
+    "0e0403020100",
+    "0f040302011d00",
+    "1004030201676f6c64656e2d62797465732100000003030201",
+    "1104030201676f6c64656e2d6279746573210000000d000000676f6c64656e2d62797465732101",
+    "1204030201676f6c64656e2d627974657321000000",
+    "13040302011817161514131211",
+    "1404030201676f6c64656e2d627974657321000000",
+    "1504030201676f6c64656e2d6279746573210000001817161514131211",
+    "160403020104030201",
+    "1704030201",
+    "1804030201181716151413121118171615141312110d000000676f6c64656e2d62797465732101011817161514131211",
+    "1904030201181716151413121118171615141312110d000000676f6c64656e2d627974657321011817161514131211011817161514131211",
+    "1a040302011817161514131211",
+    "1b040302011817161514131211011817161514131211",
+    "1c040302011817161514131211181716151413121101011817161514131211",
+    "1d0403020118171615141312111817161514131211191716151413121101011817161514131211",
+    "1e04030201181716151413121119171615141312110101011817161514131211",
+    "1f04030201181716151413121101011817161514131211",
+    "20040302011817161514131211",
+    "21040302011817161514131211",
+    "22040302011817161514131211",
+    "23040302011817161514131211",
+    "24040302011817161514131211",
+    "2504030201181716151413121104030201",
+    "26040302011817161514131211",
+    "270403020104030201",
+    "2804030201",
+    "2901181700000000000001",
+];
+
+/// Encodings of `response_samples` for the same inputs, same provenance.
+const GOLDEN_RESPONSES: [&str; 31] = [
+    "00",
+    "01040302011d1817161514131211",
+    "0200",
+    "031817161514131211",
+    "04",
+    "0504030201011d18170000",
+    "0604030201011d",
+    "07010000000d000000676f6c64656e2d627974657321010d000000676f6c64656e2d627974657321",
+    "08010d000000676f6c64656e2d627974657321181716151413121101",
+    "0914000000000000001817161514131211",
+    "0a02000000676f6c64656e2d627974657321000000676f6c64656e2d627974657321000000",
+    "0b0d000000676f6c64656e2d6279746573211817161514131211",
+    "0c1817161514131211",
+    "0d",
+    "0e1817161514131211d5bc1615141312110d000000676f6c64656e2d62797465732118000000000000001817161514131211",
+    "0f020000001817161514131211d5bc1615141312110d000000676f6c64656e2d627974657321180000000000000018171615141312111d17161514131211d0bc1615141312110d000000676f6c64656e2d6279746573211d000000000000001d17161514131211",
+    "10011d",
+    "110005000000474f4c4431",
+    "110105000000474f4c4431",
+    "1102",
+    "1103",
+    "1104",
+    "1105",
+    "1106",
+    "110718171615141312111b17161514131211",
+    "11081d",
+    "1109",
+    "110a0d000000776972652d70726f746f636f6c",
+    "110b",
+    "110c0d000000776972652d70726f746f636f6c",
+    "110d0600000072656d6f7465",
+];
+
+/// The codec is generated from the command table; these bytes are not. A
+/// table edit that moves a tag, reorders a field or changes a width fails
+/// here, and so does a row added without a sample: the leading tag bytes
+/// of the samples must be exactly `0..COUNT`.
+#[test]
+fn every_tag_has_a_sample_and_golden_bytes() {
+    let data = b"golden-bytes!";
+    let requests: Vec<Vec<u8>> = request_samples(0x0102_0304, 0x1112_1314_1516_1718, 0xFD, data, "GOLD1")
+        .iter()
+        .map(WireRequest::encode)
+        .collect();
+    let responses: Vec<Vec<u8>> = response_samples(0x0102_0304, 0x1112_1314_1516_1718, 0xFD, data, "GOLD1")
+        .iter()
+        .map(WireResponse::encode)
+        .collect();
+    assert_eq!(requests.iter().map(|b| hex(b)).collect::<Vec<_>>(), GOLDEN_REQUESTS);
+    assert_eq!(responses.iter().map(|b| hex(b)).collect::<Vec<_>>(), GOLDEN_RESPONSES);
+
+    let tags = |encoded: &[Vec<u8>]| encoded.iter().map(|b| b[0] as usize).collect::<BTreeSet<_>>();
+    assert_eq!(tags(&requests), (0..WireRequest::COUNT).collect(), "one sample per request tag");
+    assert_eq!(tags(&responses), (0..WireResponse::COUNT).collect(), "one sample per response tag");
+    assert_eq!(sysplex_core::wire::WIRE_VERSION, 1);
 }
