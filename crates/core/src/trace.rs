@@ -8,6 +8,12 @@
 //! heartbeat miss — is packed into a fixed five-word entry and pushed into
 //! a per-system ring buffer.
 //!
+//! The events are written once, as the `trace_events!` table below: a row
+//! gives an event's stable kind id, its mnemonic, its fields and the bits
+//! of the two payload words each field occupies. [`TraceKind`],
+//! [`TraceEvent`] and the slot codec are generated from the rows, so
+//! adding an event is one row.
+//!
 //! Hot-path discipline matches `stats.rs`: when tracing is disabled the
 //! only cost is **one relaxed atomic load** ([`Tracer::is_enabled`]).
 //! When enabled, a push is a `fetch_add` to reserve a slot plus five
@@ -37,448 +43,341 @@ pub const TRACE_SYSTEM_CF: u8 = MAX_SYSTEMS as u8;
 const RINGS: usize = MAX_SYSTEMS + 1;
 const WORDS: usize = 5;
 
-/// Discriminant of a packed trace entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum TraceKind {
-    /// CF command accepted onto a subchannel.
-    CmdIssued = 0,
-    /// CF command finished (sync return or async completion observed).
-    CmdCompleted = 1,
-    /// Lock request granted CPU-synchronously.
-    LockGrant = 2,
-    /// Lock request hit incompatible interest; holders identified.
-    LockContend = 3,
-    /// Contention resolved as false (hash collision) by XCF negotiation.
-    LockFalseContend = 4,
-    /// `read_and_register` against a cache structure.
-    CacheRegister = 5,
-    /// Cross-invalidate signals fanned out by a write.
-    CrossInvalidate = 6,
-    /// Local-vector validity test (never touches the CF).
-    LocalVectorCheck = 7,
-    /// List entry written.
-    ListEnqueue = 8,
-    /// Empty-to-non-empty transition signal delivered to a monitor.
-    ListTransition = 9,
-    /// Claim/dequeue attempt at a list header.
-    ListClaim = 10,
-    /// Buffer-manager page read served (local hit or miss).
-    BufRead = 11,
-    /// Buffer-manager frame refresh (from CF data area or DASD).
-    BufRefresh = 12,
-    /// Buffer-manager frame stolen for a new page.
-    BufSteal = 13,
-    /// Changed page cast out of the CF to DASD.
-    BufCastout = 14,
-    /// XCF signal sent.
-    XcfSend = 15,
-    /// XCF signal delivered to the target member.
-    XcfDeliver = 16,
-    /// Heartbeat overdue at the monitor.
-    HeartbeatMiss = 17,
-    /// System fenced after missed heartbeats.
-    Fence = 18,
-    /// Work element placed on a shared subsystem queue.
-    WorkEnqueue = 19,
-    /// Work element dispatched from a shared subsystem queue.
-    WorkDispatch = 20,
-    /// VTAM generic-resource session placed on a member.
-    SessionPlace = 21,
-    /// Lock interest released (entry-level, or all entries on detach).
-    LockRelease = 22,
-    /// Lock re-granted from the local interest cache: the CF already
-    /// records this system's (sole) interest, so no command is issued.
-    LockLocalRegrant = 23,
-    /// Lock released locally but parked: CF interest retained so a
-    /// re-acquire can take the local fast path.
-    LockLazyRelease = 24,
-    /// Lock table rebuilt online into a larger entry count (adaptive
-    /// resize driven by the observed false-contention rate).
-    LockTableResize = 25,
+/// A value that packs into a bit range of one slot word.
+trait SlotField: Sized {
+    /// The value as the low bits of a word.
+    fn to_bits(self) -> u64;
+    /// The value those bits stand for; `None` when they stand for none.
+    fn from_bits(bits: u64) -> Option<Self>;
 }
 
-impl TraceKind {
-    /// Number of kinds (for per-kind counters).
-    pub const COUNT: usize = 26;
-
-    /// Stable wire/coverage id of this kind. These are the `#[repr(u8)]`
-    /// discriminants, which double as the packed-slot encoding and the
-    /// token the harness's coverage n-gram hashing is built on: appending
-    /// new kinds is fine, renumbering existing ones is a breaking change
-    /// (it silently remaps every stored coverage bitmap and corpus).
-    pub const fn id(self) -> u8 {
-        self as u8
+impl SlotField for u64 {
+    fn to_bits(self) -> u64 {
+        self
     }
+    fn from_bits(bits: u64) -> Option<Self> {
+        Some(bits)
+    }
+}
 
-    /// All kinds, indexable by discriminant.
-    pub const ALL: [TraceKind; TraceKind::COUNT] = [
-        TraceKind::CmdIssued,
-        TraceKind::CmdCompleted,
-        TraceKind::LockGrant,
-        TraceKind::LockContend,
-        TraceKind::LockFalseContend,
-        TraceKind::CacheRegister,
-        TraceKind::CrossInvalidate,
-        TraceKind::LocalVectorCheck,
-        TraceKind::ListEnqueue,
-        TraceKind::ListTransition,
-        TraceKind::ListClaim,
-        TraceKind::BufRead,
-        TraceKind::BufRefresh,
-        TraceKind::BufSteal,
-        TraceKind::BufCastout,
-        TraceKind::XcfSend,
-        TraceKind::XcfDeliver,
-        TraceKind::HeartbeatMiss,
-        TraceKind::Fence,
-        TraceKind::WorkEnqueue,
-        TraceKind::WorkDispatch,
-        TraceKind::SessionPlace,
-        TraceKind::LockRelease,
-        TraceKind::LockLocalRegrant,
-        TraceKind::LockLazyRelease,
-        TraceKind::LockTableResize,
-    ];
+impl SlotField for u8 {
+    fn to_bits(self) -> u64 {
+        u64::from(self)
+    }
+    fn from_bits(bits: u64) -> Option<Self> {
+        Some(bits as u8)
+    }
+}
 
-    /// Short mnemonic, IPCS-style.
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceKind::CmdIssued => "CMD-ISSUE",
-            TraceKind::CmdCompleted => "CMD-COMPL",
-            TraceKind::LockGrant => "LCK-GRANT",
-            TraceKind::LockContend => "LCK-CONT",
-            TraceKind::LockFalseContend => "LCK-FALSE",
-            TraceKind::CacheRegister => "CCH-REG",
-            TraceKind::CrossInvalidate => "CCH-XI",
-            TraceKind::LocalVectorCheck => "CCH-LVEC",
-            TraceKind::ListEnqueue => "LST-ENQ",
-            TraceKind::ListTransition => "LST-TRAN",
-            TraceKind::ListClaim => "LST-CLAIM",
-            TraceKind::BufRead => "BUF-READ",
-            TraceKind::BufRefresh => "BUF-REFR",
-            TraceKind::BufSteal => "BUF-STEAL",
-            TraceKind::BufCastout => "BUF-CAST",
-            TraceKind::XcfSend => "XCF-SEND",
-            TraceKind::XcfDeliver => "XCF-DELIV",
-            TraceKind::HeartbeatMiss => "HBT-MISS",
-            TraceKind::Fence => "SYS-FENCE",
-            TraceKind::WorkEnqueue => "WRK-ENQ",
-            TraceKind::WorkDispatch => "WRK-DISP",
-            TraceKind::SessionPlace => "VTM-PLACE",
-            TraceKind::LockRelease => "LCK-REL",
-            TraceKind::LockLocalRegrant => "LCK-REGR",
-            TraceKind::LockLazyRelease => "LCK-LAZY",
-            TraceKind::LockTableResize => "LCK-RESZ",
+impl SlotField for bool {
+    fn to_bits(self) -> u64 {
+        u64::from(self)
+    }
+    fn from_bits(bits: u64) -> Option<Self> {
+        Some(bits == 1)
+    }
+}
+
+impl SlotField for CommandClass {
+    fn to_bits(self) -> u64 {
+        self.index() as u64
+    }
+    fn from_bits(bits: u64) -> Option<Self> {
+        CommandClass::ALL.get(bits as usize).copied()
+    }
+}
+
+/// The two payload words of a slot, as the event table names them.
+const A: usize = 0;
+const B: usize = 1;
+
+/// The low `n` bits set, for the `1..=64` bits a field occupies.
+const fn low_bits(n: u32) -> u64 {
+    u64::MAX >> (64 - n)
+}
+
+/// The trace events, one row per event:
+///
+/// ```text
+/// /// doc
+/// id Name "MNEMONIC" { /// doc
+///                      field: Type = WORD[lo..hi], .. }
+/// ```
+///
+/// `id` is the event's stable kind id, `MNEMONIC` its IPCS-style name, and
+/// each field says which bits of payload word `A` or `B` it occupies.
+/// Generated from the rows: [`TraceKind`] with `COUNT`, `ALL` and `name()`,
+/// and [`TraceEvent`] with `kind()` and the slot codec — so an id, a
+/// mnemonic and a packing are each written once. Rows are in id order;
+/// a new event is one row with the next free id.
+macro_rules! trace_events {
+    ($(
+        $(#[$m:meta])* $id:literal $name:ident $mnemonic:literal
+        { $( $(#[$fm:meta])* $f:ident : $fty:ty = $w:ident [ $lo:literal .. $hi:literal ] ),* $(,)? }
+    )*) => {
+        /// Discriminant of a packed trace entry.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(u8)]
+        pub enum TraceKind {
+            $( $(#[$m])* $name = $id ),*
         }
-    }
+
+        impl TraceKind {
+            /// Number of kinds (for per-kind counters).
+            pub const COUNT: usize = [$($id),*].len();
+
+            /// All kinds, indexable by id.
+            pub const ALL: [TraceKind; TraceKind::COUNT] = [$(TraceKind::$name),*];
+
+            /// Stable wire/coverage id of this kind: the id its row gives
+            /// it, which is also the packed-slot encoding and the token the
+            /// harness's coverage n-gram hashing is built on. Appending new
+            /// kinds is fine, renumbering existing ones is a breaking change
+            /// (it silently remaps every stored coverage bitmap and corpus).
+            pub const fn id(self) -> u8 {
+                self as u8
+            }
+
+            /// Short mnemonic, IPCS-style.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $( TraceKind::$name => $mnemonic ),*
+                }
+            }
+        }
+
+        /// A typed trace event. Encodes to `(kind, a, b)` — two payload words —
+        /// so every entry fits the fixed slot layout.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum TraceEvent {
+            $( $(#[$m])* $name { $( $(#[$fm])* $f: $fty ),* } ),*
+        }
+
+        impl TraceEvent {
+            /// Kind discriminant for this event.
+            pub fn kind(&self) -> TraceKind {
+                match self {
+                    $( TraceEvent::$name { .. } => TraceKind::$name ),*
+                }
+            }
+
+            fn encode(&self) -> (TraceKind, u64, u64) {
+                let mut words = [0u64; 2];
+                let kind = match *self {
+                    $( TraceEvent::$name { $($f),* } => {
+                        $( words[$w] |= SlotField::to_bits($f) << $lo; )*
+                        TraceKind::$name
+                    } )*
+                };
+                (kind, words[A], words[B])
+            }
+
+            fn decode(kind: u8, a: u64, b: u64) -> Option<TraceEvent> {
+                let words = [a, b];
+                Some(match *TraceKind::ALL.get(kind as usize)? {
+                    $( TraceKind::$name => TraceEvent::$name {
+                        $( $f: SlotField::from_bits(words[$w] >> $lo & low_bits($hi - $lo))? ),*
+                    } ),*
+                })
+            }
+        }
+    };
 }
 
-/// A typed trace event. Encodes to `(kind, a, b)` — two payload words —
-/// so every entry fits the fixed slot layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceEvent {
+trace_events! {
     /// CF command accepted onto a subchannel.
-    CmdIssued {
+    0 CmdIssued "CMD-ISSUE" {
         /// Command class.
-        class: CommandClass,
+        class: CommandClass = A[0..8],
         /// Heuristically converted to asynchronous execution.
-        converted_async: bool,
-    },
-    /// CF command finished; `latency_ns` covers issue to completion.
-    CmdCompleted {
+        converted_async: bool = A[8..9],
+    }
+    /// CF command finished (sync return or async completion observed);
+    /// `latency_ns` covers issue to completion.
+    1 CmdCompleted "CMD-COMPL" {
         /// Command class.
-        class: CommandClass,
+        class: CommandClass = A[0..8],
         /// Whether the command ran asynchronously.
-        converted_async: bool,
+        converted_async: bool = A[8..9],
         /// Observed service time in nanoseconds.
-        latency_ns: u64,
-    },
-    /// Lock granted CPU-synchronously.
-    LockGrant {
+        latency_ns: u64 = B[0..64],
+    }
+    /// Lock request granted CPU-synchronously.
+    2 LockGrant "LCK-GRANT" {
         /// Lock-table entry index.
-        entry: u64,
+        entry: u64 = A[0..64],
         /// Raw id of the granted connector.
-        conn: u8,
+        conn: u8 = B[0..8],
         /// Whether the grant is exclusive.
-        exclusive: bool,
-    },
-    /// Lock request contended; the CF names the holders (paper §3.3.1).
-    LockContend {
+        exclusive: bool = B[8..9],
+    }
+    /// Lock request hit incompatible interest; the CF names the holders
+    /// (paper §3.3.1).
+    3 LockContend "LCK-CONT" {
         /// Lock-table entry index.
-        entry: u64,
+        entry: u64 = A[0..64],
         /// Bitmask of holding connectors.
-        holders: u64,
+        holders: u64 = B[0..32],
         /// Raw id of the exclusive holder, `0xFF` when none.
-        exclusive: u8,
-    },
-    /// Contention resolved as false (different resources, same hash class).
-    LockFalseContend {
+        exclusive: u8 = B[32..40],
+    }
+    /// Contention resolved as false (different resources, same hash class)
+    /// by XCF negotiation.
+    4 LockFalseContend "LCK-FALSE" {
         /// Lock-table entry index.
-        entry: u64,
+        entry: u64 = A[0..64],
         /// Bitmask of holding connectors at negotiation time.
-        holders: u64,
-    },
-    /// `read_and_register` round trip.
-    CacheRegister {
+        holders: u64 = B[0..64],
+    }
+    /// `read_and_register` against a cache structure.
+    5 CacheRegister "CCH-REG" {
         /// Digest of the block name (see `BlockName::digest`).
-        block: u64,
+        block: u64 = A[0..64],
         /// Whether the CF data area held a current copy.
-        hit: bool,
-    },
-    /// Write fanned out cross-invalidate signals.
-    CrossInvalidate {
+        hit: bool = B[0..1],
+    }
+    /// Cross-invalidate signals fanned out by a write.
+    6 CrossInvalidate "CCH-XI" {
         /// Digest of the written block's name.
-        block: u64,
+        block: u64 = A[0..64],
         /// Number of peer connectors invalidated.
-        invalidated: u64,
-    },
-    /// Local bit-vector test (the ns-scale check that avoids the CF).
-    LocalVectorCheck {
+        invalidated: u64 = B[0..64],
+    }
+    /// Local bit-vector validity test (the ns-scale check that never
+    /// touches the CF).
+    7 LocalVectorCheck "CCH-LVEC" {
         /// Digest of the block name the vector index maps (0 if unknown).
-        block: u64,
+        block: u64 = A[0..64],
         /// Whether the local copy was still valid.
-        valid: bool,
-    },
+        valid: bool = B[0..1],
+    }
     /// List entry written.
-    ListEnqueue {
+    8 ListEnqueue "LST-ENQ" {
         /// Header index.
-        header: u64,
+        header: u64 = A[0..64],
         /// Entry id assigned by the structure (never reused).
-        entry: u64,
-    },
-    /// Empty-to-non-empty transition signal delivered.
-    ListTransition {
+        entry: u64 = B[0..64],
+    }
+    /// Empty-to-non-empty transition signal delivered to a monitor.
+    9 ListTransition "LST-TRAN" {
         /// Header index.
-        header: u64,
-    },
-    /// Claim/dequeue attempt.
-    ListClaim {
+        header: u64 = A[0..64],
+    }
+    /// Claim/dequeue attempt at a list header.
+    10 ListClaim "LST-CLAIM" {
         /// Header index.
-        header: u64,
+        header: u64 = A[0..64],
         /// Claimed entry id (0 when nothing was claimed; real ids start
         /// at 1 and are never reused).
-        entry: u64,
-    },
-    /// Buffer-manager read.
-    BufRead {
+        entry: u64 = B[0..64],
+    }
+    /// Buffer-manager page read served (local hit or miss).
+    11 BufRead "BUF-READ" {
         /// Page number.
-        page: u64,
+        page: u64 = A[0..64],
         /// Served from a valid local frame without any CF command.
-        local_hit: bool,
-    },
-    /// Buffer-manager refresh of an invalid or missing frame.
-    BufRefresh {
+        local_hit: bool = B[0..1],
+    }
+    /// Buffer-manager refresh of an invalid or missing frame (from the CF
+    /// data area or DASD).
+    12 BufRefresh "BUF-REFR" {
         /// Page number.
-        page: u64,
+        page: u64 = A[0..64],
         /// Data came from the CF data area (vs DASD).
-        from_cf: bool,
-    },
-    /// Frame stolen: old tenant evicted, local vector bit scrubbed.
-    BufSteal {
+        from_cf: bool = B[0..1],
+    }
+    /// Buffer-manager frame stolen for a new page: old tenant evicted,
+    /// local vector bit scrubbed.
+    13 BufSteal "BUF-STEAL" {
         /// Frame index.
-        frame: u64,
+        frame: u64 = A[0..64],
         /// New owning page number.
-        page: u64,
-    },
-    /// Changed page cast out to DASD.
-    BufCastout {
+        page: u64 = B[0..64],
+    }
+    /// Changed page cast out of the CF to DASD.
+    14 BufCastout "BUF-CAST" {
         /// Page number.
-        page: u64,
-    },
+        page: u64 = A[0..64],
+    }
     /// XCF signal sent.
-    XcfSend {
+    15 XcfSend "XCF-SEND" {
         /// Payload bytes.
-        bytes: u64,
-    },
-    /// XCF signal delivered.
-    XcfDeliver {
+        bytes: u64 = A[0..64],
+    }
+    /// XCF signal delivered to the target member.
+    16 XcfDeliver "XCF-DELIV" {
         /// Payload bytes.
-        bytes: u64,
-    },
-    /// Heartbeat overdue.
-    HeartbeatMiss {
+        bytes: u64 = A[0..64],
+    }
+    /// Heartbeat overdue at the monitor.
+    17 HeartbeatMiss "HBT-MISS" {
         /// Raw system id of the silent member.
-        system: u8,
-    },
-    /// System fenced.
-    Fence {
+        system: u8 = A[0..8],
+    }
+    /// System fenced after missed heartbeats.
+    18 Fence "SYS-FENCE" {
         /// Raw system id of the fenced member.
-        system: u8,
-    },
-    /// Work element enqueued on a shared queue.
-    WorkEnqueue {
+        system: u8 = A[0..8],
+    }
+    /// Work element placed on a shared subsystem queue.
+    19 WorkEnqueue "WRK-ENQ" {
         /// Queue (list header) index.
-        queue: u64,
-    },
-    /// Work element dispatched from a shared queue.
-    WorkDispatch {
+        queue: u64 = A[0..64],
+    }
+    /// Work element dispatched from a shared subsystem queue.
+    20 WorkDispatch "WRK-DISP" {
         /// Queue (list header) index.
-        queue: u64,
-    },
-    /// VTAM generic-resource session placed.
-    SessionPlace {
+        queue: u64 = A[0..64],
+    }
+    /// VTAM generic-resource session placed on a member.
+    21 SessionPlace "VTM-PLACE" {
         /// Raw system id of the chosen member.
-        target: u8,
-    },
-    /// Lock interest released.
-    LockRelease {
+        target: u8 = A[0..8],
+    }
+    /// Lock interest released (entry-level, or all entries on detach).
+    22 LockRelease "LCK-REL" {
         /// Lock-table entry index, or `u64::MAX` for "every entry this
         /// connector held" (normal detach or recovery completion).
-        entry: u64,
+        entry: u64 = A[0..64],
         /// Raw id of the releasing (or recovered) connector.
-        conn: u8,
-    },
-    /// Lock re-granted entirely locally (cached sole interest; no CF
-    /// command issued).
-    LockLocalRegrant {
+        conn: u8 = B[0..8],
+    }
+    /// Lock re-granted from the local interest cache: the CF already
+    /// records this system's (sole) interest, so no command is issued.
+    23 LockLocalRegrant "LCK-REGR" {
         /// Lock-table entry index.
-        entry: u64,
+        entry: u64 = A[0..64],
         /// Raw id of the re-granted connector.
-        conn: u8,
+        conn: u8 = B[0..8],
         /// Whether the re-grant is exclusive.
-        exclusive: bool,
-    },
-    /// Lock released locally with CF interest retained (parked for a
-    /// future local re-grant).
-    LockLazyRelease {
+        exclusive: bool = B[8..9],
+    }
+    /// Lock released locally but parked: CF interest retained so a
+    /// re-acquire can take the local fast path.
+    24 LockLazyRelease "LCK-LAZY" {
         /// Lock-table entry index.
-        entry: u64,
+        entry: u64 = A[0..64],
         /// Raw id of the parking connector.
-        conn: u8,
-    },
-    /// Lock table grown online (quiesced rehash into a larger table).
-    LockTableResize {
+        conn: u8 = B[0..8],
+    }
+    /// Lock table rebuilt online into a larger entry count (adaptive
+    /// resize driven by the observed false-contention rate).
+    25 LockTableResize "LCK-RESZ" {
         /// Entry count before the resize.
-        from_entries: u64,
+        from_entries: u64 = A[0..64],
         /// Entry count after the resize.
-        to_entries: u64,
-    },
-}
-
-impl TraceEvent {
-    /// Kind discriminant for this event.
-    pub fn kind(&self) -> TraceKind {
-        match self {
-            TraceEvent::CmdIssued { .. } => TraceKind::CmdIssued,
-            TraceEvent::CmdCompleted { .. } => TraceKind::CmdCompleted,
-            TraceEvent::LockGrant { .. } => TraceKind::LockGrant,
-            TraceEvent::LockContend { .. } => TraceKind::LockContend,
-            TraceEvent::LockFalseContend { .. } => TraceKind::LockFalseContend,
-            TraceEvent::CacheRegister { .. } => TraceKind::CacheRegister,
-            TraceEvent::CrossInvalidate { .. } => TraceKind::CrossInvalidate,
-            TraceEvent::LocalVectorCheck { .. } => TraceKind::LocalVectorCheck,
-            TraceEvent::ListEnqueue { .. } => TraceKind::ListEnqueue,
-            TraceEvent::ListTransition { .. } => TraceKind::ListTransition,
-            TraceEvent::ListClaim { .. } => TraceKind::ListClaim,
-            TraceEvent::BufRead { .. } => TraceKind::BufRead,
-            TraceEvent::BufRefresh { .. } => TraceKind::BufRefresh,
-            TraceEvent::BufSteal { .. } => TraceKind::BufSteal,
-            TraceEvent::BufCastout { .. } => TraceKind::BufCastout,
-            TraceEvent::XcfSend { .. } => TraceKind::XcfSend,
-            TraceEvent::XcfDeliver { .. } => TraceKind::XcfDeliver,
-            TraceEvent::HeartbeatMiss { .. } => TraceKind::HeartbeatMiss,
-            TraceEvent::Fence { .. } => TraceKind::Fence,
-            TraceEvent::WorkEnqueue { .. } => TraceKind::WorkEnqueue,
-            TraceEvent::WorkDispatch { .. } => TraceKind::WorkDispatch,
-            TraceEvent::SessionPlace { .. } => TraceKind::SessionPlace,
-            TraceEvent::LockRelease { .. } => TraceKind::LockRelease,
-            TraceEvent::LockLocalRegrant { .. } => TraceKind::LockLocalRegrant,
-            TraceEvent::LockLazyRelease { .. } => TraceKind::LockLazyRelease,
-            TraceEvent::LockTableResize { .. } => TraceKind::LockTableResize,
-        }
-    }
-
-    fn encode(&self) -> (TraceKind, u64, u64) {
-        match *self {
-            TraceEvent::CmdIssued { class, converted_async } => {
-                (TraceKind::CmdIssued, class as u64 | (converted_async as u64) << 8, 0)
-            }
-            TraceEvent::CmdCompleted { class, converted_async, latency_ns } => {
-                (TraceKind::CmdCompleted, class as u64 | (converted_async as u64) << 8, latency_ns)
-            }
-            TraceEvent::LockGrant { entry, conn, exclusive } => {
-                (TraceKind::LockGrant, entry, conn as u64 | (exclusive as u64) << 8)
-            }
-            TraceEvent::LockContend { entry, holders, exclusive } => {
-                (TraceKind::LockContend, entry, holders | (exclusive as u64) << 32)
-            }
-            TraceEvent::LockFalseContend { entry, holders } => (TraceKind::LockFalseContend, entry, holders),
-            TraceEvent::CacheRegister { block, hit } => (TraceKind::CacheRegister, block, hit as u64),
-            TraceEvent::CrossInvalidate { block, invalidated } => {
-                (TraceKind::CrossInvalidate, block, invalidated)
-            }
-            TraceEvent::LocalVectorCheck { block, valid } => {
-                (TraceKind::LocalVectorCheck, block, valid as u64)
-            }
-            TraceEvent::ListEnqueue { header, entry } => (TraceKind::ListEnqueue, header, entry),
-            TraceEvent::ListTransition { header } => (TraceKind::ListTransition, header, 0),
-            TraceEvent::ListClaim { header, entry } => (TraceKind::ListClaim, header, entry),
-            TraceEvent::BufRead { page, local_hit } => (TraceKind::BufRead, page, local_hit as u64),
-            TraceEvent::BufRefresh { page, from_cf } => (TraceKind::BufRefresh, page, from_cf as u64),
-            TraceEvent::BufSteal { frame, page } => (TraceKind::BufSteal, frame, page),
-            TraceEvent::BufCastout { page } => (TraceKind::BufCastout, page, 0),
-            TraceEvent::XcfSend { bytes } => (TraceKind::XcfSend, bytes, 0),
-            TraceEvent::XcfDeliver { bytes } => (TraceKind::XcfDeliver, bytes, 0),
-            TraceEvent::HeartbeatMiss { system } => (TraceKind::HeartbeatMiss, system as u64, 0),
-            TraceEvent::Fence { system } => (TraceKind::Fence, system as u64, 0),
-            TraceEvent::WorkEnqueue { queue } => (TraceKind::WorkEnqueue, queue, 0),
-            TraceEvent::WorkDispatch { queue } => (TraceKind::WorkDispatch, queue, 0),
-            TraceEvent::SessionPlace { target } => (TraceKind::SessionPlace, target as u64, 0),
-            TraceEvent::LockRelease { entry, conn } => (TraceKind::LockRelease, entry, conn as u64),
-            TraceEvent::LockLocalRegrant { entry, conn, exclusive } => {
-                (TraceKind::LockLocalRegrant, entry, conn as u64 | (exclusive as u64) << 8)
-            }
-            TraceEvent::LockLazyRelease { entry, conn } => (TraceKind::LockLazyRelease, entry, conn as u64),
-            TraceEvent::LockTableResize { from_entries, to_entries } => {
-                (TraceKind::LockTableResize, from_entries, to_entries)
-            }
-        }
-    }
-
-    fn decode(kind: u8, a: u64, b: u64) -> Option<TraceEvent> {
-        let class_of = |w: u64| CommandClass::ALL.get((w & 0xFF) as usize).copied();
-        Some(match kind {
-            0 => TraceEvent::CmdIssued { class: class_of(a)?, converted_async: a >> 8 & 1 == 1 },
-            1 => TraceEvent::CmdCompleted {
-                class: class_of(a)?,
-                converted_async: a >> 8 & 1 == 1,
-                latency_ns: b,
-            },
-            2 => TraceEvent::LockGrant { entry: a, conn: (b & 0xFF) as u8, exclusive: b >> 8 & 1 == 1 },
-            3 => TraceEvent::LockContend {
-                entry: a,
-                holders: b & 0xFFFF_FFFF,
-                exclusive: (b >> 32 & 0xFF) as u8,
-            },
-            4 => TraceEvent::LockFalseContend { entry: a, holders: b },
-            5 => TraceEvent::CacheRegister { block: a, hit: b == 1 },
-            6 => TraceEvent::CrossInvalidate { block: a, invalidated: b },
-            7 => TraceEvent::LocalVectorCheck { block: a, valid: b == 1 },
-            8 => TraceEvent::ListEnqueue { header: a, entry: b },
-            9 => TraceEvent::ListTransition { header: a },
-            10 => TraceEvent::ListClaim { header: a, entry: b },
-            11 => TraceEvent::BufRead { page: a, local_hit: b == 1 },
-            12 => TraceEvent::BufRefresh { page: a, from_cf: b == 1 },
-            13 => TraceEvent::BufSteal { frame: a, page: b },
-            14 => TraceEvent::BufCastout { page: a },
-            15 => TraceEvent::XcfSend { bytes: a },
-            16 => TraceEvent::XcfDeliver { bytes: a },
-            17 => TraceEvent::HeartbeatMiss { system: a as u8 },
-            18 => TraceEvent::Fence { system: a as u8 },
-            19 => TraceEvent::WorkEnqueue { queue: a },
-            20 => TraceEvent::WorkDispatch { queue: a },
-            21 => TraceEvent::SessionPlace { target: a as u8 },
-            22 => TraceEvent::LockRelease { entry: a, conn: b as u8 },
-            23 => {
-                TraceEvent::LockLocalRegrant { entry: a, conn: (b & 0xFF) as u8, exclusive: b >> 8 & 1 == 1 }
-            }
-            24 => TraceEvent::LockLazyRelease { entry: a, conn: b as u8 },
-            25 => TraceEvent::LockTableResize { from_entries: a, to_entries: b },
-            _ => return None,
-        })
+        to_entries: u64 = B[0..64],
     }
 }
+
+/// `ALL` is indexed by id, so the rows' ids must be `0..COUNT` in order.
+const _: () = {
+    let mut i = 0;
+    while i < TraceKind::COUNT {
+        assert!(TraceKind::ALL[i] as usize == i, "trace event rows out of id order");
+        i += 1;
+    }
+};
 
 /// Source of the time-of-day word stamped into each entry.
 ///
@@ -828,45 +727,86 @@ mod tests {
     use super::*;
     use std::thread;
 
+    /// One fixed sample of every event with its kind id, mnemonic and
+    /// packed slot words, captured at the last hand-written codec (PR 17).
+    /// A later row is appended with the values it had when it was added.
+    fn golden_samples() -> Vec<(TraceEvent, u8, &'static str, u64, u64)> {
+        use TraceEvent as E;
+        vec![
+            (
+                E::CmdIssued { class: CommandClass::CacheWrite, converted_async: true },
+                0,
+                "CMD-ISSUE",
+                0x105,
+                0,
+            ),
+            (
+                E::CmdCompleted { class: CommandClass::ListAdmin, converted_async: true, latency_ns: 12_345 },
+                1,
+                "CMD-COMPL",
+                0x10b,
+                0x3039,
+            ),
+            (E::LockGrant { entry: 42, conn: 3, exclusive: true }, 2, "LCK-GRANT", 0x2a, 0x103),
+            (
+                E::LockContend { entry: 42, holders: 0b1010, exclusive: 0xFF },
+                3,
+                "LCK-CONT",
+                0x2a,
+                0xff_0000_000a,
+            ),
+            (E::LockFalseContend { entry: 42, holders: 0b1000 }, 4, "LCK-FALSE", 0x2a, 0x8),
+            (
+                E::CacheRegister { block: 0xDEAD_BEEF_0BAD_F00D, hit: true },
+                5,
+                "CCH-REG",
+                0xDEAD_BEEF_0BAD_F00D,
+                1,
+            ),
+            (E::CrossInvalidate { block: 0xDEAD, invalidated: 3 }, 6, "CCH-XI", 0xDEAD, 3),
+            (E::LocalVectorCheck { block: 0xDEAD, valid: true }, 7, "CCH-LVEC", 0xDEAD, 1),
+            (E::ListEnqueue { header: 5, entry: 11 }, 8, "LST-ENQ", 5, 11),
+            (E::ListTransition { header: 5 }, 9, "LST-TRAN", 5, 0),
+            (E::ListClaim { header: 5, entry: 11 }, 10, "LST-CLAIM", 5, 11),
+            (E::BufRead { page: 99, local_hit: true }, 11, "BUF-READ", 99, 1),
+            (E::BufRefresh { page: 99, from_cf: true }, 12, "BUF-REFR", 99, 1),
+            (E::BufSteal { frame: 3, page: 99 }, 13, "BUF-STEAL", 3, 99),
+            (E::BufCastout { page: 99 }, 14, "BUF-CAST", 99, 0),
+            (E::XcfSend { bytes: 128 }, 15, "XCF-SEND", 128, 0),
+            (E::XcfDeliver { bytes: 129 }, 16, "XCF-DELIV", 129, 0),
+            (E::HeartbeatMiss { system: 2 }, 17, "HBT-MISS", 2, 0),
+            (E::Fence { system: 31 }, 18, "SYS-FENCE", 31, 0),
+            (E::WorkEnqueue { queue: 1 }, 19, "WRK-ENQ", 1, 0),
+            (E::WorkDispatch { queue: 7 }, 20, "WRK-DISP", 7, 0),
+            (E::SessionPlace { target: 4 }, 21, "VTM-PLACE", 4, 0),
+            (E::LockRelease { entry: u64::MAX, conn: 3 }, 22, "LCK-REL", u64::MAX, 3),
+            (E::LockLocalRegrant { entry: 42, conn: 31, exclusive: true }, 23, "LCK-REGR", 0x2a, 0x11f),
+            (E::LockLazyRelease { entry: 42, conn: 3 }, 24, "LCK-LAZY", 0x2a, 3),
+            (E::LockTableResize { from_entries: 64, to_entries: 256 }, 25, "LCK-RESZ", 64, 256),
+        ]
+    }
+
     #[test]
     fn kind_ids_are_stable() {
-        // The coverage machinery hashes `(system, TraceKind::id)` n-grams;
-        // these ids are a persistence format. Pin every assignment: a new
-        // kind must take the next free id, never renumber an existing one.
-        let pinned: [(TraceKind, u8); TraceKind::COUNT] = [
-            (TraceKind::CmdIssued, 0),
-            (TraceKind::CmdCompleted, 1),
-            (TraceKind::LockGrant, 2),
-            (TraceKind::LockContend, 3),
-            (TraceKind::LockFalseContend, 4),
-            (TraceKind::CacheRegister, 5),
-            (TraceKind::CrossInvalidate, 6),
-            (TraceKind::LocalVectorCheck, 7),
-            (TraceKind::ListEnqueue, 8),
-            (TraceKind::ListTransition, 9),
-            (TraceKind::ListClaim, 10),
-            (TraceKind::BufRead, 11),
-            (TraceKind::BufRefresh, 12),
-            (TraceKind::BufSteal, 13),
-            (TraceKind::BufCastout, 14),
-            (TraceKind::XcfSend, 15),
-            (TraceKind::XcfDeliver, 16),
-            (TraceKind::HeartbeatMiss, 17),
-            (TraceKind::Fence, 18),
-            (TraceKind::WorkEnqueue, 19),
-            (TraceKind::WorkDispatch, 20),
-            (TraceKind::SessionPlace, 21),
-            (TraceKind::LockRelease, 22),
-            (TraceKind::LockLocalRegrant, 23),
-            (TraceKind::LockLazyRelease, 24),
-            (TraceKind::LockTableResize, 25),
-        ];
-        for (kind, id) in pinned {
-            assert_eq!(kind.id(), id, "{} renumbered", kind.name());
+        // The coverage machinery hashes `(system, TraceKind::id)` n-grams
+        // and the rings hold the packed words; both are persistence
+        // formats. The codec is generated from the event table, these
+        // values are not: a new kind must take the next free id, never
+        // renumber or repack an existing one — and must add a sample, since
+        // the samples' ids have to be exactly `0..COUNT`.
+        let samples = golden_samples();
+        for (event, id, mnemonic, a, b) in &samples {
+            let kind = event.kind();
+            assert_eq!((kind.id(), kind.name()), (*id, *mnemonic));
+            assert_eq!(event.encode(), (kind, *a, *b), "{mnemonic} repacked");
+            assert_eq!(TraceEvent::decode(*id, *a, *b), Some(*event), "{mnemonic} does not round-trip");
         }
+        let ids: Vec<usize> = samples.iter().map(|s| s.1 as usize).collect();
+        assert_eq!(ids, (0..TraceKind::COUNT).collect::<Vec<_>>(), "one sample per kind");
         for (i, kind) in TraceKind::ALL.iter().enumerate() {
             assert_eq!(kind.id() as usize, i, "ALL must be indexable by id");
         }
+        assert_eq!(TraceEvent::decode(TraceKind::COUNT as u8, 0, 0), None);
     }
 
     #[test]
@@ -882,41 +822,15 @@ mod tests {
         let t = Tracer::new();
         t.enable_with_capacity(64);
         let sid = t.register_structure("DSG_LOCK1");
-        let events = [
+        // Every kind's sample, plus the cleared form of each flag shape.
+        let mut events: Vec<TraceEvent> = golden_samples().into_iter().map(|sample| sample.0).collect();
+        events.extend([
             TraceEvent::CmdIssued { class: CommandClass::LockRequest, converted_async: false },
-            TraceEvent::CmdCompleted {
-                class: CommandClass::CacheWrite,
-                converted_async: true,
-                latency_ns: 12_345,
-            },
-            TraceEvent::LockContend { entry: 42, holders: 0b1010, exclusive: 1 },
-            TraceEvent::LockFalseContend { entry: 42, holders: 0b1000 },
-            TraceEvent::CacheRegister { block: 0xDEAD, hit: true },
-            TraceEvent::CrossInvalidate { block: 0xDEAD, invalidated: 3 },
+            TraceEvent::LockGrant { entry: 42, conn: 3, exclusive: false },
             TraceEvent::LocalVectorCheck { block: 0xDEAD, valid: false },
-            TraceEvent::ListEnqueue { header: 5, entry: 11 },
-            TraceEvent::ListTransition { header: 5 },
-            TraceEvent::ListClaim { header: 5, entry: 11 },
-            TraceEvent::BufRead { page: 99, local_hit: true },
-            TraceEvent::BufRefresh { page: 99, from_cf: false },
-            TraceEvent::BufSteal { frame: 3, page: 99 },
-            TraceEvent::BufCastout { page: 99 },
-            TraceEvent::XcfSend { bytes: 128 },
-            TraceEvent::XcfDeliver { bytes: 128 },
-            TraceEvent::HeartbeatMiss { system: 2 },
-            TraceEvent::Fence { system: 2 },
-            TraceEvent::WorkEnqueue { queue: 1 },
-            TraceEvent::WorkDispatch { queue: 1 },
-            TraceEvent::SessionPlace { target: 4 },
-            TraceEvent::LockGrant { entry: 42, conn: 3, exclusive: true },
-            TraceEvent::LockRelease { entry: 42, conn: 3 },
-            TraceEvent::LockRelease { entry: u64::MAX, conn: 3 },
-            TraceEvent::LockLocalRegrant { entry: 42, conn: 3, exclusive: true },
-            TraceEvent::LockLazyRelease { entry: 42, conn: 3 },
-            TraceEvent::LockTableResize { from_entries: 64, to_entries: 256 },
-        ];
-        for e in events {
-            t.emit(3, sid, e);
+        ]);
+        for e in &events {
+            t.emit(3, sid, *e);
         }
         let snap = t.snapshot(3);
         assert_eq!(snap.len(), events.len());

@@ -15,6 +15,17 @@
 //! dispatcher are all generated from those rows, so adding a CF command
 //! is one native connection method plus one row.
 //!
+//! **The kit is public.** [`Wire`], [`WireWriter`]/[`WireReader`],
+//! [`to_bytes`]/[`from_bytes`] and the exported macros
+//! [`wire_enum!`](crate::wire_enum) and [`wire_struct!`](crate::wire_struct)
+//! are the one way any crate in the workspace turns a value into bytes:
+//! `sysplex-services` writes the member-session envelope and the XCF types
+//! it carries, the ARM policy and the couple-data-set record with them;
+//! `sysplex-subsys` its JES job, VTAM instance, MPP message and RACF
+//! profile entries; `sysplex-db` IRLM's negotiation signals. A new format
+//! is a table (or a `Wire` impl) in the crate that owns the type, not a
+//! new pair of length-prefix helpers.
+//!
 //! Design constraints:
 //!
 //! * **No serde.** The workspace carries no serialization dependency; a
@@ -36,7 +47,7 @@ use crate::list::{DequeueEnd, EntryId, EntryView, LockCondition, WritePosition};
 use crate::lock::{DisconnectMode, LockMode, LockResponse, RetainedLock};
 use crate::stats::{HistogramSnapshot, HIST_BUCKETS};
 use crate::transport::InProcessTransport;
-use crate::types::{ConnId, ConnMask};
+use crate::types::{ConnId, ConnMask, SystemId};
 use std::io::{Read, Write};
 use std::sync::Arc;
 
@@ -130,10 +141,16 @@ impl WireWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Append `v` as it is, with no length in front: a fixed-width field,
+    /// or the tail of a buffer that ends where the value ends.
+    pub fn put_raw(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
+    }
+
     /// Append a length-prefixed byte slice.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_u32(v.len() as u32);
-        self.buf.extend_from_slice(v);
+        self.put_raw(v);
     }
 
     /// Append a length-prefixed UTF-8 string.
@@ -169,7 +186,9 @@ impl<'a> WireReader<'a> {
         }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+    /// Read the next `n` bytes as they are (the inverse of
+    /// [`WireWriter::put_raw`]).
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
             return Err(WireError::Truncated);
         }
@@ -202,15 +221,21 @@ impl<'a> WireReader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// Read a length-prefixed byte vector. The length is validated against
-    /// both the frame budget and the bytes actually present **before** any
-    /// allocation, so a corrupt length cannot balloon memory.
-    pub fn get_bytes(&mut self) -> Result<Vec<u8>, WireError> {
+    /// Read a length-prefixed byte slice, borrowed from the buffer. The
+    /// length is validated against both the frame budget and the bytes
+    /// actually present, so a corrupt length can neither index past the
+    /// end nor balloon an allocation made from it.
+    pub fn get_slice(&mut self) -> Result<&'a [u8], WireError> {
         let len = self.get_u32()? as usize;
         if len > MAX_FRAME_BYTES {
             return Err(WireError::TooLarge(len as u64));
         }
-        Ok(self.take(len)?.to_vec())
+        self.take(len)
+    }
+
+    /// Read a length-prefixed byte vector.
+    pub fn get_bytes(&mut self) -> Result<Vec<u8>, WireError> {
+        self.get_slice().map(<[u8]>::to_vec)
     }
 
     /// Read a length-prefixed UTF-8 string (lossy: the wire is ours, but a
@@ -278,9 +303,9 @@ fn invalid_data(e: WireError) -> std::io::Error {
 /// A value with exactly one wire encoding: `get(put(v)) == v`, and `get`
 /// rejects every byte string `put` cannot produce.
 ///
-/// Every field of every request, response and error travels through this
-/// trait, so a type's encoding is written once however many commands
-/// carry it.
+/// Every field of every request, response, record and error travels
+/// through this trait, so a type's encoding is written once however many
+/// formats carry it.
 pub trait Wire: Sized {
     /// Append the encoding of `self`.
     fn put(&self, w: &mut WireWriter);
@@ -397,6 +422,17 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
+/// A pair is its halves, in order.
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, w: &mut WireWriter) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+    fn get(r: &mut WireReader) -> Result<Self, WireError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
 impl<T: Wire> Wire for Arc<T> {
     fn put(&self, w: &mut WireWriter) {
         (**self).put(w);
@@ -407,9 +443,9 @@ impl<T: Wire> Wire for Arc<T> {
 }
 
 /// A two-variant payload whose variant byte rides in the enclosing enum's
-/// tag (`tag + sub_tag`) instead of following it: a row of [`wire_enum!`]
+/// tag (`tag + sub_tag`) instead of following it: a row of [`wire_enum!`](crate::wire_enum)
 /// written `tag | tag+1 Variant[field: Type]`.
-trait FoldedWire: Sized {
+pub trait FoldedWire: Sized {
     /// 0 or 1: which variant `self` is.
     fn sub_tag(&self) -> u8;
     /// Append the fields of `self`'s variant.
@@ -457,29 +493,30 @@ impl FoldedWire for LockResponse {
 }
 
 /// Encode `v` to a standalone byte vector.
-fn to_bytes<T: Wire>(v: &T) -> Vec<u8> {
+pub fn to_bytes<T: Wire>(v: &T) -> Vec<u8> {
     let mut w = WireWriter::new();
     v.put(&mut w);
     w.into_bytes()
 }
 
 /// Decode a `T` from a standalone byte vector, requiring exact consumption.
-fn from_bytes<T: Wire>(buf: &[u8]) -> Result<T, WireError> {
+pub fn from_bytes<T: Wire>(buf: &[u8]) -> Result<T, WireError> {
     let mut r = WireReader::new(buf);
     let v = T::get(&mut r)?;
     r.finish()?;
     Ok(v)
 }
 
-/// `Wire` for plain structs: the listed fields, in the order listed.
+/// [`Wire`] for plain structs: the listed fields, in the order listed.
+#[macro_export]
 macro_rules! wire_struct {
     ($($S:ident { $($f:ident),* })*) => {$(
-        impl Wire for $S {
-            fn put(&self, w: &mut WireWriter) {
-                $( self.$f.put(w); )*
+        impl $crate::wire::Wire for $S {
+            fn put(&self, w: &mut $crate::wire::WireWriter) {
+                $( $crate::wire::Wire::put(&self.$f, w); )*
             }
-            fn get(r: &mut WireReader) -> Result<Self, WireError> {
-                Ok($S { $( $f: Wire::get(r)? ),* })
+            fn get(r: &mut $crate::wire::WireReader) -> Result<Self, $crate::wire::WireError> {
+                Ok($S { $( $f: $crate::wire::Wire::get(r)? ),* })
             }
         }
     )*};
@@ -489,22 +526,25 @@ macro_rules! wire_struct {
 /// Name(field: Type)` or `tag Name { field: Type, .. }` — gives the
 /// variant, its tag byte, and its fields in wire order, so encode and
 /// decode cannot disagree. `pub enum` declares the enum from the rows as
-/// well; `impl Wire for` encodes one declared elsewhere. A `[field: Type]`
-/// row folds a [`FoldedWire`] payload's variant into the tag.
+/// well, with `COUNT` and the `encode`/`decode`/`encode_into`/`decode_from`
+/// entry points; `impl Wire for` encodes one declared elsewhere. A
+/// `[field: Type]` row folds a [`FoldedWire`] payload's variant into the
+/// tag.
+#[macro_export]
 macro_rules! wire_enum {
-    ($(#[$em:meta])* pub enum $E:ident($label:literal) { $($rows:tt)* }) => {
-        wire_enum!(@declare $(#[$em])* $E { $($rows)* });
-        wire_enum!(@codec $E($label) { $($rows)* });
+    ($(#[$em:meta])* $vis:vis enum $E:ident($label:literal) { $($rows:tt)* }) => {
+        $crate::wire_enum!(@declare $(#[$em])* $vis $E { $($rows)* });
+        $crate::wire_enum!(@codec $E($label) { $($rows)* });
     };
     (impl Wire for $E:ident($label:literal) { $($rows:tt)* }) => {
-        wire_enum!(@codec $E($label) { $($rows)* });
+        $crate::wire_enum!(@codec $E($label) { $($rows)* });
     };
-    (@declare $(#[$em:meta])* $E:ident { $(
+    (@declare $(#[$em:meta])* $vis:vis $E:ident { $(
         $(#[$m:meta])* $tag:literal $(| $alt:literal)? $name:ident
         $({ $( $(#[$fm:meta])* $f:ident : $fty:ty ),* $(,)? })? $(( $p:ident : $pty:ty ))? $([ $q:ident : $qty:ty ])?
     ),* $(,)? }) => {
         $(#[$em])*
-        pub enum $E {
+        $vis enum $E {
             $( $(#[$m])* $name $({ $( $(#[$fm])* $f: $fty ),* })? $(( $pty ))? $(( $qty ))? ),*
         }
         impl $E {
@@ -512,21 +552,21 @@ macro_rules! wire_enum {
             pub const COUNT: usize = [$( $tag, $($alt,)? )*].len();
             /// Encode into an existing writer (lets an outer protocol embed
             /// the value in its own envelope).
-            pub fn encode_into(&self, w: &mut WireWriter) {
-                self.put(w);
+            pub fn encode_into(&self, w: &mut $crate::wire::WireWriter) {
+                $crate::wire::Wire::put(self, w);
             }
             /// Decode from a reader positioned at a value (inverse of
             /// `encode_into`).
-            pub fn decode_from(r: &mut WireReader) -> Result<Self, WireError> {
-                Self::get(r)
+            pub fn decode_from(r: &mut $crate::wire::WireReader) -> Result<Self, $crate::wire::WireError> {
+                $crate::wire::Wire::get(r)
             }
             /// Encode to a standalone byte vector.
             pub fn encode(&self) -> Vec<u8> {
-                to_bytes(self)
+                $crate::wire::to_bytes(self)
             }
             /// Decode from a standalone byte vector, requiring exact consumption.
-            pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
-                from_bytes(buf)
+            pub fn decode(buf: &[u8]) -> Result<Self, $crate::wire::WireError> {
+                $crate::wire::from_bytes(buf)
             }
         }
     };
@@ -534,23 +574,25 @@ macro_rules! wire_enum {
         $(#[$m:meta])* $tag:literal $(| $alt:literal)? $name:ident
         $({ $( $(#[$fm:meta])* $f:ident : $fty:ty ),* $(,)? })? $(( $p:ident : $pty:ty ))? $([ $q:ident : $qty:ty ])?
     ),* $(,)? }) => {
-        impl Wire for $E {
-            fn put(&self, w: &mut WireWriter) {
+        impl $crate::wire::Wire for $E {
+            fn put(&self, w: &mut $crate::wire::WireWriter) {
                 match self {$(
                     Self::$name $({ $($f),* })? $(( $p ))? $(( $q ))? => {
-                        w.put_u8($tag $(+ $q.sub_tag())?);
-                        $($( $f.put(w); )*)? $( $p.put(w); )? $( $q.put_rest(w); )?
+                        w.put_u8($tag $(+ $crate::wire::FoldedWire::sub_tag($q))?);
+                        $($( $crate::wire::Wire::put($f, w); )*)?
+                        $( $crate::wire::Wire::put($p, w); )?
+                        $( $crate::wire::FoldedWire::put_rest($q, w); )?
                     }
                 )*}
             }
-            fn get(r: &mut WireReader) -> Result<Self, WireError> {
+            fn get(r: &mut $crate::wire::WireReader) -> Result<Self, $crate::wire::WireError> {
                 let tag = r.get_u8()?;
                 Ok(match tag {
                     $( $tag $(| $alt)? => Self::$name
-                        $({ $( $f: Wire::get(r)? ),* })?
-                        $(( <$pty as Wire>::get(r)? ))?
-                        $(( <$qty as FoldedWire>::get_rest(r, tag - $tag)? ))?, )*
-                    _ => return Err(WireError::BadTag($label)),
+                        $({ $( $f: $crate::wire::Wire::get(r)? ),* })?
+                        $(( <$pty as $crate::wire::Wire>::get(r)? ))?
+                        $(( <$qty as $crate::wire::FoldedWire>::get_rest(r, tag - $tag)? ))?, )*
+                    _ => return Err($crate::wire::WireError::BadTag($label)),
                 })
             }
         }
@@ -574,10 +616,23 @@ impl Wire for ConnId {
     }
 }
 
+impl Wire for SystemId {
+    fn put(&self, w: &mut WireWriter) {
+        w.put_u8(self.0);
+    }
+    fn get(r: &mut WireReader) -> Result<Self, WireError> {
+        let raw = r.get_u8()?;
+        if raw as usize >= crate::types::MAX_SYSTEMS {
+            return Err(WireError::BadTag("system-id"));
+        }
+        Ok(SystemId(raw))
+    }
+}
+
 /// A block name is its 16 bytes, unprefixed.
 impl Wire for BlockName {
     fn put(&self, w: &mut WireWriter) {
-        w.buf.extend_from_slice(self.as_bytes());
+        w.put_raw(self.as_bytes());
     }
     fn get(r: &mut WireReader) -> Result<Self, WireError> {
         Ok(BlockName::from_bytes(r.take(16)?))
@@ -701,7 +756,7 @@ pub(crate) enum Flag {
 /// answers: the native call on `c`, the connection `handle` names (`t`,
 /// the serving transport, for attach and probe rows), inside the response
 /// variant that carries its result. From the rows come [`WireRequest`]
-/// and its codec (through [`wire_enum!`]), `WireRequest::row` and
+/// and its codec (through [`wire_enum!`](crate::wire_enum)), `WireRequest::row` and
 /// `WireRequest::serve`.
 macro_rules! cf_commands {
     (
@@ -1321,87 +1376,65 @@ pub struct SmfRecord {
     pub trace_retained: u64,
 }
 
-impl SmfRecord {
-    /// Encode into an existing writer (the session envelope embeds records
-    /// the same way it embeds CF requests).
-    pub fn encode_into(&self, w: &mut WireWriter) {
+/// The record's versioned layout: [`SMF_RECORD_VERSION`] leads, the class
+/// rows are counted in one byte (there are [`CommandClass::COUNT`] classes
+/// at most), and a record of another version is refused, not misparsed.
+impl Wire for SmfRecord {
+    fn put(&self, w: &mut WireWriter) {
         w.put_u8(SMF_RECORD_VERSION);
         w.put_u8(self.system);
-        w.put_str(&self.member);
-        w.put_u32(self.seq);
-        w.put_u64(self.interval_us);
-        w.put_bool(self.final_interval);
-        w.put_u64(self.wire_retries);
+        self.member.put(w);
+        self.seq.put(w);
+        self.interval_us.put(w);
+        self.final_interval.put(w);
+        self.wire_retries.put(w);
         w.put_u8(self.classes.len() as u8);
-        for (class, row) in &self.classes {
-            class.put(w);
+        for row in &self.classes {
             row.put(w);
         }
-        w.put_u32(self.structures.len() as u32);
-        for s in &self.structures {
-            s.put(w);
-        }
-        w.put_u64(self.trace_emitted);
-        w.put_u64(self.trace_dropped);
-        w.put_u64(self.trace_retained);
+        self.structures.put(w);
+        self.trace_emitted.put(w);
+        self.trace_dropped.put(w);
+        self.trace_retained.put(w);
     }
 
-    /// Decode from a reader positioned at a record.
-    pub fn decode_from(r: &mut WireReader) -> Result<Self, WireError> {
+    fn get(r: &mut WireReader) -> Result<Self, WireError> {
         let version = r.get_u8()?;
         if version != SMF_RECORD_VERSION {
             return Err(WireError::BadVersion(version));
         }
-        let system = r.get_u8()?;
-        let member = r.get_str()?;
-        let seq = r.get_u32()?;
-        let interval_us = r.get_u64()?;
-        let final_interval = r.get_bool()?;
-        let wire_retries = r.get_u64()?;
-        let nclasses = r.get_u8()? as usize;
-        if nclasses > CommandClass::COUNT {
-            return Err(WireError::BadTag("smf-class-count"));
-        }
-        let mut classes = Vec::with_capacity(nclasses);
-        for _ in 0..nclasses {
-            classes.push((CommandClass::get(r)?, SmfClassRow::get(r)?));
-        }
-        let nstructures = r.get_u32()? as usize;
-        if nstructures > MAX_FRAME_BYTES / 8 {
-            return Err(WireError::TooLarge(nstructures as u64));
-        }
-        let mut structures = Vec::with_capacity(nstructures.min(1024));
-        for _ in 0..nstructures {
-            structures.push(SmfStructureRow::get(r)?);
-        }
+        // Initializers run in the order written, which is the wire order.
         Ok(SmfRecord {
-            system,
-            member,
-            seq,
-            interval_us,
-            final_interval,
-            wire_retries,
-            classes,
-            structures,
-            trace_emitted: r.get_u64()?,
-            trace_dropped: r.get_u64()?,
-            trace_retained: r.get_u64()?,
+            system: r.get_u8()?,
+            member: Wire::get(r)?,
+            seq: Wire::get(r)?,
+            interval_us: Wire::get(r)?,
+            final_interval: Wire::get(r)?,
+            wire_retries: Wire::get(r)?,
+            classes: {
+                let n = r.get_u8()? as usize;
+                if n > CommandClass::COUNT {
+                    return Err(WireError::BadTag("smf-class-count"));
+                }
+                (0..n).map(|_| Wire::get(r)).collect::<Result<_, _>>()?
+            },
+            structures: Wire::get(r)?,
+            trace_emitted: Wire::get(r)?,
+            trace_dropped: Wire::get(r)?,
+            trace_retained: Wire::get(r)?,
         })
     }
+}
 
+impl SmfRecord {
     /// Encode to a standalone byte vector.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        self.encode_into(&mut w);
-        w.into_bytes()
+        to_bytes(self)
     }
 
     /// Decode from a standalone byte vector, requiring exact consumption.
     pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
-        let mut r = WireReader::new(buf);
-        let v = SmfRecord::decode_from(&mut r)?;
-        r.finish()?;
-        Ok(v)
+        from_bytes(buf)
     }
 }
 

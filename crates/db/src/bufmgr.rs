@@ -421,7 +421,11 @@ impl BufferManager {
         }
         for (manager, guard) in managers.iter().zip(guards.iter_mut()) {
             let _ = guard.conn.detach();
-            let conn = CacheConnection::attach(&new, sub.sibling(), manager.frame_count)?;
+            let conn = CacheConnection::attach(
+                &new,
+                sub.sibling().with_system(manager.system),
+                manager.frame_count,
+            )?;
             {
                 let mut inner = manager.inner.lock();
                 inner.map.clear();

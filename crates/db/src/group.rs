@@ -234,16 +234,6 @@ impl DataSharingGroup {
         recover_peer(&db, &self.farm, &self.cache_structure(), failed)
     }
 
-    /// Rebuild both CF structures into `cf` (planned CF maintenance or CF
-    /// failure, §3.3: "Multiple CF's can be connected for availability").
-    ///
-    /// All members are quiesced, the lock space is re-created from their
-    /// in-storage lock tables, changed group-buffer data is destaged to
-    /// DASD, and every member reconnects to the replacement structures.
-    /// Transactions in flight simply stall for the (sub-millisecond here)
-    /// rebuild window. Any failed-persistent member must be peer-recovered
-    /// *before* rebuilding — its retained state lives only in the old
-    /// structure.
     /// Enable system-managed structure duplexing onto a second CF: every
     /// lock grant/release/record and every changed-data write is mirrored
     /// from now on. The strongest form of "Multiple CF's can be connected
@@ -304,6 +294,16 @@ impl DataSharingGroup {
         self.secondary_lock.lock().is_some()
     }
 
+    /// Rebuild both CF structures into `cf` (planned CF maintenance or CF
+    /// failure, §3.3: "Multiple CF's can be connected for availability").
+    ///
+    /// All members are quiesced, the lock space is re-created from their
+    /// in-storage lock tables, changed group-buffer data is destaged to
+    /// DASD, and every member reconnects to the replacement structures.
+    /// Transactions in flight simply stall for the (sub-millisecond here)
+    /// rebuild window. Any failed-persistent member must be peer-recovered
+    /// *before* rebuilding — its retained state lives only in the old
+    /// structure.
     pub fn rebuild_into(&self, cf: &CouplingFacility) -> DbResult<()> {
         let generation = self.generation.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
         let members = self.members();

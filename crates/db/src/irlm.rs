@@ -41,7 +41,7 @@ use sysplex_core::hashing::{PrehashedMap, ResourceName};
 use sysplex_core::lock::{DisconnectMode, LockMode, LockResponse, LockStructure, RetainedLock};
 use sysplex_core::stats::Counter;
 use sysplex_core::types::{conns_in_mask, ConnId};
-use sysplex_core::SystemId;
+use sysplex_core::{wire_enum, SystemId};
 use sysplex_services::timer::SysplexTimer;
 use sysplex_services::xcf::{Xcf, XcfError, XcfItem, XcfMember};
 
@@ -291,27 +291,15 @@ impl LocalState {
 /// class may be cached (and hence parked) again.
 const RECALL_COOLDOWN: u32 = 8;
 
-const MSG_QUERY: u8 = 0x01;
-const MSG_REPLY: u8 = 0x02;
-
-fn encode_query(req_id: u64, mode: LockMode, resource: &[u8]) -> Vec<u8> {
-    let mut m = Vec::with_capacity(10 + resource.len());
-    m.push(MSG_QUERY);
-    m.extend_from_slice(&req_id.to_be_bytes());
-    m.push(match mode {
-        LockMode::Shared => 0,
-        LockMode::Exclusive => 1,
-    });
-    m.extend_from_slice(resource);
-    m
-}
-
-fn encode_reply(req_id: u64, conflict: bool) -> Vec<u8> {
-    let mut m = Vec::with_capacity(10);
-    m.push(MSG_REPLY);
-    m.extend_from_slice(&req_id.to_be_bytes());
-    m.push(conflict as u8);
-    m
+wire_enum! {
+    /// One negotiation signal between two IRLMs, carried as an XCF message.
+    #[derive(Debug, PartialEq, Eq)]
+    pub(crate) enum IrlmSignal("irlm-signal") {
+        /// "Does anything you hold conflict with `mode` on `resource`?"
+        0 Query { req_id: u64, mode: LockMode, resource: Vec<u8> },
+        /// The holder's answer to query `req_id`.
+        1 Reply { req_id: u64, conflict: bool },
+    }
 }
 
 /// The IRLM's current CF attachment. Swapped atomically (under the
@@ -528,11 +516,9 @@ impl Irlm {
     }
 
     fn handle_message(&self, from: &str, payload: &[u8]) {
-        match payload.first() {
-            Some(&MSG_QUERY) if payload.len() >= 10 => {
-                let req_id = u64::from_be_bytes(payload[1..9].try_into().unwrap());
-                let mode = if payload[9] == 1 { LockMode::Exclusive } else { LockMode::Shared };
-                let name = ResourceName::new(&payload[10..]);
+        match IrlmSignal::decode(payload) {
+            Ok(IrlmSignal::Query { req_id, mode, resource }) => {
+                let name = ResourceName::new(&resource);
                 // A peer negotiating on this hash class is about to gain
                 // foreign interest: recall our cached fast path for the
                 // entry — and surrender parked interest — *before* the
@@ -589,16 +575,16 @@ impl Irlm {
                     critical_here || state.resources.get(&name).is_some_and(|r| r.conflicts_with_peer(mode))
                 };
                 self.stats.queries_served.incr();
-                let _ = self.member.send_to(from, &encode_reply(req_id, conflict));
+                let _ = self.member.send_to(from, &IrlmSignal::Reply { req_id, conflict }.encode());
             }
-            Some(&MSG_REPLY) if payload.len() >= 10 => {
-                let req_id = u64::from_be_bytes(payload[1..9].try_into().unwrap());
-                let conflict = payload[9] != 0;
+            Ok(IrlmSignal::Reply { req_id, conflict }) => {
                 if let Some(tx) = self.pending.lock().remove(&req_id) {
                     let _ = tx.send(conflict);
                 }
             }
-            _ => {}
+            // Not a signal any IRLM sends (truncated, unknown tag or mode):
+            // dropped, and the asker's negotiation times out as a conflict.
+            Err(_) => {}
         }
     }
 
@@ -628,7 +614,8 @@ impl Irlm {
             let req_id = self.next_req.fetch_add(1, Ordering::Relaxed);
             let (tx, rx) = bounded(1);
             self.pending.lock().insert(req_id, tx);
-            match self.member.send_to(&Self::member_name(holder), &encode_query(req_id, mode, resource)) {
+            let query = IrlmSignal::Query { req_id, mode, resource: resource.to_vec() };
+            match self.member.send_to(&Self::member_name(holder), &query.encode()) {
                 Ok(()) => {}
                 Err(XcfError::NoSuchMember(_)) => {
                     // Holder vanished between CF response and query: its
@@ -1145,7 +1132,11 @@ impl Irlm {
         // different generations must never coexist.
         let mut guards: Vec<_> = members.iter().map(|m| m.cf.write()).collect();
         for (member, guard) in members.iter().zip(guards.iter_mut()) {
-            let new_conn = LockConnection::attach_slot(&new, sub.sibling(), guard.conn.conn_id())?;
+            let new_conn = LockConnection::attach_slot(
+                &new,
+                sub.sibling().with_system(member.system),
+                guard.conn.conn_id(),
+            )?;
             let mut local = member.local.lock();
             let mut new_entries: PrehashedMap<usize, EntryRecord> = PrehashedMap::default();
             // Repopulate in sorted order so the new structure's command
@@ -1314,6 +1305,37 @@ mod tests {
             })
             .collect();
         Rig { irlms, cf, xcf }
+    }
+
+    #[test]
+    fn malformed_signals_are_dropped_not_guessed_at() {
+        let query = IrlmSignal::Query { req_id: 7, mode: LockMode::Exclusive, resource: b"ROW.1".to_vec() };
+        let reply = IrlmSignal::Reply { req_id: 7, conflict: true };
+        // Tag, request id, mode byte, then the resource's length word.
+        const MODE_AT: usize = 9;
+        let mut malformed: Vec<Vec<u8>> = Vec::new();
+        for signal in [&query, &reply] {
+            let full = signal.encode();
+            assert_eq!(&IrlmSignal::decode(&full).unwrap(), signal);
+            malformed.extend((0..full.len()).map(|cut| full[..cut].to_vec()));
+        }
+        let mut lying = query.encode();
+        lying[MODE_AT + 1..MODE_AT + 5].copy_from_slice(&u32::MAX.to_le_bytes());
+        malformed.push(lying);
+        // Neither Shared nor Exclusive: must not be served as a Shared query.
+        let mut bad_mode = query.encode();
+        bad_mode[MODE_AT] = 2;
+        malformed.push(bad_mode);
+
+        let r = rig(2, 1024);
+        let peer = Irlm::member_name(r.irlms[1].conn());
+        for bytes in &malformed {
+            assert!(IrlmSignal::decode(bytes).is_err(), "{bytes:02x?} decoded");
+            r.irlms[0].handle_message(&peer, bytes);
+        }
+        assert_eq!(r.irlms[0].stats.queries_served.get(), 0);
+        r.irlms[0].handle_message(&peer, &query.encode());
+        assert_eq!(r.irlms[0].stats.queries_served.get(), 1);
     }
 
     #[test]

@@ -26,7 +26,8 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use sysplex_core::SystemId;
+use sysplex_core::wire::{from_bytes, to_bytes};
+use sysplex_core::{wire_struct, SystemId};
 
 /// Errors from ARM registration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,6 +67,8 @@ pub struct ElementSpec {
     /// affinity).
     pub affinity_to: Option<String>,
 }
+
+wire_struct! { ElementSpec { name, restart_group, sequence, affinity_to } }
 
 /// Lifecycle of an element as ARM sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -269,23 +272,7 @@ impl Arm {
         cds: &crate::cds::CoupleDataSet,
         as_system: u8,
     ) -> Result<(), crate::cds::CdsError> {
-        let state = self.export_state();
-        let mut out = Vec::with_capacity(64);
-        out.extend_from_slice(&(state.len() as u16).to_be_bytes());
-        for (spec, system) in &state {
-            push_str(&mut out, &spec.name);
-            push_str(&mut out, &spec.restart_group);
-            out.extend_from_slice(&spec.sequence.to_be_bytes());
-            match &spec.affinity_to {
-                Some(a) => {
-                    out.push(1);
-                    push_str(&mut out, a);
-                }
-                None => out.push(0),
-            }
-            out.push(system.0);
-        }
-        cds.write_record(as_system, "ARM.POLICY", &out)
+        cds.write_record(as_system, "ARM.POLICY", &to_bytes(&self.export_state()))
     }
 
     /// Load a previously saved element registry from the couple data set.
@@ -298,47 +285,8 @@ impl Arm {
         let Some(data) = cds.read_record(as_system, "ARM.POLICY")? else {
             return Ok(Vec::new());
         };
-        Ok(decode_policy(&data).unwrap_or_default())
+        Ok(from_bytes(&data).unwrap_or_default())
     }
-}
-
-fn push_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u16).to_be_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn take_str<'a>(data: &'a [u8], off: &mut usize) -> Option<&'a str> {
-    let len = u16::from_be_bytes(data.get(*off..*off + 2)?.try_into().ok()?) as usize;
-    *off += 2;
-    let s = std::str::from_utf8(data.get(*off..*off + len)?).ok()?;
-    *off += len;
-    Some(s)
-}
-
-fn decode_policy(data: &[u8]) -> Option<Vec<(ElementSpec, SystemId)>> {
-    let count = u16::from_be_bytes(data.get(0..2)?.try_into().ok()?) as usize;
-    let mut off = 2;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let name = take_str(data, &mut off)?.to_string();
-        let restart_group = take_str(data, &mut off)?.to_string();
-        let sequence = u32::from_be_bytes(data.get(off..off + 4)?.try_into().ok()?);
-        off += 4;
-        let affinity_to = match *data.get(off)? {
-            0 => {
-                off += 1;
-                None
-            }
-            _ => {
-                off += 1;
-                Some(take_str(data, &mut off)?.to_string())
-            }
-        };
-        let system = SystemId::new(*data.get(off)?);
-        off += 1;
-        out.push((ElementSpec { name, restart_group, sequence, affinity_to }, system));
-    }
-    Some(out)
 }
 
 impl fmt::Debug for Arm {

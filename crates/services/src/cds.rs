@@ -23,6 +23,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 use sysplex_core::hashing::{fnv1a64, mix64};
+use sysplex_core::wire::{WireReader, WireWriter};
 use sysplex_dasd::duplex::DuplexPair;
 use sysplex_dasd::error::IoError;
 use sysplex_dasd::fence::FenceControl;
@@ -191,34 +192,24 @@ impl CoupleDataSet {
         (0..records).map(move |i| FIRST_RECORD_BLOCK + (start + i) % records)
     }
 
+    /// A record block is the record's name, then its data, each
+    /// length-prefixed. A block that is empty, unnamed, or shorter than
+    /// its own length words say is not a record: it reads as a free slot.
     fn decode(block: &[u8]) -> Option<(&str, &[u8])> {
-        if block.len() < 2 {
-            return None;
-        }
-        let name_len = u16::from_be_bytes(block[0..2].try_into().unwrap()) as usize;
-        if name_len == 0 || block.len() < 2 + name_len + 4 {
-            return None;
-        }
-        let name = std::str::from_utf8(&block[2..2 + name_len]).ok()?;
-        let data_len = u32::from_be_bytes(block[2 + name_len..2 + name_len + 4].try_into().unwrap()) as usize;
-        let data = &block[2 + name_len + 4..2 + name_len + 4 + data_len];
-        Some((name, data))
+        let mut r = WireReader::new(block);
+        let name = std::str::from_utf8(r.get_slice().ok()?).ok()?;
+        let data = r.get_slice().ok()?;
+        (!name.is_empty()).then_some((name, data))
     }
 
     fn encode(name: &str, data: &[u8]) -> Result<Vec<u8>, CdsError> {
-        if name.len() > MAX_NAME || name.is_empty() {
+        if name.is_empty() || name.len() > MAX_NAME || 8 + name.len() + data.len() > BLOCK_SIZE {
             return Err(CdsError::RecordTooLarge);
         }
-        let total = 2 + name.len() + 4 + data.len();
-        if total > BLOCK_SIZE {
-            return Err(CdsError::RecordTooLarge);
-        }
-        let mut out = Vec::with_capacity(total);
-        out.extend_from_slice(&(name.len() as u16).to_be_bytes());
-        out.extend_from_slice(name.as_bytes());
-        out.extend_from_slice(&(data.len() as u32).to_be_bytes());
-        out.extend_from_slice(data);
-        Ok(out)
+        let mut w = WireWriter::new();
+        w.put_str(name);
+        w.put_bytes(data);
+        Ok(w.into_bytes())
     }
 
     /// Write (or replace) a named record.
@@ -319,6 +310,58 @@ mod tests {
         c.write_record(0, "STATUS.0", b"alive-2").unwrap();
         assert_eq!(c.read_record(1, "STATUS.0").unwrap().unwrap(), b"alive-2");
         assert_eq!(c.read_record(1, "STATUS.1").unwrap(), None);
+    }
+
+    #[test]
+    fn a_block_whose_length_word_overstates_its_payload_is_not_a_record() {
+        let c = cds();
+        let block = c.probe_sequence("STATUS.9").next().unwrap();
+        // DASD blocks are stored at their written length, so nothing but
+        // the decoder stands between this length word and the slice.
+        let mut w = WireWriter::new();
+        w.put_str("STATUS.9");
+        w.put_u32(1000);
+        w.put_raw(b"short");
+        let raw = w.into_bytes();
+        c.pair().write(block, &raw).unwrap();
+        assert_eq!(c.read_record(0, "STATUS.9").unwrap(), None);
+        c.write_record(0, "STATUS.9", b"alive").unwrap();
+        assert_eq!(c.read_record(0, "STATUS.9").unwrap().unwrap(), b"alive");
+    }
+
+    /// The two record formats `services` keeps on the couple data set: a
+    /// cut record, or one whose leading length word overstates what
+    /// follows, is not a record.
+    #[test]
+    fn truncated_or_overlong_records_decode_to_nothing() {
+        use crate::arm::ElementSpec;
+        use sysplex_core::wire::{from_bytes, to_bytes};
+        use sysplex_core::SystemId;
+
+        type Decodes = fn(&[u8]) -> bool;
+        let spec = ElementSpec {
+            name: "IRLM_SYS02".into(),
+            restart_group: "DB2".into(),
+            sequence: 1,
+            affinity_to: Some("DB2_SYS02".into()),
+        };
+        let formats: [(&str, Vec<u8>, Decodes); 2] = [
+            ("cds record", CoupleDataSet::encode("STATUS.0", b"alive").unwrap(), |b| {
+                CoupleDataSet::decode(b).is_some()
+            }),
+            ("arm policy", to_bytes(&vec![(spec, SystemId::new(2))]), |b| {
+                from_bytes::<Vec<(ElementSpec, SystemId)>>(b).is_ok()
+            }),
+        ];
+        for (what, full, decodes) in formats {
+            assert!(decodes(&full), "{what}");
+            for cut in 0..full.len() {
+                assert!(!decodes(&full[..cut]), "{what} cut at {cut}");
+            }
+            let mut lying = full.clone();
+            lying[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(!decodes(&lying), "{what} with a length of u32::MAX");
+        }
     }
 
     #[test]

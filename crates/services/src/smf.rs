@@ -4,7 +4,7 @@
 //! records** describing its own activity, and RMF post-processes the
 //! records from *all* systems into one sysplex-wide report. This module
 //! is that collection point: members periodically cut
-//! [`SmfRecord`](sysplex_core::wire::SmfRecord)s from their
+//! [`SmfRecord`]s from their
 //! [`TransportMeter`](sysplex_core::transport::TransportMeter) and ship
 //! them over the session envelope; the [`SmfStore`] retains a bounded
 //! window of raw records per member and — separately — **accumulates

@@ -9,7 +9,10 @@
 //! a thread-local one.
 //!
 //! The protocol is a strict request/response envelope ([`SxRequest`] /
-//! [`SxResponse`]) over the same `SPLX` frames the CF protocol uses.
+//! [`SxResponse`]) over the same `SPLX` frames the CF protocol uses. Each
+//! is one [`wire_enum!`] table — a row is a tag, a variant and its fields
+//! in wire order — built on core's `Wire` kit, so the enum and its codec
+//! cannot disagree and a new request is one row plus its serving arm.
 //! One TCP connection == one member session:
 //!
 //! * `Hello` admits the member (WLM capacity + heartbeat registration
@@ -25,7 +28,7 @@
 //! session leaves the heartbeat registration in place and abnormally
 //! detaches the member's CF endpoints (held locks become
 //! failed-persistent retained locks). The server's accept loop keeps
-//! sweeping [`HeartbeatMonitor::check_once`], so the overdue pulse runs
+//! sweeping [`HeartbeatMonitor::check_once`](crate::heartbeat::HeartbeatMonitor::check_once), so the overdue pulse runs
 //! the standard failure choreography: fence first, then XCF
 //! `MemberFailed` events to surviving peers — identical to a local
 //! system going silent. A broken wire is indistinguishable from a dead
@@ -52,398 +55,141 @@ use sysplex_core::transport::{
     read_frame_patient, CfTransport, CmdShape, InProcessTransport, RemoteCacheConnection,
     RemoteListConnection, RemoteLockConnection, TransportBackend, TransportMeter, DEFAULT_MID_FRAME_STALL,
 };
-use sysplex_core::types::{SystemId, MAX_SYSTEMS};
-use sysplex_core::wire::{
-    read_frame, write_frame, SmfRecord, WireError, WireReader, WireRequest, WireResponse, WireWriter,
-};
+use sysplex_core::types::SystemId;
+use sysplex_core::wire::{read_frame, write_frame, SmfRecord, WireRequest, WireResponse};
+use sysplex_core::{wire_enum, wire_struct};
 
 // ---------------------------------------------------------------------------
 // Envelope protocol
 // ---------------------------------------------------------------------------
 
-/// A member-session request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SxRequest {
-    /// Admission handshake: must be the first request on a session.
-    Hello {
-        /// System identity the member claims.
-        system: SystemId,
-        /// Human-readable system name (for reports).
-        name: String,
-        /// Capacity the member contributes to WLM routing.
-        mips_bits: u64,
-        /// Resume token from a previous [`SxResponse::Admitted`]: a
-        /// reconnecting member reclaims its parked session (heartbeat and
-        /// WLM registrations, XCF memberships, handle numbering) instead
-        /// of being admitted — and counted — twice. `None` is a fresh
-        /// incarnation (an IPL, or a re-IPL after a fence).
-        resume: Option<u64>,
-    },
-    /// A tunnelled CF structure command.
-    Cf(WireRequest),
-    /// Join an XCF group.
-    XcfJoin {
-        /// Group name.
-        group: String,
-        /// Member name (unique within the group).
-        member: String,
-    },
-    /// Orderly leave of a joined member.
-    XcfLeave {
-        /// Session-scoped member handle from `Joined`.
-        handle: u32,
-    },
-    /// Point-to-point signal.
-    XcfSend {
-        /// Session-scoped member handle.
-        handle: u32,
-        /// Target member name.
-        to: String,
-        /// Signal payload.
-        payload: Vec<u8>,
-    },
-    /// Broadcast to all group peers.
-    XcfBroadcast {
-        /// Session-scoped member handle.
-        handle: u32,
-        /// Signal payload.
-        payload: Vec<u8>,
-    },
-    /// Non-blocking poll of the member's signal queue.
-    XcfPoll {
-        /// Session-scoped member handle.
-        handle: u32,
-    },
-    /// Current group membership.
-    XcfPeers {
-        /// Session-scoped member handle.
-        handle: u32,
-    },
-    /// Heartbeat pulse for the admitted system.
-    Pulse,
-    /// Orderly departure; the server responds `Ok` then closes.
-    Goodbye,
-    /// Ship one SMF-style interval record for the admitted system. The
-    /// server validates the record's system identity against the
-    /// session's and retains it in the [`SmfStore`].
-    SmfShip(SmfRecord),
-    /// Fetch the retained records for a system (any session may ask —
-    /// records are observability data, not secrets).
-    SmfPull {
-        /// System whose records to fetch.
-        system: SystemId,
-    },
-}
+wire_enum!(impl Wire for GroupEvent("group-event") {
+    0 MemberJoined { member: String, system: SystemId },
+    1 MemberLeft { member: String },
+    2 MemberFailed { member: String, system: SystemId },
+});
+wire_enum!(impl Wire for XcfItem("xcf-item") {
+    0 Message { from: String, payload: Vec<u8> },
+    1 Event(e: GroupEvent),
+});
+wire_enum!(impl Wire for XcfError("xcf-error") {
+    0 DuplicateMember(m: String),
+    1 NoSuchMember(m: String),
+    2 StaleHandle,
+});
+wire_struct! { MemberInfo { name, system } }
 
-/// A member-session response.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SxResponse {
-    /// Success with nothing to return.
-    Ok,
-    /// Response to a tunnelled CF command (errors travel inside).
-    Cf(WireResponse),
-    /// Successful `XcfJoin`.
-    Joined {
-        /// Session-scoped member handle for subsequent XCF requests.
-        handle: u32,
-    },
-    /// Result of `XcfPoll`.
-    Item(Option<XcfItem>),
-    /// Result of `XcfPeers`.
-    Peers(Vec<MemberInfo>),
-    /// Result of `XcfBroadcast`: receivers signalled.
-    Count(u64),
-    /// An XCF service error.
-    XcfFail(XcfError),
-    /// Admission/protocol refusal with a reason.
-    Denied(String),
-    /// Successful `Hello`: the session's resume token. Present it in a
-    /// later `Hello` to reclaim this session after a link blip.
-    Admitted {
-        /// Opaque resume token, unique per admission.
-        token: u64,
-    },
-    /// Result of `SmfPull`: the retained records, oldest first.
-    SmfRecords(Vec<SmfRecord>),
-}
-
-fn put_system(w: &mut WireWriter, s: SystemId) {
-    w.put_u8(s.0);
-}
-
-fn get_system(r: &mut WireReader) -> Result<SystemId, WireError> {
-    let raw = r.get_u8()?;
-    if (raw as usize) < MAX_SYSTEMS {
-        Ok(SystemId(raw))
-    } else {
-        Err(WireError::BadTag("system id"))
+wire_enum! {
+    /// A member-session request.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum SxRequest("sx-request") {
+        /// Admission handshake: must be the first request on a session.
+        0 Hello {
+            /// System identity the member claims.
+            system: SystemId,
+            /// Human-readable system name (for reports).
+            name: String,
+            /// Capacity the member contributes to WLM routing.
+            mips_bits: u64,
+            /// Resume token from a previous [`SxResponse::Admitted`]: a
+            /// reconnecting member reclaims its parked session (heartbeat and
+            /// WLM registrations, XCF memberships, handle numbering) instead
+            /// of being admitted — and counted — twice. `None` is a fresh
+            /// incarnation (an IPL, or a re-IPL after a fence).
+            resume: Option<u64>,
+        },
+        /// A tunnelled CF structure command.
+        1 Cf(req: WireRequest),
+        /// Join an XCF group.
+        2 XcfJoin {
+            /// Group name.
+            group: String,
+            /// Member name (unique within the group).
+            member: String,
+        },
+        /// Orderly leave of a joined member.
+        3 XcfLeave {
+            /// Session-scoped member handle from `Joined`.
+            handle: u32,
+        },
+        /// Point-to-point signal.
+        4 XcfSend {
+            /// Session-scoped member handle.
+            handle: u32,
+            /// Target member name.
+            to: String,
+            /// Signal payload.
+            payload: Vec<u8>,
+        },
+        /// Broadcast to all group peers.
+        5 XcfBroadcast {
+            /// Session-scoped member handle.
+            handle: u32,
+            /// Signal payload.
+            payload: Vec<u8>,
+        },
+        /// Non-blocking poll of the member's signal queue.
+        6 XcfPoll {
+            /// Session-scoped member handle.
+            handle: u32,
+        },
+        /// Current group membership.
+        7 XcfPeers {
+            /// Session-scoped member handle.
+            handle: u32,
+        },
+        /// Heartbeat pulse for the admitted system.
+        8 Pulse,
+        /// Orderly departure; the server responds `Ok` then closes.
+        9 Goodbye,
+        /// Ship one SMF-style interval record for the admitted system. The
+        /// server validates the record's system identity against the
+        /// session's and retains it in the [`SmfStore`].
+        10 SmfShip(record: SmfRecord),
+        /// Fetch the retained records for a system (any session may ask —
+        /// records are observability data, not secrets).
+        11 SmfPull {
+            /// System whose records to fetch.
+            system: SystemId,
+        },
     }
 }
 
-fn put_group_event(w: &mut WireWriter, e: &GroupEvent) {
-    match e {
-        GroupEvent::MemberJoined { member, system } => {
-            w.put_u8(0);
-            w.put_str(member);
-            put_system(w, *system);
-        }
-        GroupEvent::MemberLeft { member } => {
-            w.put_u8(1);
-            w.put_str(member);
-        }
-        GroupEvent::MemberFailed { member, system } => {
-            w.put_u8(2);
-            w.put_str(member);
-            put_system(w, *system);
-        }
-    }
-}
-
-fn get_group_event(r: &mut WireReader) -> Result<GroupEvent, WireError> {
-    Ok(match r.get_u8()? {
-        0 => GroupEvent::MemberJoined { member: r.get_str()?, system: get_system(r)? },
-        1 => GroupEvent::MemberLeft { member: r.get_str()? },
-        2 => GroupEvent::MemberFailed { member: r.get_str()?, system: get_system(r)? },
-        _ => return Err(WireError::BadTag("group event")),
-    })
-}
-
-fn put_xcf_item(w: &mut WireWriter, item: &XcfItem) {
-    match item {
-        XcfItem::Message { from, payload } => {
-            w.put_u8(0);
-            w.put_str(from);
-            w.put_bytes(payload);
-        }
-        XcfItem::Event(e) => {
-            w.put_u8(1);
-            put_group_event(w, e);
-        }
-    }
-}
-
-fn get_xcf_item(r: &mut WireReader) -> Result<XcfItem, WireError> {
-    Ok(match r.get_u8()? {
-        0 => XcfItem::Message { from: r.get_str()?, payload: r.get_bytes()? },
-        1 => XcfItem::Event(get_group_event(r)?),
-        _ => return Err(WireError::BadTag("xcf item")),
-    })
-}
-
-fn put_xcf_error(w: &mut WireWriter, e: &XcfError) {
-    match e {
-        XcfError::DuplicateMember(m) => {
-            w.put_u8(0);
-            w.put_str(m);
-        }
-        XcfError::NoSuchMember(m) => {
-            w.put_u8(1);
-            w.put_str(m);
-        }
-        XcfError::StaleHandle => w.put_u8(2),
-    }
-}
-
-fn get_xcf_error(r: &mut WireReader) -> Result<XcfError, WireError> {
-    Ok(match r.get_u8()? {
-        0 => XcfError::DuplicateMember(r.get_str()?),
-        1 => XcfError::NoSuchMember(r.get_str()?),
-        2 => XcfError::StaleHandle,
-        _ => return Err(WireError::BadTag("xcf error")),
-    })
-}
-
-impl SxRequest {
-    /// Serialize into a wire body (framing is the caller's job).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        match self {
-            SxRequest::Hello { system, name, mips_bits, resume } => {
-                w.put_u8(0);
-                put_system(&mut w, *system);
-                w.put_str(name);
-                w.put_u64(*mips_bits);
-                match resume {
-                    None => w.put_u8(0),
-                    Some(t) => {
-                        w.put_u8(1);
-                        w.put_u64(*t);
-                    }
-                }
-            }
-            SxRequest::Cf(req) => {
-                w.put_u8(1);
-                req.encode_into(&mut w);
-            }
-            SxRequest::XcfJoin { group, member } => {
-                w.put_u8(2);
-                w.put_str(group);
-                w.put_str(member);
-            }
-            SxRequest::XcfLeave { handle } => {
-                w.put_u8(3);
-                w.put_u32(*handle);
-            }
-            SxRequest::XcfSend { handle, to, payload } => {
-                w.put_u8(4);
-                w.put_u32(*handle);
-                w.put_str(to);
-                w.put_bytes(payload);
-            }
-            SxRequest::XcfBroadcast { handle, payload } => {
-                w.put_u8(5);
-                w.put_u32(*handle);
-                w.put_bytes(payload);
-            }
-            SxRequest::XcfPoll { handle } => {
-                w.put_u8(6);
-                w.put_u32(*handle);
-            }
-            SxRequest::XcfPeers { handle } => {
-                w.put_u8(7);
-                w.put_u32(*handle);
-            }
-            SxRequest::Pulse => w.put_u8(8),
-            SxRequest::Goodbye => w.put_u8(9),
-            SxRequest::SmfShip(record) => {
-                w.put_u8(10);
-                record.encode_into(&mut w);
-            }
-            SxRequest::SmfPull { system } => {
-                w.put_u8(11);
-                put_system(&mut w, *system);
-            }
-        }
-        w.into_bytes()
-    }
-
-    /// Parse a wire body produced by [`SxRequest::encode`].
-    pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
-        let mut r = WireReader::new(buf);
-        let v = match r.get_u8()? {
-            0 => SxRequest::Hello {
-                system: get_system(&mut r)?,
-                name: r.get_str()?,
-                mips_bits: r.get_u64()?,
-                resume: match r.get_u8()? {
-                    0 => None,
-                    1 => Some(r.get_u64()?),
-                    _ => return Err(WireError::BadTag("option")),
-                },
-            },
-            1 => SxRequest::Cf(WireRequest::decode_from(&mut r)?),
-            2 => SxRequest::XcfJoin { group: r.get_str()?, member: r.get_str()? },
-            3 => SxRequest::XcfLeave { handle: r.get_u32()? },
-            4 => SxRequest::XcfSend { handle: r.get_u32()?, to: r.get_str()?, payload: r.get_bytes()? },
-            5 => SxRequest::XcfBroadcast { handle: r.get_u32()?, payload: r.get_bytes()? },
-            6 => SxRequest::XcfPoll { handle: r.get_u32()? },
-            7 => SxRequest::XcfPeers { handle: r.get_u32()? },
-            8 => SxRequest::Pulse,
-            9 => SxRequest::Goodbye,
-            10 => SxRequest::SmfShip(SmfRecord::decode_from(&mut r)?),
-            11 => SxRequest::SmfPull { system: get_system(&mut r)? },
-            _ => return Err(WireError::BadTag("sx request")),
-        };
-        r.finish()?;
-        Ok(v)
-    }
-}
-
-impl SxResponse {
-    /// Serialize into a wire body (framing is the caller's job).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        match self {
-            SxResponse::Ok => w.put_u8(0),
-            SxResponse::Cf(resp) => {
-                w.put_u8(1);
-                resp.encode_into(&mut w);
-            }
-            SxResponse::Joined { handle } => {
-                w.put_u8(2);
-                w.put_u32(*handle);
-            }
-            SxResponse::Item(item) => {
-                w.put_u8(3);
-                match item {
-                    None => w.put_u8(0),
-                    Some(it) => {
-                        w.put_u8(1);
-                        put_xcf_item(&mut w, it);
-                    }
-                }
-            }
-            SxResponse::Peers(peers) => {
-                w.put_u8(4);
-                w.put_u32(peers.len() as u32);
-                for p in peers {
-                    w.put_str(&p.name);
-                    put_system(&mut w, p.system);
-                }
-            }
-            SxResponse::Count(n) => {
-                w.put_u8(5);
-                w.put_u64(*n);
-            }
-            SxResponse::XcfFail(e) => {
-                w.put_u8(6);
-                put_xcf_error(&mut w, e);
-            }
-            SxResponse::Denied(msg) => {
-                w.put_u8(7);
-                w.put_str(msg);
-            }
-            SxResponse::Admitted { token } => {
-                w.put_u8(8);
-                w.put_u64(*token);
-            }
-            SxResponse::SmfRecords(records) => {
-                w.put_u8(9);
-                w.put_u32(records.len() as u32);
-                for rec in records {
-                    rec.encode_into(&mut w);
-                }
-            }
-        }
-        w.into_bytes()
-    }
-
-    /// Parse a wire body produced by [`SxResponse::encode`].
-    pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
-        let mut r = WireReader::new(buf);
-        let v = match r.get_u8()? {
-            0 => SxResponse::Ok,
-            1 => SxResponse::Cf(WireResponse::decode_from(&mut r)?),
-            2 => SxResponse::Joined { handle: r.get_u32()? },
-            3 => match r.get_u8()? {
-                0 => SxResponse::Item(None),
-                1 => SxResponse::Item(Some(get_xcf_item(&mut r)?)),
-                _ => return Err(WireError::BadTag("option")),
-            },
-            4 => {
-                let n = r.get_u32()? as usize;
-                let mut peers = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    peers.push(MemberInfo { name: r.get_str()?, system: get_system(&mut r)? });
-                }
-                SxResponse::Peers(peers)
-            }
-            5 => SxResponse::Count(r.get_u64()?),
-            6 => SxResponse::XcfFail(get_xcf_error(&mut r)?),
-            7 => SxResponse::Denied(r.get_str()?),
-            8 => SxResponse::Admitted { token: r.get_u64()? },
-            9 => {
-                let n = r.get_u32()? as usize;
-                let mut records = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    records.push(SmfRecord::decode_from(&mut r)?);
-                }
-                SxResponse::SmfRecords(records)
-            }
-            _ => return Err(WireError::BadTag("sx response")),
-        };
-        r.finish()?;
-        Ok(v)
+wire_enum! {
+    /// A member-session response.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum SxResponse("sx-response") {
+        /// Success with nothing to return.
+        0 Ok,
+        /// Response to a tunnelled CF command (errors travel inside).
+        1 Cf(resp: WireResponse),
+        /// Successful `XcfJoin`.
+        2 Joined {
+            /// Session-scoped member handle for subsequent XCF requests.
+            handle: u32,
+        },
+        /// Result of `XcfPoll`.
+        3 Item(item: Option<XcfItem>),
+        /// Result of `XcfPeers`.
+        4 Peers(peers: Vec<MemberInfo>),
+        /// Result of `XcfBroadcast`: receivers signalled.
+        5 Count(n: u64),
+        /// An XCF service error.
+        6 XcfFail(e: XcfError),
+        /// Admission/protocol refusal with a reason.
+        7 Denied(reason: String),
+        /// Successful `Hello`: the session's resume token. Present it in a
+        /// later `Hello` to reclaim this session after a link blip.
+        8 Admitted {
+            /// Opaque resume token, unique per admission.
+            token: u64,
+        },
+        /// Result of `SmfPull`: the retained records, oldest first.
+        9 SmfRecords(records: Vec<SmfRecord>),
+        /// Re-admission refused because the member's system was fenced
+        /// while it was away; the client surfaces it as
+        /// [`SxError::Fenced`]. The text says which check refused.
+        10 Fenced(reason: String),
     }
 }
 
@@ -767,15 +513,12 @@ fn serve_session(
                                 // The member was fenced while away; this
                                 // denial is how the zombie incarnation
                                 // observes its own fence.
-                                SxResponse::Denied(format!(
-                                    "fenced: system {} was isolated during the outage",
+                                SxResponse::Fenced(format!(
+                                    "system {} was isolated during the outage",
                                     system.0
                                 ))
                             } else if plex.heartbeat.pulse(system).is_err() {
-                                SxResponse::Denied(format!(
-                                    "fenced: system {} status write rejected",
-                                    system.0
-                                ))
+                                SxResponse::Fenced(format!("system {} status write rejected", system.0))
                             } else {
                                 match registry.adopt(t, system) {
                                     Some(parked) => {
@@ -967,7 +710,7 @@ fn handshake(
         .map_err(|e| SxError::Io(io::Error::new(io::ErrorKind::InvalidData, e.to_string())))?
     {
         SxResponse::Admitted { token } => Ok(token),
-        SxResponse::Denied(msg) if msg.starts_with("fenced") => Err(SxError::Fenced(msg)),
+        SxResponse::Fenced(msg) => Err(SxError::Fenced(msg)),
         SxResponse::Denied(msg) => Err(SxError::Denied(msg)),
         _ => Err(SxError::Protocol),
     }
@@ -1416,7 +1159,7 @@ impl CfTransport for SxCfTransport {
 }
 
 /// A remote XCF group member: the wire projection of
-/// [`XcfMember`](crate::xcf::XcfMember).
+/// [`XcfMember`].
 #[derive(Debug)]
 pub struct RemoteXcfMember {
     conn: Arc<Conn>,
@@ -1555,6 +1298,7 @@ mod tests {
         roundtrip_resp(SxResponse::Count(5));
         roundtrip_resp(SxResponse::XcfFail(XcfError::DuplicateMember("DB2A".into())));
         roundtrip_resp(SxResponse::Denied("not admitted".into()));
+        roundtrip_resp(SxResponse::Fenced("system 7 was isolated".into()));
         roundtrip_resp(SxResponse::Admitted { token: u64::MAX });
     }
 
@@ -1771,6 +1515,27 @@ mod tests {
         assert!(!plex.farm.fence().is_fenced(7), "re-IPL lifts the fence");
         assert_eq!(plex.heartbeat.state_of(sys), Some(HealthState::Active));
         server.stop();
+    }
+
+    #[test]
+    fn only_the_fenced_variant_is_a_fence() {
+        // The refusal is typed: a denial whose text merely begins with
+        // "fenced" must not make the member fail-stop its incarnation.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            for answer in
+                [SxResponse::Denied("fenced off by policy".into()), SxResponse::Fenced("isolated".into())]
+            {
+                let (mut s, _) = listener.accept().unwrap();
+                read_frame(&mut s).unwrap();
+                write_frame(&mut s, &answer.encode()).unwrap();
+            }
+        });
+        let resume = || handshake(&TcpStream::connect(addr).unwrap(), SystemId::new(1), "SYS1", 0, Some(9));
+        assert!(matches!(resume(), Err(SxError::Denied(m)) if m == "fenced off by policy"));
+        assert!(matches!(resume(), Err(SxError::Fenced(m)) if m == "isolated"));
+        server.join().unwrap();
     }
 
     #[test]

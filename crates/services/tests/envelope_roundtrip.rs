@@ -5,6 +5,7 @@
 //! path.
 
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use sysplex_core::connection::CommandClass;
 use sysplex_core::stats::HistogramSnapshot;
 use sysplex_core::types::SystemId;
@@ -117,6 +118,7 @@ fn response_samples(name: &str, data: &[u8], h: u32, n: u64, sel: u8) -> Vec<SxR
         ]),
     ];
     out.extend(item_samples(name, data, sel).into_iter().map(|it| SxResponse::Item(Some(it))));
+    out.push(SxResponse::Fenced(name.to_string()));
     out
 }
 
@@ -171,4 +173,101 @@ proptest! {
             }
         }
     }
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+const GOLD_H: u32 = 0x0102_0304;
+const GOLD_N: u64 = 0x1112_1314_1516_1718;
+const GOLD_SEL: u8 = 0xFD;
+
+/// `smf_record("GOLD1", GOLD_H, GOLD_N, GOLD_SEL).encode()`, captured at the last hand-written
+/// `SmfRecord` codec (PR 17, `SMF_RECORD_VERSION` 1).
+const GOLDEN_SMF: &str = concat!(
+    "011d05000000474f4c443104030201181716151413121100fd0000000000000002001e1a1816141312110f0d0c0b8a09",
+    "89080f0d0c0b8a0989080100000000000000020405030201000000003d19171615141312111e1a181614131211484542",
+    "3f3c3936331817161514131211051e1a1816141312110f0d0c0b8a0989080f0d0c0b8a09890801000000000000000204",
+    "05030201000000003d19171615141312111e1a1816141312114845423f3c393633181716151413121101000000070000",
+    "00474f4c44312d531817161514131211c6854505c58444040403020100000000fd000000000000001817161514131211",
+    "8c0b8b0a8a0989088c0b8b0a8a098908",
+);
+
+/// The second record of the `SmfRecords` sample (`h + 1`, `n + 9`, `sel + 1`), same provenance.
+const GOLDEN_SMF_NEXT: &str = concat!(
+    "011e05000000474f4c443105030201211716151413121101fe000000000000000200261a181614131211130d0c0b8a09",
+    "8908130d0c0b8a0989080200000000000000020505030201000000003e2117161514131211261a181614131211634542",
+    "3f3c393633211716151413121105261a181614131211130d0c0b8a098908130d0c0b8a09890802000000000000000205",
+    "05030201000000003e2117161514131211261a1816141312116345423f3c393633211716151413121101000000070000",
+    "00474f4c44312d532117161514131211c8854505c58444040503020100000000fe000000000000002117161514131211",
+    "900b8b0a8a098908910b8b0a8a098908",
+);
+
+/// Encodings of `request_samples("GOLD1", b"golden-bytes!", GOLD_H, GOLD_N,
+/// GOLD_SEL)`, captured at the last hand-written envelope codec (PR 17).
+/// `{smf}` stands for [`GOLDEN_SMF`]. A later row is appended with the
+/// bytes it had when it was added.
+const GOLDEN_REQUESTS: [&str; 13] = [
+    "001d05000000474f4c4431181716151413121100",
+    "001d05000000474f4c44311817161514131211011917161514131211",
+    "010404030201181716151413121101",
+    "0205000000474f4c443105000000474f4c4431",
+    "0304030201",
+    "040403020105000000474f4c44310d000000676f6c64656e2d627974657321",
+    "05040302010d000000676f6c64656e2d627974657321",
+    "0604030201",
+    "0704030201",
+    "08",
+    "09",
+    "0a{smf}",
+    "0b1d",
+];
+
+/// Encodings of `response_samples` for the same inputs, same provenance
+/// (`{next}` is [`GOLDEN_SMF_NEXT`]).
+const GOLDEN_RESPONSES: [&str; 18] = [
+    "00",
+    "01031817161514131211",
+    "0204030201",
+    "0300",
+    "040200000005000000474f4c44311d06000000474f4c4431321e",
+    "051817161514131211",
+    "060005000000474f4c4431",
+    "060105000000474f4c4431",
+    "0602",
+    "0705000000474f4c4431",
+    "081817161514131211",
+    "0900000000",
+    "0902000000{smf}{next}",
+    "03010005000000474f4c44310d000000676f6c64656e2d627974657321",
+    "0301010005000000474f4c44311d",
+    "0301010105000000474f4c4431",
+    "0301010205000000474f4c44311d",
+    // Fenced (tag 10), added with the envelope tables.
+    "0a05000000474f4c4431",
+];
+
+/// The envelope codec is generated from the `SxRequest`/`SxResponse`
+/// tables; these bytes are not. A table edit that moves a tag, reorders a
+/// field or changes a width fails here, and so does a row added without a
+/// sample: the leading tag bytes of the samples must be exactly `0..COUNT`.
+#[test]
+fn every_envelope_tag_has_a_sample_and_golden_bytes() {
+    let data = b"golden-bytes!";
+    let golden = |rows: &[&str]| -> Vec<String> {
+        rows.iter().map(|g| g.replace("{smf}", GOLDEN_SMF).replace("{next}", GOLDEN_SMF_NEXT)).collect()
+    };
+    let requests: Vec<Vec<u8>> =
+        request_samples("GOLD1", data, GOLD_H, GOLD_N, GOLD_SEL).iter().map(SxRequest::encode).collect();
+    let responses: Vec<Vec<u8>> =
+        response_samples("GOLD1", data, GOLD_H, GOLD_N, GOLD_SEL).iter().map(SxResponse::encode).collect();
+    assert_eq!(requests.iter().map(|b| hex(b)).collect::<Vec<_>>(), golden(&GOLDEN_REQUESTS));
+    assert_eq!(responses.iter().map(|b| hex(b)).collect::<Vec<_>>(), golden(&GOLDEN_RESPONSES));
+    assert_eq!(hex(&smf_record("GOLD1", GOLD_H, GOLD_N, GOLD_SEL).encode()), GOLDEN_SMF);
+
+    let tags = |encoded: &[Vec<u8>]| encoded.iter().map(|b| b[0] as usize).collect::<BTreeSet<_>>();
+    assert_eq!(tags(&requests), (0..SxRequest::COUNT).collect(), "one sample per request tag");
+    assert_eq!(tags(&responses), (0..SxResponse::COUNT).collect(), "one sample per response tag");
+    assert_eq!(sysplex_core::wire::SMF_RECORD_VERSION, 1);
 }

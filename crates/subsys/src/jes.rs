@@ -17,6 +17,7 @@ use std::sync::Arc;
 use sysplex_core::connection::{CfSubchannel, ListConnection};
 use sysplex_core::error::{CfError, CfResult};
 use sysplex_core::list::{EntryId, ListParams, ListStructure, LockCondition, WritePosition};
+use sysplex_core::wire::{WireReader, WireWriter};
 use sysplex_core::{ConnId, MAX_CONNECTORS};
 
 /// Header layout: INPUT, OUTPUT, then one EXECUTION header per member slot.
@@ -53,18 +54,18 @@ pub struct Job {
     pub priority: u8,
 }
 
-fn encode_job(name: &str, class: char, priority: u8) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + name.len());
-    out.push(class as u8);
-    out.push(priority);
-    out.extend_from_slice(name.as_bytes());
-    out
+pub(crate) fn encode_job(name: &str, class: char, priority: u8) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.put_u8(class as u8);
+    w.put_u8(priority);
+    w.put_str(name);
+    w.into_bytes()
 }
 
-fn decode_job(id: EntryId, data: &[u8]) -> Option<Job> {
-    let class = *data.first()? as char;
-    let priority = *data.get(1)?;
-    let name = std::str::from_utf8(&data[2..]).ok()?.to_string();
+pub(crate) fn decode_job(id: EntryId, data: &[u8]) -> Option<Job> {
+    let mut r = WireReader::new(data);
+    let (class, priority, name) = (r.get_u8().ok()? as char, r.get_u8().ok()?, r.get_str().ok()?);
+    r.finish().ok()?;
     Some(Job { id, name, class, priority })
 }
 

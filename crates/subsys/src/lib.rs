@@ -57,3 +57,47 @@ pub use routing::TransactionRouter;
 pub use tm::{CicsRegion, TranDef};
 pub use vtam::{GenericResources, SessionBind};
 pub use workq::SharedQueue;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sysplex_core::list::EntryId;
+    use sysplex_core::SystemId;
+
+    /// Every record format a subsystem keeps in a CF entry or on shared
+    /// DASD: a valid encoding, where one of its length words sits, and
+    /// whether a buffer decodes. Whatever else is in those bytes — a cut
+    /// record, a length that overstates what follows — is not a record.
+    #[test]
+    fn truncated_or_overlong_records_decode_to_nothing() {
+        type Decodes = fn(&[u8]) -> bool;
+        let instance =
+            vtam::InstanceInfo { instance: "CICS01".into(), system: SystemId::new(3), sessions: 7 };
+        let profile = racf::Profile {
+            resource: "PROD.PAYROLL".into(),
+            universal_access: racf::Access::Read,
+            acl: vec![("ALICE".into(), racf::Access::Alter), ("BOB".into(), racf::Access::None)],
+        };
+        let formats: [(&str, Vec<u8>, usize, Decodes); 4] = [
+            ("jes job", jes::encode_job("PAYROLL", 'A', 5), 2, |b| jes::decode_job(EntryId(1), b).is_some()),
+            ("vtam instance", vtam::encode("CICS", &instance), 0, |b| vtam::decode(b).is_some()),
+            ("mpp message", mpp::encode_message("TALLY", b"input"), 0, |b| mpp::decode_message(b).is_some()),
+            ("racf profile", profile.encode(), 0, |b| racf::Profile::decode(b).is_some()),
+        ];
+        for (what, full, length_at, decodes) in formats {
+            assert!(decodes(&full), "{what}");
+            for cut in 0..full.len() {
+                assert!(!decodes(&full[..cut]), "{what} cut at {cut}");
+            }
+            let mut lying = full.clone();
+            lying[length_at..length_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(!decodes(&lying), "{what} with a length of u32::MAX");
+        }
+        // A system id or access level no encoder produces is refused too,
+        // not clamped into range.
+        let mut bad_system = vtam::encode("CICS", &instance);
+        let at = bad_system.len() - 5;
+        bad_system[at] = 0xFF;
+        assert!(vtam::decode(&bad_system).is_none());
+    }
+}

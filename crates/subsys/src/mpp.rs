@@ -16,21 +16,24 @@ use std::time::Duration;
 use sysplex_core::connection::CfSubchannel;
 use sysplex_core::error::CfResult;
 use sysplex_core::list::ListStructure;
+use sysplex_core::wire::{WireReader, WireWriter};
 
-/// Encode a queued transaction request.
+/// Encode a queued transaction request: the transaction code, then its
+/// input, each length-prefixed.
 pub fn encode_message(tran: &str, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(2 + tran.len() + payload.len());
-    out.extend_from_slice(&(tran.len() as u16).to_be_bytes());
-    out.extend_from_slice(tran.as_bytes());
-    out.extend_from_slice(payload);
-    out
+    let mut w = WireWriter::new();
+    w.put_str(tran);
+    w.put_bytes(payload);
+    w.into_bytes()
 }
 
-/// Decode a queued transaction request.
+/// Decode a queued transaction request; `None` unless `data` is exactly
+/// one encoded request.
 pub fn decode_message(data: &[u8]) -> Option<(String, &[u8])> {
-    let len = u16::from_be_bytes(data.get(0..2)?.try_into().ok()?) as usize;
-    let tran = std::str::from_utf8(data.get(2..2 + len)?).ok()?;
-    Some((tran.to_string(), &data[2 + len..]))
+    let mut r = WireReader::new(data);
+    let message = (r.get_str().ok()?, r.get_slice().ok()?);
+    r.finish().ok()?;
+    Some(message)
 }
 
 /// A message-processing region: one consumer loop feeding a transaction

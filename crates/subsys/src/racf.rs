@@ -17,7 +17,8 @@ use sysplex_core::connection::{CacheConnection, CfSubchannel};
 use sysplex_core::error::CfResult;
 use sysplex_core::hashing::fnv1a64;
 use sysplex_core::stats::Counter;
-use sysplex_core::SystemId;
+use sysplex_core::wire::{from_bytes, to_bytes};
+use sysplex_core::{wire_enum, wire_struct, SystemId};
 use sysplex_dasd::error::IoResult;
 use sysplex_dasd::farm::DasdFarm;
 
@@ -34,25 +35,7 @@ pub enum Access {
     Alter,
 }
 
-impl Access {
-    fn to_byte(self) -> u8 {
-        match self {
-            Access::None => 0,
-            Access::Read => 1,
-            Access::Update => 2,
-            Access::Alter => 3,
-        }
-    }
-
-    fn from_byte(b: u8) -> Access {
-        match b {
-            1 => Access::Read,
-            2 => Access::Update,
-            3 => Access::Alter,
-            _ => Access::None,
-        }
-    }
-}
+wire_enum!(impl Wire for Access("racf-access") { 0 None, 1 Read, 2 Update, 3 Alter });
 
 /// A resource profile: who may do what.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,44 +54,18 @@ impl Profile {
         self.acl.iter().find(|(u, _)| u == user).map(|(_, a)| *a).unwrap_or(self.universal_access)
     }
 
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32);
-        out.extend_from_slice(&(self.resource.len() as u16).to_be_bytes());
-        out.extend_from_slice(self.resource.as_bytes());
-        out.push(self.universal_access.to_byte());
-        out.extend_from_slice(&(self.acl.len() as u16).to_be_bytes());
-        for (user, access) in &self.acl {
-            out.extend_from_slice(&(user.len() as u16).to_be_bytes());
-            out.extend_from_slice(user.as_bytes());
-            out.push(access.to_byte());
-        }
-        out
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        to_bytes(self)
     }
 
-    fn decode(data: &[u8]) -> Option<Profile> {
-        let mut off = 0;
-        let take = |data: &[u8], off: &mut usize| -> Option<String> {
-            let len = u16::from_be_bytes(data.get(*off..*off + 2)?.try_into().ok()?) as usize;
-            *off += 2;
-            let s = std::str::from_utf8(data.get(*off..*off + len)?).ok()?;
-            *off += len;
-            Some(s.to_string())
-        };
-        let resource = take(data, &mut off)?;
-        let universal_access = Access::from_byte(*data.get(off)?);
-        off += 1;
-        let n = u16::from_be_bytes(data.get(off..off + 2)?.try_into().ok()?) as usize;
-        off += 2;
-        let mut acl = Vec::with_capacity(n);
-        for _ in 0..n {
-            let user = take(data, &mut off)?;
-            let access = Access::from_byte(*data.get(off)?);
-            off += 1;
-            acl.push((user, access));
-        }
-        Some(Profile { resource, universal_access, acl })
+    /// `None` for anything that is not exactly one encoded profile — a
+    /// never-written block included.
+    pub(crate) fn decode(data: &[u8]) -> Option<Profile> {
+        from_bytes(data).ok()
     }
 }
+
+wire_struct! { Profile { resource, universal_access, acl } }
 
 /// The shared security database on DASD (open-addressed by resource hash).
 pub struct SecurityDatabase {

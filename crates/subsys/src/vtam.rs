@@ -23,7 +23,8 @@ use sysplex_core::connection::{CfSubchannel, ListConnection};
 use sysplex_core::error::{CfError, CfResult};
 use sysplex_core::hashing::{fnv1a64, mix64};
 use sysplex_core::list::{EntryId, ListParams, ListStructure, LockCondition, WritePosition};
-use sysplex_core::SystemId;
+use sysplex_core::wire::{from_bytes, Wire, WireWriter};
+use sysplex_core::{wire_struct, SystemId};
 use sysplex_services::wlm::Wlm;
 
 /// List geometry for a generic-resource structure.
@@ -53,27 +54,18 @@ pub struct InstanceInfo {
     pub sessions: u32,
 }
 
-fn encode(generic: &str, info: &InstanceInfo) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + generic.len() + info.instance.len());
-    out.extend_from_slice(&(generic.len() as u16).to_be_bytes());
-    out.extend_from_slice(generic.as_bytes());
-    out.extend_from_slice(&(info.instance.len() as u16).to_be_bytes());
-    out.extend_from_slice(info.instance.as_bytes());
-    out.push(info.system.0);
-    out.extend_from_slice(&info.sessions.to_be_bytes());
-    out
+wire_struct! { InstanceInfo { instance, system, sessions } }
+
+/// A registration entry is the pair `(generic name, instance)`.
+pub(crate) fn encode(generic: &str, info: &InstanceInfo) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.put_str(generic);
+    info.put(&mut w);
+    w.into_bytes()
 }
 
-fn decode(data: &[u8]) -> Option<(String, InstanceInfo)> {
-    let glen = u16::from_be_bytes(data.get(0..2)?.try_into().ok()?) as usize;
-    let generic = String::from_utf8(data.get(2..2 + glen)?.to_vec()).ok()?;
-    let off = 2 + glen;
-    let ilen = u16::from_be_bytes(data.get(off..off + 2)?.try_into().ok()?) as usize;
-    let instance = String::from_utf8(data.get(off + 2..off + 2 + ilen)?.to_vec()).ok()?;
-    let off = off + 2 + ilen;
-    let system = SystemId::new(*data.get(off)?);
-    let sessions = u32::from_be_bytes(data.get(off + 1..off + 5)?.try_into().ok()?);
-    Some((generic, InstanceInfo { instance, system, sessions }))
+pub(crate) fn decode(data: &[u8]) -> Option<(String, InstanceInfo)> {
+    from_bytes(data).ok()
 }
 
 /// The generic-resource service (one handle per VTAM node; all handles

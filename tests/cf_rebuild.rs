@@ -190,3 +190,43 @@ fn post_rebuild_cached_handles_hit_the_new_structure() {
     group.remove_member(SystemId::new(0));
     group.remove_member(SystemId::new(1));
 }
+
+#[test]
+fn rebuilt_connections_keep_their_system_in_the_trace() {
+    use parallel_sysplex::cf::trace::{TraceEvent, TRACE_SYSTEM_CF};
+
+    let (plex, group) = rig();
+    let cf2 = plex.add_cf("CF02");
+    group.rebuild_into(&cf2).unwrap();
+    group.resize_lock_table(&cf2, 4096).unwrap();
+
+    // One transaction per member after the rebuilds, on disjoint records:
+    // every lock grant and cache registration it causes must be filed
+    // under the member's own system, not the facility's pseudo-system.
+    plex.tracer.enable();
+    for sys in 0..2u8 {
+        let db = group.member(SystemId::new(sys)).unwrap();
+        db.run(10, move |db, txn| db.write(txn, 100 + u64::from(sys), Some(b"traced"))).unwrap();
+    }
+    plex.tracer.disable();
+
+    let member_event =
+        |e: &TraceEvent| matches!(e, TraceEvent::LockGrant { .. } | TraceEvent::CacheRegister { .. });
+    for sys in 0..2u8 {
+        let own = plex.tracer.snapshot(sys);
+        assert!(
+            own.iter().any(|r| matches!(r.event, TraceEvent::LockGrant { .. })),
+            "SYS{sys:02} lock grants"
+        );
+        assert!(
+            own.iter().any(|r| matches!(r.event, TraceEvent::CacheRegister { .. })),
+            "SYS{sys:02} cache registrations"
+        );
+    }
+    let stray: Vec<_> =
+        plex.tracer.snapshot(TRACE_SYSTEM_CF).into_iter().filter(|r| member_event(&r.event)).collect();
+    assert!(stray.is_empty(), "member events filed under the facility ring: {stray:?}");
+
+    group.remove_member(SystemId::new(0));
+    group.remove_member(SystemId::new(1));
+}
