@@ -33,9 +33,10 @@ use sysplex_core::cache::{BlockName, CacheParams, WriteKind};
 use sysplex_core::facility::{CfConfig, CouplingFacility};
 use sysplex_core::list::{DequeueEnd, ListParams, LockCondition, WritePosition};
 use sysplex_core::lock::{DisconnectMode, LockMode, LockParams};
-use sysplex_core::stats::{Histogram, HistogramSnapshot};
+use sysplex_core::stats::{ratio, Histogram};
 use sysplex_core::{
-    CacheConnection, CommandClass, ConnectionStats, ListConnection, LockConnection, SystemId,
+    CacheConnection, ClassSnapshot, CommandClass, ConnectionSnapshot, ListConnection, LockConnection,
+    SystemId,
 };
 use sysplex_db::irlm::{Irlm, LockOutcome, LockResizePolicy};
 use sysplex_services::timer::SysplexTimer;
@@ -129,25 +130,10 @@ pub struct PhaseResult {
     /// Commands converted to asynchronous execution during the phase
     /// (across the phase's classes). Lock commands never convert, so lock
     /// phases keep this at zero by design.
-    pub async_converted: u64,
+    pub converted_async: u64,
     /// IRLM phases: fraction of lock requests re-granted entirely locally
     /// (no CF command). Zero for raw-connection and list/cache phases.
     pub regrant_local_ratio: f64,
-}
-
-/// Facility-wide per-class totals for the end-of-run reconciliation.
-#[derive(Debug, Clone)]
-pub struct ClassTotals {
-    /// Stable class name.
-    pub class: &'static str,
-    /// Commands issued.
-    pub issued: u64,
-    /// Executed CPU-synchronously.
-    pub sync: u64,
-    /// Converted to asynchronous execution.
-    pub async_converted: u64,
-    /// Surfaced a link fault.
-    pub faulted: u64,
 }
 
 /// Everything the benchmark measured.
@@ -185,45 +171,23 @@ pub struct HotpathReport {
     pub regrant_p50_speedup: f64,
     /// Widest thread count swept.
     pub max_threads: usize,
-    /// Per-class facility totals at end of run.
-    pub class_totals: Vec<ClassTotals>,
+    /// Per-class facility totals at end of run (classes with traffic).
+    pub class_totals: Vec<(CommandClass, ClassSnapshot)>,
     /// Whether `issued == sync + async_converted` held for every class
     /// (and nothing faulted).
     pub counters_reconciled: bool,
 }
 
-/// Snapshot of the counters a phase measures, taken before and after.
-struct ClassBaseline {
-    issued: u64,
-    sync: u64,
-    async_converted: u64,
-    latency: HistogramSnapshot,
-}
-
-fn phase_baseline(cf: &CouplingFacility, class: PhaseClass) -> Vec<ClassBaseline> {
-    let stats = cf.command_stats();
-    class
-        .classes()
-        .iter()
-        .map(|&c| {
-            let cs = stats.class(c);
-            ClassBaseline {
-                issued: cs.issued.get(),
-                sync: cs.sync.get(),
-                async_converted: cs.async_converted.get(),
-                latency: cs.latency.snapshot(),
-            }
-        })
-        .collect()
-}
-
-/// Phase-interval `async_converted` delta across the phase's classes.
-fn async_delta(now: &ConnectionStats, class: PhaseClass, before: &[ClassBaseline]) -> u64 {
-    before
-        .iter()
-        .zip(class.classes())
-        .map(|(b, &c)| now.class(c).async_converted.get() - b.async_converted)
-        .sum()
+/// What the phase's command classes counted between `before` (the
+/// facility's accounting read at the phase boundary) and now, merged into
+/// one row.
+fn phase_commands(cf: &CouplingFacility, class: PhaseClass, before: &ConnectionSnapshot) -> ClassSnapshot {
+    let during = cf.command_stats().snapshot().delta(before);
+    let mut merged = ClassSnapshot::default();
+    for &c in class.classes() {
+        merged.merge(during.class(c));
+    }
+    merged
 }
 
 /// Run one phase: `threads` workers, each executing `body(thread_index)`
@@ -259,14 +223,6 @@ fn pct(num: u64, den: u64) -> f64 {
         0.0
     } else {
         num as f64 * 100.0 / den as f64
-    }
-}
-
-fn ratio(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        num as f64 / den as f64
     }
 }
 
@@ -334,19 +290,11 @@ impl Rig {
         mode: &'static str,
         threads: usize,
         elapsed: Duration,
-        before: &[ClassBaseline],
+        before: &ConnectionSnapshot,
         lock_deltas: Option<(u64, u64, u64)>,
     ) -> PhaseResult {
-        let mut ops = 0u64;
-        let mut sync = 0u64;
-        let mut latency = HistogramSnapshot::default();
-        let now = self.cf.command_stats();
-        for (b, &c) in before.iter().zip(class.classes()) {
-            let cs = now.class(c);
-            ops += cs.issued.get() - b.issued;
-            sync += cs.sync.get() - b.sync;
-            latency.merge(&cs.latency.snapshot().delta(&b.latency));
-        }
+        let ClassSnapshot { issued: ops, sync, async_converted, latency, .. } =
+            phase_commands(&self.cf, class, before);
         let (sync_grant_ratio, false_contention_pct) = match lock_deltas {
             // CF-level truth for lock phases: grants and contentions out
             // of the structure's own counters.
@@ -365,7 +313,7 @@ impl Rig {
             p99_us: latency.quantile_ns(0.99) as f64 / 1_000.0,
             sync_grant_ratio,
             false_contention_pct,
-            async_converted: async_delta(&now, class, before),
+            converted_async: async_converted,
             regrant_local_ratio: 0.0,
         }
     }
@@ -375,7 +323,7 @@ impl Rig {
         let conns = self.lock_conns("HOTLOCK", threads);
         let structure = self.cf.lock_structure("HOTLOCK").unwrap();
         let span = structure.entries() / threads.max(1);
-        let before = phase_baseline(&self.cf, PhaseClass::Lock);
+        let before = self.cf.command_stats().snapshot();
         let req0 = structure.stats.requests.get();
         let grant0 = structure.stats.sync_grants.get();
         let cont0 = structure.stats.contentions.get();
@@ -404,7 +352,7 @@ impl Rig {
     fn lock_contended(&self, threads: usize, ops: u64) -> PhaseResult {
         let conns = self.lock_conns("HOTLOCK_Z", threads);
         let structure = self.cf.lock_structure("HOTLOCK_Z").unwrap();
-        let before = phase_baseline(&self.cf, PhaseClass::Lock);
+        let before = self.cf.command_stats().snapshot();
         let req0 = structure.stats.requests.get();
         let grant0 = structure.stats.sync_grants.get();
         let cont0 = structure.stats.contentions.get();
@@ -491,7 +439,7 @@ impl Rig {
     fn lock_regrant(&self, threads: usize, ops: u64) -> PhaseResult {
         let name = format!("HOTLOCK_R{threads}");
         let (irlms, _xcf) = self.start_irlms(&name, 65_536, threads);
-        let before = phase_baseline(&self.cf, PhaseClass::Lock);
+        let before = self.cf.command_stats().snapshot();
         let latency = Histogram::new();
         let elapsed = run_threads(threads, |t| {
             let irlm = &irlms[t];
@@ -512,7 +460,7 @@ impl Rig {
             }
         });
         let (requests, cf_sync, regrants, false_contentions) = Self::irlm_sums(&irlms);
-        let async_converted = async_delta(&self.cf.command_stats(), PhaseClass::Lock, &before);
+        let converted_async = phase_commands(&self.cf, PhaseClass::Lock, &before).async_converted;
         for i in &irlms {
             i.shutdown();
         }
@@ -529,7 +477,7 @@ impl Rig {
             p99_us: snap.quantile_ns(0.99) as f64 / 1_000.0,
             sync_grant_ratio: ratio(cf_sync, requests),
             false_contention_pct: pct(false_contentions, requests),
-            async_converted,
+            converted_async,
             regrant_local_ratio: ratio(regrants, requests),
         }
     }
@@ -545,7 +493,7 @@ impl Rig {
         let name = format!("HOTLOCK_A{threads}");
         let (irlms, _xcf) = self.start_irlms(&name, CONTENDED_LOCK_ENTRIES, threads);
         let sub = self.cf.subchannel().with_system(SystemId::new(0)).for_structure_named(&name);
-        let before = phase_baseline(&self.cf, PhaseClass::Lock);
+        let before = self.cf.command_stats().snapshot();
         let latency = Histogram::new();
         let warmup = (ops / 10).max(1);
         let stop = AtomicBool::new(false);
@@ -636,7 +584,7 @@ impl Rig {
         let after = Self::irlm_sums(&irlms);
         let (requests, cf_sync, regrants, false_contentions) =
             (after.0 - base.0, after.1 - base.1, after.2 - base.2, after.3 - base.3);
-        let async_converted = async_delta(&self.cf.command_stats(), PhaseClass::Lock, &before);
+        let converted_async = phase_commands(&self.cf, PhaseClass::Lock, &before).async_converted;
         for i in &irlms {
             i.shutdown();
         }
@@ -653,7 +601,7 @@ impl Rig {
             p99_us: snap.quantile_ns(0.99) as f64 / 1_000.0,
             sync_grant_ratio: ratio(cf_sync, requests),
             false_contention_pct: pct(false_contentions, requests),
-            async_converted,
+            converted_async,
             regrant_local_ratio: ratio(regrants, requests),
         }
     }
@@ -661,7 +609,7 @@ impl Rig {
     /// Uncontended list phase: per-thread private header pairs.
     fn list_uncontended(&self, threads: usize, ops: u64) -> PhaseResult {
         let conns = self.list_conns(threads);
-        let before = phase_baseline(&self.cf, PhaseClass::List);
+        let before = self.cf.command_stats().snapshot();
         let elapsed = run_threads(threads, |t| {
             let conn = &conns[t];
             let header = 2 * t;
@@ -680,7 +628,7 @@ impl Rig {
     fn list_contended(&self, threads: usize, ops: u64, max_threads: usize) -> PhaseResult {
         let conns = self.list_conns(threads);
         let shared_base = 2 * max_threads;
-        let before = phase_baseline(&self.cf, PhaseClass::List);
+        let before = self.cf.command_stats().snapshot();
         let elapsed = run_threads(threads, |t| {
             use rand::{rngs::StdRng, SeedableRng};
             let conn = &conns[t];
@@ -701,7 +649,7 @@ impl Rig {
     /// Uncontended cache phase: per-thread private block sets.
     fn cache_uncontended(&self, threads: usize, ops: u64) -> PhaseResult {
         let conns = self.cache_conns(threads);
-        let before = phase_baseline(&self.cf, PhaseClass::Cache);
+        let before = self.cf.command_stats().snapshot();
         let elapsed = run_threads(threads, |t| {
             let conn = &conns[t];
             for i in 0..ops {
@@ -721,7 +669,7 @@ impl Rig {
     /// cross-invalidate the other readers continuously.
     fn cache_contended(&self, threads: usize, ops: u64) -> PhaseResult {
         let conns = self.cache_conns(threads);
-        let before = phase_baseline(&self.cf, PhaseClass::Cache);
+        let before = self.cf.command_stats().snapshot();
         let elapsed = run_threads(threads, |t| {
             use rand::{rngs::StdRng, SeedableRng};
             let conn = &conns[t];
@@ -825,25 +773,8 @@ pub fn run(ops_per_thread: u64, thread_counts: &[usize]) -> HotpathReport {
         .unwrap_or(0.0);
     let regrant_p50_speedup = if regrant_p50 > 0.0 { cf_mb100_roundtrip_p50_us / regrant_p50 } else { 0.0 };
 
-    let mut class_totals = Vec::new();
-    let mut counters_reconciled = true;
-    let stats = rig.cf.command_stats();
-    for &c in CommandClass::ALL.iter() {
-        let cs = stats.class(c);
-        let t = ClassTotals {
-            class: c.name(),
-            issued: cs.issued.get(),
-            sync: cs.sync.get(),
-            async_converted: cs.async_converted.get(),
-            faulted: cs.faulted.get(),
-        };
-        if t.issued != t.sync + t.async_converted || t.faulted != 0 {
-            counters_reconciled = false;
-        }
-        if t.issued > 0 {
-            class_totals.push(t);
-        }
-    }
+    let class_totals: Vec<_> = rig.cf.command_stats().snapshot().into_rows().collect();
+    let counters_reconciled = class_totals.iter().all(|(_, row)| row.balanced() && row.faulted == 0);
 
     HotpathReport {
         hw_threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
@@ -893,7 +824,7 @@ impl HotpathReport {
                 p.p99_us,
                 p.sync_grant_ratio,
                 p.false_contention_pct,
-                p.async_converted,
+                p.converted_async,
                 p.regrant_local_ratio,
                 if i + 1 == self.phases.len() { "" } else { "," }
             ));
@@ -910,11 +841,11 @@ impl HotpathReport {
         out.push_str(&format!("    \"max_threads\": {}\n", self.max_threads));
         out.push_str("  },\n");
         out.push_str("  \"command_classes\": [\n");
-        for (i, t) in self.class_totals.iter().enumerate() {
+        for (i, (class, t)) in self.class_totals.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"class\": \"{}\", \"issued\": {}, \"sync\": {}, \"async_converted\": {}, \
                  \"faulted\": {}}}{}\n",
-                t.class,
+                class.name(),
                 t.issued,
                 t.sync,
                 t.async_converted,

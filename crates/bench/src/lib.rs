@@ -5,6 +5,8 @@
 //! results). The rigs here stand up the live stack the way the examples
 //! do, sized for a small host.
 
+#![forbid(unsafe_code)]
+
 pub mod campaign;
 pub mod hotpath;
 pub mod opsday;
@@ -107,16 +109,16 @@ pub fn command_path_report(cf: &CouplingFacility) {
     let stats = cf.command_stats();
     banner("CF command path (all subchannels of this facility)");
     row("class", &["issued", "sync", "async-converted", "sync %", "mean µs"].map(String::from));
-    for (class, issued, sync, async_converted, mean_ns) in stats.report() {
-        assert_eq!(issued, sync + async_converted, "{class}: issued == sync + async");
+    for (class, c) in stats.snapshot().into_rows() {
+        assert!(c.balanced(), "{}: issued == sync + async, one sample per command", class.name());
         row(
-            class,
+            class.name(),
             &[
-                format!("{issued}"),
-                format!("{sync}"),
-                format!("{async_converted}"),
-                format!("{:.1}%", sysplex_core::stats::ratio(sync, issued) * 100.0),
-                format!("{:.1}", mean_ns / 1000.0),
+                format!("{}", c.issued),
+                format!("{}", c.sync),
+                format!("{}", c.async_converted),
+                format!("{:.1}%", sysplex_core::stats::ratio(c.sync, c.issued) * 100.0),
+                format!("{:.1}", c.latency.mean_ns() / 1000.0),
             ],
         );
     }

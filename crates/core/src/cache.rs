@@ -27,12 +27,13 @@
 use crate::bitvec::BitVector;
 use crate::error::{CfError, CfResult};
 use crate::hashing::{fnv1a64, mix64};
+use crate::slots::ConnectorSlots;
 use crate::stats::SlotCounter;
-use crate::types::{ConnId, MAX_CONNECTORS, MAX_VECTOR_BITS};
-use parking_lot::{Mutex, RwLock};
+use crate::types::{ConnId, MAX_CONNECTORS};
+use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Directory shard count. Must stay a power of two: `shard_of` reduces
@@ -228,8 +229,9 @@ impl CacheConnection {
 pub struct CacheStructure {
     name: String,
     shards: Box<[Shard]>,
-    vectors: Mutex<[Option<Arc<BitVector>>; MAX_CONNECTORS]>,
-    active: AtomicU32,
+    /// Attached connectors and their local vectors (cross-invalidate
+    /// clears bits in a peer's).
+    connectors: ConnectorSlots<Arc<BitVector>>,
     model: CacheModel,
     directory_capacity: usize,
     data_capacity: usize,
@@ -270,8 +272,7 @@ impl CacheStructure {
         Ok(CacheStructure {
             name: name.to_string(),
             shards,
-            vectors: Mutex::new(std::array::from_fn(|_| None)),
-            active: AtomicU32::new(0),
+            connectors: ConnectorSlots::new(),
             model: params.model,
             directory_capacity: params.directory_entries,
             data_capacity: params.data_capacity,
@@ -301,30 +302,16 @@ impl CacheStructure {
     }
 
     /// Attach a connector, allocating its local bit vector of `vector_len`
-    /// bits (one per local buffer, at most [`MAX_VECTOR_BITS`]). All bits
-    /// start invalid.
+    /// bits (one per local buffer, at most
+    /// [`crate::types::MAX_VECTOR_BITS`]). All bits start invalid.
     pub fn connect(&self, vector_len: usize) -> CfResult<CacheConnection> {
-        if vector_len == 0 {
-            return Err(CfError::BadParameter("vector must have at least one bit"));
-        }
-        if vector_len > MAX_VECTOR_BITS {
-            return Err(CfError::BadParameter("vector longer than MAX_VECTOR_BITS"));
-        }
-        let mut vectors = self.vectors.lock();
-        let slot = (0..MAX_CONNECTORS).find(|&i| vectors[i].is_none()).ok_or(CfError::NoConnectorSlots)?;
-        let vector = Arc::new(BitVector::new(vector_len));
-        vectors[slot] = Some(Arc::clone(&vector));
-        self.active.fetch_or(1 << slot, Ordering::AcqRel);
-        Ok(CacheConnection { id: ConnId::from_raw(slot as u8), vector })
+        let (id, vector) = self.connectors.connect(vector_len, Arc::clone)?;
+        Ok(CacheConnection { id, vector })
     }
 
     #[inline]
     fn check_active(&self, conn: ConnId) -> CfResult<()> {
-        if self.active.load(Ordering::Relaxed) & conn.mask() == 0 {
-            Err(CfError::BadConnector)
-        } else {
-            Ok(())
-        }
+        self.connectors.check_active(conn)
     }
 
     #[inline]
@@ -430,7 +417,7 @@ impl CacheStructure {
                 #[cfg(not(feature = "test-hooks"))]
                 let deliver = true;
                 if deliver {
-                    if let Some(v) = &vectors.get_or_insert_with(|| self.vectors.lock())[slot] {
+                    if let Some(v) = &vectors.get_or_insert_with(|| self.connectors.lock())[slot] {
                         v.clear(idx as usize);
                     }
                 }
@@ -528,12 +515,7 @@ impl CacheStructure {
                 e.interest[conn.index()] = None;
             }
         }
-        // Deactivate before the slot is free to be claimed, both under
-        // the lock `connect` claims it under: a late disconnect must not
-        // clear the active bit of whoever reuses the slot.
-        let mut vectors = self.vectors.lock();
-        self.active.fetch_and(!conn.mask(), Ordering::AcqRel);
-        vectors[conn.index()] = None;
+        self.connectors.release(conn);
         Ok(())
     }
 
@@ -616,7 +598,7 @@ impl CacheStructure {
         let mut vectors = None;
         for slot in 0..MAX_CONNECTORS {
             if let Some(idx) = e.interest[slot] {
-                if let Some(v) = &vectors.get_or_insert_with(|| self.vectors.lock())[slot] {
+                if let Some(v) = &vectors.get_or_insert_with(|| self.connectors.lock())[slot] {
                     v.clear(idx as usize);
                 }
                 self.stats.xi_signals.incr(by);

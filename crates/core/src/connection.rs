@@ -22,7 +22,14 @@
 //!   serving subchannel.
 //! * **Per-command-class accounting** ([`ConnectionStats`]): issued, ran
 //!   synchronous, converted to asynchronous, faulted, plus a latency
-//!   histogram per class — the numbers the experiments report.
+//!   histogram per class — the numbers the experiments report. Readers
+//!   never work on the live counters: they take a [`ClassSnapshot`] (or
+//!   the all-classes [`ConnectionSnapshot`]) and combine readings with
+//!   its `delta`, `merge` and `balanced`. Who snapshots, and when: a
+//!   member's [`TransportMeter`](crate::transport::TransportMeter) at each
+//!   record cut, the RMF monitor at each report, a bench at each phase
+//!   boundary, [`CommandAccounting`] when it retires or sums cells — never
+//!   the command path.
 //! * **A fault-injection point** ([`FaultInjector`]): link delays, lost
 //!   commands (timeout) and interface control checks surface as typed
 //!   [`CfError`]s to the exploiter, never as panics, without touching
@@ -42,7 +49,7 @@ use crate::list::{
     WritePosition,
 };
 use crate::lock::{DisconnectMode, LockMode, LockRates, LockResponse, LockStructure, RetainedLock};
-use crate::stats::{ratio, Histogram, PackedCounter};
+use crate::stats::{Histogram, HistogramSnapshot, PackedCounter};
 use crate::trace::{TraceEvent, Tracer, TRACE_SYSTEM_CF};
 use crate::types::{ConnId, ConnMask, SystemId};
 use parking_lot::Mutex;
@@ -242,6 +249,120 @@ pub struct ClassStats {
     pub latency: Histogram,
 }
 
+impl ClassStats {
+    /// The counters and histogram as plain data, read word by word (each
+    /// word is current; the set is not a consistent cut).
+    pub fn snapshot(&self) -> ClassSnapshot {
+        ClassSnapshot {
+            issued: self.issued.get(),
+            sync: self.sync.get(),
+            async_converted: self.async_converted.get(),
+            faulted: self.faulted.get(),
+            latency: self.latency.snapshot(),
+        }
+    }
+
+    /// Count everything `other` counted on top of what is here.
+    fn absorb(&self, other: &ClassSnapshot) {
+        self.issued.add(other.issued);
+        self.sync.add(other.sync);
+        self.async_converted.add(other.async_converted);
+        self.faulted.add(other.faulted);
+        self.latency.absorb(&other.latency);
+    }
+}
+
+/// One command class's accounting as plain data: a reading of
+/// [`ClassStats`] ([`ClassStats::snapshot`]), the difference of two
+/// readings ([`delta`](Self::delta) — an interval), or a sum of either
+/// ([`merge`](Self::merge) — several facilities, members or intervals).
+///
+/// This is the one declaration of the row. A record cut, an interval
+/// report and a bench phase are `now.delta(&last)`; a store's running
+/// total and a sysplex roll-up are `merge`; the row travels in an
+/// [`SmfRecord`](crate::wire::SmfRecord) as it is. A snapshot copies the
+/// whole histogram (about 0.5 KB), so one is taken where a report or a
+/// record is produced, never per command.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ClassSnapshot {
+    /// Commands issued (every command counts exactly once).
+    pub issued: u64,
+    /// Commands executed CPU-synchronously.
+    pub sync: u64,
+    /// Commands converted to asynchronous execution.
+    pub async_converted: u64,
+    /// Commands that surfaced a link fault (subset of the above two).
+    pub faulted: u64,
+    /// End-to-end command latency as observed by the issuer.
+    pub latency: HistogramSnapshot,
+}
+
+impl ClassSnapshot {
+    /// What was counted between `earlier` and `self`. Saturating: a
+    /// baseline that is ahead (a reset, a re-IPL) reads as an empty
+    /// interval, never as a wrapped count.
+    pub fn delta(&self, earlier: &ClassSnapshot) -> ClassSnapshot {
+        ClassSnapshot {
+            issued: self.issued.saturating_sub(earlier.issued),
+            sync: self.sync.saturating_sub(earlier.sync),
+            async_converted: self.async_converted.saturating_sub(earlier.async_converted),
+            faulted: self.faulted.saturating_sub(earlier.faulted),
+            latency: self.latency.delta(&earlier.latency),
+        }
+    }
+
+    /// Add `other` into this row.
+    pub fn merge(&mut self, other: &ClassSnapshot) {
+        self.issued += other.issued;
+        self.sync += other.sync;
+        self.async_converted += other.async_converted;
+        self.faulted += other.faulted;
+        self.latency.merge(&other.latency);
+    }
+
+    /// Whether the row's books balance: every command ran in exactly one
+    /// mode and left exactly one latency sample.
+    pub fn balanced(&self) -> bool {
+        self.issued == self.sync + self.async_converted && self.latency.samples == self.issued
+    }
+}
+
+/// Every class's [`ClassSnapshot`], indexed by [`CommandClass`]: a reading
+/// of one [`ConnectionStats`] block, with the same `delta` and `merge`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ConnectionSnapshot {
+    classes: [ClassSnapshot; CommandClass::COUNT],
+}
+
+impl ConnectionSnapshot {
+    /// The row of one command class.
+    pub fn class(&self, class: CommandClass) -> &ClassSnapshot {
+        &self.classes[class.index()]
+    }
+
+    /// The row of one command class, to merge into.
+    pub fn class_mut(&mut self, class: CommandClass) -> &mut ClassSnapshot {
+        &mut self.classes[class.index()]
+    }
+
+    /// The rows of the classes that saw traffic, in stable report order.
+    pub fn into_rows(self) -> impl Iterator<Item = (CommandClass, ClassSnapshot)> {
+        CommandClass::ALL.into_iter().zip(self.classes).filter(|(_, row)| row.issued > 0)
+    }
+
+    /// Per class, what was counted between `earlier` and `self`.
+    pub fn delta(&self, earlier: &ConnectionSnapshot) -> ConnectionSnapshot {
+        ConnectionSnapshot { classes: std::array::from_fn(|i| self.classes[i].delta(&earlier.classes[i])) }
+    }
+
+    /// Add `other` into this block, class by class.
+    pub fn merge(&mut self, other: &ConnectionSnapshot) {
+        for (mine, theirs) in self.classes.iter_mut().zip(&other.classes) {
+            mine.merge(theirs);
+        }
+    }
+}
+
 /// One accounting cell, indexed by [`CommandClass`]: the commands of one
 /// subchannel (and its clones), or a sum of such cells.
 ///
@@ -288,34 +409,26 @@ impl ConnectionStats {
         self.classes.iter().map(|c| c.faulted.get()).sum()
     }
 
-    /// Fraction of all commands that ran CPU-synchronously.
-    pub fn sync_fraction(&self) -> f64 {
-        ratio(self.sync(), self.issued())
+    /// Every class as plain data ([`ClassStats::snapshot`]).
+    pub fn snapshot(&self) -> ConnectionSnapshot {
+        ConnectionSnapshot { classes: std::array::from_fn(|i| self.classes[i].snapshot()) }
     }
 
-    /// Add everything `other` has counted: counts and histogram buckets
-    /// add, `max` is the larger.
-    pub fn absorb(&self, other: &ConnectionStats) {
+    /// Count everything in `other` on top of what is here: counts and
+    /// histogram buckets add, `max` is the larger.
+    pub fn absorb(&self, other: &ConnectionSnapshot) {
         for (mine, theirs) in self.classes.iter().zip(&other.classes) {
-            mine.issued.add(theirs.issued.get());
-            mine.sync.add(theirs.sync.get());
-            mine.async_converted.add(theirs.async_converted.get());
-            mine.faulted.add(theirs.faulted.get());
-            mine.latency.absorb(&theirs.latency.snapshot());
+            mine.absorb(theirs);
         }
     }
 
     /// `(class name, issued, sync, async, mean latency ns)` rows for every
     /// class that saw traffic, in stable order.
     pub fn report(&self) -> Vec<(&'static str, u64, u64, u64, f64)> {
-        CommandClass::ALL
-            .iter()
-            .map(|&cl| {
-                let c = self.class(cl);
-                (cl.name(), c.issued.get(), c.sync.get(), c.async_converted.get(), c.latency.mean_ns())
-            })
-            .filter(|(_, issued, ..)| *issued > 0)
-            .collect()
+        let row = |(cl, c): (CommandClass, ClassSnapshot)| {
+            (cl.name(), c.issued, c.sync, c.async_converted, c.latency.mean_ns())
+        };
+        self.snapshot().into_rows().map(row).collect()
     }
 }
 
@@ -334,7 +447,7 @@ pub struct CommandAccounting {
 
 #[derive(Debug, Default)]
 struct CellRegistry {
-    retired: ConnectionStats,
+    retired: ConnectionSnapshot,
     live: Vec<Arc<ConnectionStats>>,
 }
 
@@ -353,7 +466,7 @@ impl CommandAccounting {
         live.retain_mut(|cell| {
             let dropped = Arc::get_mut(cell).is_some();
             if dropped {
-                retired.absorb(cell);
+                retired.merge(&cell.snapshot());
             }
             !dropped
         });
@@ -370,7 +483,7 @@ impl CommandAccounting {
         let total = ConnectionStats::new();
         total.absorb(&registry.retired);
         for cell in &registry.live {
-            total.absorb(cell);
+            total.absorb(&cell.snapshot());
         }
         total
     }

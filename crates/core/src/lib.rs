@@ -49,6 +49,8 @@
 //! assert!(lock.request(conn, hash, LockMode::Exclusive).unwrap().is_granted());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bitvec;
 pub mod cache;
 pub mod connection;
@@ -59,16 +61,16 @@ pub mod link;
 pub mod list;
 pub mod lock;
 pub mod retry;
+mod slots;
 pub mod stats;
-pub mod swapcell;
 pub mod trace;
 pub mod transport;
 pub mod types;
 pub mod wire;
 
 pub use connection::{
-    CacheConnection, CfCommand, CfSubchannel, CommandClass, ConnectionStats, FaultInjector, LinkFault,
-    ListConnection, LockConnection,
+    CacheConnection, CfCommand, CfSubchannel, ClassSnapshot, CommandClass, ConnectionSnapshot,
+    ConnectionStats, FaultInjector, LinkFault, ListConnection, LockConnection,
 };
 pub use error::{CfError, CfResult};
 pub use facility::{CfConfig, CouplingFacility};
@@ -79,4 +81,4 @@ pub use transport::{
     RemoteLockConnection, TcpTransport, TransportBackend, TransportMeter,
 };
 pub use types::{ConnId, ConnMask, SystemId, MAX_CONNECTORS, MAX_SYSTEMS};
-pub use wire::{SmfClassRow, SmfRecord, SmfStructureRow, WireError, WireRequest, WireResponse};
+pub use wire::{SmfRecord, SmfStructureRow, WireError, WireRequest, WireResponse};

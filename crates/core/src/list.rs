@@ -25,13 +25,13 @@
 use crate::bitvec::BitVector;
 use crate::error::{CfError, CfResult};
 use crate::hashing::hash_to_slot;
+use crate::slots::ConnectorSlots;
 use crate::stats::SlotCounter;
-use crate::swapcell::SwapCell;
-use crate::types::{ConnId, MAX_CONNECTORS, MAX_VECTOR_BITS};
+use crate::types::ConnId;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Allocation-time geometry of a list structure.
@@ -201,9 +201,6 @@ impl Default for ListStats {
     }
 }
 
-/// Per-connector notification state held by the structure.
-type ConnVectors = Mutex<[Option<(Arc<BitVector>, Arc<ConnEvent>)>; MAX_CONNECTORS]>;
-
 /// Number of entry-index shards. Power of two so `hash_to_slot`'s
 /// multiply-shift reduction spreads entry ids evenly; keeps concurrent
 /// writers on different headers from serializing on one index mutex.
@@ -220,15 +217,16 @@ pub struct ListStructure {
     /// after header mutation; shard locks are leaf locks, taken either
     /// under the owning header lock or in their own statement).
     index: Box<[Mutex<HashMap<EntryId, usize>>]>,
-    vectors: ConnVectors,
-    active: AtomicU32,
+    /// Attached connectors. Their vectors and events are reached through
+    /// the monitors registered on each header, so a slot keeps nothing.
+    connectors: ConnectorSlots<()>,
     next_entry_id: AtomicU64,
     entry_count: AtomicU64,
     max_entries: usize,
     /// Component tracer plus this structure's interned id, wired by the
     /// owning facility so transition signals show up in the trace.
-    /// A [`SwapCell`] keeps the unattached hot-path cost at one atomic load.
-    trace: SwapCell<(Arc<crate::trace::Tracer>, u32)>,
+    /// Set once; unset costs the hot path one atomic load.
+    trace: OnceLock<(Arc<crate::trace::Tracer>, u32)>,
     /// Published counters.
     pub stats: ListStats,
 }
@@ -246,20 +244,20 @@ impl ListStructure {
             headers,
             locks,
             index: (0..INDEX_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            vectors: Mutex::new(std::array::from_fn(|_| None)),
-            active: AtomicU32::new(0),
+            connectors: ConnectorSlots::new(),
             next_entry_id: AtomicU64::new(1),
             entry_count: AtomicU64::new(0),
             max_entries: params.max_entries,
-            trace: SwapCell::new(),
+            trace: OnceLock::new(),
             stats: ListStats::default(),
         })
     }
 
     /// Route transition-signal trace events to `tracer` under structure
-    /// id `sid` (called by the allocating facility).
+    /// id `sid`. Called once, by the allocating facility; a later call
+    /// leaves the first tracer in place.
     pub fn set_tracer(&self, tracer: Arc<crate::trace::Tracer>, sid: u32) {
-        self.trace.store((tracer, sid));
+        let _ = self.trace.set((tracer, sid));
     }
 
     /// Shard of the entry index covering `id`.
@@ -284,30 +282,15 @@ impl ListStructure {
     }
 
     /// Attach a connector, allocating a list-notification vector of
-    /// `vector_len` bits (at most [`MAX_VECTOR_BITS`]).
+    /// `vector_len` bits (at most [`crate::types::MAX_VECTOR_BITS`]).
     pub fn connect(&self, vector_len: usize) -> CfResult<ListConnection> {
-        if vector_len == 0 {
-            return Err(CfError::BadParameter("vector must have at least one bit"));
-        }
-        if vector_len > MAX_VECTOR_BITS {
-            return Err(CfError::BadParameter("vector longer than MAX_VECTOR_BITS"));
-        }
-        let mut vectors = self.vectors.lock();
-        let slot = (0..MAX_CONNECTORS).find(|&i| vectors[i].is_none()).ok_or(CfError::NoConnectorSlots)?;
-        let vector = Arc::new(BitVector::new(vector_len));
-        let event = Arc::new(ConnEvent::default());
-        vectors[slot] = Some((Arc::clone(&vector), Arc::clone(&event)));
-        self.active.fetch_or(1 << slot, Ordering::AcqRel);
-        Ok(ListConnection { id: ConnId::from_raw(slot as u8), vector, event })
+        let (id, vector) = self.connectors.connect(vector_len, |_| ())?;
+        Ok(ListConnection { id, vector, event: Arc::new(ConnEvent::default()) })
     }
 
     #[inline]
     fn check_active(&self, conn: ConnId) -> CfResult<()> {
-        if self.active.load(Ordering::Relaxed) & conn.mask() == 0 {
-            Err(CfError::BadConnector)
-        } else {
-            Ok(())
-        }
+        self.connectors.check_active(conn)
     }
 
     #[inline]
@@ -360,7 +343,7 @@ impl ListStructure {
         }
         if !header.monitors.is_empty() {
             // One relaxed-cost atomic load when no tracer is attached.
-            if let Some((tracer, sid)) = self.trace.load() {
+            if let Some((tracer, sid)) = self.trace.get() {
                 tracer.emit(
                     crate::trace::TRACE_SYSTEM_CF,
                     *sid,
@@ -832,12 +815,7 @@ impl ListStructure {
         for h in self.headers.iter() {
             h.lock().monitors.retain(|m| m.conn != conn.id);
         }
-        // Deactivate before the slot is free to be claimed, both under
-        // the lock `connect` claims it under: a late disconnect must not
-        // clear the active bit of whoever reuses the slot.
-        let mut vectors = self.vectors.lock();
-        self.active.fetch_and(!conn.id.mask(), Ordering::AcqRel);
-        vectors[conn.id.index()] = None;
+        self.connectors.release(conn.id);
         Ok(())
     }
 }

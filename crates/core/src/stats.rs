@@ -21,6 +21,12 @@
 //! Activity Report. Interval reporting goes through [`Histogram::snapshot`] /
 //! [`HistogramSnapshot::delta`] so per-interval percentiles and `max` are
 //! not contaminated by earlier intervals.
+//!
+//! A snapshot copies every bucket, so nothing on a command path takes
+//! one. The command accounting's histograms are snapshotted as part of a
+//! [`ClassSnapshot`](crate::connection::ClassSnapshot) — the one row type
+//! that embeds a `HistogramSnapshot` — by whoever produces a record, a
+//! report or a bench phase, at that moment only.
 
 use crate::types::{ConnId, MAX_CONNECTORS};
 use crossbeam::utils::CachePadded;

@@ -30,7 +30,8 @@
 
 use crate::cache::{BlockName, RegisterResult, WriteKind, WriteResult};
 use crate::connection::{
-    CacheConnection, CfCommand, CfSubchannel, CommandClass, ConnectionStats, ListConnection, LockConnection,
+    CacheConnection, CfCommand, CfSubchannel, CommandClass, ConnectionSnapshot, ConnectionStats,
+    ListConnection, LockConnection,
 };
 use crate::error::{CfError, CfResult};
 use crate::facility::CouplingFacility;
@@ -38,11 +39,11 @@ use crate::hashing::hash_to_slot;
 use crate::list::{DequeueEnd, EntryId, EntryView, LockCondition, WritePosition};
 use crate::lock::{DisconnectMode, LockMode, LockResponse, RetainedLock};
 use crate::retry::RetryPolicy;
-use crate::stats::{Counter, HistogramSnapshot};
+use crate::stats::Counter;
 use crate::types::{ConnId, ConnMask};
 use crate::wire::{
-    parse_frame_header, read_frame, write_frame, Flag, WireHandle, WireRequest, WireResponse,
-    FRAME_HEADER_BYTES,
+    parse_frame_header, read_frame, write_frame, Flag, SmfRecord, SmfStructureRow, WireHandle, WireRequest,
+    WireResponse, FRAME_HEADER_BYTES,
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -954,48 +955,27 @@ impl CmdShape {
             is_detach: row.flag == Some(Flag::Detach),
         }
     }
-
-    /// Command class the request is accounted under.
-    pub fn class(&self) -> CommandClass {
-        self.class
-    }
-}
-
-/// Cumulative per-structure counters the meter accumulates.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct StructureTally {
-    requests: u64,
-    contentions: u64,
-    force_interests: u64,
-    faulted: u64,
-}
-
-/// Per-class cumulative values at the last record cut.
-#[derive(Debug, Clone, Default)]
-struct ClassCut {
-    issued: u64,
-    sync: u64,
-    async_converted: u64,
-    faulted: u64,
-    observed: HistogramSnapshot,
 }
 
 #[derive(Debug)]
 struct MeterInner {
     /// Live attach handle → structure name.
     handles: HashMap<WireHandle, String>,
-    /// Cumulative per-structure counters (survive detach).
-    tallies: HashMap<String, StructureTally>,
+    /// Cumulative per-structure counters (survive detach), keyed by the
+    /// structure name; a row's own `name` is filled in when a record is
+    /// cut, so counting a command never clones it.
+    tallies: HashMap<String, SmfStructureRow>,
     /// Interval baseline consumed by [`TransportMeter::cut_record`].
     cut: CutState,
 }
 
+/// Where the previous record was cut: everything it already reported.
 #[derive(Debug)]
 struct CutState {
     seq: u32,
     at: std::time::Instant,
-    classes: Vec<ClassCut>,
-    structures: HashMap<String, StructureTally>,
+    classes: ConnectionSnapshot,
+    structures: HashMap<String, SmfStructureRow>,
 }
 
 /// Member-side command accounting over any transport: the data source for
@@ -1026,7 +1006,7 @@ impl TransportMeter {
                 cut: CutState {
                     seq: 0,
                     at: std::time::Instant::now(),
-                    classes: vec![ClassCut::default(); CommandClass::COUNT],
+                    classes: ConnectionSnapshot::default(),
                     structures: HashMap::new(),
                 },
             }),
@@ -1042,11 +1022,6 @@ impl TransportMeter {
     /// without the member recording an outcome).
     pub fn note_retry(&self) {
         self.retries.incr();
-    }
-
-    /// Cumulative wire-level retries noted so far.
-    pub fn retries(&self) -> u64 {
-        self.retries.get()
     }
 
     /// Account one completed command: `shape` captured before the call,
@@ -1091,68 +1066,32 @@ impl TransportMeter {
     }
 
     /// Cut one SMF-style interval record: per-class and per-structure
-    /// activity since the previous cut (or meter creation), plus the
-    /// member's cumulative trace-ring accounting from `tracer` (a member
-    /// without local tracing reports zeros, which still reconcile).
-    pub fn cut_record(
-        &self,
-        system: u8,
-        member: &str,
-        tracer: Option<&crate::trace::Tracer>,
-        final_interval: bool,
-    ) -> crate::wire::SmfRecord {
+    /// activity since the previous cut (or meter creation) — a snapshot of
+    /// the live counters, its `delta` against the last cut, and the
+    /// snapshot kept as the next baseline. This is the only place the
+    /// meter copies its histograms.
+    pub fn cut_record(&self, system: u8, member: &str, final_interval: bool) -> SmfRecord {
         let mut inner = self.inner.lock();
         let MeterInner { tallies, cut, .. } = &mut *inner;
-        let now = std::time::Instant::now();
-        let interval_us = now.duration_since(cut.at).as_micros().min(u64::MAX as u128) as u64;
-        cut.at = now;
+        let at = std::time::Instant::now();
+        let interval_us = at.duration_since(cut.at).as_micros().min(u64::MAX as u128) as u64;
         let seq = cut.seq;
-        cut.seq += 1;
 
-        let mut classes = Vec::new();
-        for class in CommandClass::ALL {
-            let s = self.stats.class(class);
-            let curr = ClassCut {
-                issued: s.issued.get(),
-                sync: s.sync.get(),
-                async_converted: s.async_converted.get(),
-                faulted: s.faulted.get(),
-                observed: s.latency.snapshot(),
-            };
-            let prev = &cut.classes[class.index()];
-            let row = crate::wire::SmfClassRow {
-                issued: curr.issued.saturating_sub(prev.issued),
-                sync: curr.sync.saturating_sub(prev.sync),
-                async_converted: curr.async_converted.saturating_sub(prev.async_converted),
-                faulted: curr.faulted.saturating_sub(prev.faulted),
-                observed: curr.observed.delta(&prev.observed),
-            };
-            cut.classes[class.index()] = curr;
-            if row.issued > 0 {
-                classes.push((class, row));
-            }
-        }
+        let now = self.stats.snapshot();
+        let classes = now.delta(&cut.classes).into_rows().collect();
+        let unseen = SmfStructureRow::default();
+        let mut structures: Vec<SmfStructureRow> = tallies
+            .iter()
+            .map(|(name, tally)| SmfStructureRow {
+                name: name.clone(),
+                ..tally.delta(cut.structures.get(name).unwrap_or(&unseen))
+            })
+            .filter(|row| row.requests > 0)
+            .collect();
+        structures.sort_by(|a, b| a.name.cmp(&b.name));
+        *cut = CutState { seq: seq + 1, at, classes: now, structures: tallies.clone() };
 
-        let mut structures = Vec::new();
-        let mut names: Vec<String> = tallies.keys().cloned().collect();
-        names.sort();
-        for name in names {
-            let t = tallies[&name];
-            let prev = cut.structures.get(&name).copied().unwrap_or_default();
-            if t != prev {
-                structures.push(crate::wire::SmfStructureRow {
-                    name,
-                    requests: t.requests.saturating_sub(prev.requests),
-                    contentions: t.contentions.saturating_sub(prev.contentions),
-                    force_interests: t.force_interests.saturating_sub(prev.force_interests),
-                    faulted: t.faulted.saturating_sub(prev.faulted),
-                });
-            }
-        }
-        cut.structures = tallies.clone();
-
-        let (emitted, dropped) = tracer.map(|t| (t.total_emitted(), t.total_dropped())).unwrap_or((0, 0));
-        crate::wire::SmfRecord {
+        SmfRecord {
             system,
             member: member.to_string(),
             seq,
@@ -1161,9 +1100,9 @@ impl TransportMeter {
             wire_retries: self.retries.get(),
             classes,
             structures,
-            trace_emitted: emitted,
-            trace_dropped: dropped,
-            trace_retained: emitted.saturating_sub(dropped),
+            trace_emitted: 0,
+            trace_dropped: 0,
+            trace_retained: 0,
         }
     }
 }
@@ -1181,11 +1120,6 @@ impl MeteredTransport {
     /// Meter every command through `inner` into `meter`.
     pub fn new(inner: Arc<dyn CfTransport>, meter: Arc<TransportMeter>) -> MeteredTransport {
         MeteredTransport { inner, meter }
-    }
-
-    /// The meter accumulating this transport's accounting.
-    pub fn meter(&self) -> &Arc<TransportMeter> {
-        &self.meter
     }
 }
 
@@ -1302,7 +1236,7 @@ mod tests {
         lock.recovery_complete_for(slot).unwrap();
         assert!(!lock.is_failed_persistent(slot).unwrap());
         lock.detach(DisconnectMode::Normal).unwrap();
-        did.native.absorb(native.stats());
+        did.native.absorb(&native.stats().snapshot());
 
         // Cache: write on the remote cross-invalidates the native copy.
         let cache = RemoteCacheConnection::attach(Arc::clone(&transport), "GBP", 16)
@@ -1332,7 +1266,7 @@ mod tests {
         vector_test(CommandClass::CacheAdmin);
         cache.unregister(name).unwrap();
         cache.detach().unwrap();
-        did.native.absorb(native.stats());
+        did.native.absorb(&native.stats().snapshot());
 
         // List: monitors, the serializing lock, and every entry operation.
         let list = RemoteListConnection::attach(Arc::clone(&transport), "WQ", 8).unwrap().with_policy(policy);
@@ -1369,7 +1303,7 @@ mod tests {
         list.delete(doomed, none).unwrap();
         assert_eq!(list.read_entry(doomed).unwrap_err(), CfError::NoSuchEntry);
         list.detach().unwrap();
-        did.native.absorb(native.stats());
+        did.native.absorb(&native.stats().snapshot());
 
         // Probe: accounted like any other command.
         let before = cf.command_stats().issued();
@@ -1593,30 +1527,164 @@ mod tests {
         assert!(!lock.request_lock(entry, LockMode::Exclusive).unwrap().is_granted());
         lock.force_interest(entry, LockMode::Exclusive).unwrap();
 
-        let first = meter.cut_record(3, "SYS03", None, false);
+        let first = meter.cut_record(3, "SYS03", false);
         assert_eq!(first.system, 3);
         assert_eq!(first.seq, 0);
         assert!(!first.final_interval);
         for (_, row) in &first.classes {
-            assert_eq!(row.issued, row.sync + row.async_converted);
-            assert_eq!(row.observed.samples, row.issued);
+            assert!(row.balanced());
         }
         let row = first.structures.iter().find(|s| s.name == "L").expect("lock structure row");
         assert_eq!(row.requests, 2, "contended request + force (the attach mints the handle)");
         assert_eq!(row.contentions, 1);
         assert_eq!(row.force_interests, 1);
         // The record survives its own wire codec.
-        assert_eq!(crate::wire::SmfRecord::decode(&first.encode()).unwrap(), first);
+        assert_eq!(SmfRecord::decode(&first.encode()).unwrap(), first);
 
         // A quiet interval cuts an empty record; new traffic appears in
         // (only) the following one.
-        let second = meter.cut_record(3, "SYS03", None, false);
+        let second = meter.cut_record(3, "SYS03", false);
         assert_eq!(second.seq, 1);
         assert!(second.classes.is_empty(), "no traffic since the last cut");
         assert!(second.structures.is_empty());
         lock.release_lock(entry).unwrap();
-        let third = meter.cut_record(3, "SYS03", None, true);
+        let third = meter.cut_record(3, "SYS03", true);
         assert!(third.final_interval);
         assert_eq!(third.classes.iter().map(|(_, r)| r.issued).sum::<u64>(), 1);
+    }
+
+    /// A transport whose next call is lost on the wire once `lose_next`
+    /// is set: the only way a meter sees a faulted command.
+    #[derive(Debug)]
+    struct Lossy {
+        inner: Arc<dyn CfTransport>,
+        lose_next: std::sync::atomic::AtomicBool,
+    }
+
+    impl CfTransport for Lossy {
+        fn backend(&self) -> TransportBackend {
+            self.inner.backend()
+        }
+        fn call(&self, req: WireRequest) -> CfResult<WireResponse> {
+            if self.lose_next.swap(false, Ordering::Relaxed) {
+                return Err(CfError::LinkTimeout(req.class().name()));
+            }
+            self.inner.call(req)
+        }
+    }
+
+    /// The class and structure rows of three cuts over a fixed command
+    /// sequence, pinned from before the row became one type (counts and
+    /// sample counts; interval lengths and latencies are wall-clock). And
+    /// the algebra a store relies on: the three interval records merge to
+    /// the one record a meter cut once over the whole run ships.
+    #[test]
+    fn three_cuts_are_pinned_and_merge_to_one_cut_over_the_run() {
+        let cf = cf();
+        let lossy = Arc::new(Lossy {
+            inner: Arc::new(InProcessTransport::new(&cf)),
+            lose_next: std::sync::atomic::AtomicBool::new(false),
+        });
+        let (whole, parts) = (TransportMeter::new(), TransportMeter::new());
+        let inner: Arc<dyn CfTransport> = Arc::new(MeteredTransport::new(lossy.clone(), Arc::clone(&whole)));
+        let transport: Arc<dyn CfTransport> = Arc::new(MeteredTransport::new(inner, Arc::clone(&parts)));
+        type Rows = (Vec<(&'static str, [u64; 5])>, Vec<(String, [u64; 4])>);
+        let rows = |rec: &SmfRecord| -> Rows {
+            let class = |(c, r): &(CommandClass, crate::connection::ClassSnapshot)| {
+                (c.name(), [r.issued, r.sync, r.async_converted, r.faulted, r.latency.samples])
+            };
+            let structure = |s: &SmfStructureRow| {
+                (s.name.clone(), [s.requests, s.contentions, s.force_interests, s.faulted])
+            };
+            (rec.classes.iter().map(class).collect(), rec.structures.iter().map(structure).collect())
+        };
+        let x = LockMode::Exclusive;
+
+        let lock = RemoteLockConnection::attach(Arc::clone(&transport), "L").unwrap();
+        let native = cf.connect_lock("L").unwrap();
+        native.request_lock(5, x).unwrap();
+        assert!(!lock.request_lock(5, x).unwrap().is_granted());
+        lock.force_interest(5, x).unwrap();
+        let cache = RemoteCacheConnection::attach(Arc::clone(&transport), "GBP", 16).unwrap();
+        let name = BlockName::from_parts(1, 7);
+        cache.write_invalidate(name, &[9; 8192], WriteKind::ChangedData).unwrap();
+        let first = parts.cut_record(3, "SYS03", false);
+        assert_eq!(
+            rows(&first),
+            (
+                vec![
+                    ("lock-request", [2, 2, 0, 0, 2]),
+                    ("lock-admin", [1, 1, 0, 0, 1]),
+                    ("cache-write", [1, 0, 1, 0, 1]),
+                    ("cache-admin", [1, 1, 0, 0, 1]),
+                ],
+                vec![("GBP".to_string(), [1, 0, 0, 0]), ("L".to_string(), [2, 1, 1, 0])],
+            )
+        );
+
+        lock.release_lock(5).unwrap();
+        lossy.lose_next.store(true, Ordering::Relaxed);
+        assert_eq!(lock.request_lock(6, x).unwrap_err(), CfError::LinkTimeout("lock-request"));
+        assert!(lock.request_lock(6, x).unwrap().is_granted());
+        cache.write_invalidate(name, &[9; 64], WriteKind::ChangedData).unwrap();
+        let second = parts.cut_record(3, "SYS03", false);
+        assert_eq!(
+            rows(&second),
+            (
+                vec![
+                    ("lock-request", [2, 2, 0, 1, 2]),
+                    ("lock-release", [1, 1, 0, 0, 1]),
+                    ("cache-write", [1, 1, 0, 0, 1]),
+                ],
+                vec![("GBP".to_string(), [1, 0, 0, 0]), ("L".to_string(), [3, 0, 0, 1])],
+            )
+        );
+
+        lock.release_lock(6).unwrap();
+        cache.detach().unwrap();
+        lock.detach(DisconnectMode::Normal).unwrap();
+        let third = parts.cut_record(3, "SYS03", true);
+        assert_eq!(
+            rows(&third),
+            (
+                vec![
+                    ("lock-release", [1, 1, 0, 0, 1]),
+                    ("lock-admin", [1, 1, 0, 0, 1]),
+                    ("cache-admin", [1, 1, 0, 0, 1]),
+                ],
+                vec![("GBP".to_string(), [1, 0, 0, 0]), ("L".to_string(), [2, 0, 0, 0])],
+            )
+        );
+
+        let one = whole.cut_record(3, "SYS03", true);
+        assert_eq!(
+            rows(&one),
+            (
+                vec![
+                    ("lock-request", [4, 4, 0, 1, 4]),
+                    ("lock-release", [2, 2, 0, 0, 2]),
+                    ("lock-admin", [2, 2, 0, 0, 2]),
+                    ("cache-write", [2, 1, 1, 0, 2]),
+                    ("cache-admin", [2, 2, 0, 0, 2]),
+                ],
+                vec![("GBP".to_string(), [3, 0, 0, 0]), ("L".to_string(), [7, 1, 1, 1])],
+            )
+        );
+        let mut classes = ConnectionSnapshot::default();
+        let mut structures: Vec<SmfStructureRow> = Vec::new();
+        for rec in [&first, &second, &third] {
+            for (class, row) in &rec.classes {
+                classes.class_mut(*class).merge(row);
+            }
+            for s in &rec.structures {
+                match structures.iter_mut().find(|t| t.name == s.name) {
+                    Some(t) => t.merge(s),
+                    None => structures.push(s.clone()),
+                }
+            }
+        }
+        let merged = SmfRecord { classes: classes.into_rows().collect(), structures, ..one.clone() };
+        assert_eq!(rows(&merged), rows(&one));
+        assert!(merged.classes.iter().all(|(_, row)| row.balanced()));
     }
 }

@@ -41,7 +41,7 @@
 //!   every variant, and pin the bytes themselves against a golden sample.
 
 use crate::cache::{BlockName, RegisterResult, WriteKind, WriteResult};
-use crate::connection::{CfCommand, CommandClass};
+use crate::connection::{CfCommand, ClassSnapshot, CommandClass};
 use crate::error::{CfError, CfResult};
 use crate::list::{DequeueEnd, EntryId, EntryView, LockCondition, WritePosition};
 use crate::lock::{DisconnectMode, LockMode, LockResponse, RetainedLock};
@@ -1298,26 +1298,6 @@ impl Wire for HistogramSnapshot {
     }
 }
 
-/// One command class's interval activity as a member observed it.
-///
-/// The counters mirror [`crate::connection::ClassStats`] deltas; `observed`
-/// is the member-observed end-to-end latency (wire round trip plus CF
-/// service time), which the merged report decomposes against the serving
-/// end's own service histogram.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct SmfClassRow {
-    /// Commands issued in the interval.
-    pub issued: u64,
-    /// Ran CPU-synchronously (member-side conversion mirror).
-    pub sync: u64,
-    /// Converted to asynchronous execution.
-    pub async_converted: u64,
-    /// Surfaced a link fault (subset of issued).
-    pub faulted: u64,
-    /// Member-observed end-to-end latency over the interval.
-    pub observed: HistogramSnapshot,
-}
-
 /// One structure's interval activity as a member observed it.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SmfStructureRow {
@@ -1333,8 +1313,34 @@ pub struct SmfStructureRow {
     pub faulted: u64,
 }
 
+impl SmfStructureRow {
+    /// What was counted between `earlier` and `self` (saturating), under
+    /// this row's name.
+    pub fn delta(&self, earlier: &SmfStructureRow) -> SmfStructureRow {
+        SmfStructureRow {
+            name: self.name.clone(),
+            requests: self.requests.saturating_sub(earlier.requests),
+            contentions: self.contentions.saturating_sub(earlier.contentions),
+            force_interests: self.force_interests.saturating_sub(earlier.force_interests),
+            faulted: self.faulted.saturating_sub(earlier.faulted),
+        }
+    }
+
+    /// Add `other`'s counters into this row.
+    pub fn merge(&mut self, other: &SmfStructureRow) {
+        self.requests += other.requests;
+        self.contentions += other.contentions;
+        self.force_interests += other.force_interests;
+        self.faulted += other.faulted;
+    }
+}
+
+// A class row travels as the [`ClassSnapshot`] it is: the four counters,
+// then the member-observed end-to-end latency (wire round trip plus CF
+// service time), which the merged report decomposes against the serving
+// end's own service histogram.
 wire_struct! {
-    SmfClassRow { issued, sync, async_converted, faulted, observed }
+    ClassSnapshot { issued, sync, async_converted, faulted, latency }
     SmfStructureRow { name, requests, contentions, force_interests, faulted }
 }
 
@@ -1344,8 +1350,11 @@ wire_struct! {
 /// The paper's systems cut SMF records locally and RMF merges them into
 /// the sysplex-wide report (§2.1, §5.1); this type is that record for the
 /// reproduction. Class and structure rows are **interval deltas** (only
-/// rows with traffic are shipped); the trace fields are **cumulative as of
-/// the cut**, matching how the in-process report treats trace rings.
+/// rows with traffic are shipped): a class row is the member meter's
+/// [`ClassSnapshot::delta`] since its last cut. The three trace words are
+/// **cumulative as of the cut**, matching how the in-process report treats
+/// trace rings; no member has a local tracer yet, so they ship as zero and
+/// hold their place in the layout for ROADMAP item 6.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SmfRecord {
     /// Raw system id of the member that cut the record.
@@ -1364,7 +1373,7 @@ pub struct SmfRecord {
     /// or seen without the member recording an outcome.
     pub wire_retries: u64,
     /// Interval activity per command class (only classes with traffic).
-    pub classes: Vec<(CommandClass, SmfClassRow)>,
+    pub classes: Vec<(CommandClass, ClassSnapshot)>,
     /// Interval activity per attached structure (only structures with
     /// traffic).
     pub structures: Vec<SmfStructureRow>,
@@ -1547,12 +1556,12 @@ mod tests {
     }
 
     fn sample_smf_record() -> SmfRecord {
-        let mut observed = HistogramSnapshot::empty();
-        observed.buckets[3] = 5;
-        observed.buckets[17] = 2;
-        observed.samples = 7;
-        observed.total_ns = 90_000;
-        observed.max_ns = 70_000;
+        let mut latency = HistogramSnapshot::empty();
+        latency.buckets[3] = 5;
+        latency.buckets[17] = 2;
+        latency.samples = 7;
+        latency.total_ns = 90_000;
+        latency.max_ns = 70_000;
         SmfRecord {
             system: 2,
             member: "SYS02".into(),
@@ -1562,7 +1571,7 @@ mod tests {
             wire_retries: 1,
             classes: vec![(
                 CommandClass::LockRequest,
-                SmfClassRow { issued: 7, sync: 7, async_converted: 0, faulted: 0, observed },
+                ClassSnapshot { issued: 7, sync: 7, async_converted: 0, faulted: 0, latency },
             )],
             structures: vec![SmfStructureRow {
                 name: "IRLM1".into(),

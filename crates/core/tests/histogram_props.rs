@@ -1,4 +1,4 @@
-//! Property tests for `HistogramSnapshot` algebra.
+//! Property tests for `HistogramSnapshot` and `ClassSnapshot` algebra.
 //!
 //! The sysplex-wide RMF report leans on exactly three facts about
 //! snapshots: `merge` behaves like recording the concatenated sample
@@ -10,8 +10,14 @@
 //! interval did not raise the cumulative high-water mark — so the
 //! delta-then-merge identity is exact on buckets/samples/total_ns, while
 //! the max is only guaranteed to be a conservative upper bound.
+//!
+//! `ClassSnapshot` — one command class's accounting row — is cut, summed
+//! and checked by `delta`, `merge` and `balanced` alone, everywhere from
+//! the member meter to the RMF roll-up; the last three properties are
+//! what those callers assume of them.
 
 use proptest::prelude::*;
+use sysplex_core::connection::ClassSnapshot;
 use sysplex_core::stats::{Histogram, HistogramSnapshot};
 
 /// Record every sample into a fresh histogram and snapshot it.
@@ -29,7 +35,60 @@ fn samples() -> impl Strategy<Value = Vec<u64>> {
     proptest::collection::vec(0u64..10_000_000_000, 0..48)
 }
 
+/// A balanced accounting row: one latency sample per command, `converted`
+/// of them (at most all) counted asynchronous, some faulted.
+fn class_rows() -> impl Strategy<Value = ClassSnapshot> {
+    (samples(), any::<u8>(), any::<u8>()).prop_map(|(ns, converted, faulted)| {
+        let issued = ns.len() as u64;
+        let async_converted = issued.min(converted as u64);
+        ClassSnapshot {
+            issued,
+            sync: issued - async_converted,
+            async_converted,
+            faulted: issued.min(faulted as u64),
+            latency: record_all(&ns),
+        }
+    })
+}
+
+/// The fields `delta` reconstructs exactly (`max_ns` is only bounded).
+fn exact(row: &ClassSnapshot) -> ([u64; 6], [u64; 64]) {
+    let l = &row.latency;
+    ([row.issued, row.sync, row.async_converted, row.faulted, l.samples, l.total_ns], l.buckets)
+}
+
 proptest! {
+    #[test]
+    fn class_delta_undoes_merge(a in class_rows(), b in class_rows()) {
+        let mut later = b.clone();
+        later.merge(&a);
+        prop_assert_eq!(exact(&later.delta(&b)), exact(&a));
+    }
+
+    #[test]
+    fn class_delta_never_underflows(a in class_rows(), b in class_rows()) {
+        // Whichever reading is "ahead" in whichever field, the interval
+        // is a count, never a wrapped subtraction.
+        let d = a.delta(&b);
+        prop_assert!(d.issued <= a.issued && d.sync <= a.sync);
+        prop_assert!(d.async_converted <= a.async_converted && d.faulted <= a.faulted);
+        prop_assert!(d.latency.samples <= a.latency.samples && d.latency.total_ns <= a.latency.total_ns);
+        prop_assert_eq!(exact(&b.delta(&b)), exact(&ClassSnapshot::default()));
+    }
+
+    #[test]
+    fn balanced_survives_merge_and_delta(a in class_rows(), b in class_rows()) {
+        prop_assert!(a.balanced() && b.balanced());
+        let mut sum = a.clone();
+        sum.merge(&b);
+        prop_assert!(sum.balanced());
+        prop_assert!(sum.delta(&a).balanced());
+        // And the predicate is not vacuous: a lost sample unbalances it.
+        let mut short = sum.clone();
+        short.issued += 1;
+        prop_assert!(!short.balanced());
+    }
+
     #[test]
     fn merge_equals_recording_concatenated_samples(a in samples(), b in samples()) {
         let mut merged = record_all(&a);

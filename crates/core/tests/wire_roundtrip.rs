@@ -10,15 +10,13 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use sysplex_core::cache::{BlockName, RegisterResult, WriteKind, WriteResult};
-use sysplex_core::connection::{CfCommand, CommandClass};
+use sysplex_core::connection::{CfCommand, ClassSnapshot, CommandClass};
 use sysplex_core::error::CfError;
 use sysplex_core::list::{DequeueEnd, EntryId, EntryView, LockCondition, WritePosition};
 use sysplex_core::lock::{DisconnectMode, LockMode, LockResponse, RetainedLock};
 use sysplex_core::stats::{Histogram, HistogramSnapshot};
 use sysplex_core::types::{ConnId, MAX_CONNECTORS};
-use sysplex_core::wire::{
-    read_frame, write_frame, SmfClassRow, SmfRecord, SmfStructureRow, WireRequest, WireResponse,
-};
+use sysplex_core::wire::{read_frame, write_frame, SmfRecord, SmfStructureRow, WireRequest, WireResponse};
 
 fn conn(raw: u8) -> ConnId {
     ConnId::from_raw(raw % MAX_CONNECTORS as u8)
@@ -280,12 +278,12 @@ fn smf_record_sample(h: u32, n: u64, sel: u8, samples: &[u64], name: &str) -> Sm
             let issued = samples.len() as u64;
             (
                 class(sel.wrapping_add(i as u8 * 37)),
-                SmfClassRow {
+                ClassSnapshot {
                     issued,
                     sync: issued / 2,
                     async_converted: issued - issued / 2,
                     faulted: issued.min(n % 3),
-                    observed: histogram(samples),
+                    latency: histogram(samples),
                 },
             )
         })

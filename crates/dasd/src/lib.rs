@@ -22,6 +22,8 @@
 //! * [`farm::DasdFarm`] — the full-connectivity collection of volumes all
 //!   systems share.
 
+#![forbid(unsafe_code)]
+
 pub mod duplex;
 pub mod error;
 pub mod farm;

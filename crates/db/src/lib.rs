@@ -26,6 +26,8 @@
 //! * [`group`] — helper assembling an N-system data-sharing group for
 //!   tests, examples and benches.
 
+#![forbid(unsafe_code)]
+
 pub mod bufmgr;
 pub mod castout;
 pub mod database;

@@ -37,6 +37,8 @@
 //! `CampaignSpec::from_seed(seed).run()` (or paste the printed minimized
 //! spec) in any test and the identical trace comes back.
 
+#![forbid(unsafe_code)]
+
 pub mod campaign;
 pub mod chaos;
 pub mod coverage;

@@ -21,9 +21,8 @@ use crate::timer::Tod;
 use crate::xcf::Xcf;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-use sysplex_core::swapcell::SwapCell;
 use sysplex_core::trace::{TraceEvent, Tracer, TRACE_SYSTEM_CF};
 use sysplex_core::SystemId;
 use sysplex_dasd::fence::FenceControl;
@@ -77,7 +76,7 @@ pub struct HeartbeatMonitor {
     xcf: Arc<Xcf>,
     tracked: Mutex<HashMap<SystemId, HealthState>>,
     callbacks: Mutex<Vec<FailureCallback>>,
-    tracer: SwapCell<Arc<Tracer>>,
+    tracer: OnceLock<Arc<Tracer>>,
 }
 
 impl HeartbeatMonitor {
@@ -97,13 +96,15 @@ impl HeartbeatMonitor {
             xcf,
             tracked: Mutex::new(HashMap::new()),
             callbacks: Mutex::new(Vec::new()),
-            tracer: SwapCell::with_value(Arc::new(Tracer::new())),
+            tracer: OnceLock::new(),
         })
     }
 
     /// Route miss/fence trace events to the sysplex-wide component tracer.
+    /// Called once, when the sysplex assembles its services; a later call
+    /// leaves the first tracer in place.
     pub fn set_tracer(&self, tracer: Arc<Tracer>) {
-        self.tracer.store(tracer);
+        let _ = self.tracer.set(tracer);
     }
 
     /// The monitoring policy.
@@ -192,7 +193,7 @@ impl HeartbeatMonitor {
             if overdue {
                 // The miss is observed by the (distributed) monitor, not
                 // by the silent system itself.
-                if let Some(tracer) = self.tracer.load() {
+                if let Some(tracer) = self.tracer.get() {
                     tracer.emit(TRACE_SYSTEM_CF, 0, TraceEvent::HeartbeatMiss { system: sys.0 });
                 }
             }
@@ -255,7 +256,7 @@ impl HeartbeatMonitor {
         // Order matters: fence FIRST (fail-stop), then fail XCF members,
         // then let subscribers (ARM) plan restarts.
         self.fence.fence(system.0);
-        if let Some(tracer) = self.tracer.load() {
+        if let Some(tracer) = self.tracer.get() {
             tracer.emit(TRACE_SYSTEM_CF, 0, TraceEvent::Fence { system: system.0 });
         }
         self.tracked.lock().insert(system, HealthState::Failed);

@@ -30,6 +30,8 @@
 //!   admits member systems running in other OS processes, tunnelling CF
 //!   commands, XCF signalling and heartbeat pulses over TCP.
 
+#![forbid(unsafe_code)]
+
 pub mod arm;
 pub mod cds;
 pub mod console;

@@ -10,10 +10,14 @@
 //! hand-rolled JSON for the `BENCH_*.json` pipeline (no serde in the
 //! dependency tree, so the writer is explicit).
 //!
-//! Interval semantics come from [`HistogramSnapshot`] deltas: each report
-//! covers exactly the window since the previous report, so per-interval
-//! percentiles and maxima are not polluted by history — the property RMF
-//! interval reports have and cumulative counters do not.
+//! Interval semantics come from snapshot deltas: [`Monitor::report`] takes
+//! one [`ConnectionSnapshot`] per facility — the only time the monitor
+//! copies the accounting's histograms, never per command — and the
+//! interval is its [`delta`](ConnectionSnapshot::delta) against the one
+//! the previous report kept. Each report covers exactly the window since
+//! the previous report, so per-interval percentiles and maxima are not
+//! polluted by history — the property RMF interval reports have and
+//! cumulative counters do not.
 //!
 //! ## The sysplex-wide merge
 //!
@@ -21,7 +25,7 @@
 //! the in-process facilities. [`Monitor::sysplex_report`] additionally
 //! merges every member's shipped SMF records out of an [`SmfStore`] into
 //! a [`SysplexSection`]: per-member rows, sysplex per-class totals (via
-//! [`HistogramSnapshot::merge`]), and the **end-to-end latency
+//! [`MemberClassTotals::merge`]), and the **end-to-end latency
 //! decomposition** — each member's observed percentiles split into wire
 //! time and CF service time using the server-side service clock. Member
 //! rows are life-to-date (accumulated over every shipped interval), so a
@@ -37,50 +41,22 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use sysplex_core::connection::{CommandClass, ConnectionStats};
+use sysplex_core::connection::{ClassSnapshot, CommandClass, ConnectionSnapshot};
 use sysplex_core::facility::{CouplingFacility, StructureHandle};
-use sysplex_core::stats::{ratio, HistogramSnapshot};
+use sysplex_core::stats::ratio;
 use sysplex_core::trace::{Tracer, TRACE_SYSTEM_CF};
-
-/// Per-command-class interval baseline.
-#[derive(Debug, Clone)]
-struct ClassBase {
-    issued: u64,
-    sync: u64,
-    async_converted: u64,
-    faulted: u64,
-    latency: HistogramSnapshot,
-}
-
-impl ClassBase {
-    fn zero() -> ClassBase {
-        ClassBase { issued: 0, sync: 0, async_converted: 0, faulted: 0, latency: HistogramSnapshot::empty() }
-    }
-
-    fn capture(stats: &ConnectionStats, class: CommandClass) -> ClassBase {
-        let c = stats.class(class);
-        ClassBase {
-            issued: c.issued.get(),
-            sync: c.sync.get(),
-            async_converted: c.async_converted.get(),
-            faulted: c.faulted.get(),
-            latency: c.latency.snapshot(),
-        }
-    }
-}
 
 /// Interval baseline: everything the previous report already accounted for.
 #[derive(Debug)]
 struct Baseline {
     /// `timer.elapsed()` when this baseline was taken.
     at: Duration,
-    /// Per facility (report order), per command class.
-    classes: Vec<Vec<ClassBase>>,
-    /// Per `(facility index, structure name)`: raw counter values in the
-    /// stable order [`structure_counters`] yields.
-    structures: HashMap<(usize, String), Vec<u64>>,
-    /// Per system id: `(emitted, dropped, busy_ns)`.
-    systems: HashMap<u8, (u64, u64, u64)>,
+    /// Per facility (report order): its command accounting as last read.
+    classes: Vec<ConnectionSnapshot>,
+    /// Per `(facility index, structure name)`: its counters as last read.
+    structures: HashMap<(usize, String), Vec<(&'static str, u64)>>,
+    /// Per system id: traced subchannel busy time, ns.
+    systems: HashMap<u8, u64>,
     /// Trace-kind totals (all tracers summed) for the lock-hierarchy
     /// section, in [`LOCK_HIERARCHY_KINDS`] order.
     lock_kinds: [u64; LOCK_HIERARCHY_KINDS.len()],
@@ -141,7 +117,13 @@ pub struct StructureActivity {
 impl StructureActivity {
     /// Look up one interval counter by name.
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.iter().find(|(n, _)| *n == name).map_or(0, |(_, v)| *v)
+        counter_named(&self.counters, name)
+    }
+
+    /// The interval's mainline requests, looked up by counter name: what
+    /// `rate_per_s` is the rate of.
+    pub fn mainline_requests(&self) -> u64 {
+        mainline_counters(self.model).iter().map(|name| self.counter(name)).sum()
     }
 }
 
@@ -150,18 +132,10 @@ impl StructureActivity {
 pub struct ClassActivity {
     /// Stable class name.
     pub name: &'static str,
-    /// Commands issued in the interval.
-    pub issued: u64,
-    /// Ran CPU-synchronously.
-    pub sync: u64,
-    /// Converted to asynchronous execution.
-    pub async_converted: u64,
-    /// Surfaced a link fault.
-    pub faulted: u64,
     /// Requests per second over the interval.
     pub rate_per_s: f64,
-    /// Interval service-time distribution.
-    pub service: HistogramSnapshot,
+    /// The interval's counts and service-time distribution.
+    pub interval: ClassSnapshot,
 }
 
 /// One system's trace/subchannel row.
@@ -192,16 +166,10 @@ impl SystemActivity {
 }
 
 /// Report-wide totals and their reconciliation inputs.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Totals {
-    /// Commands issued in the interval (all classes, all facilities).
-    pub issued: u64,
-    /// Ran CPU-synchronously.
-    pub sync: u64,
-    /// Converted to asynchronous execution.
-    pub async_converted: u64,
-    /// Surfaced a link fault.
-    pub faulted: u64,
+    /// The interval's commands, all classes and all facilities merged.
+    pub commands: ClassSnapshot,
     /// Trace entries emitted since enable (cumulative, all systems).
     pub trace_emitted: u64,
     /// Trace entries lost to ring wrap (cumulative).
@@ -234,21 +202,10 @@ impl SysplexSection {
         let mut classes: Vec<(CommandClass, MemberClassTotals)> = Vec::new();
         for class in CommandClass::ALL {
             let mut total = MemberClassTotals::default();
-            for m in &members {
-                for (c, t) in &m.classes {
-                    if *c != class {
-                        continue;
-                    }
-                    total.issued += t.issued;
-                    total.sync += t.sync;
-                    total.async_converted += t.async_converted;
-                    total.faulted += t.faulted;
-                    total.served += t.served;
-                    total.observed.merge(&t.observed);
-                    total.service.merge(&t.service);
-                }
+            for (_, t) in members.iter().flat_map(|m| &m.classes).filter(|(c, _)| *c == class) {
+                total.merge(t);
             }
-            if total.issued > 0 || total.served > 0 {
+            if total.member.issued > 0 || total.served > 0 {
                 classes.push((class, total));
             }
         }
@@ -257,41 +214,28 @@ impl SysplexSection {
 
     /// Whether one member's shipped books balance.
     ///
-    /// Always required: every class satisfies `issued == sync +
-    /// async_converted` with `observed.samples == issued`, and the trace
-    /// ring satisfies `retained == emitted − dropped`. Once the member's
-    /// **final** record arrived (its books are complete), the tunnel is
-    /// reconciled against the server's service clock too: with no faults
-    /// and no wire retries the server must have dispatched *exactly* the
-    /// commands the member issued, per class; with faults or retries the
-    /// command may have died on the wire (server saw fewer) or been
-    /// redialled (server saw more), so only the corresponding bounds are
-    /// enforced.
+    /// Always required: every class row is
+    /// [`balanced`](ClassSnapshot::balanced), and the trace ring satisfies
+    /// `retained == emitted − dropped`. Once the member's **final** record
+    /// arrived (its books are complete), the tunnel is reconciled against
+    /// the server's service clock too, per class: a faulted command may
+    /// have died on the wire (the server saw fewer) and a redialled one
+    /// may have run twice (the server saw more), so the server dispatched
+    /// at least `issued − faulted` and at most `issued + wire_retries` —
+    /// with no faults and no retries, *exactly* the commands issued.
     pub fn member_reconciles(m: &MemberLedger) -> bool {
-        let classes_ok = m
-            .classes
-            .iter()
-            .all(|(_, t)| t.issued == t.sync + t.async_converted && t.observed.samples == t.issued);
+        let classes_ok = m.classes.iter().all(|(_, t)| t.member.balanced());
         let trace_ok = m.trace_retained == m.trace_emitted.saturating_sub(m.trace_dropped);
-        let tunnel_ok = if !m.final_seen || !m.served_metered || m.interrupted {
-            // Books still open (tail interval unshipped), shipped
-            // in-process with no serving session to meter the other side
-            // of the tunnel, or a crashed incarnation lost intervals for
-            // good: nothing sound to reconcile against.
-            true
-        } else if m.wire_retries == 0 {
-            m.classes.iter().all(|(_, t)| {
-                if t.faulted == 0 {
-                    t.served == t.issued
-                } else {
-                    t.served >= t.issued.saturating_sub(t.faulted) && t.served <= t.issued
-                }
-            })
-        } else {
-            m.classes.iter().all(|(_, t)| {
-                t.served >= t.issued.saturating_sub(t.faulted) && t.served <= t.issued + m.wire_retries
-            })
-        };
+        // Books still open (tail interval unshipped), shipped in-process
+        // with no serving session to meter the other side of the tunnel,
+        // or a crashed incarnation lost intervals for good: nothing sound
+        // to reconcile against.
+        let unmatched = !m.final_seen || !m.served_metered || m.interrupted;
+        let tunnel_ok = unmatched
+            || m.classes.iter().all(|(_, MemberClassTotals { member, served, .. })| {
+                (member.issued.saturating_sub(member.faulted)..=member.issued + m.wire_retries)
+                    .contains(served)
+            });
         classes_ok && trace_ok && tunnel_ok
     }
 
@@ -313,17 +257,17 @@ impl SysplexSection {
              \"service_p50_us\": {}, \"service_p95_us\": {}, \"service_p99_us\": {}, \
              \"wire_p50_us\": {}, \"wire_p95_us\": {}, \"wire_p99_us\": {}}}",
             json_str(class.name()),
-            t.issued,
-            t.sync,
-            t.async_converted,
-            t.faulted,
+            t.member.issued,
+            t.member.sync,
+            t.member.async_converted,
+            t.member.faulted,
             t.served,
-            t.observed.quantile_ns(0.50) / 1000,
-            t.observed.quantile_ns(0.95) / 1000,
-            t.observed.quantile_ns(0.99) / 1000,
-            t.service.quantile_ns(0.50) / 1000,
-            t.service.quantile_ns(0.95) / 1000,
-            t.service.quantile_ns(0.99) / 1000,
+            t.observed_quantile_ns(0.50) / 1000,
+            t.observed_quantile_ns(0.95) / 1000,
+            t.observed_quantile_ns(0.99) / 1000,
+            t.service_quantile_ns(0.50) / 1000,
+            t.service_quantile_ns(0.95) / 1000,
+            t.service_quantile_ns(0.99) / 1000,
             t.wire_quantile_ns(0.50) / 1000,
             t.wire_quantile_ns(0.95) / 1000,
             t.wire_quantile_ns(0.99) / 1000,
@@ -431,11 +375,8 @@ impl ActivityReport {
     /// report carries a sysplex merge — every member's shipped books
     /// balance too ([`SysplexSection::reconciles`]).
     pub fn reconciles(&self) -> bool {
-        let classes_ok = self
-            .classes
-            .iter()
-            .all(|c| c.issued == c.sync + c.async_converted && c.service.samples == c.issued);
-        let totals_ok = self.totals.issued == self.totals.sync + self.totals.async_converted;
+        let classes_ok = self.classes.iter().all(|c| c.interval.balanced());
+        let totals_ok = self.totals.commands.balanced();
         let trace_ok =
             self.totals.trace_retained == self.totals.trace_emitted.saturating_sub(self.totals.trace_dropped);
         let sysplex_ok = self.sysplex.as_ref().is_none_or(|s| s.reconciles());
@@ -492,7 +433,7 @@ impl ActivityReport {
         out.push_str("\n  ],\n");
 
         out.push_str("  \"command_classes\": [");
-        for (i, c) in self.classes.iter().enumerate() {
+        for (i, ClassActivity { name, rate_per_s, interval: c }) in self.classes.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -500,18 +441,18 @@ impl ActivityReport {
                 "\n    {{\"name\": {}, \"issued\": {}, \"sync\": {}, \"async_converted\": {}, \
                  \"faulted\": {}, \"rate_per_s\": {}, \"sync_pct\": {}, \"mean_us\": {}, \
                  \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}, \"max_us\": {}}}",
-                json_str(c.name),
+                json_str(name),
                 c.issued,
                 c.sync,
                 c.async_converted,
                 c.faulted,
-                json_f64(c.rate_per_s),
+                json_f64(*rate_per_s),
                 json_f64(ratio(c.sync, c.issued) * 100.0),
-                json_f64(c.service.mean_ns() / 1000.0),
-                c.service.quantile_ns(0.50) / 1000,
-                c.service.quantile_ns(0.95) / 1000,
-                c.service.quantile_ns(0.99) / 1000,
-                c.service.max_ns / 1000
+                json_f64(c.latency.mean_ns() / 1000.0),
+                c.latency.quantile_ns(0.50) / 1000,
+                c.latency.quantile_ns(0.95) / 1000,
+                c.latency.quantile_ns(0.99) / 1000,
+                c.latency.max_ns / 1000
             ));
         }
         out.push_str("\n  ],\n");
@@ -566,10 +507,10 @@ impl ActivityReport {
         out.push_str(&format!(
             "  \"totals\": {{\"issued\": {}, \"sync\": {}, \"async_converted\": {}, \"faulted\": {}, \
              \"trace_emitted\": {}, \"trace_dropped\": {}, \"trace_retained\": {}}},\n",
-            t.issued,
-            t.sync,
-            t.async_converted,
-            t.faulted,
+            t.commands.issued,
+            t.commands.sync,
+            t.commands.async_converted,
+            t.commands.faulted,
             t.trace_emitted,
             t.trace_dropped,
             t.trace_retained
@@ -626,19 +567,19 @@ impl fmt::Display for ActivityReport {
             "  {:<14} {:>9} {:>8} {:>7} {:>7} {:>8} {:>8} {:>8} {:>8}",
             "class", "req/s", "issued", "sync%", "async%", "p50 µs", "p95 µs", "p99 µs", "max µs"
         )?;
-        for c in &self.classes {
+        for ClassActivity { name, rate_per_s, interval: c } in &self.classes {
             writeln!(
                 f,
                 "  {:<14} {:>9.1} {:>8} {:>6.1}% {:>6.1}% {:>8} {:>8} {:>8} {:>8}",
-                c.name,
-                c.rate_per_s,
+                name,
+                rate_per_s,
                 c.issued,
                 ratio(c.sync, c.issued) * 100.0,
                 ratio(c.async_converted, c.issued) * 100.0,
-                c.service.quantile_ns(0.50) / 1000,
-                c.service.quantile_ns(0.95) / 1000,
-                c.service.quantile_ns(0.99) / 1000,
-                c.service.max_ns / 1000
+                c.latency.quantile_ns(0.50) / 1000,
+                c.latency.quantile_ns(0.95) / 1000,
+                c.latency.quantile_ns(0.99) / 1000,
+                c.latency.max_ns / 1000
             )?;
         }
 
@@ -685,15 +626,15 @@ impl fmt::Display for ActivityReport {
                 "system", "member", "state", "records", "issued", "retries"
             )?;
             for m in &sx.members {
-                let issued: u64 = m.classes.iter().map(|(_, t)| t.issued).sum();
+                let issued: u64 = m.classes.iter().map(|(_, t)| t.member.issued).sum();
                 let mut decomp = String::new();
-                for (class, t) in m.classes.iter().filter(|(_, t)| t.issued > 0).take(3) {
+                for (class, t) in m.classes.iter().filter(|(_, t)| t.member.issued > 0).take(3) {
                     decomp.push_str(&format!(
                         "{}: {}={}+{}  ",
                         class.name(),
-                        t.observed.quantile_ns(0.95) / 1000,
+                        t.observed_quantile_ns(0.95) / 1000,
                         t.wire_quantile_ns(0.95) / 1000,
-                        t.service.quantile_ns(0.95) / 1000
+                        t.service_quantile_ns(0.95) / 1000
                     ));
                 }
                 writeln!(
@@ -744,10 +685,10 @@ impl fmt::Display for ActivityReport {
             f,
             "TOTALS issued={} sync={} async-converted={} faulted={} \
              trace-emitted={} trace-dropped={} trace-retained={} reconciled={}",
-            t.issued,
-            t.sync,
-            t.async_converted,
-            t.faulted,
+            t.commands.issued,
+            t.commands.sync,
+            t.commands.async_converted,
+            t.commands.faulted,
             t.trace_emitted,
             t.trace_dropped,
             t.trace_retained,
@@ -793,10 +734,7 @@ impl Monitor {
         }
         let baseline = Baseline {
             at: timer.elapsed(),
-            classes: cfs
-                .iter()
-                .map(|_| CommandClass::ALL.iter().map(|_| ClassBase::zero()).collect())
-                .collect(),
+            classes: vec![ConnectionSnapshot::default(); cfs.len()],
             structures: HashMap::new(),
             systems: HashMap::new(),
             lock_kinds: [0; LOCK_HIERARCHY_KINDS.len()],
@@ -836,39 +774,25 @@ impl Monitor {
         let interval = now.saturating_sub(base.at).max(Duration::from_micros(1));
         let secs = interval.as_secs_f64();
 
-        // Command classes: merge interval deltas across facilities. One
-        // sum over each facility's accounting cells per report.
-        let current: Vec<ConnectionStats> = self.cfs.iter().map(|cf| cf.command_stats()).collect();
+        // Command classes: one snapshot of each facility's summed cells per
+        // report — the only place the monitor copies histograms — and the
+        // interval is its delta against the previous report's, merged
+        // across facilities.
+        let mut interval_classes = ConnectionSnapshot::default();
+        for (cf, prev) in self.cfs.iter().zip(&mut base.classes) {
+            let now = cf.command_stats().snapshot();
+            interval_classes.merge(&now.delta(prev));
+            *prev = now;
+        }
         let mut classes = Vec::new();
         let mut totals = Totals::default();
-        for (ci, class) in CommandClass::ALL.iter().enumerate() {
-            let mut merged = ClassActivity {
+        for (class, interval) in interval_classes.into_rows() {
+            totals.commands.merge(&interval);
+            classes.push(ClassActivity {
                 name: class.name(),
-                issued: 0,
-                sync: 0,
-                async_converted: 0,
-                faulted: 0,
-                rate_per_s: 0.0,
-                service: HistogramSnapshot::empty(),
-            };
-            for (fi, stats) in current.iter().enumerate() {
-                let cur = ClassBase::capture(stats, *class);
-                let prev = &base.classes[fi][ci];
-                merged.issued += cur.issued - prev.issued;
-                merged.sync += cur.sync - prev.sync;
-                merged.async_converted += cur.async_converted - prev.async_converted;
-                merged.faulted += cur.faulted - prev.faulted;
-                merged.service.merge(&cur.latency.delta(&prev.latency));
-                base.classes[fi][ci] = cur;
-            }
-            merged.rate_per_s = merged.issued as f64 / secs;
-            totals.issued += merged.issued;
-            totals.sync += merged.sync;
-            totals.async_converted += merged.async_converted;
-            totals.faulted += merged.faulted;
-            if merged.issued > 0 {
-                classes.push(merged);
-            }
+                rate_per_s: interval.issued as f64 / secs,
+                interval,
+            });
         }
 
         // Structures: interval deltas of the raw counters. One registry
@@ -878,28 +802,17 @@ impl Monitor {
         for (fi, cf) in self.cfs.iter().enumerate() {
             for (name, handle) in cf.structures_snapshot() {
                 let (model, counters) = structure_counters(&handle);
-                let values: Vec<u64> = counters.iter().map(|(_, v)| *v).collect();
-                let key = (fi, name.clone());
-                let prev = base.structures.get(&key).cloned().unwrap_or_else(|| vec![0; values.len()]);
-                let delta: Vec<(&'static str, u64)> = counters
-                    .iter()
-                    .zip(prev.iter().chain(std::iter::repeat(&0)))
-                    .map(|((n, v), p)| (*n, v.saturating_sub(*p)))
-                    .collect();
-                base.structures.insert(key, values);
-                let rate = match model {
-                    "LOCK" => delta[0].1,
-                    "CACHE" => delta[0].1 + delta[2].1,
-                    _ => delta[0].1 + delta[2].1 + delta[3].1,
-                } as f64
-                    / secs;
-                structures.push(StructureActivity {
+                let prev = base.structures.insert((fi, name.clone()), counters.clone()).unwrap_or_default();
+                let delta = counters.iter().map(|&(n, v)| (n, v.saturating_sub(counter_named(&prev, n))));
+                let mut activity = StructureActivity {
                     facility: cf.name().to_string(),
                     name,
                     model,
-                    rate_per_s: rate,
-                    counters: delta,
-                });
+                    rate_per_s: 0.0,
+                    counters: delta.collect(),
+                };
+                activity.rate_per_s = activity.mainline_requests() as f64 / secs;
+                structures.push(activity);
             }
         }
 
@@ -916,10 +829,8 @@ impl Monitor {
                 retained += t.retained(sys);
                 busy_ns += t.busy_ns(sys);
             }
-            let (pe, pd, pb) = base.systems.get(&sys).copied().unwrap_or((0, 0, 0));
-            base.systems.insert(sys, (emitted, dropped, busy_ns));
-            let _ = (pe, pd);
-            let busy_pct = (busy_ns.saturating_sub(pb) as f64 / 1e9) / secs;
+            let prev_busy_ns = base.systems.insert(sys, busy_ns).unwrap_or(0);
+            let busy_pct = (busy_ns.saturating_sub(prev_busy_ns) as f64 / 1e9) / secs;
             systems.push(SystemActivity { system: sys, emitted, dropped, retained, busy_pct });
         }
         for t in &self.tracers {
@@ -1032,9 +943,24 @@ impl Drop for Monitor {
     }
 }
 
-/// Cumulative counters of a structure, in a stable per-model order. Index 0
-/// (and the model-specific companions used by the rate computation) must
-/// stay the mainline request counters.
+/// The value of the counter called `name` (0 when there is none).
+fn counter_named(counters: &[(&'static str, u64)], name: &str) -> u64 {
+    counters.iter().find(|(n, _)| *n == name).map_or(0, |(_, v)| *v)
+}
+
+/// The counters of [`structure_counters`] that are a model's mainline
+/// requests: lock requests, cache reads + writes, list writes + moves +
+/// dequeues.
+fn mainline_counters(model: &str) -> &'static [&'static str] {
+    match model {
+        "LOCK" => &["requests"],
+        "CACHE" => &["reads", "writes"],
+        _ => &["writes", "moves", "dequeues"],
+    }
+}
+
+/// Cumulative counters of a structure, in a stable per-model order (the
+/// order they print in; nothing indexes into it).
 fn structure_counters(handle: &StructureHandle) -> (&'static str, Vec<(&'static str, u64)>) {
     match handle {
         StructureHandle::Lock(s) => (
@@ -1149,10 +1075,40 @@ mod tests {
         assert!(report.classes.iter().any(|c| c.name == "lock-request"));
         assert!(!report.systems.is_empty(), "tracing was on, rings have entries");
         assert_eq!(report.wlm.len(), 1);
-        assert!(report.totals.issued > 0);
+        assert!(report.totals.commands.issued > 0);
         let text = report.to_string();
         assert!(text.contains("C F   A C T I V I T Y"));
         assert!(text.contains("IRLM1"));
+    }
+
+    /// A structure's request rate is looked up by counter name: a known
+    /// traffic mix gives the mainline count for each model, and shuffling
+    /// the counter list cannot change it.
+    #[test]
+    fn structure_rate_counts_mainline_requests_by_name() {
+        use sysplex_core::list::DequeueEnd;
+
+        let (plex, cf) = plex_with_traffic();
+        // On top of 20 enqueues: a move, two dequeues and a delete, so no
+        // two list counters a positional sum could confuse are equal.
+        let list = cf.connect_list("WORKQ", 8).unwrap();
+        let none = LockCondition::None;
+        let doomed = list.enqueue(1, 0, b"x", WritePosition::Tail, none).unwrap();
+        list.delete(doomed, none).unwrap();
+        list.claim_first(0, 2, DequeueEnd::Head, WritePosition::Tail, none).unwrap().unwrap();
+        list.take(0, DequeueEnd::Head, none).unwrap().unwrap();
+        list.take(0, DequeueEnd::Head, none).unwrap().unwrap();
+
+        let report = Monitor::for_sysplex(&plex).report();
+        let secs = report.interval.as_secs_f64();
+        for (model, requests) in [("LOCK", 20), ("CACHE", 20 + 20), ("LIST", 21 + 1 + 2)] {
+            let s = report.structures.iter().find(|s| s.model == model).unwrap();
+            assert_eq!(s.mainline_requests(), requests, "{model}: {:?}", s.counters);
+            assert!((s.rate_per_s * secs - requests as f64).abs() < 1e-6, "{model}: {}", s.rate_per_s);
+            let mut reordered = s.clone();
+            reordered.counters.reverse();
+            assert_eq!(reordered.mainline_requests(), requests, "{model}: order must not matter");
+        }
     }
 
     #[test]
@@ -1160,10 +1116,10 @@ mod tests {
         let (plex, cf) = plex_with_traffic();
         let monitor = Monitor::for_sysplex(&plex);
         let first = monitor.report();
-        assert!(first.totals.issued > 0);
+        assert!(first.totals.commands.issued > 0);
         // No traffic between reports: the next interval is empty.
         let second = monitor.report();
-        assert_eq!(second.totals.issued, 0, "interval deltas, not cumulative");
+        assert_eq!(second.totals.commands.issued, 0, "interval deltas, not cumulative");
         assert!(second.classes.is_empty());
         assert!(second.reconciles());
         // New traffic appears in (only) the following interval.
@@ -1171,7 +1127,7 @@ mod tests {
         lock.request_lock(1, LockMode::Shared).unwrap();
         let third = monitor.report();
         let row = third.classes.iter().find(|c| c.name == "lock-request").unwrap();
-        assert_eq!(row.issued, 1);
+        assert_eq!(row.interval.issued, 1);
         assert!(third.reconciles());
     }
 
@@ -1186,7 +1142,7 @@ mod tests {
         let lock = cf.connect_lock("IRLM1").unwrap();
         lock.request_lock(1, LockMode::Shared).unwrap();
         let first = monitor.report();
-        assert!(first.totals.issued > 0 && first.reconciles());
+        assert!(first.totals.commands.issued > 0 && first.reconciles());
 
         lock.request_lock(2, LockMode::Shared).unwrap();
         lock.detach(sysplex_core::lock::DisconnectMode::Normal).unwrap();
@@ -1195,13 +1151,18 @@ mod tests {
         let next = cf.connect_lock("IRLM1").unwrap();
         next.request_lock(3, LockMode::Shared).unwrap();
         let second = monitor.report();
-        let issued =
-            |name| second.classes.iter().find(|c| c.name == name).map(|c| (c.issued, c.service.samples));
+        let issued = |name| {
+            second
+                .classes
+                .iter()
+                .find(|c| c.name == name)
+                .map(|c| (c.interval.issued, c.interval.latency.samples))
+        };
         assert_eq!(issued("lock-request"), Some((2, 2)));
         assert_eq!(issued("lock-admin"), Some((2, 2)), "the detach and the new attach");
-        assert_eq!(second.totals.issued, 4);
+        assert_eq!(second.totals.commands.issued, 4);
         assert!(second.reconciles());
-        assert_eq!(monitor.report().totals.issued, 0);
+        assert_eq!(monitor.report().totals.commands.issued, 0);
     }
 
     #[test]
@@ -1281,7 +1242,7 @@ mod tests {
 
         let store = SmfStore::new();
         store.mark_active(9, "SYS09");
-        store.ship(meter.cut_record(9, "SYS09", None, true));
+        store.ship(meter.cut_record(9, "SYS09", true));
 
         let monitor = Monitor::for_sysplex(&plex);
         let report = monitor.sysplex_report(&store);
@@ -1290,7 +1251,7 @@ mod tests {
         let m = &sx.members[0];
         assert!(m.departed && m.final_seen);
         assert!(!m.served_metered, "no serving session metered this member");
-        let issued: u64 = m.classes.iter().map(|(_, t)| t.issued).sum();
+        let issued: u64 = m.classes.iter().map(|(_, t)| t.member.issued).sum();
         assert!(issued >= 17, "attach + 8 requests + 8 releases: {issued}");
         assert!(m.classes.iter().all(|(_, t)| t.served == 0));
         assert!(SysplexSection::member_reconciles(m), "served==0 must not fail the books");
@@ -1301,6 +1262,105 @@ mod tests {
         assert!(json.contains("\"member_count\": 1"));
         assert!(json.contains("\"wire_p95_us\""));
         assert!(report.to_string().contains("SYSPLEX MEMBERS"));
+    }
+
+    /// [`SysplexSection::to_json`] of the store `sysplex_section_json_is_pinned`
+    /// builds, as the parent of the one-row change printed it.
+    const PINNED_SECTION: &str = concat!(
+        r#"{"member_count": 2, "departed_count": 2, "members": [{"system": 1, "name": "SYSA", "#,
+        r#""departed": true, "final_interval_seen": true, "interrupted": true, "records_shipped": 2, "#,
+        r#""records_evicted": 0, "wire_retries": 3, "trace_emitted": 0, "trace_dropped": 0, "#,
+        r#""trace_retained": 0, "interval_us": 100000, "reconciled": true, "#,
+        r#""classes": [{"name": "lock-request", "issued": 5, "sync": 5, "async_converted": 0, "#,
+        r#""faulted": 1, "served": 4, "observed_p50_us": 32, "observed_p95_us": 900, "#,
+        r#""observed_p99_us": 900, "service_p50_us": 8, "service_p95_us": 8, "service_p99_us": 8, "#,
+        r#""wire_p50_us": 24, "wire_p95_us": 892, "wire_p99_us": 892}, {"name": "cache-write", "#,
+        r#""issued": 2, "sync": 1, "async_converted": 1, "faulted": 0, "served": 2, "#,
+        r#""observed_p50_us": 65, "observed_p95_us": 700, "observed_p99_us": 700, "#,
+        r#""service_p50_us": 32, "service_p95_us": 300, "service_p99_us": 300, "wire_p50_us": 32, "#,
+        r#""wire_p95_us": 400, "wire_p99_us": 400}], "structures": [{"name": "GBP0", "requests": 2, "#,
+        r#""contentions": 0, "force_interests": 0, "faulted": 0}, {"name": "IRLM1", "requests": 5, "#,
+        r#""contentions": 1, "force_interests": 1, "faulted": 1}]}, {"system": 2, "name": "SYSB", "#,
+        r#""departed": true, "final_interval_seen": true, "interrupted": false, "records_shipped": 1, "#,
+        r#""records_evicted": 0, "wire_retries": 0, "trace_emitted": 0, "trace_dropped": 0, "#,
+        r#""trace_retained": 0, "interval_us": 50000, "reconciled": true, "#,
+        r#""classes": [{"name": "lock-request", "issued": 4, "sync": 4, "async_converted": 0, "#,
+        r#""faulted": 0, "served": 4, "observed_p50_us": 16, "observed_p95_us": 16, "#,
+        r#""observed_p99_us": 16, "service_p50_us": 4, "service_p95_us": 6, "service_p99_us": 6, "#,
+        r#""wire_p50_us": 11, "wire_p95_us": 10, "wire_p99_us": 10}], "structures": [{"name": "IRLM1", "#,
+        r#""requests": 4, "contentions": 2, "force_interests": 0, "faulted": 0}]}], "#,
+        r#""classes": [{"name": "lock-request", "issued": 9, "sync": 9, "async_converted": 0, "#,
+        r#""faulted": 1, "served": 8, "observed_p50_us": 32, "observed_p95_us": 900, "#,
+        r#""observed_p99_us": 900, "service_p50_us": 8, "service_p95_us": 8, "service_p99_us": 8, "#,
+        r#""wire_p50_us": 24, "wire_p95_us": 892, "wire_p99_us": 892}, {"name": "cache-write", "#,
+        r#""issued": 2, "sync": 1, "async_converted": 1, "faulted": 0, "served": 2, "#,
+        r#""observed_p50_us": 65, "observed_p95_us": 700, "observed_p99_us": 700, "#,
+        r#""service_p50_us": 32, "service_p95_us": 300, "service_p99_us": 300, "wire_p50_us": 32, "#,
+        r#""wire_p95_us": 400, "wire_p99_us": 400}], "reconciled": true}"#,
+    );
+
+    /// The merged section of a fixed store, pinned as text from before the
+    /// row became one type: two members, one of them re-IPLed over books
+    /// a crash left open, one class with faults, and a server-side
+    /// service clock. The JSON is what CI's `jq` steps and the
+    /// `BENCH_*.json` consumers read, so any change to how rows are summed
+    /// must reproduce it byte for byte.
+    #[test]
+    fn sysplex_section_json_is_pinned() {
+        use sysplex_core::stats::Histogram;
+        use sysplex_core::wire::{SmfRecord, SmfStructureRow};
+
+        let row = |issued, sync, faulted, ns: &[u64]| {
+            let h = Histogram::new();
+            ns.iter().for_each(|&n| h.record_ns(n));
+            ClassSnapshot { issued, sync, async_converted: issued - sync, faulted, latency: h.snapshot() }
+        };
+        let structure = |name: &str, requests, contentions, force_interests, faulted| SmfStructureRow {
+            name: name.into(),
+            requests,
+            contentions,
+            force_interests,
+            faulted,
+        };
+        let record = |system, member: &str, final_interval, wire_retries, classes, structures| SmfRecord {
+            system,
+            member: member.into(),
+            seq: 0,
+            interval_us: 50_000,
+            final_interval,
+            wire_retries,
+            classes,
+            structures,
+            trace_emitted: 0,
+            trace_dropped: 0,
+            trace_retained: 0,
+        };
+        let (lock, write) = (CommandClass::LockRequest, CommandClass::CacheWrite);
+
+        let store = SmfStore::new();
+        // SYSA's first incarnation crashes with its books open...
+        store.mark_admitted(1, "SYSA");
+        let classes =
+            vec![(lock, row(3, 3, 1, &[20_000, 30_000, 900_000])), (write, row(2, 1, 0, &[40_000, 700_000]))];
+        let structures = vec![structure("IRLM1", 3, 1, 1, 1), structure("GBP0", 2, 0, 0, 0)];
+        store.ship_keyed(100, record(1, "SYSA", false, 2, classes, structures));
+        // ...and its re-IPL ships a final record; SYSB lives one clean life.
+        store.mark_admitted(1, "SYSA");
+        let classes = vec![(lock, row(2, 2, 0, &[25_000, 35_000]))];
+        store.ship_keyed(200, record(1, "SYSA", true, 1, classes, vec![structure("IRLM1", 2, 0, 0, 0)]));
+        store.mark_admitted(2, "SYSB");
+        let classes = vec![(lock, row(4, 4, 0, &[10_000, 12_000, 14_000, 16_000]))];
+        store.ship_keyed(300, record(2, "SYSB", true, 0, classes, vec![structure("IRLM1", 4, 2, 0, 0)]));
+        for (system, class, us) in
+            [(1, lock, 5), (1, lock, 6), (1, lock, 7), (1, lock, 8), (1, write, 30), (1, write, 300)]
+        {
+            store.observe_service(system, class, Duration::from_micros(us));
+        }
+        for us in [3, 4, 5, 6] {
+            store.observe_service(2, lock, Duration::from_micros(us));
+        }
+
+        assert_eq!(SysplexSection::from_store(&store).to_json(), PINNED_SECTION);
     }
 
     #[test]

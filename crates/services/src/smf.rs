@@ -18,13 +18,20 @@
 //! histogram measures only the CF dispatch. The merged RMF report
 //! subtracts one from the other to decompose end-to-end latency into
 //! *wire time* and *CF service time* per command class.
+//!
+//! The store never subtracts and never snapshots a live counter block:
+//! what arrives is already an interval
+//! ([`ClassSnapshot::delta`], taken by the member's meter at its cut), and
+//! booking it is [`ClassSnapshot::merge`] into the member's running total.
+//! The only histograms it reads live are its own service clocks, once per
+//! [`SmfStore::ledgers`] call.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
-use sysplex_core::connection::CommandClass;
+use sysplex_core::connection::{ClassSnapshot, CommandClass, ConnectionSnapshot};
 use sysplex_core::stats::{Histogram, HistogramSnapshot};
 use sysplex_core::wire::{SmfRecord, SmfStructureRow};
 
@@ -33,19 +40,8 @@ use sysplex_core::wire::{SmfRecord, SmfStructureRow};
 /// window of *raw* records available to [`SmfStore::records`].
 pub const DEFAULT_RECORD_CAP: usize = 64;
 
-/// Accumulated per-class totals for one member, summed over every record
-/// it ever shipped (not just the retained window).
-#[derive(Debug, Clone, Default)]
-struct ClassTotal {
-    issued: u64,
-    sync: u64,
-    async_converted: u64,
-    faulted: u64,
-    observed: HistogramSnapshot,
-}
-
 /// Everything the store knows about one member system.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct MemberSlot {
     name: String,
     departed: bool,
@@ -57,9 +53,13 @@ struct MemberSlot {
     shipped: u64,
     evicted: u64,
     records: VecDeque<SmfRecord>,
-    classes: Vec<ClassTotal>,
+    /// Per-class totals over every record the member ever shipped (not
+    /// just the retained window).
+    classes: ConnectionSnapshot,
     structure_totals: HashMap<String, SmfStructureRow>,
-    /// Cumulative values carried in each record; the latest wins.
+    /// Cumulative values carried in each record; the latest wins. The
+    /// three trace words are zero from every member today (none runs a
+    /// local tracer); the handling is kept for ROADMAP item 6.
     wire_retries: u64,
     trace_emitted: u64,
     trace_dropped: u64,
@@ -77,43 +77,13 @@ struct MemberSlot {
 
 impl MemberSlot {
     fn new(name: &str) -> MemberSlot {
-        MemberSlot {
-            name: name.to_string(),
-            departed: false,
-            final_seen: false,
-            interrupted: false,
-            shipped: 0,
-            evicted: 0,
-            records: VecDeque::new(),
-            classes: (0..CommandClass::COUNT).map(|_| ClassTotal::default()).collect(),
-            structure_totals: HashMap::new(),
-            wire_retries: 0,
-            trace_emitted: 0,
-            trace_dropped: 0,
-            trace_retained: 0,
-            interval_us: 0,
-            last_key: None,
-            retries_base: 0,
-            retries_live: 0,
-        }
+        MemberSlot { name: name.to_string(), ..MemberSlot::default() }
     }
 }
 
-/// Server-side service accounting for one system's tunnelled commands.
-#[derive(Debug)]
-struct ServedSlot {
-    counts: Vec<u64>,
-    service: Vec<Histogram>,
-}
-
-impl ServedSlot {
-    fn new() -> ServedSlot {
-        ServedSlot {
-            counts: vec![0; CommandClass::COUNT],
-            service: (0..CommandClass::COUNT).map(|_| Histogram::new()).collect(),
-        }
-    }
-}
+/// Server-side service time of one system's tunnelled commands, per
+/// command class; a class's sample count is the commands served.
+type ServedSlot = [Histogram; CommandClass::COUNT];
 
 /// One member's accumulated observability state, as the RMF merge sees
 /// it: shipped totals plus the server-side service clock.
@@ -161,16 +131,9 @@ pub struct MemberLedger {
 /// side and the server-observed side, paired for decomposition.
 #[derive(Debug, Clone, Default)]
 pub struct MemberClassTotals {
-    /// Commands the member issued (sum of shipped records).
-    pub issued: u64,
-    /// Completed CPU-synchronously.
-    pub sync: u64,
-    /// Converted to asynchronous execution.
-    pub async_converted: u64,
-    /// Failed at the transport level.
-    pub faulted: u64,
-    /// Member-observed end-to-end latency (includes the wire).
-    pub observed: HistogramSnapshot,
+    /// What the member counted (sum of shipped records); its `latency` is
+    /// the member-observed end-to-end time, wire included.
+    pub member: ClassSnapshot,
     /// Commands the server dispatched for this system in this class.
     pub served: u64,
     /// Server-observed CF service time (excludes the wire).
@@ -178,9 +141,16 @@ pub struct MemberClassTotals {
 }
 
 impl MemberClassTotals {
+    /// Add `other` (another member's totals for the same class) into this.
+    pub fn merge(&mut self, other: &MemberClassTotals) {
+        self.member.merge(&other.member);
+        self.served += other.served;
+        self.service.merge(&other.service);
+    }
+
     /// Member-observed quantile, ns (end-to-end).
     pub fn observed_quantile_ns(&self, p: f64) -> u64 {
-        self.observed.quantile_ns(p)
+        self.member.latency.quantile_ns(p)
     }
 
     /// Server-observed quantile, ns (CF service time).
@@ -192,7 +162,7 @@ impl MemberClassTotals {
     /// service quantile subtracted (saturating — quantiles of different
     /// distributions are not strictly ordered sample-by-sample).
     pub fn wire_quantile_ns(&self, p: f64) -> u64 {
-        self.observed.quantile_ns(p).saturating_sub(self.service.quantile_ns(p))
+        self.observed_quantile_ns(p).saturating_sub(self.service_quantile_ns(p))
     }
 }
 
@@ -309,25 +279,11 @@ impl SmfStore {
             slot.name = record.member.clone();
         }
         for (class, row) in &record.classes {
-            let t = &mut slot.classes[class.index()];
-            t.issued += row.issued;
-            t.sync += row.sync;
-            t.async_converted += row.async_converted;
-            t.faulted += row.faulted;
-            t.observed.merge(&row.observed);
+            slot.classes.class_mut(*class).merge(row);
         }
         for s in &record.structures {
-            let t = slot.structure_totals.entry(s.name.clone()).or_insert_with(|| SmfStructureRow {
-                name: s.name.clone(),
-                requests: 0,
-                contentions: 0,
-                force_interests: 0,
-                faulted: 0,
-            });
-            t.requests += s.requests;
-            t.contentions += s.contentions;
-            t.force_interests += s.force_interests;
-            t.faulted += s.faulted;
+            let named = || SmfStructureRow { name: s.name.clone(), ..SmfStructureRow::default() };
+            slot.structure_totals.entry(s.name.clone()).or_insert_with(named).merge(s);
         }
         // Cumulative-in-record fields: the latest record wins within an
         // incarnation; retries sum across incarnations.
@@ -352,10 +308,7 @@ impl SmfStore {
     /// Record one server-side dispatch of a tunnelled command for
     /// `system`: the CF service time, excluding the wire.
     pub fn observe_service(&self, system: u8, class: CommandClass, elapsed: Duration) {
-        let mut served = self.served.lock();
-        let slot = served.entry(system).or_insert_with(ServedSlot::new);
-        slot.counts[class.index()] += 1;
-        slot.service[class.index()].record(elapsed);
+        self.served.lock().entry(system).or_default()[class.index()].record(elapsed);
     }
 
     /// The retained raw records for `system`, oldest first.
@@ -384,26 +337,12 @@ impl SmfStore {
             let sv = served.get(&sys);
             let mut classes = Vec::new();
             for class in CommandClass::ALL {
-                let t = &slot.classes[class.index()];
-                let (served_n, service) = match sv {
-                    Some(s) => (s.counts[class.index()], s.service[class.index()].snapshot()),
-                    None => (0, HistogramSnapshot::empty()),
-                };
-                if t.issued == 0 && served_n == 0 {
-                    continue;
+                let member = slot.classes.class(class);
+                let service = sv.map_or_else(HistogramSnapshot::empty, |s| s[class.index()].snapshot());
+                let served = service.samples;
+                if member.issued > 0 || served > 0 {
+                    classes.push((class, MemberClassTotals { member: member.clone(), served, service }));
                 }
-                classes.push((
-                    class,
-                    MemberClassTotals {
-                        issued: t.issued,
-                        sync: t.sync,
-                        async_converted: t.async_converted,
-                        faulted: t.faulted,
-                        observed: t.observed.clone(),
-                        served: served_n,
-                        service,
-                    },
-                ));
             }
             let mut structures: Vec<SmfStructureRow> = slot.structure_totals.values().cloned().collect();
             structures.sort_by(|a, b| a.name.cmp(&b.name));
@@ -432,7 +371,6 @@ impl SmfStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sysplex_core::wire::SmfClassRow;
 
     fn record(system: u8, seq: u32, issued: u64, final_interval: bool) -> SmfRecord {
         let h = Histogram::new();
@@ -448,7 +386,7 @@ mod tests {
             wire_retries: 0,
             classes: vec![(
                 CommandClass::LockRequest,
-                SmfClassRow { issued, sync: issued, async_converted: 0, faulted: 0, observed: h.snapshot() },
+                ClassSnapshot { issued, sync: issued, async_converted: 0, faulted: 0, latency: h.snapshot() },
             )],
             structures: vec![SmfStructureRow {
                 name: "IRLM1".into(),
@@ -477,8 +415,8 @@ mod tests {
         assert_eq!(l.records_shipped, 5);
         assert_eq!(l.records_evicted, 3);
         let (_, lock) = &l.classes[0];
-        assert_eq!(lock.issued, 20, "totals accumulated before eviction");
-        assert_eq!(lock.observed.samples, 20);
+        assert_eq!(lock.member.issued, 20, "totals accumulated before eviction");
+        assert_eq!(lock.member.latency.samples, 20);
         assert_eq!(l.structures[0].requests, 20);
         assert_eq!(l.structures[0].contentions, 5);
         assert_eq!(l.trace_emitted, 50, "cumulative field: latest wins");
@@ -509,7 +447,7 @@ mod tests {
         store.ship_keyed(100, r); // redial re-shipped the same interval
         let l = &store.ledgers()[0];
         assert_eq!(l.records_shipped, 1, "duplicate (incarnation, seq) dropped");
-        assert_eq!(l.classes[0].1.issued, 2);
+        assert_eq!(l.classes[0].1.member.issued, 2);
         assert_eq!(l.wire_retries, 3);
 
         // A crash without a final record, then a fresh incarnation: its
@@ -522,7 +460,7 @@ mod tests {
         assert!(l.interrupted, "books were open when the new incarnation arrived");
         assert!(l.final_seen && l.departed);
         assert_eq!(l.wire_retries, 4, "3 from the dead incarnation + 1 live");
-        assert_eq!(l.classes[0].1.issued, 7, "totals keep growing across incarnations");
+        assert_eq!(l.classes[0].1.member.issued, 7, "totals keep growing across incarnations");
     }
 
     #[test]
@@ -536,7 +474,7 @@ mod tests {
         let l = &store.ledgers()[0];
         let (class, t) = &l.classes[0];
         assert_eq!(*class, CommandClass::LockRequest);
-        assert_eq!(t.issued, 3);
+        assert_eq!(t.member.issued, 3);
         assert_eq!(t.served, 3);
         assert_eq!(t.service.samples, 3);
         assert!(t.observed_quantile_ns(0.5) >= t.wire_quantile_ns(0.5));

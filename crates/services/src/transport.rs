@@ -50,9 +50,8 @@ use std::time::Duration;
 use sysplex_core::error::{CfError, CfResult};
 use sysplex_core::facility::CouplingFacility;
 use sysplex_core::retry::RetryPolicy;
-use sysplex_core::trace::Tracer;
 use sysplex_core::transport::{
-    read_frame_patient, CfTransport, CmdShape, InProcessTransport, RemoteCacheConnection,
+    read_frame_patient, CfTransport, InProcessTransport, MeteredTransport, RemoteCacheConnection,
     RemoteListConnection, RemoteLockConnection, TransportBackend, TransportMeter, DEFAULT_MID_FRAME_STALL,
 };
 use sysplex_core::types::SystemId;
@@ -914,7 +913,8 @@ impl RemoteSysplex {
     /// command is metered into [`RemoteSysplex::meter`], so whatever mix
     /// of transports a member mints, its SMF records stay complete.
     pub fn transport(&self) -> Arc<dyn CfTransport> {
-        Arc::new(SxCfTransport { conn: Arc::clone(&self.conn) })
+        let tunnel = Arc::new(SxCfTransport { conn: Arc::clone(&self.conn) });
+        Arc::new(MeteredTransport::new(tunnel, Arc::clone(&self.conn.meter)))
     }
 
     /// The member-side command meter: cumulative per-class accounting of
@@ -925,10 +925,9 @@ impl RemoteSysplex {
     }
 
     /// Cut one SMF-style interval record from the member meter: activity
-    /// since the previous cut. `tracer` contributes the member's local
-    /// trace-ring accounting (`None` reports zeros, which reconcile).
-    pub fn cut_smf_record(&self, tracer: Option<&Tracer>, final_interval: bool) -> SmfRecord {
-        self.conn.meter.cut_record(self.system.0, &self.name, tracer, final_interval)
+    /// since the previous cut.
+    pub fn cut_smf_record(&self, final_interval: bool) -> SmfRecord {
+        self.conn.meter.cut_record(self.system.0, &self.name, final_interval)
     }
 
     /// Ship one SMF record to the server's store.
@@ -978,7 +977,7 @@ impl RemoteSysplex {
                     }
                     let alive = match conn.upgrade() {
                         Some(conn) if !conn.departed.load(Ordering::Acquire) => {
-                            let record = conn.meter.cut_record(system, &name, None, false);
+                            let record = conn.meter.cut_record(system, &name, false);
                             matches!(conn.rpc(&SxRequest::SmfShip(record)), Ok(SxResponse::Ok))
                         }
                         _ => false,
@@ -1091,7 +1090,7 @@ impl RemoteSysplex {
         // background pulse thread may pulse or reconnect, so the server's
         // deregistration cannot be undone by a racing re-admission.
         self.conn.departed.store(true, Ordering::Release);
-        let last = self.conn.meter.cut_record(self.system.0, &self.name, None, true);
+        let last = self.conn.meter.cut_record(self.system.0, &self.name, true);
         let _ = self.conn.rpc_inner(&SxRequest::SmfShip(last), true);
         match self.conn.rpc_inner(&SxRequest::Goodbye, true)? {
             SxResponse::Ok => Ok(()),
@@ -1128,9 +1127,10 @@ impl Drop for PulseHandle {
 }
 
 /// CF transport that tunnels [`WireRequest`]s inside [`SxRequest::Cf`]
-/// envelopes on a member session, metering every command into the
-/// session's [`TransportMeter`] — the member-observed end-to-end clock
-/// the SMF records carry.
+/// envelopes on a member session. The bare tunnel:
+/// [`RemoteSysplex::transport`] wraps it in a [`MeteredTransport`] over
+/// the session's [`TransportMeter`] — the member-observed end-to-end
+/// clock the SMF records carry.
 #[derive(Debug)]
 struct SxCfTransport {
     conn: Arc<Conn>,
@@ -1142,19 +1142,15 @@ impl CfTransport for SxCfTransport {
     }
 
     fn call(&self, req: WireRequest) -> CfResult<WireResponse> {
-        let shape = CmdShape::of(&req);
-        let class = shape.class().name();
-        let t0 = std::time::Instant::now();
-        let result = match self.conn.rpc(&SxRequest::Cf(req)) {
+        let class = req.class().name();
+        match self.conn.rpc(&SxRequest::Cf(req)) {
             Ok(SxResponse::Cf(resp)) => Ok(resp),
             Ok(_) => Err(CfError::InterfaceControlCheck(class)),
             Err(SxError::Io(e)) if e.kind() == io::ErrorKind::InvalidData => {
                 Err(CfError::InterfaceControlCheck(class))
             }
             Err(_) => Err(CfError::LinkTimeout(class)),
-        };
-        self.conn.meter.observe(&shape, &result, t0.elapsed());
-        result
+        }
     }
 }
 
@@ -1613,8 +1609,8 @@ mod tests {
 
     #[test]
     fn smf_envelope_variants_round_trip() {
-        use sysplex_core::connection::CommandClass;
-        use sysplex_core::wire::{SmfClassRow, SmfStructureRow};
+        use sysplex_core::connection::{ClassSnapshot, CommandClass};
+        use sysplex_core::wire::SmfStructureRow;
 
         let record = SmfRecord {
             system: 7,
@@ -1623,7 +1619,7 @@ mod tests {
             interval_us: 50_000,
             final_interval: true,
             wire_retries: 2,
-            classes: vec![(CommandClass::LockRequest, SmfClassRow::default())],
+            classes: vec![(CommandClass::LockRequest, ClassSnapshot::default())],
             structures: vec![SmfStructureRow {
                 name: "IRLM1".into(),
                 requests: 9,
@@ -1668,7 +1664,7 @@ mod tests {
         }
 
         // The live member ships a mid-life interval explicitly.
-        let rec = m2.cut_smf_record(None, false);
+        let rec = m2.cut_smf_record(false);
         assert!(rec.classes.iter().any(|(c, _)| *c == CommandClass::LockRequest));
         m2.smf_ship(rec).unwrap();
 
@@ -1688,8 +1684,8 @@ mod tests {
         // Clean books: the server dispatched exactly what the member
         // issued, per class — attach, requests, releases, detach.
         for (class, t) in &a.classes {
-            assert_eq!(t.served, t.issued, "tunnel skew in {}", class.name());
-            assert_eq!(t.observed.samples, t.issued);
+            assert_eq!(t.served, t.member.issued, "tunnel skew in {}", class.name());
+            assert_eq!(t.member.latency.samples, t.member.issued);
         }
         assert!(SysplexSection::member_reconciles(a));
         assert_eq!(a.structures.len(), 1, "IRLM1 row shipped");
@@ -1702,9 +1698,9 @@ mod tests {
         // The sysplex rollup decomposes latency: both clocks populated,
         // and the member-observed p95 dominates the CF service p95.
         let (_, t) = sx.classes.iter().find(|(c, _)| *c == CommandClass::LockRequest).unwrap();
-        assert_eq!(t.issued, 15, "10 exclusive + 5 shared");
-        assert!(t.observed.samples == 15 && t.service.samples == 15);
-        assert!(t.observed.quantile_ns(0.95) >= t.service.quantile_ns(0.95));
+        assert_eq!(t.member.issued, 15, "10 exclusive + 5 shared");
+        assert!(t.member.latency.samples == 15 && t.service.samples == 15);
+        assert!(t.member.latency.quantile_ns(0.95) >= t.service.quantile_ns(0.95));
         assert!(report.reconciles(), "merged report must reconcile:\n{report}");
 
         // Raw records are pullable over the wire by any session.

@@ -16,9 +16,8 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-use sysplex_core::swapcell::SwapCell;
 use sysplex_core::trace::{TraceEvent, Tracer, TRACE_SYSTEM_CF};
 use sysplex_core::SystemId;
 
@@ -111,9 +110,9 @@ pub struct Xcf {
     next_token: AtomicU64,
     #[allow(dead_code)]
     timer: Arc<SysplexTimer>,
-    /// Component tracer signal send/deliver events land in (disabled
-    /// stand-in until the sysplex wires its shared tracer).
-    tracer: SwapCell<Arc<Tracer>>,
+    /// Component tracer signal send/deliver events land in; unset (no
+    /// tracing) until the sysplex wires its shared tracer.
+    tracer: OnceLock<Arc<Tracer>>,
     /// Signals delivered (for the E2/E3 messaging-cost accounting).
     pub signals_sent: AtomicU64,
 }
@@ -125,20 +124,22 @@ impl Xcf {
             groups: Mutex::new(HashMap::new()),
             next_token: AtomicU64::new(1),
             timer,
-            tracer: SwapCell::with_value(Arc::new(Tracer::new())),
+            tracer: OnceLock::new(),
             signals_sent: AtomicU64::new(0),
         })
     }
 
     /// Route signal trace events to the sysplex-wide component tracer.
+    /// Called once, when the sysplex assembles its services; a later call
+    /// leaves the first tracer in place.
     pub fn set_tracer(&self, tracer: Arc<Tracer>) {
-        self.tracer.store(tracer);
+        let _ = self.tracer.set(tracer);
     }
 
     fn trace_signal(&self, g: &Group, from: &str, to_system: SystemId, bytes: usize) {
         // Per-signal path: one atomic load for the attachment, one relaxed
         // load for the enabled check — no RwLock on the message path.
-        let Some(tracer) = self.tracer.load() else { return };
+        let Some(tracer) = self.tracer.get() else { return };
         if !tracer.is_enabled() {
             return;
         }

@@ -6,10 +6,10 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use sysplex_core::connection::CommandClass;
+use sysplex_core::connection::{ClassSnapshot, CommandClass};
 use sysplex_core::stats::HistogramSnapshot;
 use sysplex_core::types::SystemId;
-use sysplex_core::wire::{SmfClassRow, SmfRecord, SmfStructureRow, WireRequest, WireResponse};
+use sysplex_core::wire::{SmfRecord, SmfStructureRow, WireRequest, WireResponse};
 use sysplex_services::transport::{SxRequest, SxResponse};
 use sysplex_services::xcf::{GroupEvent, MemberInfo, XcfError, XcfItem};
 
@@ -30,12 +30,12 @@ fn smf_record(name: &str, h: u32, n: u64, sel: u8) -> SmfRecord {
     observed.samples = observed.buckets.iter().sum();
     observed.total_ns = n.wrapping_mul(3);
     observed.max_ns = n;
-    let row = SmfClassRow {
+    let row = ClassSnapshot {
         issued: observed.samples,
         sync: observed.samples / 2,
         async_converted: observed.samples - observed.samples / 2,
         faulted: u64::from(sel % 3),
-        observed,
+        latency: observed,
     };
     SmfRecord {
         system: sel % 32,

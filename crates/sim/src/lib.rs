@@ -21,6 +21,8 @@
 //! * [`compare`] — data-sharing vs data-partitioning under skewed and
 //!   time-varying demand (E6), built on [`queueing`].
 
+#![forbid(unsafe_code)]
+
 pub mod capacity;
 pub mod compare;
 pub mod constants;

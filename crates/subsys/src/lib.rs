@@ -38,6 +38,8 @@
 //!   distributor with WLM placement, connection affinity, and CF-resident
 //!   state so the distributor role itself fails over statelessly.
 
+#![forbid(unsafe_code)]
+
 pub mod distributor;
 pub mod jes;
 pub mod mpp;

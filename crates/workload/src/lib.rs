@@ -24,6 +24,8 @@
 //!   study, with the 15 % remote-branch rule partitioned systems must
 //!   function-ship.
 
+#![forbid(unsafe_code)]
+
 pub mod debitcredit;
 pub mod decision;
 pub mod hotspot;

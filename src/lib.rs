@@ -28,6 +28,8 @@
 //! See `examples/` for runnable end-to-end scenarios and `crates/bench`
 //! for the harness regenerating every figure and quantitative claim.
 
+#![forbid(unsafe_code)]
+
 pub use sysplex_core as cf;
 pub use sysplex_dasd as dasd;
 pub use sysplex_db as db;
