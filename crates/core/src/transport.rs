@@ -41,13 +41,10 @@ use crate::lock::{DisconnectMode, LockMode, LockResponse, RetainedLock};
 use crate::retry::RetryPolicy;
 use crate::stats::Counter;
 use crate::types::{ConnId, ConnMask};
-use crate::wire::{
-    parse_frame_header, read_frame, write_frame, Flag, SmfRecord, SmfStructureRow, WireHandle, WireRequest,
-    WireResponse, FRAME_HEADER_BYTES,
-};
+use crate::wire::{Flag, FrameStream, SmfRecord, SmfStructureRow, WireHandle, WireRequest, WireResponse};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read};
+use std::io::ErrorKind;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -265,70 +262,6 @@ pub fn io_to_cf_error(e: &std::io::Error, class_name: &'static str) -> CfError {
     }
 }
 
-/// Mid-frame stall budget for serving loops: how long a peer may pause
-/// *inside* a frame before the reader declares the link dead. Between
-/// frames a session may idle indefinitely — liveness between commands is
-/// the heartbeat monitor's job, not the reader's.
-pub const DEFAULT_MID_FRAME_STALL: Duration = Duration::from_secs(1);
-
-/// Read one frame off a blocking socket, tolerating a slow writer.
-///
-/// A peer that dribbles a frame byte-by-byte is slow, not dead: each
-/// partial read just has to land within `mid_frame_stall` of the last.
-/// The reader blocks without a deadline for the *first* byte of a frame
-/// (an idle session is a healthy session), then arms the stall budget for
-/// the remainder. Outcomes:
-///
-/// * clean EOF at a frame boundary → `UnexpectedEof` (orderly end);
-/// * EOF mid-frame → `ConnectionAborted` (peer died mid-command);
-/// * silence mid-frame past the budget → `TimedOut` (stalled link);
-/// * framing violations → `InvalidData`, as with [`read_frame`].
-///
-/// The socket's read timeout is restored to "block forever" on success.
-pub fn read_frame_patient(stream: &mut TcpStream, mid_frame_stall: Duration) -> std::io::Result<Vec<u8>> {
-    fn fill(stream: &mut TcpStream, buf: &mut [u8], in_frame: bool) -> std::io::Result<()> {
-        let mut filled = 0usize;
-        while filled < buf.len() {
-            match stream.read(&mut buf[filled..]) {
-                Ok(0) => {
-                    return Err(if in_frame {
-                        std::io::Error::new(ErrorKind::ConnectionAborted, "eof mid-frame")
-                    } else {
-                        std::io::Error::new(ErrorKind::UnexpectedEof, "clean end of stream")
-                    });
-                }
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    return Err(std::io::Error::new(ErrorKind::TimedOut, "peer stalled mid-frame"));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
-    }
-
-    // Phase 1: wait (unbounded) for the first header byte.
-    stream.set_read_timeout(None)?;
-    let mut header = [0u8; FRAME_HEADER_BYTES];
-    let mut first = [0u8; 1];
-    fill(stream, &mut first, false)?;
-    header[0] = first[0];
-    // Phase 2: a frame has started — every further read must make
-    // progress within the stall budget.
-    stream.set_read_timeout(Some(mid_frame_stall))?;
-    let result = (|| {
-        fill(stream, &mut header[1..], true)?;
-        let len = parse_frame_header(&header)?;
-        let mut body = vec![0u8; len];
-        fill(stream, &mut body, true)?;
-        Ok(body)
-    })();
-    // Back to idle: block forever awaiting the next frame.
-    let _ = stream.set_read_timeout(None);
-    result
-}
-
 /// The TCP backend: one framed request/response stream to a CF served in
 /// another process (see [`serve_cf_stream`] for the serving half).
 ///
@@ -338,7 +271,7 @@ pub fn read_frame_patient(stream: &mut TcpStream, mid_frame_stall: Duration) -> 
 /// coupling links.
 #[derive(Debug)]
 pub struct TcpTransport {
-    stream: Mutex<TcpStream>,
+    link: Mutex<FrameStream<TcpStream>>,
     peer: String,
 }
 
@@ -355,7 +288,7 @@ impl TcpTransport {
     pub fn from_stream(stream: TcpStream) -> Self {
         let _ = stream.set_nodelay(true);
         let peer = stream.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "?".to_string());
-        TcpTransport { stream: Mutex::new(stream), peer }
+        TcpTransport { link: Mutex::new(FrameStream::new(stream)), peer }
     }
 
     /// The peer address, for diagnostics.
@@ -368,23 +301,8 @@ impl TcpTransport {
     /// hostile one a dropped response would otherwise hang the caller
     /// instead of surfacing as the retryable `LinkTimeout`.
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.stream.lock().set_read_timeout(timeout)
+        self.link.lock().get_ref().set_read_timeout(timeout)
     }
-}
-
-/// Discard any bytes already readable on `stream`. The request/response
-/// protocol has exactly zero bytes in flight at call start, so anything
-/// readable is stale: a duplicated or late response a fault (or an
-/// abandoned retry) left behind. Draining before each request re-aligns
-/// the stream instead of paying the desync forward one call at a time.
-fn drain_stale_input(stream: &TcpStream) {
-    if stream.set_nonblocking(true).is_err() {
-        return;
-    }
-    let mut sink = [0u8; 4096];
-    let mut s = stream;
-    while matches!(s.read(&mut sink), Ok(n) if n > 0) {}
-    let _ = stream.set_nonblocking(false);
 }
 
 impl CfTransport for TcpTransport {
@@ -394,11 +312,9 @@ impl CfTransport for TcpTransport {
 
     fn call(&self, req: WireRequest) -> CfResult<WireResponse> {
         let class_name = req.class().name();
-        let mut stream = self.stream.lock();
-        drain_stale_input(&stream);
-        write_frame(&mut *stream, &req.encode()).map_err(|e| io_to_cf_error(&e, class_name))?;
-        let body = read_frame(&mut *stream).map_err(|e| io_to_cf_error(&e, class_name))?;
-        WireResponse::decode(&body).map_err(|_| CfError::InterfaceControlCheck(class_name))
+        let mut link = self.link.lock();
+        let body = link.call(|w| req.encode_into(w)).map_err(|e| io_to_cf_error(&e, class_name))?;
+        WireResponse::decode(body).map_err(|_| CfError::InterfaceControlCheck(class_name))
     }
 }
 
@@ -409,23 +325,25 @@ impl CfTransport for TcpTransport {
 /// lock interest is retained for recovery, exactly like a system dropping
 /// off its links.
 ///
-/// Frames are read with [`read_frame_patient`]: a peer dribbling a frame
-/// byte-by-byte is served normally, while one that goes silent mid-frame
-/// for [`DEFAULT_MID_FRAME_STALL`] is treated as a dead link.
+/// Frames are taken with [`FrameStream::recv_patient`]: a peer dribbling
+/// a frame byte-by-byte is served normally, while one that goes silent
+/// mid-frame for [`MID_FRAME_STALL`](crate::wire::MID_FRAME_STALL) is
+/// treated as a dead link. Each response echoes its request's sequence
+/// number.
 pub fn serve_cf_stream(transport: &InProcessTransport, stream: TcpStream) -> std::io::Result<()> {
     let _ = stream.set_nodelay(true);
-    let mut stream = stream;
+    let mut link = FrameStream::new(stream);
     let result = loop {
-        let body = match read_frame_patient(&mut stream, DEFAULT_MID_FRAME_STALL) {
-            Ok(b) => b,
+        let (seq, req) = match link.recv_patient() {
+            Ok(frame) => (frame.seq, WireRequest::decode(frame.body())),
             Err(e) if e.kind() == ErrorKind::UnexpectedEof => break Ok(()),
             Err(e) => break Err(e),
         };
-        let resp = match WireRequest::decode(&body) {
+        let resp = match req {
             Ok(req) => transport.dispatch(req),
             Err(_) => WireResponse::Error(CfError::InterfaceControlCheck("wire-protocol")),
         };
-        if let Err(e) = write_frame(&mut stream, &resp.encode()) {
+        if let Err(e) = link.send(seq, |w| resp.encode_into(w)) {
             break Err(e);
         }
     };
@@ -1431,11 +1349,12 @@ mod tests {
             let (stream, _) = listener.accept().unwrap();
             // Serve exactly one request, then hang up mid-session.
             let per_conn = InProcessTransport::new(&server_cf);
-            let mut stream = stream;
-            let body = read_frame(&mut stream).unwrap();
-            let resp = per_conn.dispatch(WireRequest::decode(&body).unwrap());
-            write_frame(&mut stream, &resp.encode()).unwrap();
-            drop(stream);
+            let mut link = FrameStream::new(stream);
+            let frame = link.recv().unwrap();
+            let (seq, req) = (frame.seq, WireRequest::decode(frame.body()).unwrap());
+            let resp = per_conn.dispatch(req);
+            link.send(seq, |w| resp.encode_into(w)).unwrap();
+            drop(link);
             per_conn.detach_all();
         });
         let transport: Arc<dyn CfTransport> = Arc::new(TcpTransport::connect(addr).unwrap());

@@ -5,8 +5,8 @@
 //! the reproduction's equivalent: a compact binary encoding of every CF
 //! operation ([`WireRequest`]), every result ([`WireResponse`]), the
 //! command descriptor ([`crate::connection::CfCommand`]) and the typed
-//! error set ([`CfError`]), plus the length-prefixed framing used on a
-//! byte stream.
+//! error set ([`CfError`]), plus the framing used on a byte stream
+//! ([`FrameStream`]).
 //!
 //! The command set is written once, as a table (`cf_commands!` below):
 //! each row gives a command's wire tag, its typed fields, the descriptor
@@ -48,18 +48,20 @@ use crate::lock::{DisconnectMode, LockMode, LockResponse, RetainedLock};
 use crate::stats::{HistogramSnapshot, HIST_BUCKETS};
 use crate::transport::InProcessTransport;
 use crate::types::{ConnId, ConnMask, SystemId};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
+use std::ops::Range;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Frame magic: the first bytes of every frame on a stream transport.
 pub const FRAME_MAGIC: [u8; 4] = *b"SPLX";
 /// Wire protocol version; bumped on any incompatible format change.
-pub const WIRE_VERSION: u8 = 1;
+pub const WIRE_VERSION: u8 = 2;
 /// Upper bound on one frame's body. Large enough for a bulk castout page
 /// batch, small enough that a corrupt length cannot balloon allocation.
 pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
-/// Bytes in a frame header: magic + version + body length.
-pub const FRAME_HEADER_BYTES: usize = 9;
+/// Bytes in a frame header: magic + version + body length + sequence number.
+pub const FRAME_HEADER_BYTES: usize = 13;
 
 /// Decode-side failure: the buffer does not parse as the expected value.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -250,50 +252,259 @@ impl<'a> WireReader<'a> {
 // Framing
 // ---------------------------------------------------------------------------
 
-/// Write one frame: magic, version, length, body.
-pub fn write_frame<W: Write>(w: &mut W, body: &[u8]) -> std::io::Result<()> {
-    assert!(body.len() <= MAX_FRAME_BYTES, "frame body exceeds budget");
-    let mut header = [0u8; 9];
-    header[..4].copy_from_slice(&FRAME_MAGIC);
-    header[4] = WIRE_VERSION;
-    header[5..9].copy_from_slice(&(body.len() as u32).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(body)?;
-    w.flush()
+/// Mid-frame stall budget for serving loops: how long a peer may pause
+/// *inside* a frame before the reader declares the link dead. Between
+/// frames a session may idle indefinitely — liveness between commands is
+/// the heartbeat monitor's job, not the reader's.
+pub const MID_FRAME_STALL: Duration = Duration::from_secs(1);
+
+/// The read buffer's first size: two 4 KiB pages and their headers fit.
+const READ_BUFFER_BYTES: usize = 16 * 1024;
+/// How far past the bytes already received the read buffer grows in one
+/// step. The length in a header is a claim; memory follows arrived bytes.
+const READ_GROW_STEP: usize = 64 * 1024;
+
+/// A stream whose blocking reads can be given a deadline — what
+/// [`FrameStream::recv_patient`] needs of a socket.
+pub trait ReadDeadline {
+    /// Bound every later read by `deadline`; `None` blocks forever.
+    fn set_read_deadline(&mut self, deadline: Option<Duration>) -> std::io::Result<()>;
 }
 
-/// Read one frame body. Framing violations (bad magic, version skew,
-/// oversized length) surface as `InvalidData` I/O errors so stream
-/// transports can distinguish a garbled channel from a dead one.
-pub fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Vec<u8>> {
-    let mut header = [0u8; FRAME_HEADER_BYTES];
-    r.read_exact(&mut header)?;
-    let len = parse_frame_header(&header)?;
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    Ok(body)
+impl ReadDeadline for std::net::TcpStream {
+    fn set_read_deadline(&mut self, deadline: Option<Duration>) -> std::io::Result<()> {
+        self.set_read_timeout(deadline)
+    }
 }
 
-/// Validate a frame header and return the body length it announces.
-/// Framing violations surface as `InvalidData` I/O errors, same as
-/// [`read_frame`] — shared by the stream readers that assemble headers
-/// from partial reads (see `transport::read_frame_patient`).
-pub fn parse_frame_header(header: &[u8; FRAME_HEADER_BYTES]) -> std::io::Result<usize> {
-    if header[..4] != FRAME_MAGIC {
-        return Err(invalid_data(WireError::BadMagic));
+/// One received frame, borrowed from its [`FrameStream`]'s read buffer.
+#[derive(Debug, Clone, Copy)]
+pub struct Frame<'a> {
+    /// The sequence number in the header: a request's own, or the number
+    /// of the request a response answers.
+    pub seq: u32,
+    /// Header and body as they arrived (what a proxy forwards).
+    pub raw: &'a [u8],
+}
+
+impl<'a> Frame<'a> {
+    /// The frame's body.
+    pub fn body(&self) -> &'a [u8] {
+        &self.raw[FRAME_HEADER_BYTES..]
     }
-    if header[4] != WIRE_VERSION {
-        return Err(invalid_data(WireError::BadVersion(header[4])));
+}
+
+/// The framed end of a byte stream: the one place frames are put on a
+/// stream and taken off it.
+///
+/// A frame is `magic(4) version(1) body-length(4, LE) sequence(4, LE)`
+/// then the body. Sending encodes the body behind a reserved header in a
+/// reused buffer and hands the stream the whole frame in **one** write.
+/// Receiving reads into a reused, growable buffer, so a frame that
+/// arrived whole costs **one** read and frames that arrived together cost
+/// one between them.
+///
+/// The sequence number is how a response is matched to its request: a
+/// server echoes the number of the request it answers and [`call`]
+/// returns only the response carrying the outstanding number, so a
+/// duplicated or late response is skipped whenever it arrives — by
+/// identity, not by guessing that the socket ought to be empty.
+///
+/// [`call`]: FrameStream::call
+#[derive(Debug)]
+pub struct FrameStream<S> {
+    stream: S,
+    out: WireWriter,
+    /// Read buffer: `inb[head..tail]` holds bytes received and not yet
+    /// returned; `inb.len()` is the space reads may fill.
+    inb: Vec<u8>,
+    head: usize,
+    tail: usize,
+    next_seq: u32,
+}
+
+impl<S> FrameStream<S> {
+    /// Frame `stream`. Buffers are allocated on first use.
+    pub fn new(stream: S) -> Self {
+        FrameStream { stream, out: WireWriter::new(), inb: Vec::new(), head: 0, tail: 0, next_seq: 0 }
     }
-    let len = u32::from_le_bytes(header[5..9].try_into().unwrap()) as usize;
+
+    /// The underlying stream (to set socket options, clone or shut down).
+    pub fn get_ref(&self) -> &S {
+        &self.stream
+    }
+
+    /// Unwrap the stream; buffered input is dropped.
+    pub fn into_inner(self) -> S {
+        self.stream
+    }
+
+    /// Bytes the read buffer currently occupies.
+    pub fn read_buffer_bytes(&self) -> usize {
+        self.inb.capacity()
+    }
+}
+
+impl<S: Write> FrameStream<S> {
+    /// Send one frame numbered `seq` whose body is what `body` writes.
+    pub fn send(&mut self, seq: u32, body: impl FnOnce(&mut WireWriter)) -> std::io::Result<()> {
+        let out = &mut self.out;
+        out.buf.clear();
+        out.put_raw(&FRAME_MAGIC);
+        out.put_u8(WIRE_VERSION);
+        out.put_u32(0); // the body length, once it is known
+        out.put_u32(seq);
+        body(out);
+        let len = out.buf.len() - FRAME_HEADER_BYTES;
+        assert!(len <= MAX_FRAME_BYTES, "frame body exceeds budget");
+        out.buf[5..9].copy_from_slice(&(len as u32).to_le_bytes());
+        self.stream.write_all(&out.buf)?;
+        self.stream.flush()
+    }
+}
+
+impl<S: Read> FrameStream<S> {
+    /// Receive the next frame, waiting as long as the stream itself waits
+    /// (a client bounds it with the socket's read timeout). Outcomes:
+    ///
+    /// * end of stream at a frame boundary → `UnexpectedEof`;
+    /// * end of stream inside a frame → `ConnectionAborted`;
+    /// * the stream's deadline passing → `TimedOut`;
+    /// * a framing violation (bad magic, version skew, oversized length)
+    ///   → `InvalidData` carrying the [`WireError`], and whatever was
+    ///   buffered is discarded: the stream has no frame boundary left.
+    pub fn recv(&mut self) -> std::io::Result<Frame<'_>> {
+        let (seq, at) = self.next_frame(None)?;
+        Ok(Frame { seq, raw: &self.inb[at] })
+    }
+
+    /// Receive the next frame at a serving end, tolerating a slow writer.
+    ///
+    /// Between frames the read blocks without a deadline (an idle session
+    /// is a healthy one). Only when a frame has arrived in part is
+    /// [`MID_FRAME_STALL`] armed on the stream: every further piece must
+    /// land within it, so a peer dribbling byte by byte is served and one
+    /// gone silent mid-frame is `TimedOut`. The deadline is disarmed
+    /// before returning. A frame that arrived whole never touches it.
+    /// Otherwise the outcomes are [`recv`](FrameStream::recv)'s.
+    pub fn recv_patient(&mut self) -> std::io::Result<Frame<'_>>
+    where
+        S: ReadDeadline,
+    {
+        let (seq, at) = self.next_frame(Some(S::set_read_deadline))?;
+        Ok(Frame { seq, raw: &self.inb[at] })
+    }
+
+    /// Locate the next whole frame in `inb`, reading until there is one.
+    fn next_frame(&mut self, deadline: Option<SetDeadline<S>>) -> std::io::Result<(u32, Range<usize>)> {
+        let mut armed = None;
+        let result = loop {
+            let have = self.tail - self.head;
+            let mut need = FRAME_HEADER_BYTES;
+            if have >= FRAME_HEADER_BYTES {
+                let (seq, len) =
+                    match parse_frame_header(&self.inb[self.head..self.head + FRAME_HEADER_BYTES]) {
+                        Ok(parsed) => parsed,
+                        Err(e) => {
+                            (self.head, self.tail) = (0, 0);
+                            break Err(invalid_data(e));
+                        }
+                    };
+                need += len;
+                if have >= need {
+                    let at = self.head..self.head + need;
+                    self.head = at.end;
+                    break Ok((seq, at));
+                }
+            }
+            self.make_room(need);
+            // Part of a frame is in hand: every further piece is on the clock.
+            if have > 0 && armed.is_none() {
+                if let Some(set) = deadline {
+                    set(&mut self.stream, Some(MID_FRAME_STALL))?;
+                    armed = Some(set);
+                }
+            }
+            match self.stream.read(&mut self.inb[self.tail..]) {
+                Ok(0) if have == 0 => break Err(ErrorKind::UnexpectedEof.into()),
+                Ok(0) => break Err(std::io::Error::new(ErrorKind::ConnectionAborted, "eof mid-frame")),
+                Ok(n) => self.tail += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    break Err(std::io::Error::new(
+                        ErrorKind::TimedOut,
+                        "peer silent past the read deadline",
+                    ));
+                }
+                Err(e) => break Err(e),
+            }
+        };
+        if let Some(set) = armed {
+            let _ = set(&mut self.stream, None);
+        }
+        result
+    }
+
+    /// Move what is buffered to the front and make room to read on: for
+    /// a frame of `need` bytes, or as much of one as a single growth step
+    /// allows.
+    fn make_room(&mut self, need: usize) {
+        if self.head > 0 {
+            self.inb.copy_within(self.head..self.tail, 0);
+            (self.head, self.tail) = (0, self.tail - self.head);
+        }
+        // A buffer one large frame inflated is not kept for the
+        // connection's life.
+        if self.tail == 0 && self.inb.len() > READ_GROW_STEP {
+            self.inb = Vec::new();
+        }
+        let want = need.min(self.tail + READ_GROW_STEP).max(READ_BUFFER_BYTES);
+        if self.inb.len() < want {
+            self.inb.resize(want, 0);
+        }
+    }
+}
+
+impl<S: Read + Write> FrameStream<S> {
+    /// One request/response exchange: send a frame under the next
+    /// sequence number and return the body of the response that echoes
+    /// it. Responses carrying any other number — duplicates, answers to
+    /// requests this end gave up on — are skipped.
+    pub fn call(&mut self, request: impl FnOnce(&mut WireWriter)) -> std::io::Result<&[u8]> {
+        let seq = self.next_seq;
+        self.next_seq = seq.wrapping_add(1);
+        self.send(seq, request)?;
+        loop {
+            let (got, at) = self.next_frame(None)?;
+            if got == seq {
+                return Ok(&self.inb[at][FRAME_HEADER_BYTES..]);
+            }
+        }
+    }
+}
+
+type SetDeadline<S> = fn(&mut S, Option<Duration>) -> std::io::Result<()>;
+
+/// Validate a frame header: the sequence number it carries and the body
+/// length it announces.
+fn parse_frame_header(header: &[u8]) -> Result<(u32, usize), WireError> {
+    let mut r = WireReader::new(header);
+    if r.take(4)? != FRAME_MAGIC {
+        return Err(WireError::BadMagic);
+    }
+    let version = r.get_u8()?;
+    if version != WIRE_VERSION {
+        return Err(WireError::BadVersion(version));
+    }
+    let len = r.get_u32()? as usize;
     if len > MAX_FRAME_BYTES {
-        return Err(invalid_data(WireError::TooLarge(len as u64)));
+        return Err(WireError::TooLarge(len as u64));
     }
-    Ok(len)
+    Ok((r.get_u32()?, len))
 }
 
 fn invalid_data(e: WireError) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, e)
+    std::io::Error::new(ErrorKind::InvalidData, e)
 }
 
 // ---------------------------------------------------------------------------
@@ -1450,34 +1661,6 @@ impl SmfRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn frame_round_trip_over_a_buffer() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello sysplex").unwrap();
-        let mut cursor = &buf[..];
-        assert_eq!(read_frame(&mut cursor).unwrap(), b"hello sysplex");
-    }
-
-    #[test]
-    fn frame_rejects_bad_magic_and_version() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"x").unwrap();
-        let mut garbled = buf.clone();
-        garbled[0] = b'Z';
-        assert_eq!(read_frame(&mut &garbled[..]).unwrap_err().kind(), std::io::ErrorKind::InvalidData);
-        let mut skewed = buf.clone();
-        skewed[4] = 99;
-        assert_eq!(read_frame(&mut &skewed[..]).unwrap_err().kind(), std::io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn frame_rejects_oversized_length() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"x").unwrap();
-        buf[5..9].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(read_frame(&mut &buf[..]).unwrap_err().kind(), std::io::ErrorKind::InvalidData);
-    }
 
     #[test]
     fn request_round_trip_spot_checks() {

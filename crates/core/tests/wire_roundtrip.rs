@@ -16,7 +16,7 @@ use sysplex_core::list::{DequeueEnd, EntryId, EntryView, LockCondition, WritePos
 use sysplex_core::lock::{DisconnectMode, LockMode, LockResponse, RetainedLock};
 use sysplex_core::stats::{Histogram, HistogramSnapshot};
 use sysplex_core::types::{ConnId, MAX_CONNECTORS};
-use sysplex_core::wire::{read_frame, write_frame, SmfRecord, SmfStructureRow, WireRequest, WireResponse};
+use sysplex_core::wire::{FrameStream, SmfRecord, SmfStructureRow, WireRequest, WireResponse};
 
 fn conn(raw: u8) -> ConnId {
     ConnId::from_raw(raw % MAX_CONNECTORS as u8)
@@ -381,14 +381,18 @@ proptest! {
     #[test]
     fn frames_round_trip_and_truncated_frames_error(
         body in proptest::collection::vec(any::<u8>(), 0..512),
+        seq in any::<u32>(),
     ) {
-        let mut framed = Vec::new();
-        write_frame(&mut framed, &body).unwrap();
-        prop_assert_eq!(read_frame(&mut framed.as_slice()).unwrap(), body);
+        let mut framed = FrameStream::new(Vec::new());
+        framed.send(seq, |w| w.put_raw(&body)).unwrap();
+        let framed = framed.into_inner();
+        let mut link = FrameStream::new(framed.as_slice());
+        let frame = link.recv().unwrap();
+        prop_assert_eq!((frame.seq, frame.body()), (seq, body.as_slice()));
         // Every strict prefix of the frame is an I/O error, not a panic
         // and not a short read silently returned as data.
         for cut in 0..framed.len() {
-            prop_assert!(read_frame(&mut &framed[..cut]).is_err());
+            prop_assert!(FrameStream::new(&framed[..cut]).recv().is_err());
         }
     }
 
@@ -457,7 +461,7 @@ fn hex(bytes: &[u8]) -> String {
 
 /// Encodings of `request_samples(0x0102_0304, 0x1112_1314_1516_1718, 0xFD,
 /// b"golden-bytes!", "GOLD1")`, captured at the last hand-written codec
-/// (PR 16, `WIRE_VERSION` 1). A later row is appended with the bytes it
+/// (PR 16). A later row is appended with the bytes it
 /// had when it was added.
 const GOLDEN_REQUESTS: [&str; WireRequest::COUNT] = [
     "0005000000474f4c4431",
@@ -562,5 +566,10 @@ fn every_tag_has_a_sample_and_golden_bytes() {
     let tags = |encoded: &[Vec<u8>]| encoded.iter().map(|b| b[0] as usize).collect::<BTreeSet<_>>();
     assert_eq!(tags(&requests), (0..WireRequest::COUNT).collect(), "one sample per request tag");
     assert_eq!(tags(&responses), (0..WireResponse::COUNT).collect(), "one sample per response tag");
-    assert_eq!(sysplex_core::wire::WIRE_VERSION, 1);
+    assert_eq!(sysplex_core::wire::WIRE_VERSION, 2);
+
+    // The frame around them: magic, version, body length, sequence number.
+    let mut framed = FrameStream::new(Vec::new());
+    framed.send(0x0A0B_0C0D, |w| w.put_raw(&requests[0])).unwrap();
+    assert_eq!(hex(&framed.into_inner()), format!("53504c58020a0000000d0c0b0a{}", GOLDEN_REQUESTS[0]));
 }

@@ -3,7 +3,7 @@
 //! The campaign harness injects faults *above* the wire — [`crate::plan`]
 //! drives the in-process link-fault hook. This module injects them *in*
 //! the wire: a [`ChaosProxy`] sits between a TCP member and the sysplex
-//! server, parses the SPLX framing (magic + version + length prefix), and
+//! server, takes the stream apart into SPLX frames, and
 //! applies a seeded [`ChaosPlan`] of [`WireFault`]s to individual frames —
 //! delay, drop, duplicate, truncate mid-frame, garble the payload, stall
 //! the link, or partition the member outright.
@@ -22,13 +22,13 @@
 //! copy-pasteable builder chain.
 
 use crate::rng::SplitMix64;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
-use sysplex_core::wire::{parse_frame_header, FRAME_HEADER_BYTES};
+use sysplex_core::wire::{FrameStream, FRAME_HEADER_BYTES};
 
 /// One misfortune applied to a single SPLX frame in flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,9 +38,9 @@ pub enum WireFault {
     /// Swallow the frame. The victim's command times out and retries;
     /// retried commands are at-least-once (see `RetryPolicy`'s caveat).
     Drop,
-    /// Forward the frame twice. The duplicate response desynchronizes a
-    /// naive request/response stream; `TcpTransport` heals by draining
-    /// stale input before each call.
+    /// Forward the frame twice. A duplicated response carries a sequence
+    /// number that is no longer outstanding, so the client skips it; a
+    /// duplicated request is served (and answered) twice.
     Duplicate,
     /// Forward the header and half the body, then kill the connection —
     /// the receiver sees EOF mid-frame (a dead peer, not a clean close).
@@ -335,23 +335,17 @@ fn accept_loop(listener: TcpListener, shared: Arc<ProxyShared>) {
 
 /// Forward frames `src` → `dst`, applying the plan's faults. Exits (and
 /// severs both streams) on stream error, partition, or a killing fault.
-fn pump(shared: Arc<ProxyShared>, mut src: TcpStream, mut dst: TcpStream) {
+fn pump(shared: Arc<ProxyShared>, src: TcpStream, mut dst: TcpStream) {
+    let mut src = FrameStream::new(src);
     loop {
         if shared.stop.load(Ordering::Relaxed) {
             break;
         }
-        let mut header = [0u8; FRAME_HEADER_BYTES];
-        if src.read_exact(&mut header).is_err() {
-            break;
-        }
-        let len = match parse_frame_header(&header) {
-            Ok(len) => len,
+        // Header (sequence number included) and body travel on as they came.
+        let mut frame = match src.recv() {
+            Ok(frame) => frame.raw.to_vec(),
             Err(_) => break,
         };
-        let mut body = vec![0u8; len];
-        if src.read_exact(&mut body).is_err() {
-            break;
-        }
         let index = shared.frames.fetch_add(1, Ordering::Relaxed);
 
         shared.wait_stall();
@@ -371,7 +365,7 @@ fn pump(shared: Arc<ProxyShared>, mut src: TcpStream, mut dst: TcpStream) {
                 WireFault::Duplicate => duplicate = true,
                 WireFault::Truncate => truncate = true,
                 WireFault::Garble => {
-                    for byte in body.iter_mut() {
+                    for byte in &mut frame[FRAME_HEADER_BYTES..] {
                         *byte ^= 0xA5;
                     }
                 }
@@ -389,19 +383,17 @@ fn pump(shared: Arc<ProxyShared>, mut src: TcpStream, mut dst: TcpStream) {
         shared.wait_stall();
 
         if truncate {
-            let _ = dst.write_all(&header).and_then(|_| dst.write_all(&body[..len / 2]));
-            let _ = dst.flush();
+            let _ = dst.write_all(&frame[..FRAME_HEADER_BYTES + (frame.len() - FRAME_HEADER_BYTES) / 2]);
             forward = false;
             kill = true;
         }
         if forward {
-            if dst.write_all(&header).and_then(|_| dst.write_all(&body)).is_err() {
+            if dst.write_all(&frame).is_err() {
                 break;
             }
             if duplicate {
-                let _ = dst.write_all(&header).and_then(|_| dst.write_all(&body));
+                let _ = dst.write_all(&frame);
             }
-            let _ = dst.flush();
         }
         if kill {
             break;
@@ -409,7 +401,7 @@ fn pump(shared: Arc<ProxyShared>, mut src: TcpStream, mut dst: TcpStream) {
     }
     // Tear down the pair: a mid-stream exit here must look like a dead
     // peer to both ends, and on partition the other pump must exit too.
-    let _ = src.shutdown(Shutdown::Both);
+    let _ = src.get_ref().shutdown(Shutdown::Both);
     let _ = dst.shutdown(Shutdown::Both);
     if shared.partitioned() {
         shared.sever_all();
@@ -520,8 +512,8 @@ mod tests {
     fn dropped_response_then_retry_recovers_with_policy() {
         let (addr, _cf) = spawn_cf_server();
         // Drop frame 3 (the response to the first lock request); the
-        // retry policy's next attempt must succeed and the stale-input
-        // drain must keep the stream in sync afterwards.
+        // retry policy's next attempt must succeed and the stream must
+        // stay in step afterwards.
         let plan = ChaosPlan::new().at(3, WireFault::Drop);
         let proxy = ChaosProxy::start(addr, plan).unwrap();
         let transport = TcpTransport::connect(proxy.addr()).unwrap();

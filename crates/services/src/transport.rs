@@ -41,7 +41,6 @@ use crate::xcf::{GroupEvent, MemberInfo, XcfError, XcfItem, XcfMember};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io;
-use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -51,11 +50,11 @@ use sysplex_core::error::{CfError, CfResult};
 use sysplex_core::facility::CouplingFacility;
 use sysplex_core::retry::RetryPolicy;
 use sysplex_core::transport::{
-    read_frame_patient, CfTransport, InProcessTransport, MeteredTransport, RemoteCacheConnection,
-    RemoteListConnection, RemoteLockConnection, TransportBackend, TransportMeter, DEFAULT_MID_FRAME_STALL,
+    CfTransport, InProcessTransport, MeteredTransport, RemoteCacheConnection, RemoteListConnection,
+    RemoteLockConnection, TransportBackend, TransportMeter,
 };
 use sysplex_core::types::SystemId;
-use sysplex_core::wire::{read_frame, write_frame, SmfRecord, WireRequest, WireResponse};
+use sysplex_core::wire::{FrameStream, SmfRecord, WireRequest, WireResponse};
 use sysplex_core::{wire_enum, wire_struct};
 
 // ---------------------------------------------------------------------------
@@ -432,8 +431,9 @@ impl Drop for SysplexServer {
     }
 }
 
-fn respond(stream: &mut TcpStream, resp: &SxResponse) -> io::Result<()> {
-    write_frame(stream, &resp.encode())
+/// Answer request `seq` on `link`.
+fn respond(link: &mut FrameStream<TcpStream>, seq: u32, resp: &SxResponse) -> io::Result<()> {
+    link.send(seq, |w| resp.encode_into(w))
 }
 
 fn serve_session(
@@ -444,7 +444,7 @@ fn serve_session(
     stream: TcpStream,
 ) {
     let _ = stream.set_nodelay(true);
-    let mut stream = stream;
+    let mut link = FrameStream::new(stream);
     let transport = InProcessTransport::new(cf);
     let mut members: HashMap<u32, XcfMember> = HashMap::new();
     let mut next_handle: u32 = 1;
@@ -455,11 +455,12 @@ fn serve_session(
     // Clean EOF and broken links end the session alike; a slow writer
     // dribbling a frame is served, a peer silent mid-frame is declared
     // dead after the stall budget.
-    while let Ok(body) = read_frame_patient(&mut stream, DEFAULT_MID_FRAME_STALL) {
-        let req = match SxRequest::decode(&body) {
+    while let Ok(frame) = link.recv_patient() {
+        let seq = frame.seq;
+        let req = match SxRequest::decode(frame.body()) {
             Ok(r) => r,
             Err(_) => {
-                if respond(&mut stream, &SxResponse::Denied("garbled frame".into())).is_err() {
+                if respond(&mut link, seq, &SxResponse::Denied("garbled frame".into())).is_err() {
                     break;
                 }
                 continue;
@@ -498,7 +499,7 @@ fn serve_session(
                                 admitted = Some(system);
                                 token = Some(t);
                                 smf.mark_admitted(system.0, &name);
-                                if let Ok(clone) = stream.try_clone() {
+                                if let Ok(clone) = link.get_ref().try_clone() {
                                     registry.live.lock().insert(t, (system, clone));
                                 }
                                 SxResponse::Admitted { token: t }
@@ -526,7 +527,7 @@ fn serve_session(
                                         admitted = Some(system);
                                         token = Some(t);
                                         smf.mark_active(system.0, &name);
-                                        if let Ok(clone) = stream.try_clone() {
+                                        if let Ok(clone) = link.get_ref().try_clone() {
                                             registry.live.lock().insert(t, (system, clone));
                                         }
                                         SxResponse::Admitted { token: t }
@@ -597,7 +598,7 @@ fn serve_session(
             },
             SxRequest::Goodbye => {
                 clean = true;
-                let _ = respond(&mut stream, &SxResponse::Ok);
+                let _ = respond(&mut link, seq, &SxResponse::Ok);
                 break;
             }
             SxRequest::SmfShip(record) => match admitted {
@@ -618,7 +619,7 @@ fn serve_session(
             },
             SxRequest::SmfPull { system } => SxResponse::SmfRecords(smf.records(system.0)),
         };
-        if respond(&mut stream, &resp).is_err() {
+        if respond(&mut link, seq, &resp).is_err() {
             break;
         }
     }
@@ -664,20 +665,6 @@ fn serve_session(
 // Client
 // ---------------------------------------------------------------------------
 
-/// Discard any bytes already readable on `stream`: the envelope protocol
-/// has exactly zero bytes in flight at request start, so anything
-/// readable is a stale response a fault (or an abandoned retry) left
-/// behind. Draining re-aligns the request/response stream.
-fn drain_stale(stream: &TcpStream) {
-    if stream.set_nonblocking(true).is_err() {
-        return;
-    }
-    let mut sink = [0u8; 4096];
-    let mut s = stream;
-    while matches!(s.read(&mut sink), Ok(n) if n > 0) {}
-    let _ = stream.set_nonblocking(false);
-}
-
 /// Reconnection parameters for a resilient session.
 #[derive(Debug)]
 struct Reconnector {
@@ -692,22 +679,24 @@ struct Reconnector {
     rpc_timeout: Duration,
 }
 
+/// One envelope exchange: `req` out, the response that answers it back.
+fn exchange(link: &mut FrameStream<TcpStream>, req: &SxRequest) -> Result<SxResponse, SxError> {
+    let body = link.call(|w| req.encode_into(w)).map_err(SxError::Io)?;
+    SxResponse::decode(body)
+        .map_err(|e| SxError::Io(io::Error::new(io::ErrorKind::InvalidData, e.to_string())))
+}
+
 /// Run the admission handshake on a fresh stream; returns the session's
 /// resume token.
 fn handshake(
-    stream: &TcpStream,
+    link: &mut FrameStream<TcpStream>,
     system: SystemId,
     name: &str,
     mips_bits: u64,
     resume: Option<u64>,
 ) -> Result<u64, SxError> {
     let hello = SxRequest::Hello { system, name: name.to_string(), mips_bits, resume };
-    let mut s = stream;
-    write_frame(&mut s, &hello.encode()).map_err(SxError::Io)?;
-    let body = read_frame(&mut s).map_err(SxError::Io)?;
-    match SxResponse::decode(&body)
-        .map_err(|e| SxError::Io(io::Error::new(io::ErrorKind::InvalidData, e.to_string())))?
-    {
+    match exchange(link, &hello)? {
         SxResponse::Admitted { token } => Ok(token),
         SxResponse::Fenced(msg) => Err(SxError::Fenced(msg)),
         SxResponse::Denied(msg) => Err(SxError::Denied(msg)),
@@ -717,7 +706,7 @@ fn handshake(
 
 #[derive(Debug)]
 struct Conn {
-    stream: Mutex<Option<TcpStream>>,
+    link: Mutex<Option<FrameStream<TcpStream>>>,
     token: Mutex<Option<u64>>,
     /// `Some` for resilient sessions; `None` sessions fail on first fault.
     reconnect: Option<Reconnector>,
@@ -735,9 +724,9 @@ struct Conn {
 
 impl Conn {
     /// A non-resilient session over an already-admitted stream.
-    fn established(stream: TcpStream, token: u64) -> Conn {
+    fn established(link: FrameStream<TcpStream>, token: u64) -> Conn {
         Conn {
-            stream: Mutex::new(Some(stream)),
+            link: Mutex::new(Some(link)),
             token: Mutex::new(Some(token)),
             reconnect: None,
             departed: AtomicBool::new(false),
@@ -747,7 +736,7 @@ impl Conn {
     }
 
     /// Dial + handshake, storing the admitted stream in `slot`.
-    fn establish(&self, slot: &mut Option<TcpStream>) -> Result<(), SxError> {
+    fn establish(&self, slot: &mut Option<FrameStream<TcpStream>>) -> Result<(), SxError> {
         if slot.is_some() {
             return Ok(());
         }
@@ -758,11 +747,12 @@ impl Conn {
         let stream = TcpStream::connect(rc.addr.as_str()).map_err(SxError::Io)?;
         let _ = stream.set_nodelay(true);
         stream.set_read_timeout(Some(rc.rpc_timeout)).map_err(SxError::Io)?;
+        let mut link = FrameStream::new(stream);
         let resume = *self.token.lock();
-        let token = handshake(&stream, rc.system, &rc.name, rc.mips_bits, resume)?;
+        let token = handshake(&mut link, rc.system, &rc.name, rc.mips_bits, resume)?;
         *self.token.lock() = Some(token);
         self.generation.fetch_add(1, Ordering::Release);
-        *slot = Some(stream);
+        *slot = Some(link);
         Ok(())
     }
 
@@ -778,26 +768,21 @@ impl Conn {
         if !allow_departed && self.departed.load(Ordering::Acquire) {
             return Err(SxError::Io(io::Error::new(io::ErrorKind::NotConnected, "member departed")));
         }
-        let mut slot = self.stream.lock();
+        let mut slot = self.link.lock();
         let budget = self.reconnect.as_ref().map(|rc| rc.policy.timeout_attempts()).unwrap_or(1).max(1);
         let mut attempt: u32 = 0;
         loop {
             let result = (|| {
                 self.establish(&mut slot)?;
-                let stream = slot.as_mut().expect("established");
-                drain_stale(stream);
-                write_frame(stream, &req.encode()).map_err(SxError::Io)?;
-                let body = read_frame(stream).map_err(SxError::Io)?;
-                SxResponse::decode(&body)
-                    .map_err(|e| SxError::Io(io::Error::new(io::ErrorKind::InvalidData, e.to_string())))
+                exchange(slot.as_mut().expect("established"), req)
             })();
             match result {
                 Ok(resp) => return Ok(resp),
                 Err(SxError::Io(e)) => {
                     // The stream is suspect: sever it so the next attempt
                     // re-dials and re-admits.
-                    if let Some(s) = slot.take() {
-                        let _ = s.shutdown(Shutdown::Both);
+                    if let Some(link) = slot.take() {
+                        let _ = link.get_ref().shutdown(Shutdown::Both);
                     }
                     attempt += 1;
                     if attempt >= budget || self.reconnect.is_none() {
@@ -849,8 +834,9 @@ impl RemoteSysplex {
     ) -> Result<Self, SxError> {
         let stream = TcpStream::connect(addr).map_err(SxError::Io)?;
         stream.set_nodelay(true).map_err(SxError::Io)?;
-        let token = handshake(&stream, system, name, mips.to_bits(), None)?;
-        Ok(RemoteSysplex { conn: Arc::new(Conn::established(stream, token)), system, name: name.to_string() })
+        let mut link = FrameStream::new(stream);
+        let token = handshake(&mut link, system, name, mips.to_bits(), None)?;
+        Ok(RemoteSysplex { conn: Arc::new(Conn::established(link, token)), system, name: name.to_string() })
     }
 
     /// Connect with **bounded-retry resilience**: every RPC (including
@@ -873,7 +859,7 @@ impl RemoteSysplex {
         rpc_timeout: Duration,
     ) -> Result<Self, SxError> {
         let conn = Conn {
-            stream: Mutex::new(None),
+            link: Mutex::new(None),
             token: Mutex::new(None),
             reconnect: Some(Reconnector {
                 addr: addr.to_string(),
@@ -1245,6 +1231,10 @@ mod tests {
     use crate::sysplex::SysplexConfig;
     use sysplex_core::lock::{LockMode, LockParams};
 
+    fn dial(addr: SocketAddr) -> FrameStream<TcpStream> {
+        FrameStream::new(TcpStream::connect(addr).unwrap())
+    }
+
     fn roundtrip_req(req: SxRequest) {
         assert_eq!(SxRequest::decode(&req.encode()).unwrap(), req);
     }
@@ -1400,8 +1390,7 @@ mod tests {
         let cf = plex.add_cf("CF01");
         let server = SysplexServer::start(&plex, &cf, "127.0.0.1:0").unwrap();
 
-        let stream = TcpStream::connect(server.local_addr()).unwrap();
-        let conn = Conn::established(stream, 0);
+        let conn = Conn::established(dial(server.local_addr()), 0);
         match conn.rpc(&SxRequest::Pulse).unwrap() {
             SxResponse::Denied(msg) => assert!(msg.contains("not admitted")),
             other => panic!("expected denial, got {other:?}"),
@@ -1422,8 +1411,8 @@ mod tests {
         let sys = SystemId::new(4);
 
         // First incarnation: admit, join a group.
-        let s1 = TcpStream::connect(addr).unwrap();
-        let token = handshake(&s1, sys, "SYSR", 100.0f64.to_bits(), None).unwrap();
+        let mut s1 = dial(addr);
+        let token = handshake(&mut s1, sys, "SYSR", 100.0f64.to_bits(), None).unwrap();
         let conn1 = Conn::established(s1, token);
         let handle = match conn1.rpc(&SxRequest::XcfJoin { group: "G".into(), member: "R".into() }).unwrap() {
             SxResponse::Joined { handle } => handle,
@@ -1439,8 +1428,8 @@ mod tests {
         // not have parked yet — retry briefly, like a real member would.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         let conn2 = loop {
-            let s2 = TcpStream::connect(addr).unwrap();
-            match handshake(&s2, sys, "SYSR", 100.0f64.to_bits(), Some(token)) {
+            let mut s2 = dial(addr);
+            match handshake(&mut s2, sys, "SYSR", 100.0f64.to_bits(), Some(token)) {
                 Ok(t2) => {
                     assert_eq!(t2, token, "resume keeps the same token");
                     break Conn::established(s2, t2);
@@ -1488,8 +1477,8 @@ mod tests {
         let addr = server.local_addr();
         let sys = SystemId::new(7);
 
-        let s1 = TcpStream::connect(addr).unwrap();
-        let token = handshake(&s1, sys, "SYS7", 100.0f64.to_bits(), None).unwrap();
+        let mut s1 = dial(addr);
+        let token = handshake(&mut s1, sys, "SYS7", 100.0f64.to_bits(), None).unwrap();
 
         // SFM isolates the member during its "partition".
         plex.kill(sys);
@@ -1497,19 +1486,42 @@ mod tests {
 
         // The zombie incarnation tries to resume: denied as fenced — this
         // is how it observes its own fence.
-        let s2 = TcpStream::connect(addr).unwrap();
-        match handshake(&s2, sys, "SYS7", 100.0f64.to_bits(), Some(token)) {
+        let mut s2 = dial(addr);
+        match handshake(&mut s2, sys, "SYS7", 100.0f64.to_bits(), Some(token)) {
             Err(SxError::Fenced(_)) => {}
             other => panic!("expected Fenced, got {other:?}"),
         }
 
         // A fresh Hello is a re-IPL: the new incarnation is admitted and
         // the stale fence is lifted.
-        let s3 = TcpStream::connect(addr).unwrap();
-        let t3 = handshake(&s3, sys, "SYS7", 100.0f64.to_bits(), None).unwrap();
+        let mut s3 = dial(addr);
+        let t3 = handshake(&mut s3, sys, "SYS7", 100.0f64.to_bits(), None).unwrap();
         assert_ne!(t3, token, "new incarnation, new token");
         assert!(!plex.farm.fence().is_fenced(7), "re-IPL lifts the fence");
         assert_eq!(plex.heartbeat.state_of(sys), Some(HealthState::Active));
+        server.stop();
+    }
+
+    /// A version-1 frame (9-byte header, no sequence field) is refused at
+    /// the header: the session ends without an answer, rather than the
+    /// first four body bytes being taken for a sequence number.
+    #[test]
+    fn version_1_frame_ends_the_session_unanswered() {
+        use std::io::{Read, Write};
+        let plex = Sysplex::new(SysplexConfig::functional("V1PLEX"));
+        let cf = plex.add_cf("CF01");
+        let server = SysplexServer::start(&plex, &cf, "127.0.0.1:0").unwrap();
+        let body = SxRequest::Pulse.encode();
+        let mut v1 = b"SPLX\x01".to_vec();
+        v1.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        v1.extend_from_slice(&body);
+        // Pad past a version-2 header so the server has one to refuse.
+        v1.extend_from_slice(&[0; 8]);
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.write_all(&v1).unwrap();
+        let mut answer = Vec::new();
+        stream.read_to_end(&mut answer).unwrap();
+        assert!(answer.is_empty(), "a refused frame gets no response, got {answer:?}");
         server.stop();
     }
 
@@ -1523,12 +1535,12 @@ mod tests {
             for answer in
                 [SxResponse::Denied("fenced off by policy".into()), SxResponse::Fenced("isolated".into())]
             {
-                let (mut s, _) = listener.accept().unwrap();
-                read_frame(&mut s).unwrap();
-                write_frame(&mut s, &answer.encode()).unwrap();
+                let mut link = FrameStream::new(listener.accept().unwrap().0);
+                let seq = link.recv().unwrap().seq;
+                link.send(seq, |w| answer.encode_into(w)).unwrap();
             }
         });
-        let resume = || handshake(&TcpStream::connect(addr).unwrap(), SystemId::new(1), "SYS1", 0, Some(9));
+        let resume = || handshake(&mut dial(addr), SystemId::new(1), "SYS1", 0, Some(9));
         assert!(matches!(resume(), Err(SxError::Denied(m)) if m == "fenced off by policy"));
         assert!(matches!(resume(), Err(SxError::Fenced(m)) if m == "isolated"));
         server.join().unwrap();

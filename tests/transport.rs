@@ -14,11 +14,18 @@ use parallel_sysplex::cf::lock::{LockMode, LockParams};
 use parallel_sysplex::cf::transport::{
     serve_cf_stream, CfTransport, InProcessTransport, RemoteLockConnection, TcpTransport, TransportBackend,
 };
-use parallel_sysplex::cf::wire::{read_frame, write_frame};
-use parallel_sysplex::cf::WireRequest;
+use parallel_sysplex::cf::wire::{FrameStream, WireError};
+use parallel_sysplex::cf::{WireRequest, WireResponse};
 use std::io::Write;
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
+
+/// Take one request off `link`: its sequence number and what
+/// `transport` answers to it.
+fn serve_next(link: &mut FrameStream<TcpStream>, transport: &InProcessTransport) -> (u32, WireResponse) {
+    let frame = link.recv().unwrap();
+    (frame.seq, transport.dispatch(WireRequest::decode(frame.body()).unwrap()))
+}
 
 fn cf_with_lock() -> Arc<CouplingFacility> {
     let cf = CouplingFacility::new(CfConfig::named("CF01"));
@@ -42,13 +49,12 @@ fn shutdown_and_dead_link_surface_the_same_typed_error() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let server = std::thread::spawn(move || {
-        let (mut stream, _) = listener.accept().unwrap();
+        let mut link = FrameStream::new(listener.accept().unwrap().0);
         let transport = InProcessTransport::new(&cf2);
         // Serve exactly one request, then vanish without closing cleanly.
-        let body = read_frame(&mut stream).unwrap();
-        let req = WireRequest::decode(&body).unwrap();
-        write_frame(&mut stream, &transport.dispatch(req).encode()).unwrap();
-        drop(stream);
+        let (seq, resp) = serve_next(&mut link, &transport);
+        link.send(seq, |w| resp.encode_into(w)).unwrap();
+        drop(link);
     });
     let tcp = Arc::new(TcpTransport::connect(addr).unwrap());
     assert_eq!(tcp.backend(), TransportBackend::Tcp);
@@ -88,15 +94,14 @@ fn garbled_frame_is_an_interface_control_check() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let server = std::thread::spawn(move || {
-        let (mut stream, _) = listener.accept().unwrap();
+        let mut link = FrameStream::new(listener.accept().unwrap().0);
         // Answer the attach properly so the client holds a live handle...
         let transport = InProcessTransport::new(&cf);
-        let body = read_frame(&mut stream).unwrap();
-        let req = WireRequest::decode(&body).unwrap();
-        write_frame(&mut stream, &transport.dispatch(req).encode()).unwrap();
+        let (seq, resp) = serve_next(&mut link, &transport);
+        link.send(seq, |w| resp.encode_into(w)).unwrap();
         // ...then answer the next command with a valid frame holding junk.
-        let _ = read_frame(&mut stream).unwrap();
-        write_frame(&mut stream, &[0xDE, 0xAD, 0xBE, 0xEF]).unwrap();
+        let seq = link.recv().unwrap().seq;
+        link.send(seq, |w| w.put_raw(&[0xDE, 0xAD, 0xBE, 0xEF])).unwrap();
     });
     let tcp = Arc::new(TcpTransport::connect(addr).unwrap());
     let remote = RemoteLockConnection::attach(tcp, "IRLM1").unwrap();
@@ -125,26 +130,27 @@ fn served_session_tolerates_a_dribbling_writer() {
         })
     };
 
-    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    let mut stream = TcpStream::connect(addr).unwrap();
     stream.set_nodelay(true).unwrap();
 
     // Render the attach request into a full frame, then trickle it out
     // byte by byte with pauses well inside the per-read stall allowance.
-    let body = WireRequest::AttachLock { structure: "IRLM1".to_string() }.encode();
-    let mut framed = Vec::new();
-    write_frame(&mut framed, &body).unwrap();
-    for byte in &framed {
+    let mut framed = FrameStream::new(Vec::new());
+    framed.send(41, |w| WireRequest::AttachLock { structure: "IRLM1".to_string() }.encode_into(w)).unwrap();
+    for byte in &framed.into_inner() {
         stream.write_all(std::slice::from_ref(byte)).unwrap();
         std::thread::sleep(std::time::Duration::from_millis(2));
     }
 
-    let reply = read_frame(&mut stream).unwrap();
-    let response = parallel_sysplex::cf::WireResponse::decode(&reply).unwrap();
+    let mut link = FrameStream::new(stream);
+    let reply = link.recv().unwrap();
+    assert_eq!(reply.seq, 41, "the response echoes its request's number");
+    let response = WireResponse::decode(reply.body()).unwrap();
     assert!(
-        matches!(response, parallel_sysplex::cf::WireResponse::Attached { .. }),
+        matches!(response, WireResponse::Attached { .. }),
         "dribbled attach must be served normally, got {response:?}"
     );
-    drop(stream);
+    drop(link);
     server.join().unwrap();
 }
 
@@ -181,4 +187,96 @@ fn served_session_end_to_end() {
     assert_eq!(retained[0].resource, b"ACCT.3");
     native.recovery_complete_for(peer).unwrap();
     assert!(!native.is_failed_persistent(peer).unwrap());
+}
+
+/// A server that answers every request twice (the wire `Duplicate` fault,
+/// on every frame): each call must still return its own response. Before
+/// frames carried a sequence number the second `Attached` was adopted as
+/// the answer to the next command whenever it landed after the pre-send
+/// drain — another endpoint's handle, then `BadConnector`.
+#[test]
+fn duplicated_responses_are_skipped_by_identity() {
+    let cf = cf_with_lock();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    const CALLS: usize = 40;
+    let server = std::thread::spawn(move || {
+        let mut link = FrameStream::new(listener.accept().unwrap().0);
+        let transport = InProcessTransport::new(&cf);
+        for _ in 0..CALLS {
+            let (seq, resp) = serve_next(&mut link, &transport);
+            link.send(seq, |w| resp.encode_into(w)).unwrap();
+            link.send(seq, |w| resp.encode_into(w)).unwrap();
+        }
+    });
+    let tcp: Arc<dyn CfTransport> = Arc::new(TcpTransport::connect(addr).unwrap());
+    // Alternate attaches (whose stale duplicate would hand over a wrong
+    // handle) with lock requests (whose stale duplicate would be the
+    // wrong variant altogether).
+    for i in 0..CALLS / 2 {
+        let remote = RemoteLockConnection::attach(Arc::clone(&tcp), "IRLM1").unwrap();
+        let granted =
+            remote.request_lock(i, LockMode::Exclusive).unwrap_or_else(|e| panic!("call {i}: {e:?}"));
+        assert!(granted.is_granted(), "call {i}: entry {i} is free, got {granted:?}");
+    }
+    server.join().unwrap();
+}
+
+/// A server that answers each request one request late: the response to
+/// request N arrives after the client gave up on N and sent N+1. The
+/// late answer must be skipped and N+1 get its own.
+#[test]
+fn late_responses_are_skipped_by_identity() {
+    let cf = cf_with_lock();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        let mut link = FrameStream::new(listener.accept().unwrap().0);
+        let transport = InProcessTransport::new(&cf);
+        let (seq, resp) = serve_next(&mut link, &transport);
+        link.send(seq, |w| resp.encode_into(w)).unwrap();
+        // Sit on the answer to the first lock request until the second
+        // has arrived, then send both, oldest first.
+        let (late_seq, late) = serve_next(&mut link, &transport);
+        let (seq, resp) = serve_next(&mut link, &transport);
+        link.send(late_seq, |w| late.encode_into(w)).unwrap();
+        link.send(seq, |w| resp.encode_into(w)).unwrap();
+    });
+    let tcp = Arc::new(TcpTransport::connect(addr).unwrap());
+    tcp.set_read_timeout(Some(std::time::Duration::from_millis(100))).unwrap();
+    let remote = RemoteLockConnection::attach(tcp, "IRLM1").unwrap();
+    // Entry 5 is granted at the server, but the client never hears.
+    assert_eq!(
+        remote.request_lock(5, LockMode::Exclusive).unwrap_err(),
+        CfError::LinkTimeout("lock-request")
+    );
+    // The late `Granted` reaches the client ahead of this query's answer.
+    // Adopted, it would be a response of the wrong kind; skipped, the
+    // query reads its own: the first request did take the entry.
+    assert_eq!(remote.holders(5).unwrap().1, Some(remote.conn_id()));
+    server.join().unwrap();
+}
+
+/// A version-1 frame (9-byte header, no sequence field) offered to this
+/// version's server is refused at the header as `BadVersion(1)`; its
+/// first body bytes are never read as a sequence number.
+#[test]
+fn version_1_frame_is_refused_as_bad_version() {
+    let cf = cf_with_lock();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        serve_cf_stream(&InProcessTransport::new(&cf), stream)
+    });
+    let body = WireRequest::AttachLock { structure: "IRLM1".to_string() }.encode();
+    let mut v1 = b"SPLX\x01".to_vec();
+    v1.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    v1.extend_from_slice(&body);
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(&v1).unwrap();
+    let refused = server.join().unwrap().unwrap_err();
+    assert_eq!(refused.kind(), std::io::ErrorKind::InvalidData);
+    let cause = refused.get_ref().and_then(|e| e.downcast_ref::<WireError>());
+    assert_eq!(cause, Some(&WireError::BadVersion(1)));
 }
