@@ -60,7 +60,7 @@ impl LiveRig {
         LiveRig { plex, cf, group, dbs, monitor }
     }
 
-    /// Tear down members cleanly (IRLM service threads).
+    /// Tear down members (silences their IRLM message exits).
     pub fn shutdown(&self) {
         for db in &self.dbs {
             db.irlm().crash();

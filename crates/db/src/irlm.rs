@@ -33,8 +33,7 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 use sysplex_core::connection::{CfSubchannel, LockConnection};
 use sysplex_core::hashing::{PrehashedMap, ResourceName};
@@ -186,6 +185,20 @@ struct EntryRecord {
     cool: u32,
 }
 
+/// One request in phase 2 — between leaving the local table and recording
+/// its grant — and what it is asking for. Until the grant exists this is
+/// the only place a peer's negotiation query can see the claim.
+#[derive(Debug)]
+struct Wanted {
+    txn: u64,
+    name: ResourceName,
+    mode: LockMode,
+    /// A peer that outranks us asked for the same resource while we were
+    /// negotiating, and was told "no conflict": this request must not open
+    /// another grant window (see [`LocalState::contest`]).
+    yielded: bool,
+}
+
 /// Cap on parked (lazily released) entries per IRLM. Eviction is FIFO so
 /// replayed runs surrender the same victims in the same order.
 const PARK_CAP: usize = 1024;
@@ -210,6 +223,9 @@ struct LocalState {
     /// a query racing phase 2/3 might concern interest we are about to
     /// record, and its recall must win.
     recall_seq: u64,
+    /// This member's requests in phase 2; as many as it has threads
+    /// requesting at once.
+    wanted: Vec<Wanted>,
 }
 
 impl LocalState {
@@ -220,6 +236,29 @@ impl LocalState {
                 self.entries.remove(&entry);
             }
         }
+    }
+
+    /// Settle a peer's query for `mode` on `name` against our own requests
+    /// for the same resource that are still negotiating — neither held nor
+    /// inside a grant window, so nothing else would report them. Two
+    /// members that want one resource at the same moment each query the
+    /// other in exactly that state; answered from held locks alone, both
+    /// hear "no conflict" and both write interest. So one of them yields,
+    /// by an order both sides compute alike: when `outranked` (the peer's
+    /// member name sorts first) our requests are marked `yielded` and will
+    /// refuse their next grant window, and the peer may proceed; otherwise
+    /// we keep the claim and the peer is told it conflicts. Either side's
+    /// query may come first — the yield and the grant-window entry are
+    /// both made under the latch, so exactly one request goes on.
+    fn contest(&mut self, name: &ResourceName, mode: LockMode, outranked: bool) -> bool {
+        let mut contested = false;
+        for rival in self.wanted.iter_mut().filter(|w| w.name == *name) {
+            if rival.mode == LockMode::Exclusive || mode == LockMode::Exclusive {
+                contested = true;
+                rival.yielded |= outranked;
+            }
+        }
+        contested && !outranked
     }
 
     /// Every held resource in name order with its strongest mode and its
@@ -356,27 +395,38 @@ impl CfTarget {
     }
 }
 
-/// One request's phase-2 registration on its entry record: `inflight` for
-/// the whole CF conversation, `critical` for each grant window (a CF
-/// interest write, and a successful one until phase 3 records it). Phase 1
-/// sets both under its own latch acquisition and the winning attempt
-/// clears both under phase 3's ([`Phase2::finish_in`]) — so a peer's
-/// negotiation query can never observe the granted-but-unrecorded gap, and
-/// a CF-granted request takes the latch twice. Every other exit (busy,
-/// renegotiation exhaustion, CF error) clears what is left on drop.
+/// One request's phase-2 registration: its [`Wanted`] claim and, on its
+/// entry record, `inflight` for the whole CF conversation and `critical`
+/// for each grant window (a CF interest write, and a successful one until
+/// phase 3 records it). Phase 1 sets all three under its own latch
+/// acquisition and the winning attempt clears them under phase 3's
+/// ([`Phase2::finish_in`]) — so a peer's negotiation query can never
+/// observe the granted-but-unrecorded gap, and a CF-granted request takes
+/// the latch twice. Every other exit (busy, renegotiation exhaustion, CF
+/// error) clears what is left on drop.
 struct Phase2<'a> {
     irlm: &'a Irlm,
+    txn: u64,
     entry: usize,
     inflight: bool,
     critical: bool,
 }
 
 impl Phase2<'_> {
-    fn enter_critical(&mut self) {
+    /// Open a grant window — unless the request yielded to a peer while it
+    /// was outside one (`false`: the caller reports Busy and the retry
+    /// negotiates afresh against the peer's by then settled state).
+    #[must_use]
+    fn enter_critical(&mut self) -> bool {
         if !self.critical {
-            self.irlm.local.lock().entries.entry(self.entry).or_default().critical += 1;
+            let mut local = self.irlm.local.lock();
+            if local.wanted.iter().any(|w| w.txn == self.txn && w.yielded) {
+                return false;
+            }
+            local.entries.entry(self.entry).or_default().critical += 1;
             self.critical = true;
         }
+        true
     }
 
     /// A failed attempt leaves the window at once: negotiation itself must
@@ -394,6 +444,11 @@ impl Phase2<'_> {
 
     /// Clear the whole registration under an already-held latch.
     fn finish_in(&mut self, local: &mut LocalState) {
+        if self.inflight {
+            if let Some(at) = local.wanted.iter().position(|w| w.txn == self.txn) {
+                local.wanted.swap_remove(at);
+            }
+        }
         if let Some(e) = local.entries.get_mut(&self.entry) {
             e.inflight -= self.inflight as u32;
             e.critical -= self.critical as u32;
@@ -430,8 +485,9 @@ pub struct Irlm {
     local: Mutex<LocalState>,
     pending: Arc<Mutex<HashMap<u64, Sender<bool>>>>,
     next_req: AtomicU64,
+    /// Set by [`Irlm::shutdown`] and [`Irlm::crash`]: the message exit
+    /// answers nothing from then on.
     stop: Arc<AtomicBool>,
-    service: Mutex<Option<JoinHandle<()>>>,
     /// How long a negotiation waits for a peer's verdict.
     negotiation_timeout: Duration,
     /// Time reference for lock-wait timeouts. Defaults to a wall clock;
@@ -455,10 +511,24 @@ impl Irlm {
 
     /// Start an IRLM on `system`: the caller supplies a [`LockConnection`]
     /// (the unified CF command path); the IRLM joins the negotiation group
-    /// and spawns the service thread answering peer queries.
+    /// with an XCF message exit, so peers' queries are answered on the
+    /// thread that signals them and the IRLM owns no thread of its own.
     pub fn start(system: SystemId, conn: LockConnection, xcf: &Arc<Xcf>) -> DbResult<Arc<Self>> {
+        // The exit must exist before the instance it calls into does.
+        // Nothing can be addressed to this member before `start` returns:
+        // a query goes to a holder, and it holds nothing yet.
+        let this = Arc::new(OnceLock::<Weak<Irlm>>::new());
+        let exit = {
+            let this = Arc::clone(&this);
+            Arc::new(move |item| {
+                if let Some(irlm) = this.get().and_then(Weak::upgrade) {
+                    irlm.message_exit(item);
+                }
+            })
+        };
+        let group = Self::group_name(conn.structure());
         let member = Arc::new(
-            xcf.join(&Self::group_name(conn.structure()), &Self::member_name(conn.conn_id()), system)
+            xcf.join_with_exit(&group, &Self::member_name(conn.conn_id()), system, exit)
                 .map_err(|_| DbError::NegotiationFailed)?,
         );
         let irlm = Arc::new(Irlm {
@@ -469,19 +539,11 @@ impl Irlm {
             pending: Arc::new(Mutex::new(HashMap::new())),
             next_req: AtomicU64::new(1),
             stop: Arc::new(AtomicBool::new(false)),
-            service: Mutex::new(None),
             negotiation_timeout: Duration::from_secs(2),
             clock: RwLock::new(SysplexTimer::new()),
             stats: Arc::new(IrlmStats::default()),
         });
-        let service = {
-            let irlm = Arc::clone(&irlm);
-            std::thread::Builder::new()
-                .name(format!("irlm-{}", system))
-                .spawn(move || irlm.service_loop())
-                .expect("spawn irlm service")
-        };
-        *irlm.service.lock() = Some(service);
+        let _ = this.set(Arc::downgrade(&irlm));
         Ok(irlm)
     }
 
@@ -505,13 +567,23 @@ impl Irlm {
         *self.clock.write() = timer;
     }
 
-    fn service_loop(&self) {
-        while !self.stop.load(Ordering::Acquire) {
-            match self.member.recv_timeout(Duration::from_millis(10)) {
-                Ok(XcfItem::Message { from, payload }) => self.handle_message(&from, &payload),
-                Ok(XcfItem::Event(_)) => {} // recovery is driven at the Database layer
-                Err(_) => {}                // timeout; loop to check stop flag
-            }
+    /// This member's XCF message exit. It runs on the *signalling* thread
+    /// — a peer's requester in phase 2, or (for a `Reply`) nested inside
+    /// the exit of the peer this member just queried — so it keeps the XCF
+    /// exit contract: its own rebuild gate is taken with `try_read` only,
+    /// it never blocks and never negotiates, and the reply goes out after
+    /// `local` is released. Nesting is therefore bounded at query → reply,
+    /// and a requester (which holds its *own* `cf.read()` and no `local`
+    /// while it negotiates) cannot deadlock against a rebuild writer or a
+    /// symmetric negotiation. A stopped member — shut down, or crashed and
+    /// not yet failed out of the group — answers nothing.
+    fn message_exit(&self, item: XcfItem) {
+        if self.stop.load(Ordering::Acquire) {
+            return;
+        }
+        match item {
+            XcfItem::Message { from, payload } => self.handle_message(&from, &payload),
+            XcfItem::Event(_) => {} // recovery is driven at the Database layer
         }
     }
 
@@ -524,8 +596,8 @@ impl Irlm {
                 // entry — and surrender parked interest — *before* the
                 // reply releases the peer, so a local re-grant can never
                 // race the peer's negotiated write. `try_read` keeps the
-                // service thread from blocking against a rebuild writer;
-                // a rebuild rebuilds the cache away anyway.
+                // signalling thread from blocking against a rebuild
+                // writer; a rebuild rebuilds the cache away anyway.
                 let conflict = {
                     let cf = self.cf.try_read();
                     let mut local = self.local.lock();
@@ -572,7 +644,9 @@ impl Irlm {
                             any_critical
                         }
                     };
-                    critical_here || state.resources.get(&name).is_some_and(|r| r.conflicts_with_peer(mode))
+                    critical_here
+                        || state.resources.get(&name).is_some_and(|r| r.conflicts_with_peer(mode))
+                        || state.contest(&name, mode, from < self.member.name())
                 };
                 self.stats.queries_served.incr();
                 let _ = self.member.send_to(from, &IrlmSignal::Reply { req_id, conflict }.encode());
@@ -750,11 +824,12 @@ impl Irlm {
             let e = state.entries.entry(entry).or_default();
             e.inflight += 1;
             e.critical += 1;
+            state.wanted.push(Wanted { txn, name: name.clone(), mode, yielded: false });
             recall_snapshot = state.recall_seq;
         }
-        let mut phase2 = Phase2 { irlm: self, entry, inflight: true, critical: true };
+        let mut phase2 = Phase2 { irlm: self, txn, entry, inflight: true, critical: true };
 
-        // Phase 2: CF command (local latch released — the service thread
+        // Phase 2: CF command (local latch released — our message exit
         // must be able to answer our peers' queries while we negotiate).
         // Negotiation loop: a successful negotiation is only valid against
         // the holder set it was conducted with. If a *new* holder acquires
@@ -767,7 +842,9 @@ impl Irlm {
         let mut renegotiations = 4u32;
         let mut cacheable = false;
         loop {
-            phase2.enter_critical();
+            if !phase2.enter_critical() {
+                return Ok(LockOutcome::Busy);
+            }
             match cf.conn.request_lock(entry, mode)? {
                 LockResponse::Granted => {
                     self.stats.grants_cf_sync.incr();
@@ -782,7 +859,9 @@ impl Irlm {
                     phase2.exit_critical();
                     self.stats.contentions.incr();
                     self.wait_start(waiting);
-                    if !self.negotiate(&cf, holders, resource, mode, ignore)? {
+                    // No holder conflicts — and no holder's own request
+                    // for this resource made ours yield meanwhile.
+                    if !self.negotiate(&cf, holders, resource, mode, ignore)? || !phase2.enter_critical() {
                         self.stats.real_conflicts.incr();
                         return Ok(LockOutcome::Busy);
                     }
@@ -795,7 +874,6 @@ impl Irlm {
                     // interest departed while we negotiated (it may have
                     // re-acquired — and locally cached — the entry since),
                     // the write refuses and we renegotiate fresh.
-                    phase2.enter_critical();
                     if cf.conn.force_interest_negotiated(entry, mode, holders, generation)? {
                         cf.mirror_grant(entry, mode);
                         break;
@@ -1186,27 +1264,21 @@ impl Irlm {
         Ok(())
     }
 
-    /// Orderly shutdown: stop the service thread, leave the group,
+    /// Orderly shutdown: silence the message exit, leave the group,
     /// disconnect from the structure.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.service.lock().take() {
-            let _ = h.join();
-        }
         let _ = self.member.leave();
         let cf = self.cf.read();
         let _ = cf.conn.detach(DisconnectMode::Normal);
     }
 
-    /// Abandon the instance as a failed system would: stop the service
-    /// thread *without* cleaning up CF state — the structure keeps this
+    /// Abandon the instance as a failed system would: silence the message
+    /// exit *without* cleaning up CF state — the structure keeps this
     /// connector's interest until [`Irlm::mark_peer_failed`] /
     /// [`Irlm::complete_peer_recovery`] run on a survivor.
     pub fn crash(&self) {
         self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.service.lock().take() {
-            let _ = h.join();
-        }
     }
 }
 
@@ -1572,6 +1644,85 @@ mod tests {
         assert_eq!(b.lock(2, b"ROW.A", LockMode::Exclusive, false).unwrap(), LockOutcome::Granted);
         assert_eq!(a.lock(3, b"ROW.A", LockMode::Exclusive, false).unwrap(), LockOutcome::Busy);
         assert_eq!(a.stats.regrants_local.get(), 0, "fast path never fired after the recall");
+    }
+
+    #[test]
+    fn negotiation_completes_on_the_calling_thread() {
+        let r = rig(2, 1);
+        let (a, b) = (&r.irlms[0], &r.irlms[1]);
+        b.lock(1, b"ROW.B", LockMode::Exclusive, false).unwrap();
+        b.unlock(1, b"ROW.B").unwrap();
+        assert_eq!(b.structure().interest_count(b.conn()), 1, "b is parked on the entry");
+        // This thread is the only one the test has: whatever b did for
+        // a's request, a's own call did it.
+        assert_eq!(a.lock(2, b"ROW.A", LockMode::Exclusive, false).unwrap(), LockOutcome::Granted);
+        assert_eq!(b.stats.queries_served.get(), 1);
+        assert_eq!(b.stats.recalls.get(), 1);
+        assert_eq!(b.structure().interest_count(b.conn()), 0);
+        // And no IRLM owns a thread (a task's `comm` is its thread name).
+        #[cfg(target_os = "linux")]
+        for task in std::fs::read_dir("/proc/self/task").unwrap() {
+            let comm = std::fs::read_to_string(task.unwrap().path().join("comm")).unwrap_or_default();
+            assert!(!comm.starts_with("irlm-"), "an IRLM spawned a service thread: {comm}");
+        }
+    }
+
+    #[test]
+    fn crashed_holder_is_silent_until_failed_out_of_xcf() {
+        let r = rig(2, 1024);
+        let (a, b) = (&r.irlms[0], &r.irlms[1]);
+        a.lock(1, b"ROW.1", LockMode::Exclusive, false).unwrap();
+        a.crash();
+        // Still a group member, so the query is delivered — and dropped.
+        let asked = std::time::Instant::now();
+        assert_eq!(b.lock(2, b"ROW.1", LockMode::Exclusive, false).unwrap(), LockOutcome::Busy);
+        assert!(asked.elapsed() >= b.negotiation_timeout, "the requester waited out the negotiation");
+        assert_eq!(a.stats.queries_served.get(), 0);
+        assert_eq!(b.stats.real_conflicts.get(), 1);
+    }
+
+    #[test]
+    fn exclusivity_holds_under_symmetric_negotiation_and_rebuild() {
+        // One entry: each member's own row falsely contends with the
+        // peer's held or parked interest, so both requesters run the
+        // other's message exit at once, while a third thread takes every
+        // rebuild gate twice. ROW.X is the racy cell's lock.
+        const ROUNDS: u64 = 10_000;
+        let r = rig(2, 1);
+        let counter = AtomicU64::new(0);
+        let done = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            for (i, irlm) in r.irlms.iter().enumerate() {
+                let (counter, done) = (&counter, &done);
+                scope.spawn(move || {
+                    let own = format!("ROW.{i}");
+                    for t in 0..ROUNDS {
+                        let txn = (i as u64) << 32 | t;
+                        let wait = Duration::from_secs(60);
+                        irlm.lock_wait(txn, own.as_bytes(), LockMode::Exclusive, false, wait).unwrap();
+                        irlm.lock_wait(txn, b"ROW.X", LockMode::Exclusive, false, wait).unwrap();
+                        let v = counter.load(Ordering::Relaxed);
+                        std::thread::yield_now();
+                        counter.store(v + 1, Ordering::Relaxed);
+                        irlm.unlock_all(txn).unwrap();
+                        done.fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+            }
+            scope.spawn(|| {
+                for generation in 1..=2 {
+                    while done.load(Ordering::Relaxed) < generation * ROUNDS / 2 {
+                        std::thread::yield_now();
+                    }
+                    let name = format!("IRLMLOCK1_G{generation}");
+                    let new = r.cf.allocate_lock_structure(&name, LockParams::with_entries(1)).unwrap();
+                    Irlm::rebuild_all(&r.irlms, new, &r.cf.subchannel()).unwrap();
+                }
+            });
+        });
+        assert_eq!(counter.load(Ordering::Relaxed), 2 * ROUNDS);
+        let served: u64 = r.irlms.iter().map(|i| i.stats.queries_served.get()).sum();
+        assert!(served > 0, "the members negotiated");
     }
 
     #[test]

@@ -154,10 +154,13 @@ impl LogRecord {
 ///
 /// Block 0 holds a header (`first_active`, `next_block`); records occupy
 /// consecutive blocks from 1, one record per block (a simplification that
-/// keeps torn writes impossible). Checkpointing advances `first_active`:
-/// once a member has no in-flight transactions, nothing before the current
-/// tail can ever be needed for backout, so the space is reclaimed — the
-/// stand-in for MVS log archival.
+/// keeps torn writes impossible). Checkpointing empties the log: once a
+/// member has no in-flight transactions, nothing logged so far can ever be
+/// needed for backout, so the log restarts at block 1 and later records
+/// overwrite the old ones in place — the stand-in for MVS log archival. A
+/// log volume therefore needs room for the longest run of records between
+/// two checkpoints, not for the member's lifetime. (`first_active` is
+/// always 1 in a header this code writes; readers still honour it.)
 pub struct LogManager {
     system: u8,
     farm: Arc<DasdFarm>,
@@ -168,15 +171,14 @@ pub struct LogManager {
 #[derive(Debug)]
 struct LogInner {
     pending: Vec<LogRecord>,
-    first_active: u64,
     next_block: u64,
 }
 
 const FIRST_RECORD_BLOCK: u64 = 1;
 
-fn encode_header(first_active: u64, next_block: u64) -> Vec<u8> {
+fn encode_header(next_block: u64) -> Vec<u8> {
     let mut h = Vec::with_capacity(16);
-    h.extend_from_slice(&first_active.to_be_bytes());
+    h.extend_from_slice(&FIRST_RECORD_BLOCK.to_be_bytes());
     h.extend_from_slice(&next_block.to_be_bytes());
     h
 }
@@ -195,11 +197,7 @@ impl LogManager {
             system,
             farm,
             volume: volume.to_string(),
-            inner: Mutex::new(LogInner {
-                pending: Vec::new(),
-                first_active: FIRST_RECORD_BLOCK,
-                next_block: FIRST_RECORD_BLOCK,
-            }),
+            inner: Mutex::new(LogInner { pending: Vec::new(), next_block: FIRST_RECORD_BLOCK }),
         }
     }
 
@@ -222,15 +220,13 @@ impl LogManager {
             self.farm.write(self.system, &self.volume, block, &rec.encode())?;
             inner.next_block += 1;
         }
-        let header = encode_header(inner.first_active, inner.next_block);
-        self.farm.write(self.system, &self.volume, 0, &header)?;
+        self.farm.write(self.system, &self.volume, 0, &encode_header(inner.next_block))?;
         Ok(n)
     }
 
     /// Durable records currently active (not yet truncated).
     pub fn durable_count(&self) -> u64 {
-        let inner = self.inner.lock();
-        inner.next_block - inner.first_active
+        self.inner.lock().next_block - FIRST_RECORD_BLOCK
     }
 
     /// Checkpoint: discard the entire active log *iff* `idle` confirms (the
@@ -243,12 +239,13 @@ impl LogManager {
         if !idle() || !inner.pending.is_empty() {
             return Ok(false);
         }
-        if inner.first_active == inner.next_block {
+        if inner.next_block == FIRST_RECORD_BLOCK {
             return Ok(false);
         }
-        inner.first_active = inner.next_block;
-        let header = encode_header(inner.first_active, inner.next_block);
-        self.farm.write(self.system, &self.volume, 0, &header)?;
+        // Readers go by the header alone, so the one header write both
+        // discards the old records and hands their blocks back for reuse.
+        self.farm.write(self.system, &self.volume, 0, &encode_header(FIRST_RECORD_BLOCK))?;
+        inner.next_block = FIRST_RECORD_BLOCK;
         Ok(true)
     }
 
@@ -399,12 +396,43 @@ mod tests {
         assert!(LogManager::read_log(0, &f, "LOG00").unwrap().is_empty());
         // Second checkpoint is a no-op.
         assert!(!log.checkpoint_if(|| true).unwrap());
-        // New records land after the truncation point and are readable.
+        // New records reuse the truncated space and are readable.
         log.append(upd(2, 2, 2, None, Some(b"2")));
         log.force().unwrap();
         let records = LogManager::read_log(0, &f, "LOG00").unwrap();
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].txn(), 2);
+    }
+
+    #[test]
+    fn checkpointed_log_space_is_reused() {
+        const SPAN: u64 = 100; // transactions between checkpoints, two records each
+        let f = DasdFarm::new(IoModel::instant());
+        let paths = f.add_volume("LOGSMALL", 512, 2).unwrap();
+        let log = LogManager::new(0, Arc::clone(&f), "LOGSMALL");
+        let mut since_checkpoint = Vec::new();
+        for txn in 0..10_000u64 {
+            let records =
+                [upd(2 * txn, txn, txn, None, Some(b"v")), LogRecord::Commit { lsn: Tod(2 * txn + 1), txn }];
+            for rec in records {
+                log.append(rec.clone());
+                since_checkpoint.push(rec);
+            }
+            log.force().unwrap();
+            if (txn + 1) % SPAN == 0 {
+                // A survivor sees exactly the records since the last
+                // checkpoint, never a stale one from an overwritten lap.
+                assert_eq!(LogManager::read_log(3, &f, "LOGSMALL").unwrap(), since_checkpoint);
+                assert!(log.checkpoint_if(|| true).unwrap());
+                assert!(LogManager::read_log(3, &f, "LOGSMALL").unwrap().is_empty());
+                since_checkpoint.clear();
+            }
+        }
+        log.append(upd(1 << 40, 10_000, 1, Some(b"v"), None));
+        log.force().unwrap();
+        assert_eq!(LogManager::read_log(3, &f, "LOGSMALL").unwrap().len(), 1);
+        // The header block plus the largest inter-checkpoint span.
+        assert!(paths.volume().blocks_in_use() as u64 <= 2 * SPAN + 1, "{}", paths.volume().blocks_in_use());
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! fit the inline key (≤ 32 bytes — every name the database builds) never
 //! reach the heap. Longer names still work; they take the heap path.
 //!
-//! The count is per thread (the IRLM's service thread allocates on its own
-//! schedule), and every table on the path hashes without a per-process
-//! seed, so the same names fill the same buckets on every run: a pass here
-//! is a pass everywhere.
+//! The count is per thread, so nothing else the test process runs is
+//! charged to a request, and every table on the path hashes without a
+//! per-process seed, so the same names fill the same buckets on every run:
+//! a pass here is a pass everywhere.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -9,9 +9,24 @@
 //! signals and receive membership events — including [`GroupEvent::MemberFailed`]
 //! when the heartbeat service declares a whole system down, which is what
 //! triggers peer recovery (§2.5).
+//!
+//! There is one delivery path: every signal and every membership event is
+//! handed to the target member's [`MessageExit`], on the signalling
+//! thread, after the group directory's mutex has been released. A member
+//! that joins with [`Xcf::join`] gets the default exit — push into its
+//! mailbox, drained with [`XcfMember::try_recv`] / [`XcfMember::recv_timeout`];
+//! one that joins with [`Xcf::join_with_exit`] is called in place.
+//!
+//! **Exit contract.** An exit runs on a thread it does not own, possibly
+//! nested inside another member's exit, so it must (1) take any lock a
+//! signaller may hold only with a `try_` acquisition, (2) never block,
+//! (3) never start an exchange that waits for an answer, and (4) send its
+//! own signals only after releasing its locks. Under these rules nesting
+//! is bounded at signal → reply and no exit can deadlock against its
+//! signaller.
 
 use crate::timer::SysplexTimer;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
@@ -68,7 +83,7 @@ pub enum GroupEvent {
     },
 }
 
-/// What arrives in a member's mailbox.
+/// What a member's message exit is handed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum XcfItem {
     /// A point-to-point or broadcast signal from a peer.
@@ -82,16 +97,36 @@ pub enum XcfItem {
     Event(GroupEvent),
 }
 
-#[derive(Debug)]
+/// A member's message exit: called with every signal and membership event
+/// addressed to the member, on the signalling thread. See the module docs
+/// for the contract it must keep.
+pub type MessageExit = Arc<dyn Fn(XcfItem) + Send + Sync>;
+
 struct MemberSlot {
     token: u64,
     system: SystemId,
-    tx: Sender<XcfItem>,
+    exit: MessageExit,
 }
 
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct Group {
     members: HashMap<String, MemberSlot>,
+}
+
+impl Group {
+    /// Every current member's exit paired with `event`, for delivery once
+    /// the directory mutex is released.
+    fn notifications(&self, event: &GroupEvent) -> impl Iterator<Item = (MessageExit, XcfItem)> + '_ {
+        let item = XcfItem::Event(event.clone());
+        self.members.values().map(move |slot| (Arc::clone(&slot.exit), item.clone()))
+    }
+}
+
+/// Run each exit with its item. Callers have released the directory mutex.
+fn deliver(items: Vec<(MessageExit, XcfItem)>) {
+    for (exit, item) in items {
+        exit(item);
+    }
 }
 
 /// Directory entry describing a current member.
@@ -104,7 +139,6 @@ pub struct MemberInfo {
 }
 
 /// The XCF service instance for a sysplex.
-#[derive(Debug)]
 pub struct Xcf {
     groups: Mutex<HashMap<String, Group>>,
     next_token: AtomicU64,
@@ -148,7 +182,8 @@ impl Xcf {
         tracer.emit(to_system.0, 0, TraceEvent::XcfDeliver { bytes: bytes as u64 });
     }
 
-    /// Join `group` as `member` running on `system`.
+    /// Join `group` as `member` running on `system`, receiving through a
+    /// mailbox (the default exit pushes into it).
     pub fn join(
         self: &Arc<Self>,
         group: &str,
@@ -156,20 +191,46 @@ impl Xcf {
         system: SystemId,
     ) -> Result<XcfMember, XcfError> {
         let (tx, rx) = unbounded();
+        let exit: MessageExit = Arc::new(move |item| {
+            let _ = tx.send(item);
+        });
+        self.join_member(group, member, system, exit, rx)
+    }
+
+    /// Join `group` as `member` running on `system`, receiving through
+    /// `exit`. The returned handle's mailbox stays empty.
+    pub fn join_with_exit(
+        self: &Arc<Self>,
+        group: &str,
+        member: &str,
+        system: SystemId,
+        exit: MessageExit,
+    ) -> Result<XcfMember, XcfError> {
+        self.join_member(group, member, system, exit, unbounded().1)
+    }
+
+    fn join_member(
+        self: &Arc<Self>,
+        group: &str,
+        member: &str,
+        system: SystemId,
+        exit: MessageExit,
+        rx: Receiver<XcfItem>,
+    ) -> Result<XcfMember, XcfError> {
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-        {
+        let joined = {
             let mut groups = self.groups.lock();
             let g = groups.entry(group.to_string()).or_default();
             if g.members.contains_key(member) {
                 return Err(XcfError::DuplicateMember(member.to_string()));
             }
-            // Notify existing members first.
+            // Existing members are notified; the newcomer is not.
             let ev = GroupEvent::MemberJoined { member: member.to_string(), system };
-            for slot in g.members.values() {
-                let _ = slot.tx.send(XcfItem::Event(ev.clone()));
-            }
-            g.members.insert(member.to_string(), MemberSlot { token, system, tx });
-        }
+            let joined: Vec<_> = g.notifications(&ev).collect();
+            g.members.insert(member.to_string(), MemberSlot { token, system, exit });
+            joined
+        };
+        deliver(joined);
         Ok(XcfMember { xcf: Arc::clone(self), group: group.to_string(), name: member.to_string(), token, rx })
     }
 
@@ -187,48 +248,55 @@ impl Xcf {
     }
 
     fn signal(&self, group: &str, from: &str, to: &str, payload: &[u8]) -> Result<(), XcfError> {
-        let groups = self.groups.lock();
-        let g = groups.get(group).ok_or_else(|| XcfError::NoSuchMember(to.to_string()))?;
-        let slot = g.members.get(to).ok_or_else(|| XcfError::NoSuchMember(to.to_string()))?;
-        // Trace before the channel push: once the signal is delivered the
-        // receiver (and anything it unblocks) may emit trace records, and
-        // those must sequence *after* the send/deliver pair or replayed
-        // traces interleave differently run to run.
-        self.trace_signal(g, from, slot.system, payload.len());
-        let _ = slot.tx.send(XcfItem::Message { from: from.to_string(), payload: payload.to_vec() });
+        let exit = {
+            let groups = self.groups.lock();
+            let g = groups.get(group).ok_or_else(|| XcfError::NoSuchMember(to.to_string()))?;
+            let slot = g.members.get(to).ok_or_else(|| XcfError::NoSuchMember(to.to_string()))?;
+            // Trace before delivery: once the signal is delivered the
+            // receiver (and anything it unblocks) may emit trace records,
+            // and those must sequence *after* the send/deliver pair or
+            // replayed traces interleave differently run to run.
+            self.trace_signal(g, from, slot.system, payload.len());
+            Arc::clone(&slot.exit)
+        };
         self.signals_sent.fetch_add(1, Ordering::Relaxed);
+        exit(XcfItem::Message { from: from.to_string(), payload: payload.to_vec() });
         Ok(())
     }
 
     fn broadcast(&self, group: &str, from: &str, payload: &[u8]) -> usize {
-        let groups = self.groups.lock();
-        let Some(g) = groups.get(group) else { return 0 };
-        let mut n = 0;
-        for (name, slot) in g.members.iter() {
-            if name != from {
-                // Same ordering rule as `signal`: trace, then deliver.
-                self.trace_signal(g, from, slot.system, payload.len());
-                let _ = slot.tx.send(XcfItem::Message { from: from.to_string(), payload: payload.to_vec() });
-                n += 1;
-            }
-        }
+        let signals: Vec<(MessageExit, XcfItem)> = {
+            let groups = self.groups.lock();
+            let Some(g) = groups.get(group) else { return 0 };
+            let others = g.members.iter().filter(|(name, _)| *name != from);
+            others
+                .map(|(_, slot)| {
+                    // Same ordering rule as `signal`: trace, then deliver.
+                    self.trace_signal(g, from, slot.system, payload.len());
+                    let item = XcfItem::Message { from: from.to_string(), payload: payload.to_vec() };
+                    (Arc::clone(&slot.exit), item)
+                })
+                .collect()
+        };
+        let n = signals.len();
         self.signals_sent.fetch_add(n as u64, Ordering::Relaxed);
+        deliver(signals);
         n
     }
 
     fn leave(&self, group: &str, member: &str, token: u64) -> Result<(), XcfError> {
-        let mut groups = self.groups.lock();
-        let g = groups.get_mut(group).ok_or_else(|| XcfError::NoSuchMember(member.to_string()))?;
-        match g.members.get(member) {
-            Some(slot) if slot.token == token => {}
-            Some(_) => return Err(XcfError::StaleHandle),
-            None => return Err(XcfError::NoSuchMember(member.to_string())),
-        }
-        g.members.remove(member);
-        let ev = GroupEvent::MemberLeft { member: member.to_string() };
-        for slot in g.members.values() {
-            let _ = slot.tx.send(XcfItem::Event(ev.clone()));
-        }
+        let left = {
+            let mut groups = self.groups.lock();
+            let g = groups.get_mut(group).ok_or_else(|| XcfError::NoSuchMember(member.to_string()))?;
+            match g.members.get(member) {
+                Some(slot) if slot.token == token => {}
+                Some(_) => return Err(XcfError::StaleHandle),
+                None => return Err(XcfError::NoSuchMember(member.to_string())),
+            }
+            g.members.remove(member);
+            g.notifications(&GroupEvent::MemberLeft { member: member.to_string() }).collect()
+        };
+        deliver(left);
         Ok(())
     }
 
@@ -236,26 +304,33 @@ impl Xcf {
     /// [`GroupEvent::MemberFailed`] to all survivors in every affected
     /// group. Called by the heartbeat monitor's fail-stop path.
     pub fn fail_system(&self, system: SystemId) -> usize {
-        let mut groups = self.groups.lock();
         let mut failed = 0;
-        for g in groups.values_mut() {
-            let dead: Vec<String> =
-                g.members.iter().filter(|(_, s)| s.system == system).map(|(n, _)| n.clone()).collect();
-            for name in dead {
-                g.members.remove(&name);
-                failed += 1;
-                let ev = GroupEvent::MemberFailed { member: name, system };
-                for slot in g.members.values() {
-                    let _ = slot.tx.send(XcfItem::Event(ev.clone()));
+        let mut events = Vec::new();
+        {
+            let mut groups = self.groups.lock();
+            for g in groups.values_mut() {
+                let dead: Vec<String> =
+                    g.members.iter().filter(|(_, s)| s.system == system).map(|(n, _)| n.clone()).collect();
+                for name in dead {
+                    g.members.remove(&name);
+                    failed += 1;
+                    events.extend(g.notifications(&GroupEvent::MemberFailed { member: name, system }));
                 }
             }
         }
+        deliver(events);
         failed
     }
 }
 
+impl fmt::Debug for Xcf {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Xcf").field("signals_sent", &self.signals_sent).finish_non_exhaustive()
+    }
+}
+
 /// A joined member: the handle through which a process signals peers and
-/// receives its mailbox.
+/// drains its mailbox.
 #[derive(Debug)]
 pub struct XcfMember {
     xcf: Arc<Xcf>,
@@ -419,6 +494,109 @@ mod tests {
             }
         }
         assert_eq!(x.members("G1").len(), 1);
+    }
+
+    /// What a recording exit was called with, and on which thread.
+    type Seen = Arc<Mutex<Vec<(std::thread::ThreadId, XcfItem)>>>;
+
+    /// Join with an exit that records its calls.
+    fn recording_member(x: &Arc<Xcf>, name: &str, system: u8) -> (XcfMember, Seen) {
+        let seen = Seen::default();
+        let exit: MessageExit = {
+            let seen = Arc::clone(&seen);
+            Arc::new(move |item| seen.lock().push((std::thread::current().id(), item)))
+        };
+        (x.join_with_exit("G", name, SystemId::new(system), exit).unwrap(), seen)
+    }
+
+    #[test]
+    fn exit_runs_on_the_senders_thread_before_send_returns() {
+        let x = xcf();
+        let a = x.join("G", "A", SystemId::new(0)).unwrap();
+        let (b, seen) = recording_member(&x, "B", 1);
+        a.send_to("B", b"query").unwrap();
+        let expected = XcfItem::Message { from: "A".into(), payload: b"query".to_vec() };
+        assert_eq!(*seen.lock(), vec![(std::thread::current().id(), expected.clone())]);
+        assert_eq!(a.broadcast(b"query"), 1);
+        assert_eq!(seen.lock().len(), 2);
+        assert!(b.try_recv().is_none(), "an exit member's mailbox stays empty");
+        // From another thread, the exit runs on that thread.
+        let sender = std::thread::spawn(move || {
+            a.send_to("B", b"query").unwrap();
+            std::thread::current().id()
+        });
+        let sender = sender.join().unwrap();
+        assert_eq!(seen.lock().last(), Some(&(sender, expected)));
+    }
+
+    #[test]
+    fn exit_may_signal_back_to_its_sender() {
+        // The query → reply shape: B's exit answers A from inside A's
+        // `send_to`, and A's exit runs nested inside B's. Hangs if any
+        // exit is invoked with the directory mutex held.
+        let x = xcf();
+        let replies = Arc::new(Mutex::new(Vec::new()));
+        let a_exit: MessageExit = {
+            let replies = Arc::clone(&replies);
+            Arc::new(move |item| replies.lock().push(item))
+        };
+        let a = x.join_with_exit("G", "A", SystemId::new(0), a_exit).unwrap();
+        let b_handle: Arc<OnceLock<XcfMember>> = Arc::new(OnceLock::new());
+        let b_exit: MessageExit = {
+            let b_handle = Arc::clone(&b_handle);
+            Arc::new(move |item| {
+                if let XcfItem::Message { from, payload } = item {
+                    let mut reply = payload;
+                    reply.reverse();
+                    b_handle.get().expect("joined").send_to(&from, &reply).unwrap();
+                }
+            })
+        };
+        let b = x.join_with_exit("G", "B", SystemId::new(1), b_exit).unwrap();
+        assert!(b_handle.set(b).is_ok());
+        replies.lock().clear(); // B's join event
+        a.send_to("B", b"abc").unwrap();
+        assert_eq!(*replies.lock(), vec![XcfItem::Message { from: "B".into(), payload: b"cba".to_vec() }]);
+        assert_eq!(x.signals_sent.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn exit_is_never_called_after_leave_or_system_failure() {
+        let x = xcf();
+        let a = x.join("G", "A", SystemId::new(0)).unwrap();
+        let (b, b_seen) = recording_member(&x, "B", 1);
+        let (_c, c_seen) = recording_member(&x, "C", 2);
+        a.send_to("B", b"1").unwrap();
+        a.send_to("C", b"1").unwrap();
+        b.leave().unwrap();
+        assert_eq!(x.fail_system(SystemId::new(2)), 1);
+        let (b_count, c_count) = (b_seen.lock().len(), c_seen.lock().len());
+        assert_eq!(a.send_to("B", b"2").unwrap_err(), XcfError::NoSuchMember("B".into()));
+        assert_eq!(a.send_to("C", b"2").unwrap_err(), XcfError::NoSuchMember("C".into()));
+        assert_eq!(a.broadcast(b"2"), 0);
+        let _d = x.join("G", "D", SystemId::new(3)).unwrap();
+        assert_eq!(b_seen.lock().len(), b_count, "nothing reaches a member that left");
+        assert_eq!(c_seen.lock().len(), c_count, "nothing reaches a failed member");
+    }
+
+    #[test]
+    fn membership_events_arrive_through_the_exit() {
+        let x = xcf();
+        let (_a, seen) = recording_member(&x, "A", 0);
+        let b = x.join("G", "B", SystemId::new(1)).unwrap();
+        b.leave().unwrap();
+        let _c = x.join("G", "C", SystemId::new(2)).unwrap();
+        x.fail_system(SystemId::new(2));
+        let events: Vec<XcfItem> = seen.lock().iter().map(|(_, item)| item.clone()).collect();
+        let expected = [
+            GroupEvent::MemberJoined { member: "B".into(), system: SystemId::new(1) },
+            GroupEvent::MemberLeft { member: "B".into() },
+            GroupEvent::MemberJoined { member: "C".into(), system: SystemId::new(2) },
+            GroupEvent::MemberFailed { member: "C".into(), system: SystemId::new(2) },
+        ];
+        assert_eq!(events, expected.map(XcfItem::Event));
+        let me = std::thread::current().id();
+        assert!(seen.lock().iter().all(|(thread, _)| *thread == me), "on the thread that caused them");
     }
 
     #[test]
