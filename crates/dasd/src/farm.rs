@@ -53,16 +53,19 @@ impl DasdFarm {
         self.volumes.read().get(name).cloned().ok_or_else(|| IoError::NoSuchVolume(name.to_string()))
     }
 
+    /// Resolve a volume once, for a caller that does all its I/O on it.
+    pub fn open(&self, name: &str) -> IoResult<VolumeHandle> {
+        Ok(VolumeHandle { fence: Arc::clone(&self.fence), paths: self.volume(name)? })
+    }
+
     /// Read a block as `system` (fence-checked).
     pub fn read(&self, system: u8, volume: &str, block: u64) -> IoResult<Vec<u8>> {
-        self.fence.check(system)?;
-        self.volume(volume)?.read(block)
+        self.open(volume)?.read(system, block)
     }
 
     /// Write a block as `system` (fence-checked).
     pub fn write(&self, system: u8, volume: &str, block: u64, data: &[u8]) -> IoResult<()> {
-        self.fence.check(system)?;
-        self.volume(volume)?.write(block, data)
+        self.open(volume)?.write(system, block, data)
     }
 
     /// Atomic read-modify-write as `system` (fence-checked).
@@ -73,8 +76,7 @@ impl DasdFarm {
         block: u64,
         f: impl FnOnce(&mut Vec<u8>) -> R,
     ) -> IoResult<R> {
-        self.fence.check(system)?;
-        self.volume(volume)?.update(block, f)
+        self.open(volume)?.update(system, block, f)
     }
 
     /// Volume names, sorted.
@@ -82,6 +84,41 @@ impl DasdFarm {
         let mut v: Vec<_> = self.volumes.read().keys().cloned().collect();
         v.sort();
         v
+    }
+}
+
+/// One volume of the farm, looked up once. Holding the handle saves the
+/// name lookup, nothing else: every I/O still names the issuing system and
+/// passes the fence and path selection, so a system fenced after it opened
+/// the volume is refused like any other.
+#[derive(Debug, Clone)]
+pub struct VolumeHandle {
+    fence: Arc<FenceControl>,
+    paths: Arc<PathSet>,
+}
+
+impl VolumeHandle {
+    /// The volume's channel paths (capacity, counters, failure injection).
+    pub fn paths(&self) -> &Arc<PathSet> {
+        &self.paths
+    }
+
+    /// Read a block as `system` (fence-checked).
+    pub fn read(&self, system: u8, block: u64) -> IoResult<Vec<u8>> {
+        self.fence.check(system)?;
+        self.paths.read(block)
+    }
+
+    /// Write a block as `system` (fence-checked).
+    pub fn write(&self, system: u8, block: u64, data: &[u8]) -> IoResult<()> {
+        self.fence.check(system)?;
+        self.paths.write(block, data)
+    }
+
+    /// Atomic read-modify-write as `system` (fence-checked).
+    pub fn update<R>(&self, system: u8, block: u64, f: impl FnOnce(&mut Vec<u8>) -> R) -> IoResult<R> {
+        self.fence.check(system)?;
+        self.paths.update(block, f)
     }
 }
 
@@ -122,5 +159,23 @@ mod tests {
         assert_eq!(farm.write(5, "A", 0, b"x").unwrap_err(), IoError::Fenced(5));
         assert_eq!(farm.read(5, "B", 0).unwrap_err(), IoError::Fenced(5));
         assert!(farm.write(6, "A", 0, b"x").is_ok(), "healthy systems unaffected");
+    }
+
+    #[test]
+    fn a_handle_opened_before_the_fence_is_refused_after_it() {
+        let farm = DasdFarm::new(IoModel::instant());
+        let paths = farm.add_volume("A", 10, 2).unwrap();
+        let vol = farm.open("A").unwrap();
+        vol.write(5, 0, b"before").unwrap();
+        farm.fence().fence(5);
+        assert_eq!(vol.write(5, 0, b"zombie").unwrap_err(), IoError::Fenced(5));
+        assert_eq!(vol.read(5, 0).unwrap_err(), IoError::Fenced(5));
+        assert_eq!(vol.update(5, 0, |b| b.clear()).unwrap_err(), IoError::Fenced(5));
+        assert_eq!(vol.read(6, 0).unwrap(), b"before", "the zombie's write never landed");
+        // Path selection is per I/O too, not frozen at open.
+        paths.fail_path(0);
+        paths.fail_path(1);
+        assert_eq!(vol.read(6, 0).unwrap_err(), IoError::NoPaths);
+        assert_eq!(farm.open("NOPE").unwrap_err(), IoError::NoSuchVolume("NOPE".into()));
     }
 }

@@ -32,6 +32,6 @@ pub mod path;
 pub mod volume;
 
 pub use error::{IoError, IoResult};
-pub use farm::DasdFarm;
+pub use farm::{DasdFarm, VolumeHandle};
 pub use fence::FenceControl;
 pub use volume::{IoModel, Volume};

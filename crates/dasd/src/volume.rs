@@ -128,7 +128,11 @@ impl Volume {
             return Err(IoError::BlockTooLarge(data.len()));
         }
         self.model.charge();
-        self.blocks.write().insert(block, data.to_vec());
+        // A rewritten block keeps its buffer.
+        let mut blocks = self.blocks.write();
+        let stored = blocks.entry(block).or_default();
+        stored.clear();
+        stored.extend_from_slice(data);
         self.stats.writes.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }

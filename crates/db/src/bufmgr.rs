@@ -47,28 +47,28 @@ pub struct BufStats {
 #[derive(Debug, Default, Clone)]
 struct Frame {
     name: Option<BlockName>,
-    data: Vec<u8>,
+    /// The current image of `name`, validated when it entered the pool;
+    /// handing it out is a reference-count bump. `None` from steal until a
+    /// fill completes (the frame is not *ready*), so the fast path can
+    /// never serve a prior tenant's bytes: the local validity bit alone
+    /// cannot distinguish "bit set for this page" from "bit left over /
+    /// re-set while the frame still holds old data".
+    page: Option<Page>,
     /// Bumped on every steal. A refresh that began against an earlier
     /// tenant must not install its bytes into the new tenant's frame.
     generation: u64,
     /// CF directory version the current bytes correspond to (monotone
     /// guard against an older refresh overwriting a newer fill).
     version: u64,
-    /// The bytes match `name`. False from steal until a fill completes, so
-    /// the fast path can never serve a prior tenant's bytes: the local
-    /// validity bit alone cannot distinguish "bit set for this page" from
-    /// "bit left over / re-set while the frame still holds old data".
-    ready: bool,
 }
 
 impl Frame {
     /// Evict the tenant but keep the generation counter moving forward.
     fn reset(&mut self) {
         self.name = None;
-        self.data.clear();
+        self.page = None;
         self.generation += 1;
         self.version = 0;
-        self.ready = false;
     }
 }
 
@@ -97,9 +97,10 @@ pub struct BufferManager {
     cf: RwLock<CacheTarget>,
     store: Arc<PageStore>,
     frame_count: usize,
-    // One latch for the pool: the protected work is pointer-sized and the
-    // expensive operations (CF commands, DASD reads) happen with the CF's
-    // own synchronisation, re-validated against the bit vector afterwards.
+    // One latch for the pool: the protected work is pointer-sized (a hit
+    // clones an `Arc`, a fill stores one) and the expensive operations (CF
+    // commands, DASD reads) happen with the CF's own synchronisation,
+    // re-validated against the bit vector afterwards.
     inner: Mutex<PoolInner>,
     /// Published counters.
     pub stats: BufStats,
@@ -136,44 +137,42 @@ impl BufferManager {
         self.cf.read().conn.conn_id()
     }
 
-    /// Read a page image, coherently.
-    pub fn get_image(&self, page: u64) -> DbResult<Vec<u8>> {
+    /// Read a page, coherently. The page handed out is a snapshot: it
+    /// shares the frame's image, and no later write changes those bytes.
+    pub fn get_page(&self, page: u64) -> DbResult<Page> {
         let name = self.store.block_name(page);
         let cf = self.cf.read();
         loop {
             // Fast path: valid local frame. The validity test is a local
-            // bit-vector load — never a CF command. `ready` guards the
-            // steal window: a set bit over a frame whose fill has not
-            // completed must not serve the prior tenant's bytes.
+            // bit-vector load — never a CF command. A frame holds no page
+            // through the steal window, so a set bit over a frame whose
+            // fill has not completed serves nothing.
             {
                 let inner = self.inner.lock();
                 if let Some(&idx) = inner.map.get(&name) {
-                    if inner.frames[idx].ready && cf.conn.is_valid_block(idx as u32, name) {
-                        self.stats.local_hits.incr();
-                        cf.conn.subchannel().emit(TraceEvent::BufRead { page, local_hit: true });
-                        return Ok(inner.frames[idx].data.clone());
+                    if let Some(p) = &inner.frames[idx].page {
+                        if cf.conn.is_valid_block(idx as u32, name) {
+                            self.stats.local_hits.incr();
+                            cf.conn.subchannel().emit(TraceEvent::BufRead { page, local_hit: true });
+                            return Ok(p.clone());
+                        }
                     }
                 }
             }
             // Slow path: (re-)register and refresh.
-            if let Some(image) = self.refresh(&cf, page, name)? {
-                return Ok(image);
+            if let Some(p) = self.refresh(&cf, page, name)? {
+                return Ok(p);
             }
             // A racing peer write invalidated us mid-refresh; go again.
         }
     }
 
-    /// Read and decode a page, coherently.
-    pub fn get_page(&self, page: u64) -> DbResult<Page> {
-        Page::decode(&self.get_image(page)?, page)
-    }
-
-    fn frame_for(&self, cf: &CacheTarget, name: BlockName) -> (usize, u64) {
-        let mut inner = self.inner.lock();
+    /// The frame mapped to `name` and its generation, stealing the next
+    /// frame round-robin when there is none.
+    fn frame_for(&self, inner: &mut PoolInner, cf: &CacheTarget, name: BlockName) -> (usize, u64) {
         if let Some(&idx) = inner.map.get(&name) {
             return (idx, inner.frames[idx].generation);
         }
-        // Steal the next frame round-robin.
         let idx = inner.rotor % inner.frames.len();
         inner.rotor += 1;
         let (old, generation) = {
@@ -203,18 +202,20 @@ impl BufferManager {
     /// Register interest and refill the frame. Returns `None` when a
     /// concurrent peer write invalidated the frame again before we
     /// finished (caller retries).
-    fn refresh(&self, cf: &CacheTarget, page: u64, name: BlockName) -> DbResult<Option<Vec<u8>>> {
-        let (idx, generation) = self.frame_for(cf, name);
+    fn refresh(&self, cf: &CacheTarget, page: u64, name: BlockName) -> DbResult<Option<Page>> {
+        let (idx, generation) = self.frame_for(&mut self.inner.lock(), cf, name);
         let reg = cf.conn.register_read(name, idx as u32)?;
-        let image = match reg.data {
-            Some(d) => {
+        let fresh = match reg.data {
+            // The CF's copy is adopted, not copied: frame and directory
+            // entry share the bytes, which neither ever changes in place.
+            Some(image) => {
                 self.stats.cf_refreshes.incr();
                 cf.conn.subchannel().emit(TraceEvent::BufRefresh { page, from_cf: true });
-                (*d).clone()
+                Page::from_image(image, page)?
             }
             None => {
                 self.stats.dasd_reads.incr();
-                let img = self.store.read_image(self.system.0, page)?;
+                let p = self.store.read_page(self.system.0, page)?;
                 cf.conn.subchannel().emit(TraceEvent::BufRefresh { page, from_cf: false });
                 // If a peer wrote while we were at the disk, our bit is
                 // already clear and this (possibly stale) image must not be
@@ -223,10 +224,10 @@ impl BufferManager {
                     self.stats.coherency_misses.incr();
                     return Ok(None);
                 }
-                img
+                p
             }
         };
-        {
+        let current = {
             let mut inner = self.inner.lock();
             match inner.frames.get_mut(idx) {
                 // Install only into the same tenancy this refresh began
@@ -234,53 +235,54 @@ impl BufferManager {
                 // must not roll the frame back below what a concurrent
                 // (re-)fill already installed.
                 Some(f) if f.generation == generation && f.name == Some(name) && reg.version >= f.version => {
-                    f.data = image.clone();
+                    f.page = Some(fresh.clone());
                     f.version = reg.version;
-                    f.ready = true;
+                    Some(fresh)
                 }
                 // Same tenant but a newer fill won: serve the newer bytes.
-                Some(f) if f.generation == generation && f.name == Some(name) && f.ready => {
-                    let newer = f.data.clone();
-                    drop(inner);
-                    if !cf.conn.is_valid(idx as u32) {
-                        self.stats.coherency_misses.incr();
-                        return Ok(None);
-                    }
-                    return Ok(Some(newer));
-                }
+                Some(f) if f.generation == generation && f.name == Some(name) => f.page.clone(),
                 // Frame re-stolen mid-refresh: retry from the top.
-                _ => {
-                    self.stats.coherency_misses.incr();
-                    return Ok(None);
-                }
+                _ => None,
             }
-        }
-        if !cf.conn.is_valid(idx as u32) {
+        };
+        if current.is_none() || !cf.conn.is_valid(idx as u32) {
             self.stats.coherency_misses.incr();
             return Ok(None);
         }
-        Ok(Some(image))
+        Ok(current)
     }
 
-    /// Write a page image: local frame + CF changed-data write with
-    /// cross-invalidation of all registered peers. The caller must hold
-    /// page serialization (the P-lock).
-    pub fn put_image(&self, page: u64, image: &[u8]) -> DbResult<()> {
+    /// Write a page: CF changed-data write with cross-invalidation of all
+    /// registered peers, then the local frame, which keeps the caller's
+    /// image (shared, not copied). The caller must hold page serialization
+    /// (the P-lock).
+    pub fn put_page(&self, page: u64, p: &Page) -> DbResult<()> {
         let name = self.store.block_name(page);
         let cf = self.cf.read();
-        let (idx, generation) = self.frame_for(&cf, name);
-        // Register so the CF tracks us as a current holder.
-        cf.conn.register_read(name, idx as u32)?;
+        let (idx, generation, registered) = {
+            let mut inner = self.inner.lock();
+            let (idx, generation) = self.frame_for(&mut inner, &cf, name);
+            // A set validity bit over a ready frame of this block means the
+            // directory still tracks us as a holder (everything that drops a
+            // registration clears the bit): the state the caller's own
+            // `get_page` left behind, unless a peer's write or a directory
+            // reclaim came in between.
+            let registered = inner.frames[idx].page.is_some() && cf.conn.is_valid_block(idx as u32, name);
+            (idx, generation, registered)
+        };
+        if !registered {
+            // Register so the CF tracks us as a current holder.
+            cf.conn.register_read(name, idx as u32)?;
+        }
         // CF write first: the returned directory version orders this image
         // against concurrent refreshes of the same frame.
-        let w = cf.conn.write_invalidate(name, image, WriteKind::ChangedData)?;
+        let w = cf.conn.write_invalidate(name, p.image(), WriteKind::ChangedData)?;
         {
             let mut inner = self.inner.lock();
             if let Some(f) = inner.frames.get_mut(idx) {
                 if f.generation == generation && f.name == Some(name) && w.version >= f.version {
-                    f.data = image.to_vec();
+                    f.page = Some(p.clone());
                     f.version = w.version;
-                    f.ready = true;
                 }
             }
         }
@@ -288,15 +290,10 @@ impl BufferManager {
             // Duplexed write: the secondary holds no registrations (it is
             // a data vault, not a coherency point), so this is a pure
             // changed-data store.
-            sec.write_invalidate(name, image, WriteKind::ChangedData)?;
+            sec.write_invalidate(name, p.image(), WriteKind::ChangedData)?;
         }
         self.stats.writes.incr();
         Ok(())
-    }
-
-    /// Encode and write a page.
-    pub fn put_page(&self, page: u64, p: &Page) -> DbResult<()> {
-        self.put_image(page, &p.encode())
     }
 
     /// Destage up to `max` changed pages to DASD. Returns how many were
@@ -457,7 +454,7 @@ mod tests {
     use super::*;
     use std::time::Duration;
     use sysplex_core::cache::CacheParams;
-    use sysplex_core::connection::LinkFault;
+    use sysplex_core::connection::{CommandClass, LinkFault};
     use sysplex_core::facility::{CfConfig, CouplingFacility};
     use sysplex_dasd::farm::DasdFarm;
     use sysplex_dasd::volume::IoModel;
@@ -469,11 +466,15 @@ mod tests {
     }
 
     fn rig() -> Rig {
+        rig_with_directory(256)
+    }
+
+    fn rig_with_directory(entries: usize) -> Rig {
         let farm = DasdFarm::new(IoModel::instant());
         farm.add_volume("DB0001", 128, 4).unwrap();
-        let store = PageStore::new(farm, "DB0001", 1, 128);
+        let store = PageStore::new(&farm, "DB0001", 1, 128).unwrap();
         let cf = CouplingFacility::new(CfConfig::named("CF01"));
-        let cache = cf.allocate_cache_structure("GBP0", CacheParams::store_in(256)).unwrap();
+        let cache = cf.allocate_cache_structure("GBP0", CacheParams::store_in(entries)).unwrap();
         Rig { cf, cache, store }
     }
 
@@ -486,7 +487,7 @@ mod tests {
         let r = rig();
         let mut page = Page::new();
         page.set(5, b"five");
-        r.store.write_image(0, 5, &page.encode()).unwrap();
+        r.store.write_image(0, 5, page.image()).unwrap();
         let a = bm(&r, 0);
         assert_eq!(a.get_page(5).unwrap().get(5).unwrap(), b"five");
         assert_eq!(a.stats.dasd_reads.get(), 1);
@@ -510,6 +511,88 @@ mod tests {
         assert_eq!(a.get_page(7).unwrap().get(7).unwrap(), b"from-b");
         assert_eq!(a.stats.dasd_reads.get(), before_dasd, "refresh came from the CF global cache");
         assert!(a.stats.cf_refreshes.get() >= 1);
+    }
+
+    fn cache_reads(r: &Rig) -> u64 {
+        r.cf.command_stats().class(CommandClass::CacheRead).issued.get()
+    }
+
+    fn one_record(key: u64, value: &[u8]) -> Page {
+        let mut p = Page::new();
+        p.set(key, value);
+        p
+    }
+
+    /// A page handed out or handed in shares bytes with the frame; nobody's
+    /// later update may reach through that sharing.
+    #[test]
+    fn pages_are_snapshots_not_aliases() {
+        let r = rig();
+        let a = bm(&r, 0);
+        let b = bm(&r, 1);
+        a.put_page(1, &one_record(1, b"v1")).unwrap();
+        let held = a.get_page(1).unwrap();
+        // The same member rewrites the page, starting from what it read.
+        let mut next = a.get_page(1).unwrap();
+        next.set(1, b"v2");
+        a.put_page(1, &next).unwrap();
+        assert_eq!(held.get(1).unwrap(), b"v1", "an earlier reader keeps the image it was given");
+        assert_eq!(a.get_page(1).unwrap().get(1).unwrap(), b"v2");
+        // The writer goes on changing its page after the put: the frame
+        // kept the image as put.
+        next.set(1, b"v3");
+        assert_eq!(a.get_page(1).unwrap().get(1).unwrap(), b"v2");
+        // A peer's frame adopts the CF's copy of the image; scribbling on
+        // what it hands out changes neither its frame, the CF's copy, nor
+        // the writer's frame.
+        let mut at_b = b.get_page(1).unwrap();
+        at_b.set(1, b"scribble");
+        at_b.set(2, b"more");
+        assert_eq!(b.get_page(1).unwrap(), a.get_page(1).unwrap());
+        assert_eq!(bm(&r, 2).get_page(1).unwrap().iter().collect::<Vec<_>>(), vec![(1, &b"v2"[..])]);
+    }
+
+    /// `put_page` registers only when the directory may have lost track of
+    /// this member: not after the member's own read, again after anything
+    /// cleared the frame's validity bit.
+    #[test]
+    fn put_registers_only_when_the_validity_bit_is_clear() {
+        let r = rig();
+        let a = bm(&r, 0);
+        let b = bm(&r, 1);
+        let before = cache_reads(&r);
+        a.put_page(1, &one_record(1, b"a0")).unwrap();
+        assert_eq!(cache_reads(&r) - before, 1, "a fresh frame registers");
+        let page = a.get_page(1).unwrap();
+        assert_eq!(a.stats.local_hits.get(), 1);
+        let before = cache_reads(&r);
+        a.put_page(1, &page).unwrap();
+        a.put_page(1, &page).unwrap();
+        assert_eq!(cache_reads(&r) - before, 0, "ready and valid: the registration stands");
+        // A peer's write cross-invalidates a and drops its registration.
+        b.put_page(1, &one_record(1, b"b1")).unwrap();
+        let before = cache_reads(&r);
+        a.put_page(1, &one_record(1, b"a2")).unwrap();
+        assert_eq!(cache_reads(&r) - before, 1, "bit cleared by the peer: register again");
+        assert_eq!(b.get_page(1).unwrap().get(1).unwrap(), b"a2", "and the peer was invalidated in turn");
+    }
+
+    #[test]
+    fn put_registers_again_after_a_directory_reclaim() {
+        let r = rig_with_directory(4);
+        let a = bm(&r, 0);
+        let page = a.get_page(1).unwrap();
+        // Four more blocks through a four-entry directory: page 1's entry,
+        // the oldest and unchanged, is reclaimed and its holder told.
+        let b = bm(&r, 1);
+        for other in 10..14 {
+            b.get_page(other).unwrap();
+        }
+        assert!(r.cache.stats.reclaims.get() >= 1);
+        let before = cache_reads(&r);
+        a.put_page(1, &page).unwrap();
+        assert_eq!(cache_reads(&r) - before, 1);
+        assert_eq!(a.get_page(1).unwrap(), page);
     }
 
     #[test]
@@ -566,10 +649,10 @@ mod tests {
         let r = rig();
         let mut p1 = Page::new();
         p1.set(1, b"one");
-        r.store.write_image(0, 1, &p1.encode()).unwrap();
+        r.store.write_image(0, 1, p1.image()).unwrap();
         let mut p2 = Page::new();
         p2.set(2, b"two");
-        r.store.write_image(0, 2, &p2.encode()).unwrap();
+        r.store.write_image(0, 2, p2.image()).unwrap();
         let a = Arc::new(
             BufferManager::new(SystemId::new(0), &r.cache, r.cf.subchannel(), Arc::clone(&r.store), 1)
                 .unwrap(),

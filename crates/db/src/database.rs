@@ -303,37 +303,30 @@ impl Database {
         // 1. Undo/redo records become durable before any page change
         //    reaches shared storage (WAL).
         for (key, w) in &txn.writes {
-            self.log.append(LogRecord::Update {
-                lsn: self.timer.tod(),
-                txn: txn.id,
-                page: w.page,
-                key: *key,
-                before: w.before.clone(),
-                after: w.after.clone(),
-            });
+            self.log.append_update(
+                self.timer.tod(),
+                txn.id,
+                w.page,
+                *key,
+                w.before.as_deref(),
+                w.after.as_deref(),
+            );
         }
         self.log.force()?;
         // 2. Externalise, page by page in ascending order (no P-lock
         //    deadlocks between committers), merging with concurrent
         //    changes to other records on the same page.
-        let mut by_page: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-        for (key, w) in &txn.writes {
-            by_page.entry(w.page).or_default().push(*key);
-        }
-        for (page_no, keys) in by_page {
+        let mut by_page: Vec<(u64, u64, &StagedWrite)> =
+            txn.writes.iter().map(|(key, w)| (w.page, *key, w)).collect();
+        by_page.sort_unstable_by_key(|&(page, key, _)| (page, key));
+        for writes in by_page.chunk_by(|a, b| a.0 == b.0) {
+            let page_no = writes[0].0;
             let plock = page_resource(self.store.db_id(), page_no);
             self.irlm.lock_wait(txn.id, &plock, LockMode::Exclusive, false, self.config.lock_timeout)?;
             let result = (|| -> DbResult<()> {
                 let mut page = self.buf.get_page(page_no)?;
-                for key in &keys {
-                    match &txn.writes[key].after {
-                        Some(v) => {
-                            page.set(*key, v);
-                        }
-                        None => {
-                            page.remove(*key);
-                        }
-                    }
+                for &(_, key, w) in writes {
+                    page.write(key, w.after.as_deref());
                 }
                 self.buf.put_page(page_no, &page)
             })();
@@ -361,16 +354,8 @@ impl Database {
             }
             let _ = (|| -> DbResult<()> {
                 let mut page = self.buf.get_page(w.page)?;
-                let current = page.get(*key).map(|v| v.to_vec());
-                if current.as_deref() == w.after.as_deref() {
-                    match &w.before {
-                        Some(v) => {
-                            page.set(*key, v);
-                        }
-                        None => {
-                            page.remove(*key);
-                        }
-                    }
+                if page.get(*key) == w.after.as_deref() {
+                    page.write(*key, w.before.as_deref());
                     self.buf.put_page(w.page, &page)?;
                 }
                 Ok(())

@@ -121,7 +121,7 @@ impl DataSharingGroup {
         let cache_structure =
             cf.allocate_cache_structure("DSG_GBP0", CacheParams::store_in(config.cache_entries))?;
         farm.add_volume("DSGDB01", config.pages, 4)?;
-        let store = PageStore::new(Arc::clone(&farm), "DSGDB01", 1, config.pages);
+        let store = PageStore::new(&farm, "DSGDB01", 1, config.pages)?;
         let lock_entries = config.lock_entries;
         Ok(Arc::new(DataSharingGroup {
             config,
@@ -183,7 +183,7 @@ impl DataSharingGroup {
         if self.farm.volume(&volume).is_err() {
             self.farm.add_volume(&volume, self.config.log_blocks, 2)?;
         }
-        let log = LogManager::new(system.0, Arc::clone(&self.farm), &volume);
+        let log = LogManager::new(system.0, &self.farm, &volume)?;
         let member = FailedMember { lock_conn: irlm.conn(), cache_conn: buf.conn_id(), log_volume: volume };
         let db = Arc::new(Database::new(
             system,

@@ -15,7 +15,9 @@
 //!    retained interest* (it acts on the dead member's behalf), restores
 //!    the before-image when the update had reached shared storage, and
 //!    re-externalises the page.
-//! 4. The dead connector's retained locks and records are released; the
+//! 4. The dead member's log is discarded (its epoch bumped), so what has
+//!    been backed out is never backed out again.
+//! 5. The dead connector's retained locks and records are released; the
 //!    group buffer's orphaned changed pages are cast out by the survivor.
 //!
 //! From the outside, data the failed system was *not* touching stayed
@@ -81,8 +83,10 @@ pub fn recover_peer(
     let records = LogManager::read_log(survivor.system().0, farm, &failed.log_volume)?;
     let (_committed, _aborted, inflight) = LogManager::analyze(&records);
 
-    // 3. Back out in-flight updates, newest first.
-    let rtxn = survivor.begin().id();
+    // 3. Back out in-flight updates, newest first. The lock owner is a
+    //    fresh TOD, not a `begin()`: recovery is not one of the survivor's
+    //    transactions and must not hold its checkpoint gate shut.
+    let rtxn = survivor.timer().tod().0;
     let mut undone = 0;
     let mut backed_out: std::collections::HashSet<u64> = std::collections::HashSet::new();
     for rec in records.iter().rev() {
@@ -95,20 +99,12 @@ pub fn recover_peer(
         lock_recover_wait(survivor, rtxn, &plock, failed.lock_conn, Duration::from_secs(10))?;
         let result = (|| -> DbResult<bool> {
             let mut image = survivor.buffers().get_page(*page)?;
-            let current = image.get(*key).map(|v| v.to_vec());
-            if current != *after {
+            if image.get(*key) != after.as_deref() {
                 // The update never reached shared storage (crash before
                 // externalisation): nothing to undo.
                 return Ok(false);
             }
-            match before {
-                Some(v) => {
-                    image.set(*key, v);
-                }
-                None => {
-                    image.remove(*key);
-                }
-            }
+            image.write(*key, before.as_deref());
             survivor.buffers().put_page(*page, &image)?;
             Ok(true)
         })();
@@ -119,7 +115,16 @@ pub fn recover_peer(
     }
     irlm.unlock_all(rtxn)?;
 
-    // 4. Release the retained locks and drain orphaned changed pages.
+    // 4. The log has been backed out: discard it, so that a second failure
+    //    of the same member (or of this recovery, re-run) finds nothing to
+    //    back out a second time. It must precede the release: once the
+    //    retained locks are gone a peer may commit the very values this log
+    //    calls uncommitted. Interrupted before the discard, a re-run backs
+    //    out again (idempotent: only an update still in place is undone);
+    //    interrupted after it, a re-run reads an empty log and releases.
+    LogManager::discard_log(survivor.system().0, farm, &failed.log_volume)?;
+
+    // 5. Release the retained locks and drain orphaned changed pages.
     let retained = irlm.retained_locks_of(failed.lock_conn)?.len();
     irlm.complete_peer_recovery(failed.lock_conn)?;
     let pages_cast_out = survivor.buffers().castout(usize::MAX >> 1)?;

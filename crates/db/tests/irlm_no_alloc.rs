@@ -8,60 +8,15 @@
 //! per-process seed, so the same names fill the same buckets on every run:
 //! a pass here is a pass everywhere.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod alloc_count;
+
+use alloc_count::allocations_in;
 use sysplex_core::facility::{CfConfig, CouplingFacility};
 use sysplex_core::lock::{LockMode, LockParams};
 use sysplex_core::SystemId;
 use sysplex_db::irlm::{Irlm, LockOutcome};
 use sysplex_services::timer::SysplexTimer;
 use sysplex_services::xcf::Xcf;
-
-struct CountingAllocator;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_one() {
-    // `try_with`: the allocator also runs while a thread's locals are
-    // being torn down.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, whose
-// contract is the one `GlobalAlloc` states; the counter is a plain
-// thread-local `Cell` that is const-initialised, so touching it never
-// allocates.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this allocator.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        // SAFETY: `ptr` came from `System` through this allocator and the
-        // caller upholds `GlobalAlloc::realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// Heap allocations this thread makes while running `op`.
-fn allocations_in<R>(op: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let r = op();
-    (ALLOCATIONS.with(Cell::get) - before, r)
-}
 
 fn row(key: u64) -> Vec<u8> {
     format!("ROW.{key:016x}").into_bytes()

@@ -5,7 +5,7 @@
 use parallel_sysplex::cf::SystemId;
 use parallel_sysplex::db::error::DbError;
 use parallel_sysplex::db::group::{DataSharingGroup, GroupConfig};
-use parallel_sysplex::db::log::LogRecord;
+use parallel_sysplex::db::log::{LogManager, LogRecord};
 use parallel_sysplex::services::arm::ElementSpec;
 use parallel_sysplex::services::sysplex::{Sysplex, SysplexConfig};
 use parallel_sysplex::services::system::SystemConfig;
@@ -75,6 +75,63 @@ fn mid_commit_failure_is_backed_out_by_peer() {
     assert_eq!(v, b"committed-value");
     b.run(10, |db, txn| db.write(txn, 5, Some(b"after-recovery"))).unwrap();
     plex.remove_planned(SystemId::new(1));
+}
+
+/// Recovery finishes with the log it backed out: a member that fails a
+/// second time — having re-joined and logged nothing — must not have its
+/// first life's in-flight transaction backed out again, over a value a
+/// survivor has committed since.
+#[test]
+fn a_recovered_log_is_not_replayed_by_a_second_failure() {
+    let (plex, group) = plex_and_group(2);
+    let (sys_a, sys_b) = (SystemId::new(0), SystemId::new(1));
+    let a = group.member(sys_a).unwrap();
+    let b = group.member(sys_b).unwrap();
+    a.run(10, |db, txn| db.write(txn, 5, Some(b"committed-value"))).unwrap();
+
+    // A dies with an uncommitted update logged and externalised.
+    let mut ta = a.begin();
+    a.write(&mut ta, 5, Some(b"torn-update")).unwrap();
+    let page_no = group.store.page_of(5);
+    a.log().append(LogRecord::Update {
+        lsn: group.timer.tod(),
+        txn: ta.id(),
+        page: page_no,
+        key: 5,
+        before: Some(b"committed-value".to_vec()),
+        after: Some(b"torn-update".to_vec()),
+    });
+    a.log().force().unwrap();
+    let mut page = a.buffers().get_page(page_no).unwrap();
+    page.set(5, b"torn-update");
+    a.buffers().put_page(page_no, &page).unwrap();
+    let failed = group.crash_member(sys_a).unwrap();
+    plex.xcf.fail_system(sys_a);
+
+    let report = group.recover_on(sys_b, &failed).unwrap();
+    assert_eq!((report.backed_out_txns, report.undone_updates), (1, 1));
+    assert!(
+        LogManager::read_log(1, &plex.farm, &failed.log_volume).unwrap().is_empty(),
+        "a backed-out log is discarded by the recovery that backed it out"
+    );
+    assert_eq!(b.active_transactions(), 0, "recovery is not a transaction of the survivor");
+
+    // A re-joins and logs nothing; B commits, as its own, the value A's
+    // first life logged as an uncommitted after-image; A fails again.
+    group.add_member(sys_a).unwrap();
+    b.run(10, |db, txn| db.write(txn, 5, Some(b"torn-update"))).unwrap();
+    let failed = group.crash_member(sys_a).unwrap();
+    plex.xcf.fail_system(sys_a);
+
+    let report = group.recover_on(sys_b, &failed).unwrap();
+    assert_eq!(
+        (report.backed_out_txns, report.undone_updates),
+        (0, 0),
+        "the second recovery replayed the first life's log"
+    );
+    let v = b.run(10, |db, txn| db.read(txn, 5)).unwrap().unwrap();
+    assert_eq!(v, b"torn-update", "B's committed write survives A's second failure");
+    plex.remove_planned(sys_b);
 }
 
 /// Data the failed system was NOT touching stays available the whole time
