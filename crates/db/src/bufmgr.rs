@@ -48,17 +48,19 @@ pub struct BufStats {
 struct Frame {
     name: Option<BlockName>,
     /// The current image of `name`, validated when it entered the pool;
-    /// handing it out is a reference-count bump. `None` from steal until a
-    /// fill completes (the frame is not *ready*), so the fast path can
-    /// never serve a prior tenant's bytes: the local validity bit alone
-    /// cannot distinguish "bit set for this page" from "bit left over /
-    /// re-set while the frame still holds old data".
+    /// handing it out is a reference-count bump. `None` from a steal or an
+    /// expiry until a fill completes (the frame is not *ready*), so the
+    /// fast path can never serve a prior tenant's bytes: the local validity
+    /// bit alone cannot distinguish "bit set for this page" from "bit left
+    /// over / re-set while the frame still holds old data".
     page: Option<Page>,
-    /// Bumped on every steal. A refresh that began against an earlier
-    /// tenant must not install its bytes into the new tenant's frame.
+    /// Bumped whenever the frame's bytes die: a steal, or the end of a
+    /// validity period. A refresh that began before must not install.
     generation: u64,
     /// CF directory version the current bytes correspond to (monotone
-    /// guard against an older refresh overwriting a newer fill).
+    /// guard against an older refresh overwriting a newer fill). It means
+    /// something only within one validity period: a directory entry that
+    /// is reclaimed and re-created counts from 0 again.
     version: u64,
 }
 
@@ -66,9 +68,27 @@ impl Frame {
     /// Evict the tenant but keep the generation counter moving forward.
     fn reset(&mut self) {
         self.name = None;
+        self.expire();
+    }
+
+    /// The tenant's bytes are dead; whatever fills the frame next starts a
+    /// new validity period.
+    fn expire(&mut self) {
         self.page = None;
         self.generation += 1;
         self.version = 0;
+    }
+
+    /// The page this frame, mapped to `name` as frame `idx`, may serve with
+    /// no CF access. A ready frame whose validity bit was cleared — a
+    /// peer's write, a directory reclaim — expires here, so the version it
+    /// remembers never outlives the directory entry it was measured
+    /// against.
+    fn valid_page(&mut self, cf: &CacheTarget, idx: usize, name: BlockName) -> Option<&Page> {
+        if self.page.is_some() && !cf.conn.is_valid_block(idx as u32, name) {
+            self.expire();
+        }
+        self.page.as_ref()
     }
 }
 
@@ -148,14 +168,12 @@ impl BufferManager {
             // through the steal window, so a set bit over a frame whose
             // fill has not completed serves nothing.
             {
-                let inner = self.inner.lock();
+                let mut inner = self.inner.lock();
                 if let Some(&idx) = inner.map.get(&name) {
-                    if let Some(p) = &inner.frames[idx].page {
-                        if cf.conn.is_valid_block(idx as u32, name) {
-                            self.stats.local_hits.incr();
-                            cf.conn.subchannel().emit(TraceEvent::BufRead { page, local_hit: true });
-                            return Ok(p.clone());
-                        }
+                    if let Some(p) = inner.frames[idx].valid_page(&cf, idx, name) {
+                        self.stats.local_hits.incr();
+                        cf.conn.subchannel().emit(TraceEvent::BufRead { page, local_hit: true });
+                        return Ok(p.clone());
                     }
                 }
             }
@@ -261,14 +279,14 @@ impl BufferManager {
         let cf = self.cf.read();
         let (idx, generation, registered) = {
             let mut inner = self.inner.lock();
-            let (idx, generation) = self.frame_for(&mut inner, &cf, name);
+            let (idx, _) = self.frame_for(&mut inner, &cf, name);
             // A set validity bit over a ready frame of this block means the
             // directory still tracks us as a holder (everything that drops a
             // registration clears the bit): the state the caller's own
             // `get_page` left behind, unless a peer's write or a directory
             // reclaim came in between.
-            let registered = inner.frames[idx].page.is_some() && cf.conn.is_valid_block(idx as u32, name);
-            (idx, generation, registered)
+            let registered = inner.frames[idx].valid_page(&cf, idx, name).is_some();
+            (idx, inner.frames[idx].generation, registered)
         };
         if !registered {
             // Register so the CF tracks us as a current holder.
@@ -593,6 +611,43 @@ mod tests {
         a.put_page(1, &page).unwrap();
         assert_eq!(cache_reads(&r) - before, 1);
         assert_eq!(a.get_page(1).unwrap(), page);
+    }
+
+    /// A frame's version guard is measured against one directory entry: a
+    /// reclaimed and re-created entry counts from 0 again, and neither a
+    /// refresh nor the member's own write may lose to the version the
+    /// frame remembers from the entry's previous life.
+    #[test]
+    fn a_reclaimed_directory_entry_restarts_the_version_guard() {
+        let r = rig_with_directory(4);
+        let a = bm(&r, 0);
+        let b = bm(&r, 1);
+        // Drive page 1's entry to a high version in `a`'s frame, destage
+        // it (only unchanged entries are reclaimed), then push it out of
+        // the four-entry directory; `a`'s bit is cleared.
+        let mut others = 10..;
+        let mut age_and_reclaim = |tag: &[u8]| {
+            for _ in 0..5 {
+                a.put_page(1, &one_record(1, tag)).unwrap();
+            }
+            a.castout(16).unwrap();
+            let reclaims = r.cache.stats.reclaims.get();
+            for other in others.by_ref().take(4) {
+                b.get_page(other).unwrap();
+            }
+            assert!(r.cache.stats.reclaims.get() > reclaims);
+        };
+        age_and_reclaim(b"old");
+        // A peer writes the page into a fresh entry (version 1) and it is
+        // destaged; `a` must refresh to those bytes, not keep its own.
+        b.put_page(1, &one_record(1, b"peer")).unwrap();
+        b.castout(16).unwrap();
+        assert_eq!(a.get_page(1).unwrap().get(1).unwrap(), b"peer", "refresh lost to a dead entry's version");
+        // The same for `a`'s own write into a re-created entry.
+        age_and_reclaim(b"older");
+        a.put_page(1, &one_record(1, b"mine")).unwrap();
+        assert_eq!(a.get_page(1).unwrap().get(1).unwrap(), b"mine", "put lost to a dead entry's version");
+        assert_eq!(b.get_page(1).unwrap().get(1).unwrap(), b"mine");
     }
 
     #[test]

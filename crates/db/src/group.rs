@@ -108,7 +108,9 @@ pub struct DataSharingGroup {
 
 impl DataSharingGroup {
     /// Stand the group infrastructure up on a CF and a farm (no members
-    /// yet).
+    /// yet). `timer` is the timer `xcf` was created with: IRLM lock waits
+    /// run on the XCF service's clock, everything else on `timer`, and a
+    /// virtual-timer group must break deadlocks on the same simulated time.
     pub fn new(
         config: GroupConfig,
         cf: &CouplingFacility,
@@ -116,6 +118,7 @@ impl DataSharingGroup {
         timer: Arc<SysplexTimer>,
         xcf: Arc<Xcf>,
     ) -> DbResult<Arc<Self>> {
+        debug_assert!(Arc::ptr_eq(&timer, xcf.timer()), "a group and its XCF service share one timer");
         let lock_structure =
             cf.allocate_lock_structure("DSG_LOCK1", LockParams::with_entries(config.lock_entries))?;
         let cache_structure =
@@ -169,9 +172,6 @@ impl DataSharingGroup {
         let lock_conn = LockConnection::attach(&self.lock_structure(), self.subchannel().with_system(system))
             .map_err(crate::error::DbError::Cf)?;
         let irlm = Irlm::start(system, lock_conn, &self.xcf)?;
-        // Lock-wait timeouts follow the group's timer, so a virtual-timer
-        // group breaks deadlocks on simulated time.
-        irlm.set_clock(Arc::clone(&self.timer));
         let buf = BufferManager::new(
             system,
             &self.cache_structure(),

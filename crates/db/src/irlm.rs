@@ -28,11 +28,10 @@
 //! backout completes ([`Irlm::complete_peer_recovery`]).
 
 use crate::error::{DbError, DbResult};
-use crossbeam::channel::{bounded, Sender};
 use parking_lot::{Mutex, RwLock};
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 use sysplex_core::connection::{CfSubchannel, LockConnection};
@@ -40,6 +39,7 @@ use sysplex_core::hashing::{PrehashedMap, ResourceName};
 use sysplex_core::lock::{DisconnectMode, LockMode, LockResponse, LockStructure, RetainedLock};
 use sysplex_core::stats::Counter;
 use sysplex_core::types::{conns_in_mask, ConnId};
+use sysplex_core::wire::{from_bytes, to_bytes};
 use sysplex_core::{wire_enum, SystemId};
 use sysplex_services::timer::SysplexTimer;
 use sysplex_services::xcf::{Xcf, XcfError, XcfItem, XcfMember};
@@ -155,25 +155,13 @@ struct EntryRecord {
     /// entry and no peer has negotiated since. While set, re-grants
     /// against the entry complete locally: any foreign acquisition must
     /// negotiate with us first, and the recall clears the flag before the
-    /// reply goes out.
+    /// answer goes out.
     cached: bool,
     /// `count == 0` but CF interest is retained so a re-acquire can take
-    /// the local fast path. Surrendered on recall or FIFO eviction.
+    /// the local fast path. Surrendered on recall or FIFO eviction — but
+    /// never while a request is registered on the entry
+    /// ([`LocalState::in_flight`]).
     parked: bool,
-    /// Phase-2 CF requests in flight. A recall must not surrender such an
-    /// entry: the requester may be granted on its own retained interest
-    /// and a concurrent release would wipe the grant.
-    inflight: u32,
-    /// Phase-2 requests *inside the grant window*: the CF command is
-    /// executing, or it succeeded and phase 3 has not yet recorded the
-    /// grant locally. A peer's negotiation query in this window must
-    /// report conflict — the resource scan cannot see the pending grant,
-    /// and answering "no conflict" would let the peer's negotiated write
-    /// bypass it (dual exclusive holders, lost update). Kept separate from
-    /// `inflight`: the whole negotiate loop is slow (XCF round trips,
-    /// backoff) and reporting conflict for all of it starves wide member
-    /// groups; the grant window is microseconds.
-    critical: u32,
     /// A peer recently negotiated on this hash class: inter-system
     /// interest exists there, so sole-interest caching would only bounce —
     /// every grant parks at unlock and forces the next peer through a
@@ -186,13 +174,30 @@ struct EntryRecord {
 }
 
 /// One request in phase 2 — between leaving the local table and recording
-/// its grant — and what it is asking for. Until the grant exists this is
-/// the only place a peer's negotiation query can see the claim.
+/// its grant — and what it is asking for: the request's one registration.
+/// Until the grant exists this is the only place a peer's negotiation
+/// query, a sibling's unlock or an eviction can see the claim. Phase 1
+/// pushes the row under its own latch acquisition and the winning attempt
+/// removes it under phase 3's ([`Phase2::finish_in`]), so a CF-granted
+/// request takes the latch twice; every other exit removes it on drop.
 #[derive(Debug)]
 struct Wanted {
     txn: u64,
     name: ResourceName,
+    /// The lock-table entry `name` hashes to. A registered entry is never
+    /// surrendered: the request may be granted on this member's retained
+    /// interest, and a concurrent release would wipe the grant.
+    entry: usize,
     mode: LockMode,
+    /// Inside a *grant window*: the CF command that writes interest is
+    /// executing, or it succeeded and phase 3 has not yet recorded the
+    /// grant. A peer's query on the entry must report conflict here — the
+    /// resource scan cannot see the pending grant, and "no conflict" would
+    /// let the peer's negotiated write bypass it (dual exclusive holders,
+    /// lost update). Only here: negotiating is slow, and reporting conflict
+    /// for all of it starves a wide member group; the window is
+    /// microseconds.
+    critical: bool,
     /// A peer that outranks us asked for the same resource while we were
     /// negotiating, and was told "no conflict": this request must not open
     /// another grant window (see [`LocalState::contest`]).
@@ -232,10 +237,15 @@ impl LocalState {
     /// Drop `entry`'s record once nothing is tracked in it.
     fn settle(&mut self, entry: usize) {
         if let Some(e) = self.entries.get(&entry) {
-            if e.count == 0 && !e.cached && !e.parked && e.inflight == 0 && e.critical == 0 && e.cool == 0 {
+            if e.count == 0 && !e.cached && !e.parked && e.cool == 0 {
                 self.entries.remove(&entry);
             }
         }
+    }
+
+    /// Is a phase-2 request registered on `entry`?
+    fn in_flight(&self, entry: usize) -> bool {
+        self.wanted.iter().any(|w| w.entry == entry)
     }
 
     /// Settle a peer's query for `mode` on `name` against our own requests
@@ -261,21 +271,28 @@ impl LocalState {
         contested && !outranked
     }
 
-    /// Every held resource in name order with its strongest mode and its
-    /// persistent holders in transaction order — what a structure rebuild
-    /// or a new duplex secondary must be told, in a replayable sequence.
-    fn held_interest(&self) -> Vec<(&ResourceName, LockMode, Vec<Holder>)> {
-        let mut out: Vec<_> = self
-            .resources
-            .iter()
-            .filter_map(|(name, rh)| {
-                let mut records: Vec<Holder> = rh.iter().filter(|h| h.persistent).copied().collect();
-                records.sort_by_key(|h| h.txn);
-                Some((name, rh.strongest()?, records))
-            })
-            .collect();
-        out.sort_by_key(|(name, ..)| *name);
-        out
+    /// Tell `conn` — a rebuilt structure or a new duplex secondary — what
+    /// this member holds: every held resource in name order, in its
+    /// strongest mode, with its persistent holders' records in transaction
+    /// order (the commands are traced, so the sequence must replay).
+    /// Returns the entry table describing that interest in `conn`'s
+    /// geometry.
+    fn replay_onto(&self, conn: &LockConnection) -> DbResult<PrehashedMap<usize, EntryRecord>> {
+        let mut held: Vec<(&ResourceName, &Holders)> = self.resources.iter().collect();
+        held.sort_by_key(|(name, _)| *name);
+        let mut entries: PrehashedMap<usize, EntryRecord> = PrehashedMap::default();
+        for (name, rh) in held {
+            let Some(mode) = rh.strongest() else { continue };
+            let entry = conn.entry_of(name);
+            conn.force_interest(entry, mode)?;
+            entries.entry(entry).or_default().count += 1;
+            let mut records: Vec<&Holder> = rh.iter().filter(|h| h.persistent).collect();
+            records.sort_by_key(|h| h.txn);
+            for h in records {
+                conn.write_lock_record(name.as_bytes(), h.mode, &h.txn.to_be_bytes())?;
+            }
+        }
+        Ok(entries)
     }
 
     /// Record that `txn` holds `name` in (at least) `mode`.
@@ -331,13 +348,12 @@ impl LocalState {
 const RECALL_COOLDOWN: u32 = 8;
 
 wire_enum! {
-    /// One negotiation signal between two IRLMs, carried as an XCF message.
+    /// What one IRLM asks another, carried as an XCF call. The holder's
+    /// message exit answers with one encoded `bool`: does it conflict?
     #[derive(Debug, PartialEq, Eq)]
     pub(crate) enum IrlmSignal("irlm-signal") {
         /// "Does anything you hold conflict with `mode` on `resource`?"
-        0 Query { req_id: u64, mode: LockMode, resource: Vec<u8> },
-        /// The holder's answer to query `req_id`.
-        1 Reply { req_id: u64, conflict: bool },
+        0 Query { mode: LockMode, resource: Vec<u8> },
     }
 }
 
@@ -395,80 +411,55 @@ impl CfTarget {
     }
 }
 
-/// One request's phase-2 registration: its [`Wanted`] claim and, on its
-/// entry record, `inflight` for the whole CF conversation and `critical`
-/// for each grant window (a CF interest write, and a successful one until
-/// phase 3 records it). Phase 1 sets all three under its own latch
-/// acquisition and the winning attempt clears them under phase 3's
-/// ([`Phase2::finish_in`]) — so a peer's negotiation query can never
-/// observe the granted-but-unrecorded gap, and a CF-granted request takes
-/// the latch twice. Every other exit (busy, renegotiation exhaustion, CF
-/// error) clears what is left on drop.
+/// The drop guard of one request's [`Wanted`] row: the request's grant
+/// windows are opened and closed through it, and however the request ends
+/// its registration ends with it.
 struct Phase2<'a> {
     irlm: &'a Irlm,
     txn: u64,
-    entry: usize,
-    inflight: bool,
-    critical: bool,
 }
 
 impl Phase2<'_> {
+    fn row<'l>(&self, local: &'l mut LocalState) -> &'l mut Wanted {
+        local.wanted.iter_mut().find(|w| w.txn == self.txn).expect("registered until the guard is gone")
+    }
+
     /// Open a grant window — unless the request yielded to a peer while it
     /// was outside one (`false`: the caller reports Busy and the retry
     /// negotiates afresh against the peer's by then settled state).
     #[must_use]
-    fn enter_critical(&mut self) -> bool {
-        if !self.critical {
-            let mut local = self.irlm.local.lock();
-            if local.wanted.iter().any(|w| w.txn == self.txn && w.yielded) {
-                return false;
-            }
-            local.entries.entry(self.entry).or_default().critical += 1;
-            self.critical = true;
-        }
-        true
+    fn enter_critical(&self) -> bool {
+        let mut local = self.irlm.local.lock();
+        let row = self.row(&mut local);
+        row.critical = !row.yielded;
+        row.critical
     }
 
     /// A failed attempt leaves the window at once: negotiation itself must
     /// not read as a conflict or a wide member group storms itself into
     /// timeouts.
-    fn exit_critical(&mut self) {
-        if self.critical {
-            self.critical = false;
-            let mut local = self.irlm.local.lock();
-            if let Some(e) = local.entries.get_mut(&self.entry) {
-                e.critical -= 1;
-            }
+    fn exit_critical(&self) {
+        self.row(&mut self.irlm.local.lock()).critical = false;
+    }
+
+    fn remove_row(&self, local: &mut LocalState) {
+        if let Some(at) = local.wanted.iter().position(|w| w.txn == self.txn) {
+            local.wanted.swap_remove(at);
         }
     }
 
-    /// Clear the whole registration under an already-held latch.
-    fn finish_in(&mut self, local: &mut LocalState) {
-        if self.inflight {
-            if let Some(at) = local.wanted.iter().position(|w| w.txn == self.txn) {
-                local.wanted.swap_remove(at);
-            }
-        }
-        if let Some(e) = local.entries.get_mut(&self.entry) {
-            e.inflight -= self.inflight as u32;
-            e.critical -= self.critical as u32;
-        }
-        self.inflight = false;
-        self.critical = false;
-        local.settle(self.entry);
+    /// End the registration under an already-held latch.
+    fn finish_in(self, local: &mut LocalState) {
+        self.remove_row(local);
+        std::mem::forget(self);
     }
 }
 
 impl Drop for Phase2<'_> {
     fn drop(&mut self) {
-        if self.inflight || self.critical {
-            self.finish_in(&mut self.irlm.local.lock());
-        }
+        self.remove_row(&mut self.irlm.local.lock());
     }
 }
-
-/// A waiter's clock and its reading when the wait began.
-type WaitStart = (Arc<SysplexTimer>, Duration);
 
 /// A per-system IRLM instance.
 pub struct Irlm {
@@ -483,17 +474,13 @@ pub struct Irlm {
     /// that must be ordered against them), and a request's cost is the
     /// work inside, not waiting for the latch.
     local: Mutex<LocalState>,
-    pending: Arc<Mutex<HashMap<u64, Sender<bool>>>>,
-    next_req: AtomicU64,
     /// Set by [`Irlm::shutdown`] and [`Irlm::crash`]: the message exit
     /// answers nothing from then on.
-    stop: Arc<AtomicBool>,
-    /// How long a negotiation waits for a peer's verdict.
-    negotiation_timeout: Duration,
-    /// Time reference for lock-wait timeouts. Defaults to a wall clock;
-    /// the deterministic harness swaps in the sysplex's virtual timer so
-    /// deadlock-breaker expiry is driven by simulated time.
-    clock: RwLock<Arc<SysplexTimer>>,
+    stop: AtomicBool,
+    /// Time reference for lock-wait timeouts: the XCF service's timer, so
+    /// under the deterministic harness's virtual timer deadlock-breaker
+    /// expiry is driven by simulated time.
+    timer: Arc<SysplexTimer>,
     /// Published counters.
     pub stats: Arc<IrlmStats>,
 }
@@ -520,11 +507,7 @@ impl Irlm {
         let this = Arc::new(OnceLock::<Weak<Irlm>>::new());
         let exit = {
             let this = Arc::clone(&this);
-            Arc::new(move |item| {
-                if let Some(irlm) = this.get().and_then(Weak::upgrade) {
-                    irlm.message_exit(item);
-                }
-            })
+            Arc::new(move |item| this.get().and_then(Weak::upgrade)?.message_exit(item))
         };
         let group = Self::group_name(conn.structure());
         let member = Arc::new(
@@ -536,11 +519,8 @@ impl Irlm {
             cf: RwLock::new(CfTarget { conn, secondary: None }),
             member,
             local: Mutex::new(LocalState::default()),
-            pending: Arc::new(Mutex::new(HashMap::new())),
-            next_req: AtomicU64::new(1),
-            stop: Arc::new(AtomicBool::new(false)),
-            negotiation_timeout: Duration::from_secs(2),
-            clock: RwLock::new(SysplexTimer::new()),
+            stop: AtomicBool::new(false),
+            timer: Arc::clone(xcf.timer()),
             stats: Arc::new(IrlmStats::default()),
         });
         let _ = this.set(Arc::downgrade(&irlm));
@@ -562,104 +542,81 @@ impl Irlm {
         Arc::clone(self.cf.read().conn.structure())
     }
 
-    /// Clock lock-wait timeouts from `timer` (see the field doc).
-    pub fn set_clock(&self, timer: Arc<SysplexTimer>) {
-        *self.clock.write() = timer;
-    }
-
-    /// This member's XCF message exit. It runs on the *signalling* thread
-    /// — a peer's requester in phase 2, or (for a `Reply`) nested inside
-    /// the exit of the peer this member just queried — so it keeps the XCF
-    /// exit contract: its own rebuild gate is taken with `try_read` only,
-    /// it never blocks and never negotiates, and the reply goes out after
-    /// `local` is released. Nesting is therefore bounded at query → reply,
-    /// and a requester (which holds its *own* `cf.read()` and no `local`
-    /// while it negotiates) cannot deadlock against a rebuild writer or a
+    /// This member's XCF message exit. It runs on the *signalling* thread —
+    /// a peer's requester in phase 2 — so it keeps the XCF exit contract:
+    /// its own rebuild gate is taken with `try_read` only, it never blocks,
+    /// never negotiates and never signals; the verdict is its return value,
+    /// computed under `local` and handed back once `local` is released. A
+    /// requester (which holds its *own* `cf.read()` and no `local` while it
+    /// negotiates) therefore cannot deadlock against a rebuild writer or a
     /// symmetric negotiation. A stopped member — shut down, or crashed and
     /// not yet failed out of the group — answers nothing.
-    fn message_exit(&self, item: XcfItem) {
+    fn message_exit(&self, item: XcfItem) -> Option<Vec<u8>> {
         if self.stop.load(Ordering::Acquire) {
-            return;
+            return None;
         }
         match item {
-            XcfItem::Message { from, payload } => self.handle_message(&from, &payload),
-            XcfItem::Event(_) => {} // recovery is driven at the Database layer
+            XcfItem::Message { from, payload } => self.answer_query(&from, &payload),
+            XcfItem::Event(_) => None, // recovery is driven at the Database layer
         }
     }
 
-    fn handle_message(&self, from: &str, payload: &[u8]) {
-        match IrlmSignal::decode(payload) {
-            Ok(IrlmSignal::Query { req_id, mode, resource }) => {
-                let name = ResourceName::new(&resource);
-                // A peer negotiating on this hash class is about to gain
-                // foreign interest: recall our cached fast path for the
-                // entry — and surrender parked interest — *before* the
-                // reply releases the peer, so a local re-grant can never
-                // race the peer's negotiated write. `try_read` keeps the
-                // signalling thread from blocking against a rebuild
-                // writer; a rebuild rebuilds the cache away anyway.
-                let conflict = {
-                    let cf = self.cf.try_read();
-                    let mut local = self.local.lock();
-                    let state = &mut *local;
-                    state.recall_seq += 1;
-                    // A request of our own inside the grant window — CF
-                    // interest written (or being written) but the grant
-                    // not yet in `resources` — is invisible to the
-                    // resource scan below. Answering "no conflict" there
-                    // would let the peer's negotiated write bypass our
-                    // granted lock — both sides exclusive, lost update.
-                    // `critical` covers exactly that window (and only it;
-                    // a member merely negotiating must not read as a
-                    // conflict), so report conflict and make the peer
-                    // retry against our settled state instead.
-                    let critical_here = match &cf {
-                        Some(cf) => {
-                            let entry = cf.conn.entry_of(&name);
-                            let e = state.entries.entry(entry).or_default();
-                            if e.cached || e.parked {
-                                self.stats.recalls.incr();
-                            }
-                            e.cached = false;
-                            e.cool = RECALL_COOLDOWN;
-                            if e.parked && e.count == 0 && e.inflight == 0 {
-                                // Release under the local latch: a racing
-                                // requester must observe either the parked
-                                // entry or the released one, never both.
-                                e.parked = false;
-                                state.parked_live -= 1;
-                                let _ = cf.release_entry(entry);
-                            }
-                            e.critical > 0
-                        }
-                        None => {
-                            // Rebuild in progress: geometry unknown, so
-                            // conservatively drop every cached flag and
-                            // treat any grant-window request as a conflict.
-                            let mut any_critical = false;
-                            for e in state.entries.values_mut() {
-                                e.cached = false;
-                                any_critical |= e.critical > 0;
-                            }
-                            any_critical
-                        }
-                    };
-                    critical_here
-                        || state.resources.get(&name).is_some_and(|r| r.conflicts_with_peer(mode))
-                        || state.contest(&name, mode, from < self.member.name())
-                };
-                self.stats.queries_served.incr();
-                let _ = self.member.send_to(from, &IrlmSignal::Reply { req_id, conflict }.encode());
-            }
-            Ok(IrlmSignal::Reply { req_id, conflict }) => {
-                if let Some(tx) = self.pending.lock().remove(&req_id) {
-                    let _ = tx.send(conflict);
+    /// Answer a peer's negotiation query: `Some` encoded "does anything
+    /// here conflict?", or `None` to bytes that are not a query any IRLM
+    /// sends (truncated, unknown tag or mode) — which the asker reads as a
+    /// conflict.
+    fn answer_query(&self, from: &str, payload: &[u8]) -> Option<Vec<u8>> {
+        let IrlmSignal::Query { mode, resource } = IrlmSignal::decode(payload).ok()?;
+        let name = ResourceName::new(&resource);
+        // A peer negotiating on this hash class is about to gain foreign
+        // interest: recall our cached fast path for the entry — and
+        // surrender parked interest — *before* the answer releases the
+        // peer, so a local re-grant can never race the peer's negotiated
+        // write. `try_read` keeps the signalling thread from blocking
+        // against a rebuild writer; a rebuild rebuilds the cache away
+        // anyway.
+        let cf = self.cf.try_read();
+        let mut local = self.local.lock();
+        let state = &mut *local;
+        state.recall_seq += 1;
+        // A request of our own inside a grant window is invisible to the
+        // resource scan below, so it is reported as a conflict and the peer
+        // retries against our settled state (see [`Wanted::critical`]).
+        let in_window = match &cf {
+            Some(cf) => {
+                let entry = cf.conn.entry_of(&name);
+                let registered = state.in_flight(entry);
+                let e = state.entries.entry(entry).or_default();
+                if e.cached || e.parked {
+                    self.stats.recalls.incr();
                 }
+                e.cached = false;
+                e.cool = RECALL_COOLDOWN;
+                if e.parked && e.count == 0 && !registered {
+                    // Release under the local latch: a racing requester
+                    // must observe either the parked entry or the released
+                    // one, never both.
+                    e.parked = false;
+                    state.parked_live -= 1;
+                    let _ = cf.release_entry(entry);
+                }
+                state.wanted.iter().any(|w| w.entry == entry && w.critical)
             }
-            // Not a signal any IRLM sends (truncated, unknown tag or mode):
-            // dropped, and the asker's negotiation times out as a conflict.
-            Err(_) => {}
-        }
+            None => {
+                // Rebuild in progress: geometry unknown, so conservatively
+                // drop every cached flag and treat any grant-window request
+                // as a conflict.
+                for e in state.entries.values_mut() {
+                    e.cached = false;
+                }
+                state.wanted.iter().any(|w| w.critical)
+            }
+        };
+        let conflict = in_window
+            || state.resources.get(&name).is_some_and(|r| r.conflicts_with_peer(mode))
+            || state.contest(&name, mode, from < self.member.name());
+        self.stats.queries_served.incr();
+        Some(to_bytes(&conflict))
     }
 
     /// Ask each holder whether it really conflicts on `resource`. Returns
@@ -676,6 +633,7 @@ impl Irlm {
         mode: LockMode,
         ignore: Option<ConnId>,
     ) -> DbResult<bool> {
+        let query = IrlmSignal::Query { mode, resource: resource.to_vec() }.encode();
         for holder in conns_in_mask(holders & !cf.conn.conn_id().mask()) {
             if Some(holder) == ignore {
                 continue;
@@ -685,31 +643,15 @@ impl Irlm {
                 // recovery completes.
                 return Ok(false);
             }
-            let req_id = self.next_req.fetch_add(1, Ordering::Relaxed);
-            let (tx, rx) = bounded(1);
-            self.pending.lock().insert(req_id, tx);
-            let query = IrlmSignal::Query { req_id, mode, resource: resource.to_vec() };
-            match self.member.send_to(&Self::member_name(holder), &query.encode()) {
-                Ok(()) => {}
-                Err(XcfError::NoSuchMember(_)) => {
-                    // Holder vanished between CF response and query: its
-                    // interest is going away; treat as conflicting for now
-                    // (the caller retries, by which time cleanup is done).
-                    self.pending.lock().remove(&req_id);
-                    return Ok(false);
-                }
-                Err(_) => {
-                    self.pending.lock().remove(&req_id);
-                    return Err(DbError::NegotiationFailed);
-                }
-            }
-            match rx.recv_timeout(self.negotiation_timeout) {
-                Ok(true) => return Ok(false),
-                Ok(false) => {}
-                Err(_) => {
-                    self.pending.lock().remove(&req_id);
-                    return Ok(false); // unresponsive peer: assume conflict, retry later
-                }
+            match self.member.call(&Self::member_name(holder), &query) {
+                Ok(Some(answer)) if matches!(from_bytes(&answer), Ok(false)) => {}
+                // It conflicts — or it said nothing (stopped, not yet failed
+                // out of the group), said something that is not a verdict,
+                // or vanished between the CF response and the query (its
+                // interest is going away). None of these is "no conflict":
+                // the caller retries, by which time cleanup is done.
+                Ok(_) | Err(XcfError::NoSuchMember(_)) => return Ok(false),
+                Err(_) => return Err(DbError::NegotiationFailed),
             }
         }
         Ok(true)
@@ -740,16 +682,12 @@ impl Irlm {
     /// request first leaves the fast path — CF contention (before the
     /// negotiation, the one slow step of an attempt) or a Busy verdict — so
     /// a granted request, nearly every one, never touches the clock.
-    fn wait_start<'a>(&self, waiting: &'a mut Option<WaitStart>) -> &'a WaitStart {
-        waiting.get_or_insert_with(|| {
-            let clock = Arc::clone(&self.clock.read());
-            // Measured with `elapsed()` (the raw time source), not `tod()`:
-            // the TOD uniqueness bump inflates under concurrent readers,
-            // which would shrink every waiter's timeout exactly when
-            // contention is worst.
-            let start = clock.elapsed();
-            (clock, start)
-        })
+    fn wait_start(&self, waiting: &mut Option<Duration>) -> Duration {
+        // Measured with `elapsed()` (the raw time source), not `tod()`: the
+        // TOD uniqueness bump inflates under concurrent readers, which
+        // would shrink every waiter's timeout exactly when contention is
+        // worst.
+        *waiting.get_or_insert_with(|| self.timer.elapsed())
     }
 
     fn lock_inner(
@@ -759,7 +697,7 @@ impl Irlm {
         mode: LockMode,
         persistent: bool,
         ignore: Option<ConnId>,
-        waiting: &mut Option<WaitStart>,
+        waiting: &mut Option<Duration>,
     ) -> DbResult<LockOutcome> {
         self.stats.requests.incr();
         // The request's one hash pass: entry index and every table key
@@ -816,18 +754,22 @@ impl Irlm {
                 }
                 return Ok(LockOutcome::Granted);
             }
-            // Going to the CF: register the entry as in-flight so a
-            // concurrent recall cannot surrender retained interest our
-            // request may be granted on, open the first grant window, and
-            // snapshot the recall sequence so a grant only caches when no
-            // recall raced it.
-            let e = state.entries.entry(entry).or_default();
-            e.inflight += 1;
-            e.critical += 1;
-            state.wanted.push(Wanted { txn, name: name.clone(), mode, yielded: false });
+            // Going to the CF: register the request, so a concurrent
+            // recall cannot surrender retained interest it may be granted
+            // on, with its first grant window already open, and snapshot
+            // the recall sequence so a grant only caches when no recall
+            // raced it.
+            state.wanted.push(Wanted {
+                txn,
+                name: name.clone(),
+                entry,
+                mode,
+                critical: true,
+                yielded: false,
+            });
             recall_snapshot = state.recall_seq;
         }
-        let mut phase2 = Phase2 { irlm: self, txn, entry, inflight: true, critical: true };
+        let phase2 = Phase2 { irlm: self, txn };
 
         // Phase 2: CF command (local latch released — our message exit
         // must be able to answer our peers' queries while we negotiate).
@@ -842,9 +784,8 @@ impl Irlm {
         let mut renegotiations = 4u32;
         let mut cacheable = false;
         loop {
-            if !phase2.enter_critical() {
-                return Ok(LockOutcome::Busy);
-            }
+            // Inside a grant window here: phase 1 opened the first, a
+            // renegotiation re-enters at the bottom.
             match cf.conn.request_lock(entry, mode)? {
                 LockResponse::Granted => {
                     self.stats.grants_cf_sync.incr();
@@ -879,7 +820,7 @@ impl Irlm {
                         break;
                     }
                     phase2.exit_critical();
-                    if renegotiations == 0 {
+                    if renegotiations == 0 || !phase2.enter_critical() {
                         return Ok(LockOutcome::Busy);
                     }
                     renegotiations -= 1;
@@ -888,9 +829,9 @@ impl Irlm {
         }
 
         // Phase 3: re-validate locally and record the grant. The phase-2
-        // registration clears under the same latch acquisition that
-        // records the grant: from a peer's perspective the entry goes
-        // conflict-by-critical to conflict-by-resource with no observable
+        // registration ends under the same latch acquisition that records
+        // the grant: from a peer's perspective the entry goes
+        // conflict-by-window to conflict-by-resource with no observable
         // gap.
         {
             let mut local = self.local.lock();
@@ -938,8 +879,8 @@ impl Irlm {
             match self.lock_inner(txn, resource, mode, persistent, None, &mut waiting)? {
                 LockOutcome::Granted => return Ok(()),
                 LockOutcome::Busy => {
-                    let (clock, start) = self.wait_start(&mut waiting);
-                    let waited = clock.elapsed().saturating_sub(*start);
+                    let clock = &self.timer;
+                    let waited = clock.elapsed().saturating_sub(self.wait_start(&mut waiting));
                     if waited >= timeout {
                         return Err(DbError::LockTimeout { resource: resource.to_vec(), waited });
                     }
@@ -1036,6 +977,7 @@ impl Irlm {
     /// release the entry's CF interest when it was the last resource —
     /// or park it.
     fn release_entry_use(&self, state: &mut LocalState, cf: &CfTarget, entry: usize) -> DbResult<()> {
+        let registered = state.in_flight(entry);
         let e = state.entries.get_mut(&entry).expect("a held resource counts in its entry");
         e.count -= 1;
         if e.count > 0 {
@@ -1047,7 +989,7 @@ impl Irlm {
         // the grant and let a peer acquire a conflicting lock. Park instead
         // — the recall/eviction machinery surrenders the interest once
         // nothing is in flight.
-        if e.cached || e.inflight > 0 {
+        if e.cached || registered {
             e.parked = true;
             state.parked_live += 1;
             state.parked.push_back(entry);
@@ -1071,10 +1013,11 @@ impl Irlm {
         while state.parked_live > PARK_CAP && budget > 0 {
             budget -= 1;
             let Some(victim) = state.parked.pop_front() else { break };
+            let registered = state.in_flight(victim);
             let Some(v) = state.entries.get_mut(&victim).filter(|v| v.parked && v.count == 0) else {
                 continue;
             };
-            if v.inflight > 0 {
+            if registered {
                 state.parked.push_back(victim);
                 continue;
             }
@@ -1165,17 +1108,8 @@ impl Irlm {
                 sub.sibling().with_system(member.system),
                 guard.conn.conn_id(),
             )?;
-            let local = member.local.lock();
-            // Copy interest in sorted resource order: the mirror writes go
-            // through the traced command layer, so replayed runs must issue
-            // them in the same sequence.
-            for (name, mode, records) in local.held_interest() {
-                sec.force_interest(sec.entry_of(name), mode)?;
-                for h in records {
-                    sec.write_lock_record(name.as_bytes(), h.mode, &h.txn.to_be_bytes())?;
-                }
-            }
-            drop(local);
+            // Same geometry: the secondary's entry table is the member's own.
+            member.local.lock().replay_onto(&sec)?;
             guard.secondary = Some(sec);
         }
         Ok(())
@@ -1216,25 +1150,14 @@ impl Irlm {
                 guard.conn.conn_id(),
             )?;
             let mut local = member.local.lock();
-            let mut new_entries: PrehashedMap<usize, EntryRecord> = PrehashedMap::default();
-            // Repopulate in sorted order so the new structure's command
-            // stream (and record layout) is identical on every replay.
-            for (name, mode, records) in local.held_interest() {
-                let entry = new_conn.entry_of(name);
-                new_conn.force_interest(entry, mode)?;
-                new_entries.entry(entry).or_default().count += 1;
-                for h in records {
-                    new_conn.write_lock_record(name.as_bytes(), h.mode, &h.txn.to_be_bytes())?;
-                }
-            }
             // Fresh entries carry no cached flags (foreign interest is
             // re-imported unconditionally, so no sole-interest proof
-            // exists), no cooldown (its indexes are against the old
-            // geometry) and no phase-2 registration (the rebuild gate
-            // admits no request in flight); parked interest is simply not
-            // re-created — the old structure's Normal detach below
-            // surrenders it.
-            local.entries = new_entries;
+            // exists) and no cooldown (its indexes are against the old
+            // geometry), and no request is registered on the old ones (the
+            // rebuild gate admits none in flight); parked interest is
+            // simply not re-created — the old structure's Normal detach
+            // below surrenders it.
+            local.entries = local.replay_onto(&new_conn)?;
             local.parked.clear();
             local.parked_live = 0;
             drop(local);
@@ -1346,15 +1269,13 @@ impl std::fmt::Debug for Irlm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
     use sysplex_core::facility::{CfConfig, CouplingFacility};
     use sysplex_core::lock::LockParams;
-    use sysplex_services::timer::SysplexTimer;
 
     struct Rig {
         irlms: Vec<Arc<Irlm>>,
-        #[allow(dead_code)]
         cf: Arc<CouplingFacility>,
-        #[allow(dead_code)]
         xcf: Arc<Xcf>,
     }
 
@@ -1381,33 +1302,61 @@ mod tests {
 
     #[test]
     fn malformed_signals_are_dropped_not_guessed_at() {
-        let query = IrlmSignal::Query { req_id: 7, mode: LockMode::Exclusive, resource: b"ROW.1".to_vec() };
-        let reply = IrlmSignal::Reply { req_id: 7, conflict: true };
-        // Tag, request id, mode byte, then the resource's length word.
-        const MODE_AT: usize = 9;
-        let mut malformed: Vec<Vec<u8>> = Vec::new();
-        for signal in [&query, &reply] {
-            let full = signal.encode();
-            assert_eq!(&IrlmSignal::decode(&full).unwrap(), signal);
-            malformed.extend((0..full.len()).map(|cut| full[..cut].to_vec()));
-        }
-        let mut lying = query.encode();
+        let query = IrlmSignal::Query { mode: LockMode::Exclusive, resource: b"ROW.1".to_vec() };
+        // Tag, mode byte, then the resource's length word.
+        const MODE_AT: usize = 1;
+        let full = query.encode();
+        assert_eq!(IrlmSignal::decode(&full).unwrap(), query);
+        let mut malformed: Vec<Vec<u8>> = (0..full.len()).map(|cut| full[..cut].to_vec()).collect();
+        let mut lying = full.clone();
         lying[MODE_AT + 1..MODE_AT + 5].copy_from_slice(&u32::MAX.to_le_bytes());
         malformed.push(lying);
         // Neither Shared nor Exclusive: must not be served as a Shared query.
-        let mut bad_mode = query.encode();
+        let mut bad_mode = full.clone();
         bad_mode[MODE_AT] = 2;
         malformed.push(bad_mode);
+        // A tag no signal has.
+        malformed.push(vec![1, 0]);
 
         let r = rig(2, 1024);
         let peer = Irlm::member_name(r.irlms[1].conn());
         for bytes in &malformed {
             assert!(IrlmSignal::decode(bytes).is_err(), "{bytes:02x?} decoded");
-            r.irlms[0].handle_message(&peer, bytes);
+            assert_eq!(r.irlms[0].answer_query(&peer, bytes), None);
         }
         assert_eq!(r.irlms[0].stats.queries_served.get(), 0);
-        r.irlms[0].handle_message(&peer, &query.encode());
+        assert_eq!(r.irlms[0].answer_query(&peer, &full), Some(to_bytes(&false)));
         assert_eq!(r.irlms[0].stats.queries_served.get(), 1);
+    }
+
+    #[test]
+    fn only_a_well_formed_no_conflict_answer_is_no_conflict() {
+        // One entry, held at the CF by a connector whose XCF member is not
+        // an IRLM: its exit answers every query with the bytes under test.
+        let r = rig(1, 1);
+        let a = &r.irlms[0];
+        let holder = r.cf.connect_lock("IRLMLOCK1").unwrap();
+        assert_eq!(holder.request_lock(0, LockMode::Exclusive).unwrap(), LockResponse::Granted);
+        let answer = Arc::new(Mutex::new(None));
+        let exit = {
+            let answer = Arc::clone(&answer);
+            Arc::new(move |_| answer.lock().clone())
+        };
+        let group = Irlm::group_name(holder.structure());
+        let _member = r
+            .xcf
+            .join_with_exit(&group, &Irlm::member_name(holder.conn_id()), SystemId::new(9), exit)
+            .unwrap();
+        let garbled = [None, Some(vec![]), Some(vec![2]), Some(vec![0, 0]), Some(vec![1, 0]), Some(vec![1])];
+        for (txn, bytes) in garbled.into_iter().enumerate() {
+            *answer.lock() = bytes.clone();
+            let outcome = a.lock(txn as u64, b"ROW.1", LockMode::Exclusive, false).unwrap();
+            assert_eq!(outcome, LockOutcome::Busy, "answer {bytes:02x?} read as no conflict");
+        }
+        assert_eq!(a.stats.real_conflicts.get(), 6);
+        *answer.lock() = Some(to_bytes(&false));
+        assert_eq!(a.lock(9, b"ROW.1", LockMode::Exclusive, false).unwrap(), LockOutcome::Granted);
+        assert_eq!(a.stats.false_contentions.get(), 1);
     }
 
     #[test]
@@ -1673,12 +1622,60 @@ mod tests {
         let (a, b) = (&r.irlms[0], &r.irlms[1]);
         a.lock(1, b"ROW.1", LockMode::Exclusive, false).unwrap();
         a.crash();
-        // Still a group member, so the query is delivered — and dropped.
+        // Still a group member, so the query is delivered — and answered
+        // with nothing, at once: silence is a conflict, not a wait.
         let asked = std::time::Instant::now();
         assert_eq!(b.lock(2, b"ROW.1", LockMode::Exclusive, false).unwrap(), LockOutcome::Busy);
-        assert!(asked.elapsed() >= b.negotiation_timeout, "the requester waited out the negotiation");
+        assert!(
+            asked.elapsed() < Duration::from_millis(100),
+            "waited {:?} on a silent holder",
+            asked.elapsed()
+        );
         assert_eq!(a.stats.queries_served.get(), 0);
         assert_eq!(b.stats.real_conflicts.get(), 1);
+        // Failed out of the group, the holder is undeliverable: the same.
+        r.xcf.fail_system(a.system());
+        assert_eq!(b.lock(2, b"ROW.1", LockMode::Exclusive, false).unwrap(), LockOutcome::Busy);
+        assert_eq!(b.stats.real_conflicts.get(), 2);
+    }
+
+    #[test]
+    fn a_registered_entry_is_parked_not_released_and_never_surrendered() {
+        // One entry, two members. A sibling of txn 1 on `a` sits between
+        // phase 1 and phase 3 — registered, outside a grant window — for
+        // as long as the test leaves its row in `wanted`.
+        let r = rig(2, 1);
+        let (a, b) = (&r.irlms[0], &r.irlms[1]);
+        let interest = |i: &Irlm| i.structure().interest_count(i.conn());
+        let sibling = |critical| Wanted {
+            txn: 2,
+            name: ResourceName::new(b"ROW.S"),
+            entry: 0,
+            mode: LockMode::Shared,
+            critical,
+            yielded: false,
+        };
+        // Shared grants are never cached: without the sibling this unlock
+        // would release the entry.
+        a.lock(1, b"ROW.A", LockMode::Shared, false).unwrap();
+        a.local.lock().wanted.push(sibling(false));
+        a.unlock(1, b"ROW.A").unwrap();
+        assert_eq!(a.stats.lazy_releases.get(), 1, "the last local unlock parked the entry");
+        assert_eq!(interest(a), 1, "the sibling may be granted on this interest");
+        // A peer's query recalls the entry but must not surrender it.
+        assert_eq!(b.lock(3, b"ROW.B", LockMode::Shared, false).unwrap(), LockOutcome::Granted);
+        assert_eq!(a.stats.queries_served.get(), 0, "Shared on Shared is no contention");
+        assert_eq!(b.lock(3, b"ROW.B", LockMode::Exclusive, false).unwrap(), LockOutcome::Granted);
+        assert_eq!((a.stats.queries_served.get(), a.stats.recalls.get()), (1, 1));
+        assert_eq!(interest(a), 1, "recalled, not surrendered: a request is registered on it");
+        // Merely negotiating does not read as a conflict (the grant above);
+        // inside a grant window it does, whatever the resource.
+        a.local.lock().wanted[0].critical = true;
+        assert_eq!(b.lock(4, b"ROW.C", LockMode::Exclusive, false).unwrap(), LockOutcome::Busy);
+        // With the registration gone the next recall surrenders.
+        a.local.lock().wanted.clear();
+        assert_eq!(b.lock(4, b"ROW.C", LockMode::Exclusive, false).unwrap(), LockOutcome::Granted);
+        assert_eq!(interest(a), 0);
     }
 
     #[test]
@@ -1749,13 +1746,29 @@ mod tests {
 
     #[test]
     fn park_cap_evicts_fifo_and_bounds_retained_interest() {
-        let r = rig(1, 4096);
+        // A table wide enough that the resources below park more than
+        // `PARK_CAP` distinct entries.
+        let r = rig(1, 1 << 16);
         let a = &r.irlms[0];
         let n = PARK_CAP + 100;
+        let resource = |k: usize| format!("ROW.{k:05}").into_bytes();
+        let entries: Vec<usize> = (0..n).map(|k| a.structure().hash_resource(&resource(k))).collect();
+        // The two oldest entries no later resource shares (and re-parks):
+        // the FIFO's first victims. A sibling request is registered on the
+        // first, which eviction must pass over.
+        let mut alone = entries.iter().filter(|e| entries.iter().filter(|other| other == e).count() == 1);
+        let (registered, oldest) = (*alone.next().unwrap(), *alone.next().unwrap());
+        a.local.lock().wanted.push(Wanted {
+            txn: u64::MAX,
+            name: ResourceName::new(b"ROW.S"),
+            entry: registered,
+            mode: LockMode::Shared,
+            critical: false,
+            yielded: false,
+        });
         for k in 0..n {
-            let resource = format!("ROW.{k:05}").into_bytes();
-            a.lock(k as u64, &resource, LockMode::Exclusive, false).unwrap();
-            a.unlock(k as u64, &resource).unwrap();
+            a.lock(k as u64, &resource(k), LockMode::Exclusive, false).unwrap();
+            a.unlock(k as u64, &resource(k)).unwrap();
         }
         assert_eq!(a.stats.lazy_releases.get(), n as u64);
         assert!(
@@ -1763,6 +1776,10 @@ mod tests {
             "eviction keeps parked interest under the cap, got {}",
             a.structure().interest_count(a.conn())
         );
+        let retained = a.structure().interest_entries(a.conn());
+        assert!(!retained.contains(&oldest), "the oldest unregistered entry was evicted");
+        assert!(retained.contains(&registered), "an entry with a request registered on it was not");
+        a.local.lock().wanted.clear();
     }
 
     #[test]

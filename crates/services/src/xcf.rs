@@ -17,13 +17,12 @@
 //! mailbox, drained with [`XcfMember::try_recv`] / [`XcfMember::recv_timeout`];
 //! one that joins with [`Xcf::join_with_exit`] is called in place.
 //!
-//! **Exit contract.** An exit runs on a thread it does not own, possibly
-//! nested inside another member's exit, so it must (1) take any lock a
-//! signaller may hold only with a `try_` acquisition, (2) never block,
-//! (3) never start an exchange that waits for an answer, and (4) send its
-//! own signals only after releasing its locks. Under these rules nesting
-//! is bounded at signal → reply and no exit can deadlock against its
-//! signaller.
+//! **Exit contract.** An exit runs on a thread it does not own, so it must
+//! take any lock its signaller may hold only with a `try_` acquisition,
+//! never block and never signal: it answers by returning, and
+//! [`XcfMember::call`] hands that value to the caller (every other path
+//! drops it; the mailbox exit returns `None`). No exit then runs inside
+//! another, and none can deadlock against its signaller.
 
 use crate::timer::SysplexTimer;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
@@ -33,7 +32,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-use sysplex_core::trace::{TraceEvent, Tracer, TRACE_SYSTEM_CF};
+use sysplex_core::trace::{TraceEvent, Tracer};
 use sysplex_core::SystemId;
 
 /// Errors from XCF services.
@@ -98,9 +97,10 @@ pub enum XcfItem {
 }
 
 /// A member's message exit: called with every signal and membership event
-/// addressed to the member, on the signalling thread. See the module docs
-/// for the contract it must keep.
-pub type MessageExit = Arc<dyn Fn(XcfItem) + Send + Sync>;
+/// addressed to the member, on the signalling thread; what it returns is
+/// the member's answer to an [`XcfMember::call`]. See the module docs for
+/// the contract it must keep.
+pub type MessageExit = Arc<dyn Fn(XcfItem) -> Option<Vec<u8>> + Send + Sync>;
 
 struct MemberSlot {
     token: u64,
@@ -142,7 +142,6 @@ pub struct MemberInfo {
 pub struct Xcf {
     groups: Mutex<HashMap<String, Group>>,
     next_token: AtomicU64,
-    #[allow(dead_code)]
     timer: Arc<SysplexTimer>,
     /// Component tracer signal send/deliver events land in; unset (no
     /// tracing) until the sysplex wires its shared tracer.
@@ -170,16 +169,21 @@ impl Xcf {
         let _ = self.tracer.set(tracer);
     }
 
-    fn trace_signal(&self, g: &Group, from: &str, to_system: SystemId, bytes: usize) {
+    /// The sysplex timer: the one clock of every member that joins here.
+    pub fn timer(&self) -> &Arc<SysplexTimer> {
+        &self.timer
+    }
+
+    /// One signal's `XcfSend`/`XcfDeliver` trace pair.
+    fn trace_signal(&self, from_system: u8, to_system: u8, bytes: usize) {
         // Per-signal path: one atomic load for the attachment, one relaxed
         // load for the enabled check — no RwLock on the message path.
         let Some(tracer) = self.tracer.get() else { return };
         if !tracer.is_enabled() {
             return;
         }
-        let from_system = g.members.get(from).map_or(TRACE_SYSTEM_CF, |s| s.system.0);
         tracer.emit(from_system, 0, TraceEvent::XcfSend { bytes: bytes as u64 });
-        tracer.emit(to_system.0, 0, TraceEvent::XcfDeliver { bytes: bytes as u64 });
+        tracer.emit(to_system, 0, TraceEvent::XcfDeliver { bytes: bytes as u64 });
     }
 
     /// Join `group` as `member` running on `system`, receiving through a
@@ -193,6 +197,7 @@ impl Xcf {
         let (tx, rx) = unbounded();
         let exit: MessageExit = Arc::new(move |item| {
             let _ = tx.send(item);
+            None
         });
         self.join_member(group, member, system, exit, rx)
     }
@@ -247,32 +252,41 @@ impl Xcf {
         v
     }
 
-    fn signal(&self, group: &str, from: &str, to: &str, payload: &[u8]) -> Result<(), XcfError> {
-        let exit = {
+    /// Deliver one signal and hand back the target exit's answer — itself
+    /// counted and traced as a signal, after whatever the exit traced. A
+    /// sender no longer in the group signals nobody: it could not be answered.
+    fn signal(&self, group: &str, from: &str, to: &str, payload: &[u8]) -> Result<Option<Vec<u8>>, XcfError> {
+        let (exit, from_system, to_system) = {
             let groups = self.groups.lock();
             let g = groups.get(group).ok_or_else(|| XcfError::NoSuchMember(to.to_string()))?;
             let slot = g.members.get(to).ok_or_else(|| XcfError::NoSuchMember(to.to_string()))?;
+            let from_system = g.members.get(from).ok_or(XcfError::StaleHandle)?.system.0;
             // Trace before delivery: once the signal is delivered the
             // receiver (and anything it unblocks) may emit trace records,
             // and those must sequence *after* the send/deliver pair or
             // replayed traces interleave differently run to run.
-            self.trace_signal(g, from, slot.system, payload.len());
-            Arc::clone(&slot.exit)
+            self.trace_signal(from_system, slot.system.0, payload.len());
+            (Arc::clone(&slot.exit), from_system, slot.system.0)
         };
         self.signals_sent.fetch_add(1, Ordering::Relaxed);
-        exit(XcfItem::Message { from: from.to_string(), payload: payload.to_vec() });
-        Ok(())
+        let answer = exit(XcfItem::Message { from: from.to_string(), payload: payload.to_vec() });
+        if let Some(answer) = &answer {
+            self.trace_signal(to_system, from_system, answer.len());
+            self.signals_sent.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(answer)
     }
 
     fn broadcast(&self, group: &str, from: &str, payload: &[u8]) -> usize {
         let signals: Vec<(MessageExit, XcfItem)> = {
             let groups = self.groups.lock();
             let Some(g) = groups.get(group) else { return 0 };
+            let Some(from_system) = g.members.get(from).map(|s| s.system.0) else { return 0 };
             let others = g.members.iter().filter(|(name, _)| *name != from);
             others
                 .map(|(_, slot)| {
                     // Same ordering rule as `signal`: trace, then deliver.
-                    self.trace_signal(g, from, slot.system, payload.len());
+                    self.trace_signal(from_system, slot.system.0, payload.len());
                     let item = XcfItem::Message { from: from.to_string(), payload: payload.to_vec() };
                     (Arc::clone(&slot.exit), item)
                 })
@@ -351,8 +365,14 @@ impl XcfMember {
         &self.group
     }
 
-    /// Signal one peer.
+    /// Signal one peer; whatever its exit answers is dropped.
     pub fn send_to(&self, member: &str, payload: &[u8]) -> Result<(), XcfError> {
+        self.call(member, payload).map(drop)
+    }
+
+    /// Signal one peer and return its exit's answer: `None` from a member
+    /// that has nothing to say (a mailbox member never has).
+    pub fn call(&self, member: &str, payload: &[u8]) -> Result<Option<Vec<u8>>, XcfError> {
         self.xcf.signal(&self.group, &self.name, member, payload)
     }
 
@@ -371,8 +391,8 @@ impl XcfMember {
         self.rx.recv_timeout(timeout)
     }
 
-    /// Orderly departure. The handle becomes stale afterwards (signals
-    /// error with [`XcfError::NoSuchMember`]).
+    /// Orderly departure: from then on signals to the member error with
+    /// [`XcfError::NoSuchMember`], the handle's own with [`XcfError::StaleHandle`].
     pub fn leave(&self) -> Result<(), XcfError> {
         self.xcf.leave(&self.group, &self.name, self.token)
     }
@@ -504,7 +524,10 @@ mod tests {
         let seen = Seen::default();
         let exit: MessageExit = {
             let seen = Arc::clone(&seen);
-            Arc::new(move |item| seen.lock().push((std::thread::current().id(), item)))
+            Arc::new(move |item| {
+                seen.lock().push((std::thread::current().id(), item));
+                None
+            })
         };
         (x.join_with_exit("G", name, SystemId::new(system), exit).unwrap(), seen)
     }
@@ -529,35 +552,77 @@ mod tests {
         assert_eq!(seen.lock().last(), Some(&(sender, expected)));
     }
 
-    #[test]
-    fn exit_may_signal_back_to_its_sender() {
-        // The query → reply shape: B's exit answers A from inside A's
-        // `send_to`, and A's exit runs nested inside B's. Hangs if any
-        // exit is invoked with the directory mutex held.
-        let x = xcf();
-        let replies = Arc::new(Mutex::new(Vec::new()));
-        let a_exit: MessageExit = {
-            let replies = Arc::clone(&replies);
-            Arc::new(move |item| replies.lock().push(item))
-        };
-        let a = x.join_with_exit("G", "A", SystemId::new(0), a_exit).unwrap();
-        let b_handle: Arc<OnceLock<XcfMember>> = Arc::new(OnceLock::new());
-        let b_exit: MessageExit = {
-            let b_handle = Arc::clone(&b_handle);
-            Arc::new(move |item| {
-                if let XcfItem::Message { from, payload } = item {
-                    let mut reply = payload;
-                    reply.reverse();
-                    b_handle.get().expect("joined").send_to(&from, &reply).unwrap();
+    /// Join "G" as `name` with an exit that answers a message with its
+    /// payload reversed — but answers nothing to an empty one. The answer
+    /// is computed through the group directory, so the test hangs if an
+    /// exit is ever invoked with the directory mutex held.
+    fn answering_member(x: &Arc<Xcf>, name: &str, system: u8) -> XcfMember {
+        let exit: MessageExit = {
+            let x = Arc::downgrade(x);
+            Arc::new(move |item| match item {
+                XcfItem::Message { payload, .. } if !payload.is_empty() => {
+                    assert!(!x.upgrade().expect("service alive").members("G").is_empty());
+                    Some(payload.into_iter().rev().collect())
                 }
+                _ => None,
             })
         };
-        let b = x.join_with_exit("G", "B", SystemId::new(1), b_exit).unwrap();
-        assert!(b_handle.set(b).is_ok());
-        replies.lock().clear(); // B's join event
+        x.join_with_exit("G", name, SystemId::new(system), exit).unwrap()
+    }
+
+    #[test]
+    fn call_returns_what_the_targets_exit_returned() {
+        let x = xcf();
+        let a = x.join("G", "A", SystemId::new(0)).unwrap();
+        let _b = answering_member(&x, "B", 1);
+        assert_eq!(a.call("B", b"abc").unwrap(), Some(b"cba".to_vec()));
+        assert_eq!(x.signals_sent.load(Ordering::Relaxed), 2, "an answered call is two signals");
+        assert_eq!(a.call("B", b"").unwrap(), None, "the exit had nothing to say");
+        assert_eq!(x.signals_sent.load(Ordering::Relaxed), 3, "an unanswered call is one");
         a.send_to("B", b"abc").unwrap();
-        assert_eq!(*replies.lock(), vec![XcfItem::Message { from: "B".into(), payload: b"cba".to_vec() }]);
-        assert_eq!(x.signals_sent.load(Ordering::Relaxed), 2);
+        assert_eq!(x.signals_sent.load(Ordering::Relaxed), 5, "`send_to` only drops the answer");
+        while let Some(item) = a.try_recv() {
+            assert!(matches!(item, XcfItem::Event(_)), "an answer is a return value, not a message");
+        }
+    }
+
+    #[test]
+    fn mailbox_and_departed_members_answer_nothing() {
+        let x = xcf();
+        let a = x.join("G", "A", SystemId::new(0)).unwrap();
+        let b = x.join("G", "B", SystemId::new(1)).unwrap();
+        assert_eq!(a.call("B", b"query").unwrap(), None);
+        assert!(matches!(b.try_recv(), Some(XcfItem::Message { .. })), "the call was delivered as a signal");
+        let c = answering_member(&x, "C", 2);
+        c.leave().unwrap();
+        assert_eq!(a.call("C", b"query").unwrap_err(), XcfError::NoSuchMember("C".into()));
+        let _d = answering_member(&x, "D", 3);
+        x.fail_system(SystemId::new(3));
+        assert_eq!(a.call("D", b"query").unwrap_err(), XcfError::NoSuchMember("D".into()));
+        assert_eq!(x.signals_sent.load(Ordering::Relaxed), 1);
+        // A departed caller could not be answered, so it signals nobody.
+        assert_eq!(c.call("B", b"query").unwrap_err(), XcfError::StaleHandle);
+        assert_eq!(x.signals_sent.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_call_traces_one_pair_each_way() {
+        let x = xcf();
+        let tracer = Arc::new(Tracer::new());
+        tracer.enable();
+        x.set_tracer(Arc::clone(&tracer));
+        let a = x.join("G", "A", SystemId::new(0)).unwrap();
+        let _b = answering_member(&x, "B", 1);
+        let trace = |tracer: &Tracer| -> Vec<(u8, TraceEvent)> {
+            tracer.snapshot_all().into_iter().map(|r| (r.system, r.event)).collect()
+        };
+        a.call("B", b"abcde").unwrap();
+        let there = [(0, TraceEvent::XcfSend { bytes: 5 }), (1, TraceEvent::XcfDeliver { bytes: 5 })];
+        let back = [(1, TraceEvent::XcfSend { bytes: 5 }), (0, TraceEvent::XcfDeliver { bytes: 5 })];
+        assert_eq!(trace(&tracer), [there, back].concat(), "query pair, then answer pair");
+        a.call("B", b"").unwrap();
+        let unanswered = [(0, TraceEvent::XcfSend { bytes: 0 }), (1, TraceEvent::XcfDeliver { bytes: 0 })];
+        assert_eq!(trace(&tracer)[4..], unanswered, "no answer, no second pair");
     }
 
     #[test]

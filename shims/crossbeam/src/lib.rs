@@ -249,16 +249,6 @@ pub mod channel {
                 inner = guard;
             }
         }
-
-        /// Number of messages currently queued.
-        pub fn len(&self) -> usize {
-            self.shared.inner.lock().unwrap_or_else(|e| e.into_inner()).queue.len()
-        }
-
-        /// Whether the channel is currently empty.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
     }
 
     impl<T> Clone for Receiver<T> {
@@ -281,7 +271,7 @@ pub mod channel {
 }
 
 pub mod utils {
-    use std::ops::{Deref, DerefMut};
+    use std::ops::Deref;
 
     /// Pads and aligns a value to (at least) a cache-line boundary so
     /// adjacent counters never share a line (false sharing).
@@ -296,23 +286,12 @@ pub mod utils {
         pub const fn new(value: T) -> CachePadded<T> {
             CachePadded { value }
         }
-
-        /// Unwrap the padded value.
-        pub fn into_inner(self) -> T {
-            self.value
-        }
     }
 
     impl<T> Deref for CachePadded<T> {
         type Target = T;
         fn deref(&self) -> &T {
             &self.value
-        }
-    }
-
-    impl<T> DerefMut for CachePadded<T> {
-        fn deref_mut(&mut self) -> &mut T {
-            &mut self.value
         }
     }
 }
