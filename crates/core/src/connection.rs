@@ -43,6 +43,7 @@ use crate::cache::{
     BlockName, CacheConnection as CacheToken, CacheStructure, RegisterResult, WriteKind, WriteResult,
 };
 use crate::error::{CfError, CfResult};
+use crate::hashing::ResourceName;
 use crate::link::{spin_for, CfLink};
 use crate::list::{
     ConnEvent, DequeueEnd, EntryId, EntryView, ListConnection as ListToken, ListStructure, LockCondition,
@@ -194,6 +195,16 @@ impl CfCommand {
     /// Write or delete record data of `data_len` bytes (name + payload).
     pub fn lock_record(data_len: usize) -> Self {
         Self::new(CommandClass::LockRecord, LOCK_CMD_BYTES + data_len)
+    }
+    /// A lock request carrying the `data_len` bytes (name + payload) of the
+    /// record it writes when granted: a request, not a record command.
+    pub fn lock_request_recorded(data_len: usize) -> Self {
+        Self::new(CommandClass::LockRequest, LOCK_CMD_BYTES + data_len)
+    }
+    /// One release of `entries` lock-table entries plus the deletes of
+    /// records naming `record_bytes` bytes: an entry index is a word.
+    pub fn lock_release_set(entries: usize, record_bytes: usize) -> Self {
+        Self::new(CommandClass::LockRelease, LOCK_CMD_BYTES + 8 * entries + record_bytes)
     }
 
     /// Cache connect / disconnect / unregister (directory-only).
@@ -779,14 +790,37 @@ impl LockConnection {
     /// Lock-table entry of an already hashed name (the same entry
     /// [`LockConnection::hash_resource`] gives its bytes).
     #[inline]
-    pub fn entry_of(&self, name: &crate::hashing::ResourceName) -> usize {
+    pub fn entry_of(&self, name: &ResourceName) -> usize {
         self.structure.entry_of(name)
     }
 
     /// Request `mode` interest in lock-table entry `entry`.
     pub fn request_lock(&self, entry: usize, mode: LockMode) -> CfResult<LockResponse> {
         let r = self.sub.issue(CfCommand::LOCK_REQUEST, || self.structure.request(self.id, entry, mode));
-        match &r {
+        self.trace_response(entry, mode, &r);
+        r
+    }
+
+    /// [`LockConnection::request_lock`] carrying the persistent record for
+    /// `resource`, written by the same command only if it is granted (see
+    /// [`LockStructure::request_recorded`]).
+    pub fn request_lock_recorded(
+        &self,
+        entry: usize,
+        mode: LockMode,
+        resource: &[u8],
+        payload: &[u8],
+    ) -> CfResult<LockResponse> {
+        let cmd = CfCommand::lock_request_recorded(resource.len() + payload.len());
+        let r =
+            self.sub.issue(cmd, || self.structure.request_recorded(self.id, entry, mode, resource, payload));
+        self.trace_response(entry, mode, &r);
+        r
+    }
+
+    #[inline]
+    fn trace_response(&self, entry: usize, mode: LockMode, r: &CfResult<LockResponse>) {
+        match r {
             Ok(LockResponse::Granted) => self.sub.emit(TraceEvent::LockGrant {
                 entry: entry as u64,
                 conn: self.id.raw(),
@@ -801,7 +835,6 @@ impl LockConnection {
             }
             Err(_) => {}
         }
-        r
     }
 
     /// Record `mode` interest unconditionally (state import: rebuild,
@@ -833,6 +866,22 @@ impl LockConnection {
         let r = self.sub.issue(CfCommand::LOCK_RELEASE, || self.structure.release(self.id, entry));
         if r.is_ok() {
             self.sub.emit(TraceEvent::LockRelease { entry: entry as u64, conn: self.id.raw() });
+        }
+        r
+    }
+
+    /// Delete this connection's records for `records` and release its
+    /// interest in `entries`, as one command (see
+    /// [`LockStructure::release_set`]). Traced as one release per entry,
+    /// in order, once the structure has let go of them.
+    pub fn release_set(&self, entries: &[usize], records: &[ResourceName]) -> CfResult<()> {
+        let record_bytes = records.iter().map(|r| r.as_bytes().len()).sum();
+        let cmd = CfCommand::lock_release_set(entries.len(), record_bytes);
+        let r = self.sub.issue(cmd, || self.structure.release_set(self.id, entries, records));
+        if r.is_ok() {
+            for &entry in entries {
+                self.sub.emit(TraceEvent::LockRelease { entry: entry as u64, conn: self.id.raw() });
+            }
         }
         r
     }
@@ -1292,6 +1341,54 @@ mod tests {
         assert_eq!(s.class(CommandClass::LockRelease).issued.get(), 1);
         assert!(req.latency.samples() >= 1);
         assert_eq!(s.issued(), s.sync() + s.async_converted());
+    }
+
+    /// A recorded request is one lock-request command and a release set one
+    /// lock-release command; the set is traced as a release per entry, in
+    /// the set's order, after the command completed.
+    #[test]
+    fn recorded_requests_and_release_sets_are_one_command_each() {
+        let cf = cf();
+        cf.tracer().enable();
+        cf.allocate_lock_structure("L", LockParams::with_entries(64)).unwrap();
+        let conn = cf.connect_lock("L").unwrap();
+        for entry in [3u64, 9] {
+            let name = format!("ROW.{entry}");
+            let granted =
+                conn.request_lock_recorded(entry as usize, LockMode::Exclusive, name.as_bytes(), b"T");
+            assert!(granted.unwrap().is_granted());
+        }
+        assert_eq!(conn.structure().record_count(), 2);
+        conn.release_set(&[9, 3], &[ResourceName::new(b"ROW.3"), ResourceName::new(b"ROW.9")]).unwrap();
+        assert_eq!(
+            (conn.structure().record_count(), conn.structure().interest_count(conn.conn_id())),
+            (0, 0)
+        );
+        let s = conn.stats();
+        let issued = |class| s.class(class).issued.get();
+        assert_eq!(issued(CommandClass::LockRequest), 2);
+        assert_eq!(issued(CommandClass::LockRecord), 0);
+        assert_eq!(issued(CommandClass::LockRelease), 1);
+        let tail: Vec<TraceEvent> = cf
+            .tracer()
+            .snapshot_all()
+            .into_iter()
+            .map(|r| r.event)
+            .skip_while(|e| !matches!(e, TraceEvent::CmdIssued { class: CommandClass::LockRelease, .. }))
+            .collect();
+        let me = conn.conn_id().raw();
+        assert!(
+            matches!(
+                tail.as_slice(),
+                [
+                    TraceEvent::CmdIssued { class: CommandClass::LockRelease, .. },
+                    TraceEvent::CmdCompleted { class: CommandClass::LockRelease, .. },
+                    TraceEvent::LockRelease { entry: 9, conn: first },
+                    TraceEvent::LockRelease { entry: 3, conn: second },
+                ] if *first == me && *second == me
+            ),
+            "{tail:?}"
+        );
     }
 
     #[test]

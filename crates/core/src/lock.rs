@@ -18,7 +18,10 @@
 //! false-contention rate.
 //!
 //! The structure also stores **record data**: persistent descriptions of
-//! modify-mode locks. Records survive an abnormal disconnection, which is
+//! modify-mode locks, written by the request that grants the lock
+//! ([`LockStructure::request_recorded`]) or on their own, and deleted with
+//! the release that gives it up ([`LockStructure::release_set`]). Records
+//! survive an abnormal disconnection, which is
 //! what enables peer systems to perform *fast lock recovery* after an MVS
 //! failure (§2.5): the records name exactly the resources the dead system
 //! held, and the corresponding table interest is retained ("failed
@@ -353,6 +356,37 @@ impl LockStructure {
         &self.records[slot_of(name.hash(), RECORD_SHARDS)]
     }
 
+    /// Request interest in a lock table entry and, when the CF grants it,
+    /// write `conn`'s persistent record for `resource` in the same command
+    /// — §3.3.1's lock request that carries its record data. Contention
+    /// writes no record. The record's element is reserved before any
+    /// interest is written, so a full record area fails the whole command
+    /// ([`CfError::StructureFull`]) and leaves the entry untouched.
+    pub fn request_recorded(
+        &self,
+        conn: ConnId,
+        entry: usize,
+        mode: LockMode,
+        resource: &[u8],
+        payload: &[u8],
+    ) -> CfResult<LockResponse> {
+        self.check_active(conn)?;
+        let key = RecordKey { name: ResourceName::new(resource), conn: conn.raw() };
+        let mut shard = self.record_shard(&key.name).lock();
+        let reserved = !shard.contains_key(&key);
+        if reserved {
+            self.reserve_record()?;
+        }
+        let response = self.request(conn, entry, mode);
+        if let Ok(LockResponse::Granted) = response {
+            shard.insert(key, LockRecord { mode, payload: InlineBytes::new(payload) });
+            self.stats.records_written.incr(conn);
+        } else if reserved {
+            self.record_count.fetch_sub(1, Ordering::Relaxed);
+        }
+        response
+    }
+
     /// Request interest in a lock table entry.
     ///
     /// Compatible requests are granted synchronously; incompatible requests
@@ -537,6 +571,25 @@ impl LockStructure {
         Ok(())
     }
 
+    /// Give up, in one command, everything a lock manager's unlock gave
+    /// up: delete `conn`'s records for `records` (a name with no record is
+    /// skipped), then release its interest in every entry of `entries`.
+    /// Nothing changes when an entry index is out of range.
+    pub fn release_set(&self, conn: ConnId, entries: &[usize], records: &[ResourceName]) -> CfResult<()> {
+        self.check_active(conn)?;
+        if entries.iter().any(|&entry| entry >= self.table.len()) {
+            return Err(CfError::BadParameter("entry index out of range"));
+        }
+        for name in records {
+            self.remove_record(conn, name.clone());
+        }
+        self.stats.releases.incr(conn);
+        for &entry in entries {
+            self.clear_conn_from_entry(conn, entry);
+        }
+        Ok(())
+    }
+
     fn clear_conn_from_entry(&self, conn: ConnId, entry: usize) {
         let slot = &self.table[entry];
         let me = conn.mask();
@@ -622,15 +675,7 @@ impl LockStructure {
                 e.insert(record);
             }
             Entry::Vacant(e) => {
-                // Capacity check without a global lock: optimistically reserve
-                // an element on the shared counter and roll back on overflow.
-                // A reservation that loses the race can transiently inflate the
-                // count, which only ever *rejects* a racer — never over-admits.
-                let prev = self.record_count.fetch_add(1, Ordering::Relaxed);
-                if prev as usize >= self.record_capacity {
-                    self.record_count.fetch_sub(1, Ordering::Relaxed);
-                    return Err(CfError::StructureFull);
-                }
+                self.reserve_record()?;
                 e.insert(record);
             }
         }
@@ -638,14 +683,36 @@ impl LockStructure {
         Ok(())
     }
 
+    /// Claim one element of the record area for a new record. Capacity is
+    /// checked without a global lock: optimistically reserve an element on
+    /// the shared counter and roll back on overflow. A reservation that
+    /// loses the race can transiently inflate the count, which only ever
+    /// *rejects* a racer — never over-admits.
+    fn reserve_record(&self) -> CfResult<()> {
+        let prev = self.record_count.fetch_add(1, Ordering::Relaxed);
+        if prev as usize >= self.record_capacity {
+            self.record_count.fetch_sub(1, Ordering::Relaxed);
+            return Err(CfError::StructureFull);
+        }
+        Ok(())
+    }
+
+    /// Remove `conn`'s record for `name`, if it has one.
+    fn remove_record(&self, conn: ConnId, name: ResourceName) -> bool {
+        let key = RecordKey { name, conn: conn.raw() };
+        let removed = self.record_shard(&key.name).lock().remove(&key).is_some();
+        if removed {
+            self.record_count.fetch_sub(1, Ordering::Relaxed);
+        }
+        removed
+    }
+
     /// Delete the persistent record for `resource` owned by `conn`.
     pub fn delete_record(&self, conn: ConnId, resource: &[u8]) -> CfResult<()> {
         self.check_active(conn)?;
-        let key = RecordKey { name: ResourceName::new(resource), conn: conn.raw() };
-        if self.record_shard(&key.name).lock().remove(&key).is_none() {
+        if !self.remove_record(conn, ResourceName::new(resource)) {
             return Err(CfError::NoSuchEntry);
         }
-        self.record_count.fetch_sub(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -1043,6 +1110,52 @@ mod tests {
         s.write_record(a, b"2", LockMode::Exclusive, b"x").unwrap();
         s.delete_record(a, b"1").unwrap();
         s.write_record(a, b"3", LockMode::Shared, b"").unwrap();
+    }
+
+    #[test]
+    fn a_recorded_request_writes_its_record_only_when_granted() {
+        let s = LockStructure::new("L", &LockParams { entries: 16, record_capacity: 2 }).unwrap();
+        let a = s.connect().unwrap();
+        let b = s.connect().unwrap();
+        assert!(s.request_recorded(a, 3, LockMode::Exclusive, b"ROW.A", b"T1").unwrap().is_granted());
+        assert_eq!(s.retained_locks(a)[0].payload, b"T1");
+        // Contention: no record, and the reservation is handed back.
+        assert!(!s.request_recorded(b, 3, LockMode::Shared, b"ROW.B", b"T2").unwrap().is_granted());
+        assert!(s.retained_locks(b).is_empty());
+        // Replacing a record needs no new element.
+        assert!(s.request_recorded(a, 3, LockMode::Exclusive, b"ROW.A", b"T3").unwrap().is_granted());
+        assert_eq!((s.record_count(), s.retained_locks(a)[0].payload.as_slice()), (1, &b"T3"[..]));
+        // A full record area fails the whole command: no interest either.
+        s.write_record(a, b"ROW.D", LockMode::Exclusive, b"T1").unwrap();
+        assert_eq!(
+            s.request_recorded(b, 5, LockMode::Exclusive, b"ROW.C", b"T4"),
+            Err(CfError::StructureFull)
+        );
+        assert_eq!((s.holders(5), s.record_count()), ((0, None), 2));
+        assert_eq!(s.stats.records_written.get(), 3);
+    }
+
+    #[test]
+    fn a_release_set_deletes_records_then_releases_entries() {
+        let s = structure(16);
+        let a = s.connect().unwrap();
+        let b = s.connect().unwrap();
+        for (entry, name) in [(1, &b"ROW.1"[..]), (2, b"ROW.2")] {
+            assert!(s.request_recorded(a, entry, LockMode::Exclusive, name, b"T").unwrap().is_granted());
+        }
+        s.write_record(b, b"ROW.1", LockMode::Shared, b"U").unwrap();
+        let names = [ResourceName::new(b"ROW.1"), ResourceName::new(b"ROW.9")];
+        // An out-of-range entry refuses the whole set.
+        assert!(matches!(s.release_set(a, &[1, 16], &names), Err(CfError::BadParameter(_))));
+        assert_eq!(s.record_count(), 3);
+        // A name without a record is skipped; another connector's record
+        // for the same name stays.
+        s.release_set(a, &[1, 2], &names).unwrap();
+        assert_eq!(s.records_snapshot().len(), 2);
+        assert_eq!(s.retained_locks(a).len(), 1, "ROW.2 was not in the set");
+        assert_eq!(s.retained_locks(b).len(), 1);
+        assert_eq!(s.interest_count(a), 0);
+        assert_eq!(s.stats.releases.get(), 1, "one command");
     }
 
     #[test]

@@ -35,7 +35,7 @@ use crate::connection::{
 };
 use crate::error::{CfError, CfResult};
 use crate::facility::CouplingFacility;
-use crate::hashing::hash_to_slot;
+use crate::hashing::{hash_to_slot, ResourceName};
 use crate::list::{DequeueEnd, EntryId, EntryView, LockCondition, WritePosition};
 use crate::lock::{DisconnectMode, LockMode, LockResponse, RetainedLock};
 use crate::retry::RetryPolicy;
@@ -514,9 +514,39 @@ impl RemoteLockConnection {
         })
     }
 
+    /// Request `mode` interest in `entry`, writing the record for `resource`
+    /// in the same command if it is granted — see
+    /// [`LockConnection::request_lock_recorded`].
+    pub fn request_lock_recorded(
+        &self,
+        entry: usize,
+        mode: LockMode,
+        resource: &[u8],
+        payload: &[u8],
+    ) -> CfResult<LockResponse> {
+        self.link.call(WireRequest::LockRequestRecorded {
+            handle: self.link.handle,
+            entry: entry as u64,
+            mode,
+            resource: resource.to_vec(),
+            payload: payload.to_vec(),
+        })
+    }
+
     /// Release this connection's interest in entry `entry`.
     pub fn release_lock(&self, entry: usize) -> CfResult<()> {
         self.link.call(WireRequest::LockRelease { handle: self.link.handle, entry: entry as u64 })
+    }
+
+    /// Delete this connection's records for `records` and release its
+    /// interest in `entries`, as one command — see
+    /// [`LockConnection::release_set`].
+    pub fn release_set(&self, entries: &[usize], records: &[ResourceName]) -> CfResult<()> {
+        self.link.call(WireRequest::LockReleaseSet {
+            handle: self.link.handle,
+            entries: entries.to_vec(),
+            records: records.iter().map(|r| r.as_bytes().to_vec()).collect(),
+        })
     }
 
     /// Holders of entry `entry`: `(all interested, exclusive holder)`.
@@ -1141,6 +1171,16 @@ mod tests {
         lock.release_lock(imported).unwrap();
         lock.write_lock_record(b"ACCT.1", x, b"undo").unwrap();
         lock.delete_lock_record(b"ACCT.1").unwrap();
+        // A recorded request writes its record only when granted, and a
+        // release set gives the record and the interest back together.
+        assert!(native.request_lock(contended, x).unwrap().is_granted());
+        assert!(!lock.request_lock_recorded(contended, x, b"ACCT.2", b"undo").unwrap().is_granted());
+        assert!(lock.request_lock_recorded(entry, x, b"ACCT.1", b"undo").unwrap().is_granted());
+        assert_eq!(cf.lock_structure("L").unwrap().record_count(), 1);
+        lock.release_set(&[entry], &[ResourceName::new(b"ACCT.1")]).unwrap();
+        assert_eq!(native.holders(entry).unwrap(), (0, None));
+        assert_eq!(cf.lock_structure("L").unwrap().record_count(), 0);
+        native.release_lock(contended).unwrap();
         // Peer recovery: a second connector claims a slot, writes a record
         // and is declared dead by the first.
         let slot = ConnId::from_raw(31);

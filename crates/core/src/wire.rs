@@ -43,6 +43,7 @@
 use crate::cache::{BlockName, RegisterResult, WriteKind, WriteResult};
 use crate::connection::{CfCommand, ClassSnapshot, CommandClass};
 use crate::error::{CfError, CfResult};
+use crate::hashing::ResourceName;
 use crate::list::{DequeueEnd, EntryId, EntryView, LockCondition, WritePosition};
 use crate::lock::{DisconnectMode, LockMode, LockResponse, RetainedLock};
 use crate::stats::{HistogramSnapshot, HIST_BUCKETS};
@@ -1090,11 +1091,36 @@ cf_commands! {
         } CfCommand::LOCK_REQUEST => |c| {
             P::Bool(c.force_interest_negotiated(entry as usize, mode, negotiated, generation)?)
         };
+        /// A request that writes its record when granted:
+        /// [`crate::connection::LockConnection::request_lock_recorded`].
+        43 LockRequestRecorded {
+            /// Lock-table entry.
+            entry: u64,
+            /// Requested mode.
+            mode: LockMode,
+            /// Resource name the record describes.
+            resource: Vec<u8>,
+            /// Record payload.
+            payload: Vec<u8>,
+        } CfCommand::lock_request_recorded(resource.len() + payload.len()) => |c| {
+            P::Lock(c.request_lock_recorded(entry as usize, mode, &resource, &payload)?)
+        };
         /// [`crate::connection::LockConnection::release_lock`].
         6 LockRelease {
             /// Lock-table entry.
             entry: u64,
         } CfCommand::LOCK_RELEASE => |c| unit(c.release_lock(entry as usize)?);
+        /// Everything one unlock gives up, in one command:
+        /// [`crate::connection::LockConnection::release_set`].
+        44 LockReleaseSet {
+            /// Lock-table entries to release.
+            entries: Vec<usize>,
+            /// Resource names whose records to delete.
+            records: Vec<Vec<u8>>,
+        } CfCommand::lock_release_set(entries.len(), records.iter().map(Vec::len).sum()) => |c| {
+            let records: Vec<ResourceName> = records.iter().map(|r| ResourceName::new(r)).collect();
+            unit(c.release_set(&entries, &records)?)
+        };
         /// [`crate::connection::LockConnection::holders`].
         7 LockHolders {
             /// Lock-table entry.

@@ -121,7 +121,19 @@ fn request_samples(h: u32, n: u64, sel: u8, data: &[u8], name: &str) -> Vec<Wire
             negotiated: h ^ 0xFF,
             generation: (n & 0xFFFF) as u16,
         },
+        WireRequest::LockRequestRecorded {
+            handle: h,
+            entry: n,
+            mode: lock_mode(sel),
+            resource: data.to_vec(),
+            payload: data[..data.len() / 2].to_vec(),
+        },
         WireRequest::LockRelease { handle: h, entry: n },
+        WireRequest::LockReleaseSet {
+            handle: h,
+            entries: vec![n as usize, (n >> 8) as usize],
+            records: vec![data.to_vec(), data[..data.len() / 2].to_vec()],
+        },
         WireRequest::LockHolders { handle: h, entry: n },
         WireRequest::LockIsNegotiate { handle: h, entry: n },
         WireRequest::LockWriteRecord {
@@ -472,7 +484,11 @@ const GOLDEN_REQUESTS: [&str; WireRequest::COUNT] = [
     "0504030201181716151413121101",
     // LockForceNegotiated (tag 42), added with the command table.
     "2a04030201181716151413121101fb03020118170000",
+    // LockRequestRecorded (tag 43), added with the release set (PR 25).
+    "2b040302011817161514131211010d000000676f6c64656e2d62797465732106000000676f6c64656e",
     "06040302011817161514131211",
+    // LockReleaseSet (tag 44), same PR.
+    "2c040302010200000018171615141312111716151413121100020000000d000000676f6c64656e2d62797465732106000000676f6c64656e",
     "07040302011817161514131211",
     "08040302011817161514131211",
     "09040302010d000000676f6c64656e2d627974657321010d000000676f6c64656e2d627974657321",

@@ -25,7 +25,10 @@
 //! Exclusive locks taken for updates also write CF **record data** so that,
 //! after a system failure, survivors can read exactly which resources the
 //! dead system held ([`Irlm::retained_locks_of`]) and release them once
-//! backout completes ([`Irlm::complete_peer_recovery`]).
+//! backout completes ([`Irlm::complete_peer_recovery`]). A member's record
+//! for a resource exists exactly while it has a persistent local holder of
+//! it: a CF-granted request carries the record in its own command, and an
+//! unlock gives up records and interest together, in one command.
 
 use crate::error::{DbError, DbResult};
 use parking_lot::{Mutex, RwLock};
@@ -202,6 +205,14 @@ struct Wanted {
     /// negotiating, and was told "no conflict": this request must not open
     /// another grant window (see [`LocalState::contest`]).
     yielded: bool,
+    /// A sibling gave up this member's record for `name` while the request
+    /// was in phase 2, possibly after the request's CF command wrote it:
+    /// a winning grant writes its record again (see [`LocalState::unrecord`]).
+    unrecorded: bool,
+    /// `recall_seq` when the request registered: a CF grant caches its
+    /// entry only when no recall raced it — a query racing phase 2/3 might
+    /// concern interest we are about to record, and its recall must win.
+    recall_snapshot: u64,
 }
 
 /// Cap on parked (lazily released) entries per IRLM. Eviction is FIFO so
@@ -219,18 +230,25 @@ struct LocalState {
     /// allocate. At most as many as transactions were ever open at once.
     spare_lists: Vec<Vec<ResourceName>>,
     /// FIFO of parked entry indexes. May hold stale positions for entries
-    /// re-granted since parking; eviction skips them (`parked` is the
-    /// source of truth, `parked_live` the live count).
+    /// re-granted since parking; eviction skips one whose entry is not
+    /// parked (`parked` is the source of truth, `parked_live` the live
+    /// count) — but an entry parked again is evicted at its oldest
+    /// position, not its live one (ROADMAP 3(b)).
     parked: VecDeque<usize>,
     parked_live: usize,
-    /// Bumped by every peer negotiation query. A CF grant caches its
-    /// entry only when no recall intervened since the request started —
-    /// a query racing phase 2/3 might concern interest we are about to
-    /// record, and its recall must win.
+    /// Bumped by every peer negotiation query (see
+    /// [`Wanted::recall_snapshot`]).
     recall_seq: u64,
     /// This member's requests in phase 2; as many as it has threads
     /// requesting at once.
     wanted: Vec<Wanted>,
+    /// What the unlock under way gives up — records to delete, then
+    /// entries to release, each in the order given up — sent as one
+    /// command before the latch is let go ([`Irlm::send_release_set`]).
+    /// Empty whenever the latch is free; reused, so a release never
+    /// allocates.
+    release_records: Vec<ResourceName>,
+    release_entries: Vec<usize>,
 }
 
 impl LocalState {
@@ -295,7 +313,10 @@ impl LocalState {
         Ok(entries)
     }
 
-    /// Record that `txn` holds `name` in (at least) `mode`.
+    /// Record that `txn` holds `name` in (at least) `mode`. Returns the
+    /// mode this member's record for `name` must now say, when the grant
+    /// changed it: the first persistent hold of the resource, or one
+    /// stronger than any persistent hold before it.
     fn record_grant(
         &mut self,
         txn: u64,
@@ -303,27 +324,31 @@ impl LocalState {
         entry: usize,
         mode: LockMode,
         persistent: bool,
-    ) {
+    ) -> Option<LockMode> {
         let holder = Holder { txn, mode, persistent };
-        let (is_new_resource, is_new_holder) = match self.resources.entry(name.clone()) {
+        // The strongest persistent hold before this grant: what the record
+        // says, if there is one.
+        let mut recorded = None;
+        let (is_new_resource, is_new_holder, held) = match self.resources.entry(name.clone()) {
             Entry::Occupied(slot) => {
                 let rh = slot.into_mut();
+                recorded = rh.iter().filter(|h| h.persistent).map(|h| h.mode).max();
                 match rh.get_mut(txn) {
                     Some(h) => {
                         // Strengthen, never weaken.
                         h.mode = h.mode.max(mode);
                         h.persistent |= persistent;
-                        (false, false)
+                        (false, false, h.mode)
                     }
                     None => {
                         rh.insert(holder);
-                        (false, true)
+                        (false, true, mode)
                     }
                 }
             }
             Entry::Vacant(slot) => {
                 slot.insert(Holders { first: Some(holder), rest: Vec::new() });
-                (true, true)
+                (true, true, mode)
             }
         };
         if is_new_holder {
@@ -340,6 +365,26 @@ impl LocalState {
             e.parked = false;
             self.parked_live -= 1;
         }
+        (persistent && recorded < Some(held)).then_some(held)
+    }
+
+    /// The last persistent holder of `name` is gone: queue the delete of
+    /// this member's record for it. A request for `name` still in phase 2
+    /// may have written that record with its own CF command — before the
+    /// delete or after — so it is marked to write it again if it wins.
+    fn unrecord(&mut self, name: ResourceName) {
+        for rival in self.wanted.iter_mut().filter(|w| w.name == name) {
+            rival.unrecorded = true;
+        }
+        self.release_records.push(name);
+    }
+
+    /// Park `entry`: keep this member's CF interest in it, with no local
+    /// resource held there, until a recall or FIFO eviction surrenders it.
+    fn park(&mut self, entry: usize) {
+        self.entries.entry(entry).or_default().parked = true;
+        self.parked_live += 1;
+        self.parked.push_back(entry);
     }
 }
 
@@ -381,6 +426,25 @@ impl CfTarget {
         }
     }
 
+    /// Ask the CF for `mode` interest in `entry`. A persistent request
+    /// carries `txn`'s record for `resource` in the same command, written
+    /// only if it is granted. A grant is mirrored, record and all.
+    fn request(&self, entry: usize, mode: LockMode, record: Option<(&[u8], u64)>) -> DbResult<LockResponse> {
+        let response = match record {
+            None => self.conn.request_lock(entry, mode)?,
+            Some((resource, txn)) => {
+                self.conn.request_lock_recorded(entry, mode, resource, &txn.to_be_bytes())?
+            }
+        };
+        if response.is_granted() {
+            self.mirror_grant(entry, mode);
+            if let (Some(sec), Some((resource, txn))) = (&self.secondary, record) {
+                let _ = sec.write_lock_record(resource, mode, &txn.to_be_bytes());
+            }
+        }
+        Ok(response)
+    }
+
     /// Write `txn`'s persistent record for `resource`, primary then mirror.
     fn write_record(&self, resource: &[u8], mode: LockMode, txn: u64) -> DbResult<()> {
         self.conn.write_lock_record(resource, mode, &txn.to_be_bytes())?;
@@ -390,24 +454,25 @@ impl CfTarget {
         Ok(())
     }
 
-    /// Delete this system's record for `resource`, primary then mirror.
-    /// Another transaction (even on another system) may have its own
-    /// record for the resource; records are keyed per connector, so this
-    /// removes exactly ours.
-    fn delete_record(&self, resource: &[u8]) {
-        let _ = self.conn.delete_lock_record(resource);
+    /// Give up this system's records for `records` and its interest in
+    /// `entries` — one command, primary then mirror. Records are keyed per
+    /// connector, so another system's record for the same resource stays.
+    fn release_set(&self, entries: &[usize], records: &[ResourceName]) -> DbResult<()> {
+        let released = self.conn.release_set(entries, records);
         if let Some(sec) = &self.secondary {
-            let _ = sec.delete_lock_record(resource);
+            let _ = sec.release_set(entries, records);
         }
+        Ok(released?)
     }
 
-    /// Release this system's interest in `entry`, primary then mirror.
-    fn release_entry(&self, entry: usize) -> DbResult<()> {
-        let released = self.conn.release_lock(entry);
+    /// A recall's surrender of parked interest in `entry`, primary then
+    /// mirror: issued at once, not batched, because the peer that asked
+    /// is waiting for the answer it precedes.
+    fn surrender(&self, entry: usize) {
+        let _ = self.conn.release_lock(entry);
         if let Some(sec) = &self.secondary {
             let _ = sec.release_lock(entry);
         }
-        Ok(released?)
     }
 }
 
@@ -598,7 +663,7 @@ impl Irlm {
                     // one, never both.
                     e.parked = false;
                     state.parked_live -= 1;
-                    let _ = cf.release_entry(entry);
+                    cf.surrender(entry);
                 }
                 state.wanted.iter().any(|w| w.entry == entry && w.critical)
             }
@@ -716,8 +781,7 @@ impl Irlm {
         // path below, where a sole-interest exclusive CF grant proved no
         // foreign interest exists and every foreign acquisition since
         // would have recalled the flag before completing.
-        let recall_snapshot;
-        {
+        let phase2 = {
             let mut local = self.local.lock();
             let state = &mut *local;
             let mut granted = false;
@@ -747,18 +811,16 @@ impl Irlm {
                 granted = true;
             }
             if granted {
-                state.record_grant(txn, &name, entry, mode, persistent);
+                let record = state.record_grant(txn, &name, entry, mode, persistent);
                 drop(local);
-                if persistent {
+                if let Some(mode) = record {
                     cf.write_record(resource, mode, txn)?;
                 }
                 return Ok(LockOutcome::Granted);
             }
             // Going to the CF: register the request, so a concurrent
             // recall cannot surrender retained interest it may be granted
-            // on, with its first grant window already open, and snapshot
-            // the recall sequence so a grant only caches when no recall
-            // raced it.
+            // on, with its first grant window already open.
             state.wanted.push(Wanted {
                 txn,
                 name: name.clone(),
@@ -766,10 +828,11 @@ impl Irlm {
                 mode,
                 critical: true,
                 yielded: false,
+                unrecorded: false,
+                recall_snapshot: state.recall_seq,
             });
-            recall_snapshot = state.recall_seq;
-        }
-        let phase2 = Phase2 { irlm: self, txn };
+            Phase2 { irlm: self, txn }
+        };
 
         // Phase 2: CF command (local latch released — our message exit
         // must be able to answer our peers' queries while we negotiate).
@@ -782,19 +845,13 @@ impl Irlm {
         // we eventually report Busy and let the caller's retry loop pace
         // us instead of spinning here.
         let mut renegotiations = 4u32;
-        let mut cacheable = false;
-        loop {
+        let synchronous = loop {
             // Inside a grant window here: phase 1 opened the first, a
             // renegotiation re-enters at the bottom.
-            match cf.conn.request_lock(entry, mode)? {
+            match cf.request(entry, mode, persistent.then_some((resource, txn)))? {
                 LockResponse::Granted => {
                     self.stats.grants_cf_sync.incr();
-                    cf.mirror_grant(entry, mode);
-                    // A synchronous exclusive grant proves zero foreign
-                    // interest in the entry at this instant — the only
-                    // state the local fast path may be built on.
-                    cacheable = mode == LockMode::Exclusive;
-                    break;
+                    break true;
                 }
                 LockResponse::Contention { holders, generation, .. } => {
                     phase2.exit_critical();
@@ -817,7 +874,7 @@ impl Irlm {
                     // the write refuses and we renegotiate fresh.
                     if cf.conn.force_interest_negotiated(entry, mode, holders, generation)? {
                         cf.mirror_grant(entry, mode);
-                        break;
+                        break false;
                     }
                     phase2.exit_critical();
                     if renegotiations == 0 || !phase2.enter_critical() {
@@ -826,42 +883,87 @@ impl Irlm {
                     renegotiations -= 1;
                 }
             }
-        }
+        };
+        self.finish_cf_grant(&cf, phase2, &name, mode, persistent, synchronous)
+    }
 
-        // Phase 3: re-validate locally and record the grant. The phase-2
-        // registration ends under the same latch acquisition that records
-        // the grant: from a peer's perspective the entry goes
-        // conflict-by-window to conflict-by-resource with no observable
-        // gap.
-        {
-            let mut local = self.local.lock();
-            let state = &mut *local;
-            if state.resources.get(&name).is_some_and(|rh| !rh.compatible_for(txn, mode)) {
-                // A sibling transaction on this system won the race.
-                // Our CF interest stays: the sibling's hold needs it,
-                // and the resource scan now covers the entry.
-                phase2.finish_in(state);
-                self.stats.local_conflicts.incr();
-                return Ok(LockOutcome::Busy);
+    /// Phase 3: re-validate locally and record a grant the CF made — by a
+    /// `synchronous` request, whose command also wrote a persistent
+    /// request's record, or by a negotiated write, which wrote none. The
+    /// phase-2 registration ends under the same latch acquisition that
+    /// records the grant: from a peer's perspective the entry goes
+    /// conflict-by-window to conflict-by-resource with no observable gap.
+    fn finish_cf_grant(
+        &self,
+        cf: &CfTarget,
+        phase2: Phase2<'_>,
+        name: &ResourceName,
+        mode: LockMode,
+        persistent: bool,
+        synchronous: bool,
+    ) -> DbResult<LockOutcome> {
+        let txn = phase2.txn;
+        let recorded_by_request = synchronous && persistent;
+        let mut local = self.local.lock();
+        let state = &mut *local;
+        let &mut Wanted { entry, unrecorded, recall_snapshot, .. } = phase2.row(state);
+        phase2.finish_in(state);
+        if state.resources.get(name).is_some_and(|rh| !rh.compatible_for(txn, mode)) {
+            // A sibling transaction on this system won the race. Our CF
+            // interest stays: the sibling's hold needs it, and the
+            // resource scan now covers the entry.
+            self.stats.local_conflicts.incr();
+            if recorded_by_request {
+                self.settle_lost_record(state, cf, name);
             }
-            state.record_grant(txn, &name, entry, mode, persistent);
-            phase2.finish_in(state);
-            if cacheable && state.recall_seq == recall_snapshot {
-                let e = state.entries.entry(entry).or_default();
-                // A hash class with recent inter-system interest is not
-                // worth caching: parking it would just trigger another
-                // recall. Burn one cooldown credit instead.
-                if e.cool > 0 {
-                    e.cool -= 1;
-                } else {
-                    e.cached = true;
-                }
+            return Ok(LockOutcome::Busy);
+        }
+        let record = state.record_grant(txn, name, entry, mode, persistent);
+        // A synchronous exclusive grant proves zero foreign interest in
+        // the entry at this instant — the only state the local fast path
+        // may be built on.
+        if synchronous && mode == LockMode::Exclusive && state.recall_seq == recall_snapshot {
+            let e = state.entries.entry(entry).or_default();
+            // A hash class with recent inter-system interest is not
+            // worth caching: parking it would just trigger another
+            // recall. Burn one cooldown credit instead.
+            if e.cool > 0 {
+                e.cool -= 1;
+            } else {
+                e.cached = true;
             }
         }
-        if persistent {
-            cf.write_record(resource, mode, txn)?;
+        drop(local);
+        // The request's own command wrote its record, unless a sibling's
+        // release may have deleted it since: then it is written again.
+        let record = if recorded_by_request { unrecorded.then_some(mode) } else { record };
+        if let Some(mode) = record {
+            cf.write_record(name.as_bytes(), mode, txn)?;
         }
         Ok(LockOutcome::Granted)
+    }
+
+    /// A persistent request lost phase 3 to a sibling after its own CF
+    /// command wrote this member's record for `name`, so the record names
+    /// the loser. It must say what the remaining holders hold: rewritten to
+    /// the strongest persistent one, or deleted when none is persistent.
+    /// Either goes out under the latch, so no later grant or release of
+    /// `name` is overtaken by it; an error leaves a record behind, which
+    /// over-retains (safe).
+    fn settle_lost_record(&self, state: &mut LocalState, cf: &CfTarget, name: &ResourceName) {
+        let survivor = state
+            .resources
+            .get(name)
+            .and_then(|rh| rh.iter().filter(|h| h.persistent).max_by_key(|h| h.mode).copied());
+        match survivor {
+            Some(h) => {
+                let _ = cf.write_record(name.as_bytes(), h.mode, h.txn);
+            }
+            None => {
+                state.unrecord(name.clone());
+                let _ = Self::send_release_set(state, cf);
+            }
+        }
     }
 
     /// Request with retry until `timeout` (the deadlock breaker: waits that
@@ -904,7 +1006,9 @@ impl Irlm {
     /// The last local hold on a *cached* entry is released lazily: CF
     /// interest is parked so a re-acquire in the hash class stays a local
     /// re-grant, and the interest is surrendered only on a peer's recall
-    /// or FIFO eviction past [`PARK_CAP`].
+    /// or FIFO eviction past [`PARK_CAP`] — which runs when a transaction
+    /// ends, so an unlock that leaves `txn` holding nothing evicts too.
+    /// What the unlock gives up goes to the CF as at most one command.
     pub fn unlock(&self, txn: u64, resource: &[u8]) -> DbResult<()> {
         let name = ResourceName::new(resource);
         let cf = self.cf.read();
@@ -915,73 +1019,75 @@ impl Irlm {
         // taken last (a commit's page P-lock).
         let Some(at) = held.get().iter().rposition(|held| *held == name) else { return Ok(()) };
         held.get_mut().swap_remove(at);
-        if held.get().is_empty() {
+        let ended = held.get().is_empty();
+        if ended {
             state.spare_lists.push(held.remove());
         }
-        self.release_one(state, &cf, txn, name)
+        self.release_one(state, &cf, txn, name);
+        if ended {
+            Self::evict_parked(state);
+        }
+        Self::send_release_set(state, &cf)
     }
 
-    /// Release everything `txn` holds (commit/abort): every lock is
-    /// released whatever a CF command returns, and the first error is
-    /// reported.
+    /// Release everything `txn` holds (commit/abort) with at most one CF
+    /// command: the local tables settle whatever it returns, and its error
+    /// is reported.
     pub fn unlock_all(&self, txn: u64) -> DbResult<()> {
         let cf = self.cf.read();
         let mut local = self.local.lock();
         let state = &mut *local;
         let Some(mut list) = state.held.remove(&txn) else { return Ok(()) };
-        // Release in resource order, not acquisition order: the CF release
-        // sequence is trace-visible, and replayable simulation runs must
-        // produce it identically.
+        // Release in resource order, not acquisition order: the release
+        // set is trace-visible, and replayable simulation runs must produce
+        // it identically.
         list.sort_unstable();
-        let mut result = Ok(());
+        // Eviction is deferred to here, but picks the victims it picked
+        // when every park evicted at once: first for what the
+        // transaction's own unlocks parked — its other locks still held,
+        // as they were then — then after each release. (A FIFO position
+        // is only skipped while its entry is not parked, so the moment
+        // decides the victim.)
+        Self::evict_parked(state);
         for name in list.drain(..) {
-            let released = self.release_one(state, &cf, txn, name);
-            result = result.and(released);
+            self.release_one(state, &cf, txn, name);
+            Self::evict_parked(state);
         }
         state.spare_lists.push(list);
-        result
+        Self::send_release_set(state, &cf)
     }
 
-    /// Drop `txn`'s hold on `name` (already off its `held` list), with the
-    /// CF commands that follow from it. Runs under the latch throughout —
-    /// a racing requester must observe either our live interest or the
-    /// released entry, never have its phase-2 interest revoked after the
-    /// fact, and a sibling granted the resource next must write its record
-    /// after ours is deleted. The local tables are settled before any
-    /// error is returned.
-    fn release_one(
-        &self,
-        state: &mut LocalState,
-        cf: &CfTarget,
-        txn: u64,
-        name: ResourceName,
-    ) -> DbResult<()> {
-        let Entry::Occupied(mut slot) = state.resources.entry(name) else { return Ok(()) };
-        let Some(holder) = slot.get_mut().remove(txn) else { return Ok(()) };
-        if !slot.get().is_empty() {
-            if holder.persistent {
-                cf.delete_record(slot.key().as_bytes());
-            }
-            return Ok(());
+    /// Drop `txn`'s hold on `name` (already off its `held` list), adding
+    /// what follows from it to the release set: the record, when `txn` was
+    /// the last persistent holder, and the entry, when `name` was the last
+    /// resource in it and the entry does not park.
+    fn release_one(&self, state: &mut LocalState, cf: &CfTarget, txn: u64, name: ResourceName) {
+        let Entry::Occupied(mut slot) = state.resources.entry(name) else { return };
+        let Some(holder) = slot.get_mut().remove(txn) else { return };
+        let unrecord = holder.persistent && !slot.get().iter().any(|h| h.persistent);
+        let name = if slot.get().is_empty() {
+            let (name, _) = slot.remove_entry();
+            self.release_entry_use(state, cf, cf.conn.entry_of(&name));
+            name
+        } else if unrecord {
+            slot.key().clone()
+        } else {
+            return;
+        };
+        if unrecord {
+            state.unrecord(name);
         }
-        let (name, _) = slot.remove_entry();
-        let entry = cf.conn.entry_of(&name);
-        let result = self.release_entry_use(state, cf, entry);
-        if holder.persistent {
-            cf.delete_record(name.as_bytes());
-        }
-        result
     }
 
     /// The last local holder of one resource hashing to `entry` is gone:
-    /// release the entry's CF interest when it was the last resource —
-    /// or park it.
-    fn release_entry_use(&self, state: &mut LocalState, cf: &CfTarget, entry: usize) -> DbResult<()> {
+    /// queue the entry's release when it was the last resource — or park
+    /// it.
+    fn release_entry_use(&self, state: &mut LocalState, cf: &CfTarget, entry: usize) {
         let registered = state.in_flight(entry);
         let e = state.entries.get_mut(&entry).expect("a held resource counts in its entry");
         e.count -= 1;
         if e.count > 0 {
-            return Ok(());
+            return;
         }
         // A sibling request in phase 2/3 may already have written CF
         // interest for this entry that it has not yet recorded locally;
@@ -990,25 +1096,22 @@ impl Irlm {
         // — the recall/eviction machinery surrenders the interest once
         // nothing is in flight.
         if e.cached || registered {
-            e.parked = true;
-            state.parked_live += 1;
-            state.parked.push_back(entry);
+            state.park(entry);
             self.stats.lazy_releases.incr();
             cf.conn.subchannel().emit(sysplex_core::trace::TraceEvent::LockLazyRelease {
                 entry: entry as u64,
                 conn: cf.conn.conn_id().raw(),
             });
-            Self::evict_parked(state, cf)
         } else {
             state.settle(entry);
-            cf.release_entry(entry)
+            state.release_entries.push(entry);
         }
     }
 
-    /// Evict FIFO past [`PARK_CAP`], skipping stale positions; an in-flight
-    /// victim rotates to the back.
-    fn evict_parked(state: &mut LocalState, cf: &CfTarget) -> DbResult<()> {
-        let mut result = Ok(());
+    /// Evict FIFO past [`PARK_CAP`] into the release set, skipping
+    /// positions whose entry is not parked; an in-flight victim rotates to
+    /// the back.
+    fn evict_parked(state: &mut LocalState) {
         let mut budget = state.parked.len();
         while state.parked_live > PARK_CAP && budget > 0 {
             budget -= 1;
@@ -1025,8 +1128,31 @@ impl Irlm {
             v.cached = false;
             state.parked_live -= 1;
             state.settle(victim);
-            result = result.and(cf.release_entry(victim));
+            state.release_entries.push(victim);
         }
+    }
+
+    /// Send the release set gathered under this latch acquisition, if any,
+    /// as one command. Runs under the latch: a racing requester must
+    /// observe either our live interest or the released entry, never have
+    /// its phase-2 interest revoked after the fact, and a sibling granted a
+    /// resource next must write its record after ours is deleted. When the
+    /// command fails, the CF may or may not have executed it: its entries
+    /// are parked again — uncached, so they never grant locally, and the
+    /// next recall or eviction surrenders them — and its records stay
+    /// behind, which over-retains (safe).
+    fn send_release_set(state: &mut LocalState, cf: &CfTarget) -> DbResult<()> {
+        if state.release_entries.is_empty() && state.release_records.is_empty() {
+            return Ok(());
+        }
+        let result = cf.release_set(&state.release_entries, &state.release_records);
+        if result.is_err() {
+            for at in 0..state.release_entries.len() {
+                state.park(state.release_entries[at]);
+            }
+        }
+        state.release_entries.clear();
+        state.release_records.clear();
         result
     }
 
@@ -1384,11 +1510,15 @@ mod tests {
     fn real_conflict_across_systems_is_busy_and_resolves_on_release() {
         let r = rig(2, 1024);
         let (a, b) = (&r.irlms[0], &r.irlms[1]);
-        a.lock(1, b"ROW.7", LockMode::Exclusive, false).unwrap();
-        assert_eq!(b.lock(2, b"ROW.7", LockMode::Exclusive, false).unwrap(), LockOutcome::Busy);
+        a.lock(1, b"ROW.7", LockMode::Exclusive, true).unwrap();
+        assert_eq!(b.lock(2, b"ROW.7", LockMode::Exclusive, true).unwrap(), LockOutcome::Busy);
         assert_eq!(b.stats.real_conflicts.get(), 1);
+        // A contended request carries its record, but writes none.
+        assert!(b.retained_locks_of(b.conn()).unwrap().is_empty());
         a.unlock(1, b"ROW.7").unwrap();
-        assert_eq!(b.lock(2, b"ROW.7", LockMode::Exclusive, false).unwrap(), LockOutcome::Granted);
+        assert_eq!(b.lock(2, b"ROW.7", LockMode::Exclusive, true).unwrap(), LockOutcome::Granted);
+        let owners: Vec<u8> = a.structure().records_snapshot().into_iter().map(|(_, conn, _)| conn).collect();
+        assert_eq!(owners, [b.conn().raw()], "a's record went with its release");
     }
 
     #[test]
@@ -1475,26 +1605,134 @@ mod tests {
     #[test]
     fn unlock_all_releases_everything_despite_a_failed_release() {
         use sysplex_core::connection::LinkFault;
-        let r = rig(1, 1024);
-        let a = &r.irlms[0];
-        // Shared grants are never cached, so each is released by a CF
-        // command of its own at unlock_all.
-        let rows: Vec<Vec<u8>> = (0..4u64).map(|k| format!("ROW.{k}").into_bytes()).collect();
-        for row in &rows {
-            a.lock(1, row, LockMode::Shared, false).unwrap();
+        let r = rig(2, 1024);
+        let (a, b) = (&r.irlms[0], &r.irlms[1]);
+        // Shared grants are never cached, so unlock_all releases all five
+        // entries — and deletes ROW.4's record — in its one command.
+        let rows: Vec<Vec<u8>> = (0..5u64).map(|k| format!("ROW.{k}").into_bytes()).collect();
+        for (k, row) in rows.iter().enumerate() {
+            a.lock(1, row, LockMode::Shared, k == 4).unwrap();
         }
         r.cf.inject_fault(LinkFault::Timeout);
         let err = a.unlock_all(1).unwrap_err();
-        assert!(matches!(err, DbError::Cf(sysplex_core::CfError::LinkTimeout(_))), "got {err:?}");
-        // The first release was lost; the other three still went out and
-        // nothing stays behind in the local table.
+        assert!(
+            matches!(err, DbError::Cf(sysplex_core::CfError::LinkTimeout("lock-release"))),
+            "got {err:?}"
+        );
+        // The release set was lost: the local tables settle all the same,
+        // the interest and the record stay behind at the CF.
         assert!(a.held_by(1).is_empty());
-        assert_eq!(a.structure().interest_count(a.conn()), 1, "only the lost release leaves interest");
+        assert!(rows.iter().all(|row| a.local_mode(row).is_none()));
+        assert_eq!(a.structure().interest_count(a.conn()), 5);
+        assert_eq!(a.structure().record_count(), 1, "over-retained, which is safe");
+        // The entries are parked, not cached: a re-acquire still asks the
+        // CF, and a peer's recall surrenders them — the lost release does
+        // not leak interest for good.
+        let before = a.stats.grants_cf_sync.get();
+        assert_eq!(a.lock(2, &rows[0], LockMode::Exclusive, false).unwrap(), LockOutcome::Granted);
+        assert_eq!(a.stats.grants_cf_sync.get(), before + 1);
+        a.unlock_all(2).unwrap();
         for row in &rows {
-            assert_eq!(a.local_mode(row), None);
-            assert_eq!(a.lock(2, row, LockMode::Exclusive, false).unwrap(), LockOutcome::Granted);
+            assert_eq!(b.lock(3, row, LockMode::Exclusive, false).unwrap(), LockOutcome::Granted);
         }
+        assert_eq!(a.structure().interest_count(a.conn()), 0);
         assert_eq!(a.stats.local_conflicts.get(), 0);
+    }
+
+    #[test]
+    fn a_record_lives_while_any_persistent_holder_does() {
+        let r = rig(2, 1024);
+        let (a, b) = (&r.irlms[0], &r.irlms[1]);
+        // Two persistent holders of ROW.1; ROW.2's second holder is not
+        // persistent.
+        for (txn, persistent) in [(1, true), (2, true)] {
+            a.lock(txn, b"ROW.1", LockMode::Shared, persistent).unwrap();
+        }
+        for (txn, persistent) in [(1, true), (2, false)] {
+            a.lock(txn, b"ROW.2", LockMode::Shared, persistent).unwrap();
+        }
+        assert_eq!(a.structure().record_count(), 2, "one record a resource, however many holders");
+        a.unlock(1, b"ROW.1").unwrap();
+        a.unlock(1, b"ROW.2").unwrap();
+        a.crash();
+        b.mark_peer_failed(a.conn()).unwrap();
+        // Txn 2 still holds ROW.1 persistently: recovery must retain it.
+        let retained = b.retained_locks_of(a.conn()).unwrap();
+        assert_eq!(retained.iter().map(|l| l.resource.as_slice()).collect::<Vec<_>>(), [b"ROW.1"]);
+    }
+
+    /// Register `txn`'s request for `name` as phase 1 does, so a test can
+    /// play the request's CF command and phase 3 in an order of its own.
+    fn register<'a>(irlm: &'a Irlm, txn: u64, name: &ResourceName, mode: LockMode) -> Phase2<'a> {
+        let entry = irlm.cf.read().conn.entry_of(name);
+        let mut local = irlm.local.lock();
+        let recall_snapshot = local.recall_seq;
+        local.wanted.push(Wanted {
+            txn,
+            name: name.clone(),
+            entry,
+            mode,
+            critical: true,
+            yielded: false,
+            unrecorded: false,
+            recall_snapshot,
+        });
+        Phase2 { irlm, txn }
+    }
+
+    /// Who the member's records for `a` name: `(resource, txn)` pairs.
+    fn records_of(a: &Irlm) -> Vec<(Vec<u8>, u64)> {
+        let records = a.retained_locks_of(a.conn()).unwrap();
+        records.into_iter().map(|l| (l.resource, u64::from_be_bytes(l.payload.try_into().unwrap()))).collect()
+    }
+
+    #[test]
+    fn a_lost_phase_3_leaves_the_record_to_the_winner() {
+        let r = rig(1, 1024);
+        let a = &r.irlms[0];
+        let name = ResourceName::new(b"ROW.1");
+        let x = LockMode::Exclusive;
+        for winner_persistent in [true, false] {
+            // Txn 2 registers and goes to the CF; meanwhile its sibling,
+            // txn 1, is granted the resource outright; then txn 2's command
+            // lands, writing its record over txn 1's.
+            let phase2 = register(a, 2, &name, x);
+            assert_eq!(a.lock(1, name.as_bytes(), x, winner_persistent).unwrap(), LockOutcome::Granted);
+            let entry = a.cf.read().conn.entry_of(&name);
+            assert!(a.cf.read().request(entry, x, Some((name.as_bytes(), 2))).unwrap().is_granted());
+            assert_eq!(records_of(a), [(b"ROW.1".to_vec(), 2)]);
+            // Phase 3 finds txn 1 holding: txn 2 loses, and the record is
+            // the winner's — or gone, when the winner keeps no record.
+            let outcome = a.finish_cf_grant(&a.cf.read(), phase2, &name, x, true, true).unwrap();
+            assert_eq!(outcome, LockOutcome::Busy);
+            let want: Vec<(Vec<u8>, u64)> =
+                if winner_persistent { vec![(b"ROW.1".to_vec(), 1)] } else { vec![] };
+            assert_eq!(records_of(a), want);
+            a.unlock_all(1).unwrap();
+            assert!(records_of(a).is_empty());
+        }
+    }
+
+    #[test]
+    fn a_record_deleted_under_a_phase_2_request_is_written_again() {
+        let r = rig(1, 1024);
+        let a = &r.irlms[0];
+        let name = ResourceName::new(b"ROW.1");
+        let x = LockMode::Exclusive;
+        // Txn 2's command writes its record; before its phase 3, sibling
+        // txn 1 takes the resource, writes its own record, and releases
+        // it — deleting the record txn 2's grant is about to rely on.
+        let phase2 = register(a, 2, &name, x);
+        let entry = a.cf.read().conn.entry_of(&name);
+        assert!(a.cf.read().request(entry, x, Some((name.as_bytes(), 2))).unwrap().is_granted());
+        assert_eq!(a.lock(1, name.as_bytes(), x, true).unwrap(), LockOutcome::Granted);
+        a.unlock_all(1).unwrap();
+        assert!(records_of(a).is_empty());
+        let outcome = a.finish_cf_grant(&a.cf.read(), phase2, &name, x, true, true).unwrap();
+        assert_eq!(outcome, LockOutcome::Granted);
+        assert_eq!(records_of(a), [(b"ROW.1".to_vec(), 2)]);
+        a.unlock_all(2).unwrap();
+        assert!(records_of(a).is_empty());
     }
 
     #[test]
@@ -1654,6 +1892,8 @@ mod tests {
             mode: LockMode::Shared,
             critical,
             yielded: false,
+            unrecorded: false,
+            recall_snapshot: 0,
         };
         // Shared grants are never cached: without the sibling this unlock
         // would release the entry.
@@ -1765,6 +2005,8 @@ mod tests {
             mode: LockMode::Shared,
             critical: false,
             yielded: false,
+            unrecorded: false,
+            recall_snapshot: 0,
         });
         for k in 0..n {
             a.lock(k as u64, &resource(k), LockMode::Exclusive, false).unwrap();

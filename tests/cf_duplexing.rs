@@ -98,6 +98,50 @@ fn failover_preserves_held_locks_and_changed_data_without_dasd() {
     group.remove_member(SystemId::new(1));
 }
 
+/// Records now ride in lock requests and die in release sets; the mirror
+/// must get both. After committed transactions (records written and
+/// deleted) and two open ones (records held), the secondary holds exactly
+/// the primary's records — and after failover the promoted structure does.
+#[test]
+fn recorded_grants_and_release_sets_mirror_exactly() {
+    let (plex, group) = rig();
+    let cf2 = plex.add_cf("CF02");
+    group.enable_duplexing(&cf2).unwrap();
+    let a = group.member(SystemId::new(0)).unwrap();
+    let b = group.member(SystemId::new(1)).unwrap();
+    for k in 0..8u64 {
+        a.run(10, |db, txn| {
+            db.write(txn, k, Some(b"v"))?;
+            db.write(txn, 100 + k % 2, Some(b"w"))
+        })
+        .unwrap();
+    }
+    let mut open_a = a.begin();
+    a.write(&mut open_a, 200, Some(b"held")).unwrap();
+    a.write(&mut open_a, 201, Some(b"held")).unwrap();
+    let mut open_b = b.begin();
+    b.write(&mut open_b, 300, Some(b"held")).unwrap();
+
+    let primary = group.lock_structure();
+    let secondary = cf2.lock_structure("DSG_LOCK1_DX1").unwrap();
+    let records = primary.records_snapshot();
+    assert_eq!(records.len(), 3, "the open transactions' records, nothing the commits left");
+    let retained = |s: &parallel_sysplex::cf::lock::LockStructure| {
+        [a.irlm().conn(), b.irlm().conn()].map(|conn| s.retained_locks(conn))
+    };
+    assert_eq!(secondary.records_snapshot(), records);
+    assert_eq!(retained(&secondary), retained(&primary), "payloads mirrored too");
+
+    group.cf_failover().unwrap();
+    assert!(Arc::ptr_eq(&group.lock_structure(), &secondary));
+    assert_eq!(group.lock_structure().records_snapshot(), records);
+    a.commit(&mut open_a).unwrap();
+    b.commit(&mut open_b).unwrap();
+    assert!(group.lock_structure().records_snapshot().is_empty());
+    group.remove_member(SystemId::new(0));
+    group.remove_member(SystemId::new(1));
+}
+
 #[test]
 fn duplexing_enables_and_fails_over_under_live_traffic() {
     let (plex, group) = rig();

@@ -422,13 +422,20 @@ fn single_member_debit_credit_traffic_is_pinned() {
     // moved one count, `cache-read` 2 938 -> 942: `put_page` no longer
     // re-registers a block whose frame the committer's own `get_page` has
     // just left ready and valid (1 996 writes, each of which used to cost a
-    // registration; the 942 left are the reads that miss the pool).
+    // registration; the 942 left are the reads that miss the pool). PR 25
+    // moved two, the command packaging and nothing else: `lock-record`
+    // 4 000 -> 1 454 (a CF-granted persistent request carries its record —
+    // 546 of the 2 000 did — and the deletes ride in the release set) and
+    // `lock-release` 433 -> 500 (every commit now sends exactly one release
+    // set, since each gives up four records; 433 was the count of entries
+    // released one command each). Moving FIFO eviction to the end of a
+    // transaction left the outcome counts below exactly where they were.
     assert_eq!(
         issued,
         [
             ("lock-request", 1562),
-            ("lock-release", 433),
-            ("lock-record", 4000),
+            ("lock-release", 500),
+            ("lock-record", 1454),
             ("cache-read", 942),
             ("cache-write", 1996),
             ("cache-admin", 686),
@@ -505,7 +512,8 @@ impl IrlmModel {
     fn unlock(&mut self, classes: &[usize], txn: u8, res: usize) {
         let Some(held) = self.holders.get_mut(&res) else { return };
         let Some((_, persistent)) = held.remove(&txn) else { return };
-        if persistent {
+        // The record lives while any holder is persistent.
+        if persistent && !held.values().any(|&(_, persistent)| persistent) {
             self.records.remove(&res);
         }
         if held.is_empty() {

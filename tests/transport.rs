@@ -189,6 +189,63 @@ fn served_session_end_to_end() {
     assert!(!native.is_failed_persistent(peer).unwrap());
 }
 
+/// A recorded request and a release set mean the same over a socket as
+/// over a function call: one sequence of grants, records and release sets,
+/// driven through each backend against its own facility, leaves the same
+/// records and interest behind.
+#[test]
+fn recorded_requests_and_release_sets_agree_across_backends() {
+    use parallel_sysplex::cf::hashing::ResourceName;
+    use parallel_sysplex::cf::lock::RetainedLock;
+
+    fn drive(
+        cf: &Arc<CouplingFacility>,
+        transport: Arc<dyn CfTransport>,
+    ) -> (Vec<RetainedLock>, usize, usize) {
+        let (x, s) = (LockMode::Exclusive, LockMode::Shared);
+        let lock = RemoteLockConnection::attach(transport, "IRLM1").unwrap();
+        let peer = cf.connect_lock("IRLM1").unwrap();
+        assert!(lock.request_lock_recorded(1, x, b"ACCT.1", b"T1").unwrap().is_granted());
+        assert!(lock.request_lock_recorded(2, s, b"ACCT.2", b"T1").unwrap().is_granted());
+        assert!(lock.request_lock(3, x).unwrap().is_granted());
+        // Contended: the record is not written.
+        assert!(peer.request_lock(4, x).unwrap().is_granted());
+        assert!(!lock.request_lock_recorded(4, x, b"ACCT.4", b"T1").unwrap().is_granted());
+        // A name with no record in the set is skipped.
+        let names = [ResourceName::new(b"ACCT.1"), ResourceName::new(b"ACCT.9")];
+        lock.release_set(&[3, 1], &names).unwrap();
+        let structure = cf.lock_structure("IRLM1").unwrap();
+        let left = (
+            lock.retained_locks_of(lock.conn_id()).unwrap(),
+            structure.record_count(),
+            structure.interest_count(lock.conn_id()),
+        );
+        peer.release_lock(4).unwrap();
+        left
+    }
+
+    let in_process = cf_with_lock();
+    let local = drive(&in_process, Arc::new(InProcessTransport::new(&in_process)));
+
+    let cf = cf_with_lock();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = {
+        let cf = Arc::clone(&cf);
+        std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            serve_cf_stream(&InProcessTransport::new(&cf), stream).unwrap();
+        })
+    };
+    let remote = drive(&cf, Arc::new(TcpTransport::connect(addr).unwrap()));
+    server.join().unwrap();
+
+    assert_eq!(remote, local);
+    let (retained, records, interest) = local;
+    assert_eq!(retained.iter().map(|l| l.resource.as_slice()).collect::<Vec<_>>(), [b"ACCT.2"]);
+    assert_eq!((records, interest), (1, 1));
+}
+
 /// A server that answers every request twice (the wire `Duplicate` fault,
 /// on every frame): each call must still return its own response. Before
 /// frames carried a sequence number the second `Attached` was adopted as
