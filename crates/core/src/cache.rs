@@ -30,16 +30,23 @@ use crate::hashing::{fnv1a64, mix64};
 use crate::slots::ConnectorSlots;
 use crate::stats::SlotCounter;
 use crate::types::{ConnId, MAX_CONNECTORS};
+use crossbeam::utils::CachePadded;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Directory shard count. Must stay a power of two: `shard_of` reduces
 /// the mixed hash with a mask, not a divide, on the per-command path.
 const SHARD_COUNT: usize = 64;
 const _: () = assert!(SHARD_COUNT.is_power_of_two());
+
+/// The directory shard `name` lives in, for every life of its entry.
+#[inline]
+fn shard_index(name: &BlockName) -> usize {
+    (mix64(fnv1a64(name.as_bytes())) as usize) & (SHARD_COUNT - 1)
+}
 
 /// A fixed 16-byte block name, as used by DB2/IMS buffer managers.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -122,7 +129,10 @@ impl CacheParams {
 pub struct RegisterResult {
     /// The block data, when the structure holds a current copy.
     pub data: Option<Arc<Vec<u8>>>,
-    /// Directory version of the block (0 = never written through the CF).
+    /// Directory version of the block: its shard's clock when the entry
+    /// was created or last written. A name always hashes to one shard and
+    /// a shard's clock never goes back, so versions of one name only rise,
+    /// across reclaim and re-creation too.
     pub version: u64,
     /// Whether the CF copy is changed data awaiting castout.
     pub changed: bool,
@@ -181,16 +191,42 @@ struct DirEntry {
     data: Option<Arc<Vec<u8>>>,
     changed: bool,
     version: u64,
+    /// Shard clock at the last command that touched the entry.
     lru_tick: u64,
 }
 
 impl DirEntry {
-    fn new() -> Self {
-        DirEntry { interest: [None; MAX_CONNECTORS], data: None, changed: false, version: 0, lru_tick: 0 }
+    fn new(tick: u64) -> Self {
+        DirEntry {
+            interest: [None; MAX_CONNECTORS],
+            data: None,
+            changed: false,
+            version: tick,
+            lru_tick: tick,
+        }
     }
 }
 
-type Shard = RwLock<HashMap<BlockName, DirEntry>>;
+/// One shard of the global buffer directory.
+#[derive(Debug, Default)]
+struct Directory {
+    entries: HashMap<BlockName, DirEntry>,
+    /// Bumped by every command that touches an entry here, under the
+    /// shard's write lock: the LRU stamp and the version source, with no
+    /// word shared across shards.
+    clock: u64,
+}
+
+impl Directory {
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+}
+
+/// Each on its own line, so two connectors working through different
+/// shards write nothing in common.
+type Shard = CachePadded<RwLock<Directory>>;
 
 /// A handle representing one connector's attachment to a cache structure.
 ///
@@ -237,7 +273,8 @@ pub struct CacheStructure {
     data_capacity: usize,
     entry_count: AtomicU64,
     data_bytes: AtomicU64,
-    lru_clock: AtomicU64,
+    /// Next shard reclaim looks in; only reclaim moves it.
+    reclaim_cursor: AtomicUsize,
     /// Published counters.
     pub stats: CacheStats,
     /// Known-bad hook: drop the cross-invalidate signal on the floor. The
@@ -268,7 +305,7 @@ impl CacheStructure {
         if params.model != CacheModel::DirectoryOnly && params.data_capacity == 0 {
             return Err(CfError::BadParameter("data-caching model requires a data area"));
         }
-        let shards = (0..SHARD_COUNT).map(|_| RwLock::new(HashMap::new())).collect();
+        let shards = (0..SHARD_COUNT).map(|_| CachePadded::new(RwLock::default())).collect();
         Ok(CacheStructure {
             name: name.to_string(),
             shards,
@@ -278,7 +315,7 @@ impl CacheStructure {
             data_capacity: params.data_capacity,
             entry_count: AtomicU64::new(0),
             data_bytes: AtomicU64::new(0),
-            lru_clock: AtomicU64::new(1),
+            reclaim_cursor: AtomicUsize::new(0),
             stats: CacheStats::default(),
             #[cfg(feature = "test-hooks")]
             lose_xi: std::sync::atomic::AtomicBool::new(false),
@@ -316,12 +353,7 @@ impl CacheStructure {
 
     #[inline]
     fn shard_of(&self, name: &BlockName) -> &Shard {
-        let h = mix64(fnv1a64(name.as_bytes()));
-        &self.shards[(h as usize) & (SHARD_COUNT - 1)]
-    }
-
-    fn tick(&self) -> u64 {
-        self.lru_clock.fetch_add(1, Ordering::Relaxed)
+        &self.shards[shard_index(name)]
     }
 
     /// Register interest in `name`, associating local buffer bit
@@ -342,16 +374,16 @@ impl CacheStructure {
             return Err(CfError::BadParameter("vector index out of range"));
         }
         self.stats.reads.incr(conn.id);
-        let tick = self.tick();
         let mut shard = self.shard_of(&name).write();
-        if !shard.contains_key(&name) {
+        if !shard.entries.contains_key(&name) {
             drop(shard);
             self.make_room_for_entry(conn.id)?;
             shard = self.shard_of(&name).write();
         }
-        let entry = shard.entry(name).or_insert_with(|| {
+        let tick = shard.tick();
+        let entry = shard.entries.entry(name).or_insert_with(|| {
             self.entry_count.fetch_add(1, Ordering::Relaxed);
-            DirEntry::new()
+            DirEntry::new(tick)
         });
         entry.interest[conn.id.index()] = Some(vector_index);
         entry.lru_tick = tick;
@@ -386,19 +418,19 @@ impl CacheStructure {
             _ => {}
         }
         self.stats.writes.incr(conn.id);
-        let tick = self.tick();
         if kind != WriteKind::InvalidateOnly {
             self.make_room_for_data(conn.id, data.len())?;
         }
         let mut shard = self.shard_of(&name).write();
-        if !shard.contains_key(&name) {
+        if !shard.entries.contains_key(&name) {
             drop(shard);
             self.make_room_for_entry(conn.id)?;
             shard = self.shard_of(&name).write();
         }
-        let entry = shard.entry(name).or_insert_with(|| {
+        let tick = shard.tick();
+        let entry = shard.entries.entry(name).or_insert_with(|| {
             self.entry_count.fetch_add(1, Ordering::Relaxed);
-            DirEntry::new()
+            DirEntry::new(tick)
         });
         // The structure-wide vector table is locked only once a peer turns
         // out to be registered on this block: a write nobody else has
@@ -428,7 +460,7 @@ impl CacheStructure {
         if invalidated > 0 {
             self.stats.xi_signals.add(conn.id, invalidated as u64);
         }
-        entry.version += 1;
+        entry.version = tick;
         entry.lru_tick = tick;
         let new_data = (kind != WriteKind::InvalidateOnly).then(|| Arc::new(data.to_vec()));
         let (old_len, new_len) =
@@ -453,31 +485,31 @@ impl CacheStructure {
     pub fn unregister(&self, conn: &CacheConnection, name: BlockName) -> CfResult<()> {
         self.check_active(conn.id)?;
         let mut shard = self.shard_of(&name).write();
-        let entry = shard.get_mut(&name).ok_or(CfError::NoSuchEntry)?;
+        let entry = shard.entries.get_mut(&name).ok_or(CfError::NoSuchEntry)?;
         entry.interest[conn.id.index()] = None;
         Ok(())
     }
 
-    /// Enumerate changed blocks awaiting castout (oldest first, up to `max`).
+    /// Enumerate changed blocks awaiting castout, up to `max`, least
+    /// recently touched first: by `(shard clock, shard, name)`, an order
+    /// the command sequence alone decides.
     pub fn castout_candidates(&self, max: usize) -> Vec<BlockName> {
-        let mut out: Vec<(u64, BlockName)> = Vec::new();
-        for shard in self.shards.iter() {
+        let mut out: Vec<(u64, usize, BlockName)> = Vec::new();
+        for (si, shard) in self.shards.iter().enumerate() {
             let shard = shard.read();
-            for (name, e) in shard.iter() {
-                if e.changed {
-                    out.push((e.lru_tick, *name));
-                }
-            }
+            out.extend(
+                shard.entries.iter().filter(|(_, e)| e.changed).map(|(name, e)| (e.lru_tick, si, *name)),
+            );
         }
         out.sort_unstable();
-        out.into_iter().take(max).map(|(_, n)| n).collect()
+        out.into_iter().take(max).map(|(_, _, n)| n).collect()
     }
 
     /// Read a changed block for castout, returning its data and version.
     pub fn read_for_castout(&self, conn: &CacheConnection, name: BlockName) -> CfResult<(Arc<Vec<u8>>, u64)> {
         self.check_active(conn.id)?;
         let shard = self.shard_of(&name).read();
-        let entry = shard.get(&name).ok_or(CfError::NoSuchEntry)?;
+        let entry = shard.entries.get(&name).ok_or(CfError::NoSuchEntry)?;
         if !entry.changed {
             return Err(CfError::NoSuchEntry);
         }
@@ -490,7 +522,7 @@ impl CacheStructure {
     pub fn complete_castout(&self, conn: &CacheConnection, name: BlockName, version: u64) -> CfResult<()> {
         self.check_active(conn.id)?;
         let mut shard = self.shard_of(&name).write();
-        let entry = shard.get_mut(&name).ok_or(CfError::NoSuchEntry)?;
+        let entry = shard.entries.get_mut(&name).ok_or(CfError::NoSuchEntry)?;
         if entry.version != version {
             return Err(CfError::VersionMismatch { expected: version, found: entry.version });
         }
@@ -511,7 +543,7 @@ impl CacheStructure {
         self.check_active(conn)?;
         for shard in self.shards.iter() {
             let mut shard = shard.write();
-            for e in shard.values_mut() {
+            for e in shard.entries.values_mut() {
                 e.interest[conn.index()] = None;
             }
         }
@@ -531,13 +563,13 @@ impl CacheStructure {
 
     /// Count of changed blocks awaiting castout.
     pub fn changed_count(&self) -> usize {
-        self.shards.iter().map(|s| s.read().values().filter(|e| e.changed).count()).sum()
+        self.shards.iter().map(|s| s.read().entries.values().filter(|e| e.changed).count()).sum()
     }
 
     /// Registered interest for a block (tests/diagnostics).
     pub fn interest_of(&self, name: BlockName) -> Option<Vec<ConnId>> {
         let shard = self.shard_of(&name).read();
-        shard.get(&name).map(|e| {
+        shard.entries.get(&name).map(|e| {
             (0..MAX_CONNECTORS)
                 .filter(|&i| e.interest[i].is_some())
                 .map(|i| ConnId::from_raw(i as u8))
@@ -568,33 +600,24 @@ impl CacheStructure {
         Ok(())
     }
 
-    /// Reclaim one unchanged directory entry (LRU-ish across shards),
-    /// cross-invalidating any registered connectors. Changed entries are
-    /// never reclaimed — they hold the only current copy of the data.
-    /// Counted against `by`, the connector whose command needed the room.
+    /// Reclaim one unchanged directory entry, cross-invalidating any
+    /// registered connectors: the least recently touched one of the next
+    /// shard at the reclaim cursor that has one. Changed entries are never
+    /// reclaimed — they hold the only current copy of the data. Counted
+    /// against `by`, the connector whose command needed the room.
     fn reclaim_one(&self, by: ConnId, needs_data: bool) -> bool {
-        let mut best: Option<(u64, usize, BlockName)> = None;
-        for (si, shard) in self.shards.iter().enumerate() {
-            let shard = shard.read();
-            for (name, e) in shard.iter() {
-                if e.changed {
-                    continue;
-                }
-                if needs_data && e.data.is_none() {
-                    continue;
-                }
-                if best.is_none() || e.lru_tick < best.as_ref().unwrap().0 {
-                    best = Some((e.lru_tick, si, *name));
-                }
-            }
-        }
-        let Some((tick, si, name)) = best else { return false };
-        let mut shard = self.shards[si].write();
-        let Some(e) = shard.get(&name) else { return true };
-        if e.changed || e.lru_tick != tick {
-            return true; // raced with a write; caller re-checks capacity
-        }
-        let e = shard.remove(&name).unwrap();
+        let e = (0..SHARD_COUNT).find_map(|_| {
+            let si = self.reclaim_cursor.fetch_add(1, Ordering::Relaxed) % SHARD_COUNT;
+            let mut shard = self.shards[si].write();
+            let victim = shard
+                .entries
+                .iter()
+                .filter(|(_, e)| !e.changed && (!needs_data || e.data.is_some()))
+                .min_by_key(|(name, e)| (e.lru_tick, **name))
+                .map(|(name, _)| *name)?;
+            shard.entries.remove(&victim)
+        });
+        let Some(e) = e else { return false };
         let mut vectors = None;
         for slot in 0..MAX_CONNECTORS {
             if let Some(idx) = e.interest[slot] {
@@ -774,8 +797,11 @@ mod tests {
         .unwrap();
         let a = c.connect(16).unwrap();
         let b1 = BlockName::from_parts(1, 1);
-        let b2 = BlockName::from_parts(1, 2);
-        let b3 = BlockName::from_parts(1, 3);
+        // b2 shares b1's shard, so that shard is the only one reclaim can
+        // pick from, and b1 is its least recently touched entry.
+        let b2 =
+            (2..).map(|p| BlockName::from_parts(1, p)).find(|b| shard_index(b) == shard_index(&b1)).unwrap();
+        let b3 = BlockName::from_parts(2, 3);
         c.read_and_register(&a, b1, 0).unwrap();
         c.read_and_register(&a, b2, 1).unwrap();
         // Third entry forces reclaim of b1 (oldest, unchanged).
@@ -783,6 +809,69 @@ mod tests {
         assert_eq!(c.entry_count(), 2);
         assert!(!a.is_valid(0), "evicted entry cross-invalidated its registrant");
         assert!(a.is_valid(1) && a.is_valid(2));
+    }
+
+    /// Reclaim order is a function of the command sequence alone: two
+    /// structures (whose hash maps iterate in different orders) fed the
+    /// same commands evict the same blocks in the same order.
+    #[test]
+    fn reclaim_order_is_deterministic() {
+        let evictions = || {
+            let c = CacheStructure::new(
+                "C",
+                &CacheParams { directory_entries: 16, data_capacity: 1 << 20, model: CacheModel::StoreIn },
+            )
+            .unwrap();
+            let a = c.connect(256).unwrap();
+            let names: Vec<BlockName> = (0..256).map(|p| BlockName::from_parts(3, p)).collect();
+            let (mut resident, mut victims): (Vec<BlockName>, Vec<BlockName>) = (Vec::new(), Vec::new());
+            for (i, &name) in names.iter().enumerate() {
+                c.read_and_register(&a, name, i as u32).unwrap();
+                if i % 3 == 0 {
+                    c.write_and_invalidate(&a, names[i / 2], b"x", WriteKind::CleanData).unwrap();
+                }
+                let now: Vec<BlockName> =
+                    names[..=i].iter().copied().filter(|n| c.interest_of(*n).is_some()).collect();
+                victims.extend(resident.iter().filter(|n| !now.contains(*n)));
+                resident = now;
+            }
+            victims
+        };
+        let first = evictions();
+        assert!(first.len() >= 200, "a 16-entry directory reclaimed {} of 256", first.len());
+        assert_eq!(first, evictions(), "same commands, same victims");
+    }
+
+    /// A reclaimed entry's next life takes its version from the same shard
+    /// clock, so it orders above every version of every earlier life.
+    #[test]
+    fn a_recreated_entry_versions_above_its_earlier_lives() {
+        let c = CacheStructure::new(
+            "C",
+            &CacheParams { directory_entries: 1, data_capacity: 1 << 20, model: CacheModel::StoreIn },
+        )
+        .unwrap();
+        let a = c.connect(16).unwrap();
+        let blk = BlockName::from_parts(5, 5);
+        let mut highest = 0;
+        for life in 0..4 {
+            let r = c.read_and_register(&a, blk, 0).unwrap();
+            assert!(
+                r.data.is_none() && r.version > highest,
+                "life {life} starts at {} <= {highest}",
+                r.version
+            );
+            for _ in 0..3 {
+                let w = c.write_and_invalidate(&a, blk, b"v", WriteKind::ChangedData).unwrap();
+                assert!(w.version > highest);
+                highest = w.version;
+            }
+            let (_, v) = c.read_for_castout(&a, blk).unwrap();
+            c.complete_castout(&a, blk, v).unwrap();
+            // The one-entry directory reclaims `blk` for another block.
+            c.read_and_register(&a, BlockName::from_parts(6, life), 1).unwrap();
+            assert_eq!(c.interest_of(blk), None);
+        }
     }
 
     #[test]

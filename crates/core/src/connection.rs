@@ -1631,4 +1631,36 @@ mod tests {
         assert_eq!(link.async_overhead(), Duration::from_micros(40));
         assert!(recorded(CommandClass::CacheCastout) >= round_trip + link.async_overhead());
     }
+
+    /// One connection cloned into four threads shares one slot and so one
+    /// id cursor: the clones race on it and still never draw an id twice.
+    #[test]
+    fn cloned_list_connection_never_draws_an_id_twice() {
+        let cf = cf();
+        cf.allocate_list_structure("Q", ListParams::with_headers(4)).unwrap();
+        let conn = cf.connect_list("Q", 8).unwrap();
+        let ids: Vec<crate::list::EntryId> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|t| {
+                    let conn = conn.clone();
+                    scope.spawn(move || {
+                        (0..500)
+                            .map(|i| {
+                                let id = conn
+                                    .enqueue(t, i, b"", WritePosition::Tail, LockCondition::None)
+                                    .unwrap();
+                                if i % 2 == 0 {
+                                    conn.take(t, DequeueEnd::Head, LockCondition::None).unwrap();
+                                }
+                                id
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
+        });
+        let unique: std::collections::HashSet<_> = ids.iter().collect();
+        assert_eq!(unique.len(), 2000, "every id drawn once");
+    }
 }

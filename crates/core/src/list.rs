@@ -24,10 +24,10 @@
 
 use crate::bitvec::BitVector;
 use crate::error::{CfError, CfResult};
-use crate::hashing::hash_to_slot;
 use crate::slots::ConnectorSlots;
 use crate::stats::SlotCounter;
-use crate::types::ConnId;
+use crate::types::{ConnId, MAX_CONNECTORS};
+use crossbeam::utils::CachePadded;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -201,28 +201,51 @@ impl Default for ListStats {
     }
 }
 
-/// Number of entry-index shards. Power of two so `hash_to_slot`'s
-/// multiply-shift reduction spreads entry ids evenly; keeps concurrent
-/// writers on different headers from serializing on one index mutex.
-const INDEX_SHARDS: usize = 16;
+/// Entry ids a connector slot draws at a time. Slot `s`'s `k`-th block
+/// is block `(k + 1) * MAX_CONNECTORS + s`: no two slots ever draw from
+/// one block, no counter hands blocks out, and no id is 0 (the trace's
+/// "no entry").
+const ID_BLOCK: u64 = 64;
+/// Entry-index shards: one per connector slot, and an id's shard is its
+/// block's slot, so a connector's own entries index under its own lock.
+const INDEX_SHARDS: usize = MAX_CONNECTORS;
+/// Entry capacity a slot takes from the shared pool at a time.
+const QUOTA_CHUNK: u64 = 64;
+
+/// Entry id -> current header, for the ids of one slot's blocks.
+type IndexShard = CachePadded<Mutex<HashMap<EntryId, usize>>>;
+
+/// What a connector slot owns of the structure, on a line of its own.
+#[derive(Debug, Default)]
+struct SlotShare {
+    /// Entry ids the slot has drawn. Survives detach, so a slot's next
+    /// owner goes on where the last one stopped.
+    ids_drawn: AtomicU64,
+    /// Entries the slot may still create without touching the pool. A
+    /// delete credits the deleting slot.
+    quota: AtomicU64,
+}
 
 /// A CF list structure.
 #[derive(Debug)]
 pub struct ListStructure {
     name: String,
-    headers: Box<[Mutex<Header>]>,
+    headers: Box<[CachePadded<Mutex<Header>>]>,
     /// Serializing lock entries: 0 = free, otherwise connector slot + 1.
     locks: Box<[AtomicU32]>,
-    /// Entry id -> current header, sharded by entry-id hash (maintained
+    /// Entry id -> current header, sharded by the id's block (maintained
     /// after header mutation; shard locks are leaf locks, taken either
     /// under the owning header lock or in their own statement).
-    index: Box<[Mutex<HashMap<EntryId, usize>>]>,
+    index: Box<[IndexShard]>,
     /// Attached connectors. Their vectors and events are reached through
     /// the monitors registered on each header, so a slot keeps nothing.
     connectors: ConnectorSlots<()>,
-    next_entry_id: AtomicU64,
-    entry_count: AtomicU64,
-    max_entries: usize,
+    /// Per-slot id cursors and capacity quotas.
+    shares: Box<[CachePadded<SlotShare>]>,
+    /// Entry capacity no slot holds. Entries + pool + every slot's quota
+    /// is `max_entries` at all times; quota moves between pool and slots,
+    /// or slot to slot, only under this lock.
+    pool: CachePadded<Mutex<u64>>,
     /// Component tracer plus this structure's interned id, wired by the
     /// owning facility so transition signals show up in the trace.
     /// Set once; unset costs the hot path one atomic load.
@@ -237,17 +260,16 @@ impl ListStructure {
         if params.headers == 0 {
             return Err(CfError::BadParameter("list structure needs at least one header"));
         }
-        let headers = (0..params.headers).map(|_| Mutex::new(Header::default())).collect();
+        let headers = (0..params.headers).map(|_| CachePadded::new(Mutex::new(Header::default()))).collect();
         let locks = (0..params.lock_entries).map(|_| AtomicU32::new(0)).collect();
         Ok(ListStructure {
             name: name.to_string(),
             headers,
             locks,
-            index: (0..INDEX_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            index: (0..INDEX_SHARDS).map(|_| CachePadded::new(Mutex::new(HashMap::new()))).collect(),
             connectors: ConnectorSlots::new(),
-            next_entry_id: AtomicU64::new(1),
-            entry_count: AtomicU64::new(0),
-            max_entries: params.max_entries,
+            shares: (0..MAX_CONNECTORS).map(|_| CachePadded::new(SlotShare::default())).collect(),
+            pool: CachePadded::new(Mutex::new(params.max_entries as u64)),
             trace: OnceLock::new(),
             stats: ListStats::default(),
         })
@@ -263,7 +285,53 @@ impl ListStructure {
     /// Shard of the entry index covering `id`.
     #[inline]
     fn index_shard(&self, id: EntryId) -> &Mutex<HashMap<EntryId, usize>> {
-        &self.index[hash_to_slot(&id.0.to_le_bytes(), INDEX_SHARDS)]
+        &self.index[(id.0 / ID_BLOCK) as usize % INDEX_SHARDS]
+    }
+
+    /// The next id of `conn`'s slot: its own cursor, no shared word.
+    #[inline]
+    fn next_id(&self, conn: ConnId) -> EntryId {
+        let n = self.shares[conn.index()].ids_drawn.fetch_add(1, Ordering::Relaxed);
+        let block = (n / ID_BLOCK + 1) * MAX_CONNECTORS as u64 + conn.index() as u64;
+        EntryId(block * ID_BLOCK + n % ID_BLOCK)
+    }
+
+    /// Admit one new entry against `conn`'s quota, refilling it from the
+    /// pool when it is spent.
+    #[inline]
+    fn admit(&self, conn: ConnId) -> CfResult<()> {
+        let quota = &self.shares[conn.index()].quota;
+        if quota.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |q| q.checked_sub(1)).is_ok() {
+            return Ok(());
+        }
+        self.refill(conn)
+    }
+
+    /// Admission's slow path: a chunk from the pool or, once the pool is
+    /// dry, every slot's unused quota. Quota leaves a slot only through
+    /// its own admissions or under the pool lock, so finding none anywhere
+    /// means the structure is full.
+    fn refill(&self, conn: ConnId) -> CfResult<()> {
+        let mut pool = self.pool.lock();
+        let got = if *pool > 0 {
+            let chunk = (*pool).min(QUOTA_CHUNK);
+            *pool -= chunk;
+            chunk
+        } else {
+            self.shares.iter().map(|s| s.quota.swap(0, Ordering::Relaxed)).sum()
+        };
+        if got == 0 {
+            return Err(CfError::StructureFull);
+        }
+        // One credit admits this entry; the rest is the slot's.
+        self.shares[conn.index()].quota.fetch_add(got - 1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// An entry is gone: its capacity goes to the slot that removed it.
+    #[inline]
+    fn credit(&self, conn: ConnId) {
+        self.shares[conn.index()].quota.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Structure name as allocated in the facility.
@@ -372,10 +440,8 @@ impl ListStructure {
         self.check_active(conn.id)?;
         self.check_header(header)?;
         self.check_condition(conn.id, cond)?;
-        if self.entry_count.load(Ordering::Relaxed) as usize >= self.max_entries {
-            return Err(CfError::StructureFull);
-        }
-        let id = EntryId(self.next_entry_id.fetch_add(1, Ordering::Relaxed));
+        self.admit(conn.id)?;
+        let id = self.next_id(conn.id);
         let entry = StoredEntry { id, key, data: data.to_vec(), version: 1 };
         let mut h = self.headers[header].lock();
         let was_empty = h.entries.is_empty();
@@ -388,7 +454,6 @@ impl ListStructure {
                 h.entries.insert(pos, entry);
             }
         }
-        self.entry_count.fetch_add(1, Ordering::Relaxed);
         self.stats.writes.incr(conn.id);
         if was_empty {
             self.signal_transition(conn.id, header, &h);
@@ -467,7 +532,7 @@ impl ListStructure {
             }
             self.index_shard(id).lock().remove(&id);
             drop(h);
-            self.entry_count.fetch_sub(1, Ordering::Relaxed);
+            self.credit(conn.id);
             self.stats.deletes.incr(conn.id);
             return Ok(());
         }
@@ -663,7 +728,7 @@ impl ListStructure {
         }
         self.index_shard(e.id).lock().remove(&e.id);
         drop(h);
-        self.entry_count.fetch_sub(1, Ordering::Relaxed);
+        self.credit(conn.id);
         self.stats.dequeues.incr(conn.id);
         self.stats.deletes.incr(conn.id);
         Ok(Some(EntryView { id: e.id, key: e.key, data: e.data, header, version: e.version }))
@@ -686,9 +751,9 @@ impl ListStructure {
         Ok(self.headers[header].lock().entries.len())
     }
 
-    /// Total entries in the structure.
+    /// Total entries in the structure (exact once writers are quiet).
     pub fn entry_count(&self) -> usize {
-        self.entry_count.load(Ordering::Relaxed) as usize
+        self.index.iter().map(|shard| shard.lock().len()).sum()
     }
 
     // ----- serializing lock entries -----
@@ -803,9 +868,9 @@ impl ListStructure {
         Ok(copied)
     }
 
-    /// Detach a connector: releases its serializing locks and monitors.
-    /// List entries persist — lists hold shared state, not per-connector
-    /// state.
+    /// Detach a connector: releases its serializing locks and monitors,
+    /// and returns its unused quota to the pool. List entries persist —
+    /// lists hold shared state, not per-connector state.
     pub fn disconnect(&self, conn: &ListConnection) -> CfResult<()> {
         self.check_active(conn.id)?;
         let me = conn.id.raw() as u32 + 1;
@@ -816,6 +881,8 @@ impl ListStructure {
             h.lock().monitors.retain(|m| m.conn != conn.id);
         }
         self.connectors.release(conn.id);
+        let mut pool = self.pool.lock();
+        *pool += self.shares[conn.id.index()].quota.swap(0, Ordering::Relaxed);
         Ok(())
     }
 }
@@ -1118,6 +1185,115 @@ mod tests {
         );
         s.dequeue(&c, 0, DequeueEnd::Head, LockCondition::None).unwrap();
         s.write_entry(&c, 0, 3, b"", WritePosition::Tail, LockCondition::None).unwrap();
+    }
+
+    /// Eight writers racing at the limit admit exactly `max_entries`: no
+    /// more (the quota makes admission exact), no fewer (a dry pool steals
+    /// spare quota before it says full).
+    #[test]
+    fn capacity_is_exact_under_racing_writers() {
+        const THREADS: usize = 8;
+        const PER_THREAD: usize = 40;
+        const CAPACITY: usize = 100;
+        let s =
+            ListStructure::new("Q", &ListParams { headers: THREADS, lock_entries: 0, max_entries: CAPACITY })
+                .unwrap();
+        let barrier = std::sync::Barrier::new(THREADS);
+        let admitted: usize = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (s, barrier) = (&s, &barrier);
+                    scope.spawn(move || {
+                        let c = s.connect(1).unwrap();
+                        barrier.wait();
+                        (0..PER_THREAD)
+                            .filter(|&i| {
+                                s.write_entry(&c, t, i as u64, b"", WritePosition::Tail, LockCondition::None)
+                                    .is_ok()
+                            })
+                            .count()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        assert_eq!(admitted, CAPACITY, "exactly `max_entries` writes admitted");
+        assert_eq!(s.entry_count(), CAPACITY);
+        let c = s.connect(1).unwrap();
+        assert_eq!(
+            s.write_entry(&c, 0, 0, b"", WritePosition::Tail, LockCondition::None).unwrap_err(),
+            CfError::StructureFull
+        );
+    }
+
+    /// Slot A holds spare quota it will not use; slot B still fills the
+    /// structure exactly, and A's detach returns what it held.
+    #[test]
+    fn a_dry_pool_steals_spare_quota() {
+        let s =
+            ListStructure::new("Q", &ListParams { headers: 1, lock_entries: 0, max_entries: 10 }).unwrap();
+        let a = s.connect(1).unwrap();
+        let b = s.connect(1).unwrap();
+        let write =
+            |c: &ListConnection| s.write_entry(c, 0, 0, b"", WritePosition::Tail, LockCondition::None);
+        // A's first write takes the whole pool (10 < one chunk) and keeps 9.
+        write(&a).unwrap();
+        for _ in 0..9 {
+            write(&b).unwrap();
+        }
+        assert_eq!(write(&b).unwrap_err(), CfError::StructureFull);
+        assert_eq!(write(&a).unwrap_err(), CfError::StructureFull);
+        assert_eq!(s.entry_count(), 10);
+        // B's dequeues credit B; the slot A held, reattached, steals them.
+        s.dequeue(&b, 0, DequeueEnd::Head, LockCondition::None).unwrap();
+        s.dequeue(&b, 0, DequeueEnd::Head, LockCondition::None).unwrap();
+        s.disconnect(&a).unwrap();
+        let a = s.connect(1).unwrap();
+        write(&a).unwrap();
+        write(&a).unwrap();
+        assert_eq!(write(&a).unwrap_err(), CfError::StructureFull);
+        // A detach with quota in hand returns it to the pool.
+        s.dequeue(&a, 0, DequeueEnd::Head, LockCondition::None).unwrap();
+        s.disconnect(&a).unwrap();
+        assert_eq!(*s.pool.lock(), 1);
+        write(&b).unwrap();
+        assert_eq!(s.entry_count(), 10);
+    }
+
+    /// A slot's ids come in blocks no other slot draws from; refilling a
+    /// block never repeats an id, and every id indexes in its slot's shard.
+    #[test]
+    fn entry_ids_stay_unique_across_block_refills() {
+        let s = structure(1);
+        let a = s.connect(1).unwrap();
+        let b = s.connect(1).unwrap();
+        let mut seen = std::collections::HashSet::new();
+        for i in 0..3 * ID_BLOCK {
+            for c in [&a, &b] {
+                let id = s.write_entry(c, 0, i, b"", WritePosition::Tail, LockCondition::None).unwrap();
+                assert!(seen.insert(id), "{id:?} issued twice");
+                assert_eq!((id.0 / ID_BLOCK) as usize % INDEX_SHARDS, c.id.index(), "{id:?} off its shard");
+                s.dequeue(c, 0, DequeueEnd::Head, LockCondition::None).unwrap();
+            }
+        }
+        assert!(!seen.contains(&EntryId(0)));
+    }
+
+    /// The id cursor belongs to the slot, not the attachment: a slot's next
+    /// owner goes on where the last one stopped.
+    #[test]
+    fn entry_ids_stay_unique_across_detach_and_reattach() {
+        let s = structure(1);
+        let mut seen = std::collections::HashSet::new();
+        for _ in 0..4 {
+            let c = s.connect(1).unwrap();
+            assert_eq!(c.id.index(), 0, "the same slot every time");
+            for i in 0..ID_BLOCK / 2 + 1 {
+                let id = s.write_entry(&c, 0, i, b"", WritePosition::Tail, LockCondition::None).unwrap();
+                assert!(seen.insert(id), "{id:?} reissued after reattach");
+            }
+            s.disconnect(&c).unwrap();
+        }
     }
 
     #[test]

@@ -1278,6 +1278,24 @@ mod tests {
         exercise(transport, &cf);
     }
 
+    /// Ids drawn through the wire are the structure's: unique across a
+    /// remote connector's detach and reattach to the same slot.
+    #[test]
+    fn remote_entry_ids_stay_unique_across_reattach() {
+        let cf = cf();
+        let transport: Arc<dyn CfTransport> = Arc::new(InProcessTransport::new(&cf));
+        let mut seen = std::collections::HashSet::new();
+        for _ in 0..3 {
+            let list = RemoteListConnection::attach(Arc::clone(&transport), "WQ", 8).unwrap();
+            for i in 0..100 {
+                let id = list.enqueue(0, i, b"x", WritePosition::Tail, LockCondition::None).unwrap();
+                assert!(seen.insert(id), "{id:?} drawn twice");
+                list.take(0, DequeueEnd::Head, LockCondition::None).unwrap();
+            }
+            list.detach().unwrap();
+        }
+    }
+
     #[test]
     fn tcp_backend_carries_all_three_models() {
         let cf = cf();

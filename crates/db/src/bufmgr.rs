@@ -58,9 +58,10 @@ struct Frame {
     /// validity period. A refresh that began before must not install.
     generation: u64,
     /// CF directory version the current bytes correspond to (monotone
-    /// guard against an older refresh overwriting a newer fill). It means
-    /// something only within one validity period: a directory entry that
-    /// is reclaimed and re-created counts from 0 again.
+    /// guard against an older refresh overwriting a newer fill). The
+    /// directory never reissues a version for a name, across reclaims
+    /// too, so a refresh measured against an entry's earlier life loses
+    /// to any fill from a later one.
     version: u64,
 }
 
@@ -245,29 +246,40 @@ impl BufferManager {
                 p
             }
         };
-        let current = {
-            let mut inner = self.inner.lock();
-            match inner.frames.get_mut(idx) {
-                // Install only into the same tenancy this refresh began
-                // against, and never over a newer version: a slower refresh
-                // must not roll the frame back below what a concurrent
-                // (re-)fill already installed.
-                Some(f) if f.generation == generation && f.name == Some(name) && reg.version >= f.version => {
-                    f.page = Some(fresh.clone());
-                    f.version = reg.version;
-                    Some(fresh)
-                }
-                // Same tenant but a newer fill won: serve the newer bytes.
-                Some(f) if f.generation == generation && f.name == Some(name) => f.page.clone(),
-                // Frame re-stolen mid-refresh: retry from the top.
-                _ => None,
-            }
-        };
+        let current = self.install(idx, generation, name, reg.version, fresh);
         if current.is_none() || !cf.conn.is_valid(idx as u32) {
             self.stats.coherency_misses.incr();
             return Ok(None);
         }
         Ok(current)
+    }
+
+    /// Install a refresh's `fresh` image of `name`, read at directory
+    /// `version`, into frame `idx`; the page the frame now serves.
+    fn install(
+        &self,
+        idx: usize,
+        generation: u64,
+        name: BlockName,
+        version: u64,
+        fresh: Page,
+    ) -> Option<Page> {
+        let mut inner = self.inner.lock();
+        match inner.frames.get_mut(idx) {
+            // Install only into the same tenancy this refresh began
+            // against, and never over a newer version: a slower refresh
+            // must not roll the frame back below what a concurrent
+            // (re-)fill already installed.
+            Some(f) if f.generation == generation && f.name == Some(name) && version >= f.version => {
+                f.page = Some(fresh.clone());
+                f.version = version;
+                Some(fresh)
+            }
+            // Same tenant but a newer fill won: serve the newer bytes.
+            Some(f) if f.generation == generation && f.name == Some(name) => f.page.clone(),
+            // Frame re-stolen mid-refresh: retry from the top.
+            _ => None,
+        }
     }
 
     /// Write a page: CF changed-data write with cross-invalidation of all
@@ -595,28 +607,36 @@ mod tests {
         assert_eq!(b.get_page(1).unwrap().get(1).unwrap(), b"a2", "and the peer was invalidated in turn");
     }
 
+    /// `by` reads pages from `others` through the directory until page
+    /// `page`'s entry is reclaimed (its holders told).
+    fn reclaim_page(r: &Rig, by: &BufferManager, page: u64, others: &mut impl Iterator<Item = u64>) {
+        let name = r.store.block_name(page);
+        for other in others.take(256) {
+            by.get_page(other).unwrap();
+            if r.cache.interest_of(name).is_none() {
+                return;
+            }
+        }
+        panic!("page {page}'s directory entry was never reclaimed");
+    }
+
     #[test]
     fn put_registers_again_after_a_directory_reclaim() {
         let r = rig_with_directory(4);
         let a = bm(&r, 0);
         let page = a.get_page(1).unwrap();
-        // Four more blocks through a four-entry directory: page 1's entry,
-        // the oldest and unchanged, is reclaimed and its holder told.
+        // More blocks through a four-entry directory: page 1's entry,
+        // unchanged, is reclaimed and its holder told.
         let b = bm(&r, 1);
-        for other in 10..14 {
-            b.get_page(other).unwrap();
-        }
-        assert!(r.cache.stats.reclaims.get() >= 1);
+        reclaim_page(&r, &b, 1, &mut (10..100));
         let before = cache_reads(&r);
         a.put_page(1, &page).unwrap();
         assert_eq!(cache_reads(&r) - before, 1);
         assert_eq!(a.get_page(1).unwrap(), page);
     }
 
-    /// A frame's version guard is measured against one directory entry: a
-    /// reclaimed and re-created entry counts from 0 again, and neither a
-    /// refresh nor the member's own write may lose to the version the
-    /// frame remembers from the entry's previous life.
+    /// Neither a refresh nor the member's own write may lose to the
+    /// version a frame remembers from a reclaimed entry's previous life.
     #[test]
     fn a_reclaimed_directory_entry_restarts_the_version_guard() {
         let r = rig_with_directory(4);
@@ -631,15 +651,11 @@ mod tests {
                 a.put_page(1, &one_record(1, tag)).unwrap();
             }
             a.castout(16).unwrap();
-            let reclaims = r.cache.stats.reclaims.get();
-            for other in others.by_ref().take(4) {
-                b.get_page(other).unwrap();
-            }
-            assert!(r.cache.stats.reclaims.get() > reclaims);
+            reclaim_page(&r, &b, 1, &mut others);
         };
         age_and_reclaim(b"old");
-        // A peer writes the page into a fresh entry (version 1) and it is
-        // destaged; `a` must refresh to those bytes, not keep its own.
+        // A peer writes the page into a fresh entry and it is destaged;
+        // `a` must refresh to those bytes, not keep its own.
         b.put_page(1, &one_record(1, b"peer")).unwrap();
         b.castout(16).unwrap();
         assert_eq!(a.get_page(1).unwrap().get(1).unwrap(), b"peer", "refresh lost to a dead entry's version");
@@ -648,6 +664,36 @@ mod tests {
         a.put_page(1, &one_record(1, b"mine")).unwrap();
         assert_eq!(a.get_page(1).unwrap().get(1).unwrap(), b"mine", "put lost to a dead entry's version");
         assert_eq!(b.get_page(1).unwrap().get(1).unwrap(), b"mine");
+    }
+
+    /// Two refreshes of one page by one member straddle a reclaim: the
+    /// first registers against the entry's old life, the entry is
+    /// reclaimed, a peer writes the page into a new life, and the second
+    /// refresh installs it. The first refresh, finishing last, must not
+    /// install the old life's bytes over the new one's.
+    #[test]
+    fn a_refresh_from_a_reclaimed_life_loses_to_the_next_life() {
+        let r = rig_with_directory(4);
+        let a = bm(&r, 0);
+        let b = bm(&r, 1);
+        for _ in 0..5 {
+            b.put_page(1, &one_record(1, b"old")).unwrap();
+        }
+        b.castout(16).unwrap();
+        // The first refresh: frame and registration, then it stalls.
+        let name = r.store.block_name(1);
+        let cf = a.cf.read();
+        let (idx, generation) = a.frame_for(&mut a.inner.lock(), &cf, name);
+        let stale = cf.conn.register_read(name, idx as u32).unwrap();
+        reclaim_page(&r, &b, 1, &mut (10..100));
+        b.put_page(1, &one_record(1, b"peer")).unwrap();
+        // The second refresh runs to completion.
+        assert_eq!(a.get_page(1).unwrap().get(1).unwrap(), b"peer");
+        // The first one finishes.
+        let old = Page::from_image(stale.data.unwrap(), 1).unwrap();
+        a.install(idx, generation, name, stale.version, old);
+        drop(cf);
+        assert_eq!(a.get_page(1).unwrap().get(1).unwrap(), b"peer", "a dead life's bytes installed");
     }
 
     #[test]
