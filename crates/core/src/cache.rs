@@ -29,7 +29,7 @@ use crate::error::{CfError, CfResult};
 use crate::hashing::{fnv1a64, mix64};
 use crate::slots::ConnectorSlots;
 use crate::stats::SlotCounter;
-use crate::types::{ConnId, MAX_CONNECTORS};
+use crate::types::{conns_in_mask, ConnId, ConnMask, MAX_CONNECTORS, MAX_VECTOR_BITS};
 use crossbeam::utils::CachePadded;
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -184,10 +184,32 @@ impl Default for CacheStats {
     }
 }
 
+/// A registration packed in one word: the connector slot above the
+/// local-vector index (a slot is < 32, an index < `MAX_VECTOR_BITS`).
+const SLOT_SHIFT: u32 = 24;
+const INDEX_MASK: u32 = (1 << SLOT_SHIFT) - 1;
+const _: () = assert!(MAX_VECTOR_BITS <= 1 << SLOT_SHIFT && MAX_CONNECTORS <= 1 << (32 - SLOT_SHIFT));
+
+#[inline]
+fn pack(slot: usize, index: u32) -> u32 {
+    (slot as u32) << SLOT_SHIFT | index
+}
+
+/// One directory entry: with its name, one 64-byte line.
+///
+/// Interest is a connector mask plus the index each registrant named.
+/// A block is held by one or two members almost always, so the first two
+/// registrations sit inline; a third spills every registration to a
+/// table indexed by slot, kept until a write leaves one registrant.
 #[derive(Debug)]
 struct DirEntry {
-    /// Per-connector registered local-vector bit index.
-    interest: [Option<u32>; MAX_CONNECTORS],
+    /// Bit `s`: connector slot `s` is registered.
+    mask: ConnMask,
+    /// Unspilled: the registrations, [`pack`]ed, in the first
+    /// `mask.count_ones()` cells.
+    inline: [u32; 2],
+    /// Spilled: each registered slot's index, at its slot.
+    spill: Option<Box<[u32; MAX_CONNECTORS]>>,
     data: Option<Arc<Vec<u8>>>,
     changed: bool,
     version: u64,
@@ -195,15 +217,95 @@ struct DirEntry {
     lru_tick: u64,
 }
 
+const _: () = assert!(std::mem::size_of::<(BlockName, DirEntry)>() <= 64);
+
 impl DirEntry {
     fn new(tick: u64) -> Self {
         DirEntry {
-            interest: [None; MAX_CONNECTORS],
+            mask: 0,
+            inline: [0; 2],
+            spill: None,
             data: None,
             changed: false,
             version: tick,
             lru_tick: tick,
         }
+    }
+
+    /// The inline cell holding `slot`'s registration (unspilled only).
+    fn cell(&self, slot: usize) -> Option<usize> {
+        let n = self.mask.count_ones() as usize;
+        self.inline[..n].iter().position(|&p| p >> SLOT_SHIFT == slot as u32)
+    }
+
+    /// The index `slot` registered, if it is registered.
+    fn index_of(&self, slot: usize) -> Option<u32> {
+        if self.mask & 1 << slot == 0 {
+            return None;
+        }
+        match &self.spill {
+            Some(table) => Some(table[slot]),
+            None => self.cell(slot).map(|c| self.inline[c] & INDEX_MASK),
+        }
+    }
+
+    /// Register `slot` at `index`, replacing any index it registered before.
+    fn register(&mut self, slot: usize, index: u32) {
+        if let Some(table) = &mut self.spill {
+            table[slot] = index;
+        } else if let Some(c) = self.cell(slot) {
+            self.inline[c] = pack(slot, index);
+        } else if let Some(free) = self.inline.get_mut(self.mask.count_ones() as usize) {
+            *free = pack(slot, index);
+        } else {
+            let mut table = Box::new([0; MAX_CONNECTORS]);
+            for p in self.inline {
+                table[(p >> SLOT_SHIFT) as usize] = p & INDEX_MASK;
+            }
+            table[slot] = index;
+            self.spill = Some(table);
+        }
+        self.mask |= 1 << slot;
+    }
+
+    /// Drop `slot`'s registration, if any.
+    fn unregister(&mut self, slot: usize) {
+        if self.spill.is_none() {
+            if let Some(cell) = self.cell(slot) {
+                self.inline.swap(cell, self.mask.count_ones() as usize - 1);
+            }
+        }
+        self.mask &= !(1 << slot);
+    }
+
+    /// Every registration, in ascending slot order.
+    fn registrations(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
+        let mut rest = self.mask;
+        std::iter::from_fn(move || {
+            let slot = (rest != 0).then(|| rest.trailing_zeros() as usize)?;
+            rest &= rest - 1;
+            self.index_of(slot).map(|index| (slot, index))
+        })
+    }
+
+    /// Drop every registration but `keep`'s, handing each to `signal` in
+    /// ascending slot order; how many went. What is left fits inline.
+    fn take_peers(&mut self, keep: usize, mut signal: impl FnMut(usize, u32)) -> usize {
+        if self.mask & !(1 << keep) == 0 {
+            return 0;
+        }
+        let mut taken = 0;
+        for (slot, index) in self.registrations().filter(|&(slot, _)| slot != keep) {
+            signal(slot, index);
+            taken += 1;
+        }
+        let kept = self.index_of(keep);
+        self.mask &= 1 << keep;
+        self.spill = None;
+        if let Some(index) = kept {
+            self.inline[0] = pack(keep, index);
+        }
+        taken
     }
 }
 
@@ -356,6 +458,32 @@ impl CacheStructure {
         &self.shards[shard_index(name)]
     }
 
+    /// Run `f` on `name`'s entry with its shard's next tick, creating the
+    /// entry on a miss once room is made (counted against `by`). A hit
+    /// hashes and probes the name once.
+    fn with_entry<R>(
+        &self,
+        by: ConnId,
+        name: BlockName,
+        f: impl FnOnce(&mut DirEntry, u64) -> R,
+    ) -> CfResult<R> {
+        let mut shard = self.shard_of(&name).write();
+        let Directory { entries, clock } = &mut *shard;
+        if let Some(entry) = entries.get_mut(&name) {
+            *clock += 1;
+            return Ok(f(entry, *clock));
+        }
+        drop(shard);
+        self.make_room_for_entry(by)?;
+        let mut shard = self.shard_of(&name).write();
+        let tick = shard.tick();
+        let entry = shard.entries.entry(name).or_insert_with(|| {
+            self.entry_count.fetch_add(1, Ordering::Relaxed);
+            DirEntry::new(tick)
+        });
+        Ok(f(entry, tick))
+    }
+
     /// Register interest in `name`, associating local buffer bit
     /// `vector_index`, and return any current CF-cached copy.
     ///
@@ -369,29 +497,47 @@ impl CacheStructure {
         name: BlockName,
         vector_index: u32,
     ) -> CfResult<RegisterResult> {
+        self.read_and_register_replacing(conn, name, vector_index, None)
+    }
+
+    /// [`CacheStructure::read_and_register`] for a buffer steal: also drop
+    /// this connector's registration of `replaced`, the buffer's previous
+    /// tenant, if it names `vector_index` — one command, not two.
+    ///
+    /// `name` is registered first, so a command that fails leaves the old
+    /// registration standing: a later write of `replaced` may clear the
+    /// bit spuriously, but no write can ever miss it.
+    pub fn read_and_register_replacing(
+        &self,
+        conn: &CacheConnection,
+        name: BlockName,
+        vector_index: u32,
+        replaced: Option<BlockName>,
+    ) -> CfResult<RegisterResult> {
         self.check_active(conn.id)?;
         if vector_index as usize >= conn.vector.len() {
             return Err(CfError::BadParameter("vector index out of range"));
         }
         self.stats.reads.incr(conn.id);
-        let mut shard = self.shard_of(&name).write();
-        if !shard.entries.contains_key(&name) {
-            drop(shard);
-            self.make_room_for_entry(conn.id)?;
-            shard = self.shard_of(&name).write();
+        let slot = conn.id.index();
+        let r = self.with_entry(conn.id, name, |entry, tick| {
+            entry.register(slot, vector_index);
+            entry.lru_tick = tick;
+            conn.vector.set(vector_index as usize);
+            if entry.data.is_some() {
+                self.stats.read_hits.incr(conn.id);
+            }
+            RegisterResult { data: entry.data.clone(), version: entry.version, changed: entry.changed }
+        })?;
+        if let Some(old) = replaced.filter(|&old| old != name) {
+            let mut shard = self.shard_of(&old).write();
+            if let Some(entry) = shard.entries.get_mut(&old) {
+                if entry.index_of(slot) == Some(vector_index) {
+                    entry.unregister(slot);
+                }
+            }
         }
-        let tick = shard.tick();
-        let entry = shard.entries.entry(name).or_insert_with(|| {
-            self.entry_count.fetch_add(1, Ordering::Relaxed);
-            DirEntry::new(tick)
-        });
-        entry.interest[conn.id.index()] = Some(vector_index);
-        entry.lru_tick = tick;
-        conn.vector.set(vector_index as usize);
-        if entry.data.is_some() {
-            self.stats.read_hits.incr(conn.id);
-        }
-        Ok(RegisterResult { data: entry.data.clone(), version: entry.version, changed: entry.changed })
+        Ok(r)
     }
 
     /// Write a block and cross-invalidate every other registered connector.
@@ -421,64 +567,49 @@ impl CacheStructure {
         if kind != WriteKind::InvalidateOnly {
             self.make_room_for_data(conn.id, data.len())?;
         }
-        let mut shard = self.shard_of(&name).write();
-        if !shard.entries.contains_key(&name) {
-            drop(shard);
-            self.make_room_for_entry(conn.id)?;
-            shard = self.shard_of(&name).write();
-        }
-        let tick = shard.tick();
-        let entry = shard.entries.entry(name).or_insert_with(|| {
-            self.entry_count.fetch_add(1, Ordering::Relaxed);
-            DirEntry::new(tick)
-        });
-        // The structure-wide vector table is locked only once a peer turns
-        // out to be registered on this block: a write nobody else has
-        // interest in signals nobody and shares nothing but its shard.
-        let mut vectors = None;
-        let mut invalidated = 0;
-        for slot in 0..MAX_CONNECTORS {
-            if slot == conn.id.index() {
-                continue;
-            }
-            if let Some(idx) = entry.interest[slot].take() {
+        self.with_entry(conn.id, name, |entry, tick| {
+            // The structure-wide vector table is locked only once a peer
+            // turns out to be registered on this block: a write nobody else
+            // has interest in signals nobody and shares nothing but its
+            // shard.
+            #[cfg(feature = "test-hooks")]
+            let deliver = !self.lose_xi.load(Ordering::Relaxed);
+            #[cfg(not(feature = "test-hooks"))]
+            let deliver = true;
+            let mut vectors = None;
+            let invalidated = entry.take_peers(conn.id.index(), |slot, idx| {
                 // The cross-invalidate signal: specialised link hardware
                 // clears the bit; no interrupt, no software on the target.
-                #[cfg(feature = "test-hooks")]
-                let deliver = !self.lose_xi.load(Ordering::Relaxed);
-                #[cfg(not(feature = "test-hooks"))]
-                let deliver = true;
                 if deliver {
                     if let Some(v) = &vectors.get_or_insert_with(|| self.connectors.lock())[slot] {
                         v.clear(idx as usize);
                     }
                 }
-                invalidated += 1;
+            });
+            drop(vectors);
+            if invalidated > 0 {
+                self.stats.xi_signals.add(conn.id, invalidated as u64);
             }
-        }
-        drop(vectors);
-        if invalidated > 0 {
-            self.stats.xi_signals.add(conn.id, invalidated as u64);
-        }
-        entry.version = tick;
-        entry.lru_tick = tick;
-        let new_data = (kind != WriteKind::InvalidateOnly).then(|| Arc::new(data.to_vec()));
-        let (old_len, new_len) =
-            (entry.data.as_ref().map_or(0, |d| d.len()), new_data.as_ref().map_or(0, |d| d.len()));
-        entry.data = new_data;
-        entry.changed = kind == WriteKind::ChangedData;
-        // One net adjustment of the shared byte count, and none when a
-        // block is replaced by one of the same size (every page rewrite).
-        if new_len > old_len {
-            self.data_bytes.fetch_add((new_len - old_len) as u64, Ordering::Relaxed);
-        } else if old_len > new_len {
-            self.data_bytes.fetch_sub((old_len - new_len) as u64, Ordering::Relaxed);
-        }
-        // Writer stays registered and valid.
-        if let Some(idx) = entry.interest[conn.id.index()] {
-            conn.vector.set(idx as usize);
-        }
-        Ok(WriteResult { invalidated, version: entry.version })
+            entry.version = tick;
+            entry.lru_tick = tick;
+            let new_data = (kind != WriteKind::InvalidateOnly).then(|| Arc::new(data.to_vec()));
+            let (old_len, new_len) =
+                (entry.data.as_ref().map_or(0, |d| d.len()), new_data.as_ref().map_or(0, |d| d.len()));
+            entry.data = new_data;
+            entry.changed = kind == WriteKind::ChangedData;
+            // One net adjustment of the shared byte count, and none when a
+            // block is replaced by one of the same size (every page rewrite).
+            if new_len > old_len {
+                self.data_bytes.fetch_add((new_len - old_len) as u64, Ordering::Relaxed);
+            } else if old_len > new_len {
+                self.data_bytes.fetch_sub((old_len - new_len) as u64, Ordering::Relaxed);
+            }
+            // Writer stays registered and valid.
+            if let Some(idx) = entry.index_of(conn.id.index()) {
+                conn.vector.set(idx as usize);
+            }
+            WriteResult { invalidated, version: entry.version }
+        })
     }
 
     /// Remove this connector's registration for `name` (buffer steal).
@@ -486,7 +617,7 @@ impl CacheStructure {
         self.check_active(conn.id)?;
         let mut shard = self.shard_of(&name).write();
         let entry = shard.entries.get_mut(&name).ok_or(CfError::NoSuchEntry)?;
-        entry.interest[conn.id.index()] = None;
+        entry.unregister(conn.id.index());
         Ok(())
     }
 
@@ -544,7 +675,7 @@ impl CacheStructure {
         for shard in self.shards.iter() {
             let mut shard = shard.write();
             for e in shard.entries.values_mut() {
-                e.interest[conn.index()] = None;
+                e.unregister(conn.index());
             }
         }
         self.connectors.release(conn);
@@ -569,12 +700,7 @@ impl CacheStructure {
     /// Registered interest for a block (tests/diagnostics).
     pub fn interest_of(&self, name: BlockName) -> Option<Vec<ConnId>> {
         let shard = self.shard_of(&name).read();
-        shard.entries.get(&name).map(|e| {
-            (0..MAX_CONNECTORS)
-                .filter(|&i| e.interest[i].is_some())
-                .map(|i| ConnId::from_raw(i as u8))
-                .collect()
-        })
+        shard.entries.get(&name).map(|e| conns_in_mask(e.mask).collect())
     }
 
     // ----- capacity management -----
@@ -619,13 +745,11 @@ impl CacheStructure {
         });
         let Some(e) = e else { return false };
         let mut vectors = None;
-        for slot in 0..MAX_CONNECTORS {
-            if let Some(idx) = e.interest[slot] {
-                if let Some(v) = &vectors.get_or_insert_with(|| self.connectors.lock())[slot] {
-                    v.clear(idx as usize);
-                }
-                self.stats.xi_signals.incr(by);
+        for (slot, idx) in e.registrations() {
+            if let Some(v) = &vectors.get_or_insert_with(|| self.connectors.lock())[slot] {
+                v.clear(idx as usize);
             }
+            self.stats.xi_signals.incr(by);
         }
         drop(vectors);
         if let Some(d) = e.data {
@@ -695,6 +819,138 @@ mod tests {
                 });
             }
         });
+    }
+
+    /// With its name, an entry is one 64-byte line, and one or two
+    /// registrants allocate nothing beside it.
+    #[test]
+    fn a_directory_entry_fits_one_line() {
+        assert!(std::mem::size_of::<(BlockName, DirEntry)>() <= 64);
+        let mut e = DirEntry::new(1);
+        e.register(9, 900);
+        e.register(4, 400);
+        assert!(e.spill.is_none(), "two registrants stay inline");
+        assert_eq!(e.registrations().collect::<Vec<_>>(), [(4, 400), (9, 900)]);
+    }
+
+    /// A third registrant spills every registration to the slot table;
+    /// re-registering, unregistering and cross-invalidating work the same
+    /// on either form.
+    #[test]
+    fn a_third_registrant_spills() {
+        for registrants in [&[7usize, 2][..], &[7, 2, 31, 0]] {
+            let mut e = DirEntry::new(1);
+            for &slot in registrants {
+                e.register(slot, slot as u32 * 10);
+            }
+            assert_eq!(e.spill.is_some(), registrants.len() > 2);
+            e.register(7, (1 << SLOT_SHIFT) - 1);
+            assert_eq!(e.index_of(7), Some(INDEX_MASK), "the widest index survives packing");
+            assert_eq!(e.index_of(2), Some(20));
+            e.unregister(2);
+            e.unregister(2);
+            assert_eq!(e.index_of(2), None);
+            e.register(2, 21);
+            let mut signalled = Vec::new();
+            let taken = e.take_peers(2, |slot, idx| signalled.push((slot, idx)));
+            let mut expected: Vec<(usize, u32)> =
+                registrants.iter().filter(|&&s| s != 2).map(|&s| (s, s as u32 * 10)).collect();
+            expected.sort_unstable();
+            expected.iter_mut().filter(|(s, _)| *s == 7).for_each(|e| e.1 = INDEX_MASK);
+            assert_eq!((taken, signalled), (expected.len(), expected));
+            assert_eq!(e.registrations().collect::<Vec<_>>(), [(2, 21)], "the writer keeps its own");
+            assert!(e.spill.is_none());
+        }
+    }
+
+    /// Every slot registered on one block: one write signals the other 31
+    /// in ascending slot order, and the signal count is exact.
+    #[test]
+    fn a_write_invalidates_31_peers_in_slot_order() {
+        let c = store_in(64);
+        let conns: Vec<_> = (0..MAX_CONNECTORS).map(|_| c.connect(64).unwrap()).collect();
+        let blk = BlockName::from_parts(8, 8);
+        // Registered in descending slot order, each at its own bit.
+        let register_all = || {
+            for (i, conn) in conns.iter().enumerate().rev() {
+                c.read_and_register(conn, blk, i as u32 + 1).unwrap();
+            }
+        };
+        register_all();
+        {
+            let mut shard = c.shard_of(&blk).write();
+            let entry = shard.entries.get_mut(&blk).unwrap();
+            assert!(entry.spill.is_some());
+            let mut order = Vec::new();
+            entry.take_peers(13, |slot, index| order.push((slot, index)));
+            let upward: Vec<_> =
+                (0..MAX_CONNECTORS).filter(|&s| s != 13).map(|s| (s, s as u32 + 1)).collect();
+            assert_eq!(order, upward, "the entry walks its mask upward");
+        }
+        register_all();
+        let writer = &conns[13];
+        let w = c.write_and_invalidate(writer, blk, b"x", WriteKind::ChangedData).unwrap();
+        assert_eq!(w.invalidated, MAX_CONNECTORS - 1);
+        assert_eq!(c.stats.xi_signals.get(), MAX_CONNECTORS as u64 - 1);
+        for (i, conn) in conns.iter().enumerate() {
+            assert_eq!(conn.is_valid(i as u32 + 1), i == 13, "slot {i}");
+        }
+        assert_eq!(c.interest_of(blk), Some(vec![writer.id]));
+    }
+
+    /// Reclaim signals and peer recovery unregisters on both forms of an
+    /// entry: two registrants inline, three spilled.
+    #[test]
+    fn reclaim_and_disconnect_work_on_both_forms() {
+        let c = CacheStructure::new(
+            "C",
+            &CacheParams { directory_entries: 2, data_capacity: 1 << 20, model: CacheModel::StoreIn },
+        )
+        .unwrap();
+        let conns: Vec<_> = (0..3).map(|_| c.connect(16).unwrap()).collect();
+        let inline = BlockName::from_parts(1, 1);
+        let spilled = (2..)
+            .map(|p| BlockName::from_parts(1, p))
+            .find(|b| shard_index(b) == shard_index(&inline))
+            .unwrap();
+        for (i, conn) in conns.iter().enumerate() {
+            c.read_and_register(conn, spilled, i as u32).unwrap();
+        }
+        c.read_and_register(&conns[0], inline, 5).unwrap();
+        c.read_and_register(&conns[2], inline, 6).unwrap();
+        c.disconnect_by_id(conns[1].id).unwrap();
+        assert_eq!(c.interest_of(spilled), Some(vec![conns[0].id, conns[2].id]));
+        assert_eq!(c.interest_of(inline), Some(vec![conns[0].id, conns[2].id]));
+        c.disconnect_by_id(conns[0].id).unwrap();
+        assert_eq!(c.interest_of(inline), Some(vec![conns[2].id]));
+        // A third block reclaims `spilled`, the shard's older entry: its one
+        // remaining registrant is told, and nobody else.
+        c.read_and_register(&conns[2], BlockName::from_parts(2, 0), 9).unwrap();
+        assert_eq!(c.interest_of(spilled), None);
+        assert_eq!(c.stats.xi_signals.get(), 1);
+        assert!(!conns[2].is_valid(2) && conns[2].is_valid(6) && conns[2].is_valid(9));
+    }
+
+    /// A replacing register drops the old tenant's registration only where
+    /// it names the same bit, and never the block it registers.
+    #[test]
+    fn a_replacing_register_drops_only_the_frames_old_tenant() {
+        let c = store_in(64);
+        let (a, b) = (c.connect(16).unwrap(), c.connect(16).unwrap());
+        let (old, other, new) =
+            (BlockName::from_parts(1, 1), BlockName::from_parts(1, 2), BlockName::from_parts(1, 3));
+        c.read_and_register(&a, old, 4).unwrap();
+        c.read_and_register(&b, old, 4).unwrap();
+        c.read_and_register(&a, other, 5).unwrap();
+        c.read_and_register_replacing(&a, new, 4, Some(old)).unwrap();
+        assert_eq!(c.interest_of(old), Some(vec![b.id]), "a's registration went, b's stayed");
+        c.read_and_register_replacing(&a, new, 6, Some(other)).unwrap();
+        assert_eq!(c.interest_of(other), Some(vec![a.id]), "`other` lives in another buffer");
+        c.read_and_register_replacing(&a, new, 6, Some(new)).unwrap();
+        assert_eq!(c.interest_of(new), Some(vec![a.id]));
+        // A peer's write to the old block no longer reaches a's buffer.
+        c.write_and_invalidate(&b, old, b"x", WriteKind::ChangedData).unwrap();
+        assert!(a.is_valid(4));
     }
 
     #[test]

@@ -1035,8 +1035,20 @@ impl CacheConnection {
 
     /// Read block `name` and register interest at `vector_index`.
     pub fn register_read(&self, name: BlockName, vector_index: u32) -> CfResult<RegisterResult> {
+        self.register_read_replacing(name, vector_index, None)
+    }
+
+    /// [`CacheConnection::register_read`] into a stolen buffer: the same
+    /// command also drops the registration of `replaced`, the buffer's
+    /// previous tenant (see [`CacheStructure::read_and_register_replacing`]).
+    pub fn register_read_replacing(
+        &self,
+        name: BlockName,
+        vector_index: u32,
+        replaced: Option<BlockName>,
+    ) -> CfResult<RegisterResult> {
         let r = self.sub.issue(CfCommand::CACHE_READ, || {
-            self.structure.read_and_register(&self.token, name, vector_index)
+            self.structure.read_and_register_replacing(&self.token, name, vector_index, replaced)
         });
         if let Ok(reg) = &r {
             self.sub.emit(TraceEvent::CacheRegister { block: name.digest(), hit: reg.data.is_some() });

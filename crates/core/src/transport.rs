@@ -640,6 +640,18 @@ impl RemoteCacheConnection {
         self.link.call(WireRequest::CacheRead { handle: self.link.handle, name, vector_index })
     }
 
+    /// Register `name` into a stolen buffer, dropping the registration of
+    /// `replaced`, its previous tenant, in the same command.
+    pub fn register_read_replacing(
+        &self,
+        name: BlockName,
+        vector_index: u32,
+        replaced: Option<BlockName>,
+    ) -> CfResult<RegisterResult> {
+        let handle = self.link.handle;
+        self.link.call(WireRequest::CacheReadReplacing { handle, name, vector_index, replaced })
+    }
+
     /// Write block `name` and cross-invalidate other registered connectors.
     pub fn write_invalidate(&self, name: BlockName, data: &[u8], kind: WriteKind) -> CfResult<WriteResult> {
         self.link.call(WireRequest::CacheWrite { handle: self.link.handle, name, data: data.to_vec(), kind })
@@ -1223,6 +1235,14 @@ mod tests {
         assert!(!cache.is_valid(0).unwrap(), "remote copy cross-invalidated by native write");
         vector_test(CommandClass::CacheAdmin);
         cache.unregister(name).unwrap();
+        let next = BlockName::from_parts(1, 8);
+        cache.register_read(name, 1).unwrap();
+        cache.register_read_replacing(next, 1, Some(name)).unwrap();
+        assert_eq!(
+            cf.cache_structure("GBP").unwrap().interest_of(name),
+            Some(vec![]),
+            "dropped by the steal"
+        );
         cache.detach().unwrap();
         did.native.absorb(&native.stats().snapshot());
 
@@ -1268,6 +1288,47 @@ mod tests {
         probe(&*transport, CfCommand::new(CommandClass::LockRequest, 64)).unwrap();
         assert!(cf.command_stats().issued() > before);
         did
+    }
+
+    /// A steal over the wire is the native steal: the same register
+    /// results, the same registrations after it and the same commands.
+    #[test]
+    fn remote_replacing_register_matches_native() {
+        let steal = |remote: bool| {
+            let cf = cf();
+            let (old, new) = (BlockName::from_parts(1, 1), BlockName::from_parts(1, 2));
+            let peer = cf.connect_cache("GBP", 16).unwrap();
+            peer.write_invalidate(new, &[5; 64], WriteKind::ChangedData).unwrap();
+            peer.register_read(old, 0).unwrap();
+            let issued = |cf: &CouplingFacility| {
+                let stats = cf.command_stats();
+                CommandClass::ALL.map(|c| stats.class(c).issued.get())
+            };
+            let (me, before, results) = if remote {
+                let t: Arc<dyn CfTransport> = Arc::new(InProcessTransport::new(&cf));
+                let c = RemoteCacheConnection::attach(t, "GBP", 16).unwrap();
+                let before = issued(&cf);
+                let r =
+                    [c.register_read(old, 3).unwrap(), c.register_read_replacing(new, 3, Some(old)).unwrap()];
+                (c.conn_id(), before, r)
+            } else {
+                let c = cf.connect_cache("GBP", 16).unwrap();
+                let before = issued(&cf);
+                let r =
+                    [c.register_read(old, 3).unwrap(), c.register_read_replacing(new, 3, Some(old)).unwrap()];
+                (c.conn_id(), before, r)
+            };
+            let after = issued(&cf);
+            let structure = cf.cache_structure("GBP").unwrap();
+            assert_eq!(structure.interest_of(old), Some(vec![peer.conn_id()]), "the steal dropped only mine");
+            assert_eq!(structure.interest_of(new), Some(vec![me]));
+            let counts: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+            (me, results, counts)
+        };
+        let native = steal(false);
+        assert_eq!(native.2.iter().sum::<u64>(), 2, "two registers, nothing else");
+        assert_eq!(native.2[CommandClass::CacheRead.index()], 2);
+        assert_eq!(native, steal(true));
     }
 
     #[test]

@@ -1186,6 +1186,17 @@ cf_commands! {
             /// Local-vector index to register.
             vector_index: u32,
         } CfCommand::CACHE_READ => |c| P::Register(c.register_read(name, vector_index)?);
+        /// [`crate::connection::CacheConnection::register_read_replacing`].
+        45 CacheReadReplacing {
+            /// Block name.
+            name: BlockName,
+            /// Local-vector index to register.
+            vector_index: u32,
+            /// The buffer's previous tenant, whose registration goes.
+            replaced: Option<BlockName>,
+        } CfCommand::CACHE_READ => |c| {
+            P::Register(c.register_read_replacing(name, vector_index, replaced)?)
+        };
         /// [`crate::connection::CacheConnection::write_invalidate`].
         17 CacheWrite {
             /// Block name.

@@ -149,6 +149,12 @@ fn request_samples(h: u32, n: u64, sel: u8, data: &[u8], name: &str) -> Vec<Wire
         WireRequest::LockDetach { handle: h, mode: disconnect_mode(sel) },
         WireRequest::LockDetachPeer { handle: h, peer: conn(sel), mode: disconnect_mode(sel) },
         WireRequest::CacheRead { handle: h, name: block, vector_index: h ^ 7 },
+        WireRequest::CacheReadReplacing {
+            handle: h,
+            name: block,
+            vector_index: h ^ 7,
+            replaced: if sel & 8 == 0 { None } else { Some(BlockName::from_parts(h, n)) },
+        },
         WireRequest::CacheWrite { handle: h, name: block, data: data.to_vec(), kind: write_kind(sel) },
         WireRequest::CacheUnregister { handle: h, name: block },
         WireRequest::CacheCastoutCandidates { handle: h, max: n },
@@ -499,6 +505,8 @@ const GOLDEN_REQUESTS: [&str; WireRequest::COUNT] = [
     "0e0403020100",
     "0f040302011d00",
     "1004030201676f6c64656e2d62797465732100000003030201",
+    // CacheReadReplacing (tag 45), added with the one-command buffer steal.
+    "2d04030201676f6c64656e2d627974657321000000030302010101020304111213141516171800000000",
     "1104030201676f6c64656e2d6279746573210000000d000000676f6c64656e2d62797465732101",
     "1204030201676f6c64656e2d627974657321000000",
     "13040302011817161514131211",

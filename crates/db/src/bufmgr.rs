@@ -18,7 +18,7 @@
 
 use crate::error::{DbError, DbResult};
 use crate::pagestore::{Page, PageStore};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::HashMap;
 use std::sync::Arc;
 use sysplex_core::cache::{BlockName, CacheStructure, WriteKind};
@@ -63,6 +63,14 @@ struct Frame {
     /// too, so a refresh measured against an entry's earlier life loses
     /// to any fill from a later one.
     version: u64,
+    /// The command that stole this frame is in flight. It drops the
+    /// evicted tenant's registration *at this frame's index*, and the
+    /// directory cannot tell one tenancy of an index from the next: were
+    /// the frame stolen again — say back for that tenant — and the second
+    /// registration landed first, the late drop would take it, leaving a
+    /// set bit with nothing behind it. So the frame is not stolen again
+    /// until the command lands.
+    stealing: bool,
 }
 
 impl Frame {
@@ -98,6 +106,9 @@ struct PoolInner {
     frames: Vec<Frame>,
     map: HashMap<BlockName, usize>,
     rotor: usize,
+    /// Threads in [`BufferManager::frame_for`] waiting for a steal to land
+    /// because every frame is [`Frame::stealing`].
+    waiting: usize,
 }
 
 /// The buffer manager's current CF attachment. Swapped under the rebuild
@@ -123,6 +134,8 @@ pub struct BufferManager {
     // commands, DASD reads) happen with the CF's own synchronisation,
     // re-validated against the bit vector afterwards.
     inner: Mutex<PoolInner>,
+    /// Signalled when a steal lands while a thread is waiting for one.
+    landed: Condvar,
     /// Published counters.
     pub stats: BufStats,
 }
@@ -148,7 +161,9 @@ impl BufferManager {
                 frames: vec![Frame::default(); frames],
                 map: HashMap::new(),
                 rotor: 0,
+                waiting: 0,
             }),
+            landed: Condvar::new(),
             stats: BufStats::default(),
         })
     }
@@ -186,19 +201,37 @@ impl BufferManager {
         }
     }
 
-    /// The frame mapped to `name` and its generation, stealing the next
-    /// frame round-robin when there is none.
-    fn frame_for(&self, inner: &mut PoolInner, cf: &CacheTarget, name: BlockName) -> (usize, u64) {
-        if let Some(&idx) = inner.map.get(&name) {
-            return (idx, inner.frames[idx].generation);
-        }
-        let idx = inner.rotor % inner.frames.len();
-        inner.rotor += 1;
+    /// The frame mapped to `name`, its generation and, when the frame was
+    /// just stolen for `name`, the tenant it evicted: the caller's
+    /// registration of `name` drops that tenant's in the same command,
+    /// then calls [`BufferManager::steal_landed`]. The steal takes the next
+    /// frame round-robin that no steal in flight holds, and waits for one
+    /// to land when all do.
+    fn frame_for(
+        &self,
+        inner: &mut MutexGuard<'_, PoolInner>,
+        cf: &CacheTarget,
+        name: BlockName,
+    ) -> (usize, u64, Option<BlockName>) {
+        let idx = loop {
+            if let Some(&idx) = inner.map.get(&name) {
+                return (idx, inner.frames[idx].generation, None);
+            }
+            let (rotor, n) = (inner.rotor, inner.frames.len());
+            if let Some(k) = (0..n).find(|k| !inner.frames[(rotor + k) % n].stealing) {
+                inner.rotor = rotor + k + 1;
+                break (rotor + k) % n;
+            }
+            inner.waiting += 1;
+            self.landed.wait(inner);
+            inner.waiting -= 1;
+        };
         let (old, generation) = {
             let f = &mut inner.frames[idx];
             let old = f.name.take();
             f.reset();
             f.name = Some(name);
+            f.stealing = old.is_some();
             (old, f.generation)
         };
         if let Some(old) = old {
@@ -209,21 +242,34 @@ impl BufferManager {
             // window (a reader would serve the old tenant's bytes as the
             // new page).
             cf.conn.invalidate_local(idx as u32);
-            let _ = cf.conn.unregister(old);
             if let Some(page) = self.store.page_of_block(&old) {
                 cf.conn.subchannel().emit(TraceEvent::BufSteal { frame: idx as u64, page });
             }
         }
         inner.map.insert(name, idx);
-        (idx, generation)
+        (idx, generation, old)
+    }
+
+    /// The command of a steal of frame `idx` has landed, done or failed:
+    /// the frame may be stolen again.
+    fn steal_landed(&self, idx: usize) {
+        let mut inner = self.inner.lock();
+        inner.frames[idx].stealing = false;
+        if inner.waiting > 0 {
+            self.landed.notify_all();
+        }
     }
 
     /// Register interest and refill the frame. Returns `None` when a
     /// concurrent peer write invalidated the frame again before we
     /// finished (caller retries).
     fn refresh(&self, cf: &CacheTarget, page: u64, name: BlockName) -> DbResult<Option<Page>> {
-        let (idx, generation) = self.frame_for(&mut self.inner.lock(), cf, name);
-        let reg = cf.conn.register_read(name, idx as u32)?;
+        let (idx, generation, evicted) = self.frame_for(&mut self.inner.lock(), cf, name);
+        let reg = cf.conn.register_read_replacing(name, idx as u32, evicted);
+        if evicted.is_some() {
+            self.steal_landed(idx);
+        }
+        let reg = reg?;
         let fresh = match reg.data {
             // The CF's copy is adopted, not copied: frame and directory
             // entry share the bytes, which neither ever changes in place.
@@ -289,20 +335,25 @@ impl BufferManager {
     pub fn put_page(&self, page: u64, p: &Page) -> DbResult<()> {
         let name = self.store.block_name(page);
         let cf = self.cf.read();
-        let (idx, generation, registered) = {
+        let (idx, generation, registered, evicted) = {
             let mut inner = self.inner.lock();
-            let (idx, _) = self.frame_for(&mut inner, &cf, name);
+            let (idx, _, evicted) = self.frame_for(&mut inner, &cf, name);
             // A set validity bit over a ready frame of this block means the
             // directory still tracks us as a holder (everything that drops a
             // registration clears the bit): the state the caller's own
             // `get_page` left behind, unless a peer's write or a directory
             // reclaim came in between.
             let registered = inner.frames[idx].valid_page(&cf, idx, name).is_some();
-            (idx, inner.frames[idx].generation, registered)
+            (idx, inner.frames[idx].generation, registered, evicted)
         };
         if !registered {
-            // Register so the CF tracks us as a current holder.
-            cf.conn.register_read(name, idx as u32)?;
+            // Register so the CF tracks us as a current holder (a stolen
+            // frame is never ready, so its evicted tenant goes here).
+            let reg = cf.conn.register_read_replacing(name, idx as u32, evicted);
+            if evicted.is_some() {
+                self.steal_landed(idx);
+            }
+            reg?;
         }
         // CF write first: the returned directory version orders this image
         // against concurrent refreshes of the same frame.
@@ -683,7 +734,7 @@ mod tests {
         // The first refresh: frame and registration, then it stalls.
         let name = r.store.block_name(1);
         let cf = a.cf.read();
-        let (idx, generation) = a.frame_for(&mut a.inner.lock(), &cf, name);
+        let (idx, generation, _) = a.frame_for(&mut a.inner.lock(), &cf, name);
         let stale = cf.conn.register_read(name, idx as u32).unwrap();
         reclaim_page(&r, &b, 1, &mut (10..100));
         b.put_page(1, &one_record(1, b"peer")).unwrap();
@@ -739,6 +790,129 @@ mod tests {
         assert_eq!(a.stats.local_hits.get(), 1);
     }
 
+    fn one_frame(r: &Rig) -> BufferManager {
+        BufferManager::new(SystemId::new(0), &r.cache, r.cf.subchannel(), Arc::clone(&r.store), 1).unwrap()
+    }
+
+    fn issued(r: &Rig) -> [u64; CommandClass::COUNT] {
+        let stats = r.cf.command_stats();
+        CommandClass::ALL.map(|c| stats.class(c).issued.get())
+    }
+
+    /// A steal is one `cache-read`: the refill's registration drops the
+    /// evicted page's, so a peer's later write of that page leaves the new
+    /// tenant alone.
+    #[test]
+    fn a_steal_is_one_command_and_unregisters_the_evicted_page() {
+        let r = rig();
+        let a = one_frame(&r);
+        let b = bm(&r, 1);
+        a.get_page(1).unwrap();
+        let before = issued(&r);
+        a.get_page(2).unwrap();
+        let moved: Vec<(&str, u64)> = CommandClass::ALL
+            .iter()
+            .zip(issued(&r).iter().zip(before))
+            .map(|(c, (after, before))| (c.name(), after - before))
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        assert_eq!(moved, [("cache-read", 1)]);
+        assert_eq!(r.cache.interest_of(r.store.block_name(1)), Some(vec![]));
+        assert_eq!(r.cache.interest_of(r.store.block_name(2)), Some(vec![a.conn_id()]));
+        b.put_page(1, &one_record(1, b"peer")).unwrap();
+        let before = issued(&r);
+        a.get_page(2).unwrap();
+        assert_eq!(a.stats.local_hits.get(), 1, "the new tenant's bit survived the write");
+        assert_eq!(issued(&r), before);
+    }
+
+    /// A steal whose command fails leaves the evicted page registered (a
+    /// spurious invalidation later, at worst) and the frame's bit clear:
+    /// over-registered, never under-registered.
+    #[test]
+    fn a_failed_steal_can_only_over_register() {
+        let r = rig();
+        let a = one_frame(&r);
+        let b = bm(&r, 1);
+        a.put_page(2, &one_record(2, b"two")).unwrap();
+        a.get_page(1).unwrap();
+        r.cf.inject_fault(LinkFault::Timeout);
+        assert!(a.get_page(2).is_err());
+        assert_eq!(r.cache.interest_of(r.store.block_name(1)), Some(vec![a.conn_id()]));
+        assert_eq!(r.cache.interest_of(r.store.block_name(2)), Some(vec![]));
+        assert!(!a.cf.read().conn.is_valid(0), "a bit set with no registration behind it");
+        assert_eq!(a.get_page(2).unwrap().get(2).unwrap(), b"two");
+        // The stale registration costs the new tenant one refresh.
+        b.put_page(1, &one_record(1, b"peer")).unwrap();
+        assert!(!a.cf.read().conn.is_valid(0));
+        assert_eq!(a.get_page(2).unwrap().get(2).unwrap(), b"two");
+        assert_eq!(r.cache.interest_of(r.store.block_name(1)), Some(vec![b.conn_id()]));
+    }
+
+    /// Every ready frame whose validity bit is set has `a` registered on
+    /// its page: a peer's write of that page would cross-invalidate it.
+    fn assert_no_under_registration(r: &Rig, a: &BufferManager) {
+        let cf = a.cf.read();
+        let mut inner = a.inner.lock();
+        for (idx, f) in inner.frames.iter_mut().enumerate() {
+            let Some(name) = f.name else { continue };
+            if f.valid_page(&cf, idx, name).is_some() {
+                let holders = r.cache.interest_of(name).unwrap_or_default();
+                assert!(holders.contains(&a.conn_id()), "frame {idx}: bit set, no registration");
+            }
+        }
+    }
+
+    /// A steal whose command is stalled holds its frame: with a 2-frame
+    /// pool, two more steals would bring the rotor back to it for the page
+    /// it evicted, and that registration, landing first, would be the one
+    /// the stalled command drops — page 1 served from a set bit with no
+    /// registration behind it, blind to a peer's write.
+    #[test]
+    fn a_stalled_steal_is_not_stolen_again_for_its_evicted_page() {
+        let r = rig();
+        r.store.write_image(0, 1, one_record(1, b"one").image()).unwrap();
+        let a = Arc::new(
+            BufferManager::new(SystemId::new(0), &r.cache, r.cf.subchannel(), Arc::clone(&r.store), 2)
+                .unwrap(),
+        );
+        let b = bm(&r, 1);
+        a.get_page(1).unwrap(); // frame 0
+        a.get_page(3).unwrap(); // frame 1
+        r.cf.inject_fault(LinkFault::Delay(Duration::from_millis(150)));
+        let t = {
+            let a = Arc::clone(&a);
+            std::thread::spawn(move || a.get_page(2).unwrap()) // steals frame 0 from page 1
+        };
+        std::thread::sleep(Duration::from_millis(40));
+        a.get_page(4).unwrap();
+        assert_eq!(a.get_page(1).unwrap().get(1).unwrap(), b"one");
+        t.join().unwrap();
+        assert_no_under_registration(&r, &a);
+        b.put_page(1, &one_record(1, b"peer")).unwrap();
+        assert_eq!(a.get_page(1).unwrap().get(1).unwrap(), b"peer", "stale local hit");
+    }
+
+    /// With every frame held by a stalled steal, a second steal waits for
+    /// it to land rather than taking the frame from under it.
+    #[test]
+    fn a_steal_waits_when_every_frame_is_being_stolen() {
+        let r = rig();
+        r.store.write_image(0, 1, one_record(1, b"one").image()).unwrap();
+        r.store.write_image(0, 2, one_record(2, b"two").image()).unwrap();
+        let a = Arc::new(one_frame(&r));
+        a.get_page(1).unwrap();
+        r.cf.inject_fault(LinkFault::Delay(Duration::from_millis(150)));
+        let t = {
+            let a = Arc::clone(&a);
+            std::thread::spawn(move || a.get_page(2).unwrap())
+        };
+        std::thread::sleep(Duration::from_millis(40));
+        assert_eq!(a.get_page(1).unwrap().get(1).unwrap(), b"one");
+        assert_eq!(t.join().unwrap().get(2).unwrap(), b"two");
+        assert_no_under_registration(&r, &a);
+    }
+
     /// Deterministic reproduction of the decision_support read skew: with a
     /// 1-frame pool, a steal reassigns the frame to page 2 while the fill is
     /// stalled on the coupling link. A concurrent reader of page 2 must not
@@ -760,10 +934,9 @@ mod tests {
         );
         // Fill the single frame with page 1 (sets its validity bit).
         assert_eq!(a.get_page(1).unwrap().get(1).unwrap(), b"one");
-        // Stall the stealing reader's two commands: the old tenant's
-        // unregister briefly, then its register of page 2 for long enough
-        // that the main thread reads mid-fill.
-        r.cf.inject_fault(LinkFault::Delay(Duration::from_millis(1)));
+        // Stall the stealing reader's one command, its register of page 2
+        // (which drops page 1's registration), for long enough that the
+        // main thread reads mid-fill.
         r.cf.inject_fault(LinkFault::Delay(Duration::from_millis(150)));
         let t = {
             let a = Arc::clone(&a);

@@ -208,22 +208,23 @@ impl RacfNode {
             }
         }
         // Cold or invalidated: register, then read DASD (directory-only —
-        // the CF never holds the data).
+        // the CF never holds the data). The same command unregisters a
+        // stolen slot's previous profile.
         let mut local = self.local.lock();
-        let idx = match local.map.get(resource) {
-            Some((_, idx)) => *idx,
+        let (idx, evicted) = match local.map.get(resource) {
+            Some((_, idx)) => (*idx, None),
             None => {
                 let idx = local.rotor % local.size;
                 local.rotor += 1;
-                if let Some(old) = local.index_of.remove(&idx) {
-                    local.map.remove(&old);
-                    let _ = self.conn.unregister(block_of(&old));
+                let evicted = local.index_of.remove(&idx);
+                if let Some(old) = &evicted {
+                    local.map.remove(old);
                 }
                 local.index_of.insert(idx, resource.to_string());
-                idx
+                (idx, evicted.map(|old| block_of(&old)))
             }
         };
-        self.conn.register_read(block_of(resource), idx)?;
+        self.conn.register_read_replacing(block_of(resource), idx, evicted)?;
         self.stats.dasd_reads.incr();
         let profile = self.db.read_profile(self.system.0, resource).unwrap_or(None);
         if !self.conn.is_valid(idx) {
