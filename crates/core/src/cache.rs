@@ -147,6 +147,18 @@ pub struct WriteResult {
     pub version: u64,
 }
 
+/// Result of [`CacheStructure::write_and_invalidate_set`]: what each block
+/// written got, in order, and the error that stopped the set before the
+/// rest, if one did.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WriteSetResult {
+    /// One result per block written, in the order the set named them.
+    pub written: Vec<WriteResult>,
+    /// Why the block after the last one written was not; `None` when all
+    /// were.
+    pub error: Option<CfError>,
+}
+
 /// What a write stores in the structure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WriteKind {
@@ -610,6 +622,27 @@ impl CacheStructure {
             }
             WriteResult { invalidated, version: entry.version }
         })
+    }
+
+    /// Write `blocks` in order, each exactly as [`write_and_invalidate`]
+    /// would — its own cross-invalidates, its own version — as one command.
+    /// A block that fails stops the set: the blocks before it stay written.
+    ///
+    /// [`write_and_invalidate`]: CacheStructure::write_and_invalidate
+    pub fn write_and_invalidate_set<B: AsRef<[u8]>>(
+        &self,
+        conn: &CacheConnection,
+        blocks: &[(BlockName, B)],
+        kind: WriteKind,
+    ) -> WriteSetResult {
+        let mut written = Vec::with_capacity(blocks.len());
+        for (name, data) in blocks {
+            match self.write_and_invalidate(conn, *name, data.as_ref(), kind) {
+                Ok(w) => written.push(w),
+                Err(e) => return WriteSetResult { written, error: Some(e) },
+            }
+        }
+        WriteSetResult { written, error: None }
     }
 
     /// Remove this connector's registration for `name` (buffer steal).

@@ -41,6 +41,7 @@
 
 use crate::cache::{
     BlockName, CacheConnection as CacheToken, CacheStructure, RegisterResult, WriteKind, WriteResult,
+    WriteSetResult,
 };
 use crate::error::{CfError, CfResult};
 use crate::hashing::ResourceName;
@@ -902,6 +903,18 @@ impl LockConnection {
         self.sub.issue(cmd, || self.structure.write_record(self.id, resource, mode, payload))
     }
 
+    /// Write persistent records for `records` — `(resource, mode,
+    /// payload)` each — as one command (see
+    /// [`LockStructure::write_record_set`]).
+    pub fn write_lock_record_set<P: AsRef<[u8]>>(
+        &self,
+        records: &[(ResourceName, LockMode, P)],
+    ) -> CfResult<()> {
+        let bytes =
+            records.iter().map(|(name, _, payload)| name.as_bytes().len() + payload.as_ref().len()).sum();
+        self.sub.issue(CfCommand::lock_record(bytes), || self.structure.write_record_set(self.id, records))
+    }
+
     /// Delete the persistent record for `resource`.
     pub fn delete_lock_record(&self, resource: &[u8]) -> CfResult<()> {
         let cmd = CfCommand::lock_record(resource.len());
@@ -1067,6 +1080,31 @@ impl CacheConnection {
                 block: name.digest(),
                 invalidated: w.invalidated as u64,
             });
+        }
+        r
+    }
+
+    /// Write `blocks` in order and cross-invalidate each one's other
+    /// registered connectors, as one command (see
+    /// [`CacheStructure::write_and_invalidate_set`]); charged and converted
+    /// on the bytes of all of them. Traced as one cross-invalidate per
+    /// block written, in order.
+    pub fn write_invalidate_set<B: AsRef<[u8]>>(
+        &self,
+        blocks: &[(BlockName, B)],
+        kind: WriteKind,
+    ) -> CfResult<WriteSetResult> {
+        let bytes = blocks.iter().map(|(_, data)| data.as_ref().len()).sum();
+        let r = self.sub.issue(CfCommand::cache_write(bytes), || {
+            Ok(self.structure.write_and_invalidate_set(&self.token, blocks, kind))
+        });
+        if let Ok(set) = &r {
+            for ((name, _), w) in blocks.iter().zip(&set.written) {
+                self.sub.emit(TraceEvent::CrossInvalidate {
+                    block: name.digest(),
+                    invalidated: w.invalidated as u64,
+                });
+            }
         }
         r
     }
@@ -1353,6 +1391,62 @@ mod tests {
         assert_eq!(s.class(CommandClass::LockRelease).issued.get(), 1);
         assert!(req.latency.samples() >= 1);
         assert_eq!(s.issued(), s.sync() + s.async_converted());
+    }
+
+    /// An N-block write set signals exactly what N single writes of the
+    /// same blocks signal — the same peers cross-invalidated, the same
+    /// results, the same trace events in block order — as one command.
+    #[test]
+    fn a_write_set_signals_what_single_writes_signal_in_block_order() {
+        let blocks: Vec<(BlockName, Vec<u8>)> =
+            [3u64, 1, 2, 1].iter().map(|&b| (BlockName::from_parts(7, b), vec![b as u8; 100])).collect();
+        let run = |as_set: bool| {
+            let cf = cf();
+            cf.tracer().enable();
+            cf.allocate_cache_structure("G", CacheParams::store_in(16)).unwrap();
+            let writer = cf.connect_cache("G", 8).unwrap();
+            let (p1, p2) = (cf.connect_cache("G", 8).unwrap(), cf.connect_cache("G", 8).unwrap());
+            // Peer 1 holds blocks 1 and 3, peer 2 block 2, the writer 1.
+            for (conn, b, idx) in [(&p1, 1, 0), (&p1, 3, 1), (&p2, 2, 0), (&writer, 1, 5)] {
+                conn.register_read(BlockName::from_parts(7, b), idx).unwrap();
+            }
+            let before = writer.stats().class(CommandClass::CacheWrite).issued.get();
+            let results: Vec<WriteResult> = if as_set {
+                let set = writer.write_invalidate_set(&blocks, WriteKind::ChangedData).unwrap();
+                assert_eq!(set.error, None);
+                set.written
+            } else {
+                blocks
+                    .iter()
+                    .map(|(name, data)| writer.write_invalidate(*name, data, WriteKind::ChangedData).unwrap())
+                    .collect()
+            };
+            let commands = writer.stats().class(CommandClass::CacheWrite).issued.get() - before;
+            let signals: Vec<TraceEvent> = cf
+                .tracer()
+                .snapshot_all()
+                .into_iter()
+                .map(|r| r.event)
+                .filter(|e| matches!(e, TraceEvent::CrossInvalidate { .. }))
+                .collect();
+            let bits = [p1.is_valid(0), p1.is_valid(1), p2.is_valid(0), writer.is_valid(5)];
+            (results, signals, bits, commands)
+        };
+        let (singles, set) = (run(false), run(true));
+        assert_eq!((&set.0, &set.1, set.2), (&singles.0, &singles.1, singles.2));
+        assert_eq!((singles.3, set.3), (4, 1));
+        let order: Vec<u64> = blocks.iter().map(|(name, _)| name.digest()).collect();
+        let signalled: Vec<u64> = set
+            .1
+            .iter()
+            .map(|e| match e {
+                TraceEvent::CrossInvalidate { block, .. } => *block,
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(signalled, order);
+        assert_eq!(set.0.iter().map(|w| w.invalidated).collect::<Vec<_>>(), [1, 1, 1, 0]);
+        assert_eq!(set.2, [false, false, false, true], "peers invalidated, the writer still valid");
     }
 
     /// A recorded request is one lock-request command and a release set one

@@ -667,7 +667,12 @@ impl LockStructure {
         payload: &[u8],
     ) -> CfResult<()> {
         self.check_active(conn)?;
-        let key = RecordKey { name: ResourceName::new(resource), conn: conn.raw() };
+        self.put_record(conn, ResourceName::new(resource), mode, payload)
+    }
+
+    /// [`LockStructure::write_record`] of an already hashed name.
+    fn put_record(&self, conn: ConnId, name: ResourceName, mode: LockMode, payload: &[u8]) -> CfResult<()> {
+        let key = RecordKey { name, conn: conn.raw() };
         let record = LockRecord { mode, payload: InlineBytes::new(payload) };
         match self.record_shard(&key.name).lock().entry(key) {
             // Replacing an existing record is not a new element.
@@ -680,6 +685,21 @@ impl LockStructure {
             }
         }
         self.stats.records_written.incr(conn);
+        Ok(())
+    }
+
+    /// Write `conn`'s records for `records` — `(resource, mode, payload)`
+    /// each — in order, as one command. Stops at the first that fails
+    /// (record area full): the ones before it are written, the rest are not.
+    pub fn write_record_set<P: AsRef<[u8]>>(
+        &self,
+        conn: ConnId,
+        records: &[(ResourceName, LockMode, P)],
+    ) -> CfResult<()> {
+        self.check_active(conn)?;
+        for (name, mode, payload) in records {
+            self.put_record(conn, name.clone(), *mode, payload.as_ref())?;
+        }
         Ok(())
     }
 

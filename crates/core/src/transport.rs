@@ -28,7 +28,7 @@
 //! connections are untouched, and exploiters that hold them keep their
 //! zero-cost path.
 
-use crate::cache::{BlockName, RegisterResult, WriteKind, WriteResult};
+use crate::cache::{BlockName, RegisterResult, WriteKind, WriteResult, WriteSetResult};
 use crate::connection::{
     CacheConnection, CfCommand, CfSubchannel, CommandClass, ConnectionSnapshot, ConnectionStats,
     ListConnection, LockConnection,
@@ -388,6 +388,7 @@ from_response! {
     Vec<RetainedLock>: WireResponse::Retained(locks) => locks;
     RegisterResult: WireResponse::Register(reg) => reg;
     WriteResult: WireResponse::Write(res) => res;
+    WriteSetResult: WireResponse::WriteSet(res) => res;
     Vec<BlockName>: WireResponse::Blocks(names) => names;
     (Vec<u8>, u64): WireResponse::Data { data, version } => (data, version);
     EntryId: WireResponse::Entry(id) => id;
@@ -569,6 +570,21 @@ impl RemoteLockConnection {
         })
     }
 
+    /// Write persistent records for `records` as one command — see
+    /// [`LockConnection::write_lock_record_set`].
+    pub fn write_lock_record_set<P: AsRef<[u8]>>(
+        &self,
+        records: &[(ResourceName, LockMode, P)],
+    ) -> CfResult<()> {
+        self.link.call(WireRequest::LockRecordSet {
+            handle: self.link.handle,
+            records: records
+                .iter()
+                .map(|(name, mode, payload)| (name.as_bytes().to_vec(), *mode, payload.as_ref().to_vec()))
+                .collect(),
+        })
+    }
+
     /// Delete the persistent record for `resource`.
     pub fn delete_lock_record(&self, resource: &[u8]) -> CfResult<()> {
         self.link
@@ -655,6 +671,20 @@ impl RemoteCacheConnection {
     /// Write block `name` and cross-invalidate other registered connectors.
     pub fn write_invalidate(&self, name: BlockName, data: &[u8], kind: WriteKind) -> CfResult<WriteResult> {
         self.link.call(WireRequest::CacheWrite { handle: self.link.handle, name, data: data.to_vec(), kind })
+    }
+
+    /// Write `blocks` in order, cross-invalidating each, as one command —
+    /// see [`CacheConnection::write_invalidate_set`].
+    pub fn write_invalidate_set<B: AsRef<[u8]>>(
+        &self,
+        blocks: &[(BlockName, B)],
+        kind: WriteKind,
+    ) -> CfResult<WriteSetResult> {
+        self.link.call(WireRequest::CacheWriteSet {
+            handle: self.link.handle,
+            blocks: blocks.iter().map(|(name, data)| (*name, data.as_ref().to_vec())).collect(),
+            kind,
+        })
     }
 
     /// Drop this connection's registered interest in block `name`.

@@ -40,7 +40,7 @@
 //!   v`. The property tests in `tests/wire_roundtrip.rs` pin this for
 //!   every variant, and pin the bytes themselves against a golden sample.
 
-use crate::cache::{BlockName, RegisterResult, WriteKind, WriteResult};
+use crate::cache::{BlockName, RegisterResult, WriteKind, WriteResult, WriteSetResult};
 use crate::connection::{CfCommand, ClassSnapshot, CommandClass};
 use crate::error::{CfError, CfResult};
 use crate::hashing::ResourceName;
@@ -645,6 +645,17 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
     }
 }
 
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    fn put(&self, w: &mut WireWriter) {
+        self.0.put(w);
+        self.1.put(w);
+        self.2.put(w);
+    }
+    fn get(r: &mut WireReader) -> Result<Self, WireError> {
+        Ok((A::get(r)?, B::get(r)?, C::get(r)?))
+    }
+}
+
 impl<T: Wire> Wire for Arc<T> {
     fn put(&self, w: &mut WireWriter) {
         (**self).put(w);
@@ -883,6 +894,7 @@ wire_struct! {
     RetainedLock { resource, mode, payload }
     RegisterResult { data, version, changed }
     WriteResult { invalidated, version }
+    WriteSetResult { written, error }
 }
 
 /// Map a decoded label back to the `&'static str` the [`CfError`] variants
@@ -1145,6 +1157,16 @@ cf_commands! {
         } CfCommand::lock_record(resource.len() + payload.len()) => |c| {
             unit(c.write_lock_record(&resource, mode, &payload)?)
         };
+        /// A transaction's records, in one command:
+        /// [`crate::connection::LockConnection::write_lock_record_set`].
+        47 LockRecordSet {
+            /// `(resource, mode, payload)` of each record, in write order.
+            records: Vec<(Vec<u8>, LockMode, Vec<u8>)>,
+        } CfCommand::lock_record(records.iter().map(|(r, _, p)| r.len() + p.len()).sum()) => |c| {
+            let records: Vec<(ResourceName, LockMode, Vec<u8>)> =
+                records.into_iter().map(|(r, mode, p)| (ResourceName::new(&r), mode, p)).collect();
+            unit(c.write_lock_record_set(&records)?)
+        };
         /// [`crate::connection::LockConnection::delete_lock_record`].
         10 LockDeleteRecord {
             /// Resource name.
@@ -1206,6 +1228,16 @@ cf_commands! {
             /// What the write stores.
             kind: WriteKind,
         } CfCommand::cache_write(data.len()) => |c| P::Write(c.write_invalidate(name, &data, kind)?);
+        /// A commit's pages, in one command:
+        /// [`crate::connection::CacheConnection::write_invalidate_set`].
+        46 CacheWriteSet {
+            /// `(name, data)` of each block, in write order.
+            blocks: Vec<(BlockName, Vec<u8>)>,
+            /// What the writes store.
+            kind: WriteKind,
+        } CfCommand::cache_write(blocks.iter().map(|(_, d)| d.len()).sum()) => |c| {
+            P::WriteSet(c.write_invalidate_set(&blocks, kind)?)
+        };
         /// [`crate::connection::CacheConnection::unregister`].
         18 CacheUnregister {
             /// Block name.
@@ -1481,6 +1513,8 @@ wire_enum! {
         16 OptConn(conn: Option<ConnId>),
         /// The operation failed with a typed CF error.
         17 Error(e: CfError),
+        /// A cache write set's result.
+        18 WriteSet(res: WriteSetResult),
     }
 }
 

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use sysplex_core::cache::{BlockName, RegisterResult, WriteKind, WriteResult};
+use sysplex_core::cache::{BlockName, RegisterResult, WriteKind, WriteResult, WriteSetResult};
 use sysplex_core::connection::{CfCommand, ClassSnapshot, CommandClass};
 use sysplex_core::error::CfError;
 use sysplex_core::list::{DequeueEnd, EntryId, EntryView, LockCondition, WritePosition};
@@ -142,6 +142,13 @@ fn request_samples(h: u32, n: u64, sel: u8, data: &[u8], name: &str) -> Vec<Wire
             mode: lock_mode(sel),
             payload: data.to_vec(),
         },
+        WireRequest::LockRecordSet {
+            handle: h,
+            records: vec![
+                (data.to_vec(), lock_mode(sel), n.to_be_bytes().to_vec()),
+                (data[..data.len() / 2].to_vec(), lock_mode(!sel), vec![]),
+            ],
+        },
         WireRequest::LockDeleteRecord { handle: h, resource: data.to_vec() },
         WireRequest::LockRetainedOf { handle: h, peer: conn(sel) },
         WireRequest::LockIsFailedPersistent { handle: h, peer: conn(sel) },
@@ -156,6 +163,11 @@ fn request_samples(h: u32, n: u64, sel: u8, data: &[u8], name: &str) -> Vec<Wire
             replaced: if sel & 8 == 0 { None } else { Some(BlockName::from_parts(h, n)) },
         },
         WireRequest::CacheWrite { handle: h, name: block, data: data.to_vec(), kind: write_kind(sel) },
+        WireRequest::CacheWriteSet {
+            handle: h,
+            blocks: vec![(block, data.to_vec()), (BlockName::from_parts(h, n), vec![])],
+            kind: write_kind(sel),
+        },
         WireRequest::CacheUnregister { handle: h, name: block },
         WireRequest::CacheCastoutCandidates { handle: h, max: n },
         WireRequest::CacheCastoutRead { handle: h, name: block },
@@ -274,6 +286,10 @@ fn response_samples(h: u32, n: u64, sel: u8, data: &[u8], name: &str) -> Vec<Wir
         WireResponse::OptEntry(Some(entry_view(n, data))),
         WireResponse::Entries(vec![entry_view(n, data), entry_view(n ^ 5, data)]),
         WireResponse::OptConn(opt_conn(sel)),
+        WireResponse::WriteSet(WriteSetResult {
+            written: vec![WriteResult { invalidated: (n % 33) as usize, version: n }],
+            error: if sel & 16 == 0 { None } else { Some(CfError::StructureFull) },
+        }),
     ];
     out.extend(error_samples(sel, n, name).into_iter().map(WireResponse::Error));
     out
@@ -498,6 +514,8 @@ const GOLDEN_REQUESTS: [&str; WireRequest::COUNT] = [
     "07040302011817161514131211",
     "08040302011817161514131211",
     "09040302010d000000676f6c64656e2d627974657321010d000000676f6c64656e2d627974657321",
+    // LockRecordSet (tag 47), added with the one-command commit.
+    "2f04030201020000000d000000676f6c64656e2d6279746573210108000000111213141516171806000000676f6c64656e0000000000",
     "0a040302010d000000676f6c64656e2d627974657321",
     "0b040302011d",
     "0c040302011d",
@@ -508,6 +526,8 @@ const GOLDEN_REQUESTS: [&str; WireRequest::COUNT] = [
     // CacheReadReplacing (tag 45), added with the one-command buffer steal.
     "2d04030201676f6c64656e2d627974657321000000030302010101020304111213141516171800000000",
     "1104030201676f6c64656e2d6279746573210000000d000000676f6c64656e2d62797465732101",
+    // CacheWriteSet (tag 46), same PR.
+    "2e0403020102000000676f6c64656e2d6279746573210000000d000000676f6c64656e2d627974657321010203041112131415161718000000000000000001",
     "1204030201676f6c64656e2d627974657321000000",
     "13040302011817161514131211",
     "1404030201676f6c64656e2d627974657321000000",
@@ -535,7 +555,7 @@ const GOLDEN_REQUESTS: [&str; WireRequest::COUNT] = [
 ];
 
 /// Encodings of `response_samples` for the same inputs, same provenance.
-const GOLDEN_RESPONSES: [&str; 31] = [
+const GOLDEN_RESPONSES: [&str; 32] = [
     "00",
     "01040302011d1817161514131211",
     "0200",
@@ -553,6 +573,8 @@ const GOLDEN_RESPONSES: [&str; 31] = [
     "0e1817161514131211d5bc1615141312110d000000676f6c64656e2d62797465732118000000000000001817161514131211",
     "0f020000001817161514131211d5bc1615141312110d000000676f6c64656e2d627974657321180000000000000018171615141312111d17161514131211d0bc1615141312110d000000676f6c64656e2d6279746573211d000000000000001d17161514131211",
     "10011d",
+    // WriteSet (tag 18), added with the one-command commit.
+    "1201000000140000000000000018171615141312110102",
     "110005000000474f4c4431",
     "110105000000474f4c4431",
     "1102",

@@ -13,16 +13,17 @@
 //!    frame.
 //!
 //! Writes go to the CF as **changed data** (store-in): one command updates
-//! the global copy and cross-invalidates every registered peer. A castout
-//! sweep later destages changed pages to DASD.
+//! the global copies of a commit's pages and cross-invalidates every peer
+//! registered on each. A castout sweep later destages changed pages to
+//! DASD.
 
 use crate::error::{DbError, DbResult};
 use crate::pagestore::{Page, PageStore};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
-use std::collections::HashMap;
 use std::sync::Arc;
 use sysplex_core::cache::{BlockName, CacheStructure, WriteKind};
 use sysplex_core::connection::{CacheConnection, CfSubchannel};
+use sysplex_core::hashing::PrehashedMap;
 use sysplex_core::stats::Counter;
 use sysplex_core::trace::TraceEvent;
 use sysplex_core::{CfError, SystemId};
@@ -104,7 +105,9 @@ impl Frame {
 #[derive(Debug)]
 struct PoolInner {
     frames: Vec<Frame>,
-    map: HashMap<BlockName, usize>,
+    /// Frame of each pooled block, keyed by the name's one FNV pass: the
+    /// names are this program's own.
+    map: PrehashedMap<BlockName, usize>,
     rotor: usize,
     /// Threads in [`BufferManager::frame_for`] waiting for a steal to land
     /// because every frame is [`Frame::stealing`].
@@ -159,7 +162,7 @@ impl BufferManager {
             frame_count: frames,
             inner: Mutex::new(PoolInner {
                 frames: vec![Frame::default(); frames],
-                map: HashMap::new(),
+                map: PrehashedMap::default(),
                 rotor: 0,
                 waiting: 0,
             }),
@@ -328,53 +331,78 @@ impl BufferManager {
         }
     }
 
-    /// Write a page: CF changed-data write with cross-invalidation of all
-    /// registered peers, then the local frame, which keeps the caller's
-    /// image (shared, not copied). The caller must hold page serialization
-    /// (the P-lock).
+    /// Write a page: [`BufferManager::put_pages`] of one.
     pub fn put_page(&self, page: u64, p: &Page) -> DbResult<()> {
-        let name = self.store.block_name(page);
+        self.put_pages(&[(page, p.clone())])
+    }
+
+    /// Write pages: one CF changed-data write of all of them, in order,
+    /// cross-invalidating each one's registered peers, then the local
+    /// frames, which keep the caller's images (shared, not copied). The
+    /// caller must hold every page's serialization (its P-lock). A set the
+    /// CF stops part-way — the group buffer full at some page — still
+    /// installs the frames of the pages it wrote: the CF holds their new
+    /// images and this member's validity bits for them are set, so a frame
+    /// left on the old image would serve stale bytes.
+    pub fn put_pages(&self, pages: &[(u64, Page)]) -> DbResult<()> {
         let cf = self.cf.read();
-        let (idx, generation, registered, evicted) = {
-            let mut inner = self.inner.lock();
-            let (idx, _, evicted) = self.frame_for(&mut inner, &cf, name);
-            // A set validity bit over a ready frame of this block means the
-            // directory still tracks us as a holder (everything that drops a
-            // registration clears the bit): the state the caller's own
-            // `get_page` left behind, unless a peer's write or a directory
-            // reclaim came in between.
-            let registered = inner.frames[idx].valid_page(&cf, idx, name).is_some();
-            (idx, inner.frames[idx].generation, registered, evicted)
-        };
-        if !registered {
-            // Register so the CF tracks us as a current holder (a stolen
-            // frame is never ready, so its evicted tenant goes here).
-            let reg = cf.conn.register_read_replacing(name, idx as u32, evicted);
-            if evicted.is_some() {
-                self.steal_landed(idx);
+        let mut blocks: Vec<(BlockName, &[u8])> = Vec::with_capacity(pages.len());
+        let mut frames: Vec<(usize, u64)> = Vec::with_capacity(pages.len());
+        for (page, p) in pages {
+            let name = self.store.block_name(*page);
+            let (idx, generation, registered, evicted) = {
+                let mut inner = self.inner.lock();
+                let (idx, _, evicted) = self.frame_for(&mut inner, &cf, name);
+                // A set validity bit over a ready frame of this block means
+                // the directory still tracks us as a holder (everything that
+                // drops a registration clears the bit): the state the
+                // caller's own `get_page` left behind, unless a peer's write
+                // or a directory reclaim came in between.
+                let registered = inner.frames[idx].valid_page(&cf, idx, name).is_some();
+                (idx, inner.frames[idx].generation, registered, evicted)
+            };
+            if !registered {
+                // Register so the CF tracks us as a current holder (a stolen
+                // frame is never ready, so its evicted tenant goes here).
+                let reg = cf.conn.register_read_replacing(name, idx as u32, evicted);
+                if evicted.is_some() {
+                    self.steal_landed(idx);
+                }
+                reg?;
             }
-            reg?;
+            blocks.push((name, p.image()));
+            frames.push((idx, generation));
         }
-        // CF write first: the returned directory version orders this image
-        // against concurrent refreshes of the same frame.
-        let w = cf.conn.write_invalidate(name, p.image(), WriteKind::ChangedData)?;
+        // CF write first: the directory version each block gets orders its
+        // image against concurrent refreshes of the same frame.
+        let set = cf.conn.write_invalidate_set(&blocks, WriteKind::ChangedData)?;
         {
             let mut inner = self.inner.lock();
-            if let Some(f) = inner.frames.get_mut(idx) {
-                if f.generation == generation && f.name == Some(name) && w.version >= f.version {
-                    f.page = Some(p.clone());
-                    f.version = w.version;
+            for ((w, &(idx, generation)), ((name, _), (_, p))) in
+                set.written.iter().zip(&frames).zip(blocks.iter().zip(pages))
+            {
+                if let Some(f) = inner.frames.get_mut(idx) {
+                    if f.generation == generation && f.name == Some(*name) && w.version >= f.version {
+                        f.page = Some(p.clone());
+                        f.version = w.version;
+                    }
                 }
             }
         }
-        if let Some(sec) = &cf.secondary {
-            // Duplexed write: the secondary holds no registrations (it is
-            // a data vault, not a coherency point), so this is a pure
-            // changed-data store.
-            sec.write_invalidate(name, p.image(), WriteKind::ChangedData)?;
+        self.stats.writes.add(set.written.len() as u64);
+        let written = &blocks[..set.written.len()];
+        if let (Some(sec), false) = (&cf.secondary, written.is_empty()) {
+            // Duplexed write of what the primary took: the secondary holds
+            // no registrations (it is a data vault, not a coherency point),
+            // so this is a pure changed-data store.
+            if let Some(e) = sec.write_invalidate_set(written, WriteKind::ChangedData)?.error {
+                return Err(e.into());
+            }
         }
-        self.stats.writes.incr();
-        Ok(())
+        match set.error {
+            Some(e) => Err(e.into()),
+            None => Ok(()),
+        }
     }
 
     /// Destage up to `max` changed pages to DASD. Returns how many were
@@ -745,6 +773,39 @@ mod tests {
         a.install(idx, generation, name, stale.version, old);
         drop(cf);
         assert_eq!(a.get_page(1).unwrap().get(1).unwrap(), b"peer", "a dead life's bytes installed");
+    }
+
+    /// The group buffer fills at the third page of a write set: the first
+    /// two reached the CF — the writer's bits for them stay set, its peers'
+    /// were cleared — so the writer's frames must hold them, not the images
+    /// they held before; the third page is unchanged everywhere.
+    #[test]
+    fn a_write_set_stopped_part_way_installs_the_pages_it_wrote() {
+        let r = {
+            let mut r = rig();
+            let params = CacheParams { data_capacity: 2 * 4096, ..CacheParams::store_in(256) };
+            r.cache = r.cf.allocate_cache_structure("GBP1", params).unwrap();
+            r
+        };
+        let (a, b) = (bm(&r, 0), bm(&r, 1));
+        for page in 1..=3 {
+            a.get_page(page).unwrap();
+            b.get_page(page).unwrap();
+        }
+        let big = |page: u64| one_record(page, &[page as u8; 3000]);
+        let set: Vec<(u64, Page)> = (1..=3).map(|page| (page, big(page))).collect();
+        let err = a.put_pages(&set).unwrap_err();
+        assert!(matches!(err, DbError::Cf(CfError::StructureFull)), "got {err:?}");
+        assert_eq!(a.stats.writes.get(), 2);
+        let hits = a.stats.local_hits.get();
+        for page in 1..=2 {
+            assert_eq!(a.get_page(page).unwrap(), big(page), "page {page}: a stale local hit");
+            assert_eq!(b.get_page(page).unwrap(), big(page));
+        }
+        assert_eq!(a.stats.local_hits.get() - hits, 2, "served from the installed frames");
+        assert_eq!(a.get_page(3).unwrap(), Page::new());
+        assert_eq!(b.get_page(3).unwrap(), Page::new());
+        assert_no_under_registration(&r, &a);
     }
 
     #[test]

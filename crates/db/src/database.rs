@@ -10,11 +10,12 @@
 //! * **Write** — take an Exclusive, *persistent* L-lock (recorded in CF
 //!   record data for recoverability), capture the before-image, and stage
 //!   the change in the transaction's private workspace.
-//! * **Commit** — force the undo/redo log (WAL), then externalise each
-//!   touched page under a short page *P-lock* (read-merge-write against
-//!   concurrent updates of *other* records on the same page, exactly DB2's
-//!   data-sharing page physical locks), force the commit record, release
-//!   all locks.
+//! * **Commit** — force the undo/redo log (WAL) and write the lock records
+//!   the transaction still owes, then externalise the touched pages under
+//!   short page *P-locks* (read-merge-write against concurrent updates of
+//!   *other* records on the same page, exactly DB2's data-sharing page
+//!   physical locks) in one CF write, force the commit record, release all
+//!   locks.
 //! * **Abort** — discard the workspace and release locks; nothing was
 //!   externalised, so no undo is needed. Undo *is* needed when a whole
 //!   system dies mid-commit — that is [`crate::recovery`]'s job, using the
@@ -32,7 +33,7 @@ use std::time::Duration;
 use sysplex_core::lock::LockMode;
 use sysplex_core::stats::Counter;
 use sysplex_core::SystemId;
-use sysplex_services::timer::SysplexTimer;
+use sysplex_services::timer::{SysplexTimer, Tod};
 
 /// Per-database tuning.
 #[derive(Debug, Clone, Copy)]
@@ -300,11 +301,14 @@ impl Database {
         if txn.writes.is_empty() {
             return Ok(());
         }
+        // One clock reading for the commit's LSNs: its update records', in
+        // key order, then its commit record's.
+        let lsn = self.timer.tod_block(txn.writes.len() as u64 + 1).0;
         // 1. Undo/redo records become durable before any page change
         //    reaches shared storage (WAL).
-        for (key, w) in &txn.writes {
+        for (i, (key, w)) in txn.writes.iter().enumerate() {
             self.log.append_update(
-                self.timer.tod(),
+                Tod(lsn + i as u64),
                 txn.id,
                 w.page,
                 *key,
@@ -313,28 +317,37 @@ impl Database {
             );
         }
         self.log.force()?;
-        // 2. Externalise, page by page in ascending order (no P-lock
-        //    deadlocks between committers), merging with concurrent
-        //    changes to other records on the same page.
+        // 2. So do the lock records the transaction's grants still owe: a
+        //    record exists before anything it protects reaches shared
+        //    storage.
+        self.irlm.write_records(txn.id)?;
+        // 3. Externalise: take every touched page's P-lock in ascending
+        //    page order (no P-lock deadlocks between committers), merge each
+        //    page with concurrent changes to other records on it, and write
+        //    them all in one command; then release the P-locks together.
         let mut by_page: Vec<(u64, u64, &StagedWrite)> =
             txn.writes.iter().map(|(key, w)| (w.page, *key, w)).collect();
         by_page.sort_unstable_by_key(|&(page, key, _)| (page, key));
-        for writes in by_page.chunk_by(|a, b| a.0 == b.0) {
-            let page_no = writes[0].0;
-            let plock = page_resource(self.store.db_id(), page_no);
-            self.irlm.lock_wait(txn.id, &plock, LockMode::Exclusive, false, self.config.lock_timeout)?;
-            let result = (|| -> DbResult<()> {
+        let mut plocks = Vec::new();
+        let result = (|| -> DbResult<()> {
+            let mut pages = Vec::new();
+            for writes in by_page.chunk_by(|a, b| a.0 == b.0) {
+                let page_no = writes[0].0;
+                let plock = page_resource(self.store.db_id(), page_no);
+                self.irlm.lock_wait(txn.id, &plock, LockMode::Exclusive, false, self.config.lock_timeout)?;
+                plocks.push(plock);
                 let mut page = self.buf.get_page(page_no)?;
                 for &(_, key, w) in writes {
                     page.write(key, w.after.as_deref());
                 }
-                self.buf.put_page(page_no, &page)
-            })();
-            self.irlm.unlock(txn.id, &plock)?;
-            result?;
-        }
-        // 3. Commit record durable.
-        self.log.append(LogRecord::Commit { lsn: self.timer.tod(), txn: txn.id });
+                pages.push((page_no, page));
+            }
+            self.buf.put_pages(&pages)
+        })();
+        self.irlm.unlock_set(txn.id, &plocks)?;
+        result?;
+        // 4. Commit record durable.
+        self.log.append(LogRecord::Commit { lsn: Tod(lsn + txn.writes.len() as u64), txn: txn.id });
         self.log.force()?;
         Ok(())
     }

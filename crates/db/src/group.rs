@@ -454,7 +454,8 @@ mod tests {
         // to page externalisation but not the commit record.
         let mut ta = a.begin();
         a.write(&mut ta, 10, Some(b"uncommitted")).unwrap();
-        // Force the WAL and externalise the page like commit would…
+        // Force the WAL, write the lock records and externalise the page
+        // like commit would…
         a.log().append(crate::log::LogRecord::Update {
             lsn: g.timer.tod(),
             txn: ta.id(),
@@ -464,6 +465,7 @@ mod tests {
             after: Some(b"uncommitted".to_vec()),
         });
         a.log().force().unwrap();
+        a.irlm().write_records(ta.id()).unwrap();
         let page_no = g.store.page_of(10);
         let mut page = a.buffers().get_page(page_no).unwrap();
         page.set(10, b"uncommitted");
@@ -486,6 +488,39 @@ mod tests {
         let v = b.run(0, |db, txn| db.read(txn, 10)).unwrap();
         assert_eq!(v.unwrap(), b"committed");
         b.run(0, |db, txn| db.write(txn, 10, Some(b"post-recovery"))).unwrap();
+        g.remove_member(SystemId::new(1));
+    }
+
+    #[test]
+    fn a_crash_before_the_lock_records_are_written_leaves_nothing_to_back_out() {
+        let g = group();
+        let a = g.add_member(SystemId::new(0)).unwrap();
+        let b = g.add_member(SystemId::new(1)).unwrap();
+        a.run(0, |db, txn| db.write(txn, 10, Some(b"committed"))).unwrap();
+
+        // a's next write of the row is a local re-grant, its record owed;
+        // a dies after forcing the WAL, before the commit writes the
+        // record — so before any page could reach shared storage.
+        let mut ta = a.begin();
+        a.write(&mut ta, 10, Some(b"uncommitted")).unwrap();
+        assert_eq!(a.irlm().stats.regrants_local.get(), 1);
+        a.log().append(crate::log::LogRecord::Update {
+            lsn: g.timer.tod(),
+            txn: ta.id(),
+            page: g.store.page_of(10),
+            key: 10,
+            before: Some(b"committed".to_vec()),
+            after: Some(b"uncommitted".to_vec()),
+        });
+        a.log().force().unwrap();
+        let failed = g.crash_member(SystemId::new(0)).unwrap();
+        b.irlm().mark_peer_failed(failed.lock_conn).unwrap();
+        assert!(b.irlm().retained_locks_of(failed.lock_conn).unwrap().is_empty(), "a record was retained");
+
+        // Recovery finds the transaction in flight and nothing to undo.
+        let report = g.recover_on(SystemId::new(1), &failed).unwrap();
+        assert_eq!((report.backed_out_txns, report.undone_updates, report.retained_released), (1, 0, 0));
+        assert_eq!(b.run(0, |db, txn| db.read(txn, 10)).unwrap().unwrap(), b"committed");
         g.remove_member(SystemId::new(1));
     }
 

@@ -26,9 +26,13 @@
 //! after a system failure, survivors can read exactly which resources the
 //! dead system held ([`Irlm::retained_locks_of`]) and release them once
 //! backout completes ([`Irlm::complete_peer_recovery`]). A member's record
-//! for a resource exists exactly while it has a persistent local holder of
-//! it: a CF-granted request carries the record in its own command, and an
-//! unlock gives up records and interest together, in one command.
+//! for a resource exists only while it has a persistent local holder of it,
+//! and before anything that holder protects reaches shared storage: a
+//! CF-granted request carries the record in its own command; any other
+//! grant queues it on the transaction, and the transaction's records go to
+//! the CF as one command when it is about to externalise
+//! ([`Irlm::write_records`]). An unlock gives up records and interest
+//! together, in one command.
 
 use crate::error::{DbError, DbResult};
 use parking_lot::{Mutex, RwLock};
@@ -143,6 +147,12 @@ impl Holders {
     fn strongest(&self) -> Option<LockMode> {
         self.iter().map(|h| h.mode).max()
     }
+
+    /// The strongest persistent holder: the hold this member's record for
+    /// the resource describes.
+    fn recorded(&self) -> Option<Holder> {
+        self.iter().filter(|h| h.persistent).max_by_key(|h| h.mode).copied()
+    }
 }
 
 /// Everything this member tracks about one lock-table entry (hash class),
@@ -174,6 +184,9 @@ struct EntryRecord {
     /// [`RECALL_COOLDOWN`], refreshed by further queries); genuinely local
     /// classes are never queried and keep caching.
     cool: u32,
+    /// The ticket of the park that put the entry at its live FIFO position
+    /// (meaningful while `parked`): any other position of it is stale.
+    ticket: u32,
 }
 
 /// One request in phase 2 — between leaving the local table and recording
@@ -229,13 +242,17 @@ struct LocalState {
     /// Emptied `held` lists, reused so a transaction's first lock does not
     /// allocate. At most as many as transactions were ever open at once.
     spare_lists: Vec<Vec<ResourceName>>,
-    /// FIFO of parked entry indexes. May hold stale positions for entries
-    /// re-granted since parking; eviction skips one whose entry is not
-    /// parked (`parked` is the source of truth, `parked_live` the live
-    /// count) — but an entry parked again is evicted at its oldest
-    /// position, not its live one (ROADMAP 3(b)).
-    parked: VecDeque<usize>,
+    /// FIFO of parked entry indexes, each with the ticket of the park that
+    /// queued it. A position is live while its entry is parked under that
+    /// ticket (`parked` is the source of truth, `parked_live` the live
+    /// count); eviction skips the rest, so an entry parked again — a hot
+    /// class, re-granted and released every transaction — is evicted at its
+    /// newest position, not its oldest. Stale positions are dropped in bulk
+    /// once they outnumber the live ones ([`LocalState::park`]).
+    parked: VecDeque<(usize, u32)>,
     parked_live: usize,
+    /// Tickets drawn by parks so far (wrapping).
+    park_tickets: u32,
     /// Bumped by every peer negotiation query (see
     /// [`Wanted::recall_snapshot`]).
     recall_seq: u64,
@@ -249,6 +266,14 @@ struct LocalState {
     /// allocates.
     release_records: Vec<ResourceName>,
     release_entries: Vec<usize>,
+    /// Resources whose record a grant owes the CF — one whose own command
+    /// wrote none — in grant order: written by the next
+    /// [`Irlm::write_records`] of a persistent holder, dropped with the
+    /// last persistent hold.
+    queued_records: Vec<ResourceName>,
+    /// The record set [`Irlm::write_records`] is sending. Empty whenever
+    /// the latch is free; reused, like the release set.
+    record_set: Vec<(ResourceName, LockMode, [u8; 8])>,
 }
 
 impl LocalState {
@@ -313,10 +338,10 @@ impl LocalState {
         Ok(entries)
     }
 
-    /// Record that `txn` holds `name` in (at least) `mode`. Returns the
-    /// mode this member's record for `name` must now say, when the grant
-    /// changed it: the first persistent hold of the resource, or one
-    /// stronger than any persistent hold before it.
+    /// Record that `txn` holds `name` in (at least) `mode`. Returns whether
+    /// the grant changed what this member's record for `name` must say:
+    /// the first persistent hold of the resource, or one stronger than any
+    /// persistent hold before it.
     fn record_grant(
         &mut self,
         txn: u64,
@@ -324,7 +349,7 @@ impl LocalState {
         entry: usize,
         mode: LockMode,
         persistent: bool,
-    ) -> Option<LockMode> {
+    ) -> bool {
         let holder = Holder { txn, mode, persistent };
         // The strongest persistent hold before this grant: what the record
         // says, if there is one.
@@ -332,7 +357,7 @@ impl LocalState {
         let (is_new_resource, is_new_holder, held) = match self.resources.entry(name.clone()) {
             Entry::Occupied(slot) => {
                 let rh = slot.into_mut();
-                recorded = rh.iter().filter(|h| h.persistent).map(|h| h.mode).max();
+                recorded = rh.recorded().map(|h| h.mode);
                 match rh.get_mut(txn) {
                     Some(h) => {
                         // Strengthen, never weaken.
@@ -365,26 +390,50 @@ impl LocalState {
             e.parked = false;
             self.parked_live -= 1;
         }
-        (persistent && recorded < Some(held)).then_some(held)
+        persistent && recorded < Some(held)
     }
 
     /// The last persistent holder of `name` is gone: queue the delete of
-    /// this member's record for it. A request for `name` still in phase 2
-    /// may have written that record with its own CF command — before the
-    /// delete or after — so it is marked to write it again if it wins.
+    /// this member's record for it, and forget a write of it still queued.
+    /// A request for `name` still in phase 2 may have written that record
+    /// with its own CF command — before the delete or after — so it is
+    /// marked to write it again if it wins.
     fn unrecord(&mut self, name: ResourceName) {
         for rival in self.wanted.iter_mut().filter(|w| w.name == name) {
             rival.unrecorded = true;
         }
+        self.queued_records.retain(|q| *q != name);
         self.release_records.push(name);
+    }
+
+    /// Owe the CF this member's record for `name`.
+    fn queue_record(&mut self, name: &ResourceName) {
+        if !self.queued_records.contains(name) {
+            self.queued_records.push(name.clone());
+        }
     }
 
     /// Park `entry`: keep this member's CF interest in it, with no local
     /// resource held there, until a recall or FIFO eviction surrenders it.
+    /// The park draws a ticket that makes this the entry's live position.
     fn park(&mut self, entry: usize) {
-        self.entries.entry(entry).or_default().parked = true;
+        self.park_tickets = self.park_tickets.wrapping_add(1);
+        let ticket = self.park_tickets;
+        let e = self.entries.entry(entry).or_default();
+        e.parked = true;
+        e.ticket = ticket;
         self.parked_live += 1;
-        self.parked.push_back(entry);
+        self.parked.push_back((entry, ticket));
+        if self.parked.len() > 2 * PARK_CAP.max(self.parked_live) {
+            // Keep the live positions, in order: the same ones on every run.
+            let entries = &self.entries;
+            self.parked.retain(|&position| Self::live(entries, position));
+        }
+    }
+
+    /// Is `(entry, ticket)` its entry's live FIFO position?
+    fn live(entries: &PrehashedMap<usize, EntryRecord>, (entry, ticket): (usize, u32)) -> bool {
+        entries.get(&entry).is_some_and(|e| e.parked && e.ticket == ticket)
     }
 }
 
@@ -445,11 +494,12 @@ impl CfTarget {
         Ok(response)
     }
 
-    /// Write `txn`'s persistent record for `resource`, primary then mirror.
-    fn write_record(&self, resource: &[u8], mode: LockMode, txn: u64) -> DbResult<()> {
-        self.conn.write_lock_record(resource, mode, &txn.to_be_bytes())?;
+    /// Write `(resource, mode, txn)` records in one command, primary then
+    /// mirror.
+    fn write_record_set(&self, records: &[(ResourceName, LockMode, [u8; 8])]) -> DbResult<()> {
+        self.conn.write_lock_record_set(records)?;
         if let Some(sec) = &self.secondary {
-            let _ = sec.write_lock_record(resource, mode, &txn.to_be_bytes());
+            let _ = sec.write_lock_record_set(records);
         }
         Ok(())
     }
@@ -811,10 +861,8 @@ impl Irlm {
                 granted = true;
             }
             if granted {
-                let record = state.record_grant(txn, &name, entry, mode, persistent);
-                drop(local);
-                if let Some(mode) = record {
-                    cf.write_record(resource, mode, txn)?;
+                if state.record_grant(txn, &name, entry, mode, persistent) {
+                    state.queue_record(&name);
                 }
                 return Ok(LockOutcome::Granted);
             }
@@ -889,7 +937,8 @@ impl Irlm {
 
     /// Phase 3: re-validate locally and record a grant the CF made — by a
     /// `synchronous` request, whose command also wrote a persistent
-    /// request's record, or by a negotiated write, which wrote none. The
+    /// request's record, or by a negotiated write, which wrote none and so
+    /// queues the record the grant needs. The
     /// phase-2 registration ends under the same latch acquisition that
     /// records the grant: from a peer's perspective the entry goes
     /// conflict-by-window to conflict-by-resource with no observable gap.
@@ -933,12 +982,13 @@ impl Irlm {
                 e.cached = true;
             }
         }
-        drop(local);
-        // The request's own command wrote its record, unless a sibling's
-        // release may have deleted it since: then it is written again.
-        let record = if recorded_by_request { unrecorded.then_some(mode) } else { record };
-        if let Some(mode) = record {
-            cf.write_record(name.as_bytes(), mode, txn)?;
+        // The request's own command wrote its record — over any write of it
+        // still queued — unless a sibling's release may have deleted it
+        // since: then it is owed again.
+        if recorded_by_request && !unrecorded {
+            state.queued_records.retain(|q| q != name);
+        } else if recorded_by_request || record {
+            state.queue_record(name);
         }
         Ok(LockOutcome::Granted)
     }
@@ -951,13 +1001,9 @@ impl Irlm {
     /// `name` is overtaken by it; an error leaves a record behind, which
     /// over-retains (safe).
     fn settle_lost_record(&self, state: &mut LocalState, cf: &CfTarget, name: &ResourceName) {
-        let survivor = state
-            .resources
-            .get(name)
-            .and_then(|rh| rh.iter().filter(|h| h.persistent).max_by_key(|h| h.mode).copied());
-        match survivor {
+        match state.resources.get(name).and_then(Holders::recorded) {
             Some(h) => {
-                let _ = cf.write_record(name.as_bytes(), h.mode, h.txn);
+                let _ = cf.write_record_set(&[(name.clone(), h.mode, h.txn.to_be_bytes())]);
             }
             None => {
                 state.unrecord(name.clone());
@@ -1010,29 +1056,71 @@ impl Irlm {
     /// ends, so an unlock that leaves `txn` holding nothing evicts too.
     /// What the unlock gives up goes to the CF as at most one command.
     pub fn unlock(&self, txn: u64, resource: &[u8]) -> DbResult<()> {
-        let name = ResourceName::new(resource);
+        self.unlock_set(txn, &[resource])
+    }
+
+    /// Release `txn`'s holds on `names` under one latch acquisition, in
+    /// order, exactly as that many [`Irlm::unlock`]s would — with at most
+    /// one CF command for all of them. Names `txn` does not hold are
+    /// skipped.
+    pub fn unlock_set<N: AsRef<[u8]>>(&self, txn: u64, names: &[N]) -> DbResult<()> {
         let cf = self.cf.read();
         let mut local = self.local.lock();
         let state = &mut *local;
-        let Entry::Occupied(mut held) = state.held.entry(txn) else { return Ok(()) };
-        // Newest first: the lock released singly is nearly always the one
-        // taken last (a commit's page P-lock).
-        let Some(at) = held.get().iter().rposition(|held| *held == name) else { return Ok(()) };
-        held.get_mut().swap_remove(at);
-        let ended = held.get().is_empty();
-        if ended {
-            state.spare_lists.push(held.remove());
-        }
-        self.release_one(state, &cf, txn, name);
-        if ended {
-            Self::evict_parked(state);
+        for name in names {
+            let name = ResourceName::new(name.as_ref());
+            let Entry::Occupied(mut held) = state.held.entry(txn) else { break };
+            // Newest first: a lock released by name is nearly always one
+            // taken last (a commit's page P-locks).
+            let Some(at) = held.get().iter().rposition(|held| *held == name) else { continue };
+            held.get_mut().swap_remove(at);
+            let ended = held.get().is_empty();
+            if ended {
+                state.spare_lists.push(held.remove());
+            }
+            self.release_one(state, &cf, txn, name);
+            if ended {
+                Self::evict_parked(state);
+            }
         }
         Self::send_release_set(state, &cf)
     }
 
+    /// Write the records still owed for resources `txn` holds persistently
+    /// — owed by grants whose own command wrote none, local re-grants
+    /// above all — as one command, primary then mirror, under the latch, so
+    /// no release of the same names overtakes it. Each says the strongest
+    /// persistent hold of its resource and names `txn`. A commit calls it
+    /// before its first page write: a record must exist before anything it
+    /// protects can reach shared storage, and until then a crash has
+    /// externalised nothing it would have to cover. Nothing owed, no
+    /// command. A failed set may have written some of the records: the
+    /// holds still own them, and their release deletes them.
+    pub fn write_records(&self, txn: u64) -> DbResult<()> {
+        let cf = self.cf.read();
+        let mut local = self.local.lock();
+        let state = &mut *local;
+        let (set, resources) = (&mut state.record_set, &state.resources);
+        state.queued_records.retain(|name| {
+            let mine = |rh: &&Holders| rh.iter().any(|h| h.txn == txn && h.persistent);
+            let Some(recorded) = resources.get(name).filter(mine).and_then(Holders::recorded) else {
+                return true;
+            };
+            set.push((name.clone(), recorded.mode, txn.to_be_bytes()));
+            false
+        });
+        if set.is_empty() {
+            return Ok(());
+        }
+        let result = cf.write_record_set(set);
+        set.clear();
+        result
+    }
+
     /// Release everything `txn` holds (commit/abort) with at most one CF
     /// command: the local tables settle whatever it returns, and its error
-    /// is reported.
+    /// is reported. A record still owed goes with the last persistent hold
+    /// of its resource.
     pub fn unlock_all(&self, txn: u64) -> DbResult<()> {
         let cf = self.cf.read();
         let mut local = self.local.lock();
@@ -1109,21 +1197,22 @@ impl Irlm {
     }
 
     /// Evict FIFO past [`PARK_CAP`] into the release set, skipping
-    /// positions whose entry is not parked; an in-flight victim rotates to
-    /// the back.
+    /// positions that are not live; an in-flight victim rotates to the
+    /// back.
     fn evict_parked(state: &mut LocalState) {
         let mut budget = state.parked.len();
         while state.parked_live > PARK_CAP && budget > 0 {
             budget -= 1;
-            let Some(victim) = state.parked.pop_front() else { break };
-            let registered = state.in_flight(victim);
-            let Some(v) = state.entries.get_mut(&victim).filter(|v| v.parked && v.count == 0) else {
-                continue;
-            };
-            if registered {
-                state.parked.push_back(victim);
+            let Some(position) = state.parked.pop_front() else { break };
+            if !LocalState::live(&state.entries, position) {
                 continue;
             }
+            let victim = position.0;
+            if state.in_flight(victim) {
+                state.parked.push_back(position);
+                continue;
+            }
+            let v = state.entries.get_mut(&victim).expect("a live position has its entry");
             v.parked = false;
             v.cached = false;
             state.parked_live -= 1;
@@ -1721,7 +1810,9 @@ mod tests {
         let x = LockMode::Exclusive;
         // Txn 2's command writes its record; before its phase 3, sibling
         // txn 1 takes the resource, writes its own record, and releases
-        // it — deleting the record txn 2's grant is about to rely on.
+        // it — deleting the record txn 2's grant is about to rely on. The
+        // grant owes its record again, and the transaction's record set
+        // writes it.
         let phase2 = register(a, 2, &name, x);
         let entry = a.cf.read().conn.entry_of(&name);
         assert!(a.cf.read().request(entry, x, Some((name.as_bytes(), 2))).unwrap().is_granted());
@@ -1730,6 +1821,7 @@ mod tests {
         assert!(records_of(a).is_empty());
         let outcome = a.finish_cf_grant(&a.cf.read(), phase2, &name, x, true, true).unwrap();
         assert_eq!(outcome, LockOutcome::Granted);
+        a.write_records(2).unwrap();
         assert_eq!(records_of(a), [(b"ROW.1".to_vec(), 2)]);
         a.unlock_all(2).unwrap();
         assert!(records_of(a).is_empty());
@@ -1969,10 +2061,12 @@ mod tests {
         a.lock(1, b"ROW.P", LockMode::Exclusive, true).unwrap();
         a.unlock(1, b"ROW.P").unwrap();
         // Fast-path re-grant of a persistent lock must still write the CF
-        // record — the cached grant is worthless if a fenced holder's
-        // locks can't be reconstructed by survivors.
+        // record before the transaction externalises anything — the cached
+        // grant is worthless if a fenced holder's locks can't be
+        // reconstructed by survivors.
         assert_eq!(a.lock(2, b"ROW.P", LockMode::Exclusive, true).unwrap(), LockOutcome::Granted);
         assert_eq!(a.stats.regrants_local.get(), 1);
+        a.write_records(2).unwrap();
         a.crash();
         b.mark_peer_failed(a.conn()).unwrap();
         let retained = b.retained_locks_of(a.conn()).unwrap();
@@ -1982,6 +2076,132 @@ mod tests {
         assert_eq!(b.lock(9, b"ROW.P", LockMode::Exclusive, false).unwrap(), LockOutcome::Busy);
         b.complete_peer_recovery(a.conn()).unwrap();
         assert_eq!(b.lock(9, b"ROW.P", LockMode::Exclusive, false).unwrap(), LockOutcome::Granted);
+    }
+
+    #[test]
+    fn a_regrant_record_is_written_by_write_records_not_by_the_grant() {
+        use sysplex_core::connection::CommandClass;
+        let r = rig(2, 1024);
+        let (a, b) = (&r.irlms[0], &r.irlms[1]);
+        let records = || r.cf.command_stats().class(CommandClass::LockRecord).issued.get();
+        a.lock(1, b"ROW.P", LockMode::Exclusive, true).unwrap();
+        a.lock(1, b"ROW.Q", LockMode::Exclusive, true).unwrap();
+        a.unlock_all(1).unwrap();
+        // Two local re-grants queue their records: no command yet, and
+        // none for a transaction that owes nothing.
+        for row in [&b"ROW.P"[..], b"ROW.Q"] {
+            assert_eq!(a.lock(2, row, LockMode::Exclusive, true).unwrap(), LockOutcome::Granted);
+        }
+        assert_eq!(a.stats.regrants_local.get(), 2);
+        let before = records();
+        a.write_records(3).unwrap();
+        assert_eq!((records() - before, records_of(a)), (0, vec![]));
+        // Both go as one command.
+        a.write_records(2).unwrap();
+        assert_eq!(records() - before, 1);
+        assert_eq!(records_of(a), [(b"ROW.P".to_vec(), 2), (b"ROW.Q".to_vec(), 2)]);
+        a.write_records(2).unwrap();
+        assert_eq!(records() - before, 1, "the queue was drained");
+        // A crash retains every row `write_records` wrote, and nothing for
+        // a row re-granted since: nothing that row protects was
+        // externalised.
+        a.unlock_all(2).unwrap();
+        assert_eq!(a.lock(3, b"ROW.P", LockMode::Exclusive, true).unwrap(), LockOutcome::Granted);
+        a.write_records(3).unwrap();
+        assert_eq!(a.lock(3, b"ROW.Q", LockMode::Exclusive, true).unwrap(), LockOutcome::Granted);
+        assert_eq!(a.stats.regrants_local.get(), 4);
+        a.crash();
+        b.mark_peer_failed(a.conn()).unwrap();
+        let retained = b.retained_locks_of(a.conn()).unwrap();
+        assert_eq!(retained.iter().map(|l| l.resource.as_slice()).collect::<Vec<_>>(), [b"ROW.P"]);
+    }
+
+    #[test]
+    fn an_aborted_regrant_drops_its_queued_record() {
+        let r = rig(1, 1024);
+        let a = &r.irlms[0];
+        a.lock(1, b"ROW.P", LockMode::Exclusive, true).unwrap();
+        a.unlock_all(1).unwrap();
+        a.lock(2, b"ROW.P", LockMode::Exclusive, true).unwrap();
+        a.unlock_all(2).unwrap();
+        assert!(a.local.lock().queued_records.is_empty());
+        a.write_records(2).unwrap();
+        assert!(records_of(a).is_empty());
+    }
+
+    #[test]
+    fn a_queued_record_passes_to_the_remaining_persistent_holder() {
+        let r = rig(1, 1024);
+        let a = &r.irlms[0];
+        // Cache the class, then two persistent Shared holders re-grant
+        // locally: one record is owed, by the first.
+        a.lock(1, b"ROW.S", LockMode::Exclusive, false).unwrap();
+        a.unlock_all(1).unwrap();
+        a.lock(2, b"ROW.S", LockMode::Shared, true).unwrap();
+        a.lock(3, b"ROW.S", LockMode::Shared, true).unwrap();
+        a.unlock_all(2).unwrap();
+        a.write_records(3).unwrap();
+        assert_eq!(records_of(a), [(b"ROW.S".to_vec(), 3)]);
+        a.unlock_all(3).unwrap();
+        assert!(records_of(a).is_empty());
+    }
+
+    /// Names of `n` resources in pairwise distinct hash classes of `a`'s
+    /// table, none in `taken`'s.
+    fn distinct_classes(a: &Irlm, n: usize, taken: &[u8]) -> Vec<Vec<u8>> {
+        let s = a.structure();
+        let mut seen = std::collections::HashSet::from([s.hash_resource(taken)]);
+        (0..)
+            .map(|k| format!("ROW.{k:05}").into_bytes())
+            .filter(|r| seen.insert(s.hash_resource(r)))
+            .take(n)
+            .collect()
+    }
+
+    #[test]
+    fn the_park_fifo_stays_bounded_when_the_same_entries_park_again() {
+        let r = rig(1, 1 << 16);
+        let a = &r.irlms[0];
+        let rows = distinct_classes(a, 4, b"");
+        for t in 0..100_000u64 {
+            let row = &rows[t as usize % rows.len()];
+            a.lock(t, row, LockMode::Exclusive, false).unwrap();
+            a.unlock(t, row).unwrap();
+        }
+        let local = a.local.lock();
+        assert_eq!(local.parked_live, rows.len());
+        assert!(
+            local.parked.len() <= 2 * PARK_CAP,
+            "{} FIFO positions for 4 parked entries",
+            local.parked.len()
+        );
+    }
+
+    #[test]
+    fn a_re_parked_hot_entry_outlives_a_colder_one() {
+        let r = rig(1, 1 << 16);
+        let a = &r.irlms[0];
+        let hot = b"ROW.HOT".to_vec();
+        let cold = distinct_classes(a, PARK_CAP, &hot);
+        let park = |txn: u64, row: &[u8]| {
+            a.lock(txn, row, LockMode::Exclusive, false).unwrap();
+            a.unlock(txn, row).unwrap();
+        };
+        // The hot entry parks first, then enough cold ones to fill the cap;
+        // then the hot one is re-granted and parks again.
+        park(0, &hot);
+        for (k, row) in cold[..PARK_CAP - 1].iter().enumerate() {
+            park(1 + k as u64, row);
+        }
+        park(u64::MAX, &hot);
+        assert_eq!(a.stats.regrants_local.get(), 1);
+        // One more parked entry evicts one: the oldest live position is the
+        // first cold entry's, not the hot entry's first.
+        park(u64::MAX - 1, &cold[PARK_CAP - 1]);
+        let retained = a.structure().interest_entries(a.conn());
+        assert_eq!(retained.len(), PARK_CAP);
+        assert!(retained.contains(&a.structure().hash_resource(&hot)), "the hot entry was evicted");
+        assert!(!retained.contains(&a.structure().hash_resource(&cold[0])), "the coldest entry was kept");
     }
 
     #[test]

@@ -88,12 +88,22 @@ impl SysplexTimer {
     /// Read the TOD clock. Monotonic and unique across all callers on all
     /// systems: concurrent readings never return the same value.
     pub fn tod(&self) -> Tod {
+        self.tod_block(1)
+    }
+
+    /// Read `n` consecutive TOD values at once (`n ≥ 1`): the first is
+    /// returned, and the `n - 1` after it are the caller's too. One clock
+    /// reading for all of them, and the same guarantee as `n` calls to
+    /// [`SysplexTimer::tod`]: no other reading, on any system, falls in the
+    /// block, and every later one is greater than all of it.
+    pub fn tod_block(&self, n: u64) -> Tod {
+        assert!(n > 0, "an empty TOD block");
         let base = self.source_us();
         let mut prev = self.last.load(Ordering::Relaxed);
         loop {
-            let next = base.max(prev + 1);
-            match self.last.compare_exchange_weak(prev, next, Ordering::AcqRel, Ordering::Relaxed) {
-                Ok(_) => return Tod(next),
+            let first = base.max(prev + 1);
+            match self.last.compare_exchange_weak(prev, first + n - 1, Ordering::AcqRel, Ordering::Relaxed) {
+                Ok(_) => return Tod(first),
                 Err(p) => prev = p,
             }
         }
@@ -179,6 +189,36 @@ mod tests {
             }
         }
         assert_eq!(all.len(), 40_000);
+    }
+
+    #[test]
+    fn tod_blocks_are_unique_and_monotonic_among_concurrent_readers() {
+        // Half the readers take blocks of 1..=7 values, half single TODs:
+        // every value handed out is distinct, and each reader's values rise.
+        let t = SysplexTimer::new();
+        let handles: Vec<_> = (0..6u64)
+            .map(|i| {
+                let t = Arc::clone(&t);
+                std::thread::spawn(move || {
+                    let mut mine = Vec::new();
+                    for k in 0..4_000u64 {
+                        let n = if i % 2 == 0 { 1 + (k + i) % 7 } else { 1 };
+                        let first = if i % 2 == 0 { t.tod_block(n) } else { t.tod() };
+                        mine.extend((0..n).map(|j| first.0 + j));
+                    }
+                    mine
+                })
+            })
+            .collect();
+        let mut all = HashSet::new();
+        for h in handles {
+            let mine = h.join().unwrap();
+            assert!(mine.windows(2).all(|w| w[0] < w[1]), "a reader's values went back");
+            for tod in mine {
+                assert!(all.insert(tod), "TOD {tod} handed out twice");
+            }
+        }
+        assert!(t.tod().0 > *all.iter().max().unwrap(), "a later reading lies past every block");
     }
 
     #[test]

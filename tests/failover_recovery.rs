@@ -39,7 +39,8 @@ fn mid_commit_failure_is_backed_out_by_peer() {
     a.run(10, |db, txn| db.write(txn, 5, Some(b"committed-value"))).unwrap();
 
     // Manually drive a's commit to the most dangerous point: WAL forced,
-    // page externalised to the group buffer, no commit record.
+    // lock records written, page externalised to the group buffer, no
+    // commit record.
     let mut ta = a.begin();
     a.write(&mut ta, 5, Some(b"torn-update")).unwrap();
     let page_no = group.store.page_of(5);
@@ -52,6 +53,7 @@ fn mid_commit_failure_is_backed_out_by_peer() {
         after: Some(b"torn-update".to_vec()),
     });
     a.log().force().unwrap();
+    a.irlm().write_records(ta.id()).unwrap();
     let mut page = a.buffers().get_page(page_no).unwrap();
     page.set(5, b"torn-update");
     a.buffers().put_page(page_no, &page).unwrap();

@@ -214,24 +214,27 @@ fn lock_record_exhaustion_fails_the_request_not_the_structure() {
     config.lock_entries = 64; // record capacity follows entries
     let (_plex, group) = plex_group(1, config);
     let db = group.member(SystemId::new(0)).unwrap();
-    // Open one transaction holding many persistent locks until the record
-    // area fills.
+    let irlm = db.irlm();
+    // One transaction takes persistent locks on more rows than the record
+    // area holds. A CF-granted one carries its record and is refused when
+    // the area is full; a local re-grant's record waits for the commit,
+    // whose record set is refused instead.
     let mut txn = db.begin();
-    let mut hit_full = false;
-    for k in 0..200u64 {
-        match db.write(&mut txn, k, Some(b"x")) {
-            Ok(()) => {}
-            Err(DbError::Cf(parallel_sysplex::cf::CfError::StructureFull)) => {
-                hit_full = true;
-                break;
-            }
-            Err(e) => panic!("unexpected {e:?}"),
+    let refused = match (0..200u64).try_for_each(|k| db.write(&mut txn, k, Some(b"x"))) {
+        Err(e) => {
+            db.abort(&mut txn).unwrap();
+            Err(e)
         }
-    }
-    assert!(hit_full, "record capacity must be enforceable");
-    // The transaction can still abort cleanly and the structure serves new
-    // work.
-    db.abort(&mut txn).unwrap();
+        Ok(()) => db.commit(&mut txn),
+    };
+    assert!(
+        matches!(refused, Err(DbError::Cf(CfError::StructureFull))),
+        "record capacity must be enforceable: {refused:?}"
+    );
+    // Either way the transaction ends cleanly: nothing written, no record
+    // left behind, and the structure serves new work.
+    assert!(irlm.retained_locks_of(irlm.conn()).unwrap().is_empty());
+    assert_eq!(db.run(10, |db, txn| db.read(txn, 7)).unwrap(), None);
     db.run(10, |db, txn| db.write(txn, 0, Some(b"fresh"))).unwrap();
     group.remove_member(SystemId::new(0));
 }

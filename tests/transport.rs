@@ -12,7 +12,8 @@ use parallel_sysplex::cf::error::CfError;
 use parallel_sysplex::cf::facility::{CfConfig, CouplingFacility};
 use parallel_sysplex::cf::lock::{LockMode, LockParams};
 use parallel_sysplex::cf::transport::{
-    serve_cf_stream, CfTransport, InProcessTransport, RemoteLockConnection, TcpTransport, TransportBackend,
+    serve_cf_stream, CfTransport, InProcessTransport, RemoteCacheConnection, RemoteLockConnection,
+    TcpTransport, TransportBackend,
 };
 use parallel_sysplex::cf::wire::{FrameStream, WireError};
 use parallel_sysplex::cf::{WireRequest, WireResponse};
@@ -244,6 +245,76 @@ fn recorded_requests_and_release_sets_agree_across_backends() {
     let (retained, records, interest) = local;
     assert_eq!(retained.iter().map(|l| l.resource.as_slice()).collect::<Vec<_>>(), [b"ACCT.2"]);
     assert_eq!((records, interest), (1, 1));
+}
+
+/// A record set and a cache write set answer the same natively and over
+/// the wire, one command each: the same results — sets the structures stop
+/// part-way, at a full record area and a full data area — and the same
+/// records, cross-invalidates and command counts left behind.
+#[test]
+fn record_sets_and_write_sets_agree_across_backends() {
+    use parallel_sysplex::cf::cache::{BlockName, CacheParams, WriteKind};
+    use parallel_sysplex::cf::connection::CommandClass;
+    use parallel_sysplex::cf::hashing::ResourceName;
+
+    let cf = || {
+        let cf = CouplingFacility::new(CfConfig::named("CF01"));
+        cf.allocate_lock_structure("IRLM1", LockParams { entries: 64, record_capacity: 2 }).unwrap();
+        let gbp = CacheParams { data_capacity: 2 * 4096, ..CacheParams::store_in(8) };
+        cf.allocate_cache_structure("GBP1", gbp).unwrap();
+        cf
+    };
+    let records = [
+        (ResourceName::new(b"ACCT.1"), LockMode::Exclusive, *b"T1"),
+        (ResourceName::new(b"ACCT.2"), LockMode::Shared, *b"T1"),
+        (ResourceName::new(b"ACCT.3"), LockMode::Exclusive, *b"T1"),
+    ];
+    let blocks: Vec<(BlockName, Vec<u8>)> =
+        (1..=3u8).map(|b| (BlockName::from_parts(1, b as u64), vec![b; 4096])).collect();
+    // What one run leaves: the two results, the records written, which of
+    // a peer's registered buffers were cross-invalidated, and the commands
+    // of each class the facility ran.
+    macro_rules! drive {
+        ($cf:expr, $lock:expr, $cache:expr) => {{
+            let (cf, lock, cache) = ($cf, $lock, $cache);
+            let peer = cf.connect_cache("GBP1", 4).unwrap();
+            for (i, (name, _)) in blocks.iter().enumerate() {
+                peer.register_read(*name, i as u32).unwrap();
+            }
+            let before = cf.command_stats();
+            let recorded = lock.write_lock_record_set(&records);
+            let written = cache.write_invalidate_set(&blocks, WriteKind::ChangedData).unwrap();
+            let after = cf.command_stats();
+            let issued: Vec<u64> = CommandClass::ALL
+                .iter()
+                .map(|&c| after.class(c).issued.get() - before.class(c).issued.get())
+                .collect();
+            let retained = lock.retained_locks_of(lock.conn_id()).unwrap();
+            (recorded, written, retained, (0..3).map(|i| peer.is_valid(i)).collect::<Vec<_>>(), issued)
+        }};
+    }
+
+    let native = cf();
+    let local =
+        drive!(&native, native.connect_lock("IRLM1").unwrap(), native.connect_cache("GBP1", 4).unwrap());
+    let served = cf();
+    let transport: Arc<dyn CfTransport> = Arc::new(InProcessTransport::new(&served));
+    let remote = drive!(
+        &served,
+        RemoteLockConnection::attach(Arc::clone(&transport), "IRLM1").unwrap(),
+        RemoteCacheConnection::attach(transport, "GBP1", 4).unwrap()
+    );
+    assert_eq!(remote, local);
+
+    let (recorded, written, retained, valid, issued) = local;
+    assert_eq!(recorded, Err(CfError::StructureFull), "the third record does not fit");
+    assert_eq!(retained.iter().map(|l| l.resource.as_slice()).collect::<Vec<_>>(), [b"ACCT.1", b"ACCT.2"]);
+    assert_eq!(written.error, Some(CfError::StructureFull), "the third block does not fit");
+    assert_eq!(written.written.iter().map(|w| w.invalidated).collect::<Vec<_>>(), [1, 1]);
+    assert_eq!(valid, [false, false, true], "the blocks written, and only those, cross-invalidated the peer");
+    let one_each = |class: CommandClass| issued[class.index()];
+    assert_eq!((one_each(CommandClass::LockRecord), one_each(CommandClass::CacheWrite)), (1, 1));
+    assert_eq!(issued.iter().sum::<u64>(), 2);
 }
 
 /// A server that answers every request twice (the wire `Duplicate` fault,
