@@ -11,6 +11,7 @@
 use criterion::Criterion;
 use sysplex_bench::{banner, command_path_report, report_activity, row, small_criterion, watch};
 use sysplex_core::facility::{CfConfig, CouplingFacility};
+use sysplex_core::hashing::ResourceName;
 use sysplex_core::lock::{LockMode, LockParams};
 use sysplex_core::SystemId;
 use sysplex_db::irlm::Irlm;
@@ -104,10 +105,11 @@ fn lock_command_bench(c: &mut Criterion) {
     group.bench_function("hash_resource", |b| {
         b.iter(|| std::hint::black_box(conn.hash_resource(b"DB2.TS000123.ROW00456789")))
     });
-    group.bench_function("write_delete_record", |b| {
+    let record = ResourceName::new(b"ROW.X");
+    group.bench_function("write_record_set_release_set", |b| {
         b.iter(|| {
-            conn.write_lock_record(b"ROW.X", LockMode::Exclusive, b"TXN").unwrap();
-            conn.delete_lock_record(b"ROW.X").unwrap();
+            conn.write_lock_record_set(&[(record.clone(), LockMode::Exclusive, b"TXN")]).unwrap();
+            conn.release_set(&[], std::slice::from_ref(&record)).unwrap();
         })
     });
     group.finish();

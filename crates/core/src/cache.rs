@@ -645,15 +645,6 @@ impl CacheStructure {
         WriteSetResult { written, error: None }
     }
 
-    /// Remove this connector's registration for `name` (buffer steal).
-    pub fn unregister(&self, conn: &CacheConnection, name: BlockName) -> CfResult<()> {
-        self.check_active(conn.id)?;
-        let mut shard = self.shard_of(&name).write();
-        let entry = shard.entries.get_mut(&name).ok_or(CfError::NoSuchEntry)?;
-        entry.unregister(conn.id.index());
-        Ok(())
-    }
-
     /// Enumerate changed blocks awaiting castout, up to `max`, least
     /// recently touched first: by `(shard clock, shard, name)`, an order
     /// the command sequence alone decides.

@@ -62,8 +62,8 @@ use std::time::{Duration, Instant};
 
 /// Nominal wire size of a lock-table command (request, release, interest).
 pub const LOCK_CMD_BYTES: usize = 64;
-/// Nominal wire size of a directory-only command (register, unregister,
-/// monitor, disconnect).
+/// Nominal wire size of a directory-only command (register, monitor,
+/// disconnect).
 pub const DIR_CMD_BYTES: usize = 256;
 /// Nominal wire size of a data-carrying read response (one block/page).
 pub const PAGE_BYTES: usize = 4096;
@@ -79,7 +79,7 @@ pub enum CommandClass {
     LockRequest,
     /// Release interest in a lock-table entry.
     LockRelease,
-    /// Write or delete persistent lock record data.
+    /// Write persistent lock record data (deletes ride a release).
     LockRecord,
     /// Lock administrative traffic: recovery queries, disconnects.
     LockAdmin,
@@ -89,7 +89,7 @@ pub enum CommandClass {
     CacheWrite,
     /// Castout traffic: candidate scans, castout reads, completions.
     CacheCastout,
-    /// Cache administrative traffic: unregister, disconnect.
+    /// Cache administrative traffic: connect, disconnect.
     CacheAdmin,
     /// List entry creation, update, deletion.
     ListWrite,
@@ -193,7 +193,7 @@ impl CfCommand {
     /// Read a failed peer's retained locks. Not bulk: recovery reads a
     /// handful of records and has always been accounted synchronous.
     pub const LOCK_RETAINED: Self = Self::new(CommandClass::LockAdmin, DIR_CMD_BYTES);
-    /// Write or delete record data of `data_len` bytes (name + payload).
+    /// Write record data of `data_len` bytes (names + payloads).
     pub fn lock_record(data_len: usize) -> Self {
         Self::new(CommandClass::LockRecord, LOCK_CMD_BYTES + data_len)
     }
@@ -208,7 +208,7 @@ impl CfCommand {
         Self::new(CommandClass::LockRelease, LOCK_CMD_BYTES + 8 * entries + record_bytes)
     }
 
-    /// Cache connect / disconnect / unregister (directory-only).
+    /// Cache connect / disconnect (directory-only).
     pub const CACHE_DIRECTORY: Self = Self::new(CommandClass::CacheAdmin, DIR_CMD_BYTES);
     /// Read-and-register one block.
     pub const CACHE_READ: Self = Self::new(CommandClass::CacheRead, PAGE_BYTES);
@@ -892,17 +892,6 @@ impl LockConnection {
         self.sub.issue(CfCommand::LOCK_QUERY, || Ok(self.structure.holders(entry)))
     }
 
-    /// Whether entry `entry` is in negotiation.
-    pub fn is_negotiate(&self, entry: usize) -> CfResult<bool> {
-        self.sub.issue(CfCommand::LOCK_QUERY, || Ok(self.structure.is_negotiate(entry)))
-    }
-
-    /// Write persistent record data for `resource` held in `mode`.
-    pub fn write_lock_record(&self, resource: &[u8], mode: LockMode, payload: &[u8]) -> CfResult<()> {
-        let cmd = CfCommand::lock_record(resource.len() + payload.len());
-        self.sub.issue(cmd, || self.structure.write_record(self.id, resource, mode, payload))
-    }
-
     /// Write persistent records for `records` — `(resource, mode,
     /// payload)` each — as one command (see
     /// [`LockStructure::write_record_set`]).
@@ -913,12 +902,6 @@ impl LockConnection {
         let bytes =
             records.iter().map(|(name, _, payload)| name.as_bytes().len() + payload.as_ref().len()).sum();
         self.sub.issue(CfCommand::lock_record(bytes), || self.structure.write_record_set(self.id, records))
-    }
-
-    /// Delete the persistent record for `resource`.
-    pub fn delete_lock_record(&self, resource: &[u8]) -> CfResult<()> {
-        let cmd = CfCommand::lock_record(resource.len());
-        self.sub.issue(cmd, || self.structure.delete_record(self.id, resource))
     }
 
     /// Retained (failed-persistent) locks of connector `peer` — the
@@ -1107,11 +1090,6 @@ impl CacheConnection {
             }
         }
         r
-    }
-
-    /// Drop this connection's registered interest in block `name`.
-    pub fn unregister(&self, name: BlockName) -> CfResult<()> {
-        self.sub.issue(CfCommand::CACHE_DIRECTORY, || self.structure.unregister(&self.token, name))
     }
 
     /// Changed blocks eligible for castout, oldest first. Directory scan:
@@ -1606,7 +1584,7 @@ mod tests {
         a.register_read(name, 0).unwrap(); // sync read
         a.write_invalidate(name, &[1; 128], WriteKind::ChangedData).unwrap(); // sync write
         a.write_invalidate(name, &vec![2; 64 * 1024], WriteKind::ChangedData).unwrap(); // async
-        a.unregister(name).unwrap(); // sync admin
+        a.detach().unwrap(); // sync admin
         let tracer = cf.tracer();
         let s = a.stats();
         assert_eq!(tracer.kind_count(TraceKind::CmdIssued), s.issued());

@@ -657,20 +657,8 @@ impl LockStructure {
 
     // ----- record data (persistent locks) -----
 
-    /// Write (or replace) the persistent record for `resource` owned by
-    /// `conn`. Records make modify-mode locks recoverable after a failure.
-    pub fn write_record(
-        &self,
-        conn: ConnId,
-        resource: &[u8],
-        mode: LockMode,
-        payload: &[u8],
-    ) -> CfResult<()> {
-        self.check_active(conn)?;
-        self.put_record(conn, ResourceName::new(resource), mode, payload)
-    }
-
-    /// [`LockStructure::write_record`] of an already hashed name.
+    /// Write (or replace) `conn`'s persistent record for `name`. Records
+    /// make modify-mode locks recoverable after a failure.
     fn put_record(&self, conn: ConnId, name: ResourceName, mode: LockMode, payload: &[u8]) -> CfResult<()> {
         let key = RecordKey { name, conn: conn.raw() };
         let record = LockRecord { mode, payload: InlineBytes::new(payload) };
@@ -725,15 +713,6 @@ impl LockStructure {
             self.record_count.fetch_sub(1, Ordering::Relaxed);
         }
         removed
-    }
-
-    /// Delete the persistent record for `resource` owned by `conn`.
-    pub fn delete_record(&self, conn: ConnId, resource: &[u8]) -> CfResult<()> {
-        self.check_active(conn)?;
-        if !self.remove_record(conn, ResourceName::new(resource)) {
-            return Err(CfError::NoSuchEntry);
-        }
-        Ok(())
     }
 
     /// Enumerate the retained locks of a connector. Peers call this during
@@ -874,6 +853,11 @@ mod tests {
 
     fn structure(entries: usize) -> LockStructure {
         LockStructure::new("L", &LockParams::with_entries(entries)).unwrap()
+    }
+
+    /// Write one record, as a one-record set.
+    fn record(s: &LockStructure, conn: ConnId, name: &[u8], mode: LockMode, payload: &[u8]) -> CfResult<()> {
+        s.write_record_set(conn, &[(ResourceName::new(name), mode, payload)])
     }
 
     #[test]
@@ -1077,8 +1061,8 @@ mod tests {
     fn records_survive_abnormal_disconnect() {
         let s = structure(16);
         let a = s.connect().unwrap();
-        s.write_record(a, b"ACCT.1", LockMode::Exclusive, b"TXN42").unwrap();
-        s.write_record(a, b"ACCT.2", LockMode::Shared, b"TXN42").unwrap();
+        record(&s, a, b"ACCT.1", LockMode::Exclusive, b"TXN42").unwrap();
+        record(&s, a, b"ACCT.2", LockMode::Shared, b"TXN42").unwrap();
         s.disconnect(a, DisconnectMode::Abnormal).unwrap();
         assert!(s.is_failed_persistent(a));
         let retained = s.retained_locks(a);
@@ -1099,7 +1083,7 @@ mod tests {
         let a = s.connect().unwrap();
         let b = s.connect().unwrap();
         s.request(a, 1, LockMode::Exclusive).unwrap();
-        s.write_record(a, b"R", LockMode::Exclusive, b"").unwrap();
+        record(&s, a, b"R", LockMode::Exclusive, b"").unwrap();
         s.disconnect(a, DisconnectMode::Normal).unwrap();
         assert_eq!(s.record_count(), 0);
         assert!(s.request(b, 1, LockMode::Exclusive).unwrap().is_granted());
@@ -1123,13 +1107,13 @@ mod tests {
     fn record_capacity_enforced() {
         let s = LockStructure::new("L", &LockParams { entries: 4, record_capacity: 2 }).unwrap();
         let a = s.connect().unwrap();
-        s.write_record(a, b"1", LockMode::Shared, b"").unwrap();
-        s.write_record(a, b"2", LockMode::Shared, b"").unwrap();
-        assert_eq!(s.write_record(a, b"3", LockMode::Shared, b""), Err(CfError::StructureFull));
+        record(&s, a, b"1", LockMode::Shared, b"").unwrap();
+        record(&s, a, b"2", LockMode::Shared, b"").unwrap();
+        assert_eq!(record(&s, a, b"3", LockMode::Shared, b""), Err(CfError::StructureFull));
         // Replacement of an existing record is not a new element.
-        s.write_record(a, b"2", LockMode::Exclusive, b"x").unwrap();
-        s.delete_record(a, b"1").unwrap();
-        s.write_record(a, b"3", LockMode::Shared, b"").unwrap();
+        record(&s, a, b"2", LockMode::Exclusive, b"x").unwrap();
+        s.release_set(a, &[], &[ResourceName::new(b"1")]).unwrap();
+        record(&s, a, b"3", LockMode::Shared, b"").unwrap();
     }
 
     #[test]
@@ -1146,7 +1130,7 @@ mod tests {
         assert!(s.request_recorded(a, 3, LockMode::Exclusive, b"ROW.A", b"T3").unwrap().is_granted());
         assert_eq!((s.record_count(), s.retained_locks(a)[0].payload.as_slice()), (1, &b"T3"[..]));
         // A full record area fails the whole command: no interest either.
-        s.write_record(a, b"ROW.D", LockMode::Exclusive, b"T1").unwrap();
+        record(&s, a, b"ROW.D", LockMode::Exclusive, b"T1").unwrap();
         assert_eq!(
             s.request_recorded(b, 5, LockMode::Exclusive, b"ROW.C", b"T4"),
             Err(CfError::StructureFull)
@@ -1163,7 +1147,7 @@ mod tests {
         for (entry, name) in [(1, &b"ROW.1"[..]), (2, b"ROW.2")] {
             assert!(s.request_recorded(a, entry, LockMode::Exclusive, name, b"T").unwrap().is_granted());
         }
-        s.write_record(b, b"ROW.1", LockMode::Shared, b"U").unwrap();
+        record(&s, b, b"ROW.1", LockMode::Shared, b"U").unwrap();
         let names = [ResourceName::new(b"ROW.1"), ResourceName::new(b"ROW.9")];
         // An out-of-range entry refuses the whole set.
         assert!(matches!(s.release_set(a, &[1, 16], &names), Err(CfError::BadParameter(_))));

@@ -555,21 +555,6 @@ impl RemoteLockConnection {
         self.link.call(WireRequest::LockHolders { handle: self.link.handle, entry: entry as u64 })
     }
 
-    /// Whether entry `entry` is in negotiation.
-    pub fn is_negotiate(&self, entry: usize) -> CfResult<bool> {
-        self.link.call(WireRequest::LockIsNegotiate { handle: self.link.handle, entry: entry as u64 })
-    }
-
-    /// Write persistent record data for `resource` held in `mode`.
-    pub fn write_lock_record(&self, resource: &[u8], mode: LockMode, payload: &[u8]) -> CfResult<()> {
-        self.link.call(WireRequest::LockWriteRecord {
-            handle: self.link.handle,
-            resource: resource.to_vec(),
-            mode,
-            payload: payload.to_vec(),
-        })
-    }
-
     /// Write persistent records for `records` as one command — see
     /// [`LockConnection::write_lock_record_set`].
     pub fn write_lock_record_set<P: AsRef<[u8]>>(
@@ -583,12 +568,6 @@ impl RemoteLockConnection {
                 .map(|(name, mode, payload)| (name.as_bytes().to_vec(), *mode, payload.as_ref().to_vec()))
                 .collect(),
         })
-    }
-
-    /// Delete the persistent record for `resource`.
-    pub fn delete_lock_record(&self, resource: &[u8]) -> CfResult<()> {
-        self.link
-            .call(WireRequest::LockDeleteRecord { handle: self.link.handle, resource: resource.to_vec() })
     }
 
     /// Retained (failed-persistent) locks of connector `peer`.
@@ -685,11 +664,6 @@ impl RemoteCacheConnection {
             blocks: blocks.iter().map(|(name, data)| (*name, data.as_ref().to_vec())).collect(),
             kind,
         })
-    }
-
-    /// Drop this connection's registered interest in block `name`.
-    pub fn unregister(&self, name: BlockName) -> CfResult<()> {
-        self.link.call(WireRequest::CacheUnregister { handle: self.link.handle, name })
     }
 
     /// Changed blocks eligible for castout, oldest first.
@@ -1189,7 +1163,7 @@ mod tests {
         assert_eq!(entry, native.hash_resource(b"ACCT.1"), "remote hashing matches native");
         assert!(lock.request_lock(entry, x).unwrap().is_granted());
         assert_eq!(lock.holders(entry).unwrap(), (0, Some(lock.conn_id())));
-        assert!(!lock.is_negotiate(entry).unwrap());
+        assert!(!native.structure().is_negotiate(entry));
         match native.request_lock(entry, x).unwrap() {
             LockResponse::Contention { exclusive, .. } => assert_eq!(exclusive, Some(lock.conn_id())),
             LockResponse::Granted => panic!("native must contend with the remote holder"),
@@ -1204,15 +1178,15 @@ mod tests {
             panic!("remote must contend with the native holder");
         };
         assert!(lock.force_interest_negotiated(contended, x, holders, generation).unwrap());
-        assert!(lock.is_negotiate(contended).unwrap());
+        assert!(native.structure().is_negotiate(contended));
         lock.release_lock(contended).unwrap();
         native.release_lock(contended).unwrap();
         let imported = (entry + 2) % 64;
         lock.force_interest(imported, LockMode::Shared).unwrap();
         assert_eq!(native.holders(imported).unwrap(), (lock.conn_id().mask(), None));
         lock.release_lock(imported).unwrap();
-        lock.write_lock_record(b"ACCT.1", x, b"undo").unwrap();
-        lock.delete_lock_record(b"ACCT.1").unwrap();
+        lock.write_lock_record_set(&[(ResourceName::new(b"ACCT.1"), x, b"undo")]).unwrap();
+        lock.release_set(&[], &[ResourceName::new(b"ACCT.1")]).unwrap();
         // A recorded request writes its record only when granted, and a
         // release set gives the record and the interest back together.
         assert!(native.request_lock(contended, x).unwrap().is_granted());
@@ -1228,7 +1202,7 @@ mod tests {
         let slot = ConnId::from_raw(31);
         let peer = RemoteLockConnection::attach_slot(Arc::clone(&transport), "L", slot).unwrap();
         assert_eq!(peer.conn_id(), slot);
-        peer.write_lock_record(b"ACCT.9", x, b"undo").unwrap();
+        peer.write_lock_record_set(&[(ResourceName::new(b"ACCT.9"), x, b"undo")]).unwrap();
         lock.detach_peer(slot, DisconnectMode::Abnormal).unwrap();
         assert!(lock.is_failed_persistent(slot).unwrap());
         let retained = lock.retained_locks_of(slot).unwrap();
@@ -1264,7 +1238,6 @@ mod tests {
         native.write_invalidate(name, &[8; 128], WriteKind::ChangedData).unwrap();
         assert!(!cache.is_valid(0).unwrap(), "remote copy cross-invalidated by native write");
         vector_test(CommandClass::CacheAdmin);
-        cache.unregister(name).unwrap();
         let next = BlockName::from_parts(1, 8);
         cache.register_read(name, 1).unwrap();
         cache.register_read_replacing(next, 1, Some(name)).unwrap();
@@ -1432,7 +1405,7 @@ mod tests {
         let (holders, current) = contend(7);
         assert_ne!(current, stale, "departure bumps the generation");
         assert!(b.force_interest_negotiated(7, x, holders, current).unwrap());
-        assert!(b.is_negotiate(7).unwrap());
+        assert!(a.structure().is_negotiate(7));
         assert_eq!(b.holders(7).unwrap(), (b.conn_id().mask(), Some(a.conn_id())));
     }
 
@@ -1522,7 +1495,7 @@ mod tests {
         let lock = RemoteLockConnection::attach(Arc::clone(&transport), "L").unwrap();
         let slot = lock.conn_id();
         assert!(lock.request_lock(7, LockMode::Exclusive).unwrap().is_granted());
-        lock.write_lock_record(b"ACCT.9", LockMode::Exclusive, b"undo").unwrap();
+        lock.write_lock_record_set(&[(ResourceName::new(b"ACCT.9"), LockMode::Exclusive, b"undo")]).unwrap();
         // Client process "dies": socket drops with the lock still held.
         drop(lock);
         drop(transport);

@@ -57,7 +57,7 @@ use std::time::Duration;
 /// Frame magic: the first bytes of every frame on a stream transport.
 pub const FRAME_MAGIC: [u8; 4] = *b"SPLX";
 /// Wire protocol version; bumped on any incompatible format change.
-pub const WIRE_VERSION: u8 = 2;
+pub const WIRE_VERSION: u8 = 3;
 /// Upper bound on one frame's body. Large enough for a bulk castout page
 /// batch, small enough that a corrupt length cannot balloon allocation.
 pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
@@ -1124,7 +1124,7 @@ cf_commands! {
         } CfCommand::LOCK_RELEASE => |c| unit(c.release_lock(entry as usize)?);
         /// Everything one unlock gives up, in one command:
         /// [`crate::connection::LockConnection::release_set`].
-        44 LockReleaseSet {
+        8 LockReleaseSet {
             /// Lock-table entries to release.
             entries: Vec<usize>,
             /// Resource names whose records to delete.
@@ -1141,25 +1141,9 @@ cf_commands! {
             let (mask, exclusive) = c.holders(entry as usize)?;
             P::Holders { mask, exclusive }
         };
-        /// [`crate::connection::LockConnection::is_negotiate`].
-        8 LockIsNegotiate {
-            /// Lock-table entry.
-            entry: u64,
-        } CfCommand::LOCK_QUERY => |c| P::Bool(c.is_negotiate(entry as usize)?);
-        /// [`crate::connection::LockConnection::write_lock_record`].
-        9 LockWriteRecord {
-            /// Resource name.
-            resource: Vec<u8>,
-            /// Mode held.
-            mode: LockMode,
-            /// Record payload.
-            payload: Vec<u8>,
-        } CfCommand::lock_record(resource.len() + payload.len()) => |c| {
-            unit(c.write_lock_record(&resource, mode, &payload)?)
-        };
         /// A transaction's records, in one command:
         /// [`crate::connection::LockConnection::write_lock_record_set`].
-        47 LockRecordSet {
+        9 LockRecordSet {
             /// `(resource, mode, payload)` of each record, in write order.
             records: Vec<(Vec<u8>, LockMode, Vec<u8>)>,
         } CfCommand::lock_record(records.iter().map(|(r, _, p)| r.len() + p.len()).sum()) => |c| {
@@ -1167,11 +1151,6 @@ cf_commands! {
                 records.into_iter().map(|(r, mode, p)| (ResourceName::new(&r), mode, p)).collect();
             unit(c.write_lock_record_set(&records)?)
         };
-        /// [`crate::connection::LockConnection::delete_lock_record`].
-        10 LockDeleteRecord {
-            /// Resource name.
-            resource: Vec<u8>,
-        } CfCommand::lock_record(resource.len()) => |c| unit(c.delete_lock_record(&resource)?);
         /// [`crate::connection::LockConnection::retained_locks_of`].
         11 LockRetainedOf {
             /// Failed peer's slot.
@@ -1209,7 +1188,7 @@ cf_commands! {
             vector_index: u32,
         } CfCommand::CACHE_READ => |c| P::Register(c.register_read(name, vector_index)?);
         /// [`crate::connection::CacheConnection::register_read_replacing`].
-        45 CacheReadReplacing {
+        10 CacheReadReplacing {
             /// Block name.
             name: BlockName,
             /// Local-vector index to register.
@@ -1230,7 +1209,7 @@ cf_commands! {
         } CfCommand::cache_write(data.len()) => |c| P::Write(c.write_invalidate(name, &data, kind)?);
         /// A commit's pages, in one command:
         /// [`crate::connection::CacheConnection::write_invalidate_set`].
-        46 CacheWriteSet {
+        18 CacheWriteSet {
             /// `(name, data)` of each block, in write order.
             blocks: Vec<(BlockName, Vec<u8>)>,
             /// What the writes store.
@@ -1238,11 +1217,6 @@ cf_commands! {
         } CfCommand::cache_write(blocks.iter().map(|(_, d)| d.len()).sum()) => |c| {
             P::WriteSet(c.write_invalidate_set(&blocks, kind)?)
         };
-        /// [`crate::connection::CacheConnection::unregister`].
-        18 CacheUnregister {
-            /// Block name.
-            name: BlockName,
-        } CfCommand::CACHE_DIRECTORY => |c| unit(c.unregister(name)?);
         /// [`crate::connection::CacheConnection::castout_candidates`].
         19 CacheCastoutCandidates {
             /// Maximum candidates returned.
@@ -1790,11 +1764,9 @@ mod tests {
 
     #[test]
     fn truncated_buffers_error_not_panic() {
-        let full = WireRequest::LockWriteRecord {
+        let full = WireRequest::LockRecordSet {
             handle: 3,
-            resource: b"ACCT.1".to_vec(),
-            mode: LockMode::Exclusive,
-            payload: vec![9; 32],
+            records: vec![(b"ACCT.1".to_vec(), LockMode::Exclusive, vec![9; 32])],
         }
         .encode();
         for cut in 0..full.len() {

@@ -9,12 +9,19 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
+use sysplex_core::hashing::ResourceName;
 use sysplex_core::lock::{DisconnectMode, LockMode, LockParams, LockStructure};
+use sysplex_core::{CfResult, ConnId};
 
 fn structure(entries: usize, record_capacity: usize) -> LockStructure {
     let mut params = LockParams::with_entries(entries);
     params.record_capacity = record_capacity;
     LockStructure::new("SHARDTEST", &params).unwrap()
+}
+
+/// Write one record, as a one-record set.
+fn write(s: &LockStructure, conn: ConnId, name: &[u8], mode: LockMode, payload: &[u8]) -> CfResult<()> {
+    s.write_record_set(conn, &[(ResourceName::new(name), mode, payload)])
 }
 
 /// Concurrent write/delete/enumerate never loses or duplicates a record.
@@ -48,15 +55,10 @@ fn concurrent_churn_never_loses_or_duplicates_records() {
                         for r in 0..RESOURCES {
                             let name = format!("T{t:02}.R{r:03}");
                             if round % 2 == 0 {
-                                s.write_record(
-                                    conn,
-                                    name.as_bytes(),
-                                    LockMode::Exclusive,
-                                    &[t as u8, r as u8],
-                                )
-                                .unwrap();
+                                write(s, conn, name.as_bytes(), LockMode::Exclusive, &[t as u8, r as u8])
+                                    .unwrap();
                             } else {
-                                s.delete_record(conn, name.as_bytes()).unwrap();
+                                s.release_set(conn, &[], &[ResourceName::new(name.as_bytes())]).unwrap();
                             }
                         }
                     }
@@ -103,7 +105,7 @@ fn concurrent_churn_never_loses_or_duplicates_records() {
     for (t, &conn) in conns.iter().enumerate() {
         for r in 0..RESOURCES {
             let name = format!("T{t:02}.R{r:03}");
-            s.write_record(conn, name.as_bytes(), LockMode::Shared, &[]).unwrap();
+            write(&s, conn, name.as_bytes(), LockMode::Shared, &[]).unwrap();
         }
     }
     let snap = s.records_snapshot();
@@ -127,7 +129,7 @@ fn retained_locks_after_failure_are_exactly_once_and_sorted() {
     for i in 0..RESOURCES {
         let r = (i * 7919) % RESOURCES;
         let name = format!("DB2.TS{r:04}");
-        s.write_record(victim, name.as_bytes(), LockMode::Exclusive, &r.to_le_bytes()).unwrap();
+        write(&s, victim, name.as_bytes(), LockMode::Exclusive, &r.to_le_bytes()).unwrap();
     }
     s.disconnect(victim, DisconnectMode::Abnormal).unwrap();
     assert!(s.is_failed_persistent(victim));
@@ -156,7 +158,7 @@ fn records_snapshot_is_sorted_for_any_insert_order() {
     let conn = s.connect().unwrap();
     for i in 0..N {
         let scrambled = (i * 5851) % N;
-        s.write_record(conn, format!("K{scrambled:05}").as_bytes(), LockMode::Shared, &[]).unwrap();
+        write(&s, conn, format!("K{scrambled:05}").as_bytes(), LockMode::Shared, &[]).unwrap();
     }
     let snap = s.records_snapshot();
     assert_eq!(snap.len(), N);
@@ -189,13 +191,8 @@ fn capacity_is_exact_under_racing_writers() {
                     barrier.wait();
                     (0..PER_THREAD)
                         .filter(|r| {
-                            s.write_record(
-                                conn,
-                                format!("T{t:02}.R{r:03}").as_bytes(),
-                                LockMode::Exclusive,
-                                &[],
-                            )
-                            .is_ok()
+                            write(s, conn, format!("T{t:02}.R{r:03}").as_bytes(), LockMode::Exclusive, &[])
+                                .is_ok()
                         })
                         .count()
                 })
@@ -209,12 +206,12 @@ fn capacity_is_exact_under_racing_writers() {
     assert_eq!(s.records_snapshot().len(), CAPACITY);
 
     // The table is full: one more distinct write must be rejected...
-    let full = s.write_record(conns[0], b"OVERFLOW", LockMode::Shared, &[]);
+    let full = write(&s, conns[0], b"OVERFLOW", LockMode::Shared, &[]);
     assert!(full.is_err(), "table at capacity rejects new records");
     // ...but replacing an existing record is not a new element.
     let existing =
         s.records_snapshot().first().map(|(resource, conn_raw, _)| (resource.clone(), *conn_raw)).unwrap();
     let owner = conns.iter().copied().find(|c| c.raw() == existing.1).unwrap();
-    s.write_record(owner, &existing.0, LockMode::Shared, b"replaced").unwrap();
+    write(&s, owner, &existing.0, LockMode::Shared, b"replaced").unwrap();
     assert_eq!(s.record_count(), CAPACITY, "in-place replace does not consume capacity");
 }

@@ -135,13 +135,6 @@ fn request_samples(h: u32, n: u64, sel: u8, data: &[u8], name: &str) -> Vec<Wire
             records: vec![data.to_vec(), data[..data.len() / 2].to_vec()],
         },
         WireRequest::LockHolders { handle: h, entry: n },
-        WireRequest::LockIsNegotiate { handle: h, entry: n },
-        WireRequest::LockWriteRecord {
-            handle: h,
-            resource: data.to_vec(),
-            mode: lock_mode(sel),
-            payload: data.to_vec(),
-        },
         WireRequest::LockRecordSet {
             handle: h,
             records: vec![
@@ -149,7 +142,6 @@ fn request_samples(h: u32, n: u64, sel: u8, data: &[u8], name: &str) -> Vec<Wire
                 (data[..data.len() / 2].to_vec(), lock_mode(!sel), vec![]),
             ],
         },
-        WireRequest::LockDeleteRecord { handle: h, resource: data.to_vec() },
         WireRequest::LockRetainedOf { handle: h, peer: conn(sel) },
         WireRequest::LockIsFailedPersistent { handle: h, peer: conn(sel) },
         WireRequest::LockRecoveryComplete { handle: h, peer: conn(sel) },
@@ -168,7 +160,6 @@ fn request_samples(h: u32, n: u64, sel: u8, data: &[u8], name: &str) -> Vec<Wire
             blocks: vec![(block, data.to_vec()), (BlockName::from_parts(h, n), vec![])],
             kind: write_kind(sel),
         },
-        WireRequest::CacheUnregister { handle: h, name: block },
         WireRequest::CacheCastoutCandidates { handle: h, max: n },
         WireRequest::CacheCastoutRead { handle: h, name: block },
         WireRequest::CacheCastoutComplete { handle: h, name: block, version: n },
@@ -474,11 +465,9 @@ fn max_size_payloads_round_trip() {
             data: page.clone(),
             kind: WriteKind::ChangedData,
         },
-        WireRequest::LockWriteRecord {
+        WireRequest::LockRecordSet {
             handle: 7,
-            resource: page.clone(),
-            mode: LockMode::Exclusive,
-            payload: page.clone(),
+            records: vec![(page.clone(), LockMode::Exclusive, page.clone())],
         },
         WireRequest::Probe(CfCommand::new(CommandClass::CacheWrite, usize::MAX).bulk()),
     ];
@@ -496,7 +485,9 @@ fn hex(bytes: &[u8]) -> String {
 /// Encodings of `request_samples(0x0102_0304, 0x1112_1314_1516_1718, 0xFD,
 /// b"golden-bytes!", "GOLD1")`, captured at the last hand-written codec
 /// (PR 16). A later row is appended with the bytes it
-/// had when it was added.
+/// had when it was added. At `WIRE_VERSION` 3 four rows were retired and
+/// the four newest took their tags: those goldens changed in the tag byte
+/// only.
 const GOLDEN_REQUESTS: [&str; WireRequest::COUNT] = [
     "0005000000474f4c4431",
     "0105000000474f4c44311d",
@@ -509,26 +500,22 @@ const GOLDEN_REQUESTS: [&str; WireRequest::COUNT] = [
     // LockRequestRecorded (tag 43), added with the release set (PR 25).
     "2b040302011817161514131211010d000000676f6c64656e2d62797465732106000000676f6c64656e",
     "06040302011817161514131211",
-    // LockReleaseSet (tag 44), same PR.
-    "2c040302010200000018171615141312111716151413121100020000000d000000676f6c64656e2d62797465732106000000676f6c64656e",
+    // LockReleaseSet (tag 8), same PR; appended as 44 before WIRE_VERSION 3.
+    "08040302010200000018171615141312111716151413121100020000000d000000676f6c64656e2d62797465732106000000676f6c64656e",
     "07040302011817161514131211",
-    "08040302011817161514131211",
-    "09040302010d000000676f6c64656e2d627974657321010d000000676f6c64656e2d627974657321",
-    // LockRecordSet (tag 47), added with the one-command commit.
-    "2f04030201020000000d000000676f6c64656e2d6279746573210108000000111213141516171806000000676f6c64656e0000000000",
-    "0a040302010d000000676f6c64656e2d627974657321",
+    // LockRecordSet (tag 9), added with the one-command commit; 47 before WIRE_VERSION 3.
+    "0904030201020000000d000000676f6c64656e2d6279746573210108000000111213141516171806000000676f6c64656e0000000000",
     "0b040302011d",
     "0c040302011d",
     "0d040302011d",
     "0e0403020100",
     "0f040302011d00",
     "1004030201676f6c64656e2d62797465732100000003030201",
-    // CacheReadReplacing (tag 45), added with the one-command buffer steal.
-    "2d04030201676f6c64656e2d627974657321000000030302010101020304111213141516171800000000",
+    // CacheReadReplacing (tag 10), added with the one-command buffer steal; 45 before WIRE_VERSION 3.
+    "0a04030201676f6c64656e2d627974657321000000030302010101020304111213141516171800000000",
     "1104030201676f6c64656e2d6279746573210000000d000000676f6c64656e2d62797465732101",
-    // CacheWriteSet (tag 46), same PR.
-    "2e0403020102000000676f6c64656e2d6279746573210000000d000000676f6c64656e2d627974657321010203041112131415161718000000000000000001",
-    "1204030201676f6c64656e2d627974657321000000",
+    // CacheWriteSet (tag 18), same PR; 46 before WIRE_VERSION 3.
+    "120403020102000000676f6c64656e2d6279746573210000000d000000676f6c64656e2d627974657321010203041112131415161718000000000000000001",
     "13040302011817161514131211",
     "1404030201676f6c64656e2d627974657321000000",
     "1504030201676f6c64656e2d6279746573210000001817161514131211",
@@ -612,10 +599,10 @@ fn every_tag_has_a_sample_and_golden_bytes() {
     let tags = |encoded: &[Vec<u8>]| encoded.iter().map(|b| b[0] as usize).collect::<BTreeSet<_>>();
     assert_eq!(tags(&requests), (0..WireRequest::COUNT).collect(), "one sample per request tag");
     assert_eq!(tags(&responses), (0..WireResponse::COUNT).collect(), "one sample per response tag");
-    assert_eq!(sysplex_core::wire::WIRE_VERSION, 2);
+    assert_eq!(sysplex_core::wire::WIRE_VERSION, 3);
 
     // The frame around them: magic, version, body length, sequence number.
     let mut framed = FrameStream::new(Vec::new());
     framed.send(0x0A0B_0C0D, |w| w.put_raw(&requests[0])).unwrap();
-    assert_eq!(hex(&framed.into_inner()), format!("53504c58020a0000000d0c0b0a{}", GOLDEN_REQUESTS[0]));
+    assert_eq!(hex(&framed.into_inner()), format!("53504c58030a0000000d0c0b0a{}", GOLDEN_REQUESTS[0]));
 }

@@ -974,7 +974,7 @@ mod tests {
         assert_no_under_registration(&r, &a);
     }
 
-    /// Deterministic reproduction of the decision_support read skew: with a
+    /// Deterministic reproduction of a parallel-query read skew: with a
     /// 1-frame pool, a steal reassigns the frame to page 2 while the fill is
     /// stalled on the coupling link. A concurrent reader of page 2 must not
     /// be served page 1's bytes out of the half-reassigned frame (the old

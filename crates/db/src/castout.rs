@@ -20,13 +20,11 @@ pub struct CastoutConfig {
     pub interval: Duration,
     /// Max pages destaged per sweep.
     pub batch: usize,
-    /// Also checkpoint the log when the member is idle.
-    pub checkpoint: bool,
 }
 
 impl Default for CastoutConfig {
     fn default() -> Self {
-        CastoutConfig { interval: Duration::from_millis(20), batch: 256, checkpoint: true }
+        CastoutConfig { interval: Duration::from_millis(20), batch: 256 }
     }
 }
 
@@ -57,10 +55,8 @@ impl CastoutDaemon {
                         if let Ok(n) = db.buffers().castout(config.batch) {
                             pages.fetch_add(n as u64, Ordering::Relaxed);
                         }
-                        if config.checkpoint {
-                            if let Ok(true) = db.checkpoint_if_idle() {
-                                checkpoints.fetch_add(1, Ordering::Relaxed);
-                            }
+                        if let Ok(true) = db.checkpoint_if_idle() {
+                            checkpoints.fetch_add(1, Ordering::Relaxed);
                         }
                         std::thread::sleep(config.interval);
                     }
@@ -121,7 +117,7 @@ mod tests {
         let db = g.add_member(SystemId::new(0)).unwrap();
         let daemon = CastoutDaemon::start(
             Arc::clone(&db),
-            CastoutConfig { interval: Duration::from_millis(5), batch: 64, checkpoint: true },
+            CastoutConfig { interval: Duration::from_millis(5), batch: 64 },
         );
         db.run(10, |db, txn| {
             for k in 0..30u64 {

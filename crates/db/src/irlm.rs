@@ -316,24 +316,26 @@ impl LocalState {
 
     /// Tell `conn` — a rebuilt structure or a new duplex secondary — what
     /// this member holds: every held resource in name order, in its
-    /// strongest mode, with its persistent holders' records in transaction
-    /// order (the commands are traced, so the sequence must replay).
-    /// Returns the entry table describing that interest in `conn`'s
-    /// geometry.
+    /// strongest mode, then one record set naming, for each resource with a
+    /// persistent holder, its strongest one (the commands are traced, so
+    /// the sequence must replay). Returns the entry table describing that
+    /// interest in `conn`'s geometry.
     fn replay_onto(&self, conn: &LockConnection) -> DbResult<PrehashedMap<usize, EntryRecord>> {
         let mut held: Vec<(&ResourceName, &Holders)> = self.resources.iter().collect();
         held.sort_by_key(|(name, _)| *name);
         let mut entries: PrehashedMap<usize, EntryRecord> = PrehashedMap::default();
+        let mut records = Vec::new();
         for (name, rh) in held {
             let Some(mode) = rh.strongest() else { continue };
             let entry = conn.entry_of(name);
             conn.force_interest(entry, mode)?;
             entries.entry(entry).or_default().count += 1;
-            let mut records: Vec<&Holder> = rh.iter().filter(|h| h.persistent).collect();
-            records.sort_by_key(|h| h.txn);
-            for h in records {
-                conn.write_lock_record(name.as_bytes(), h.mode, &h.txn.to_be_bytes())?;
+            if let Some(h) = rh.recorded() {
+                records.push((name.clone(), h.mode, h.txn.to_be_bytes()));
             }
+        }
+        if !records.is_empty() {
+            conn.write_lock_record_set(&records)?;
         }
         Ok(entries)
     }
@@ -488,7 +490,7 @@ impl CfTarget {
         if response.is_granted() {
             self.mirror_grant(entry, mode);
             if let (Some(sec), Some((resource, txn))) = (&self.secondary, record) {
-                let _ = sec.write_lock_record(resource, mode, &txn.to_be_bytes());
+                let _ = sec.write_lock_record_set(&[(ResourceName::new(resource), mode, txn.to_be_bytes())]);
             }
         }
         Ok(response)
@@ -2114,6 +2116,32 @@ mod tests {
         b.mark_peer_failed(a.conn()).unwrap();
         let retained = b.retained_locks_of(a.conn()).unwrap();
         assert_eq!(retained.iter().map(|l| l.resource.as_slice()).collect::<Vec<_>>(), [b"ROW.P"]);
+    }
+
+    #[test]
+    fn a_rebuild_or_duplex_enable_imports_a_members_records_in_one_command() {
+        use sysplex_core::connection::CommandClass;
+        let r = rig(2, 1024);
+        let a = &r.irlms[0];
+        let records = || r.cf.command_stats().class(CommandClass::LockRecord).issued.get();
+        a.lock(1, b"ROW.A", LockMode::Exclusive, true).unwrap();
+        a.lock(1, b"ROW.B", LockMode::Exclusive, true).unwrap();
+        a.lock(2, b"ROW.C", LockMode::Shared, true).unwrap();
+        a.lock(3, b"ROW.C", LockMode::Shared, true).unwrap();
+        a.lock(3, b"ROW.D", LockMode::Shared, false).unwrap();
+        a.write_records(3).unwrap();
+        let before = records();
+        let new = r.cf.allocate_lock_structure("IRLMLOCK1_G1", LockParams::with_entries(1024)).unwrap();
+        Irlm::rebuild_all(&r.irlms, new, &r.cf.subchannel()).unwrap();
+        // a's three records in one command; b holds nothing and sends none.
+        assert_eq!(records() - before, 1);
+        let expected = [(b"ROW.A".to_vec(), 1), (b"ROW.B".to_vec(), 1), (b"ROW.C".to_vec(), 3)];
+        assert_eq!(records_of(a), expected);
+        let sec = r.cf.allocate_lock_structure("IRLMLOCK1_DUP", LockParams::with_entries(1024)).unwrap();
+        Irlm::enable_duplexing(&r.irlms, Arc::clone(&sec), &r.cf.subchannel()).unwrap();
+        assert_eq!(records() - before, 2);
+        let mirrored: Vec<Vec<u8>> = sec.records_snapshot().into_iter().map(|(name, _, _)| name).collect();
+        assert_eq!(mirrored, expected.map(|(name, _)| name));
     }
 
     #[test]

@@ -20,6 +20,8 @@
 
 use crate::database::{Database, Txn};
 use crate::error::{DbError, DbResult};
+use sysplex_core::wire::{from_bytes, to_bytes};
+use sysplex_core::wire_struct;
 
 /// Records per control interval before a split.
 pub const DEFAULT_CI_CAPACITY: usize = 16;
@@ -43,77 +45,12 @@ struct IndexEntry {
     ci: u64,
 }
 
-fn encode_index(entries: &[IndexEntry], next_ci: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32);
-    out.extend_from_slice(&next_ci.to_be_bytes());
-    out.extend_from_slice(&(entries.len() as u32).to_be_bytes());
-    for e in entries {
-        match &e.high_key {
-            Some(k) => {
-                out.push(1);
-                out.extend_from_slice(&(k.len() as u16).to_be_bytes());
-                out.extend_from_slice(k.as_bytes());
-            }
-            None => out.push(0),
-        }
-        out.extend_from_slice(&e.ci.to_be_bytes());
-    }
-    out
-}
+wire_struct! { IndexEntry { high_key, ci } }
 
-fn decode_index(data: &[u8]) -> Option<(Vec<IndexEntry>, u64)> {
-    let next_ci = u64::from_be_bytes(data.get(0..8)?.try_into().ok()?);
-    let n = u32::from_be_bytes(data.get(8..12)?.try_into().ok()?) as usize;
-    let mut off = 12;
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        let has_key = *data.get(off)?;
-        off += 1;
-        let high_key = if has_key == 1 {
-            let len = u16::from_be_bytes(data.get(off..off + 2)?.try_into().ok()?) as usize;
-            off += 2;
-            let k = std::str::from_utf8(data.get(off..off + len)?).ok()?.to_string();
-            off += len;
-            Some(k)
-        } else {
-            None
-        };
-        let ci = u64::from_be_bytes(data.get(off..off + 8)?.try_into().ok()?);
-        off += 8;
-        entries.push(IndexEntry { high_key, ci });
-    }
-    Some((entries, next_ci))
-}
-
-fn encode_ci(records: &[(String, Vec<u8>)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    out.extend_from_slice(&(records.len() as u32).to_be_bytes());
-    for (k, v) in records {
-        out.extend_from_slice(&(k.len() as u16).to_be_bytes());
-        out.extend_from_slice(k.as_bytes());
-        out.extend_from_slice(&(v.len() as u32).to_be_bytes());
-        out.extend_from_slice(v);
-    }
-    out
-}
-
-fn decode_ci(data: &[u8]) -> Option<Vec<(String, Vec<u8>)>> {
-    let n = u32::from_be_bytes(data.get(0..4)?.try_into().ok()?) as usize;
-    let mut off = 4;
-    let mut records = Vec::with_capacity(n);
-    for _ in 0..n {
-        let klen = u16::from_be_bytes(data.get(off..off + 2)?.try_into().ok()?) as usize;
-        off += 2;
-        let key = std::str::from_utf8(data.get(off..off + klen)?).ok()?.to_string();
-        off += klen;
-        let vlen = u32::from_be_bytes(data.get(off..off + 4)?.try_into().ok()?) as usize;
-        off += 4;
-        let val = data.get(off..off + vlen)?.to_vec();
-        off += vlen;
-        records.push((key, val));
-    }
-    Some(records)
-}
+/// The index record: its entries, then the next unused CI id.
+type Index = (Vec<IndexEntry>, u64);
+/// A control interval: its `(key, record)` pairs in key order.
+type Ci = Vec<(String, Vec<u8>)>;
 
 impl Ksds {
     /// Define (format) a new KSDS whose records live at `base..`. The
@@ -122,9 +59,9 @@ impl Ksds {
         assert!(ci_capacity >= 2, "a CI must hold at least two records to split");
         let file = Ksds { db, base, ci_capacity };
         file.db.run(20, |db, txn| {
-            let index = vec![IndexEntry { high_key: None, ci: 0 }];
-            db.write(txn, base, Some(&encode_index(&index, 1)))?;
-            db.write(txn, base + 1, Some(&encode_ci(&[])))
+            let index: Index = (vec![IndexEntry { high_key: None, ci: 0 }], 1);
+            db.write(txn, base, Some(&to_bytes(&index)))?;
+            db.write(txn, base + 1, Some(&to_bytes(&Ci::new())))
         })?;
         Ok(file)
     }
@@ -138,14 +75,15 @@ impl Ksds {
         self.base + 1 + ci
     }
 
-    fn load_index(&self, db: &Database, txn: &mut Txn) -> DbResult<(Vec<IndexEntry>, u64)> {
+    fn load_index(&self, db: &Database, txn: &mut Txn) -> DbResult<Index> {
         let data = db.read(txn, self.base)?.ok_or(DbError::PageCorrupt(self.base))?;
-        decode_index(&data).ok_or(DbError::PageCorrupt(self.base))
+        from_bytes(&data).map_err(|_| DbError::PageCorrupt(self.base))
     }
 
-    fn load_ci(&self, db: &Database, txn: &mut Txn, ci: u64) -> DbResult<Vec<(String, Vec<u8>)>> {
-        let data = db.read(txn, self.ci_key(ci))?.ok_or(DbError::PageCorrupt(self.ci_key(ci)))?;
-        decode_ci(&data).ok_or(DbError::PageCorrupt(self.ci_key(ci)))
+    fn load_ci(&self, db: &Database, txn: &mut Txn, ci: u64) -> DbResult<Ci> {
+        let key = self.ci_key(ci);
+        let data = db.read(txn, key)?.ok_or(DbError::PageCorrupt(key))?;
+        from_bytes(&data).map_err(|_| DbError::PageCorrupt(key))
     }
 
     fn ci_for<'a>(index: &'a [IndexEntry], key: &str) -> &'a IndexEntry {
@@ -168,21 +106,21 @@ impl Ksds {
                 Err(i) => records.insert(i, (key.clone(), value.clone())),
             }
             if records.len() <= self.ci_capacity {
-                return db.write(txn, self.ci_key(entry.ci), Some(&encode_ci(&records)));
+                return db.write(txn, self.ci_key(entry.ci), Some(&to_bytes(&records)));
             }
             // Split: lower half moves to a fresh CI inserted before this
             // one; all three writes commit atomically.
             let mid = records.len() / 2;
-            let right: Vec<(String, Vec<u8>)> = records.split_off(mid);
+            let right: Ci = records.split_off(mid);
             let left = records;
             let left_high = left.last().unwrap().0.clone();
             let left_ci = next_ci;
             next_ci += 1;
             let pos = index.iter().position(|e| e.ci == entry.ci).unwrap();
             index.insert(pos, IndexEntry { high_key: Some(left_high), ci: left_ci });
-            db.write(txn, self.ci_key(left_ci), Some(&encode_ci(&left)))?;
-            db.write(txn, self.ci_key(entry.ci), Some(&encode_ci(&right)))?;
-            db.write(txn, self.base, Some(&encode_index(&index, next_ci)))
+            db.write(txn, self.ci_key(left_ci), Some(&to_bytes(&left)))?;
+            db.write(txn, self.ci_key(entry.ci), Some(&to_bytes(&right)))?;
+            db.write(txn, self.base, Some(&to_bytes(&(index, next_ci))))
         })
     }
 
@@ -208,7 +146,7 @@ impl Ksds {
             match records.binary_search_by(|(k, _)| k.as_str().cmp(&key)) {
                 Ok(i) => {
                     records.remove(i);
-                    db.write(txn, self.ci_key(entry.ci), Some(&encode_ci(&records)))?;
+                    db.write(txn, self.ci_key(entry.ci), Some(&to_bytes(&records)))?;
                     Ok(true)
                 }
                 Err(_) => Ok(false),
@@ -287,11 +225,21 @@ mod tests {
 
     #[test]
     fn codec_roundtrips() {
-        let idx =
-            vec![IndexEntry { high_key: Some("M".into()), ci: 3 }, IndexEntry { high_key: None, ci: 0 }];
-        assert_eq!(decode_index(&encode_index(&idx, 7)).unwrap(), (idx, 7));
-        let ci = vec![("A".to_string(), b"1".to_vec()), ("B".to_string(), vec![])];
-        assert_eq!(decode_ci(&encode_ci(&ci)).unwrap(), ci);
+        let idx: Index =
+            (vec![IndexEntry { high_key: Some("M".into()), ci: 3 }, IndexEntry { high_key: None, ci: 0 }], 7);
+        let idx_bytes = to_bytes(&idx);
+        assert_eq!(from_bytes::<Index>(&idx_bytes).unwrap(), idx);
+        let ci: Ci = vec![("A".to_string(), b"1".to_vec()), ("B".to_string(), vec![])];
+        let ci_bytes = to_bytes(&ci);
+        assert_eq!(from_bytes::<Ci>(&ci_bytes).unwrap(), ci);
+        // A malformed record is an error, never a panic: every strict
+        // prefix fails to decode.
+        for cut in 0..idx_bytes.len() {
+            assert!(from_bytes::<Index>(&idx_bytes[..cut]).is_err(), "index cut at {cut}");
+        }
+        for cut in 0..ci_bytes.len() {
+            assert!(from_bytes::<Ci>(&ci_bytes[..cut]).is_err(), "CI cut at {cut}");
+        }
     }
 
     #[test]
@@ -367,6 +315,26 @@ mod tests {
         assert_eq!(b.get("SHARED.KEY").unwrap().unwrap(), b"from-a");
         b.put("SHARED.KEY", b"from-b").unwrap();
         assert_eq!(a.get("SHARED.KEY").unwrap().unwrap(), b"from-b");
+        g.remove_member(SystemId::new(0));
+        g.remove_member(SystemId::new(1));
+    }
+
+    #[test]
+    fn a_file_stays_open_across_a_cf_failover() {
+        let g = group(2);
+        let a = Ksds::define(g.member(SystemId::new(0)).unwrap(), BASE, 4).unwrap();
+        let b = Ksds::open(g.member(SystemId::new(1)).unwrap(), BASE, 4);
+        for k in 0..10u32 {
+            a.put(&format!("CUST{k:03}"), b"v").unwrap();
+        }
+        g.enable_duplexing(&CouplingFacility::new(CfConfig::named("CF02"))).unwrap();
+        a.put("CUST900", b"duplexed").unwrap();
+        // The primary is lost: keyed access goes on, nothing is recovered
+        // or reloaded.
+        g.cf_failover().unwrap();
+        assert_eq!(b.get("CUST900").unwrap().unwrap(), b"duplexed");
+        b.put("CUST901", b"after").unwrap();
+        assert_eq!(a.record_count().unwrap(), 12);
         g.remove_member(SystemId::new(0));
         g.remove_member(SystemId::new(1));
     }

@@ -9,6 +9,7 @@
 //! oracle-branch bit, and that the bits are pairwise distinct.
 
 use sysplex_core::cache::{BlockName, CacheParams, WriteKind};
+use sysplex_core::hashing::ResourceName;
 use sysplex_core::lock::{DisconnectMode, LockMode, LockParams};
 use sysplex_core::trace::TraceEvent;
 use sysplex_core::{CacheConnection, CfConfig, CouplingFacility, LockConnection, SystemId, Tracer};
@@ -132,7 +133,7 @@ fn leaky_recovery_lights_only_orphan_lock_record() {
     let victim = LockConnection::attach(&lock, cf.subchannel().with_system(SystemId(1))).unwrap();
     let entry = victim.hash_resource(b"RES1");
     victim.request_lock(entry, LockMode::Exclusive).unwrap();
-    victim.write_lock_record(b"RES1", LockMode::Exclusive, b"txn").unwrap();
+    victim.write_lock_record_set(&[(ResourceName::new(b"RES1"), LockMode::Exclusive, b"txn")]).unwrap();
     victim.detach(DisconnectMode::Abnormal).unwrap();
     lock.arm_leaky_recovery();
     survivor.recovery_complete_for(victim.conn_id()).unwrap();

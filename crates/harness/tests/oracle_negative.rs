@@ -8,6 +8,7 @@
 //! the oracle convicts it.
 
 use sysplex_core::cache::{BlockName, CacheParams, WriteKind};
+use sysplex_core::hashing::ResourceName;
 use sysplex_core::lock::{DisconnectMode, LockMode, LockParams};
 use sysplex_core::trace::TraceEvent;
 use sysplex_core::{CacheConnection, CfConfig, CouplingFacility, LockConnection, SystemId, Tracer};
@@ -158,7 +159,7 @@ fn oracle_convicts_leaky_recovery() {
 
     let entry = victim.hash_resource(b"RES1");
     victim.request_lock(entry, LockMode::Exclusive).unwrap();
-    victim.write_lock_record(b"RES1", LockMode::Exclusive, b"txn").unwrap();
+    victim.write_lock_record_set(&[(ResourceName::new(b"RES1"), LockMode::Exclusive, b"txn")]).unwrap();
     // System failure: interest and records are retained failed-persistent.
     victim.detach(DisconnectMode::Abnormal).unwrap();
     assert!(check_lock_structure(&lock).is_empty(), "failed-persistent records are legitimate");

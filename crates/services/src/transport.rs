@@ -1502,27 +1502,42 @@ mod tests {
         server.stop();
     }
 
+    /// Offer `header` (its length word patched), a pulse's body and eight
+    /// zero bytes to a fresh session server; every byte it answers.
+    fn session_answer(header: &[u8]) -> Vec<u8> {
+        use std::io::{Read, Write};
+        let plex = Sysplex::new(SysplexConfig::functional("VERPLEX"));
+        let cf = plex.add_cf("CF01");
+        let server = SysplexServer::start(&plex, &cf, "127.0.0.1:0").unwrap();
+        let body = SxRequest::Pulse.encode();
+        let mut frame = header.to_vec();
+        frame[5..9].copy_from_slice(&(body.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&body);
+        // Pad past a full header so a short one still has one to refuse.
+        frame.extend_from_slice(&[0; 8]);
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.write_all(&frame).unwrap();
+        let mut answer = Vec::new();
+        stream.read_to_end(&mut answer).unwrap();
+        server.stop();
+        answer
+    }
+
     /// A version-1 frame (9-byte header, no sequence field) is refused at
     /// the header: the session ends without an answer, rather than the
     /// first four body bytes being taken for a sequence number.
     #[test]
     fn version_1_frame_ends_the_session_unanswered() {
-        use std::io::{Read, Write};
-        let plex = Sysplex::new(SysplexConfig::functional("V1PLEX"));
-        let cf = plex.add_cf("CF01");
-        let server = SysplexServer::start(&plex, &cf, "127.0.0.1:0").unwrap();
-        let body = SxRequest::Pulse.encode();
-        let mut v1 = b"SPLX\x01".to_vec();
-        v1.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        v1.extend_from_slice(&body);
-        // Pad past a version-2 header so the server has one to refuse.
-        v1.extend_from_slice(&[0; 8]);
-        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-        stream.write_all(&v1).unwrap();
-        let mut answer = Vec::new();
-        stream.read_to_end(&mut answer).unwrap();
+        let answer = session_answer(b"SPLX\x01\0\0\0\0");
         assert!(answer.is_empty(), "a refused frame gets no response, got {answer:?}");
-        server.stop();
+    }
+
+    /// A version-2 frame has today's header layout but not today's
+    /// version: the session ends without an answer.
+    #[test]
+    fn version_2_frame_ends_the_session_unanswered() {
+        let answer = session_answer(b"SPLX\x02\0\0\0\0\x07\0\0\0");
+        assert!(answer.is_empty(), "a refused frame gets no response, got {answer:?}");
     }
 
     #[test]

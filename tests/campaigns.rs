@@ -216,6 +216,7 @@ fn mutated_plans_round_trip_and_run() {
 /// test pins it down directly at the structure level.
 #[test]
 fn sharded_record_merges_stay_sorted() {
+    use parallel_sysplex::cf::hashing::ResourceName;
     use parallel_sysplex::cf::lock::{DisconnectMode, LockMode, LockParams, LockStructure};
 
     let s = LockStructure::new("SORTCHK", &LockParams::with_entries(256)).unwrap();
@@ -225,7 +226,8 @@ fn sharded_record_merges_stay_sorted() {
     const N: usize = 200;
     for i in 0..N {
         let r = (i * 7919) % N;
-        s.write_record(conn, format!("RES{r:05}").as_bytes(), LockMode::Exclusive, &r.to_le_bytes()).unwrap();
+        let name = ResourceName::new(format!("RES{r:05}").as_bytes());
+        s.write_record_set(conn, &[(name, LockMode::Exclusive, r.to_le_bytes())]).unwrap();
     }
     let snap = s.records_snapshot();
     assert_eq!(snap.len(), N);

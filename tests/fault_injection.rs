@@ -168,10 +168,8 @@ fn castout_daemon_and_peer_recovery_coexist() {
     let a = group.member(SystemId::new(0)).unwrap();
     let b = group.member(SystemId::new(1)).unwrap();
     // The survivor runs a castout daemon throughout.
-    let daemon = CastoutDaemon::start(
-        Arc::clone(&b),
-        CastoutConfig { interval: Duration::from_millis(2), batch: 64, checkpoint: true },
-    );
+    let daemon =
+        CastoutDaemon::start(Arc::clone(&b), CastoutConfig { interval: Duration::from_millis(2), batch: 64 });
     a.run(10, |db, txn| db.write(txn, 9, Some(b"committed"))).unwrap();
     // a dies holding a lock with an externalised torn update.
     let mut ta = a.begin();

@@ -10,6 +10,7 @@
 
 use parallel_sysplex::cf::error::CfError;
 use parallel_sysplex::cf::facility::{CfConfig, CouplingFacility};
+use parallel_sysplex::cf::hashing::ResourceName;
 use parallel_sysplex::cf::lock::{LockMode, LockParams};
 use parallel_sysplex::cf::transport::{
     serve_cf_stream, CfTransport, InProcessTransport, RemoteCacheConnection, RemoteLockConnection,
@@ -177,7 +178,7 @@ fn served_session_end_to_end() {
     let slot = remote.hash_resource(b"ACCT.3");
     assert_eq!(slot, native.hash_resource(b"ACCT.3"), "remote hashing matches native");
     assert!(remote.request_lock(slot, LockMode::Exclusive).unwrap().is_granted());
-    remote.write_lock_record(b"ACCT.3", LockMode::Exclusive, b"TXN-9").unwrap();
+    remote.write_lock_record_set(&[(ResourceName::new(b"ACCT.3"), LockMode::Exclusive, b"TXN-9")]).unwrap();
     drop(remote); // socket gone mid-transaction
     server.join().unwrap();
 
@@ -385,11 +386,9 @@ fn late_responses_are_skipped_by_identity() {
     server.join().unwrap();
 }
 
-/// A version-1 frame (9-byte header, no sequence field) offered to this
-/// version's server is refused at the header as `BadVersion(1)`; its
-/// first body bytes are never read as a sequence number.
-#[test]
-fn version_1_frame_is_refused_as_bad_version() {
+/// Offer `header` followed by an attach request's body to a fresh CF
+/// server; the error its serving loop ends with.
+fn refusal_of(header: &[u8]) -> std::io::Error {
     let cf = cf_with_lock();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
@@ -398,13 +397,34 @@ fn version_1_frame_is_refused_as_bad_version() {
         serve_cf_stream(&InProcessTransport::new(&cf), stream)
     });
     let body = WireRequest::AttachLock { structure: "IRLM1".to_string() }.encode();
-    let mut v1 = b"SPLX\x01".to_vec();
-    v1.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    v1.extend_from_slice(&body);
+    let mut frame = header.to_vec();
+    frame[5..9].copy_from_slice(&(body.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&body);
     let mut stream = TcpStream::connect(addr).unwrap();
-    stream.write_all(&v1).unwrap();
+    stream.write_all(&frame).unwrap();
     let refused = server.join().unwrap().unwrap_err();
     assert_eq!(refused.kind(), std::io::ErrorKind::InvalidData);
-    let cause = refused.get_ref().and_then(|e| e.downcast_ref::<WireError>());
-    assert_eq!(cause, Some(&WireError::BadVersion(1)));
+    refused
+}
+
+fn wire_cause(e: &std::io::Error) -> Option<&WireError> {
+    e.get_ref().and_then(|e| e.downcast_ref::<WireError>())
+}
+
+/// A version-1 frame (9-byte header, no sequence field) offered to this
+/// version's server is refused at the header as `BadVersion(1)`; its
+/// first body bytes are never read as a sequence number.
+#[test]
+fn version_1_frame_is_refused_as_bad_version() {
+    let refused = refusal_of(b"SPLX\x01\0\0\0\0");
+    assert_eq!(wire_cause(&refused), Some(&WireError::BadVersion(1)));
+}
+
+/// A version-2 frame has today's header layout, but version 2 numbered
+/// the command table's rows differently: it is refused at the header,
+/// never decoded.
+#[test]
+fn version_2_frame_is_refused_as_bad_version() {
+    let refused = refusal_of(b"SPLX\x02\0\0\0\0\x07\0\0\0");
+    assert_eq!(wire_cause(&refused), Some(&WireError::BadVersion(2)));
 }
