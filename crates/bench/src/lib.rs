@@ -66,12 +66,6 @@ impl LiveRig {
             db.irlm().crash();
         }
     }
-
-    /// Print the end-of-run CF activity report for this rig's sysplex and
-    /// assert it reconciles (see [`report_activity`]).
-    pub fn activity_report(&self) -> ActivityReport {
-        print_reconciled(self.monitor.report(), &self.plex.cfs())
-    }
 }
 
 /// Print a rule line sized to the experiment banner.

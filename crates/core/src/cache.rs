@@ -391,6 +391,8 @@ pub struct CacheStructure {
     reclaim_cursor: AtomicUsize,
     /// Published counters.
     pub stats: CacheStats,
+    /// The duplex pair every connection joins (`crate::duplex`).
+    pub(crate) duplex: crate::duplex::DuplexSlot<CacheStructure>,
     /// Known-bad hook: drop the cross-invalidate signal on the floor. The
     /// registration is still removed (the directory believes it signalled),
     /// but the peer's validity bit is left set — a lost XI, exactly the
@@ -431,6 +433,7 @@ impl CacheStructure {
             data_bytes: AtomicU64::new(0),
             reclaim_cursor: AtomicUsize::new(0),
             stats: CacheStats::default(),
+            duplex: Default::default(),
             #[cfg(feature = "test-hooks")]
             lose_xi: std::sync::atomic::AtomicBool::new(false),
         })

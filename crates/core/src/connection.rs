@@ -43,6 +43,7 @@ use crate::cache::{
     BlockName, CacheConnection as CacheToken, CacheStructure, RegisterResult, WriteKind, WriteResult,
     WriteSetResult,
 };
+use crate::duplex::{self, DuplexPair, Mirror};
 use crate::error::{CfError, CfResult};
 use crate::hashing::ResourceName;
 use crate::link::{spin_for, CfLink};
@@ -731,12 +732,14 @@ impl CfSubchannel {
 
 /// A system's connection to a lock-model structure (§3.3.1). Every lock
 /// command flows through the subchannel; lock-table traffic is small and
-/// uncontended in the common case, so none of it converts.
+/// uncontended in the common case, so none of it converts. What changes a
+/// duplexed structure is mirrored ([`crate::duplex`]).
 #[derive(Debug, Clone)]
 pub struct LockConnection {
     structure: Arc<LockStructure>,
     id: ConnId,
     sub: CfSubchannel,
+    mirror: Option<Arc<Mirror<LockStructure, LockConnection>>>,
 }
 
 impl LockConnection {
@@ -744,7 +747,7 @@ impl LockConnection {
     pub fn attach(structure: &Arc<LockStructure>, sub: CfSubchannel) -> CfResult<Self> {
         let sub = sub.for_structure_named(structure.name());
         let id = sub.issue(CfCommand::LOCK_CONNECT, || structure.connect())?;
-        Ok(LockConnection { structure: Arc::clone(structure), id, sub })
+        Self::attached(structure, id, sub)
     }
 
     /// Connect to `structure` claiming a specific slot (recovery rejoin,
@@ -752,13 +755,50 @@ impl LockConnection {
     pub fn attach_slot(structure: &Arc<LockStructure>, sub: CfSubchannel, slot: ConnId) -> CfResult<Self> {
         let sub = sub.for_structure_named(structure.name());
         let id = sub.issue(CfCommand::LOCK_CONNECT, || structure.connect_slot(slot))?;
-        Ok(LockConnection { structure: Arc::clone(structure), id, sub })
+        Self::attached(structure, id, sub)
     }
 
-    /// Connect to a replacement structure keeping this connection's slot
-    /// and subchannel (structure rebuild / duplex secondary).
-    pub fn reattach(&self, structure: &Arc<LockStructure>) -> CfResult<Self> {
-        LockConnection::attach_slot(structure, self.sub.clone(), self.id)
+    /// Slot `id`'s connection, joined to the structure's pair if any.
+    fn attached(structure: &Arc<LockStructure>, id: ConnId, sub: CfSubchannel) -> CfResult<Self> {
+        let mut conn = LockConnection { structure: Arc::clone(structure), id, sub, mirror: None };
+        if let Some(pair) = duplex::recorded(&structure.duplex) {
+            if conn.duplex_into(&pair).is_err() {
+                pair.break_on(&conn.sub, id);
+            }
+        }
+        Ok(conn)
+    }
+
+    /// Join `pair` through this slot on the secondary (same geometry) and
+    /// record it on the primary. The caller imports its interest and
+    /// records into the returned secondary connection.
+    pub fn duplex_into(&mut self, pair: &Arc<DuplexPair<LockStructure>>) -> CfResult<&LockConnection> {
+        if pair.secondary.entries() != self.structure.entries() {
+            return Err(CfError::BadParameter("duplexing requires identical lock-table geometry"));
+        }
+        let sub = pair.sub.sibling().with_system(SystemId(self.sub.system()));
+        let conn = LockConnection::attach_slot(&pair.secondary, sub, self.id)?;
+        *self.structure.duplex.lock() = Some(Arc::clone(pair));
+        Ok(&self.mirror.insert(Arc::new(Mirror { pair: Arc::clone(pair), conn })).conn)
+    }
+
+    /// Whether this connection mirrors into an intact pair.
+    pub fn is_duplexed(&self) -> bool {
+        self.mirror.as_ref().is_some_and(|m| m.intact().is_some())
+    }
+
+    /// The secondary connection of an intact pair, to replace this one
+    /// when the primary is lost.
+    pub fn promote(&self) -> Option<LockConnection> {
+        self.mirror.as_ref()?.intact().cloned()
+    }
+
+    /// Mirror a command that changed the primary.
+    #[inline]
+    fn mirror(&self, op: impl FnOnce(&LockConnection) -> CfResult<()>) {
+        if let Some(m) = &self.mirror {
+            m.run(&self.sub, self.id, op);
+        }
     }
 
     /// This connection's slot in the structure.
@@ -799,6 +839,9 @@ impl LockConnection {
     pub fn request_lock(&self, entry: usize, mode: LockMode) -> CfResult<LockResponse> {
         let r = self.sub.issue(CfCommand::LOCK_REQUEST, || self.structure.request(self.id, entry, mode));
         self.trace_response(entry, mode, &r);
+        if matches!(r, Ok(LockResponse::Granted)) {
+            self.mirror(|sec| sec.force_interest(entry, mode));
+        }
         r
     }
 
@@ -816,6 +859,12 @@ impl LockConnection {
         let r =
             self.sub.issue(cmd, || self.structure.request_recorded(self.id, entry, mode, resource, payload));
         self.trace_response(entry, mode, &r);
+        if matches!(r, Ok(LockResponse::Granted)) {
+            self.mirror(|sec| {
+                sec.force_interest(entry, mode)?;
+                sec.write_lock_record_set(&[(ResourceName::new(resource), mode, payload)])
+            });
+        }
         r
     }
 
@@ -841,7 +890,9 @@ impl LockConnection {
     /// Record `mode` interest unconditionally (state import: rebuild,
     /// duplex mirroring).
     pub fn force_interest(&self, entry: usize, mode: LockMode) -> CfResult<()> {
-        self.sub.issue(CfCommand::LOCK_REQUEST, || self.structure.force_interest(self.id, entry, mode))
+        self.sub.issue(CfCommand::LOCK_REQUEST, || self.structure.force_interest(self.id, entry, mode))?;
+        self.mirror(|sec| sec.force_interest(entry, mode));
+        Ok(())
     }
 
     /// Record `mode` interest after negotiating with `negotiated`; refused
@@ -857,9 +908,13 @@ impl LockConnection {
         negotiated: crate::types::ConnMask,
         generation: u16,
     ) -> CfResult<bool> {
-        self.sub.issue(CfCommand::LOCK_REQUEST, || {
+        let written = self.sub.issue(CfCommand::LOCK_REQUEST, || {
             self.structure.force_interest_negotiated(self.id, entry, mode, negotiated, generation)
-        })
+        })?;
+        if written {
+            self.mirror(|sec| sec.force_interest(entry, mode));
+        }
+        Ok(written)
     }
 
     /// Release this connection's interest in entry `entry`.
@@ -867,6 +922,7 @@ impl LockConnection {
         let r = self.sub.issue(CfCommand::LOCK_RELEASE, || self.structure.release(self.id, entry));
         if r.is_ok() {
             self.sub.emit(TraceEvent::LockRelease { entry: entry as u64, conn: self.id.raw() });
+            self.mirror(|sec| sec.release_lock(entry));
         }
         r
     }
@@ -883,6 +939,7 @@ impl LockConnection {
             for &entry in entries {
                 self.sub.emit(TraceEvent::LockRelease { entry: entry as u64, conn: self.id.raw() });
             }
+            self.mirror(|sec| sec.release_set(entries, records));
         }
         r
     }
@@ -901,7 +958,10 @@ impl LockConnection {
     ) -> CfResult<()> {
         let bytes =
             records.iter().map(|(name, _, payload)| name.as_bytes().len() + payload.as_ref().len()).sum();
-        self.sub.issue(CfCommand::lock_record(bytes), || self.structure.write_record_set(self.id, records))
+        let cmd = CfCommand::lock_record(bytes);
+        self.sub.issue(cmd, || self.structure.write_record_set(self.id, records))?;
+        self.mirror(|sec| sec.write_lock_record_set(records));
+        Ok(())
     }
 
     /// Retained (failed-persistent) locks of connector `peer` — the
@@ -920,6 +980,7 @@ impl LockConnection {
         let r = self.sub.issue(CfCommand::LOCK_QUERY, || self.structure.recovery_complete(peer));
         if r.is_ok() {
             self.sub.emit(TraceEvent::LockRelease { entry: u64::MAX, conn: peer.raw() });
+            self.mirror(|sec| sec.recovery_complete_for(peer));
         }
         r
     }
@@ -927,10 +988,13 @@ impl LockConnection {
     /// Disconnect this connection.
     pub fn detach(&self, mode: DisconnectMode) -> CfResult<()> {
         let r = self.sub.issue(CfCommand::LOCK_CONNECT, || self.structure.disconnect(self.id, mode));
-        // Normal disconnect purges every interest; abnormal retains it for
-        // recovery, so no release is traced until recovery completes.
-        if r.is_ok() && mode == DisconnectMode::Normal {
-            self.sub.emit(TraceEvent::LockRelease { entry: u64::MAX, conn: self.id.raw() });
+        if r.is_ok() {
+            // Normal disconnect purges every interest; abnormal retains it
+            // for recovery, so no release is traced until recovery completes.
+            if mode == DisconnectMode::Normal {
+                self.sub.emit(TraceEvent::LockRelease { entry: u64::MAX, conn: self.id.raw() });
+            }
+            self.mirror(|sec| sec.detach(mode));
         }
         r
     }
@@ -939,8 +1003,11 @@ impl LockConnection {
     /// failed-persistent).
     pub fn detach_peer(&self, peer: ConnId, mode: DisconnectMode) -> CfResult<()> {
         let r = self.sub.issue(CfCommand::LOCK_CONNECT, || self.structure.disconnect(peer, mode));
-        if r.is_ok() && mode == DisconnectMode::Normal {
-            self.sub.emit(TraceEvent::LockRelease { entry: u64::MAX, conn: peer.raw() });
+        if r.is_ok() {
+            if mode == DisconnectMode::Normal {
+                self.sub.emit(TraceEvent::LockRelease { entry: u64::MAX, conn: peer.raw() });
+            }
+            self.mirror(|sec| sec.detach_peer(peer, mode));
         }
         r
     }
@@ -953,27 +1020,64 @@ impl LockConnection {
 
 /// A system's connection to a cache-model structure (§3.3.2). Reads and
 /// small writes are CPU-synchronous; castout traffic and oversized data
-/// writes are converted.
+/// writes are converted. What changes a duplexed structure is mirrored.
 #[derive(Debug, Clone)]
 pub struct CacheConnection {
     structure: Arc<CacheStructure>,
     token: CacheToken,
     sub: CfSubchannel,
+    mirror: Option<Arc<Mirror<CacheStructure, CacheConnection>>>,
 }
 
 impl CacheConnection {
     /// Connect to `structure` through `sub` with a local bit vector of
-    /// `vector_len` entries.
+    /// `vector_len` entries, joined to the structure's pair if any.
     pub fn attach(structure: &Arc<CacheStructure>, sub: CfSubchannel, vector_len: usize) -> CfResult<Self> {
         let sub = sub.for_structure_named(structure.name());
         let token = sub.issue(CfCommand::CACHE_DIRECTORY, || structure.connect(vector_len))?;
-        Ok(CacheConnection { structure: Arc::clone(structure), token, sub })
+        let mut conn = CacheConnection { structure: Arc::clone(structure), token, sub, mirror: None };
+        if let Some(pair) = duplex::recorded(&structure.duplex) {
+            if conn.duplex_into(&pair).is_err() {
+                pair.break_on(&conn.sub, conn.token.id);
+            }
+        }
+        Ok(conn)
     }
 
-    /// Connect to a replacement structure keeping this connection's
-    /// subchannel (structure rebuild / duplex secondary).
-    pub fn reattach(&self, structure: &Arc<CacheStructure>, vector_len: usize) -> CfResult<Self> {
-        CacheConnection::attach(structure, self.sub.clone(), vector_len)
+    /// Join `pair`. The first connection to join establishes it: copies
+    /// the changed data across, then records the pair on the primary.
+    pub fn duplex_into(&mut self, pair: &Arc<DuplexPair<CacheStructure>>) -> CfResult<()> {
+        let sub = pair.sub.sibling().with_system(SystemId(self.sub.system()));
+        let conn = CacheConnection::attach(&pair.secondary, sub, self.token.vector().len())?;
+        if !self.structure.duplex.lock().as_ref().is_some_and(|p| Arc::ptr_eq(p, pair)) {
+            for name in self.castout_candidates(usize::MAX >> 1)? {
+                if let Ok((data, _)) = self.castout_read(name) {
+                    conn.write_invalidate(name, &data, WriteKind::ChangedData)?;
+                }
+            }
+            *self.structure.duplex.lock() = Some(Arc::clone(pair));
+        }
+        self.mirror = Some(Arc::new(Mirror { pair: Arc::clone(pair), conn }));
+        Ok(())
+    }
+
+    /// Whether this connection mirrors into an intact pair.
+    pub fn is_duplexed(&self) -> bool {
+        self.mirror.as_ref().is_some_and(|m| m.intact().is_some())
+    }
+
+    /// The secondary connection of an intact pair, to replace this one
+    /// when the primary is lost; it holds no registrations.
+    pub fn promote(&self) -> Option<CacheConnection> {
+        self.mirror.as_ref()?.intact().cloned()
+    }
+
+    /// Mirror a command that changed the primary.
+    #[inline]
+    fn mirror(&self, op: impl FnOnce(&CacheConnection) -> CfResult<()>) {
+        if let Some(m) = &self.mirror {
+            m.run(&self.sub, self.token.id, op);
+        }
     }
 
     /// This connection's slot in the structure.
@@ -1063,6 +1167,7 @@ impl CacheConnection {
                 block: name.digest(),
                 invalidated: w.invalidated as u64,
             });
+            self.mirror(|sec| sec.write_invalidate(name, data, kind).map(drop));
         }
         r
     }
@@ -1088,6 +1193,11 @@ impl CacheConnection {
                     invalidated: w.invalidated as u64,
                 });
             }
+            // What the primary took, and only that.
+            let written = &blocks[..set.written.len()];
+            if !written.is_empty() {
+                self.mirror(|sec| sec.write_invalidate_set(written, kind)?.error.map_or(Ok(()), Err));
+            }
         }
         r
     }
@@ -1104,11 +1214,17 @@ impl CacheConnection {
         self.sub.issue(CfCommand::CASTOUT_READ, || self.structure.read_for_castout(&self.token, name))
     }
 
-    /// Mark a castout complete (block hardened to DASD at `version`).
+    /// Mark a castout complete (block hardened to DASD at `version`); the
+    /// mirror completes the secondary's own current version.
     pub fn castout_complete(&self, name: BlockName, version: u64) -> CfResult<()> {
         self.sub.issue(CfCommand::CASTOUT_COMPLETE, || {
             self.structure.complete_castout(&self.token, name, version)
-        })
+        })?;
+        self.mirror(|sec| match sec.castout_read(name).and_then(|(_, v)| sec.castout_complete(name, v)) {
+            Err(CfError::NoSuchEntry | CfError::VersionMismatch { .. }) => Ok(()),
+            r => r,
+        });
+        Ok(())
     }
 
     /// Disconnect this connection.
@@ -1116,7 +1232,9 @@ impl CacheConnection {
         self.sub.issue(CfCommand::CACHE_DIRECTORY, || {
             let _ = self.structure.disconnect(&self.token);
             Ok(())
-        })
+        })?;
+        self.mirror(|sec| sec.detach());
+        Ok(())
     }
 }
 
@@ -1137,12 +1255,6 @@ impl ListConnection {
         let sub = sub.for_structure_named(structure.name());
         let token = sub.issue(CfCommand::LIST_DIRECTORY, || structure.connect(vector_len))?;
         Ok(ListConnection { structure: Arc::clone(structure), token, sub })
-    }
-
-    /// Connect to a replacement structure keeping this connection's
-    /// subchannel (structure rebuild).
-    pub fn reattach(&self, structure: &Arc<ListStructure>, vector_len: usize) -> CfResult<Self> {
-        ListConnection::attach(structure, self.sub.clone(), vector_len)
     }
 
     /// This connection's slot in the structure.
@@ -1557,12 +1669,12 @@ mod tests {
     }
 
     #[test]
-    fn reattach_preserves_slot_for_rebuild() {
+    fn attach_slot_keeps_the_slot_for_a_rebuild() {
         let cf = cf();
         let old = cf.allocate_lock_structure("L", LockParams::with_entries(16)).unwrap();
         let conn = cf.connect_lock("L").unwrap();
         let new = cf.allocate_lock_structure("L_G2", LockParams::with_entries(16)).unwrap();
-        let rebuilt = conn.reattach(&new).unwrap();
+        let rebuilt = LockConnection::attach_slot(&new, conn.subchannel().clone(), conn.conn_id()).unwrap();
         assert_eq!(rebuilt.conn_id(), conn.conn_id());
         assert!(Arc::ptr_eq(rebuilt.structure(), &new));
         assert!(!Arc::ptr_eq(rebuilt.structure(), &old));

@@ -54,6 +54,7 @@
 pub mod bitvec;
 pub mod cache;
 pub mod connection;
+pub mod duplex;
 pub mod error;
 pub mod facility;
 pub mod hashing;

@@ -246,6 +246,8 @@ pub struct LockStructure {
     record_count: AtomicU64,
     /// Published counters.
     pub stats: LockStats,
+    /// The duplex pair every connection joins (`crate::duplex`).
+    pub(crate) duplex: crate::duplex::DuplexSlot<LockStructure>,
     #[cfg(feature = "test-hooks")]
     hooks: LockHooks,
 }
@@ -277,6 +279,7 @@ impl LockStructure {
             record_capacity: params.record_capacity,
             record_count: AtomicU64::new(0),
             stats: LockStats::default(),
+            duplex: Default::default(),
             #[cfg(feature = "test-hooks")]
             hooks: LockHooks::default(),
         })

@@ -368,6 +368,12 @@ trace_events! {
         /// Entry count after the resize.
         to_entries: u64 = B[0..64],
     }
+    /// A structure's duplex pair broke: a mirror command failed and every
+    /// connection went simplex.
+    26 DuplexBreak "DPX-BREAK" {
+        /// Raw id of the connector whose command went unmirrored.
+        conn: u8 = A[0..8],
+    }
 }
 
 /// `ALL` is indexed by id, so the rows' ids must be `0..COUNT` in order.
@@ -783,6 +789,7 @@ mod tests {
             (E::LockLocalRegrant { entry: 42, conn: 31, exclusive: true }, 23, "LCK-REGR", 0x2a, 0x11f),
             (E::LockLazyRelease { entry: 42, conn: 3 }, 24, "LCK-LAZY", 0x2a, 3),
             (E::LockTableResize { from_entries: 64, to_entries: 256 }, 25, "LCK-RESZ", 64, 256),
+            (E::DuplexBreak { conn: 5 }, 26, "DPX-BREAK", 5, 0),
         ]
     }
 

@@ -78,13 +78,6 @@ impl DasdFarm {
     ) -> IoResult<R> {
         self.open(volume)?.update(system, block, f)
     }
-
-    /// Volume names, sorted.
-    pub fn volume_names(&self) -> Vec<String> {
-        let mut v: Vec<_> = self.volumes.read().keys().cloned().collect();
-        v.sort();
-        v
-    }
 }
 
 /// One volume of the farm, looked up once. Holding the handle saves the

@@ -29,11 +29,6 @@ impl IoModel {
         IoModel { service_us: 4_000, simulate: true }
     }
 
-    /// A faster cached-controller model (~1.5 ms).
-    pub fn cached_controller() -> Self {
-        IoModel { service_us: 1_500, simulate: true }
-    }
-
     /// No simulated delay.
     pub fn instant() -> Self {
         IoModel { service_us: 0, simulate: false }

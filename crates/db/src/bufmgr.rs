@@ -23,6 +23,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::sync::Arc;
 use sysplex_core::cache::{BlockName, CacheStructure, WriteKind};
 use sysplex_core::connection::{CacheConnection, CfSubchannel};
+use sysplex_core::duplex::DuplexPair;
 use sysplex_core::hashing::PrehashedMap;
 use sysplex_core::stats::Counter;
 use sysplex_core::trace::TraceEvent;
@@ -94,8 +95,8 @@ impl Frame {
     /// peer's write, a directory reclaim — expires here, so the version it
     /// remembers never outlives the directory entry it was measured
     /// against.
-    fn valid_page(&mut self, cf: &CacheTarget, idx: usize, name: BlockName) -> Option<&Page> {
-        if self.page.is_some() && !cf.conn.is_valid_block(idx as u32, name) {
+    fn valid_page(&mut self, cf: &CacheConnection, idx: usize, name: BlockName) -> Option<&Page> {
+        if self.page.is_some() && !cf.is_valid_block(idx as u32, name) {
             self.expire();
         }
         self.page.as_ref()
@@ -114,22 +115,13 @@ struct PoolInner {
     waiting: usize,
 }
 
-/// The buffer manager's current CF attachment. Swapped under the rebuild
-/// gate when the group buffer is rebuilt into another CF. With duplexing
-/// enabled, `secondary` receives a copy of every changed-data write, so a
-/// CF loss fails over with the changed data intact (no destage needed).
-#[derive(Debug, Clone)]
-struct CacheTarget {
-    conn: CacheConnection,
-    secondary: Option<CacheConnection>,
-}
-
 /// A per-system buffer pool coherent across the data-sharing group.
 pub struct BufferManager {
     system: SystemId,
     /// Current structure + connection; reads hold the read guard, group
-    /// buffer rebuild holds the write guard (quiescing CF traffic).
-    cf: RwLock<CacheTarget>,
+    /// buffer rebuild, duplex enable and failover hold the write guard
+    /// (quiescing CF traffic).
+    cf: RwLock<CacheConnection>,
     store: Arc<PageStore>,
     frame_count: usize,
     // One latch for the pool: the protected work is pointer-sized (a hit
@@ -157,7 +149,7 @@ impl BufferManager {
         let conn = CacheConnection::attach(cache, sub, frames)?;
         Ok(BufferManager {
             system,
-            cf: RwLock::new(CacheTarget { conn, secondary: None }),
+            cf: RwLock::new(conn),
             store,
             frame_count: frames,
             inner: Mutex::new(PoolInner {
@@ -173,7 +165,12 @@ impl BufferManager {
 
     /// The cache-structure connector slot (recovery bookkeeping).
     pub fn conn_id(&self) -> sysplex_core::ConnId {
-        self.cf.read().conn.conn_id()
+        self.cf.read().conn_id()
+    }
+
+    /// The cache structure currently attached.
+    pub fn structure(&self) -> Arc<CacheStructure> {
+        Arc::clone(self.cf.read().structure())
     }
 
     /// Read a page, coherently. The page handed out is a snapshot: it
@@ -191,7 +188,7 @@ impl BufferManager {
                 if let Some(&idx) = inner.map.get(&name) {
                     if let Some(p) = inner.frames[idx].valid_page(&cf, idx, name) {
                         self.stats.local_hits.incr();
-                        cf.conn.subchannel().emit(TraceEvent::BufRead { page, local_hit: true });
+                        cf.subchannel().emit(TraceEvent::BufRead { page, local_hit: true });
                         return Ok(p.clone());
                     }
                 }
@@ -213,7 +210,7 @@ impl BufferManager {
     fn frame_for(
         &self,
         inner: &mut MutexGuard<'_, PoolInner>,
-        cf: &CacheTarget,
+        cf: &CacheConnection,
         name: BlockName,
     ) -> (usize, u64, Option<BlockName>) {
         let idx = loop {
@@ -244,9 +241,9 @@ impl BufferManager {
             // set bit over not-yet-filled bytes is exactly the read-skew
             // window (a reader would serve the old tenant's bytes as the
             // new page).
-            cf.conn.invalidate_local(idx as u32);
+            cf.invalidate_local(idx as u32);
             if let Some(page) = self.store.page_of_block(&old) {
-                cf.conn.subchannel().emit(TraceEvent::BufSteal { frame: idx as u64, page });
+                cf.subchannel().emit(TraceEvent::BufSteal { frame: idx as u64, page });
             }
         }
         inner.map.insert(name, idx);
@@ -266,9 +263,9 @@ impl BufferManager {
     /// Register interest and refill the frame. Returns `None` when a
     /// concurrent peer write invalidated the frame again before we
     /// finished (caller retries).
-    fn refresh(&self, cf: &CacheTarget, page: u64, name: BlockName) -> DbResult<Option<Page>> {
+    fn refresh(&self, cf: &CacheConnection, page: u64, name: BlockName) -> DbResult<Option<Page>> {
         let (idx, generation, evicted) = self.frame_for(&mut self.inner.lock(), cf, name);
-        let reg = cf.conn.register_read_replacing(name, idx as u32, evicted);
+        let reg = cf.register_read_replacing(name, idx as u32, evicted);
         if evicted.is_some() {
             self.steal_landed(idx);
         }
@@ -278,17 +275,17 @@ impl BufferManager {
             // entry share the bytes, which neither ever changes in place.
             Some(image) => {
                 self.stats.cf_refreshes.incr();
-                cf.conn.subchannel().emit(TraceEvent::BufRefresh { page, from_cf: true });
+                cf.subchannel().emit(TraceEvent::BufRefresh { page, from_cf: true });
                 Page::from_image(image, page)?
             }
             None => {
                 self.stats.dasd_reads.incr();
                 let p = self.store.read_page(self.system.0, page)?;
-                cf.conn.subchannel().emit(TraceEvent::BufRefresh { page, from_cf: false });
+                cf.subchannel().emit(TraceEvent::BufRefresh { page, from_cf: false });
                 // If a peer wrote while we were at the disk, our bit is
                 // already clear and this (possibly stale) image must not be
                 // served.
-                if !cf.conn.is_valid(idx as u32) {
+                if !cf.is_valid(idx as u32) {
                     self.stats.coherency_misses.incr();
                     return Ok(None);
                 }
@@ -296,7 +293,7 @@ impl BufferManager {
             }
         };
         let current = self.install(idx, generation, name, reg.version, fresh);
-        if current.is_none() || !cf.conn.is_valid(idx as u32) {
+        if current.is_none() || !cf.is_valid(idx as u32) {
             self.stats.coherency_misses.incr();
             return Ok(None);
         }
@@ -364,7 +361,7 @@ impl BufferManager {
             if !registered {
                 // Register so the CF tracks us as a current holder (a stolen
                 // frame is never ready, so its evicted tenant goes here).
-                let reg = cf.conn.register_read_replacing(name, idx as u32, evicted);
+                let reg = cf.register_read_replacing(name, idx as u32, evicted);
                 if evicted.is_some() {
                     self.steal_landed(idx);
                 }
@@ -375,7 +372,7 @@ impl BufferManager {
         }
         // CF write first: the directory version each block gets orders its
         // image against concurrent refreshes of the same frame.
-        let set = cf.conn.write_invalidate_set(&blocks, WriteKind::ChangedData)?;
+        let set = cf.write_invalidate_set(&blocks, WriteKind::ChangedData)?;
         {
             let mut inner = self.inner.lock();
             for ((w, &(idx, generation)), ((name, _), (_, p))) in
@@ -390,15 +387,6 @@ impl BufferManager {
             }
         }
         self.stats.writes.add(set.written.len() as u64);
-        let written = &blocks[..set.written.len()];
-        if let (Some(sec), false) = (&cf.secondary, written.is_empty()) {
-            // Duplexed write of what the primary took: the secondary holds
-            // no registrations (it is a data vault, not a coherency point),
-            // so this is a pure changed-data store.
-            if let Some(e) = sec.write_invalidate_set(written, WriteKind::ChangedData)?.error {
-                return Err(e.into());
-            }
-        }
         match set.error {
             Some(e) => Err(e.into()),
             None => Ok(()),
@@ -413,95 +401,72 @@ impl BufferManager {
         self.castout_inner(&cf, max)
     }
 
-    fn castout_inner(&self, cf: &CacheTarget, max: usize) -> DbResult<usize> {
+    fn castout_inner(&self, cf: &CacheConnection, max: usize) -> DbResult<usize> {
         let mut done = 0;
-        for name in cf.conn.castout_candidates(max)? {
+        for name in cf.castout_candidates(max)? {
             let Some(page) = self.store.page_of_block(&name) else { continue };
-            let (data, version) = match cf.conn.castout_read(name) {
+            let (data, version) = match cf.castout_read(name) {
                 Ok(x) => x,
                 Err(CfError::NoSuchEntry) => continue, // raced with another castout
                 Err(e) => return Err(e.into()),
             };
             self.store.write_image(self.system.0, page, &data)?;
-            match cf.conn.castout_complete(name, version) {
+            match cf.castout_complete(name, version) {
                 Ok(()) | Err(CfError::VersionMismatch { .. }) => {}
                 Err(e) => return Err(e.into()),
             }
-            if let Some(sec) = &cf.secondary {
-                // Clear the duplexed copy's changed state too.
-                if let Ok((_, v)) = sec.castout_read(name) {
-                    let _ = sec.castout_complete(name, v);
-                }
-            }
             done += 1;
             self.stats.castouts.incr();
-            cf.conn.subchannel().emit(TraceEvent::BufCastout { page });
+            cf.subchannel().emit(TraceEvent::BufCastout { page });
         }
         Ok(done)
     }
 
-    /// Whether group-buffer duplexing is active.
+    /// Whether this member's connection mirrors into an intact duplex
+    /// pair.
     pub fn is_duplexed(&self) -> bool {
-        self.cf.read().secondary.is_some()
+        self.cf.read().is_duplexed()
     }
 
-    /// Enable group-buffer duplexing: attach every member to `secondary`
-    /// and copy the primary's current changed data into it, after which
-    /// every changed-data write is mirrored.
+    /// Enable group-buffer duplexing: quiesce, then join every member's
+    /// connection to one pair onto `secondary`; the first copies the
+    /// primary's changed data across. Every changed-data write is mirrored
+    /// from then on, a member's that attaches later included.
     pub fn enable_duplexing(
         managers: &[&BufferManager],
         secondary: Arc<CacheStructure>,
         sub: &CfSubchannel,
     ) -> DbResult<()> {
         let mut guards: Vec<_> = managers.iter().map(|m| m.cf.write()).collect();
-        // Attach all members first.
-        let sec_conns: Vec<CacheConnection> = managers
-            .iter()
-            // Bind each mirror connection to its member's system so the
-            // secondary's trace traffic is attributed to the writer, not
-            // to the facility ring.
-            .map(|m| CacheConnection::attach(&secondary, sub.sibling().with_system(m.system), m.frame_count))
-            .collect::<Result<_, _>>()?;
-        // One member copies the existing changed data across (a bulk
-        // rebuild copy: asynchronous on both subchannels).
-        if let (Some(guard), Some(sec_conn)) = (guards.first(), sec_conns.first()) {
-            for name in guard.conn.castout_candidates(usize::MAX >> 1)? {
-                if let Ok((data, _)) = guard.conn.castout_read(name) {
-                    sec_conn.write_invalidate(name, &data, WriteKind::ChangedData)?;
-                }
-            }
-        }
-        for (guard, sec_conn) in guards.iter_mut().zip(sec_conns) {
-            guard.secondary = Some(sec_conn);
+        let pair = DuplexPair::new(secondary, sub);
+        for guard in guards.iter_mut() {
+            guard.duplex_into(&pair)?;
         }
         Ok(())
     }
 
-    /// The primary CF is gone: promote the secondary on every member.
-    /// Changed data is already there; local pools are invalidated (their
-    /// registrations died with the primary directory).
+    /// The primary CF is gone: promote every member's secondary connection,
+    /// or none when one is simplex. Changed data is already there; local
+    /// pools are invalidated (their registrations died with the primary
+    /// directory).
     pub fn failover_all(managers: &[&BufferManager]) -> DbResult<()> {
         let mut guards: Vec<_> = managers.iter().map(|m| m.cf.write()).collect();
-        for (manager, guard) in managers.iter().zip(guards.iter_mut()) {
-            let Some(old_sec) = guard.secondary.take() else {
-                return Err(DbError::Cf(CfError::WrongModel));
-            };
-            // Reconnect for a fresh registration vector on the promoted
-            // structure (the duplex-time connection carried no
-            // registrations).
-            let promoted = Arc::clone(old_sec.structure());
-            let _ = old_sec.detach();
-            let conn = old_sec.reattach(&promoted, manager.frame_count)?;
-            {
-                let mut inner = manager.inner.lock();
-                inner.map.clear();
-                for f in inner.frames.iter_mut() {
-                    f.reset();
-                }
-            }
-            guard.conn = conn;
+        let promoted: Option<Vec<_>> = guards.iter().map(|g| g.promote()).collect();
+        let promoted = promoted.ok_or(DbError::Cf(CfError::WrongModel))?;
+        for ((manager, guard), conn) in managers.iter().zip(guards.iter_mut()).zip(promoted) {
+            manager.clear_pool();
+            **guard = conn;
         }
         Ok(())
+    }
+
+    /// Forget every frame: the pool's registrations are gone.
+    fn clear_pool(&self) {
+        let mut inner = self.inner.lock();
+        inner.map.clear();
+        for f in inner.frames.iter_mut() {
+            f.reset();
+        }
     }
 
     /// Rebuild the group buffer of a whole data-sharing group into a fresh
@@ -519,28 +484,18 @@ impl BufferManager {
         let mut guards: Vec<_> = managers.iter().map(|m| m.cf.write()).collect();
         // Drain changed data through the first member's old attachment.
         if let (Some(first), Some(guard)) = (managers.first(), guards.first()) {
-            while guard.conn.structure().changed_count() > 0 {
+            while guard.structure().changed_count() > 0 {
                 if first.castout_inner(guard, 1024)? == 0 {
                     break;
                 }
             }
         }
         for (manager, guard) in managers.iter().zip(guards.iter_mut()) {
-            let _ = guard.conn.detach();
-            let conn = CacheConnection::attach(
-                &new,
-                sub.sibling().with_system(manager.system),
-                manager.frame_count,
-            )?;
-            {
-                let mut inner = manager.inner.lock();
-                inner.map.clear();
-                for f in inner.frames.iter_mut() {
-                    f.reset();
-                }
-            }
-            guard.conn = conn;
-            guard.secondary = None;
+            let _ = guard.detach();
+            let sub = sub.sibling().with_system(manager.system);
+            let conn = CacheConnection::attach(&new, sub, manager.frame_count)?;
+            manager.clear_pool();
+            **guard = conn;
         }
         Ok(())
     }
@@ -548,7 +503,7 @@ impl BufferManager {
     /// Orderly detach.
     pub fn detach(&self) {
         let cf = self.cf.read();
-        let _ = cf.conn.detach();
+        let _ = cf.detach();
     }
 }
 
@@ -763,7 +718,7 @@ mod tests {
         let name = r.store.block_name(1);
         let cf = a.cf.read();
         let (idx, generation, _) = a.frame_for(&mut a.inner.lock(), &cf, name);
-        let stale = cf.conn.register_read(name, idx as u32).unwrap();
+        let stale = cf.register_read(name, idx as u32).unwrap();
         reclaim_page(&r, &b, 1, &mut (10..100));
         b.put_page(1, &one_record(1, b"peer")).unwrap();
         // The second refresh runs to completion.
@@ -901,11 +856,11 @@ mod tests {
         assert!(a.get_page(2).is_err());
         assert_eq!(r.cache.interest_of(r.store.block_name(1)), Some(vec![a.conn_id()]));
         assert_eq!(r.cache.interest_of(r.store.block_name(2)), Some(vec![]));
-        assert!(!a.cf.read().conn.is_valid(0), "a bit set with no registration behind it");
+        assert!(!a.cf.read().is_valid(0), "a bit set with no registration behind it");
         assert_eq!(a.get_page(2).unwrap().get(2).unwrap(), b"two");
         // The stale registration costs the new tenant one refresh.
         b.put_page(1, &one_record(1, b"peer")).unwrap();
-        assert!(!a.cf.read().conn.is_valid(0));
+        assert!(!a.cf.read().is_valid(0));
         assert_eq!(a.get_page(2).unwrap().get(2).unwrap(), b"two");
         assert_eq!(r.cache.interest_of(r.store.block_name(1)), Some(vec![b.conn_id()]));
     }

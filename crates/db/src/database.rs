@@ -87,11 +87,6 @@ impl Txn {
     pub fn id(&self) -> u64 {
         self.id
     }
-
-    /// Number of staged record changes.
-    pub fn write_count(&self) -> usize {
-        self.writes.len()
-    }
 }
 
 /// A per-system database manager over the shared data.

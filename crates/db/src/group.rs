@@ -7,7 +7,7 @@
 
 use crate::bufmgr::BufferManager;
 use crate::database::{Database, DbConfig};
-use crate::error::DbResult;
+use crate::error::{DbError, DbResult};
 use crate::irlm::Irlm;
 use crate::log::LogManager;
 use crate::pagestore::PageStore;
@@ -19,7 +19,7 @@ use sysplex_core::cache::{CacheParams, CacheStructure};
 use sysplex_core::connection::{CfSubchannel, LockConnection};
 use sysplex_core::facility::CouplingFacility;
 use sysplex_core::lock::{LockParams, LockStructure};
-use sysplex_core::SystemId;
+use sysplex_core::{CfError, SystemId};
 use sysplex_dasd::farm::DasdFarm;
 use sysplex_services::timer::SysplexTimer;
 use sysplex_services::xcf::Xcf;
@@ -89,8 +89,6 @@ pub struct DataSharingGroup {
     /// structures; every member connection issues through a sibling of it
     /// (same facility, own accounting cell).
     subchannel: parking_lot::RwLock<CfSubchannel>,
-    /// Subchannel for the duplexed secondary CF, promoted on failover.
-    secondary_sub: Mutex<Option<CfSubchannel>>,
     /// The shared page store.
     pub store: Arc<PageStore>,
     /// Rebuild generation counter (names the replacement structures).
@@ -99,11 +97,7 @@ pub struct DataSharingGroup {
     /// grows with [`DataSharingGroup::resize_lock_table`]; rebuilds and
     /// duplex secondaries allocate at this size, not the original one.
     lock_entries: std::sync::atomic::AtomicUsize,
-    /// Duplexed secondaries, when duplexing is enabled.
-    secondary_lock: Mutex<Option<Arc<LockStructure>>>,
-    secondary_cache: Mutex<Option<Arc<CacheStructure>>>,
     members: Mutex<HashMap<SystemId, Arc<Database>>>,
-    conns: Mutex<HashMap<SystemId, FailedMember>>,
 }
 
 impl DataSharingGroup {
@@ -134,14 +128,10 @@ impl DataSharingGroup {
             lock_structure: parking_lot::RwLock::new(lock_structure),
             cache_structure: parking_lot::RwLock::new(cache_structure),
             subchannel: parking_lot::RwLock::new(cf.subchannel()),
-            secondary_sub: Mutex::new(None),
             store,
             generation: std::sync::atomic::AtomicU32::new(0),
             lock_entries: std::sync::atomic::AtomicUsize::new(lock_entries),
-            secondary_lock: Mutex::new(None),
-            secondary_cache: Mutex::new(None),
             members: Mutex::new(HashMap::new()),
-            conns: Mutex::new(HashMap::new()),
         }))
     }
 
@@ -155,12 +145,6 @@ impl DataSharingGroup {
         Arc::clone(&self.cache_structure.read())
     }
 
-    /// A fresh command subchannel to the CF currently hosting the group's
-    /// structures.
-    pub fn subchannel(&self) -> CfSubchannel {
-        self.subchannel.read().sibling()
-    }
-
     fn log_volume(system: SystemId) -> String {
         format!("DSGLOG{:02}", system.0)
     }
@@ -169,22 +153,17 @@ impl DataSharingGroup {
     pub fn add_member(&self, system: SystemId) -> DbResult<Arc<Database>> {
         // Tag the member's subchannels so traced events carry the issuing
         // system's identity (the trace ring they land in).
-        let lock_conn = LockConnection::attach(&self.lock_structure(), self.subchannel().with_system(system))
-            .map_err(crate::error::DbError::Cf)?;
+        let sub = || self.subchannel.read().sibling().with_system(system);
+        let lock_conn = LockConnection::attach(&self.lock_structure(), sub())?;
         let irlm = Irlm::start(system, lock_conn, &self.xcf)?;
-        let buf = BufferManager::new(
-            system,
-            &self.cache_structure(),
-            self.subchannel().with_system(system),
-            Arc::clone(&self.store),
-            self.config.db.buffer_frames,
-        )?;
+        let frames = self.config.db.buffer_frames;
+        let buf =
+            BufferManager::new(system, &self.cache_structure(), sub(), Arc::clone(&self.store), frames)?;
         let volume = Self::log_volume(system);
         if self.farm.volume(&volume).is_err() {
             self.farm.add_volume(&volume, self.config.log_blocks, 2)?;
         }
         let log = LogManager::new(system.0, &self.farm, &volume)?;
-        let member = FailedMember { lock_conn: irlm.conn(), cache_conn: buf.conn_id(), log_volume: volume };
         let db = Arc::new(Database::new(
             system,
             irlm,
@@ -195,7 +174,6 @@ impl DataSharingGroup {
             self.config.db,
         ));
         self.members.lock().insert(system, Arc::clone(&db));
-        self.conns.lock().insert(system, member);
         Ok(db)
     }
 
@@ -216,7 +194,6 @@ impl DataSharingGroup {
         if let Some(db) = self.members.lock().remove(&system) {
             db.shutdown();
         }
-        self.conns.lock().remove(&system);
     }
 
     /// Crash a member: its IRLM service stops dead; **no CF cleanup
@@ -225,7 +202,11 @@ impl DataSharingGroup {
     pub fn crash_member(&self, system: SystemId) -> Option<FailedMember> {
         let db = self.members.lock().remove(&system)?;
         db.irlm().crash();
-        self.conns.lock().remove(&system)
+        Some(FailedMember {
+            lock_conn: db.irlm().conn(),
+            cache_conn: db.buffers().conn_id(),
+            log_volume: Self::log_volume(system),
+        })
     }
 
     /// Run peer recovery for a crashed member on `survivor`.
@@ -236,8 +217,9 @@ impl DataSharingGroup {
 
     /// Enable system-managed structure duplexing onto a second CF: every
     /// lock grant/release/record and every changed-data write is mirrored
-    /// from now on. The strongest form of "Multiple CF's can be connected
-    /// for availability" — a CF loss then needs no rebuild and no destage,
+    /// from now on, by every member's connections, a later member's too.
+    /// The strongest form of "Multiple CF's can be connected for
+    /// availability" — a CF loss then needs no rebuild and no destage,
     /// just [`DataSharingGroup::cf_failover`].
     pub fn enable_duplexing(&self, cf: &CouplingFacility) -> DbResult<()> {
         let generation = self.generation.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
@@ -250,48 +232,33 @@ impl DataSharingGroup {
             &format!("DSG_GBP0_DX{generation}"),
             CacheParams::store_in(self.config.cache_entries),
         )?;
-        let sec_sub = cf.subchannel();
         let irlms: Vec<_> = members.iter().map(|d| Arc::clone(d.irlm())).collect();
-        Irlm::enable_duplexing(&irlms, Arc::clone(&sec_lock), &sec_sub)?;
-        let bufs: Vec<&crate::bufmgr::BufferManager> = members.iter().map(|d| d.buffers()).collect();
-        crate::bufmgr::BufferManager::enable_duplexing(&bufs, Arc::clone(&sec_cache), &sec_sub)?;
-        *self.secondary_lock.lock() = Some(sec_lock);
-        *self.secondary_cache.lock() = Some(sec_cache);
-        *self.secondary_sub.lock() = Some(sec_sub);
-        Ok(())
+        Irlm::enable_duplexing(&irlms, sec_lock, &cf.subchannel())?;
+        let bufs: Vec<&BufferManager> = members.iter().map(|d| d.buffers()).collect();
+        BufferManager::enable_duplexing(&bufs, sec_cache, &cf.subchannel())
     }
 
     /// The primary CF failed (or is being retired): promote the duplexed
-    /// secondaries on every member. Held locks stay held; changed data
-    /// stays in the (new) group buffer; no recovery runs.
+    /// secondaries on every member, or — when either structure's pair is
+    /// broken — change nothing and fail. Held locks stay held; changed
+    /// data stays in the (new) group buffer; no recovery runs.
     pub fn cf_failover(&self) -> DbResult<()> {
         let members = self.members();
+        let Some(first) = members.first() else { return Err(DbError::Cf(CfError::WrongModel)) };
         let irlms: Vec<_> = members.iter().map(|d| Arc::clone(d.irlm())).collect();
-        Irlm::failover_all(&irlms)?;
-        let bufs: Vec<&crate::bufmgr::BufferManager> = members.iter().map(|d| d.buffers()).collect();
-        crate::bufmgr::BufferManager::failover_all(&bufs)?;
-        if let Some(l) = self.secondary_lock.lock().take() {
-            *self.lock_structure.write() = l;
-        }
-        if let Some(c) = self.secondary_cache.lock().take() {
-            *self.cache_structure.write() = c;
-        }
-        if let Some(sub) = self.secondary_sub.lock().take() {
-            *self.subchannel.write() = sub;
-        }
-        let mut conns = self.conns.lock();
-        for d in &members {
-            if let Some(fm) = conns.get_mut(&d.system()) {
-                fm.lock_conn = d.irlm().conn();
-                fm.cache_conn = d.buffers().conn_id();
-            }
-        }
+        let bufs: Vec<&BufferManager> = members.iter().map(|d| d.buffers()).collect();
+        Irlm::failover_all(&irlms, || BufferManager::failover_all(&bufs))?;
+        *self.lock_structure.write() = first.irlm().structure();
+        *self.cache_structure.write() = first.buffers().structure();
+        *self.subchannel.write() = first.irlm().subchannel();
         Ok(())
     }
 
-    /// Whether structure duplexing is currently active.
+    /// Whether structure duplexing is active: every member's connections
+    /// to both structures mirror into intact pairs.
     pub fn is_duplexed(&self) -> bool {
-        self.secondary_lock.lock().is_some()
+        let members = self.members();
+        !members.is_empty() && members.iter().all(|d| d.irlm().is_duplexed() && d.buffers().is_duplexed())
     }
 
     /// Rebuild both CF structures into `cf` (planned CF maintenance or CF
@@ -303,10 +270,11 @@ impl DataSharingGroup {
     /// Transactions in flight simply stall for the (sub-millisecond here)
     /// rebuild window. Any failed-persistent member must be peer-recovered
     /// *before* rebuilding — its retained state lives only in the old
-    /// structure.
+    /// structure. The group is simplex afterwards.
     pub fn rebuild_into(&self, cf: &CouplingFacility) -> DbResult<()> {
         let generation = self.generation.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
         let members = self.members();
+        self.cache_structure().end_duplexing();
         let new_lock = cf.allocate_lock_structure(
             &format!("DSG_LOCK1_G{generation}"),
             LockParams::with_entries(self.lock_entries.load(std::sync::atomic::Ordering::Relaxed)),
@@ -318,18 +286,11 @@ impl DataSharingGroup {
         let new_sub = cf.subchannel();
         let irlms: Vec<_> = members.iter().map(|d| Arc::clone(d.irlm())).collect();
         Irlm::rebuild_all(&irlms, Arc::clone(&new_lock), &new_sub)?;
-        let bufs: Vec<&crate::bufmgr::BufferManager> = members.iter().map(|d| d.buffers()).collect();
-        crate::bufmgr::BufferManager::rebuild_all(&bufs, Arc::clone(&new_cache), &new_sub)?;
+        let bufs: Vec<&BufferManager> = members.iter().map(|d| d.buffers()).collect();
+        BufferManager::rebuild_all(&bufs, Arc::clone(&new_cache), &new_sub)?;
         *self.lock_structure.write() = new_lock;
         *self.cache_structure.write() = new_cache;
         *self.subchannel.write() = new_sub;
-        let mut conns = self.conns.lock();
-        for d in &members {
-            if let Some(fm) = conns.get_mut(&d.system()) {
-                fm.lock_conn = d.irlm().conn();
-                fm.cache_conn = d.buffers().conn_id();
-            }
-        }
         Ok(())
     }
 
@@ -344,11 +305,12 @@ impl DataSharingGroup {
     /// resize does not migrate CFs — reusing the §3.3 rebuild machinery,
     /// so every live lock and persistent record is rehashed against the
     /// new geometry and nothing is lost or duplicated. Parked (lazily
-    /// released) interest is not re-created. Lock-structure duplexing is
-    /// dropped by the rebuild; re-enable it afterwards if desired.
+    /// released) interest is not re-created. Duplexing of both structures
+    /// ends with the resize; re-enable it afterwards if desired.
     pub fn resize_lock_table(&self, cf: &CouplingFacility, new_entries: usize) -> DbResult<()> {
         let generation = self.generation.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
         let members = self.members();
+        self.cache_structure().end_duplexing();
         let new_lock = cf.allocate_lock_structure(
             &format!("DSG_LOCK1_G{generation}"),
             LockParams::with_entries(new_entries),
@@ -358,13 +320,6 @@ impl DataSharingGroup {
         Irlm::resize_all(&irlms, Arc::clone(&new_lock), &new_sub)?;
         *self.lock_structure.write() = new_lock;
         self.lock_entries.store(new_entries, std::sync::atomic::Ordering::Relaxed);
-        *self.secondary_lock.lock() = None;
-        let mut conns = self.conns.lock();
-        for d in &members {
-            if let Some(fm) = conns.get_mut(&d.system()) {
-                fm.lock_conn = d.irlm().conn();
-            }
-        }
         Ok(())
     }
 }

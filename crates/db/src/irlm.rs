@@ -42,12 +42,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 use sysplex_core::connection::{CfSubchannel, LockConnection};
+use sysplex_core::duplex::DuplexPair;
 use sysplex_core::hashing::{PrehashedMap, ResourceName};
 use sysplex_core::lock::{DisconnectMode, LockMode, LockResponse, LockStructure, RetainedLock};
 use sysplex_core::stats::Counter;
 use sysplex_core::types::{conns_in_mask, ConnId};
 use sysplex_core::wire::{from_bytes, to_bytes};
-use sysplex_core::{wire_enum, SystemId};
+use sysplex_core::{wire_enum, CfError, SystemId};
 use sysplex_services::timer::SysplexTimer;
 use sysplex_services::xcf::{Xcf, XcfError, XcfItem, XcfMember};
 
@@ -453,81 +454,6 @@ wire_enum! {
     }
 }
 
-/// The IRLM's current CF attachment. Swapped atomically (under the
-/// rebuild gate) when the lock structure is rebuilt into another CF.
-/// With duplexing enabled, `secondary` mirrors every grant, release and
-/// record so a CF loss fails over with no recovery at all.
-#[derive(Debug, Clone)]
-struct CfTarget {
-    conn: LockConnection,
-    secondary: Option<LockConnection>,
-}
-
-impl CfTarget {
-    // Duplexing requires identical geometry (enforced at enable time), so
-    // the primary's entry index is valid verbatim on the secondary and
-    // release decisions stay aligned across both structures.
-
-    /// Mirror recorded interest onto the secondary. Forced interest
-    /// over-approximates (safe: at worst extra negotiation after a
-    /// failover, never a missed conflict).
-    fn mirror_grant(&self, entry: usize, mode: LockMode) {
-        if let Some(sec) = &self.secondary {
-            let _ = sec.force_interest(entry, mode);
-        }
-    }
-
-    /// Ask the CF for `mode` interest in `entry`. A persistent request
-    /// carries `txn`'s record for `resource` in the same command, written
-    /// only if it is granted. A grant is mirrored, record and all.
-    fn request(&self, entry: usize, mode: LockMode, record: Option<(&[u8], u64)>) -> DbResult<LockResponse> {
-        let response = match record {
-            None => self.conn.request_lock(entry, mode)?,
-            Some((resource, txn)) => {
-                self.conn.request_lock_recorded(entry, mode, resource, &txn.to_be_bytes())?
-            }
-        };
-        if response.is_granted() {
-            self.mirror_grant(entry, mode);
-            if let (Some(sec), Some((resource, txn))) = (&self.secondary, record) {
-                let _ = sec.write_lock_record_set(&[(ResourceName::new(resource), mode, txn.to_be_bytes())]);
-            }
-        }
-        Ok(response)
-    }
-
-    /// Write `(resource, mode, txn)` records in one command, primary then
-    /// mirror.
-    fn write_record_set(&self, records: &[(ResourceName, LockMode, [u8; 8])]) -> DbResult<()> {
-        self.conn.write_lock_record_set(records)?;
-        if let Some(sec) = &self.secondary {
-            let _ = sec.write_lock_record_set(records);
-        }
-        Ok(())
-    }
-
-    /// Give up this system's records for `records` and its interest in
-    /// `entries` — one command, primary then mirror. Records are keyed per
-    /// connector, so another system's record for the same resource stays.
-    fn release_set(&self, entries: &[usize], records: &[ResourceName]) -> DbResult<()> {
-        let released = self.conn.release_set(entries, records);
-        if let Some(sec) = &self.secondary {
-            let _ = sec.release_set(entries, records);
-        }
-        Ok(released?)
-    }
-
-    /// A recall's surrender of parked interest in `entry`, primary then
-    /// mirror: issued at once, not batched, because the peer that asked
-    /// is waiting for the answer it precedes.
-    fn surrender(&self, entry: usize) {
-        let _ = self.conn.release_lock(entry);
-        if let Some(sec) = &self.secondary {
-            let _ = sec.release_lock(entry);
-        }
-    }
-}
-
 /// The drop guard of one request's [`Wanted`] row: the request's grant
 /// windows are opened and closed through it, and however the request ends
 /// its registration ends with it.
@@ -582,9 +508,10 @@ impl Drop for Phase2<'_> {
 pub struct Irlm {
     system: SystemId,
     /// Current structure + connector. Every CF-touching operation holds a
-    /// read guard; structure rebuild holds the write guard, which both
-    /// quiesces in-flight CF operations and publishes the new target.
-    cf: RwLock<CfTarget>,
+    /// read guard; structure rebuild, duplex enable and failover hold the
+    /// write guard, which both quiesces in-flight CF operations and
+    /// publishes the new connection.
+    cf: RwLock<LockConnection>,
     member: Arc<XcfMember>,
     /// The one latch over the member's lock tables. It stays single: every
     /// critical section under it is a few table probes (or a CF command
@@ -633,7 +560,7 @@ impl Irlm {
         );
         let irlm = Arc::new(Irlm {
             system,
-            cf: RwLock::new(CfTarget { conn, secondary: None }),
+            cf: RwLock::new(conn),
             member,
             local: Mutex::new(LocalState::default()),
             stop: AtomicBool::new(false),
@@ -651,12 +578,17 @@ impl Irlm {
 
     /// This IRLM's lock-structure connector.
     pub fn conn(&self) -> ConnId {
-        self.cf.read().conn.conn_id()
+        self.cf.read().conn_id()
     }
 
     /// The lock structure currently attached.
     pub fn structure(&self) -> Arc<LockStructure> {
-        Arc::clone(self.cf.read().conn.structure())
+        Arc::clone(self.cf.read().structure())
+    }
+
+    /// The subchannel this IRLM's connection issues through.
+    pub fn subchannel(&self) -> CfSubchannel {
+        self.cf.read().subchannel().clone()
     }
 
     /// This member's XCF message exit. It runs on the *signalling* thread —
@@ -701,7 +633,7 @@ impl Irlm {
         // retries against our settled state (see [`Wanted::critical`]).
         let in_window = match &cf {
             Some(cf) => {
-                let entry = cf.conn.entry_of(&name);
+                let entry = cf.entry_of(&name);
                 let registered = state.in_flight(entry);
                 let e = state.entries.entry(entry).or_default();
                 if e.cached || e.parked {
@@ -715,7 +647,7 @@ impl Irlm {
                     // one, never both.
                     e.parked = false;
                     state.parked_live -= 1;
-                    cf.surrender(entry);
+                    let _ = cf.release_lock(entry);
                 }
                 state.wanted.iter().any(|w| w.entry == entry && w.critical)
             }
@@ -744,18 +676,18 @@ impl Irlm {
     /// recovery coordinator may pass through its retained locks.
     fn negotiate(
         &self,
-        cf: &CfTarget,
+        cf: &LockConnection,
         holders: u32,
         resource: &[u8],
         mode: LockMode,
         ignore: Option<ConnId>,
     ) -> DbResult<bool> {
         let query = IrlmSignal::Query { mode, resource: resource.to_vec() }.encode();
-        for holder in conns_in_mask(holders & !cf.conn.conn_id().mask()) {
+        for holder in conns_in_mask(holders & !cf.conn_id().mask()) {
             if Some(holder) == ignore {
                 continue;
             }
-            if cf.conn.is_failed_persistent(holder)? {
+            if cf.is_failed_persistent(holder)? {
                 // Retained interest of a dead system conflicts until peer
                 // recovery completes.
                 return Ok(false);
@@ -823,7 +755,7 @@ impl Irlm {
         // Hold the rebuild gate across the whole request: entry indexes
         // are only meaningful against one structure generation.
         let cf = self.cf.read();
-        let entry = cf.conn.entry_of(&name);
+        let entry = cf.entry_of(&name);
 
         // Phase 1: local table under the latch. A grant is local (no CF
         // command) only when this system *already holds the same resource*
@@ -855,9 +787,9 @@ impl Irlm {
             // above; a resource absent from the local table has no holders.
             if !granted && state.entries.get(&entry).is_some_and(|e| e.cached) {
                 self.stats.regrants_local.incr();
-                cf.conn.subchannel().emit(sysplex_core::trace::TraceEvent::LockLocalRegrant {
+                cf.subchannel().emit(sysplex_core::trace::TraceEvent::LockLocalRegrant {
                     entry: entry as u64,
-                    conn: cf.conn.conn_id().raw(),
+                    conn: cf.conn_id().raw(),
                     exclusive: mode == LockMode::Exclusive,
                 });
                 granted = true;
@@ -898,7 +830,14 @@ impl Irlm {
         let synchronous = loop {
             // Inside a grant window here: phase 1 opened the first, a
             // renegotiation re-enters at the bottom.
-            match cf.request(entry, mode, persistent.then_some((resource, txn)))? {
+            // A persistent request carries `txn`'s record, written only if
+            // it is granted.
+            let response = if persistent {
+                cf.request_lock_recorded(entry, mode, resource, &txn.to_be_bytes())?
+            } else {
+                cf.request_lock(entry, mode)?
+            };
+            match response {
                 LockResponse::Granted => {
                     self.stats.grants_cf_sync.incr();
                     break true;
@@ -914,7 +853,7 @@ impl Irlm {
                         return Ok(LockOutcome::Busy);
                     }
                     self.stats.false_contentions.incr();
-                    cf.conn.subchannel().emit(sysplex_core::trace::TraceEvent::LockFalseContend {
+                    cf.subchannel().emit(sysplex_core::trace::TraceEvent::LockFalseContend {
                         entry: entry as u64,
                         holders: holders as u64,
                     });
@@ -922,8 +861,7 @@ impl Irlm {
                     // interest departed while we negotiated (it may have
                     // re-acquired — and locally cached — the entry since),
                     // the write refuses and we renegotiate fresh.
-                    if cf.conn.force_interest_negotiated(entry, mode, holders, generation)? {
-                        cf.mirror_grant(entry, mode);
+                    if cf.force_interest_negotiated(entry, mode, holders, generation)? {
                         break false;
                     }
                     phase2.exit_critical();
@@ -946,7 +884,7 @@ impl Irlm {
     /// conflict-by-window to conflict-by-resource with no observable gap.
     fn finish_cf_grant(
         &self,
-        cf: &CfTarget,
+        cf: &LockConnection,
         phase2: Phase2<'_>,
         name: &ResourceName,
         mode: LockMode,
@@ -1002,10 +940,10 @@ impl Irlm {
     /// Either goes out under the latch, so no later grant or release of
     /// `name` is overtaken by it; an error leaves a record behind, which
     /// over-retains (safe).
-    fn settle_lost_record(&self, state: &mut LocalState, cf: &CfTarget, name: &ResourceName) {
+    fn settle_lost_record(&self, state: &mut LocalState, cf: &LockConnection, name: &ResourceName) {
         match state.resources.get(name).and_then(Holders::recorded) {
             Some(h) => {
-                let _ = cf.write_record_set(&[(name.clone(), h.mode, h.txn.to_be_bytes())]);
+                let _ = cf.write_lock_record_set(&[(name.clone(), h.mode, h.txn.to_be_bytes())]);
             }
             None => {
                 state.unrecord(name.clone());
@@ -1090,14 +1028,14 @@ impl Irlm {
 
     /// Write the records still owed for resources `txn` holds persistently
     /// — owed by grants whose own command wrote none, local re-grants
-    /// above all — as one command, primary then mirror, under the latch, so
-    /// no release of the same names overtakes it. Each says the strongest
-    /// persistent hold of its resource and names `txn`. A commit calls it
-    /// before its first page write: a record must exist before anything it
-    /// protects can reach shared storage, and until then a crash has
-    /// externalised nothing it would have to cover. Nothing owed, no
-    /// command. A failed set may have written some of the records: the
-    /// holds still own them, and their release deletes them.
+    /// above all — as one command, under the latch, so no release of the
+    /// same names overtakes it. Each says the strongest persistent hold of
+    /// its resource and names `txn`. A commit calls it before its first
+    /// page write: a record must exist before anything it protects can
+    /// reach shared storage, and until then a crash has externalised
+    /// nothing it would have to cover. Nothing owed, no command. A failed
+    /// set may have written some of the records: the holds still own them,
+    /// and their release deletes them.
     pub fn write_records(&self, txn: u64) -> DbResult<()> {
         let cf = self.cf.read();
         let mut local = self.local.lock();
@@ -1114,9 +1052,9 @@ impl Irlm {
         if set.is_empty() {
             return Ok(());
         }
-        let result = cf.write_record_set(set);
+        let result = cf.write_lock_record_set(set);
         set.clear();
-        result
+        Ok(result?)
     }
 
     /// Release everything `txn` holds (commit/abort) with at most one CF
@@ -1151,13 +1089,13 @@ impl Irlm {
     /// what follows from it to the release set: the record, when `txn` was
     /// the last persistent holder, and the entry, when `name` was the last
     /// resource in it and the entry does not park.
-    fn release_one(&self, state: &mut LocalState, cf: &CfTarget, txn: u64, name: ResourceName) {
+    fn release_one(&self, state: &mut LocalState, cf: &LockConnection, txn: u64, name: ResourceName) {
         let Entry::Occupied(mut slot) = state.resources.entry(name) else { return };
         let Some(holder) = slot.get_mut().remove(txn) else { return };
         let unrecord = holder.persistent && !slot.get().iter().any(|h| h.persistent);
         let name = if slot.get().is_empty() {
             let (name, _) = slot.remove_entry();
-            self.release_entry_use(state, cf, cf.conn.entry_of(&name));
+            self.release_entry_use(state, cf, cf.entry_of(&name));
             name
         } else if unrecord {
             slot.key().clone()
@@ -1172,7 +1110,7 @@ impl Irlm {
     /// The last local holder of one resource hashing to `entry` is gone:
     /// queue the entry's release when it was the last resource — or park
     /// it.
-    fn release_entry_use(&self, state: &mut LocalState, cf: &CfTarget, entry: usize) {
+    fn release_entry_use(&self, state: &mut LocalState, cf: &LockConnection, entry: usize) {
         let registered = state.in_flight(entry);
         let e = state.entries.get_mut(&entry).expect("a held resource counts in its entry");
         e.count -= 1;
@@ -1188,9 +1126,9 @@ impl Irlm {
         if e.cached || registered {
             state.park(entry);
             self.stats.lazy_releases.incr();
-            cf.conn.subchannel().emit(sysplex_core::trace::TraceEvent::LockLazyRelease {
+            cf.subchannel().emit(sysplex_core::trace::TraceEvent::LockLazyRelease {
                 entry: entry as u64,
-                conn: cf.conn.conn_id().raw(),
+                conn: cf.conn_id().raw(),
             });
         } else {
             state.settle(entry);
@@ -1232,7 +1170,7 @@ impl Irlm {
     /// are parked again — uncached, so they never grant locally, and the
     /// next recall or eviction surrenders them — and its records stay
     /// behind, which over-retains (safe).
-    fn send_release_set(state: &mut LocalState, cf: &CfTarget) -> DbResult<()> {
+    fn send_release_set(state: &mut LocalState, cf: &LockConnection) -> DbResult<()> {
         if state.release_entries.is_empty() && state.release_records.is_empty() {
             return Ok(());
         }
@@ -1244,7 +1182,7 @@ impl Irlm {
         }
         state.release_entries.clear();
         state.release_records.clear();
-        result
+        Ok(result?)
     }
 
     /// Resources `txn` currently holds, with modes (diagnostics).
@@ -1274,74 +1212,56 @@ impl Irlm {
     /// Mark a peer's connector failed-persistent (called by the recovery
     /// coordinator when the heartbeat declares that system dead).
     pub fn mark_peer_failed(&self, peer: ConnId) -> DbResult<()> {
-        let cf = self.cf.read();
-        cf.conn.detach_peer(peer, DisconnectMode::Abnormal)?;
-        if let Some(sec) = &cf.secondary {
-            let _ = sec.detach_peer(peer, DisconnectMode::Abnormal);
-        }
-        Ok(())
+        Ok(self.cf.read().detach_peer(peer, DisconnectMode::Abnormal)?)
     }
 
     /// The retained (persistent) locks of a failed connector.
     pub fn retained_locks_of(&self, peer: ConnId) -> DbResult<Vec<RetainedLock>> {
-        Ok(self.cf.read().conn.retained_locks_of(peer)?)
+        Ok(self.cf.read().retained_locks_of(peer)?)
     }
 
     /// Peer recovery finished: free the dead connector's interest/records.
     pub fn complete_peer_recovery(&self, peer: ConnId) -> DbResult<()> {
-        let cf = self.cf.read();
-        cf.conn.recovery_complete_for(peer)?;
-        if let Some(sec) = &cf.secondary {
-            let _ = sec.recovery_complete_for(peer);
-        }
-        Ok(())
+        Ok(self.cf.read().recovery_complete_for(peer)?)
     }
 
-    /// Whether structure duplexing is active.
+    /// Whether this member's connection mirrors into an intact duplex
+    /// pair.
     pub fn is_duplexed(&self) -> bool {
-        self.cf.read().secondary.is_some()
+        self.cf.read().is_duplexed()
     }
 
-    /// Enable system-managed duplexing for a whole group: quiesce, attach
-    /// every member to `secondary` (same connector slots; identical
-    /// geometry required), replay current interest and records, and mirror
-    /// everything from then on.
+    /// Enable duplexing for a whole group: quiesce, join every member's
+    /// connection to one pair onto `secondary` (same connector slots;
+    /// identical geometry required) and replay its interest and records
+    /// there. Every connection mirrors from then on, a member's that
+    /// attaches later included.
     pub fn enable_duplexing(
         members: &[Arc<Irlm>],
         secondary: Arc<LockStructure>,
         sub: &CfSubchannel,
     ) -> DbResult<()> {
         let mut guards: Vec<_> = members.iter().map(|m| m.cf.write()).collect();
-        if let Some(g) = guards.first() {
-            if g.conn.structure().entries() != secondary.entries() {
-                return Err(DbError::Cf(sysplex_core::CfError::BadParameter(
-                    "duplexing requires identical lock-table geometry",
-                )));
-            }
-        }
+        let pair = DuplexPair::new(secondary, sub);
         for (member, guard) in members.iter().zip(guards.iter_mut()) {
-            let sec = LockConnection::attach_slot(
-                &secondary,
-                sub.sibling().with_system(member.system),
-                guard.conn.conn_id(),
-            )?;
             // Same geometry: the secondary's entry table is the member's own.
-            member.local.lock().replay_onto(&sec)?;
-            guard.secondary = Some(sec);
+            member.local.lock().replay_onto(guard.duplex_into(&pair)?)?;
         }
         Ok(())
     }
 
-    /// The primary CF is gone: promote the secondary on every member.
+    /// The primary CF is gone: with every member's gate held, promote
+    /// every member's secondary connection — unless one is simplex or
+    /// `then` (the group's other structure) fails, when nothing changes.
     /// Nothing is lost and nothing needs recovery — the §3.3 availability
     /// argument for multiple CFs, in its strongest form.
-    pub fn failover_all(members: &[Arc<Irlm>]) -> DbResult<()> {
+    pub fn failover_all(members: &[Arc<Irlm>], then: impl FnOnce() -> DbResult<()>) -> DbResult<()> {
         let mut guards: Vec<_> = members.iter().map(|m| m.cf.write()).collect();
-        for guard in guards.iter_mut() {
-            let Some(sec) = guard.secondary.take() else {
-                return Err(DbError::Cf(sysplex_core::CfError::WrongModel));
-            };
-            guard.conn = sec;
+        let promoted: Option<Vec<_>> = guards.iter().map(|g| g.promote()).collect();
+        let promoted = promoted.ok_or(DbError::Cf(CfError::WrongModel))?;
+        then()?;
+        for (guard, conn) in guards.iter_mut().zip(promoted) {
+            **guard = conn;
         }
         Ok(())
     }
@@ -1361,11 +1281,8 @@ impl Irlm {
         // different generations must never coexist.
         let mut guards: Vec<_> = members.iter().map(|m| m.cf.write()).collect();
         for (member, guard) in members.iter().zip(guards.iter_mut()) {
-            let new_conn = LockConnection::attach_slot(
-                &new,
-                sub.sibling().with_system(member.system),
-                guard.conn.conn_id(),
-            )?;
+            let new_conn =
+                LockConnection::attach_slot(&new, sub.sibling().with_system(member.system), guard.conn_id())?;
             let mut local = member.local.lock();
             // Fresh entries carry no cached flags (foreign interest is
             // re-imported unconditionally, so no sole-interest proof
@@ -1378,11 +1295,10 @@ impl Irlm {
             local.parked.clear();
             local.parked_live = 0;
             drop(local);
-            // The old structure (or its CF) may already be gone. A rebuild
-            // re-simplexes: re-enable duplexing afterwards if desired.
-            let _ = guard.conn.detach(DisconnectMode::Normal);
-            guard.conn = new_conn;
-            guard.secondary = None;
+            // The old structure (or its CF) may already be gone. The new
+            // one is simplex: re-enable duplexing afterwards if desired.
+            let _ = guard.detach(DisconnectMode::Normal);
+            **guard = new_conn;
         }
         Ok(())
     }
@@ -1410,7 +1326,7 @@ impl Irlm {
         self.stop.store(true, Ordering::Release);
         let _ = self.member.leave();
         let cf = self.cf.read();
-        let _ = cf.conn.detach(DisconnectMode::Normal);
+        let _ = cf.detach(DisconnectMode::Normal);
     }
 
     /// Abandon the instance as a failed system would: silence the message
@@ -1755,7 +1671,7 @@ mod tests {
     /// Register `txn`'s request for `name` as phase 1 does, so a test can
     /// play the request's CF command and phase 3 in an order of its own.
     fn register<'a>(irlm: &'a Irlm, txn: u64, name: &ResourceName, mode: LockMode) -> Phase2<'a> {
-        let entry = irlm.cf.read().conn.entry_of(name);
+        let entry = irlm.cf.read().entry_of(name);
         let mut local = irlm.local.lock();
         let recall_snapshot = local.recall_seq;
         local.wanted.push(Wanted {
@@ -1789,8 +1705,13 @@ mod tests {
             // lands, writing its record over txn 1's.
             let phase2 = register(a, 2, &name, x);
             assert_eq!(a.lock(1, name.as_bytes(), x, winner_persistent).unwrap(), LockOutcome::Granted);
-            let entry = a.cf.read().conn.entry_of(&name);
-            assert!(a.cf.read().request(entry, x, Some((name.as_bytes(), 2))).unwrap().is_granted());
+            let entry = a.cf.read().entry_of(&name);
+            assert!(a
+                .cf
+                .read()
+                .request_lock_recorded(entry, x, name.as_bytes(), &2u64.to_be_bytes())
+                .unwrap()
+                .is_granted());
             assert_eq!(records_of(a), [(b"ROW.1".to_vec(), 2)]);
             // Phase 3 finds txn 1 holding: txn 2 loses, and the record is
             // the winner's — or gone, when the winner keeps no record.
@@ -1816,8 +1737,13 @@ mod tests {
         // grant owes its record again, and the transaction's record set
         // writes it.
         let phase2 = register(a, 2, &name, x);
-        let entry = a.cf.read().conn.entry_of(&name);
-        assert!(a.cf.read().request(entry, x, Some((name.as_bytes(), 2))).unwrap().is_granted());
+        let entry = a.cf.read().entry_of(&name);
+        assert!(a
+            .cf
+            .read()
+            .request_lock_recorded(entry, x, name.as_bytes(), &2u64.to_be_bytes())
+            .unwrap()
+            .is_granted());
         assert_eq!(a.lock(1, name.as_bytes(), x, true).unwrap(), LockOutcome::Granted);
         a.unlock_all(1).unwrap();
         assert!(records_of(a).is_empty());

@@ -215,11 +215,6 @@ impl PageStore {
         Ok(Arc::new(PageStore { vol: farm.open(volume)?, db_id, pages }))
     }
 
-    /// Number of page slots.
-    pub fn page_count(&self) -> u64 {
-        self.pages
-    }
-
     /// The database id (used in block names).
     pub fn db_id(&self) -> u32 {
         self.db_id

@@ -760,12 +760,6 @@ impl Monitor {
         m
     }
 
-    /// Attach a WLM so reports carry the service-class section.
-    pub fn with_wlm(mut self: Arc<Self>, wlm: Arc<Wlm>) -> Arc<Self> {
-        Arc::get_mut(&mut self).expect("monitor must be unshared to reconfigure").wlm = Some(wlm);
-        self
-    }
-
     /// Produce the report for the interval since the previous call (or
     /// since monitor creation) and advance the baseline.
     pub fn report(&self) -> ActivityReport {

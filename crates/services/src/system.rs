@@ -190,11 +190,6 @@ impl System {
         (self.busy.load(Ordering::Relaxed) as f64 / self.config.cpus as f64).min(1.0)
     }
 
-    /// Depth of the dispatch queue (demand beyond capacity).
-    pub fn queue_depth(&self) -> usize {
-        self.queued.load(Ordering::Relaxed)
-    }
-
     /// Units of work completed.
     pub fn completed(&self) -> u64 {
         self.completed.load(Ordering::Relaxed)

@@ -25,11 +25,6 @@ impl Tod {
     pub fn micros_since(self, earlier: Tod) -> u64 {
         self.0.saturating_sub(earlier.0)
     }
-
-    /// As a [`Duration`] offset from timer initialisation.
-    pub fn as_duration(self) -> Duration {
-        Duration::from_micros(self.0)
-    }
 }
 
 impl std::fmt::Display for Tod {

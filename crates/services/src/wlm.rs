@@ -107,11 +107,6 @@ impl Wlm {
         }
     }
 
-    /// Remove a system entirely.
-    pub fn remove_system(&self, system: SystemId) {
-        self.systems.lock().remove(&system);
-    }
-
     /// Available capacity of one system in MIPS.
     pub fn available_capacity(&self, system: SystemId) -> Option<f64> {
         self.systems.lock().get(&system).filter(|e| e.online).map(|e| e.mips * (1.0 - e.utilization))

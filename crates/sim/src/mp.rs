@@ -25,14 +25,6 @@ pub fn tcmp_effective_cpus(n: usize) -> f64 {
     total
 }
 
-/// The MP ratio: effective / physical.
-pub fn tcmp_mp_ratio(n: usize) -> f64 {
-    if n == 0 {
-        return 1.0;
-    }
-    tcmp_effective_cpus(n) / n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
