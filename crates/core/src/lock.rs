@@ -77,9 +77,10 @@ pub enum LockResponse {
         /// The exclusive holder, if the entry is held exclusively.
         exclusive: Option<ConnId>,
         /// Entry generation at response time (bumped whenever interest
-        /// departs the entry). A negotiated interest write quotes it so
-        /// the CF can refuse a *stale* negotiation — one whose holder
-        /// released and re-acquired since, invalidating the verdict.
+        /// departs the entry, and by the first grant after a contention).
+        /// A negotiated interest write quotes it so the CF can refuse a
+        /// *stale* negotiation — one whose holder released and re-acquired,
+        /// or was granted more, since: either invalidates the verdict.
         generation: u16,
     },
 }
@@ -142,21 +143,26 @@ pub struct LockRates {
 //   bits 0..=31   shared-interest mask, one bit per connector slot
 //   bits 32..=39  exclusive owner slot + 1 (0 = none)
 //   bits 40..=55  generation: bumped (mod 2^16) every time a connector's
-//                 interest *departs* the entry. Quoted in contention
-//                 responses and checked by negotiated interest writes, so
-//                 a departed-and-rejoined holder invalidates any
-//                 negotiation conducted against its earlier tenure.
+//                 interest *departs* the entry, and by the first grant after
+//                 a contention (bit 62). Quoted in contention responses and
+//                 checked by negotiated interest writes, so a
+//                 departed-and-rejoined holder, or one granted more since,
+//                 invalidates any negotiation conducted before.
+//   bit 62        CONTENDED: a request saw contention since the last grant;
+//                 the next grant (synchronous or negotiated) also bumps the
+//                 generation, so a negotiation answered before it refuses.
 //   bit 63        NEGOTIATE: the entry's interest under-represents the real
 //                 resource-level locks (a forced-exclusive was recorded as
 //                 shared interest); every request with foreign interest
 //                 present must negotiate. Cleared when the entry empties or
-//                 a sole remaining connector re-requests.
+//                 a sole remaining connector is granted exclusive interest.
 const EXCL_SHIFT: u32 = 32;
 const EXCL_MASK: u64 = 0xFF << EXCL_SHIFT;
 const SHARE_MASK: u64 = 0xFFFF_FFFF;
 const GEN_SHIFT: u32 = 40;
 const GEN_MASK: u64 = 0xFFFF << GEN_SHIFT;
 const NEG_FLAG: u64 = 1 << 63;
+const CONTENDED_FLAG: u64 = 1 << 62;
 
 #[inline]
 fn gen_of(word: u64) -> u16 {
@@ -261,6 +267,9 @@ struct LockHooks {
     force_grant: AtomicBool,
     /// `recovery_complete` frees the slot but leaks interest and records.
     leaky_recovery: AtomicBool,
+    /// A grant after a contention leaves the generation alone, so a
+    /// negotiation answered before it can still land (a dual grant).
+    stale_negotiation: AtomicBool,
 }
 
 impl LockStructure {
@@ -407,31 +416,23 @@ impl LockStructure {
         // word, so retries re-decode without an extra atomic load.
         let mut cur = slot.load(Ordering::Acquire);
         loop {
-            let share = share_of(cur);
-            let excl = excl_of(cur);
-            let others_share = share & !me;
-            let foreign_excl = excl.filter(|&e| e != conn);
-            let mut holders = others_share;
-            if let Some(e) = foreign_excl {
-                holders |= e.mask();
-            }
-            // An entry in NEGOTIATE state hides the real modes behind the
-            // interest bits: any foreign interest forces negotiation.
-            if cur & NEG_FLAG != 0 && holders != 0 {
-                self.stats.contentions.incr(conn);
-                return Ok(LockResponse::Contention {
-                    holders,
-                    exclusive: foreign_excl,
-                    generation: gen_of(cur),
-                });
-            }
+            let others_share = share_of(cur) & !me;
+            let foreign_excl = excl_of(cur).filter(|&e| e != conn);
+            let holders = others_share | foreign_excl.map_or(0, ConnId::mask);
             let compatible = match mode {
                 LockMode::Shared => foreign_excl.is_none(),
                 LockMode::Exclusive => foreign_excl.is_none() && others_share == 0,
             };
             #[cfg(feature = "test-hooks")]
             let compatible = compatible || self.hooks.force_grant.load(Ordering::Relaxed);
-            if !compatible {
+            // An entry in NEGOTIATE state hides the real modes behind the
+            // interest bits: any foreign interest forces negotiation.
+            if cur & NEG_FLAG != 0 && holders != 0 || !compatible {
+                // A flag set on a word that moved on since `cur` only costs
+                // the entry's next grant a generation bump.
+                if cur & CONTENDED_FLAG == 0 {
+                    slot.fetch_or(CONTENDED_FLAG, Ordering::AcqRel);
+                }
                 self.stats.contentions.incr(conn);
                 return Ok(LockResponse::Contention {
                     holders,
@@ -439,15 +440,18 @@ impl LockStructure {
                     generation: gen_of(cur),
                 });
             }
-            // Sole interest (or precise state): representable exactly; the
-            // NEGOTIATE flag (only possible here when holders == 0) drops.
-            // The generation survives — grants never bump it.
+            // An exclusive grant is exact: sole interest covers whatever
+            // this connector holds, so the NEGOTIATE flag (set here only
+            // when holders == 0) drops. A shared one keeps it — the flag
+            // may stand for this connector's own forced exclusive hold,
+            // which a shared bit would under-represent to the next peer.
             let new = match mode {
-                LockMode::Shared => (cur & !NEG_FLAG) | me as u64,
+                LockMode::Shared => cur | me as u64,
                 LockMode::Exclusive => {
-                    (cur & (SHARE_MASK | GEN_MASK)) | ((conn.raw() as u64 + 1) << EXCL_SHIFT)
+                    (cur & (SHARE_MASK | GEN_MASK | CONTENDED_FLAG)) | ((conn.raw() as u64 + 1) << EXCL_SHIFT)
                 }
             };
+            let new = self.after_grant(cur, new);
             match slot.compare_exchange_weak(cur, new, Ordering::AcqRel, Ordering::Acquire) {
                 Ok(_) => {
                     self.stats.sync_grants.incr(conn);
@@ -473,29 +477,7 @@ impl LockStructure {
     /// so the under-representation can never admit an unsafe synchronous
     /// grant. The flag clears when the entry empties.
     pub fn force_interest(&self, conn: ConnId, entry: usize, mode: LockMode) -> CfResult<()> {
-        self.check_active(conn)?;
-        if entry >= self.table.len() {
-            return Err(CfError::BadParameter("entry index out of range"));
-        }
-        self.stats.forced_interests.incr(conn);
-        let slot = &self.table[entry];
-        let me = conn.mask();
-        let mut cur = slot.load(Ordering::Acquire);
-        loop {
-            let foreign_excl = excl_of(cur).filter(|&e| e != conn);
-            let others_share = share_of(cur) & !me;
-            let new = match mode {
-                LockMode::Exclusive if foreign_excl.is_none() && others_share == 0 => {
-                    (cur & (SHARE_MASK | GEN_MASK)) | ((conn.raw() as u64 + 1) << EXCL_SHIFT)
-                }
-                LockMode::Exclusive => cur | me as u64 | NEG_FLAG,
-                LockMode::Shared => cur | me as u64,
-            };
-            match slot.compare_exchange_weak(cur, new, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => return Ok(()),
-                Err(observed) => cur = observed,
-            }
-        }
+        self.force(conn, entry, mode, None).map(|_| ())
     }
 
     /// Record interest after software negotiation resolved a contention
@@ -523,6 +505,20 @@ impl LockStructure {
         negotiated: ConnMask,
         generation: u16,
     ) -> CfResult<bool> {
+        self.force(conn, entry, mode, Some((negotiated, generation)))
+    }
+
+    /// Write `mode` interest — when `negotiated` is given, only if the
+    /// entry's generation and holder set still match it (see
+    /// [`LockStructure::force_interest_negotiated`]). Returns whether it
+    /// wrote.
+    fn force(
+        &self,
+        conn: ConnId,
+        entry: usize,
+        mode: LockMode,
+        negotiated: Option<(ConnMask, u16)>,
+    ) -> CfResult<bool> {
         self.check_active(conn)?;
         if entry >= self.table.len() {
             return Err(CfError::BadParameter("entry index out of range"));
@@ -532,25 +528,22 @@ impl LockStructure {
         let me = conn.mask();
         let mut cur = slot.load(Ordering::Acquire);
         loop {
-            if gen_of(cur) != generation {
-                return Ok(false);
-            }
             let foreign_excl = excl_of(cur).filter(|&e| e != conn);
             let others_share = share_of(cur) & !me;
-            let mut others = others_share;
-            if let Some(e) = foreign_excl {
-                others |= e.mask();
-            }
-            if others & !negotiated != 0 {
-                return Ok(false);
+            if let Some((negotiated, generation)) = negotiated {
+                let others = others_share | foreign_excl.map_or(0, ConnId::mask);
+                if gen_of(cur) != generation || others & !negotiated != 0 {
+                    return Ok(false);
+                }
             }
             let new = match mode {
                 LockMode::Exclusive if foreign_excl.is_none() && others_share == 0 => {
-                    (cur & (SHARE_MASK | GEN_MASK)) | ((conn.raw() as u64 + 1) << EXCL_SHIFT)
+                    (cur & (SHARE_MASK | GEN_MASK | CONTENDED_FLAG)) | ((conn.raw() as u64 + 1) << EXCL_SHIFT)
                 }
                 LockMode::Exclusive => cur | me as u64 | NEG_FLAG,
                 LockMode::Shared => cur | me as u64,
             };
+            let new = self.after_grant(cur, new);
             match slot.compare_exchange_weak(cur, new, Ordering::AcqRel, Ordering::Acquire) {
                 Ok(_) => return Ok(true),
                 Err(observed) => cur = observed,
@@ -630,6 +623,12 @@ impl LockStructure {
     /// Whether the entry is in NEGOTIATE state (diagnostics / tests).
     pub fn is_negotiate(&self, entry: usize) -> bool {
         self.table[entry].load(Ordering::Acquire) & NEG_FLAG != 0
+    }
+
+    /// Whether a request saw contention on the entry since its last grant
+    /// (diagnostics / tests).
+    pub fn is_contended(&self, entry: usize) -> bool {
+        self.table[entry].load(Ordering::Acquire) & CONTENDED_FLAG != 0
     }
 
     /// Current entry generation — the value a contention response would
@@ -840,6 +839,33 @@ impl LockStructure {
         self.hooks.leaky_recovery.store(true, Ordering::Relaxed);
     }
 
+    /// Test hook: let negotiations answered before a grant still land.
+    #[cfg(feature = "test-hooks")]
+    pub fn arm_stale_negotiation(&self) {
+        self.hooks.stale_negotiation.store(true, Ordering::Relaxed);
+    }
+
+    /// A grant on an entry that reported contention since its last grant
+    /// moves the generation (and clears the flag): the contending
+    /// requester's negotiation was answered against the holders' resources
+    /// *before* this grant, and a holder that already had interest in the
+    /// entry may have been granted the very resource it answered "no
+    /// conflict" about — by a synchronous request or by its own negotiated
+    /// write — with no other change to the word. Any negotiated write
+    /// quoting the old generation must then refuse and renegotiate.
+    #[inline]
+    fn after_grant(&self, cur: u64, new: u64) -> u64 {
+        #[cfg(feature = "test-hooks")]
+        if self.hooks.stale_negotiation.load(Ordering::Relaxed) {
+            return new & !CONTENDED_FLAG;
+        }
+        if cur & CONTENDED_FLAG == 0 {
+            new
+        } else {
+            bump_gen(new & !CONTENDED_FLAG)
+        }
+    }
+
     /// Derived grant/contention rates (experiment output).
     pub fn rates(&self) -> LockRates {
         let req = self.stats.requests.get();
@@ -968,6 +994,23 @@ mod tests {
         s.release(b, 4).unwrap();
         assert!(!s.is_negotiate(4));
         assert!(s.request(c, 4, LockMode::Shared).unwrap().is_granted());
+    }
+
+    #[test]
+    fn a_sole_holders_shared_grant_keeps_negotiate() {
+        let s = structure(16);
+        let a = s.connect().unwrap();
+        let b = s.connect().unwrap();
+        let c = s.connect().unwrap();
+        // b's forced exclusive is recorded as a shared bit under a; a
+        // leaves, and b is granted Shared on another resource of the class.
+        s.request(a, 2, LockMode::Exclusive).unwrap();
+        s.force_interest(b, 2, LockMode::Exclusive).unwrap();
+        s.release(a, 2).unwrap();
+        assert!(s.request(b, 2, LockMode::Shared).unwrap().is_granted());
+        // b may still hold its exclusive lock: c must negotiate for Shared.
+        assert!(s.is_negotiate(2));
+        assert!(!s.request(c, 2, LockMode::Shared).unwrap().is_granted());
     }
 
     #[test]

@@ -212,6 +212,12 @@ impl Database {
         self.log.checkpoint_if(|| self.active_txns.load(Ordering::Acquire) == 0)
     }
 
+    /// Wait for `mode` on `resource` up to the configured deadlock
+    /// timeout.
+    fn lock_wait(&self, txn: u64, resource: &[u8], mode: LockMode, persistent: bool) -> DbResult<()> {
+        self.irlm.lock_wait(txn, resource, mode, persistent, None, self.config.lock_timeout)
+    }
+
     fn check_open(txn: &Txn) -> DbResult<()> {
         if txn.complete {
             Err(DbError::TxnComplete)
@@ -229,7 +235,7 @@ impl Database {
         if let Some(w) = txn.writes.get(&key) {
             return Ok(w.after.clone());
         }
-        self.irlm.lock_wait(txn.id, &row_resource(key), LockMode::Shared, false, self.config.lock_timeout)?;
+        self.lock_wait(txn.id, &row_resource(key), LockMode::Shared, false)?;
         let page = self.buf.get_page(self.store.page_of(key))?;
         Ok(page.get(key).map(|v| v.to_vec()))
     }
@@ -239,13 +245,7 @@ impl Database {
     pub fn write(&self, txn: &mut Txn, key: u64, value: Option<&[u8]>) -> DbResult<()> {
         Self::check_open(txn)?;
         self.stats.writes.incr();
-        self.irlm.lock_wait(
-            txn.id,
-            &row_resource(key),
-            LockMode::Exclusive,
-            true,
-            self.config.lock_timeout,
-        )?;
+        self.lock_wait(txn.id, &row_resource(key), LockMode::Exclusive, true)?;
         let after = value.map(|v| v.to_vec());
         if let Some(w) = txn.writes.get_mut(&key) {
             w.after = after; // keep the original before-image
@@ -329,7 +329,7 @@ impl Database {
             for writes in by_page.chunk_by(|a, b| a.0 == b.0) {
                 let page_no = writes[0].0;
                 let plock = page_resource(self.store.db_id(), page_no);
-                self.irlm.lock_wait(txn.id, &plock, LockMode::Exclusive, false, self.config.lock_timeout)?;
+                self.lock_wait(txn.id, &plock, LockMode::Exclusive, false)?;
                 plocks.push(plock);
                 let mut page = self.buf.get_page(page_no)?;
                 for &(_, key, w) in writes {
@@ -353,11 +353,7 @@ impl Database {
     fn backout_externalised(&self, txn: &Txn) {
         for (key, w) in &txn.writes {
             let plock = page_resource(self.store.db_id(), w.page);
-            if self
-                .irlm
-                .lock_wait(txn.id, &plock, LockMode::Exclusive, false, self.config.lock_timeout)
-                .is_err()
-            {
+            if self.lock_wait(txn.id, &plock, LockMode::Exclusive, false).is_err() {
                 continue;
             }
             let _ = (|| -> DbResult<()> {
@@ -402,13 +398,13 @@ impl Database {
             let mut txn = self.begin();
             match f(self, &mut txn).and_then(|r| self.commit(&mut txn).map(|_| r)) {
                 Ok(r) => return Ok(r),
-                Err(DbError::LockTimeout { resource, waited }) => {
+                Err(DbError::LockTimeout { resource, waited, blocker }) => {
                     if !txn.complete {
                         let _ = self.abort(&mut txn);
                     }
                     attempts += 1;
                     if attempts as usize > retries {
-                        return Err(DbError::LockTimeout { resource, waited });
+                        return Err(DbError::LockTimeout { resource, waited, blocker });
                     }
                     // Exponential randomized backoff, seeded from the
                     // (sysplex-unique) TOD: colliding transactions must

@@ -33,20 +33,25 @@
 //! the CF as one command when it is about to externalise
 //! ([`Irlm::write_records`]). An unlock gives up records and interest
 //! together, in one command.
+//!
+//! Every decision is the sans-I/O core's ([`protocol`]); [`Irlm`] is the
+//! shell that performs the CF commands and XCF queries the core returns,
+//! under the latch where the protocol needs them.
 
-use crate::error::{DbError, DbResult};
+pub mod protocol;
+
+use crate::error::{Blocker, DbError, DbResult};
 use parking_lot::{Mutex, RwLock};
-use std::collections::hash_map::Entry;
-use std::collections::VecDeque;
+use protocol::{LocalState, Replay, Step, Verdict};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 use sysplex_core::connection::{CfSubchannel, LockConnection};
 use sysplex_core::duplex::DuplexPair;
-use sysplex_core::hashing::{PrehashedMap, ResourceName};
-use sysplex_core::lock::{DisconnectMode, LockMode, LockResponse, LockStructure, RetainedLock};
+use sysplex_core::hashing::ResourceName;
+use sysplex_core::lock::{DisconnectMode, LockMode, LockStructure, RetainedLock};
 use sysplex_core::stats::Counter;
-use sysplex_core::types::{conns_in_mask, ConnId};
+use sysplex_core::types::{conns_in_mask, ConnId, ConnMask};
 use sysplex_core::wire::{from_bytes, to_bytes};
 use sysplex_core::{wire_enum, CfError, SystemId};
 use sysplex_services::timer::SysplexTimer;
@@ -88,362 +93,6 @@ pub struct IrlmStats {
     pub recalls: Counter,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Holder {
-    txn: u64,
-    mode: LockMode,
-    persistent: bool,
-}
-
-/// The local holders of one resource. The first lives in the table slot
-/// itself: the common case — one transaction per resource — never reaches
-/// the allocator. `rest` is empty whenever `first` is.
-#[derive(Debug, Default)]
-struct Holders {
-    first: Option<Holder>,
-    rest: Vec<Holder>,
-}
-
-impl Holders {
-    fn iter(&self) -> impl Iterator<Item = &Holder> {
-        self.first.iter().chain(&self.rest)
-    }
-
-    fn get_mut(&mut self, txn: u64) -> Option<&mut Holder> {
-        self.first.iter_mut().chain(&mut self.rest).find(|h| h.txn == txn)
-    }
-
-    fn insert(&mut self, holder: Holder) {
-        match self.first {
-            None => self.first = Some(holder),
-            Some(_) => self.rest.push(holder),
-        }
-    }
-
-    fn remove(&mut self, txn: u64) -> Option<Holder> {
-        if self.first.is_some_and(|h| h.txn == txn) {
-            return std::mem::replace(&mut self.first, self.rest.pop());
-        }
-        let at = self.rest.iter().position(|h| h.txn == txn)?;
-        Some(self.rest.swap_remove(at))
-    }
-
-    fn is_empty(&self) -> bool {
-        self.first.is_none()
-    }
-
-    /// Can `txn` acquire `mode` alongside the current local holders?
-    fn compatible_for(&self, txn: u64, mode: LockMode) -> bool {
-        self.iter().all(|h| h.txn == txn || matches!((h.mode, mode), (LockMode::Shared, LockMode::Shared)))
-    }
-
-    /// Would a *foreign-system* request of `mode` conflict with any holder?
-    fn conflicts_with_peer(&self, mode: LockMode) -> bool {
-        match mode {
-            LockMode::Exclusive => !self.is_empty(),
-            LockMode::Shared => self.strongest() == Some(LockMode::Exclusive),
-        }
-    }
-
-    fn strongest(&self) -> Option<LockMode> {
-        self.iter().map(|h| h.mode).max()
-    }
-
-    /// The strongest persistent holder: the hold this member's record for
-    /// the resource describes.
-    fn recorded(&self) -> Option<Holder> {
-        self.iter().filter(|h| h.persistent).max_by_key(|h| h.mode).copied()
-    }
-}
-
-/// Everything this member tracks about one lock-table entry (hash class),
-/// in one record so a request reaches all of it with one lookup. The record
-/// exists while any field is set ([`LocalState::settle`] drops it).
-#[derive(Debug, Clone, Copy, Default)]
-struct EntryRecord {
-    /// Distinct local resources hashing to this entry. CF interest in the
-    /// entry is released when this drops to zero — unless the entry is
-    /// parked (lazy release).
-    count: u32,
-    /// This system observed a sole-interest exclusive CF grant for the
-    /// entry and no peer has negotiated since. While set, re-grants
-    /// against the entry complete locally: any foreign acquisition must
-    /// negotiate with us first, and the recall clears the flag before the
-    /// answer goes out.
-    cached: bool,
-    /// `count == 0` but CF interest is retained so a re-acquire can take
-    /// the local fast path. Surrendered on recall or FIFO eviction — but
-    /// never while a request is registered on the entry
-    /// ([`LocalState::in_flight`]).
-    parked: bool,
-    /// A peer recently negotiated on this hash class: inter-system
-    /// interest exists there, so sole-interest caching would only bounce —
-    /// every grant parks at unlock and forces the next peer through a
-    /// recall round trip, and on a hot shared class the whole group
-    /// degenerates into negotiation storms. A queried entry skips the
-    /// cached fast path for this many further CF grants (set to
-    /// [`RECALL_COOLDOWN`], refreshed by further queries); genuinely local
-    /// classes are never queried and keep caching.
-    cool: u32,
-    /// The ticket of the park that put the entry at its live FIFO position
-    /// (meaningful while `parked`): any other position of it is stale.
-    ticket: u32,
-}
-
-/// One request in phase 2 — between leaving the local table and recording
-/// its grant — and what it is asking for: the request's one registration.
-/// Until the grant exists this is the only place a peer's negotiation
-/// query, a sibling's unlock or an eviction can see the claim. Phase 1
-/// pushes the row under its own latch acquisition and the winning attempt
-/// removes it under phase 3's ([`Phase2::finish_in`]), so a CF-granted
-/// request takes the latch twice; every other exit removes it on drop.
-#[derive(Debug)]
-struct Wanted {
-    txn: u64,
-    name: ResourceName,
-    /// The lock-table entry `name` hashes to. A registered entry is never
-    /// surrendered: the request may be granted on this member's retained
-    /// interest, and a concurrent release would wipe the grant.
-    entry: usize,
-    mode: LockMode,
-    /// Inside a *grant window*: the CF command that writes interest is
-    /// executing, or it succeeded and phase 3 has not yet recorded the
-    /// grant. A peer's query on the entry must report conflict here — the
-    /// resource scan cannot see the pending grant, and "no conflict" would
-    /// let the peer's negotiated write bypass it (dual exclusive holders,
-    /// lost update). Only here: negotiating is slow, and reporting conflict
-    /// for all of it starves a wide member group; the window is
-    /// microseconds.
-    critical: bool,
-    /// A peer that outranks us asked for the same resource while we were
-    /// negotiating, and was told "no conflict": this request must not open
-    /// another grant window (see [`LocalState::contest`]).
-    yielded: bool,
-    /// A sibling gave up this member's record for `name` while the request
-    /// was in phase 2, possibly after the request's CF command wrote it:
-    /// a winning grant writes its record again (see [`LocalState::unrecord`]).
-    unrecorded: bool,
-    /// `recall_seq` when the request registered: a CF grant caches its
-    /// entry only when no recall raced it — a query racing phase 2/3 might
-    /// concern interest we are about to record, and its recall must win.
-    recall_snapshot: u64,
-}
-
-/// Cap on parked (lazily released) entries per IRLM. Eviction is FIFO so
-/// replayed runs surrender the same victims in the same order.
-const PARK_CAP: usize = 1024;
-
-#[derive(Debug, Default)]
-struct LocalState {
-    resources: PrehashedMap<ResourceName, Holders>,
-    entries: PrehashedMap<usize, EntryRecord>,
-    /// What each open transaction holds, so releasing a transaction walks
-    /// its own locks and nothing else. Unordered; `unlock_all` sorts.
-    held: PrehashedMap<u64, Vec<ResourceName>>,
-    /// Emptied `held` lists, reused so a transaction's first lock does not
-    /// allocate. At most as many as transactions were ever open at once.
-    spare_lists: Vec<Vec<ResourceName>>,
-    /// FIFO of parked entry indexes, each with the ticket of the park that
-    /// queued it. A position is live while its entry is parked under that
-    /// ticket (`parked` is the source of truth, `parked_live` the live
-    /// count); eviction skips the rest, so an entry parked again — a hot
-    /// class, re-granted and released every transaction — is evicted at its
-    /// newest position, not its oldest. Stale positions are dropped in bulk
-    /// once they outnumber the live ones ([`LocalState::park`]).
-    parked: VecDeque<(usize, u32)>,
-    parked_live: usize,
-    /// Tickets drawn by parks so far (wrapping).
-    park_tickets: u32,
-    /// Bumped by every peer negotiation query (see
-    /// [`Wanted::recall_snapshot`]).
-    recall_seq: u64,
-    /// This member's requests in phase 2; as many as it has threads
-    /// requesting at once.
-    wanted: Vec<Wanted>,
-    /// What the unlock under way gives up — records to delete, then
-    /// entries to release, each in the order given up — sent as one
-    /// command before the latch is let go ([`Irlm::send_release_set`]).
-    /// Empty whenever the latch is free; reused, so a release never
-    /// allocates.
-    release_records: Vec<ResourceName>,
-    release_entries: Vec<usize>,
-    /// Resources whose record a grant owes the CF — one whose own command
-    /// wrote none — in grant order: written by the next
-    /// [`Irlm::write_records`] of a persistent holder, dropped with the
-    /// last persistent hold.
-    queued_records: Vec<ResourceName>,
-    /// The record set [`Irlm::write_records`] is sending. Empty whenever
-    /// the latch is free; reused, like the release set.
-    record_set: Vec<(ResourceName, LockMode, [u8; 8])>,
-}
-
-impl LocalState {
-    /// Drop `entry`'s record once nothing is tracked in it.
-    fn settle(&mut self, entry: usize) {
-        if let Some(e) = self.entries.get(&entry) {
-            if e.count == 0 && !e.cached && !e.parked && e.cool == 0 {
-                self.entries.remove(&entry);
-            }
-        }
-    }
-
-    /// Is a phase-2 request registered on `entry`?
-    fn in_flight(&self, entry: usize) -> bool {
-        self.wanted.iter().any(|w| w.entry == entry)
-    }
-
-    /// Settle a peer's query for `mode` on `name` against our own requests
-    /// for the same resource that are still negotiating — neither held nor
-    /// inside a grant window, so nothing else would report them. Two
-    /// members that want one resource at the same moment each query the
-    /// other in exactly that state; answered from held locks alone, both
-    /// hear "no conflict" and both write interest. So one of them yields,
-    /// by an order both sides compute alike: when `outranked` (the peer's
-    /// member name sorts first) our requests are marked `yielded` and will
-    /// refuse their next grant window, and the peer may proceed; otherwise
-    /// we keep the claim and the peer is told it conflicts. Either side's
-    /// query may come first — the yield and the grant-window entry are
-    /// both made under the latch, so exactly one request goes on.
-    fn contest(&mut self, name: &ResourceName, mode: LockMode, outranked: bool) -> bool {
-        let mut contested = false;
-        for rival in self.wanted.iter_mut().filter(|w| w.name == *name) {
-            if rival.mode == LockMode::Exclusive || mode == LockMode::Exclusive {
-                contested = true;
-                rival.yielded |= outranked;
-            }
-        }
-        contested && !outranked
-    }
-
-    /// Tell `conn` — a rebuilt structure or a new duplex secondary — what
-    /// this member holds: every held resource in name order, in its
-    /// strongest mode, then one record set naming, for each resource with a
-    /// persistent holder, its strongest one (the commands are traced, so
-    /// the sequence must replay). Returns the entry table describing that
-    /// interest in `conn`'s geometry.
-    fn replay_onto(&self, conn: &LockConnection) -> DbResult<PrehashedMap<usize, EntryRecord>> {
-        let mut held: Vec<(&ResourceName, &Holders)> = self.resources.iter().collect();
-        held.sort_by_key(|(name, _)| *name);
-        let mut entries: PrehashedMap<usize, EntryRecord> = PrehashedMap::default();
-        let mut records = Vec::new();
-        for (name, rh) in held {
-            let Some(mode) = rh.strongest() else { continue };
-            let entry = conn.entry_of(name);
-            conn.force_interest(entry, mode)?;
-            entries.entry(entry).or_default().count += 1;
-            if let Some(h) = rh.recorded() {
-                records.push((name.clone(), h.mode, h.txn.to_be_bytes()));
-            }
-        }
-        if !records.is_empty() {
-            conn.write_lock_record_set(&records)?;
-        }
-        Ok(entries)
-    }
-
-    /// Record that `txn` holds `name` in (at least) `mode`. Returns whether
-    /// the grant changed what this member's record for `name` must say:
-    /// the first persistent hold of the resource, or one stronger than any
-    /// persistent hold before it.
-    fn record_grant(
-        &mut self,
-        txn: u64,
-        name: &ResourceName,
-        entry: usize,
-        mode: LockMode,
-        persistent: bool,
-    ) -> bool {
-        let holder = Holder { txn, mode, persistent };
-        // The strongest persistent hold before this grant: what the record
-        // says, if there is one.
-        let mut recorded = None;
-        let (is_new_resource, is_new_holder, held) = match self.resources.entry(name.clone()) {
-            Entry::Occupied(slot) => {
-                let rh = slot.into_mut();
-                recorded = rh.recorded().map(|h| h.mode);
-                match rh.get_mut(txn) {
-                    Some(h) => {
-                        // Strengthen, never weaken.
-                        h.mode = h.mode.max(mode);
-                        h.persistent |= persistent;
-                        (false, false, h.mode)
-                    }
-                    None => {
-                        rh.insert(holder);
-                        (false, true, mode)
-                    }
-                }
-            }
-            Entry::Vacant(slot) => {
-                slot.insert(Holders { first: Some(holder), rest: Vec::new() });
-                (true, true, mode)
-            }
-        };
-        if is_new_holder {
-            let spare = &mut self.spare_lists;
-            self.held.entry(txn).or_insert_with(|| spare.pop().unwrap_or_default()).push(name.clone());
-        }
-        let e = self.entries.entry(entry).or_default();
-        if is_new_resource {
-            e.count += 1;
-        }
-        // A parked entry is live again; its FIFO position goes stale and
-        // eviction will skip it.
-        if e.parked && e.count > 0 {
-            e.parked = false;
-            self.parked_live -= 1;
-        }
-        persistent && recorded < Some(held)
-    }
-
-    /// The last persistent holder of `name` is gone: queue the delete of
-    /// this member's record for it, and forget a write of it still queued.
-    /// A request for `name` still in phase 2 may have written that record
-    /// with its own CF command — before the delete or after — so it is
-    /// marked to write it again if it wins.
-    fn unrecord(&mut self, name: ResourceName) {
-        for rival in self.wanted.iter_mut().filter(|w| w.name == name) {
-            rival.unrecorded = true;
-        }
-        self.queued_records.retain(|q| *q != name);
-        self.release_records.push(name);
-    }
-
-    /// Owe the CF this member's record for `name`.
-    fn queue_record(&mut self, name: &ResourceName) {
-        if !self.queued_records.contains(name) {
-            self.queued_records.push(name.clone());
-        }
-    }
-
-    /// Park `entry`: keep this member's CF interest in it, with no local
-    /// resource held there, until a recall or FIFO eviction surrenders it.
-    /// The park draws a ticket that makes this the entry's live position.
-    fn park(&mut self, entry: usize) {
-        self.park_tickets = self.park_tickets.wrapping_add(1);
-        let ticket = self.park_tickets;
-        let e = self.entries.entry(entry).or_default();
-        e.parked = true;
-        e.ticket = ticket;
-        self.parked_live += 1;
-        self.parked.push_back((entry, ticket));
-        if self.parked.len() > 2 * PARK_CAP.max(self.parked_live) {
-            // Keep the live positions, in order: the same ones on every run.
-            let entries = &self.entries;
-            self.parked.retain(|&position| Self::live(entries, position));
-        }
-    }
-
-    /// Is `(entry, ticket)` its entry's live FIFO position?
-    fn live(entries: &PrehashedMap<usize, EntryRecord>, (entry, ticket): (usize, u32)) -> bool {
-        entries.get(&entry).is_some_and(|e| e.parked && e.ticket == ticket)
-    }
-}
-
-/// CF grants on a recalled hash class that must complete before the
-/// class may be cached (and hence parked) again.
-const RECALL_COOLDOWN: u32 = 8;
-
 wire_enum! {
     /// What one IRLM asks another, carried as an XCF call. The holder's
     /// message exit answers with one encoded `bool`: does it conflict?
@@ -451,56 +100,6 @@ wire_enum! {
     pub(crate) enum IrlmSignal("irlm-signal") {
         /// "Does anything you hold conflict with `mode` on `resource`?"
         0 Query { mode: LockMode, resource: Vec<u8> },
-    }
-}
-
-/// The drop guard of one request's [`Wanted`] row: the request's grant
-/// windows are opened and closed through it, and however the request ends
-/// its registration ends with it.
-struct Phase2<'a> {
-    irlm: &'a Irlm,
-    txn: u64,
-}
-
-impl Phase2<'_> {
-    fn row<'l>(&self, local: &'l mut LocalState) -> &'l mut Wanted {
-        local.wanted.iter_mut().find(|w| w.txn == self.txn).expect("registered until the guard is gone")
-    }
-
-    /// Open a grant window — unless the request yielded to a peer while it
-    /// was outside one (`false`: the caller reports Busy and the retry
-    /// negotiates afresh against the peer's by then settled state).
-    #[must_use]
-    fn enter_critical(&self) -> bool {
-        let mut local = self.irlm.local.lock();
-        let row = self.row(&mut local);
-        row.critical = !row.yielded;
-        row.critical
-    }
-
-    /// A failed attempt leaves the window at once: negotiation itself must
-    /// not read as a conflict or a wide member group storms itself into
-    /// timeouts.
-    fn exit_critical(&self) {
-        self.row(&mut self.irlm.local.lock()).critical = false;
-    }
-
-    fn remove_row(&self, local: &mut LocalState) {
-        if let Some(at) = local.wanted.iter().position(|w| w.txn == self.txn) {
-            local.wanted.swap_remove(at);
-        }
-    }
-
-    /// End the registration under an already-held latch.
-    fn finish_in(self, local: &mut LocalState) {
-        self.remove_row(local);
-        std::mem::forget(self);
-    }
-}
-
-impl Drop for Phase2<'_> {
-    fn drop(&mut self) {
-        self.remove_row(&mut self.irlm.local.lock());
     }
 }
 
@@ -513,8 +112,8 @@ pub struct Irlm {
     /// publishes the new connection.
     cf: RwLock<LockConnection>,
     member: Arc<XcfMember>,
-    /// The one latch over the member's lock tables. It stays single: every
-    /// critical section under it is a few table probes (or a CF command
+    /// The one latch over the member's protocol state. It stays single:
+    /// every transition under it is a few table probes (plus the commands
     /// that must be ordered against them), and a request's cost is the
     /// work inside, not waiting for the latch.
     local: Mutex<LocalState>,
@@ -558,14 +157,16 @@ impl Irlm {
             xcf.join_with_exit(&group, &Self::member_name(conn.conn_id()), system, exit)
                 .map_err(|_| DbError::NegotiationFailed)?,
         );
+        let stats = Arc::new(IrlmStats::default());
+        let local = LocalState::new(conn.structure().entries(), conn.conn_id(), Arc::clone(&stats));
         let irlm = Arc::new(Irlm {
             system,
             cf: RwLock::new(conn),
             member,
-            local: Mutex::new(LocalState::default()),
+            local: Mutex::new(local),
             stop: AtomicBool::new(false),
             timer: Arc::clone(xcf.timer()),
-            stats: Arc::new(IrlmStats::default()),
+            stats,
         });
         let _ = this.set(Arc::downgrade(&irlm));
         Ok(irlm)
@@ -613,63 +214,28 @@ impl Irlm {
     /// Answer a peer's negotiation query: `Some` encoded "does anything
     /// here conflict?", or `None` to bytes that are not a query any IRLM
     /// sends (truncated, unknown tag or mode) — which the asker reads as a
-    /// conflict.
-    fn answer_query(&self, from: &str, payload: &[u8]) -> Option<Vec<u8>> {
+    /// conflict. Parked interest the recall surrenders is released under
+    /// the latch: a racing requester must observe either the parked entry
+    /// or the released one, never both. `try_read` keeps the signalling
+    /// thread from blocking against a rebuild writer; a rebuild rebuilds
+    /// the cache away anyway. The answer does not depend on who asks.
+    fn answer_query(&self, _from: &str, payload: &[u8]) -> Option<Vec<u8>> {
         let IrlmSignal::Query { mode, resource } = IrlmSignal::decode(payload).ok()?;
-        let name = ResourceName::new(&resource);
-        // A peer negotiating on this hash class is about to gain foreign
-        // interest: recall our cached fast path for the entry — and
-        // surrender parked interest — *before* the answer releases the
-        // peer, so a local re-grant can never race the peer's negotiated
-        // write. `try_read` keeps the signalling thread from blocking
-        // against a rebuild writer; a rebuild rebuilds the cache away
-        // anyway.
-        let cf = self.cf.try_read();
-        let mut local = self.local.lock();
-        let state = &mut *local;
-        state.recall_seq += 1;
-        // A request of our own inside a grant window is invisible to the
-        // resource scan below, so it is reported as a conflict and the peer
-        // retries against our settled state (see [`Wanted::critical`]).
-        let in_window = match &cf {
-            Some(cf) => {
-                let entry = cf.entry_of(&name);
-                let registered = state.in_flight(entry);
-                let e = state.entries.entry(entry).or_default();
-                if e.cached || e.parked {
-                    self.stats.recalls.incr();
-                }
-                e.cached = false;
-                e.cool = RECALL_COOLDOWN;
-                if e.parked && e.count == 0 && !registered {
-                    // Release under the local latch: a racing requester
-                    // must observe either the parked entry or the released
-                    // one, never both.
-                    e.parked = false;
-                    state.parked_live -= 1;
-                    let _ = cf.release_lock(entry);
-                }
-                state.wanted.iter().any(|w| w.entry == entry && w.critical)
-            }
-            None => {
-                // Rebuild in progress: geometry unknown, so conservatively
-                // drop every cached flag and treat any grant-window request
-                // as a conflict.
-                for e in state.entries.values_mut() {
-                    e.cached = false;
-                }
-                state.wanted.iter().any(|w| w.critical)
-            }
-        };
-        let conflict = in_window
-            || state.resources.get(&name).is_some_and(|r| r.conflicts_with_peer(mode))
-            || state.contest(&name, mode, from < self.member.name());
-        self.stats.queries_served.incr();
+        let (cf, mut local) = (self.cf.try_read(), self.local.lock());
+        let conflict = local.answer(&ResourceName::new(&resource), mode, cf.is_some());
+        if let Some(cf) = &cf {
+            let _ = Self::perform(&mut local, cf);
+        }
         Some(to_bytes(&conflict))
     }
 
-    /// Ask each holder whether it really conflicts on `resource`. Returns
-    /// `Ok(true)` when the contention was false (nobody conflicts).
+    /// Ask each holder but this member whether it really conflicts on
+    /// `resource`: `Err` names the first that does — or that said nothing
+    /// (stopped, not yet failed out of the group), said something that is
+    /// not a verdict, vanished between the CF response and the query (its
+    /// interest is going away), or is failed-persistent (its retained
+    /// interest conflicts until peer recovery completes). None of these is
+    /// "no conflict": the caller retries, by which time cleanup is done.
     ///
     /// `ignore` names a failed connector whose retained interest is being
     /// recovered *by the caller* — acting on the dead system's behalf, the
@@ -677,33 +243,23 @@ impl Irlm {
     fn negotiate(
         &self,
         cf: &LockConnection,
-        holders: u32,
+        holders: ConnMask,
         resource: &[u8],
         mode: LockMode,
         ignore: Option<ConnId>,
-    ) -> DbResult<bool> {
+    ) -> DbResult<Verdict> {
         let query = IrlmSignal::Query { mode, resource: resource.to_vec() }.encode();
-        for holder in conns_in_mask(holders & !cf.conn_id().mask()) {
-            if Some(holder) == ignore {
-                continue;
-            }
+        for holder in conns_in_mask(holders & !cf.conn_id().mask()).filter(|&holder| Some(holder) != ignore) {
             if cf.is_failed_persistent(holder)? {
-                // Retained interest of a dead system conflicts until peer
-                // recovery completes.
-                return Ok(false);
+                return Ok(Err(Blocker::Peer(holder)));
             }
             match self.member.call(&Self::member_name(holder), &query) {
                 Ok(Some(answer)) if matches!(from_bytes(&answer), Ok(false)) => {}
-                // It conflicts — or it said nothing (stopped, not yet failed
-                // out of the group), said something that is not a verdict,
-                // or vanished between the CF response and the query (its
-                // interest is going away). None of these is "no conflict":
-                // the caller retries, by which time cleanup is done.
-                Ok(_) | Err(XcfError::NoSuchMember(_)) => return Ok(false),
+                Ok(_) | Err(XcfError::NoSuchMember(_)) => return Ok(Err(Blocker::Peer(holder))),
                 Err(_) => return Err(DbError::NegotiationFailed),
             }
         }
-        Ok(true)
+        Ok(Ok(()))
     }
 
     /// Request `mode` on `resource` for transaction `txn` without waiting.
@@ -711,20 +267,8 @@ impl Irlm {
     /// `persistent` records the lock in CF record data (set for update
     /// locks so they are recoverable after a system failure).
     pub fn lock(&self, txn: u64, resource: &[u8], mode: LockMode, persistent: bool) -> DbResult<LockOutcome> {
-        self.lock_inner(txn, resource, mode, persistent, None, &mut None)
-    }
-
-    /// [`Irlm::lock`], but negotiation passes through the retained interest
-    /// of `recovering` — used only by the peer-recovery coordinator, which
-    /// acts on the failed connector's behalf.
-    pub fn lock_recover(
-        &self,
-        txn: u64,
-        resource: &[u8],
-        mode: LockMode,
-        recovering: ConnId,
-    ) -> DbResult<LockOutcome> {
-        self.lock_inner(txn, resource, mode, false, Some(recovering), &mut None)
+        let verdict = self.attempt(txn, resource, mode, persistent, None, &mut None)?;
+        Ok(if verdict.is_ok() { LockOutcome::Granted } else { LockOutcome::Busy })
     }
 
     /// Start a waiter's clock unless it is already running. Called where a
@@ -739,7 +283,12 @@ impl Irlm {
         *waiting.get_or_insert_with(|| self.timer.elapsed())
     }
 
-    fn lock_inner(
+    /// One attempt: perform each step the core returns until it is done.
+    /// The rebuild gate is held across the whole request: entry indexes
+    /// are only meaningful against one structure generation. The latch is
+    /// not held while a step's command runs — our message exit must be
+    /// able to answer our peers' queries while we negotiate.
+    fn attempt(
         &self,
         txn: u64,
         resource: &[u8],
@@ -747,243 +296,115 @@ impl Irlm {
         persistent: bool,
         ignore: Option<ConnId>,
         waiting: &mut Option<Duration>,
-    ) -> DbResult<LockOutcome> {
-        self.stats.requests.incr();
+    ) -> DbResult<Verdict> {
         // The request's one hash pass: entry index and every table key
-        // below derive from it.
+        // derive from it.
         let name = ResourceName::new(resource);
-        // Hold the rebuild gate across the whole request: entry indexes
-        // are only meaningful against one structure generation.
         let cf = self.cf.read();
-        let entry = cf.entry_of(&name);
-
-        // Phase 1: local table under the latch. A grant is local (no CF
-        // command) only when this system *already holds the same resource*
-        // in a covering way: negotiation soundness guarantees no foreign
-        // system can then hold a conflicting mode on it. Entry-level
-        // shortcuts are sound in exactly one case — the `cached` fast
-        // path below, where a sole-interest exclusive CF grant proved no
-        // foreign interest exists and every foreign acquisition since
-        // would have recalled the flag before completing.
-        let phase2 = {
-            let mut local = self.local.lock();
-            let state = &mut *local;
-            let mut granted = false;
-            if let Some(rh) = state.resources.get(&name) {
-                if !rh.compatible_for(txn, mode) {
-                    self.stats.local_conflicts.incr();
-                    return Ok(LockOutcome::Busy);
+        let mut step = self.transition(&cf, |local| local.request(txn, &name, mode, persistent)).0;
+        // One step's command with the latch released, then the transition
+        // that takes its result.
+        let mut next = |step| -> DbResult<Step> {
+            Ok(match step {
+                Step::Request(entry) => {
+                    let response = if persistent {
+                        cf.request_lock_recorded(entry, mode, resource, &txn.to_be_bytes())?
+                    } else {
+                        cf.request_lock(entry, mode)?
+                    };
+                    self.transition(&cf, |local| local.answered(txn, response)).0
                 }
-                let own_exclusive = rh.iter().any(|h| h.txn == txn && h.mode == LockMode::Exclusive);
-                if mode == LockMode::Shared || own_exclusive {
-                    self.stats.grants_local.incr();
-                    granted = true;
-                }
-            }
-            // Local-interest re-grant fast path: the CF hash slot records
-            // only this system's (exclusive) interest — new resources,
-            // upgrades, and re-acquires of parked locks in the hash class
-            // complete with no CF command. Local compatibility was checked
-            // above; a resource absent from the local table has no holders.
-            if !granted && state.entries.get(&entry).is_some_and(|e| e.cached) {
-                self.stats.regrants_local.incr();
-                cf.subchannel().emit(sysplex_core::trace::TraceEvent::LockLocalRegrant {
-                    entry: entry as u64,
-                    conn: cf.conn_id().raw(),
-                    exclusive: mode == LockMode::Exclusive,
-                });
-                granted = true;
-            }
-            if granted {
-                if state.record_grant(txn, &name, entry, mode, persistent) {
-                    state.queue_record(&name);
-                }
-                return Ok(LockOutcome::Granted);
-            }
-            // Going to the CF: register the request, so a concurrent
-            // recall cannot surrender retained interest it may be granted
-            // on, with its first grant window already open.
-            state.wanted.push(Wanted {
-                txn,
-                name: name.clone(),
-                entry,
-                mode,
-                critical: true,
-                yielded: false,
-                unrecorded: false,
-                recall_snapshot: state.recall_seq,
-            });
-            Phase2 { irlm: self, txn }
-        };
-
-        // Phase 2: CF command (local latch released — our message exit
-        // must be able to answer our peers' queries while we negotiate).
-        // Negotiation loop: a successful negotiation is only valid against
-        // the holder set it was conducted with. If a *new* holder acquires
-        // the entry between the contention response and our interest write
-        // (e.g. the old holder released and a third system was granted the
-        // freed entry synchronously), the conditional write refuses and we
-        // renegotiate against the current holders. Bounded: on a hot entry
-        // we eventually report Busy and let the caller's retry loop pace
-        // us instead of spinning here.
-        let mut renegotiations = 4u32;
-        let synchronous = loop {
-            // Inside a grant window here: phase 1 opened the first, a
-            // renegotiation re-enters at the bottom.
-            // A persistent request carries `txn`'s record, written only if
-            // it is granted.
-            let response = if persistent {
-                cf.request_lock_recorded(entry, mode, resource, &txn.to_be_bytes())?
-            } else {
-                cf.request_lock(entry, mode)?
-            };
-            match response {
-                LockResponse::Granted => {
-                    self.stats.grants_cf_sync.incr();
-                    break true;
-                }
-                LockResponse::Contention { holders, generation, .. } => {
-                    phase2.exit_critical();
-                    self.stats.contentions.incr();
+                Step::Negotiate { holders, generation } => {
                     self.wait_start(waiting);
-                    // No holder conflicts — and no holder's own request
-                    // for this resource made ours yield meanwhile.
-                    if !self.negotiate(&cf, holders, resource, mode, ignore)? || !phase2.enter_critical() {
-                        self.stats.real_conflicts.incr();
-                        return Ok(LockOutcome::Busy);
-                    }
-                    self.stats.false_contentions.incr();
-                    cf.subchannel().emit(sysplex_core::trace::TraceEvent::LockFalseContend {
-                        entry: entry as u64,
-                        holders: holders as u64,
-                    });
-                    // Quote the contention-time generation: if any holder's
-                    // interest departed while we negotiated (it may have
-                    // re-acquired — and locally cached — the entry since),
-                    // the write refuses and we renegotiate fresh.
-                    if cf.force_interest_negotiated(entry, mode, holders, generation)? {
-                        break false;
-                    }
-                    phase2.exit_critical();
-                    if renegotiations == 0 || !phase2.enter_critical() {
-                        return Ok(LockOutcome::Busy);
-                    }
-                    renegotiations -= 1;
+                    let verdict = self.negotiate(&cf, holders, resource, mode, ignore)?;
+                    self.transition(&cf, |local| local.negotiated(txn, verdict, holders, generation)).0
                 }
-            }
+                Step::Force { entry, holders, generation } => {
+                    let written = cf.force_interest_negotiated(entry, mode, holders, generation)?;
+                    self.transition(&cf, |local| local.forced(txn, written, holders)).0
+                }
+                Step::Done(_) => step,
+            })
         };
-        self.finish_cf_grant(&cf, phase2, &name, mode, persistent, synchronous)
+        loop {
+            match step {
+                Step::Done(verdict) => return Ok(verdict),
+                // A failed command ends the registration with the request.
+                _ => step = next(step).inspect_err(|_| self.local.lock().withdraw(txn))?,
+            }
+        }
     }
 
-    /// Phase 3: re-validate locally and record a grant the CF made — by a
-    /// `synchronous` request, whose command also wrote a persistent
-    /// request's record, or by a negotiated write, which wrote none and so
-    /// queues the record the grant needs. The
-    /// phase-2 registration ends under the same latch acquisition that
-    /// records the grant: from a peer's perspective the entry goes
-    /// conflict-by-window to conflict-by-resource with no observable gap.
-    fn finish_cf_grant(
-        &self,
-        cf: &LockConnection,
-        phase2: Phase2<'_>,
-        name: &ResourceName,
-        mode: LockMode,
-        persistent: bool,
-        synchronous: bool,
-    ) -> DbResult<LockOutcome> {
-        let txn = phase2.txn;
-        let recorded_by_request = synchronous && persistent;
+    /// Run one transition under the latch and perform what it left for
+    /// the CF before letting go, returning both. In a request, that is a
+    /// phase-3 loser's record repair, whose error leaves a record behind,
+    /// which over-retains (safe).
+    fn transition<R>(&self, cf: &LockConnection, f: impl FnOnce(&mut LocalState) -> R) -> (R, DbResult<()>) {
         let mut local = self.local.lock();
-        let state = &mut *local;
-        let &mut Wanted { entry, unrecorded, recall_snapshot, .. } = phase2.row(state);
-        phase2.finish_in(state);
-        if state.resources.get(name).is_some_and(|rh| !rh.compatible_for(txn, mode)) {
-            // A sibling transaction on this system won the race. Our CF
-            // interest stays: the sibling's hold needs it, and the
-            // resource scan now covers the entry.
-            self.stats.local_conflicts.incr();
-            if recorded_by_request {
-                self.settle_lost_record(state, cf, name);
-            }
-            return Ok(LockOutcome::Busy);
-        }
-        let record = state.record_grant(txn, name, entry, mode, persistent);
-        // A synchronous exclusive grant proves zero foreign interest in
-        // the entry at this instant — the only state the local fast path
-        // may be built on.
-        if synchronous && mode == LockMode::Exclusive && state.recall_seq == recall_snapshot {
-            let e = state.entries.entry(entry).or_default();
-            // A hash class with recent inter-system interest is not
-            // worth caching: parking it would just trigger another
-            // recall. Burn one cooldown credit instead.
-            if e.cool > 0 {
-                e.cool -= 1;
-            } else {
-                e.cached = true;
-            }
-        }
-        // The request's own command wrote its record — over any write of it
-        // still queued — unless a sibling's release may have deleted it
-        // since: then it is owed again.
-        if recorded_by_request && !unrecorded {
-            state.queued_records.retain(|q| q != name);
-        } else if recorded_by_request || record {
-            state.queue_record(name);
-        }
-        Ok(LockOutcome::Granted)
+        let r = f(&mut local);
+        (r, Self::perform(&mut local, cf))
     }
 
-    /// A persistent request lost phase 3 to a sibling after its own CF
-    /// command wrote this member's record for `name`, so the record names
-    /// the loser. It must say what the remaining holders hold: rewritten to
-    /// the strongest persistent one, or deleted when none is persistent.
-    /// Either goes out under the latch, so no later grant or release of
-    /// `name` is overtaken by it; an error leaves a record behind, which
-    /// over-retains (safe).
-    fn settle_lost_record(&self, state: &mut LocalState, cf: &LockConnection, name: &ResourceName) {
-        match state.resources.get(name).and_then(Holders::recorded) {
-            Some(h) => {
-                let _ = cf.write_lock_record_set(&[(name.clone(), h.mode, h.txn.to_be_bytes())]);
-            }
-            None => {
-                state.unrecord(name.clone());
-                let _ = Self::send_release_set(state, cf);
-            }
+    /// Send what a transition left in the core's buffers, in order: its
+    /// trace events, a recall's surrender, its record set, its release
+    /// set. Runs under the latch: a racing requester must observe either
+    /// our live interest or the released entry, never have its phase-2
+    /// interest revoked after the fact, and a sibling granted a resource
+    /// next must write its record after ours is deleted.
+    fn perform(local: &mut LocalState, cf: &LockConnection) -> DbResult<()> {
+        for event in local.events.drain(..) {
+            cf.subchannel().emit(event);
         }
+        if let Some(entry) = local.surrender.take() {
+            let _ = cf.release_lock(entry);
+        }
+        if local.record_set.is_empty() && local.release_entries.is_empty() && local.release_records.is_empty()
+        {
+            return Ok(());
+        }
+        let written =
+            if local.record_set.is_empty() { Ok(()) } else { cf.write_lock_record_set(&local.record_set) };
+        let released = if local.release_entries.is_empty() && local.release_records.is_empty() {
+            Ok(())
+        } else {
+            cf.release_set(&local.release_entries, &local.release_records)
+        };
+        local.sent(released.is_ok());
+        Ok(written.and(released)?)
     }
 
     /// Request with retry until `timeout` (the deadlock breaker: waits that
-    /// exceed it abort the transaction).
+    /// exceed it abort the transaction, naming what the last Busy answer
+    /// reported). `recovering` names a failed connector whose retained
+    /// interest the caller — the peer-recovery coordinator, acting on the
+    /// dead system's behalf — passes through.
     pub fn lock_wait(
         &self,
         txn: u64,
         resource: &[u8],
         mode: LockMode,
         persistent: bool,
+        recovering: Option<ConnId>,
         timeout: Duration,
     ) -> DbResult<()> {
         let mut waiting = None;
         loop {
-            match self.lock_inner(txn, resource, mode, persistent, None, &mut waiting)? {
-                LockOutcome::Granted => return Ok(()),
-                LockOutcome::Busy => {
-                    let clock = &self.timer;
-                    let waited = clock.elapsed().saturating_sub(self.wait_start(&mut waiting));
-                    if waited >= timeout {
-                        return Err(DbError::LockTimeout { resource: resource.to_vec(), waited });
-                    }
-                    // Virtual clock: each retry burns 1ms of simulated time,
-                    // so the deadlock breaker fires after a bounded number of
-                    // deterministic iterations. Wall clock: a short real
-                    // sleep, not a yield — IRLM suspends a blocked
-                    // requestor. A pure yield-spin lets N waiters starve
-                    // the holder on an oversubscribed host: nobody commits
-                    // inside anyone's timeout window and a wide member
-                    // group livelocks in abort/retry cycles on the hottest
-                    // row.
-                    clock.park_us(if clock.is_virtual() { 1_000 } else { 200 });
-                }
+            let verdict = self.attempt(txn, resource, mode, persistent, recovering, &mut waiting)?;
+            let Err(blocker) = verdict else { return Ok(()) };
+            let clock = &self.timer;
+            let waited = clock.elapsed().saturating_sub(self.wait_start(&mut waiting));
+            if waited >= timeout {
+                return Err(DbError::LockTimeout { resource: resource.to_vec(), waited, blocker });
             }
+            // Virtual clock: each retry burns 1ms of simulated time, so the
+            // deadlock breaker fires after a bounded number of
+            // deterministic iterations. Wall clock: a short real sleep, not
+            // a yield — IRLM suspends a blocked requestor. A pure
+            // yield-spin lets N waiters starve the holder on an
+            // oversubscribed host: nobody commits inside anyone's timeout
+            // window and a wide member group livelocks in abort/retry
+            // cycles on the hottest row.
+            clock.park_us(if clock.is_virtual() { 1_000 } else { 200 });
         }
     }
 
@@ -992,7 +413,7 @@ impl Irlm {
     /// The last local hold on a *cached* entry is released lazily: CF
     /// interest is parked so a re-acquire in the hash class stays a local
     /// re-grant, and the interest is surrendered only on a peer's recall
-    /// or FIFO eviction past [`PARK_CAP`] — which runs when a transaction
+    /// or FIFO eviction past the park cap — which runs when a transaction
     /// ends, so an unlock that leaves `txn` holding nothing evicts too.
     /// What the unlock gives up goes to the CF as at most one command.
     pub fn unlock(&self, txn: u64, resource: &[u8]) -> DbResult<()> {
@@ -1004,57 +425,20 @@ impl Irlm {
     /// one CF command for all of them. Names `txn` does not hold are
     /// skipped.
     pub fn unlock_set<N: AsRef<[u8]>>(&self, txn: u64, names: &[N]) -> DbResult<()> {
-        let cf = self.cf.read();
-        let mut local = self.local.lock();
-        let state = &mut *local;
-        for name in names {
-            let name = ResourceName::new(name.as_ref());
-            let Entry::Occupied(mut held) = state.held.entry(txn) else { break };
-            // Newest first: a lock released by name is nearly always one
-            // taken last (a commit's page P-locks).
-            let Some(at) = held.get().iter().rposition(|held| *held == name) else { continue };
-            held.get_mut().swap_remove(at);
-            let ended = held.get().is_empty();
-            if ended {
-                state.spare_lists.push(held.remove());
-            }
-            self.release_one(state, &cf, txn, name);
-            if ended {
-                Self::evict_parked(state);
-            }
-        }
-        Self::send_release_set(state, &cf)
+        self.transition(&self.cf.read(), |local| local.unlock_set(txn, names)).1
     }
 
     /// Write the records still owed for resources `txn` holds persistently
     /// — owed by grants whose own command wrote none, local re-grants
     /// above all — as one command, under the latch, so no release of the
-    /// same names overtakes it. Each says the strongest persistent hold of
-    /// its resource and names `txn`. A commit calls it before its first
-    /// page write: a record must exist before anything it protects can
-    /// reach shared storage, and until then a crash has externalised
-    /// nothing it would have to cover. Nothing owed, no command. A failed
-    /// set may have written some of the records: the holds still own them,
-    /// and their release deletes them.
+    /// same names overtakes it. A commit calls it before its first page
+    /// write: a record must exist before anything it protects can reach
+    /// shared storage, and until then a crash has externalised nothing it
+    /// would have to cover. Nothing owed, no command. A failed set may
+    /// have written some of the records: the holds still own them, and
+    /// their release deletes them.
     pub fn write_records(&self, txn: u64) -> DbResult<()> {
-        let cf = self.cf.read();
-        let mut local = self.local.lock();
-        let state = &mut *local;
-        let (set, resources) = (&mut state.record_set, &state.resources);
-        state.queued_records.retain(|name| {
-            let mine = |rh: &&Holders| rh.iter().any(|h| h.txn == txn && h.persistent);
-            let Some(recorded) = resources.get(name).filter(mine).and_then(Holders::recorded) else {
-                return true;
-            };
-            set.push((name.clone(), recorded.mode, txn.to_be_bytes()));
-            false
-        });
-        if set.is_empty() {
-            return Ok(());
-        }
-        let result = cf.write_lock_record_set(set);
-        set.clear();
-        Ok(result?)
+        self.transition(&self.cf.read(), |local| local.write_records(txn)).1
     }
 
     /// Release everything `txn` holds (commit/abort) with at most one CF
@@ -1062,142 +446,15 @@ impl Irlm {
     /// is reported. A record still owed goes with the last persistent hold
     /// of its resource.
     pub fn unlock_all(&self, txn: u64) -> DbResult<()> {
-        let cf = self.cf.read();
-        let mut local = self.local.lock();
-        let state = &mut *local;
-        let Some(mut list) = state.held.remove(&txn) else { return Ok(()) };
-        // Release in resource order, not acquisition order: the release
-        // set is trace-visible, and replayable simulation runs must produce
-        // it identically.
-        list.sort_unstable();
-        // Eviction is deferred to here, but picks the victims it picked
-        // when every park evicted at once: first for what the
-        // transaction's own unlocks parked — its other locks still held,
-        // as they were then — then after each release. (A FIFO position
-        // is only skipped while its entry is not parked, so the moment
-        // decides the victim.)
-        Self::evict_parked(state);
-        for name in list.drain(..) {
-            self.release_one(state, &cf, txn, name);
-            Self::evict_parked(state);
-        }
-        state.spare_lists.push(list);
-        Self::send_release_set(state, &cf)
-    }
-
-    /// Drop `txn`'s hold on `name` (already off its `held` list), adding
-    /// what follows from it to the release set: the record, when `txn` was
-    /// the last persistent holder, and the entry, when `name` was the last
-    /// resource in it and the entry does not park.
-    fn release_one(&self, state: &mut LocalState, cf: &LockConnection, txn: u64, name: ResourceName) {
-        let Entry::Occupied(mut slot) = state.resources.entry(name) else { return };
-        let Some(holder) = slot.get_mut().remove(txn) else { return };
-        let unrecord = holder.persistent && !slot.get().iter().any(|h| h.persistent);
-        let name = if slot.get().is_empty() {
-            let (name, _) = slot.remove_entry();
-            self.release_entry_use(state, cf, cf.entry_of(&name));
-            name
-        } else if unrecord {
-            slot.key().clone()
-        } else {
-            return;
-        };
-        if unrecord {
-            state.unrecord(name);
-        }
-    }
-
-    /// The last local holder of one resource hashing to `entry` is gone:
-    /// queue the entry's release when it was the last resource — or park
-    /// it.
-    fn release_entry_use(&self, state: &mut LocalState, cf: &LockConnection, entry: usize) {
-        let registered = state.in_flight(entry);
-        let e = state.entries.get_mut(&entry).expect("a held resource counts in its entry");
-        e.count -= 1;
-        if e.count > 0 {
-            return;
-        }
-        // A sibling request in phase 2/3 may already have written CF
-        // interest for this entry that it has not yet recorded locally;
-        // releasing the entry here would yank that interest out from under
-        // the grant and let a peer acquire a conflicting lock. Park instead
-        // — the recall/eviction machinery surrenders the interest once
-        // nothing is in flight.
-        if e.cached || registered {
-            state.park(entry);
-            self.stats.lazy_releases.incr();
-            cf.subchannel().emit(sysplex_core::trace::TraceEvent::LockLazyRelease {
-                entry: entry as u64,
-                conn: cf.conn_id().raw(),
-            });
-        } else {
-            state.settle(entry);
-            state.release_entries.push(entry);
-        }
-    }
-
-    /// Evict FIFO past [`PARK_CAP`] into the release set, skipping
-    /// positions that are not live; an in-flight victim rotates to the
-    /// back.
-    fn evict_parked(state: &mut LocalState) {
-        let mut budget = state.parked.len();
-        while state.parked_live > PARK_CAP && budget > 0 {
-            budget -= 1;
-            let Some(position) = state.parked.pop_front() else { break };
-            if !LocalState::live(&state.entries, position) {
-                continue;
-            }
-            let victim = position.0;
-            if state.in_flight(victim) {
-                state.parked.push_back(position);
-                continue;
-            }
-            let v = state.entries.get_mut(&victim).expect("a live position has its entry");
-            v.parked = false;
-            v.cached = false;
-            state.parked_live -= 1;
-            state.settle(victim);
-            state.release_entries.push(victim);
-        }
-    }
-
-    /// Send the release set gathered under this latch acquisition, if any,
-    /// as one command. Runs under the latch: a racing requester must
-    /// observe either our live interest or the released entry, never have
-    /// its phase-2 interest revoked after the fact, and a sibling granted a
-    /// resource next must write its record after ours is deleted. When the
-    /// command fails, the CF may or may not have executed it: its entries
-    /// are parked again — uncached, so they never grant locally, and the
-    /// next recall or eviction surrenders them — and its records stay
-    /// behind, which over-retains (safe).
-    fn send_release_set(state: &mut LocalState, cf: &LockConnection) -> DbResult<()> {
-        if state.release_entries.is_empty() && state.release_records.is_empty() {
-            return Ok(());
-        }
-        let result = cf.release_set(&state.release_entries, &state.release_records);
-        if result.is_err() {
-            for at in 0..state.release_entries.len() {
-                state.park(state.release_entries[at]);
-            }
-        }
-        state.release_entries.clear();
-        state.release_records.clear();
-        Ok(result?)
+        self.transition(&self.cf.read(), |local| local.unlock_all(txn)).1
     }
 
     /// Resources `txn` currently holds, with modes (diagnostics).
     pub fn held_by(&self, txn: u64) -> Vec<(Vec<u8>, LockMode)> {
         let local = self.local.lock();
-        let mut v: Vec<(Vec<u8>, LockMode)> = local
-            .held
-            .get(&txn)
-            .into_iter()
-            .flatten()
-            .filter_map(|name| {
-                let holder = local.resources.get(name)?.iter().find(|h| h.txn == txn)?;
-                Some((name.as_bytes().to_vec(), holder.mode))
-            })
-            .collect();
+        let hold = |name: &ResourceName| Some(local.resources.get(name)?.iter().find(|h| h.txn == txn)?.mode);
+        let names = local.held.get(&txn).into_iter().flatten();
+        let mut v: Vec<_> = names.filter_map(|name| Some((name.as_bytes().to_vec(), hold(name)?))).collect();
         v.sort();
         v
     }
@@ -1231,6 +488,17 @@ impl Irlm {
         self.cf.read().is_duplexed()
     }
 
+    /// Re-create a replay's interest and then its records through `conn`.
+    fn import(conn: &LockConnection, (interest, records): &Replay) -> DbResult<()> {
+        for &(entry, mode) in interest {
+            conn.force_interest(entry, mode)?;
+        }
+        if !records.is_empty() {
+            conn.write_lock_record_set(records)?;
+        }
+        Ok(())
+    }
+
     /// Enable duplexing for a whole group: quiesce, join every member's
     /// connection to one pair onto `secondary` (same connector slots;
     /// identical geometry required) and replay its interest and records
@@ -1244,8 +512,8 @@ impl Irlm {
         let mut guards: Vec<_> = members.iter().map(|m| m.cf.write()).collect();
         let pair = DuplexPair::new(secondary, sub);
         for (member, guard) in members.iter().zip(guards.iter_mut()) {
-            // Same geometry: the secondary's entry table is the member's own.
-            member.local.lock().replay_onto(guard.duplex_into(&pair)?)?;
+            let sec = guard.duplex_into(&pair)?;
+            Self::import(sec, &member.local.lock().replay(sec.structure().entries()))?;
         }
         Ok(())
     }
@@ -1284,16 +552,9 @@ impl Irlm {
             let new_conn =
                 LockConnection::attach_slot(&new, sub.sibling().with_system(member.system), guard.conn_id())?;
             let mut local = member.local.lock();
-            // Fresh entries carry no cached flags (foreign interest is
-            // re-imported unconditionally, so no sole-interest proof
-            // exists) and no cooldown (its indexes are against the old
-            // geometry), and no request is registered on the old ones (the
-            // rebuild gate admits none in flight); parked interest is
-            // simply not re-created — the old structure's Normal detach
-            // below surrenders it.
-            local.entries = local.replay_onto(&new_conn)?;
-            local.parked.clear();
-            local.parked_live = 0;
+            let replay = local.replay(new.entries());
+            Self::import(&new_conn, &replay)?;
+            local.rebuilt(new.entries(), &replay.0);
             drop(local);
             // The old structure (or its CF) may already be gone. The new
             // one is simplex: re-enable duplexing afterwards if desired.
@@ -1401,10 +662,12 @@ impl std::fmt::Debug for Irlm {
 
 #[cfg(test)]
 mod tests {
+    use super::protocol::{Wanted, PARK_CAP};
     use super::*;
     use std::sync::atomic::AtomicU64;
     use sysplex_core::facility::{CfConfig, CouplingFacility};
     use sysplex_core::lock::LockParams;
+    use sysplex_core::lock::LockResponse;
 
     struct Rig {
         irlms: Vec<Arc<Irlm>>,
@@ -1586,9 +849,14 @@ mod tests {
         let r = rig(2, 1024);
         let (a, b) = (&r.irlms[0], &r.irlms[1]);
         a.lock(1, b"ROW.1", LockMode::Exclusive, false).unwrap();
-        let err =
-            b.lock_wait(2, b"ROW.1", LockMode::Exclusive, false, Duration::from_millis(30)).unwrap_err();
+        let err = b
+            .lock_wait(2, b"ROW.1", LockMode::Exclusive, false, None, Duration::from_millis(30))
+            .unwrap_err();
         assert!(matches!(err, DbError::LockTimeout { .. }));
+        assert!(
+            matches!(err, DbError::LockTimeout { blocker: Blocker::Peer(conn), .. } if conn == a.conn()),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1668,23 +936,22 @@ mod tests {
         assert_eq!(retained.iter().map(|l| l.resource.as_slice()).collect::<Vec<_>>(), [b"ROW.1"]);
     }
 
-    /// Register `txn`'s request for `name` as phase 1 does, so a test can
-    /// play the request's CF command and phase 3 in an order of its own.
-    fn register<'a>(irlm: &'a Irlm, txn: u64, name: &ResourceName, mode: LockMode) -> Phase2<'a> {
-        let entry = irlm.cf.read().entry_of(name);
+    /// Register `txn`'s persistent request for `name` as phase 1 does, so
+    /// a test can play the request's CF command and phase 3 in an order of
+    /// its own.
+    fn register(irlm: &Irlm, txn: u64, name: &ResourceName, mode: LockMode) -> u64 {
         let mut local = irlm.local.lock();
+        let entry = local.entry_of(name);
         let recall_snapshot = local.recall_seq;
-        local.wanted.push(Wanted {
-            txn,
-            name: name.clone(),
-            entry,
-            mode,
-            critical: true,
-            yielded: false,
-            unrecorded: false,
-            recall_snapshot,
-        });
-        Phase2 { irlm, txn }
+        local.wanted.push(Wanted { recall_snapshot, ..Wanted::new(txn, name, entry, mode, true) });
+        txn
+    }
+
+    /// Phase 3 of `txn`'s registered request, its CF command having
+    /// granted it synchronously.
+    fn finish(irlm: &Irlm, txn: u64) -> DbResult<LockOutcome> {
+        let (step, _) = irlm.transition(&irlm.cf.read(), |local| local.answered(txn, LockResponse::Granted));
+        Ok(if step == Step::Done(Ok(())) { LockOutcome::Granted } else { LockOutcome::Busy })
     }
 
     /// Who the member's records for `a` name: `(resource, txn)` pairs.
@@ -1715,7 +982,7 @@ mod tests {
             assert_eq!(records_of(a), [(b"ROW.1".to_vec(), 2)]);
             // Phase 3 finds txn 1 holding: txn 2 loses, and the record is
             // the winner's — or gone, when the winner keeps no record.
-            let outcome = a.finish_cf_grant(&a.cf.read(), phase2, &name, x, true, true).unwrap();
+            let outcome = finish(a, phase2).unwrap();
             assert_eq!(outcome, LockOutcome::Busy);
             let want: Vec<(Vec<u8>, u64)> =
                 if winner_persistent { vec![(b"ROW.1".to_vec(), 1)] } else { vec![] };
@@ -1747,7 +1014,7 @@ mod tests {
         assert_eq!(a.lock(1, name.as_bytes(), x, true).unwrap(), LockOutcome::Granted);
         a.unlock_all(1).unwrap();
         assert!(records_of(a).is_empty());
-        let outcome = a.finish_cf_grant(&a.cf.read(), phase2, &name, x, true, true).unwrap();
+        let outcome = finish(a, phase2).unwrap();
         assert_eq!(outcome, LockOutcome::Granted);
         a.write_records(2).unwrap();
         assert_eq!(records_of(a), [(b"ROW.1".to_vec(), 2)]);
@@ -1906,14 +1173,8 @@ mod tests {
         let (a, b) = (&r.irlms[0], &r.irlms[1]);
         let interest = |i: &Irlm| i.structure().interest_count(i.conn());
         let sibling = |critical| Wanted {
-            txn: 2,
-            name: ResourceName::new(b"ROW.S"),
-            entry: 0,
-            mode: LockMode::Shared,
             critical,
-            yielded: false,
-            unrecorded: false,
-            recall_snapshot: 0,
+            ..Wanted::new(2, &ResourceName::new(b"ROW.S"), 0, LockMode::Shared, false)
         };
         // Shared grants are never cached: without the sibling this unlock
         // would release the entry.
@@ -1956,8 +1217,8 @@ mod tests {
                     for t in 0..ROUNDS {
                         let txn = (i as u64) << 32 | t;
                         let wait = Duration::from_secs(60);
-                        irlm.lock_wait(txn, own.as_bytes(), LockMode::Exclusive, false, wait).unwrap();
-                        irlm.lock_wait(txn, b"ROW.X", LockMode::Exclusive, false, wait).unwrap();
+                        irlm.lock_wait(txn, own.as_bytes(), LockMode::Exclusive, false, None, wait).unwrap();
+                        irlm.lock_wait(txn, b"ROW.X", LockMode::Exclusive, false, None, wait).unwrap();
                         let v = counter.load(Ordering::Relaxed);
                         std::thread::yield_now();
                         counter.store(v + 1, Ordering::Relaxed);
@@ -2172,16 +1433,8 @@ mod tests {
         // first, which eviction must pass over.
         let mut alone = entries.iter().filter(|e| entries.iter().filter(|other| other == e).count() == 1);
         let (registered, oldest) = (*alone.next().unwrap(), *alone.next().unwrap());
-        a.local.lock().wanted.push(Wanted {
-            txn: u64::MAX,
-            name: ResourceName::new(b"ROW.S"),
-            entry: registered,
-            mode: LockMode::Shared,
-            critical: false,
-            yielded: false,
-            unrecorded: false,
-            recall_snapshot: 0,
-        });
+        let row = Wanted::new(u64::MAX, &ResourceName::new(b"ROW.S"), registered, LockMode::Shared, false);
+        a.local.lock().wanted.push(Wanted { critical: false, ..row });
         for k in 0..n {
             a.lock(k as u64, &resource(k), LockMode::Exclusive, false).unwrap();
             a.unlock(k as u64, &resource(k)).unwrap();
@@ -2211,8 +1464,15 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for t in 0..50u64 {
                     let txn = (i as u64) << 32 | t;
-                    irlm.lock_wait(txn, b"COUNTER", LockMode::Exclusive, false, Duration::from_secs(10))
-                        .unwrap();
+                    irlm.lock_wait(
+                        txn,
+                        b"COUNTER",
+                        LockMode::Exclusive,
+                        false,
+                        None,
+                        Duration::from_secs(10),
+                    )
+                    .unwrap();
                     let v = counter.load(Ordering::Relaxed);
                     std::thread::yield_now();
                     counter.store(v + 1, Ordering::Relaxed);

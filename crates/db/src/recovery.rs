@@ -26,7 +26,6 @@
 
 use crate::database::{page_resource, Database};
 use crate::error::{DbError, DbResult};
-use crate::irlm::LockOutcome;
 use crate::log::{LogManager, LogRecord};
 use std::sync::Arc;
 use std::time::Duration;
@@ -58,6 +57,10 @@ pub struct FailedMember {
     /// The dead member's log volume.
     pub log_volume: String,
 }
+
+/// How long a backout waits for a page P-lock before recovery gives up:
+/// the deadlock breaker of the recovery "transaction".
+const BACKOUT_WAIT: Duration = Duration::from_secs(10);
 
 /// Run peer recovery for `failed` on the `survivor` instance.
 pub fn recover_peer(
@@ -96,7 +99,7 @@ pub fn recover_peer(
         }
         backed_out.insert(*txn);
         let plock = page_resource(survivor.store().db_id(), *page);
-        lock_recover_wait(survivor, rtxn, &plock, failed.lock_conn, Duration::from_secs(10))?;
+        irlm.lock_wait(rtxn, &plock, LockMode::Exclusive, false, Some(failed.lock_conn), BACKOUT_WAIT)?;
         let result = (|| -> DbResult<bool> {
             let mut image = survivor.buffers().get_page(*page)?;
             if image.get(*key) != after.as_deref() {
@@ -135,31 +138,4 @@ pub fn recover_peer(
         retained_released: retained,
         pages_cast_out,
     })
-}
-
-fn lock_recover_wait(
-    survivor: &Database,
-    txn: u64,
-    resource: &[u8],
-    recovering: ConnId,
-    timeout: Duration,
-) -> DbResult<()> {
-    // Clocked by the survivor's Sysplex Timer so the recovery deadlock
-    // breaker works under both wall and simulated (virtual) time. Measured
-    // with `elapsed()` (raw source) — the TOD uniqueness bump inflates
-    // under concurrent readers.
-    let clock = survivor.timer();
-    let start = clock.elapsed();
-    loop {
-        match survivor.irlm().lock_recover(txn, resource, LockMode::Exclusive, recovering)? {
-            LockOutcome::Granted => return Ok(()),
-            LockOutcome::Busy => {
-                let waited = clock.elapsed().saturating_sub(start);
-                if waited >= timeout {
-                    return Err(DbError::LockTimeout { resource: resource.to_vec(), waited });
-                }
-                clock.park_us(if clock.is_virtual() { 1_000 } else { 0 });
-            }
-        }
-    }
 }

@@ -12,12 +12,11 @@ use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use sysplex_core::stats::Counter;
+use sysplex_core::stats::{Counter, Histogram};
 use sysplex_db::error::{DbError, DbResult};
 use sysplex_db::{Database, Txn};
 use sysplex_services::system::System;
 use sysplex_services::wlm::Wlm;
-use sysplex_workload::metrics::Histogram;
 
 /// The business logic of a transaction.
 pub type TranHandler = Arc<dyn Fn(&Database, &mut Txn) -> DbResult<()> + Send + Sync>;

@@ -1,4 +1,4 @@
-//! # sysplex-workload — workload generators and metrics
+//! # sysplex-workload — workload generators
 //!
 //! §2.3 of the paper motivates the data-sharing design with two workload
 //! families: **OLTP** ("many individual work requests ... each transaction
@@ -16,9 +16,6 @@
 //! * [`decision`] — scan queries with split/merge parallelisation.
 //! * [`hotspot`] — time-varying hotspot models (migrating hot partitions,
 //!   demand spikes) for the E6 comparison.
-//! * [`metrics`] — latency histograms with percentiles and throughput
-//!   summaries for experiment output.
-
 //! * [`debitcredit`] — the TPC-A-flavoured debit/credit schema (branch /
 //!   teller / account / history) matching the CICS/DBCTL shape of the §4
 //!   study, with the 15 % remote-branch rule partitioned systems must
@@ -29,10 +26,8 @@
 pub mod debitcredit;
 pub mod decision;
 pub mod hotspot;
-pub mod metrics;
 pub mod oltp;
 pub mod zipf;
 
-pub use metrics::{Histogram, HistogramSnapshot, Summary};
 pub use oltp::{OltpConfig, OltpGenerator, TxnSpec};
 pub use zipf::Zipf;
