@@ -97,7 +97,9 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Append-only encoder over a growable byte buffer.
+/// Encoder over a growable byte buffer: appends, plus the in-place access a
+/// writer that reuses its buffer needs — read what it holds, cut it back,
+/// fill in a length once what follows it is written.
 #[derive(Debug, Default)]
 pub struct WireWriter {
     buf: Vec<u8>,
@@ -122,6 +124,40 @@ impl WireWriter {
     /// Whether nothing has been written.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
+    }
+
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Keep the first `len` bytes, and the buffer's capacity.
+    pub fn truncate(&mut self, len: usize) {
+        self.buf.truncate(len);
+    }
+
+    /// Forget everything written, keeping the buffer's capacity.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
+    /// Overwrite the little-endian u32 written at `at`.
+    pub fn patch_u32(&mut self, at: usize, v: u32) {
+        self.buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Overwrite the little-endian u64 written at `at`.
+    pub fn patch_u64(&mut self, at: usize, v: u64) {
+        self.buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Append what `body` writes behind its u32 length, as
+    /// [`WireWriter::put_bytes`] would have, without a copy of it.
+    pub fn put_len_prefixed(&mut self, body: impl FnOnce(&mut Self)) {
+        let at = self.buf.len();
+        self.put_u32(0);
+        body(self);
+        self.patch_u32(at, (self.buf.len() - at - 4) as u32);
     }
 
     /// Append one byte.
@@ -159,6 +195,15 @@ impl WireWriter {
     /// Append a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, v: &str) {
         self.put_bytes(v.as_bytes());
+    }
+
+    /// Append a borrowed optional byte slice as `Option<Vec<u8>>` encodes
+    /// an owned one: a presence byte, then the length-prefixed bytes.
+    pub fn put_opt_bytes(&mut self, v: Option<&[u8]>) {
+        self.put_bool(v.is_some());
+        if let Some(v) = v {
+            self.put_bytes(v);
+        }
     }
 }
 
@@ -350,16 +395,16 @@ impl<S: Write> FrameStream<S> {
     /// Send one frame numbered `seq` whose body is what `body` writes.
     pub fn send(&mut self, seq: u32, body: impl FnOnce(&mut WireWriter)) -> std::io::Result<()> {
         let out = &mut self.out;
-        out.buf.clear();
+        out.clear();
         out.put_raw(&FRAME_MAGIC);
         out.put_u8(WIRE_VERSION);
         out.put_u32(0); // the body length, once it is known
         out.put_u32(seq);
         body(out);
-        let len = out.buf.len() - FRAME_HEADER_BYTES;
+        let len = out.len() - FRAME_HEADER_BYTES;
         assert!(len <= MAX_FRAME_BYTES, "frame body exceeds budget");
-        out.buf[5..9].copy_from_slice(&(len as u32).to_le_bytes());
-        self.stream.write_all(&out.buf)?;
+        out.patch_u32(5, len as u32);
+        self.stream.write_all(out.as_bytes())?;
         self.stream.flush()
     }
 }

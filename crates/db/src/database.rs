@@ -38,7 +38,9 @@ use sysplex_services::timer::{SysplexTimer, Tod};
 /// Per-database tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct DbConfig {
-    /// Deadlock breaker: max wait for any lock.
+    /// The longest any one lock wait lasts: what ends waits on holders that
+    /// are silent, gone or failed-persistent. Upgrades are ordered without
+    /// it (see [`Irlm::lock_wait`]).
     pub lock_timeout: Duration,
     /// Local buffer pool frames.
     pub buffer_frames: usize,
@@ -212,8 +214,7 @@ impl Database {
         self.log.checkpoint_if(|| self.active_txns.load(Ordering::Acquire) == 0)
     }
 
-    /// Wait for `mode` on `resource` up to the configured deadlock
-    /// timeout.
+    /// Wait for `mode` on `resource` up to the configured lock timeout.
     fn lock_wait(&self, txn: u64, resource: &[u8], mode: LockMode, persistent: bool) -> DbResult<()> {
         self.irlm.lock_wait(txn, resource, mode, persistent, None, self.config.lock_timeout)
     }
@@ -384,46 +385,39 @@ impl Database {
         unlock_result
     }
 
-    /// Convenience: run `f` in a transaction, retrying on lock timeouts up
-    /// to `retries` times (timeouts abort and re-run — the classic OLTP
-    /// deadlock-breaker loop). Retries back off for a randomized interval
-    /// so two transactions deadlocking in lockstep cannot livelock.
+    /// Convenience: run `f` in a transaction, retrying up to `retries`
+    /// times when a lock wait times out or the transaction is a deadlock
+    /// victim. Either aborts and runs `f` again at once, in a new
+    /// transaction. A victim's retry first takes the resource it lost in
+    /// Exclusive, holding nothing else, so it queues behind the older
+    /// transaction's commit instead of taking the resource Shared again
+    /// ahead of it (a later [`Database::write`] of it is a local grant that
+    /// makes the hold persistent).
     pub fn run<R>(
         &self,
         retries: usize,
         mut f: impl FnMut(&Database, &mut Txn) -> DbResult<R>,
     ) -> DbResult<R> {
-        let mut attempts: u32 = 0;
+        let (mut retried, mut lost) = (0, None::<Vec<u8>>);
         loop {
             let mut txn = self.begin();
-            match f(self, &mut txn).and_then(|r| self.commit(&mut txn).map(|_| r)) {
-                Ok(r) => return Ok(r),
-                Err(DbError::LockTimeout { resource, waited, blocker }) => {
-                    if !txn.complete {
-                        let _ = self.abort(&mut txn);
-                    }
-                    attempts += 1;
-                    if attempts as usize > retries {
-                        return Err(DbError::LockTimeout { resource, waited, blocker });
-                    }
-                    // Exponential randomized backoff, seeded from the
-                    // (sysplex-unique) TOD: colliding transactions must
-                    // desynchronise faster than they re-collide, or a
-                    // wide group livelocks on a hot record with every
-                    // member retrying in phase.
-                    let ceil_us = 100u64 << attempts.min(8);
-                    let jitter_us = self.timer.tod().0 % ceil_us;
-                    // park_us: wall timers sleep, virtual timers advance —
-                    // the backoff stays deterministic under simulation.
-                    self.timer.park_us(jitter_us);
-                }
-                Err(e) => {
-                    if !txn.complete {
-                        let _ = self.abort(&mut txn);
-                    }
-                    return Err(e);
-                }
+            let first =
+                lost.as_deref().map_or(Ok(()), |r| self.lock_wait(txn.id, r, LockMode::Exclusive, false));
+            let result =
+                first.and_then(|()| f(self, &mut txn)).and_then(|r| self.commit(&mut txn).map(|_| r));
+            let Err(e) = result else { return result };
+            if !txn.complete {
+                let _ = self.abort(&mut txn);
             }
+            match &e {
+                DbError::DeadlockVictim { resource, .. } => lost = Some(resource.clone()),
+                DbError::LockTimeout { .. } => {}
+                _ => return Err(e),
+            }
+            if retried == retries {
+                return Err(e);
+            }
+            retried += 1;
         }
     }
 

@@ -15,7 +15,7 @@ pub enum DbError {
     Cf(CfError),
     /// A DASD I/O failed.
     Io(IoError),
-    /// A lock could not be obtained within the deadlock timeout.
+    /// A lock could not be obtained within the lock timeout.
     LockTimeout {
         /// The contested resource.
         resource: Vec<u8>,
@@ -23,6 +23,14 @@ pub enum DbError {
         waited: Duration,
         /// What the last Busy answer reported in the way.
         blocker: Blocker,
+    },
+    /// An upgrade met an older transaction's upgrade of the same resource:
+    /// this transaction is the deadlock victim and must abort.
+    DeadlockVictim {
+        /// The contested resource.
+        resource: Vec<u8>,
+        /// The older upgrader, which waits on.
+        winner: Winner,
     },
     /// The transaction was already completed (commit/abort called twice).
     TxnComplete,
@@ -45,6 +53,15 @@ pub enum Blocker {
     Local(u64),
 }
 
+/// The older upgrader a deadlock victim gave way to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Winner {
+    /// Its transaction.
+    pub txn: u64,
+    /// Its member's connector, when that is a peer.
+    pub peer: Option<ConnId>,
+}
+
 impl fmt::Display for DbError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -57,6 +74,11 @@ impl fmt::Display for DbError {
                     Blocker::Peer(conn) => write!(f, "connector {}", conn.raw()),
                     Blocker::Local(txn) => write!(f, "transaction {txn} on this member"),
                 }
+            }
+            DbError::DeadlockVictim { resource, winner: Winner { txn, peer } } => {
+                let resource = String::from_utf8_lossy(resource);
+                let on = peer.map_or("this member".into(), |conn| format!("connector {}", conn.raw()));
+                write!(f, "deadlock victim on {resource}: transaction {txn} on {on} upgrades it first")
             }
             DbError::TxnComplete => write!(f, "transaction already complete"),
             DbError::PageCorrupt(p) => write!(f, "page {p} corrupt"),
@@ -97,5 +119,11 @@ mod tests {
         let e =
             DbError::LockTimeout { resource: vec![], waited, blocker: Blocker::Peer(ConnId::from_raw(3)) };
         assert!(e.to_string().ends_with("held by connector 3"), "{e}");
+        let winner = Winner { txn: 5, peer: Some(ConnId::from_raw(2)) };
+        let e = DbError::DeadlockVictim { resource: b"ROW.7".to_vec(), winner };
+        assert_eq!(e.to_string(), "deadlock victim on ROW.7: transaction 5 on connector 2 upgrades it first");
+        let e =
+            DbError::DeadlockVictim { resource: b"ROW.7".to_vec(), winner: Winner { peer: None, ..winner } };
+        assert!(e.to_string().ends_with("transaction 5 on this member upgrades it first"), "{e}");
     }
 }

@@ -535,9 +535,10 @@ mod tests {
 
     #[test]
     fn concurrent_transfers_conserve_total() {
-        // Short deadlock-breaker timeout + generous retries: transfers
-        // deadlock legitimately (S-read then X-upgrade on both sides) and
-        // must resolve by abort-and-rerun even on a loaded host.
+        // Transfers upgrade rows they both read (S, then X): the younger
+        // upgrader of a row is the older's victim and reruns at once. A
+        // short timeout and generous retries end the waits across rows
+        // that age does not order, even on a loaded host.
         let cf = CouplingFacility::new(CfConfig::named("CF01"));
         let farm = DasdFarm::new(IoModel::instant());
         let timer = SysplexTimer::new();

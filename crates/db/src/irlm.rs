@@ -20,7 +20,9 @@
 //!    queries exactly the holder systems over XCF. When none actually
 //!    holds *this* resource in a conflicting mode the contention was
 //!    *false* (hash collision) and interest is recorded anyway.
-//! 4. **Busy** — a real resource-level conflict; the caller backs off.
+//! 4. **Busy** — a real resource-level conflict; the caller waits —
+//!    unless an older waiting transaction is in its way: then it is that
+//!    transaction's deadlock victim.
 //!
 //! Exclusive locks taken for updates also write CF **record data** so that,
 //! after a system failure, survivors can read exactly which resources the
@@ -40,9 +42,9 @@
 
 pub mod protocol;
 
-use crate::error::{Blocker, DbError, DbResult};
+use crate::error::{DbError, DbResult};
 use parking_lot::{Mutex, RwLock};
-use protocol::{LocalState, Replay, Step, Verdict};
+use protocol::{LocalState, Negotiation, Refusal, Replay, Step, Verdict};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
@@ -95,7 +97,8 @@ pub struct IrlmStats {
 
 wire_enum! {
     /// What one IRLM asks another, carried as an XCF call. The holder's
-    /// message exit answers with one encoded `bool`: does it conflict?
+    /// message exit answers with an encoded `(bool, Option<u64>)`: does it
+    /// conflict, and its oldest waiting transaction in the way.
     #[derive(Debug, PartialEq, Eq)]
     pub(crate) enum IrlmSignal("irlm-signal") {
         /// "Does anything you hold conflict with `mode` on `resource`?"
@@ -121,7 +124,7 @@ pub struct Irlm {
     /// answers nothing from then on.
     stop: AtomicBool,
     /// Time reference for lock-wait timeouts: the XCF service's timer, so
-    /// under the deterministic harness's virtual timer deadlock-breaker
+    /// under the deterministic harness's virtual timer timeout
     /// expiry is driven by simulated time.
     timer: Arc<SysplexTimer>,
     /// Published counters.
@@ -212,30 +215,32 @@ impl Irlm {
     }
 
     /// Answer a peer's negotiation query: `Some` encoded "does anything
-    /// here conflict?", or `None` to bytes that are not a query any IRLM
-    /// sends (truncated, unknown tag or mode) — which the asker reads as a
-    /// conflict. Parked interest the recall surrenders is released under
-    /// the latch: a racing requester must observe either the parked entry
-    /// or the released one, never both. `try_read` keeps the signalling
-    /// thread from blocking against a rebuild writer; a rebuild rebuilds
-    /// the cache away anyway. The answer does not depend on who asks.
+    /// here conflict, and which of its transactions waits?", or `None` to
+    /// bytes that are not a query any IRLM sends (truncated, unknown tag or
+    /// mode) — which the asker reads as a conflict. Parked interest the
+    /// recall surrenders is released under the latch: a racing requester
+    /// must observe either the parked entry or the released one, never
+    /// both. `try_read` keeps the signalling thread from blocking against
+    /// a rebuild writer; a rebuild rebuilds the cache away anyway. The
+    /// answer does not depend on who asks.
     fn answer_query(&self, _from: &str, payload: &[u8]) -> Option<Vec<u8>> {
         let IrlmSignal::Query { mode, resource } = IrlmSignal::decode(payload).ok()?;
         let (cf, mut local) = (self.cf.try_read(), self.local.lock());
-        let conflict = local.answer(&ResourceName::new(&resource), mode, cf.is_some());
+        let answer = local.answer(&ResourceName::new(&resource), mode, cf.is_some());
         if let Some(cf) = &cf {
             let _ = Self::perform(&mut local, cf);
         }
-        Some(to_bytes(&conflict))
+        Some(to_bytes(&answer))
     }
 
     /// Ask each holder but this member whether it really conflicts on
-    /// `resource`: `Err` names the first that does — or that said nothing
-    /// (stopped, not yet failed out of the group), said something that is
-    /// not a verdict, vanished between the CF response and the query (its
-    /// interest is going away), or is failed-persistent (its retained
-    /// interest conflicts until peer recovery completes). None of these is
-    /// "no conflict": the caller retries, by which time cleanup is done.
+    /// `resource`: `Err` names the first that does, with the waiting
+    /// transaction it reported — or the first that said nothing (stopped, not yet
+    /// failed out of the group), said something that is not an answer,
+    /// vanished between the CF response and the query (its interest is
+    /// going away), or is failed-persistent (its retained interest
+    /// conflicts until peer recovery completes), with none. None of these
+    /// is "no conflict": the caller retries, by which time cleanup is done.
     ///
     /// `ignore` names a failed connector whose retained interest is being
     /// recovered *by the caller* — acting on the dead system's behalf, the
@@ -247,16 +252,19 @@ impl Irlm {
         resource: &[u8],
         mode: LockMode,
         ignore: Option<ConnId>,
-    ) -> DbResult<Verdict> {
+    ) -> DbResult<Negotiation> {
         let query = IrlmSignal::Query { mode, resource: resource.to_vec() }.encode();
         for holder in conns_in_mask(holders & !cf.conn_id().mask()).filter(|&holder| Some(holder) != ignore) {
             if cf.is_failed_persistent(holder)? {
-                return Ok(Err(Blocker::Peer(holder)));
+                return Ok(Err((holder, None)));
             }
-            match self.member.call(&Self::member_name(holder), &query) {
-                Ok(Some(answer)) if matches!(from_bytes(&answer), Ok(false)) => {}
-                Ok(_) | Err(XcfError::NoSuchMember(_)) => return Ok(Err(Blocker::Peer(holder))),
+            let answer = match self.member.call(&Self::member_name(holder), &query) {
+                Ok(answer) => answer.and_then(|answer| from_bytes::<(bool, Option<u64>)>(&answer).ok()),
+                Err(XcfError::NoSuchMember(_)) => None,
                 Err(_) => return Err(DbError::NegotiationFailed),
+            };
+            if !matches!(answer, Some((false, _))) {
+                return Ok(Err((holder, answer.and_then(|(_, waiter)| waiter))));
             }
         }
         Ok(Ok(()))
@@ -267,7 +275,7 @@ impl Irlm {
     /// `persistent` records the lock in CF record data (set for update
     /// locks so they are recoverable after a system failure).
     pub fn lock(&self, txn: u64, resource: &[u8], mode: LockMode, persistent: bool) -> DbResult<LockOutcome> {
-        let verdict = self.attempt(txn, resource, mode, persistent, None, &mut None)?;
+        let verdict = self.attempt(txn, resource, mode, persistent, None, None)?;
         Ok(if verdict.is_ok() { LockOutcome::Granted } else { LockOutcome::Busy })
     }
 
@@ -284,10 +292,12 @@ impl Irlm {
     }
 
     /// One attempt: perform each step the core returns until it is done.
-    /// The rebuild gate is held across the whole request: entry indexes
-    /// are only meaningful against one structure generation. The latch is
-    /// not held while a step's command runs — our message exit must be
-    /// able to answer our peers' queries while we negotiate.
+    /// `waiting` is the clock of a caller that waits on a refusal (which
+    /// marks its transaction waiting), `None` for one that does not. The
+    /// rebuild gate is held across the whole request: entry indexes are
+    /// only meaningful against one structure generation. The latch is not
+    /// held while a step's command runs — our message exit must be able to
+    /// answer our peers' queries while we negotiate.
     fn attempt(
         &self,
         txn: u64,
@@ -295,13 +305,14 @@ impl Irlm {
         mode: LockMode,
         persistent: bool,
         ignore: Option<ConnId>,
-        waiting: &mut Option<Duration>,
+        mut waiting: Option<&mut Option<Duration>>,
     ) -> DbResult<Verdict> {
         // The request's one hash pass: entry index and every table key
         // derive from it.
         let name = ResourceName::new(resource);
         let cf = self.cf.read();
-        let mut step = self.transition(&cf, |local| local.request(txn, &name, mode, persistent)).0;
+        let wait = waiting.is_some();
+        let mut step = self.transition(&cf, |local| local.request(txn, &name, mode, persistent, wait)).0;
         // One step's command with the latch released, then the transition
         // that takes its result.
         let mut next = |step| -> DbResult<Step> {
@@ -315,9 +326,11 @@ impl Irlm {
                     self.transition(&cf, |local| local.answered(txn, response)).0
                 }
                 Step::Negotiate { holders, generation } => {
-                    self.wait_start(waiting);
-                    let verdict = self.negotiate(&cf, holders, resource, mode, ignore)?;
-                    self.transition(&cf, |local| local.negotiated(txn, verdict, holders, generation)).0
+                    if let Some(waiting) = waiting.as_deref_mut() {
+                        self.wait_start(waiting);
+                    }
+                    let said = self.negotiate(&cf, holders, resource, mode, ignore)?;
+                    self.transition(&cf, |local| local.negotiated(txn, said, holders, generation)).0
                 }
                 Step::Force { entry, holders, generation } => {
                     let written = cf.force_interest_negotiated(entry, mode, holders, generation)?;
@@ -373,11 +386,17 @@ impl Irlm {
         Ok(written.and(released)?)
     }
 
-    /// Request with retry until `timeout` (the deadlock breaker: waits that
-    /// exceed it abort the transaction, naming what the last Busy answer
-    /// reported). `recovering` names a failed connector whose retained
-    /// interest the caller — the peer-recovery coordinator, acting on the
-    /// dead system's behalf — passes through.
+    /// Request with retry until `timeout`. While it waits, `txn` is marked
+    /// waiting; when an older waiting transaction is in its way, and `txn`
+    /// holds locks, the wait ends at once with [`DbError::DeadlockVictim`]
+    /// naming it — so every cycle of waits, an upgrade standoff first of
+    /// all, is broken in TOD order. The timeout bounds every other wait —
+    /// on holders that are silent, gone or failed-persistent above all —
+    /// and ends it with [`DbError::LockTimeout`], naming what the last Busy
+    /// answer reported.
+    /// `recovering` names a failed connector whose retained interest the
+    /// caller — the peer-recovery coordinator, acting on the dead system's
+    /// behalf — passes through.
     pub fn lock_wait(
         &self,
         txn: u64,
@@ -388,17 +407,28 @@ impl Irlm {
         timeout: Duration,
     ) -> DbResult<()> {
         let mut waiting = None;
+        // A wait that ends without a grant or a victim verdict ends here.
+        let stop_waiting = || self.local.lock().stop_waiting(txn);
         loop {
-            let verdict = self.attempt(txn, resource, mode, persistent, recovering, &mut waiting)?;
-            let Err(blocker) = verdict else { return Ok(()) };
+            let verdict = self
+                .attempt(txn, resource, mode, persistent, recovering, Some(&mut waiting))
+                .inspect_err(|_| stop_waiting())?;
+            let blocker = match verdict {
+                Ok(()) => return Ok(()),
+                Err(Refusal::Busy(blocker)) => blocker,
+                Err(Refusal::Victim(winner)) => {
+                    return Err(DbError::DeadlockVictim { resource: resource.to_vec(), winner })
+                }
+            };
             let clock = &self.timer;
             let waited = clock.elapsed().saturating_sub(self.wait_start(&mut waiting));
             if waited >= timeout {
+                stop_waiting();
                 return Err(DbError::LockTimeout { resource: resource.to_vec(), waited, blocker });
             }
             // Virtual clock: each retry burns 1ms of simulated time, so the
-            // deadlock breaker fires after a bounded number of
-            // deterministic iterations. Wall clock: a short real sleep, not
+            // timeout fires after a bounded number of deterministic
+            // iterations. Wall clock: a short real sleep, not
             // a yield — IRLM suspends a blocked requestor. A pure
             // yield-spin lets N waiters starve the holder on an
             // oversubscribed host: nobody commits inside anyone's timeout
@@ -664,6 +694,7 @@ impl std::fmt::Debug for Irlm {
 mod tests {
     use super::protocol::{Wanted, PARK_CAP};
     use super::*;
+    use crate::error::{Blocker, Winner};
     use std::sync::atomic::AtomicU64;
     use sysplex_core::facility::{CfConfig, CouplingFacility};
     use sysplex_core::lock::LockParams;
@@ -721,7 +752,7 @@ mod tests {
             assert_eq!(r.irlms[0].answer_query(&peer, bytes), None);
         }
         assert_eq!(r.irlms[0].stats.queries_served.get(), 0);
-        assert_eq!(r.irlms[0].answer_query(&peer, &full), Some(to_bytes(&false)));
+        assert_eq!(r.irlms[0].answer_query(&peer, &full), Some(to_bytes(&(false, None::<u64>))));
         assert_eq!(r.irlms[0].stats.queries_served.get(), 1);
     }
 
@@ -743,16 +774,41 @@ mod tests {
             .xcf
             .join_with_exit(&group, &Irlm::member_name(holder.conn_id()), SystemId::new(9), exit)
             .unwrap();
-        let garbled = [None, Some(vec![]), Some(vec![2]), Some(vec![0, 0]), Some(vec![1, 0]), Some(vec![1])];
-        for (txn, bytes) in garbled.into_iter().enumerate() {
+        // Short, a bad verdict or presence byte, a cut waiter, trailing bytes.
+        let older_waiter = to_bytes(&(true, Some(0u64)));
+        let garbled = [
+            None,
+            Some(vec![]),
+            Some(vec![2]),
+            Some(vec![0]),
+            Some(vec![1]),
+            Some(vec![0, 2]),
+            Some(older_waiter[..older_waiter.len() - 1].to_vec()),
+            Some([&older_waiter[..], &[0]].concat()),
+        ];
+        for (txn, bytes) in garbled.iter().enumerate() {
             *answer.lock() = bytes.clone();
             let outcome = a.lock(txn as u64, b"ROW.1", LockMode::Exclusive, false).unwrap();
             assert_eq!(outcome, LockOutcome::Busy, "answer {bytes:02x?} read as no conflict");
         }
-        assert_eq!(a.stats.real_conflicts.get(), 6);
-        *answer.lock() = Some(to_bytes(&false));
+        assert_eq!(a.stats.real_conflicts.get(), garbled.len() as u64);
+        // Nor as an older waiting transaction: an upgrade waits them out.
+        let no_conflict = Some(to_bytes(&(false, None::<u64>)));
+        *answer.lock() = no_conflict.clone();
+        assert_eq!(a.lock(u64::MAX, b"ROW.1", LockMode::Shared, false).unwrap(), LockOutcome::Granted);
+        for bytes in &garbled {
+            *answer.lock() = bytes.clone();
+            let wait = Duration::from_millis(2);
+            let err = a.lock_wait(u64::MAX, b"ROW.1", LockMode::Exclusive, false, None, wait).unwrap_err();
+            assert!(
+                matches!(err, DbError::LockTimeout { .. }),
+                "answer {bytes:02x?} read as a waiter: {err}"
+            );
+        }
+        a.unlock_all(u64::MAX).unwrap();
+        *answer.lock() = no_conflict;
         assert_eq!(a.lock(9, b"ROW.1", LockMode::Exclusive, false).unwrap(), LockOutcome::Granted);
-        assert_eq!(a.stats.false_contentions.get(), 1);
+        assert_eq!(a.stats.false_contentions.get(), 2);
     }
 
     #[test]
@@ -857,6 +913,39 @@ mod tests {
             matches!(err, DbError::LockTimeout { blocker: Blocker::Peer(conn), .. } if conn == a.conn()),
             "{err}"
         );
+    }
+
+    #[test]
+    fn an_upgrade_standoff_elects_the_oldest_by_tod() {
+        let r = rig(2, 1024);
+        let (a, b) = (&r.irlms[0], &r.irlms[1]);
+        let (row, x, wait) = (b"ROW.9", LockMode::Exclusive, Duration::from_millis(20));
+        let waits = |i: &Irlm, txn| i.local.lock().waiting.contains(&txn);
+        a.lock(1, row, LockMode::Shared, false).unwrap();
+        b.lock(2, row, LockMode::Shared, false).unwrap();
+        // A wait that times out is over: the younger upgrade then waits
+        // too, rather than giving way to nobody.
+        let err = a.lock_wait(1, row, x, true, None, wait).unwrap_err();
+        assert!(matches!(err, DbError::LockTimeout { .. }), "{err}");
+        assert!(!waits(a, 1));
+        let err = b.lock_wait(2, row, x, true, None, wait).unwrap_err();
+        assert!(matches!(err, DbError::LockTimeout { .. }), "{err}");
+        // While the older waits, the younger is its victim at once.
+        std::thread::scope(|scope| {
+            let older = scope.spawn(|| a.lock_wait(1, row, x, true, None, Duration::from_secs(60)));
+            let asked = std::time::Instant::now();
+            while !waits(a, 1) {
+                assert!(asked.elapsed() < Duration::from_secs(10), "the refused upgrade is not waiting");
+                std::thread::yield_now();
+            }
+            let err = b.lock_wait(2, row, x, true, None, Duration::from_secs(60)).unwrap_err();
+            let winner = Winner { txn: 1, peer: Some(a.conn()) };
+            assert_eq!(err, DbError::DeadlockVictim { resource: row.to_vec(), winner });
+            assert!(!waits(b, 2));
+            b.unlock_all(2).unwrap();
+            older.join().unwrap().unwrap();
+        });
+        assert_eq!((a.local_mode(row), waits(a, 1)), (Some(x), false), "granted, and no longer waiting");
     }
 
     #[test]

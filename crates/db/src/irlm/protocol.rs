@@ -18,6 +18,7 @@
 //!   negotiated interest write ([`Step::Force`]), whose result
 //!   [`LocalState::forced`] takes;
 //! - [`LocalState::answer`] serves a peer's negotiation query;
+//! - [`LocalState::stop_waiting`] ends a transaction's wait;
 //! - [`LocalState::unlock_set`], [`LocalState::unlock_all`] and
 //!   [`LocalState::write_records`] fill the release and record sets;
 //! - [`LocalState::replay`] and [`LocalState::rebuilt`] carry the member's
@@ -31,7 +32,7 @@
 //! (`crates/db/tests/irlm_interleavings.rs`).
 
 use super::IrlmStats;
-use crate::error::Blocker;
+use crate::error::{Blocker, Winner};
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -48,8 +49,23 @@ pub const PARK_CAP: usize = 1024;
 /// class may be cached (and hence parked) again.
 const RECALL_COOLDOWN: u32 = 8;
 
-/// How a request ended: granted, or busy with what blocked it.
-pub type Verdict = Result<(), Blocker>;
+/// How a request ended: granted, or refused.
+pub type Verdict = Result<(), Refusal>;
+
+/// Why a request was not granted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refusal {
+    /// A real conflict, with what blocked it: wait and ask again.
+    Busy(Blocker),
+    /// A waiting request met an older waiting transaction in its way: the
+    /// deadlock victim, it stops waiting at once.
+    Victim(Winner),
+}
+
+/// What a negotiation found: no holder conflicts, or the first that does
+/// (or cannot say) and the oldest waiting transaction it reported in the
+/// way.
+pub type Negotiation = Result<(), (ConnId, Option<u64>)>;
 
 /// What a member re-creates on a new structure: interest in each entry,
 /// then the record set.
@@ -116,19 +132,14 @@ impl Holders {
         self.first.is_none()
     }
 
-    /// The first local holder other than `txn` that a request for `mode`
-    /// conflicts with: `None` when `txn` can acquire `mode` alongside them.
-    fn blocker(&self, txn: u64, mode: LockMode) -> Option<u64> {
+    /// The holder a request for `mode` by `txn` (`None`: a peer's
+    /// transaction) conflicts with, and whether its transaction is one of
+    /// `waiting` — the oldest waiting one first — or `None` when the
+    /// request can be granted alongside them.
+    fn blocker(&self, txn: Option<u64>, mode: LockMode, waiting: &[u64]) -> Option<(u64, bool)> {
         let shared = |h: &&Holder| matches!((h.mode, mode), (LockMode::Shared, LockMode::Shared));
-        self.iter().find(|h| h.txn != txn && !shared(h)).map(|h| h.txn)
-    }
-
-    /// Would a *foreign-system* request of `mode` conflict with any holder?
-    fn conflicts_with_peer(&self, mode: LockMode) -> bool {
-        match mode {
-            LockMode::Exclusive => !self.is_empty(),
-            LockMode::Shared => self.strongest() == Some(LockMode::Exclusive),
-        }
+        let blockers = self.iter().filter(|h| Some(h.txn) != txn && !shared(h));
+        blockers.map(|h| (h.txn, waiting.contains(&h.txn))).min_by_key(|&(txn, waits)| (!waits, txn))
     }
 
     pub fn strongest(&self) -> Option<LockMode> {
@@ -215,13 +226,16 @@ pub struct Wanted {
     /// set changed sends the request back to the CF this many more times,
     /// then reports Busy and lets the caller's retry loop pace it.
     pub retries: u32,
+    /// The caller waits on a refusal (see [`LocalState::request`]).
+    pub wait: bool,
 }
 
 impl Wanted {
     /// A request leaving phase 1, its first grant window already open.
     pub fn new(txn: u64, name: &ResourceName, entry: usize, mode: LockMode, persistent: bool) -> Self {
-        let (name, critical, unrecorded, recall_snapshot, retries) = (name.clone(), true, false, 0, 4);
-        Wanted { txn, name, entry, mode, persistent, critical, unrecorded, recall_snapshot, retries }
+        let (name, critical, unrecorded, recall_snapshot, retries, wait) =
+            (name.clone(), true, false, 0, 4, false);
+        Wanted { txn, name, entry, mode, persistent, critical, unrecorded, recall_snapshot, retries, wait }
     }
 }
 
@@ -281,6 +295,14 @@ pub struct LocalState {
     /// Known-bad switch: a phase-3 loser leaves its record naming itself.
     #[cfg(feature = "test-hooks")]
     pub keep_lost_record: bool,
+    /// This member's waiting transactions: refused at least once by a
+    /// request that waits, and not granted, a victim, timed out or over
+    /// since (see [`LocalState::request`]). As many as it has threads
+    /// waiting at once.
+    pub waiting: Vec<u64>,
+    /// Known-bad switch: a waiting holder never makes a victim.
+    #[cfg(feature = "test-hooks")]
+    pub ignore_waiting: bool,
 }
 
 impl LocalState {
@@ -299,6 +321,12 @@ impl LocalState {
         wanted.iter_mut().find(|w| w.txn == txn).expect("registered until the request ends")
     }
 
+    /// End `txn`'s phase-2 registration, returning it.
+    fn take(&mut self, txn: u64) -> Wanted {
+        let at = self.wanted.iter().position(|w| w.txn == txn).expect("registered until the request ends");
+        self.wanted.swap_remove(at)
+    }
+
     /// Phase 1: the local table. A grant is local (no CF command) only
     /// when this system *already holds the same resource* in a covering
     /// way: negotiation soundness guarantees no foreign system can then
@@ -309,14 +337,31 @@ impl LocalState {
     /// completing. Anything else registers the request, so a concurrent
     /// recall cannot surrender retained interest it may be granted on, and
     /// goes to the CF. `persistent` requests carry `txn`'s record.
-    pub fn request(&mut self, txn: u64, name: &ResourceName, mode: LockMode, persistent: bool) -> Step {
+    ///
+    /// A request whose caller will `wait` on a refusal marks `txn`
+    /// waiting at its first refusal; the grant, a victim verdict,
+    /// [`LocalState::stop_waiting`] and the transaction's end clear it. A
+    /// waiting request refused by a holder — local, or reported by a
+    /// peer's answer — whose transaction is older and itself waiting is
+    /// the deadlock victim, when `txn` holds locks: in a cycle of waits the
+    /// oldest waits and the others give way, in TOD order, with no timeout
+    /// and no randomness. An upgrade standoff — every holder of Shared on
+    /// a row wants Exclusive — is the commonest such cycle.
+    pub fn request(
+        &mut self,
+        txn: u64,
+        name: &ResourceName,
+        mode: LockMode,
+        persistent: bool,
+        wait: bool,
+    ) -> Step {
         self.stats.requests.incr();
         let entry = self.entry_of(name);
         let covered = match self.resources.get(name) {
-            Some(rh) => match rh.blocker(txn, mode) {
-                Some(holder) => {
+            Some(rh) => match rh.blocker(Some(txn), mode, &self.waiting) {
+                Some(blocker) => {
                     self.stats.local_conflicts.incr();
-                    return Step::Done(Err(Blocker::Local(holder)));
+                    return self.refused_locally(txn, wait, blocker);
                 }
                 None => {
                     mode == LockMode::Shared
@@ -338,7 +383,7 @@ impl LocalState {
             self.events.push(TraceEvent::LockLocalRegrant { entry, conn, exclusive });
         } else {
             let row = Wanted::new(txn, name, entry, mode, persistent);
-            self.wanted.push(Wanted { recall_snapshot: self.recall_seq, ..row });
+            self.wanted.push(Wanted { recall_snapshot: self.recall_seq, wait, ..row });
             return Step::Request(entry);
         }
         if self.record_grant(txn, name, mode, persistent) {
@@ -366,17 +411,23 @@ impl LocalState {
     }
 
     /// The holders answered the negotiation: `Err` names the one that
-    /// conflicts. With none, the request re-enters a grant window and
-    /// writes its interest, quoting the contention-time generation: if any
-    /// holder's interest departed while we negotiated (it may have
-    /// re-acquired — and locally cached — the entry since), or any holder
-    /// was granted more in the entry since the contention (perhaps the very
-    /// resource it just answered for), the write refuses.
-    pub fn negotiated(&mut self, txn: u64, verdict: Verdict, holders: ConnMask, generation: u16) -> Step {
-        if verdict.is_err() {
+    /// conflicts and the waiting transaction it reported. With none, the request
+    /// re-enters a grant window and writes its interest, quoting the
+    /// contention-time generation: if any holder's interest departed while
+    /// we negotiated (it may have re-acquired — and locally cached — the
+    /// entry since), or any holder was granted more in the entry since the
+    /// contention (perhaps the very resource it just answered for), the
+    /// write refuses.
+    pub fn negotiated(&mut self, txn: u64, said: Negotiation, holders: ConnMask, generation: u16) -> Step {
+        if let Err((peer, waiter)) = said {
             self.stats.real_conflicts.incr();
-            self.withdraw(txn);
-            return Step::Done(verdict);
+            let wait = self.take(txn).wait;
+            return self.refused(
+                txn,
+                wait,
+                Blocker::Peer(peer),
+                waiter.map(|txn| Winner { txn, peer: Some(peer) }),
+            );
         }
         let row = Self::row(&mut self.wanted, txn);
         row.critical = true;
@@ -397,8 +448,8 @@ impl LocalState {
         let row = Self::row(&mut self.wanted, txn);
         row.critical = row.retries > 0;
         if !row.critical {
-            self.withdraw(txn);
-            return Step::Done(Err(Blocker::Peer(first(holders))));
+            let wait = self.take(txn).wait;
+            return self.refused(txn, wait, Blocker::Peer(first(holders)), None);
         }
         row.retries -= 1;
         Step::Request(row.entry)
@@ -420,19 +471,20 @@ impl LocalState {
     /// perspective the entry goes conflict-by-window to
     /// conflict-by-resource with no observable gap.
     fn finish(&mut self, txn: u64, synchronous: bool) -> Step {
-        let at = self.wanted.iter().position(|w| w.txn == txn).expect("registered until the request ends");
-        let Wanted { name, entry, mode, persistent, unrecorded, recall_snapshot, .. } =
-            self.wanted.swap_remove(at);
+        let Wanted { name, entry, mode, persistent, unrecorded, recall_snapshot, wait, .. } = self.take(txn);
         let recorded_by_request = synchronous && persistent;
-        if let Some(winner) = self.resources.get(&name).and_then(|rh| rh.blocker(txn, mode)) {
+        if let Some(winner) =
+            self.resources.get(&name).and_then(|rh| rh.blocker(Some(txn), mode, &self.waiting))
+        {
             // A sibling transaction on this system won the race. Our CF
             // interest stays: the sibling's hold needs it, and the resource
             // scan now covers the entry.
             self.stats.local_conflicts.incr();
+            let step = self.refused_locally(txn, wait, winner);
             if recorded_by_request {
                 self.settle_lost_record(name);
             }
-            return Step::Done(Err(Blocker::Local(winner)));
+            return step;
         }
         let record = self.record_grant(txn, &name, mode, persistent);
         // A synchronous exclusive grant proves zero foreign interest in the
@@ -458,6 +510,34 @@ impl LocalState {
             self.queue_record(&name);
         }
         Step::Done(Ok(()))
+    }
+
+    /// End `txn`'s request, refused by `by`. A request that waits, with
+    /// an older waiting transaction (`older`) in its way, is its deadlock
+    /// victim when `txn` holds locks, and its wait ends; any other refusal
+    /// is Busy, and the request's `txn` waits when it does.
+    fn refused(&mut self, txn: u64, wait: bool, by: Blocker, older: Option<Winner>) -> Step {
+        #[cfg(feature = "test-hooks")]
+        let older = older.filter(|_| !self.ignore_waiting);
+        let victim = older.filter(|winner| wait && winner.txn < txn && self.held.contains_key(&txn));
+        self.stop_waiting(txn);
+        if wait && victim.is_none() {
+            self.waiting.push(txn);
+        }
+        Step::Done(Err(victim.map_or(Refusal::Busy(by), Refusal::Victim)))
+    }
+
+    /// [`LocalState::refused`] by a local holder and whether it waits.
+    fn refused_locally(&mut self, txn: u64, wait: bool, (holder, waits): (u64, bool)) -> Step {
+        let older = waits.then_some(Winner { txn: holder, peer: None });
+        self.refused(txn, wait, Blocker::Local(holder), older)
+    }
+
+    /// `txn` no longer waits: granted, a victim, timed out, or over.
+    pub fn stop_waiting(&mut self, txn: u64) {
+        if let Some(at) = self.waiting.iter().position(|&t| t == txn) {
+            self.waiting.swap_remove(at);
+        }
     }
 
     /// A persistent request lost phase 3 to a sibling after its own CF
@@ -492,8 +572,9 @@ impl LocalState {
     /// the entry's generation, so the other write refuses and renegotiates
     /// against the winner's hold. `open` is false while a rebuild holds the
     /// gate: the geometry is in flux, so every cached flag drops and any
-    /// grant window conflicts.
-    pub fn answer(&mut self, name: &ResourceName, mode: LockMode, open: bool) -> bool {
+    /// grant window conflicts. Beside the verdict goes the oldest waiting
+    /// transaction among the holders of `name` in the peer's way.
+    pub fn answer(&mut self, name: &ResourceName, mode: LockMode, open: bool) -> (bool, Option<u64>) {
         self.recall_seq += 1;
         let in_window = if open {
             let entry = self.entry_of(name);
@@ -517,7 +598,8 @@ impl LocalState {
             self.wanted.iter().any(|w| w.critical)
         };
         self.stats.queries_served.incr();
-        in_window || self.resources.get(name).is_some_and(|r| r.conflicts_with_peer(mode))
+        let blocker = self.resources.get(name).and_then(|rh| rh.blocker(None, mode, &self.waiting));
+        (in_window || blocker.is_some(), blocker.filter(|&(_, waits)| waits).map(|(txn, _)| txn))
     }
 
     /// Release `txn`'s holds on `names` in order, exactly as that many
@@ -544,6 +626,7 @@ impl LocalState {
 
     /// Release everything `txn` holds into the release set.
     pub fn unlock_all(&mut self, txn: u64) {
+        self.stop_waiting(txn);
         let Some(mut list) = self.held.remove(&txn) else { return };
         // Release in resource order, not acquisition order: the release
         // set is trace-visible, and replayable simulation runs must produce
@@ -650,6 +733,7 @@ impl LocalState {
     /// the first persistent hold of the resource, or one stronger than any
     /// persistent hold before it.
     fn record_grant(&mut self, txn: u64, name: &ResourceName, mode: LockMode, persistent: bool) -> bool {
+        self.stop_waiting(txn);
         let rh = self.resources.entry(name.clone()).or_default();
         // The strongest persistent hold before this grant: what the record
         // says, if there is one.

@@ -40,7 +40,7 @@ pub mod recovery;
 pub mod vsam;
 
 pub use database::{Database, Txn};
-pub use error::{Blocker, DbError, DbResult};
+pub use error::{Blocker, DbError, DbResult, Winner};
 pub use group::DataSharingGroup;
 pub use irlm::{Irlm, LockOutcome};
 pub use pagestore::{Page, PageStore};

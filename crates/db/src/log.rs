@@ -11,7 +11,7 @@
 use crate::error::{DbError, DbResult};
 use parking_lot::Mutex;
 use std::collections::HashSet;
-use sysplex_core::wire::{Wire, WireError, WireReader};
+use sysplex_core::wire::{Wire, WireError, WireReader, WireWriter};
 use sysplex_dasd::farm::{DasdFarm, VolumeHandle};
 use sysplex_dasd::volume::BLOCK_SIZE;
 use sysplex_dasd::IoError;
@@ -70,7 +70,7 @@ impl LogRecord {
         }
     }
 
-    /// Decode one record: what `LogInner::frame` wrote behind the length.
+    /// Decode one record: what `LogInner::append` wrote behind the length.
     fn decode(r: &mut WireReader) -> Result<Self, WireError> {
         let tag = r.get_u8()?;
         let lsn = Tod(r.get_u64()?);
@@ -131,11 +131,8 @@ pub struct LogManager {
 #[derive(Debug)]
 struct LogInner {
     /// What the next force writes: room for a stamp, then `(len u32 |
-    /// record)*` encoded as appended. One buffer for the log's life, which
-    /// is why it is filled by hand in the wire kit's conventions and not
-    /// through `WireWriter` (whose buffer can be neither cleared nor read in
-    /// place); a unit test holds the two byte for byte equal.
-    pending: Vec<u8>,
+    /// record)*` encoded as appended. One buffer for the log's life.
+    pending: WireWriter,
     /// The epoch this life stamps its blocks with, claimed by its first
     /// write.
     epoch: Option<u64>,
@@ -150,27 +147,16 @@ const STAMP_BYTES: usize = 20;
 /// Bytes of a record's length prefix.
 const LEN_BYTES: usize = 4;
 
-fn put_image(out: &mut Vec<u8>, image: Option<&[u8]>) {
-    out.push(image.is_some() as u8);
-    if let Some(bytes) = image {
-        out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(bytes);
-    }
-}
-
 impl LogInner {
-    /// Append one framed record: `len u32 | tag u8 | lsn u64 | txn u64 |
+    /// Append one record behind its length: `tag u8 | lsn u64 | txn u64 |
     /// body`.
-    fn frame(&mut self, tag: u8, lsn: Tod, txn: u64, body: impl FnOnce(&mut Vec<u8>)) {
-        let out = &mut self.pending;
-        let at = out.len();
-        out.extend_from_slice(&[0; LEN_BYTES]);
-        out.push(tag);
-        out.extend_from_slice(&lsn.0.to_le_bytes());
-        out.extend_from_slice(&txn.to_le_bytes());
-        body(out);
-        let len = (out.len() - at - LEN_BYTES) as u32;
-        out[at..at + LEN_BYTES].copy_from_slice(&len.to_le_bytes());
+    fn append(&mut self, tag: u8, lsn: Tod, txn: u64, body: impl FnOnce(&mut WireWriter)) {
+        self.pending.put_len_prefixed(|w| {
+            w.put_u8(tag);
+            w.put_u64(lsn.0);
+            w.put_u64(txn);
+            body(w);
+        });
     }
 }
 
@@ -202,7 +188,11 @@ impl LogManager {
             system,
             vol: farm.open(volume)?,
             inner: Mutex::new(LogInner {
-                pending: vec![0; STAMP_BYTES],
+                pending: {
+                    let mut pending = WireWriter::new();
+                    pending.put_raw(&[0; STAMP_BYTES]);
+                    pending
+                },
                 epoch: None,
                 next_block: FIRST_RECORD_BLOCK,
                 durable: 0,
@@ -216,8 +206,8 @@ impl LogManager {
             LogRecord::Update { lsn, txn, page, key, before, after } => {
                 self.append_update(lsn, txn, page, key, before.as_deref(), after.as_deref())
             }
-            LogRecord::Commit { lsn, txn } => self.inner.lock().frame(TAG_COMMIT, lsn, txn, |_| {}),
-            LogRecord::Abort { lsn, txn } => self.inner.lock().frame(TAG_ABORT, lsn, txn, |_| {}),
+            LogRecord::Commit { lsn, txn } => self.inner.lock().append(TAG_COMMIT, lsn, txn, |_| {}),
+            LogRecord::Abort { lsn, txn } => self.inner.lock().append(TAG_ABORT, lsn, txn, |_| {}),
         }
     }
 
@@ -231,11 +221,11 @@ impl LogManager {
         before: Option<&[u8]>,
         after: Option<&[u8]>,
     ) {
-        self.inner.lock().frame(TAG_UPDATE, lsn, txn, |out| {
-            out.extend_from_slice(&page.to_le_bytes());
-            out.extend_from_slice(&key.to_le_bytes());
-            put_image(out, before);
-            put_image(out, after);
+        self.inner.lock().append(TAG_UPDATE, lsn, txn, |w| {
+            w.put_u64(page);
+            w.put_u64(key);
+            w.put_opt_bytes(before);
+            w.put_opt_bytes(after);
         });
     }
 
@@ -263,7 +253,7 @@ impl LogManager {
             // As many of the remaining records as one block takes.
             let (mut end, mut count) = (start, 0u32);
             while end < inner.pending.len() {
-                let len = inner.pending[end..end + LEN_BYTES].try_into().expect("4 length bytes");
+                let len = inner.pending.as_bytes()[end..end + LEN_BYTES].try_into().expect("4 length bytes");
                 let next = end + LEN_BYTES + u32::from_le_bytes(len) as usize;
                 let block_bytes = STAMP_BYTES + (next - start);
                 if block_bytes <= BLOCK_SIZE {
@@ -276,11 +266,11 @@ impl LogManager {
             }
             // The stamp goes in front of the records, over bytes the
             // previous block has already taken to DASD.
-            let block = &mut inner.pending[start - STAMP_BYTES..end];
-            block[..8].copy_from_slice(&epoch.to_le_bytes());
-            block[8..16].copy_from_slice(&inner.next_block.to_le_bytes());
-            block[16..STAMP_BYTES].copy_from_slice(&count.to_le_bytes());
-            self.vol.write(self.system, inner.next_block, block)?;
+            let at = start - STAMP_BYTES;
+            inner.pending.patch_u64(at, epoch);
+            inner.pending.patch_u64(at + 8, inner.next_block);
+            inner.pending.patch_u32(at + 16, count);
+            self.vol.write(self.system, inner.next_block, &inner.pending.as_bytes()[at..end])?;
             inner.next_block += 1;
             inner.durable += u64::from(count);
             forced += count as usize;
@@ -378,7 +368,6 @@ mod tests {
     use super::*;
     use std::sync::atomic::Ordering;
     use std::sync::Arc;
-    use sysplex_core::wire::WireWriter;
     use sysplex_dasd::path::PathSet;
     use sysplex_dasd::volume::IoModel;
 

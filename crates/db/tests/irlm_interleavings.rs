@@ -15,9 +15,14 @@
 //! - each member's record for a resource names a transaction that has
 //!   held the resource persistently there since that member's persistent
 //!   hold of it began — or one whose request for it is in phase 2, whose
-//!   own command may have written the record before phase 3.
+//!   own command may have written the record before phase 3, and
+//! - no two transactions wait on each other: of two waiting ones, at most
+//!   one has been answered Busy by the other's member while the other was
+//!   waiting — the younger is the older's victim.
 //!
-//! A violation is reported with the schedule that reached it.
+//! A violation is reported with the schedule that reached it. A Busy or
+//! victim verdict moves a script on to its next step, so a script retries
+//! a request by naming it again.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -26,9 +31,9 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use sysplex_core::hashing::ResourceName;
 use sysplex_core::lock::{LockMode, LockParams, LockResponse, LockStructure};
-use sysplex_core::types::ConnId;
-use sysplex_db::irlm::protocol::{LocalState, Step, Verdict};
-use sysplex_db::Blocker;
+use sysplex_core::types::{conns_in_mask, ConnId};
+use sysplex_db::irlm::protocol::{LocalState, Negotiation, Refusal, Step, Verdict};
+use sysplex_db::Winner;
 
 const S: LockMode = LockMode::Shared;
 const X: LockMode = LockMode::Exclusive;
@@ -36,9 +41,9 @@ const X: LockMode = LockMode::Exclusive;
 /// One step of a transaction's script.
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    /// Request a resource in a mode, persistent or not. A Busy verdict
-    /// moves on to the next step: the walk is over the protocol, not over
-    /// the caller's retries.
+    /// Request a resource in a mode, persistent or not, as one attempt of
+    /// a waiting caller: a refusal moves on to the next step, leaving the
+    /// transaction waiting when it was Busy.
     Lock(&'static str, LockMode, bool),
     Unlock(&'static str),
     UnlockAll,
@@ -55,7 +60,7 @@ struct Txn {
 #[derive(Debug, Clone, Copy)]
 enum Io {
     Answer(LockResponse),
-    Verdict(Verdict),
+    Said(Negotiation),
     Written(bool),
 }
 
@@ -72,11 +77,14 @@ enum At {
 
 /// The known-bad switches the walk runs with.
 #[derive(Debug, Clone, Copy, Default)]
+#[cfg_attr(not(feature = "test-hooks"), allow(dead_code))]
 struct Bugs {
     /// The structure lets a negotiation answered before a grant land.
     stale_negotiation: bool,
     /// A phase-3 loser leaves its record naming itself.
     keep_lost_record: bool,
+    /// A waiting holder never makes a victim.
+    ignore_waiting: bool,
 }
 
 struct World<'s> {
@@ -88,6 +96,9 @@ struct World<'s> {
     /// Per member and resource: the transactions that have held it
     /// persistently since the member's persistent hold of it began.
     held_since: [BTreeMap<Vec<u8>, BTreeSet<u64>>; 2],
+    /// Per transaction: its last request was answered Busy by a peer that
+    /// reported a waiting transaction in its way.
+    against_waiter: Vec<bool>,
 }
 
 impl<'s> World<'s> {
@@ -103,11 +114,12 @@ impl<'s> World<'s> {
             }
             for core in &mut cores {
                 core.keep_lost_record = bugs.keep_lost_record;
+                core.ignore_waiting = bugs.ignore_waiting;
             }
         }
         let _ = bugs;
-        let at = vec![At::Op(0); txns.len()];
-        World { txns, lock, conns, cores, at, held_since: Default::default() }
+        let (at, against_waiter) = (vec![At::Op(0); txns.len()], vec![false; txns.len()]);
+        World { txns, lock, conns, cores, at, held_since: Default::default(), against_waiter }
     }
 
     fn replay(txns: &'s [Txn], bugs: Bugs, schedule: &[usize]) -> Self {
@@ -138,7 +150,7 @@ impl<'s> World<'s> {
                 let core = &mut self.cores[m];
                 let step = match op {
                     Op::Lock(name, mode, persistent) => {
-                        core.request(id, &ResourceName::new(name.as_bytes()), mode, persistent)
+                        core.request(id, &ResourceName::new(name.as_bytes()), mode, persistent, true)
                     }
                     Op::Unlock(name) => {
                         core.unlock_set(id, &[name.as_bytes()]);
@@ -154,6 +166,7 @@ impl<'s> World<'s> {
                     }
                 };
                 self.send(m);
+                self.against_waiter[t] &= !matches!(step, Step::Done(_));
                 (Self::next(pc, step), format!("{op:?} -> {step:?}"))
             }
             At::Perform(pc, step) => {
@@ -169,9 +182,9 @@ impl<'s> World<'s> {
                     Step::Request(entry) => Io::Answer(self.lock.request(conn, entry, mode).unwrap()),
                     Step::Negotiate { .. } => {
                         let resource = ResourceName::new(name.as_bytes());
-                        let conflict = self.cores[peer].answer(&resource, mode, true);
+                        let (conflict, claim) = self.cores[peer].answer(&resource, mode, true);
                         self.send(peer);
-                        Io::Verdict(if conflict { Err(Blocker::Peer(self.conns[peer])) } else { Ok(()) })
+                        Io::Said(if conflict { Err((self.conns[peer], claim)) } else { Ok(()) })
                     }
                     Step::Force { entry, holders, generation } => Io::Written(
                         self.lock.force_interest_negotiated(conn, entry, mode, holders, generation).unwrap(),
@@ -184,13 +197,17 @@ impl<'s> World<'s> {
                 let core = &mut self.cores[m];
                 let next = match (step, io) {
                     (_, Io::Answer(response)) => core.answered(id, response),
-                    (Step::Negotiate { holders, generation }, Io::Verdict(v)) => {
-                        core.negotiated(id, v, holders, generation)
+                    (Step::Negotiate { holders, generation }, Io::Said(said)) => {
+                        core.negotiated(id, said, holders, generation)
                     }
                     (Step::Force { holders, .. }, Io::Written(written)) => core.forced(id, written, holders),
                     _ => unreachable!("a result answers the step that produced it"),
                 };
                 self.send(m);
+                if let Step::Done(verdict) = next {
+                    let waiter = matches!(io, Io::Said(Err((_, Some(_)))));
+                    self.against_waiter[t] = waiter && matches!(verdict, Err(Refusal::Busy(_)));
+                }
                 (Self::next(pc, next), format!("resumes -> {next:?}"))
             }
         };
@@ -205,24 +222,11 @@ impl<'s> World<'s> {
         }
     }
 
-    /// What the shell's `perform` sends for member `m`, against the
-    /// structure directly.
     fn send(&mut self, m: usize) {
-        let (core, conn) = (&mut self.cores[m], self.conns[m]);
-        core.events.clear();
-        if let Some(entry) = core.surrender.take() {
-            self.lock.release(conn, entry).unwrap();
-        }
-        if !core.record_set.is_empty() {
-            self.lock.write_record_set(conn, &core.record_set).unwrap();
-        }
-        if !core.release_entries.is_empty() || !core.release_records.is_empty() {
-            self.lock.release_set(conn, &core.release_entries, &core.release_records).unwrap();
-        }
-        core.sent(true);
+        send(&self.lock, self.conns[m], &mut self.cores[m]);
     }
 
-    /// The two invariants; also advances `held_since`.
+    /// The three invariants; also advances `held_since`.
     fn check(&mut self) -> Result<(), String> {
         for (core, since) in self.cores.iter().zip(&mut self.held_since) {
             since.retain(|name, _| {
@@ -259,6 +263,14 @@ impl<'s> World<'s> {
                     ));
                 }
             }
+        }
+        let waits = |t: usize| self.cores[self.txns[t].member].waiting.contains(&Self::id(t));
+        let stuck: Vec<u64> =
+            (0..self.txns.len()).filter(|&t| self.against_waiter[t] && waits(t)).map(Self::id).collect();
+        if stuck.len() > 1 {
+            return Err(format!(
+                "standoff: txns {stuck:?} were each answered Busy while the other waited, and neither is a victim"
+            ));
         }
         Ok(())
     }
@@ -341,26 +353,46 @@ impl<'s> World<'s> {
                         w.unrecorded,
                         fresh,
                         w.retries,
+                        w.wait,
                     )
                 })
                 .collect();
             wanted.sort_by_key(|w| w.0);
             let queued: Vec<_> = core.queued_records.iter().map(|n| n.as_bytes().to_vec()).collect();
-            let _ = write!(out, "{resources:?}{entries:?}{held:?}{parked:?}{wanted:?}{queued:?};");
+            let mut waiting = core.waiting.clone();
+            waiting.sort();
+            let _ = write!(out, "{resources:?}{entries:?}{held:?}{parked:?}{wanted:?}{queued:?}{waiting:?};");
         }
         let records = self.conns.map(|conn| self.lock.retained_locks(conn));
         let _ = write!(
             out,
-            "{:?}{}{}{records:?}{:?}",
+            "{:?}{}{}{records:?}{:?}{:?}",
             self.lock.holders(0),
             self.lock.is_negotiate(0),
             self.lock.is_contended(0),
-            self.held_since
+            self.held_since,
+            self.against_waiter
         );
         let mut hasher = DefaultHasher::new();
         out.hash(&mut hasher);
         hasher.finish()
     }
+}
+
+/// What the shell's `perform` sends for the member holding `conn`, against
+/// the structure directly.
+fn send(lock: &LockStructure, conn: ConnId, core: &mut LocalState) {
+    core.events.clear();
+    if let Some(entry) = core.surrender.take() {
+        lock.release(conn, entry).unwrap();
+    }
+    if !core.record_set.is_empty() {
+        lock.write_record_set(conn, &core.record_set).unwrap();
+    }
+    if !core.release_entries.is_empty() || !core.release_records.is_empty() {
+        lock.release_set(conn, &core.release_entries, &core.release_records).unwrap();
+    }
+    core.sent(true);
 }
 
 /// Walk every interleaving of `txns`: the number of distinct states
@@ -422,9 +454,38 @@ const SIBLINGS: &[Txn] = &[
 ];
 
 /// Both members hold a row Shared and upgrade it, recording the upgrade.
+/// Whichever is refused first waits, so the other is Busy (when younger,
+/// a victim) at once.
 const UPGRADE: &[Txn] = &[
     Txn { member: 0, ops: &[Op::Lock("R", S, false), Op::Lock("R", X, true), Op::UnlockAll] },
     Txn { member: 1, ops: &[Op::Lock("R", S, false), Op::Lock("R", X, true), Op::UnlockAll] },
+];
+
+/// Both members hold a row Shared and upgrade it, each asking twice: a
+/// second attempt sees whoever the first attempts left waiting, so the
+/// younger upgrader gives way instead of both waiting on each other.
+const STANDOFF: &[Txn] = &[
+    Txn {
+        member: 0,
+        ops: &[Op::Lock("R", S, false), Op::Lock("R", X, true), Op::Lock("R", X, true), Op::UnlockAll],
+    },
+    Txn {
+        member: 1,
+        ops: &[Op::Lock("R", S, false), Op::Lock("R", X, true), Op::Lock("R", X, true), Op::UnlockAll],
+    },
+];
+
+/// Each member holds one row and asks twice for the other's: the cycle
+/// of waits is crossed rows, not one upgrade.
+const CROSSED: &[Txn] = &[
+    Txn {
+        member: 0,
+        ops: &[Op::Lock("A", X, false), Op::Lock("B", X, false), Op::Lock("B", X, false), Op::UnlockAll],
+    },
+    Txn {
+        member: 1,
+        ops: &[Op::Lock("B", X, false), Op::Lock("A", X, false), Op::Lock("A", X, false), Op::UnlockAll],
+    },
 ];
 
 /// A member parks the class and re-grants from it while the peer's
@@ -452,6 +513,8 @@ fn every_interleaving_of_two_members_keeps_exclusivity_and_records() {
         ("symmetric", SYMMETRIC),
         ("siblings", SIBLINGS),
         ("upgrade", UPGRADE),
+        ("standoff", STANDOFF),
+        ("crossed", CROSSED),
         ("recall", RECALL),
         ("hidden", HIDDEN),
     ];
@@ -477,4 +540,91 @@ fn a_phase_3_loser_that_keeps_its_record_is_found() {
     let report = explore(SIBLINGS, Bugs { keep_lost_record: true, ..Bugs::default() }).unwrap_err();
     println!("{report}");
     assert!(report.contains("record for R names txn 2"), "{report}");
+}
+
+#[cfg(feature = "test-hooks")]
+#[test]
+fn waiters_that_ignore_each_other_are_found_in_a_standoff() {
+    for txns in [STANDOFF, CROSSED] {
+        let report = explore(txns, Bugs { ignore_waiting: true, ..Bugs::default() }).unwrap_err();
+        println!("{report}");
+        assert!(report.contains("standoff: txns [1, 2]"), "{report}");
+    }
+}
+
+/// Run `txn`'s waiting request on member `m` to its end, one transition
+/// after another: the structure answers its commands, and the other
+/// members' cores its negotiation queries, in the order a negotiation asks
+/// them.
+fn run_request(
+    lock: &LockStructure,
+    conns: &[ConnId],
+    cores: &mut [LocalState],
+    (m, txn): (usize, u64),
+    name: &ResourceName,
+    mode: LockMode,
+) -> Verdict {
+    let mut step = cores[m].request(txn, name, mode, false, true);
+    loop {
+        send(lock, conns[m], &mut cores[m]);
+        step = match step {
+            Step::Done(verdict) => return verdict,
+            Step::Request(entry) => cores[m].answered(txn, lock.request(conns[m], entry, mode).unwrap()),
+            Step::Negotiate { holders, generation } => {
+                let mut said = Ok(());
+                for peer in conns_in_mask(holders).filter(|&c| c != conns[m]) {
+                    let p = conns.iter().position(|&c| c == peer).expect("a holder is a member");
+                    let (conflict, claim) = cores[p].answer(name, mode, true);
+                    send(lock, peer, &mut cores[p]);
+                    if conflict {
+                        said = Err((peer, claim));
+                        break;
+                    }
+                }
+                cores[m].negotiated(txn, said, holders, generation)
+            }
+            Step::Force { entry, holders, generation } => {
+                let written =
+                    lock.force_interest_negotiated(conns[m], entry, mode, holders, generation).unwrap();
+                cores[m].forced(txn, written, holders)
+            }
+        };
+    }
+}
+
+#[test]
+fn three_upgraders_of_one_row_give_way_to_the_oldest() {
+    // Transactions 1 (the oldest), 2 and 3, on three members and then all
+    // on one: each holds the row Shared, then asks for Exclusive.
+    for members in [3, 1] {
+        let lock = LockStructure::new("IRLMLOCK1", &LockParams::with_entries(1)).unwrap();
+        let conns: Vec<ConnId> = (0..members).map(|_| lock.connect().unwrap()).collect();
+        let mut cores: Vec<LocalState> =
+            conns.iter().map(|&conn| LocalState::new(lock.entries(), conn, Arc::default())).collect();
+        let row = ResourceName::new(b"R");
+        let member = |txn: u64| (txn as usize - 1) % members;
+        let ask = |cores: &mut [LocalState], txn, mode| {
+            run_request(&lock, &conns, cores, (member(txn), txn), &row, mode)
+        };
+        for txn in 1..=3 {
+            assert_eq!(ask(&mut cores, txn, S), Ok(()), "txn {txn} shares the row");
+        }
+        // The oldest is refused first and claims the row; the two younger
+        // are then answered victim at once, each naming the oldest.
+        assert!(matches!(ask(&mut cores, 1, X), Err(Refusal::Busy(_))), "{members} members");
+        let peer = (members > 1).then_some(conns[0]);
+        for txn in [2, 3] {
+            let victim = Err(Refusal::Victim(Winner { txn: 1, peer }));
+            assert_eq!(ask(&mut cores, txn, X), victim, "{members} members");
+        }
+        // Until the victims have let go, the oldest waits.
+        assert!(matches!(ask(&mut cores, 1, X), Err(Refusal::Busy(_))));
+        for txn in [2, 3] {
+            cores[member(txn)].unlock_all(txn);
+            send(&lock, conns[member(txn)], &mut cores[member(txn)]);
+        }
+        assert_eq!(ask(&mut cores, 1, X), Ok(()), "{members} members: the oldest is granted");
+        let holder = cores[0].resources.get(&row).and_then(|rh| rh.iter().find(|h| h.txn == 1).copied());
+        assert!(holder.is_some_and(|h| h.mode == X) && cores[0].waiting.is_empty(), "{holder:?}");
+    }
 }

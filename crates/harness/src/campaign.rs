@@ -257,8 +257,8 @@ impl<'a> Driver<'a> {
         let cf = plex.add_cf("CF01");
 
         let mut gc = GroupConfig::default();
-        // Short deadlock-breaker: a blocked transaction burns bounded
-        // virtual time (1 ms per retry) before timing out.
+        // Short lock timeout: a blocked transaction burns bounded virtual
+        // time (1 ms per retry) before timing out.
         gc.db.lock_timeout = Duration::from_millis(5);
         let group = DataSharingGroup::new(gc, &cf, plex.farm.clone(), plex.timer.clone(), plex.xcf.clone())
             .expect("group allocation");
