@@ -918,10 +918,16 @@ impl LockConnection {
     }
 
     /// Release this connection's interest in entry `entry`.
+    ///
+    /// A release is traced *before* the structure lets go, as a grant is
+    /// traced after it holds: a peer granted the entry next, on another
+    /// thread, is traced after the release, so the traced hold never
+    /// outlasts the real one. A failed command leaves a release in the
+    /// trace, which only makes the oracle lenient.
     pub fn release_lock(&self, entry: usize) -> CfResult<()> {
+        self.sub.emit(TraceEvent::LockRelease { entry: entry as u64, conn: self.id.raw() });
         let r = self.sub.issue(CfCommand::LOCK_RELEASE, || self.structure.release(self.id, entry));
         if r.is_ok() {
-            self.sub.emit(TraceEvent::LockRelease { entry: entry as u64, conn: self.id.raw() });
             self.mirror(|sec| sec.release_lock(entry));
         }
         r
@@ -930,15 +936,16 @@ impl LockConnection {
     /// Delete this connection's records for `records` and release its
     /// interest in `entries`, as one command (see
     /// [`LockStructure::release_set`]). Traced as one release per entry,
-    /// in order, once the structure has let go of them.
+    /// in order, before the structure lets go of them (see
+    /// [`LockConnection::release_lock`]).
     pub fn release_set(&self, entries: &[usize], records: &[ResourceName]) -> CfResult<()> {
         let record_bytes = records.iter().map(|r| r.as_bytes().len()).sum();
         let cmd = CfCommand::lock_release_set(entries.len(), record_bytes);
+        for &entry in entries {
+            self.sub.emit(TraceEvent::LockRelease { entry: entry as u64, conn: self.id.raw() });
+        }
         let r = self.sub.issue(cmd, || self.structure.release_set(self.id, entries, records));
         if r.is_ok() {
-            for &entry in entries {
-                self.sub.emit(TraceEvent::LockRelease { entry: entry as u64, conn: self.id.raw() });
-            }
             self.mirror(|sec| sec.release_set(entries, records));
         }
         r
@@ -977,9 +984,10 @@ impl LockConnection {
 
     /// Declare peer recovery complete: purges `peer`'s retained state.
     pub fn recovery_complete_for(&self, peer: ConnId) -> CfResult<()> {
+        // Traced before the purge, like every release.
+        self.sub.emit(TraceEvent::LockRelease { entry: u64::MAX, conn: peer.raw() });
         let r = self.sub.issue(CfCommand::LOCK_QUERY, || self.structure.recovery_complete(peer));
         if r.is_ok() {
-            self.sub.emit(TraceEvent::LockRelease { entry: u64::MAX, conn: peer.raw() });
             self.mirror(|sec| sec.recovery_complete_for(peer));
         }
         r
@@ -987,13 +995,14 @@ impl LockConnection {
 
     /// Disconnect this connection.
     pub fn detach(&self, mode: DisconnectMode) -> CfResult<()> {
+        // Normal disconnect purges every interest (traced before the purge,
+        // like every release); abnormal retains it for recovery, so no
+        // release is traced until recovery completes.
+        if mode == DisconnectMode::Normal {
+            self.sub.emit(TraceEvent::LockRelease { entry: u64::MAX, conn: self.id.raw() });
+        }
         let r = self.sub.issue(CfCommand::LOCK_CONNECT, || self.structure.disconnect(self.id, mode));
         if r.is_ok() {
-            // Normal disconnect purges every interest; abnormal retains it
-            // for recovery, so no release is traced until recovery completes.
-            if mode == DisconnectMode::Normal {
-                self.sub.emit(TraceEvent::LockRelease { entry: u64::MAX, conn: self.id.raw() });
-            }
             self.mirror(|sec| sec.detach(mode));
         }
         r
@@ -1002,11 +1011,11 @@ impl LockConnection {
     /// Disconnect a peer's slot (surviving system marking a dead peer
     /// failed-persistent).
     pub fn detach_peer(&self, peer: ConnId, mode: DisconnectMode) -> CfResult<()> {
+        if mode == DisconnectMode::Normal {
+            self.sub.emit(TraceEvent::LockRelease { entry: u64::MAX, conn: peer.raw() });
+        }
         let r = self.sub.issue(CfCommand::LOCK_CONNECT, || self.structure.disconnect(peer, mode));
         if r.is_ok() {
-            if mode == DisconnectMode::Normal {
-                self.sub.emit(TraceEvent::LockRelease { entry: u64::MAX, conn: peer.raw() });
-            }
             self.mirror(|sec| sec.detach_peer(peer, mode));
         }
         r
@@ -1565,22 +1574,23 @@ mod tests {
         assert_eq!(issued(CommandClass::LockRequest), 2);
         assert_eq!(issued(CommandClass::LockRecord), 0);
         assert_eq!(issued(CommandClass::LockRelease), 1);
+        // The releases are traced before the command lets go of them.
         let tail: Vec<TraceEvent> = cf
             .tracer()
             .snapshot_all()
             .into_iter()
             .map(|r| r.event)
-            .skip_while(|e| !matches!(e, TraceEvent::CmdIssued { class: CommandClass::LockRelease, .. }))
+            .skip_while(|e| !matches!(e, TraceEvent::LockRelease { .. }))
             .collect();
         let me = conn.conn_id().raw();
         assert!(
             matches!(
                 tail.as_slice(),
                 [
-                    TraceEvent::CmdIssued { class: CommandClass::LockRelease, .. },
-                    TraceEvent::CmdCompleted { class: CommandClass::LockRelease, .. },
                     TraceEvent::LockRelease { entry: 9, conn: first },
                     TraceEvent::LockRelease { entry: 3, conn: second },
+                    TraceEvent::CmdIssued { class: CommandClass::LockRelease, .. },
+                    TraceEvent::CmdCompleted { class: CommandClass::LockRelease, .. },
                 ] if *first == me && *second == me
             ),
             "{tail:?}"

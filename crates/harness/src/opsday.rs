@@ -39,6 +39,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 use sysplex_core::cache::{BlockName, CacheParams, WriteKind};
+use sysplex_core::error::CfError;
 use sysplex_core::facility::CouplingFacility;
 use sysplex_core::list::{ListParams, LockCondition, WritePosition};
 use sysplex_core::lock::{DisconnectMode, LockMode, LockParams, LockStructure};
@@ -293,22 +294,16 @@ fn ipl(
                 .connect_list(LIST_STRUCTURE, LIST_HEADERS)
                 .map_err(|_| ())?
                 .with_policy(Arc::clone(&policy));
-            // Restart recovery: the dead incarnation's slot turns
-            // failed-persistent as soon as the server tears its session
-            // down; wait for that, then purge its retained interest so
-            // the plex stops serializing against a ghost.
+            // Restart recovery: the fresh Hello retired the dead
+            // incarnation before it was answered, so its slot is
+            // failed-persistent now. Purge its retained interest so the
+            // plex stops serializing against a ghost. Only this member
+            // recovers its own slot, so `BadConnector` means a retried
+            // command whose first try already landed.
             if let Some(prior) = recover {
-                let parked_by = Instant::now() + Duration::from_secs(3);
-                loop {
-                    match lock.is_failed_persistent(prior) {
-                        Ok(true) => {
-                            lock.recovery_complete_for(prior).map_err(|_| ())?;
-                            break;
-                        }
-                        Ok(false) if Instant::now() < parked_by => thread::sleep(Duration::from_millis(5)),
-                        Ok(false) => break, // slot already freed cleanly
-                        Err(_) => return Err(()),
-                    }
+                match lock.recovery_complete_for(prior) {
+                    Ok(()) | Err(CfError::BadConnector) => {}
+                    Err(_) => return Err(()),
                 }
             }
             let xcf = remote.join(GROUP, &member_name).ok();
@@ -646,8 +641,6 @@ fn verdict(
         p.stop();
     }
     campaign.rig.server.stop();
-    // Let session teardown threads drain before the quiescent checks.
-    thread::sleep(Duration::from_millis(50));
 
     let mut acked: Vec<u64> = Vec::new();
     let mut reipls = 0;

@@ -19,9 +19,13 @@
 //!    a connector that is attached or failed-persistent awaiting recovery;
 //!    completed recoveries leak nothing ([`Violation::OrphanLockRecord`]).
 //!
-//! The trace checks assume the causal merge of a single-driver (or
-//! quiesced) run: events appear in `seq` order and `seq` order is the
-//! operation order. That is exactly what the campaign driver produces.
+//! The trace checks read the merge in `seq` order. Invariant 1 holds for
+//! concurrent runs too: a grant is traced after the structure grants and
+//! a release before it lets go, so a traced hold lies inside the real one
+//! and two threads' traced holds overlap only if the real ones did.
+//! Invariant 2 still assumes a single driver thread (or a quiesced run):
+//! a `LocalVectorCheck` is traced after its bit test, so a cross-invalidate
+//! on another thread can be traced between the test and its record.
 
 use std::collections::HashMap;
 use sysplex_core::lock::LockStructure;
@@ -294,6 +298,47 @@ mod tests {
 
     fn rec(seq: u64, system: u8, structure: u32, event: TraceEvent) -> TraceRecord {
         TraceRecord { seq, tod_us: seq, system, structure, event }
+    }
+
+    /// Three threads contend for one entry of a correct lock model, 20
+    /// rounds of 200 ms. A release traced after the structure let go
+    /// would let a peer's grant land inside the releaser's traced hold,
+    /// and invariant 1 would convict the model.
+    #[test]
+    fn concurrent_contenders_never_convict_a_correct_lock_model() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use sysplex_core::lock::{LockMode, LockParams};
+        use sysplex_core::{CfConfig, CouplingFacility, LockConnection, SystemId};
+
+        for round in 0..20 {
+            let cf = CouplingFacility::new(CfConfig::named("CFRACE"));
+            cf.tracer().enable();
+            let lock = cf.allocate_lock_structure("L", LockParams::with_entries(8)).unwrap();
+            let stop = AtomicBool::new(false);
+            std::thread::scope(|s| {
+                for system in 0..3 {
+                    let conn =
+                        LockConnection::attach(&lock, cf.subchannel().with_system(SystemId(system))).unwrap();
+                    let stop = &stop;
+                    s.spawn(move || {
+                        while !stop.load(Ordering::Relaxed) {
+                            if conn.request_lock(0, LockMode::Exclusive).unwrap().is_granted() {
+                                conn.release_lock(0).unwrap();
+                            }
+                        }
+                    });
+                }
+                std::thread::sleep(std::time::Duration::from_millis(200));
+                stop.store(true, Ordering::Relaxed);
+            });
+            let violations = check_trace(&cf.tracer().snapshot_all(), OracleConfig::default());
+            assert!(
+                violations.is_empty(),
+                "round {round}: {} convictions, first {}",
+                violations.len(),
+                violations[0]
+            );
+        }
     }
 
     #[test]

@@ -13,26 +13,35 @@
 //! is one [`wire_enum!`] table — a row is a tag, a variant and its fields
 //! in wire order — built on core's `Wire` kit, so the enum and its codec
 //! cannot disagree and a new request is one row plus its serving arm.
-//! One TCP connection == one member session:
+//! One TCP connection == one member session, and an admitted session
+//! serves one member *incarnation*:
 //!
 //! * `Hello` admits the member (WLM capacity + heartbeat registration
-//!   via [`Sysplex::register_remote_member`]).
-//! * `Cf(...)` tunnels a core [`WireRequest`] to a per-session
+//!   via [`Sysplex::register_remote_member`]), or with a resume token
+//!   hands the existing incarnation to the new connection.
+//! * `Cf(...)` tunnels a core [`WireRequest`] to the incarnation's
 //!   [`InProcessTransport`] serving the chosen coupling facility.
 //! * `XcfJoin`/`XcfSend`/`XcfPoll`/… proxy the XCF member API; member
-//!   handles are session-scoped integers.
+//!   handles are incarnation-scoped integers.
 //! * `Pulse` writes the member's heartbeat to the couple data set.
 //! * `Goodbye` is an orderly departure ([`Sysplex::deregister_remote_member`]).
 //!
-//! **Failure model.** If the socket dies without a `Goodbye`, the
-//! session leaves the heartbeat registration in place and abnormally
-//! detaches the member's CF endpoints (held locks become
-//! failed-persistent retained locks). The server's accept loop keeps
-//! sweeping [`HeartbeatMonitor::check_once`](crate::heartbeat::HeartbeatMonitor::check_once), so the overdue pulse runs
-//! the standard failure choreography: fence first, then XCF
-//! `MemberFailed` events to surviving peers — identical to a local
-//! system going silent. A broken wire is indistinguishable from a dead
-//! system, which is precisely the S/390 status-monitoring contract.
+//! **Failure model.** The server keeps one incarnation per system, behind
+//! one lock: its resume token, XCF members, CF endpoints and live stream.
+//! A socket that dies without a `Goodbye` drops only the stream; the
+//! member may resume, and its CF handles and XCF members answer as
+//! before. A fresh `Hello` (re-IPL), a `Goodbye` and a fence each
+//! *retire* the incarnation before they return: the stream is severed,
+//! the CF endpoints detach abnormally (held locks become failed-persistent
+//! retained locks) and the XCF members leave. A frame being served
+//! finishes first, and none is served after — the crash-stop rule. The
+//! server's accept loop keeps sweeping
+//! [`HeartbeatMonitor::check_once`](crate::heartbeat::HeartbeatMonitor::check_once),
+//! so the overdue pulse of a member that never comes back runs the
+//! standard failure choreography: fence first, then XCF `MemberFailed`
+//! events to surviving peers — identical to a local system going silent.
+//! A broken wire is indistinguishable from a dead system, which is
+//! precisely the S/390 status-monitoring contract.
 
 use crate::heartbeat::HealthState;
 use crate::smf::SmfStore;
@@ -56,6 +65,7 @@ use sysplex_core::transport::{
 use sysplex_core::types::SystemId;
 use sysplex_core::wire::{FrameStream, SmfRecord, WireRequest, WireResponse};
 use sysplex_core::{wire_enum, wire_struct};
+use sysplex_dasd::fence::FenceControl;
 
 // ---------------------------------------------------------------------------
 // Envelope protocol
@@ -90,10 +100,11 @@ wire_enum! {
             /// Capacity the member contributes to WLM routing.
             mips_bits: u64,
             /// Resume token from a previous [`SxResponse::Admitted`]: a
-            /// reconnecting member reclaims its parked session (heartbeat and
-            /// WLM registrations, XCF memberships, handle numbering) instead
-            /// of being admitted — and counted — twice. `None` is a fresh
-            /// incarnation (an IPL, or a re-IPL after a fence).
+            /// reconnecting member takes its incarnation back (heartbeat and
+            /// WLM registrations, XCF memberships, CF handles) instead of
+            /// being admitted — and counted — twice. `None` is a fresh
+            /// incarnation (an IPL, or a re-IPL after a fence), which
+            /// retires the system's current one first.
             resume: Option<u64>,
         },
         /// A tunnelled CF structure command.
@@ -107,12 +118,12 @@ wire_enum! {
         },
         /// Orderly leave of a joined member.
         3 XcfLeave {
-            /// Session-scoped member handle from `Joined`.
+            /// Incarnation-scoped member handle from `Joined`.
             handle: u32,
         },
         /// Point-to-point signal.
         4 XcfSend {
-            /// Session-scoped member handle.
+            /// Incarnation-scoped member handle.
             handle: u32,
             /// Target member name.
             to: String,
@@ -121,19 +132,19 @@ wire_enum! {
         },
         /// Broadcast to all group peers.
         5 XcfBroadcast {
-            /// Session-scoped member handle.
+            /// Incarnation-scoped member handle.
             handle: u32,
             /// Signal payload.
             payload: Vec<u8>,
         },
         /// Non-blocking poll of the member's signal queue.
         6 XcfPoll {
-            /// Session-scoped member handle.
+            /// Incarnation-scoped member handle.
             handle: u32,
         },
         /// Current group membership.
         7 XcfPeers {
-            /// Session-scoped member handle.
+            /// Incarnation-scoped member handle.
             handle: u32,
         },
         /// Heartbeat pulse for the admitted system.
@@ -163,7 +174,7 @@ wire_enum! {
         1 Cf(resp: WireResponse),
         /// Successful `XcfJoin`.
         2 Joined {
-            /// Session-scoped member handle for subsequent XCF requests.
+            /// Incarnation-scoped member handle for subsequent XCF requests.
             handle: u32,
         },
         /// Result of `XcfPoll`.
@@ -241,10 +252,10 @@ impl From<io::Error> for SxError {
 /// Serves one sysplex to remote member processes.
 ///
 /// Owns a listening socket and an accept loop. Each accepted connection
-/// becomes an independent member session thread with its own
-/// [`InProcessTransport`] over the served CF — so remote CF commands go
-/// through the exact same dispatch engine (and subchannel accounting)
-/// as core's `serve_cf_stream`.
+/// gets a session thread; an admitted session serves one member
+/// incarnation, whose [`InProcessTransport`] issues its CF commands
+/// through the exact same dispatch engine (and subchannel accounting) as
+/// core's `serve_cf_stream`.
 ///
 /// The accept loop doubles as the **status monitor sweep**: between
 /// accepts it runs [`check_once`](crate::heartbeat::HeartbeatMonitor::check_once),
@@ -258,94 +269,143 @@ pub struct SysplexServer {
     smf: Arc<SmfStore>,
 }
 
-/// A session parked by an unclean disconnect, awaiting a Hello-with-resume.
-///
-/// Parking preserves everything a reconnecting member would otherwise be
-/// double-counted for: its XCF memberships (the members keep receiving
-/// signals into their queues across the blip) and the session-scoped
-/// handle numbering. The heartbeat/WLM registrations need no parking —
-/// they are keyed by `SystemId` and stay in place until SFM fences the
-/// system or the member departs cleanly.
-struct ParkedSession {
+/// One admitted member incarnation: everything the server holds for a
+/// system from its fresh `Hello` to its retirement. A resume hands it to
+/// a new stream; a re-IPL, a fence or a `Goodbye` retires it. The session
+/// threads that serve it come and go with its streams.
+struct Incarnation {
     system: SystemId,
+    /// Resume token, unique per admission.
+    token: u64,
+    /// Its CF endpoints. They survive a resume, and so do their handles.
+    transport: InProcessTransport,
+    state: Mutex<IncarnationState>,
+}
+
+struct IncarnationState {
+    /// The stream it answers on, with that stream's session number.
+    /// `None` after an unclean end until a resume, and for good once
+    /// retired.
+    live: Option<(u64, TcpStream)>,
+    /// XCF members by the handle `Joined` gave out.
     members: HashMap<u32, XcfMember>,
     next_handle: u32,
 }
 
-/// Server-side session bookkeeping shared by all session threads.
-struct SessionRegistry {
-    next_token: AtomicU64,
-    parked: Mutex<HashMap<u64, ParkedSession>>,
-    /// Live sessions' streams, for fence-driven shutdown: when SFM fails
-    /// a system, its sockets are severed so a zombie cannot keep issuing
-    /// commands on an established session.
-    live: Mutex<HashMap<u64, (SystemId, TcpStream)>>,
+impl IncarnationState {
+    fn serves(&self, session: u64) -> bool {
+        self.live.as_ref().is_some_and(|(s, _)| *s == session)
+    }
 }
 
-impl SessionRegistry {
-    fn new() -> Arc<Self> {
-        Arc::new(SessionRegistry {
-            next_token: AtomicU64::new(1),
-            parked: Mutex::new(HashMap::new()),
-            live: Mutex::new(HashMap::new()),
-        })
-    }
-
-    fn issue_token(&self) -> u64 {
-        self.next_token.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Fence enforcement: sever every live stream of `system` and drop
-    /// its parked sessions (their XCF members were already failed out).
-    fn sever_system(&self, system: SystemId) {
-        self.live.lock().retain(|_, (sys, stream)| {
-            if *sys == system {
-                let _ = stream.shutdown(Shutdown::Both);
-                false
-            } else {
-                true
-            }
-        });
-        self.parked.lock().retain(|_, p| p.system != system);
-    }
-
-    /// Claim the parked session for `token`. If the token's previous
-    /// session thread is still live (the server has not yet noticed the
-    /// old socket die), sever it and wait for it to park — teardown parks
-    /// *before* removing the live entry, so the token is never in limbo.
-    fn adopt(&self, token: u64, system: SystemId) -> Option<ParkedSession> {
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        loop {
-            if let Some(p) = self.parked.lock().remove(&token) {
-                if p.system == system {
-                    return Some(p);
-                }
-                // Token/system mismatch: not this member's session.
-                self.parked.lock().insert(token, p);
-                return None;
-            }
-            let still_live = match self.live.lock().get(&token) {
-                Some((sys, stream)) if *sys == system => {
-                    let _ = stream.shutdown(Shutdown::Both);
-                    true
-                }
-                _ => false,
-            };
-            if !still_live || std::time::Instant::now() >= deadline {
-                return None;
-            }
-            std::thread::sleep(Duration::from_millis(2));
+impl Incarnation {
+    /// Crash-stop: sever the live stream, detach the CF endpoints
+    /// abnormally (held locks become failed-persistent retained locks)
+    /// and leave the XCF groups. A frame being served finishes first, and
+    /// once this returns the incarnation takes no further step.
+    fn retire(&self) {
+        let mut state = self.state.lock();
+        if let Some((_, stream)) = state.live.take() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        self.transport.detach_all();
+        for (_, m) in state.members.drain() {
+            let _ = m.leave();
         }
     }
 }
 
-impl std::fmt::Debug for SessionRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SessionRegistry")
-            .field("parked", &self.parked.lock().len())
-            .field("live", &self.live.lock().len())
-            .finish()
+/// The server's incarnations, one per admitted system. Whatever retires
+/// or re-hands an incarnation takes this lock first and the
+/// incarnation's second; a session thread serving a frame holds only the
+/// incarnation's.
+struct Registry {
+    /// Source of resume tokens and session numbers.
+    next_id: AtomicU64,
+    incarnations: Mutex<HashMap<SystemId, Arc<Incarnation>>>,
+}
+
+impl Registry {
+    fn next_id(&self) -> u64 {
+        self.next_id.fetch_add(1, Ordering::Relaxed)
     }
+
+    /// Fresh `Hello` (an IPL, or a re-IPL after a fence): the system's
+    /// current incarnation retires before the new one is admitted on
+    /// `live`.
+    fn admit(
+        &self,
+        plex: &Sysplex,
+        cf: &Arc<CouplingFacility>,
+        system: SystemId,
+        mips: f64,
+        live: (u64, TcpStream),
+    ) -> Result<Arc<Incarnation>, String> {
+        let mut incarnations = self.incarnations.lock();
+        if let Some(old) = incarnations.remove(&system) {
+            old.retire();
+        }
+        plex.readmit_remote_member(system, mips).map_err(|e| format!("admission failed: {e}"))?;
+        let inc = Arc::new(Incarnation {
+            system,
+            token: self.next_id(),
+            transport: InProcessTransport::new(cf),
+            state: Mutex::new(IncarnationState { live: Some(live), members: HashMap::new(), next_handle: 1 }),
+        });
+        incarnations.insert(system, Arc::clone(&inc));
+        Ok(inc)
+    }
+
+    /// Resume: `system`'s incarnation, if `token` is its, answers on
+    /// `live` from now on; the stream it replaces is severed.
+    fn resume(&self, system: SystemId, token: u64, live: (u64, TcpStream)) -> Option<Arc<Incarnation>> {
+        let incarnations = self.incarnations.lock();
+        let inc = incarnations.get(&system).filter(|inc| inc.token == token)?;
+        if let Some((_, old)) = inc.state.lock().live.replace(live) {
+            let _ = old.shutdown(Shutdown::Both);
+        }
+        Some(Arc::clone(inc))
+    }
+
+    /// SFM failed `system`: retire its incarnation, unless a re-IPL has
+    /// lifted the fence since (and retired it itself). True if it was
+    /// still fenced.
+    fn fence(&self, system: SystemId, fence: &FenceControl) -> bool {
+        let mut incarnations = self.incarnations.lock();
+        if !fence.is_fenced(system.0) {
+            return false;
+        }
+        if let Some(old) = incarnations.remove(&system) {
+            old.retire();
+        }
+        true
+    }
+
+    /// `Goodbye` on `session`: retire `inc` and deregister its system, if
+    /// that session still serves it. The stream stays open for the
+    /// answer.
+    fn depart(&self, plex: &Sysplex, inc: &Incarnation, session: u64) -> bool {
+        let mut incarnations = self.incarnations.lock();
+        {
+            let mut state = inc.state.lock();
+            if !state.serves(session) {
+                return false;
+            }
+            state.live = None;
+        }
+        incarnations.remove(&inc.system);
+        inc.retire();
+        plex.deregister_remote_member(inc.system);
+        true
+    }
+}
+
+/// What every session thread serves from.
+struct Served {
+    plex: Arc<Sysplex>,
+    cf: Arc<CouplingFacility>,
+    registry: Arc<Registry>,
+    smf: Arc<SmfStore>,
 }
 
 impl SysplexServer {
@@ -360,38 +420,37 @@ impl SysplexServer {
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let registry = SessionRegistry::new();
+        let registry =
+            Arc::new(Registry { next_id: AtomicU64::new(1), incarnations: Mutex::new(HashMap::new()) });
         let smf = SmfStore::new();
         {
-            // Fail-stop over the wire: the moment SFM fences a system,
-            // its sessions are severed and its parked state dropped. Its
+            // Fail-stop over the wire: by the time SFM's failure
+            // declaration returns, the fenced incarnation is retired. Its
             // SMF rows flip to departed — history stays in the report.
             let registry = Arc::clone(&registry);
             let smf = Arc::clone(&smf);
+            let fence = Arc::clone(plex.farm.fence());
             plex.heartbeat.on_failure(move |sys| {
-                registry.sever_system(sys);
-                smf.mark_departed(sys.0);
+                if registry.fence(sys, &fence) {
+                    smf.mark_departed(sys.0);
+                }
             });
         }
+        let served =
+            Arc::new(Served { plex: Arc::clone(plex), cf: Arc::clone(cf), registry, smf: Arc::clone(&smf) });
         let accept_thread = {
-            let plex = Arc::clone(plex);
-            let cf = Arc::clone(cf);
             let stop = Arc::clone(&stop);
-            let smf = Arc::clone(&smf);
             std::thread::Builder::new().name("sysplex-server".into()).spawn(move || {
                 while !stop.load(Ordering::Acquire) {
                     match listener.accept() {
                         Ok((stream, _)) => {
-                            let plex = Arc::clone(&plex);
-                            let cf = Arc::clone(&cf);
-                            let registry = Arc::clone(&registry);
-                            let smf = Arc::clone(&smf);
+                            let served = Arc::clone(&served);
                             let _ = std::thread::Builder::new()
                                 .name("sysplex-session".into())
-                                .spawn(move || serve_session(&plex, &cf, &registry, &smf, stream));
+                                .spawn(move || serve_session(&served, stream));
                         }
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            plex.heartbeat.check_once();
+                            served.plex.heartbeat.check_once();
                             std::thread::sleep(Duration::from_millis(2));
                         }
                         Err(_) => break,
@@ -436,228 +495,167 @@ fn respond(link: &mut FrameStream<TcpStream>, seq: u32, resp: &SxResponse) -> io
     link.send(seq, |w| resp.encode_into(w))
 }
 
-fn serve_session(
-    plex: &Arc<Sysplex>,
-    cf: &Arc<CouplingFacility>,
-    registry: &Arc<SessionRegistry>,
-    smf: &Arc<SmfStore>,
-    stream: TcpStream,
-) {
+fn serve_session(sv: &Served, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
+    let session = sv.registry.next_id();
     let mut link = FrameStream::new(stream);
-    let transport = InProcessTransport::new(cf);
-    let mut members: HashMap<u32, XcfMember> = HashMap::new();
-    let mut next_handle: u32 = 1;
-    let mut admitted: Option<SystemId> = None;
-    let mut token: Option<u64> = None;
-    let mut clean = false;
+    let mut bound: Option<Arc<Incarnation>> = None;
 
     // Clean EOF and broken links end the session alike; a slow writer
     // dribbling a frame is served, a peer silent mid-frame is declared
     // dead after the stall budget.
     while let Ok(frame) = link.recv_patient() {
         let seq = frame.seq;
-        let req = match SxRequest::decode(frame.body()) {
-            Ok(r) => r,
-            Err(_) => {
-                if respond(&mut link, seq, &SxResponse::Denied("garbled frame".into())).is_err() {
-                    break;
-                }
-                continue;
-            }
-        };
-        let resp = match req {
-            SxRequest::Hello { system, name, mips_bits, resume } => {
-                if admitted.is_some() {
-                    SxResponse::Denied("already admitted".into())
-                } else {
-                    match resume {
-                        // Fresh incarnation: admit (lifting a stale fence —
-                        // a plain Hello after a failure is a re-IPL).
-                        None => match plex.readmit_remote_member(system, f64::from_bits(mips_bits)) {
-                            Ok(()) => {
-                                // A re-IPL invalidates whatever the previous
-                                // incarnation left parked: its XCF members
-                                // leave their groups now, so the new
-                                // incarnation can rejoin under the same
-                                // names instead of being double-counted.
-                                let stale: Vec<ParkedSession> = {
-                                    let mut parked = registry.parked.lock();
-                                    let tokens: Vec<u64> = parked
-                                        .iter()
-                                        .filter(|(_, p)| p.system == system)
-                                        .map(|(t, _)| *t)
-                                        .collect();
-                                    tokens.into_iter().filter_map(|t| parked.remove(&t)).collect()
-                                };
-                                for p in stale {
-                                    for (_, m) in p.members {
-                                        let _ = m.leave();
-                                    }
-                                }
-                                let t = registry.issue_token();
-                                admitted = Some(system);
-                                token = Some(t);
-                                smf.mark_admitted(system.0, &name);
-                                if let Ok(clone) = link.get_ref().try_clone() {
-                                    registry.live.lock().insert(t, (system, clone));
-                                }
-                                SxResponse::Admitted { token: t }
-                            }
-                            Err(e) => SxResponse::Denied(format!("admission failed: {e}")),
-                        },
-                        // Reconnect: the same incarnation reclaims its
-                        // parked session instead of being double-counted.
-                        Some(t) => {
-                            if plex.heartbeat.state_of(system) == Some(HealthState::Failed) {
-                                // The member was fenced while away; this
-                                // denial is how the zombie incarnation
-                                // observes its own fence.
-                                SxResponse::Fenced(format!(
-                                    "system {} was isolated during the outage",
-                                    system.0
-                                ))
-                            } else if plex.heartbeat.pulse(system).is_err() {
-                                SxResponse::Fenced(format!("system {} status write rejected", system.0))
-                            } else {
-                                match registry.adopt(t, system) {
-                                    Some(parked) => {
-                                        members = parked.members;
-                                        next_handle = parked.next_handle;
-                                        admitted = Some(system);
-                                        token = Some(t);
-                                        smf.mark_active(system.0, &name);
-                                        if let Ok(clone) = link.get_ref().try_clone() {
-                                            registry.live.lock().insert(t, (system, clone));
-                                        }
-                                        SxResponse::Admitted { token: t }
-                                    }
-                                    None => SxResponse::Denied("unknown resume token".into()),
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            SxRequest::Cf(wreq) => {
-                // Time the dispatch: this is the CF *service time* as the
-                // server sees it, paired in the merged report with the
-                // member's own end-to-end clock to expose wire time.
-                let class = wreq.class();
-                let t0 = std::time::Instant::now();
-                let wresp = transport.dispatch(wreq);
-                if let Some(sys) = admitted {
-                    smf.observe_service(sys.0, class, t0.elapsed());
-                }
-                SxResponse::Cf(wresp)
-            }
-            SxRequest::XcfJoin { group, member } => match admitted {
-                None => SxResponse::Denied("not admitted".into()),
-                Some(sys) => match plex.xcf.join(&group, &member, sys) {
-                    Ok(m) => {
-                        let handle = next_handle;
-                        next_handle += 1;
-                        members.insert(handle, m);
-                        SxResponse::Joined { handle }
-                    }
-                    Err(e) => SxResponse::XcfFail(e),
-                },
-            },
-            SxRequest::XcfLeave { handle } => match members.remove(&handle) {
-                Some(m) => match m.leave() {
-                    Ok(()) => SxResponse::Ok,
-                    Err(e) => SxResponse::XcfFail(e),
-                },
-                None => SxResponse::XcfFail(XcfError::StaleHandle),
-            },
-            SxRequest::XcfSend { handle, to, payload } => match members.get(&handle) {
-                Some(m) => match m.send_to(&to, &payload) {
-                    Ok(()) => SxResponse::Ok,
-                    Err(e) => SxResponse::XcfFail(e),
-                },
-                None => SxResponse::XcfFail(XcfError::StaleHandle),
-            },
-            SxRequest::XcfBroadcast { handle, payload } => match members.get(&handle) {
-                Some(m) => SxResponse::Count(m.broadcast(&payload) as u64),
-                None => SxResponse::XcfFail(XcfError::StaleHandle),
-            },
-            SxRequest::XcfPoll { handle } => match members.get(&handle) {
-                Some(m) => SxResponse::Item(m.try_recv()),
-                None => SxResponse::XcfFail(XcfError::StaleHandle),
-            },
-            SxRequest::XcfPeers { handle } => match members.get(&handle) {
-                Some(m) => SxResponse::Peers(m.peers()),
-                None => SxResponse::XcfFail(XcfError::StaleHandle),
-            },
-            SxRequest::Pulse => match admitted {
-                None => SxResponse::Denied("not admitted".into()),
-                Some(sys) => match plex.heartbeat.pulse(sys) {
-                    Ok(()) => SxResponse::Ok,
-                    Err(e) => SxResponse::Denied(format!("pulse rejected: {e}")),
-                },
-            },
-            SxRequest::Goodbye => {
-                clean = true;
-                let _ = respond(&mut link, seq, &SxResponse::Ok);
+        let Ok(req) = SxRequest::decode(frame.body()) else {
+            if respond(&mut link, seq, &SxResponse::Denied("garbled frame".into())).is_err() {
                 break;
             }
-            SxRequest::SmfShip(record) => match admitted {
-                None => SxResponse::Denied("not admitted".into()),
-                Some(sys) if record.system != sys.0 => SxResponse::Denied(format!(
-                    "smf record claims system {} but session is system {}",
-                    record.system, sys.0
-                )),
-                Some(_) => {
-                    // Keyed by the resume token: a retried ship after a
-                    // link fault cannot double-accumulate the interval.
-                    match token {
-                        Some(t) => smf.ship_keyed(t, record),
-                        None => smf.ship(record),
+            continue;
+        };
+        let resp = match (req, bound.as_deref()) {
+            (SxRequest::Hello { .. }, Some(_)) => SxResponse::Denied("already admitted".into()),
+            (SxRequest::Hello { system, name, mips_bits, resume }, None) => {
+                match hello(sv, session, link.get_ref(), system, &name, mips_bits, resume) {
+                    Ok(inc) => {
+                        let token = inc.token;
+                        bound = Some(inc);
+                        SxResponse::Admitted { token }
                     }
-                    SxResponse::Ok
+                    Err(refusal) => refusal,
                 }
-            },
-            SxRequest::SmfPull { system } => SxResponse::SmfRecords(smf.records(system.0)),
+            }
+            // Records are observability data, not secrets: any session
+            // may ask.
+            (SxRequest::SmfPull { system }, _) => SxResponse::SmfRecords(sv.smf.records(system.0)),
+            (_, None) => SxResponse::Denied("not admitted".into()),
+            (SxRequest::Goodbye, Some(inc)) => {
+                if sv.registry.depart(&sv.plex, inc, session) {
+                    sv.smf.mark_departed(inc.system.0);
+                    let _ = respond(&mut link, seq, &SxResponse::Ok);
+                }
+                break;
+            }
+            (req, Some(inc)) => {
+                let mut state = inc.state.lock();
+                // A superseded or retired stream serves nothing more.
+                if !state.serves(session) {
+                    break;
+                }
+                serve(sv, inc, &mut state, req)
+            }
         };
         if respond(&mut link, seq, &resp).is_err() {
             break;
         }
     }
 
-    // Session teardown. CF endpoints always detach abnormally — for a
-    // member that released everything this is a no-op; for one that died
-    // mid-transaction it makes held locks failed-persistent retained
-    // locks, feeding the standard recovery protocol.
-    transport.detach_all();
-    if clean {
-        for (_, m) in members.drain() {
-            let _ = m.leave();
+    // An unclean end drops the stream and nothing else: the incarnation
+    // keeps its CF endpoints and XCF members for a resume, until a
+    // re-IPL or a fence retires it.
+    if let Some(inc) = bound {
+        let mut state = inc.state.lock();
+        if state.serves(session) {
+            state.live = None;
         }
-        if let Some(sys) = admitted {
-            plex.deregister_remote_member(sys);
-            smf.mark_departed(sys.0);
-        }
-        if let Some(t) = token {
-            registry.parked.lock().remove(&t);
-            registry.live.lock().remove(&t);
-        }
-        return;
     }
-    // Unclean exit: keep the heartbeat registration and park the XCF
-    // state under the resume token so a reconnecting member reclaims it.
-    // Park BEFORE dropping the live entry — `adopt` relies on the token
-    // being in at least one of the two maps at all times. If SFM already
-    // fenced the system, there is nothing to park: its members were
-    // failed out, and the next sweep (or the fence itself) covers the
-    // rest of the choreography.
-    if let (Some(sys), Some(t)) = (admitted, token) {
-        if plex.heartbeat.state_of(sys) != Some(HealthState::Failed) {
-            registry
-                .parked
-                .lock()
-                .insert(t, ParkedSession { system: sys, members: std::mem::take(&mut members), next_handle });
+}
+
+/// Answer a `Hello` on `stream`: a fresh incarnation without a resume
+/// token, the existing one with it.
+fn hello(
+    sv: &Served,
+    session: u64,
+    stream: &TcpStream,
+    system: SystemId,
+    name: &str,
+    mips_bits: u64,
+    resume: Option<u64>,
+) -> Result<Arc<Incarnation>, SxResponse> {
+    let stream = stream.try_clone().map_err(|e| SxResponse::Denied(format!("session stream: {e}")))?;
+    let Some(token) = resume else {
+        let inc = sv
+            .registry
+            .admit(&sv.plex, &sv.cf, system, f64::from_bits(mips_bits), (session, stream))
+            .map_err(SxResponse::Denied)?;
+        sv.smf.mark_admitted(system.0, name);
+        return Ok(inc);
+    };
+    if sv.plex.heartbeat.state_of(system) == Some(HealthState::Failed) {
+        // The member was fenced while away; this denial is how the
+        // zombie incarnation observes its own fence.
+        return Err(SxResponse::Fenced(format!("system {} was isolated during the outage", system.0)));
+    }
+    if sv.plex.heartbeat.pulse(system).is_err() {
+        return Err(SxResponse::Fenced(format!("system {} status write rejected", system.0)));
+    }
+    let inc = sv
+        .registry
+        .resume(system, token, (session, stream))
+        .ok_or_else(|| SxResponse::Denied("unknown resume token".into()))?;
+    sv.smf.mark_active(system.0, name);
+    Ok(inc)
+}
+
+/// Serve one request of an admitted session, under its incarnation's
+/// lock.
+fn serve(sv: &Served, inc: &Incarnation, state: &mut IncarnationState, req: SxRequest) -> SxResponse {
+    let xcf = |handle: u32, op: &dyn Fn(&XcfMember) -> SxResponse| match state.members.get(&handle) {
+        Some(m) => op(m),
+        None => SxResponse::XcfFail(XcfError::StaleHandle),
+    };
+    match req {
+        SxRequest::Cf(wreq) => {
+            // Time the dispatch: this is the CF *service time* as the
+            // server sees it, paired in the merged report with the
+            // member's own end-to-end clock to expose wire time.
+            let class = wreq.class();
+            let t0 = std::time::Instant::now();
+            let wresp = inc.transport.dispatch(wreq);
+            sv.smf.observe_service(inc.system.0, class, t0.elapsed());
+            SxResponse::Cf(wresp)
         }
-        registry.live.lock().remove(&t);
+        SxRequest::XcfJoin { group, member } => match sv.plex.xcf.join(&group, &member, inc.system) {
+            Ok(m) => {
+                let handle = state.next_handle;
+                state.next_handle += 1;
+                state.members.insert(handle, m);
+                SxResponse::Joined { handle }
+            }
+            Err(e) => SxResponse::XcfFail(e),
+        },
+        SxRequest::XcfLeave { handle } => match state.members.remove(&handle) {
+            Some(m) => match m.leave() {
+                Ok(()) => SxResponse::Ok,
+                Err(e) => SxResponse::XcfFail(e),
+            },
+            None => SxResponse::XcfFail(XcfError::StaleHandle),
+        },
+        SxRequest::XcfSend { handle, to, payload } => xcf(handle, &|m| match m.send_to(&to, &payload) {
+            Ok(()) => SxResponse::Ok,
+            Err(e) => SxResponse::XcfFail(e),
+        }),
+        SxRequest::XcfBroadcast { handle, payload } => {
+            xcf(handle, &|m| SxResponse::Count(m.broadcast(&payload) as u64))
+        }
+        SxRequest::XcfPoll { handle } => xcf(handle, &|m| SxResponse::Item(m.try_recv())),
+        SxRequest::XcfPeers { handle } => xcf(handle, &|m| SxResponse::Peers(m.peers())),
+        SxRequest::Pulse => match sv.plex.heartbeat.pulse(inc.system) {
+            Ok(()) => SxResponse::Ok,
+            Err(e) => SxResponse::Denied(format!("pulse rejected: {e}")),
+        },
+        SxRequest::SmfShip(record) if record.system != inc.system.0 => SxResponse::Denied(format!(
+            "smf record claims system {} but session is system {}",
+            record.system, inc.system.0
+        )),
+        SxRequest::SmfShip(record) => {
+            // Keyed by the resume token: a retried ship after a link
+            // fault cannot double-accumulate the interval.
+            sv.smf.ship_keyed(inc.token, record);
+            SxResponse::Ok
+        }
+        SxRequest::Hello { .. } | SxRequest::Goodbye | SxRequest::SmfPull { .. } => {
+            unreachable!("serve_session answers {req:?} itself")
+        }
     }
 }
 
@@ -713,10 +711,6 @@ struct Conn {
     /// Set by `goodbye` before the wire exchange: no thread may dial or
     /// pulse on behalf of a departed member.
     departed: AtomicBool,
-    /// Bumped on every successful (re-)handshake. CF structure handles
-    /// are session-scoped on the server, so exploiters watch this to know
-    /// their `Remote*Connection`s need re-attaching.
-    generation: AtomicU64,
     /// Member-side command accounting across every transport minted from
     /// this session: the source of this member's SMF records.
     meter: Arc<TransportMeter>,
@@ -730,7 +724,6 @@ impl Conn {
             token: Mutex::new(Some(token)),
             reconnect: None,
             departed: AtomicBool::new(false),
-            generation: AtomicU64::new(1),
             meter: TransportMeter::new(),
         }
     }
@@ -751,7 +744,6 @@ impl Conn {
         let resume = *self.token.lock();
         let token = handshake(&mut link, rc.system, &rc.name, rc.mips_bits, resume)?;
         *self.token.lock() = Some(token);
-        self.generation.fetch_add(1, Ordering::Release);
         *slot = Some(link);
         Ok(())
     }
@@ -870,7 +862,6 @@ impl RemoteSysplex {
                 rpc_timeout,
             }),
             departed: AtomicBool::new(false),
-            generation: AtomicU64::new(0),
             meter: TransportMeter::new(),
         };
         let rs = RemoteSysplex { conn: Arc::new(conn), system, name: name.to_string() };
@@ -883,15 +874,6 @@ impl RemoteSysplex {
     /// The system identity this member was admitted as.
     pub fn system(&self) -> SystemId {
         self.system
-    }
-
-    /// Session generation: bumped on every successful (re-)admission.
-    /// CF structure handles are session-scoped on the server, so after a
-    /// generation change existing `Remote*Connection`s answer
-    /// `BadConnector` and must be re-attached via the `connect_*`
-    /// helpers.
-    pub fn generation(&self) -> u64 {
-        self.conn.generation.load(Ordering::Acquire)
     }
 
     /// A CF transport tunnelling structure commands over this session's
@@ -1424,22 +1406,12 @@ mod tests {
         drop(conn1);
         local.send_to("R", b"while-you-were-out").unwrap();
 
-        // Resume with the token on a fresh stream. The old session may
-        // not have parked yet — retry briefly, like a real member would.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let conn2 = loop {
-            let mut s2 = dial(addr);
-            match handshake(&mut s2, sys, "SYSR", 100.0f64.to_bits(), Some(token)) {
-                Ok(t2) => {
-                    assert_eq!(t2, token, "resume keeps the same token");
-                    break Conn::established(s2, t2);
-                }
-                Err(_) if std::time::Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(5))
-                }
-                Err(e) => panic!("resume failed: {e}"),
-            }
-        };
+        // Resume with the token on a fresh stream: the first attempt
+        // succeeds, whether or not the server has seen the old one end.
+        let mut s2 = dial(addr);
+        let t2 = handshake(&mut s2, sys, "SYSR", 100.0f64.to_bits(), Some(token)).expect("resume");
+        assert_eq!(t2, token, "resume keeps the same token");
+        let conn2 = Conn::established(s2, t2);
 
         // Not double-counted: exactly one membership for "R", and the
         // pre-blip handle still addresses it.
@@ -1465,6 +1437,78 @@ mod tests {
 
     fn sys_zero() -> SystemId {
         SystemId::new(0)
+    }
+
+    /// A sysplex with lock structure `L`, served.
+    fn served_lock_plex(name: &str) -> (Arc<Sysplex>, Arc<sysplex_core::lock::LockStructure>, SysplexServer) {
+        let plex = Sysplex::new(SysplexConfig::functional(name));
+        let cf = plex.add_cf("CF01");
+        let structure = cf.allocate_lock_structure("L", LockParams::with_entries(64)).unwrap();
+        let server = SysplexServer::start(&plex, &cf, "127.0.0.1:0").unwrap();
+        (plex, structure, server)
+    }
+
+    #[test]
+    fn cf_handles_survive_an_unclean_disconnect_and_resume() {
+        use sysplex_core::retry::RetryPolicy;
+
+        let (_plex, structure, server) = served_lock_plex("KEEPPLEX");
+        let remote = RemoteSysplex::connect_resilient(
+            &server.local_addr().to_string(),
+            SystemId::new(3),
+            "SYS3",
+            100.0,
+            RetryPolicy::seeded(0x3).attempts(3, 2).backoff_ms(1, 10),
+            Duration::from_millis(500),
+        )
+        .unwrap();
+        let lock = remote.connect_lock("L").unwrap();
+        assert!(lock.request_lock(5, LockMode::Exclusive).unwrap().is_granted());
+
+        // The link dies without a Goodbye; the next command redials and
+        // resumes, and the handle attached before the blip answers it.
+        let link = remote.conn.link.lock().take().expect("established");
+        link.get_ref().shutdown(Shutdown::Both).unwrap();
+        assert!(lock.request_lock(6, LockMode::Exclusive).unwrap().is_granted());
+        assert!(!structure.is_failed_persistent(lock.conn_id()), "the slot stays active");
+        assert_eq!(structure.holders(5).1, Some(lock.conn_id()), "the lock held across the blip");
+        lock.detach(sysplex_core::lock::DisconnectMode::Normal).unwrap();
+        remote.goodbye().unwrap();
+    }
+
+    #[test]
+    fn a_fresh_hello_retires_the_open_session_before_it_answers() {
+        use std::io::Read;
+
+        let (_plex, structure, server) = served_lock_plex("REIPLPLEX");
+        let sys = SystemId::new(4);
+        let first = RemoteSysplex::connect(server.local_addr(), sys, "SYS4", 100.0).unwrap();
+        let lock = first.connect_lock("L").unwrap();
+        assert!(lock.request_lock(5, LockMode::Exclusive).unwrap().is_granted());
+
+        // A re-IPL of the same system while the first session is open.
+        let mut s2 = dial(server.local_addr());
+        handshake(&mut s2, sys, "SYS4", 100.0f64.to_bits(), None).unwrap();
+        assert!(structure.is_failed_persistent(lock.conn_id()), "the old slot is retained");
+        let old = first.conn.link.lock().take().expect("established");
+        old.get_ref().set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+        let mut byte = [0u8; 1];
+        assert_eq!(old.get_ref().read(&mut byte).unwrap(), 0, "the old stream is closed");
+    }
+
+    #[test]
+    fn declare_failed_retires_the_fenced_incarnation_before_it_returns() {
+        let (plex, structure, server) = served_lock_plex("FAILPLEX");
+        let sys = SystemId::new(5);
+        let remote = RemoteSysplex::connect(server.local_addr(), sys, "SYS5", 100.0).unwrap();
+        let locks: Vec<_> = (0..8).map(|_| remote.connect_lock("L").unwrap()).collect();
+        for (entry, lock) in locks.iter().enumerate() {
+            assert!(lock.request_lock(entry, LockMode::Exclusive).unwrap().is_granted());
+        }
+        assert!(plex.heartbeat.declare_failed(sys));
+        for lock in &locks {
+            assert!(structure.is_failed_persistent(lock.conn_id()), "fenced, so its locks are retained");
+        }
     }
 
     #[test]
