@@ -332,8 +332,9 @@ struct Directory {
 }
 
 impl Directory {
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
+    /// The next tick, and at least `floor`.
+    fn tick(&mut self, floor: u64) -> u64 {
+        self.clock = (self.clock + 1).max(floor);
         self.clock
     }
 }
@@ -400,6 +401,10 @@ pub struct CacheStructure {
     /// only by the harness's negative oracle tests.
     #[cfg(feature = "test-hooks")]
     lose_xi: std::sync::atomic::AtomicBool,
+    /// Test pause: run once between a duplexed castout's completion here
+    /// and its mirror, the window a peer's rewrite can land in.
+    #[cfg(feature = "test-hooks")]
+    castout_pause: parking_lot::Mutex<Option<Box<dyn FnOnce() + Send>>>,
 }
 
 impl fmt::Debug for CacheStructure {
@@ -436,6 +441,8 @@ impl CacheStructure {
             duplex: Default::default(),
             #[cfg(feature = "test-hooks")]
             lose_xi: std::sync::atomic::AtomicBool::new(false),
+            #[cfg(feature = "test-hooks")]
+            castout_pause: parking_lot::Mutex::new(None),
         })
     }
 
@@ -443,6 +450,23 @@ impl CacheStructure {
     #[cfg(feature = "test-hooks")]
     pub fn arm_lose_xi(&self) {
         self.lose_xi.store(true, Ordering::Relaxed);
+    }
+
+    /// Test hook: run `window` once, on the completing thread, after the
+    /// next castout completion on this structure and before the
+    /// connection mirrors it to a duplex secondary.
+    #[cfg(feature = "test-hooks")]
+    pub fn arm_castout_pause(&self, window: impl FnOnce() + Send + 'static) {
+        *self.castout_pause.lock() = Some(Box::new(window));
+    }
+
+    /// Run the armed castout pause, if any (see [`Self::arm_castout_pause`]).
+    #[cfg(feature = "test-hooks")]
+    pub(crate) fn castout_paused(&self) {
+        let window = self.castout_pause.lock().take();
+        if let Some(window) = window {
+            window();
+        }
     }
 
     /// Structure name as allocated in the facility.
@@ -473,25 +497,26 @@ impl CacheStructure {
         &self.shards[shard_index(name)]
     }
 
-    /// Run `f` on `name`'s entry with its shard's next tick, creating the
-    /// entry on a miss once room is made (counted against `by`). A hit
-    /// hashes and probes the name once.
+    /// Run `f` on `name`'s entry with its shard's next tick, at least
+    /// `floor`, creating the entry on a miss once room is made (counted
+    /// against `by`). A hit hashes and probes the name once.
     fn with_entry<R>(
         &self,
         by: ConnId,
         name: BlockName,
+        floor: u64,
         f: impl FnOnce(&mut DirEntry, u64) -> R,
     ) -> CfResult<R> {
         let mut shard = self.shard_of(&name).write();
         let Directory { entries, clock } = &mut *shard;
         if let Some(entry) = entries.get_mut(&name) {
-            *clock += 1;
+            *clock = (*clock + 1).max(floor);
             return Ok(f(entry, *clock));
         }
         drop(shard);
         self.make_room_for_entry(by)?;
         let mut shard = self.shard_of(&name).write();
-        let tick = shard.tick();
+        let tick = shard.tick(floor);
         let entry = shard.entries.entry(name).or_insert_with(|| {
             self.entry_count.fetch_add(1, Ordering::Relaxed);
             DirEntry::new(tick)
@@ -535,7 +560,7 @@ impl CacheStructure {
         }
         self.stats.reads.incr(conn.id);
         let slot = conn.id.index();
-        let r = self.with_entry(conn.id, name, |entry, tick| {
+        let r = self.with_entry(conn.id, name, 0, |entry, tick| {
             entry.register(slot, vector_index);
             entry.lru_tick = tick;
             conn.vector.set(vector_index as usize);
@@ -570,6 +595,21 @@ impl CacheStructure {
         data: &[u8],
         kind: WriteKind,
     ) -> CfResult<WriteResult> {
+        self.write_at(conn, name, data, kind, None)
+    }
+
+    /// [`CacheStructure::write_and_invalidate`]; with `at`, the write takes
+    /// that version — a duplex primary's — instead of its own tick, and
+    /// the shard clock moves up to at least it, so a later write here
+    /// still versions above it.
+    pub(crate) fn write_at(
+        &self,
+        conn: &CacheConnection,
+        name: BlockName,
+        data: &[u8],
+        kind: WriteKind,
+        at: Option<u64>,
+    ) -> CfResult<WriteResult> {
         self.check_active(conn.id)?;
         match (self.model, kind) {
             (CacheModel::DirectoryOnly, WriteKind::CleanData | WriteKind::ChangedData) => {
@@ -582,7 +622,7 @@ impl CacheStructure {
         if kind != WriteKind::InvalidateOnly {
             self.make_room_for_data(conn.id, data.len())?;
         }
-        self.with_entry(conn.id, name, |entry, tick| {
+        self.with_entry(conn.id, name, at.unwrap_or(0), |entry, tick| {
             // The structure-wide vector table is locked only once a peer
             // turns out to be registered on this block: a write nobody else
             // has interest in signals nobody and shares nothing but its
@@ -605,7 +645,7 @@ impl CacheStructure {
             if invalidated > 0 {
                 self.stats.xi_signals.add(conn.id, invalidated as u64);
             }
-            entry.version = tick;
+            entry.version = at.unwrap_or(tick);
             entry.lru_tick = tick;
             let new_data = (kind != WriteKind::InvalidateOnly).then(|| Arc::new(data.to_vec()));
             let (old_len, new_len) =
@@ -638,9 +678,21 @@ impl CacheStructure {
         blocks: &[(BlockName, B)],
         kind: WriteKind,
     ) -> WriteSetResult {
+        self.write_set_at(conn, blocks, kind, &[])
+    }
+
+    /// [`CacheStructure::write_and_invalidate_set`]; block `i` takes
+    /// version `at[i]` where there is one (see [`CacheStructure::write_at`]).
+    pub(crate) fn write_set_at<B: AsRef<[u8]>>(
+        &self,
+        conn: &CacheConnection,
+        blocks: &[(BlockName, B)],
+        kind: WriteKind,
+        at: &[u64],
+    ) -> WriteSetResult {
         let mut written = Vec::with_capacity(blocks.len());
-        for (name, data) in blocks {
-            match self.write_and_invalidate(conn, *name, data.as_ref(), kind) {
+        for (i, (name, data)) in blocks.iter().enumerate() {
+            match self.write_at(conn, *name, data.as_ref(), kind, at.get(i).copied()) {
                 Ok(w) => written.push(w),
                 Err(e) => return WriteSetResult { written, error: Some(e) },
             }

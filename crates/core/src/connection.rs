@@ -1060,8 +1060,8 @@ impl CacheConnection {
         let conn = CacheConnection::attach(&pair.secondary, sub, self.token.vector().len())?;
         if !self.structure.duplex.lock().as_ref().is_some_and(|p| Arc::ptr_eq(p, pair)) {
             for name in self.castout_candidates(usize::MAX >> 1)? {
-                if let Ok((data, _)) = self.castout_read(name) {
-                    conn.write_invalidate(name, &data, WriteKind::ChangedData)?;
+                if let Ok((data, version)) = self.castout_read(name) {
+                    conn.write_at(name, &data, WriteKind::ChangedData, Some(version))?;
                 }
             }
             *self.structure.duplex.lock() = Some(Arc::clone(pair));
@@ -1167,16 +1167,32 @@ impl CacheConnection {
 
     /// Write block `name` and cross-invalidate every other registered
     /// connector. Oversized payloads are converted to async execution.
+    /// The mirror writes the primary's version.
     pub fn write_invalidate(&self, name: BlockName, data: &[u8], kind: WriteKind) -> CfResult<WriteResult> {
+        let r = self.write_at(name, data, kind, None);
+        if let Ok(w) = &r {
+            self.mirror(|sec| sec.write_at(name, data, kind, Some(w.version)).map(drop));
+        }
+        r
+    }
+
+    /// Issue and trace one write; with `at`, at that version (see
+    /// [`CacheStructure::write_at`]).
+    fn write_at(
+        &self,
+        name: BlockName,
+        data: &[u8],
+        kind: WriteKind,
+        at: Option<u64>,
+    ) -> CfResult<WriteResult> {
         let r = self.sub.issue(CfCommand::cache_write(data.len()), || {
-            self.structure.write_and_invalidate(&self.token, name, data, kind)
+            self.structure.write_at(&self.token, name, data, kind, at)
         });
         if let Ok(w) = &r {
             self.sub.emit(TraceEvent::CrossInvalidate {
                 block: name.digest(),
                 invalidated: w.invalidated as u64,
             });
-            self.mirror(|sec| sec.write_invalidate(name, data, kind).map(drop));
         }
         r
     }
@@ -1191,9 +1207,31 @@ impl CacheConnection {
         blocks: &[(BlockName, B)],
         kind: WriteKind,
     ) -> CfResult<WriteSetResult> {
+        let r = self.write_set_at(blocks, kind, &[]);
+        if let Ok(set) = &r {
+            // What the primary took, and only that, at its versions.
+            let written = &blocks[..set.written.len()];
+            if !written.is_empty() {
+                self.mirror(|sec| {
+                    let at: Vec<u64> = set.written.iter().map(|w| w.version).collect();
+                    sec.write_set_at(written, kind, &at)?.error.map_or(Ok(()), Err)
+                });
+            }
+        }
+        r
+    }
+
+    /// Issue and trace one write set; block `i` at version `at[i]` where
+    /// there is one (see [`CacheStructure::write_set_at`]).
+    fn write_set_at<B: AsRef<[u8]>>(
+        &self,
+        blocks: &[(BlockName, B)],
+        kind: WriteKind,
+        at: &[u64],
+    ) -> CfResult<WriteSetResult> {
         let bytes = blocks.iter().map(|(_, data)| data.as_ref().len()).sum();
         let r = self.sub.issue(CfCommand::cache_write(bytes), || {
-            Ok(self.structure.write_and_invalidate_set(&self.token, blocks, kind))
+            Ok(self.structure.write_set_at(&self.token, blocks, kind, at))
         });
         if let Ok(set) = &r {
             for ((name, _), w) in blocks.iter().zip(&set.written) {
@@ -1201,11 +1239,6 @@ impl CacheConnection {
                     block: name.digest(),
                     invalidated: w.invalidated as u64,
                 });
-            }
-            // What the primary took, and only that.
-            let written = &blocks[..set.written.len()];
-            if !written.is_empty() {
-                self.mirror(|sec| sec.write_invalidate_set(written, kind)?.error.map_or(Ok(()), Err));
             }
         }
         r
@@ -1223,13 +1256,17 @@ impl CacheConnection {
         self.sub.issue(CfCommand::CASTOUT_READ, || self.structure.read_for_castout(&self.token, name))
     }
 
-    /// Mark a castout complete (block hardened to DASD at `version`); the
-    /// mirror completes the secondary's own current version.
+    /// Mark a castout complete (block hardened to DASD at `version`). The
+    /// mirror completes the same version: mirrored writes carry the
+    /// primary's versions, so a rewrite that reached the secondary first
+    /// leaves its newer copy changed there, as on the primary.
     pub fn castout_complete(&self, name: BlockName, version: u64) -> CfResult<()> {
         self.sub.issue(CfCommand::CASTOUT_COMPLETE, || {
             self.structure.complete_castout(&self.token, name, version)
         })?;
-        self.mirror(|sec| match sec.castout_read(name).and_then(|(_, v)| sec.castout_complete(name, v)) {
+        #[cfg(feature = "test-hooks")]
+        self.structure.castout_paused();
+        self.mirror(|sec| match sec.castout_complete(name, version) {
             Err(CfError::NoSuchEntry | CfError::VersionMismatch { .. }) => Ok(()),
             r => r,
         });

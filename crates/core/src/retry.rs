@@ -1,95 +1,60 @@
-//! Bounded retry with exponential backoff and seeded jitter.
+//! The member session's retry budget: seeded, bounded, with exponential
+//! backoff.
 //!
-//! The wire transports surface exactly two transport-level faults, and
-//! they call for different persistence (the distributed-locking retry
-//! analysis in PAPERS.md, and the S/390 link-recovery model):
+//! A CF command over TCP is retried in exactly one place: the member
+//! session (`sysplex_services::transport::RemoteSysplex::connect_resilient`),
+//! which re-dials, re-admits with its resume token and re-sends, up to
+//! [`RetryPolicy::budget`] sends per request in all. The connections and
+//! transports below it issue each command once and hand back whatever
+//! came of it. One budget with backoff, not a product of nested ones, is
+//! what the distributed-locking retry analysis in PAPERS.md reasons
+//! about: a link fault costs at most `budget` sends and
+//! `budget - 1` backoffs, and a struggling server is not stampeded.
 //!
-//! * [`CfError::LinkTimeout`] — the command went out and nothing came
-//!   back. The link may be congested, the peer garbage-collecting, the
-//!   path re-routing: **retryable**, with exponential backoff so a
-//!   struggling server is not stampeded, and jitter so a plex of members
-//!   does not retry in lockstep.
-//! * [`CfError::InterfaceControlCheck`] — the channel malfunctioned: a
-//!   garbled frame, a protocol violation. One or two retries cover a
-//!   transient burst of line noise; persistent IFCCs mean a broken peer
-//!   and must **surface to the caller** quickly.
-//!
-//! Everything else (structure errors, `BadConnector`, admission refusals)
-//! is a *correct answer*, not a fault, and is never retried.
+//! Only link faults are retried. An answer — a structure error,
+//! `Denied`, `Fenced` — is sent once and surfaces as it came.
 //!
 //! Policies are seeded: the jitter stream derives from a SplitMix64-style
 //! mix of the seed, so a chaos campaign that pins its seeds replays the
 //! same backoff schedule. A policy prints as a copy-pasteable builder
-//! chain (`RetryPolicy::seeded(0xC0FFEE).attempts(5, 2).backoff_ms(2,
+//! chain (`RetryPolicy::seeded(0xC0FFEE).attempts(5).backoff_ms(2,
 //! 250)`), mirroring the harness fault-plan DSL.
 //!
-//! **Idempotency caveat.** A retry after a *lost response* re-executes a
-//! command the facility may already have performed. CF commands are
-//! level-triggered enough for this to be safe in the common cases
-//! (re-requesting a held lock re-grants it; re-writing a cache block
-//! re-invalidates), but exploiters that enqueue uniquely-keyed work must
-//! reconcile duplicates by key — the debit-credit campaigns do exactly
-//! that.
+//! **At least once.** A retry after a *lost response* re-executes a
+//! command the facility may already have performed, so a command runs at
+//! most `budget` times. CF commands are level-triggered enough for this
+//! to be safe in the common cases (re-requesting a held lock re-grants
+//! it; re-writing a cache block re-invalidates), but exploiters that
+//! enqueue uniquely-keyed work must reconcile duplicates by key — the
+//! debit-credit campaigns do exactly that.
 
-use crate::error::{CfError, CfResult};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Bounded-retry policy for transport-level CF faults.
-///
-/// `run` classifies each error: timeouts get the full attempt budget,
-/// interface control checks a (smaller) IFCC budget, and any other error
-/// returns immediately. Between attempts it sleeps an exponentially
-/// growing, jittered backoff.
+/// The session's retry budget: how many sends a request gets, and the
+/// backoff between them.
 #[derive(Debug)]
 pub struct RetryPolicy {
     seed: u64,
-    timeout_attempts: u32,
-    ifcc_attempts: u32,
+    attempts: u32,
     base_backoff_ms: u64,
     max_backoff_ms: u64,
-    /// Jitter stream position; advancing it is the only mutation `run`
+    /// Jitter stream position; advancing it is the only mutation `delay`
     /// performs, so policies are shared behind `&self`.
     salt: AtomicU64,
 }
 
-impl Clone for RetryPolicy {
-    fn clone(&self) -> Self {
-        RetryPolicy {
-            seed: self.seed,
-            timeout_attempts: self.timeout_attempts,
-            ifcc_attempts: self.ifcc_attempts,
-            base_backoff_ms: self.base_backoff_ms,
-            max_backoff_ms: self.max_backoff_ms,
-            salt: AtomicU64::new(self.salt.load(Ordering::Relaxed)),
-        }
-    }
-}
-
 impl RetryPolicy {
-    /// A policy with the default budgets (5 timeout attempts, 2 IFCC
-    /// attempts, 2 ms..250 ms backoff) and a seeded jitter stream.
+    /// A policy with the default budget (5 sends, 2 ms..250 ms backoff)
+    /// and a seeded jitter stream.
     pub fn seeded(seed: u64) -> Self {
-        RetryPolicy {
-            seed,
-            timeout_attempts: 5,
-            ifcc_attempts: 2,
-            base_backoff_ms: 2,
-            max_backoff_ms: 250,
-            salt: AtomicU64::new(0),
-        }
+        RetryPolicy { seed, attempts: 5, base_backoff_ms: 2, max_backoff_ms: 250, salt: AtomicU64::new(0) }
     }
 
-    /// A policy that never retries: every fault surfaces on first touch.
-    pub fn none() -> Self {
-        RetryPolicy::seeded(0).attempts(1, 1)
-    }
-
-    /// Builder: total attempt budgets for timeouts and IFCCs. An attempt
-    /// budget of 1 means a single try with no retry.
-    pub fn attempts(mut self, timeout: u32, ifcc: u32) -> Self {
-        self.timeout_attempts = timeout.max(1);
-        self.ifcc_attempts = ifcc.max(1);
+    /// Builder: total sends per request. A budget of 1 means a single
+    /// try with no retry.
+    pub fn attempts(mut self, attempts: u32) -> Self {
+        self.attempts = attempts.max(1);
         self
     }
 
@@ -101,28 +66,9 @@ impl RetryPolicy {
         self
     }
 
-    /// The jitter seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The timeout-class attempt budget.
-    pub fn timeout_attempts(&self) -> u32 {
-        self.timeout_attempts
-    }
-
-    /// The IFCC-class attempt budget.
-    pub fn ifcc_attempts(&self) -> u32 {
-        self.ifcc_attempts
-    }
-
-    /// Attempt budget the policy grants for `error` (1 = no retry).
-    pub fn budget_for(&self, error: &CfError) -> u32 {
-        match error {
-            CfError::LinkTimeout(_) => self.timeout_attempts,
-            CfError::InterfaceControlCheck(_) => self.ifcc_attempts,
-            _ => 1,
-        }
+    /// Total sends per request.
+    pub fn budget(&self) -> u32 {
+        self.attempts
     }
 
     // SplitMix64 output function over (seed, position): the same mixer the
@@ -149,25 +95,6 @@ impl RetryPolicy {
         let jitter = if cap - half == 0 { 0 } else { self.next_jitter() % (cap - half + 1) };
         Duration::from_millis(half + jitter)
     }
-
-    /// Run `op` under this policy. `op` receives the 0-based attempt
-    /// number; transport faults are retried within their class budget,
-    /// then surfaced unchanged. Non-fault errors surface immediately.
-    pub fn run<T>(&self, mut op: impl FnMut(u32) -> CfResult<T>) -> CfResult<T> {
-        let mut attempt: u32 = 0;
-        loop {
-            match op(attempt) {
-                Ok(v) => return Ok(v),
-                Err(e) => {
-                    attempt += 1;
-                    if attempt >= self.budget_for(&e) {
-                        return Err(e);
-                    }
-                    std::thread::sleep(self.delay(attempt));
-                }
-            }
-        }
-    }
 }
 
 impl std::fmt::Display for RetryPolicy {
@@ -175,8 +102,8 @@ impl std::fmt::Display for RetryPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "RetryPolicy::seeded({:#x}).attempts({}, {}).backoff_ms({}, {})",
-            self.seed, self.timeout_attempts, self.ifcc_attempts, self.base_backoff_ms, self.max_backoff_ms
+            "RetryPolicy::seeded({:#x}).attempts({}).backoff_ms({}, {})",
+            self.seed, self.attempts, self.base_backoff_ms, self.max_backoff_ms
         )
     }
 }
@@ -184,63 +111,6 @@ impl std::fmt::Display for RetryPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
-
-    fn instant(timeout: u32, ifcc: u32) -> RetryPolicy {
-        RetryPolicy::seeded(7).attempts(timeout, ifcc).backoff_ms(0, 0)
-    }
-
-    #[test]
-    fn timeouts_retry_within_budget_then_surface() {
-        let p = instant(4, 2);
-        let calls = AtomicU32::new(0);
-        let out: CfResult<()> = p.run(|_| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            Err(CfError::LinkTimeout("lock-request"))
-        });
-        assert_eq!(out.unwrap_err(), CfError::LinkTimeout("lock-request"));
-        assert_eq!(calls.load(Ordering::Relaxed), 4, "full timeout budget consumed");
-    }
-
-    #[test]
-    fn ifccs_get_the_smaller_budget() {
-        let p = instant(4, 2);
-        let calls = AtomicU32::new(0);
-        let out: CfResult<()> = p.run(|_| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            Err(CfError::InterfaceControlCheck("cache-write"))
-        });
-        assert!(matches!(out, Err(CfError::InterfaceControlCheck(_))));
-        assert_eq!(calls.load(Ordering::Relaxed), 2, "IFCC budget is the smaller one");
-    }
-
-    #[test]
-    fn structure_errors_never_retry() {
-        let p = instant(4, 2);
-        let calls = AtomicU32::new(0);
-        let out: CfResult<()> = p.run(|_| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            Err(CfError::BadConnector)
-        });
-        assert_eq!(out.unwrap_err(), CfError::BadConnector);
-        assert_eq!(calls.load(Ordering::Relaxed), 1, "a correct answer is not a fault");
-    }
-
-    #[test]
-    fn transient_fault_recovers() {
-        let p = instant(4, 2);
-        let calls = AtomicU32::new(0);
-        let out = p.run(|attempt| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            if attempt < 2 {
-                Err(CfError::LinkTimeout("list-write"))
-            } else {
-                Ok(attempt)
-            }
-        });
-        assert_eq!(out.unwrap(), 2);
-        assert_eq!(calls.load(Ordering::Relaxed), 3);
-    }
 
     #[test]
     fn jitter_is_seeded_and_bounded() {
@@ -260,7 +130,7 @@ mod tests {
 
     #[test]
     fn display_is_copy_pasteable_builder_syntax() {
-        let p = RetryPolicy::seeded(0xC0FFEE).attempts(5, 2).backoff_ms(2, 250);
-        assert_eq!(p.to_string(), "RetryPolicy::seeded(0xc0ffee).attempts(5, 2).backoff_ms(2, 250)");
+        let p = RetryPolicy::seeded(0xC0FFEE).attempts(5).backoff_ms(2, 250);
+        assert_eq!(p.to_string(), "RetryPolicy::seeded(0xc0ffee).attempts(5).backoff_ms(2, 250)");
     }
 }

@@ -38,7 +38,6 @@ use crate::facility::CouplingFacility;
 use crate::hashing::{hash_to_slot, ResourceName};
 use crate::list::{DequeueEnd, EntryId, EntryView, LockCondition, WritePosition};
 use crate::lock::{DisconnectMode, LockMode, LockResponse, RetainedLock};
-use crate::retry::RetryPolicy;
 use crate::stats::Counter;
 use crate::types::{ConnId, ConnMask};
 use crate::wire::{Flag, FrameStream, SmfRecord, SmfStructureRow, WireHandle, WireRequest, WireResponse};
@@ -398,14 +397,13 @@ from_response! {
     Option<ConnId>: WireResponse::OptConn(conn) => conn;
 }
 
-/// What the three remote connections are made of: the carrier, the handle
-/// and slot an attach minted, and the retry policy.
+/// What the three remote connections are made of: the carrier and the
+/// handle and slot an attach minted.
 #[derive(Debug, Clone)]
 struct RemoteLink {
     transport: Arc<dyn CfTransport>,
     handle: WireHandle,
     conn: ConnId,
-    policy: Option<Arc<RetryPolicy>>,
 }
 
 impl RemoteLink {
@@ -415,24 +413,21 @@ impl RemoteLink {
         let class_name = req.class().name();
         match transport.call(req)?.into_result()? {
             WireResponse::Attached { handle, conn, geometry } => {
-                Ok((RemoteLink { transport, handle, conn, policy: None }, geometry))
+                Ok((RemoteLink { transport, handle, conn }, geometry))
             }
             _ => Err(CfError::InterfaceControlCheck(class_name)),
         }
     }
 
-    /// Issue `req`, retrying transport-level faults under the policy when
-    /// one is set, and extract the payload the caller's return type names.
-    /// Structure errors inside the response are never retried — they are
-    /// answers, not faults. A response of the wrong shape is a protocol
-    /// error, labelled with the request's class like any link fault.
+    /// Issue `req` once and extract the payload the caller's return type
+    /// names. A link fault surfaces as it came: retrying is the carrier's
+    /// business (a member session's), never the connection's. A response
+    /// of the wrong shape is a protocol error, labelled with the request's
+    /// class like any link fault.
     fn call<T: FromResponse>(&self, req: WireRequest) -> CfResult<T> {
         let class_name = req.class().name();
-        let resp = match &self.policy {
-            None => self.transport.call(req)?,
-            Some(p) => p.run(|_| self.transport.call(req.clone()))?,
-        };
-        T::from_response(resp.into_result()?).ok_or(CfError::InterfaceControlCheck(class_name))
+        T::from_response(self.transport.call(req)?.into_result()?)
+            .ok_or(CfError::InterfaceControlCheck(class_name))
     }
 }
 
@@ -460,13 +455,6 @@ impl RemoteLockConnection {
     fn attach_req(transport: Arc<dyn CfTransport>, req: WireRequest) -> CfResult<Self> {
         let (link, geometry) = RemoteLink::attach(transport, req)?;
         Ok(RemoteLockConnection { link, entries: geometry as usize })
-    }
-
-    /// Retry transport faults on every command under `policy` (see
-    /// [`RetryPolicy`] for the idempotency caveat).
-    pub fn with_policy(mut self, policy: Arc<RetryPolicy>) -> Self {
-        self.link.policy = Some(policy);
-        self
     }
 
     /// This connection's slot in the structure.
@@ -618,13 +606,6 @@ impl RemoteCacheConnection {
         Ok(RemoteCacheConnection { link: RemoteLink::attach(transport, req)?.0 })
     }
 
-    /// Retry transport faults on every command under `policy` (see
-    /// [`RetryPolicy`] for the idempotency caveat).
-    pub fn with_policy(mut self, policy: Arc<RetryPolicy>) -> Self {
-        self.link.policy = Some(policy);
-        self
-    }
-
     /// This connection's slot in the structure.
     pub fn conn_id(&self) -> ConnId {
         self.link.conn
@@ -706,13 +687,6 @@ impl RemoteListConnection {
     pub fn attach(transport: Arc<dyn CfTransport>, structure: &str, vector_len: usize) -> CfResult<Self> {
         let req = WireRequest::AttachList { structure: structure.to_string(), vector_len: vector_len as u64 };
         Ok(RemoteListConnection { link: RemoteLink::attach(transport, req)?.0 })
-    }
-
-    /// Retry transport faults on every command under `policy` (see
-    /// [`RetryPolicy`] for the idempotency caveat).
-    pub fn with_policy(mut self, policy: Arc<RetryPolicy>) -> Self {
-        self.link.policy = Some(policy);
-        self
     }
 
     /// This connection's slot in the structure.
@@ -1151,12 +1125,10 @@ mod tests {
             did.wire_only.class(class).issued.incr();
             did.wire_only.class(class).sync.incr();
         };
-        let policy = Arc::new(RetryPolicy::seeded(7));
         let (x, none) = (LockMode::Exclusive, LockCondition::None);
 
         // Lock: hash parity with the native connection, grant, contention.
-        let lock =
-            RemoteLockConnection::attach(Arc::clone(&transport), "L").unwrap().with_policy(policy.clone());
+        let lock = RemoteLockConnection::attach(Arc::clone(&transport), "L").unwrap();
         assert_eq!(lock.transport().backend(), transport.backend());
         let native = cf.connect_lock("L").unwrap();
         let entry = lock.hash_resource(b"ACCT.1");
@@ -1213,9 +1185,7 @@ mod tests {
         did.native.absorb(&native.stats().snapshot());
 
         // Cache: write on the remote cross-invalidates the native copy.
-        let cache = RemoteCacheConnection::attach(Arc::clone(&transport), "GBP", 16)
-            .unwrap()
-            .with_policy(policy.clone());
+        let cache = RemoteCacheConnection::attach(Arc::clone(&transport), "GBP", 16).unwrap();
         let native = cf.connect_cache("GBP", 16).unwrap();
         assert_ne!(cache.conn_id(), native.conn_id());
         let name = BlockName::from_parts(1, 7);
@@ -1250,7 +1220,7 @@ mod tests {
         did.native.absorb(&native.stats().snapshot());
 
         // List: monitors, the serializing lock, and every entry operation.
-        let list = RemoteListConnection::attach(Arc::clone(&transport), "WQ", 8).unwrap().with_policy(policy);
+        let list = RemoteListConnection::attach(Arc::clone(&transport), "WQ", 8).unwrap();
         let native = cf.connect_list("WQ", 8).unwrap();
         assert_ne!(list.conn_id(), native.conn_id());
         list.register_monitor(1, 3).unwrap();

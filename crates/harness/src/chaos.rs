@@ -35,8 +35,8 @@ use sysplex_core::wire::{FrameStream, FRAME_HEADER_BYTES};
 pub enum WireFault {
     /// Hold the frame for the given milliseconds, then forward it.
     DelayMs(u64),
-    /// Swallow the frame. The victim's command times out and retries;
-    /// retried commands are at-least-once (see `RetryPolicy`'s caveat).
+    /// Swallow the frame. The victim's command times out, and a resilient
+    /// session sends it again: at least once (see `RetryPolicy`).
     Drop,
     /// Forward the frame twice. A duplicated response carries a sequence
     /// number that is no longer outstanding, so the client skips it; a
@@ -510,21 +510,35 @@ mod tests {
 
     #[test]
     fn dropped_response_then_retry_recovers_with_policy() {
-        let (addr, _cf) = spawn_cf_server();
-        // Drop frame 3 (the response to the first lock request); the
-        // retry policy's next attempt must succeed and the stream must
-        // stay in step afterwards.
-        let plan = ChaosPlan::new().at(3, WireFault::Drop);
-        let proxy = ChaosProxy::start(addr, plan).unwrap();
-        let transport = TcpTransport::connect(proxy.addr()).unwrap();
-        transport.set_read_timeout(Some(Duration::from_millis(150))).unwrap();
-        let transport: StdArc<dyn CfTransport> = StdArc::new(transport);
-        let policy = StdArc::new(sysplex_core::RetryPolicy::seeded(0xBEEF).backoff_ms(1, 4));
-        let lock = RemoteLockConnection::attach(StdArc::clone(&transport), "CHAOS_LOCK")
-            .unwrap()
-            .with_policy(policy);
+        use sysplex_core::connection::CommandClass;
+        use sysplex_core::{RetryPolicy, SystemId};
+        use sysplex_services::sysplex::{Sysplex, SysplexConfig};
+        use sysplex_services::transport::{RemoteSysplex, SysplexServer};
+
+        let plex = Sysplex::new(SysplexConfig::functional("CHAOSPLEX"));
+        let cf = plex.add_cf("CF01");
+        cf.allocate_lock_structure("CHAOS_LOCK", LockParams::with_entries(64)).unwrap();
+        let server = SysplexServer::start(&plex, &cf, "127.0.0.1:0").unwrap();
+        // Frames 0..=5: Hello, the admission pulse and the attach, each a
+        // round trip. Drop frame 7 (the response to the first lock
+        // request); the session's next send must succeed and the stream
+        // must stay in step afterwards.
+        let plan = ChaosPlan::new().at(7, WireFault::Drop);
+        let proxy = ChaosProxy::start(server.local_addr(), plan).unwrap();
+        let remote = RemoteSysplex::connect_resilient(
+            &proxy.addr().to_string(),
+            SystemId::new(1),
+            "SYS01",
+            100.0,
+            RetryPolicy::seeded(0xBEEF).attempts(3).backoff_ms(1, 4),
+            Duration::from_millis(150),
+        )
+        .unwrap();
+        let lock = remote.connect_lock("CHAOS_LOCK").unwrap();
         assert!(lock.request_lock(lock.hash_resource(b"RES-R"), LockMode::Exclusive).unwrap().is_granted());
         assert!(lock.request_lock(lock.hash_resource(b"RES-S"), LockMode::Exclusive).unwrap().is_granted());
-        assert_eq!(proxy.applied(), vec![(3, WireFault::Drop)]);
+        assert_eq!(proxy.applied(), vec![(7, WireFault::Drop)]);
+        assert_eq!(cf.command_stats().class(CommandClass::LockRequest).issued.get(), 3, "RES-R sent twice");
+        remote.goodbye().unwrap();
     }
 }

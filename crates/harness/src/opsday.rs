@@ -50,7 +50,7 @@ use sysplex_core::{ConnId, RetryPolicy, SystemId};
 use sysplex_services::heartbeat::HealthState;
 use sysplex_services::monitor::Monitor;
 use sysplex_services::sysplex::{Sysplex, SysplexConfig};
-use sysplex_services::transport::{PulseHandle, RemoteSysplex, RemoteXcfMember, SysplexServer};
+use sysplex_services::transport::{PulseHandle, RemoteSysplex, RemoteXcfMember, SxError, SysplexServer};
 
 const GROUP: &str = "OPSDAY";
 const LOCK_STRUCTURE: &str = "OPS_LOCK";
@@ -242,7 +242,62 @@ struct MemberShared {
     stop: AtomicBool,
 }
 
-struct Session {
+/// Sends a member's session gives one request: the only retry a CF
+/// command over TCP gets.
+const SEND_BUDGET: u32 = 3;
+/// Per-RPC read deadline of a member's session.
+const RPC_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// The session a [`TcpMember`] runs on: seeded, resilient, and the one
+/// place its commands are retried.
+fn session(addr: &str, system: SystemId, seed: u64) -> Result<RemoteSysplex, SxError> {
+    let policy = RetryPolicy::seeded(seed).attempts(SEND_BUDGET).backoff_ms(2, 40);
+    RemoteSysplex::connect_resilient(addr, system, &format!("SYS{:02}", system.0), 100.0, policy, RPC_TIMEOUT)
+}
+
+/// Allocate in `cf` the structures a [`TcpMember`] attaches to; the lock
+/// structure is returned for the oracle's orphan check.
+pub fn allocate_structures(cf: &CouplingFacility) -> Arc<LockStructure> {
+    let lock =
+        cf.allocate_lock_structure(LOCK_STRUCTURE, LockParams::with_entries(512)).expect("lock structure");
+    cf.allocate_cache_structure(CACHE_STRUCTURE, CacheParams::store_in(512)).expect("cache structure");
+    cf.allocate_list_structure(LIST_STRUCTURE, ListParams::with_headers(LIST_HEADERS))
+        .expect("list structure");
+    lock
+}
+
+/// The rows one debit-credit transaction updates. Their lock names, the
+/// account's page and the branch's history header derive from them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Rows {
+    /// Account row.
+    pub account: u64,
+    /// Teller row.
+    pub teller: u64,
+    /// Branch row.
+    pub branch: u64,
+}
+
+/// What came of one [`TcpMember::debit_credit`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TxnOutcome {
+    /// The history record is in the CF and every lock was released.
+    Committed,
+    /// The history record exists but the link died before every release
+    /// acked: committed work, dead session.
+    CommittedLinkDown,
+    /// Not acknowledged: a lock still refused at the deadline, or a
+    /// command that failed (an enqueue whose answer was lost may still
+    /// have landed).
+    Aborted,
+}
+
+/// A member system over TCP: one resilient session to a
+/// [`SysplexServer`], attached to the lock, cache and history list
+/// structures of [`allocate_structures`], joined to the member XCF group
+/// and pulsing every 50 ms. Its CF commands are retried by the session
+/// alone, at most three sends each.
+pub struct TcpMember {
     remote: RemoteSysplex,
     _pulse: PulseHandle,
     xcf: Option<RemoteXcfMember>,
@@ -251,143 +306,138 @@ struct Session {
     list: RemoteListConnection,
 }
 
-fn shutdown_clean(s: Session) {
-    let _ = s.list.detach();
-    let _ = s.cache.detach();
-    let _ = s.lock.detach(DisconnectMode::Normal);
-    if let Some(x) = s.xcf {
-        let _ = x.leave();
+impl TcpMember {
+    /// IPL (or re-IPL) `system` at `addr`: admit, attach the structures,
+    /// run restart recovery for the previous incarnation's lock slot
+    /// `recover`, join the group, start the keepalive. Retries the whole
+    /// sequence until `deadline` — during a partition every attempt
+    /// bounces until the heal.
+    pub fn ipl(
+        addr: &str,
+        system: SystemId,
+        seed: u64,
+        recover: Option<ConnId>,
+        deadline: Instant,
+    ) -> Option<TcpMember> {
+        let member_name = format!("MEM{:02}", system.0);
+        while Instant::now() < deadline {
+            let attempt = (|| -> Result<TcpMember, ()> {
+                let remote = session(addr, system, seed).map_err(|_| ())?;
+                let lock = remote.connect_lock(LOCK_STRUCTURE).map_err(|_| ())?;
+                let cache = remote.connect_cache(CACHE_STRUCTURE, 1024).map_err(|_| ())?;
+                let list = remote.connect_list(LIST_STRUCTURE, LIST_HEADERS).map_err(|_| ())?;
+                // Restart recovery: the fresh Hello retired the dead
+                // incarnation before it was answered, so its slot is
+                // failed-persistent now. Purge its retained interest so the
+                // plex stops serializing against a ghost. Only this member
+                // recovers its own slot, so `BadConnector` means a retried
+                // command whose first try already landed.
+                if let Some(prior) = recover {
+                    match lock.recovery_complete_for(prior) {
+                        Ok(()) | Err(CfError::BadConnector) => {}
+                        Err(_) => return Err(()),
+                    }
+                }
+                let xcf = remote.join(GROUP, &member_name).ok();
+                let pulse = remote.keepalive(Duration::from_millis(50));
+                Ok(TcpMember { remote, _pulse: pulse, xcf, lock, cache, list })
+            })();
+            match attempt {
+                Ok(member) => return Some(member),
+                Err(()) => thread::sleep(Duration::from_millis(25)),
+            }
+        }
+        None
     }
-    drop(s._pulse);
-    let _ = s.remote.goodbye();
-}
 
-/// IPL (or re-IPL) a member session: admit, attach structures, run
-/// restart recovery for the previous incarnation's lock slot, join the
-/// group, start the keepalive. Retries the whole sequence until
-/// `deadline` — during a partition every attempt bounces until the heal.
-fn ipl(
-    addr: &str,
-    system: SystemId,
-    seed: u64,
-    recover: Option<ConnId>,
-    deadline: Instant,
-) -> Option<Session> {
-    let name = format!("SYS{:02}", system.0);
-    let member_name = format!("MEM{:02}", system.0);
-    while Instant::now() < deadline {
-        let attempt = (|| -> Result<Session, ()> {
-            let remote = RemoteSysplex::connect_resilient(
-                addr,
-                system,
-                &name,
-                100.0,
-                RetryPolicy::seeded(seed).attempts(3, 2).backoff_ms(2, 40),
-                Duration::from_millis(500),
-            )
-            .map_err(|_| ())?;
-            let policy = Arc::new(RetryPolicy::seeded(seed ^ 0x5EED).attempts(3, 2).backoff_ms(2, 40));
-            let lock = remote.connect_lock(LOCK_STRUCTURE).map_err(|_| ())?.with_policy(Arc::clone(&policy));
-            let cache =
-                remote.connect_cache(CACHE_STRUCTURE, 1024).map_err(|_| ())?.with_policy(Arc::clone(&policy));
-            let list = remote
-                .connect_list(LIST_STRUCTURE, LIST_HEADERS)
-                .map_err(|_| ())?
-                .with_policy(Arc::clone(&policy));
-            // Restart recovery: the fresh Hello retired the dead
-            // incarnation before it was answered, so its slot is
-            // failed-persistent now. Purge its retained interest so the
-            // plex stops serializing against a ghost. Only this member
-            // recovers its own slot, so `BadConnector` means a retried
-            // command whose first try already landed.
-            if let Some(prior) = recover {
-                match lock.recovery_complete_for(prior) {
-                    Ok(()) | Err(CfError::BadConnector) => {}
-                    Err(_) => return Err(()),
+    /// The member's session.
+    pub fn remote(&self) -> &RemoteSysplex {
+        &self.remote
+    }
+
+    /// The member's XCF group member, if the join went through.
+    pub fn xcf(&self) -> Option<&RemoteXcfMember> {
+        self.xcf.as_ref()
+    }
+
+    /// The member's lock-structure slot: what a re-IPL recovers.
+    pub fn lock_slot(&self) -> ConnId {
+        self.lock.conn_id()
+    }
+
+    /// One debit-credit transaction on `rows` under history key `key`:
+    /// exclusive account/teller/branch locks in ascending hashed-entry
+    /// order, each retried every millisecond until `deadline`, a
+    /// changed-data page write, a history enqueue (the commit point), then
+    /// release in reverse.
+    pub fn debit_credit(&self, rows: Rows, key: u64, deadline: Instant) -> TxnOutcome {
+        let mut entries = vec![
+            self.lock.hash_resource(format!("A{}", rows.account).as_bytes()),
+            self.lock.hash_resource(format!("T{}", rows.teller).as_bytes()),
+            self.lock.hash_resource(format!("B{}", rows.branch).as_bytes()),
+        ];
+        entries.sort_unstable();
+        entries.dedup();
+
+        let release_all = |held: &[usize]| {
+            for &h in held.iter().rev() {
+                let _ = self.lock.release_lock(h);
+            }
+        };
+
+        let mut held: Vec<usize> = Vec::new();
+        for &entry in &entries {
+            loop {
+                match self.lock.request_lock(entry, LockMode::Exclusive) {
+                    Ok(r) if r.is_granted() => {
+                        held.push(entry);
+                        break;
+                    }
+                    Ok(_) if Instant::now() < deadline => thread::sleep(Duration::from_millis(1)),
+                    _ => {
+                        release_all(&held);
+                        return TxnOutcome::Aborted;
+                    }
                 }
             }
-            let xcf = remote.join(GROUP, &member_name).ok();
-            let pulse = remote.keepalive(Duration::from_millis(50));
-            Ok(Session { remote, _pulse: pulse, xcf, lock, cache, list })
-        })();
-        match attempt {
-            Ok(s) => return Some(s),
-            Err(()) => thread::sleep(Duration::from_millis(25)),
         }
-    }
-    None
-}
 
-enum TxnOutcome {
-    Committed,
-    /// The history record exists but the link died before every release
-    /// acked: committed work, dead session.
-    CommittedLinkDown,
-    Aborted,
-}
-
-/// One debit-credit transaction: exclusive account/teller/branch locks in
-/// ascending hashed-entry order, a changed-data page write, a uniquely
-/// keyed history enqueue (the commit point), then release in reverse.
-fn debit_credit(s: &Session, key: u64, rng: &mut SplitMix64) -> TxnOutcome {
-    let branch = rng.below(BRANCHES);
-    let teller = branch * 8 + rng.below(8);
-    let account = branch * 64 + rng.below(64);
-    let mut entries = vec![
-        s.lock.hash_resource(format!("A{account}").as_bytes()),
-        s.lock.hash_resource(format!("T{teller}").as_bytes()),
-        s.lock.hash_resource(format!("B{branch}").as_bytes()),
-    ];
-    entries.sort_unstable();
-    entries.dedup();
-
-    let release_all = |held: &[usize]| {
+        let mut page = [0u8; 128];
+        page[..8].copy_from_slice(&key.to_le_bytes());
+        let block = BlockName::from_parts(0, rows.account);
+        if self.cache.write_invalidate(block, &page, WriteKind::ChangedData).is_err() {
+            release_all(&held);
+            return TxnOutcome::Aborted;
+        }
+        let header = (rows.branch % LIST_HEADERS as u64) as usize;
+        if self.list.enqueue(header, key, &page[..32], WritePosition::Tail, LockCondition::None).is_err() {
+            release_all(&held);
+            return TxnOutcome::Aborted;
+        }
+        // Commit point: the history record is in the CF.
+        let mut link_down = false;
         for &h in held.iter().rev() {
-            let _ = s.lock.release_lock(h);
-        }
-    };
-
-    let mut held: Vec<usize> = Vec::new();
-    let spin_deadline = Instant::now() + WAIT_CEILING;
-    for &entry in &entries {
-        loop {
-            match s.lock.request_lock(entry, LockMode::Exclusive) {
-                Ok(r) if r.is_granted() => {
-                    held.push(entry);
-                    break;
-                }
-                Ok(_) if Instant::now() < spin_deadline => thread::sleep(Duration::from_millis(1)),
-                _ => {
-                    release_all(&held);
-                    return TxnOutcome::Aborted;
-                }
+            if self.lock.release_lock(h).is_err() {
+                link_down = true;
             }
         }
-    }
-
-    let mut page = [0u8; 128];
-    page[..8].copy_from_slice(&key.to_le_bytes());
-    let block = BlockName::from_parts(0, account);
-    if s.cache.write_invalidate(block, &page, WriteKind::ChangedData).is_err() {
-        release_all(&held);
-        return TxnOutcome::Aborted;
-    }
-    let header = (branch % LIST_HEADERS as u64) as usize;
-    if s.list.enqueue(header, key, &page[..32], WritePosition::Tail, LockCondition::None).is_err() {
-        release_all(&held);
-        return TxnOutcome::Aborted;
-    }
-    // Commit point: the history record is in the CF.
-    let mut link_down = false;
-    for &h in held.iter().rev() {
-        if s.lock.release_lock(h).is_err() {
-            link_down = true;
+        if link_down {
+            TxnOutcome::CommittedLinkDown
+        } else {
+            TxnOutcome::Committed
         }
     }
-    if link_down {
-        TxnOutcome::CommittedLinkDown
-    } else {
-        TxnOutcome::Committed
+
+    /// Orderly departure: detach, leave the group, stop pulsing, goodbye.
+    pub fn shutdown_clean(self) {
+        let _ = self.list.detach();
+        let _ = self.cache.detach();
+        let _ = self.lock.detach(DisconnectMode::Normal);
+        if let Some(x) = self.xcf {
+            let _ = x.leave();
+        }
+        drop(self._pulse);
+        let _ = self.remote.goodbye();
     }
 }
 
@@ -395,14 +445,14 @@ fn member_main(addr: String, system: SystemId, seed: u64, shared: Arc<MemberShar
     let mut rng = SplitMix64::new(seed);
     let deadline = Instant::now() + MEMBER_DEADLINE;
     let mut prior: Option<ConnId> = None;
-    let mut session: Option<Session> = ipl(&addr, system, rng.next_u64(), None, deadline);
+    let mut session = TcpMember::ipl(&addr, system, rng.next_u64(), None, deadline);
     let mut seq: u64 = 0;
     while Instant::now() < deadline && !shared.stop.load(Ordering::Acquire) {
         if shared.kill.swap(false, Ordering::AcqRel) {
             // Crash: no goodbye, no detach, pulses stop — SFM will fence
             // us. Park until the ARM signal, then re-IPL and recover.
             if let Some(s) = session.take() {
-                prior = Some(s.lock.conn_id());
+                prior = Some(s.lock_slot());
                 drop(s);
             }
             while !shared.arm.swap(false, Ordering::AcqRel) {
@@ -411,27 +461,29 @@ fn member_main(addr: String, system: SystemId, seed: u64, shared: Arc<MemberShar
                 }
                 thread::sleep(Duration::from_millis(5));
             }
-            session = ipl(&addr, system, rng.next_u64(), prior.take(), deadline);
+            session = TcpMember::ipl(&addr, system, rng.next_u64(), prior.take(), deadline);
             shared.reipls.fetch_add(1, Ordering::Relaxed);
             continue;
         }
         if shared.restart.swap(false, Ordering::AcqRel) {
             let t0 = Instant::now();
             if let Some(s) = session.take() {
-                shutdown_clean(s);
+                s.shutdown_clean();
             }
-            session = ipl(&addr, system, rng.next_u64(), None, deadline);
+            session = TcpMember::ipl(&addr, system, rng.next_u64(), None, deadline);
             shared.reipls.fetch_add(1, Ordering::Relaxed);
             shared.restart_us_max.fetch_max(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
             continue;
         }
         let Some(s) = session.as_ref() else {
-            session = ipl(&addr, system, rng.next_u64(), prior.take(), deadline);
+            session = TcpMember::ipl(&addr, system, rng.next_u64(), prior.take(), deadline);
             shared.reipls.fetch_add(1, Ordering::Relaxed);
             continue;
         };
         let key = ((system.0 as u64) << 32) | seq;
-        match debit_credit(s, key, &mut rng) {
+        let branch = rng.below(BRANCHES);
+        let rows = Rows { branch, teller: branch * 8 + rng.below(8), account: branch * 64 + rng.below(64) };
+        match s.debit_credit(rows, key, Instant::now() + WAIT_CEILING) {
             TxnOutcome::Committed => {
                 shared.acked.lock().unwrap().push(key);
                 seq += 1;
@@ -443,7 +495,7 @@ fn member_main(addr: String, system: SystemId, seed: u64, shared: Arc<MemberShar
                 shared.acked.lock().unwrap().push(key);
                 seq += 1;
                 let s = session.take().expect("session present");
-                prior = Some(s.lock.conn_id());
+                prior = Some(s.lock_slot());
                 drop(s);
             }
             TxnOutcome::Aborted => {
@@ -451,13 +503,13 @@ fn member_main(addr: String, system: SystemId, seed: u64, shared: Arc<MemberShar
                 // ceiling; either way a fresh incarnation is the safe
                 // recovery — the unacked key is retried under it.
                 let s = session.take().expect("session present");
-                prior = Some(s.lock.conn_id());
+                prior = Some(s.lock_slot());
                 drop(s);
             }
         }
     }
     if let Some(s) = session.take() {
-        shutdown_clean(s);
+        s.shutdown_clean();
     }
 }
 
@@ -480,11 +532,7 @@ fn rig(sfm_threshold: Duration) -> Rig {
     let plex = Sysplex::new(config);
     plex.tracer.enable_with_capacity(RING_CAPACITY);
     let cf = plex.add_cf("CF01");
-    let lock_structure =
-        cf.allocate_lock_structure(LOCK_STRUCTURE, LockParams::with_entries(512)).expect("lock structure");
-    cf.allocate_cache_structure(CACHE_STRUCTURE, CacheParams::store_in(512)).expect("cache structure");
-    cf.allocate_list_structure(LIST_STRUCTURE, ListParams::with_headers(LIST_HEADERS))
-        .expect("list structure");
+    let lock_structure = allocate_structures(&cf);
     let server = SysplexServer::start(&plex, &cf, "127.0.0.1:0").expect("bind sysplex server");
     Rig { plex, cf, lock_structure, server }
 }
@@ -841,6 +889,53 @@ mod tests {
         assert!(outcome.reipls >= 2, "both victims re-IPLed");
         assert!(outcome.time_to_fence_us > 0);
         assert!(outcome.time_to_readmit_us > 0);
+    }
+
+    /// Through a proxy that loses every response to it, one CF command of
+    /// a member's session reaches the server at most [`SEND_BUDGET`]
+    /// times: the session is the only place it is retried.
+    #[test]
+    fn a_lost_command_reaches_the_server_at_most_budget_times() {
+        use crate::chaos::WireFault;
+        use sysplex_core::connection::CommandClass;
+
+        let rig = rig(Duration::from_secs(5));
+        // Frames 0..=5: Hello, the admission pulse and the attach, each a
+        // round trip. Then each send of the lock request loses its
+        // response (7, 11, ...), and the session re-dials (a Hello and its
+        // answer) before the next.
+        let plan =
+            (0..u64::from(SEND_BUDGET)).fold(ChaosPlan::new(), |p, i| p.at(7 + 4 * i, WireFault::Drop));
+        let proxy = ChaosProxy::start(rig.server.local_addr(), plan).unwrap();
+        let remote = session(&proxy.addr().to_string(), SystemId::new(1), 0x5E4D).unwrap();
+        let lock = remote.connect_lock(LOCK_STRUCTURE).unwrap();
+        let issued = || rig.cf.command_stats().class(CommandClass::LockRequest).issued.get();
+        let before = issued();
+        let err = lock.request_lock(1, LockMode::Exclusive).unwrap_err();
+        assert!(matches!(err, CfError::LinkTimeout(_)), "got {err:?}");
+        assert_eq!(issued() - before, u64::from(SEND_BUDGET), "one command, at most the budget of sends");
+        assert_eq!(proxy.applied().len(), SEND_BUDGET as usize, "every response to it was lost");
+    }
+
+    /// A member fenced while its session was live learns it from one
+    /// `Fenced` answer to one resume: the answer is not sent again.
+    #[test]
+    fn a_fenced_answer_is_sent_once() {
+        let rig = rig(Duration::from_secs(5));
+        let proxy = ChaosProxy::start(rig.server.local_addr(), ChaosPlan::new()).unwrap();
+        let system = SystemId::new(1);
+        let remote = session(&proxy.addr().to_string(), system, 0xFE4CE).unwrap();
+        let lock = remote.connect_lock(LOCK_STRUCTURE).unwrap();
+        // SFM fences the member; its incarnation retires and the stream is
+        // severed before `kill` returns.
+        rig.plex.kill(system);
+        let before = proxy.frames();
+        let err = lock.request_lock(1, LockMode::Exclusive).unwrap_err();
+        assert!(matches!(err, CfError::LinkTimeout(_)), "got {err:?}");
+        // One resume Hello and its `Fenced` answer, and at most the request
+        // the severed stream lost.
+        let frames = proxy.frames() - before;
+        assert!(frames <= 3, "{frames} frames: the fenced member dialled again after its answer");
     }
 
     #[test]

@@ -670,7 +670,8 @@ struct Reconnector {
     system: SystemId,
     name: String,
     mips_bits: u64,
-    /// Backoff schedule and attempt budget for dial + RPC retries.
+    /// Sends per request and the backoff between them: the only retry a
+    /// CF command over this session gets.
     policy: RetryPolicy,
     /// Per-RPC read deadline: a black-holed link surfaces as a timeout
     /// (and a retry) instead of hanging the caller forever.
@@ -753,15 +754,17 @@ impl Conn {
     }
 
     /// One request/response exchange. With a reconnector, link faults are
-    /// retried under the policy's timeout budget, re-dialing (and
+    /// retried up to the policy's budget of sends, re-dialing (and
     /// re-admitting with the resume token) as needed; `Fenced`/`Denied`
     /// answers are never retried. Without one, the first fault surfaces.
+    /// Nothing above the session retries a CF command, so this loop bounds
+    /// how often one can reach the server.
     fn rpc_inner(&self, req: &SxRequest, allow_departed: bool) -> Result<SxResponse, SxError> {
         if !allow_departed && self.departed.load(Ordering::Acquire) {
             return Err(SxError::Io(io::Error::new(io::ErrorKind::NotConnected, "member departed")));
         }
         let mut slot = self.link.lock();
-        let budget = self.reconnect.as_ref().map(|rc| rc.policy.timeout_attempts()).unwrap_or(1).max(1);
+        let budget = self.reconnect.as_ref().map_or(1, |rc| rc.policy.budget());
         let mut attempt: u32 = 0;
         loop {
             let result = (|| {
@@ -833,10 +836,12 @@ impl RemoteSysplex {
 
     /// Connect with **bounded-retry resilience**: every RPC (including
     /// the keepalive's pulses) that hits a link fault re-dials, re-admits
-    /// with the session's resume token, and retries under `policy`'s
-    /// timeout budget with its seeded exponential backoff. Each RPC's
-    /// response read is bounded by `rpc_timeout`, so a black-holed link
-    /// surfaces as a retryable fault instead of a hang.
+    /// with the session's resume token, and is sent again, at most
+    /// `policy`'s budget of sends in all, with its seeded exponential
+    /// backoff between them. This is the only place a CF command over
+    /// TCP is retried. Each RPC's response read is bounded by
+    /// `rpc_timeout`, so a black-holed link surfaces as a retryable fault
+    /// instead of a hang.
     ///
     /// Non-retryable answers pass straight through — in particular
     /// [`SxError::Fenced`], which a reconnecting member receives when SFM
@@ -917,45 +922,56 @@ impl RemoteSysplex {
     }
 
     /// Start a background thread that cuts and ships an SMF interval
-    /// record every `interval` until the handle is stopped/dropped, the
-    /// session departs, or a ship fails terminally. Like
-    /// [`RemoteSysplex::keepalive`], the thread holds only a `Weak`
+    /// record at once and then every `interval`, until the handle is
+    /// stopped/dropped, the session departs, or a ship fails terminally.
+    /// Like [`RemoteSysplex::keepalive`], the thread holds only a `Weak`
     /// session reference — it can never outlive or revive the member.
     ///
     /// The final partial interval is **not** this thread's job:
     /// [`RemoteSysplex::goodbye`] cuts and ships it during departure.
     pub fn smf_autoship(&self, interval: Duration) -> PulseHandle {
+        let (system, name) = (self.system.0, self.name.clone());
+        self.every("sysplex-smf", interval, move |conn| {
+            let record = conn.meter.cut_record(system, &name, false);
+            matches!(conn.rpc(&SxRequest::SmfShip(record)), Ok(SxResponse::Ok))
+        })
+    }
+
+    /// Run `beat` on a thread named `name` at once and then every
+    /// `interval`, until the handle is stopped or dropped, the session is
+    /// dropped or departs, or a beat fails. The thread holds only a `Weak`
+    /// session reference, upgraded per beat: a dropped or departed session
+    /// ends the loop, it does not keep it alive.
+    fn every(
+        &self,
+        name: &str,
+        interval: Duration,
+        beat: impl Fn(&Conn) -> bool + Send + 'static,
+    ) -> PulseHandle {
         let conn = Arc::downgrade(&self.conn);
-        let system = self.system.0;
-        let name = self.name.clone();
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
         let thread = std::thread::Builder::new()
-            .name("sysplex-smf".into())
+            .name(name.into())
             .spawn(move || {
                 while !flag.load(Ordering::Acquire) {
+                    let alive = conn
+                        .upgrade()
+                        .is_some_and(|conn| !conn.departed.load(Ordering::Acquire) && beat(&conn));
+                    if !alive {
+                        break;
+                    }
+                    // Sleep in short slices so stop() stays prompt even
+                    // with a long cadence.
                     let mut slept = Duration::ZERO;
                     while slept < interval && !flag.load(Ordering::Acquire) {
                         let step = (interval - slept).min(Duration::from_millis(10));
                         std::thread::sleep(step);
                         slept += step;
                     }
-                    if flag.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let alive = match conn.upgrade() {
-                        Some(conn) if !conn.departed.load(Ordering::Acquire) => {
-                            let record = conn.meter.cut_record(system, &name, false);
-                            matches!(conn.rpc(&SxRequest::SmfShip(record)), Ok(SxResponse::Ok))
-                        }
-                        _ => false,
-                    };
-                    if !alive {
-                        break;
-                    }
                 }
             })
-            .expect("spawn sysplex-smf thread");
+            .expect("spawn session background thread");
         PulseHandle { stop, thread: Some(thread) }
     }
 
@@ -998,8 +1014,9 @@ impl RemoteSysplex {
         }
     }
 
-    /// Start a background heartbeat that pulses the server every
-    /// `interval` until the returned handle is stopped or dropped.
+    /// Start a background heartbeat that pulses the server at once and
+    /// then every `interval`, until the returned handle is stopped or
+    /// dropped.
     ///
     /// A member that goes head-down into a long computation without
     /// pulsing is indistinguishable from a dead one — SFM will fence it
@@ -1014,36 +1031,9 @@ impl RemoteSysplex {
     /// once the `RemoteSysplex` is dropped) the pulses stop, so a
     /// departed member can never keep pulsing and mask its own departure.
     pub fn keepalive(&self, interval: Duration) -> PulseHandle {
-        let conn = Arc::downgrade(&self.conn);
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let thread = std::thread::Builder::new()
-            .name("sysplex-pulse".into())
-            .spawn(move || {
-                while !flag.load(Ordering::Acquire) {
-                    // Upgrade per cycle: a dropped or departed session
-                    // ends the heartbeat, it does not keep it alive.
-                    let alive = match conn.upgrade() {
-                        Some(conn) if !conn.departed.load(Ordering::Acquire) => {
-                            matches!(conn.rpc(&SxRequest::Pulse), Ok(SxResponse::Ok))
-                        }
-                        _ => false,
-                    };
-                    if !alive {
-                        break;
-                    }
-                    // Sleep in short slices so stop() stays prompt even
-                    // with a long cadence.
-                    let mut slept = Duration::ZERO;
-                    while slept < interval && !flag.load(Ordering::Acquire) {
-                        let step = (interval - slept).min(Duration::from_millis(10));
-                        std::thread::sleep(step);
-                        slept += step;
-                    }
-                }
-            })
-            .expect("spawn sysplex-pulse thread");
-        PulseHandle { stop, thread: Some(thread) }
+        self.every("sysplex-pulse", interval, |conn| {
+            matches!(conn.rpc(&SxRequest::Pulse), Ok(SxResponse::Ok))
+        })
     }
 
     /// Orderly departure: deregisters the system and ends the session.
@@ -1109,6 +1099,9 @@ impl CfTransport for SxCfTransport {
         TransportBackend::Tcp
     }
 
+    /// One command, retried by the session alone. A `Fenced` or `Denied`
+    /// answer is never re-sent; it surfaces as a link timeout, the
+    /// broken-link error every `Remote*` method returns.
     fn call(&self, req: WireRequest) -> CfResult<WireResponse> {
         let class = req.class().name();
         match self.conn.rpc(&SxRequest::Cf(req)) {
@@ -1458,7 +1451,7 @@ mod tests {
             SystemId::new(3),
             "SYS3",
             100.0,
-            RetryPolicy::seeded(0x3).attempts(3, 2).backoff_ms(1, 10),
+            RetryPolicy::seeded(0x3).attempts(3).backoff_ms(1, 10),
             Duration::from_millis(500),
         )
         .unwrap();
@@ -1623,7 +1616,7 @@ mod tests {
             sys,
             "SYS8",
             100.0,
-            RetryPolicy::seeded(0xB0B).attempts(3, 2).backoff_ms(1, 10),
+            RetryPolicy::seeded(0xB0B).attempts(3).backoff_ms(1, 10),
             Duration::from_millis(500),
         )
         .unwrap();

@@ -3,11 +3,12 @@
 //! The only example that runs the sysplex as **real OS processes**: the
 //! parent holds the Coupling Facility behind a `SysplexServer`, then for
 //! each member count 1..=N re-executes itself as that many child
-//! processes. Each child connects over TCP (`RemoteSysplex`), joins an
-//! XCF group, and drives a debit-credit-shaped burst straight against
-//! the CF's lock/cache/list structures — every command a genuine wire
-//! round trip. Members also measure their XCF signal RTT and raw CF
-//! probe service time.
+//! processes. Each child IPLs as the harness's `TcpMember` (one resilient
+//! `RemoteSysplex` session, joined to the member XCF group) and drives a
+//! debit-credit burst through `TcpMember::debit_credit` against the CF's
+//! lock/cache/list structures — every command a genuine wire round trip.
+//! Members also measure their XCF signal RTT and raw CF probe service
+//! time.
 //!
 //! Writes the schema-stable `BENCH_sysplex_scale.json` the CI
 //! `sysplex-scale` job checks. Environment knobs:
@@ -21,24 +22,19 @@ use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 use sysplex_bench::scale::{percentile_us, MemberSample, ScaleReport};
-use sysplex_core::cache::{BlockName, CacheParams, WriteKind};
 use sysplex_core::connection::{CfCommand, CommandClass};
-use sysplex_core::list::{ListParams, LockCondition, WritePosition};
-use sysplex_core::lock::{LockMode, LockParams};
 use sysplex_core::transport::probe;
 use sysplex_core::SystemId;
+use sysplex_harness::opsday::{allocate_structures, Rows, TcpMember, TxnOutcome};
 use sysplex_services::monitor::Monitor;
 use sysplex_services::sysplex::{Sysplex, SysplexConfig};
-use sysplex_services::transport::{RemoteSysplex, SysplexServer};
+use sysplex_services::transport::SysplexServer;
 use sysplex_workload::debitcredit::{DebitCreditConfig, DebitCreditGenerator, KeyLayout};
 
-const GROUP: &str = "SCALE";
-const LOCK_STRUCTURE: &str = "SCALE_LOCK";
-const CACHE_STRUCTURE: &str = "SCALE_GBP";
-const LIST_STRUCTURE: &str = "SCALE_LIST";
-const LIST_HEADERS: usize = 64;
 const XCF_RTT_SAMPLES: usize = 48;
 const CF_PROBE_SAMPLES: usize = 256;
+/// Ceiling on a member's IPL and on each transaction's lock waits.
+const CEILING: Duration = Duration::from_secs(30);
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
@@ -76,9 +72,7 @@ fn run_parent() {
         config.heartbeat.failure_threshold = Duration::from_secs(5);
         let plex = Sysplex::new(config);
         let cf = plex.add_cf("CF01");
-        cf.allocate_lock_structure(LOCK_STRUCTURE, LockParams::with_entries(2048)).unwrap();
-        cf.allocate_cache_structure(CACHE_STRUCTURE, CacheParams::store_in(1024)).unwrap();
-        cf.allocate_list_structure(LIST_STRUCTURE, ListParams::with_headers(LIST_HEADERS)).unwrap();
+        allocate_structures(&cf);
         let server = SysplexServer::start(&plex, &cf, "127.0.0.1:0").expect("bind sysplex server");
         let addr = server.local_addr().to_string();
 
@@ -153,7 +147,7 @@ fn run_parent() {
 }
 
 // ---------------------------------------------------------------------------
-// Member process: TCP member driving debit-credit against the CF
+// Member process: the harness's TCP member driving debit-credit
 // ---------------------------------------------------------------------------
 
 fn run_member() {
@@ -163,20 +157,16 @@ fn run_member() {
     let addr = std::env::var("SYSPLEX_SCALE_ADDR").expect("SYSPLEX_SCALE_ADDR");
     let name = format!("SYS{member:02}");
 
-    let remote = RemoteSysplex::connect(&addr, SystemId::new(member), &name, 200.0).expect("connect");
-    remote.pulse().expect("pulse");
-    // Keep SFM fed while the burst runs; stopped before the goodbye.
-    let pulse = remote.keepalive(Duration::from_millis(100));
+    let seed = 0xC0DE + member as u64;
+    let tcp =
+        TcpMember::ipl(&addr, SystemId::new(member), seed, None, Instant::now() + CEILING).expect("ipl");
+    let remote = tcp.remote();
     // Ship SMF interval records while the burst runs; the goodbye below
     // flushes the final partial interval, so nothing is lost when the
     // shipper is stopped mid-interval.
     let smf = remote.smf_autoship(Duration::from_millis(50));
-    let xcf_a = remote.join(GROUP, &format!("MEM{member:02}")).expect("join");
-    let xcf_b = remote.join(GROUP, &format!("PRB{member:02}")).expect("join probe member");
-
-    let lock = remote.connect_lock(LOCK_STRUCTURE).expect("attach lock");
-    let cache = remote.connect_cache(CACHE_STRUCTURE, 4096).expect("attach cache");
-    let list = remote.connect_list(LIST_STRUCTURE, LIST_HEADERS).expect("attach list");
+    let xcf_a = tcp.xcf().expect("joined the member group");
+    let xcf_b = remote.join(xcf_a.group(), &format!("PRB{member:02}")).expect("join probe member");
 
     // XCF signal RTT: send MEM→PRB on the same session and poll until
     // delivery. Both hops cross the wire, so halve the round trip.
@@ -200,10 +190,10 @@ fn run_member() {
         probe_us.push(t0.elapsed().as_secs_f64() * 1_000_000.0);
     }
 
-    // Debit-credit burst: the full lock → cache write → history enqueue →
-    // release choreography per transaction, every command a TCP round
-    // trip. The shared generator config means members genuinely collide
-    // on branches (the TPC-A 15% remote rule).
+    // Debit-credit burst: the member's lock → cache write → history
+    // enqueue → release transaction, every command a TCP round trip. The
+    // shared generator config means members genuinely collide on
+    // branches (the TPC-A 15% remote rule).
     let config = DebitCreditConfig {
         branches: members.max(1),
         tellers_per_branch: 5,
@@ -211,47 +201,18 @@ fn run_member() {
         remote_fraction: 0.15,
     };
     let layout = KeyLayout::new(config);
-    let mut gen = DebitCreditGenerator::new(config, 0xC0DE + member as u64);
+    let mut gen = DebitCreditGenerator::new(config, seed);
     let started = Instant::now();
     for _ in 0..ops {
         let txn = gen.next_txn();
-        let acct = layout.account(txn.account_branch, txn.account);
-        let teller = layout.teller(txn.home_branch, txn.teller);
-        let branch = layout.branch(txn.home_branch);
-
-        // Acquire lock-table entries in ascending entry order — a global
-        // order on the *hashed* entries, so holding earlier ones while
-        // spinning on later ones cannot deadlock even when different
-        // record classes collide on an entry. Collisions are deduped: one
-        // grant covers them all.
-        let mut entries = vec![
-            lock.hash_resource(format!("A{acct}").as_bytes()),
-            lock.hash_resource(format!("T{teller}").as_bytes()),
-            lock.hash_resource(format!("B{branch}").as_bytes()),
-        ];
-        entries.sort_unstable();
-        entries.dedup();
-        for &entry in &entries {
-            loop {
-                if lock.request_lock(entry, LockMode::Exclusive).expect("lock").is_granted() {
-                    break;
-                }
-                std::thread::sleep(Duration::from_micros(50));
-            }
-        }
-
-        let block = BlockName::from_parts(0, acct);
-        let mut page = [0u8; 128];
-        page[..8].copy_from_slice(&txn.delta.to_le_bytes());
-        cache.write_invalidate(block, &page, WriteKind::ChangedData).expect("cache write");
-
-        let header = (txn.home_branch as usize) % LIST_HEADERS;
-        list.enqueue(header, txn.history_seq, &page[..32], WritePosition::Tail, LockCondition::None)
-            .expect("history enqueue");
-
-        for &entry in entries.iter().rev() {
-            lock.release_lock(entry).expect("unlock");
-        }
+        let rows = Rows {
+            account: layout.account(txn.account_branch, txn.account),
+            teller: layout.teller(txn.home_branch, txn.teller),
+            branch: layout.branch(txn.home_branch),
+        };
+        let key = (u64::from(member) << 32) | txn.history_seq;
+        let outcome = tcp.debit_credit(rows, key, Instant::now() + CEILING);
+        assert_eq!(outcome, TxnOutcome::Committed, "transaction {key:#x}");
     }
     let elapsed = started.elapsed();
 
@@ -267,12 +228,7 @@ fn run_member() {
     };
     println!("{}", sample.to_line());
 
-    list.detach().expect("detach list");
-    cache.detach().expect("detach cache");
-    lock.detach(sysplex_core::lock::DisconnectMode::Normal).expect("detach lock");
     xcf_b.leave().expect("leave");
-    xcf_a.leave().expect("leave");
     smf.stop();
-    pulse.stop();
-    remote.goodbye().expect("goodbye");
+    tcp.shutdown_clean();
 }
