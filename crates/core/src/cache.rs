@@ -159,6 +159,18 @@ pub struct WriteSetResult {
     pub error: Option<CfError>,
 }
 
+/// One directory entry, as [`CacheStructure::directory`] shows it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EntryView {
+    pub name: BlockName,
+    /// Each registered connector slot, with the vector index it named.
+    pub registered: Vec<(usize, u32)>,
+    pub data: Option<Arc<Vec<u8>>>,
+    pub changed: bool,
+    pub version: u64,
+    pub lru_tick: u64,
+}
+
 /// What a write stores in the structure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WriteKind {
@@ -224,6 +236,9 @@ struct DirEntry {
     spill: Option<Box<[u32; MAX_CONNECTORS]>>,
     data: Option<Arc<Vec<u8>>>,
     changed: bool,
+    /// The castout lock: the slot whose castout read the entry and has not
+    /// completed it.
+    castout: Option<u8>,
     version: u64,
     /// Shard clock at the last command that touched the entry.
     lru_tick: u64,
@@ -239,6 +254,7 @@ impl DirEntry {
             spill: None,
             data: None,
             changed: false,
+            castout: None,
             version: tick,
             lru_tick: tick,
         }
@@ -715,24 +731,42 @@ impl CacheStructure {
         out.into_iter().take(max).map(|(_, _, n)| n).collect()
     }
 
-    /// Read a changed block for castout, returning its data and version.
+    /// Read a changed block for castout, returning its data and version,
+    /// and take its castout lock: until this connector completes the
+    /// castout, another's castout read finds no entry. Two castouts of one
+    /// block would otherwise race their DASD writes, the older landing
+    /// last over an image the CF has marked clean.
     pub fn read_for_castout(&self, conn: &CacheConnection, name: BlockName) -> CfResult<(Arc<Vec<u8>>, u64)> {
         self.check_active(conn.id)?;
-        let shard = self.shard_of(&name).read();
-        let entry = shard.entries.get(&name).ok_or(CfError::NoSuchEntry)?;
-        if !entry.changed {
+        let slot = conn.id.index() as u8;
+        let mut shard = self.shard_of(&name).write();
+        let entry = shard.entries.get_mut(&name).ok_or(CfError::NoSuchEntry)?;
+        if !entry.changed || entry.castout.is_some_and(|owner| owner != slot) {
             return Err(CfError::NoSuchEntry);
         }
         let data = entry.data.clone().ok_or(CfError::NoSuchEntry)?;
+        entry.castout = Some(slot);
         Ok((data, entry.version))
     }
 
-    /// Complete a castout: mark the block unchanged if nobody re-wrote it
-    /// since `version` was read (otherwise the newer version stays changed).
+    /// A changed block's data and version, taking no lock: the copy that
+    /// establishes a duplex pair.
+    pub(crate) fn read_changed(&self, name: BlockName) -> CfResult<(Arc<Vec<u8>>, u64)> {
+        let shard = self.shard_of(&name).read();
+        let entry = shard.entries.get(&name).filter(|e| e.changed).ok_or(CfError::NoSuchEntry)?;
+        Ok((entry.data.clone().ok_or(CfError::NoSuchEntry)?, entry.version))
+    }
+
+    /// Complete a castout: release the connector's castout lock, and mark
+    /// the block unchanged if nobody re-wrote it since `version` was read
+    /// (otherwise the newer version stays changed).
     pub fn complete_castout(&self, conn: &CacheConnection, name: BlockName, version: u64) -> CfResult<()> {
         self.check_active(conn.id)?;
         let mut shard = self.shard_of(&name).write();
         let entry = shard.entries.get_mut(&name).ok_or(CfError::NoSuchEntry)?;
+        if entry.castout == Some(conn.id.index() as u8) {
+            entry.castout = None;
+        }
         if entry.version != version {
             return Err(CfError::VersionMismatch { expected: version, found: entry.version });
         }
@@ -755,6 +789,9 @@ impl CacheStructure {
             let mut shard = shard.write();
             for e in shard.entries.values_mut() {
                 e.unregister(conn.index());
+                if e.castout == Some(conn.index() as u8) {
+                    e.castout = None;
+                }
             }
         }
         self.connectors.release(conn);
@@ -780,6 +817,28 @@ impl CacheStructure {
     pub fn interest_of(&self, name: BlockName) -> Option<Vec<ConnId>> {
         let shard = self.shard_of(&name).read();
         shard.entries.get(&name).map(|e| conns_in_mask(e.mask).collect())
+    }
+
+    /// Every directory entry, by shard and then name, and the shard the
+    /// next reclaim looks in first: all a model checker must tell apart
+    /// (tests, diagnostics).
+    pub fn directory(&self) -> (usize, Vec<EntryView>) {
+        let cursor = self.reclaim_cursor.load(Ordering::Relaxed) % SHARD_COUNT;
+        let mut out = Vec::new();
+        for shard in self.shards.iter() {
+            let shard = shard.read();
+            let start = out.len();
+            out.extend(shard.entries.iter().map(|(name, e)| EntryView {
+                name: *name,
+                registered: e.registrations().collect(),
+                data: e.data.clone(),
+                changed: e.changed,
+                version: e.version,
+                lru_tick: e.lru_tick,
+            }));
+            out[start..].sort_by_key(|e| e.name);
+        }
+        (cursor, out)
     }
 
     // ----- capacity management -----
@@ -1094,6 +1153,25 @@ mod tests {
         c.write_and_invalidate(&a, blk, b"v2", WriteKind::ChangedData).unwrap();
         assert!(matches!(c.complete_castout(&a, blk, ver), Err(CfError::VersionMismatch { .. })));
         assert_eq!(c.changed_count(), 1, "newer version still awaiting castout");
+    }
+
+    /// One castout of a block at a time: a second connector's read waits
+    /// for the first's completion, matched or not, or its disconnect.
+    #[test]
+    fn a_castout_lock_keeps_a_second_castout_out() {
+        let c = store_in(64);
+        let (a, b) = (c.connect(16).unwrap(), c.connect(16).unwrap());
+        let blk = BlockName::from_parts(9, 11);
+        c.write_and_invalidate(&a, blk, b"v1", WriteKind::ChangedData).unwrap();
+        let (_, ver) = c.read_for_castout(&a, blk).unwrap();
+        c.write_and_invalidate(&b, blk, b"v2", WriteKind::ChangedData).unwrap();
+        assert_eq!(c.read_for_castout(&b, blk), Err(CfError::NoSuchEntry));
+        assert!(c.read_for_castout(&a, blk).is_ok(), "the owner reads again");
+        assert!(matches!(c.complete_castout(&a, blk, ver), Err(CfError::VersionMismatch { .. })));
+        let (data, _) = c.read_for_castout(&b, blk).unwrap();
+        assert_eq!(data.as_slice(), b"v2");
+        c.disconnect(&b).unwrap();
+        assert!(c.read_for_castout(&a, blk).is_ok(), "a disconnect releases its locks");
     }
 
     #[test]

@@ -1060,7 +1060,8 @@ impl CacheConnection {
         let conn = CacheConnection::attach(&pair.secondary, sub, self.token.vector().len())?;
         if !self.structure.duplex.lock().as_ref().is_some_and(|p| Arc::ptr_eq(p, pair)) {
             for name in self.castout_candidates(usize::MAX >> 1)? {
-                if let Ok((data, version)) = self.castout_read(name) {
+                let read = self.sub.issue(CfCommand::CASTOUT_READ, || self.structure.read_changed(name));
+                if let Ok((data, version)) = read {
                     conn.write_at(name, &data, WriteKind::ChangedData, Some(version))?;
                 }
             }

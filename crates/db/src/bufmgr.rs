@@ -16,15 +16,18 @@
 //! the global copies of a commit's pages and cross-invalidates every peer
 //! registered on each. A castout sweep later destages changed pages to
 //! DASD.
+//! The decisions are [`protocol`]'s; this module performs them.
+
+pub mod protocol;
 
 use crate::error::{DbError, DbResult};
 use crate::pagestore::{Page, PageStore};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
+use protocol::{Fill, Lookup, Pool};
 use std::sync::Arc;
 use sysplex_core::cache::{BlockName, CacheStructure, WriteKind};
 use sysplex_core::connection::{CacheConnection, CfSubchannel};
 use sysplex_core::duplex::DuplexPair;
-use sysplex_core::hashing::PrehashedMap;
 use sysplex_core::stats::Counter;
 use sysplex_core::trace::TraceEvent;
 use sysplex_core::{CfError, SystemId};
@@ -46,76 +49,8 @@ pub struct BufStats {
     pub castouts: Counter,
 }
 
-#[derive(Debug, Default, Clone)]
-struct Frame {
-    name: Option<BlockName>,
-    /// The current image of `name`, validated when it entered the pool;
-    /// handing it out is a reference-count bump. `None` from a steal or an
-    /// expiry until a fill completes (the frame is not *ready*), so the
-    /// fast path can never serve a prior tenant's bytes: the local validity
-    /// bit alone cannot distinguish "bit set for this page" from "bit left
-    /// over / re-set while the frame still holds old data".
-    page: Option<Page>,
-    /// Bumped whenever the frame's bytes die: a steal, or the end of a
-    /// validity period. A refresh that began before must not install.
-    generation: u64,
-    /// CF directory version the current bytes correspond to (monotone
-    /// guard against an older refresh overwriting a newer fill). The
-    /// directory never reissues a version for a name, across reclaims
-    /// too, so a refresh measured against an entry's earlier life loses
-    /// to any fill from a later one.
-    version: u64,
-    /// The command that stole this frame is in flight. It drops the
-    /// evicted tenant's registration *at this frame's index*, and the
-    /// directory cannot tell one tenancy of an index from the next: were
-    /// the frame stolen again — say back for that tenant — and the second
-    /// registration landed first, the late drop would take it, leaving a
-    /// set bit with nothing behind it. So the frame is not stolen again
-    /// until the command lands.
-    stealing: bool,
-}
-
-impl Frame {
-    /// Evict the tenant but keep the generation counter moving forward.
-    fn reset(&mut self) {
-        self.name = None;
-        self.expire();
-    }
-
-    /// The tenant's bytes are dead; whatever fills the frame next starts a
-    /// new validity period.
-    fn expire(&mut self) {
-        self.page = None;
-        self.generation += 1;
-        self.version = 0;
-    }
-
-    /// The page this frame, mapped to `name` as frame `idx`, may serve with
-    /// no CF access. A ready frame whose validity bit was cleared — a
-    /// peer's write, a directory reclaim — expires here, so the version it
-    /// remembers never outlives the directory entry it was measured
-    /// against.
-    fn valid_page(&mut self, cf: &CacheConnection, idx: usize, name: BlockName) -> Option<&Page> {
-        if self.page.is_some() && !cf.is_valid_block(idx as u32, name) {
-            self.expire();
-        }
-        self.page.as_ref()
-    }
-}
-
-#[derive(Debug)]
-struct PoolInner {
-    frames: Vec<Frame>,
-    /// Frame of each pooled block, keyed by the name's one FNV pass: the
-    /// names are this program's own.
-    map: PrehashedMap<BlockName, usize>,
-    rotor: usize,
-    /// Threads in [`BufferManager::frame_for`] waiting for a steal to land
-    /// because every frame is [`Frame::stealing`].
-    waiting: usize,
-}
-
-/// A per-system buffer pool coherent across the data-sharing group.
+/// A per-system buffer pool coherent across the data-sharing group: the
+/// shell that performs what [`Pool`]'s transitions ask for.
 pub struct BufferManager {
     system: SystemId,
     /// Current structure + connection; reads hold the read guard, group
@@ -123,13 +58,12 @@ pub struct BufferManager {
     /// (quiescing CF traffic).
     cf: RwLock<CacheConnection>,
     store: Arc<PageStore>,
-    frame_count: usize,
     // One latch for the pool: the protected work is pointer-sized (a hit
     // clones an `Arc`, a fill stores one) and the expensive operations (CF
     // commands, DASD reads) happen with the CF's own synchronisation,
     // re-validated against the bit vector afterwards.
-    inner: Mutex<PoolInner>,
-    /// Signalled when a steal lands while a thread is waiting for one.
+    pool: Mutex<Pool>,
+    /// Signalled when a fill lands while a lookup waits for one.
     landed: Condvar,
     /// Published counters.
     pub stats: BufStats,
@@ -151,13 +85,7 @@ impl BufferManager {
             system,
             cf: RwLock::new(conn),
             store,
-            frame_count: frames,
-            inner: Mutex::new(PoolInner {
-                frames: vec![Frame::default(); frames],
-                map: PrehashedMap::default(),
-                rotor: 0,
-                waiting: 0,
-            }),
+            pool: Mutex::new(Pool::new(frames)),
             landed: Condvar::new(),
             stats: BufStats::default(),
         })
@@ -179,97 +107,68 @@ impl BufferManager {
         let name = self.store.block_name(page);
         let cf = self.cf.read();
         loop {
-            // Fast path: valid local frame. The validity test is a local
-            // bit-vector load — never a CF command. A frame holds no page
-            // through the steal window, so a set bit over a frame whose
-            // fill has not completed serves nothing.
-            {
-                let mut inner = self.inner.lock();
-                if let Some(&idx) = inner.map.get(&name) {
-                    if let Some(p) = inner.frames[idx].valid_page(&cf, idx, name) {
-                        self.stats.local_hits.incr();
-                        cf.subchannel().emit(TraceEvent::BufRead { page, local_hit: true });
-                        return Ok(p.clone());
-                    }
-                }
-            }
-            // Slow path: (re-)register and refresh.
-            if let Some(p) = self.refresh(&cf, page, name)? {
+            let mut pool = self.pool.lock();
+            if let Some(p) = pool.hit(&name, |idx| cf.is_valid_block(idx as u32, name)) {
+                self.stats.local_hits.incr();
+                cf.subchannel().emit(TraceEvent::BufRead { page, local_hit: true });
                 return Ok(p);
             }
-            // A racing peer write invalidated us mid-refresh; go again.
+            if let Some(fill) = self.fill(pool, &cf, name) {
+                if let Some(p) = self.refresh(&cf, page, name, fill)? {
+                    return Ok(p);
+                }
+                // A peer's write cleared the bit mid-refresh; go again.
+                self.stats.coherency_misses.incr();
+            }
         }
     }
 
-    /// The frame mapped to `name`, its generation and, when the frame was
-    /// just stolen for `name`, the tenant it evicted: the caller's
-    /// registration of `name` drops that tenant's in the same command,
-    /// then calls [`BufferManager::steal_landed`]. The steal takes the next
-    /// frame round-robin that no steal in flight holds, and waits for one
-    /// to land when all do.
-    fn frame_for(
+    /// The fill [`Pool::lookup`] asks for, waiting while the frame is
+    /// another's fill; `None` when it found a hit instead. A steal clears
+    /// its frame's bit before the latch is let go: the bit may still be set
+    /// for the evicted tenant.
+    fn fill(&self, mut pool: MutexGuard<'_, Pool>, cf: &CacheConnection, name: BlockName) -> Option<Fill> {
+        loop {
+            match pool.lookup(&name, |idx| cf.is_valid_block(idx as u32, name)) {
+                Lookup::Wait => self.landed.wait(&mut pool),
+                Lookup::Hit(_) => return None,
+                Lookup::Fill(fill) => {
+                    if let Some(old) = fill.evicted {
+                        cf.invalidate_local(fill.idx as u32);
+                        if let Some(page) = self.store.page_of_block(&old) {
+                            cf.subchannel().emit(TraceEvent::BufSteal { frame: fill.idx as u64, page });
+                        }
+                    }
+                    return Some(fill);
+                }
+            }
+        }
+    }
+
+    /// Perform `fill` for `name` and install what it read. `None` when the
+    /// bit was cleared before the install.
+    fn refresh(
         &self,
-        inner: &mut MutexGuard<'_, PoolInner>,
         cf: &CacheConnection,
+        page: u64,
         name: BlockName,
-    ) -> (usize, u64, Option<BlockName>) {
-        let idx = loop {
-            if let Some(&idx) = inner.map.get(&name) {
-                return (idx, inner.frames[idx].generation, None);
-            }
-            let (rotor, n) = (inner.rotor, inner.frames.len());
-            if let Some(k) = (0..n).find(|k| !inner.frames[(rotor + k) % n].stealing) {
-                inner.rotor = rotor + k + 1;
-                break (rotor + k) % n;
-            }
-            inner.waiting += 1;
-            self.landed.wait(inner);
-            inner.waiting -= 1;
-        };
-        let (old, generation) = {
-            let f = &mut inner.frames[idx];
-            let old = f.name.take();
-            f.reset();
-            f.name = Some(name);
-            f.stealing = old.is_some();
-            (old, f.generation)
-        };
-        if let Some(old) = old {
-            inner.map.remove(&old);
-            // Scrub the frame's validity bit BEFORE the new tenant
-            // registers: the bit may still be set for the old tenant, and a
-            // set bit over not-yet-filled bytes is exactly the read-skew
-            // window (a reader would serve the old tenant's bytes as the
-            // new page).
-            cf.invalidate_local(idx as u32);
-            if let Some(page) = self.store.page_of_block(&old) {
-                cf.subchannel().emit(TraceEvent::BufSteal { frame: idx as u64, page });
-            }
-        }
-        inner.map.insert(name, idx);
-        (idx, generation, old)
-    }
-
-    /// The command of a steal of frame `idx` has landed, done or failed:
-    /// the frame may be stolen again.
-    fn steal_landed(&self, idx: usize) {
-        let mut inner = self.inner.lock();
-        inner.frames[idx].stealing = false;
-        if inner.waiting > 0 {
+        fill: Fill,
+    ) -> DbResult<Option<Page>> {
+        let fetched = self.fetch(cf, page, name, fill);
+        let mut pool = self.pool.lock();
+        let current = fetched.map(|(fresh, version)| {
+            pool.installed(fill.idx, version, fresh, cf.is_valid_block(fill.idx as u32, name))
+        });
+        if pool.landed(fill.idx) {
             self.landed.notify_all();
         }
+        current
     }
 
-    /// Register interest and refill the frame. Returns `None` when a
-    /// concurrent peer write invalidated the frame again before we
-    /// finished (caller retries).
-    fn refresh(&self, cf: &CacheConnection, page: u64, name: BlockName) -> DbResult<Option<Page>> {
-        let (idx, generation, evicted) = self.frame_for(&mut self.inner.lock(), cf, name);
-        let reg = cf.register_read_replacing(name, idx as u32, evicted);
-        if evicted.is_some() {
-            self.steal_landed(idx);
-        }
-        let reg = reg?;
+    /// Register `name` at `fill`'s frame and read its image, from the CF
+    /// or else DASD, with the directory version it was registered at.
+    fn fetch(&self, cf: &CacheConnection, page: u64, name: BlockName, fill: Fill) -> DbResult<(Page, u64)> {
+        let reg = cf.register_read_replacing(name, fill.idx as u32, fill.evicted)?;
         let fresh = match reg.data {
             // The CF's copy is adopted, not copied: frame and directory
             // entry share the bytes, which neither ever changes in place.
@@ -282,50 +181,10 @@ impl BufferManager {
                 self.stats.dasd_reads.incr();
                 let p = self.store.read_page(self.system.0, page)?;
                 cf.subchannel().emit(TraceEvent::BufRefresh { page, from_cf: false });
-                // If a peer wrote while we were at the disk, our bit is
-                // already clear and this (possibly stale) image must not be
-                // served.
-                if !cf.is_valid(idx as u32) {
-                    self.stats.coherency_misses.incr();
-                    return Ok(None);
-                }
                 p
             }
         };
-        let current = self.install(idx, generation, name, reg.version, fresh);
-        if current.is_none() || !cf.is_valid(idx as u32) {
-            self.stats.coherency_misses.incr();
-            return Ok(None);
-        }
-        Ok(current)
-    }
-
-    /// Install a refresh's `fresh` image of `name`, read at directory
-    /// `version`, into frame `idx`; the page the frame now serves.
-    fn install(
-        &self,
-        idx: usize,
-        generation: u64,
-        name: BlockName,
-        version: u64,
-        fresh: Page,
-    ) -> Option<Page> {
-        let mut inner = self.inner.lock();
-        match inner.frames.get_mut(idx) {
-            // Install only into the same tenancy this refresh began
-            // against, and never over a newer version: a slower refresh
-            // must not roll the frame back below what a concurrent
-            // (re-)fill already installed.
-            Some(f) if f.generation == generation && f.name == Some(name) && version >= f.version => {
-                f.page = Some(fresh.clone());
-                f.version = version;
-                Some(fresh)
-            }
-            // Same tenant but a newer fill won: serve the newer bytes.
-            Some(f) if f.generation == generation && f.name == Some(name) => f.page.clone(),
-            // Frame re-stolen mid-refresh: retry from the top.
-            _ => None,
-        }
+        Ok((fresh, reg.version))
     }
 
     /// Write a page: [`BufferManager::put_pages`] of one.
@@ -344,46 +203,24 @@ impl BufferManager {
     pub fn put_pages(&self, pages: &[(u64, Page)]) -> DbResult<()> {
         let cf = self.cf.read();
         let mut blocks: Vec<(BlockName, &[u8])> = Vec::with_capacity(pages.len());
-        let mut frames: Vec<(usize, u64)> = Vec::with_capacity(pages.len());
         for (page, p) in pages {
             let name = self.store.block_name(*page);
-            let (idx, generation, registered, evicted) = {
-                let mut inner = self.inner.lock();
-                let (idx, _, evicted) = self.frame_for(&mut inner, &cf, name);
-                // A set validity bit over a ready frame of this block means
-                // the directory still tracks us as a holder (everything that
-                // drops a registration clears the bit): the state the
-                // caller's own `get_page` left behind, unless a peer's write
-                // or a directory reclaim came in between.
-                let registered = inner.frames[idx].valid_page(&cf, idx, name).is_some();
-                (idx, inner.frames[idx].generation, registered, evicted)
-            };
-            if !registered {
-                // Register so the CF tracks us as a current holder (a stolen
-                // frame is never ready, so its evicted tenant goes here).
-                let reg = cf.register_read_replacing(name, idx as u32, evicted);
-                if evicted.is_some() {
-                    self.steal_landed(idx);
+            // A hit proves the directory still tracks this member (DESIGN.md
+            // §14); otherwise register first.
+            if let Some(fill) = self.fill(self.pool.lock(), &cf, name) {
+                let reg = cf.register_read_replacing(name, fill.idx as u32, fill.evicted);
+                if self.pool.lock().landed(fill.idx) {
+                    self.landed.notify_all();
                 }
                 reg?;
             }
             blocks.push((name, p.image()));
-            frames.push((idx, generation));
         }
-        // CF write first: the directory version each block gets orders its
-        // image against concurrent refreshes of the same frame.
         let set = cf.write_invalidate_set(&blocks, WriteKind::ChangedData)?;
         {
-            let mut inner = self.inner.lock();
-            for ((w, &(idx, generation)), ((name, _), (_, p))) in
-                set.written.iter().zip(&frames).zip(blocks.iter().zip(pages))
-            {
-                if let Some(f) = inner.frames.get_mut(idx) {
-                    if f.generation == generation && f.name == Some(*name) && w.version >= f.version {
-                        f.page = Some(p.clone());
-                        f.version = w.version;
-                    }
-                }
+            let mut pool = self.pool.lock();
+            for (w, ((name, _), (_, p))) in set.written.iter().zip(blocks.iter().zip(pages)) {
+                pool.written(*name, w.version, p, |idx| cf.is_valid_block(idx as u32, *name));
             }
         }
         self.stats.writes.add(set.written.len() as u64);
@@ -454,19 +291,10 @@ impl BufferManager {
         let promoted: Option<Vec<_>> = guards.iter().map(|g| g.promote()).collect();
         let promoted = promoted.ok_or(DbError::Cf(CfError::WrongModel))?;
         for ((manager, guard), conn) in managers.iter().zip(guards.iter_mut()).zip(promoted) {
-            manager.clear_pool();
+            manager.pool.lock().clear();
             **guard = conn;
         }
         Ok(())
-    }
-
-    /// Forget every frame: the pool's registrations are gone.
-    fn clear_pool(&self) {
-        let mut inner = self.inner.lock();
-        inner.map.clear();
-        for f in inner.frames.iter_mut() {
-            f.reset();
-        }
     }
 
     /// Rebuild the group buffer of a whole data-sharing group into a fresh
@@ -482,19 +310,16 @@ impl BufferManager {
         sub: &CfSubchannel,
     ) -> DbResult<()> {
         let mut guards: Vec<_> = managers.iter().map(|m| m.cf.write()).collect();
-        // Drain changed data through the first member's old attachment.
-        if let (Some(first), Some(guard)) = (managers.first(), guards.first()) {
-            while guard.structure().changed_count() > 0 {
-                if first.castout_inner(guard, 1024)? == 0 {
-                    break;
-                }
-            }
+        // Drain changed data through every member's old attachment: a
+        // castout that failed part-way left its entries locked to its own.
+        for (manager, guard) in managers.iter().zip(&guards) {
+            while manager.castout_inner(guard, 1024)? > 0 {}
         }
         for (manager, guard) in managers.iter().zip(guards.iter_mut()) {
             let _ = guard.detach();
             let sub = sub.sibling().with_system(manager.system);
-            let conn = CacheConnection::attach(&new, sub, manager.frame_count)?;
-            manager.clear_pool();
+            let conn = CacheConnection::attach(&new, sub, manager.pool.lock().frames.len())?;
+            manager.pool.lock().clear();
             **guard = conn;
         }
         Ok(())
@@ -700,34 +525,43 @@ mod tests {
         assert_eq!(b.get_page(1).unwrap().get(1).unwrap(), b"mine");
     }
 
-    /// Two refreshes of one page by one member straddle a reclaim: the
-    /// first registers against the entry's old life, the entry is
-    /// reclaimed, a peer writes the page into a new life, and the second
-    /// refresh installs it. The first refresh, finishing last, must not
-    /// install the old life's bytes over the new one's.
+    /// A refresh registered against an entry's earlier life — reclaimed
+    /// since, and written into a new one whose image the pool took first —
+    /// finishes last: it must not install the dead life's bytes. The
+    /// directory versions every life of a name above the last.
     #[test]
     fn a_refresh_from_a_reclaimed_life_loses_to_the_next_life() {
-        let r = rig_with_directory(4);
-        let a = bm(&r, 0);
-        let b = bm(&r, 1);
-        for _ in 0..5 {
-            b.put_page(1, &one_record(1, b"old")).unwrap();
-        }
-        b.castout(16).unwrap();
-        // The first refresh: frame and registration, then it stalls.
-        let name = r.store.block_name(1);
-        let cf = a.cf.read();
-        let (idx, generation, _) = a.frame_for(&mut a.inner.lock(), &cf, name);
-        let stale = cf.register_read(name, idx as u32).unwrap();
-        reclaim_page(&r, &b, 1, &mut (10..100));
-        b.put_page(1, &one_record(1, b"peer")).unwrap();
-        // The second refresh runs to completion.
-        assert_eq!(a.get_page(1).unwrap().get(1).unwrap(), b"peer");
-        // The first one finishes.
-        let old = Page::from_image(stale.data.unwrap(), 1).unwrap();
-        a.install(idx, generation, name, stale.version, old);
-        drop(cf);
-        assert_eq!(a.get_page(1).unwrap().get(1).unwrap(), b"peer", "a dead life's bytes installed");
+        let name = BlockName::from_parts(1, 1);
+        let (old, peer) = (one_record(1, b"old"), one_record(1, b"peer"));
+        let mut pool = Pool::new(1);
+        let Lookup::Fill(fill) = pool.lookup(&name, |_| unreachable!("no frame yet")) else { panic!() };
+        pool.written(name, 9, &peer, |_| true);
+        assert_eq!(pool.installed(fill.idx, 3, old, true), Some(peer.clone()));
+        assert!(!pool.landed(fill.idx));
+        assert_eq!(pool.lookup(&name, |_| true), Lookup::Hit(peer), "a dead life's bytes installed");
+    }
+
+    /// A refresh's bit checks name the block they guard, so the trace
+    /// oracle's stale-read invariant sees them.
+    #[test]
+    fn a_cf_refresh_traces_the_blocks_bit_checks() {
+        let r = rig();
+        r.cf.tracer().enable();
+        let (a, b) = (bm(&r, 0), bm(&r, 1));
+        a.get_page(7).unwrap();
+        b.put_page(7, &one_record(7, b"b")).unwrap();
+        let since = r.cf.tracer().snapshot_all().last().map_or(0, |t| t.seq);
+        a.get_page(7).unwrap();
+        assert_eq!(a.stats.cf_refreshes.get(), 1);
+        let checks: Vec<(u64, bool)> = (r.cf.tracer().snapshot_all().into_iter())
+            .filter(|t| t.seq > since)
+            .filter_map(|t| match t.event {
+                TraceEvent::LocalVectorCheck { block, valid } => Some((block, valid)),
+                _ => None,
+            })
+            .collect();
+        let digest = r.store.block_name(7).digest();
+        assert_eq!(checks, [(digest, false), (digest, true)], "the lookup's check, then the install's");
     }
 
     /// The group buffer fills at the third page of a write set: the first
@@ -868,45 +702,15 @@ mod tests {
     /// Every ready frame whose validity bit is set has `a` registered on
     /// its page: a peer's write of that page would cross-invalidate it.
     fn assert_no_under_registration(r: &Rig, a: &BufferManager) {
-        let cf = a.cf.read();
-        let mut inner = a.inner.lock();
-        for (idx, f) in inner.frames.iter_mut().enumerate() {
-            let Some(name) = f.name else { continue };
-            if f.valid_page(&cf, idx, name).is_some() {
-                let holders = r.cache.interest_of(name).unwrap_or_default();
-                assert!(holders.contains(&a.conn_id()), "frame {idx}: bit set, no registration");
+        let bits = a.cf.read().token().clone();
+        for (idx, f) in a.pool.lock().frames.iter().enumerate() {
+            if let (Some(name), Some(_)) = (f.name, &f.page) {
+                if bits.is_valid(idx as u32) {
+                    let holders = r.cache.interest_of(name).unwrap_or_default();
+                    assert!(holders.contains(&a.conn_id()), "frame {idx}: bit set, no registration");
+                }
             }
         }
-    }
-
-    /// A steal whose command is stalled holds its frame: with a 2-frame
-    /// pool, two more steals would bring the rotor back to it for the page
-    /// it evicted, and that registration, landing first, would be the one
-    /// the stalled command drops — page 1 served from a set bit with no
-    /// registration behind it, blind to a peer's write.
-    #[test]
-    fn a_stalled_steal_is_not_stolen_again_for_its_evicted_page() {
-        let r = rig();
-        r.store.write_image(0, 1, one_record(1, b"one").image()).unwrap();
-        let a = Arc::new(
-            BufferManager::new(SystemId::new(0), &r.cache, r.cf.subchannel(), Arc::clone(&r.store), 2)
-                .unwrap(),
-        );
-        let b = bm(&r, 1);
-        a.get_page(1).unwrap(); // frame 0
-        a.get_page(3).unwrap(); // frame 1
-        r.cf.inject_fault(LinkFault::Delay(Duration::from_millis(150)));
-        let t = {
-            let a = Arc::clone(&a);
-            std::thread::spawn(move || a.get_page(2).unwrap()) // steals frame 0 from page 1
-        };
-        std::thread::sleep(Duration::from_millis(40));
-        a.get_page(4).unwrap();
-        assert_eq!(a.get_page(1).unwrap().get(1).unwrap(), b"one");
-        t.join().unwrap();
-        assert_no_under_registration(&r, &a);
-        b.put_page(1, &one_record(1, b"peer")).unwrap();
-        assert_eq!(a.get_page(1).unwrap().get(1).unwrap(), b"peer", "stale local hit");
     }
 
     /// With every frame held by a stalled steal, a second steal waits for

@@ -29,6 +29,7 @@ impl Default for CastoutConfig {
 }
 
 /// A running castout daemon for one database member.
+#[derive(Debug)]
 pub struct CastoutDaemon {
     stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
@@ -66,13 +67,8 @@ impl CastoutDaemon {
         CastoutDaemon { stop, handle: Some(handle), pages_cast_out: pages, checkpoints }
     }
 
-    /// Stop the daemon (joins the sweep thread).
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
+    /// Stop the daemon (joins the sweep thread, as dropping it does).
+    pub fn stop(self) {}
 }
 
 impl Drop for CastoutDaemon {
@@ -81,14 +77,6 @@ impl Drop for CastoutDaemon {
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
-    }
-}
-
-impl std::fmt::Debug for CastoutDaemon {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CastoutDaemon")
-            .field("pages_cast_out", &self.pages_cast_out.load(Ordering::Relaxed))
-            .finish()
     }
 }
 
