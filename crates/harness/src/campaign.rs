@@ -739,6 +739,168 @@ impl SweepEngine {
     }
 }
 
+// ---------------------------------------------------------------------------
+// The campaign-throughput report (`BENCH_campaign_throughput.json`): the
+// `campaign_sweep` example runs a pure-random sweep and a coverage-guided
+// one over the same budget and records them side by side, so "guided beats
+// random on distinct bits" is a tracked number. Hand-rolled JSON (the
+// workspace carries no serde).
+// ---------------------------------------------------------------------------
+
+/// One sampled point of a sweep's distinct-coverage curve.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CurvePoint {
+    /// Milliseconds since the sweep started.
+    pub t_ms: u64,
+    /// Distinct coverage bits accumulated by then.
+    pub bits: u64,
+}
+
+/// The outcome of one sweep mode (random control or coverage-guided).
+#[derive(Debug, Clone)]
+pub struct ModeResult {
+    /// `"random"` or `"guided"`.
+    pub mode: &'static str,
+    /// Engine base seed (publishes the sweep's decision stream).
+    pub base_seed: u64,
+    /// Campaigns completed inside the budget.
+    pub campaigns: u64,
+    /// Wall time actually spent, milliseconds.
+    pub elapsed_ms: u64,
+    /// Distinct coverage bits at the end of the sweep.
+    pub coverage_bits: u64,
+    /// Corpus entries alive at the end (the random control admits entries
+    /// too — it just never draws from them).
+    pub corpus_size: usize,
+    /// Invariant-violating campaigns found (each printed with a shrunk
+    /// repro by the example; any non-zero fails CI).
+    pub violations: u64,
+    /// Distinct-coverage-over-time curve, monotone non-decreasing.
+    pub curve: Vec<CurvePoint>,
+}
+
+impl ModeResult {
+    /// Verification throughput.
+    pub fn campaigns_per_s(&self) -> f64 {
+        if self.elapsed_ms == 0 {
+            0.0
+        } else {
+            self.campaigns as f64 / (self.elapsed_ms as f64 / 1_000.0)
+        }
+    }
+}
+
+/// The full report written to `BENCH_campaign_throughput.json`.
+#[derive(Debug, Clone)]
+pub struct CampaignThroughputReport {
+    /// Hardware threads on the host.
+    pub hw_threads: usize,
+    /// Campaign transport — always `"in-process"` (the deterministic
+    /// harness never leaves the worker process; parallelism is one worker
+    /// process per core).
+    pub transport: &'static str,
+    /// Worker processes per sweep.
+    pub workers: usize,
+    /// Per-mode time budget, seconds.
+    pub budget_s: u64,
+    /// Both sweep modes, random control first.
+    pub modes: Vec<ModeResult>,
+}
+
+impl CampaignThroughputReport {
+    /// `guided coverage_bits - random coverage_bits` (negative when the
+    /// control won — a regression in the guidance itself).
+    pub fn guided_advantage_bits(&self) -> i64 {
+        let bits = |mode: &str| {
+            self.modes.iter().find(|m| m.mode == mode).map(|m| m.coverage_bits as i64).unwrap_or(0)
+        };
+        bits("guided") - bits("random")
+    }
+
+    /// Render the schema-stable JSON consumed by the CI `campaign-sweep`
+    /// job (see DESIGN.md §12 for the schema contract).
+    pub fn to_json(&self) -> String {
+        let mut out = String::from("{\n");
+        out.push_str("  \"report\": \"campaign_throughput\",\n");
+        out.push_str(&format!("  \"schema_version\": {},\n", sysplex_services::SCHEMA_VERSION));
+        out.push_str(&format!("  \"hw_threads\": {},\n", self.hw_threads));
+        out.push_str(&format!("  \"transport\": \"{}\",\n", self.transport));
+        out.push_str(&format!("  \"workers\": {},\n", self.workers));
+        out.push_str(&format!("  \"budget_s\": {},\n", self.budget_s));
+        out.push_str(&format!("  \"guided_advantage_bits\": {},\n", self.guided_advantage_bits()));
+        out.push_str("  \"modes\": [\n");
+        for (i, m) in self.modes.iter().enumerate() {
+            out.push_str(&format!(
+                "    {{\"mode\": \"{}\", \"base_seed\": \"{:#x}\", \"campaigns\": {}, \
+                 \"elapsed_ms\": {}, \"campaigns_per_s\": {:.2}, \"coverage_bits\": {}, \
+                 \"corpus_size\": {}, \"violations\": {}, \"coverage_curve\": [",
+                m.mode,
+                m.base_seed,
+                m.campaigns,
+                m.elapsed_ms,
+                m.campaigns_per_s(),
+                m.coverage_bits,
+                m.corpus_size,
+                m.violations,
+            ));
+            for (j, p) in m.curve.iter().enumerate() {
+                out.push_str(&format!(
+                    "{}{{\"t_ms\": {}, \"bits\": {}}}",
+                    if j == 0 { "" } else { ", " },
+                    p.t_ms,
+                    p.bits
+                ));
+            }
+            out.push_str(&format!("]}}{}\n", if i + 1 == self.modes.len() { "" } else { "," }));
+        }
+        out.push_str("  ]\n");
+        out.push_str("}\n");
+        out
+    }
+
+    /// Human-readable table printed alongside the JSON.
+    pub fn render_table(&self) -> String {
+        let mut out = String::new();
+        out.push_str(&format!(
+            "CAMPAIGN SWEEP — {} worker process(es), {} s/mode, {} hardware threads\n",
+            self.workers, self.budget_s, self.hw_threads
+        ));
+        out.push_str(&format!(
+            "{:<8} {:>10} {:>12} {:>14} {:>12} {:>11}\n",
+            "mode", "campaigns", "campaigns/s", "coverage bits", "corpus", "violations"
+        ));
+        for m in &self.modes {
+            out.push_str(&format!(
+                "{:<8} {:>10} {:>12.1} {:>14} {:>12} {:>11}\n",
+                m.mode,
+                m.campaigns,
+                m.campaigns_per_s(),
+                m.coverage_bits,
+                m.corpus_size,
+                m.violations
+            ));
+        }
+        out.push_str(&format!("guided advantage: {:+} distinct bits\n", self.guided_advantage_bits()));
+        out
+    }
+}
+
+/// Thin a raw curve down to at most `max_points` samples, always keeping
+/// the first and last so the plotted span is exact.
+pub fn downsample_curve(curve: &[CurvePoint], max_points: usize) -> Vec<CurvePoint> {
+    let max_points = max_points.max(2);
+    if curve.len() <= max_points {
+        return curve.to_vec();
+    }
+    let mut out = Vec::with_capacity(max_points);
+    let step = (curve.len() - 1) as f64 / (max_points - 1) as f64;
+    for i in 0..max_points {
+        out.push(curve[(i as f64 * step).round() as usize]);
+    }
+    *out.last_mut().expect("non-empty") = *curve.last().expect("non-empty");
+    out
+}
+
 #[cfg(test)]
 mod engine_tests {
     use super::*;
@@ -817,5 +979,70 @@ mod engine_tests {
             cov.set(2000 + i);
             engine.record(&spec, &cov);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn mode(mode: &'static str, bits: u64) -> ModeResult {
+        ModeResult {
+            mode,
+            base_seed: 0x5EED,
+            campaigns: 120,
+            elapsed_ms: 10_000,
+            coverage_bits: bits,
+            corpus_size: if mode == "guided" { 17 } else { 0 },
+            violations: 0,
+            curve: vec![CurvePoint { t_ms: 5, bits: bits / 2 }, CurvePoint { t_ms: 9_000, bits }],
+        }
+    }
+
+    #[test]
+    fn report_json_has_schema_keys_and_advantage() {
+        let report = CampaignThroughputReport {
+            hw_threads: 4,
+            transport: "in-process",
+            workers: 4,
+            budget_s: 10,
+            modes: vec![mode("random", 900), mode("guided", 1100)],
+        };
+        assert_eq!(report.guided_advantage_bits(), 200);
+        let json = report.to_json();
+        for key in [
+            "\"report\": \"campaign_throughput\"",
+            "\"schema_version\": 1",
+            "\"hw_threads\": 4",
+            "\"transport\": \"in-process\"",
+            "\"workers\": 4",
+            "\"budget_s\": 10",
+            "\"guided_advantage_bits\": 200",
+            "\"mode\": \"random\"",
+            "\"mode\": \"guided\"",
+            "\"base_seed\": \"0x5eed\"",
+            "\"campaigns_per_s\": 12.00",
+            "\"coverage_bits\": 1100",
+            "\"corpus_size\": 17",
+            "\"violations\": 0",
+            "\"coverage_curve\": [{\"t_ms\": 5,",
+        ] {
+            assert!(json.contains(key), "JSON missing {key}: {json}");
+        }
+        assert!(!json.contains("NaN"));
+        assert!(report.render_table().contains("guided advantage: +200"));
+    }
+
+    #[test]
+    fn downsample_keeps_endpoints_and_monotonicity() {
+        let raw: Vec<CurvePoint> = (0..1000).map(|i| CurvePoint { t_ms: i, bits: 100 + i / 3 }).collect();
+        let thin = downsample_curve(&raw, 64);
+        assert_eq!(thin.len(), 64);
+        assert_eq!(thin[0], raw[0]);
+        assert_eq!(*thin.last().unwrap(), *raw.last().unwrap());
+        for w in thin.windows(2) {
+            assert!(w[1].bits >= w[0].bits && w[1].t_ms >= w[0].t_ms);
+        }
+        assert_eq!(downsample_curve(&raw[..2], 64), raw[..2].to_vec());
     }
 }

@@ -214,6 +214,19 @@ pub fn scenarios_json(outcomes: &[ScenarioOutcome]) -> String {
     format!("[\n{items}\n  ]")
 }
 
+/// Insert `"scenarios": <scenarios>` as the last key of the top-level
+/// report object. `scenarios` must already be rendered JSON (use
+/// [`scenarios_json`]).
+///
+/// Panics if `report_json` does not end with a `}` — the report writer
+/// and this splice must agree on the document shape.
+pub fn splice_scenarios(report_json: &str, scenarios: &str) -> String {
+    let trimmed = report_json.trim_end();
+    let body = trimmed.strip_suffix('}').expect("report JSON ends with an object close");
+    let sep = if body.trim_end().ends_with(['{', ',']) { "" } else { "," };
+    format!("{}{sep}\n  \"scenarios\": {scenarios}\n}}\n", body.trim_end())
+}
+
 /// Run all three scenarios under one config.
 pub fn run_all(config: &OpsDayConfig) -> Vec<ScenarioOutcome> {
     vec![rolling_restart(config), partition_heal(config), restart_storm(config)]
@@ -991,5 +1004,23 @@ mod tests {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         assert!(scenarios_json(&[o]).starts_with("[\n"));
+    }
+
+    #[test]
+    fn splice_appends_scenarios_key_before_the_close() {
+        let report = "{\n  \"report\": \"cf_activity\",\n  \"totals\": {\"issued\": 3}\n}\n";
+        let out = splice_scenarios(report, "[\n    {\"scenario\": \"demo\"}\n  ]");
+        assert!(out.contains("\"report\": \"cf_activity\""), "existing keys preserved");
+        assert!(out.contains("\"scenarios\": ["), "scenarios key added");
+        assert!(out.trim_end().ends_with('}'), "still one object");
+        let open = out.matches('{').count();
+        let close = out.matches('}').count();
+        assert_eq!(open, close, "balanced braces");
+    }
+
+    #[test]
+    fn splice_handles_an_empty_report_object() {
+        let out = splice_scenarios("{}\n", "[]");
+        assert_eq!(out, "{\n  \"scenarios\": []\n}\n");
     }
 }

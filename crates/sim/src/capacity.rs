@@ -92,6 +92,10 @@ mod tests {
         // At 32 systems the TCMP asymptote is left far behind.
         let p320 = &s[319];
         assert!(p320.sysplex > p320.tcmp * 5.0);
+        // Figure 3's shape: the sysplex keeps over 60 % of ideal, one
+        // giant TCMP has long since fallen under 15 %.
+        assert!(p320.sysplex / p320.ideal > 0.60, "sysplex {:.3} of ideal", p320.sysplex / p320.ideal);
+        assert!(p320.tcmp / p320.ideal < 0.15, "tcmp {:.3} of ideal", p320.tcmp / p320.ideal);
     }
 
     #[test]

@@ -179,6 +179,12 @@ mod tests {
         assert!(sharing.completion_ratio > 0.98, "sysplex unaffected by skew: {sharing:?}");
         assert!(partitioned.completion_ratio < 0.85, "hot partition over capacity: {partitioned:?}");
         assert!(partitioned.avg_delay_ms > sharing.avg_delay_ms * 10.0);
+        // E6's heavy row: at 70 % skew the hot node completes under 75 %.
+        let cfg = scenario(HotspotKind::Static { hot_share: 0.70 });
+        let sharing = run_comparison(&cfg, Design::DataSharing);
+        let partitioned = run_comparison(&cfg, Design::DataPartitioning);
+        assert!(sharing.completion_ratio > 0.98, "sysplex unaffected by skew: {sharing:?}");
+        assert!(partitioned.completion_ratio < 0.75, "hot partition saturated: {partitioned:?}");
     }
 
     #[test]

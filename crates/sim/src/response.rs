@@ -84,5 +84,14 @@ mod tests {
         // At lighter load the skewed hot node sits near its own knee:
         // never faster than the balanced case.
         assert!(skewed[0].dp_delay_ms >= uniform[0].dp_delay_ms);
+        // E6c's sweep: at 80 % load data sharing is still flat while the
+        // partitioned delay has grown tenfold from its 30 % value.
+        let sweep = response_curve(
+            4,
+            HotspotModel { partitions: 4, kind: HotspotKind::Static { hot_share: 0.55 } },
+            &[0.3, 0.5, 0.6, 0.7, 0.8],
+        );
+        assert!(sweep[4].ds_delay_ms < 50.0, "sysplex still flat at 80 % load: {:?}", sweep[4]);
+        assert!(sweep[4].dp_delay_ms > sweep[0].dp_delay_ms * 10.0, "partitioned knee inside the sweep");
     }
 }

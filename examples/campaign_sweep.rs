@@ -32,7 +32,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, Command, Stdio};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use sysplex_bench::campaign::{downsample_curve, CampaignThroughputReport, CurvePoint, ModeResult};
+use sysplex_harness::campaign::{downsample_curve, CampaignThroughputReport, CurvePoint, ModeResult};
 use sysplex_harness::{shrink_plan, CampaignSpec, CoverageMap, SweepConfig, SweepEngine};
 
 const CORPUS_PATH: &str = "CAMPAIGN_CORPUS.txt";

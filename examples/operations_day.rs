@@ -140,7 +140,7 @@ fn main() {
         o.assert_clean();
     }
 
-    let json = sysplex_bench::opsday::splice_scenarios(
+    let json = sysplex_harness::opsday::splice_scenarios(
         &report.to_json(),
         &sysplex_harness::scenarios_json(&outcomes),
     );
