@@ -945,7 +945,7 @@ mod tests {
         let json = report.to_json();
         for key in [
             "\"report\": \"cf_hotpath\"",
-            "\"schema_version\": 1",
+            "\"schema_version\": 2",
             "\"hw_threads\"",
             "\"transport\": \"in-process\"",
             "\"phases\"",

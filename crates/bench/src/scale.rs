@@ -288,7 +288,7 @@ mod tests {
         let json = report.to_json();
         for key in [
             "\"report\": \"sysplex_scale\"",
-            "\"schema_version\": 1",
+            "\"schema_version\": 2",
             "\"hw_threads\"",
             "\"transport\": \"tcp\"",
             "\"ops_per_member\": 500",

@@ -20,12 +20,12 @@
 //! chain (`RetryPolicy::seeded(0xC0FFEE).attempts(5).backoff_ms(2,
 //! 250)`), mirroring the harness fault-plan DSL.
 //!
-//! **At least once.** A retry after a *lost response* re-executes a
-//! command the facility may already have performed, so a command runs at
-//! most `budget` times. CF commands are level-triggered enough for this
-//! to be safe in the common cases (re-requesting a held lock re-grants
-//! it; re-writing a cache block re-invalidates), but exploiters that
-//! enqueue uniquely-keyed work must reconcile duplicates by key — the
+//! **At most once.** A re-send keeps the number of its first send, and
+//! the server answers a repeat of the last request it served from the
+//! stored reply, so within one incarnation a command is served at most
+//! once however often it is sent. A command whose every send failed may
+//! or may not have been served: exploiters that retry uniquely-keyed work
+//! under a new incarnation must reconcile duplicates by key — the
 //! debit-credit campaigns do exactly that.
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -38,7 +38,6 @@ use crate::facility::CouplingFacility;
 use crate::hashing::{hash_to_slot, ResourceName};
 use crate::list::{DequeueEnd, EntryId, EntryView, LockCondition, WritePosition};
 use crate::lock::{DisconnectMode, LockMode, LockResponse, RetainedLock};
-use crate::stats::Counter;
 use crate::types::{ConnId, ConnMask};
 use crate::wire::{Flag, FrameStream, SmfRecord, SmfStructureRow, WireHandle, WireRequest, WireResponse};
 use parking_lot::Mutex;
@@ -270,7 +269,8 @@ pub fn io_to_cf_error(e: &std::io::Error, class_name: &'static str) -> CfError {
 /// coupling links.
 #[derive(Debug)]
 pub struct TcpTransport {
-    link: Mutex<FrameStream<TcpStream>>,
+    /// The stream and the number its next request goes under.
+    link: Mutex<(FrameStream<TcpStream>, u32)>,
     peer: String,
 }
 
@@ -287,7 +287,7 @@ impl TcpTransport {
     pub fn from_stream(stream: TcpStream) -> Self {
         let _ = stream.set_nodelay(true);
         let peer = stream.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "?".to_string());
-        TcpTransport { link: Mutex::new(FrameStream::new(stream)), peer }
+        TcpTransport { link: Mutex::new((FrameStream::new(stream), 0)), peer }
     }
 
     /// The peer address, for diagnostics.
@@ -300,7 +300,7 @@ impl TcpTransport {
     /// hostile one a dropped response would otherwise hang the caller
     /// instead of surfacing as the retryable `LinkTimeout`.
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.link.lock().get_ref().set_read_timeout(timeout)
+        self.link.lock().0.get_ref().set_read_timeout(timeout)
     }
 }
 
@@ -311,8 +311,11 @@ impl CfTransport for TcpTransport {
 
     fn call(&self, req: WireRequest) -> CfResult<WireResponse> {
         let class_name = req.class().name();
-        let mut link = self.link.lock();
-        let body = link.call(|w| req.encode_into(w)).map_err(|e| io_to_cf_error(&e, class_name))?;
+        let mut guard = self.link.lock();
+        let (link, next_seq) = &mut *guard;
+        let seq = *next_seq;
+        *next_seq = seq.wrapping_add(1);
+        let body = link.call(seq, |w| req.encode_into(w)).map_err(|e| io_to_cf_error(&e, class_name))?;
         WireResponse::decode(body).map_err(|_| CfError::InterfaceControlCheck(class_name))
     }
 }
@@ -328,12 +331,21 @@ impl CfTransport for TcpTransport {
 /// a frame byte-by-byte is served normally, while one that goes silent
 /// mid-frame for [`MID_FRAME_STALL`](crate::wire::MID_FRAME_STALL) is
 /// treated as a dead link. Each response echoes its request's sequence
-/// number.
+/// number. A request numbered like the last one answered is a repeat
+/// (a duplicated frame): the stored answer is sent again and the request
+/// is not served twice.
 pub fn serve_cf_stream(transport: &InProcessTransport, stream: TcpStream) -> std::io::Result<()> {
     let _ = stream.set_nodelay(true);
     let mut link = FrameStream::new(stream);
+    let mut answered = None;
     let result = loop {
         let (seq, req) = match link.recv_patient() {
+            Ok(frame) if answered == Some(frame.seq) => {
+                if let Err(e) = link.resend() {
+                    break Err(e);
+                }
+                continue;
+            }
             Ok(frame) => (frame.seq, WireRequest::decode(frame.body())),
             Err(e) if e.kind() == ErrorKind::UnexpectedEof => break Ok(()),
             Err(e) => break Err(e),
@@ -345,6 +357,7 @@ pub fn serve_cf_stream(transport: &InProcessTransport, stream: TcpStream) -> std
         if let Err(e) = link.send(seq, |w| resp.encode_into(w)) {
             break Err(e);
         }
+        answered = Some(seq);
     };
     transport.detach_all();
     result
@@ -928,7 +941,6 @@ struct CutState {
 #[derive(Debug)]
 pub struct TransportMeter {
     stats: ConnectionStats,
-    retries: Counter,
     inner: Mutex<MeterInner>,
 }
 
@@ -937,7 +949,6 @@ impl TransportMeter {
     pub fn new() -> Arc<TransportMeter> {
         Arc::new(TransportMeter {
             stats: ConnectionStats::new(),
-            retries: Counter::new(),
             inner: Mutex::new(MeterInner {
                 handles: HashMap::new(),
                 tallies: HashMap::new(),
@@ -954,12 +965,6 @@ impl TransportMeter {
     /// Cumulative command accounting (same block shape as a subchannel's).
     pub fn stats(&self) -> &ConnectionStats {
         &self.stats
-    }
-
-    /// Note one wire-level redial/retry (commands the server may have seen
-    /// without the member recording an outcome).
-    pub fn note_retry(&self) {
-        self.retries.incr();
     }
 
     /// Account one completed command: `shape` captured before the call,
@@ -1035,12 +1040,8 @@ impl TransportMeter {
             seq,
             interval_us,
             final_interval,
-            wire_retries: self.retries.get(),
             classes,
             structures,
-            trace_emitted: 0,
-            trace_dropped: 0,
-            trace_retained: 0,
         }
     }
 }

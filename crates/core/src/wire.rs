@@ -354,7 +354,10 @@ impl<'a> Frame<'a> {
 /// server echoes the number of the request it answers and [`call`]
 /// returns only the response carrying the outstanding number, so a
 /// duplicated or late response is skipped whenever it arrives — by
-/// identity, not by guessing that the socket ought to be empty.
+/// identity, not by guessing that the socket ought to be empty. The
+/// caller numbers its requests, so a request sent again after a redial
+/// can carry the number of its first send, and a server can tell the
+/// repeat from a new request.
 ///
 /// [`call`]: FrameStream::call
 #[derive(Debug)]
@@ -366,13 +369,12 @@ pub struct FrameStream<S> {
     inb: Vec<u8>,
     head: usize,
     tail: usize,
-    next_seq: u32,
 }
 
 impl<S> FrameStream<S> {
     /// Frame `stream`. Buffers are allocated on first use.
     pub fn new(stream: S) -> Self {
-        FrameStream { stream, out: WireWriter::new(), inb: Vec::new(), head: 0, tail: 0, next_seq: 0 }
+        FrameStream { stream, out: WireWriter::new(), inb: Vec::new(), head: 0, tail: 0 }
     }
 
     /// The underlying stream (to set socket options, clone or shut down).
@@ -405,6 +407,14 @@ impl<S: Write> FrameStream<S> {
         assert!(len <= MAX_FRAME_BYTES, "frame body exceeds budget");
         out.patch_u32(5, len as u32);
         self.stream.write_all(out.as_bytes())?;
+        self.stream.flush()
+    }
+
+    /// Send the last frame [`send`](FrameStream::send) put together once
+    /// more, byte for byte: how a server answers a repeated request
+    /// without serving it again.
+    pub fn resend(&mut self) -> std::io::Result<()> {
+        self.stream.write_all(self.out.as_bytes())?;
         self.stream.flush()
     }
 }
@@ -512,13 +522,11 @@ impl<S: Read> FrameStream<S> {
 }
 
 impl<S: Read + Write> FrameStream<S> {
-    /// One request/response exchange: send a frame under the next
-    /// sequence number and return the body of the response that echoes
-    /// it. Responses carrying any other number — duplicates, answers to
-    /// requests this end gave up on — are skipped.
-    pub fn call(&mut self, request: impl FnOnce(&mut WireWriter)) -> std::io::Result<&[u8]> {
-        let seq = self.next_seq;
-        self.next_seq = seq.wrapping_add(1);
+    /// One request/response exchange: send a frame numbered `seq` and
+    /// return the body of the response that echoes it. Responses carrying
+    /// any other number — duplicates, answers to requests this end gave up
+    /// on — are skipped.
+    pub fn call(&mut self, seq: u32, request: impl FnOnce(&mut WireWriter)) -> std::io::Result<&[u8]> {
         self.send(seq, request)?;
         loop {
             let (got, at) = self.next_frame(None)?;
@@ -1554,7 +1562,7 @@ impl WireResponse {
 /// Version byte leading every encoded [`SmfRecord`]. Bumped independently
 /// of [`WIRE_VERSION`] on any incompatible record-format change, so old
 /// retained records are rejected rather than misparsed.
-pub const SMF_RECORD_VERSION: u8 = 1;
+pub const SMF_RECORD_VERSION: u8 = 2;
 
 /// A [`HistogramSnapshot`] travels sparsely: a count of non-empty buckets,
 /// then `(bucket index, sample count)` pairs in strictly ascending index
@@ -1652,10 +1660,7 @@ wire_struct! {
 /// the sysplex-wide report (§2.1, §5.1); this type is that record for the
 /// reproduction. Class and structure rows are **interval deltas** (only
 /// rows with traffic are shipped): a class row is the member meter's
-/// [`ClassSnapshot::delta`] since its last cut. The three trace words are
-/// **cumulative as of the cut**, matching how the in-process report treats
-/// trace rings; no member has a local tracer yet, so they ship as zero and
-/// hold their place in the layout for ROADMAP item 6.
+/// [`ClassSnapshot::delta`] since its last cut.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SmfRecord {
     /// Raw system id of the member that cut the record.
@@ -1669,21 +1674,11 @@ pub struct SmfRecord {
     /// True on the flush record cut during Goodbye: the interval is
     /// partial and no further records follow from this session.
     pub final_interval: bool,
-    /// Wire-level redials/retries the member's session performed so far
-    /// (cumulative): commands the server may have executed more than once
-    /// or seen without the member recording an outcome.
-    pub wire_retries: u64,
     /// Interval activity per command class (only classes with traffic).
     pub classes: Vec<(CommandClass, ClassSnapshot)>,
     /// Interval activity per attached structure (only structures with
     /// traffic).
     pub structures: Vec<SmfStructureRow>,
-    /// Trace entries emitted by this member's rings (cumulative).
-    pub trace_emitted: u64,
-    /// Trace entries dropped by ring wrap (cumulative).
-    pub trace_dropped: u64,
-    /// Trace entries currently retained.
-    pub trace_retained: u64,
 }
 
 /// The record's versioned layout: [`SMF_RECORD_VERSION`] leads, the class
@@ -1697,15 +1692,11 @@ impl Wire for SmfRecord {
         self.seq.put(w);
         self.interval_us.put(w);
         self.final_interval.put(w);
-        self.wire_retries.put(w);
         w.put_u8(self.classes.len() as u8);
         for row in &self.classes {
             row.put(w);
         }
         self.structures.put(w);
-        self.trace_emitted.put(w);
-        self.trace_dropped.put(w);
-        self.trace_retained.put(w);
     }
 
     fn get(r: &mut WireReader) -> Result<Self, WireError> {
@@ -1720,7 +1711,6 @@ impl Wire for SmfRecord {
             seq: Wire::get(r)?,
             interval_us: Wire::get(r)?,
             final_interval: Wire::get(r)?,
-            wire_retries: Wire::get(r)?,
             classes: {
                 let n = r.get_u8()? as usize;
                 if n > CommandClass::COUNT {
@@ -1729,9 +1719,6 @@ impl Wire for SmfRecord {
                 (0..n).map(|_| Wire::get(r)).collect::<Result<_, _>>()?
             },
             structures: Wire::get(r)?,
-            trace_emitted: Wire::get(r)?,
-            trace_dropped: Wire::get(r)?,
-            trace_retained: Wire::get(r)?,
         })
     }
 }
@@ -1839,7 +1826,6 @@ mod tests {
             seq: 4,
             interval_us: 250_000,
             final_interval: true,
-            wire_retries: 1,
             classes: vec![(
                 CommandClass::LockRequest,
                 ClassSnapshot { issued: 7, sync: 7, async_converted: 0, faulted: 0, latency },
@@ -1851,9 +1837,6 @@ mod tests {
                 force_interests: 1,
                 faulted: 0,
             }],
-            trace_emitted: 40,
-            trace_dropped: 8,
-            trace_retained: 32,
         }
     }
 
@@ -1866,9 +1849,13 @@ mod tests {
     #[test]
     fn smf_record_rejects_version_skew_and_truncation() {
         let full = sample_smf_record().encode();
-        let mut skewed = full.clone();
-        skewed[0] = SMF_RECORD_VERSION + 1;
-        assert_eq!(SmfRecord::decode(&skewed).unwrap_err(), WireError::BadVersion(SMF_RECORD_VERSION + 1));
+        // Version 1 carried a retry count and three trace words this
+        // layout does not have: it is refused, not misparsed.
+        for version in [1, SMF_RECORD_VERSION + 1] {
+            let mut skewed = full.clone();
+            skewed[0] = version;
+            assert_eq!(SmfRecord::decode(&skewed).unwrap_err(), WireError::BadVersion(version));
+        }
         for cut in 0..full.len() {
             assert!(SmfRecord::decode(&full[..cut]).is_err(), "cut at {cut} must not decode");
         }

@@ -182,9 +182,9 @@ fn call_skips_responses_that_are_not_the_outstanding_one() {
     ]
     .into();
     let mut link = FrameStream::new(Counted { arrivals, ..Counted::default() });
-    assert_eq!(link.call(|w| w.put_raw(b"a")).unwrap(), b"first");
+    assert_eq!(link.call(0, |w| w.put_raw(b"a")).unwrap(), b"first");
     // The duplicate of "first" is still buffered; it is not "second".
-    assert_eq!(link.call(|w| w.put_raw(b"b")).unwrap(), b"second");
+    assert_eq!(link.call(1, |w| w.put_raw(b"b")).unwrap(), b"second");
     assert_eq!(link.get_ref().sent, [framed(0, &[b"a".to_vec()]), framed(1, &[b"b".to_vec()])].concat());
 }
 

@@ -319,7 +319,6 @@ fn smf_record_sample(h: u32, n: u64, sel: u8, samples: &[u64], name: &str) -> Sm
         seq: h,
         interval_us: n,
         final_interval: sel & 1 != 0,
-        wire_retries: n % 17,
         classes,
         structures: vec![SmfStructureRow {
             name: name.to_string(),
@@ -328,9 +327,6 @@ fn smf_record_sample(h: u32, n: u64, sel: u8, samples: &[u64], name: &str) -> Sm
             force_interests: n % 5,
             faulted: n % 3,
         }],
-        trace_emitted: n,
-        trace_dropped: n / 4,
-        trace_retained: n - n / 4,
     }
 }
 

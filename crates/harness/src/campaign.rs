@@ -1012,7 +1012,7 @@ mod tests {
         let json = report.to_json();
         for key in [
             "\"report\": \"campaign_throughput\"",
-            "\"schema_version\": 1",
+            "\"schema_version\": 2",
             "\"hw_threads\": 4",
             "\"transport\": \"in-process\"",
             "\"workers\": 4",

@@ -36,11 +36,12 @@ pub enum WireFault {
     /// Hold the frame for the given milliseconds, then forward it.
     DelayMs(u64),
     /// Swallow the frame. The victim's command times out, and a resilient
-    /// session sends it again: at least once (see `RetryPolicy`).
+    /// session sends it again under its number (see `RetryPolicy`); the
+    /// server serves it once.
     Drop,
     /// Forward the frame twice. A duplicated response carries a sequence
     /// number that is no longer outstanding, so the client skips it; a
-    /// duplicated request is served (and answered) twice.
+    /// duplicated request is answered twice and served once.
     Duplicate,
     /// Forward the header and half the body, then kill the connection —
     /// the receiver sees EOF mid-frame (a dead peer, not a clean close).
@@ -538,7 +539,7 @@ mod tests {
         assert!(lock.request_lock(lock.hash_resource(b"RES-R"), LockMode::Exclusive).unwrap().is_granted());
         assert!(lock.request_lock(lock.hash_resource(b"RES-S"), LockMode::Exclusive).unwrap().is_granted());
         assert_eq!(proxy.applied(), vec![(7, WireFault::Drop)]);
-        assert_eq!(cf.command_stats().class(CommandClass::LockRequest).issued.get(), 3, "RES-R sent twice");
+        assert_eq!(cf.command_stats().class(CommandClass::LockRequest).issued.get(), 2, "RES-R served once");
         remote.goodbye().unwrap();
     }
 }

@@ -20,8 +20,9 @@
 //!
 //! Every scenario is named and seeded: the chaos plans, retry jitter,
 //! and transaction streams all derive from one `u64`, and the plans are
-//! recorded as copy-pasteable builder chains in the outcome. Retried
-//! commands are at-least-once, so transaction keys are unique
+//! recorded as copy-pasteable builder chains in the outcome. A
+//! transaction whose commit went unacknowledged is retried by the next
+//! incarnation and may land twice, so transaction keys are unique
 //! (`system << 32 | seq`) and the verdict reconciles by key: an acked
 //! transaction missing from the history structure is **lost** (must be
 //! zero), an extra history entry for a key is a **duplicate** (allowed,
@@ -48,7 +49,7 @@ use sysplex_core::transport::{
 };
 use sysplex_core::{ConnId, RetryPolicy, SystemId};
 use sysplex_services::heartbeat::HealthState;
-use sysplex_services::monitor::Monitor;
+use sysplex_services::monitor::{json_str, Monitor};
 use sysplex_services::sysplex::{Sysplex, SysplexConfig};
 use sysplex_services::transport::{PulseHandle, RemoteSysplex, RemoteXcfMember, SxError, SysplexServer};
 
@@ -110,8 +111,9 @@ pub struct ScenarioOutcome {
     pub acked: u64,
     /// Acked transactions missing from history — must be zero.
     pub lost: u64,
-    /// Extra history entries for already-present keys (at-least-once
-    /// retries after a lost response; reconciled away, never lost work).
+    /// Extra history entries for already-present keys (an unacked
+    /// transaction retried by the next incarnation after its commit
+    /// landed; reconciled away, never lost work).
     pub duplicates: u64,
     /// Re-admissions (clean restarts, crash re-IPLs, blip recoveries)
     /// across all members.
@@ -141,22 +143,17 @@ pub struct ScenarioOutcome {
     pub smf_reconciled: bool,
 }
 
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 impl ScenarioOutcome {
     /// One schema-stable JSON object for the benchmark report splice.
     pub fn to_json_object(&self) -> String {
-        let violations =
-            self.violations.iter().map(|v| format!("\"{}\"", esc(v))).collect::<Vec<_>>().join(", ");
+        let violations = self.violations.iter().map(|v| json_str(v)).collect::<Vec<_>>().join(", ");
         format!(
-            "{{\"scenario\": \"{}\", \"seed\": {}, \"members\": {}, \"committed\": {}, \
+            "{{\"scenario\": {}, \"seed\": {}, \"members\": {}, \"committed\": {}, \
              \"acked\": {}, \"lost\": {}, \"duplicates\": {}, \"reipls\": {}, \
              \"time_to_fence_us\": {}, \"time_to_readmit_us\": {}, \"capacity_floor_ok\": {}, \
-             \"oracle_clean\": {}, \"violations\": [{}], \"chaos_plan\": \"{}\", \
+             \"oracle_clean\": {}, \"violations\": [{}], \"chaos_plan\": {}, \
              \"smf_members\": {}, \"smf_records\": {}, \"smf_reconciled\": {}}}",
-            esc(&self.name),
+            json_str(&self.name),
             self.seed,
             self.members,
             self.committed,
@@ -169,7 +166,7 @@ impl ScenarioOutcome {
             self.capacity_floor_ok,
             self.oracle_clean,
             violations,
-            esc(&self.chaos_plan),
+            json_str(&self.chaos_plan),
             self.smf_members,
             self.smf_records,
             self.smf_reconciled,
@@ -309,7 +306,7 @@ pub enum TxnOutcome {
 /// [`SysplexServer`], attached to the lock, cache and history list
 /// structures of [`allocate_structures`], joined to the member XCF group
 /// and pulsing every 50 ms. Its CF commands are retried by the session
-/// alone, at most three sends each.
+/// alone, at most three sends each, and served once.
 pub struct TcpMember {
     remote: RemoteSysplex,
     _pulse: PulseHandle,
@@ -329,12 +326,12 @@ impl TcpMember {
         addr: &str,
         system: SystemId,
         seed: u64,
-        recover: Option<ConnId>,
+        mut recover: Option<ConnId>,
         deadline: Instant,
     ) -> Option<TcpMember> {
         let member_name = format!("MEM{:02}", system.0);
         while Instant::now() < deadline {
-            let attempt = (|| -> Result<TcpMember, ()> {
+            let mut attempt = || -> Result<TcpMember, ()> {
                 let remote = session(addr, system, seed).map_err(|_| ())?;
                 let lock = remote.connect_lock(LOCK_STRUCTURE).map_err(|_| ())?;
                 let cache = remote.connect_cache(CACHE_STRUCTURE, 1024).map_err(|_| ())?;
@@ -342,20 +339,23 @@ impl TcpMember {
                 // Restart recovery: the fresh Hello retired the dead
                 // incarnation before it was answered, so its slot is
                 // failed-persistent now. Purge its retained interest so the
-                // plex stops serializing against a ghost. Only this member
-                // recovers its own slot, so `BadConnector` means a retried
-                // command whose first try already landed.
+                // plex stops serializing against a ghost. Once it succeeds
+                // it is not sent again in this IPL: a later attempt is a
+                // new incarnation, whose re-send the server cannot
+                // recognise, and another connector may hold the slot by
+                // then. `BadConnector` means there is nothing left to
+                // recover.
                 if let Some(prior) = recover {
                     match lock.recovery_complete_for(prior) {
-                        Ok(()) | Err(CfError::BadConnector) => {}
+                        Ok(()) | Err(CfError::BadConnector) => recover = None,
                         Err(_) => return Err(()),
                     }
                 }
                 let xcf = remote.join(GROUP, &member_name).ok();
                 let pulse = remote.keepalive(Duration::from_millis(50));
                 Ok(TcpMember { remote, _pulse: pulse, xcf, lock, cache, list })
-            })();
-            match attempt {
+            };
+            match attempt() {
                 Ok(member) => return Some(member),
                 Err(()) => thread::sleep(Duration::from_millis(25)),
             }
@@ -905,10 +905,10 @@ mod tests {
     }
 
     /// Through a proxy that loses every response to it, one CF command of
-    /// a member's session reaches the server at most [`SEND_BUDGET`]
-    /// times: the session is the only place it is retried.
+    /// a member's session is sent [`SEND_BUDGET`] times and served once:
+    /// every re-send is answered from the server's stored reply.
     #[test]
-    fn a_lost_command_reaches_the_server_at_most_budget_times() {
+    fn a_lost_command_is_served_once_however_often_it_is_sent() {
         use crate::chaos::WireFault;
         use sysplex_core::connection::CommandClass;
 
@@ -926,8 +926,67 @@ mod tests {
         let before = issued();
         let err = lock.request_lock(1, LockMode::Exclusive).unwrap_err();
         assert!(matches!(err, CfError::LinkTimeout(_)), "got {err:?}");
-        assert_eq!(issued() - before, u64::from(SEND_BUDGET), "one command, at most the budget of sends");
+        assert_eq!(issued() - before, 1, "one command, served once");
         assert_eq!(proxy.applied().len(), SEND_BUDGET as usize, "every response to it was lost");
+    }
+
+    /// Through a proxy that sends every request twice and loses the first
+    /// answer to each, a session's commands are each served once: the
+    /// second copy is answered from the reply to the first.
+    #[test]
+    fn duplicated_requests_with_lost_first_answers_are_served_once() {
+        use crate::chaos::WireFault;
+        use sysplex_core::connection::CommandClass;
+
+        const N: u64 = 8;
+        let rig = rig(Duration::from_secs(5));
+        // Frames 0..=3: Hello and the admission pulse. From frame 4 each
+        // command is three frames: the request (sent twice), the answer
+        // to the first copy (lost) and the answer to the second.
+        let commands = 2 + 2 * N;
+        let plan = (0..commands).fold(ChaosPlan::new(), |p, i| {
+            p.at(4 + 3 * i, WireFault::Duplicate).at(5 + 3 * i, WireFault::Drop)
+        });
+        let proxy = ChaosProxy::start(rig.server.local_addr(), plan).unwrap();
+        let remote = session(&proxy.addr().to_string(), SystemId::new(1), 0xD0B1).unwrap();
+        let lock = remote.connect_lock(LOCK_STRUCTURE).unwrap();
+        let list = remote.connect_list(LIST_STRUCTURE, LIST_HEADERS).unwrap();
+        for i in 0..N {
+            assert!(lock.request_lock(i as usize, LockMode::Exclusive).unwrap().is_granted());
+            list.enqueue(0, i, b"history", WritePosition::Tail, LockCondition::None).unwrap();
+        }
+        assert_eq!(proxy.applied().len() as u64, 2 * commands, "every planned fault hit");
+        assert_eq!(list.header_len(0).unwrap() as u64, N, "one entry per enqueue");
+        let served = rig.cf.command_stats();
+        assert_eq!(served.class(CommandClass::LockRequest).issued.get(), N);
+        for class in CommandClass::ALL {
+            let sent = remote.meter().stats().class(class).issued.get();
+            assert_eq!(served.class(class).issued.get(), sent, "{} served as often as sent", class.name());
+        }
+    }
+
+    /// A poll whose answer is lost has dequeued its signal; the re-sent
+    /// poll is answered with that signal, so the signal is not lost.
+    #[test]
+    fn a_lost_poll_answer_loses_no_signal() {
+        use crate::chaos::WireFault;
+        use sysplex_services::xcf::XcfItem;
+
+        let rig = rig(Duration::from_secs(5));
+        let local = rig.plex.xcf.join(GROUP, "LOCAL", SystemId::new(0)).unwrap();
+        // Frames 0..=3: Hello and the admission pulse; 4 and 5: the join;
+        // 6: the poll; 7: its answer, lost.
+        let proxy =
+            ChaosProxy::start(rig.server.local_addr(), ChaosPlan::new().at(7, WireFault::Drop)).unwrap();
+        let remote = session(&proxy.addr().to_string(), SystemId::new(1), 0x9011).unwrap();
+        let member = remote.join(GROUP, "REMOTE").unwrap();
+        local.send_to("REMOTE", b"first").unwrap();
+        local.send_to("REMOTE", b"second").unwrap();
+        match member.try_recv().unwrap() {
+            Some(XcfItem::Message { payload, .. }) => assert_eq!(payload, b"first"),
+            other => panic!("the first signal was lost: {other:?}"),
+        }
+        assert_eq!(proxy.applied(), [(7, WireFault::Drop)]);
     }
 
     /// A member fenced while its session was live learns it from one
@@ -974,8 +1033,8 @@ mod tests {
             time_to_fence_us: 123,
             time_to_readmit_us: 456,
             capacity_floor_ok: true,
-            oracle_clean: true,
-            violations: vec![],
+            oracle_clean: false,
+            violations: vec!["lock exclusivity:\n\tgranted to \"conn 2\"".into()],
             chaos_plan: "SYS01: ChaosPlan::new()".into(),
             smf_members: 3,
             smf_records: 6,
@@ -1003,6 +1062,8 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
+        assert!(json.contains(r#""violations": ["lock exclusivity:\n\tgranted to \"conn 2\""]"#), "{json}");
+        assert!(!json.chars().any(char::is_control), "raw control character in {json}");
         assert!(scenarios_json(&[o]).starts_with("[\n"));
     }
 

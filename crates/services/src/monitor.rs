@@ -181,7 +181,7 @@ pub struct Totals {
 /// Schema version stamped into every JSON document this workspace emits
 /// (`BENCH_*.json`, merged RMF reports). Bump when a field is renamed,
 /// retyped, or removed — additions are compatible and do not bump it.
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// The sysplex-wide half of a merged report: every member's shipped SMF
 /// totals plus the per-class sysplex rollup with latency decomposition.
@@ -215,17 +215,15 @@ impl SysplexSection {
     /// Whether one member's shipped books balance.
     ///
     /// Always required: every class row is
-    /// [`balanced`](ClassSnapshot::balanced), and the trace ring satisfies
-    /// `retained == emitted − dropped`. Once the member's **final** record
-    /// arrived (its books are complete), the tunnel is reconciled against
-    /// the server's service clock too, per class: a faulted command may
-    /// have died on the wire (the server saw fewer) and a redialled one
-    /// may have run twice (the server saw more), so the server dispatched
-    /// at least `issued − faulted` and at most `issued + wire_retries` —
-    /// with no faults and no retries, *exactly* the commands issued.
+    /// [`balanced`](ClassSnapshot::balanced). Once the member's **final**
+    /// record arrived (its books are complete), the tunnel is reconciled
+    /// against the server's service clock too, per class: a faulted
+    /// command may have died on the wire (the server saw fewer), and a
+    /// re-sent one is answered, not served again, so the server dispatched
+    /// at least `issued − faulted` and at most `issued` — with no faults,
+    /// *exactly* the commands issued.
     pub fn member_reconciles(m: &MemberLedger) -> bool {
         let classes_ok = m.classes.iter().all(|(_, t)| t.member.balanced());
-        let trace_ok = m.trace_retained == m.trace_emitted.saturating_sub(m.trace_dropped);
         // Books still open (tail interval unshipped), shipped in-process
         // with no serving session to meter the other side of the tunnel,
         // or a crashed incarnation lost intervals for good: nothing sound
@@ -233,10 +231,9 @@ impl SysplexSection {
         let unmatched = !m.final_seen || !m.served_metered || m.interrupted;
         let tunnel_ok = unmatched
             || m.classes.iter().all(|(_, MemberClassTotals { member, served, .. })| {
-                (member.issued.saturating_sub(member.faulted)..=member.issued + m.wire_retries)
-                    .contains(served)
+                (member.issued.saturating_sub(member.faulted)..=member.issued).contains(served)
             });
-        classes_ok && trace_ok && tunnel_ok
+        classes_ok && tunnel_ok
     }
 
     /// Whether every member's books balance ([`SysplexSection::member_reconciles`]).
@@ -292,8 +289,7 @@ impl SysplexSection {
             out.push_str(&format!(
                 "{{\"system\": {}, \"name\": {}, \"departed\": {}, \"final_interval_seen\": {}, \
                  \"interrupted\": {}, \
-                 \"records_shipped\": {}, \"records_evicted\": {}, \"wire_retries\": {}, \
-                 \"trace_emitted\": {}, \"trace_dropped\": {}, \"trace_retained\": {}, \
+                 \"records_shipped\": {}, \"records_evicted\": {}, \
                  \"interval_us\": {}, \"reconciled\": {}, \"classes\": [",
                 m.system,
                 json_str(&m.name),
@@ -302,10 +298,6 @@ impl SysplexSection {
                 m.interrupted,
                 m.records_shipped,
                 m.records_evicted,
-                m.wire_retries,
-                m.trace_emitted,
-                m.trace_dropped,
-                m.trace_retained,
                 m.interval_us,
                 SysplexSection::member_reconciles(m)
             ));
@@ -622,8 +614,8 @@ impl fmt::Display for ActivityReport {
             writeln!(f, "SYSPLEX MEMBERS (merged SMF records)")?;
             writeln!(
                 f,
-                "  {:<8} {:<12} {:<8} {:>7} {:>8} {:>7}  latency decomposition (p95 µs)",
-                "system", "member", "state", "records", "issued", "retries"
+                "  {:<8} {:<12} {:<8} {:>7} {:>8}  latency decomposition (p95 µs)",
+                "system", "member", "state", "records", "issued"
             )?;
             for m in &sx.members {
                 let issued: u64 = m.classes.iter().map(|(_, t)| t.member.issued).sum();
@@ -639,13 +631,12 @@ impl fmt::Display for ActivityReport {
                 }
                 writeln!(
                     f,
-                    "  SYS{:02}    {:<12} {:<8} {:>7} {:>8} {:>7}  {}",
+                    "  SYS{:02}    {:<12} {:<8} {:>7} {:>8}  {}",
                     m.system,
                     m.name,
                     if m.departed { "departed" } else { "active" },
                     m.records_shipped,
                     issued,
-                    m.wire_retries,
                     decomp
                 )?;
             }
@@ -1263,8 +1254,7 @@ mod tests {
     const PINNED_SECTION: &str = concat!(
         r#"{"member_count": 2, "departed_count": 2, "members": [{"system": 1, "name": "SYSA", "#,
         r#""departed": true, "final_interval_seen": true, "interrupted": true, "records_shipped": 2, "#,
-        r#""records_evicted": 0, "wire_retries": 3, "trace_emitted": 0, "trace_dropped": 0, "#,
-        r#""trace_retained": 0, "interval_us": 100000, "reconciled": true, "#,
+        r#""records_evicted": 0, "interval_us": 100000, "reconciled": true, "#,
         r#""classes": [{"name": "lock-request", "issued": 5, "sync": 5, "async_converted": 0, "#,
         r#""faulted": 1, "served": 4, "observed_p50_us": 32, "observed_p95_us": 900, "#,
         r#""observed_p99_us": 900, "service_p50_us": 8, "service_p95_us": 8, "service_p99_us": 8, "#,
@@ -1276,8 +1266,7 @@ mod tests {
         r#""contentions": 0, "force_interests": 0, "faulted": 0}, {"name": "IRLM1", "requests": 5, "#,
         r#""contentions": 1, "force_interests": 1, "faulted": 1}]}, {"system": 2, "name": "SYSB", "#,
         r#""departed": true, "final_interval_seen": true, "interrupted": false, "records_shipped": 1, "#,
-        r#""records_evicted": 0, "wire_retries": 0, "trace_emitted": 0, "trace_dropped": 0, "#,
-        r#""trace_retained": 0, "interval_us": 50000, "reconciled": true, "#,
+        r#""records_evicted": 0, "interval_us": 50000, "reconciled": true, "#,
         r#""classes": [{"name": "lock-request", "issued": 4, "sync": 4, "async_converted": 0, "#,
         r#""faulted": 0, "served": 4, "observed_p50_us": 16, "observed_p95_us": 16, "#,
         r#""observed_p99_us": 16, "service_p50_us": 4, "service_p95_us": 6, "service_p99_us": 6, "#,
@@ -1316,18 +1305,14 @@ mod tests {
             force_interests,
             faulted,
         };
-        let record = |system, member: &str, final_interval, wire_retries, classes, structures| SmfRecord {
+        let record = |system, member: &str, final_interval, classes, structures| SmfRecord {
             system,
             member: member.into(),
             seq: 0,
             interval_us: 50_000,
             final_interval,
-            wire_retries,
             classes,
             structures,
-            trace_emitted: 0,
-            trace_dropped: 0,
-            trace_retained: 0,
         };
         let (lock, write) = (CommandClass::LockRequest, CommandClass::CacheWrite);
 
@@ -1337,14 +1322,14 @@ mod tests {
         let classes =
             vec![(lock, row(3, 3, 1, &[20_000, 30_000, 900_000])), (write, row(2, 1, 0, &[40_000, 700_000]))];
         let structures = vec![structure("IRLM1", 3, 1, 1, 1), structure("GBP0", 2, 0, 0, 0)];
-        store.ship_keyed(100, record(1, "SYSA", false, 2, classes, structures));
+        store.ship(record(1, "SYSA", false, classes, structures));
         // ...and its re-IPL ships a final record; SYSB lives one clean life.
         store.mark_admitted(1, "SYSA");
         let classes = vec![(lock, row(2, 2, 0, &[25_000, 35_000]))];
-        store.ship_keyed(200, record(1, "SYSA", true, 1, classes, vec![structure("IRLM1", 2, 0, 0, 0)]));
+        store.ship(record(1, "SYSA", true, classes, vec![structure("IRLM1", 2, 0, 0, 0)]));
         store.mark_admitted(2, "SYSB");
         let classes = vec![(lock, row(4, 4, 0, &[10_000, 12_000, 14_000, 16_000]))];
-        store.ship_keyed(300, record(2, "SYSB", true, 0, classes, vec![structure("IRLM1", 4, 2, 0, 0)]));
+        store.ship(record(2, "SYSB", true, classes, vec![structure("IRLM1", 4, 2, 0, 0)]));
         for (system, class, us) in
             [(1, lock, 5), (1, lock, 6), (1, lock, 7), (1, lock, 8), (1, write, 30), (1, write, 300)]
         {
@@ -1355,6 +1340,46 @@ mod tests {
         }
 
         assert_eq!(SysplexSection::from_store(&store).to_json(), PINNED_SECTION);
+    }
+
+    /// A re-sent command is answered from the server's stored reply, not
+    /// served again, so the server serving more than the member issued
+    /// is a fault in the books: there is no retry slack left to hide it.
+    #[test]
+    fn a_server_that_served_more_than_was_issued_fails_the_books() {
+        use sysplex_core::stats::Histogram;
+        use sysplex_core::wire::SmfRecord;
+
+        let books = |served: u64| {
+            let h = Histogram::new();
+            (0..2).for_each(|_| h.record_ns(10_000));
+            let store = SmfStore::new();
+            store.mark_admitted(3, "SYSC");
+            store.ship(SmfRecord {
+                system: 3,
+                member: "SYSC".into(),
+                seq: 0,
+                interval_us: 1_000,
+                final_interval: true,
+                classes: vec![(
+                    CommandClass::LockRequest,
+                    ClassSnapshot {
+                        issued: 2,
+                        sync: 2,
+                        async_converted: 0,
+                        faulted: 0,
+                        latency: h.snapshot(),
+                    },
+                )],
+                structures: Vec::new(),
+            });
+            for _ in 0..served {
+                store.observe_service(3, CommandClass::LockRequest, Duration::from_micros(4));
+            }
+            SysplexSection::member_reconciles(&store.ledgers()[0])
+        };
+        assert!(books(2), "served exactly what was issued");
+        assert!(!books(3), "one command served twice");
     }
 
     #[test]
@@ -1370,7 +1395,6 @@ mod tests {
             seq: 0,
             interval_us: 1_000,
             final_interval: false,
-            wire_retries: 0,
             classes: Vec::new(),
             structures: vec![SmfStructureRow {
                 name: "Q\"\u{7f}\\".into(),
@@ -1379,9 +1403,6 @@ mod tests {
                 force_interests: 0,
                 faulted: 0,
             }],
-            trace_emitted: 0,
-            trace_dropped: 0,
-            trace_retained: 0,
         });
 
         let plex = Sysplex::new(SysplexConfig::functional("ESCPLEX"));

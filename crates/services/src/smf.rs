@@ -57,22 +57,8 @@ struct MemberSlot {
     /// just the retained window).
     classes: ConnectionSnapshot,
     structure_totals: HashMap<String, SmfStructureRow>,
-    /// Cumulative values carried in each record; the latest wins. The
-    /// three trace words are zero from every member today (none runs a
-    /// local tracer); the handling is kept for ROADMAP item 6.
-    wire_retries: u64,
-    trace_emitted: u64,
-    trace_dropped: u64,
-    trace_retained: u64,
     /// Sum of shipped interval lengths.
     interval_us: u64,
-    /// (incarnation, seq) of the last keyed ship, for retry dedup.
-    last_key: Option<(u64, u32)>,
-    /// Wire retries closed out by finished incarnations; `wire_retries`
-    /// is this plus the live incarnation's cumulative count.
-    retries_base: u64,
-    /// The live incarnation's cumulative retry count (latest wins).
-    retries_live: u64,
 }
 
 impl MemberSlot {
@@ -110,14 +96,6 @@ pub struct MemberLedger {
     pub records_shipped: u64,
     /// Raw records evicted (totals were accumulated first; nothing lost).
     pub records_evicted: u64,
-    /// Latest cumulative wire-level redial count the member reported.
-    pub wire_retries: u64,
-    /// Latest cumulative trace-ring accounting the member reported.
-    pub trace_emitted: u64,
-    /// Trace records overwritten before being read.
-    pub trace_dropped: u64,
-    /// Trace records still addressable (`emitted - dropped`).
-    pub trace_retained: u64,
     /// Sum of shipped interval lengths, µs.
     pub interval_us: u64,
     /// Accumulated member-observed per-class activity (only classes with
@@ -247,34 +225,8 @@ impl SmfStore {
     /// totals, then retain the raw record (evicting the oldest past the
     /// cap). A `final_interval` record also marks the member departed.
     pub fn ship(&self, record: SmfRecord) {
-        self.ship_inner(None, record);
-    }
-
-    /// [`SmfStore::ship`] with retry dedup: a record whose
-    /// `(incarnation, seq)` equals the member's previous keyed ship is
-    /// dropped. The wire path uses the session's resume token as the
-    /// incarnation, so a member redialling mid-`SmfShip` (the server
-    /// processed the record but the response was lost) cannot
-    /// double-accumulate the interval.
-    pub fn ship_keyed(&self, incarnation: u64, record: SmfRecord) {
-        self.ship_inner(Some(incarnation), record);
-    }
-
-    fn ship_inner(&self, incarnation: Option<u64>, record: SmfRecord) {
         let mut members = self.members.lock();
         let slot = members.entry(record.system).or_insert_with(|| MemberSlot::new(&record.member));
-        if let Some(inc) = incarnation {
-            if slot.last_key == Some((inc, record.seq)) {
-                return; // a retry re-shipped the interval; already booked
-            }
-            if slot.last_key.is_some_and(|(prev, _)| prev != inc) {
-                // A new incarnation's first record: its retry counter
-                // restarts at zero, so close out the finished one.
-                slot.retries_base += slot.retries_live;
-                slot.retries_live = 0;
-            }
-            slot.last_key = Some((inc, record.seq));
-        }
         if !record.member.is_empty() {
             slot.name = record.member.clone();
         }
@@ -285,13 +237,6 @@ impl SmfStore {
             let named = || SmfStructureRow { name: s.name.clone(), ..SmfStructureRow::default() };
             slot.structure_totals.entry(s.name.clone()).or_insert_with(named).merge(s);
         }
-        // Cumulative-in-record fields: the latest record wins within an
-        // incarnation; retries sum across incarnations.
-        slot.retries_live = slot.retries_live.max(record.wire_retries);
-        slot.wire_retries = slot.retries_base + slot.retries_live;
-        slot.trace_emitted = slot.trace_emitted.max(record.trace_emitted);
-        slot.trace_dropped = slot.trace_dropped.max(record.trace_dropped);
-        slot.trace_retained = slot.trace_emitted.saturating_sub(slot.trace_dropped);
         slot.interval_us += record.interval_us;
         slot.shipped += 1;
         if record.final_interval {
@@ -355,10 +300,6 @@ impl SmfStore {
                 served_metered: sv.is_some(),
                 records_shipped: slot.shipped,
                 records_evicted: slot.evicted,
-                wire_retries: slot.wire_retries,
-                trace_emitted: slot.trace_emitted,
-                trace_dropped: slot.trace_dropped,
-                trace_retained: slot.trace_retained,
                 interval_us: slot.interval_us,
                 classes,
                 structures,
@@ -383,7 +324,6 @@ mod tests {
             seq,
             interval_us: 50_000,
             final_interval,
-            wire_retries: 0,
             classes: vec![(
                 CommandClass::LockRequest,
                 ClassSnapshot { issued, sync: issued, async_converted: 0, faulted: 0, latency: h.snapshot() },
@@ -395,9 +335,6 @@ mod tests {
                 force_interests: 0,
                 faulted: 0,
             }],
-            trace_emitted: 10 * (seq as u64 + 1),
-            trace_dropped: 2 * (seq as u64 + 1),
-            trace_retained: 8 * (seq as u64 + 1),
         }
     }
 
@@ -419,8 +356,6 @@ mod tests {
         assert_eq!(lock.member.latency.samples, 20);
         assert_eq!(l.structures[0].requests, 20);
         assert_eq!(l.structures[0].contentions, 5);
-        assert_eq!(l.trace_emitted, 50, "cumulative field: latest wins");
-        assert_eq!(l.trace_retained, 40);
         assert!(!l.departed);
     }
 
@@ -438,28 +373,17 @@ mod tests {
     }
 
     #[test]
-    fn keyed_ships_dedup_retries_and_sum_retries_across_incarnations() {
+    fn a_crashed_incarnation_interrupts_the_books_and_totals_keep_growing() {
         let store = SmfStore::new();
         store.mark_admitted(4, "SYSD");
-        let mut r = record(4, 0, 2, false);
-        r.wire_retries = 3;
-        store.ship_keyed(100, r.clone());
-        store.ship_keyed(100, r); // redial re-shipped the same interval
-        let l = &store.ledgers()[0];
-        assert_eq!(l.records_shipped, 1, "duplicate (incarnation, seq) dropped");
-        assert_eq!(l.classes[0].1.member.issued, 2);
-        assert_eq!(l.wire_retries, 3);
-
-        // A crash without a final record, then a fresh incarnation: its
-        // retry counter restarts, so the slot sums rather than maxes.
+        store.ship(record(4, 0, 2, false));
+        // A crash without a final record, then a fresh incarnation.
         store.mark_admitted(4, "SYSD");
-        let mut r2 = record(4, 0, 5, true);
-        r2.wire_retries = 1;
-        store.ship_keyed(200, r2);
+        store.ship(record(4, 0, 5, true));
         let l = &store.ledgers()[0];
         assert!(l.interrupted, "books were open when the new incarnation arrived");
         assert!(l.final_seen && l.departed);
-        assert_eq!(l.wire_retries, 4, "3 from the dead incarnation + 1 live");
+        assert_eq!(l.records_shipped, 2, "each incarnation's record is booked");
         assert_eq!(l.classes[0].1.member.issued, 7, "totals keep growing across incarnations");
     }
 

@@ -342,9 +342,12 @@ mod tests {
         let counter = Arc::new(AtomicU64::new(0));
         for _ in 0..100 {
             let c = Arc::clone(&counter);
-            s0.submit(move || {
-                c.fetch_add(1, Ordering::Relaxed);
-            })
+            s0.submit(
+                move || {
+                    c.fetch_add(1, Ordering::Relaxed);
+                },
+                drop,
+            )
             .unwrap();
         }
         let _s1 = p.ipl(SystemConfig::cmos(SystemId::new(1), 2));

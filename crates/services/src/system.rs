@@ -77,7 +77,11 @@ impl fmt::Display for SystemError {
 
 impl std::error::Error for SystemError {}
 
-type Job = Box<dyn FnOnce() + Send>;
+/// A dispatched unit: its work runs on a CPU and returns the reply, which
+/// the CPU runs only after it is idle again and has counted the unit, so
+/// whoever the reply wakes sees the finished work as finished, not as load.
+type Job = Box<dyn FnOnce() -> Reply + Send>;
+type Reply = Box<dyn FnOnce() + Send>;
 
 /// A running system image.
 pub struct System {
@@ -125,9 +129,10 @@ impl System {
                                 continue;
                             }
                             busy.fetch_add(1, Ordering::Relaxed);
-                            job();
+                            let reply = job();
                             busy.fetch_sub(1, Ordering::Relaxed);
                             completed.fetch_add(1, Ordering::Relaxed);
+                            reply();
                         }
                     })
                     .expect("spawn cpu worker"),
@@ -157,8 +162,14 @@ impl System {
         }
     }
 
-    /// Dispatch a unit of work onto this system's CPUs.
-    pub fn submit(&self, job: impl FnOnce() + Send + 'static) -> Result<(), SystemError> {
+    /// Dispatch a unit of work onto this system's CPUs. `reply` gets the
+    /// work's result once the CPU that ran it is idle and the unit is
+    /// counted in [`completed`](System::completed).
+    pub fn submit<R: Send + 'static>(
+        &self,
+        work: impl FnOnce() -> R + Send + 'static,
+        reply: impl FnOnce(R) + Send + 'static,
+    ) -> Result<(), SystemError> {
         if self.state() != SystemState::Active {
             return Err(SystemError::NotAccepting(self.state()));
         }
@@ -166,7 +177,11 @@ impl System {
         match tx.as_ref() {
             Some(tx) => {
                 self.queued.fetch_add(1, Ordering::Relaxed);
-                tx.send(Box::new(job)).expect("workers alive while sender held");
+                let job: Job = Box::new(move || {
+                    let result = work();
+                    Box::new(move || reply(result))
+                });
+                tx.send(job).expect("workers alive while sender held");
                 Ok(())
             }
             None => Err(SystemError::NotAccepting(self.state())),
@@ -179,8 +194,8 @@ impl System {
         job: impl FnOnce() -> R + Send + 'static,
     ) -> Result<R, SystemError> {
         let (tx, rx) = crossbeam::channel::bounded(1);
-        self.submit(move || {
-            let _ = tx.send(job());
+        self.submit(job, move |result| {
+            let _ = tx.send(result);
         })?;
         Ok(rx.recv().expect("job completes"))
     }
@@ -245,10 +260,27 @@ mod tests {
     fn executes_submitted_work() {
         let s = two_cpu();
         assert_eq!(s.execute(|| 6 * 7).unwrap(), 42);
-        // The worker bumps `completed` after the job's result is delivered,
-        // so the counter can lag execute() by a beat.
+        assert_eq!(s.completed(), 1, "counted before the result was delivered");
         s.quiesce();
-        assert_eq!(s.completed(), 1);
+    }
+
+    /// The reply runs after its CPU went idle and counted the unit: a
+    /// caller woken by it (a routed transaction's waiter, then a WLM
+    /// tick) never reads the finished unit as load.
+    #[test]
+    fn a_reply_runs_after_its_cpu_is_idle_and_counted() {
+        let s = System::ipl(SystemConfig::cmos(SystemId::new(3), 1));
+        let (tx, rx) = crossbeam::channel::bounded(1);
+        let seen = Arc::clone(&s);
+        s.submit(
+            || 6 * 7,
+            move |answer| {
+                let _ = tx.send((answer, seen.utilization(), seen.completed()));
+            },
+        )
+        .unwrap();
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)).unwrap(), (42, 0.0, 1));
+        s.quiesce();
     }
 
     #[test]
@@ -262,13 +294,16 @@ mod tests {
             let concurrent = Arc::clone(&concurrent);
             let peak = Arc::clone(&peak);
             let done = done_tx.clone();
-            s.submit(move || {
-                let now = concurrent.fetch_add(1, Ordering::SeqCst) + 1;
-                peak.fetch_max(now, Ordering::SeqCst);
-                std::thread::sleep(Duration::from_millis(5));
-                concurrent.fetch_sub(1, Ordering::SeqCst);
-                let _ = done.send(());
-            })
+            s.submit(
+                move || {
+                    let now = concurrent.fetch_add(1, Ordering::SeqCst) + 1;
+                    peak.fetch_max(now, Ordering::SeqCst);
+                    std::thread::sleep(Duration::from_millis(5));
+                    concurrent.fetch_sub(1, Ordering::SeqCst);
+                    let _ = done.send(());
+                },
+                drop,
+            )
             .unwrap();
         }
         for _ in 0..32 {
@@ -285,15 +320,18 @@ mod tests {
         let count = Arc::new(AtomicU64::new(0));
         for _ in 0..50 {
             let count = Arc::clone(&count);
-            s.submit(move || {
-                count.fetch_add(1, Ordering::Relaxed);
-            })
+            s.submit(
+                move || {
+                    count.fetch_add(1, Ordering::Relaxed);
+                },
+                drop,
+            )
             .unwrap();
         }
         s.quiesce();
         assert_eq!(count.load(Ordering::Relaxed), 50, "all queued work ran before stop");
         assert_eq!(s.state(), SystemState::Stopped);
-        assert!(matches!(s.submit(|| {}), Err(SystemError::NotAccepting(SystemState::Stopped))));
+        assert!(matches!(s.submit(|| {}, drop), Err(SystemError::NotAccepting(SystemState::Stopped))));
     }
 
     #[test]
@@ -302,19 +340,25 @@ mod tests {
         let gate = Arc::new(AtomicU8::new(0));
         {
             let gate = Arc::clone(&gate);
-            s.submit(move || {
-                while gate.load(Ordering::Acquire) == 0 {
-                    std::thread::yield_now();
-                }
-            })
+            s.submit(
+                move || {
+                    while gate.load(Ordering::Acquire) == 0 {
+                        std::thread::yield_now();
+                    }
+                },
+                drop,
+            )
             .unwrap();
         }
         let ran = Arc::new(AtomicU64::new(0));
         for _ in 0..10 {
             let ran = Arc::clone(&ran);
-            s.submit(move || {
-                ran.fetch_add(1, Ordering::Relaxed);
-            })
+            s.submit(
+                move || {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                },
+                drop,
+            )
             .unwrap();
         }
         s.fail();
@@ -328,7 +372,7 @@ mod tests {
         // 10 queued jobs, plus possibly the gate job itself if the worker
         // had not yet dispatched it when fail() landed.
         assert!(s.discarded() >= 10, "discarded {}", s.discarded());
-        assert!(matches!(s.submit(|| {}), Err(SystemError::NotAccepting(SystemState::Failed))));
+        assert!(matches!(s.submit(|| {}, drop), Err(SystemError::NotAccepting(SystemState::Failed))));
     }
 
     #[test]
@@ -338,11 +382,14 @@ mod tests {
         let gate = Arc::new(AtomicU8::new(0));
         for _ in 0..2 {
             let gate = Arc::clone(&gate);
-            s.submit(move || {
-                while gate.load(Ordering::Acquire) == 0 {
-                    std::thread::yield_now();
-                }
-            })
+            s.submit(
+                move || {
+                    while gate.load(Ordering::Acquire) == 0 {
+                        std::thread::yield_now();
+                    }
+                },
+                drop,
+            )
             .unwrap();
         }
         let deadline = std::time::Instant::now() + Duration::from_secs(5);

@@ -35,6 +35,9 @@
 //! the CF endpoints detach abnormally (held locks become failed-persistent
 //! retained locks) and the XCF members leave. A frame being served
 //! finishes first, and none is served after — the crash-stop rule. The
+//! member numbers its requests per session, and the incarnation keeps its
+//! last answer: a request sent again under that number, after a lost
+//! answer and a resume, is answered from it and not served twice. The
 //! server's accept loop keeps sweeping
 //! [`HeartbeatMonitor::check_once`](crate::heartbeat::HeartbeatMonitor::check_once),
 //! so the overdue pulse of a member that never comes back runs the
@@ -287,6 +290,10 @@ struct IncarnationState {
     /// `None` after an unclean end until a resume, and for good once
     /// retired.
     live: Option<(u64, TcpStream)>,
+    /// The number of the last request served and its answer: a request
+    /// sent again under that number is answered from here, not served
+    /// again.
+    last: Option<(u32, SxResponse)>,
     /// XCF members by the handle `Joined` gave out.
     members: HashMap<u32, XcfMember>,
     next_handle: u32,
@@ -350,7 +357,12 @@ impl Registry {
             system,
             token: self.next_id(),
             transport: InProcessTransport::new(cf),
-            state: Mutex::new(IncarnationState { live: Some(live), members: HashMap::new(), next_handle: 1 }),
+            state: Mutex::new(IncarnationState {
+                live: Some(live),
+                last: None,
+                members: HashMap::new(),
+                next_handle: 1,
+            }),
         });
         incarnations.insert(system, Arc::clone(&inc));
         Ok(inc)
@@ -541,7 +553,14 @@ fn serve_session(sv: &Served, stream: TcpStream) {
                 if !state.serves(session) {
                     break;
                 }
-                serve(sv, inc, &mut state, req)
+                match &state.last {
+                    Some((served, answer)) if *served == seq => answer.clone(),
+                    _ => {
+                        let answer = serve(sv, inc, &mut state, req);
+                        state.last = Some((seq, answer.clone()));
+                        answer
+                    }
+                }
             }
         };
         if respond(&mut link, seq, &resp).is_err() {
@@ -648,9 +667,7 @@ fn serve(sv: &Served, inc: &Incarnation, state: &mut IncarnationState, req: SxRe
             record.system, inc.system.0
         )),
         SxRequest::SmfShip(record) => {
-            // Keyed by the resume token: a retried ship after a link
-            // fault cannot double-accumulate the interval.
-            sv.smf.ship_keyed(inc.token, record);
+            sv.smf.ship(record);
             SxResponse::Ok
         }
         SxRequest::Hello { .. } | SxRequest::Goodbye | SxRequest::SmfPull { .. } => {
@@ -678,24 +695,26 @@ struct Reconnector {
     rpc_timeout: Duration,
 }
 
-/// One envelope exchange: `req` out, the response that answers it back.
-fn exchange(link: &mut FrameStream<TcpStream>, req: &SxRequest) -> Result<SxResponse, SxError> {
-    let body = link.call(|w| req.encode_into(w)).map_err(SxError::Io)?;
+/// One envelope exchange: `req` out under number `seq`, the response that
+/// answers it back.
+fn exchange(link: &mut FrameStream<TcpStream>, seq: u32, req: &SxRequest) -> Result<SxResponse, SxError> {
+    let body = link.call(seq, |w| req.encode_into(w)).map_err(SxError::Io)?;
     SxResponse::decode(body)
         .map_err(|e| SxError::Io(io::Error::new(io::ErrorKind::InvalidData, e.to_string())))
 }
 
-/// Run the admission handshake on a fresh stream; returns the session's
-/// resume token.
+/// Run the admission handshake on a fresh stream, the `Hello` numbered
+/// `seq`; returns the session's resume token.
 fn handshake(
     link: &mut FrameStream<TcpStream>,
+    seq: u32,
     system: SystemId,
     name: &str,
     mips_bits: u64,
     resume: Option<u64>,
 ) -> Result<u64, SxError> {
     let hello = SxRequest::Hello { system, name: name.to_string(), mips_bits, resume };
-    match exchange(link, &hello)? {
+    match exchange(link, seq, &hello)? {
         SxResponse::Admitted { token } => Ok(token),
         SxResponse::Fenced(msg) => Err(SxError::Fenced(msg)),
         SxResponse::Denied(msg) => Err(SxError::Denied(msg)),
@@ -703,9 +722,27 @@ fn handshake(
     }
 }
 
+/// A session's stream, while it has one, and the number its next request
+/// goes under. The numbers are the session's, not a stream's: a request
+/// sent again after a redial keeps the number of its first send, which is
+/// how the server tells the repeat from a new request.
+#[derive(Debug)]
+struct SessionLink {
+    stream: Option<FrameStream<TcpStream>>,
+    next_seq: u32,
+}
+
+impl SessionLink {
+    fn number(&mut self) -> u32 {
+        let seq = self.next_seq;
+        self.next_seq = seq.wrapping_add(1);
+        seq
+    }
+}
+
 #[derive(Debug)]
 struct Conn {
-    link: Mutex<Option<FrameStream<TcpStream>>>,
+    link: Mutex<SessionLink>,
     token: Mutex<Option<u64>>,
     /// `Some` for resilient sessions; `None` sessions fail on first fault.
     reconnect: Option<Reconnector>,
@@ -718,10 +755,11 @@ struct Conn {
 }
 
 impl Conn {
-    /// A non-resilient session over an already-admitted stream.
+    /// A non-resilient session over a stream admitted by a `Hello`
+    /// numbered 0.
     fn established(link: FrameStream<TcpStream>, token: u64) -> Conn {
         Conn {
-            link: Mutex::new(Some(link)),
+            link: Mutex::new(SessionLink { stream: Some(link), next_seq: 1 }),
             token: Mutex::new(Some(token)),
             reconnect: None,
             departed: AtomicBool::new(false),
@@ -729,9 +767,9 @@ impl Conn {
         }
     }
 
-    /// Dial + handshake, storing the admitted stream in `slot`.
-    fn establish(&self, slot: &mut Option<FrameStream<TcpStream>>) -> Result<(), SxError> {
-        if slot.is_some() {
+    /// Dial + handshake, storing the admitted stream in `link`.
+    fn establish(&self, link: &mut SessionLink) -> Result<(), SxError> {
+        if link.stream.is_some() {
             return Ok(());
         }
         let rc = self
@@ -741,11 +779,11 @@ impl Conn {
         let stream = TcpStream::connect(rc.addr.as_str()).map_err(SxError::Io)?;
         let _ = stream.set_nodelay(true);
         stream.set_read_timeout(Some(rc.rpc_timeout)).map_err(SxError::Io)?;
-        let mut link = FrameStream::new(stream);
+        let mut stream = FrameStream::new(stream);
         let resume = *self.token.lock();
-        let token = handshake(&mut link, rc.system, &rc.name, rc.mips_bits, resume)?;
+        let token = handshake(&mut stream, link.number(), rc.system, &rc.name, rc.mips_bits, resume)?;
         *self.token.lock() = Some(token);
-        *slot = Some(link);
+        link.stream = Some(stream);
         Ok(())
     }
 
@@ -757,37 +795,32 @@ impl Conn {
     /// retried up to the policy's budget of sends, re-dialing (and
     /// re-admitting with the resume token) as needed; `Fenced`/`Denied`
     /// answers are never retried. Without one, the first fault surfaces.
-    /// Nothing above the session retries a CF command, so this loop bounds
-    /// how often one can reach the server.
+    /// Every send carries the request's one number, so the server serves
+    /// it at most once and answers a repeat from its stored reply.
     fn rpc_inner(&self, req: &SxRequest, allow_departed: bool) -> Result<SxResponse, SxError> {
         if !allow_departed && self.departed.load(Ordering::Acquire) {
             return Err(SxError::Io(io::Error::new(io::ErrorKind::NotConnected, "member departed")));
         }
-        let mut slot = self.link.lock();
+        let mut link = self.link.lock();
+        let seq = link.number();
         let budget = self.reconnect.as_ref().map_or(1, |rc| rc.policy.budget());
         let mut attempt: u32 = 0;
         loop {
             let result = (|| {
-                self.establish(&mut slot)?;
-                exchange(slot.as_mut().expect("established"), req)
+                self.establish(&mut link)?;
+                exchange(link.stream.as_mut().expect("established"), seq, req)
             })();
             match result {
                 Ok(resp) => return Ok(resp),
                 Err(SxError::Io(e)) => {
                     // The stream is suspect: sever it so the next attempt
                     // re-dials and re-admits.
-                    if let Some(link) = slot.take() {
-                        let _ = link.get_ref().shutdown(Shutdown::Both);
+                    if let Some(stream) = link.stream.take() {
+                        let _ = stream.get_ref().shutdown(Shutdown::Both);
                     }
                     attempt += 1;
                     if attempt >= budget || self.reconnect.is_none() {
                         return Err(SxError::Io(e));
-                    }
-                    // A redialled CF command may execute on the server
-                    // without the member recording an outcome; note it so
-                    // tunnel reconciliation knows the books can diverge.
-                    if matches!(req, SxRequest::Cf(_)) {
-                        self.meter.note_retry();
                     }
                     if !allow_departed && self.departed.load(Ordering::Acquire) {
                         return Err(SxError::Io(e));
@@ -830,7 +863,7 @@ impl RemoteSysplex {
         let stream = TcpStream::connect(addr).map_err(SxError::Io)?;
         stream.set_nodelay(true).map_err(SxError::Io)?;
         let mut link = FrameStream::new(stream);
-        let token = handshake(&mut link, system, name, mips.to_bits(), None)?;
+        let token = handshake(&mut link, 0, system, name, mips.to_bits(), None)?;
         Ok(RemoteSysplex { conn: Arc::new(Conn::established(link, token)), system, name: name.to_string() })
     }
 
@@ -856,7 +889,7 @@ impl RemoteSysplex {
         rpc_timeout: Duration,
     ) -> Result<Self, SxError> {
         let conn = Conn {
-            link: Mutex::new(None),
+            link: Mutex::new(SessionLink { stream: None, next_seq: 0 }),
             token: Mutex::new(None),
             reconnect: Some(Reconnector {
                 addr: addr.to_string(),
@@ -1387,24 +1420,27 @@ mod tests {
 
         // First incarnation: admit, join a group.
         let mut s1 = dial(addr);
-        let token = handshake(&mut s1, sys, "SYSR", 100.0f64.to_bits(), None).unwrap();
-        let conn1 = Conn::established(s1, token);
-        let handle = match conn1.rpc(&SxRequest::XcfJoin { group: "G".into(), member: "R".into() }).unwrap() {
+        let token = handshake(&mut s1, 0, sys, "SYSR", 100.0f64.to_bits(), None).unwrap();
+        let conn = Conn::established(s1, token);
+        let handle = match conn.rpc(&SxRequest::XcfJoin { group: "G".into(), member: "R".into() }).unwrap() {
             SxResponse::Joined { handle } => handle,
             other => panic!("join failed: {other:?}"),
         };
         let local = plex.xcf.join("G", "LOCAL", sys_zero()).unwrap();
 
         // The link dies uncleanly; a peer sends while the member is away.
-        drop(conn1);
+        let dead = conn.link.lock().stream.take().expect("established");
+        dead.get_ref().shutdown(Shutdown::Both).unwrap();
         local.send_to("R", b"while-you-were-out").unwrap();
 
-        // Resume with the token on a fresh stream: the first attempt
-        // succeeds, whether or not the server has seen the old one end.
+        // Resume with the token on a fresh stream, numbering on: the first
+        // attempt succeeds, whether or not the server has seen the old one
+        // end.
         let mut s2 = dial(addr);
-        let t2 = handshake(&mut s2, sys, "SYSR", 100.0f64.to_bits(), Some(token)).expect("resume");
+        let hello = conn.link.lock().number();
+        let t2 = handshake(&mut s2, hello, sys, "SYSR", 100.0f64.to_bits(), Some(token)).expect("resume");
         assert_eq!(t2, token, "resume keeps the same token");
-        let conn2 = Conn::established(s2, t2);
+        conn.link.lock().stream = Some(s2);
 
         // Not double-counted: exactly one membership for "R", and the
         // pre-blip handle still addresses it.
@@ -1412,7 +1448,7 @@ mod tests {
         assert_eq!(members.iter().filter(|m| m.name == "R").count(), 1, "members: {members:?}");
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         loop {
-            match conn2.rpc(&SxRequest::XcfPoll { handle }).unwrap() {
+            match conn.rpc(&SxRequest::XcfPoll { handle }).unwrap() {
                 SxResponse::Item(Some(XcfItem::Message { from, payload })) => {
                     assert_eq!(from, "LOCAL");
                     assert_eq!(payload, b"while-you-were-out", "queue buffered across the blip");
@@ -1460,13 +1496,59 @@ mod tests {
 
         // The link dies without a Goodbye; the next command redials and
         // resumes, and the handle attached before the blip answers it.
-        let link = remote.conn.link.lock().take().expect("established");
+        let link = remote.conn.link.lock().stream.take().expect("established");
         link.get_ref().shutdown(Shutdown::Both).unwrap();
         assert!(lock.request_lock(6, LockMode::Exclusive).unwrap().is_granted());
         assert!(!structure.is_failed_persistent(lock.conn_id()), "the slot stays active");
         assert_eq!(structure.holders(5).1, Some(lock.conn_id()), "the lock held across the blip");
         lock.detach(sysplex_core::lock::DisconnectMode::Normal).unwrap();
         remote.goodbye().unwrap();
+    }
+
+    /// A recovery whose answer was lost is sent again under its number
+    /// after a resume, by which time its slot has been taken by another
+    /// connector that failed in turn. The re-send is answered from the
+    /// first send's reply: the later connector's retained lock stays.
+    #[test]
+    fn a_resent_recovery_leaves_the_next_tenant_of_its_slot_alone() {
+        use sysplex_core::lock::DisconnectMode;
+
+        let (_plex, structure, server) = served_lock_plex("REUSEPLEX");
+        let fail_holding = |entry| {
+            let conn = structure.connect().unwrap();
+            assert!(structure.request(conn, entry, LockMode::Exclusive).unwrap().is_granted());
+            structure.disconnect(conn, DisconnectMode::Abnormal).unwrap();
+            conn
+        };
+        let slot = fail_holding(3);
+
+        let sys = SystemId::new(2);
+        let mut link = dial(server.local_addr());
+        let token = handshake(&mut link, 0, sys, "SYS2", 0, None).unwrap();
+        let attach = SxRequest::Cf(WireRequest::AttachLock { structure: "L".into() });
+        let Ok(SxResponse::Cf(WireResponse::Attached { handle, .. })) = exchange(&mut link, 1, &attach)
+        else {
+            panic!("attach refused");
+        };
+        // The recovery is served, and its answer is lost with the link.
+        let recover = SxRequest::Cf(WireRequest::LockRecoveryComplete { handle, peer: slot });
+        link.send(2, |w| recover.encode_into(w)).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while structure.is_failed_persistent(slot) {
+            assert!(std::time::Instant::now() < deadline, "the recovery was never served");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(link);
+
+        // Another connector takes the freed slot and fails holding a lock.
+        assert_eq!(fail_holding(9), slot, "the next connector reuses the slot");
+
+        let mut link = dial(server.local_addr());
+        assert_eq!(handshake(&mut link, 3, sys, "SYS2", 0, Some(token)).unwrap(), token);
+        let answer = exchange(&mut link, 2, &recover).unwrap();
+        assert!(matches!(answer, SxResponse::Cf(ref resp) if !matches!(resp, WireResponse::Error(_))));
+        assert!(structure.is_failed_persistent(slot), "the later tenant is still awaiting recovery");
+        assert_eq!(structure.interest_entries(slot), [9], "its retained lock survives");
     }
 
     #[test]
@@ -1481,9 +1563,9 @@ mod tests {
 
         // A re-IPL of the same system while the first session is open.
         let mut s2 = dial(server.local_addr());
-        handshake(&mut s2, sys, "SYS4", 100.0f64.to_bits(), None).unwrap();
+        handshake(&mut s2, 0, sys, "SYS4", 100.0f64.to_bits(), None).unwrap();
         assert!(structure.is_failed_persistent(lock.conn_id()), "the old slot is retained");
-        let old = first.conn.link.lock().take().expect("established");
+        let old = first.conn.link.lock().stream.take().expect("established");
         old.get_ref().set_read_timeout(Some(Duration::from_secs(1))).unwrap();
         let mut byte = [0u8; 1];
         assert_eq!(old.get_ref().read(&mut byte).unwrap(), 0, "the old stream is closed");
@@ -1515,7 +1597,7 @@ mod tests {
         let sys = SystemId::new(7);
 
         let mut s1 = dial(addr);
-        let token = handshake(&mut s1, sys, "SYS7", 100.0f64.to_bits(), None).unwrap();
+        let token = handshake(&mut s1, 0, sys, "SYS7", 100.0f64.to_bits(), None).unwrap();
 
         // SFM isolates the member during its "partition".
         plex.kill(sys);
@@ -1524,7 +1606,7 @@ mod tests {
         // The zombie incarnation tries to resume: denied as fenced — this
         // is how it observes its own fence.
         let mut s2 = dial(addr);
-        match handshake(&mut s2, sys, "SYS7", 100.0f64.to_bits(), Some(token)) {
+        match handshake(&mut s2, 0, sys, "SYS7", 100.0f64.to_bits(), Some(token)) {
             Err(SxError::Fenced(_)) => {}
             other => panic!("expected Fenced, got {other:?}"),
         }
@@ -1532,7 +1614,7 @@ mod tests {
         // A fresh Hello is a re-IPL: the new incarnation is admitted and
         // the stale fence is lifted.
         let mut s3 = dial(addr);
-        let t3 = handshake(&mut s3, sys, "SYS7", 100.0f64.to_bits(), None).unwrap();
+        let t3 = handshake(&mut s3, 0, sys, "SYS7", 100.0f64.to_bits(), None).unwrap();
         assert_ne!(t3, token, "new incarnation, new token");
         assert!(!plex.farm.fence().is_fenced(7), "re-IPL lifts the fence");
         assert_eq!(plex.heartbeat.state_of(sys), Some(HealthState::Active));
@@ -1592,7 +1674,7 @@ mod tests {
                 link.send(seq, |w| answer.encode_into(w)).unwrap();
             }
         });
-        let resume = || handshake(&mut dial(addr), SystemId::new(1), "SYS1", 0, Some(9));
+        let resume = || handshake(&mut dial(addr), 0, SystemId::new(1), "SYS1", 0, Some(9));
         assert!(matches!(resume(), Err(SxError::Denied(m)) if m == "fenced off by policy"));
         assert!(matches!(resume(), Err(SxError::Fenced(m)) if m == "isolated"));
         server.join().unwrap();
@@ -1682,7 +1764,6 @@ mod tests {
             seq: 3,
             interval_us: 50_000,
             final_interval: true,
-            wire_retries: 2,
             classes: vec![(CommandClass::LockRequest, ClassSnapshot::default())],
             structures: vec![SmfStructureRow {
                 name: "IRLM1".into(),
@@ -1691,9 +1772,6 @@ mod tests {
                 force_interests: 0,
                 faulted: 0,
             }],
-            trace_emitted: 10,
-            trace_dropped: 4,
-            trace_retained: 6,
         };
         roundtrip_req(SxRequest::SmfShip(record.clone()));
         roundtrip_req(SxRequest::SmfPull { system: SystemId::new(7) });
@@ -1744,7 +1822,6 @@ mod tests {
         assert_eq!(a.name, "SYSA");
         assert!(a.departed && a.final_seen, "clean departure closes the books");
         assert!(a.served_metered);
-        assert_eq!(a.wire_retries, 0);
         // Clean books: the server dispatched exactly what the member
         // issued, per class — attach, requests, releases, detach.
         for (class, t) in &a.classes {

@@ -43,7 +43,6 @@ fn smf_record(name: &str, h: u32, n: u64, sel: u8) -> SmfRecord {
         seq: h,
         interval_us: n,
         final_interval: sel.is_multiple_of(2),
-        wire_retries: u64::from(sel),
         classes: vec![(CommandClass::LockRequest, row.clone()), (CommandClass::CacheWrite, row)],
         structures: vec![SmfStructureRow {
             name: format!("{name}-S"),
@@ -52,9 +51,6 @@ fn smf_record(name: &str, h: u32, n: u64, sel: u8) -> SmfRecord {
             force_interests: u64::from(h),
             faulted: u64::from(sel),
         }],
-        trace_emitted: n,
-        trace_dropped: n / 2,
-        trace_retained: n - n / 2,
     }
 }
 
@@ -183,25 +179,24 @@ const GOLD_H: u32 = 0x0102_0304;
 const GOLD_N: u64 = 0x1112_1314_1516_1718;
 const GOLD_SEL: u8 = 0xFD;
 
-/// `smf_record("GOLD1", GOLD_H, GOLD_N, GOLD_SEL).encode()`, captured at the last hand-written
-/// `SmfRecord` codec (PR 17, `SMF_RECORD_VERSION` 1).
+/// `smf_record("GOLD1", GOLD_H, GOLD_N, GOLD_SEL).encode()`: the bytes the last hand-written
+/// `SmfRecord` codec wrote (version 1), less the retry count and the three trace words version 2
+/// dropped, under version byte 2.
 const GOLDEN_SMF: &str = concat!(
-    "011d05000000474f4c443104030201181716151413121100fd0000000000000002001e1a1816141312110f0d0c0b8a09",
-    "89080f0d0c0b8a0989080100000000000000020405030201000000003d19171615141312111e1a181614131211484542",
-    "3f3c3936331817161514131211051e1a1816141312110f0d0c0b8a0989080f0d0c0b8a09890801000000000000000204",
-    "05030201000000003d19171615141312111e1a1816141312114845423f3c393633181716151413121101000000070000",
-    "00474f4c44312d531817161514131211c6854505c58444040403020100000000fd000000000000001817161514131211",
-    "8c0b8b0a8a0989088c0b8b0a8a098908",
+    "021d05000000474f4c44310403020118171615141312110002001e1a1816141312110f0d0c0b8a0989080f0d0c0b8a09",
+    "89080100000000000000020405030201000000003d19171615141312111e1a1816141312114845423f3c393633181716",
+    "1514131211051e1a1816141312110f0d0c0b8a0989080f0d0c0b8a098908010000000000000002040503020100000000",
+    "3d19171615141312111e1a1816141312114845423f3c39363318171615141312110100000007000000474f4c44312d53",
+    "1817161514131211c6854505c58444040403020100000000fd00000000000000",
 );
 
 /// The second record of the `SmfRecords` sample (`h + 1`, `n + 9`, `sel + 1`), same provenance.
 const GOLDEN_SMF_NEXT: &str = concat!(
-    "011e05000000474f4c443105030201211716151413121101fe000000000000000200261a181614131211130d0c0b8a09",
-    "8908130d0c0b8a0989080200000000000000020505030201000000003e2117161514131211261a181614131211634542",
-    "3f3c393633211716151413121105261a181614131211130d0c0b8a098908130d0c0b8a09890802000000000000000205",
-    "05030201000000003e2117161514131211261a1816141312116345423f3c393633211716151413121101000000070000",
-    "00474f4c44312d532117161514131211c8854505c58444040503020100000000fe000000000000002117161514131211",
-    "900b8b0a8a098908910b8b0a8a098908",
+    "021e05000000474f4c4431050302012117161514131211010200261a181614131211130d0c0b8a098908130d0c0b8a09",
+    "89080200000000000000020505030201000000003e2117161514131211261a1816141312116345423f3c393633211716",
+    "151413121105261a181614131211130d0c0b8a098908130d0c0b8a098908020000000000000002050503020100000000",
+    "3e2117161514131211261a1816141312116345423f3c39363321171615141312110100000007000000474f4c44312d53",
+    "2117161514131211c8854505c58444040503020100000000fe00000000000000",
 );
 
 /// Encodings of `request_samples("GOLD1", b"golden-bytes!", GOLD_H, GOLD_N,
@@ -269,5 +264,5 @@ fn every_envelope_tag_has_a_sample_and_golden_bytes() {
     let tags = |encoded: &[Vec<u8>]| encoded.iter().map(|b| b[0] as usize).collect::<BTreeSet<_>>();
     assert_eq!(tags(&requests), (0..SxRequest::COUNT).collect(), "one sample per request tag");
     assert_eq!(tags(&responses), (0..SxResponse::COUNT).collect(), "one sample per response tag");
-    assert_eq!(sysplex_core::wire::SMF_RECORD_VERSION, 1);
+    assert_eq!(sysplex_core::wire::SMF_RECORD_VERSION, 2);
 }

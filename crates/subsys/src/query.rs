@@ -98,9 +98,12 @@ impl ParallelQuery {
         let db = Arc::clone(&target.db);
         let job_tx = tx.clone();
         let retries = self.retries;
-        match target.system.submit(move || {
-            let _ = job_tx.send(scan_aggregate(&db, sub.from, sub.to, retries));
-        }) {
+        match target.system.submit(
+            move || scan_aggregate(&db, sub.from, sub.to, retries),
+            move |part| {
+                let _ = job_tx.send(part);
+            },
+        ) {
             Ok(()) => Ok(()),
             Err(_) => self.dispatch(sub, tx, attempt + 1),
         }

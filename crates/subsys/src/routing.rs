@@ -140,9 +140,12 @@ impl TransactionRouter {
             let (tx, rx) = bounded(1);
             let tran = tran.to_string();
             let region_for_job = Arc::clone(&region);
-            match region.system().submit(move || {
-                let _ = tx.send(region_for_job.execute_local(&tran));
-            }) {
+            match region.system().submit(
+                move || region_for_job.execute_local(&tran),
+                move |result| {
+                    let _ = tx.send(result);
+                },
+            ) {
                 Ok(()) => {
                     self.stats.routed.incr();
                     *self.per_system.lock().entry(system).or_insert(0) += 1;

@@ -172,11 +172,14 @@ fn heartbeats_and_utilization_flow_through_tick() {
         let gate = Arc::clone(&gate);
         s.regions[0]
             .system()
-            .submit(move || {
-                while gate.load(Ordering::Acquire) == 0 {
-                    std::thread::yield_now();
-                }
-            })
+            .submit(
+                move || {
+                    while gate.load(Ordering::Acquire) == 0 {
+                        std::thread::yield_now();
+                    }
+                },
+                drop,
+            )
             .unwrap();
     }
     // Let the busy worker be observed.

@@ -351,6 +351,45 @@ fn duplicated_responses_are_skipped_by_identity() {
     server.join().unwrap();
 }
 
+/// A request frame that arrives twice on one stream (the wire `Duplicate`
+/// fault) is served once: the second copy gets the first copy's answer,
+/// and the facility counts one command.
+#[test]
+fn a_duplicated_request_is_served_once() {
+    use parallel_sysplex::cf::CommandClass;
+
+    let cf = cf_with_lock();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = {
+        let cf = Arc::clone(&cf);
+        std::thread::spawn(move || {
+            serve_cf_stream(&InProcessTransport::new(&cf), listener.accept().unwrap().0)
+        })
+    };
+    let mut link = FrameStream::new(TcpStream::connect(addr).unwrap());
+    let attach = WireRequest::AttachLock { structure: "IRLM1".to_string() };
+    let handle = match WireResponse::decode(link.call(0, |w| attach.encode_into(w)).unwrap()).unwrap() {
+        WireResponse::Attached { handle, .. } => handle,
+        other => panic!("attach: {other:?}"),
+    };
+    let issued = || cf.command_stats().class(CommandClass::LockRequest).issued.get();
+    let before = issued();
+    let request = WireRequest::LockRequest { handle, entry: 5, mode: LockMode::Exclusive };
+    for _ in 0..2 {
+        link.send(1, |w| request.encode_into(w)).unwrap();
+    }
+    let mut answer = || {
+        let frame = link.recv().unwrap();
+        (frame.seq, frame.body().to_vec())
+    };
+    let first = answer();
+    assert_eq!(answer(), first, "the second copy is answered like the first");
+    assert_eq!(issued() - before, 1, "and served once");
+    drop(link);
+    server.join().unwrap().unwrap();
+}
+
 /// A server that answers each request one request late: the response to
 /// request N arrives after the client gave up on N and sent N+1. The
 /// late answer must be skipped and N+1 get its own.
