@@ -2,10 +2,10 @@
 //!
 //! §3.3.2's store-in model leaves committed pages as *changed data* in the
 //! CF until somebody writes them to DASD. In DB2 this is the castout
-//! engine; here a small per-member daemon sweeps periodically, and — once
-//! its member is idle — checkpoints the member's log, bounding both the
-//! group buffer's changed-data footprint and the log length recovery would
-//! have to scan.
+//! engine; here a small per-member daemon sweeps periodically, bounding the
+//! group buffer's changed-data footprint. The log length recovery would
+//! have to scan is bounded by the member itself: its last transaction to
+//! end truncates the log ([`Database`]'s commit and abort).
 
 use crate::database::Database;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -35,7 +35,8 @@ pub struct CastoutDaemon {
     handle: Option<JoinHandle<()>>,
     /// Pages destaged since start.
     pub pages_cast_out: Arc<AtomicU64>,
-    /// Log checkpoints taken since start.
+    /// The member's log truncations (its [`crate::log::LogManager`]'s
+    /// count, which the daemon only reports).
     pub checkpoints: Arc<AtomicU64>,
 }
 
@@ -44,20 +45,16 @@ impl CastoutDaemon {
     pub fn start(db: Arc<Database>, config: CastoutConfig) -> CastoutDaemon {
         let stop = Arc::new(AtomicBool::new(false));
         let pages = Arc::new(AtomicU64::new(0));
-        let checkpoints = Arc::new(AtomicU64::new(0));
+        let checkpoints = Arc::clone(db.log().truncations());
         let handle = {
             let stop = Arc::clone(&stop);
             let pages = Arc::clone(&pages);
-            let checkpoints = Arc::clone(&checkpoints);
             std::thread::Builder::new()
                 .name(format!("castout-{}", db.system()))
                 .spawn(move || {
                     while !stop.load(Ordering::Acquire) {
                         if let Ok(n) = db.buffers().castout(config.batch) {
                             pages.fetch_add(n as u64, Ordering::Relaxed);
-                        }
-                        if let Ok(true) = db.checkpoint_if_idle() {
-                            checkpoints.fetch_add(1, Ordering::Relaxed);
                         }
                         std::thread::sleep(config.interval);
                     }
@@ -135,15 +132,16 @@ mod tests {
     fn checkpoint_waits_for_open_transactions() {
         let g = group();
         let db = g.add_member(SystemId::new(0)).unwrap();
-        db.run(10, |db, txn| db.write(txn, 1, Some(b"x"))).unwrap();
-        assert!(db.log().durable_count() > 0);
-        // Hold a transaction open: checkpoint must refuse.
+        // Hold a writer open: the committed transaction stays in the log.
         let mut open = db.begin();
         db.write(&mut open, 2, Some(b"y")).unwrap();
-        assert!(!db.checkpoint_if_idle().unwrap());
+        db.run(10, |db, txn| db.write(txn, 1, Some(b"x"))).unwrap();
+        assert_eq!(db.log().durable_count(), 2, "its update and its commit record");
+        assert_eq!(db.log().truncations().load(Ordering::Relaxed), 0);
+        // The last one out truncates.
         db.commit(&mut open).unwrap();
-        assert!(db.checkpoint_if_idle().unwrap());
         assert_eq!(db.log().durable_count(), 0);
+        assert_eq!(db.log().truncations().load(Ordering::Relaxed), 1);
         g.remove_member(SystemId::new(0));
     }
 }

@@ -20,6 +20,10 @@
 //!   externalised, so no undo is needed. Undo *is* needed when a whole
 //!   system dies mid-commit — that is [`crate::recovery`]'s job, using the
 //!   log and the CF's retained locks.
+//!
+//! The last transaction to end on a member truncates its log (no I/O, see
+//! [`LogManager::checkpoint_if`]), so the log holds only the records of
+//! work in flight and of transactions that overlapped it.
 
 use crate::bufmgr::BufferManager;
 use crate::error::{DbError, DbResult};
@@ -100,7 +104,8 @@ pub struct Database {
     store: Arc<PageStore>,
     timer: Arc<SysplexTimer>,
     config: DbConfig,
-    /// Transactions begun but not yet committed/aborted (checkpoint gate).
+    /// Transactions begun but not yet committed/aborted (the log's
+    /// truncation gate).
     active_txns: AtomicU64,
     /// Published counters.
     pub stats: DbStats,
@@ -207,11 +212,14 @@ impl Database {
         self.active_txns.load(Ordering::Acquire)
     }
 
-    /// Checkpoint: truncate this member's log when no transaction is in
-    /// flight (everything durable belongs to completed transactions, which
-    /// never need backout). Run periodically by the castout daemon.
-    pub fn checkpoint_if_idle(&self) -> DbResult<bool> {
-        self.log.checkpoint_if(|| self.active_txns.load(Ordering::Acquire) == 0)
+    /// Count a transaction's end. The last one out truncates the log:
+    /// everything in it then belongs to completed transactions, which never
+    /// need backout. The log checks idleness again under its latch, so a
+    /// transaction that begins meanwhile appends into the new cycle.
+    fn end(&self) {
+        if self.active_txns.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.log.checkpoint_if(|| self.active_txns.load(Ordering::Acquire) == 0);
+        }
     }
 
     /// Wait for `mode` on `resource` up to the configured lock timeout.
@@ -287,7 +295,7 @@ impl Database {
                 Err(e)
             }
         };
-        self.active_txns.fetch_sub(1, Ordering::AcqRel);
+        self.end();
         result
     }
 
@@ -370,19 +378,23 @@ impl Database {
     }
 
     /// Abort: nothing was externalised, so just drop the workspace and the
-    /// locks (logging the abort for the record).
+    /// locks (logging the abort for the record). The locks go and the
+    /// transaction ends whatever the force did; the first error is
+    /// surfaced.
     pub fn abort(&self, txn: &mut Txn) -> DbResult<()> {
         Self::check_open(txn)?;
         txn.complete = true;
-        if !txn.writes.is_empty() {
+        let forced = if txn.writes.is_empty() {
+            Ok(())
+        } else {
             self.log.append(LogRecord::Abort { lsn: self.timer.tod(), txn: txn.id });
-            self.log.force()?;
-        }
+            self.log.force().map(drop)
+        };
         txn.writes.clear();
-        let unlock_result = self.irlm.unlock_all(txn.id);
-        self.active_txns.fetch_sub(1, Ordering::AcqRel);
+        let unlocked = self.irlm.unlock_all(txn.id);
         self.stats.aborts.incr();
-        unlock_result
+        self.end();
+        forced.and(unlocked)
     }
 
     /// Convenience: run `f` in a transaction, retrying up to `retries`

@@ -480,6 +480,25 @@ mod tests {
     }
 
     #[test]
+    fn an_abort_whose_force_fails_still_releases_and_ends() {
+        let g = group();
+        let a = g.add_member(SystemId::new(0)).unwrap();
+        let log_volume = g.farm.volume("DSGLOG00").unwrap();
+        let mut txn = a.begin();
+        a.write(&mut txn, 7, Some(b"never")).unwrap();
+        log_volume.volume().set_online(false);
+        assert_eq!(a.abort(&mut txn), Err(DbError::Io(sysplex_dasd::IoError::DeviceOffline)));
+        assert!(a.irlm().held_by(txn.id()).is_empty(), "the aborted transaction's locks leaked");
+        assert_eq!(a.active_transactions(), 0, "the aborted transaction is still in flight");
+        // Nothing pins the member: once the volume is back, its next
+        // transaction takes the lock and the log truncates behind it.
+        log_volume.volume().set_online(true);
+        a.run(0, |db, txn| db.write(txn, 7, Some(b"after"))).unwrap();
+        assert_eq!(a.log().durable_count(), 0);
+        g.remove_member(SystemId::new(0));
+    }
+
+    #[test]
     fn lock_table_resize_preserves_held_and_retained_locks() {
         use crate::irlm::LockOutcome;
         use sysplex_core::lock::LockMode;

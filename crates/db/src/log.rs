@@ -11,6 +11,8 @@
 use crate::error::{DbError, DbResult};
 use parking_lot::Mutex;
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use sysplex_core::wire::{Wire, WireError, WireReader, WireWriter};
 use sysplex_dasd::farm::{DasdFarm, VolumeHandle};
 use sysplex_dasd::volume::BLOCK_SIZE;
@@ -97,14 +99,15 @@ const TAG_ABORT: u8 = 3;
 
 /// A per-system log.
 ///
-/// **Layout.** Block 0 holds the log's *epoch* (`u64`). Records live in
+/// **Layout.** Block 0 names the log's *life* (`u64`). Records live in
 /// blocks 1.., each `epoch u64 | block_no u64 | count u32 | (len u32 |
 /// record)*` in the byte conventions of [`sysplex_core::wire`]
 /// (little-endian words, `u32` length prefixes, a presence byte before an
 /// optional image), read back through [`WireReader`]. The log *is* the run
-/// of blocks from 1 whose stamp carries the current epoch and their own
-/// block number; the first block that does not — never written, or left by
-/// an earlier epoch — ends it.
+/// of blocks from 1 whose stamp carries block 1's epoch and their own block
+/// number, where block 1's epoch must be one of the life's; the first block
+/// that does not — never written, or left by an earlier cycle or life —
+/// ends it.
 ///
 /// **One block per force.** A force packs everything appended since the
 /// last one into one new block (more only when the records exceed
@@ -112,20 +115,30 @@ const TAG_ABORT: u8 = 3;
 /// by a failure can only damage the force that was in progress, never an
 /// earlier, acknowledged one.
 ///
-/// **The epoch** is how records are discarded without touching them: a
-/// bump of block 0 makes every stamped block stale at once and hands
-/// block 1 back for reuse. Three things bump it. A *checkpoint*: once a
-/// member has no in-flight transactions, nothing logged so far can ever be
-/// needed for backout — the stand-in for MVS log archival, and the reason
-/// a log volume needs room for the longest run between two checkpoints,
-/// not for the member's lifetime. The *first write of a member's life*: a
-/// log left by a previous life on the same volume is not this member's. The
-/// *end of peer recovery* ([`LogManager::discard_log`]): a backed-out log
-/// must not be backed out again.
+/// **The epoch** is how records are discarded without touching them. The
+/// epochs of life `L` are `cycle << 32 | L`, one per cycle of the log. A
+/// *checkpoint* ([`LogManager::checkpoint_if`]) moves to the next cycle in
+/// memory and hands block 1 back: once a member has no in-flight
+/// transactions, nothing logged so far can ever be needed for backout —
+/// the stand-in for MVS log archival, and the reason a log volume needs
+/// room for the longest run of overlapping transactions, not for the
+/// member's lifetime. It writes nothing; the next force's block 1 ends the
+/// run before the old cycle's leftovers. Until then a reader still finds
+/// the old cycle, whose transactions are all complete. Block 0 moves to a
+/// new life, one atomic update, at the *first write of a member's life* (a
+/// log left by a previous life on the same volume is not this member's) and
+/// at the *end of peer recovery* ([`LogManager::discard_log`]: a backed-out
+/// log must not be backed out again, and a dead member still forcing
+/// writes epochs no reader accepts).
 pub struct LogManager {
     system: u8,
     vol: VolumeHandle,
     inner: Mutex<LogInner>,
+    /// Records forced since the last checkpoint: written under `inner`,
+    /// read without it.
+    durable: AtomicU64,
+    /// Checkpoints that truncated the log.
+    truncations: Arc<AtomicU64>,
 }
 
 #[derive(Debug)]
@@ -133,12 +146,10 @@ struct LogInner {
     /// What the next force writes: room for a stamp, then `(len u32 |
     /// record)*` encoded as appended. One buffer for the log's life.
     pending: WireWriter,
-    /// The epoch this life stamps its blocks with, claimed by its first
-    /// write.
+    /// The epoch this cycle stamps its blocks with; `None` until the life's
+    /// first write claims one.
     epoch: Option<u64>,
     next_block: u64,
-    /// Records forced since the last checkpoint.
-    durable: u64,
 }
 
 const FIRST_RECORD_BLOCK: u64 = 1;
@@ -146,6 +157,8 @@ const FIRST_RECORD_BLOCK: u64 = 1;
 const STAMP_BYTES: usize = 20;
 /// Bytes of a record's length prefix.
 const LEN_BYTES: usize = 4;
+/// An epoch's cycle sits above this bit, its life below.
+const CYCLE_SHIFT: u32 = 32;
 
 impl LogInner {
     /// Append one record behind its length: `tag u8 | lsn u64 | txn u64 |
@@ -160,24 +173,32 @@ impl LogInner {
     }
 }
 
-/// Read a log's epoch from block 0 (0 on a volume never written).
-fn decode_epoch(header: &[u8]) -> DbResult<u64> {
+/// Read a log's life from block 0 (0 on a volume never written).
+fn decode_life(header: &[u8]) -> DbResult<u64> {
     if header.is_empty() {
         return Ok(0);
     }
     let mut r = WireReader::new(header);
-    let epoch = r.get_u64().map_err(|_| DbError::LogCorrupt)?;
+    let life = r.get_u64().map_err(|_| DbError::LogCorrupt)?;
     r.finish().map_err(|_| DbError::LogCorrupt)?;
-    Ok(epoch)
+    Ok(life)
 }
 
-/// Move a log to its next epoch, as `system`: one atomic update of block 0.
-fn bump_epoch(vol: &VolumeHandle, system: u8) -> DbResult<u64> {
+/// Whether `epoch` is one of the epochs of `life`: the low half of an
+/// epoch names its life (a stale block would have to outlast 2^32 lives of
+/// its volume to pass for a current one).
+fn of_life(epoch: u64, life: u64) -> bool {
+    epoch as u32 == life as u32
+}
+
+/// Move a log to its next life, as `system`: one atomic update of block 0.
+/// Returns the life, which is also its first epoch.
+fn claim_life(vol: &VolumeHandle, system: u8) -> DbResult<u64> {
     vol.update(system, 0, |header| {
-        let epoch = decode_epoch(header)? + 1;
+        let life = decode_life(header)? + 1;
         header.clear();
-        header.extend_from_slice(&epoch.to_le_bytes());
-        Ok(epoch)
+        header.extend_from_slice(&life.to_le_bytes());
+        Ok(life)
     })?
 }
 
@@ -195,8 +216,9 @@ impl LogManager {
                 },
                 epoch: None,
                 next_block: FIRST_RECORD_BLOCK,
-                durable: 0,
             }),
+            durable: AtomicU64::new(0),
+            truncations: Arc::default(),
         })
     }
 
@@ -245,7 +267,7 @@ impl LogManager {
         }
         let epoch = match inner.epoch {
             Some(epoch) => epoch,
-            None => *inner.epoch.insert(bump_epoch(&self.vol, self.system)?),
+            None => *inner.epoch.insert(claim_life(&self.vol, self.system)?),
         };
         let mut forced = 0;
         let mut start = STAMP_BYTES;
@@ -272,7 +294,7 @@ impl LogManager {
             inner.pending.patch_u32(at + 16, count);
             self.vol.write(self.system, inner.next_block, &inner.pending.as_bytes()[at..end])?;
             inner.next_block += 1;
-            inner.durable += u64::from(count);
+            self.durable.fetch_add(u64::from(count), Ordering::Relaxed);
             forced += count as usize;
             start = end;
         }
@@ -281,23 +303,37 @@ impl LogManager {
 
     /// Records made durable since the last checkpoint.
     pub fn durable_count(&self) -> u64 {
-        self.inner.lock().durable
+        self.durable.load(Ordering::Relaxed)
+    }
+
+    /// Checkpoints that truncated this log, counted since it was opened.
+    pub fn truncations(&self) -> &Arc<AtomicU64> {
+        &self.truncations
     }
 
     /// Checkpoint: discard the entire active log *iff* `idle` confirms (the
     /// caller promises no transaction of this member is in flight while the
     /// predicate runs — everything logged so far belongs to completed
     /// transactions and can never be needed for backout). Returns whether
-    /// the log truncated.
-    pub fn checkpoint_if(&self, idle: impl FnOnce() -> bool) -> DbResult<bool> {
+    /// the log truncated. No I/O: the next force starts the new cycle at
+    /// block 1. A log with nothing forced since the last checkpoint is left
+    /// alone without taking the latch, so a read-only transaction that ends
+    /// last pays one load; the caller's ordering of its in-flight count
+    /// makes every force of a transaction that ended before it visible.
+    pub fn checkpoint_if(&self, idle: impl FnOnce() -> bool) -> bool {
+        if self.durable.load(Ordering::Relaxed) == 0 {
+            return false;
+        }
         let mut inner = self.inner.lock();
         if !idle() || inner.pending.len() > STAMP_BYTES || inner.next_block == FIRST_RECORD_BLOCK {
-            return Ok(false);
+            return false;
         }
-        inner.epoch = Some(bump_epoch(&self.vol, self.system)?);
+        // A life whose cycles run out claims a new one at its next force.
+        inner.epoch = inner.epoch.and_then(|epoch| epoch.checked_add(1 << CYCLE_SHIFT));
         inner.next_block = FIRST_RECORD_BLOCK;
-        inner.durable = 0;
-        Ok(true)
+        self.durable.store(0, Ordering::Relaxed);
+        self.truncations.fetch_add(1, Ordering::Relaxed);
+        true
     }
 
     /// Discard every record of the log on `volume`, acting as `system`: the
@@ -305,7 +341,7 @@ impl LogManager {
     /// second failure of the same member nor a re-run of the recovery
     /// replays what has been backed out.
     pub fn discard_log(system: u8, farm: &DasdFarm, volume: &str) -> DbResult<()> {
-        bump_epoch(&farm.open(volume)?, system).map(drop)
+        claim_life(&farm.open(volume)?, system).map(drop)
     }
 
     /// Read the active portion of a log from DASD — usable by *any* system
@@ -313,12 +349,15 @@ impl LogManager {
     pub fn read_log(reader_system: u8, farm: &DasdFarm, volume: &str) -> DbResult<Vec<LogRecord>> {
         let corrupt = |_: WireError| DbError::LogCorrupt;
         let vol = farm.open(volume)?;
-        let epoch = decode_epoch(&vol.read(reader_system, 0)?)?;
+        let life = decode_life(&vol.read(reader_system, 0)?)?;
+        // The run's epoch: block 1's, and one of the life's.
+        let mut epoch = None;
         let mut out = Vec::new();
         for block_no in FIRST_RECORD_BLOCK..vol.paths().volume().capacity() {
             let block = vol.read(reader_system, block_no)?;
             let mut r = WireReader::new(&block);
-            if !matches!((r.get_u64(), r.get_u64()), (Ok(e), Ok(b)) if e == epoch && b == block_no) {
+            let (Ok(e), Ok(b)) = (r.get_u64(), r.get_u64()) else { break };
+            if b != block_no || e != *epoch.get_or_insert(e) || !of_life(e, life) {
                 break;
             }
             for _ in 0..r.get_u32().map_err(corrupt)? {
@@ -579,25 +618,34 @@ mod tests {
     #[test]
     fn checkpoint_truncates_only_when_idle() {
         let f = farm();
+        let paths = f.volume("LOG00").unwrap();
         let log = open(&f);
         log.append(upd(1, 1, 1, None, Some(b"1")));
+        log.append(upd(2, 1, 2, None, Some(b"1")));
         log.force().unwrap();
-        assert_eq!(log.durable_count(), 1);
+        log.append(LogRecord::Commit { lsn: Tod(3), txn: 1 });
+        log.force().unwrap();
+        assert_eq!(log.durable_count(), 3);
         // Predicate says busy: no truncation.
-        assert!(!log.checkpoint_if(|| false).unwrap());
-        assert_eq!(LogManager::read_log(0, &f, "LOG00").unwrap().len(), 1);
-        // Idle: truncates.
-        assert!(log.checkpoint_if(|| true).unwrap());
+        assert!(!log.checkpoint_if(|| false));
+        // Idle: truncates, in memory. Until the next force a reader still
+        // finds the old cycle, whose transactions are all complete.
+        let before = writes(&paths);
+        assert!(log.checkpoint_if(|| true));
+        assert_eq!(writes(&paths), before, "a checkpoint is no I/O");
         assert_eq!(log.durable_count(), 0);
-        assert!(LogManager::read_log(0, &f, "LOG00").unwrap().is_empty());
+        assert_eq!(log.truncations().load(Ordering::Relaxed), 1);
+        assert_eq!(LogManager::read_log(0, &f, "LOG00").unwrap().len(), 3);
         // Second checkpoint is a no-op.
-        assert!(!log.checkpoint_if(|| true).unwrap());
-        // New records reuse the truncated space and are readable.
-        log.append(upd(2, 2, 2, None, Some(b"2")));
+        assert!(!log.checkpoint_if(|| true));
+        // The next force reuses block 1 and ends the run before the old
+        // cycle's block 2.
+        log.append(upd(4, 2, 2, None, Some(b"2")));
         log.force().unwrap();
         let records = LogManager::read_log(0, &f, "LOG00").unwrap();
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].txn(), 2);
+        assert_eq!(log.truncations().load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -620,8 +668,10 @@ mod tests {
                 // checkpoint, never a stale one from an overwritten lap.
                 assert_eq!(LogManager::read_log(3, &f, "LOGSMALL").unwrap(), since_checkpoint);
                 assert_eq!(log.durable_count(), 2 * SPAN);
-                assert!(log.checkpoint_if(|| true).unwrap());
-                assert!(LogManager::read_log(3, &f, "LOGSMALL").unwrap().is_empty());
+                assert!(log.checkpoint_if(|| true));
+                // Nothing written: the completed cycle is read until the
+                // next force.
+                assert_eq!(LogManager::read_log(3, &f, "LOGSMALL").unwrap(), since_checkpoint);
                 since_checkpoint.clear();
             }
         }
@@ -637,7 +687,10 @@ mod tests {
         let f = farm();
         let log = open(&f);
         log.append(upd(1, 1, 1, None, Some(b"1")));
-        assert!(!log.checkpoint_if(|| true).unwrap(), "buffered records are not yet durable");
+        assert!(!log.checkpoint_if(|| true), "nothing durable to discard");
+        log.force().unwrap();
+        log.append(upd(2, 2, 2, None, Some(b"2")));
+        assert!(!log.checkpoint_if(|| true), "buffered records are not yet durable");
     }
 
     #[test]
@@ -652,7 +705,7 @@ mod tests {
         let second = open(&f);
         assert_eq!(LogManager::read_log(3, &f, "LOG00").unwrap().len(), 10);
         assert_eq!(second.durable_count(), 0);
-        assert!(!second.checkpoint_if(|| true).unwrap(), "nothing of this life to discard");
+        assert!(!second.checkpoint_if(|| true), "nothing of this life to discard");
         // ... and its first force, to block 1, does not splice its one
         // block onto the old life's second.
         commit(&second, 3);
@@ -674,10 +727,99 @@ mod tests {
         f.fence().fence(0);
         log.append(LogRecord::Commit { lsn: Tod(99), txn: 2 });
         assert_eq!(log.force().unwrap_err(), DbError::Io(IoError::Fenced(0)));
-        assert_eq!(log.checkpoint_if(|| true).unwrap_err(), DbError::Io(IoError::Fenced(0)));
+        // A checkpoint writes nothing: the cycle it starts would reach DASD
+        // with the next force, which the fence refuses.
+        assert!(log.checkpoint_if(|| true));
+        log.append(upd(100, 3, 1, None, Some(b"3")));
+        assert_eq!(log.force().unwrap_err(), DbError::Io(IoError::Fenced(0)));
         assert_eq!(LogManager::read_log(0, &f, "LOG00").unwrap_err(), DbError::Io(IoError::Fenced(0)));
-        assert_eq!(LogManager::read_log(1, &f, "LOG00").unwrap().len(), 5, "the zombie's force never landed");
-        assert_eq!(log.durable_count(), 5);
+        assert_eq!(
+            LogManager::read_log(1, &f, "LOG00").unwrap().len(),
+            5,
+            "the zombie's forces never landed"
+        );
+        assert_eq!(log.durable_count(), 0);
+    }
+
+    /// Runs a thousand checkpointed cycles of 1, 8, 2, 9, … 13 commits,
+    /// from transaction `txn` on, so a short cycle ends where an earlier,
+    /// longer one's blocks go on; returns the next transaction id. Every
+    /// cycle reads back as exactly its own commits.
+    fn thousand_cycles(f: &DasdFarm, log: &LogManager, mut txn: u64) -> u64 {
+        for cycle in 0..1000 {
+            let len = 1 + cycle * 7 % 13;
+            for _ in 0..len {
+                commit(log, txn);
+                txn += 1;
+            }
+            let records = LogManager::read_log(3, f, "LOG00").unwrap();
+            assert_eq!(records.len() as u64, 5 * len, "cycle {cycle}");
+            assert_eq!(records[0].txn(), txn - len, "cycle {cycle}");
+            assert!(log.checkpoint_if(|| true));
+        }
+        txn
+    }
+
+    #[test]
+    fn a_new_lifes_first_force_never_splices_a_stale_lap() {
+        let f = farm();
+        let first = open(&f);
+        let txn = thousand_cycles(&f, &first, 0);
+        assert_eq!(first.truncations().load(Ordering::Relaxed), 1000);
+        assert_eq!(f.read(0, "LOG00", 0).unwrap(), 1u64.to_le_bytes(), "no checkpoint wrote block 0");
+        drop(first);
+        // The last cycle, 13 commits over 26 blocks, is still there for a
+        // survivor; the next life's one block ends the run before it.
+        assert_eq!(LogManager::read_log(3, &f, "LOG00").unwrap().len(), 5 * 13);
+        let second = open(&f);
+        second.append(upd(10 * txn, txn, 1, None, Some(b"v")));
+        second.force().unwrap();
+        let records = LogManager::read_log(3, &f, "LOG00").unwrap();
+        assert_eq!(records, [upd(10 * txn, txn, 1, None, Some(b"v"))]);
+        assert!(second.checkpoint_if(|| true));
+        thousand_cycles(&f, &second, txn + 1);
+    }
+
+    #[test]
+    fn a_zombie_forcing_after_a_discard_writes_into_a_dead_range() {
+        let f = farm();
+        let zombie = open(&f);
+        let mut txn = thousand_cycles(&f, &zombie, 0);
+        // A survivor recovers the member; the member, unfenced, goes on
+        // committing and truncating through cycles of every length.
+        LogManager::discard_log(3, &f, "LOG00").unwrap();
+        for len in 1..=13 {
+            for _ in 0..len {
+                commit(&zombie, txn);
+                txn += 1;
+            }
+            assert!(LogManager::read_log(3, &f, "LOG00").unwrap().is_empty(), "{len} commits landed");
+            assert!(zombie.checkpoint_if(|| true));
+        }
+        // The member's next life claims a range past the discard.
+        let next = open(&f);
+        commit(&next, txn);
+        assert_eq!(LogManager::read_log(3, &f, "LOG00").unwrap().len(), 5);
+        assert_eq!(f.read(0, "LOG00", 0).unwrap(), 3u64.to_le_bytes());
+    }
+
+    #[test]
+    fn a_life_whose_cycles_run_out_claims_the_next_at_its_next_force() {
+        let f = farm();
+        let log = open(&f);
+        commit(&log, 0);
+        // Fast-forward to the life's last cycle but one.
+        log.inner.lock().epoch = Some((u64::from(u32::MAX) - 1) << CYCLE_SHIFT | 1);
+        assert!(log.checkpoint_if(|| true));
+        commit(&log, 1);
+        assert_eq!(LogManager::read_log(3, &f, "LOG00").unwrap().len(), 5, "its last cycle reads");
+        assert!(log.checkpoint_if(|| true));
+        assert_eq!(f.read(0, "LOG00", 0).unwrap(), 1u64.to_le_bytes(), "a checkpoint writes nothing");
+        commit(&log, 2);
+        assert_eq!(f.read(0, "LOG00", 0).unwrap(), 2u64.to_le_bytes(), "claimed at the force");
+        let records = LogManager::read_log(3, &f, "LOG00").unwrap();
+        assert_eq!(records.len(), 5);
+        assert!(records.iter().all(|r| r.txn() == 2));
     }
 
     #[test]

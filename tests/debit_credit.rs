@@ -150,3 +150,22 @@ fn books_balance_across_a_mid_run_failure() {
     group.remove_member(SystemId::new(0));
     group.remove_member(SystemId::new(1));
 }
+
+/// A member's log holds only its in-flight work: a lone client's every
+/// commit ends the member's last transaction and truncates the log, so
+/// ten thousand commits reuse blocks 1 and 2 (block 0, the life, is
+/// written once).
+#[test]
+fn a_lone_clients_log_stays_at_one_commits_blocks() {
+    let (plex, group) = stack(1);
+    let layout = KeyLayout::new(schema());
+    let mut gen = DebitCreditGenerator::new(schema(), 1996);
+    let member = group.member(SystemId::new(0)).unwrap();
+    for _ in 0..10_000 {
+        apply(&member, &layout, &gen.next_txn()).unwrap();
+    }
+    assert_eq!(member.stats.commits.get(), 10_000);
+    let log = plex.farm.volume("DSGLOG00").unwrap();
+    assert!(log.volume().blocks_in_use() <= 3, "{} log blocks written", log.volume().blocks_in_use());
+    group.remove_member(SystemId::new(0));
+}

@@ -136,6 +136,60 @@ fn a_recovered_log_is_not_replayed_by_a_second_failure() {
     plex.remove_planned(sys_b);
 }
 
+/// A member's log holds only what overlapped its last idle moment. After a
+/// thousand truncated cycles of 1–13 commits each — an open transaction
+/// holds the member busy through a cycle, and its end truncates — a crash
+/// mid-commit is recovered with exactly the one in-flight transaction
+/// backed out, and every committed value stands.
+#[test]
+fn a_crash_after_a_thousand_truncated_cycles_backs_out_only_the_one_in_flight() {
+    let (plex, group) = plex_and_group(2);
+    let a = group.member(SystemId::new(0)).unwrap();
+    let b = group.member(SystemId::new(1)).unwrap();
+    for cycle in 0..1000u64 {
+        let mut open = a.begin();
+        for key in 0..1 + cycle * 7 % 13 {
+            a.run(10, |db, txn| db.write(txn, key, Some(&cycle.to_be_bytes()))).unwrap();
+        }
+        a.commit(&mut open).unwrap();
+    }
+    assert_eq!(a.log().truncations().load(Ordering::Relaxed), 1000);
+    // Cycle 999 wrote keys 0..13; cycle 998 keys 0..6.
+    let records = LogManager::read_log(1, &plex.farm, "DSGLOG00").unwrap();
+    let (committed, aborted, inflight) = LogManager::analyze(&records);
+    assert_eq!((committed.len(), aborted.len(), inflight.len()), (13, 0, 0), "the last cycle, complete");
+
+    // Key 3 is torn mid-commit: logged, its lock record written, its page
+    // externalised, no commit record.
+    let mut ta = a.begin();
+    a.write(&mut ta, 3, Some(b"torn-update")).unwrap();
+    let page_no = group.store.page_of(3);
+    a.log().append(LogRecord::Update {
+        lsn: group.timer.tod(),
+        txn: ta.id(),
+        page: page_no,
+        key: 3,
+        before: Some(999u64.to_be_bytes().to_vec()),
+        after: Some(b"torn-update".to_vec()),
+    });
+    a.log().force().unwrap();
+    a.irlm().write_records(ta.id()).unwrap();
+    let mut page = a.buffers().get_page(page_no).unwrap();
+    page.set(3, b"torn-update");
+    a.buffers().put_page(page_no, &page).unwrap();
+    plex.kill(SystemId::new(0));
+    let failed = group.crash_member(SystemId::new(0)).unwrap();
+
+    let report = group.recover_on(SystemId::new(1), &failed).unwrap();
+    assert_eq!((report.backed_out_txns, report.undone_updates), (1, 1));
+    let values =
+        b.run(10, |db, txn| (0..13).map(|key| db.read(txn, key)).collect::<Result<Vec<_>, _>>()).unwrap();
+    for (key, value) in values.into_iter().enumerate() {
+        assert_eq!(value.unwrap(), 999u64.to_be_bytes(), "key {key}");
+    }
+    plex.remove_planned(SystemId::new(1));
+}
+
 /// Data the failed system was NOT touching stays available the whole time
 /// — the heart of the continuous-availability claim.
 #[test]

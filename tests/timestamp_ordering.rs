@@ -35,6 +35,9 @@ fn merged_logs_respect_cross_system_causality() {
     let (_plex, group) = stack();
     let members = group.members();
     let chain_len = 40u64;
+    // A member's last transaction to end truncates its log: an open one on
+    // each keeps the whole chain in both logs.
+    let mut open: Vec<_> = members.iter().map(|db| db.begin()).collect();
 
     // The causal chain: txn i reads counter==i then writes i+1, hopping
     // systems each step.
@@ -88,6 +91,10 @@ fn merged_logs_respect_cross_system_causality() {
     assert_eq!(commits.len(), chain_len as usize);
     for (i, system) in commits.iter().enumerate() {
         assert_eq!(*system, (i % 2) as u8);
+    }
+
+    for (db, txn) in members.iter().zip(&mut open) {
+        db.commit(txn).unwrap();
     }
 
     group.remove_member(SystemId::new(0));
