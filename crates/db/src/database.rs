@@ -377,24 +377,18 @@ impl Database {
         }
     }
 
-    /// Abort: nothing was externalised, so just drop the workspace and the
-    /// locks (logging the abort for the record). The locks go and the
-    /// transaction ends whatever the force did; the first error is
-    /// surfaced.
+    /// Abort: nothing was logged or externalised — a transaction's updates
+    /// reach the log and the pages only at commit — so just drop the
+    /// workspace and the locks. The transaction ends whatever the unlock
+    /// did; its error is surfaced.
     pub fn abort(&self, txn: &mut Txn) -> DbResult<()> {
         Self::check_open(txn)?;
         txn.complete = true;
-        let forced = if txn.writes.is_empty() {
-            Ok(())
-        } else {
-            self.log.append(LogRecord::Abort { lsn: self.timer.tod(), txn: txn.id });
-            self.log.force().map(drop)
-        };
         txn.writes.clear();
         let unlocked = self.irlm.unlock_all(txn.id);
         self.stats.aborts.incr();
         self.end();
-        forced.and(unlocked)
+        unlocked
     }
 
     /// Convenience: run `f` in a transaction, retrying up to `retries`

@@ -480,16 +480,36 @@ mod tests {
     }
 
     #[test]
-    fn an_abort_whose_force_fails_still_releases_and_ends() {
+    fn an_abort_writes_no_log_block() {
+        let g = group();
+        let a = g.add_member(SystemId::new(0)).unwrap();
+        let log_volume = g.farm.volume("DSGLOG00").unwrap();
+        let writes = || log_volume.volume().stats.writes.load(std::sync::atomic::Ordering::Relaxed);
+        let mut txn = a.begin();
+        a.write(&mut txn, 7, Some(b"never")).unwrap();
+        let before = writes();
+        a.abort(&mut txn).unwrap();
+        assert_eq!(writes(), before, "an abort has nothing in the log to end");
+        // Nor does it need the log volume.
+        log_volume.volume().set_online(false);
+        let mut txn = a.begin();
+        a.write(&mut txn, 7, Some(b"never")).unwrap();
+        assert_eq!(a.abort(&mut txn), Ok(()));
+        assert!(a.irlm().held_by(txn.id()).is_empty() && a.active_transactions() == 0);
+        g.remove_member(SystemId::new(0));
+    }
+
+    #[test]
+    fn a_commit_whose_force_fails_still_releases_and_ends() {
         let g = group();
         let a = g.add_member(SystemId::new(0)).unwrap();
         let log_volume = g.farm.volume("DSGLOG00").unwrap();
         let mut txn = a.begin();
         a.write(&mut txn, 7, Some(b"never")).unwrap();
         log_volume.volume().set_online(false);
-        assert_eq!(a.abort(&mut txn), Err(DbError::Io(sysplex_dasd::IoError::DeviceOffline)));
-        assert!(a.irlm().held_by(txn.id()).is_empty(), "the aborted transaction's locks leaked");
-        assert_eq!(a.active_transactions(), 0, "the aborted transaction is still in flight");
+        assert_eq!(a.commit(&mut txn), Err(DbError::Io(sysplex_dasd::IoError::DeviceOffline)));
+        assert!(a.irlm().held_by(txn.id()).is_empty(), "the failed transaction's locks leaked");
+        assert_eq!(a.active_transactions(), 0, "the failed transaction is still in flight");
         // Nothing pins the member: once the volume is back, its next
         // transaction takes the lock and the log truncates behind it.
         log_volume.volume().set_online(true);

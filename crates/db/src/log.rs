@@ -8,15 +8,15 @@
 //! records carry sysplex-timer TODs, so logs from different systems merge
 //! in a consistent global order.
 
-use crate::error::{DbError, DbResult};
+pub mod protocol;
+
+use crate::error::DbResult;
 use parking_lot::Mutex;
+use protocol::{life_of, next_life, Reader, Step, Writer, FIRST_RECORD_BLOCK};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use sysplex_core::wire::{Wire, WireError, WireReader, WireWriter};
 use sysplex_dasd::farm::{DasdFarm, VolumeHandle};
-use sysplex_dasd::volume::BLOCK_SIZE;
-use sysplex_dasd::IoError;
 use sysplex_services::timer::Tod;
 
 /// One log record.
@@ -71,135 +71,22 @@ impl LogRecord {
             }
         }
     }
-
-    /// Decode one record: what `LogInner::append` wrote behind the length.
-    fn decode(r: &mut WireReader) -> Result<Self, WireError> {
-        let tag = r.get_u8()?;
-        let lsn = Tod(r.get_u64()?);
-        let txn = r.get_u64()?;
-        match tag {
-            TAG_UPDATE => Ok(LogRecord::Update {
-                lsn,
-                txn,
-                page: r.get_u64()?,
-                key: r.get_u64()?,
-                before: Wire::get(r)?,
-                after: Wire::get(r)?,
-            }),
-            TAG_COMMIT => Ok(LogRecord::Commit { lsn, txn }),
-            TAG_ABORT => Ok(LogRecord::Abort { lsn, txn }),
-            _ => Err(WireError::BadTag("log-record")),
-        }
-    }
 }
 
-const TAG_UPDATE: u8 = 1;
-const TAG_COMMIT: u8 = 2;
-const TAG_ABORT: u8 = 3;
-
-/// A per-system log.
-///
-/// **Layout.** Block 0 names the log's *life* (`u64`). Records live in
-/// blocks 1.., each `epoch u64 | block_no u64 | count u32 | (len u32 |
-/// record)*` in the byte conventions of [`sysplex_core::wire`]
-/// (little-endian words, `u32` length prefixes, a presence byte before an
-/// optional image), read back through [`WireReader`]. The log *is* the run
-/// of blocks from 1 whose stamp carries block 1's epoch and their own block
-/// number, where block 1's epoch must be one of the life's; the first block
-/// that does not — never written, or left by an earlier cycle or life —
-/// ends it.
-///
-/// **One block per force.** A force packs everything appended since the
-/// last one into one new block (more only when the records exceed
-/// [`BLOCK_SIZE`]). No block is rewritten within an epoch, so a write torn
-/// by a failure can only damage the force that was in progress, never an
-/// earlier, acknowledged one.
-///
-/// **The epoch** is how records are discarded without touching them. The
-/// epochs of life `L` are `cycle << 32 | L`, one per cycle of the log. A
-/// *checkpoint* ([`LogManager::checkpoint_if`]) moves to the next cycle in
-/// memory and hands block 1 back: once a member has no in-flight
-/// transactions, nothing logged so far can ever be needed for backout —
-/// the stand-in for MVS log archival, and the reason a log volume needs
-/// room for the longest run of overlapping transactions, not for the
-/// member's lifetime. It writes nothing; the next force's block 1 ends the
-/// run before the old cycle's leftovers. Until then a reader still finds
-/// the old cycle, whose transactions are all complete. Block 0 moves to a
-/// new life, one atomic update, at the *first write of a member's life* (a
-/// log left by a previous life on the same volume is not this member's) and
-/// at the *end of peer recovery* ([`LogManager::discard_log`]: a backed-out
-/// log must not be backed out again, and a dead member still forcing
-/// writes epochs no reader accepts).
+/// A per-system log: the volume, the latch and the counters, performing
+/// what its [`Writer`] decides. A checkpoint hands back everything once a
+/// member has no transaction in flight (the stand-in for MVS log
+/// archival), so a log volume needs room for the longest run of
+/// overlapping transactions, not for the member's lifetime.
 pub struct LogManager {
     system: u8,
     vol: VolumeHandle,
-    inner: Mutex<LogInner>,
+    inner: Mutex<Writer>,
     /// Records forced since the last checkpoint: written under `inner`,
     /// read without it.
     durable: AtomicU64,
     /// Checkpoints that truncated the log.
     truncations: Arc<AtomicU64>,
-}
-
-#[derive(Debug)]
-struct LogInner {
-    /// What the next force writes: room for a stamp, then `(len u32 |
-    /// record)*` encoded as appended. One buffer for the log's life.
-    pending: WireWriter,
-    /// The epoch this cycle stamps its blocks with; `None` until the life's
-    /// first write claims one.
-    epoch: Option<u64>,
-    next_block: u64,
-}
-
-const FIRST_RECORD_BLOCK: u64 = 1;
-/// Bytes of a record block's stamp.
-const STAMP_BYTES: usize = 20;
-/// Bytes of a record's length prefix.
-const LEN_BYTES: usize = 4;
-/// An epoch's cycle sits above this bit, its life below.
-const CYCLE_SHIFT: u32 = 32;
-
-impl LogInner {
-    /// Append one record behind its length: `tag u8 | lsn u64 | txn u64 |
-    /// body`.
-    fn append(&mut self, tag: u8, lsn: Tod, txn: u64, body: impl FnOnce(&mut WireWriter)) {
-        self.pending.put_len_prefixed(|w| {
-            w.put_u8(tag);
-            w.put_u64(lsn.0);
-            w.put_u64(txn);
-            body(w);
-        });
-    }
-}
-
-/// Read a log's life from block 0 (0 on a volume never written).
-fn decode_life(header: &[u8]) -> DbResult<u64> {
-    if header.is_empty() {
-        return Ok(0);
-    }
-    let mut r = WireReader::new(header);
-    let life = r.get_u64().map_err(|_| DbError::LogCorrupt)?;
-    r.finish().map_err(|_| DbError::LogCorrupt)?;
-    Ok(life)
-}
-
-/// Whether `epoch` is one of the epochs of `life`: the low half of an
-/// epoch names its life (a stale block would have to outlast 2^32 lives of
-/// its volume to pass for a current one).
-fn of_life(epoch: u64, life: u64) -> bool {
-    epoch as u32 == life as u32
-}
-
-/// Move a log to its next life, as `system`: one atomic update of block 0.
-/// Returns the life, which is also its first epoch.
-fn claim_life(vol: &VolumeHandle, system: u8) -> DbResult<u64> {
-    vol.update(system, 0, |header| {
-        let life = decode_life(header)? + 1;
-        header.clear();
-        header.extend_from_slice(&life.to_le_bytes());
-        Ok(life)
-    })?
 }
 
 impl LogManager {
@@ -208,15 +95,7 @@ impl LogManager {
         Ok(LogManager {
             system,
             vol: farm.open(volume)?,
-            inner: Mutex::new(LogInner {
-                pending: {
-                    let mut pending = WireWriter::new();
-                    pending.put_raw(&[0; STAMP_BYTES]);
-                    pending
-                },
-                epoch: None,
-                next_block: FIRST_RECORD_BLOCK,
-            }),
+            inner: Mutex::default(),
             durable: AtomicU64::new(0),
             truncations: Arc::default(),
         })
@@ -224,13 +103,7 @@ impl LogManager {
 
     /// Buffer a record (not yet durable).
     pub fn append(&self, record: LogRecord) {
-        match record {
-            LogRecord::Update { lsn, txn, page, key, before, after } => {
-                self.append_update(lsn, txn, page, key, before.as_deref(), after.as_deref())
-            }
-            LogRecord::Commit { lsn, txn } => self.inner.lock().append(TAG_COMMIT, lsn, txn, |_| {}),
-            LogRecord::Abort { lsn, txn } => self.inner.lock().append(TAG_ABORT, lsn, txn, |_| {}),
-        }
+        self.inner.lock().append(&record);
     }
 
     /// Buffer a [`LogRecord::Update`] from borrowed images.
@@ -243,62 +116,35 @@ impl LogManager {
         before: Option<&[u8]>,
         after: Option<&[u8]>,
     ) {
-        self.inner.lock().append(TAG_UPDATE, lsn, txn, |w| {
-            w.put_u64(page);
-            w.put_u64(key);
-            w.put_opt_bytes(before);
-            w.put_opt_bytes(after);
-        });
+        self.inner.lock().append_update(lsn, txn, page, key, before, after);
     }
 
     /// Force all buffered records to DASD (WAL force point). Returns how
     /// many records were written. A force that fails drops its records:
     /// the caller is told, and does not go on as if they were durable.
     pub fn force(&self) -> DbResult<usize> {
-        let mut inner = self.inner.lock();
-        let result = self.write_pending(&mut inner);
-        inner.pending.truncate(STAMP_BYTES);
-        result
+        let mut w = self.inner.lock();
+        let forced = self.perform(&mut w);
+        if forced.is_err() {
+            w.settle();
+        }
+        forced
     }
 
-    fn write_pending(&self, inner: &mut LogInner) -> DbResult<usize> {
-        if inner.pending.len() == STAMP_BYTES {
-            return Ok(0);
-        }
-        let epoch = match inner.epoch {
-            Some(epoch) => epoch,
-            None => *inner.epoch.insert(claim_life(&self.vol, self.system)?),
-        };
-        let mut forced = 0;
-        let mut start = STAMP_BYTES;
-        while start < inner.pending.len() {
-            // As many of the remaining records as one block takes.
-            let (mut end, mut count) = (start, 0u32);
-            while end < inner.pending.len() {
-                let len = inner.pending.as_bytes()[end..end + LEN_BYTES].try_into().expect("4 length bytes");
-                let next = end + LEN_BYTES + u32::from_le_bytes(len) as usize;
-                let block_bytes = STAMP_BYTES + (next - start);
-                if block_bytes <= BLOCK_SIZE {
-                    (end, count) = (next, count + 1);
-                } else if count == 0 {
-                    return Err(IoError::BlockTooLarge(block_bytes).into());
-                } else {
-                    break;
+    fn perform(&self, w: &mut Writer) -> DbResult<usize> {
+        let (mut step, mut forced) = (w.force()?, 0);
+        loop {
+            step = match step {
+                Step::Done => return Ok(forced),
+                Step::Claim => w.claimed(self.vol.update(self.system, 0, next_life)??)?,
+                Step::Write { block, at, end, count } => {
+                    self.vol.write(self.system, block, &w.pending()[at..end])?;
+                    self.durable.fetch_add(u64::from(count), Ordering::Relaxed);
+                    forced += count as usize;
+                    w.written(end)?
                 }
-            }
-            // The stamp goes in front of the records, over bytes the
-            // previous block has already taken to DASD.
-            let at = start - STAMP_BYTES;
-            inner.pending.patch_u64(at, epoch);
-            inner.pending.patch_u64(at + 8, inner.next_block);
-            inner.pending.patch_u32(at + 16, count);
-            self.vol.write(self.system, inner.next_block, &inner.pending.as_bytes()[at..end])?;
-            inner.next_block += 1;
-            self.durable.fetch_add(u64::from(count), Ordering::Relaxed);
-            forced += count as usize;
-            start = end;
+            };
         }
-        Ok(forced)
     }
 
     /// Records made durable since the last checkpoint.
@@ -311,26 +157,20 @@ impl LogManager {
         &self.truncations
     }
 
-    /// Checkpoint: discard the entire active log *iff* `idle` confirms (the
-    /// caller promises no transaction of this member is in flight while the
-    /// predicate runs — everything logged so far belongs to completed
-    /// transactions and can never be needed for backout). Returns whether
-    /// the log truncated. No I/O: the next force starts the new cycle at
-    /// block 1. A log with nothing forced since the last checkpoint is left
-    /// alone without taking the latch, so a read-only transaction that ends
-    /// last pays one load; the caller's ordering of its in-flight count
-    /// makes every force of a transaction that ended before it visible.
+    /// Checkpoint: discard the entire active log *iff* `idle` confirms that
+    /// no transaction of this member is in flight while it runs, writing
+    /// nothing; returns whether the log truncated. With nothing forced
+    /// since the last checkpoint it takes no latch, so a read-only
+    /// transaction that ends last pays one load; the caller's ordering of
+    /// its in-flight count makes every earlier force visible.
     pub fn checkpoint_if(&self, idle: impl FnOnce() -> bool) -> bool {
         if self.durable.load(Ordering::Relaxed) == 0 {
             return false;
         }
-        let mut inner = self.inner.lock();
-        if !idle() || inner.pending.len() > STAMP_BYTES || inner.next_block == FIRST_RECORD_BLOCK {
+        let mut w = self.inner.lock();
+        if !idle() || !w.checkpoint() {
             return false;
         }
-        // A life whose cycles run out claims a new one at its next force.
-        inner.epoch = inner.epoch.and_then(|epoch| epoch.checked_add(1 << CYCLE_SHIFT));
-        inner.next_block = FIRST_RECORD_BLOCK;
         self.durable.store(0, Ordering::Relaxed);
         self.truncations.fetch_add(1, Ordering::Relaxed);
         true
@@ -341,33 +181,16 @@ impl LogManager {
     /// second failure of the same member nor a re-run of the recovery
     /// replays what has been backed out.
     pub fn discard_log(system: u8, farm: &DasdFarm, volume: &str) -> DbResult<()> {
-        claim_life(&farm.open(volume)?, system).map(drop)
+        farm.open(volume)?.update(system, 0, next_life)?.map(drop)
     }
 
     /// Read the active portion of a log from DASD — usable by *any* system
     /// (a survivor reads the failed member's log with its own identity).
     pub fn read_log(reader_system: u8, farm: &DasdFarm, volume: &str) -> DbResult<Vec<LogRecord>> {
-        let corrupt = |_: WireError| DbError::LogCorrupt;
         let vol = farm.open(volume)?;
-        let life = decode_life(&vol.read(reader_system, 0)?)?;
-        // The run's epoch: block 1's, and one of the life's.
-        let mut epoch = None;
-        let mut out = Vec::new();
-        for block_no in FIRST_RECORD_BLOCK..vol.paths().volume().capacity() {
-            let block = vol.read(reader_system, block_no)?;
-            let mut r = WireReader::new(&block);
-            let (Ok(e), Ok(b)) = (r.get_u64(), r.get_u64()) else { break };
-            if b != block_no || e != *epoch.get_or_insert(e) || !of_life(e, life) {
-                break;
-            }
-            for _ in 0..r.get_u32().map_err(corrupt)? {
-                let mut record = WireReader::new(r.get_slice().map_err(corrupt)?);
-                out.push(LogRecord::decode(&mut record).map_err(corrupt)?);
-                record.finish().map_err(corrupt)?;
-            }
-            r.finish().map_err(corrupt)?;
-        }
-        Ok(out)
+        let life = life_of(&vol.read(reader_system, 0)?)?;
+        let blocks = FIRST_RECORD_BLOCK..vol.paths().volume().capacity();
+        Reader::default().read(life, blocks.map(|block_no| Ok(vol.read(reader_system, block_no)?)))
     }
 
     /// Split a log into committed, aborted, and in-flight transaction sets.
@@ -405,10 +228,20 @@ impl std::fmt::Debug for LogManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::DbError;
     use std::sync::atomic::Ordering;
     use std::sync::Arc;
+    use sysplex_core::wire::{Wire, WireWriter};
     use sysplex_dasd::path::PathSet;
-    use sysplex_dasd::volume::IoModel;
+    use sysplex_dasd::volume::{IoModel, BLOCK_SIZE};
+    use sysplex_dasd::IoError;
+
+    /// The on-disk layout, pinned here apart from the core's constants.
+    const TAG_UPDATE: u8 = 1;
+    const TAG_COMMIT: u8 = 2;
+    const TAG_ABORT: u8 = 3;
+    const STAMP_BYTES: usize = 20;
+    const CYCLE_SHIFT: u32 = 32;
 
     fn farm() -> Arc<DasdFarm> {
         let f = DasdFarm::new(IoModel::instant());
@@ -482,10 +315,11 @@ mod tests {
     fn records_round_trip_and_the_block_is_in_the_wire_kits_layout() {
         let f = farm();
         let log = open(&f);
+        // Key 13 is on page 3: a field swap shows.
         let records = [
-            upd(1, 7, 3, None, Some(b"new")),
-            upd(2, 7, 3, Some(b"old"), Some(b"new")),
-            upd(3, 7, 3, Some(b"old"), None),
+            upd(1, 7, 13, None, Some(b"new")),
+            upd(2, 7, 13, Some(b"old"), Some(b"new")),
+            upd(3, 7, 13, Some(b"old"), None),
             LogRecord::Commit { lsn: Tod(4), txn: 7 },
             LogRecord::Abort { lsn: Tod(5), txn: 8 },
         ];
@@ -495,7 +329,8 @@ mod tests {
         assert_eq!(log.force().unwrap(), 5);
         assert_eq!(LogManager::read_log(3, &f, "LOG00").unwrap(), records);
         // Byte for byte what `WireWriter` and the `Wire` impls produce, so
-        // `WireReader` is the whole decoder.
+        // `WireReader` is the whole decoder. An owned update goes through
+        // `append_update`, the encoder a commit uses.
         let encoded: Vec<Vec<u8>> = records.iter().map(record).collect();
         let encoded: Vec<&[u8]> = encoded.iter().map(Vec::as_slice).collect();
         assert_eq!(f.read(0, "LOG00", 1).unwrap(), block(1, 1, &encoded));

@@ -9,10 +9,9 @@
 //! action is what the shell does in one piece: a transition under the
 //! member's latch with the bit reads and scrubs it makes there, one CF
 //! command, or one DASD read or write. A write set holds the P-locks of
-//! its pages from its first action to its last, as a commit does. The walk
-//! is depth-first over which actor acts next; a branch replays its
-//! schedule into a fresh world, and a state already seen is not expanded
-//! again. After every action it checks that
+//! its pages from its first action to its last, as a commit does. The
+//! explorer (`explore/mod.rs`) walks every choice of which actor acts next,
+//! and checks after every action that
 //!
 //! - no frame is under-registered: a ready frame whose bit is set belongs
 //!   to a block the member is registered for, at that frame's index;
@@ -23,12 +22,11 @@
 //! - DASD never holds an image newer than the newest the CF took for the
 //!   page, nor one older than a castout the CF completed;
 //! - no actor waits with nothing left to wake it.
-//!
-//! A violation is reported with the schedule that reached it.
 
+mod explore;
+
+use explore::explore;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashSet;
-use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
 use sysplex_core::cache::{BlockName, CacheConnection, CacheParams, CacheStructure, EntryView, WriteKind};
 use sysplex_core::CfError;
@@ -142,10 +140,19 @@ struct World<'s> {
     next_write: u64,
     /// A stale read the last action returned.
     stale: Option<String>,
+    /// The structure's directory cursor and entries, as `check` last saw
+    /// them.
+    directory: (usize, Vec<EntryView>),
 }
 
 impl<'s> World<'s> {
     fn new(scenario: &'s Scenario, bugs: Bugs) -> Self {
+        for member in 0..2 {
+            let actors = scenario.actors.iter().filter(|a| a.member == member);
+            assert!(actors.clone().count() <= 2, "at most two actors per member");
+            assert!(actors.clone().all(|a| a.ops.len() <= 4), "at most four steps per actor");
+        }
+        assert!((1..=2).contains(&scenario.frames) && (2..=4).contains(&scenario.entries));
         let cache = CacheStructure::new("GBP0", &CacheParams::store_in(scenario.entries)).unwrap();
         let conns = [cache.connect(scenario.frames).unwrap(), cache.connect(scenario.frames).unwrap()];
         #[allow(unused_mut)]
@@ -172,33 +179,12 @@ impl<'s> World<'s> {
             plocks: [None; PAGES],
             next_write: 1,
             stale: None,
+            directory: (0, Vec::new()),
         }
-    }
-
-    fn replay(scenario: &'s Scenario, bugs: Bugs, schedule: &[usize]) -> Self {
-        let mut world = World::new(scenario, bugs);
-        for &t in schedule {
-            world.act(t);
-        }
-        world
     }
 
     fn done(&self, t: usize) -> bool {
         matches!(self.at[t], At::Op(pc) if pc == self.actors[t].ops.len())
-    }
-
-    fn runnable(&self) -> Vec<usize> {
-        (0..self.actors.len())
-            .filter(|&t| match self.at[t] {
-                _ if self.done(t) => false,
-                At::Waiting(..) => false,
-                At::Op(pc) => match self.actors[t].ops[pc] {
-                    Op::Write(pages) => pages.iter().all(|&p| self.plocks[p as usize].is_none()),
-                    _ => true,
-                },
-                _ => true,
-            })
-            .collect()
     }
 
     /// The page step `pc` of actor `t` is at, `i` into a write set.
@@ -240,6 +226,49 @@ impl<'s> World<'s> {
             *lock = None;
         }
         At::Op(pc + 1)
+    }
+
+    fn next_castout(&self, pc: usize, pages: Vec<u64>) -> At {
+        match pages.is_empty() {
+            true => At::Op(pc + 1),
+            false => At::CastoutRead(pc, pages),
+        }
+    }
+
+    /// Look up page `i` of actor `t`'s step `pc` under its member's latch.
+    fn lookup(&mut self, t: usize, pc: usize, i: usize) -> String {
+        let m = self.actors[t].member;
+        let page = self.page(t, pc, i);
+        let conn = &self.conns[m];
+        let step = self.pools[m].lookup(&name(page), |idx| conn.is_valid(idx as u32));
+        if let Lookup::Fill(Fill { idx, evicted: Some(_) }) = step {
+            conn.invalidate_local(idx as u32);
+        }
+        let did = format!("looks up page {page} -> {:?}", map_page(&step));
+        self.at[t] = match (step, self.actors[t].ops[pc]) {
+            (Lookup::Wait, _) => At::Waiting(pc, i),
+            (Lookup::Fill(fill), _) => At::Register(pc, i, fill),
+            (Lookup::Hit(p), Op::Read(_)) => self.read_returned(t, pc, &p),
+            (Lookup::Hit(_), Op::Write(pages)) if i + 1 < pages.len() => At::Lookup(pc, i + 1),
+            (Lookup::Hit(_), _) => At::Write(pc),
+        };
+        format!("actor {t} on member {m}: {did}")
+    }
+}
+
+impl explore::World for World<'_> {
+    fn runnable(&self) -> Vec<usize> {
+        (0..self.actors.len())
+            .filter(|&t| match self.at[t] {
+                _ if self.done(t) => false,
+                At::Waiting(..) => false,
+                At::Op(pc) => match self.actors[t].ops[pc] {
+                    Op::Write(pages) => pages.iter().all(|&p| self.plocks[p as usize].is_none()),
+                    _ => true,
+                },
+                _ => true,
+            })
+            .collect()
     }
 
     /// Run actor `t`'s next atomic action; returns what it did.
@@ -387,38 +416,12 @@ impl<'s> World<'s> {
         format!("actor {t} on member {m}: {did}")
     }
 
-    fn next_castout(&self, pc: usize, pages: Vec<u64>) -> At {
-        match pages.is_empty() {
-            true => At::Op(pc + 1),
-            false => At::CastoutRead(pc, pages),
-        }
-    }
-
-    /// Look up page `i` of actor `t`'s step `pc` under its member's latch.
-    fn lookup(&mut self, t: usize, pc: usize, i: usize) -> String {
-        let m = self.actors[t].member;
-        let page = self.page(t, pc, i);
-        let conn = &self.conns[m];
-        let step = self.pools[m].lookup(&name(page), |idx| conn.is_valid(idx as u32));
-        if let Lookup::Fill(Fill { idx, evicted: Some(_) }) = step {
-            conn.invalidate_local(idx as u32);
-        }
-        let did = format!("looks up page {page} -> {:?}", map_page(&step));
-        self.at[t] = match (step, self.actors[t].ops[pc]) {
-            (Lookup::Wait, _) => At::Waiting(pc, i),
-            (Lookup::Fill(fill), _) => At::Register(pc, i, fill),
-            (Lookup::Hit(p), Op::Read(_)) => self.read_returned(t, pc, &p),
-            (Lookup::Hit(_), Op::Write(pages)) if i + 1 < pages.len() => At::Lookup(pc, i + 1),
-            (Lookup::Hit(_), _) => At::Write(pc),
-        };
-        format!("actor {t} on member {m}: {did}")
-    }
-
-    /// The invariants, against the structure's `directory`.
-    fn check(&mut self, directory: &[EntryView]) -> Result<(), String> {
+    fn check(&mut self) -> Result<(), String> {
         if let Some(stale) = self.stale.take() {
             return Err(stale);
         }
+        self.directory = self.cache.directory();
+        let directory = &self.directory.1;
         for (m, (pool, conn)) in self.pools.iter().zip(&self.conns).enumerate() {
             for (idx, f) in pool.frames.iter().enumerate() {
                 let (Some(n), Some(_)) = (f.name, &f.page) else { continue };
@@ -453,11 +456,10 @@ impl<'s> World<'s> {
         Ok(())
     }
 
-    /// Everything that decides what happens next, and nothing that only
-    /// counts: two states with one fingerprint have the same futures.
     /// Directory versions and LRU ticks are kept as ranks, so paths that
     /// reach one state by different counts of commands meet.
-    fn fingerprint(&self, cursor: usize, directory: &[EntryView]) -> u64 {
+    fn fingerprint(&self) -> u64 {
+        let (cursor, directory) = &self.directory;
         let mut ticks: Vec<u64> = directory.iter().flat_map(|e| [e.version, e.lru_tick]).collect();
         ticks.extend(self.pools.iter().flat_map(|p| p.frames.iter().map(|f| f.version)));
         for at in &self.at {
@@ -523,50 +525,6 @@ fn map_page(step: &Lookup) -> String {
     }
 }
 
-/// Walk every interleaving of `scenario`: the number of distinct states
-/// reached, or the first violation with the schedule that reached it.
-fn explore(scenario: &Scenario, bugs: Bugs) -> Result<usize, String> {
-    for member in 0..2 {
-        let actors = scenario.actors.iter().filter(|a| a.member == member);
-        assert!(actors.clone().count() <= 2, "at most two actors per member");
-        assert!(actors.clone().all(|a| a.ops.len() <= 4), "at most four steps per actor");
-    }
-    assert!((1..=2).contains(&scenario.frames) && (2..=4).contains(&scenario.entries));
-    let mut seen = HashSet::new();
-    let mut schedule = Vec::new();
-    walk(scenario, bugs, World::new(scenario, bugs), &mut schedule, &mut seen).map_err(|violation| {
-        let mut world = World::new(scenario, bugs);
-        let mut report = format!("violation: {violation}\nschedule:\n");
-        for &t in &schedule {
-            let _ = writeln!(report, "  {}", world.act(t));
-        }
-        report
-    })?;
-    Ok(seen.len())
-}
-
-fn walk(
-    scenario: &Scenario,
-    bugs: Bugs,
-    world: World<'_>,
-    schedule: &mut Vec<usize>,
-    seen: &mut HashSet<u64>,
-) -> Result<(), String> {
-    let mut first = Some(world);
-    for t in first.as_ref().expect("the world this node was reached in").runnable() {
-        let mut world = first.take().unwrap_or_else(|| World::replay(scenario, bugs, schedule));
-        world.act(t);
-        schedule.push(t);
-        let (cursor, directory) = world.cache.directory();
-        world.check(&directory)?;
-        if seen.insert(world.fingerprint(cursor, &directory)) {
-            walk(scenario, bugs, world, schedule, seen)?;
-        }
-        schedule.pop();
-    }
-    Ok(())
-}
-
 /// Two readers of one member steal two frames back and forth, one of
 /// them back for the page another steal of it is evicting, while the
 /// peer writes that page.
@@ -628,14 +586,20 @@ const SETS: Scenario = Scenario {
     ],
 };
 
-const SCENARIOS: [(&str, &Scenario); 5] =
-    [("steal", &STEAL), ("refill", &REFILL), ("rewrite", &REWRITE), ("castout", &CASTOUT), ("sets", &SETS)];
+/// Each scenario with the states its walk reaches.
+const SCENARIOS: [(&str, &Scenario, usize); 5] = [
+    ("steal", &STEAL, 4_109),
+    ("refill", &REFILL, 309),
+    ("rewrite", &REWRITE, 957),
+    ("castout", &CASTOUT, 3_331),
+    ("sets", &SETS, 487),
+];
 
 #[test]
 fn every_interleaving_of_two_members_stays_coherent() {
-    for (name, scenario) in SCENARIOS {
-        match explore(scenario, Bugs::default()) {
-            Ok(states) => println!("{name}: {states} states"),
+    for (name, scenario, states) in SCENARIOS {
+        match explore(|| World::new(scenario, Bugs::default())) {
+            Ok(reached) => assert_eq!(reached, states, "{name}: states reached"),
             Err(report) => panic!("{name}: {report}"),
         }
     }
@@ -646,7 +610,9 @@ fn every_interleaving_of_two_members_stays_coherent() {
 fn convict(bugs: Bugs) -> String {
     let report = SCENARIOS
         .iter()
-        .find_map(|(name, scenario)| explore(scenario, bugs).err().map(|r| format!("{name}: {r}")))
+        .find_map(|(name, scenario, _)| {
+            explore(|| World::new(scenario, bugs)).err().map(|r| format!("{name}: {r}"))
+        })
         .expect("the walk convicts the switch");
     println!("{report}");
     report

@@ -6,10 +6,9 @@
 //! action is what the shell does in one piece: a transition under the
 //! member's latch together with the commands it sends there, one CF
 //! command, or one negotiation query — delivered as a call into the peer's
-//! core, as the peer's XCF message exit would make it. The walk is
-//! depth-first over which transaction acts next; a branch replays its
-//! schedule into a fresh world, and a state already seen is not expanded
-//! again. After every action it checks that
+//! core, as the peer's XCF message exit would make it. The explorer
+//! (`explore/mod.rs`) walks every choice of which transaction acts next,
+//! and checks after every action that
 //!
 //! - no resource has conflicting holders on the two members, and
 //! - each member's record for a resource names a transaction that has
@@ -20,12 +19,14 @@
 //!   one has been answered Busy by the other's member while the other was
 //!   waiting — the younger is the older's victim.
 //!
-//! A violation is reported with the schedule that reached it. A Busy or
-//! victim verdict moves a script on to its next step, so a script retries
-//! a request by naming it again.
+//! A Busy or victim verdict moves a script on to its next step, so a
+//! script retries a request by naming it again.
 
+mod explore;
+
+use explore::explore;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -103,6 +104,10 @@ struct World<'s> {
 
 impl<'s> World<'s> {
     fn new(txns: &'s [Txn], bugs: Bugs) -> Self {
+        for member in 0..2 {
+            let ops: usize = txns.iter().filter(|t| t.member == member).map(|t| t.ops.len()).sum();
+            assert!(ops <= 4, "at most four requests or unlocks per member");
+        }
         let lock = LockStructure::new("IRLMLOCK1", &LockParams::with_entries(1)).unwrap();
         let conns = [lock.connect().unwrap(), lock.connect().unwrap()];
         #[allow(unused_mut)]
@@ -122,19 +127,24 @@ impl<'s> World<'s> {
         World { txns, lock, conns, cores, at, held_since: Default::default(), against_waiter }
     }
 
-    fn replay(txns: &'s [Txn], bugs: Bugs, schedule: &[usize]) -> Self {
-        let mut world = World::new(txns, bugs);
-        for &t in schedule {
-            world.act(t);
-        }
-        world
-    }
-
     /// Transaction `t`'s id: distinct across members.
     fn id(t: usize) -> u64 {
         t as u64 + 1
     }
 
+    fn next(pc: usize, step: Step) -> At {
+        match step {
+            Step::Done(_) => At::Op(pc + 1),
+            step => At::Perform(pc, step),
+        }
+    }
+
+    fn send(&mut self, m: usize) {
+        send(&self.lock, self.conns[m], &mut self.cores[m]);
+    }
+}
+
+impl explore::World for World<'_> {
     fn runnable(&self) -> Vec<usize> {
         (0..self.txns.len())
             .filter(|&t| !matches!(self.at[t], At::Op(pc) if pc == self.txns[t].ops.len()))
@@ -215,17 +225,6 @@ impl<'s> World<'s> {
         format!("txn {id} on member {m}: {done}")
     }
 
-    fn next(pc: usize, step: Step) -> At {
-        match step {
-            Step::Done(_) => At::Op(pc + 1),
-            step => At::Perform(pc, step),
-        }
-    }
-
-    fn send(&mut self, m: usize) {
-        send(&self.lock, self.conns[m], &mut self.cores[m]);
-    }
-
     /// The three invariants; also advances `held_since`.
     fn check(&mut self) -> Result<(), String> {
         for (core, since) in self.cores.iter().zip(&mut self.held_since) {
@@ -275,8 +274,6 @@ impl<'s> World<'s> {
         Ok(())
     }
 
-    /// Everything that decides what happens next, and nothing that only
-    /// counts: two states with one fingerprint have the same futures.
     /// Generations and recall sequence numbers are kept relative, so paths
     /// that reach one state by different counts of releases or queries
     /// meet.
@@ -395,47 +392,6 @@ fn send(lock: &LockStructure, conn: ConnId, core: &mut LocalState) {
     core.sent(true);
 }
 
-/// Walk every interleaving of `txns`: the number of distinct states
-/// reached, or the first violation with the schedule that reached it.
-fn explore(txns: &[Txn], bugs: Bugs) -> Result<usize, String> {
-    for member in 0..2 {
-        let ops: usize = txns.iter().filter(|t| t.member == member).map(|t| t.ops.len()).sum();
-        assert!(ops <= 4, "at most four requests or unlocks per member");
-    }
-    let mut seen = HashSet::new();
-    let mut schedule = Vec::new();
-    walk(txns, bugs, World::new(txns, bugs), &mut schedule, &mut seen).map_err(|violation| {
-        let mut world = World::new(txns, bugs);
-        let mut report = format!("violation: {violation}\nschedule:\n");
-        for &t in &schedule {
-            let _ = writeln!(report, "  {}", world.act(t));
-        }
-        report
-    })?;
-    Ok(seen.len())
-}
-
-fn walk(
-    txns: &[Txn],
-    bugs: Bugs,
-    world: World<'_>,
-    schedule: &mut Vec<usize>,
-    seen: &mut HashSet<u64>,
-) -> Result<(), String> {
-    let mut first = Some(world);
-    for t in first.as_ref().expect("the world this node was reached in").runnable() {
-        let mut world = first.take().unwrap_or_else(|| World::replay(txns, bugs, schedule));
-        world.act(t);
-        schedule.push(t);
-        world.check()?;
-        if seen.insert(world.fingerprint()) {
-            walk(txns, bugs, world, schedule, seen)?;
-        }
-        schedule.pop();
-    }
-    Ok(())
-}
-
 /// Two members that each hold one resource of the class and then want the
 /// same third one: each contends with the other's interest, so both
 /// negotiate at once — the symmetric negotiation of DESIGN.md §13.
@@ -510,35 +466,40 @@ const HIDDEN: &[Txn] = &[
 #[test]
 fn every_interleaving_of_two_members_keeps_exclusivity_and_records() {
     let scenarios = [
-        ("symmetric", SYMMETRIC),
-        ("siblings", SIBLINGS),
-        ("upgrade", UPGRADE),
-        ("standoff", STANDOFF),
-        ("crossed", CROSSED),
-        ("recall", RECALL),
-        ("hidden", HIDDEN),
+        ("symmetric", SYMMETRIC, 673),
+        ("siblings", SIBLINGS, 1_075),
+        ("upgrade", UPGRADE, 259),
+        ("standoff", STANDOFF, 776),
+        ("crossed", CROSSED, 1_682),
+        ("recall", RECALL, 1_381),
+        ("hidden", HIDDEN, 598),
     ];
-    for (name, txns) in scenarios {
-        match explore(txns, Bugs::default()) {
-            Ok(states) => println!("{name}: {states} states"),
+    for (name, txns, states) in scenarios {
+        match explore(|| World::new(txns, Bugs::default())) {
+            Ok(reached) => assert_eq!(reached, states, "{name}: states reached"),
             Err(report) => panic!("{name}: {report}"),
         }
     }
 }
 
 #[cfg(feature = "test-hooks")]
+fn convict(txns: &[Txn], bugs: Bugs) -> String {
+    let report = explore(|| World::new(txns, bugs)).expect_err("the walk convicts the switch");
+    println!("{report}");
+    report
+}
+
+#[cfg(feature = "test-hooks")]
 #[test]
 fn a_negotiation_answered_before_a_grant_is_found_as_a_dual_grant() {
-    let report = explore(SYMMETRIC, Bugs { stale_negotiation: true, ..Bugs::default() }).unwrap_err();
-    println!("{report}");
+    let report = convict(SYMMETRIC, Bugs { stale_negotiation: true, ..Bugs::default() });
     assert!(report.contains("conflicting holders"), "{report}");
 }
 
 #[cfg(feature = "test-hooks")]
 #[test]
 fn a_phase_3_loser_that_keeps_its_record_is_found() {
-    let report = explore(SIBLINGS, Bugs { keep_lost_record: true, ..Bugs::default() }).unwrap_err();
-    println!("{report}");
+    let report = convict(SIBLINGS, Bugs { keep_lost_record: true, ..Bugs::default() });
     assert!(report.contains("record for R names txn 2"), "{report}");
 }
 
@@ -546,8 +507,7 @@ fn a_phase_3_loser_that_keeps_its_record_is_found() {
 #[test]
 fn waiters_that_ignore_each_other_are_found_in_a_standoff() {
     for txns in [STANDOFF, CROSSED] {
-        let report = explore(txns, Bugs { ignore_waiting: true, ..Bugs::default() }).unwrap_err();
-        println!("{report}");
+        let report = convict(txns, Bugs { ignore_waiting: true, ..Bugs::default() });
         assert!(report.contains("standoff: txns [1, 2]"), "{report}");
     }
 }

@@ -14,6 +14,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use sysplex_core::wire::{Wire, WireError, WireReader, WireWriter};
 
 /// A TOD clock value: microseconds since timer initialisation, strictly
 /// unique sysplex-wide.
@@ -24,6 +25,16 @@ impl Tod {
     /// Microseconds between two TOD readings (saturating).
     pub fn micros_since(self, earlier: Tod) -> u64 {
         self.0.saturating_sub(earlier.0)
+    }
+}
+
+/// On the wire a TOD is its `u64`.
+impl Wire for Tod {
+    fn put(&self, w: &mut WireWriter) {
+        w.put_u64(self.0);
+    }
+    fn get(r: &mut WireReader) -> Result<Self, WireError> {
+        r.get_u64().map(Tod)
     }
 }
 

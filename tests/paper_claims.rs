@@ -138,7 +138,7 @@ fn fig1_32_systems_share_every_volume_and_one_timer() {
 /// Figure 2 / §3.3.1: "the majority of requests for locks are granted
 /// cpu-synchronously" under a mixed two-member workload.
 #[test]
-#[ignore = "fails since 0a2468a: 83.6 % sync grants, 16.35 % entry contention; ROADMAP 5(iv)/13"]
+#[ignore = "fails since 0a2468a: 83.6 % sync grants, 16.35 % entry contention, from recalls of parked interest; ROADMAP 23"]
 fn fig2_majority_of_lock_requests_granted_synchronously() {
     let rig = Rig::new(2, 4096);
     let mut gen = OltpGenerator::new(
@@ -198,7 +198,7 @@ fn fig4_logons_track_capacity_and_rebind_after_a_failure() {
 /// transaction may grow by less than 2 % of the base transaction's CPU per
 /// member added past two.
 #[test]
-#[ignore = "fails since 0a2468a: 17.6 -> 20.6 CF ops/txn from 2 to 3 members; ROADMAP 5(iv)/13"]
+#[ignore = "fails since 0a2468a: 17.6 -> 20.6 CF ops/txn and 0.99 -> 1.44 recalls/txn from 2 to 3 members; ROADMAP 23"]
 fn e2_live_cf_ops_per_txn_grow_little_per_added_member() {
     let ops_per_txn = |members: u8| {
         let rig = Rig::new(members, 4096);
