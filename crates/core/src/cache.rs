@@ -421,6 +421,11 @@ pub struct CacheStructure {
     /// and its mirror, the window a peer's rewrite can land in.
     #[cfg(feature = "test-hooks")]
     castout_pause: parking_lot::Mutex<Option<Box<dyn FnOnce() + Send>>>,
+    /// Known-bad hook: a write set's blocks are written whatever version
+    /// their writer read them at — the lost update a conditional write
+    /// exists to refuse.
+    #[cfg(feature = "test-hooks")]
+    ignore_expected: std::sync::atomic::AtomicBool,
 }
 
 impl fmt::Debug for CacheStructure {
@@ -459,7 +464,15 @@ impl CacheStructure {
             lose_xi: std::sync::atomic::AtomicBool::new(false),
             #[cfg(feature = "test-hooks")]
             castout_pause: parking_lot::Mutex::new(None),
+            #[cfg(feature = "test-hooks")]
+            ignore_expected: std::sync::atomic::AtomicBool::new(false),
         })
+    }
+
+    /// Arm the version-ignoring known-bad hook (see field doc).
+    #[cfg(feature = "test-hooks")]
+    pub fn arm_ignore_expected(&self) {
+        self.ignore_expected.store(true, Ordering::Relaxed);
     }
 
     /// Arm the lost-cross-invalidate known-bad hook (see field doc).
@@ -611,13 +624,17 @@ impl CacheStructure {
         data: &[u8],
         kind: WriteKind,
     ) -> CfResult<WriteResult> {
-        self.write_at(conn, name, data, kind, None)
+        self.write_at(conn, name, data, kind, None, None)
     }
 
     /// [`CacheStructure::write_and_invalidate`]; with `at`, the write takes
     /// that version — a duplex primary's — instead of its own tick, and
     /// the shard clock moves up to at least it, so a later write here
-    /// still versions above it.
+    /// still versions above it. With `expect`, the write is refused with
+    /// [`CfError::VersionMismatch`], changing nothing, unless the entry is
+    /// still at that version: a writer's image read at an older one would
+    /// overwrite what a later writer put there. An entry reclaimed since
+    /// the read comes back at a later version, so it is refused too.
     pub(crate) fn write_at(
         &self,
         conn: &CacheConnection,
@@ -625,6 +642,7 @@ impl CacheStructure {
         data: &[u8],
         kind: WriteKind,
         at: Option<u64>,
+        expect: Option<u64>,
     ) -> CfResult<WriteResult> {
         self.check_active(conn.id)?;
         match (self.model, kind) {
@@ -638,7 +656,12 @@ impl CacheStructure {
         if kind != WriteKind::InvalidateOnly {
             self.make_room_for_data(conn.id, data.len())?;
         }
+        #[cfg(feature = "test-hooks")]
+        let expect = expect.filter(|_| !self.ignore_expected.load(Ordering::Relaxed));
         self.with_entry(conn.id, name, at.unwrap_or(0), |entry, tick| {
+            if let Some(expected) = expect.filter(|&v| v != entry.version) {
+                return Err(CfError::VersionMismatch { expected, found: entry.version });
+            }
             // The structure-wide vector table is locked only once a peer
             // turns out to be registered on this block: a write nobody else
             // has interest in signals nobody and shares nothing but its
@@ -679,36 +702,45 @@ impl CacheStructure {
             if let Some(idx) = entry.index_of(conn.id.index()) {
                 conn.vector.set(idx as usize);
             }
-            WriteResult { invalidated, version: entry.version }
-        })
+            Ok(WriteResult { invalidated, version: entry.version })
+        })?
     }
 
-    /// Write `blocks` in order, each exactly as [`write_and_invalidate`]
-    /// would — its own cross-invalidates, its own version — as one command.
-    /// A block that fails stops the set: the blocks before it stay written.
+    /// Write `blocks` — `(name, expected version, data)` — in order, each
+    /// exactly as [`write_and_invalidate`] would — its own
+    /// cross-invalidates, its own version — as one command. A block with
+    /// an expected version is written only if its entry is still at it
+    /// (a version-checked write; `None` writes blind). A block that fails,
+    /// a version that moved included, stops the set: the blocks before it
+    /// stay written.
     ///
     /// [`write_and_invalidate`]: CacheStructure::write_and_invalidate
     pub fn write_and_invalidate_set<B: AsRef<[u8]>>(
         &self,
         conn: &CacheConnection,
-        blocks: &[(BlockName, B)],
+        blocks: &[(BlockName, Option<u64>, B)],
         kind: WriteKind,
     ) -> WriteSetResult {
         self.write_set_at(conn, blocks, kind, &[])
     }
 
     /// [`CacheStructure::write_and_invalidate_set`]; block `i` takes
-    /// version `at[i]` where there is one (see [`CacheStructure::write_at`]).
+    /// version `at[i]` where there is one, whatever it expected: a mirror
+    /// writes what its primary took (see [`CacheStructure::write_at`]).
     pub(crate) fn write_set_at<B: AsRef<[u8]>>(
         &self,
         conn: &CacheConnection,
-        blocks: &[(BlockName, B)],
+        blocks: &[(BlockName, Option<u64>, B)],
         kind: WriteKind,
         at: &[u64],
     ) -> WriteSetResult {
         let mut written = Vec::with_capacity(blocks.len());
-        for (i, (name, data)) in blocks.iter().enumerate() {
-            match self.write_at(conn, *name, data.as_ref(), kind, at.get(i).copied()) {
+        for (i, (name, expect, data)) in blocks.iter().enumerate() {
+            let (at, expect) = match at.get(i) {
+                Some(&v) => (Some(v), None),
+                None => (None, *expect),
+            };
+            match self.write_at(conn, *name, data.as_ref(), kind, at, expect) {
                 Ok(w) => written.push(w),
                 Err(e) => return WriteSetResult { written, error: Some(e) },
             }
@@ -727,8 +759,14 @@ impl CacheStructure {
                 shard.entries.iter().filter(|(_, e)| e.changed).map(|(name, e)| (e.lru_tick, si, *name)),
             );
         }
+        // Only the `max` oldest are sorted: a sweep asks for a few hundred
+        // of a directory's thousands.
+        if max < out.len() {
+            out.select_nth_unstable(max);
+            out.truncate(max);
+        }
         out.sort_unstable();
-        out.into_iter().take(max).map(|(_, _, n)| n).collect()
+        out.into_iter().map(|(_, _, n)| n).collect()
     }
 
     /// Read a changed block for castout, returning its data and version,
@@ -796,6 +834,23 @@ impl CacheStructure {
         }
         self.connectors.release(conn);
         Ok(())
+    }
+
+    /// The highest version this structure has given out: every shard
+    /// clock's.
+    pub fn clock(&self) -> u64 {
+        self.shards.iter().map(|s| s.read().clock).max().unwrap_or(0)
+    }
+
+    /// Version everything from now on above `floor`: a structure that
+    /// takes over from another (a rebuild, a promoted duplex secondary)
+    /// continues its versions, so an image read at the old one's never
+    /// matches a version-checked write here.
+    pub fn raise_clock(&self, floor: u64) {
+        for shard in self.shards.iter() {
+            let mut shard = shard.write();
+            shard.clock = shard.clock.max(floor);
+        }
     }
 
     /// Number of directory entries in use.
@@ -1125,6 +1180,84 @@ mod tests {
         let w1 = c.write_and_invalidate(&a, blk, b"1", WriteKind::ChangedData).unwrap();
         let w2 = c.write_and_invalidate(&a, blk, b"2", WriteKind::ChangedData).unwrap();
         assert!(w2.version > w1.version);
+    }
+
+    /// A version-checked set writes a block only while its entry is at
+    /// the version the writer read, and stops at the first that moved:
+    /// what came before stays written, nothing after is touched, and the
+    /// refused block keeps the other writer's bytes and its peers' bits.
+    #[test]
+    fn a_write_set_stops_at_the_first_block_whose_version_moved() {
+        let c = store_in(64);
+        let (a, b) = (c.connect(16).unwrap(), c.connect(16).unwrap());
+        let names = [1, 2, 3].map(|p| BlockName::from_parts(4, p));
+        let read: Vec<u64> = names
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| c.read_and_register(&a, n, i as u32).unwrap().version)
+            .collect();
+        c.read_and_register(&b, names[1], 0).unwrap();
+        let moved = c.write_and_invalidate(&b, names[1], b"b", WriteKind::ChangedData).unwrap().version;
+        let blocks: Vec<_> = names.iter().zip(&read).map(|(&n, &v)| (n, Some(v), b"a".to_vec())).collect();
+        let set = c.write_and_invalidate_set(&a, &blocks, WriteKind::ChangedData);
+        assert_eq!(set.written.len(), 1);
+        assert_eq!(set.error, Some(CfError::VersionMismatch { expected: read[1], found: moved }));
+        let data = |n| c.directory().1.into_iter().find(|e| e.name == n).and_then(|e| e.data);
+        assert_eq!(data(names[0]).as_deref().map(Vec::as_slice), Some(&b"a"[..]));
+        assert_eq!(data(names[1]).as_deref().map(Vec::as_slice), Some(&b"b"[..]));
+        assert_eq!(data(names[2]), None, "nothing after the refused block is written");
+        assert!(b.is_valid(0), "a refused write signals nobody");
+        // Re-read at the moved version, the rest goes through; blind
+        // blocks go through whatever their version.
+        let rest = [(names[1], Some(moved), b"a".to_vec()), (names[2], None, b"a".to_vec())];
+        assert_eq!(c.write_and_invalidate_set(&a, &rest, WriteKind::ChangedData).error, None);
+        assert!(!b.is_valid(0));
+    }
+
+    /// An entry reclaimed since the writer read it comes back at a later
+    /// version, so a version-checked write of it is refused.
+    #[test]
+    fn a_version_checked_write_of_a_reclaimed_entry_is_refused() {
+        let c = store_in(2);
+        let a = c.connect(16).unwrap();
+        let blk = BlockName::from_parts(5, 1);
+        let read = c.read_and_register(&a, blk, 0).unwrap().version;
+        for p in 2..6 {
+            c.read_and_register(&a, BlockName::from_parts(5, p), p as u32).unwrap();
+        }
+        assert_eq!(c.interest_of(blk), None, "the entry was reclaimed");
+        let set = c.write_and_invalidate_set(&a, &[(blk, Some(read), b"x")], WriteKind::ChangedData);
+        assert!(matches!(set.error, Some(CfError::VersionMismatch { expected, .. }) if expected == read));
+        assert!(set.written.is_empty());
+    }
+
+    /// The candidates a sweep gets are the `max` oldest changed blocks in
+    /// the order a sort of the whole directory gives, for every `max`.
+    #[test]
+    fn castout_candidates_are_the_oldest_in_full_sort_order() {
+        let c = store_in(512);
+        let a = c.connect(16).unwrap();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..2_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let kind = if x.is_multiple_of(5) { WriteKind::CleanData } else { WriteKind::ChangedData };
+            c.write_and_invalidate(&a, BlockName::from_parts(6, x % 400), b"x", kind).unwrap();
+        }
+        let mut all: Vec<(u64, usize, BlockName)> = c
+            .directory()
+            .1
+            .into_iter()
+            .filter(|e| e.changed)
+            .map(|e| (e.lru_tick, shard_index(&e.name), e.name))
+            .collect();
+        all.sort_unstable();
+        let all: Vec<BlockName> = all.into_iter().map(|(_, _, n)| n).collect();
+        assert!(all.len() > 200, "{} changed blocks", all.len());
+        for max in [0, 1, 7, 256, all.len() - 1, all.len(), all.len() + 5] {
+            assert_eq!(c.castout_candidates(max), all[..max.min(all.len())], "max {max}");
+        }
     }
 
     #[test]

@@ -1187,7 +1187,7 @@ impl CacheConnection {
         at: Option<u64>,
     ) -> CfResult<WriteResult> {
         let r = self.sub.issue(CfCommand::cache_write(data.len()), || {
-            self.structure.write_at(&self.token, name, data, kind, at)
+            self.structure.write_at(&self.token, name, data, kind, at, None)
         });
         if let Ok(w) = &r {
             self.sub.emit(TraceEvent::CrossInvalidate {
@@ -1198,19 +1198,21 @@ impl CacheConnection {
         r
     }
 
-    /// Write `blocks` in order and cross-invalidate each one's other
-    /// registered connectors, as one command (see
-    /// [`CacheStructure::write_and_invalidate_set`]); charged and converted
-    /// on the bytes of all of them. Traced as one cross-invalidate per
-    /// block written, in order.
+    /// Write `blocks` — `(name, expected version, data)` — in order and
+    /// cross-invalidate each one's other registered connectors, as one
+    /// command (see [`CacheStructure::write_and_invalidate_set`]: a block
+    /// whose version moved stops the set); charged and converted on the
+    /// bytes of all of them. Traced as one cross-invalidate per block
+    /// written, in order.
     pub fn write_invalidate_set<B: AsRef<[u8]>>(
         &self,
-        blocks: &[(BlockName, B)],
+        blocks: &[(BlockName, Option<u64>, B)],
         kind: WriteKind,
     ) -> CfResult<WriteSetResult> {
         let r = self.write_set_at(blocks, kind, &[]);
         if let Ok(set) = &r {
-            // What the primary took, and only that, at its versions.
+            // What the primary took, and only that, at its versions,
+            // whatever the writer expected.
             let written = &blocks[..set.written.len()];
             if !written.is_empty() {
                 self.mirror(|sec| {
@@ -1226,16 +1228,16 @@ impl CacheConnection {
     /// there is one (see [`CacheStructure::write_set_at`]).
     fn write_set_at<B: AsRef<[u8]>>(
         &self,
-        blocks: &[(BlockName, B)],
+        blocks: &[(BlockName, Option<u64>, B)],
         kind: WriteKind,
         at: &[u64],
     ) -> CfResult<WriteSetResult> {
-        let bytes = blocks.iter().map(|(_, data)| data.as_ref().len()).sum();
+        let bytes = blocks.iter().map(|(_, _, data)| data.as_ref().len()).sum();
         let r = self.sub.issue(CfCommand::cache_write(bytes), || {
             Ok(self.structure.write_set_at(&self.token, blocks, kind, at))
         });
         if let Ok(set) = &r {
-            for ((name, _), w) in blocks.iter().zip(&set.written) {
+            for ((name, ..), w) in blocks.iter().zip(&set.written) {
                 self.sub.emit(TraceEvent::CrossInvalidate {
                     block: name.digest(),
                     invalidated: w.invalidated as u64,
@@ -1535,8 +1537,10 @@ mod tests {
     /// results, the same trace events in block order — as one command.
     #[test]
     fn a_write_set_signals_what_single_writes_signal_in_block_order() {
-        let blocks: Vec<(BlockName, Vec<u8>)> =
-            [3u64, 1, 2, 1].iter().map(|&b| (BlockName::from_parts(7, b), vec![b as u8; 100])).collect();
+        let blocks: Vec<(BlockName, Option<u64>, Vec<u8>)> = [3u64, 1, 2, 1]
+            .iter()
+            .map(|&b| (BlockName::from_parts(7, b), None, vec![b as u8; 100]))
+            .collect();
         let run = |as_set: bool| {
             let cf = cf();
             cf.tracer().enable();
@@ -1555,7 +1559,9 @@ mod tests {
             } else {
                 blocks
                     .iter()
-                    .map(|(name, data)| writer.write_invalidate(*name, data, WriteKind::ChangedData).unwrap())
+                    .map(|(name, _, data)| {
+                        writer.write_invalidate(*name, data, WriteKind::ChangedData).unwrap()
+                    })
                     .collect()
             };
             let commands = writer.stats().class(CommandClass::CacheWrite).issued.get() - before;
@@ -1572,7 +1578,7 @@ mod tests {
         let (singles, set) = (run(false), run(true));
         assert_eq!((&set.0, &set.1, set.2), (&singles.0, &singles.1, singles.2));
         assert_eq!((singles.3, set.3), (4, 1));
-        let order: Vec<u64> = blocks.iter().map(|(name, _)| name.digest()).collect();
+        let order: Vec<u64> = blocks.iter().map(|(name, ..)| name.digest()).collect();
         let signalled: Vec<u64> = set
             .1
             .iter()

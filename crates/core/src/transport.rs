@@ -650,12 +650,15 @@ impl RemoteCacheConnection {
     /// see [`CacheConnection::write_invalidate_set`].
     pub fn write_invalidate_set<B: AsRef<[u8]>>(
         &self,
-        blocks: &[(BlockName, B)],
+        blocks: &[(BlockName, Option<u64>, B)],
         kind: WriteKind,
     ) -> CfResult<WriteSetResult> {
         self.link.call(WireRequest::CacheWriteSet {
             handle: self.link.handle,
-            blocks: blocks.iter().map(|(name, data)| (*name, data.as_ref().to_vec())).collect(),
+            blocks: blocks
+                .iter()
+                .map(|(name, expect, data)| (*name, *expect, data.as_ref().to_vec()))
+                .collect(),
             kind,
         })
     }

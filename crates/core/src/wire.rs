@@ -57,7 +57,7 @@ use std::time::Duration;
 /// Frame magic: the first bytes of every frame on a stream transport.
 pub const FRAME_MAGIC: [u8; 4] = *b"SPLX";
 /// Wire protocol version; bumped on any incompatible format change.
-pub const WIRE_VERSION: u8 = 3;
+pub const WIRE_VERSION: u8 = 4;
 /// Upper bound on one frame's body. Large enough for a bulk castout page
 /// batch, small enough that a corrupt length cannot balloon allocation.
 pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
@@ -1263,11 +1263,13 @@ cf_commands! {
         /// A commit's pages, in one command:
         /// [`crate::connection::CacheConnection::write_invalidate_set`].
         18 CacheWriteSet {
-            /// `(name, data)` of each block, in write order.
-            blocks: Vec<(BlockName, Vec<u8>)>,
+            /// `(name, expected version, data)` of each block, in write
+            /// order; a block with an expected version is written only if
+            /// its entry is still at it.
+            blocks: Vec<(BlockName, Option<u64>, Vec<u8>)>,
             /// What the writes store.
             kind: WriteKind,
-        } CfCommand::cache_write(blocks.iter().map(|(_, d)| d.len()).sum()) => |c| {
+        } CfCommand::cache_write(blocks.iter().map(|(_, _, d)| d.len()).sum()) => |c| {
             P::WriteSet(c.write_invalidate_set(&blocks, kind)?)
         };
         /// [`crate::connection::CacheConnection::castout_candidates`].

@@ -157,7 +157,7 @@ fn request_samples(h: u32, n: u64, sel: u8, data: &[u8], name: &str) -> Vec<Wire
         WireRequest::CacheWrite { handle: h, name: block, data: data.to_vec(), kind: write_kind(sel) },
         WireRequest::CacheWriteSet {
             handle: h,
-            blocks: vec![(block, data.to_vec()), (BlockName::from_parts(h, n), vec![])],
+            blocks: vec![(block, Some(n), data.to_vec()), (BlockName::from_parts(h, n), None, vec![])],
             kind: write_kind(sel),
         },
         WireRequest::CacheCastoutCandidates { handle: h, max: n },
@@ -510,8 +510,9 @@ const GOLDEN_REQUESTS: [&str; WireRequest::COUNT] = [
     // CacheReadReplacing (tag 10), added with the one-command buffer steal; 45 before WIRE_VERSION 3.
     "0a04030201676f6c64656e2d627974657321000000030302010101020304111213141516171800000000",
     "1104030201676f6c64656e2d6279746573210000000d000000676f6c64656e2d62797465732101",
-    // CacheWriteSet (tag 18), same PR; 46 before WIRE_VERSION 3.
-    "120403020102000000676f6c64656e2d6279746573210000000d000000676f6c64656e2d627974657321010203041112131415161718000000000000000001",
+    // CacheWriteSet (tag 18), same PR; 46 before WIRE_VERSION 3. Each
+    // block carries its expected version since WIRE_VERSION 4.
+    "120403020102000000676f6c64656e2d6279746573210000000118171615141312110d000000676f6c64656e2d62797465732101020304111213141516171800000000000000000001",
     "13040302011817161514131211",
     "1404030201676f6c64656e2d627974657321000000",
     "1504030201676f6c64656e2d6279746573210000001817161514131211",
@@ -595,10 +596,10 @@ fn every_tag_has_a_sample_and_golden_bytes() {
     let tags = |encoded: &[Vec<u8>]| encoded.iter().map(|b| b[0] as usize).collect::<BTreeSet<_>>();
     assert_eq!(tags(&requests), (0..WireRequest::COUNT).collect(), "one sample per request tag");
     assert_eq!(tags(&responses), (0..WireResponse::COUNT).collect(), "one sample per response tag");
-    assert_eq!(sysplex_core::wire::WIRE_VERSION, 3);
+    assert_eq!(sysplex_core::wire::WIRE_VERSION, 4);
 
     // The frame around them: magic, version, body length, sequence number.
     let mut framed = FrameStream::new(Vec::new());
     framed.send(0x0A0B_0C0D, |w| w.put_raw(&requests[0])).unwrap();
-    assert_eq!(hex(&framed.into_inner()), format!("53504c58030a0000000d0c0b0a{}", GOLDEN_REQUESTS[0]));
+    assert_eq!(hex(&framed.into_inner()), format!("53504c58040a0000000d0c0b0a{}", GOLDEN_REQUESTS[0]));
 }

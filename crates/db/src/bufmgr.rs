@@ -14,8 +14,11 @@
 //!
 //! Writes go to the CF as **changed data** (store-in): one command updates
 //! the global copies of a commit's pages and cross-invalidates every peer
-//! registered on each. A castout sweep later destages changed pages to
-//! DASD.
+//! registered on each. A page read through the pool is written only if
+//! the CF's copy is still the one it was read at; a writer that lost that
+//! race reads again and merges again ([`BufferManager::update_pages`]),
+//! so no page lock serialises writers. A castout sweep later destages
+//! changed pages to DASD.
 //! The decisions are [`protocol`]'s; this module performs them.
 
 pub mod protocol;
@@ -45,6 +48,9 @@ pub struct BufStats {
     pub dasd_reads: Counter,
     /// Page writes (CF write + cross-invalidate).
     pub writes: Counter,
+    /// Write sets stopped at a page another writer had written since it
+    /// was read: each reads the rest again and sends it again.
+    pub conflicts: Counter,
     /// Changed pages cast out to DASD.
     pub castouts: Counter,
 }
@@ -187,22 +193,63 @@ impl BufferManager {
         Ok((fresh, reg.version))
     }
 
-    /// Write a page: [`BufferManager::put_pages`] of one.
+    /// Write a page: one CF changed-data write, refused with
+    /// [`CfError::VersionMismatch`] if the page was read through the pool
+    /// and its version has moved since; a page built from scratch writes
+    /// blind.
     pub fn put_page(&self, page: u64, p: &Page) -> DbResult<()> {
-        self.put_pages(&[(page, p.clone())])
+        self.write_set(&[(page, p.clone())]).map_err(|(_, e)| e)
+    }
+
+    /// Rewrite `pages`, in order: read each through the pool, let `edit`
+    /// change it (`false`: unchanged, not written), and write the changed
+    /// ones as one version-checked CF write. Where a page's version moved
+    /// since it was read — another writer, on this member or a peer, wrote
+    /// it first — the write stops, and the pages from that one on are read,
+    /// edited and sent again. `edit` must hold up to a newer image: the
+    /// caller's record locks keep what it changes stable, and only the rest
+    /// of the page moves. Any other error ends the rewrite, the pages
+    /// before it written.
+    pub fn update_pages(&self, pages: &[u64], mut edit: impl FnMut(u64, &mut Page) -> bool) -> DbResult<()> {
+        let (mut from, mut set, mut at) =
+            (0, Vec::with_capacity(pages.len()), Vec::with_capacity(pages.len()));
+        loop {
+            for (i, &page) in pages.iter().enumerate().skip(from) {
+                let mut p = self.get_page(page)?;
+                if edit(page, &mut p) {
+                    set.push((page, p));
+                    at.push(i);
+                }
+            }
+            match self.write_set(&set) {
+                Ok(()) => return Ok(()),
+                Err((written, DbError::Cf(CfError::VersionMismatch { found, .. }))) => {
+                    self.stats.conflicts.incr();
+                    self.pool.lock().refused(&self.store.block_name(set[written].0), found);
+                    from = at[written];
+                    set.clear();
+                    at.clear();
+                }
+                Err((_, e)) => return Err(e),
+            }
+        }
     }
 
     /// Write pages: one CF changed-data write of all of them, in order,
-    /// cross-invalidating each one's registered peers, then the local
-    /// frames, which keep the caller's images (shared, not copied). The
-    /// caller must hold every page's serialization (its P-lock). A set the
-    /// CF stops part-way — the group buffer full at some page — still
-    /// installs the frames of the pages it wrote: the CF holds their new
-    /// images and this member's validity bits for them are set, so a frame
-    /// left on the old image would serve stale bytes.
-    pub fn put_pages(&self, pages: &[(u64, Page)]) -> DbResult<()> {
+    /// each checked against the version it was read at (see
+    /// [`Page::version`]) and cross-invalidating its registered peers, then
+    /// the local frames, which keep the caller's images (shared, not
+    /// copied). A set the CF stops part-way — a version that moved, or the
+    /// group buffer full — still installs the frames of the pages it
+    /// wrote: the CF holds their new images and this member's validity
+    /// bits for them are set, so a frame left on the old image would serve
+    /// stale bytes. `Err` says how many were written.
+    fn write_set(&self, pages: &[(u64, Page)]) -> Result<(), (usize, DbError)> {
+        if pages.is_empty() {
+            return Ok(());
+        }
         let cf = self.cf.read();
-        let mut blocks: Vec<(BlockName, &[u8])> = Vec::with_capacity(pages.len());
+        let mut blocks: Vec<(BlockName, Option<u64>, &[u8])> = Vec::with_capacity(pages.len());
         for (page, p) in pages {
             let name = self.store.block_name(*page);
             // A hit proves the directory still tracks this member (DESIGN.md
@@ -212,20 +259,20 @@ impl BufferManager {
                 if self.pool.lock().landed(fill.idx) {
                     self.landed.notify_all();
                 }
-                reg?;
+                reg.map_err(|e| (0, e.into()))?;
             }
-            blocks.push((name, p.image()));
+            blocks.push((name, p.version(), p.image()));
         }
-        let set = cf.write_invalidate_set(&blocks, WriteKind::ChangedData)?;
+        let set = cf.write_invalidate_set(&blocks, WriteKind::ChangedData).map_err(|e| (0, e.into()))?;
         {
             let mut pool = self.pool.lock();
-            for (w, ((name, _), (_, p))) in set.written.iter().zip(blocks.iter().zip(pages)) {
+            for (w, ((name, ..), (_, p))) in set.written.iter().zip(blocks.iter().zip(pages)) {
                 pool.written(*name, w.version, p, |idx| cf.is_valid_block(idx as u32, *name));
             }
         }
         self.stats.writes.add(set.written.len() as u64);
         match set.error {
-            Some(e) => Err(e.into()),
+            Some(e) => Err((set.written.len(), e.into())),
             None => Ok(()),
         }
     }
@@ -285,12 +332,14 @@ impl BufferManager {
     /// The primary CF is gone: promote every member's secondary connection,
     /// or none when one is simplex. Changed data is already there; local
     /// pools are invalidated (their registrations died with the primary
-    /// directory).
+    /// directory), and the secondary versions above the primary, so a page
+    /// a commit read before the failover is read again.
     pub fn failover_all(managers: &[&BufferManager]) -> DbResult<()> {
         let mut guards: Vec<_> = managers.iter().map(|m| m.cf.write()).collect();
         let promoted: Option<Vec<_>> = guards.iter().map(|g| g.promote()).collect();
         let promoted = promoted.ok_or(DbError::Cf(CfError::WrongModel))?;
         for ((manager, guard), conn) in managers.iter().zip(guards.iter_mut()).zip(promoted) {
+            conn.structure().raise_clock(guard.structure().clock());
             manager.pool.lock().clear();
             **guard = conn;
         }
@@ -303,7 +352,9 @@ impl BufferManager {
     /// Protocol: quiesce every member's CF cache traffic, destage all
     /// changed data from the old structure to DASD (so the new structure
     /// starts clean and DASD is the source of truth), then reconnect every
-    /// member and invalidate its local pool.
+    /// member and invalidate its local pool. The new structure versions
+    /// above the old, so a page a commit read before the rebuild is read
+    /// again.
     pub fn rebuild_all(
         managers: &[&BufferManager],
         new: Arc<CacheStructure>,
@@ -316,6 +367,7 @@ impl BufferManager {
             while manager.castout_inner(guard, 1024)? > 0 {}
         }
         for (manager, guard) in managers.iter().zip(guards.iter_mut()) {
+            new.raise_clock(guard.structure().clock());
             let _ = guard.detach();
             let sub = sub.sibling().with_system(manager.system);
             let conn = CacheConnection::attach(&new, sub, manager.pool.lock().frames.len())?;
@@ -456,7 +508,7 @@ mod tests {
         assert_eq!(a.stats.local_hits.get(), 1);
         let before = cache_reads(&r);
         a.put_page(1, &page).unwrap();
-        a.put_page(1, &page).unwrap();
+        a.put_page(1, &a.get_page(1).unwrap()).unwrap();
         assert_eq!(cache_reads(&r) - before, 0, "ready and valid: the registration stands");
         // A peer's write cross-invalidates a and drops its registration.
         b.put_page(1, &one_record(1, b"b1")).unwrap();
@@ -479,16 +531,25 @@ mod tests {
         panic!("page {page}'s directory entry was never reclaimed");
     }
 
+    /// A reclaim drops the registration, so a put registers again; the
+    /// page read before the reclaim is refused, since the entry's next life
+    /// versions above it, and a page built from scratch goes through.
     #[test]
     fn put_registers_again_after_a_directory_reclaim() {
         let r = rig_with_directory(4);
         let a = bm(&r, 0);
-        let page = a.get_page(1).unwrap();
+        let read = a.get_page(1).unwrap();
         // More blocks through a four-entry directory: page 1's entry,
         // unchanged, is reclaimed and its holder told.
         let b = bm(&r, 1);
         reclaim_page(&r, &b, 1, &mut (10..100));
         let before = cache_reads(&r);
+        let err = a.put_page(1, &read).unwrap_err();
+        assert!(matches!(err, DbError::Cf(CfError::VersionMismatch { .. })), "got {err:?}");
+        assert_eq!(cache_reads(&r) - before, 1);
+        reclaim_page(&r, &b, 1, &mut (100..200));
+        let before = cache_reads(&r);
+        let page = one_record(1, b"built");
         a.put_page(1, &page).unwrap();
         assert_eq!(cache_reads(&r) - before, 1);
         assert_eq!(a.get_page(1).unwrap(), page);
@@ -582,8 +643,8 @@ mod tests {
             b.get_page(page).unwrap();
         }
         let big = |page: u64| one_record(page, &[page as u8; 3000]);
-        let set: Vec<(u64, Page)> = (1..=3).map(|page| (page, big(page))).collect();
-        let err = a.put_pages(&set).unwrap_err();
+        let err =
+            a.update_pages(&[1, 2, 3], |page, p| p.set(page, &[page as u8; 3000]).is_none()).unwrap_err();
         assert!(matches!(err, DbError::Cf(CfError::StructureFull)), "got {err:?}");
         assert_eq!(a.stats.writes.get(), 2);
         let hits = a.stats.local_hits.get();
@@ -595,6 +656,30 @@ mod tests {
         assert_eq!(a.get_page(3).unwrap(), Page::new());
         assert_eq!(b.get_page(3).unwrap(), Page::new());
         assert_no_under_registration(&r, &a);
+    }
+
+    /// A page read before a rebuild is refused after it, however far the
+    /// new structure's versions have climbed: they start above the old's.
+    #[test]
+    fn a_page_read_before_a_rebuild_is_refused_after_it() {
+        let r = rig();
+        let a = bm(&r, 0);
+        for _ in 0..5 {
+            a.put_page(1, &one_record(1, b"old")).unwrap();
+        }
+        let read = a.get_page(1).unwrap();
+        let new = r.cf.allocate_cache_structure("GBP1", CacheParams::store_in(256)).unwrap();
+        BufferManager::rebuild_all(&[&a], Arc::clone(&new), &r.cf.subchannel()).unwrap();
+        let b = bm(&Rig { cache: Arc::clone(&new), ..r }, 1);
+        let name = b.store.block_name(1);
+        let version = || new.directory().1.into_iter().find(|e| e.name == name).map_or(0, |e| e.version);
+        b.put_page(1, &one_record(1, b"new")).unwrap();
+        while version() < read.version().unwrap() {
+            b.put_page(1, &one_record(1, b"new")).unwrap();
+        }
+        let err = a.put_page(1, &read).unwrap_err();
+        assert!(matches!(err, DbError::Cf(CfError::VersionMismatch { .. })), "got {err:?}");
+        assert_eq!(a.get_page(1).unwrap().get(1).unwrap(), b"new");
     }
 
     #[test]

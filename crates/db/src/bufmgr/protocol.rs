@@ -6,7 +6,8 @@
 //! answers a hit ([`Pool::hit`], the part a read inlines) or asks for a
 //! fill, which the shell performs and ends with [`Pool::installed`] (a
 //! refill, under the version guard) or [`Pool::landed`]; [`Pool::written`]
-//! takes a write set's images through the same guard, and [`Pool::clear`]
+//! takes a write set's images through the same guard, [`Pool::refused`]
+//! retires a frame older than a refused write found, and [`Pool::clear`]
 //! forgets everything. The state is
 //! public so that one thread can drive two pools through every
 //! interleaving (`crates/db/tests/bufmgr_interleavings.rs`).
@@ -142,9 +143,9 @@ impl Pool {
     }
 
     /// Frame `idx` takes `page`, an image at directory `version`, if its
-    /// bit is set and it holds nothing newer. The page the frame serves, or
-    /// `None`: look again. A fill holds its frame, so the frame is still the
-    /// fill's block.
+    /// bit is set and it holds nothing newer. The page the frame serves,
+    /// carrying its version, or `None`: look again. A fill holds its frame,
+    /// so the frame is still the fill's block.
     pub fn installed(&mut self, idx: usize, version: u64, page: Page, valid: bool) -> Option<Page> {
         if !valid {
             return None;
@@ -154,16 +155,30 @@ impl Pool {
         #[cfg(feature = "test-hooks")]
         let newer = newer || self.ignore_version;
         if newer {
-            (f.page, f.version) = (Some(page), version);
+            (f.page, f.version) = (Some(page.at(version)), version);
         }
         f.page.clone()
     }
 
     /// A write set wrote `page` as `name` at `version`: `name`'s frame, if
-    /// any, takes it as [`Pool::installed`] would.
+    /// any, takes it as [`Pool::installed`] would, never going back to an
+    /// older version.
     pub fn written(&mut self, name: BlockName, version: u64, page: &Page, valid: impl FnOnce(usize) -> bool) {
         if let Some(&idx) = self.map.get(&name) {
             self.installed(idx, version, page.clone(), valid(idx));
+        }
+    }
+
+    /// A write of `name` was refused: the CF holds it at `found`. A frame
+    /// older than that stops being ready — with its bit still set it is
+    /// this member's, whose other writer has not installed its set yet —
+    /// so the writer's next read refreshes instead of reading it again.
+    pub fn refused(&mut self, name: &BlockName, found: u64) {
+        if let Some(&idx) = self.map.get(name) {
+            let f = &mut self.frames[idx];
+            if f.version < found {
+                f.page = None;
+            }
         }
     }
 

@@ -5,17 +5,18 @@
 //! space (CF lock structure via the IRLM). The protocol per transaction:
 //!
 //! * **Read** — take a Shared record *L-lock*, then read the page through
-//!   the coherent buffer pool. No P-lock: the page image is fetched
-//!   atomically and the locked record cannot change under us.
+//!   the coherent buffer pool. The page image is fetched atomically and
+//!   the locked record cannot change under us.
 //! * **Write** — take an Exclusive, *persistent* L-lock (recorded in CF
 //!   record data for recoverability), capture the before-image, and stage
 //!   the change in the transaction's private workspace.
 //! * **Commit** — force the undo/redo log (WAL) and write the lock records
-//!   the transaction still owes, then externalise the touched pages under
-//!   short page *P-locks* (read-merge-write against concurrent updates of
-//!   *other* records on the same page, exactly DB2's data-sharing page
-//!   physical locks) in one CF write, force the commit record, release all
-//!   locks.
+//!   the transaction still owes, then externalise the touched pages in one
+//!   CF write that checks each page's directory version: a page another
+//!   writer changed since it was read (a concurrent update of *another*
+//!   record on it) is read again, merged again and sent again
+//!   ([`BufferManager::update_pages`]), so no page lock is taken. Force
+//!   the commit record, release all locks.
 //! * **Abort** — discard the workspace and release locks; nothing was
 //!   externalised, so no undo is needed. Undo *is* needed when a whole
 //!   system dies mid-commit — that is [`crate::recovery`]'s job, using the
@@ -93,6 +94,19 @@ impl Txn {
     pub fn id(&self) -> u64 {
         self.id
     }
+
+    /// The pages the transaction changes, ascending.
+    fn pages(&self) -> Vec<u64> {
+        let mut pages: Vec<u64> = self.writes.values().map(|w| w.page).collect();
+        pages.sort_unstable();
+        pages.dedup();
+        pages
+    }
+
+    /// The staged changes on `page`, by key.
+    fn on_page(&self, page: u64) -> impl Iterator<Item = (u64, &StagedWrite)> {
+        self.writes.iter().filter(move |(_, w)| w.page == page).map(|(key, w)| (*key, w))
+    }
 }
 
 /// A per-system database manager over the shared data.
@@ -120,21 +134,11 @@ fn hex_into(out: &mut [u8], mut v: u64) {
     }
 }
 
-// Lock-name helpers shared with recovery. Names are built on the stack —
-// the lock manager copies what it keeps.
-
-/// `ROW.{key:016x}`
-pub(crate) fn row_resource(key: u64) -> [u8; 20] {
+/// `ROW.{key:016x}`, built on the stack: the lock manager copies what it
+/// keeps.
+fn row_resource(key: u64) -> [u8; 20] {
     let mut name = *b"ROW.0000000000000000";
     hex_into(&mut name[4..], key);
-    name
-}
-
-/// `PAGE.{db_id:08x}.{page:016x}`
-pub(crate) fn page_resource(db_id: u32, page: u64) -> [u8; 30] {
-    let mut name = *b"PAGE.00000000.0000000000000000";
-    hex_into(&mut name[5..13], db_id as u64);
-    hex_into(&mut name[14..], page);
     name
 }
 
@@ -224,7 +228,7 @@ impl Database {
 
     /// Wait for `mode` on `resource` up to the configured lock timeout.
     fn lock_wait(&self, txn: u64, resource: &[u8], mode: LockMode, persistent: bool) -> DbResult<()> {
-        self.irlm.lock_wait(txn, resource, mode, persistent, None, self.config.lock_timeout)
+        self.irlm.lock_wait(txn, resource, mode, persistent, self.config.lock_timeout)
     }
 
     fn check_open(txn: &Txn) -> DbResult<()> {
@@ -269,11 +273,10 @@ impl Database {
         Ok(())
     }
 
-    /// Commit: WAL force, externalise pages under P-locks, commit record,
-    /// release locks.
+    /// Commit: WAL force, externalise pages, commit record, release locks.
     ///
-    /// A failure before the commit record is durable (e.g. a P-lock timeout
-    /// under heavy contention) backs out whatever was already externalised
+    /// A failure before the commit record is durable (e.g. the group buffer
+    /// full part-way through the pages) backs out whatever was externalised
     /// — the held L-locks make that safe — logs an Abort, and releases
     /// everything; the error is then surfaced. Once the commit record is
     /// forced the transaction *is* committed: an error releasing its locks
@@ -325,31 +328,15 @@ impl Database {
         //    record exists before anything it protects reaches shared
         //    storage.
         self.irlm.write_records(txn.id)?;
-        // 3. Externalise: take every touched page's P-lock in ascending
-        //    page order (no P-lock deadlocks between committers), merge each
-        //    page with concurrent changes to other records on it, and write
-        //    them all in one command; then release the P-locks together.
-        let mut by_page: Vec<(u64, u64, &StagedWrite)> =
-            txn.writes.iter().map(|(key, w)| (w.page, *key, w)).collect();
-        by_page.sort_unstable_by_key(|&(page, key, _)| (page, key));
-        let mut plocks = Vec::new();
-        let result = (|| -> DbResult<()> {
-            let mut pages = Vec::new();
-            for writes in by_page.chunk_by(|a, b| a.0 == b.0) {
-                let page_no = writes[0].0;
-                let plock = page_resource(self.store.db_id(), page_no);
-                self.lock_wait(txn.id, &plock, LockMode::Exclusive, false)?;
-                plocks.push(plock);
-                let mut page = self.buf.get_page(page_no)?;
-                for &(_, key, w) in writes {
-                    page.write(key, w.after.as_deref());
-                }
-                pages.push((page_no, page));
+        // 3. Externalise: merge the transaction's records into every page
+        //    it touched and write them all in one version-checked command;
+        //    a page another writer got to first is merged again.
+        self.buf.update_pages(&txn.pages(), |page_no, page| {
+            for (key, w) in txn.on_page(page_no) {
+                page.write(key, w.after.as_deref());
             }
-            self.buf.put_pages(&pages)
-        })();
-        self.irlm.unlock_set(txn.id, &plocks)?;
-        result?;
+            true
+        })?;
         // 4. Commit record durable.
         self.log.append(LogRecord::Commit { lsn: Tod(lsn + txn.writes.len() as u64), txn: txn.id });
         self.log.force()?;
@@ -360,21 +347,16 @@ impl Database {
     /// storage (commit-failure path; the L-locks are still held, so the
     /// record values cannot have moved under us).
     fn backout_externalised(&self, txn: &Txn) {
-        for (key, w) in &txn.writes {
-            let plock = page_resource(self.store.db_id(), w.page);
-            if self.lock_wait(txn.id, &plock, LockMode::Exclusive, false).is_err() {
-                continue;
-            }
-            let _ = (|| -> DbResult<()> {
-                let mut page = self.buf.get_page(w.page)?;
-                if page.get(*key) == w.after.as_deref() {
-                    page.write(*key, w.before.as_deref());
-                    self.buf.put_page(w.page, &page)?;
+        let _ = self.buf.update_pages(&txn.pages(), |page_no, page| {
+            let mut undone = false;
+            for (key, w) in txn.on_page(page_no) {
+                if page.get(key) == w.after.as_deref() {
+                    page.write(key, w.before.as_deref());
+                    undone = true;
                 }
-                Ok(())
-            })();
-            let _ = self.irlm.unlock(txn.id, &plock);
-        }
+            }
+            undone
+        });
     }
 
     /// Abort: nothing was logged or externalised — a transaction's updates
@@ -450,13 +432,10 @@ mod tests {
         assert_eq!(key_of_row_resource(&row_resource(u64::MAX)), Some(u64::MAX));
         assert_eq!(key_of_row_resource(b"PAGE.x"), None);
         assert_eq!(key_of_row_resource(b"ROW.zz"), None);
-        assert_ne!(page_resource(1, 2), page_resource(1, 3));
         // Byte for byte what `format!` produced: hash classes, traces and
         // seeded runs depend on the names.
         for key in [0, 1, 42, 0xdead_beef, u64::MAX] {
             assert_eq!(&row_resource(key)[..], format!("ROW.{key:016x}").as_bytes());
-            assert_eq!(&page_resource(7, key)[..], format!("PAGE.{:08x}.{key:016x}", 7).as_bytes());
         }
-        assert_eq!(&page_resource(u32::MAX, 3)[..], format!("PAGE.{:08x}.{:016x}", u32::MAX, 3).as_bytes());
     }
 }

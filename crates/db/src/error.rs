@@ -38,6 +38,9 @@ pub enum DbError {
     PageCorrupt(u64),
     /// Log record failed to decode.
     LogCorrupt,
+    /// Peer recovery discarded this member's log after the member opened
+    /// it: the writer belongs to a failed incarnation.
+    LogDiscarded,
     /// The lock-manager peer negotiation failed (peer gone mid-protocol).
     NegotiationFailed,
 }
@@ -83,6 +86,7 @@ impl fmt::Display for DbError {
             DbError::TxnComplete => write!(f, "transaction already complete"),
             DbError::PageCorrupt(p) => write!(f, "page {p} corrupt"),
             DbError::LogCorrupt => write!(f, "log record corrupt"),
+            DbError::LogDiscarded => write!(f, "log discarded by peer recovery since it was opened"),
             DbError::NegotiationFailed => write!(f, "lock negotiation failed"),
         }
     }

@@ -645,4 +645,79 @@ mod tests {
             g.remove_member(SystemId::new(i));
         }
     }
+
+    /// Two clients on each of two members add one to records of their
+    /// own, all on one page, `rounds` times each, from `totals` on. Each
+    /// record's value must be its client's commits since the start: an
+    /// update lost to a concurrent write of the page reads one short. Then
+    /// how many write sets a moved version stopped.
+    fn increment_one_page(g: &DataSharingGroup, rounds: u64, totals: &mut [u64; 4]) -> (Vec<u64>, u64) {
+        let members = [g.member(SystemId::new(0)).unwrap(), g.member(SystemId::new(1)).unwrap()];
+        let keys: [u64; 4] = std::array::from_fn(|i| 7 + g.config.pages * i as u64);
+        let get = |db: &Database, txn: &mut crate::database::Txn, key| -> DbResult<u64> {
+            Ok(db.read(txn, key)?.map_or(0, |v| u64::from_be_bytes(v.try_into().unwrap())))
+        };
+        std::thread::scope(|scope| {
+            let clients: Vec<_> = (keys.iter().enumerate())
+                .map(|(i, &key)| {
+                    let db = &members[i % 2];
+                    scope.spawn(move || {
+                        let add = |db: &Database, txn: &mut _| {
+                            let next = get(db, txn, key)? + 1;
+                            db.write(txn, key, Some(&next.to_be_bytes()))
+                        };
+                        (0..rounds).filter(|_| db.run(50, add).is_ok()).count() as u64
+                    })
+                })
+                .collect();
+            for (total, client) in totals.iter_mut().zip(clients) {
+                *total += client.join().unwrap();
+            }
+        });
+        let values =
+            keys.iter().map(|&key| members[0].run(0, |db, txn| get(db, txn, key)).unwrap()).collect();
+        (values, members.iter().map(|m| m.buffers().stats.conflicts.get()).sum())
+    }
+
+    /// The records of one page, updated by clients of two members at once,
+    /// each keep every commit: a write set that finds the page moved reads
+    /// it again and merges, and that happens.
+    #[test]
+    fn clients_of_two_members_commit_records_of_one_page_without_losing_one() {
+        let g = group();
+        for i in 0..2 {
+            g.add_member(SystemId::new(i)).unwrap();
+        }
+        let (deadline, mut totals) = (std::time::Instant::now() + std::time::Duration::from_secs(20), [0; 4]);
+        loop {
+            let (values, conflicts) = increment_one_page(&g, 200, &mut totals);
+            assert_eq!(values, totals, "an update was lost");
+            if conflicts > 0 {
+                break;
+            }
+            assert!(std::time::Instant::now() < deadline, "no write set ever conflicted");
+        }
+        for i in 0..2 {
+            g.remove_member(SystemId::new(i));
+        }
+    }
+
+    /// With the CF writing a set whatever version it was read at, the same
+    /// clients lose updates.
+    #[cfg(feature = "test-hooks")]
+    #[test]
+    fn a_cf_that_ignores_the_expected_version_loses_an_update_of_a_shared_page() {
+        let g = group();
+        for i in 0..2 {
+            g.add_member(SystemId::new(i)).unwrap();
+        }
+        g.cache_structure().arm_ignore_expected();
+        let (deadline, mut totals) = (std::time::Instant::now() + std::time::Duration::from_secs(20), [0; 4]);
+        while increment_one_page(&g, 200, &mut totals).0 == totals {
+            assert!(std::time::Instant::now() < deadline, "no update was lost");
+        }
+        for i in 0..2 {
+            g.remove_member(SystemId::new(i));
+        }
+    }
 }

@@ -241,20 +241,15 @@ impl Irlm {
     /// going away), or is failed-persistent (its retained interest
     /// conflicts until peer recovery completes), with none. None of these
     /// is "no conflict": the caller retries, by which time cleanup is done.
-    ///
-    /// `ignore` names a failed connector whose retained interest is being
-    /// recovered *by the caller* — acting on the dead system's behalf, the
-    /// recovery coordinator may pass through its retained locks.
     fn negotiate(
         &self,
         cf: &LockConnection,
         holders: ConnMask,
         resource: &[u8],
         mode: LockMode,
-        ignore: Option<ConnId>,
     ) -> DbResult<Negotiation> {
         let query = IrlmSignal::Query { mode, resource: resource.to_vec() }.encode();
-        for holder in conns_in_mask(holders & !cf.conn_id().mask()).filter(|&holder| Some(holder) != ignore) {
+        for holder in conns_in_mask(holders & !cf.conn_id().mask()) {
             if cf.is_failed_persistent(holder)? {
                 return Ok(Err((holder, None)));
             }
@@ -275,7 +270,7 @@ impl Irlm {
     /// `persistent` records the lock in CF record data (set for update
     /// locks so they are recoverable after a system failure).
     pub fn lock(&self, txn: u64, resource: &[u8], mode: LockMode, persistent: bool) -> DbResult<LockOutcome> {
-        let verdict = self.attempt(txn, resource, mode, persistent, None, None)?;
+        let verdict = self.attempt(txn, resource, mode, persistent, None)?;
         Ok(if verdict.is_ok() { LockOutcome::Granted } else { LockOutcome::Busy })
     }
 
@@ -304,7 +299,6 @@ impl Irlm {
         resource: &[u8],
         mode: LockMode,
         persistent: bool,
-        ignore: Option<ConnId>,
         mut waiting: Option<&mut Option<Duration>>,
     ) -> DbResult<Verdict> {
         // The request's one hash pass: entry index and every table key
@@ -329,7 +323,7 @@ impl Irlm {
                     if let Some(waiting) = waiting.as_deref_mut() {
                         self.wait_start(waiting);
                     }
-                    let said = self.negotiate(&cf, holders, resource, mode, ignore)?;
+                    let said = self.negotiate(&cf, holders, resource, mode)?;
                     self.transition(&cf, |local| local.negotiated(txn, said, holders, generation)).0
                 }
                 Step::Force { entry, holders, generation } => {
@@ -394,16 +388,12 @@ impl Irlm {
     /// on holders that are silent, gone or failed-persistent above all —
     /// and ends it with [`DbError::LockTimeout`], naming what the last Busy
     /// answer reported.
-    /// `recovering` names a failed connector whose retained interest the
-    /// caller — the peer-recovery coordinator, acting on the dead system's
-    /// behalf — passes through.
     pub fn lock_wait(
         &self,
         txn: u64,
         resource: &[u8],
         mode: LockMode,
         persistent: bool,
-        recovering: Option<ConnId>,
         timeout: Duration,
     ) -> DbResult<()> {
         let mut waiting = None;
@@ -411,7 +401,7 @@ impl Irlm {
         let stop_waiting = || self.local.lock().stop_waiting(txn);
         loop {
             let verdict = self
-                .attempt(txn, resource, mode, persistent, recovering, Some(&mut waiting))
+                .attempt(txn, resource, mode, persistent, Some(&mut waiting))
                 .inspect_err(|_| stop_waiting())?;
             let blocker = match verdict {
                 Ok(()) => return Ok(()),
@@ -447,15 +437,7 @@ impl Irlm {
     /// ends, so an unlock that leaves `txn` holding nothing evicts too.
     /// What the unlock gives up goes to the CF as at most one command.
     pub fn unlock(&self, txn: u64, resource: &[u8]) -> DbResult<()> {
-        self.unlock_set(txn, &[resource])
-    }
-
-    /// Release `txn`'s holds on `names` under one latch acquisition, in
-    /// order, exactly as that many [`Irlm::unlock`]s would — with at most
-    /// one CF command for all of them. Names `txn` does not hold are
-    /// skipped.
-    pub fn unlock_set<N: AsRef<[u8]>>(&self, txn: u64, names: &[N]) -> DbResult<()> {
-        self.transition(&self.cf.read(), |local| local.unlock_set(txn, names)).1
+        self.transition(&self.cf.read(), |local| local.unlock(txn, resource)).1
     }
 
     /// Write the records still owed for resources `txn` holds persistently
@@ -799,7 +781,7 @@ mod tests {
         for bytes in &garbled {
             *answer.lock() = bytes.clone();
             let wait = Duration::from_millis(2);
-            let err = a.lock_wait(u64::MAX, b"ROW.1", LockMode::Exclusive, false, None, wait).unwrap_err();
+            let err = a.lock_wait(u64::MAX, b"ROW.1", LockMode::Exclusive, false, wait).unwrap_err();
             assert!(
                 matches!(err, DbError::LockTimeout { .. }),
                 "answer {bytes:02x?} read as a waiter: {err}"
@@ -905,9 +887,8 @@ mod tests {
         let r = rig(2, 1024);
         let (a, b) = (&r.irlms[0], &r.irlms[1]);
         a.lock(1, b"ROW.1", LockMode::Exclusive, false).unwrap();
-        let err = b
-            .lock_wait(2, b"ROW.1", LockMode::Exclusive, false, None, Duration::from_millis(30))
-            .unwrap_err();
+        let err =
+            b.lock_wait(2, b"ROW.1", LockMode::Exclusive, false, Duration::from_millis(30)).unwrap_err();
         assert!(matches!(err, DbError::LockTimeout { .. }));
         assert!(
             matches!(err, DbError::LockTimeout { blocker: Blocker::Peer(conn), .. } if conn == a.conn()),
@@ -925,20 +906,20 @@ mod tests {
         b.lock(2, row, LockMode::Shared, false).unwrap();
         // A wait that times out is over: the younger upgrade then waits
         // too, rather than giving way to nobody.
-        let err = a.lock_wait(1, row, x, true, None, wait).unwrap_err();
+        let err = a.lock_wait(1, row, x, true, wait).unwrap_err();
         assert!(matches!(err, DbError::LockTimeout { .. }), "{err}");
         assert!(!waits(a, 1));
-        let err = b.lock_wait(2, row, x, true, None, wait).unwrap_err();
+        let err = b.lock_wait(2, row, x, true, wait).unwrap_err();
         assert!(matches!(err, DbError::LockTimeout { .. }), "{err}");
         // While the older waits, the younger is its victim at once.
         std::thread::scope(|scope| {
-            let older = scope.spawn(|| a.lock_wait(1, row, x, true, None, Duration::from_secs(60)));
+            let older = scope.spawn(|| a.lock_wait(1, row, x, true, Duration::from_secs(60)));
             let asked = std::time::Instant::now();
             while !waits(a, 1) {
                 assert!(asked.elapsed() < Duration::from_secs(10), "the refused upgrade is not waiting");
                 std::thread::yield_now();
             }
-            let err = b.lock_wait(2, row, x, true, None, Duration::from_secs(60)).unwrap_err();
+            let err = b.lock_wait(2, row, x, true, Duration::from_secs(60)).unwrap_err();
             let winner = Winner { txn: 1, peer: Some(a.conn()) };
             assert_eq!(err, DbError::DeadlockVictim { resource: row.to_vec(), winner });
             assert!(!waits(b, 2));
@@ -1306,8 +1287,8 @@ mod tests {
                     for t in 0..ROUNDS {
                         let txn = (i as u64) << 32 | t;
                         let wait = Duration::from_secs(60);
-                        irlm.lock_wait(txn, own.as_bytes(), LockMode::Exclusive, false, None, wait).unwrap();
-                        irlm.lock_wait(txn, b"ROW.X", LockMode::Exclusive, false, None, wait).unwrap();
+                        irlm.lock_wait(txn, own.as_bytes(), LockMode::Exclusive, false, wait).unwrap();
+                        irlm.lock_wait(txn, b"ROW.X", LockMode::Exclusive, false, wait).unwrap();
                         let v = counter.load(Ordering::Relaxed);
                         std::thread::yield_now();
                         counter.store(v + 1, Ordering::Relaxed);
@@ -1553,15 +1534,8 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for t in 0..50u64 {
                     let txn = (i as u64) << 32 | t;
-                    irlm.lock_wait(
-                        txn,
-                        b"COUNTER",
-                        LockMode::Exclusive,
-                        false,
-                        None,
-                        Duration::from_secs(10),
-                    )
-                    .unwrap();
+                    irlm.lock_wait(txn, b"COUNTER", LockMode::Exclusive, false, Duration::from_secs(10))
+                        .unwrap();
                     let v = counter.load(Ordering::Relaxed);
                     std::thread::yield_now();
                     counter.store(v + 1, Ordering::Relaxed);

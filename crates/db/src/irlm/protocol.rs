@@ -19,7 +19,7 @@
 //!   [`LocalState::forced`] takes;
 //! - [`LocalState::answer`] serves a peer's negotiation query;
 //! - [`LocalState::stop_waiting`] ends a transaction's wait;
-//! - [`LocalState::unlock_set`], [`LocalState::unlock_all`] and
+//! - [`LocalState::unlock`], [`LocalState::unlock_all`] and
 //!   [`LocalState::write_records`] fill the release and record sets;
 //! - [`LocalState::replay`] and [`LocalState::rebuilt`] carry the member's
 //!   holds onto a rebuilt structure or a new duplex secondary.
@@ -602,25 +602,22 @@ impl LocalState {
         (in_window || blocker.is_some(), blocker.filter(|&(_, waits)| waits).map(|(txn, _)| txn))
     }
 
-    /// Release `txn`'s holds on `names` in order, exactly as that many
-    /// single unlocks would; names `txn` does not hold are skipped. What
-    /// they give up lands in the release set.
-    pub fn unlock_set<N: AsRef<[u8]>>(&mut self, txn: u64, names: &[N]) {
-        for name in names {
-            let name = ResourceName::new(name.as_ref());
-            let Entry::Occupied(mut held) = self.held.entry(txn) else { break };
-            // Newest first: a lock released by name is nearly always one
-            // taken last (a commit's page P-locks).
-            let Some(at) = held.get().iter().rposition(|held| *held == name) else { continue };
-            held.get_mut().swap_remove(at);
-            let ended = held.get().is_empty();
-            if ended {
-                self.spare_lists.push(held.remove());
-            }
-            self.release_one(txn, name);
-            if ended {
-                self.evict_parked();
-            }
+    /// Release `txn`'s hold on `name`, if it holds it. What it gives up
+    /// lands in the release set.
+    pub fn unlock(&mut self, txn: u64, name: &[u8]) {
+        let name = ResourceName::new(name);
+        let Entry::Occupied(mut held) = self.held.entry(txn) else { return };
+        // Newest first: a lock released by name is nearly always one taken
+        // last.
+        let Some(at) = held.get().iter().rposition(|held| *held == name) else { return };
+        held.get_mut().swap_remove(at);
+        let ended = held.get().is_empty();
+        if ended {
+            self.spare_lists.push(held.remove());
+        }
+        self.release_one(txn, name);
+        if ended {
+            self.evict_parked();
         }
     }
 

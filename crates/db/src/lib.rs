@@ -19,7 +19,8 @@
 //! * [`log`] — a per-system write-ahead log on DASD (undo/redo), merged
 //!   across systems by sysplex-timer timestamps.
 //! * [`database`] — the transactional record interface: 2PL with record
-//!   L-locks and page P-locks, store-in group-buffer writes at commit.
+//!   L-locks, store-in group-buffer writes at commit, each page written
+//!   only if no other writer changed it since it was read.
 //! * [`recovery`] — peer recovery (§2.5): a surviving system replays the
 //!   failed member's log, backs out uncommitted work and frees its
 //!   retained locks.

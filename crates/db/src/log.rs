@@ -12,7 +12,7 @@ pub mod protocol;
 
 use crate::error::DbResult;
 use parking_lot::Mutex;
-use protocol::{life_of, next_life, Reader, Step, Writer, FIRST_RECORD_BLOCK};
+use protocol::{claim, life_of, next_life, Reader, Step, Writer, FIRST_RECORD_BLOCK};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -90,12 +90,16 @@ pub struct LogManager {
 }
 
 impl LogManager {
-    /// Open the log of `system` on `volume`.
+    /// Open the log of `system` on `volume`, at the life its block 0
+    /// names: once peer recovery discards the log, this manager's forces
+    /// fail ([`crate::error::DbError::LogDiscarded`]).
     pub fn new(system: u8, farm: &DasdFarm, volume: &str) -> DbResult<Self> {
+        let vol = farm.open(volume)?;
+        let life = life_of(&vol.read(system, 0)?)?;
         Ok(LogManager {
             system,
-            vol: farm.open(volume)?,
-            inner: Mutex::default(),
+            vol,
+            inner: Mutex::new(Writer::opened(life)),
             durable: AtomicU64::new(0),
             truncations: Arc::default(),
         })
@@ -136,7 +140,7 @@ impl LogManager {
         loop {
             step = match step {
                 Step::Done => return Ok(forced),
-                Step::Claim => w.claimed(self.vol.update(self.system, 0, next_life)??)?,
+                Step::Claim { from } => w.claimed(self.vol.update(self.system, 0, |h| claim(h, from))??)?,
                 Step::Write { block, at, end, count } => {
                     self.vol.write(self.system, block, &w.pending()[at..end])?;
                     self.durable.fetch_add(u64::from(count), Ordering::Relaxed);

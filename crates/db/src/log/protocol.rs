@@ -34,8 +34,9 @@ const CYCLE_SHIFT: u32 = 32;
 pub enum Step {
     /// The force is over.
     Done,
-    /// Move block 0 to [`next_life`] and give the life to [`Writer::claimed`].
-    Claim,
+    /// Move block 0 from life `from` to the next ([`claim`]) and give the
+    /// life to [`Writer::claimed`].
+    Claim { from: u64 },
     /// Write [`Writer::pending`]`[at..end]`, `count` records, as block
     /// `block`; then call [`Writer::written`] with `end`.
     Write { block: u64, at: usize, end: usize, count: u32 },
@@ -51,6 +52,9 @@ pub struct Writer {
     pending: WireWriter,
     /// This cycle's epoch; `None` until a write claims a life.
     pub(super) epoch: Option<u64>,
+    /// The life block 0 named when the log opened, then the one this
+    /// writer claimed: a claim moves block 0 only from it.
+    life: u64,
     /// Blocks this cycle has written.
     blocks: u64,
     /// Where the unwritten records of the force in progress begin.
@@ -61,6 +65,11 @@ pub struct Writer {
 }
 
 impl Writer {
+    /// The writer of a log whose block 0 names `life` as it opens.
+    pub fn opened(life: u64) -> Self {
+        Writer { life, ..Writer::default() }
+    }
+
     /// Buffer a record (not yet durable).
     pub fn append(&mut self, record: &LogRecord) {
         match record {
@@ -114,7 +123,7 @@ impl Writer {
 
     /// Block 0 names `life`, claimed for this writer: its first epoch.
     pub fn claimed(&mut self, life: u64) -> DbResult<Step> {
-        self.epoch = Some(life);
+        (self.epoch, self.life) = (Some(life), life);
         self.next()
     }
 
@@ -136,7 +145,7 @@ impl Writer {
             self.settle();
             return Ok(Step::Done);
         }
-        let Some(epoch) = self.epoch else { return Ok(Step::Claim) };
+        let Some(epoch) = self.epoch else { return Ok(Step::Claim { from: self.life }) };
         // As many of the remaining records as one block takes.
         let (mut end, mut count) = (start, 0u32);
         while end < self.pending.len() {
@@ -175,6 +184,17 @@ impl Writer {
         self.blocks = 0;
         true
     }
+}
+
+/// Move block 0, `header`, from life `from` to the next, a writer's claim:
+/// [`DbError::LogDiscarded`] when block 0 names another life — peer
+/// recovery discarded the log since the writer opened it, and the writer
+/// is a crashed member's that lives on.
+pub fn claim(header: &mut Vec<u8>, from: u64) -> DbResult<u64> {
+    if life_of(header)? != from {
+        return Err(DbError::LogDiscarded);
+    }
+    next_life(header)
 }
 
 /// Move block 0, `header`, to the next life, which is also its first epoch.

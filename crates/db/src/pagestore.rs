@@ -31,10 +31,25 @@ const RECORD_HEAD: usize = 12;
 /// ([`sysplex_dasd::volume::BLOCK_SIZE`], 4 KiB) by castout time; size
 /// your key-space (`GroupConfig::pages`) so records per page stay small,
 /// as a real 4K-page database would.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A page served by a buffer pool remembers the CF directory version its
+/// image was read at, and keeps it through updates: writing it back is
+/// then refused if another writer got there first. A page built here
+/// ([`Page::new`], [`Page::decode`]) has none and writes blind. Two pages
+/// are equal when their images are.
+#[derive(Debug, Clone)]
 pub struct Page {
     image: Arc<Vec<u8>>,
+    version: Option<u64>,
 }
+
+impl PartialEq for Page {
+    fn eq(&self, other: &Self) -> bool {
+        self.image == other.image
+    }
+}
+
+impl Eq for Page {}
 
 impl Default for Page {
     fn default() -> Self {
@@ -69,7 +84,7 @@ impl<'a> Iterator for Records<'a> {
 impl Page {
     /// Empty page.
     pub fn new() -> Self {
-        Page { image: Arc::new(vec![0; COUNT_BYTES]) }
+        Page { image: Arc::new(vec![0; COUNT_BYTES]), version: None }
     }
 
     /// Decode a page image. An empty image is an empty page.
@@ -102,7 +117,18 @@ impl Page {
         if off != image.len() {
             return Err(corrupt());
         }
-        Ok(Page { image })
+        Ok(Page { image, version: None })
+    }
+
+    /// The CF directory version the image was read at; `None` for a page
+    /// built from scratch.
+    pub fn version(&self) -> Option<u64> {
+        self.version
+    }
+
+    /// The same page, read at `version`.
+    pub(crate) fn at(self, version: u64) -> Self {
+        Page { version: Some(version), ..self }
     }
 
     /// The page image.

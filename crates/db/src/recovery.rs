@@ -11,10 +11,12 @@
 //! 2. A surviving system reads the dead member's log from shared DASD and
 //!    splits its transactions into committed / aborted / in-flight.
 //! 3. In-flight updates are **backed out** in reverse order: for each, the
-//!    survivor takes the page P-lock *overriding only the dead member's
-//!    retained interest* (it acts on the dead member's behalf), restores
-//!    the before-image when the update had reached shared storage, and
-//!    re-externalises the page.
+//!    survivor restores the before-image when the update had reached
+//!    shared storage and re-externalises the page, with the version-checked
+//!    rewrite a commit uses (`BufferManager::update_pages`). No lock is
+//!    taken: the dead member's retained record locks keep the record
+//!    still, and a peer's concurrent write of another record on the page
+//!    makes the rewrite read and merge again.
 //! 4. The dead member's log is discarded (its epoch bumped), so what has
 //!    been backed out is never backed out again.
 //! 5. The dead connector's retained locks and records are released; the
@@ -24,13 +26,11 @@
 //! available throughout; data it was touching becomes available the moment
 //! backout completes.
 
-use crate::database::{page_resource, Database};
+use crate::database::Database;
 use crate::error::{DbError, DbResult};
 use crate::log::{LogManager, LogRecord};
 use std::sync::Arc;
-use std::time::Duration;
 use sysplex_core::cache::CacheStructure;
-use sysplex_core::lock::LockMode;
 use sysplex_core::{CfError, ConnId};
 use sysplex_dasd::farm::DasdFarm;
 
@@ -58,10 +58,6 @@ pub struct FailedMember {
     pub log_volume: String,
 }
 
-/// How long a backout waits for a page P-lock before recovery gives up:
-/// the deadlock breaker of the recovery "transaction".
-const BACKOUT_WAIT: Duration = Duration::from_secs(10);
-
 /// Run peer recovery for `failed` on the `survivor` instance.
 pub fn recover_peer(
     survivor: &Database,
@@ -86,10 +82,7 @@ pub fn recover_peer(
     let records = LogManager::read_log(survivor.system().0, farm, &failed.log_volume)?;
     let (_committed, _aborted, inflight) = LogManager::analyze(&records);
 
-    // 3. Back out in-flight updates, newest first. The lock owner is a
-    //    fresh TOD, not a `begin()`: recovery is not one of the survivor's
-    //    transactions and must not hold its checkpoint gate shut.
-    let rtxn = survivor.timer().tod().0;
+    // 3. Back out in-flight updates, newest first.
     let mut undone = 0;
     let mut backed_out: std::collections::HashSet<u64> = std::collections::HashSet::new();
     for rec in records.iter().rev() {
@@ -98,25 +91,19 @@ pub fn recover_peer(
             continue;
         }
         backed_out.insert(*txn);
-        let plock = page_resource(survivor.store().db_id(), *page);
-        irlm.lock_wait(rtxn, &plock, LockMode::Exclusive, false, Some(failed.lock_conn), BACKOUT_WAIT)?;
-        let result = (|| -> DbResult<bool> {
-            let mut image = survivor.buffers().get_page(*page)?;
-            if image.get(*key) != after.as_deref() {
-                // The update never reached shared storage (crash before
-                // externalisation): nothing to undo.
-                return Ok(false);
+        // An update that never reached shared storage (a crash before
+        // externalisation) has nothing to undo. The last edit is the one
+        // written.
+        let mut reached = false;
+        survivor.buffers().update_pages(&[*page], |_, image| {
+            reached = image.get(*key) == after.as_deref();
+            if reached {
+                image.write(*key, before.as_deref());
             }
-            image.write(*key, before.as_deref());
-            survivor.buffers().put_page(*page, &image)?;
-            Ok(true)
-        })();
-        irlm.unlock(rtxn, &plock)?;
-        if result? {
-            undone += 1;
-        }
+            reached
+        })?;
+        undone += usize::from(reached);
     }
-    irlm.unlock_all(rtxn)?;
 
     // 4. The log has been backed out: discard it, so that a second failure
     //    of the same member (or of this recovery, re-run) finds nothing to

@@ -4,23 +4,32 @@
 //! Two [`Pool`]s, each with its own connection to one small store-in
 //! [`CacheStructure`] — two to four directory entries, so registrations
 //! reclaim each other's entries — and a DASD that maps each page to the
-//! image last written there. Each member runs up to two actors, each a
-//! script of at most four reads, write sets and castouts. One atomic
-//! action is what the shell does in one piece: a transition under the
-//! member's latch with the bit reads and scrubs it makes there, one CF
-//! command, or one DASD read or write. A write set holds the P-locks of
-//! its pages from its first action to its last, as a commit does. The
-//! explorer (`explore/mod.rs`) walks every choice of which actor acts next,
-//! and checks after every action that
+//! image last written there. An image holds the record its page was
+//! loaded with and one record per actor that has written the page, each
+//! valued with a write number. Each member runs up to two actors, each a
+//! script of at most four reads, write sets and castouts. A write set is
+//! a commit's: it reads each of its pages through the pool, merges its own
+//! record into each and sends them as one version-checked set; where the
+//! set stops at a page another writer got to first, it reads the pages
+//! from there on again and sends them again. No lock keeps writers apart.
+//! One atomic action is what the shell does in one piece: a transition
+//! under the member's latch with the bit reads and scrubs it makes there,
+//! one CF command, or one DASD read or write. The explorer
+//! (`explore/mod.rs`) walks every choice of which actor acts next, and
+//! checks after every action that
 //!
-//! - no frame is under-registered: a ready frame whose bit is set belongs
-//!   to a block the member is registered for, at that frame's index;
-//! - no read is stale: a read returns its own page, at least as new as the
-//!   newest write that finished before the read began — for the writer's
-//!   peer, when the write's CF command finished; for the writer's own
-//!   member, when its write set installed;
-//! - DASD never holds an image newer than the newest the CF took for the
-//!   page, nor one older than a castout the CF completed;
+//! - (a) no frame is under-registered: a ready frame whose bit is set
+//!   belongs to a block the member is registered for, at that frame's
+//!   index;
+//! - (b) no read is stale: a read returns its own page, at least as new as
+//!   the newest write that finished before the read began — for the
+//!   writer's peer, when the write's CF command finished; for the writer's
+//!   own member, when its write set installed;
+//! - (c) DASD never holds an image newer than the newest the CF took for
+//!   the page, nor one older than a castout the CF completed;
+//! - (d) no update is lost: a page's current image — the CF's copy, or
+//!   DASD's where the CF holds none — keeps each actor's record at least
+//!   as new as the last write set that wrote it;
 //! - no actor waits with nothing left to wake it.
 
 mod explore;
@@ -35,6 +44,9 @@ use sysplex_db::pagestore::Page;
 
 /// Pages 1 to 4 (slot 0 unused).
 const PAGES: usize = 5;
+/// Record keys per page: page `p`'s load record is `p * KEYS`, actor
+/// `t`'s is `p * KEYS + 1 + t`.
+const KEYS: u64 = 8;
 
 /// One step of an actor's script.
 #[derive(Debug, Clone, Copy)]
@@ -57,35 +69,42 @@ struct Scenario {
     actors: &'static [Actor],
 }
 
-/// Where one actor is inside script step `.0`. `.1` is a write set's
-/// page position (0 for a read).
+/// Where one actor is inside script step `.0`. `.1` is a page's position
+/// in the step: in a read or a write set's read, of the step's pages; in a
+/// put, of the set being sent.
 #[derive(Debug, Clone, Hash)]
 enum At {
     /// About to start step `.0`.
     Op(usize),
-    /// Look the page up.
+    /// Look the page up to read it.
     Lookup(usize, usize),
-    /// Answered Wait: runnable again once one of the member's fills lands.
-    Waiting(usize, usize),
-    /// Send the fill's registration.
-    Register(usize, usize, Fill),
+    /// Look the page up to send it.
+    Put(usize, usize),
+    /// Answered Wait: runnable again once one of the member's fills lands;
+    /// `true` in a put.
+    Waiting(usize, usize, bool),
+    /// Send the fill's registration; `true` in a put.
+    Register(usize, usize, Fill, bool),
     /// A read's registration found no CF copy at this version: read DASD.
-    Dasd(usize, Fill, u64),
-    /// End a read's fill, installing what it got: `(value, version)`, or
+    Dasd(usize, usize, Fill, u64),
+    /// End a read's fill, installing what it got: `(image, version)`, or
     /// nothing when its command failed.
-    Install(usize, Fill, Option<(u64, u64)>),
-    /// End a write set's fill; `false` when its registration failed.
+    Install(usize, usize, Fill, Option<(Vec<u8>, u64)>),
+    /// End a put's fill; `false` when its registration failed.
     Land(usize, usize, Fill, bool),
-    /// Send the write set's command.
+    /// Send the write set.
     Write(usize),
-    /// Install the images the set wrote: `(page, value, version)`.
-    Written(usize, Vec<(u64, u64, u64)>),
+    /// Install the images the set wrote, `(page, image, version)`; then,
+    /// when the set stopped at a version that moved, retire a frame older
+    /// than the version found and read again from that position of the
+    /// step's pages: `(position, page, found)`.
+    Written(usize, Vec<(u64, Vec<u8>, u64)>, Option<(usize, u64, u64)>),
     /// Read the first candidate for castout.
     CastoutRead(usize, Vec<u64>),
-    /// Write `(page, value)` to DASD, read at `version`.
-    CastoutWrite(usize, Vec<u64>, u64, u64, u64),
-    /// Complete the castout of `page` at `version`, DASD holding `value`.
-    CastoutComplete(usize, Vec<u64>, u64, u64, u64),
+    /// Write `page`'s image to DASD, read at `version`.
+    CastoutWrite(usize, Vec<u64>, u64, Vec<u8>, u64),
+    /// Complete the castout of `page` at `version`, DASD holding the image.
+    CastoutComplete(usize, Vec<u64>, u64, Vec<u8>, u64),
 }
 
 /// The known-bad switches the walk runs with.
@@ -98,28 +117,47 @@ struct Bugs {
     ignore_version: bool,
     /// A lookup may start a second fill of a frame whose fill is in flight.
     second_fill: bool,
+    /// The CF writes a set's blocks whatever version they were read at.
+    ignore_expected: bool,
 }
 
 fn name(page: u64) -> BlockName {
     BlockName::from_parts(1, page)
 }
 
-/// The image of `page` holding write number `value` (0: as first loaded).
-fn image(page: u64, value: u64) -> Page {
+/// `page` as first loaded: its load record, write 0.
+fn loaded(page: u64) -> Page {
     let mut p = Page::new();
-    p.set(page, &value.to_be_bytes());
+    p.set(page * KEYS, &0u64.to_be_bytes());
     p
 }
 
-/// The page and write number an image holds.
-fn decode(image: &Page) -> (u64, u64) {
-    let (page, value) = image.iter().next().expect("one record per image");
-    (page, u64::from_be_bytes(value.try_into().expect("an 8-byte value")))
+fn page_of_image(page: u64, image: &[u8]) -> Page {
+    Page::decode(image, page).expect("a valid image")
 }
 
-fn cf_value(page: u64, data: &[u8]) -> u64 {
-    decode(&Page::decode(data, page).expect("a valid image")).1
+fn value(v: &[u8]) -> u64 {
+    u64::from_be_bytes(v.try_into().expect("an 8-byte value"))
 }
+
+/// The page an image's records belong to (0 when they are of several),
+/// and the newest write number among them.
+fn decode(image: &Page) -> (u64, u64) {
+    let mut pages = image.iter().map(|(key, _)| key / KEYS);
+    let first = pages.next().expect("a load record");
+    let on = if pages.all(|p| p == first) { first } else { 0 };
+    (on, image.iter().map(|(_, v)| value(v)).max().expect("a load record"))
+}
+
+/// `image` with actor `t`'s record of `page` set to write `v`.
+fn merged(page: u64, image: &[u8], t: usize, v: u64) -> Vec<u8> {
+    let mut p = page_of_image(page, image);
+    p.set(page * KEYS + 1 + t as u64, &v.to_be_bytes());
+    p.image().to_vec()
+}
+
+/// A page a write set read: `(page, image, version)`.
+type ReadPage = (u64, Vec<u8>, Option<u64>);
 
 struct World<'s> {
     actors: &'s [Actor],
@@ -129,14 +167,18 @@ struct World<'s> {
     at: Vec<At>,
     /// Per actor: the newest write its current read must see.
     floor: Vec<u64>,
+    /// Per actor: the pages its write set has read, to send.
+    set: Vec<Vec<ReadPage>>,
     /// Per member and page: the newest write finished for that member.
     finished: [[u64; PAGES]; 2],
-    /// Per page: DASD's write number, the newest the CF took, the newest
-    /// a completed castout marked clean, and the actor holding its P-lock.
-    dasd: [u64; PAGES],
+    /// Per page: DASD's image, the newest write the CF took and the newest
+    /// a completed castout marked clean.
+    dasd: [Page; PAGES],
     newest: [u64; PAGES],
     cleaned: [u64; PAGES],
-    plocks: [Option<usize>; PAGES],
+    /// Per actor and page: the write its record got from the last set that
+    /// wrote the page (0: none).
+    committed: Vec<[u64; PAGES]>,
     next_write: u64,
     /// A stale read the last action returned.
     stale: Option<String>,
@@ -152,16 +194,21 @@ impl<'s> World<'s> {
             assert!(actors.clone().count() <= 2, "at most two actors per member");
             assert!(actors.clone().all(|a| a.ops.len() <= 4), "at most four steps per actor");
         }
-        assert!((1..=2).contains(&scenario.frames) && (2..=4).contains(&scenario.entries));
+        assert!((1..=2).contains(&scenario.frames) && (1..=4).contains(&scenario.entries));
         let cache = CacheStructure::new("GBP0", &CacheParams::store_in(scenario.entries)).unwrap();
         let conns = [cache.connect(scenario.frames).unwrap(), cache.connect(scenario.frames).unwrap()];
         #[allow(unused_mut)]
         let mut pools = [Pool::new(scenario.frames), Pool::new(scenario.frames)];
         #[cfg(feature = "test-hooks")]
-        for pool in &mut pools {
-            pool.steal_filling = bugs.steal_filling;
-            pool.ignore_version = bugs.ignore_version;
-            pool.second_fill = bugs.second_fill;
+        {
+            for pool in &mut pools {
+                pool.steal_filling = bugs.steal_filling;
+                pool.ignore_version = bugs.ignore_version;
+                pool.second_fill = bugs.second_fill;
+            }
+            if bugs.ignore_expected {
+                cache.arm_ignore_expected();
+            }
         }
         let _ = bugs;
         let n = scenario.actors.len();
@@ -172,11 +219,12 @@ impl<'s> World<'s> {
             pools,
             at: vec![At::Op(0); n],
             floor: vec![0; n],
+            set: vec![Vec::new(); n],
             finished: [[0; PAGES]; 2],
-            dasd: [0; PAGES],
+            dasd: std::array::from_fn(|page| loaded(page as u64)),
             newest: [0; PAGES],
             cleaned: [0; PAGES],
-            plocks: [None; PAGES],
+            committed: vec![[0; PAGES]; n],
             next_write: 1,
             stale: None,
             directory: (0, Vec::new()),
@@ -187,9 +235,11 @@ impl<'s> World<'s> {
         matches!(self.at[t], At::Op(pc) if pc == self.actors[t].ops.len())
     }
 
-    /// The page step `pc` of actor `t` is at, `i` into a write set.
-    fn page(&self, t: usize, pc: usize, i: usize) -> u64 {
+    /// The page step `pc` of actor `t` reads at position `i`, or sends at
+    /// position `i` of its set.
+    fn page(&self, t: usize, pc: usize, i: usize, put: bool) -> u64 {
         match self.actors[t].ops[pc] {
+            _ if put => self.set[t][i].0,
             Op::Read(page) => page,
             Op::Write(pages) => pages[i],
             Op::Castout => unreachable!("a castout looks nothing up"),
@@ -200,32 +250,38 @@ impl<'s> World<'s> {
     fn land(&mut self, m: usize, idx: usize) {
         if self.pools[m].landed(idx) {
             for t in (0..self.actors.len()).filter(|&t| self.actors[t].member == m) {
-                if let At::Waiting(pc, i) = self.at[t] {
-                    self.at[t] = At::Lookup(pc, i);
+                if let At::Waiting(pc, i, put) = self.at[t] {
+                    self.at[t] = if put { At::Put(pc, i) } else { At::Lookup(pc, i) };
                 }
             }
         }
     }
 
-    /// The read of step `pc` returned `got`.
-    fn read_returned(&mut self, t: usize, pc: usize, got: &Page) -> At {
-        let page = self.page(t, pc, 0);
-        let (on, value) = decode(got);
-        if on != page || value < self.floor[t] {
-            self.stale = Some(format!(
-                "actor {t}'s read of page {page} returned page {on} at write {value}, began after write {}",
-                self.floor[t]
-            ));
+    /// The read of position `i` of step `pc` returned `got`: a read checks
+    /// it; a write set keeps it to merge into, then sends the set once all
+    /// its pages are read.
+    fn read_returned(&mut self, t: usize, pc: usize, i: usize, got: &Page) -> At {
+        match self.actors[t].ops[pc] {
+            Op::Write(pages) => {
+                self.set[t].push((pages[i], got.image().to_vec(), got.version()));
+                if i + 1 < pages.len() {
+                    At::Lookup(pc, i + 1)
+                } else {
+                    At::Put(pc, 0)
+                }
+            }
+            _ => {
+                let page = self.page(t, pc, i, false);
+                let (on, value) = decode(got);
+                if on != page || value < self.floor[t] {
+                    self.stale = Some(format!(
+                        "actor {t}'s read of page {page} returned page {on} at write {value}, began after write {}",
+                        self.floor[t]
+                    ));
+                }
+                At::Op(pc + 1)
+            }
         }
-        At::Op(pc + 1)
-    }
-
-    /// Step `pc` of write-set actor `t` is over: let its P-locks go.
-    fn unlock(&mut self, t: usize, pc: usize) -> At {
-        for lock in self.plocks.iter_mut().filter(|l| **l == Some(t)) {
-            *lock = None;
-        }
-        At::Op(pc + 1)
     }
 
     fn next_castout(&self, pc: usize, pages: Vec<u64>) -> At {
@@ -235,22 +291,23 @@ impl<'s> World<'s> {
         }
     }
 
-    /// Look up page `i` of actor `t`'s step `pc` under its member's latch.
-    fn lookup(&mut self, t: usize, pc: usize, i: usize) -> String {
+    /// Look up position `i` of actor `t`'s step `pc` under its member's
+    /// latch, to read it or, `put`, to send it.
+    fn lookup(&mut self, t: usize, pc: usize, i: usize, put: bool) -> String {
         let m = self.actors[t].member;
-        let page = self.page(t, pc, i);
+        let page = self.page(t, pc, i, put);
         let conn = &self.conns[m];
         let step = self.pools[m].lookup(&name(page), |idx| conn.is_valid(idx as u32));
         if let Lookup::Fill(Fill { idx, evicted: Some(_) }) = step {
             conn.invalidate_local(idx as u32);
         }
         let did = format!("looks up page {page} -> {:?}", map_page(&step));
-        self.at[t] = match (step, self.actors[t].ops[pc]) {
-            (Lookup::Wait, _) => At::Waiting(pc, i),
-            (Lookup::Fill(fill), _) => At::Register(pc, i, fill),
-            (Lookup::Hit(p), Op::Read(_)) => self.read_returned(t, pc, &p),
-            (Lookup::Hit(_), Op::Write(pages)) if i + 1 < pages.len() => At::Lookup(pc, i + 1),
-            (Lookup::Hit(_), _) => At::Write(pc),
+        self.at[t] = match step {
+            Lookup::Wait => At::Waiting(pc, i, put),
+            Lookup::Fill(fill) => At::Register(pc, i, fill, put),
+            Lookup::Hit(p) if !put => self.read_returned(t, pc, i, &p),
+            Lookup::Hit(_) if i + 1 < self.set[t].len() => At::Put(pc, i + 1),
+            Lookup::Hit(_) => At::Write(pc),
         };
         format!("actor {t} on member {m}: {did}")
     }
@@ -258,17 +315,7 @@ impl<'s> World<'s> {
 
 impl explore::World for World<'_> {
     fn runnable(&self) -> Vec<usize> {
-        (0..self.actors.len())
-            .filter(|&t| match self.at[t] {
-                _ if self.done(t) => false,
-                At::Waiting(..) => false,
-                At::Op(pc) => match self.actors[t].ops[pc] {
-                    Op::Write(pages) => pages.iter().all(|&p| self.plocks[p as usize].is_none()),
-                    _ => true,
-                },
-                _ => true,
-            })
-            .collect()
+        (0..self.actors.len()).filter(|&t| !self.done(t) && !matches!(self.at[t], At::Waiting(..))).collect()
     }
 
     /// Run actor `t`'s next atomic action; returns what it did.
@@ -278,14 +325,9 @@ impl explore::World for World<'_> {
             At::Op(pc) => match self.actors[t].ops[pc] {
                 Op::Read(page) => {
                     self.floor[t] = self.finished[m][page as usize];
-                    return self.lookup(t, pc, 0);
+                    return self.lookup(t, pc, 0, false);
                 }
-                Op::Write(pages) => {
-                    for &p in pages {
-                        self.plocks[p as usize] = Some(t);
-                    }
-                    return self.lookup(t, pc, 0);
-                }
+                Op::Write(_) => return self.lookup(t, pc, 0, false),
                 Op::Castout => {
                     let names = self.cache.castout_candidates(PAGES);
                     let pages: Vec<u64> = names.iter().map(|n| page_of(*n)).collect();
@@ -293,10 +335,11 @@ impl explore::World for World<'_> {
                     (self.next_castout(pc, pages), did)
                 }
             },
-            At::Lookup(pc, i) => return self.lookup(t, pc, i),
+            At::Lookup(pc, i) => return self.lookup(t, pc, i, false),
+            At::Put(pc, i) => return self.lookup(t, pc, i, true),
             At::Waiting(..) => unreachable!("a waiting actor is not runnable"),
-            At::Register(pc, i, fill) => {
-                let page = self.page(t, pc, i);
+            At::Register(pc, i, fill, put) => {
+                let page = self.page(t, pc, i, put);
                 let r = self.cache.read_and_register_replacing(
                     &self.conns[m],
                     name(page),
@@ -308,102 +351,125 @@ impl explore::World for World<'_> {
                     fill.idx,
                     r.as_ref().map(|r| r.version)
                 );
-                let next = match (self.actors[t].ops[pc], r) {
-                    (Op::Write(_), r) => At::Land(pc, i, fill, r.is_ok()),
-                    (_, Err(_)) => At::Install(pc, fill, None),
-                    (_, Ok(r)) => match r.data {
-                        Some(data) => At::Install(pc, fill, Some((cf_value(page, &data), r.version))),
-                        None => At::Dasd(pc, fill, r.version),
+                let next = match r {
+                    _ if put => At::Land(pc, i, fill, r.is_ok()),
+                    Err(_) => At::Install(pc, i, fill, None),
+                    Ok(r) => match r.data {
+                        Some(data) => At::Install(pc, i, fill, Some((data.to_vec(), r.version))),
+                        None => At::Dasd(pc, i, fill, r.version),
                     },
                 };
                 (next, did)
             }
-            At::Dasd(pc, fill, version) => {
-                let page = self.page(t, pc, 0);
-                let value = self.dasd[page as usize];
-                (
-                    At::Install(pc, fill, Some((value, version))),
-                    format!("reads page {page} from DASD: write {value}"),
-                )
+            At::Dasd(pc, i, fill, version) => {
+                let page = self.page(t, pc, i, false);
+                let image = &self.dasd[page as usize];
+                let did = format!("reads page {page} from DASD: write {}", decode(image).1);
+                (At::Install(pc, i, fill, Some((image.image().to_vec(), version))), did)
             }
-            At::Install(pc, fill, got) => {
-                let page = self.page(t, pc, 0);
+            At::Install(pc, i, fill, got) => {
+                let page = self.page(t, pc, i, false);
                 let valid = self.conns[m].is_valid(fill.idx as u32);
                 let pool = &mut self.pools[m];
-                let current =
-                    got.map(|(value, version)| pool.installed(fill.idx, version, image(page, value), valid));
+                let current = got.as_ref().map(|(image, version)| {
+                    pool.installed(fill.idx, *version, page_of_image(page, image), valid)
+                });
                 self.land(m, fill.idx);
                 let did = format!(
-                    "installs {got:?} (bit {valid}) -> {:?}",
+                    "installs {:?} (bit {valid}) -> {:?}",
+                    got.as_ref().map(|(image, v)| (decode(&page_of_image(page, image)).1, v)),
                     current.as_ref().map(|c| c.as_ref().map(decode))
                 );
                 let next = match current {
+                    // A read that failed, or a write set given up.
                     None => At::Op(pc + 1),
-                    Some(None) => At::Lookup(pc, 0),
-                    Some(Some(p)) => self.read_returned(t, pc, &p),
+                    Some(None) => At::Lookup(pc, i),
+                    Some(Some(p)) => self.read_returned(t, pc, i, &p),
                 };
                 (next, did)
             }
             At::Land(pc, i, fill, ok) => {
                 self.land(m, fill.idx);
-                let Op::Write(pages) = self.actors[t].ops[pc] else { unreachable!() };
                 let next = match ok {
-                    false => self.unlock(t, pc),
-                    true if i + 1 < pages.len() => At::Lookup(pc, i + 1),
+                    false => At::Op(pc + 1),
+                    true if i + 1 < self.set[t].len() => At::Put(pc, i + 1),
                     true => At::Write(pc),
                 };
                 (next, format!("lands the fill of frame {}", fill.idx))
             }
             At::Write(pc) => {
                 let Op::Write(pages) = self.actors[t].ops[pc] else { unreachable!() };
-                let values: Vec<u64> = (self.next_write..).take(pages.len()).collect();
-                self.next_write += pages.len() as u64;
-                let blocks: Vec<(BlockName, Vec<u8>)> = pages
-                    .iter()
-                    .zip(&values)
-                    .map(|(&p, &v)| (name(p), image(p, v).image().to_vec()))
+                let blocks: Vec<(BlockName, Option<u64>, Vec<u8>)> = (self.set[t].iter())
+                    .zip(self.next_write..)
+                    .map(|((page, image, version), v)| (name(*page), *version, merged(*page, image, t, v)))
                     .collect();
+                self.next_write += blocks.len() as u64;
                 let set =
                     self.cache.write_and_invalidate_set(&self.conns[m], &blocks, WriteKind::ChangedData);
                 let mut written = Vec::new();
-                for ((&page, &value), w) in pages.iter().zip(&values).zip(&set.written) {
+                for ((&(page, _, _), (_, _, image)), w) in self.set[t].iter().zip(&blocks).zip(&set.written) {
+                    let value = decode(&page_of_image(page, image)).1;
                     self.newest[page as usize] = value;
-                    self.finished[1 - m][page as usize] = value;
-                    written.push((page, value, w.version));
+                    let finished = &mut self.finished[1 - m][page as usize];
+                    *finished = (*finished).max(value);
+                    self.committed[t][page as usize] = value;
+                    written.push((page, image.clone(), w.version));
                 }
-                let did = format!("writes {written:?} -> {:?}", set.error);
-                (At::Written(pc, written), did)
+                let retry = match set.error {
+                    Some(CfError::VersionMismatch { found, .. }) => {
+                        let stopped = self.set[t][set.written.len()].0;
+                        pages.iter().position(|&p| p == stopped).map(|i| (i, stopped, found))
+                    }
+                    _ => None,
+                };
+                let did = format!(
+                    "writes {:?} -> {:?}",
+                    written.iter().map(|(p, _, v)| (p, v)).collect::<Vec<_>>(),
+                    set.error
+                );
+                (At::Written(pc, written, retry), did)
             }
-            At::Written(pc, written) => {
+            At::Written(pc, written, retry) => {
                 let (pool, conn) = (&mut self.pools[m], &self.conns[m]);
-                for &(page, value, version) in &written {
-                    pool.written(name(page), version, &image(page, value), |idx| conn.is_valid(idx as u32));
-                    self.finished[m][page as usize] = value;
+                for (page, image, version) in &written {
+                    let p = page_of_image(*page, image);
+                    pool.written(name(*page), *version, &p, |idx| conn.is_valid(idx as u32));
+                    let finished = &mut self.finished[m][*page as usize];
+                    *finished = (*finished).max(decode(&p).1);
                 }
-                (self.unlock(t, pc), "installs its write set".to_string())
+                self.set[t].clear();
+                match retry {
+                    Some((i, page, found)) => {
+                        pool.refused(&name(page), found);
+                        (At::Lookup(pc, i), format!("installs its write set, reads again from page {page}"))
+                    }
+                    None => (At::Op(pc + 1), "installs its write set".to_string()),
+                }
             }
             At::CastoutRead(pc, mut pages) => {
                 let page = pages.remove(0);
                 match self.cache.read_for_castout(&self.conns[m], name(page)) {
                     Ok((data, version)) => {
-                        let value = cf_value(page, &data);
-                        let did = format!("reads page {page} for castout: write {value}");
-                        (At::CastoutWrite(pc, pages, page, value, version), did)
+                        let did = format!(
+                            "reads page {page} for castout: write {}",
+                            decode(&page_of_image(page, &data)).1
+                        );
+                        (At::CastoutWrite(pc, pages, page, data.to_vec(), version), did)
                     }
                     Err(e) => {
                         (self.next_castout(pc, pages), format!("reads page {page} for castout -> {e:?}"))
                     }
                 }
             }
-            At::CastoutWrite(pc, pages, page, value, version) => {
-                self.dasd[page as usize] = value;
-                (
-                    At::CastoutComplete(pc, pages, page, value, version),
-                    format!("writes page {page} to DASD: write {value}"),
-                )
+            At::CastoutWrite(pc, pages, page, image, version) => {
+                self.dasd[page as usize] = page_of_image(page, &image);
+                let did =
+                    format!("writes page {page} to DASD: write {}", decode(&page_of_image(page, &image)).1);
+                (At::CastoutComplete(pc, pages, page, image, version), did)
             }
-            At::CastoutComplete(pc, pages, page, value, version) => {
+            At::CastoutComplete(pc, pages, page, image, version) => {
                 let r = self.cache.complete_castout(&self.conns[m], name(page), version);
+                let value = decode(&page_of_image(page, &image)).1;
                 match r {
                     Ok(()) => self.cleaned[page as usize] = self.cleaned[page as usize].max(value),
                     Err(CfError::VersionMismatch { .. }) => {}
@@ -441,11 +507,26 @@ impl explore::World for World<'_> {
             }
         }
         for page in 1..PAGES {
-            if self.dasd[page] > self.newest[page] || self.dasd[page] < self.cleaned[page] {
+            let dasd = decode(&self.dasd[page]).1;
+            if dasd > self.newest[page] || dasd < self.cleaned[page] {
                 return Err(format!(
-                    "DASD holds write {} of page {page}: the CF took up to {}, a castout marked {} clean",
-                    self.dasd[page], self.newest[page], self.cleaned[page]
+                    "DASD holds write {dasd} of page {page}: the CF took up to {}, a castout marked {} clean",
+                    self.newest[page], self.cleaned[page]
                 ));
+            }
+            if self.committed.iter().all(|c| c[page] == 0) {
+                continue;
+            }
+            let cf = directory.iter().find(|e| e.name == name(page as u64)).and_then(|e| e.data.as_deref());
+            let current = cf.map_or_else(|| self.dasd[page].clone(), |data| page_of_image(page as u64, data));
+            for (t, committed) in self.committed.iter().enumerate() {
+                let want = committed[page];
+                let has = current.get(page as u64 * KEYS + 1 + t as u64).map(value);
+                if want > 0 && has.is_none_or(|has| has < want) {
+                    return Err(format!(
+                        "page {page} lost actor {t}'s write {want}: its current image holds {has:?} for it"
+                    ));
+                }
             }
         }
         if self.runnable().is_empty() {
@@ -462,10 +543,13 @@ impl explore::World for World<'_> {
         let (cursor, directory) = &self.directory;
         let mut ticks: Vec<u64> = directory.iter().flat_map(|e| [e.version, e.lru_tick]).collect();
         ticks.extend(self.pools.iter().flat_map(|p| p.frames.iter().map(|f| f.version)));
+        ticks.extend(self.set.iter().flatten().filter_map(|x| x.2));
         for at in &self.at {
             match at {
-                At::Dasd(_, _, v) | At::Install(_, _, Some((_, v))) => ticks.push(*v),
-                At::Written(_, w) => ticks.extend(w.iter().map(|x| x.2)),
+                At::Dasd(.., v) | At::Install(.., Some((_, v))) => ticks.push(*v),
+                At::Written(_, w, retry) => {
+                    ticks.extend(w.iter().map(|x| x.2).chain(retry.map(|r| r.2)));
+                }
                 At::CastoutWrite(.., v) | At::CastoutComplete(.., v) => ticks.push(*v),
                 _ => {}
             }
@@ -476,36 +560,49 @@ impl explore::World for World<'_> {
         let mut h = DefaultHasher::new();
         for at in &self.at {
             match at.clone() {
-                At::Dasd(pc, f, v) => At::Dasd(pc, f, rank(v)),
-                At::Install(pc, f, got) => At::Install(pc, f, got.map(|(x, v)| (x, rank(v)))),
-                At::Written(pc, w) => {
-                    At::Written(pc, w.into_iter().map(|(p, x, v)| (p, x, rank(v))).collect())
-                }
+                At::Dasd(pc, i, f, v) => At::Dasd(pc, i, f, rank(v)),
+                At::Install(pc, i, f, got) => At::Install(pc, i, f, got.map(|(x, v)| (x, rank(v)))),
+                At::Written(pc, w, retry) => At::Written(
+                    pc,
+                    w.into_iter().map(|(p, x, v)| (p, x, rank(v))).collect(),
+                    retry.map(|(i, p, found)| (i, p, rank(found))),
+                ),
                 At::CastoutWrite(pc, ps, p, x, v) => At::CastoutWrite(pc, ps, p, x, rank(v)),
                 At::CastoutComplete(pc, ps, p, x, v) => At::CastoutComplete(pc, ps, p, x, rank(v)),
                 at => at,
             }
             .hash(&mut h);
         }
+        for set in &self.set {
+            for (page, image, version) in set {
+                (page, image, version.map(rank)).hash(&mut h);
+            }
+            set.len().hash(&mut h);
+        }
         for (pool, conn) in self.pools.iter().zip(&self.conns) {
             for (idx, f) in pool.frames.iter().enumerate() {
-                (f.name, f.page.as_ref().map(decode), rank(f.version), f.filling, conn.is_valid(idx as u32))
+                (
+                    f.name,
+                    f.page.as_ref().map(Page::image),
+                    rank(f.version),
+                    f.filling,
+                    conn.is_valid(idx as u32),
+                )
                     .hash(&mut h);
             }
             (pool.rotor % pool.frames.len(), pool.waiting).hash(&mut h);
         }
         for e in directory {
-            let data = e.data.as_ref().map(|d| cf_value(page_of(e.name), d));
-            (e.name, &e.registered, data, e.changed, rank(e.version), rank(e.lru_tick)).hash(&mut h);
+            (e.name, &e.registered, &e.data, e.changed, rank(e.version), rank(e.lru_tick)).hash(&mut h);
         }
         (
             cursor,
             &self.floor,
             self.finished,
-            self.dasd,
+            self.dasd.iter().map(Page::image).collect::<Vec<_>>(),
             self.newest,
             self.cleaned,
-            self.plocks,
+            &self.committed,
             self.next_write,
         )
             .hash(&mut h);
@@ -551,7 +648,7 @@ const REFILL: Scenario = Scenario {
 };
 
 /// A member writes a page while its other actor refreshes it; the peer
-/// writes it next and reads it back.
+/// writes it too, and both read it back.
 const REWRITE: Scenario = Scenario {
     frames: 1,
     entries: 4,
@@ -562,21 +659,33 @@ const REWRITE: Scenario = Scenario {
     ],
 };
 
-/// Both members write and cast out one page while it is read; a
-/// two-entry directory reclaims it between lives.
+/// Both members write and cast out one page, and one reads it back: two
+/// castouts race their DASD writes.
 const CASTOUT: Scenario = Scenario {
     frames: 1,
     entries: 2,
     actors: &[
         Actor { member: 0, ops: &[Op::Write(&[1]), Op::Castout, Op::Read(1)] },
         Actor { member: 1, ops: &[Op::Write(&[1]), Op::Castout] },
-        Actor { member: 1, ops: &[Op::Read(2), Op::Read(3)] },
+    ],
+};
+
+/// Both members write one page, one casts it out and reads it back while
+/// the other reads two more through a two-entry directory, which reclaims
+/// the page between lives.
+const RECLAIM: Scenario = Scenario {
+    frames: 1,
+    entries: 2,
+    actors: &[
+        Actor { member: 0, ops: &[Op::Write(&[1]), Op::Castout, Op::Read(1)] },
+        Actor { member: 1, ops: &[Op::Write(&[1]), Op::Read(2), Op::Read(3)] },
     ],
 };
 
 /// Write sets of two pages through a three-entry directory, one member
-/// with a single frame: a set's own registrations steal each other's
-/// frame, and the entries are reclaimed under it.
+/// with a single frame: a set's pages steal each other's frame as it reads
+/// and sends them, the two sets conflict, and the entries are reclaimed
+/// under them.
 const SETS: Scenario = Scenario {
     frames: 1,
     entries: 3,
@@ -586,13 +695,28 @@ const SETS: Scenario = Scenario {
     ],
 };
 
+/// Two actors of one member commit different records of one page at
+/// once while the peer reads it: the second to send must read again and
+/// merge, not overwrite the first.
+const LOCAL: Scenario = Scenario {
+    frames: 1,
+    entries: 2,
+    actors: &[
+        Actor { member: 0, ops: &[Op::Write(&[1])] },
+        Actor { member: 0, ops: &[Op::Write(&[1])] },
+        Actor { member: 1, ops: &[Op::Read(1)] },
+    ],
+};
+
 /// Each scenario with the states its walk reaches.
-const SCENARIOS: [(&str, &Scenario, usize); 5] = [
-    ("steal", &STEAL, 4_109),
-    ("refill", &REFILL, 309),
-    ("rewrite", &REWRITE, 957),
-    ("castout", &CASTOUT, 3_331),
-    ("sets", &SETS, 487),
+const SCENARIOS: [(&str, &Scenario, usize); 7] = [
+    ("steal", &STEAL, 4_919),
+    ("refill", &REFILL, 351),
+    ("rewrite", &REWRITE, 2_189),
+    ("castout", &CASTOUT, 770),
+    ("reclaim", &RECLAIM, 1_098),
+    ("sets", &SETS, 2_271),
+    ("local", &LOCAL, 864),
 ];
 
 #[test]
@@ -637,4 +761,11 @@ fn an_install_without_the_version_guard_is_found_serving_a_stale_page() {
 fn a_second_fill_in_flight_is_found_reviving_a_stale_refill() {
     let report = convict(Bugs { second_fill: true, ..Bugs::default() });
     assert!(report.contains("read of page"), "{report}");
+}
+
+#[cfg(feature = "test-hooks")]
+#[test]
+fn a_cf_that_ignores_the_expected_version_is_found_losing_an_update() {
+    let report = convict(Bugs { ignore_expected: true, ..Bugs::default() });
+    assert!(report.contains("lost actor"), "{report}");
 }

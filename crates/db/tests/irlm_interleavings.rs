@@ -163,7 +163,7 @@ impl explore::World for World<'_> {
                         core.request(id, &ResourceName::new(name.as_bytes()), mode, persistent, true)
                     }
                     Op::Unlock(name) => {
-                        core.unlock_set(id, &[name.as_bytes()]);
+                        core.unlock(id, name.as_bytes());
                         Step::Done(Ok(()))
                     }
                     Op::UnlockAll => {

@@ -31,7 +31,6 @@ struct Round {
     unlock: u64,
     cached_regrant: u64,
     write_records: u64,
-    unlock_set_of_four: u64,
     unlock_all_of_eight: u64,
 }
 
@@ -41,7 +40,6 @@ fn round(irlm: &Irlm, n: u64) -> Round {
     // Names are built before anything is measured.
     let single = row(n << 32);
     let eight: Vec<Vec<u8>> = (1..=8).map(|i| row(n << 32 | i)).collect();
-    let four: Vec<Vec<u8>> = (9..=12).map(|i| row(n << 32 | i)).collect();
 
     let before = stats.grants_cf_sync.get();
     let (cf_grant_with_record, outcome) =
@@ -62,13 +60,6 @@ fn round(irlm: &Irlm, n: u64) -> Round {
     assert_eq!(stats.regrants_local.get() - before, 1, "the parked entry re-grants locally");
     let (write_records, _) = allocations_in(|| irlm.write_records(txn_b).unwrap());
 
-    let txn_d = 5000 + n;
-    for name in &four {
-        irlm.lock(txn_d, name, LockMode::Exclusive, false).unwrap();
-    }
-    let (unlock_set_of_four, _) = allocations_in(|| irlm.unlock_set(txn_d, &four).unwrap());
-    assert!(irlm.held_by(txn_d).is_empty());
-
     for name in &eight {
         irlm.lock(txn_c, name, LockMode::Exclusive, true).unwrap();
     }
@@ -76,15 +67,7 @@ fn round(irlm: &Irlm, n: u64) -> Round {
     let (unlock_all_of_eight, _) = allocations_in(|| irlm.unlock_all(txn_c).unwrap());
     assert!(irlm.held_by(txn_c).is_empty());
     irlm.unlock_all(txn_b).unwrap();
-    Round {
-        cf_grant_with_record,
-        local_grant,
-        unlock,
-        cached_regrant,
-        write_records,
-        unlock_set_of_four,
-        unlock_all_of_eight,
-    }
+    Round { cf_grant_with_record, local_grant, unlock, cached_regrant, write_records, unlock_all_of_eight }
 }
 
 #[test]
@@ -114,7 +97,6 @@ fn warm_request_paths_do_not_allocate_and_long_names_still_work() {
     assert_eq!(r.unlock, 0, "unlock");
     assert_eq!(r.cached_regrant, 0, "cached re-grant");
     assert_eq!(r.write_records, 0, "write_records of a re-grant's record");
-    assert_eq!(r.unlock_set_of_four, 0, "unlock_set of four");
     assert_eq!(r.unlock_all_of_eight, 0, "unlock_all of an 8-lock transaction");
 
     // A name past the inline limit takes the heap path and behaves the same.

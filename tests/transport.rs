@@ -270,8 +270,8 @@ fn record_sets_and_write_sets_agree_across_backends() {
         (ResourceName::new(b"ACCT.2"), LockMode::Shared, *b"T1"),
         (ResourceName::new(b"ACCT.3"), LockMode::Exclusive, *b"T1"),
     ];
-    let blocks: Vec<(BlockName, Vec<u8>)> =
-        (1..=3u8).map(|b| (BlockName::from_parts(1, b as u64), vec![b; 4096])).collect();
+    let blocks: Vec<(BlockName, Option<u64>, Vec<u8>)> =
+        (1..=3u8).map(|b| (BlockName::from_parts(1, b as u64), None, vec![b; 4096])).collect();
     // What one run leaves: the two results, the records written, which of
     // a peer's registered buffers were cross-invalidated, and the commands
     // of each class the facility ran.
@@ -279,7 +279,7 @@ fn record_sets_and_write_sets_agree_across_backends() {
         ($cf:expr, $lock:expr, $cache:expr) => {{
             let (cf, lock, cache) = ($cf, $lock, $cache);
             let peer = cf.connect_cache("GBP1", 4).unwrap();
-            for (i, (name, _)) in blocks.iter().enumerate() {
+            for (i, (name, ..)) in blocks.iter().enumerate() {
                 peer.register_read(*name, i as u32).unwrap();
             }
             let before = cf.command_stats();
@@ -316,6 +316,52 @@ fn record_sets_and_write_sets_agree_across_backends() {
     let one_each = |class: CommandClass| issued[class.index()];
     assert_eq!((one_each(CommandClass::LockRecord), one_each(CommandClass::CacheWrite)), (1, 1));
     assert_eq!(issued.iter().sum::<u64>(), 2);
+}
+
+/// A version-checked write set whose second block another writer got to
+/// first answers the same natively and over the wire: the first block
+/// written, the mismatch with both versions, the peer's bytes kept.
+#[test]
+fn a_conflicting_write_set_answers_alike_across_backends() {
+    use parallel_sysplex::cf::cache::{BlockName, CacheParams, WriteKind};
+
+    let cf = || {
+        let cf = CouplingFacility::new(CfConfig::named("CF01"));
+        cf.allocate_cache_structure("GBP1", CacheParams::store_in(8)).unwrap();
+        cf
+    };
+    let names = [1u64, 2, 3].map(|p| BlockName::from_parts(1, p));
+    macro_rules! drive {
+        ($cf:expr, $cache:expr) => {{
+            let (cf, cache) = ($cf, $cache);
+            let peer = cf.connect_cache("GBP1", 4).unwrap();
+            let read: Vec<u64> =
+                (0..3).map(|i| cache.register_read(names[i], i as u32).unwrap().version).collect();
+            peer.register_read(names[1], 0).unwrap();
+            peer.write_invalidate(names[1], b"peer", WriteKind::ChangedData).unwrap();
+            let blocks: Vec<_> = (0..3).map(|i| (names[i], Some(read[i]), b"mine".to_vec())).collect();
+            let set = cache.write_invalidate_set(&blocks, WriteKind::ChangedData).unwrap();
+            let reread = peer.register_read(names[1], 0).unwrap().data;
+            (read, set, reread)
+        }};
+    }
+    let native = cf();
+    let local = drive!(&native, native.connect_cache("GBP1", 4).unwrap());
+    let served = cf();
+    let transport: Arc<dyn CfTransport> = Arc::new(InProcessTransport::new(&served));
+    let remote = drive!(&served, RemoteCacheConnection::attach(transport, "GBP1", 4).unwrap());
+    assert_eq!(remote, local);
+
+    let (read, set, reread) = local;
+    assert_eq!(set.written.len(), 1);
+    assert!(
+        matches!(set.error, Some(CfError::VersionMismatch { expected, found }) if expected == read[1] && found > expected)
+    );
+    assert_eq!(
+        reread.as_deref().map(Vec::as_slice),
+        Some(&b"peer"[..]),
+        "the refused block keeps the peer's bytes"
+    );
 }
 
 /// A server that answers every request twice (the wire `Duplicate` fault,
