@@ -147,6 +147,29 @@ pub struct WriteResult {
     pub version: u64,
 }
 
+/// The version a write gives its block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum WriteVersion {
+    /// The shard's next tick, whatever the entry was at.
+    Blind,
+    /// The shard's next tick, and only while the entry is still at this
+    /// version: a version-checked write.
+    Expect(u64),
+    /// This one — a duplex primary's — with the shard clock moved up to
+    /// at least it, so a later write here still versions above it.
+    Take(u64),
+}
+
+/// A write set's `(name, expected version, data)` blocks as the CF writes
+/// them: version-checked where they name a version, blind elsewhere.
+pub(crate) fn set_versions<B: AsRef<[u8]>>(
+    blocks: &[(BlockName, Option<u64>, B)],
+) -> impl Iterator<Item = (BlockName, WriteVersion, &[u8])> + Clone {
+    blocks.iter().map(|(name, expect, data)| {
+        (*name, expect.map_or(WriteVersion::Blind, WriteVersion::Expect), data.as_ref())
+    })
+}
+
 /// Result of [`CacheStructure::write_and_invalidate_set`]: what each block
 /// written got, in order, and the error that stopped the set before the
 /// rest, if one did.
@@ -352,6 +375,16 @@ impl Directory {
     fn tick(&mut self, floor: u64) -> u64 {
         self.clock = (self.clock + 1).max(floor);
         self.clock
+    }
+
+    /// Refuse a version-checked write of `name` unless its entry is at
+    /// `expected`; a missing entry is found at the version a new one
+    /// would get.
+    fn expect(&self, name: BlockName, expected: u64) -> CfResult<()> {
+        match self.entries.get(&name).map(|e| e.version) {
+            Some(found) if found == expected => Ok(()),
+            found => Err(CfError::VersionMismatch { expected, found: found.unwrap_or(self.clock + 1) }),
+        }
     }
 }
 
@@ -611,8 +644,10 @@ impl CacheStructure {
 
     /// Write a block and cross-invalidate every other registered connector.
     ///
-    /// The caller is expected to hold serialization on the block (via a lock
-    /// structure); the CF enforces only directory consistency. Signals are
+    /// A blind write: the CF serialises it with every other write of the
+    /// block and versions it, but takes its bytes whatever the writer read
+    /// them at (a version-checked write goes through
+    /// [`CacheStructure::write_and_invalidate_set`]). Signals are
     /// delivered by clearing each interested peer's registered bit — the
     /// peer is not interrupted and its registration is removed (it must
     /// re-register to become current again). The writer's own registration,
@@ -624,25 +659,23 @@ impl CacheStructure {
         data: &[u8],
         kind: WriteKind,
     ) -> CfResult<WriteResult> {
-        self.write_at(conn, name, data, kind, None, None)
+        self.write_at(conn, name, data, kind, WriteVersion::Blind)
     }
 
-    /// [`CacheStructure::write_and_invalidate`]; with `at`, the write takes
-    /// that version — a duplex primary's — instead of its own tick, and
-    /// the shard clock moves up to at least it, so a later write here
-    /// still versions above it. With `expect`, the write is refused with
-    /// [`CfError::VersionMismatch`], changing nothing, unless the entry is
-    /// still at that version: a writer's image read at an older one would
-    /// overwrite what a later writer put there. An entry reclaimed since
-    /// the read comes back at a later version, so it is refused too.
+    /// [`CacheStructure::write_and_invalidate`] at `version`. An
+    /// [`WriteVersion::Expect`] write is refused with
+    /// [`CfError::VersionMismatch`], changing nothing — no room made, no
+    /// entry created — unless the entry is still at that version: a
+    /// writer's image read at an older one would overwrite what a later
+    /// writer put there. An entry reclaimed since the read is refused too,
+    /// `found` being the version a new entry would get.
     pub(crate) fn write_at(
         &self,
         conn: &CacheConnection,
         name: BlockName,
         data: &[u8],
         kind: WriteKind,
-        at: Option<u64>,
-        expect: Option<u64>,
+        version: WriteVersion,
     ) -> CfResult<WriteResult> {
         self.check_active(conn.id)?;
         match (self.model, kind) {
@@ -653,15 +686,18 @@ impl CacheStructure {
             _ => {}
         }
         self.stats.writes.incr(conn.id);
+        #[cfg(feature = "test-hooks")]
+        let version = match version {
+            WriteVersion::Expect(_) if self.ignore_expected.load(Ordering::Relaxed) => WriteVersion::Blind,
+            version => version,
+        };
+        if let WriteVersion::Expect(expected) = version {
+            self.shard_of(&name).read().expect(name, expected)?;
+        }
         if kind != WriteKind::InvalidateOnly {
             self.make_room_for_data(conn.id, data.len())?;
         }
-        #[cfg(feature = "test-hooks")]
-        let expect = expect.filter(|_| !self.ignore_expected.load(Ordering::Relaxed));
-        self.with_entry(conn.id, name, at.unwrap_or(0), |entry, tick| {
-            if let Some(expected) = expect.filter(|&v| v != entry.version) {
-                return Err(CfError::VersionMismatch { expected, found: entry.version });
-            }
+        let write = |entry: &mut DirEntry, tick: u64| {
             // The structure-wide vector table is locked only once a peer
             // turns out to be registered on this block: a write nobody else
             // has interest in signals nobody and shares nothing but its
@@ -684,7 +720,10 @@ impl CacheStructure {
             if invalidated > 0 {
                 self.stats.xi_signals.add(conn.id, invalidated as u64);
             }
-            entry.version = at.unwrap_or(tick);
+            entry.version = match version {
+                WriteVersion::Take(v) => v,
+                WriteVersion::Blind | WriteVersion::Expect(_) => tick,
+            };
             entry.lru_tick = tick;
             let new_data = (kind != WriteKind::InvalidateOnly).then(|| Arc::new(data.to_vec()));
             let (old_len, new_len) =
@@ -702,8 +741,20 @@ impl CacheStructure {
             if let Some(idx) = entry.index_of(conn.id.index()) {
                 conn.vector.set(idx as usize);
             }
-            Ok(WriteResult { invalidated, version: entry.version })
-        })?
+            WriteResult { invalidated, version: entry.version }
+        };
+        match version {
+            WriteVersion::Blind => self.with_entry(conn.id, name, 0, write),
+            WriteVersion::Take(v) => self.with_entry(conn.id, name, v, write),
+            // Checked again: making room may have reclaimed the entry, and
+            // another writer may have got there since.
+            WriteVersion::Expect(expected) => {
+                let mut shard = self.shard_of(&name).write();
+                shard.expect(name, expected)?;
+                let tick = shard.tick(0);
+                Ok(write(shard.entries.get_mut(&name).expect("the entry just checked"), tick))
+            }
+        }
     }
 
     /// Write `blocks` — `(name, expected version, data)` — in order, each
@@ -721,26 +772,21 @@ impl CacheStructure {
         blocks: &[(BlockName, Option<u64>, B)],
         kind: WriteKind,
     ) -> WriteSetResult {
-        self.write_set_at(conn, blocks, kind, &[])
+        self.write_set_at(conn, set_versions(blocks), kind)
     }
 
-    /// [`CacheStructure::write_and_invalidate_set`]; block `i` takes
-    /// version `at[i]` where there is one, whatever it expected: a mirror
-    /// writes what its primary took (see [`CacheStructure::write_at`]).
-    pub(crate) fn write_set_at<B: AsRef<[u8]>>(
+    /// [`CacheStructure::write_and_invalidate_set`] of `(name, version,
+    /// data)` blocks, each at its own [`WriteVersion`].
+    pub(crate) fn write_set_at<'a>(
         &self,
         conn: &CacheConnection,
-        blocks: &[(BlockName, Option<u64>, B)],
+        blocks: impl IntoIterator<Item = (BlockName, WriteVersion, &'a [u8])>,
         kind: WriteKind,
-        at: &[u64],
     ) -> WriteSetResult {
-        let mut written = Vec::with_capacity(blocks.len());
-        for (i, (name, expect, data)) in blocks.iter().enumerate() {
-            let (at, expect) = match at.get(i) {
-                Some(&v) => (Some(v), None),
-                None => (None, *expect),
-            };
-            match self.write_at(conn, *name, data.as_ref(), kind, at, expect) {
+        let blocks = blocks.into_iter();
+        let mut written = Vec::with_capacity(blocks.size_hint().0);
+        for (name, version, data) in blocks {
+            match self.write_at(conn, name, data, kind, version) {
                 Ok(w) => written.push(w),
                 Err(e) => return WriteSetResult { written, error: Some(e) },
             }
@@ -836,17 +882,12 @@ impl CacheStructure {
         Ok(())
     }
 
-    /// The highest version this structure has given out: every shard
-    /// clock's.
-    pub fn clock(&self) -> u64 {
-        self.shards.iter().map(|s| s.read().clock).max().unwrap_or(0)
-    }
-
-    /// Version everything from now on above `floor`: a structure that
-    /// takes over from another (a rebuild, a promoted duplex secondary)
-    /// continues its versions, so an image read at the old one's never
-    /// matches a version-checked write here.
-    pub fn raise_clock(&self, floor: u64) {
+    /// Version everything from now on above every version `old` has given
+    /// out: a structure that takes over from another (a rebuild, a
+    /// promoted duplex secondary) continues its versions, so an image read
+    /// at the old one's never matches a version-checked write here.
+    pub fn raise_clock_above(&self, old: &CacheStructure) {
+        let floor = old.shards.iter().map(|s| s.read().clock).max().unwrap_or(0);
         for shard in self.shards.iter() {
             let mut shard = shard.write();
             shard.clock = shard.clock.max(floor);
@@ -1214,8 +1255,8 @@ mod tests {
         assert!(!b.is_valid(0));
     }
 
-    /// An entry reclaimed since the writer read it comes back at a later
-    /// version, so a version-checked write of it is refused.
+    /// A version-checked write of an entry reclaimed since the writer read
+    /// it is refused, found at a later version, and makes no entry.
     #[test]
     fn a_version_checked_write_of_a_reclaimed_entry_is_refused() {
         let c = store_in(2);
@@ -1227,8 +1268,31 @@ mod tests {
         }
         assert_eq!(c.interest_of(blk), None, "the entry was reclaimed");
         let set = c.write_and_invalidate_set(&a, &[(blk, Some(read), b"x")], WriteKind::ChangedData);
-        assert!(matches!(set.error, Some(CfError::VersionMismatch { expected, .. }) if expected == read));
+        assert!(
+            matches!(set.error, Some(CfError::VersionMismatch { expected, found }) if expected == read && found > read)
+        );
         assert!(set.written.is_empty());
+        assert_eq!(c.interest_of(blk), None, "a refused write makes no entry");
+    }
+
+    /// A write whose version moved is refused before the CF makes room
+    /// for it: with the data area full of changed blocks it reads
+    /// VersionMismatch, which a committer retries, not StructureFull.
+    #[test]
+    fn a_moved_version_is_refused_before_room_is_made() {
+        let c = store_in(2);
+        let a = c.connect(16).unwrap();
+        let [x, y] = [1, 2].map(|p| BlockName::from_parts(7, p));
+        let page = vec![0u8; 4096];
+        let read = c.write_and_invalidate(&a, x, &page, WriteKind::ChangedData).unwrap().version;
+        c.write_and_invalidate(&a, x, &page, WriteKind::ChangedData).unwrap();
+        c.write_and_invalidate(&a, y, &page, WriteKind::ChangedData).unwrap();
+        let set = c.write_and_invalidate_set(&a, &[(x, Some(read), page.as_slice())], WriteKind::ChangedData);
+        assert!(
+            matches!(set.error, Some(CfError::VersionMismatch { expected, .. }) if expected == read),
+            "{:?}",
+            set.error
+        );
     }
 
     /// The candidates a sweep gets are the `max` oldest changed blocks in

@@ -40,8 +40,8 @@
 //! name costs nanoseconds on the issuing CPU and never was a CF command.
 
 use crate::cache::{
-    BlockName, CacheConnection as CacheToken, CacheStructure, RegisterResult, WriteKind, WriteResult,
-    WriteSetResult,
+    set_versions, BlockName, CacheConnection as CacheToken, CacheStructure, RegisterResult, WriteKind,
+    WriteResult, WriteSetResult, WriteVersion,
 };
 use crate::duplex::{self, DuplexPair, Mirror};
 use crate::error::{CfError, CfResult};
@@ -1062,7 +1062,7 @@ impl CacheConnection {
             for name in self.castout_candidates(usize::MAX >> 1)? {
                 let read = self.sub.issue(CfCommand::CASTOUT_READ, || self.structure.read_changed(name));
                 if let Ok((data, version)) = read {
-                    conn.write_at(name, &data, WriteKind::ChangedData, Some(version))?;
+                    conn.write_at(name, &data, WriteKind::ChangedData, WriteVersion::Take(version))?;
                 }
             }
             *self.structure.duplex.lock() = Some(Arc::clone(pair));
@@ -1170,24 +1170,24 @@ impl CacheConnection {
     /// connector. Oversized payloads are converted to async execution.
     /// The mirror writes the primary's version.
     pub fn write_invalidate(&self, name: BlockName, data: &[u8], kind: WriteKind) -> CfResult<WriteResult> {
-        let r = self.write_at(name, data, kind, None);
+        let r = self.write_at(name, data, kind, WriteVersion::Blind);
         if let Ok(w) = &r {
-            self.mirror(|sec| sec.write_at(name, data, kind, Some(w.version)).map(drop));
+            self.mirror(|sec| sec.write_at(name, data, kind, WriteVersion::Take(w.version)).map(drop));
         }
         r
     }
 
-    /// Issue and trace one write; with `at`, at that version (see
+    /// Issue and trace one write at `version` (see
     /// [`CacheStructure::write_at`]).
     fn write_at(
         &self,
         name: BlockName,
         data: &[u8],
         kind: WriteKind,
-        at: Option<u64>,
+        version: WriteVersion,
     ) -> CfResult<WriteResult> {
         let r = self.sub.issue(CfCommand::cache_write(data.len()), || {
-            self.structure.write_at(&self.token, name, data, kind, at, None)
+            self.structure.write_at(&self.token, name, data, kind, version)
         });
         if let Ok(w) = &r {
             self.sub.emit(TraceEvent::CrossInvalidate {
@@ -1209,35 +1209,34 @@ impl CacheConnection {
         blocks: &[(BlockName, Option<u64>, B)],
         kind: WriteKind,
     ) -> CfResult<WriteSetResult> {
-        let r = self.write_set_at(blocks, kind, &[]);
+        let r = self.write_set_at(set_versions(blocks), kind);
         if let Ok(set) = &r {
-            // What the primary took, and only that, at its versions,
-            // whatever the writer expected.
-            let written = &blocks[..set.written.len()];
-            if !written.is_empty() {
+            // What the primary took, and only that, at its versions.
+            if !set.written.is_empty() {
                 self.mirror(|sec| {
-                    let at: Vec<u64> = set.written.iter().map(|w| w.version).collect();
-                    sec.write_set_at(written, kind, &at)?.error.map_or(Ok(()), Err)
+                    let taken = set_versions(blocks)
+                        .zip(&set.written)
+                        .map(|((name, _, data), w)| (name, WriteVersion::Take(w.version), data));
+                    sec.write_set_at(taken, kind)?.error.map_or(Ok(()), Err)
                 });
             }
         }
         r
     }
 
-    /// Issue and trace one write set; block `i` at version `at[i]` where
-    /// there is one (see [`CacheStructure::write_set_at`]).
-    fn write_set_at<B: AsRef<[u8]>>(
+    /// Issue and trace one write set, each block at its own version (see
+    /// [`CacheStructure::write_set_at`]).
+    fn write_set_at<'a>(
         &self,
-        blocks: &[(BlockName, Option<u64>, B)],
+        blocks: impl Iterator<Item = (BlockName, WriteVersion, &'a [u8])> + Clone,
         kind: WriteKind,
-        at: &[u64],
     ) -> CfResult<WriteSetResult> {
-        let bytes = blocks.iter().map(|(_, _, data)| data.as_ref().len()).sum();
+        let bytes = blocks.clone().map(|(_, _, data)| data.len()).sum();
         let r = self.sub.issue(CfCommand::cache_write(bytes), || {
-            Ok(self.structure.write_set_at(&self.token, blocks, kind, at))
+            Ok(self.structure.write_set_at(&self.token, blocks.clone(), kind))
         });
         if let Ok(set) = &r {
-            for ((name, ..), w) in blocks.iter().zip(&set.written) {
+            for ((name, ..), w) in blocks.zip(&set.written) {
                 self.sub.emit(TraceEvent::CrossInvalidate {
                     block: name.digest(),
                     invalidated: w.invalidated as u64,

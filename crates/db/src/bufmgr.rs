@@ -339,7 +339,7 @@ impl BufferManager {
         let promoted: Option<Vec<_>> = guards.iter().map(|g| g.promote()).collect();
         let promoted = promoted.ok_or(DbError::Cf(CfError::WrongModel))?;
         for ((manager, guard), conn) in managers.iter().zip(guards.iter_mut()).zip(promoted) {
-            conn.structure().raise_clock(guard.structure().clock());
+            conn.structure().raise_clock_above(guard.structure());
             manager.pool.lock().clear();
             **guard = conn;
         }
@@ -367,7 +367,7 @@ impl BufferManager {
             while manager.castout_inner(guard, 1024)? > 0 {}
         }
         for (manager, guard) in managers.iter().zip(guards.iter_mut()) {
-            new.raise_clock(guard.structure().clock());
+            new.raise_clock_above(guard.structure());
             let _ = guard.detach();
             let sub = sub.sibling().with_system(manager.system);
             let conn = CacheConnection::attach(&new, sub, manager.pool.lock().frames.len())?;

@@ -345,18 +345,21 @@ impl Database {
 
     /// Best-effort in-place undo of staged writes that reached shared
     /// storage (commit-failure path; the L-locks are still held, so the
-    /// record values cannot have moved under us).
+    /// record values cannot have moved under us). Each page is rewritten
+    /// on its own, so an error on one leaves the others backed out.
     fn backout_externalised(&self, txn: &Txn) {
-        let _ = self.buf.update_pages(&txn.pages(), |page_no, page| {
-            let mut undone = false;
-            for (key, w) in txn.on_page(page_no) {
-                if page.get(key) == w.after.as_deref() {
-                    page.write(key, w.before.as_deref());
-                    undone = true;
+        for page_no in txn.pages() {
+            let _ = self.buf.update_pages(&[page_no], |_, page| {
+                let mut undone = false;
+                for (key, w) in txn.on_page(page_no) {
+                    if page.get(key) == w.after.as_deref() {
+                        page.write(key, w.before.as_deref());
+                        undone = true;
+                    }
                 }
-            }
-            undone
-        });
+                undone
+            });
+        }
     }
 
     /// Abort: nothing was logged or externalised — a transaction's updates

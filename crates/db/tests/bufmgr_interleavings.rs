@@ -194,7 +194,7 @@ impl<'s> World<'s> {
             assert!(actors.clone().count() <= 2, "at most two actors per member");
             assert!(actors.clone().all(|a| a.ops.len() <= 4), "at most four steps per actor");
         }
-        assert!((1..=2).contains(&scenario.frames) && (1..=4).contains(&scenario.entries));
+        assert!((1..=2).contains(&scenario.frames) && (2..=4).contains(&scenario.entries));
         let cache = CacheStructure::new("GBP0", &CacheParams::store_in(scenario.entries)).unwrap();
         let conns = [cache.connect(scenario.frames).unwrap(), cache.connect(scenario.frames).unwrap()];
         #[allow(unused_mut)]
@@ -659,26 +659,16 @@ const REWRITE: Scenario = Scenario {
     ],
 };
 
-/// Both members write and cast out one page, and one reads it back: two
-/// castouts race their DASD writes.
+/// Both members write and cast out one page while it is read; a
+/// two-entry directory reclaims it between lives, so the two castouts race
+/// their DASD writes across a reclaim.
 const CASTOUT: Scenario = Scenario {
     frames: 1,
     entries: 2,
     actors: &[
         Actor { member: 0, ops: &[Op::Write(&[1]), Op::Castout, Op::Read(1)] },
         Actor { member: 1, ops: &[Op::Write(&[1]), Op::Castout] },
-    ],
-};
-
-/// Both members write one page, one casts it out and reads it back while
-/// the other reads two more through a two-entry directory, which reclaims
-/// the page between lives.
-const RECLAIM: Scenario = Scenario {
-    frames: 1,
-    entries: 2,
-    actors: &[
-        Actor { member: 0, ops: &[Op::Write(&[1]), Op::Castout, Op::Read(1)] },
-        Actor { member: 1, ops: &[Op::Write(&[1]), Op::Read(2), Op::Read(3)] },
+        Actor { member: 1, ops: &[Op::Read(2), Op::Read(3)] },
     ],
 };
 
@@ -709,13 +699,12 @@ const LOCAL: Scenario = Scenario {
 };
 
 /// Each scenario with the states its walk reaches.
-const SCENARIOS: [(&str, &Scenario, usize); 7] = [
+const SCENARIOS: [(&str, &Scenario, usize); 6] = [
     ("steal", &STEAL, 4_919),
     ("refill", &REFILL, 351),
     ("rewrite", &REWRITE, 2_189),
-    ("castout", &CASTOUT, 770),
-    ("reclaim", &RECLAIM, 1_098),
-    ("sets", &SETS, 2_271),
+    ("castout", &CASTOUT, 13_353),
+    ("sets", &SETS, 2_455),
     ("local", &LOCAL, 864),
 ];
 
